@@ -55,6 +55,9 @@ class NFSServer:
         self.name = name
         self.capacity_bytes = parse_memory(capacity)
         self._objects: dict[str, StoredObject] = {}
+        #: Running total of stored sizes, kept by write/overwrite/delete so
+        #: the capacity check does not re-sum the store on every write.
+        self._used_bytes = 0
 
     # -- writes -----------------------------------------------------------------
 
@@ -64,9 +67,7 @@ class NFSServer:
             payload = payload.encode("utf-8")
         obj = StoredObject(path=path, size_bytes=len(payload), payload=payload,
                            metadata=dict(metadata or {}))
-        self._check_capacity(obj, replacing=self._objects.get(path))
-        self._objects[path] = obj
-        return obj
+        return self._store(obj)
 
     def write_placeholder(self, path: str, size_bytes: int,
                           metadata: "dict[str, str] | None" = None) -> StoredObject:
@@ -75,16 +76,19 @@ class NFSServer:
             raise StorageError(f"negative object size {size_bytes}")
         obj = StoredObject(path=path, size_bytes=size_bytes, payload=None,
                            metadata=dict(metadata or {}))
-        self._check_capacity(obj, replacing=self._objects.get(path))
-        self._objects[path] = obj
-        return obj
+        return self._store(obj)
 
-    def _check_capacity(self, obj: StoredObject, replacing: Optional[StoredObject]) -> None:
-        used = self.used_bytes() - (replacing.size_bytes if replacing else 0)
-        if used + obj.size_bytes > self.capacity_bytes:
+    def _store(self, obj: StoredObject) -> StoredObject:
+        """Capacity-check ``obj`` and store it, replacing any object at its path."""
+        replacing = self._objects.get(obj.path)
+        used = self._used_bytes - (replacing.size_bytes if replacing else 0) + obj.size_bytes
+        if used > self.capacity_bytes:
             raise StorageError(
-                f"NFS server {self.name} full: {used + obj.size_bytes} > {self.capacity_bytes}"
+                f"NFS server {self.name} full: {used} > {self.capacity_bytes}"
             )
+        self._objects[obj.path] = obj
+        self._used_bytes = used
+        return obj
 
     # -- reads ----------------------------------------------------------------------
 
@@ -109,10 +113,10 @@ class NFSServer:
     def delete(self, path: str) -> None:
         if path not in self._objects:
             raise StorageError(f"no such object: {path}")
-        del self._objects[path]
+        self._used_bytes -= self._objects.pop(path).size_bytes
 
     def used_bytes(self) -> int:
-        return sum(obj.size_bytes for obj in self._objects.values())
+        return self._used_bytes
 
     def object_count(self) -> int:
         return len(self._objects)

@@ -186,7 +186,7 @@ class Consumer:
                 lifetime=lifetime if lifetime is not None else 4.0,
                 application_parameters=application_parameters,
             )
-        completion = self.env.event(name=f"fetch:{interest.name}")
+        completion = self.env.event(name="fetch")
         pending = PendingInterest(
             interest=interest,
             completion=completion,
@@ -201,9 +201,9 @@ class Consumer:
         # The wake event exists before the first transmission: a Nack that
         # comes back synchronously (zero-delay local faces) must still be
         # able to trip the watchdog's first cycle.
-        pending.wake = self.env.event(name=f"retry:{interest.name}")
+        pending.wake = self.env.event(name="retry")
         self._send(pending)
-        self.env.process(self._watchdog(pending), name=f"watchdog:{interest.name}")
+        self.env.process(self._watchdog(pending), name="watchdog")
         return completion
 
     def _send(self, pending: PendingInterest) -> None:
@@ -234,7 +234,7 @@ class Consumer:
     def _watchdog(self, pending: PendingInterest):
         while True:
             if pending.wake is None:  # pragma: no cover - armed at express time
-                pending.wake = self.env.event(name=f"retry:{pending.interest.name}")
+                pending.wake = self.env.event(name="retry")
             if not pending.wake.triggered:
                 # A wake already tripped (a Nack delivered synchronously,
                 # before this cycle started) falls straight through to the
@@ -275,8 +275,22 @@ class Consumer:
                 lifetime=pending.interest.lifetime,
                 application_parameters=pending.interest.application_parameters,
             )
-            pending.wake = self.env.event(name=f"retry:{pending.interest.name}")
+            pending.wake = self.env.event(name="retry")
             self._send(pending)
+
+    def _settle(self, pending: PendingInterest) -> None:
+        """The exchange has its verdict: drop it and end its watchdog *now*.
+
+        Tripping the per-cycle wake makes the watchdog run its existing
+        ``satisfied`` check at once, rather than sleep out the rest of the
+        Interest lifetime holding the exchange (the Interest, the decoded
+        Data, its events) alive.
+        """
+        pending.satisfied = True
+        self._forget(pending)
+        wake = pending.wake
+        if wake is not None and not wake.triggered:
+            wake.succeed()
 
     def _forget(self, pending: PendingInterest) -> None:
         bucket = self._pending.get(pending.interest.name, [])
@@ -312,8 +326,7 @@ class Consumer:
                     if pending.interest.can_be_prefix and pending.interest.matches_data(data):
                         matches.append(pending)
         for pending in matches:
-            pending.satisfied = True
-            self._forget(pending)
+            self._settle(pending)
             if not pending.completion.triggered:
                 pending.completion.succeed(data)
 
@@ -335,8 +348,7 @@ class Consumer:
                 if pending.wake is not None and not pending.wake.triggered:
                     pending.wake.succeed(reason)
                 continue
-            pending.satisfied = True
-            self._forget(pending)
+            self._settle(pending)
             if not pending.completion.triggered:
                 pending.completion.fail(
                     InterestNacked(nack.name, NackReason.label(reason))

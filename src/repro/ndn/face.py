@@ -35,7 +35,7 @@ from typing import Optional, Protocol, Union
 from repro.exceptions import NDNError
 from repro.ndn.packet import Data, Interest, Nack, WirePacket
 from repro.ndn.tlv import TlvTypes
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Event
 from repro.sim.topology import Link
 
 __all__ = [
@@ -167,6 +167,22 @@ class Face:
     def _transmit(self, packet: WirePacket) -> None:
         raise NotImplementedError
 
+    def _deliver_after(self, delay: float, packet: WirePacket) -> None:
+        """Hand ``packet`` to the peer ``delay`` simulated seconds from now.
+
+        One :class:`~repro.sim.engine.Timeout` carrying the packet, with the
+        peer's arrival hook as its callback — no per-packet process.  An
+        exception raised by the receiving endpoint therefore propagates out
+        of ``Environment.step()``/``run()`` to whoever drives the simulation
+        instead of being parked in ``unhandled_failures``.
+        """
+        peer = self.peer
+        assert peer is not None
+        self.env.timeout(delay, packet).callbacks.append(peer._arrive)
+
+    def _arrive(self, event: Event) -> None:
+        self.deliver(event.value)
+
     def deliver(self, packet: AnyPacket) -> None:
         """Called by the peer when a packet arrives on this face."""
         if not self.up:
@@ -210,17 +226,12 @@ class LocalFace(Face):
         self.delay_s = delay_s
 
     def _transmit(self, packet: WirePacket) -> None:
-        peer = self.peer
-        assert peer is not None
         if self.delay_s <= 0:
+            peer = self.peer
+            assert peer is not None
             peer.deliver(packet)
-            return
-
-        def _deliver():
-            yield self.env.timeout(self.delay_s)
-            peer.deliver(packet)
-
-        self.env.process(_deliver(), name=f"deliver:{self.label}")
+        else:
+            self._deliver_after(self.delay_s, packet)
 
 
 class NetworkFace(Face):
@@ -237,15 +248,7 @@ class NetworkFace(Face):
         self.link = link or Link("a", "b", latency_s=0.001, bandwidth_bps=1e9)
 
     def _transmit(self, packet: WirePacket) -> None:
-        peer = self.peer
-        assert peer is not None
-        delay = self.link.transfer_time_packet(packet)
-
-        def _deliver():
-            yield self.env.timeout(delay)
-            peer.deliver(packet)
-
-        self.env.process(_deliver(), name=f"xmit:{self.label}")
+        self._deliver_after(self.link.transfer_time_packet(packet), packet)
 
 
 def connect(

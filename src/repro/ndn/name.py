@@ -94,7 +94,7 @@ class Component:
 class Name:
     """An immutable hierarchical NDN name."""
 
-    __slots__ = ("_components", "_hash")
+    __slots__ = ("_components", "_hash", "_uri")
 
     def __init__(self, value: "Union[str, Name, Iterable[Union[str, bytes, Component]], None]" = None) -> None:
         components: tuple[Component, ...]
@@ -108,6 +108,9 @@ class Name:
             components = tuple(Component(part) for part in value)
         self._components = components
         self._hash = hash(components)
+        # Formatted on first use and kept: a name is immutable, and the
+        # trace stamps the same name at every hop of an exchange.
+        self._uri: "str | None" = None
 
     @staticmethod
     def _parse_uri(uri: str) -> Iterator[Component]:
@@ -172,10 +175,11 @@ class Name:
     # -- formatting ---------------------------------------------------------------
 
     def to_uri(self) -> str:
-        """Canonical URI form, e.g. ``/ndn/k8s/compute``."""
-        if not self._components:
-            return "/"
-        return "/" + "/".join(comp.escaped() for comp in self._components)
+        """Canonical URI form, e.g. ``/ndn/k8s/compute`` (memoised)."""
+        uri = self._uri
+        if uri is None:
+            uri = self._uri = "/" + "/".join(comp.escaped() for comp in self._components)
+        return uri
 
     @property
     def components(self) -> tuple[Component, ...]:

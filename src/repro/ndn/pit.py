@@ -10,7 +10,8 @@ Two hot paths avoid scanning the table:
   (nothing expired) is a single peek instead of an O(n) sweep per packet.
 * ``satisfy()``/``find_matching()`` probe the entry dict once per prefix of
   the Data name (exact key plus each ``can_be_prefix`` prefix key) instead of
-  testing every pending entry.
+  testing every pending entry — and skip the per-prefix probes altogether
+  while no ``can_be_prefix`` entry is live (a counter, not a scan).
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ class PendingInterestTable:
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock or (lambda: 0.0)
         self._entries: dict[tuple[Name, bool], PitEntry] = {}
+        #: Live entries with ``can_be_prefix``; while it is zero the Data path
+        #: has no prefix key to probe for (and no prefix ``Name`` to build).
+        self._prefix_entries = 0
         #: Lazy expiry heap of (when, seq, key).  Keys may be stale (entry
         #: satisfied/removed or lifetime extended); ``expire()`` revalidates
         #: against the live entry before dropping anything.
@@ -101,6 +105,13 @@ class PendingInterestTable:
 
     def _key(self, interest: InterestLike) -> tuple[Name, bool]:
         return (interest.name, interest.can_be_prefix)
+
+    def _pop(self, key: tuple[Name, bool]) -> Optional[PitEntry]:
+        """Remove and return the entry under ``key`` (the one removal path)."""
+        entry = self._entries.pop(key, None)
+        if entry is not None and entry.can_be_prefix:
+            self._prefix_entries -= 1
+        return entry
 
     def _push_expiry(self, key: tuple[Name, bool], when: float) -> None:
         heapq.heappush(self._expiry_heap, (when, self._heap_seq, key))
@@ -122,6 +133,8 @@ class PendingInterestTable:
         if entry is None:
             entry = PitEntry(name=interest.name, can_be_prefix=interest.can_be_prefix)
             self._entries[key] = entry
+            if entry.can_be_prefix:
+                self._prefix_entries += 1
         else:
             self.aggregated += 1
         entry.in_records[in_face_id] = InRecord(face_id=in_face_id, nonce=interest.nonce, expiry=expiry)
@@ -161,10 +174,11 @@ class PendingInterestTable:
         exact_key = (data.name, False)
         if exact_key in self._entries:
             keys.append(exact_key)
-        for length in range(len(data.name) + 1):
-            key = (data.name.prefix(length), True)
-            if key in self._entries:
-                keys.append(key)
+        if self._prefix_entries:
+            for length in range(len(data.name) + 1):
+                key = (data.name.prefix(length), True)
+                if key in self._entries:
+                    keys.append(key)
         return keys
 
     def find_matching(self, data: DataLike) -> list[PitEntry]:
@@ -175,7 +189,7 @@ class PendingInterestTable:
         """Consume entries matched by ``data``; returns downstream face ids."""
         faces: list[int] = []
         for key in self._matching_keys(data):
-            entry = self._entries.pop(key)
+            entry = self._pop(key)
             self.satisfied += 1
             for face_id in entry.downstream_faces():
                 if face_id not in faces:
@@ -186,11 +200,11 @@ class PendingInterestTable:
         return self._entries.get(self._key(interest))
 
     def remove(self, interest: InterestLike) -> None:
-        self._entries.pop(self._key(interest), None)
+        self._pop(self._key(interest))
 
     def remove_from_key(self, key: tuple[Name, bool]) -> None:
         """Drop an entry by its (name, can_be_prefix) key (cleanup paths)."""
-        self._entries.pop(key, None)
+        self._pop(key)
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -214,7 +228,7 @@ class PendingInterestTable:
                 continue  # already satisfied or removed
             actual = entry.expiry()
             if actual <= now:
-                del self._entries[key]
+                self._pop(key)
                 dead.append(entry)
                 self.expired += 1
             else:

@@ -137,12 +137,17 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(env, name=f"timeout({delay})")
+        super().__init__(env, name="timeout")
         self.delay = delay
         self._ok = True
         self._value = value
         self._triggered = True
         env.schedule(self, priority=PRIORITY_NORMAL, delay=delay)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        # The delay is formatted here, on demand; ``name`` stays a constant
+        # so that creating a timeout (once per packet per hop) formats nothing.
+        return f"<Timeout({self.delay}) {'processed' if self._processed else 'triggered'}>"
 
 
 class _Initialize(Event):
@@ -319,6 +324,8 @@ class ConditionEvent(Event):
             self.succeed({})
             return
         for ev in self.events:
+            if self._triggered:
+                break  # decided by an already-processed child: subscribe no further
             if ev._processed:
                 self._child_done(ev)
             else:
@@ -326,6 +333,22 @@ class ConditionEvent(Event):
 
     def _child_done(self, event: Event) -> None:
         raise NotImplementedError
+
+    def _detach(self) -> None:
+        """Decided: unsubscribe from every child that has not fired yet.
+
+        Left in a child's callback list, a decided condition stays reachable
+        for as long as that child is scheduled — a finished Interest
+        exchange would hang off its unfired lifetime ``Timeout`` (and form
+        an ``AnyOf`` <-> wake-event cycle) for a full Interest lifetime.  A
+        child that fails later therefore has no subscriber here and is
+        recorded in ``Environment.unhandled_failures`` like any other
+        unobserved failure.
+        """
+        child_done = self._child_done
+        for ev in self.events:
+            if not ev._processed and child_done in ev.callbacks:
+                ev.callbacks.remove(child_done)
 
 
 class AllOf(ConditionEvent):
@@ -346,6 +369,7 @@ class AllOf(ConditionEvent):
             return
         if not event.ok:
             self.fail(event.value)
+            self._detach()
             return
         self._results[event] = event.value
         self._remaining -= 1
@@ -373,8 +397,9 @@ class AnyOf(ConditionEvent):
             return
         if not event.ok:
             self.fail(event.value)
-            return
-        self.succeed({event: event.value})
+        else:
+            self.succeed({event: event.value})
+        self._detach()
 
 
 class Queue:

@@ -3,24 +3,34 @@
 A :class:`Tracer` records ``(time, category, event, attributes)`` tuples.
 The benchmarks use traces to decompose end-to-end latencies into per-step
 contributions (e.g. the five protocol steps of the paper's Figure 5).
+
+Formatting contract: :meth:`Tracer.record` formats *eagerly* — every
+attribute value that is not already a primitive (``str``/``int``/``float``/
+``bool``/``None``) is replaced by its ``str()`` when the record is made, so
+a stored record holds primitives only, never a live object of the run (and
+an attribute dict of primitives is one the cycle collector never has to
+visit).  Eager is affordable because the one rich type the forwarding plane
+passes, :class:`~repro.ndn.name.Name`, memoises its URI: ``str(name)`` is a
+pointer copy after the first call and every record of a name shares that
+one string.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 __all__ = ["TraceEvent", "Tracer"]
 
+_PRIMITIVES = (str, int, float, bool, type(None))
 
-@dataclass(frozen=True)
-class TraceEvent:
+
+class TraceEvent(NamedTuple):
     """A single trace record."""
 
     time: float
     category: str
     event: str
-    attrs: dict[str, Any] = field(default_factory=dict)
+    attrs: dict[str, Any]
 
     def matches(self, category: Optional[str] = None, event: Optional[str] = None) -> bool:
         """True when the record matches the given category/event filters."""
@@ -48,11 +58,13 @@ class Tracer:
         """
         if not self.enabled:
             return None
+        # A fresh dict, not ``attrs`` patched in place: a dict that ever held
+        # a collectable value stays GC-tracked until the next full collection.
         attrs = {
-            key: value if isinstance(value, (str, int, float, bool, type(None))) else str(value)
+            key: value if isinstance(value, _PRIMITIVES) else str(value)
             for key, value in attrs.items()
         }
-        record = TraceEvent(time=self._clock(), category=category, event=event, attrs=attrs)
+        record = TraceEvent(self._clock(), category, event, attrs)
         self.events.append(record)
         return record
 

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.exceptions import ClusterError, StorageError
 from repro.cluster.apiserver import ApiServer
@@ -131,6 +132,42 @@ class TestStorage:
         nfs = NFSServer(capacity=100)
         with pytest.raises(StorageError):
             nfs.write("/big", b"x" * 200)
+
+    @given(ops=st.lists(
+        st.tuples(st.sampled_from(["write", "placeholder", "delete"]),
+                  st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=60)),
+        max_size=40,
+    ))
+    def test_nfs_running_total_agrees_with_a_fresh_sum(self, ops):
+        """``used_bytes`` is a running total kept by write, overwrite and
+        delete: after any interleaving it equals a fresh sum over the store,
+        and a write is refused at exactly the boundary a fresh sum gives."""
+        capacity = 100
+        nfs = NFSServer(name="lake", capacity=capacity)
+        model: dict[str, int] = {}
+        for op, slot, size in ops:
+            path = f"/exports/obj{slot}"
+            if op == "delete":
+                if path in model:
+                    nfs.delete(path)
+                    del model[path]
+                else:
+                    with pytest.raises(StorageError, match="no such object"):
+                        nfs.delete(path)
+            else:
+                would_use = sum(model.values()) - model.get(path, 0) + size
+                store = (lambda: nfs.write(path, b"x" * size)) if op == "write" else (
+                    lambda: nfs.write_placeholder(path, size))
+                if would_use > capacity:
+                    with pytest.raises(StorageError) as refused:
+                        store()
+                    assert str(refused.value) == f"NFS server lake full: {would_use} > {capacity}"
+                else:
+                    store()
+                    model[path] = size
+            assert nfs.used_bytes() == sum(model.values())
+            assert nfs.used_bytes() == sum(nfs.stat(p).size_bytes for p in nfs.listdir())
+            assert nfs.object_count() == len(model)
 
     def test_nfs_delete_and_missing(self):
         nfs = NFSServer()

@@ -102,6 +102,51 @@ class TestWireDelivery:
         with pytest.raises(NDNError, match="shim was removed"):
             face_a.send(Data(name=Name("/legacy/d"), content=b"x").sign())
 
+    @pytest.mark.parametrize("face_cls", [NetworkFace, LocalFace])
+    def test_receiver_error_on_a_delayed_face_propagates_out_of_run(self, face_cls):
+        """Delayed delivery is a callback on the link's Timeout, not a
+        process of its own: whatever the receiving endpoint raises surfaces
+        from ``run()`` at the arrival instant instead of being parked in
+        ``unhandled_failures``, and the engine stays usable afterwards."""
+
+        class Exploding(WireCollector):
+            def receive_packet(self, packet, face):
+                raise RuntimeError("endpoint bug")
+
+        env = Environment()
+        face_a, _ = connect(
+            env, WireCollector(), Exploding(), link=Link("a", "b", latency_s=0.01),
+            face_cls=face_cls,
+        )
+        if face_cls is LocalFace:
+            face_a.delay_s = 0.01
+        face_a.send(Interest(name=Name("/boom/1")))
+        face_a.send(Interest(name=Name("/boom/2")))
+        with pytest.raises(RuntimeError, match="endpoint bug"):
+            env.run()
+        assert env.now == pytest.approx(0.01, abs=1e-3)
+        assert env.unhandled_failures == []
+        with pytest.raises(RuntimeError, match="endpoint bug"):
+            env.run()  # the second packet still arrives
+        assert env.queue_size == 0
+
+    def test_legacy_endpoint_across_a_link_raises_from_run(self):
+        env = Environment()
+        face_a, _ = connect(env, WireCollector(), LegacyCollector())
+        face_a.send(Interest(name=Name("/legacy")))
+        with pytest.raises(NDNError, match="LegacyCollector.*accepts_wire_packets"):
+            env.run()
+
+    def test_one_engine_event_per_packet_per_link(self):
+        env = Environment()
+        receiver = WireCollector()
+        face_a, _ = connect(env, WireCollector(), receiver)
+        for index in range(5):
+            face_a.send(Interest(name=Name(f"/w/{index}")))
+        assert env.queue_size == 5
+        env.run()
+        assert [str(packet.name) for packet in receiver.received] == [f"/w/{i}" for i in range(5)]
+
     def test_bytes_counted_as_wire_length(self):
         env = Environment()
         sender, receiver = WireCollector(), WireCollector()

@@ -476,6 +476,58 @@ class TestPit:
         for entry in pit.entries():
             assert entry.matches_data(data) == (entry in matched)
 
+    def test_exact_only_table_builds_no_prefix_names_per_data(self, monkeypatch):
+        """While no ``can_be_prefix`` entry is live the Data path probes the
+        exact key only — it must not build one ``Name`` per prefix length."""
+        built = []
+        real_prefix = Name.prefix
+        monkeypatch.setattr(
+            Name, "prefix", lambda self, n: built.append(n) or real_prefix(self, n)
+        )
+        pit = PendingInterestTable()
+        pit.insert(Interest(name=Name("/a/b/c/d")), in_face_id=1)
+        assert pit.satisfy(make_data("/a/b/c/d")) == [1]
+        assert built == []
+        pit.insert(Interest(name=Name("/a"), can_be_prefix=True), in_face_id=2)
+        assert pit.satisfy(make_data("/a/b/c/d")) == [2]
+        assert built == [0, 1, 2, 3, 4]
+
+    @given(ops=st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "satisfy", "remove", "remove_key", "tick"]),
+            st.sampled_from(["/", "/a", "/a/b", "/a/b/c", "/x"]),
+            st.booleans(),
+        ),
+        max_size=40,
+    ))
+    def test_prefix_entry_counter_survives_every_removal_path(self, ops):
+        """The counter that gates the prefix probes is kept by insert,
+        satisfy, remove, remove_from_key and expire: after any interleaving
+        the probing lookup still agrees with a scan of every entry."""
+        clock = {"now": 0.0}
+        pit = PendingInterestTable(clock=lambda: clock["now"])
+        for op, uri, can_be_prefix in ops:
+            interest = Interest(name=Name(uri), can_be_prefix=can_be_prefix, lifetime=1.0)
+            if op == "insert":
+                pit.insert(interest, in_face_id=1)
+            elif op == "satisfy":
+                pit.satisfy(make_data(uri))
+            elif op == "remove":
+                pit.remove(interest)
+            elif op == "remove_key":
+                pit.remove_from_key((Name(uri), can_be_prefix))
+            else:
+                clock["now"] += 0.6
+                pit.expire()
+            entries = list(pit.entries())
+            assert pit._prefix_entries == sum(entry.can_be_prefix for entry in entries)
+            for probe in ("/a/b/c", "/x", "/"):
+                data = make_data(probe)
+                scanned = [entry for entry in entries if entry.matches_data(data)]
+                matched = pit.find_matching(data)
+                assert len(matched) == len(scanned)
+                assert all(entry in scanned for entry in matched)
+
 
 class TestNameTreeAndFib:
     def test_exact_and_lpm(self):

@@ -317,6 +317,63 @@ class TestConditionEvents:
         # Same timestamp: the first scheduled wins deterministically.
         assert env.run_process(proc()) == ["a"]
 
+    def test_decided_any_of_detaches_from_undecided_children(self, env):
+        """Once decided, a condition holds no callback on a child that has
+        not fired: the leftover Timeout in the heap (and a never-fired wake
+        event) must not keep the condition — and its waiter — reachable."""
+        slow, wake = env.timeout(5.0), env.event()
+        condition = env.any_of([slow, wake])
+        assert len(slow.callbacks) == len(wake.callbacks) == 1
+        wake.succeed("now")
+        env.run(until=condition)
+        assert condition.value == {wake: "now"}
+        assert slow.callbacks == []
+        # The other way round: the timeout decides, the wake never fires.
+        fast, idle = env.timeout(1.0), env.event()
+        env.run(until=env.any_of([fast, idle]))
+        assert idle.callbacks == []
+
+    def test_detach_leaves_other_subscribers_alone(self, env):
+        slow, wake = env.timeout(5.0), env.event()
+        seen = []
+        slow.callbacks.append(seen.append)
+        env.any_of([slow, wake])
+        wake.succeed()
+        env.run()
+        assert seen == [slow]
+
+    def test_failed_all_of_detaches_from_the_rest(self, env):
+        slow, doomed = env.timeout(5.0), env.event()
+        condition = env.all_of([slow, doomed])
+        doomed.fail(KeyError("bad"))
+        with pytest.raises(KeyError):
+            env.run(until=condition)
+        assert slow.callbacks == []
+
+    def test_condition_decided_at_construction_subscribes_to_nothing(self, env):
+        done = env.timeout(0.0, "early")
+        env.run()
+        pending = env.event()
+        condition = env.any_of([pending, done])
+        assert condition.triggered
+        assert pending.callbacks == []
+
+    def test_late_child_failure_is_an_unhandled_failure(self, env):
+        """A child failing after the decision has no subscriber left, so it
+        is recorded like any other unobserved failure (a no-op callback of
+        the decided condition used to absorb it)."""
+        fast, late = env.timeout(1.0), env.event()
+        env.run(until=env.any_of([fast, late]))
+        assert env.unhandled_failures == []
+        late.fail(RuntimeError("too late"))
+        env.run()
+        assert env.unhandled_failures == [late]
+
+    def test_timeouts_share_one_constant_label(self, env):
+        """No per-timeout float formatting: the delay lives in ``delay``."""
+        assert env.timeout(0.25).name == env.timeout(1e-3).name == "timeout"
+        assert env.timeout(0.25).delay == 0.25
+
 
 class TestRunSemantics:
     def test_run_returns_event_value(self, env):

@@ -1,8 +1,11 @@
 """Tests for the seeded RNG, metrics registry and tracer."""
 
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.ndn.name import Name
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, merge_histograms
 from repro.sim.rng import SeededRNG
 from repro.sim.trace import TraceEvent, Tracer
@@ -216,6 +219,36 @@ class TestTracer:
         tracer = Tracer(clock=lambda: clock["now"])
         tracer.record("cat", "ev", foo=1)
         assert tracer.events[0] == TraceEvent(time=1.5, category="cat", event="ev", attrs={"foo": 1})
+
+    def test_record_is_a_small_immutable_tuple(self):
+        tracer = Tracer(clock=lambda: 2.0)
+        record = tracer.record("cat", "ev", foo=1)
+        assert record is tracer.events[0]
+        assert (record.time, record.category, record.event, record.attrs) == (2.0, "cat", "ev", {"foo": 1})
+        assert tuple(record) == (2.0, "cat", "ev", {"foo": 1})
+        assert record.matches("cat") and record.matches(event="ev") and not record.matches("other")
+        with pytest.raises(AttributeError):
+            record.time = 3.0
+        assert not hasattr(record, "__dict__")
+
+    def test_attrs_are_formatted_eagerly_to_primitives(self):
+        """The formatting contract: a stored record holds primitives only,
+        and a name is stored as the one URI string the name memoises."""
+        name = Name("/ndn/k8s/data/genome/seg=3")
+        tracer = Tracer()
+        record = tracer.record(
+            "interest", "in", name=name, face=7, cost=1.5, fresh=True, reason=None,
+            label="x", hops=[1, 2],
+        )
+        assert record.attrs == {
+            "name": "/ndn/k8s/data/genome/seg=3", "face": 7, "cost": 1.5, "fresh": True,
+            "reason": None, "label": "x", "hops": "[1, 2]",
+        }
+        assert all(type(value) in (str, int, float, bool, type(None))
+                   for value in record.attrs.values())
+        assert record.attrs["name"] is str(name)
+        assert tracer.record("data", "in", name=name).attrs["name"] is record.attrs["name"]
+        assert not gc.is_tracked(record.attrs)
 
     def test_disabled_tracer_records_nothing(self):
         tracer = Tracer(enabled=False)
