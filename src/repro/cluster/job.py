@@ -89,6 +89,13 @@ class JobController:
         self.jobs_created = 0
         self.jobs_completed = 0
         self.jobs_failed = 0
+        #: (namespace, job name) -> the job's pods in creation order, so a
+        #: lookup does not scan every pod the cluster ever ran (terminal pods
+        #: are never deleted).  Filled by ``_spawn_pod``, not from the watch:
+        #: the scheduler's watcher re-enters ``_on_pod_event`` with MODIFIED
+        #: before this controller sees ADDED, and a reconcile that misses
+        #: the new pod spawns a duplicate.  Pruned on DELETED.
+        self._pods: dict[tuple[str, str], list[Pod]] = {}
         api.watch(Job.KIND, self._on_job_event, replay_existing=True)
         api.watch(Pod.KIND, self._on_pod_event, replay_existing=False)
 
@@ -150,6 +157,10 @@ class JobController:
         job_name = pod.metadata.labels.get(JOB_LABEL)
         if not job_name:
             return
+        if event.type == EventType.DELETED:
+            pods = self._pods.get((pod.metadata.namespace, job_name))
+            if pods is not None:
+                pods[:] = [other for other in pods if other.name != pod.name]
         job = self.api.try_get(Job.KIND, job_name, pod.metadata.namespace)
         if job is not None and not job.is_terminal:
             self._reconcile_job(job)
@@ -157,11 +168,7 @@ class JobController:
     # -- reconciliation ------------------------------------------------------------------
 
     def _job_pods(self, job: Job) -> list[Pod]:
-        return self.api.list(
-            Pod.KIND,
-            namespace=job.metadata.namespace,
-            selector=lambda pod: pod.metadata.labels.get(JOB_LABEL) == job.name,
-        )
+        return list(self._pods.get((job.metadata.namespace, job.name), ()))
 
     def _reconcile_job(self, job: Job) -> None:
         if job.is_terminal:
@@ -210,6 +217,7 @@ class JobController:
             ),
             spec=job.spec.template,
         )
+        self._pods.setdefault((job.metadata.namespace, job.name), []).append(pod)
         self.api.create(Pod.KIND, pod)
         job.status.active += 1
         return pod

@@ -1,10 +1,11 @@
 """The LIDC client library: non-blocking job sessions over named Interests.
 
 The client is what a workflow runs on its own machine: it expresses compute
-Interests, receives the acknowledgement with the job id, tracks
-``/ndn/k8s/status/<job-id>``, and finally retrieves the result from the data
-lake by name (paper Fig. 5).  The client never learns which cluster executed
-the job unless it inspects the acknowledgement — that is the point.
+Interests, receives the acknowledgement with the job id, tracks the status
+name that acknowledgement hands back (``/ndn/k8s/status/<job-id>``), and
+finally retrieves the result from the data lake by name (paper Fig. 5).  The
+client never learns which cluster executed the job unless it inspects the
+acknowledgement — that is the point.
 
 :meth:`LIDCClient.submit` returns a :class:`JobHandle` immediately: a future
 for one computation whose lifecycle (submit → ack → status tracking → result
@@ -478,6 +479,7 @@ class LIDCClient:
                 final = yield from self.wait_for_completion(
                     submission.job_id or "",
                     poll_interval_s=handle.poll_interval_s,
+                    status_name=submission.status_name,
                     _handle=handle,
                 )
             except (InterestTimeout, InterestNacked, LIDCError) as exc:
@@ -521,11 +523,16 @@ class LIDCClient:
     # ------------------------------------------------------------------ status
 
     def poll_status(self, job_id: str, lifetime_s: Optional[float] = None,
-                    retry_policy: Optional[RetryPolicy] = None):
-        """Process generator: one status exchange; returns the status payload dict."""
-        name = naming.status_name(job_id)
+                    retry_policy: Optional[RetryPolicy] = None,
+                    status_name: Optional[Name] = None):
+        """Process generator: one status exchange; returns the status payload dict.
+
+        ``status_name`` is the name the gateway handed back in its ack (it
+        alone decides where a job's status lives); without one the default
+        ``/ndn/k8s/status/<job-id>`` is built from ``job_id``.
+        """
         data = yield self.consumer.express_interest(
-            name,
+            status_name if status_name is not None else naming.status_name(job_id),
             lifetime=lifetime_s if lifetime_s is not None else self.lifetime_s,
             must_be_fresh=True, retries=self.retries,
             retry_policy=retry_policy if retry_policy is not None else self.retry_policy,
@@ -533,8 +540,11 @@ class LIDCClient:
         return json.loads(data.content_text())
 
     def wait_for_completion(self, job_id: str, poll_interval_s: Optional[float] = None,
-                            max_polls: int = 100_000, _handle: Optional[JobHandle] = None):
+                            max_polls: int = 100_000, status_name: Optional[Name] = None,
+                            _handle: Optional[JobHandle] = None):
         """Process generator: track a job until it is terminal; returns the final payload.
+
+        Every poll expresses ``status_name`` (see :meth:`poll_status`).
 
         Status Interests are re-expressed with exponential backoff: the first
         follow-up goes out after :attr:`initial_poll_s`, and the interval
@@ -551,7 +561,8 @@ class LIDCClient:
             # the exchange counts as a timeout.
             payload = yield from self.poll_status(
                 job_id, lifetime_s=max(self.lifetime_s, interval),
-                retry_policy=_handle.retry_policy if _handle is not None else None)
+                retry_policy=_handle.retry_policy if _handle is not None else None,
+                status_name=status_name)
             polls += 1
             state = JobState(payload.get("state", JobState.FAILED.value))
             if _handle is not None:

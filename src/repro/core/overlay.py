@@ -20,7 +20,12 @@ from repro.ndn.cs import CachePolicy
 from repro.ndn.face import Face, connect
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.routing import RoutingDaemon
-from repro.ndn.strategy import BestRouteStrategy, LoadBalanceStrategy, Strategy
+from repro.ndn.strategy import (
+    BestRouteStrategy,
+    LoadBalanceStrategy,
+    OwnerAffinityStrategy,
+    Strategy,
+)
 from repro.sim.engine import Environment
 from repro.sim.topology import Link
 from repro.sim.trace import Tracer
@@ -64,6 +69,12 @@ class ComputeOverlay:
             cs_capacity=cs_capacity if cache_results else 0,
             cs_policy=CachePolicy.LRU, tracer=self.tracer,
         )
+        # A job's status name is owned by the one cluster that admitted it;
+        # every other cluster Nacks the poll.  The access router remembers
+        # which upstream answered so only a job's first poll pays the walk.
+        # Data names stay on best-route: datasets are replicated and the
+        # nearest cluster should win each time.
+        router.set_strategy(naming.STATUS_PREFIX, OwnerAffinityStrategy())
         self.routers[name] = router
         self._router_daemons[name] = RoutingDaemon(router, node_name=name)
         return router

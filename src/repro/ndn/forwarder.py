@@ -337,7 +337,12 @@ class Forwarder:
             return
 
         self.cs.insert(data)
-        self._tried.pop(data.name, None)
+        tried = self._tried.pop(data.name, None)
+        if tried is not None and len(tried) > 1:
+            # The first upstream choice was wrong and this one was right:
+            # tell the strategy, so an ownership-aware one can go straight
+            # here next time.  Exchanges that never retried skip this.
+            self.strategies.find(data.name).note_answer(data.name, in_face.face_id)
         for face_id in downstream:
             if face_id == in_face.face_id:
                 continue

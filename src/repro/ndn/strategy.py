@@ -5,6 +5,20 @@ FIB entry that matched it.  LIDC's location independence comes from exactly
 this point: when several clusters announce ``/ndn/k8s/compute``, the strategy
 chooses the nearest / best / least-loaded one without the client knowing any
 cluster location.
+
+Ownership versus replication — when a namespace should remember who
+answered.  A name is *owned* when exactly one upstream can ever answer it
+and every other one Nacks: a job's ``/ndn/k8s/status/<job-id>`` lives on the
+cluster that admitted the job.  Best-route re-discovers that owner by Nack
+retry on every Interest, so such a namespace gets
+:class:`OwnerAffinityStrategy`, which keeps the discovery (the first Interest
+still walks the next hops in cost order — nothing tells it where the owner
+is) and stops repeating it.  A name is *replicated* when several upstreams
+can answer it equally: datasets under ``/ndn/k8s/data`` sit in every
+cluster's data lake and ``/ndn/k8s/compute`` is served by whichever cluster
+has room.  There the nearest (or least loaded) upstream should win each
+time, and remembering an answerer would pin a name to a farther cluster
+after one transient Nack — those namespaces keep a memoryless strategy.
 """
 
 from __future__ import annotations
@@ -28,6 +42,7 @@ __all__ = [
     "MulticastStrategy",
     "LoadBalanceStrategy",
     "FailoverStrategy",
+    "OwnerAffinityStrategy",
     "StrategyChoiceTable",
     "DispatcherHotCache",
 ]
@@ -63,6 +78,14 @@ class Strategy:
         The forwarder's Nack pipeline calls this for every received Nack;
         the base strategies ignore it, failover-aware ones use it to steer
         subsequent Interests away from the failing next hop.
+        """
+
+    def note_answer(self, name: Name, face_id: int) -> None:
+        """Feedback hook: ``face_id`` answered ``name`` after a retry.
+
+        The forwarder's Data pipeline calls this only for an exchange whose
+        first upstream choice was wrong and a later one was right; the base
+        strategies ignore it, :class:`OwnerAffinityStrategy` remembers it.
         """
 
 
@@ -175,6 +198,53 @@ class FailoverStrategy(Strategy):
         pool = healthy or eligible
         best = min(pool, key=lambda hop: (hop.cost, hop.face_id))
         return [best.face_id]
+
+
+class OwnerAffinityStrategy(BestRouteStrategy):
+    """Best-route that remembers, per name, the upstream that owns it.
+
+    For namespaces where one upstream can answer a name and the others
+    Nack (see the module docstring).  The first Interest for a name finds
+    its owner the best-route way, by Nack retry down the cost order; the
+    forwarder reports the face that finally answered
+    (:meth:`Strategy.note_answer`) and later Interests for that name go
+    straight there.  The remembered face is dropped, and selection falls
+    back to plain best-route, as soon as it cannot be the answer any more:
+    it already Nacked this exchange (it is in ``tried_faces``), it is the
+    face the Interest came in on, or the FIB entry no longer lists it (the
+    upstream left or failed — face ids are never reused, so a stale id can
+    never match a newer face).  Memory is an LRU over :attr:`CAPACITY`
+    names; a steered Interest refreshes its name's recency.
+    """
+
+    name = "owner-affinity"
+    #: Names remembered at once (the Content Store's default capacity).
+    CAPACITY = 4096
+
+    def __init__(self) -> None:
+        self._owners: "OrderedDict[Name, int]" = OrderedDict()
+
+    def note_answer(self, name: Name, face_id: int) -> None:
+        owners = self._owners
+        owners[name] = face_id
+        owners.move_to_end(name)
+        if len(owners) > self.CAPACITY:
+            owners.popitem(last=False)
+
+    def select(self, interest, fib_entry, in_face_id, tried_faces=()):
+        owners = self._owners
+        name = interest.name
+        owner = owners.get(name)
+        if owner is not None:
+            if (
+                owner != in_face_id
+                and owner not in tried_faces
+                and any(hop.face_id == owner for hop in fib_entry.nexthops)
+            ):
+                owners.move_to_end(name)
+                return [owner]
+            del owners[name]
+        return super().select(interest, fib_entry, in_face_id, tried_faces)
 
 
 class _HotEntry:

@@ -1,10 +1,13 @@
 """Tests for the overlay, client library, workflows, placement, baseline and testbed."""
 
+import json
 from collections import Counter
 
 import pytest
 
+from repro.core import naming
 from repro.core.baseline import CentralizedController, ControllerUnavailable
+from repro.core.client import LIDCClient
 from repro.core.framework import CLIENT_EDGE, LIDCTestbed
 from repro.core.overlay import ComputeOverlay
 from repro.core.placement import (
@@ -20,6 +23,11 @@ from repro.core.predictor import CompletionTimePredictor
 from repro.core.spec import ComputeRequest, JobState
 from repro.core.workflow import GenomicsWorkflow, decompose
 from repro.exceptions import LIDCError, OverlayError, PlacementError
+from repro.ndn.forwarder import Forwarder
+from repro.ndn.name import Name
+from repro.ndn.packet import Data, NackReason
+from repro.ndn.strategy import BestRouteStrategy
+from repro.sim.engine import Environment
 
 
 def sleep_request(duration=30.0, cpu=1, memory_gb=1, **params):
@@ -203,6 +211,110 @@ class TestMultiClusterBehaviour:
             client.submit_interest(sleep_request(500, cpu=2, memory_gb=2, idx="x")))
         assert overflow.accepted
         assert overflow.cluster == new_cluster.name
+
+
+def status_counter(testbed, key):
+    return sum(
+        cluster.gateway.metrics.counter(key).value for cluster in testbed.clusters.values()
+    )
+
+
+class TestStatusPollsReachTheOwner:
+    """A status poll goes to the cluster that owns the job (ROADMAP item 6)."""
+
+    def _job_on_the_farthest_cluster(self, best_route=False):
+        # One 2-CPU slot per cluster: two fillers occupy cluster-a and
+        # cluster-b (acks only, never polled), so the tracked job lands on
+        # cluster-c, the last hop of every best-route walk.
+        testbed = LIDCTestbed.multi_cluster(
+            3, seed=6, latencies_s=[0.01, 0.02, 0.03],
+            node_count=1, node_cpu=4, node_memory="8Gi",
+        )
+        if best_route:  # what every access router did before owner affinity
+            testbed.overlay.routers[CLIENT_EDGE].set_strategy(
+                naming.STATUS_PREFIX, BestRouteStrategy())
+        client = testbed.client(poll_interval_s=10.0)
+
+        def fill():
+            for index in range(2):
+                yield from client.submit_interest(
+                    sleep_request(600, cpu=2, memory_gb=2, idx=str(index)))
+
+        testbed.run_process(fill())
+        outcome = testbed.run_process(client.run_workflow(
+            sleep_request(60, cpu=2, memory_gb=2, idx="tracked"), fetch_result=False))
+        return testbed, outcome
+
+    def test_access_routers_steer_status_names_and_nothing_else(self):
+        testbed = LIDCTestbed.multi_cluster(2, seed=0)
+        strategies = testbed.overlay.routers[CLIENT_EDGE].strategies
+        assert strategies.find(naming.status_name("j")).name == "owner-affinity"
+        for prefix in (naming.COMPUTE_PREFIX, naming.DATA_PREFIX):
+            assert strategies.find(Name(prefix).append("x")).name == "best-route"
+        gateway = testbed.cluster("cluster-a").gateway_nfd.strategies
+        assert gateway.find(naming.status_name("j")).name == "best-route"
+
+    def test_a_job_on_the_farthest_cluster_is_found_by_its_first_poll_only(self):
+        testbed, outcome = self._job_on_the_farthest_cluster()
+        assert outcome.succeeded
+        assert outcome.submission.cluster == "cluster-c"
+        assert outcome.status_polls >= 8
+        # Two wrong clusters on the first poll, none on any later one.
+        assert status_counter(testbed, "status_unknown_job") <= 2
+        baseline, before = self._job_on_the_farthest_cluster(best_route=True)
+        assert before.submission.cluster == "cluster-c"
+        assert before.status_polls == outcome.status_polls
+        assert before.runtime_s == outcome.runtime_s
+        # Best-route re-walks both wrong clusters on every poll that leaves the edge.
+        owner_polls = testbed.cluster("cluster-c").gateway.metrics.counter(
+            "status_interests").value
+        assert status_counter(baseline, "status_unknown_job") == 2 * owner_polls
+        assert status_counter(testbed, "status_interests") == owner_polls + 2
+
+
+class TestClientPollsTheAckedStatusName:
+    """The gateway decides where a job's status lives; the client follows."""
+
+    def _stub_gateway(self, status_name):
+        env = Environment()
+        edge = Forwarder(env, "edge", cs_capacity=0)
+        polled = []
+
+        def on_compute(interest):
+            ack = {"accepted": True, "job_id": "job-x", "cluster": "stub",
+                   "status_name": status_name}
+            return Data(name=interest.name, content=json.dumps(ack).encode()).sign()
+
+        def on_status(interest):
+            polled.append(str(interest.name))
+            if str(interest.name) != status_name:
+                return interest.nack(NackReason.NO_ROUTE)
+            state = JobState.COMPLETED if len(polled) >= 3 else JobState.RUNNING
+            payload = {"job_id": "job-x", "state": state.value}
+            return Data(name=interest.name, content=json.dumps(payload).encode()).sign()
+
+        edge.attach_producer(naming.COMPUTE_PREFIX, on_compute)
+        edge.attach_producer(naming.STATUS_PREFIX, on_status)
+        return env, LIDCClient(env, edge), polled
+
+    def test_every_poll_expresses_the_name_from_the_ack(self):
+        acked = "/ndn/k8s/status/site-7/job-x"
+        env, client, polled = self._stub_gateway(acked)
+        handle = client.submit(sleep_request(10), fetch_result=False)
+        outcome = env.run(until=handle.done)
+        assert outcome.succeeded, outcome.error
+        assert outcome.submission.status_name == Name(acked)
+        assert polled == [acked] * 3
+        assert outcome.status_polls == 3
+
+    def test_direct_callers_still_get_the_default_name(self):
+        default = str(naming.status_name("job-x"))
+        env, client, polled = self._stub_gateway(default)
+        payload = env.run_process(client.poll_status("job-x"))
+        assert payload["state"] == JobState.RUNNING.value
+        final = env.run_process(client.wait_for_completion("job-x"))
+        assert final["state"] == JobState.COMPLETED.value
+        assert polled == [default] * 3
 
 
 class TestPlacementStrategies:

@@ -3,16 +3,18 @@
 The chaos layer injects through exactly these control points, so each one
 is pinned down on its own here: ``fail_cluster`` resolves in-flight state
 instead of stranding it, link faults drop silently and heal losslessly,
-``isolate``/``rejoin`` cut and restore the same link set, and the
+``isolate``/``rejoin`` cut and restore the same link set, the access
+router's memory of a job's owner never outlives the owner's face, and the
 centralized baseline fails hard (every submission rejected) where the
 overlay degrades gracefully.
 """
 
 import pytest
 
+from repro.core import naming
 from repro.core.baseline import CentralizedController, ControllerUnavailable
 from repro.core.framework import CLIENT_EDGE, LIDCTestbed
-from repro.core.spec import ComputeRequest
+from repro.core.spec import ComputeRequest, JobState
 from repro.exceptions import InterestNacked, OverlayError
 from repro.ndn.client import Consumer
 
@@ -140,6 +142,128 @@ class TestLinkFaults:
             testbed.overlay.isolate("ghost")
         with pytest.raises(OverlayError):
             testbed.overlay.rejoin("ghost")
+
+
+def slot_filler(idx):
+    """A 2-CPU, 600 s job: exactly one fits a ``one_slot_clusters`` cluster."""
+    return ComputeRequest(app="SLEEP", cpu=2, memory_gb=2,
+                          params={"duration": "600", "idx": str(idx)})
+
+
+def one_slot_clusters():
+    """Three clusters at 10/20/30 ms, one 2-CPU slot each, and a client."""
+    testbed = LIDCTestbed.multi_cluster(
+        3, seed=6, latencies_s=[0.01, 0.02, 0.03],
+        node_count=1, node_cpu=4, node_memory="8Gi",
+    )
+    return testbed, testbed.client(poll_interval_s=10.0)
+
+
+class TestOwnerAffinityUnderFailure:
+    """The edge remembers which cluster owns a job; faults must not strand that."""
+
+    @pytest.fixture
+    def placed(self):
+        """All three slots busy; the last job sits on cluster-c and the edge
+        has learned that (one discovery poll, one steered)."""
+        testbed, client = one_slot_clusters()
+
+        def fill():
+            for index in range(3):
+                submission = yield from client.submit_interest(slot_filler(index))
+            return submission
+
+        submission = testbed.run_process(fill())
+        assert submission.cluster == "cluster-c"
+        for _ in range(2):
+            self.poll(testbed, client, submission.job_id)
+        assert self.unknown(testbed) == 2
+        return testbed, client, submission.job_id
+
+    @staticmethod
+    def poll(testbed, client, job_id):
+        testbed.run(until=testbed.env.now + 2.0)  # past the 1 s status freshness
+        return testbed.run_process(client.poll_status(job_id))
+
+    @staticmethod
+    def unknown(testbed):
+        return sum(
+            cluster.gateway.metrics.counter("status_unknown_job").value
+            for cluster in testbed.clusters.values()
+        )
+
+    @staticmethod
+    def clean(testbed, client):
+        edge = testbed.overlay.routers[CLIENT_EDGE]
+        edge.pit.expire()
+        return (len(edge.pit) == 0 and client.consumer.pending_count() == 0
+                and client.in_flight == 0)
+
+    def test_owner_failing_mid_job_nacks_the_next_poll(self):
+        testbed, client = one_slot_clusters()
+        handles = client.submit_many(
+            [slot_filler(index) for index in range(3)], stagger_s=0.5)
+        testbed.run(until=20.0)
+        tracked = next(h for h in handles if h.cluster == "cluster-c")
+        assert tracked.status_polls >= 3 and not tracked.finished
+        testbed.overlay.fail_cluster("cluster-c")
+        outcome = testbed.run(until=tracked.done)
+        # The survivors do not own the job: a typed failure at the next
+        # poll, long before the 600 s job would have ended — never a hang.
+        assert outcome.state == JobState.FAILED
+        assert "status tracking failed" in outcome.error and "NoRoute" in outcome.error
+        assert testbed.env.now < 60.0
+        others = [h for h in handles if h is not tracked]
+        testbed.run(until=client.wait_all(others))
+        assert all(h.succeeded for h in others)
+        assert self.clean(testbed, client)
+
+    def test_owner_link_down_is_an_immediate_no_route_and_heals(self, placed):
+        testbed, client, job_id = placed
+        testbed.overlay.fail_link("cluster-c", CLIENT_EDGE)
+        started = testbed.env.now + 2.0
+        with pytest.raises(InterestNacked) as excinfo:
+            self.poll(testbed, client, job_id)
+        assert "NoRoute" in str(excinfo.value)
+        # Answered by the edge itself: no other cluster can own this job,
+        # so none is asked and nothing waits out the outage.
+        assert testbed.env.now == started
+        assert self.unknown(testbed) == 2
+        testbed.overlay.heal_link("cluster-c", CLIENT_EDGE)
+        assert self.poll(testbed, client, job_id)["cluster"] == "cluster-c"
+        assert self.unknown(testbed) == 2  # the memory survived: steered, no re-walk
+        assert self.clean(testbed, client)
+
+    def test_no_stale_face_id_is_selected_after_leave_and_join(self, placed):
+        testbed, client, job_id = placed
+        edge = testbed.overlay.routers[CLIENT_EDGE]
+        strategy = edge.strategies.find(naming.status_name(job_id))
+        stale = strategy._owners[naming.status_name(job_id)]
+        chosen = []
+        plain_select = strategy.select
+
+        def recording_select(*args, **kwargs):
+            faces = plain_select(*args, **kwargs)
+            chosen.extend(faces)
+            return faces
+
+        strategy.select = recording_select
+        testbed.overlay.remove_cluster("cluster-c")
+        newcomer = testbed.add_cluster(name="cluster-new", latency_s=0.03)
+        assert stale not in edge.faces()
+        with pytest.raises(InterestNacked):
+            self.poll(testbed, client, job_id)  # its owner is gone for good
+        assert naming.status_name(job_id) not in strategy._owners
+        # A job on the newcomer is discovered and steered like any other.
+        submission = testbed.run_process(client.submit_interest(slot_filler("late")))
+        assert submission.cluster == newcomer.name
+        before = self.unknown(testbed)
+        for _ in range(3):
+            assert self.poll(testbed, client, submission.job_id)["cluster"] == newcomer.name
+        assert self.unknown(testbed) == before + 2
+        assert chosen and stale not in chosen
+        assert set(chosen) <= set(edge.faces())
+        assert self.clean(testbed, client)
 
 
 class TestCentralizedBaselineFailure:
