@@ -225,13 +225,12 @@ class ComputeOverlay:
         """Create a bidirectional wide-area link between two overlay nodes."""
         if a == b:
             raise OverlayError("cannot connect a node to itself")
-        key = (a, b) if (a, b) not in self._faces else (a, b)
         if (a, b) in self._faces or (b, a) in self._faces:
             raise OverlayError(f"{a!r} and {b!r} are already connected")
         forwarder_a, forwarder_b = self._forwarder_of(a), self._forwarder_of(b)
         link = Link(a, b, latency_s=latency_s, bandwidth_bps=bandwidth_bps)
         face_a, face_b = connect(self.env, forwarder_a, forwarder_b, link=link, label=f"{a}<->{b}")
-        self._faces[key] = (face_a, face_b)
+        self._faces[(a, b)] = (face_a, face_b)
         cost = link_cost if link_cost is not None else max(1.0, latency_s * 1000.0)
         RoutingDaemon.peer(self._daemon_of(a), face_a, self._daemon_of(b), face_b, link_cost=cost)
         overlay_link = OverlayLink(a=a, b=b, latency_s=latency_s, bandwidth_bps=bandwidth_bps)

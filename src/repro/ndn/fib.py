@@ -147,6 +147,12 @@ class Fib:
     def exact(self, prefix: "Name | str") -> Optional[FibEntry]:
         return self._tree.exact(prefix)
 
+    def route_cost(self, prefix: "Name | str", face_id: int) -> Optional[float]:
+        """The cost of the next hop ``(prefix, face_id)``; ``None`` without one."""
+        entry = self._tree.exact(prefix)
+        hops = entry.nexthops if entry is not None else ()
+        return next((hop.cost for hop in hops if hop.face_id == face_id), None)
+
     def entries(self) -> list[FibEntry]:
         return list(self._tree.entries())
 

@@ -280,29 +280,66 @@ class Forwarder:
         self._forward_interest(interest, in_face.face_id)
 
     def _forward_interest(self, interest: WirePacket, in_face_id: int) -> None:
+        strategy = self.strategies.find(interest.name)
+        if not self._send_upstream(interest, in_face_id, strategy):
+            self._reject(interest, NackReason.NO_ROUTE)
+
+    def _send_upstream(
+        self, interest: WirePacket, in_face_id: int, strategy: Strategy, retry: bool = False
+    ) -> bool:
+        """Forward ``interest`` on the strategy's untried next hop(s).
+
+        The one selection path, shared by the Interest pipeline and the
+        Nack pipeline's ``retry``.  Returns False when no next hop is left.
+        """
         fib_entry = self.fib.lookup(interest.name)
         if fib_entry is None:
-            self._reject(interest, NackReason.NO_ROUTE)
-            return
-        strategy = self.strategies.find(interest.name)
-        excluded = set(self._tried.get(interest.name, set()))
+            return False
+        excluded = set(self._tried.get(interest.name, ()))
         # Never send an Interest back towards a face that is waiting for the
         # answer (would bounce between neighbours that learned each other's routes).
         pit_entry = self.pit.find_exact(interest)
         if pit_entry is not None:
             excluded.update(pit_entry.downstream_faces())
-        out_face_ids = strategy.select(interest, fib_entry, in_face_id, tuple(excluded))
-        out_face_ids = [fid for fid in out_face_ids if fid in self._faces and self._faces[fid].up]
+        tried = tuple(excluded)
+        out_face_ids = strategy.select(interest, fib_entry, in_face_id, tried)
+        live = self._live
+        if not all(map(live, out_face_ids)):
+            # Fail-over belongs to the forwarding plane: tell the strategy
+            # which of the entry's hops are down and let it choose again, so
+            # a down link is never the answer while a live route exists.
+            down = tuple(
+                hop.face_id for hop in fib_entry.nexthops if not live(hop.face_id)
+            )
+            out_face_ids = strategy.select(interest, fib_entry, in_face_id, tried, down)
         if not out_face_ids:
-            self._reject(interest, NackReason.NO_ROUTE)
-            return
+            return False
         forwarded = interest.with_decremented_hop_limit()
+        counter, category, event = (
+            ("nack_retries", "nack", "retry") if retry
+            else ("interests_forwarded", "interest", "out")
+        )
         for face_id in out_face_ids:
             self._tried.setdefault(interest.name, set()).add(face_id)
             self.pit.record_out(forwarded, face_id)
-            self.metrics.counter("interests_forwarded").inc()
-            self.tracer.record("interest", "out", name=interest.name, face=face_id)
+            self.metrics.counter(counter).inc()
+            self.tracer.record(category, event, name=interest.name, face=face_id)
             self._faces[face_id].send(forwarded)
+        return True
+
+    def _live(self, face_id: int, owed: bool = False) -> Optional[Face]:
+        """The attached face ``face_id`` if it is up, else ``None``.
+
+        The liveness test of every pipeline.  ``owed`` marks a packet some
+        downstream is waiting for: a down face loses it, counted as a drop
+        so experiments report the loss instead of silently eating it.
+        """
+        face = self._faces.get(face_id)
+        if face is None or face.up:
+            return face
+        if owed:
+            face.stats.drops += 1
+        return None
 
     def _reject(self, interest: WirePacket, reason: int) -> None:
         """NACK every downstream face waiting on ``interest`` and drop the entry."""
@@ -314,14 +351,9 @@ class Forwarder:
         self.tracer.record("interest", "nack", name=interest.name, reason=reason)
         nack = interest.nack(reason) if downstream else None
         for face_id in downstream:
-            face = self._faces.get(face_id)
-            if face is None:
-                continue
-            if not face.up:
-                # Count the loss: the downstream asked and will never hear back.
-                face.stats.drops += 1
-                continue
-            face.send(nack)
+            face = self._live(face_id, owed=True)
+            if face is not None:
+                face.send(nack)
 
     # Data pipeline --------------------------------------------------------------
 
@@ -346,13 +378,8 @@ class Forwarder:
         for face_id in downstream:
             if face_id == in_face.face_id:
                 continue
-            face = self._faces.get(face_id)
+            face = self._live(face_id, owed=True)
             if face is None:
-                continue
-            if not face.up:
-                # A down downstream face loses the Data: count it as a drop
-                # so experiments report loss instead of silently eating it.
-                face.stats.drops += 1
                 continue
             self.metrics.counter("data_forwarded").inc()
             self.tracer.record("data", "out", name=data.name, face=face_id)
@@ -368,30 +395,13 @@ class Forwarder:
         entry = self.pit.find_exact(interest)
         if entry is None:
             return
-        # Try an alternative upstream before giving up.
-        fib_entry = self.fib.lookup(interest.name)
         strategy = self.strategies.find(interest.name)
         # Failover-aware strategies use this to penalty-box the upstream
         # that Nacked, steering later Interests away from it for a while.
         strategy.note_nack(in_face.face_id, self.env.now)
-        if fib_entry is not None:
-            excluded = set(self._tried.get(interest.name, set()))
-            excluded.update(entry.downstream_faces())
-            retry = strategy.select(interest, fib_entry, in_face.face_id, tuple(excluded))
-            retry = [
-                fid
-                for fid in retry
-                if fid in self._faces and self._faces[fid].up and fid != in_face.face_id
-            ]
-            if retry:
-                forwarded = interest.with_decremented_hop_limit()
-                for face_id in retry:
-                    self._tried.setdefault(interest.name, set()).add(face_id)
-                    self.pit.record_out(forwarded, face_id)
-                    self.metrics.counter("nack_retries").inc()
-                    self.tracer.record("nack", "retry", name=interest.name, face=face_id)
-                    self._faces[face_id].send(forwarded)
-                return
+        # Try an alternative upstream before giving up.
+        if self._send_upstream(interest, in_face.face_id, strategy, retry=True):
+            return
         # No alternative: propagate the NACK's own wire buffer downstream.
         downstream = entry.downstream_faces()
         self.pit.remove(interest)
@@ -399,11 +409,8 @@ class Forwarder:
         for face_id in downstream:
             if face_id == in_face.face_id:
                 continue
-            face = self._faces.get(face_id)
+            face = self._live(face_id, owed=True)
             if face is None:
-                continue
-            if not face.up:
-                face.stats.drops += 1
                 continue
             self.metrics.counter("nacks_forwarded").inc()
             face.send(nack)

@@ -2,8 +2,18 @@
 
 Each forwarder runs a :class:`RoutingDaemon`.  Daemons on adjacent forwarders
 exchange :class:`PrefixAnnouncement` messages over their shared link; each
-daemon keeps the lowest-cost advertisement per (prefix, origin) and installs a
-FIB route pointing back toward the neighbour the advertisement arrived from.
+daemon keeps the lowest-cost advertisement per (prefix, origin) — its RIB —
+and points the FIB back toward the neighbour the advertisement arrived from.
+
+RIB → FIB projection.  The RIB is keyed by (prefix, origin), the FIB by
+(prefix, face), and in a mesh several origins share one face (every cluster's
+flooded announcement also arrives *through* every other cluster).  So a next
+hop is never written from one RIB entry: whenever a route starts or stops
+using ``(prefix, face)``, :meth:`RoutingDaemon._project` re-derives that next
+hop from every RIB route using it — its cost is the minimum over them and it
+disappears only with the last of them.  The daemon remembers what it wrote;
+a next hop it did not write (a static ``Forwarder.register_prefix``) is the
+operator's and is never re-costed or removed by routing activity.
 
 This is a distance-vector protocol with sequence numbers for withdrawal —
 deliberately simple, but it gives LIDC exactly what the paper needs:
@@ -17,7 +27,7 @@ deliberately simple, but it gives LIDC exactly what the paper needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.exceptions import NDNError
@@ -58,7 +68,6 @@ class _RibEntry:
     announcement: PrefixAnnouncement
     via_face: Optional[Face] = None  # None for locally-originated prefixes
     learned_from: Optional[str] = None
-    routes: set[tuple[str, int]] = field(default_factory=set)
 
 
 class RoutingDaemon:
@@ -69,6 +78,8 @@ class RoutingDaemon:
         self.node_name = node_name or forwarder.name
         self._adjacencies: dict[str, Adjacency] = {}
         self._rib: dict[tuple[Name, str], _RibEntry] = {}
+        #: (prefix, face id) -> cost of the FIB next hops this daemon wrote.
+        self._projected: dict[tuple[Name, int], float] = {}
         self._seq = 0
         self.announcements_sent = 0
         self.announcements_received = 0
@@ -83,16 +94,23 @@ class RoutingDaemon:
             neighbor=neighbor, local_face=local_face, link_cost=link_cost
         )
         # Share everything we already know with the new neighbour.
-        for entry in list(self._rib.values()):
-            self._send_to(neighbor.node_name, self._exported(entry.announcement))
+        self.share_rib(neighbor.node_name)
 
     def remove_adjacency(self, neighbor_name: str) -> None:
+        """Forget ``neighbor_name`` and every route learned over it.
+
+        Local only — no withdrawal is flooded: the origins may still be
+        reachable over another path, whose owner will say so.
+        """
         self._adjacencies.pop(neighbor_name, None)
+        for key, entry in list(self._rib.items()):
+            if entry.learned_from == neighbor_name:
+                self._remove(key)
 
     def share_rib(self, neighbor_name: str) -> None:
         """Send every RIB entry to one neighbour (full-table refresh)."""
         for entry in list(self._rib.values()):
-            self._send_to(neighbor_name, self._exported(entry.announcement))
+            self._send_to(neighbor_name, entry.announcement)
 
     @staticmethod
     def peer(daemon_a: "RoutingDaemon", face_a: Face, daemon_b: "RoutingDaemon", face_b: Face,
@@ -167,27 +185,51 @@ class RoutingDaemon:
 
     # -- internals ----------------------------------------------------------------------
 
-    def _exported(self, announcement: PrefixAnnouncement) -> PrefixAnnouncement:
-        return announcement
-
     def _install(self, announcement: PrefixAnnouncement, via_face: Optional[Face],
                  learned_from: Optional[str]) -> None:
         key = announcement.key()
-        existing = self._rib.get(key)
-        if existing is not None and existing.via_face is not None:
-            # Replace the previous route for this (prefix, origin).
-            self.forwarder.fib.remove_route(announcement.prefix, existing.via_face.face_id)
-        entry = _RibEntry(announcement=announcement, via_face=via_face, learned_from=learned_from)
-        self._rib[key] = entry
-        if via_face is not None:
-            self.forwarder.register_prefix(announcement.prefix, via_face, cost=announcement.cost)
+        previous = self._rib.get(key)
+        self._rib[key] = _RibEntry(
+            announcement=announcement, via_face=via_face, learned_from=learned_from
+        )
+        if previous is not None and previous.via_face is not via_face:
+            self._project(announcement.prefix, previous.via_face)
+        self._project(announcement.prefix, via_face)
 
     def _remove(self, key: tuple[Name, str]) -> None:
         entry = self._rib.pop(key, None)
-        if entry is None:
+        if entry is not None:
+            self._project(entry.announcement.prefix, entry.via_face)
+
+    def _project(self, prefix: Name, face: Optional[Face]) -> None:
+        """Re-derive the FIB next hop ``(prefix, face)`` from the RIB."""
+        if face is None:
+            return  # locally originated: the producer's own route serves it
+        key = (prefix, face.face_id)
+        fib = self.forwarder.fib
+        written = self._projected.get(key)
+        if fib.route_cost(*key) != written:
+            # Not (or no longer) what this daemon wrote: a static route owns
+            # the hop, or the face was removed and took its routes along.
+            # Hands off — and ``written`` is kept, so a purged hop is never
+            # put back on a face that may be gone.
             return
-        if entry.via_face is not None:
-            self.forwarder.fib.remove_route(entry.announcement.prefix, entry.via_face.face_id)
+        cost = min(
+            (
+                entry.announcement.cost
+                for (rib_prefix, _origin), entry in self._rib.items()
+                if rib_prefix == prefix and entry.via_face is face
+            ),
+            default=None,
+        )
+        if cost == written:
+            return
+        if cost is None:
+            del self._projected[key]
+            fib.remove_route(*key)
+        else:
+            self._projected[key] = cost
+            self.forwarder.register_prefix(prefix, face, cost=cost)
 
     def _flood(self, announcement: PrefixAnnouncement, exclude: Optional[str]) -> None:
         for neighbor_name in list(self._adjacencies):

@@ -512,6 +512,9 @@ class _ShardedFib:
     def remove_route(self, prefix: "Name | str", face_id: int) -> bool:
         return self._owner.unregister_prefix(prefix, face_id)
 
+    def route_cost(self, prefix: "Name | str", face_id: int) -> Optional[float]:
+        return self._owner._registration_costs.get((as_name(prefix), face_id))
+
     def remove_face(self, face_id: int) -> int:
         removed = 0
         for (prefix, ext_id) in list(self._owner._registrations):

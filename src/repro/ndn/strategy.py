@@ -19,6 +19,19 @@ cluster's data lake and ``/ndn/k8s/compute`` is served by whichever cluster
 has room.  There the nearest (or least loaded) upstream should win each
 time, and remembering an answerer would pin a name to a farther cluster
 after one transient Nack — those namespaces keep a memoryless strategy.
+
+Liveness — what a strategy is told about down hops.  Fail-over is the
+forwarding plane's job, not the client's: a next hop whose face is down (or
+gone) must never be the answer while a live, untried one exists.  The
+forwarder asks once with ``tried_faces`` only; when the answer names a down
+face it asks again with ``down_faces``, the face ids of the FIB entry's hops
+that are down right now, and every strategy drops those from its candidates.
+The two sets stay separate because they mean different things: a *tried*
+face already Nacked this exchange (an owner-affinity memory pointing at it is
+wrong and is forgotten), a *down* face has said nothing (the memory may well
+be right — the owner's link is down, nobody else can answer, so the strategy
+returns no hop, the forwarder Nacks ``NoRoute`` at once, and steering resumes
+when the link heals).
 """
 
 from __future__ import annotations
@@ -59,13 +72,24 @@ class Strategy:
         fib_entry: FibEntry,
         in_face_id: int,
         tried_faces: Sequence[int] = (),
+        down_faces: Sequence[int] = (),
     ) -> list[int]:
-        """Return the face ids to forward on (may be empty)."""
+        """Return the face ids to forward on (may be empty).
+
+        Never ``in_face_id``, a face in ``tried_faces`` (it Nacked this
+        exchange) or one in ``down_faces`` (its link is down right now).
+        """
         raise NotImplementedError
 
     def _eligible(
-        self, fib_entry: FibEntry, in_face_id: int, tried_faces: Sequence[int]
+        self,
+        fib_entry: FibEntry,
+        in_face_id: int,
+        tried_faces: Sequence[int],
+        down_faces: Sequence[int] = (),
     ) -> list:
+        if down_faces:  # as candidates the two sets are one; only memory tells them apart
+            tried_faces = (*tried_faces, *down_faces)
         return [
             hop
             for hop in fib_entry.nexthops
@@ -94,8 +118,8 @@ class BestRouteStrategy(Strategy):
 
     name = "best-route"
 
-    def select(self, interest, fib_entry, in_face_id, tried_faces=()):
-        eligible = self._eligible(fib_entry, in_face_id, tried_faces)
+    def select(self, interest, fib_entry, in_face_id, tried_faces=(), down_faces=()):
+        eligible = self._eligible(fib_entry, in_face_id, tried_faces, down_faces)
         if not eligible:
             return []
         best = min(eligible, key=lambda hop: (hop.cost, hop.face_id))
@@ -107,8 +131,9 @@ class MulticastStrategy(Strategy):
 
     name = "multicast"
 
-    def select(self, interest, fib_entry, in_face_id, tried_faces=()):
-        return [hop.face_id for hop in self._eligible(fib_entry, in_face_id, tried_faces)]
+    def select(self, interest, fib_entry, in_face_id, tried_faces=(), down_faces=()):
+        eligible = self._eligible(fib_entry, in_face_id, tried_faces, down_faces)
+        return [hop.face_id for hop in eligible]
 
 
 class LoadBalanceStrategy(Strategy):
@@ -129,8 +154,8 @@ class LoadBalanceStrategy(Strategy):
         self._weighted = weighted
         self._counters: dict[Name, int] = {}
 
-    def select(self, interest, fib_entry, in_face_id, tried_faces=()):
-        eligible = self._eligible(fib_entry, in_face_id, tried_faces)
+    def select(self, interest, fib_entry, in_face_id, tried_faces=(), down_faces=()):
+        eligible = self._eligible(fib_entry, in_face_id, tried_faces, down_faces)
         if not eligible:
             return []
         if self._weighted:
@@ -189,8 +214,8 @@ class FailoverStrategy(Strategy):
         when = self._now() if now is None else now
         return self._penalty_until.get(face_id, 0.0) > when
 
-    def select(self, interest, fib_entry, in_face_id, tried_faces=()):
-        eligible = self._eligible(fib_entry, in_face_id, tried_faces)
+    def select(self, interest, fib_entry, in_face_id, tried_faces=(), down_faces=()):
+        eligible = self._eligible(fib_entry, in_face_id, tried_faces, down_faces)
         if not eligible:
             return []
         now = self._now()
@@ -213,7 +238,10 @@ class OwnerAffinityStrategy(BestRouteStrategy):
     it already Nacked this exchange (it is in ``tried_faces``), it is the
     face the Interest came in on, or the FIB entry no longer lists it (the
     upstream left or failed — face ids are never reused, so a stale id can
-    never match a newer face).  Memory is an LRU over :attr:`CAPACITY`
+    never match a newer face).  A remembered face that is merely *down*
+    (in ``down_faces``) is kept and answered with no hop at all: nobody else
+    owns the name, so the consumer gets ``NoRoute`` at once and steering
+    resumes when the link heals.  Memory is an LRU over :attr:`CAPACITY`
     names; a steered Interest refreshes its name's recency.
     """
 
@@ -231,7 +259,7 @@ class OwnerAffinityStrategy(BestRouteStrategy):
         if len(owners) > self.CAPACITY:
             owners.popitem(last=False)
 
-    def select(self, interest, fib_entry, in_face_id, tried_faces=()):
+    def select(self, interest, fib_entry, in_face_id, tried_faces=(), down_faces=()):
         owners = self._owners
         name = interest.name
         owner = owners.get(name)
@@ -242,9 +270,9 @@ class OwnerAffinityStrategy(BestRouteStrategy):
                 and any(hop.face_id == owner for hop in fib_entry.nexthops)
             ):
                 owners.move_to_end(name)
-                return [owner]
+                return [] if owner in down_faces else [owner]
             del owners[name]
-        return super().select(interest, fib_entry, in_face_id, tried_faces)
+        return super().select(interest, fib_entry, in_face_id, tried_faces, down_faces)
 
 
 class _HotEntry:

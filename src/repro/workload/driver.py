@@ -141,6 +141,9 @@ class WorkloadReport:
     first_arrival_s: float = 0.0
     last_arrival_s: float = 0.0
     latencies_s: list[float] = field(default_factory=list)
+    #: One ``(sim time, name, cause)`` per unserved request — ``"timeout"`` or
+    #: the Nack's reason — so a soak can demand a typed cause for each.
+    failures: list[tuple[float, str, str]] = field(default_factory=list)
     #: Cache counters harvested from the node after the run (hot-cache
     #: hits/misses, per-shard CS hits/misses) — empty for bare nodes.
     cache: dict = field(default_factory=dict)
@@ -288,8 +291,10 @@ class WorkloadDriver:
                 self.on_data(record, event.value)
         elif isinstance(event.value, InterestTimeout):
             self.report.timeouts += 1
+            self.report.failures.append((self.env.now, record.name, "timeout"))
         else:
             self.report.nacks += 1
+            self.report.failures.append((self.env.now, record.name, event.value.reason))
         self._completed += 1
         if self._completed == len(self.trace) and self._done is not None:
             if not self._done.triggered:
