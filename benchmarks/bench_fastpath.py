@@ -1,28 +1,15 @@
-"""Benchmark ``fastpath`` — dispatcher hot cache, streaming pipes, rendezvous.
+"""Benchmark ``fastpath`` — the dispatcher hot cache against a shard round-trip.
 
-Three claims from the data-plane fast-path work, each measured the
-repo-standard way — interleaved A/B on the same machine, >= 5 alternating
-reps, gating on the **median of paired ratios** (each A/B pair runs back
-to back, so the machine's multi-second throughput drift cancels; the raw
-sample medians are reported alongside) — and each counter-enforced to
-perform **zero wire-level decodes** in transit:
-
-1. *Hot-cache hit vs full shard round-trip*: a repeat-name workload
-   through a 2-shard :class:`ShardedForwarder` with the dispatcher hot
-   cache enabled (every exchange answered at the dispatcher) against the
-   identical node with the cache disabled (every exchange consistent-
-   hashed, framed across the boundary, answered by the shard CS and
-   framed back).  Gate: hit >= 3x faster per exchange.
-2. *Streaming vs batch-synchronous worker pool*: the same frame stream
-   through :meth:`ShardWorkerPool.stream` (windowed, coalesced,
-   submit-while-collecting) against chunked synchronous
-   ``submit``/``collect`` round-trips at the same batch size.  Gate:
-   streaming throughput >= batch-synchronous.
-3. *Rendezvous vs ring partitioning*: the 64-tenant / 4-shard key split
-   under both partitioners, and the modelled 4-shard speedup (calibrated
-   service times, same instrument as ``bench_shard_scaling``) under both.
-   Gate: rendezvous max key share strictly below the ring's, modelled
-   speedup strictly above.
+A repeat-name workload through a 2-shard :class:`ShardedForwarder` with
+the dispatcher hot cache enabled (every exchange answered at the
+dispatcher) against the identical node with the cache disabled (every
+exchange hashed to its shard, framed across the boundary, answered by the
+shard CS and framed back).  Measured the repo-standard way — interleaved
+A/B on the same machine, >= 5 reps, gating on the **median of paired
+ratios** (each A/B pair runs back to back, so the machine's multi-second
+throughput drift cancels; the raw sample medians are reported alongside)
+— and counter-enforced to perform **zero wire-level decodes** in transit.
+Gate: hit >= 3x faster per exchange.
 
 Plus the dispatch-key micro-invariant: repeat dispatch of the same
 :class:`WirePacket` never re-walks TLV spans (the ``name_bytes`` memo),
@@ -35,21 +22,12 @@ import statistics
 import time
 
 from _bench_utils import write_bench_json
-from bench_shard_scaling import TENANTS, calibrate
+from bench_shard_scaling import TENANTS
 
 from repro.ndn.face import Face, LocalFace, connect
-from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest, WirePacket
-from repro.ndn.shard import (
-    ShardedForwarder,
-    ShardWorkerPool,
-    key_from_name_bytes,
-    make_shard_picker,
-    rendezvous_for_key,
-    shard_for_key,
-    shard_key,
-)
+from repro.ndn.shard import ShardedForwarder, key_from_name_bytes, make_shard_picker
 from repro.sim.engine import Environment
 
 PAYLOAD = b"f" * 256
@@ -132,107 +110,6 @@ def measure_repeat_name_exchange_s(
     return elapsed / exchanges
 
 
-# --------------------------------------------------- streaming vs batch pool
-
-
-def _pool_builder(env, shard_id, num_shards):
-    forwarder = Forwarder(env, name=f"fastpath-worker{shard_id}", cs_capacity=0)
-    for tenant in TENANTS:
-        def handler(interest, _tenant=tenant):
-            return Data(name=interest.name, content=PAYLOAD).sign()
-        forwarder.attach_producer(tenant, handler)
-    return forwarder
-
-
-def measure_pool_mode(mode: str, exchanges: int, batch: int = 50, window: int = 6) -> float:
-    """Exchanges/s through a 2-worker pool in ``"stream"`` or ``"batch"`` mode.
-
-    Both modes push the identical frame stream at the same batch
-    granularity; ``"batch"`` waits out a full pipe round-trip per chunk
-    (the interactive-client pattern PR 4 left on the table), ``"stream"``
-    keeps a bounded window in flight per pipe.
-    """
-    interests = [
-        WirePacket(
-            Interest(
-                name=Name(f"{TENANTS[i % len(TENANTS)]}/{mode}{i}"), hop_limit=16
-            ).encode()
-        )
-        for i in range(exchanges)
-    ]
-    with ShardWorkerPool(2, _pool_builder) as pool:
-        start = time.perf_counter()
-        if mode == "stream":
-            replies = list(pool.stream(interests, window=window, max_batch=batch))
-        else:
-            replies = []
-            for offset in range(0, exchanges, batch):
-                submitted = pool.submit(interests[offset:offset + batch])
-                replies.extend(pool.collect(submitted, timeout_s=60.0))
-        elapsed = time.perf_counter() - start
-        reports = pool.close()
-        # Zero transit decodes in the workers, zero frames lost anywhere.
-        assert all(report["wire_decodes"] == 0 for report in reports)
-        assert sum(pool.frames_from) == sum(r["frames_out"] for r in reports)
-        assert sum(pool.frames_to) == sum(r["frames_in"] for r in reports)
-    assert len(replies) == exchanges
-    return exchanges / elapsed
-
-
-# ------------------------------------------------------- rendezvous vs ring
-
-
-def partition_split(partitioner: str, shards: int = 4) -> list[int]:
-    """How the 64 benchmark tenants split across ``shards`` shards."""
-    picker = make_shard_picker(partitioner, shards)
-    split = [0] * shards
-    for tenant in TENANTS:
-        split[picker(shard_key(tenant, 1))] += 1
-    return split
-
-
-def run_modelled_partitioned(
-    partitioner: str,
-    shards: int,
-    exchanges: int,
-    exchange_s: float,
-    dispatch_s: float,
-) -> dict:
-    """The ``bench_shard_scaling`` service-time model under a partitioner.
-
-    The hot cache is disabled and every name is unique, so the makespan
-    is governed purely by the dispatcher tier and the key split — the
-    quantity the partitioner controls.
-    """
-    env = Environment()
-    node = ShardedForwarder(
-        env, name=f"model-{partitioner}", shards=shards, cs_capacity=0,
-        partitioner=partitioner, hot_cache=0,
-        dispatch_service_s=dispatch_s, shard_service_s=exchange_s,
-    )
-    _fresh_producers(node)
-    driver = _Collector()
-    driver_face, _ = connect(env, driver, node, face_cls=LocalFace)
-    wires = [
-        Interest(
-            name=Name(f"{TENANTS[i % len(TENANTS)]}/m{i}"), hop_limit=16
-        ).encode()
-        for i in range(exchanges)
-    ]
-    decodes_before = WirePacket.wire_decodes
-    for wire in wires:
-        driver_face.send(WirePacket(wire))
-    env.run()
-    assert len(driver.received) == exchanges
-    assert WirePacket.wire_decodes == decodes_before
-    return {
-        "partitioner": partitioner,
-        "shards": shards,
-        "throughput_per_s": exchanges / env.now,
-        "key_split": partition_split(partitioner, shards),
-    }
-
-
 # ------------------------------------------------------------ micro-invariant
 
 
@@ -245,7 +122,7 @@ def check_repeat_dispatch_never_rescans(rounds: int = 5000) -> dict:
     machine-independent; the timing ratio is informational.
     """
     wire = Interest(name=Name("/u000/hot/object/with/components"), hop_limit=16).encode()
-    picker = make_shard_picker("rendezvous", 4)
+    picker = make_shard_picker(4)
     view = WirePacket(wire)
     _ = view.name_bytes  # the single allowed scan
     scans_before = WirePacket.span_scans
@@ -273,18 +150,12 @@ def check_repeat_dispatch_never_rescans(rounds: int = 5000) -> dict:
 # -------------------------------------------------------------------- driver
 
 
-def run_benchmark(
-    exchanges: int = 2000,
-    reps: int = 5,
-    pool_exchanges: int = 1200,
-    model_exchanges: int = 1500,
-    verbose: bool = True,
-) -> dict:
+def run_benchmark(exchanges: int = 2000, reps: int = 5, verbose: bool = True) -> dict:
     def log(message: str) -> None:
         if verbose:
             print(message)
 
-    # 1. Hot-cache hit vs full shard round-trip, interleaved A/B.  The
+    # Hot-cache hit vs full shard round-trip, interleaved A/B.  The
     # machine's throughput drifts on multi-second timescales and single
     # short samples catch upward-only spikes (GC, scheduler), so each
     # side of a pair takes the best of 3 consecutive runs (the repo's
@@ -307,49 +178,6 @@ def run_benchmark(
         f"{round_trip_s * 1e6:.2f}us = {hit_speedup:.2f}x "
         f"(median paired ratio over {reps} interleaved reps, 0 decodes in every run)")
 
-    # 2. Streaming vs batch-synchronous pool, paired A/B with alternating
-    # order inside each pair (stream-first on even reps, batch-first on
-    # odd), so a machine-state shift mid-pair biases neither side.  On a
-    # single-core box the two modes share the CPU and the expected result
-    # is parity-or-better (streaming fills the handoff bubbles); real
-    # overlap needs cores, which the modelled tier covers.
-    stream_samples, batch_samples, stream_ratios = [], [], []
-    for rep in range(max(4, reps + 3)):
-        if rep % 2 == 0:
-            stream = measure_pool_mode("stream", pool_exchanges)
-            batch = measure_pool_mode("batch", pool_exchanges)
-        else:
-            batch = measure_pool_mode("batch", pool_exchanges)
-            stream = measure_pool_mode("stream", pool_exchanges)
-        stream_samples.append(stream)
-        batch_samples.append(batch)
-        stream_ratios.append(stream / batch)
-    stream_per_s = statistics.median(stream_samples)
-    batch_per_s = statistics.median(batch_samples)
-    stream_ratio = statistics.median(stream_ratios)
-    log(f"pool streaming: {stream_per_s:.0f}/s vs batch-synchronous "
-        f"{batch_per_s:.0f}/s = {stream_ratio:.2f}x median paired ratio "
-        "(same frame stream, 0 worker decodes, frame ledgers balanced)")
-
-    # 3. Rendezvous vs ring: split quality and modelled 4-shard speedup.
-    calibration = calibrate(exchanges=min(model_exchanges, 1000), reps=max(3, reps // 2))
-    exchange_s, dispatch_s = calibration["exchange_s"], calibration["dispatch_s"]
-    baseline = run_modelled_partitioned(
-        "ring", 1, model_exchanges, exchange_s, dispatch_s=0.0
-    )
-    partitioned = {}
-    for partitioner in ("ring", "rendezvous"):
-        outcome = run_modelled_partitioned(
-            partitioner, 4, model_exchanges, exchange_s, dispatch_s
-        )
-        outcome["speedup_vs_single_process"] = (
-            outcome["throughput_per_s"] / baseline["throughput_per_s"]
-        )
-        partitioned[partitioner] = outcome
-        log(f"modelled 4-shard {partitioner}: "
-            f"{outcome['speedup_vs_single_process']:.2f}x single-process "
-            f"(key split {outcome['key_split']})")
-
     micro = check_repeat_dispatch_never_rescans()
     log(f"dispatch-key memo: {micro['memoised_us']:.3f}us vs fresh-view "
         f"{micro['fresh_view_us']:.3f}us per dispatch, 0 span re-walks")
@@ -358,31 +186,7 @@ def run_benchmark(
     assert hit_speedup >= 3.0, (
         f"hot-cache hit only {hit_speedup:.2f}x faster than the shard round-trip"
     )
-    # Streaming must not be slower than batch-synchronous on the same
-    # frame stream.  On a single core the expected result is parity (the
-    # window only fills handoff bubbles; real overlap needs cores), and a
-    # strict float >= 1.0 at true parity is a coin flip, not a regression
-    # signal — so the gate carries a 3% measurement-noise allowance on
-    # any machine, and the measured ratio itself is the trajectory datum
-    # recorded in BENCH_fastpath.json for cross-machine comparison.
-    import os
-    stream_floor = 0.97
-    assert stream_ratio >= stream_floor, (
-        f"streaming pool slower than batch-synchronous ({stream_ratio:.2f}x, "
-        f"floor {stream_floor} on {os.cpu_count() or 1} core(s))"
-    )
-    ring_max = max(partitioned["ring"]["key_split"])
-    hrw_max = max(partitioned["rendezvous"]["key_split"])
-    assert hrw_max < ring_max, (
-        f"rendezvous split (max {hrw_max}) not strictly better than ring "
-        f"(max {ring_max}) on the 64-tenant workload"
-    )
-    assert (
-        partitioned["rendezvous"]["speedup_vs_single_process"]
-        > partitioned["ring"]["speedup_vs_single_process"]
-    )
-    log("PASS: hit >= 3x round-trip, streaming >= batch, rendezvous split "
-        "strictly better than ring, 0 transit decodes everywhere")
+    log("PASS: hit >= 3x round-trip, 0 transit decodes everywhere")
 
     results = {
         "hot_cache": {
@@ -393,25 +197,12 @@ def run_benchmark(
             "hit_samples_us": [s * 1e6 for s in hit_samples],
             "round_trip_samples_us": [s * 1e6 for s in round_trip_samples],
         },
-        "pool": {
-            "stream_per_s": stream_per_s,
-            "batch_per_s": batch_per_s,
-            "ratio": stream_ratio,
-            "paired_ratios": stream_ratios,
-        },
-        "partitioning": {
-            "baseline_per_s": baseline["throughput_per_s"],
-            "ring": partitioned["ring"],
-            "rendezvous": partitioned["rendezvous"],
-        },
         "dispatch_key_micro": micro,
         "transit_decodes": 0,
     }
     write_bench_json(
         "fastpath", results,
-        config={"exchanges": exchanges, "reps": reps,
-                "pool_exchanges": pool_exchanges,
-                "model_exchanges": model_exchanges, "tenants": len(TENANTS)},
+        config={"exchanges": exchanges, "reps": reps, "tenants": len(TENANTS)},
     )
     return results
 
@@ -420,10 +211,8 @@ def run_benchmark(
 
 
 def test_fastpath_meets_the_bar():
-    """Hot-cache >= 3x, streaming >= batch, rendezvous beats ring, 0 decodes."""
-    run_benchmark(
-        exchanges=2500, reps=5, pool_exchanges=600, model_exchanges=600, verbose=False
-    )
+    """Hot-cache >= 3x the shard round-trip, 0 decodes."""
+    run_benchmark(exchanges=2500, reps=5, verbose=False)
 
 
 def test_repeat_dispatch_of_same_view_does_not_rescan_spans():
@@ -440,10 +229,9 @@ if __name__ == "__main__":
                         help="small, CI-sized run (seconds, not minutes)")
     args = parser.parse_args()
     if args.smoke:
-        # Samples stay long (>= 2500 in-sim exchanges, >= 600 pool
-        # exchanges): shorter runs sit inside this class of machine's
-        # scheduler jitter and the paired ratios get noisy even with
-        # order alternation.
-        run_benchmark(exchanges=2500, reps=5, pool_exchanges=600, model_exchanges=500)
+        # Samples stay long (>= 2500 in-sim exchanges): shorter runs sit
+        # inside this class of machine's scheduler jitter and the paired
+        # ratios get noisy.
+        run_benchmark(exchanges=2500, reps=5)
     else:
         run_benchmark()

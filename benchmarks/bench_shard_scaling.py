@@ -1,17 +1,14 @@
 """Benchmark ``shard_scaling`` — sharded-forwarder throughput vs one process.
 
-Methodology (single-core container honest version)
---------------------------------------------------
-This machine exposes **one CPU**, so running N real worker processes cannot
-make CPU-bound Python faster than one process — a fact this benchmark
-measures and reports rather than hides.  The headline scaling numbers
-therefore come from the repo's standard instrument, the deterministic
-discrete-event model, **calibrated from interleaved wall-clock
-measurements on this machine**:
+Methodology
+-----------
+The scaling numbers come from the repo's standard instrument, the
+deterministic discrete-event model, **calibrated from interleaved
+wall-clock measurements on the machine running the benchmark**:
 
 1. *Calibrate* (interleaved A/B, median of N reps): the per-exchange cost
    of the real single-process forwarder pipeline, and the per-packet cost
-   of the real dispatcher work (consistent hash + frame encode/decode over
+   of the real dispatcher work (rendezvous hash + frame encode/decode over
    the actual codec).
 2. *Model*: replay the same workload through :class:`ShardedForwarder`
    with those measured values as serial service times — the baseline is a
@@ -21,10 +18,6 @@ measurements on this machine**:
    pipeline across N shard servers.
 3. *Verify the contract*: every modelled run asserts zero wire-level
    decodes — the sharded data plane moves buffers, never packet objects.
-4. *Measure the real pool too*: the fork-worker pool
-   (:class:`ShardWorkerPool`) runs the same workload over real pipes and
-   its wall-clock throughput is reported next to the available core count,
-   so on a multi-core machine the model's claim is directly checkable.
 
 Acceptance gate: modelled 2-shard throughput >= 1.5x the single-process
 forwarder on the same workload.
@@ -41,14 +34,13 @@ from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest, WirePacket
 from repro.ndn.shard import (
     ShardedForwarder,
-    ShardWorkerPool,
     decode_frame,
     encode_frame,
-    shard_for_name,
+    rendezvous_for_name,
 )
 from repro.sim.engine import Environment
 
-#: Tenant namespaces: enough distinct first components for the consistent
+#: Tenant namespaces: enough distinct first components for the rendezvous
 #: hash to balance statistically (the bench reports the actual split).
 TENANTS = [f"/u{i:03d}" for i in range(64)]
 PAYLOAD = b"r" * 256
@@ -76,10 +68,10 @@ def _attach_producers(node) -> None:
         node.attach_producer(tenant, handler)
 
 
-def _interest_wires(count: int, salt: str = "") -> list[bytes]:
+def _interest_wires(count: int) -> list[bytes]:
     return [
         Interest(
-            name=Name(f"{TENANTS[i % len(TENANTS)]}/obj{salt}{i}"), hop_limit=16
+            name=Name(f"{TENANTS[i % len(TENANTS)]}/obj{i}"), hop_limit=16
         ).encode()
         for i in range(count)
     ]
@@ -108,7 +100,7 @@ def measure_single_process_exchange_s(exchanges: int) -> float:
 def measure_dispatch_cost_s(rounds: int) -> float:
     """Wall-clock seconds of dispatcher work per packet.
 
-    One dispatcher touch = consistent-hash the name plus one frame
+    One dispatcher touch = rendezvous-hash the name plus one frame
     encode/decode round-trip over the real codec (ingress encodes, egress
     decodes; the average of the two directions is one full round-trip per
     two touches, so we charge half a round-trip plus the hash per touch).
@@ -122,7 +114,7 @@ def measure_dispatch_cost_s(rounds: int) -> float:
     start = time.perf_counter()
     for i in range(rounds):
         view = samples[i % len(samples)]
-        shard_for_name(view.name, 2)
+        rendezvous_for_name(view.name, 2)
         frame = encode_frame(view)
         decode_frame(frame, 0)
     elapsed = time.perf_counter() - start
@@ -190,40 +182,10 @@ def run_modelled(
     }
 
 
-# ------------------------------------------------------------- real fork pool
-
-
-def _pool_builder(env, shard_id, num_shards):
-    forwarder = Forwarder(env, name=f"bench-worker{shard_id}", cs_capacity=0)
-    _attach_producers(forwarder)
-    return forwarder
-
-
-def measure_pool_wallclock(shards: int, exchanges: int) -> dict:
-    """Real fork-worker throughput over pipes (wall clock, this machine)."""
-    interests = [WirePacket(wire) for wire in _interest_wires(exchanges, salt="p")]
-    with ShardWorkerPool(shards, _pool_builder) as pool:
-        start = time.perf_counter()
-        submitted = pool.submit(interests)
-        replies = pool.collect(submitted, timeout_s=120.0)
-        elapsed = time.perf_counter() - start
-        reports = pool.close()
-    assert len(replies) == exchanges
-    assert all(report["wire_decodes"] == 0 for report in reports)
-    return {
-        "shards": shards,
-        "throughput_per_s": exchanges / elapsed,
-        "worker_reports": reports,
-    }
-
-
 # -------------------------------------------------------------------- driver
 
 
-def run_benchmark(exchanges: int = 1500, reps: int = 5, pool_exchanges: int = 800,
-                  verbose: bool = True) -> dict:
-    import os
-
+def run_benchmark(exchanges: int = 1500, reps: int = 5, verbose: bool = True) -> dict:
     from _bench_utils import write_bench_json
 
     def log(message: str) -> None:
@@ -236,7 +198,7 @@ def run_benchmark(exchanges: int = 1500, reps: int = 5, pool_exchanges: int = 80
         f"dispatch={dispatch_s * 1e6:.2f}us/packet  (medians of {reps} interleaved reps)")
 
     baseline = run_modelled(1, exchanges, exchange_s, dispatch_s, modelled_dispatcher=False)
-    results = {"calibration": calibration, "baseline": baseline, "modelled": [], "pool": []}
+    results = {"calibration": calibration, "baseline": baseline, "modelled": []}
     log(f"single-process forwarder: {baseline['throughput_per_s']:.0f} exchanges/s "
         f"(modelled at measured pipeline cost)")
 
@@ -247,34 +209,13 @@ def run_benchmark(exchanges: int = 1500, reps: int = 5, pool_exchanges: int = 80
         )
         split = {}
         for i in range(exchanges):
-            owner = shard_for_name(f"{TENANTS[i % len(TENANTS)]}/x", shards)
+            owner = rendezvous_for_name(f"{TENANTS[i % len(TENANTS)]}/x", shards)
             split[owner] = split.get(owner, 0) + 1
         outcome["key_split"] = [split.get(s, 0) for s in range(shards)]
         results["modelled"].append(outcome)
         log(f"modelled {shards}-shard: {outcome['throughput_per_s']:.0f} exchanges/s "
             f"= {outcome['speedup_vs_single_process']:.2f}x single-process "
             f"(key split {outcome['key_split']})")
-
-    cores = os.cpu_count() or 1
-    real_base_samples, pool_runs = [], {2: [], 4: []}
-    for _ in range(max(2, reps // 2)):
-        real_base_samples.append(1.0 / measure_single_process_exchange_s(pool_exchanges))
-        for shards in (2, 4):
-            pool_runs[shards].append(measure_pool_wallclock(shards, pool_exchanges))
-    real_base = statistics.median(real_base_samples)
-    log(f"real single-process: {real_base:.0f} exchanges/s on {cores} core(s)")
-    for shards in (2, 4):
-        throughput = statistics.median(
-            run["throughput_per_s"] for run in pool_runs[shards]
-        )
-        ratio = throughput / real_base
-        results["pool"].append(
-            {"shards": shards, "throughput_per_s": throughput, "vs_real_single": ratio}
-        )
-        note = "" if cores >= shards else \
-            f"  [core-bound: {shards} workers on {cores} core(s); model above projects the multi-core deployment]"
-        log(f"real {shards}-worker pool: {throughput:.0f} exchanges/s "
-            f"= {ratio:.2f}x real single-process{note}")
 
     two_shard = next(m for m in results["modelled"] if m["shards"] == 2)
     assert two_shard["speedup_vs_single_process"] >= 1.5, (
@@ -295,12 +236,9 @@ def run_benchmark(exchanges: int = 1500, reps: int = 5, pool_exchanges: int = 80
                  ("shards", "throughput_per_s", "speedup_vs_single_process", "key_split")}
                 for run in results["modelled"]
             ],
-            "real_single_process_per_s": real_base,
-            "pool": results["pool"],
             "transit_decodes": 0,
         },
-        config={"exchanges": exchanges, "reps": reps,
-                "pool_exchanges": pool_exchanges, "tenants": len(TENANTS)},
+        config={"exchanges": exchanges, "reps": reps, "tenants": len(TENANTS)},
     )
     return results
 
@@ -310,7 +248,7 @@ def run_benchmark(exchanges: int = 1500, reps: int = 5, pool_exchanges: int = 80
 
 def test_shard_scaling_model_meets_the_bar():
     """Calibrated model: 2 shards >= 1.5x one process, zero transit decodes."""
-    results = run_benchmark(exchanges=1000, reps=3, pool_exchanges=300, verbose=False)
+    results = run_benchmark(exchanges=1000, reps=3, verbose=False)
     two = next(m for m in results["modelled"] if m["shards"] == 2)
     four = next(m for m in results["modelled"] if m["shards"] == 4)
     assert two["speedup_vs_single_process"] >= 1.5
@@ -370,6 +308,6 @@ if __name__ == "__main__":
                         help="small, CI-sized run (seconds, not minutes)")
     args = parser.parse_args()
     if args.smoke:
-        run_benchmark(exchanges=400, reps=2, pool_exchanges=200)
+        run_benchmark(exchanges=400, reps=2)
     else:
         run_benchmark()

@@ -11,7 +11,7 @@ Examples::
     python -m repro.analysis.lint benchmarks/ --profile relaxed
     python -m repro.analysis.lint src/ --changed-only --diff-base origin/main
     python -m repro.analysis.lint src/ --baseline main-report.json
-    python -m repro.analysis.lint src/ --waiver-budget 5
+    python -m repro.analysis.lint src/ --waiver-budget 3
     python -m repro.analysis.lint --list-rules
 
 The per-module phase (parse, line-local rules, summary extraction) is

@@ -316,7 +316,7 @@ def witness_chain(
 
 
 def short_name(qualname: str) -> str:
-    """``repro.ndn.shard.ShardWorkerPool._drain`` -> ``shard.ShardWorkerPool._drain``."""
+    """``repro.ndn.shard.ShardedForwarder.resize`` -> ``shard.ShardedForwarder.resize``."""
     parts = qualname.split(".")
     for index, part in enumerate(parts):
         if part and (part[0].isupper() or index == len(parts) - 1):

@@ -68,7 +68,6 @@ class LIDCCluster:
         tracer: Optional[Tracer] = None,
         services: Optional[ServiceRegistry] = None,
         gateway_shards: int = 1,
-        gateway_partitioner: str = "ring",
         gateway_shard_weights: Optional[tuple] = None,
         gateway_hot_cache: int = 128,
     ) -> None:
@@ -92,8 +91,8 @@ class LIDCCluster:
             self.gateway_nfd: "Forwarder | ShardedForwarder" = ShardedForwarder(
                 env, name=f"{spec.name}-gw-nfd", shards=gateway_shards,
                 key_depth=4, cs_capacity=cs_capacity, cs_policy=CachePolicy.LRU,
-                tracer=self.tracer, partitioner=gateway_partitioner,
-                shard_weights=gateway_shard_weights, hot_cache=gateway_hot_cache,
+                tracer=self.tracer, shard_weights=gateway_shard_weights,
+                hot_cache=gateway_hot_cache,
             )
         else:
             self.gateway_nfd = Forwarder(

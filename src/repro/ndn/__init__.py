@@ -34,13 +34,7 @@ from repro.ndn.strategy import (
     Strategy,
 )
 from repro.ndn.forwarder import Forwarder
-from repro.ndn.shard import (
-    ShardedForwarder,
-    ShardFace,
-    ShardWorkerPool,
-    forwarder_for_node,
-    shard_for_name,
-)
+from repro.ndn.shard import ShardedForwarder, ShardFace, forwarder_for_node
 from repro.ndn.routing import PrefixAnnouncement, RoutingDaemon
 from repro.ndn.client import Consumer, Producer
 from repro.ndn.segmentation import reassemble, segment_content

@@ -16,18 +16,14 @@ Partitioning contract
   per-tenant style partitioning; deeper keys suit single-rooted namespaces
   like ``/ndn/k8s/...``).  A name shorter than ``key_depth`` keys on all of
   its components.
-* Two partitioners share the interface (a deterministic ``key -> shard``
-  function, selected by the ``partitioner`` option): the default
-  ``"ring"`` (:func:`shard_for_key`, a consistent hash over 256 virtual
-  nodes per shard) and ``"rendezvous"`` (:func:`rendezvous_for_key`,
-  highest-random-weight hashing, optionally with per-shard weights).  Both
-  are built from :func:`hashlib.sha256` — deterministic across processes,
-  runs and ``PYTHONHASHSEED`` (never Python's randomised ``hash``) — and
-  both guarantee that growing the shard count from N to N+1 only moves
-  keys *onto the new shard*; keys that stay map to the same shard as
-  before.  Rendezvous needs no ring construction, balances small key
-  populations (e.g. 64 tenants on 4 shards) tighter than the ring, and
-  its weighted form gives a shard a key share proportional to its weight.
+* The key is placed by rendezvous hashing (:func:`rendezvous_for_key`,
+  the highest-random-weight scheme of Thaler & Ravishankar): every shard
+  scores the key with :func:`hashlib.sha256` — deterministic across
+  processes, runs and ``PYTHONHASHSEED``, never Python's randomised
+  ``hash`` — and the highest score owns it.  Growing the shard count from
+  N to N+1 only moves keys *onto the new shard*; keys that stay map to
+  the same shard as before.  Optional per-shard weights give each shard a
+  key share proportional to its weight.
 * An Interest and the Data/Nack that answers it carry the same name, so
   they always land on the same shard: each shard owns the complete
   PIT/CS/FIB state for its slice of the namespace and no cross-shard
@@ -72,11 +68,6 @@ re-walks the buffer, let alone decodes it.  In-process crossings
 (:class:`ShardFace`, used by the deterministic simulation) round-trip every
 packet through the frame codec — the reconstructed view has no attached
 decoded object, which is what makes the transit-decode counter meaningful.
-Real multi-process crossings (:class:`ShardWorkerPool`) send the same
-frames over :mod:`multiprocessing` pipes to forked workers, reusing the
-fork-pool pattern of :mod:`repro.analysis.sweep` (fork keeps already
-imported modules visible to children, so node builders pickle by
-reference).
 
 Deterministic scheduling
 ------------------------
@@ -92,22 +83,16 @@ partitioning exercise.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
-import json
 import math
-import multiprocessing
-import multiprocessing.connection
 import struct
-import time
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.exceptions import NDNError
 from repro.ndn.cs import CachePolicy
-from repro.ndn.face import AnyPacket, Face, LocalFace, PacketEndpoint
+from repro.ndn.face import AnyPacket, Face, PacketEndpoint
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
 from repro.ndn.nametree import as_name
@@ -120,47 +105,17 @@ from repro.sim.trace import Tracer
 
 __all__ = [
     "shard_key",
-    "shard_for_key",
-    "shard_for_name",
     "rendezvous_for_key",
     "rendezvous_for_name",
     "key_from_name_bytes",
     "make_shard_picker",
-    "PARTITIONERS",
     "encode_frame",
     "decode_frame",
-    "encode_frames",
-    "iter_frames",
     "ShardFace",
     "ShardedForwarder",
     "RebalanceReport",
-    "ShardWorkerPool",
     "forwarder_for_node",
 ]
-
-#: Virtual nodes per shard on the consistent-hash ring.  More points =
-#: better balance (share stddev ~ 1/sqrt(vnodes)); 256 keeps the ring
-#: construction trivial (it is built once per shard count and cached)
-#: while holding the expected imbalance to a few percent.
-_RING_VNODES = 256
-
-
-@lru_cache(maxsize=64)
-def _hash_ring(num_shards: int) -> tuple[tuple[int, int], ...]:
-    """The sorted ``(point, shard)`` ring for ``num_shards`` shards.
-
-    Shard ``s`` contributes the same points no matter how many other shards
-    exist — that is the consistency property: ring(N+1) is ring(N) plus the
-    new shard's points, so growing the pool only moves keys onto the new
-    shard.
-    """
-    points = []
-    for shard in range(num_shards):
-        for vnode in range(_RING_VNODES):
-            digest = hashlib.sha256(b"shard:%d:%d" % (shard, vnode)).digest()
-            points.append((int.from_bytes(digest[:8], "big"), shard))
-    points.sort()
-    return tuple(points)
 
 
 def shard_key(name: "Name | str", key_depth: int = 1) -> bytes:
@@ -172,25 +127,6 @@ def shard_key(name: "Name | str", key_depth: int = 1) -> bytes:
     return b"/".join(component.value for component in components)
 
 
-def shard_for_key(key: bytes, num_shards: int) -> int:
-    """Consistent-hash ``key`` onto one of ``num_shards`` shards."""
-    if num_shards < 1:
-        raise NDNError(f"need at least one shard, got {num_shards}")
-    if num_shards == 1:
-        return 0
-    ring = _hash_ring(num_shards)
-    point = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
-    index = bisect.bisect_left(ring, (point, -1))
-    if index == len(ring):
-        index = 0
-    return ring[index][1]
-
-
-def shard_for_name(name: "Name | str", num_shards: int, key_depth: int = 1) -> int:
-    """The shard owning ``name`` (see the module partitioning contract)."""
-    return shard_for_key(shard_key(name, key_depth), num_shards)
-
-
 def rendezvous_for_key(
     key: bytes, num_shards: int, weights: Optional[Sequence[float]] = None
 ) -> int:
@@ -198,9 +134,8 @@ def rendezvous_for_key(
 
     Each shard scores the key independently (sha256 of shard id + key);
     the highest score wins.  Growing the pool adds one new contender whose
-    score does not perturb the others — exactly the ring's stability
-    property — but with no vnode construction, and measurably tighter
-    balance on small key populations.
+    score does not perturb the others, so a key either stays put or moves
+    onto the new shard.
 
     ``weights`` (one positive float per shard) selects *weighted*
     rendezvous via the logarithmic method: shard ``i`` scores
@@ -271,45 +206,22 @@ def key_from_name_bytes(name_value: bytes, key_depth: int) -> bytes:
     return b"/".join(parts)
 
 
-#: Partitioner names accepted by :func:`make_shard_picker` (and therefore by
-#: :class:`ShardedForwarder`, :class:`ShardWorkerPool` and the topology).
-PARTITIONERS = ("ring", "rendezvous")
-
-
 def make_shard_picker(
-    partitioner: str,
-    num_shards: int,
-    weights: Optional[Sequence[float]] = None,
+    num_shards: int, weights: Optional[Sequence[float]] = None
 ) -> Callable[[bytes], int]:
-    """A memoised ``key -> shard`` function for the chosen partitioner.
+    """A memoised rendezvous ``key -> shard`` function.
 
     The returned picker caches up to 4096 distinct keys (tenant
     populations are small next to packet counts), so steady-state dispatch
-    pays a dict hit, not a hash computation, whichever partitioner runs
-    underneath.
+    pays a dict hit, not a hash computation.
     """
-    if partitioner == "ring":
-        if weights is not None:
-            raise NDNError(
-                "shard weights require the 'rendezvous' partitioner "
-                "(the ring weights all shards equally)"
-            )
-        picker = lru_cache(maxsize=4096)(
-            lambda key: shard_for_key(key, num_shards)
-        )
-    elif partitioner == "rendezvous":
-        if weights is not None:
-            weights = tuple(float(weight) for weight in weights)
-        # Validate once up front, not per key.
-        rendezvous_for_key(b"", num_shards, weights)
-        picker = lru_cache(maxsize=4096)(
-            lambda key: rendezvous_for_key(key, num_shards, weights)
-        )
-    else:
-        raise NDNError(
-            f"unknown partitioner {partitioner!r} (expected one of {PARTITIONERS})"
-        )
-    return picker
+    if weights is not None:
+        weights = tuple(float(weight) for weight in weights)
+    # Validate once up front, not per key.
+    rendezvous_for_key(b"", num_shards, weights)
+    return lru_cache(maxsize=4096)(
+        lambda key: rendezvous_for_key(key, num_shards, weights)
+    )
 
 
 # --------------------------------------------------------------------- frames
@@ -390,27 +302,6 @@ def decode_frame(buffer: bytes, offset: int = 0) -> tuple[int, WirePacket, int]:
     return tag, view, offset
 
 
-def encode_frames(items: Sequence[tuple[int, "WirePacket | AnyPacket"]]) -> bytes:
-    """Concatenate ``(tag, packet)`` pairs into one boundary message."""
-    return b"".join(encode_frame(packet, tag) for tag, packet in items)
-
-
-def iter_frames(buffer: bytes) -> Iterator[tuple[int, WirePacket]]:
-    """Yield every ``(tag, view)`` frame in a boundary message."""
-    offset = 0
-    while offset < len(buffer):
-        tag, view, offset = decode_frame(buffer, offset)
-        yield tag, view
-
-
-# ------------------------------------------------------------- serial servers
-
-#: The serial-resource primitive moved to the engine layer
-#: (:class:`repro.sim.engine.SerialServer`); this alias keeps the shard
-#: module's historical name importable.
-_SerialServer = SerialServer
-
-
 # --------------------------------------------------------------- shard faces
 
 
@@ -434,7 +325,7 @@ class ShardFace(Face):
         env: Environment,
         owner: PacketEndpoint,
         label: str = "",
-        deliver_server: Optional[_SerialServer] = None,
+        deliver_server: Optional[SerialServer] = None,
     ) -> None:
         super().__init__(env, owner, label)
         self.frames = 0
@@ -578,7 +469,7 @@ class ShardedForwarder:
 
     Drop-in for :class:`~repro.ndn.forwarder.Forwarder` at the node level:
     it owns external faces, prefix registrations and producer attachments,
-    but every packet is consistent-hashed on its name's shard key and
+    but every packet is rendezvous-hashed on its name's shard key and
     forwarded — as a wire frame, never a decoded object — to one of
     ``shards`` internal :class:`Forwarder` instances, each owning the
     complete PIT/CS/FIB state for its slice of the namespace.
@@ -588,8 +479,7 @@ class ShardedForwarder:
     is how benchmarks model multi-core scaling deterministically; both
     default to zero (no modelled cost).
 
-    ``partitioner`` selects the key placement function (``"ring"`` or
-    ``"rendezvous"``; ``shard_weights`` enables weighted rendezvous), and
+    ``shard_weights`` enables weighted rendezvous placement, and
     ``hot_cache`` sizes the dispatcher's exact-match hot cache (0 disables
     it) — see the module docstring for the fast-path coherence contract.
 
@@ -615,7 +505,6 @@ class ShardedForwarder:
         metrics: Optional[MetricsRegistry] = None,
         dispatch_service_s: float = 0.0,
         shard_service_s: float = 0.0,
-        partitioner: str = "ring",
         shard_weights: Optional[Sequence[float]] = None,
         hot_cache: int = 128,
     ) -> None:
@@ -627,7 +516,6 @@ class ShardedForwarder:
         self.name = name
         self.num_shards = shards
         self.key_depth = key_depth
-        self.partitioner = partitioner
         # Build parameters kept verbatim so resize() can mint new shards
         # identical to the originals.
         self._cs_capacity = cs_capacity
@@ -638,7 +526,7 @@ class ShardedForwarder:
             tuple(float(weight) for weight in shard_weights)
             if shard_weights is not None else None
         )
-        self._picker = make_shard_picker(partitioner, shards, shard_weights)
+        self._picker = make_shard_picker(shards, shard_weights)
         self.tracer = tracer or Tracer(clock=lambda: env.now, enabled=False)
         self.metrics = metrics or MetricsRegistry(clock=lambda: env.now)
         self.shards: list[Forwarder] = [
@@ -751,8 +639,8 @@ class ShardedForwarder:
     def _owning_shards(self, prefix: Name) -> list[int]:
         """The shards a prefix's routes/producers must live on.
 
-        Uses the node's configured partitioner, so registrations and
-        per-packet dispatch can never disagree about ownership.
+        Uses the node's dispatch picker, so registrations and per-packet
+        dispatch can never disagree about ownership.
         """
         if len(prefix) >= self.key_depth:
             return [self._picker(shard_key(prefix, self.key_depth))]
@@ -840,20 +728,24 @@ class ShardedForwarder:
            hash with the new placement.
         3. Per-shard Content Store capacities are re-split from the node
            budget across the new shard count.
-        4. Routes and producers whose shard key changed owner are installed
-           on their new shards (at the original cost) before being removed
-           from the old ones — make-before-break.
+        4. Routes whose shard key changed owner are installed on their new
+           shards (at the original cost) before being removed from the old
+           ones — make-before-break.
         5. Pending Interests stranded on a shard that no longer owns their
            key are Nacked downstream (``NoRoute``) through the normal
            pipeline, so retrying consumers re-express and re-route; Data
            already egressed is untouched and the boundary byte ledgers stay
-           exact.
-        6. Cached Data whose key moved is erased (firing the hot-cache
+           exact.  This runs before producers move, so every moved entry
+           is resolved (and counted) here rather than as a side effect of
+           the producer face removal in step 6.
+        6. Producers whose shard key changed owner are re-homed the same
+           way as routes (make-before-break).
+        7. Cached Data whose key moved is erased (firing the hot-cache
            coherence callback); on shrink the removed shards' caches are
            cleared and their boundary pairs closed.
 
-        ``shard_weights`` (rendezvous partitioner only) applies weighted
-        placement; omitting it drops any existing weighting.  Consistency
+        ``shard_weights`` applies weighted placement; omitting it drops any
+        existing weighting.  Consistency
         caveat: an unweighted grow from N to N+1 only moves keys onto the
         new shard, but changing weights can move keys between existing
         shards — both are reported per-category in the returned
@@ -865,7 +757,7 @@ class ShardedForwarder:
             tuple(float(weight) for weight in shard_weights)
             if shard_weights is not None else None
         )
-        new_picker = make_shard_picker(self.partitioner, shards, weights)
+        new_picker = make_shard_picker(shards, weights)
         old_count = self.num_shards
         report = RebalanceReport(
             at=self.env.now, old_shards=old_count, new_shards=shards
@@ -904,7 +796,7 @@ class ShardedForwarder:
                     self._cs_capacity, index, shards
                 )
 
-        # 4a. Re-home routes: install on new owners, then drop old ones.
+        # 4. Re-home routes: install on new owners, then drop old ones.
         for (prefix, ext_id), old_owners in list(self._registrations.items()):
             new_owners = self._owning_shards(prefix)
             cost = self._registration_costs.get((prefix, ext_id), 0.0)
@@ -919,10 +811,8 @@ class ShardedForwarder:
                 report.routes_removed += 1
             self._registrations[(prefix, ext_id)] = new_owners
 
-        # 5. Nack pending Interests whose key changed owner mid-flight —
-        # before producers are torn off their old shards, so every moved
-        # entry is resolved (and counted) here rather than rescued as a
-        # side effect of the producer face removal below.
+        # 5. Nack pending Interests whose key changed owner mid-flight,
+        # before producers are torn off their old shards.
         for index, shard in enumerate(self.shards):
             if index < shards:
                 report.pending_aborted += shard.abort_pending(
@@ -934,7 +824,7 @@ class ShardedForwarder:
             else:  # shard is going away: everything pending is stranded
                 report.pending_aborted += shard.abort_pending(lambda entry: True)
 
-        # 4b. Re-home producers the same way (make-before-break).
+        # 6. Re-home producers the same way (make-before-break).
         for record in self._producers:
             new_owners = self._owning_shards(record.prefix)
             added = [idx for idx in new_owners if idx not in record.faces]
@@ -953,19 +843,7 @@ class ShardedForwarder:
                     self.shards[index].remove_face(peer.face_id)
                 report.producers_removed += 1
 
-        # 5. Nack pending Interests whose key changed owner mid-flight.
-        for index, shard in enumerate(self.shards):
-            if index < shards:
-                report.pending_aborted += shard.abort_pending(
-                    lambda entry, index=index: (
-                        len(entry.name) >= self.key_depth
-                        and self._picker(shard_key(entry.name, self.key_depth)) != index
-                    )
-                )
-            else:  # shard is going away: everything pending is stranded
-                report.pending_aborted += shard.abort_pending(lambda entry: True)
-
-        # 6. Drop moved cache entries (fires hot-cache invalidation).
+        # 7. Drop moved cache entries (fires hot-cache invalidation).
         for index in range(min(shards, len(self.shards))):
             shard = self.shards[index]
             moved = [
@@ -997,7 +875,7 @@ class ShardedForwarder:
         return report
 
     def set_shard_weights(self, weights: Sequence[float]) -> RebalanceReport:
-        """Re-weight the rendezvous partitioner live (a same-count resize)."""
+        """Re-weight the shard placement live (a same-count resize)."""
         return self.resize(self.num_shards, weights)
 
     def crash_shard(self, index: int) -> int:
@@ -1155,7 +1033,6 @@ class ShardedForwarder:
         return {
             "name": self.name,
             "shards": self.num_shards,
-            "partitioner": self.partitioner,
             "faces": len(self._faces),
             "face_stats": self.face_stats(),
             "fib_entries": len(self.fib),
@@ -1175,379 +1052,19 @@ def forwarder_for_node(env: Environment, node, **kwargs):
 
     ``node.shards == 1`` yields a plain :class:`Forwarder`; more yields a
     :class:`ShardedForwarder`.  Keyword arguments are passed through, with
-    shard-only options (``key_depth``, partitioner/weights, hot cache,
-    service times) dropped for the single-process case.  The node's own
-    ``partitioner``/``shard_weights`` declarations (when present) are the
-    defaults; explicit keyword arguments win.
+    shard-only options (``key_depth``, weights, hot cache, service times)
+    dropped for the single-process case.  The node's own ``shard_weights``
+    declaration (when present) is the default; an explicit keyword
+    argument wins.
     """
     shards = getattr(node, "shards", 1)
     if shards <= 1:
         for shard_only in (
             "key_depth", "dispatch_service_s", "shard_service_s",
-            "partitioner", "shard_weights", "hot_cache",
+            "shard_weights", "hot_cache",
         ):
             kwargs.pop(shard_only, None)
         return Forwarder(env, name=node.name, **kwargs)
-    kwargs.setdefault("partitioner", getattr(node, "partitioner", "ring"))
     kwargs.setdefault("shard_weights", getattr(node, "shard_weights", None))
     return ShardedForwarder(env, name=node.name, shards=shards, **kwargs)
 
-
-# ------------------------------------------------------------ process workers
-
-#: Control message closing a worker (cannot collide with a frame batch:
-#: batches are never empty and always start with a frame header).
-_QUIT = b"\xffQUIT"
-
-
-class _FrameCollector:
-    """Worker-side endpoint gathering the shard's outbound packets."""
-
-    accepts_wire_packets = True
-
-    def __init__(self) -> None:
-        self._out: list[tuple[int, WirePacket]] = []
-
-    def add_face(self, face: Face) -> int:
-        return 0
-
-    def receive_packet(self, packet: WirePacket, face: Face) -> None:
-        self._out.append((0, packet))
-
-    def take(self) -> list[tuple[int, WirePacket]]:
-        taken, self._out = self._out, []
-        return taken
-
-
-def _shard_worker_main(conn, shard_id: int, num_shards: int, node_builder) -> None:
-    """One shard worker process: a forwarder fed wire frames over a pipe.
-
-    ``node_builder(env, shard_id, num_shards)`` returns the shard's
-    :class:`Forwarder` with its producers/routes already attached.  The
-    loop replies exactly once per input blob — receive a frame batch,
-    drain the simulation, reply with the outbound frames — so a worker's
-    output is a deterministic function of its input batches whether the
-    parent drives it batch-synchronously (:meth:`ShardWorkerPool.submit` /
-    :meth:`~ShardWorkerPool.collect`) or keeps a pipelined window in
-    flight (:meth:`~ShardWorkerPool.stream`).
-    """
-    env = Environment()
-    forwarder = node_builder(env, shard_id, num_shards)
-    collector = _FrameCollector()
-    pipe_face = LocalFace(env, collector, label=f"shard{shard_id}:pipe")
-    fwd_face = LocalFace(env, forwarder, label=f"shard{shard_id}:fwd")
-    pipe_face.set_peer(fwd_face)
-    fwd_face.set_peer(pipe_face)
-    fwd_face.attach()
-    pipe_face.attach()
-    decodes_before = WirePacket.wire_decodes
-    wire_bytes_in = 0
-    wire_bytes_out = 0
-    frames_in = 0
-    frames_out = 0
-    try:
-        while True:
-            try:
-                blob = conn.recv_bytes()
-            except EOFError:
-                return
-            if blob == _QUIT:
-                stats = {
-                    "shard_id": shard_id,
-                    "wire_decodes": WirePacket.wire_decodes - decodes_before,
-                    "pit_entries": len(forwarder.pit),
-                    "cs_entries": len(forwarder.cs),
-                    "wire_bytes_in": wire_bytes_in,
-                    "wire_bytes_out": wire_bytes_out,
-                    "frames_in": frames_in,
-                    "frames_out": frames_out,
-                    "face_stats": fwd_face.stats.as_dict(),
-                }
-                conn.send_bytes(json.dumps(stats).encode("utf-8"))
-                return
-            for _tag, packet in iter_frames(blob):
-                wire_bytes_in += packet.size
-                frames_in += 1
-                pipe_face.send(packet)
-            env.run()
-            replies = collector.take()
-            wire_bytes_out += sum(packet.size for _tag, packet in replies)
-            frames_out += len(replies)
-            conn.send_bytes(encode_frames(replies))
-    finally:
-        conn.close()
-
-
-class ShardWorkerPool:
-    """A real multi-process shard pool: forked workers fed frames over pipes.
-
-    This is the deployment-shaped half of the sharded data plane: each shard
-    is an OS process running its own forwarder, and the only thing that
-    ever crosses the pipe is the frame encoding of a wire buffer.  Workers
-    report a transit-decode count on shutdown so callers can assert the
-    boundary stayed bytes-only end to end.
-
-    Reuses the :mod:`repro.analysis.sweep` fork rationale: a forked child
-    sees every module already imported in the parent, so ``node_builder``
-    (any callable, even one defined in a test) resolves by reference.
-    """
-
-    def __init__(
-        self,
-        num_shards: int,
-        node_builder: Callable[[Environment, int, int], Forwarder],
-        key_depth: int = 1,
-        partitioner: str = "ring",
-        shard_weights: Optional[Sequence[float]] = None,
-    ) -> None:
-        if num_shards < 1:
-            raise NDNError(f"need at least one shard worker, got {num_shards}")
-        self.num_shards = num_shards
-        self.key_depth = key_depth
-        self.partitioner = partitioner
-        self._picker = make_shard_picker(partitioner, num_shards, shard_weights)
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            context = multiprocessing.get_context()
-        self._conns = []
-        self._procs = []
-        #: Parent-side accounting of wire payload bytes per shard pipe.
-        self.wire_bytes_to = [0] * num_shards
-        self.wire_bytes_from = [0] * num_shards
-        #: Parent-side frame counts per pipe, matched against the workers'
-        #: own ``frames_in``/``frames_out`` reports by the drain guarantee.
-        self.frames_to = [0] * num_shards
-        self.frames_from = [0] * num_shards
-        #: Input batches sent minus reply blobs received, per pipe (the
-        #: streaming window accounting; close() drains whatever remains).
-        self._inflight = [0] * num_shards
-        for shard_id in range(num_shards):
-            parent_conn, child_conn = context.Pipe(duplex=True)
-            proc = context.Process(
-                target=_shard_worker_main,
-                args=(child_conn, shard_id, num_shards, node_builder),
-                daemon=True,
-                name=f"shard-worker-{shard_id}",
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-        self._closed = False
-
-    # ------------------------------------------------------------------ I/O
-
-    def route(self, packet: "WirePacket | AnyPacket") -> int:
-        """The worker a packet belongs to (partitioner hash of its name).
-
-        Reads the packet's memoised name bytes — the same byte-level key
-        extraction the in-sim dispatcher uses; no Name is materialised.
-        """
-        return self._picker(
-            key_from_name_bytes(WirePacket.of(packet).name_bytes, self.key_depth)
-        )
-
-    def submit(self, packets: Sequence["WirePacket | AnyPacket"]) -> int:
-        """Partition ``packets`` by shard and send one frame batch per pipe.
-
-        Returns the number of packets submitted.
-        """
-        batches: dict[int, list[tuple[int, WirePacket]]] = {}
-        for packet in packets:
-            view = WirePacket.of(packet)
-            batches.setdefault(self.route(view), []).append((0, view))
-        for shard_id, items in batches.items():
-            self.wire_bytes_to[shard_id] += sum(view.size for _tag, view in items)
-            self.frames_to[shard_id] += len(items)
-            self._inflight[shard_id] += 1
-            self._conns[shard_id].send_bytes(encode_frames(items))
-        return sum(len(items) for items in batches.values())
-
-    def collect(self, count: int, timeout_s: float = 30.0) -> list[WirePacket]:
-        """Gather ``count`` reply packets from the worker pipes."""
-        deadline = time.monotonic() + timeout_s  # lint: allow[RL002] wall-clock IPC timeout: fork workers run outside simulated time
-        results: list[WirePacket] = []
-        pending = {conn: shard_id for shard_id, conn in enumerate(self._conns)}
-        while len(results) < count:
-            remaining = deadline - time.monotonic()  # lint: allow[RL002] wall-clock IPC timeout: fork workers run outside simulated time
-            if remaining <= 0:
-                raise NDNError(
-                    f"shard pool timed out with {len(results)}/{count} replies"
-                )
-            ready = multiprocessing.connection.wait(list(pending), timeout=remaining)
-            for conn in ready:
-                blob = conn.recv_bytes()
-                shard_id = pending[conn]
-                self._inflight[shard_id] -= 1
-                for _tag, packet in iter_frames(blob):
-                    self.wire_bytes_from[shard_id] += packet.size
-                    self.frames_from[shard_id] += 1
-                    results.append(packet)
-        return results
-
-    def stream(
-        self,
-        packets: Iterable["WirePacket | AnyPacket"],
-        window: int = 4,
-        max_batch: int = 32,
-        timeout_s: float = 30.0,
-    ) -> Iterator[WirePacket]:
-        """Pipelined submit-while-collecting: yield replies as they arrive.
-
-        The batch-synchronous API (:meth:`submit` then :meth:`collect`)
-        makes an interactive client pay a full pipe round-trip per
-        request.  This generator instead keeps up to ``window`` coalesced
-        frame batches (each at most ``max_batch`` frames) in flight *per
-        pipe*, refilling windows as reply blobs drain — parent-side encode
-        overlaps worker-side processing and pipe latency is hidden behind
-        the in-flight window.
-
-        Exact byte/frame accounting is preserved: every frame is counted
-        into ``wire_bytes_to``/``frames_to`` when sent and
-        ``wire_bytes_from``/``frames_from`` when its reply blob is read —
-        a whole blob is accounted *before* its frames are yielded, so
-        abandoning the generator mid-blob cannot lose frames from the
-        ledger.  Replies from one worker stay in submission order; across
-        workers, arrival order is OS-timing dependent.  ``timeout_s`` is
-        an inactivity bound (no reply blob for that long raises).  After
-        abandoning a stream mid-flight, only :meth:`close` is safe — it
-        drains the remaining windows deterministically.
-
-        The parent drains every ready reply *before* each potentially
-        blocking send, so the in-flight window may exceed the OS pipe
-        buffers without wedging either end.  The remaining requirement is
-        per-message: one coalesced batch (``max_batch * frame_size``, and
-        its reply) must fit the pipe buffer — typically 64 KiB; the
-        defaults coalesce a few KiB.
-        """
-        if self._closed:
-            raise NDNError("cannot stream through a closed shard pool")
-        if window < 1:
-            raise NDNError(f"stream window must be >= 1, got {window}")
-        if max_batch < 1:
-            raise NDNError(f"stream max_batch must be >= 1, got {max_batch}")
-        source = iter(packets)
-        pending: list[deque[WirePacket]] = [deque() for _ in range(self.num_shards)]
-        shard_of = {id(conn): shard_id for shard_id, conn in enumerate(self._conns)}
-        outbox: deque[WirePacket] = deque()
-        high_water = self.num_shards * window * max_batch
-        exhausted = False
-
-        def drain(timeout: float) -> bool:
-            """Receive ready reply blobs into the outbox; True if any came."""
-            waitable = [
-                conn for shard_id, conn in enumerate(self._conns)
-                if self._inflight[shard_id]
-            ]
-            if not waitable:
-                return False
-            ready = multiprocessing.connection.wait(waitable, timeout=timeout)
-            for conn in ready:
-                shard_id = shard_of[id(conn)]
-                blob = conn.recv_bytes()
-                self._inflight[shard_id] -= 1
-                frames = list(iter_frames(blob))
-                self.wire_bytes_from[shard_id] += sum(v.size for _t, v in frames)
-                self.frames_from[shard_id] += len(frames)
-                outbox.extend(view for _tag, view in frames)
-            return bool(ready)
-
-        while True:
-            # Top up the partition queues, then every open window.
-            while not exhausted and sum(map(len, pending)) < high_water:
-                try:
-                    view = WirePacket.of(next(source))
-                except StopIteration:
-                    exhausted = True
-                    break
-                pending[self.route(view)].append(view)
-            for shard_id, backlog in enumerate(pending):
-                while self._inflight[shard_id] < window and backlog:
-                    items: list[tuple[int, WirePacket]] = []
-                    while backlog and len(items) < max_batch:
-                        items.append((0, backlog.popleft()))
-                    # Clear the reply pipes before a send that may block:
-                    # a worker stuck writing its reply would otherwise stop
-                    # reading input, wedging both ends mid-write.
-                    drain(0)
-                    self.wire_bytes_to[shard_id] += sum(v.size for _t, v in items)
-                    self.frames_to[shard_id] += len(items)
-                    self._inflight[shard_id] += 1
-                    self._conns[shard_id].send_bytes(encode_frames(items))
-            while outbox:
-                yield outbox.popleft()
-            if exhausted and not any(pending) and not any(self._inflight):
-                return
-            if not drain(timeout_s):
-                raise NDNError(
-                    f"shard pool stream stalled for {timeout_s}s with "
-                    f"{sum(self._inflight)} batches in flight"
-                )
-            while outbox:
-                yield outbox.popleft()
-
-    def close(self, timeout_s: float = 10.0) -> list[dict]:
-        """Shut every worker down and return their final stats reports.
-
-        Reply batches still sitting in a pipe — a close without (or after
-        a failed) ``collect``, or a :meth:`stream` abandoned with windows
-        in flight — are drained and counted into
-        ``wire_bytes_from``/``frames_from``, not mistaken for the stats
-        report.  The ``_QUIT`` sentinel queues behind every batch already
-        sent, and the worker replies once per batch before acknowledging
-        it, so the drain is deterministic: afterwards the parent's frame
-        ledger matches the workers' own ``frames_in``/``frames_out``
-        reports exactly — zero lost frames.  Workers are joined (and
-        terminated if hung) even when a pipe read fails.
-        """
-        if self._closed:
-            return []
-        self._closed = True
-        reports: list[dict] = []
-        try:
-            for conn in self._conns:
-                try:
-                    conn.send_bytes(_QUIT)
-                except (BrokenPipeError, OSError):  # pragma: no cover - dead worker
-                    continue
-            for shard_id, conn in enumerate(self._conns):
-                try:
-                    # The stats report follows any unconsumed reply batches.
-                    while conn.poll(timeout_s):
-                        blob = conn.recv_bytes()
-                        report = self._parse_stats(blob)
-                        if report is not None:
-                            reports.append(report)
-                            break
-                        self._inflight[shard_id] -= 1
-                        for _tag, packet in iter_frames(blob):
-                            self.wire_bytes_from[shard_id] += packet.size
-                            self.frames_from[shard_id] += 1
-                except (EOFError, OSError, NDNError):  # pragma: no cover - dead worker
-                    pass
-                finally:
-                    conn.close()
-        finally:
-            for proc in self._procs:
-                proc.join(timeout=timeout_s)
-                if proc.is_alive():  # pragma: no cover - hung worker
-                    proc.terminate()
-                    proc.join(timeout=timeout_s)
-        return reports
-
-    @staticmethod
-    def _parse_stats(blob: bytes) -> "dict | None":
-        """The worker's JSON stats report, or ``None`` for a frame batch."""
-        if not blob.startswith(b"{"):
-            return None
-        try:
-            return json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):  # pragma: no cover - defensive
-            return None
-
-    def __enter__(self) -> "ShardWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -310,7 +310,7 @@ class DispatcherHotCache:
     """A bounded exact-match wire-frame cache for a shard dispatcher.
 
     This is the strategy tier in front of a sharded data plane: the
-    dispatcher consults it before consistent-hashing a packet, so repeat
+    dispatcher consults it before hashing a packet to a shard, so repeat
     Interests for a hot name are answered from the dispatcher itself —
     no hash, no boundary frame, no shard round-trip, and **zero decodes**
     (the stored template and every lookup key are plain bytes).

@@ -24,11 +24,10 @@ class TopologyNode:
     """A site in the wide-area topology (cluster gateway, client, data lake).
 
     ``shards`` declares how many forwarder worker shards the node's data
-    plane runs (1 = a plain single-process forwarder), ``partitioner``
-    which key placement function partitions its namespace (``"ring"``
-    consistent hashing or ``"rendezvous"`` HRW), and ``shard_weights``
-    optional per-shard weights for weighted rendezvous (heterogeneous
-    shard capacity).  The topology layer only records the intent;
+    plane runs (1 = a plain single-process forwarder) and
+    ``shard_weights`` optional per-shard weights for the rendezvous
+    placement that partitions its namespace (heterogeneous shard
+    capacity).  The topology layer only records the intent;
     :func:`repro.ndn.shard.forwarder_for_node` builds the matching
     :class:`~repro.ndn.forwarder.Forwarder` or
     :class:`~repro.ndn.shard.ShardedForwarder` — the NDN layer imports the
@@ -39,7 +38,6 @@ class TopologyNode:
     kind: str = "host"
     region: str = "default"
     shards: int = 1
-    partitioner: str = "ring"
     shard_weights: Optional[tuple] = None
     attrs: dict = field(default_factory=dict, compare=False, hash=False)
 
@@ -48,17 +46,7 @@ class TopologyNode:
             raise SimulationError(
                 f"node {self.name!r} needs at least one shard, got {self.shards}"
             )
-        if self.partitioner not in ("ring", "rendezvous"):
-            raise SimulationError(
-                f"node {self.name!r}: unknown partitioner {self.partitioner!r} "
-                "(expected 'ring' or 'rendezvous')"
-            )
         if self.shard_weights is not None:
-            if self.partitioner != "rendezvous":
-                raise SimulationError(
-                    f"node {self.name!r}: shard weights require the "
-                    "'rendezvous' partitioner"
-                )
             if len(self.shard_weights) != self.shards:
                 raise SimulationError(
                     f"node {self.name!r}: {len(self.shard_weights)} weights "

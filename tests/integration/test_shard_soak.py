@@ -15,7 +15,6 @@ from repro.cluster.cluster import ClusterSpec
 from repro.core.cluster_endpoint import LIDCCluster
 from repro.core.spec import ComputeRequest
 from repro.ndn.client import Consumer
-from repro.ndn.name import Name
 from repro.ndn.packet import Data, WirePacket
 from repro.ndn.shard import ShardedForwarder
 from repro.sim.engine import Environment
@@ -164,76 +163,6 @@ class TestHotCacheSoak:
         assert ext_stats["interests_in"] == total
         assert ext_stats["data_out"] == total
         assert consumer.pending_count() == 0
-
-
-class TestStreamingPoolSoak:
-    def test_streamed_thousand_exchanges_balance_exactly(self):
-        """1000 exchanges through the pipelined pool: every frame ledger
-        (parent vs worker, both directions, bytes and counts) balances
-        exactly and no transit decode ever happens."""
-        from repro.ndn.shard import ShardWorkerPool
-        from repro.ndn.packet import Interest
-
-        interests = [
-            WirePacket(Interest(
-                name=Name(f"{TENANTS[i % len(TENANTS)]}/stream{i}"), hop_limit=16
-            ).encode())
-            for i in range(1000)
-        ]
-        pool = ShardWorkerPool(2, _streaming_soak_builder)
-        replies = list(pool.stream(iter(interests), window=4, max_batch=25))
-        reports = pool.close()
-        assert len(replies) == len(interests)
-        assert all(report["wire_decodes"] == 0 for report in reports)
-        by_shard = {report["shard_id"]: report for report in reports}
-        for shard_id in range(2):
-            assert pool.frames_to[shard_id] == by_shard[shard_id]["frames_in"]
-            assert pool.frames_from[shard_id] == by_shard[shard_id]["frames_out"]
-            assert pool.wire_bytes_to[shard_id] == by_shard[shard_id]["wire_bytes_in"]
-            assert pool.wire_bytes_from[shard_id] == by_shard[shard_id]["wire_bytes_out"]
-
-    def test_abandoned_stream_soak_loses_zero_frames(self):
-        """Abandon a large stream a third of the way in; the close path
-        must drain the in-flight windows deterministically — the final
-        ledgers prove zero frames were lost anywhere."""
-        from repro.ndn.shard import ShardWorkerPool
-        from repro.ndn.packet import Interest
-
-        interests = [
-            WirePacket(Interest(
-                name=Name(f"{TENANTS[i % len(TENANTS)]}/abandon{i}"), hop_limit=16
-            ).encode())
-            for i in range(600)
-        ]
-        pool = ShardWorkerPool(2, _streaming_soak_builder)
-        consumed = 0
-        for _reply in pool.stream(iter(interests), window=4, max_batch=20):
-            consumed += 1
-            if consumed >= 200:
-                break
-        reports = pool.close()
-        by_shard = {report["shard_id"]: report for report in reports}
-        for shard_id in range(2):
-            assert pool.frames_to[shard_id] == by_shard[shard_id]["frames_in"]
-            assert pool.frames_from[shard_id] == by_shard[shard_id]["frames_out"], (
-                "frames lost draining an abandoned stream"
-            )
-        # Every frame that went in came back out and is accounted for.
-        assert sum(pool.frames_from) == sum(pool.frames_to)
-        assert sum(pool.frames_from) >= consumed
-        assert all(not proc.is_alive() for proc in pool._procs)
-
-
-def _streaming_soak_builder(env, shard_id, num_shards):
-    """Module-level worker builder (pickles by reference under fork)."""
-    from repro.ndn.forwarder import Forwarder
-
-    forwarder = Forwarder(env, name=f"soak-worker{shard_id}", cs_capacity=0)
-    for tenant in TENANTS:
-        def handler(interest, _tenant=tenant):
-            return Data(name=interest.name, content=b"p:" + _tenant.encode()).sign()
-        forwarder.attach_producer(tenant, handler)
-    return forwarder
 
 
 class TestFlashCrowdSoak:

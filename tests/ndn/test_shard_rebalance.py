@@ -12,11 +12,7 @@ import pytest
 from repro.exceptions import NDNError
 from repro.ndn.client import Consumer, RetryPolicy
 from repro.ndn.packet import Data
-from repro.ndn.shard import (
-    RebalanceReport,
-    ShardedForwarder,
-    shard_for_name,
-)
+from repro.ndn.shard import RebalanceReport, ShardedForwarder, rendezvous_for_name
 from repro.sim.rng import SeededRNG
 
 TENANTS = [f"/t{i}" for i in range(8)]
@@ -53,14 +49,14 @@ class TestResizeBasics:
             node.resize(0)
 
     def test_grow_rehomes_only_onto_the_new_shard(self, env):
-        """Ring consistency: keys either stay put or land on the new shard."""
+        """HRW consistency: keys either stay put or land on the new shard."""
         node = ShardedForwarder(env, name="node", shards=3)
         attach_tenant_producers(node)
         report = node.resize(4)
         assert report.new_shards == 4 and len(node.shards) == 4
         for tenant in TENANTS:
-            old_owner = shard_for_name(tenant, 3)
-            new_owner = shard_for_name(tenant, 4)
+            old_owner = rendezvous_for_name(tenant, 3)
+            new_owner = rendezvous_for_name(tenant, 4)
             assert new_owner == old_owner or new_owner == 3
         # Producer moves happened make-before-break: every moved producer
         # was added on the new shard and removed from its old one.
@@ -159,7 +155,7 @@ class TestResizeUnderTraffic:
         report = node.resize(4)
         moved = [
             tenant for tenant in TENANTS
-            if shard_for_name(tenant, 4) != shard_for_name(tenant, 2)
+            if rendezvous_for_name(tenant, 4) != rendezvous_for_name(tenant, 2)
         ]
         assert report.pending_aborted == len(moved)
         env.run(until=0.2)
@@ -168,6 +164,36 @@ class TestResizeUnderTraffic:
         assert len(nacked) == len(moved)
         assert node.pit_entries() == len(TENANTS) - len(moved)
         env.run()  # let the slow producers answer the survivors
+
+    @pytest.mark.parametrize("before, after", [(2, 4), (4, 1), (3, 3)])
+    def test_resize_scans_each_shard_for_stranded_interests_once(
+        self, env, monkeypatch, before, after
+    ):
+        """One resize, one abort_pending pass per shard (old, new and
+        removed alike): a second pass could only re-scan cleaned tables."""
+        from collections import Counter
+
+        from repro.ndn.forwarder import Forwarder
+
+        calls = Counter()
+        original = Forwarder.abort_pending
+
+        def counting(shard, *args, **kwargs):
+            calls[shard.name] += 1
+            return original(shard, *args, **kwargs)
+
+        monkeypatch.setattr(Forwarder, "abort_pending", counting)
+        node = ShardedForwarder(env, name="node", shards=before)
+        attach_tenant_producers(node, delay_s=5.0)
+        consumer = Consumer(env, node)
+        for tenant in TENANTS:
+            consumer.express_interest(f"{tenant}/slow", lifetime=30.0)
+        env.run(until=0.1)
+        node.resize(after)
+        assert calls == {
+            f"node/shard{index}": 1 for index in range(max(before, after))
+        }
+        env.run()
 
     def test_shrink_aborts_everything_on_removed_shards(self, env):
         node = ShardedForwarder(env, name="node", shards=4)
@@ -179,7 +205,7 @@ class TestResizeUnderTraffic:
         report = node.resize(1)
         # Every key now owns shard 0; entries elsewhere were aborted, and
         # shard 0 keeps only the keys it already owned.
-        kept = [t for t in TENANTS if shard_for_name(t, 4) == 0]
+        kept = [t for t in TENANTS if rendezvous_for_name(t, 4) == 0]
         assert node.pit_entries() == len(kept)
         assert report.pending_aborted == len(TENANTS) - len(kept)
         env.run()
@@ -188,9 +214,7 @@ class TestResizeUnderTraffic:
 
 class TestWeightedRebalance:
     def test_set_shard_weights_shifts_placement(self, env):
-        node = ShardedForwarder(
-            env, name="node", shards=2, partitioner="rendezvous"
-        )
+        node = ShardedForwarder(env, name="node", shards=2)
         attach_tenant_producers(node)
         report = node.set_shard_weights([1.0, 50.0])
         assert report.old_shards == 2 and report.new_shards == 2
@@ -205,11 +229,6 @@ class TestWeightedRebalance:
         light = node.shards[0].metrics.counter("interests_received").value
         assert heavy > light
 
-    def test_ring_partitioner_rejects_weights(self, env):
-        node = ShardedForwarder(env, name="node", shards=2, partitioner="ring")
-        with pytest.raises(NDNError):
-            node.set_shard_weights([1.0, 2.0])
-
 
 class TestShardCrash:
     def test_crash_aborts_pending_and_restarts_cold(self, env):
@@ -219,8 +238,8 @@ class TestShardCrash:
         for tenant in TENANTS:
             consumer.express_interest(f"{tenant}/x", lifetime=30.0)
         env.run(until=0.1)
-        victim = shard_for_name(TENANTS[0], 3)
-        on_victim = [t for t in TENANTS if shard_for_name(t, 3) == victim]
+        victim = rendezvous_for_name(TENANTS[0], 3)
+        on_victim = [t for t in TENANTS if rendezvous_for_name(t, 3) == victim]
         aborted = node.crash_shard(victim)
         assert aborted == len(on_victim)
         assert len(node.shards[victim].pit) == 0

@@ -1,4 +1,4 @@
-"""Tests for the sharded forwarder data plane (inline and process modes)."""
+"""Tests for the sharded forwarder data plane."""
 
 import pytest
 
@@ -6,14 +6,13 @@ from repro.exceptions import InterestNacked, NDNError
 from repro.ndn.client import Consumer
 from repro.ndn.face import connect
 from repro.ndn.forwarder import Forwarder
-from repro.ndn.name import Name
-from repro.ndn.packet import Data, Interest, WirePacket
+from repro.ndn.packet import Data, WirePacket
 from repro.ndn.shard import (
     ShardedForwarder,
-    ShardWorkerPool,
     forwarder_for_node,
+    rendezvous_for_key,
     rendezvous_for_name,
-    shard_for_name,
+    shard_key,
 )
 from repro.sim.engine import Environment
 from repro.sim.topology import Link, TopologyNode
@@ -51,14 +50,17 @@ class TestInlineSharding:
         assert len(used) >= 2
 
     def test_packets_land_on_their_owning_shard(self, env):
+        """Byte-level dispatch agrees with the Name-level partitioning."""
         node = ShardedForwarder(env, name="node", shards=4)
         attach_tenant_producers(node)
         consumer = Consumer(env, node)
-        env.run(until=consumer.express_interest("/t3/only"))
-        owner = shard_for_name("/t3/only", 4)
+        env.run(until=env.all_of(
+            [consumer.express_interest(f"{tenant}/only") for tenant in TENANTS]
+        ))
+        owners = [rendezvous_for_name(f"{tenant}/only", 4) for tenant in TENANTS]
         for index, shard in enumerate(node.shards):
             received = shard.metrics.counter("interests_received").value
-            assert received == (1 if index == owner else 0)
+            assert received == owners.count(index)
 
     def test_external_route_and_per_shard_caching(self, env):
         node = ShardedForwarder(env, name="edge", shards=2, cs_capacity=64)
@@ -85,7 +87,7 @@ class TestInlineSharding:
         env.run()
         assert second.ok
         assert len(served) == 1
-        owner = shard_for_name("/svc/item", 2)
+        owner = rendezvous_for_name("/svc/item", 2)
         assert node.shards[owner].cs.hits == 1
 
     def test_short_prefix_spans_every_shard(self, env):
@@ -153,7 +155,7 @@ class TestInlineSharding:
 
 
 class TestServiceTimeModel:
-    #: A wider tenant population than TENANTS: consistent hashing balances
+    #: A wider tenant population than TENANTS: rendezvous hashing balances
     #: statistically, so the scaling assertion needs enough distinct keys.
     MODEL_TENANTS = [f"/u{i:03d}" for i in range(64)]
 
@@ -189,7 +191,8 @@ class TestServiceTimeModel:
         assert makespan_1 == pytest.approx(len(self.MODEL_TENANTS), abs=0.5)
         for shards, makespan in ((2, makespan_2), (4, makespan_4)):
             split = Counter(
-                shard_for_name(f"{tenant}/obj", shards) for tenant in self.MODEL_TENANTS
+                rendezvous_for_name(f"{tenant}/obj", shards)
+                for tenant in self.MODEL_TENANTS
             )
             assert makespan == pytest.approx(max(split.values()), abs=0.5)
         assert makespan_2 < makespan_1 / 1.4
@@ -211,159 +214,6 @@ class TestServiceTimeModel:
         assert env.now < 1e-9  # no modelled service time was spent
 
 
-def build_worker_node(env, shard_id, num_shards):
-    """Module-level worker builder (pickles by reference under fork)."""
-    forwarder = Forwarder(env, name=f"worker{shard_id}", cs_capacity=128)
-    for tenant in TENANTS:
-        def handler(interest, _tenant=tenant):
-            return Data(name=interest.name, content=b"w:" + _tenant.encode()).sign()
-        forwarder.attach_producer(tenant, handler)
-    return forwarder
-
-
-class TestShardWorkerPool:
-    def test_process_pool_round_trip_stays_bytes_only(self):
-        interests = [
-            Interest(name=Name(f"{tenant}/obj/{i}"), hop_limit=16)
-            for tenant in TENANTS for i in range(5)
-        ]
-        before = WirePacket.wire_decodes
-        with ShardWorkerPool(2, build_worker_node) as pool:
-            submitted = pool.submit(interests)
-            replies = pool.collect(submitted, timeout_s=30.0)
-            reports = pool.close()
-        assert submitted == len(interests)
-        assert {str(r.name) for r in replies} == {str(i.name) for i in interests}
-        # The parent never decoded a reply; neither worker decoded in transit.
-        assert WirePacket.wire_decodes == before
-        assert len(reports) == 2
-        assert all(report["wire_decodes"] == 0 for report in reports)
-        assert all(report["pit_entries"] == 0 for report in reports)
-        # Wire payload bytes balance across each pipe, both directions.
-        by_shard = {report["shard_id"]: report for report in reports}
-        for shard_id in range(2):
-            assert pool.wire_bytes_to[shard_id] == by_shard[shard_id]["wire_bytes_in"]
-            assert pool.wire_bytes_from[shard_id] == by_shard[shard_id]["wire_bytes_out"]
-        assert sum(pool.wire_bytes_to) > 0 and sum(pool.wire_bytes_from) > 0
-
-    def test_close_with_unconsumed_replies_still_reports_and_joins(self):
-        """close() without collect(): the reply batches queued ahead of the
-        stats report must be drained (and counted), not crash the parse or
-        leak worker processes."""
-        interests = [
-            Interest(name=Name(f"{tenant}/late/{i}"))
-            for tenant in TENANTS for i in range(3)
-        ]
-        pool = ShardWorkerPool(2, build_worker_node)
-        submitted = pool.submit(interests)
-        assert submitted == len(interests)
-        reports = pool.close()
-        assert len(reports) == 2
-        assert all(report["wire_decodes"] == 0 for report in reports)
-        # The uncollected replies were drained into the byte accounting.
-        by_shard = {report["shard_id"]: report for report in reports}
-        for shard_id in range(2):
-            assert pool.wire_bytes_from[shard_id] == by_shard[shard_id]["wire_bytes_out"]
-        assert all(not proc.is_alive() for proc in pool._procs)
-
-    def test_routing_matches_the_inline_partitioning(self):
-        with ShardWorkerPool(4, build_worker_node) as pool:
-            for tenant in TENANTS:
-                interest = Interest(name=Name(f"{tenant}/x"))
-                assert pool.route(interest) == shard_for_name(interest.name, 4)
-
-    def test_rendezvous_pool_routes_and_serves(self):
-        with ShardWorkerPool(3, build_worker_node, partitioner="rendezvous") as pool:
-            for tenant in TENANTS:
-                interest = Interest(name=Name(f"{tenant}/x"))
-                assert pool.route(interest) == rendezvous_for_name(interest.name, 3)
-            interests = [Interest(name=Name(f"{t}/r/1"), hop_limit=9) for t in TENANTS]
-            submitted = pool.submit(interests)
-            replies = pool.collect(submitted, timeout_s=30.0)
-            assert {str(r.name) for r in replies} == {str(i.name) for i in interests}
-
-
-class TestShardWorkerPoolStreaming:
-    def test_stream_returns_the_same_replies_as_batch_mode(self):
-        interests = [
-            Interest(name=Name(f"{tenant}/s/{i}"), hop_limit=16)
-            for tenant in TENANTS for i in range(6)
-        ]
-        before = WirePacket.wire_decodes
-        with ShardWorkerPool(2, build_worker_node) as pool:
-            replies = list(pool.stream(iter(interests), window=3, max_batch=4))
-            reports = pool.close()
-        assert {str(r.name) for r in replies} == {str(i.name) for i in interests}
-        assert WirePacket.wire_decodes == before
-        assert all(report["wire_decodes"] == 0 for report in reports)
-        # The frame ledger balances exactly, both directions per pipe.
-        by_shard = {report["shard_id"]: report for report in reports}
-        for shard_id in range(2):
-            assert pool.frames_to[shard_id] == by_shard[shard_id]["frames_in"]
-            assert pool.frames_from[shard_id] == by_shard[shard_id]["frames_out"]
-            assert pool.wire_bytes_to[shard_id] == by_shard[shard_id]["wire_bytes_in"]
-            assert pool.wire_bytes_from[shard_id] == by_shard[shard_id]["wire_bytes_out"]
-        assert sum(pool.frames_from) == len(interests)
-
-    def test_stream_with_window_one_behaves_interactively(self):
-        """window=1, max_batch=1 degenerates to per-packet round trips —
-        the interactive-client shape — and still loses nothing."""
-        interests = [Interest(name=Name(f"{t}/one")) for t in TENANTS]
-        with ShardWorkerPool(2, build_worker_node) as pool:
-            replies = list(pool.stream(interests, window=1, max_batch=1))
-            reports = pool.close()
-        assert len(replies) == len(interests)
-        assert sum(pool.frames_to) == len(interests)
-        assert sum(r["frames_in"] for r in reports) == len(interests)
-
-    def test_replies_from_one_worker_preserve_submission_order(self):
-        only_tenant = TENANTS[0]  # everything lands on one shard
-        interests = [
-            Interest(name=Name(f"{only_tenant}/ordered/{i}")) for i in range(40)
-        ]
-        with ShardWorkerPool(2, build_worker_node) as pool:
-            replies = list(pool.stream(interests, window=2, max_batch=8))
-            pool.close()
-        assert [str(r.name) for r in replies] == [str(i.name) for i in interests]
-
-    def test_abandoned_stream_close_drains_every_frame(self):
-        """The close/drain guarantee extended to pipelined mode: break out
-        of a stream with windows in flight; close() must account for every
-        frame the workers produced — zero lost frames."""
-        interests = [
-            Interest(name=Name(f"{tenant}/drain/{i}"))
-            for tenant in TENANTS for i in range(8)
-        ]
-        pool = ShardWorkerPool(2, build_worker_node)
-        consumed = 0
-        for _reply in pool.stream(interests, window=2, max_batch=4):
-            consumed += 1
-            if consumed == 5:
-                break  # abandon mid-flight
-        reports = pool.close()
-        assert len(reports) == 2
-        by_shard = {report["shard_id"]: report for report in reports}
-        for shard_id in range(2):
-            assert pool.frames_to[shard_id] == by_shard[shard_id]["frames_in"]
-            assert pool.frames_from[shard_id] == by_shard[shard_id]["frames_out"], (
-                "frames lost on the abandoned-stream close path"
-            )
-            assert pool.wire_bytes_from[shard_id] == by_shard[shard_id]["wire_bytes_out"]
-        # Every submitted frame was answered and every answer is in the ledger.
-        assert sum(pool.frames_from) == sum(pool.frames_to)
-        assert all(not proc.is_alive() for proc in pool._procs)
-
-    def test_stream_rejects_bad_windows_and_closed_pools(self):
-        pool = ShardWorkerPool(1, build_worker_node)
-        with pytest.raises(NDNError):
-            next(pool.stream([], window=0))
-        with pytest.raises(NDNError):
-            next(pool.stream([], max_batch=0))
-        pool.close()
-        with pytest.raises(NDNError):
-            next(pool.stream([Interest(name=Name("/t0/x"))]))
-
-
 class TestTopologyIntegration:
     def test_forwarder_for_node_builds_by_shard_count(self, env):
         plain = forwarder_for_node(env, TopologyNode("gw"), cs_capacity=16, key_depth=3)
@@ -374,15 +224,11 @@ class TestTopologyIntegration:
         assert isinstance(sharded, ShardedForwarder)
         assert sharded.num_shards == 3 and sharded.key_depth == 3
 
-    def test_forwarder_for_node_honours_declared_partitioner(self, env):
-        node = TopologyNode(
-            "gw3", shards=3, partitioner="rendezvous", shard_weights=(1.0, 2.0, 1.0)
-        )
+    def test_forwarder_for_node_honours_declared_weights(self, env):
+        node = TopologyNode("gw3", shards=3, shard_weights=(1.0, 2.0, 1.0))
         sharded = forwarder_for_node(env, node, cs_capacity=16)
         assert isinstance(sharded, ShardedForwarder)
-        assert sharded.partitioner == "rendezvous"
         # Ownership decisions go through the weighted rendezvous picker.
-        from repro.ndn.shard import rendezvous_for_key, shard_key
         for tenant in TENANTS:
             assert sharded._picker(shard_key(tenant, 1)) == rendezvous_for_key(
                 shard_key(tenant, 1), 3, (1.0, 2.0, 1.0)
@@ -394,16 +240,11 @@ class TestTopologyIntegration:
         with pytest.raises(SimulationError):
             TopologyNode("bad", shards=0)
 
-    def test_topology_node_validates_partitioner_declarations(self):
+    def test_topology_node_validates_shard_weights(self):
         from repro.exceptions import SimulationError
 
         with pytest.raises(SimulationError):
-            TopologyNode("bad", shards=2, partitioner="mystery")
+            TopologyNode("bad", shards=2, shard_weights=(1.0,))
         with pytest.raises(SimulationError):
-            TopologyNode("bad", shards=2, shard_weights=(1.0, 2.0))  # ring + weights
-        with pytest.raises(SimulationError):
-            TopologyNode("bad", shards=2, partitioner="rendezvous",
-                         shard_weights=(1.0,))
-        with pytest.raises(SimulationError):
-            TopologyNode("bad", shards=2, partitioner="rendezvous",
-                         shard_weights=(1.0, -1.0))
+            TopologyNode("bad", shards=2, shard_weights=(1.0, -1.0))
+        TopologyNode("ok", shards=2, shard_weights=(1.0, 2.0))
