@@ -8,7 +8,7 @@ control loops, and the gateway's admission path (validation + naming only).
 from repro.cluster.cluster import Cluster, ClusterSpec
 from repro.cluster.pod import Container, PodSpec, ResourceRequirements
 from repro.core.spec import ComputeRequest
-from repro.core.validation import ValidatorRegistry
+from repro.core.service import ServiceRegistry
 from repro.genomics.sra import SraRegistry
 from repro.sim.engine import Environment
 
@@ -46,13 +46,13 @@ def test_job_lifecycle_simulated_latency(benchmark):
 
 def test_request_validation_and_naming_path(benchmark):
     registry = SraRegistry()
-    validators = ValidatorRegistry.with_defaults(registry=registry)
+    services = ServiceRegistry.with_defaults(registry=registry)
     request = ComputeRequest(app="BLAST", cpu=2, memory_gb=4,
                              dataset="SRR2931415", reference="HUMAN")
 
     def validate_and_name():
         name = request.to_name()
         parsed = ComputeRequest.from_name(name)
-        return validators.validate(parsed, None).ok
+        return services.validate(parsed, None).ok
 
     assert benchmark(validate_and_name)

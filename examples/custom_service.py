@@ -25,7 +25,9 @@ import _path_setup  # noqa: F401
 import json
 
 from repro.cluster.pod import Container, PodSpec, ResourceRequirements, WorkloadResult
-from repro.core import ComputeRequest, LIDCTestbed, ParamField, make_service
+from repro.core import (
+    ComputeRequest, LIDCTestbed, ParamField, ServiceDefinition, ServiceSchema,
+)
 from repro.core.validation import ValidationResult
 
 
@@ -65,11 +67,12 @@ def main() -> None:
     testbed = LIDCTestbed.single_cluster(seed=7)
 
     # The whole integration: one declarative registration.
-    testbed.register_service(make_service(
-        "WORDCOUNT",
+    testbed.register_service(ServiceDefinition(
+        name="WORDCOUNT",
         runner=WordCountRunner(),
-        fields=(ParamField("min_len", int, default=1, minimum=1,
-                           doc="minimum token length counted"),),
+        schema=ServiceSchema(fields=(
+            ParamField("min_len", int, default=1, minimum=1,
+                       doc="minimum token length counted"),)),
         validator=WordCountValidator(),
         description="token count over a data-lake dataset",
     ))

@@ -31,7 +31,6 @@ and a new application is one declarative registration::
 
 from repro.core import naming
 from repro.core.applications import (
-    ApplicationRegistry,
     BlastApplication,
     CompressApplication,
     SleepApplication,
@@ -67,15 +66,9 @@ from repro.core.service import (
     ServiceRegistry,
     ServiceRuntime,
     ServiceSchema,
-    make_service,
 )
 from repro.core.spec import ComputeRequest, JobRecord, JobState
-from repro.core.validation import (
-    BlastValidator,
-    CompressionValidator,
-    DefaultValidator,
-    ValidatorRegistry,
-)
+from repro.core.validation import BlastValidator, CompressionValidator
 from repro.core.workflow import CampaignResult, GenomicsWorkflow, WorkflowReport
 
 __all__ = [
@@ -97,20 +90,16 @@ __all__ = [
     "ServiceSchema",
     "ParamField",
     "BASE_SCHEMA",
-    "make_service",
     "LIDCTestbed",
     "TestbedConfig",
     "GenomicsWorkflow",
     "WorkflowReport",
     "CampaignResult",
-    "ApplicationRegistry",
     "BlastApplication",
     "CompressApplication",
     "SleepApplication",
-    "ValidatorRegistry",
     "BlastValidator",
     "CompressionValidator",
-    "DefaultValidator",
     "ResultCache",
     "CachedResult",
     "CompletionTimePredictor",

@@ -5,9 +5,7 @@ accepted request.  Dispatch from the ``app=`` parameter to a runner is owned
 by the declarative service plane (:mod:`repro.core.service`): each runner is
 carried by a :class:`~repro.core.service.ServiceDefinition` together with its
 parameter schema, validator and cache policy, and the gateway looks it up in
-the :class:`~repro.core.service.ServiceRegistry`.  The
-:class:`ApplicationRegistry` below remains as the legacy runner-only table
-(standalone uses and ``ServiceRegistry.from_legacy``).
+the :class:`~repro.core.service.ServiceRegistry`.
 
 Three applications ship with the reproduction:
 
@@ -25,12 +23,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 from repro.cluster.pod import Container, PodSpec, ResourceRequirements, WorkloadResult
 from repro.core.spec import ComputeRequest
 from repro.datalake.repo import DataLake
-from repro.exceptions import UnknownApplication
 from repro.genomics.blast import MagicBlast
 from repro.genomics.reference import ReferenceDatabase
 from repro.genomics.runtime_model import BlastRuntimeModel
@@ -42,7 +39,6 @@ __all__ = [
     "BlastApplication",
     "CompressApplication",
     "SleepApplication",
-    "ApplicationRegistry",
 ]
 
 #: Nominal compression throughput (bytes/second) for the COMPRESS application.
@@ -240,50 +236,3 @@ class SleepApplication:
             startup_delay_s=0.5,
         )
         return PodSpec(containers=[container])
-
-
-class ApplicationRegistry:
-    """Maps application names to runners (legacy runner-only table).
-
-    New code should register a :class:`~repro.core.service.ServiceDefinition`
-    with a :class:`~repro.core.service.ServiceRegistry` instead, which bundles
-    the runner with its schema, validator and cache policy in one object.
-    """
-
-    def __init__(self) -> None:
-        self._runners: dict[str, ApplicationRunner] = {}
-
-    def register(self, app: str, runner: ApplicationRunner) -> None:
-        self._runners[app.upper()] = runner
-
-    def unregister(self, app: str) -> None:
-        self._runners.pop(app.upper(), None)
-
-    def runner_for(self, app: str) -> ApplicationRunner:
-        try:
-            return self._runners[app.upper()]
-        except KeyError:
-            raise UnknownApplication(f"no application registered for {app!r}") from None
-
-    def has_app(self, app: str) -> bool:
-        return app.upper() in self._runners
-
-    def applications(self) -> list[str]:
-        return sorted(self._runners)
-
-    @classmethod
-    def with_defaults(
-        cls,
-        registry: Optional[SraRegistry] = None,
-        model: Optional[BlastRuntimeModel] = None,
-    ) -> "ApplicationRegistry":
-        """The default LIDC application set: BLAST, COMPRESS and SLEEP."""
-        registry = registry or SraRegistry()
-        model = model or BlastRuntimeModel(registry=registry)
-        apps = cls()
-        blast = BlastApplication(model=model, registry=registry)
-        apps.register("BLAST", blast)
-        apps.register("MAGICBLAST", blast)
-        apps.register("COMPRESS", CompressApplication())
-        apps.register("SLEEP", SleepApplication())
-        return apps

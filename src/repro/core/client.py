@@ -53,6 +53,8 @@ DEFAULT_INITIAL_POLL_S = 1.0
 DEFAULT_POLL_BACKOFF = 2.0
 #: Default Interest lifetime for LIDC control-plane exchanges.
 DEFAULT_LIFETIME_S = 10.0
+#: Default self-healing for control-plane exchanges: two retransmissions.
+DEFAULT_RETRY_POLICY = RetryPolicy(max_retries=2)
 
 
 @dataclass
@@ -259,8 +261,7 @@ class LIDCClient:
         initial_poll_s: float = DEFAULT_INITIAL_POLL_S,
         poll_backoff: float = DEFAULT_POLL_BACKOFF,
         lifetime_s: float = DEFAULT_LIFETIME_S,
-        retries: int = 2,
-        retry_policy: Optional[RetryPolicy] = None,
+        retry_policy: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY,
     ) -> None:
         self.env = env
         self.name = name or f"lidc-client-{next(self._instance_counter)}"
@@ -268,11 +269,9 @@ class LIDCClient:
         self.initial_poll_s = initial_poll_s
         self.poll_backoff = max(1.0, poll_backoff)
         self.lifetime_s = lifetime_s
-        self.retries = retries
         #: Client-wide self-healing policy for every control-plane exchange
         #: (submission ack, status tracking, result retrieval); per-handle
-        #: policies override it.  None keeps the legacy fixed-interval
-        #: retransmission driven by ``retries``.
+        #: policies override it.  None means no retransmission.
         self.retry_policy = retry_policy
         self.consumer = Consumer(env, forwarder, name=self.name)
         self._request_counter = itertools.count(1)
@@ -303,8 +302,7 @@ class LIDCClient:
         self.submissions += 1
         try:
             data = yield self.consumer.express_interest(
-                name, lifetime=self.lifetime_s, retries=self.retries,
-                must_be_fresh=True,
+                name, lifetime=self.lifetime_s, must_be_fresh=True,
                 retry_policy=retry_policy if retry_policy is not None else self.retry_policy,
             )
         except (InterestTimeout, InterestNacked) as exc:
@@ -503,7 +501,9 @@ class LIDCClient:
 
         if handle.fetch_result and outcome.result_name is not None:
             try:
-                manifest, payload = yield from self.retrieve_result(outcome.result_name)
+                manifest, payload = yield from self.retrieve_result(
+                    outcome.result_name, retry_policy=handle.retry_policy
+                )
             except (InterestTimeout, InterestNacked) as exc:
                 # The caller asked for the payload and cannot have it: the
                 # workflow as a whole failed, even though the cluster-side job
@@ -534,7 +534,7 @@ class LIDCClient:
         data = yield self.consumer.express_interest(
             status_name if status_name is not None else naming.status_name(job_id),
             lifetime=lifetime_s if lifetime_s is not None else self.lifetime_s,
-            must_be_fresh=True, retries=self.retries,
+            must_be_fresh=True,
             retry_policy=retry_policy if retry_policy is not None else self.retry_policy,
         )
         return json.loads(data.content_text())
@@ -579,21 +579,24 @@ class LIDCClient:
 
     # ------------------------------------------------------------------ results
 
-    def retrieve_result(self, result_name: "Name | str", fetch_payload: bool = True):
+    def retrieve_result(self, result_name: "Name | str", fetch_payload: bool = True,
+                        retry_policy: Optional[RetryPolicy] = None):
         """Process generator: fetch a result's manifest (and payload when materialised).
 
-        Returns ``(manifest_dict, payload_bytes_or_None)``.
+        The manifest and every payload segment go out under ``retry_policy``
+        (the client's own when ``None``).  Returns
+        ``(manifest_dict, payload_bytes_or_None)``.
         """
         result_name = Name(result_name)
+        policy = retry_policy if retry_policy is not None else self.retry_policy
         manifest_data = yield self.consumer.express_interest(
-            result_name, lifetime=self.lifetime_s, retries=self.retries,
-            retry_policy=self.retry_policy,
+            result_name, lifetime=self.lifetime_s, retry_policy=policy,
         )
         manifest = json.loads(manifest_data.content_text())
         payload: Optional[bytes] = None
         if fetch_payload and manifest.get("has_payload"):
             payload = yield from self.consumer.fetch_segments(
-                result_name, lifetime=self.lifetime_s, retries=self.retries
+                result_name, lifetime=self.lifetime_s, retry_policy=policy
             )
         return manifest, payload
 

@@ -26,13 +26,11 @@ from repro.cluster.job import Job
 from repro.cluster.pod import PodPhase
 from repro.cluster.quantity import Quantity, parse_memory
 from repro.core import naming
-from repro.core.applications import ApplicationRegistry
 from repro.core.caching import ResultCache
 from repro.core.jobs import JobTracker
 from repro.core.predictor import CompletionTimePredictor
 from repro.core.service import ServiceDefinition, ServiceRegistry
 from repro.core.spec import ComputeRequest, JobRecord, JobState
-from repro.core.validation import ValidatorRegistry
 from repro.datalake.repo import DataLake
 from repro.exceptions import InvalidComputeName, UnknownApplication
 from repro.ndn.forwarder import Forwarder
@@ -54,8 +52,6 @@ class Gateway:
         cluster: Cluster,
         forwarder: Forwarder,
         datalake: DataLake,
-        applications: Optional[ApplicationRegistry] = None,
-        validators: Optional[ValidatorRegistry] = None,
         services: Optional[ServiceRegistry] = None,
         enable_result_cache: bool = False,
         cache: Optional[ResultCache] = None,
@@ -68,16 +64,8 @@ class Gateway:
         self.cluster = cluster
         self.forwarder = forwarder
         self.datalake = datalake
-        # The gateway dispatches from a single ServiceRegistry.  Legacy
-        # ApplicationRegistry/ValidatorRegistry arguments are wrapped so older
-        # call sites keep working; ``gateway.applications`` and
-        # ``gateway.validators`` stay available as live views over it.
-        if services is None:
-            if applications is not None or validators is not None:
-                services = ServiceRegistry.from_legacy(applications, validators)
-            else:
-                services = ServiceRegistry.with_defaults()
-        self.services = services
+        #: The single dispatch table for named computations.
+        self.services = services if services is not None else ServiceRegistry.with_defaults()
         self.enable_result_cache = enable_result_cache
         self.cache = cache or ResultCache(clock=lambda: env.now)
         self.predictor = predictor
@@ -93,16 +81,6 @@ class Gateway:
         self.status_face = forwarder.attach_producer(naming.STATUS_PREFIX, self._on_status)
 
     # ------------------------------------------------------------------ service plane
-
-    @property
-    def applications(self):
-        """Legacy ``ApplicationRegistry``-shaped view over the service registry."""
-        return self.services.apps
-
-    @property
-    def validators(self):
-        """Legacy ``ValidatorRegistry``-shaped view over the service registry."""
-        return self.services.checks
 
     def register_service(self, definition: ServiceDefinition) -> ServiceDefinition:
         """Add a new application with one declarative definition (no other edits)."""

@@ -122,9 +122,9 @@ class HttpGatewayFacade:
             compute_request = ComputeRequest.from_params(dict(request.query))
         except (InvalidComputeName, ValueError) as exc:
             return self._json(400, {"error": f"malformed request: {exc}"})
-        if not self.gateway.applications.has_app(compute_request.app):
+        if not self.gateway.services.has_app(compute_request.app):
             return self._json(400, {"error": f"unknown application {compute_request.app!r}"})
-        validation = self.gateway.validators.validate(compute_request, self.gateway.datalake)
+        validation = self.gateway.services.validate(compute_request, self.gateway.datalake)
         if not validation.ok:
             return self._json(400, {"error": validation.message})
         from repro.cluster.quantity import parse_memory

@@ -11,15 +11,13 @@ cluster side that requires one place that knows, for each named application,
   application-specific validations);
 * how an admitted request actually computes (the pod-building runner);
 * which per-site runtime context the runner needs (SRA registry, calibrated
-  runtime model — previously wired implicitly inside
-  ``ApplicationRegistry.with_defaults``);
+  runtime model);
 * whether its results may be served from the gateway result cache.
 
 :class:`ServiceDefinition` bundles all five declaratively, and
 :class:`ServiceRegistry` is the single dispatch table the
 :class:`~repro.core.gateway.Gateway` consults.  Adding an application is one
-``register()`` call — no gateway, validator-registry or application-registry
-edits:
+``register()`` call — no gateway edits:
 
     >>> from repro.core.service import ParamField, ServiceDefinition, ServiceSchema
     >>> definition = ServiceDefinition(
@@ -30,11 +28,6 @@ edits:
     ...     validator=WordCountValidator(),
     ... )
     >>> gateway.services.register(definition)
-
-The legacy ``ApplicationRegistry`` / ``ValidatorRegistry`` views remain
-available as :attr:`ServiceRegistry.apps` and :attr:`ServiceRegistry.checks`
-so existing call sites (``gateway.applications.has_app(...)``,
-``gateway.validators.unregister(...)``) keep working unchanged.
 """
 
 from __future__ import annotations
@@ -44,11 +37,10 @@ import math
 from dataclasses import dataclass, field as dataclass_field, replace as dataclass_replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional
 
-from repro.exceptions import InvalidComputeName, UnknownApplication
+from repro.exceptions import InvalidComputeName, UnknownApplication, ValidationFailure
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guards (spec imports us)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec imports us)
     from repro.core.spec import ComputeRequest
-    from repro.core.validation import ValidationResult
 
 __all__ = [
     "ParamField",
@@ -56,10 +48,26 @@ __all__ = [
     "ServiceRuntime",
     "ServiceDefinition",
     "ServiceRegistry",
+    "ValidationResult",
     "BASE_SCHEMA",
-    "make_service",
     "default_service_definitions",
 ]
+
+
+@dataclass(frozen=True)
+class ValidationResult:
+    """Outcome of validating one request."""
+
+    ok: bool
+    message: str = "ok"
+
+    def raise_if_failed(self) -> None:
+        if not self.ok:
+            raise ValidationFailure(self.message)
+
+
+#: The verdict for a request whose service registers no validator.
+_ACCEPTED = ValidationResult(True)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +257,8 @@ BASE_SCHEMA = ServiceSchema(
 
 @dataclass
 class ServiceRuntime:
-    """Per-site context handed to runner factories.
-
-    Replaces the implicit wiring that used to live inside
-    ``ApplicationRegistry.with_defaults`` (which hard-coded how the BLAST
-    runner gets its SRA registry and calibrated runtime model).
-    """
+    """Per-site context handed to runner factories (e.g. the SRA registry
+    and calibrated runtime model the BLAST runner is built from)."""
 
     sra_registry: Any = None
     runtime_model: Any = None
@@ -308,36 +312,12 @@ class ServiceDefinition:
 
     def clone(self) -> "ServiceDefinition":
         """A per-site copy: registering one definition on several clusters must
-        not alias mutable state (validator runtime binding, view mutations)."""
+        not alias mutable state (validator runtime binding)."""
         return dataclass_replace(
             self,
             runner=copy.copy(self.runner) if self.runner is not None else None,
             validator=copy.copy(self.validator) if self.validator is not None else None,
         )
-
-
-def make_service(
-    name: str,
-    runner: Any = None,
-    *,
-    runner_factory: Optional[Callable[[ServiceRuntime], Any]] = None,
-    fields: Iterable[ParamField] = (),
-    validator: Any = None,
-    aliases: Iterable[str] = (),
-    cacheable: bool = True,
-    description: str = "",
-) -> ServiceDefinition:
-    """Convenience constructor: a :class:`ServiceDefinition` from loose parts."""
-    return ServiceDefinition(
-        name=name,
-        runner=runner,
-        runner_factory=runner_factory,
-        schema=ServiceSchema(fields=tuple(fields)),
-        validator=validator,
-        aliases=tuple(aliases),
-        cacheable=cacheable,
-        description=description,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +328,11 @@ def make_service(
 class ServiceRegistry:
     """The gateway's single dispatch table: app name → :class:`ServiceDefinition`."""
 
-    def __init__(self, runtime: Optional[ServiceRuntime] = None, default_validator: Any = None) -> None:
+    def __init__(self, runtime: Optional[ServiceRuntime] = None) -> None:
         self.runtime = (runtime or ServiceRuntime())
         self._services: dict[str, ServiceDefinition] = {}
         self._alias_of: dict[str, str] = {}
         self._runner_cache: dict[str, Any] = {}
-        self._default_validator = default_validator
-        #: Legacy views (ApplicationRegistry / ValidatorRegistry look-alikes).
-        self.apps = _ApplicationsView(self)
-        self.checks = _ValidatorsView(self)
 
     # -- registration -------------------------------------------------------------
 
@@ -417,7 +393,7 @@ class ServiceRegistry:
         return [self._services[name] for name in sorted(self._services)]
 
     def applications(self) -> list[str]:
-        """Every submittable name, aliases included (legacy-compatible shape)."""
+        """Every submittable name, aliases included."""
         names = [name for name, defn in self._services.items() if defn.runnable]
         names.extend(
             alias for alias, target in self._alias_of.items()
@@ -444,9 +420,10 @@ class ServiceRegistry:
         return definition.cacheable if definition is not None else True
 
     def validate(self, request: "ComputeRequest", datalake: Any = None) -> "ValidationResult":
-        """Schema-check then run the service validator (gateway admission path)."""
-        from repro.core.validation import DefaultValidator, ValidationResult
+        """Schema-check then run the service validator (gateway admission path).
 
+        A request with no registered validator is accepted.
+        """
         definition = self.try_get(request.app)
         if definition is not None:
             try:
@@ -455,8 +432,7 @@ class ServiceRegistry:
                 return ValidationResult(False, str(exc))
             if definition.validator is not None:
                 return definition.validator.validate(request, datalake)
-        default = self._default_validator or DefaultValidator()
-        return default.validate(request, datalake)
+        return _ACCEPTED
 
     def describe(self) -> dict[str, object]:
         """Service-plane summary (used by stats and docs)."""
@@ -487,34 +463,6 @@ class ServiceRegistry:
         services = cls(runtime=runtime)
         for definition in default_service_definitions():
             services.register(definition)
-        return services
-
-    @classmethod
-    def from_legacy(cls, applications: Any = None, validators: Any = None) -> "ServiceRegistry":
-        """Wrap legacy ``ApplicationRegistry`` / ``ValidatorRegistry`` instances.
-
-        Kept so call sites that assemble the old registries by hand can hand
-        them to the gateway unchanged; runners registered under several names
-        (e.g. BLAST and MAGICBLAST) stay independently addressable.
-        """
-        from repro.core.applications import ApplicationRegistry
-        from repro.core.validation import ValidatorRegistry
-
-        applications = applications or ApplicationRegistry.with_defaults()
-        validators = validators or ValidatorRegistry.with_defaults()
-        services = cls()
-        names = set(applications.applications()) | set(validators.registered())
-        for name in sorted(names):
-            runner = applications.runner_for(name) if applications.has_app(name) else None
-            validator = (
-                validators.validator_for(name) if validators.has_validator(name) else None
-            )
-            services.register(ServiceDefinition(
-                name=name,
-                runner=runner,
-                schema=ServiceSchema(),
-                validator=validator,
-            ))
         return services
 
 
@@ -586,90 +534,3 @@ class _LazyValidator:
             runtime = (self._runtime or ServiceRuntime()).resolved()
             self._built = self._factory(runtime)
         return self._built.validate(request, datalake)
-
-
-# ---------------------------------------------------------------------------
-# Legacy views
-# ---------------------------------------------------------------------------
-
-
-class _ApplicationsView:
-    """``ApplicationRegistry``-shaped view over a :class:`ServiceRegistry`."""
-
-    def __init__(self, services: ServiceRegistry) -> None:
-        self._services = services
-
-    def register(self, app: str, runner: Any) -> None:
-        key = app.upper()
-        services = self._services
-        if key in services._services:
-            definition = services._services[key]
-            definition.runner = runner
-            definition.runner_factory = None
-            services._runner_cache.pop(key, None)
-        else:
-            # Registering directly under what used to be an alias detaches the
-            # alias (mirroring the legacy per-name table): the new standalone
-            # definition owns the name from here on.
-            services._alias_of.pop(key, None)
-            services.register(ServiceDefinition(name=app, runner=runner))
-
-    def unregister(self, app: str) -> None:
-        # Legacy semantics are per *name*: unregistering an alias detaches the
-        # alias only, never the canonical service behind it.
-        key = app.upper()
-        services = self._services
-        if key in services._services:
-            definition = services._services[key]
-            definition.runner = None
-            definition.runner_factory = None
-            services._runner_cache.pop(key, None)
-        elif key in services._alias_of:
-            del services._alias_of[key]
-
-    def runner_for(self, app: str) -> Any:
-        return self._services.runner_for(app)
-
-    def has_app(self, app: str) -> bool:
-        return self._services.has_app(app)
-
-    def applications(self) -> list[str]:
-        return self._services.applications()
-
-
-class _ValidatorsView:
-    """``ValidatorRegistry``-shaped view over a :class:`ServiceRegistry`."""
-
-    def __init__(self, services: ServiceRegistry) -> None:
-        self._services = services
-
-    def register(self, app: str, validator: Any) -> None:
-        definition = self._services.try_get(app)
-        if definition is None:
-            definition = self._services.register(ServiceDefinition(name=app))
-        definition.validator = validator
-
-    def unregister(self, app: str) -> None:
-        definition = self._services.try_get(app)
-        if definition is not None:
-            definition.validator = None
-
-    def validator_for(self, app: str) -> Any:
-        definition = self._services.try_get(app)
-        if definition is not None and definition.validator is not None:
-            return definition.validator
-        from repro.core.validation import DefaultValidator
-
-        return self._services._default_validator or DefaultValidator()
-
-    def has_validator(self, app: str) -> bool:
-        definition = self._services.try_get(app)
-        return definition is not None and definition.validator is not None
-
-    def registered(self) -> list[str]:
-        return sorted(
-            defn.name for defn in self._services.services() if defn.validator is not None
-        )
-
-    def validate(self, request: "ComputeRequest", datalake: Any = None) -> "ValidationResult":
-        return self._services.validate(request, datalake)

@@ -12,12 +12,11 @@ compression tool (needs a dataset but no SRR semantics).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
+from repro.core.service import ValidationResult
 from repro.core.spec import ComputeRequest
 from repro.datalake.repo import DataLake
-from repro.exceptions import ValidationFailure
 from repro.genomics.sra import SraRegistry, is_valid_srr_id
 
 __all__ = [
@@ -25,21 +24,7 @@ __all__ = [
     "Validator",
     "BlastValidator",
     "CompressionValidator",
-    "DefaultValidator",
-    "ValidatorRegistry",
 ]
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    """Outcome of validating one request."""
-
-    ok: bool
-    message: str = "ok"
-
-    def raise_if_failed(self) -> None:
-        if not self.ok:
-            raise ValidationFailure(self.message)
 
 
 class Validator(Protocol):
@@ -101,48 +86,3 @@ class CompressionValidator:
             if not 1 <= level_value <= 9:
                 return ValidationResult(False, f"compression level {level_value} outside [1, 9]")
         return ValidationResult(True)
-
-
-class DefaultValidator:
-    """Fallback validator: accepts anything with positive resources."""
-
-    def validate(self, request: ComputeRequest, datalake: Optional[DataLake] = None) -> ValidationResult:
-        return ValidationResult(True)
-
-
-class ValidatorRegistry:
-    """Per-application validator lookup used by the gateway."""
-
-    def __init__(self, default: Optional[Validator] = None) -> None:
-        self._validators: dict[str, Validator] = {}
-        self._default: Validator = default or DefaultValidator()
-
-    def register(self, app: str, validator: Validator) -> None:
-        """Install (or replace) the validator for an application."""
-        self._validators[app.upper()] = validator
-
-    def unregister(self, app: str) -> None:
-        self._validators.pop(app.upper(), None)
-
-    def validator_for(self, app: str) -> Validator:
-        return self._validators.get(app.upper(), self._default)
-
-    def has_validator(self, app: str) -> bool:
-        return app.upper() in self._validators
-
-    def registered(self) -> list[str]:
-        """The application names that carry an explicit validator."""
-        return sorted(self._validators)
-
-    def validate(self, request: ComputeRequest, datalake: Optional[DataLake] = None) -> ValidationResult:
-        """Run the registered validator for the request's application."""
-        return self.validator_for(request.app).validate(request, datalake)
-
-    @classmethod
-    def with_defaults(cls, registry: Optional[SraRegistry] = None) -> "ValidatorRegistry":
-        """The registry LIDC ships with: BLAST and COMPRESS validators."""
-        validators = cls()
-        validators.register("BLAST", BlastValidator(registry=registry))
-        validators.register("MAGICBLAST", BlastValidator(registry=registry))
-        validators.register("COMPRESS", CompressionValidator())
-        return validators

@@ -66,6 +66,10 @@ class RetryPolicy:
         return self.retry_nacks and reason in self.retriable_reasons
 
 
+#: What ``retry_policy=None`` means: one transmission, no retransmission.
+NO_RETRY = RetryPolicy(max_retries=0)
+
+
 @dataclass(slots=True)
 class PendingInterest:
     """Book-keeping for one in-flight Interest expressed by a consumer.
@@ -77,12 +81,11 @@ class PendingInterest:
     interest: Interest
     completion: Event
     sent_at: float
+    #: Retry policy governing this exchange.
+    policy: RetryPolicy
     retries_left: int = 0
     attempts: int = 1
     satisfied: bool = field(default=False)
-    #: Retry policy governing this exchange (None = legacy fixed-interval
-    #: retransmission driven purely by ``retries_left``).
-    policy: Optional[RetryPolicy] = None
     #: Time of the first transmission (the deadline budget anchor).
     first_sent_at: float = 0.0
     #: Per-cycle wake event: a retriable Nack triggers it so the watchdog
@@ -160,21 +163,18 @@ class Consumer:
         lifetime: Optional[float] = None,
         can_be_prefix: bool = False,
         must_be_fresh: bool = False,
-        retries: int = 0,
         application_parameters: bytes = b"",
         retry_policy: Optional[RetryPolicy] = None,
     ) -> Event:
         """Send an Interest; returns an event completing with the Data.
 
         The event fails with :class:`InterestTimeout` if no Data arrives
-        within the Interest lifetime (after ``retries`` retransmissions) or
+        within the Interest lifetime (after the policy's retransmissions) or
         with :class:`InterestNacked` if the network rejects it.
 
-        ``retry_policy`` upgrades the legacy fixed-interval retransmission:
-        it supplies the retry budget (overriding ``retries``), adds jittered
-        exponential backoff between retransmissions, bounds the whole
-        exchange with a deadline, and optionally retransmits on retriable
-        Nacks instead of failing on first refusal.
+        ``retry_policy`` supplies the retry budget, the backoff between
+        retransmissions, the deadline of the whole exchange and whether
+        retriable Nacks are retransmitted; ``None`` means :data:`NO_RETRY`.
         """
         if isinstance(name, Interest):
             interest = name
@@ -186,13 +186,14 @@ class Consumer:
                 lifetime=lifetime if lifetime is not None else 4.0,
                 application_parameters=application_parameters,
             )
+        policy = retry_policy if retry_policy is not None else NO_RETRY
         completion = self.env.event(name="fetch")
         pending = PendingInterest(
             interest=interest,
             completion=completion,
             sent_at=self.env.now,
-            retries_left=retry_policy.max_retries if retry_policy is not None else retries,
-            policy=retry_policy,
+            policy=policy,
+            retries_left=policy.max_retries,
             first_sent_at=self.env.now,
         )
         self._pending.setdefault(interest.name, []).append(pending)
@@ -211,10 +212,8 @@ class Consumer:
         self.face.send(pending.interest)
 
     def _deadline_left(self, pending: PendingInterest) -> bool:
-        policy = pending.policy
-        if policy is None or policy.deadline_s is None:
-            return True
-        return (self.env.now - pending.first_sent_at) < policy.deadline_s
+        deadline_s = pending.policy.deadline_s
+        return deadline_s is None or (self.env.now - pending.first_sent_at) < deadline_s
 
     def _fail_pending(self, pending: PendingInterest, nacked: bool) -> None:
         self._forget(pending)
@@ -251,20 +250,19 @@ class Consumer:
             pending.retries_left -= 1
             pending.attempts += 1
             policy = pending.policy
-            if policy is not None:
-                backoff = policy.backoff_s(pending.attempts - 1, self._rng)
-                if backoff > 0.0:
-                    if policy.deadline_s is not None and (
-                        self.env.now + backoff
-                        >= pending.first_sent_at + policy.deadline_s
-                    ):
-                        # The backoff alone would blow the budget: give the
-                        # caller its typed verdict now instead of later.
-                        self._fail_pending(pending, nacked)
-                        return
-                    yield self.env.timeout(backoff)
-                    if pending.satisfied or pending.completion.triggered:
-                        return
+            backoff = policy.backoff_s(pending.attempts - 1, self._rng)
+            if backoff > 0.0:
+                if policy.deadline_s is not None and (
+                    self.env.now + backoff
+                    >= pending.first_sent_at + policy.deadline_s
+                ):
+                    # The backoff alone would blow the budget: give the
+                    # caller its typed verdict now instead of later.
+                    self._fail_pending(pending, nacked)
+                    return
+                yield self.env.timeout(backoff)
+                if pending.satisfied or pending.completion.triggered:
+                    return
             # Re-express with a fresh nonce so it is not treated as a loop;
             # re-arm the wake first so a synchronous Nack lands on the new
             # cycle, not the consumed event.
@@ -335,10 +333,8 @@ class Consumer:
         reason = nack.reason
         bucket = list(self._pending.get(nack.name, []))
         for pending in bucket:
-            policy = pending.policy
             if (
-                policy is not None
-                and policy.should_retry_nack(reason)
+                pending.policy.should_retry_nack(reason)
                 and pending.retries_left > 0
                 and self._deadline_left(pending)
             ):
@@ -366,15 +362,16 @@ class Consumer:
         data = yield self.express_interest(name, **kwargs)
         return data
 
-    def fetch_segments(self, base_name: "Name | str", lifetime: float = 4.0, retries: int = 1):
+    def fetch_segments(self, base_name: "Name | str", lifetime: float = 4.0,
+                       retry_policy: Optional[RetryPolicy] = RetryPolicy(max_retries=1)):
         """Process generator: fetch a segmented object and return its bytes.
 
         Fetches ``<base>/seg=0`` first, reads the final block id, then fetches
-        the remaining segments sequentially.
+        the remaining segments sequentially, each under ``retry_policy``.
         """
         base = Name(base_name)
         first = yield self.express_interest(
-            base.append("seg=0"), lifetime=lifetime, retries=retries
+            base.append("seg=0"), lifetime=lifetime, retry_policy=retry_policy
         )
         segments = [first]
         if first.final_block_id is None:
@@ -385,7 +382,7 @@ class Consumer:
         last_index = int(last_label[len("seg="):])
         for index in range(1, last_index + 1):
             segment = yield self.express_interest(
-                base.append(f"seg={index}"), lifetime=lifetime, retries=retries
+                base.append(f"seg={index}"), lifetime=lifetime, retry_policy=retry_policy
             )
             segments.append(segment)
         return reassemble(segments)

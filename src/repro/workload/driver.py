@@ -88,10 +88,8 @@ class WorkloadSpec:
     horizon_s: Optional[float] = None
     lifetime_s: float = 4.0
     must_be_fresh: bool = False
-    retries: int = 0
-    #: Self-healing retry: a :class:`~repro.ndn.client.RetryPolicy` adds
-    #: jittered exponential backoff and (optionally) retransmission on
-    #: retriable Nacks on top of the plain ``retries`` budget.
+    #: Self-healing retry for every Interest (a
+    #: :class:`~repro.ndn.client.RetryPolicy`); ``None`` = no retransmission.
     retry_policy: Optional["RetryPolicy"] = None
 
     def describe(self) -> dict:
@@ -273,7 +271,6 @@ class WorkloadDriver:
                 record.name,
                 lifetime=self.spec.lifetime_s,
                 must_be_fresh=self.spec.must_be_fresh,
-                retries=self.spec.retries,
                 retry_policy=self.spec.retry_policy,
             )
             sent_at = self.env.now

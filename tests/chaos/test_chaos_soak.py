@@ -26,6 +26,7 @@ from repro.cluster.scheduler import ShardAutoscaler
 from repro.core.cluster_endpoint import LIDCCluster
 from repro.core.framework import CLIENT_EDGE
 from repro.core.overlay import ComputeOverlay
+from repro.ndn.client import RetryPolicy
 from repro.ndn.packet import Data
 from repro.sim.engine import Environment
 from repro.sim.rng import SeededRNG
@@ -106,7 +107,7 @@ def _workload_spec() -> WorkloadSpec:
         ),
         requests=REQUESTS,
         lifetime_s=2.0,
-        retries=2,
+        retry_policy=RetryPolicy(max_retries=2),
     )
 
 

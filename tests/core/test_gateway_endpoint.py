@@ -126,7 +126,7 @@ class TestGatewayStatus:
 
     def test_failed_job_reports_error(self, env, lidc_cluster, consumer):
         # COMPRESS on a dataset that is not in the lake fails inside the pod.
-        lidc_cluster.gateway.validators.unregister("COMPRESS")
+        lidc_cluster.gateway.services.get("COMPRESS").validator = None
         ack = submit(env, consumer, ComputeRequest(app="COMPRESS", dataset="does-not-exist"))
         assert ack["accepted"] is True
         env.run(until=env.now + 60)

@@ -1,9 +1,18 @@
 """Tests for the session-based client API (JobHandle / submit_many)."""
 
+import json
+
 import pytest
 
+from repro.core import naming
+from repro.core.client import LIDCClient
 from repro.core.framework import LIDCTestbed
 from repro.core.spec import ComputeRequest, JobState
+from repro.ndn.client import RetryPolicy
+from repro.ndn.forwarder import Forwarder
+from repro.ndn.packet import Data, NackReason
+from repro.ndn.segmentation import segment_content
+from repro.sim.engine import Environment
 
 
 def sleep_request(duration=30.0, cpu=1, memory_gb=1, **params):
@@ -84,7 +93,7 @@ class TestSingleHandle:
 class TestSessionRobustness:
     def test_result_retrieval_failure_fails_the_outcome(self):
         testbed = LIDCTestbed.single_cluster(seed=30, load_synthetic_datasets=True)
-        client = testbed.client(poll_interval_s=5.0, retries=0)
+        client = testbed.client(poll_interval_s=5.0, retry_policy=RetryPolicy(max_retries=0))
         handle = client.submit(
             ComputeRequest(app="BLAST", cpu=1, memory_gb=1,
                            dataset="SRR0000001", reference="synthetic-reference"),
@@ -101,6 +110,44 @@ class TestSessionRobustness:
         assert "result retrieval failed" in (outcome.error or "")
         assert handle.result() is None
 
+    def test_result_retrieval_follows_the_handle_retry_policy(self):
+        # The result's first segment Interest is Congestion-Nacked once. The
+        # client itself never retries; the handle's policy retries Nacks, and
+        # it must govern the manifest and every segment, as it does the
+        # submission and the status polls.
+        env = Environment()
+        edge = Forwarder(env, "edge", cs_capacity=0)
+        result_name = naming.data_name("job-x-output")
+        payload = b"alignment " * 2000
+        segments = {packet.name: packet
+                    for packet in segment_content(result_name, payload, segment_size=4096)}
+        nacked = []
+
+        def on_compute(interest):
+            ack = {"accepted": True, "job_id": "job-x", "cluster": "stub", "cached": True,
+                   "status_name": str(naming.status_name("job-x")),
+                   "result_name": str(result_name)}
+            return Data(name=interest.name, content=json.dumps(ack).encode()).sign()
+
+        def on_data(interest):
+            if interest.name == result_name:
+                manifest = {"has_payload": True, "size_bytes": len(payload)}
+                return Data(name=result_name, content=json.dumps(manifest).encode()).sign()
+            if interest.name == result_name.append("seg=0") and not nacked:
+                nacked.append(interest.name)
+                return interest.nack(NackReason.CONGESTION)
+            return segments[interest.name]
+
+        edge.attach_producer(naming.COMPUTE_PREFIX, on_compute)
+        edge.attach_producer(naming.DATA_PREFIX, on_data)
+        client = LIDCClient(env, edge, retry_policy=None)
+        handle = client.submit(sleep_request(5), fetch_result=True,
+                               retry_policy=RetryPolicy(retry_nacks=True))
+        outcome = env.run(until=handle.done)
+        assert nacked
+        assert outcome.succeeded, outcome.error
+        assert outcome.result_payload == payload
+
     def test_corrupt_status_payload_resolves_the_handle(self):
         # A hostile/broken producer on the status prefix answers with garbage;
         # the session must materialise the error instead of leaving
@@ -108,7 +155,6 @@ class TestSessionRobustness:
         testbed = LIDCTestbed.single_cluster(seed=31)
         client = testbed.client(poll_interval_s=5.0)
         edge = testbed.overlay.routers["client-edge"]
-        from repro.ndn.packet import Data
 
         def garbage(interest):
             return Data(name=interest.name, content=b"not json",
@@ -199,7 +245,7 @@ class TestConcurrentHandles:
 
     def test_submission_to_empty_overlay_resolves_failed(self):
         testbed = LIDCTestbed(None)  # client edge only, no clusters
-        client = testbed.client(retries=0)
+        client = testbed.client(retry_policy=RetryPolicy(max_retries=0))
         handles = client.submit_many([sleep_request(5, idx=str(i)) for i in range(3)])
         testbed.run(until=client.wait_all(handles))
         assert all(not handle.succeeded for handle in handles)

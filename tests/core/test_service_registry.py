@@ -16,7 +16,6 @@ from repro.core.service import (
     ServiceDefinition,
     ServiceRegistry,
     ServiceSchema,
-    make_service,
 )
 from repro.core.spec import ComputeRequest
 from repro.core.validation import ValidationResult
@@ -176,10 +175,18 @@ class TestServiceRegistry:
             services.get("FOLDING")
 
     def test_unregister_removes_aliases_too(self):
+        # By canonical name or by alias, unregistering removes the service.
+        for name in ("BLAST", "MAGICBLAST"):
+            services = ServiceRegistry.with_defaults()
+            services.unregister(name)
+            assert not services.has_app("BLAST")
+            assert not services.has_app("MAGICBLAST")
+        # Replacing a definition drops the aliases of the one it replaces.
         services = ServiceRegistry.with_defaults()
-        services.unregister("BLAST")
-        assert not services.has_app("BLAST")
+        services.register(ServiceDefinition(name="BLAST", runner=object()))
+        assert services.has_app("BLAST")
         assert not services.has_app("MAGICBLAST")
+        assert services.applications().count("MAGICBLAST") == 0
 
     def test_schema_violation_fails_validation(self):
         services = ServiceRegistry.with_defaults()
@@ -190,20 +197,6 @@ class TestServiceRegistry:
         result = services.validate(bad_duration)
         assert not result.ok and "duration" in result.message
 
-    def test_alias_unregister_detaches_only_the_alias(self):
-        services = ServiceRegistry.with_defaults()
-        services.apps.unregister("MAGICBLAST")
-        assert not services.has_app("MAGICBLAST")
-        assert services.has_app("BLAST")  # canonical service untouched
-
-    def test_register_under_former_alias_creates_standalone_service(self):
-        services = ServiceRegistry.with_defaults()
-        runner = object()
-        services.apps.register("MAGICBLAST", runner)
-        assert services.runner_for("MAGICBLAST") is runner
-        assert services.runner_for("BLAST") is not runner
-        assert services.applications().count("MAGICBLAST") == 1
-
     def test_clone_isolates_mutable_state(self):
         original = wordcount_definition()
         sibling = original.clone()
@@ -211,16 +204,6 @@ class TestServiceRegistry:
         sibling.validator = None
         assert original.runner is not None
         assert original.validator is not None
-
-    def test_legacy_views_mirror_the_registry(self):
-        services = ServiceRegistry.with_defaults()
-        assert services.apps.has_app("SLEEP")
-        assert services.checks.has_validator("BLAST")
-        assert not services.checks.has_validator("SLEEP")
-        services.checks.unregister("COMPRESS")
-        assert not services.checks.has_validator("COMPRESS")
-        services.apps.unregister("SLEEP")
-        assert not services.has_app("SLEEP")
 
     def test_describe_shape(self):
         description = ServiceRegistry.with_defaults().describe()
@@ -265,11 +248,11 @@ class WordCountValidator:
 
 
 def wordcount_definition() -> ServiceDefinition:
-    return make_service(
-        "WORDCOUNT",
+    return ServiceDefinition(
+        name="WORDCOUNT",
         runner=WordCountRunner(),
-        fields=(ParamField("min_len", int, default=1, minimum=1,
-                           doc="minimum token length"),),
+        schema=ServiceSchema(fields=(
+            ParamField("min_len", int, default=1, minimum=1, doc="minimum token length"),)),
         validator=WordCountValidator(),
         description="token count over a data-lake dataset",
     )
@@ -314,8 +297,8 @@ class TestSingleDefinitionApplication:
         assert late.services.has_app("WORDCOUNT")
 
     def test_cache_opt_out_is_honoured(self):
-        definition = make_service(
-            "NOCACHE", runner=WordCountRunner(), validator=WordCountValidator(),
+        definition = ServiceDefinition(
+            name="NOCACHE", runner=WordCountRunner(), validator=WordCountValidator(),
             cacheable=False)
         testbed = LIDCTestbed.single_cluster(seed=45, enable_result_cache=True)
         testbed.register_service(definition)

@@ -5,7 +5,6 @@ import pytest
 from repro.cluster.apiserver import ApiServer
 from repro.cluster.storage import StorageController
 from repro.core.applications import (
-    ApplicationRegistry,
     BlastApplication,
     CompressApplication,
     SleepApplication,
@@ -14,12 +13,8 @@ from repro.core.caching import ResultCache
 from repro.core.jobs import JobTracker
 from repro.core.predictor import CompletionTimePredictor
 from repro.core.spec import ComputeRequest, JobState
-from repro.core.validation import (
-    BlastValidator,
-    CompressionValidator,
-    DefaultValidator,
-    ValidatorRegistry,
-)
+from repro.core.service import ServiceDefinition, ServiceRegistry
+from repro.core.validation import BlastValidator, CompressionValidator, ValidationResult
 from repro.datalake.loader import DataLoadingTool
 from repro.datalake.repo import DataLake
 from repro.exceptions import JobNotFound, UnknownApplication, ValidationFailure
@@ -86,13 +81,14 @@ class TestValidators:
         assert not validator.validate(not_int, lake).ok
 
     def test_registry_routes_by_app_and_falls_back(self, lake):
-        registry = ValidatorRegistry.with_defaults()
-        assert registry.has_validator("BLAST")
-        assert registry.has_validator("blast")
-        assert not registry.has_validator("UNKNOWN")
-        assert isinstance(registry.validator_for("UNKNOWN"), DefaultValidator)
-        ok = registry.validate(ComputeRequest(app="SLEEP"), lake)
-        assert ok.ok
+        services = ServiceRegistry.with_defaults()
+        # BLAST's validator runs whatever the spelling of the app name ...
+        for app in ("BLAST", "blast", "MAGICBLAST"):
+            result = services.validate(ComputeRequest(app=app, reference="HUMAN"), lake)
+            assert not result.ok and "SRR" in result.message
+        # ... and a request with no registered validator is accepted.
+        assert services.validate(ComputeRequest(app="SLEEP"), lake).ok
+        assert services.validate(ComputeRequest(app="UNKNOWN"), lake).ok
 
     def test_raise_if_failed(self, lake):
         result = BlastValidator().validate(ComputeRequest(app="BLAST"), lake)
@@ -102,23 +98,22 @@ class TestValidators:
     def test_register_custom_validator(self, lake):
         class RejectAll:
             def validate(self, request, datalake=None):
-                from repro.core.validation import ValidationResult
                 return ValidationResult(False, "nope")
 
-        registry = ValidatorRegistry.with_defaults()
-        registry.register("CUSTOM", RejectAll())
-        assert not registry.validate(ComputeRequest(app="CUSTOM"), lake).ok
-        registry.unregister("CUSTOM")
-        assert registry.validate(ComputeRequest(app="CUSTOM"), lake).ok
+        services = ServiceRegistry.with_defaults()
+        services.register(ServiceDefinition(name="CUSTOM", validator=RejectAll()))
+        assert not services.validate(ComputeRequest(app="CUSTOM"), lake).ok
+        services.unregister("CUSTOM")
+        assert services.validate(ComputeRequest(app="CUSTOM"), lake).ok
 
 
 class TestApplications:
     def test_registry_defaults(self):
-        apps = ApplicationRegistry.with_defaults()
-        assert apps.has_app("BLAST") and apps.has_app("COMPRESS") and apps.has_app("SLEEP")
-        assert "BLAST" in apps.applications()
+        services = ServiceRegistry.with_defaults()
+        assert all(services.has_app(app) for app in ("BLAST", "COMPRESS", "SLEEP"))
+        assert "BLAST" in services.applications()
         with pytest.raises(UnknownApplication):
-            apps.runner_for("MISSING")
+            services.runner_for("MISSING")
 
     def test_blast_modelled_workload_matches_table1(self, lake):
         registry = SraRegistry()

@@ -19,6 +19,7 @@ from repro.cluster.scheduler import Scheduler
 from repro.core import ComputeRequest, LIDCTestbed
 from repro.core.spec import JobState
 from repro.exceptions import StorageError
+from repro.ndn.client import RetryPolicy
 from repro.ndn.cs import CachePolicy, ContentStore
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest
@@ -61,7 +62,7 @@ class TestNodeFailureDuringJobs:
 class TestClusterLossMidWorkflow:
     def test_workflow_fails_cleanly_when_cluster_disappears(self):
         testbed = LIDCTestbed.single_cluster(seed=23)
-        client = testbed.client(poll_interval_s=30.0, retries=0)
+        client = testbed.client(poll_interval_s=30.0, retry_policy=RetryPolicy(max_retries=0))
 
         handle = client.submit(
             ComputeRequest(app="SLEEP", cpu=1, memory_gb=1, params={"duration": "10000"}),

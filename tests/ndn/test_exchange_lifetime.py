@@ -7,7 +7,8 @@ Deterministic op counts and object retention — no wall clock anywhere:
 * satisfied exchanges leave nothing behind *before* their Interest lifetime
   has run out: no live watchdog, no pending entry, no reference cycle for
   the collector to find;
-* every way an exchange can end also ends its watchdog process.
+* every way an exchange can end also ends its watchdog process;
+* a retry budget of N costs exactly N + 1 transmissions and lifetimes.
 """
 
 import gc
@@ -232,3 +233,31 @@ class TestWatchdogEndsWithItsExchange:
         assert not watchdog(env).is_alive
         assert consumer.pending_count() == 0
         assert consumer.interests_sent == 1
+
+
+class TestRetryBudget:
+    """The contract of ``RetryPolicy.max_retries`` with every other field at
+    its default: N retransmissions back to back, no Nack retried."""
+
+    @pytest.mark.parametrize("max_retries", [0, 1, 2, 3])
+    def test_black_holed_name_costs_n_plus_one_lifetimes(self, max_retries):
+        env = Environment()
+        forwarder = Forwarder(env, "black-hole")
+        forwarder.attach_producer("/svc", lambda interest: None)
+        consumer = Consumer(env, forwarder)
+        completion = consumer.express_interest(
+            "/svc/x", lifetime=0.5, retry_policy=RetryPolicy(max_retries=max_retries))
+        with pytest.raises(InterestTimeout):
+            env.run(until=completion)
+        assert consumer.interests_sent == max_retries + 1
+        assert env.now == pytest.approx((max_retries + 1) * 0.5)
+        assert consumer.timeouts == 1
+
+    @pytest.mark.parametrize("policy", [None, RetryPolicy()], ids=["none", "default"])
+    def test_a_nack_fails_on_the_first_refusal(self, policy):
+        env = Environment()
+        consumer = Consumer(env, Forwarder(env, "no-routes"))
+        with pytest.raises(InterestNacked):
+            env.run(until=consumer.express_interest("/nowhere/x", retry_policy=policy))
+        assert consumer.interests_sent == 1
+        assert env.now == 0.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import InterestNacked, InterestTimeout, NDNError
-from repro.ndn.client import Consumer, Producer
+from repro.ndn.client import Consumer, Producer, RetryPolicy
 from repro.ndn.face import LocalFace, connect
 from repro.ndn.fib import FibEntry, NextHop
 from repro.ndn.forwarder import Forwarder
@@ -187,7 +187,9 @@ class TestForwarderPipelines:
 
         forwarder.attach_producer("/svc", handler)
         consumer = Consumer(env, forwarder)
-        data = env.run(until=consumer.express_interest("/svc/x", lifetime=0.5, retries=2))
+        exchange = consumer.express_interest(
+            "/svc/x", lifetime=0.5, retry_policy=RetryPolicy(max_retries=2))
+        data = env.run(until=exchange)
         assert data.content == b"second time"
         assert calls["count"] == 2
 

@@ -181,7 +181,7 @@ class Rig:
         started = self.env.now
         try:
             data = self.env.run(
-                until=self.consumer.express_interest(name, lifetime=2.0, retries=0))
+                until=self.consumer.express_interest(name, lifetime=2.0))
         except InterestNacked as exc:
             return ("nack", exc.reason, self.env.now - started)
         return ("data", data.content, self.env.now - started)
