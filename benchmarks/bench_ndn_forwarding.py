@@ -12,7 +12,7 @@ import time
 
 from repro.analysis.experiments import run_forwarding_exchange
 from repro.analysis.sweep import run_sweep
-from repro.ndn.cs import CachePolicy, ContentStore
+from repro.ndn.cs import ContentStore
 from repro.ndn.client import Consumer, Producer
 from repro.ndn.face import connect
 from repro.ndn.fib import Fib
@@ -76,21 +76,21 @@ def test_content_store_insert_and_find(benchmark):
     assert hits == 500
 
 
-def _full_store(capacity: int, policy: CachePolicy) -> ContentStore:
-    cs = ContentStore(capacity=capacity, policy=policy)
+def _full_store(capacity: int) -> ContentStore:
+    cs = ContentStore(capacity=capacity)
     for index in range(capacity):
         cs.insert(Data(name=Name(f"/fill/{index}"), content=b"z"))
     return cs
 
 
-def _eviction_cost_per_op(capacity: int, policy: CachePolicy, ops: int = 2_000) -> float:
+def _eviction_cost_per_op(capacity: int, ops: int = 2_000) -> float:
     """Seconds per insert-with-eviction into an already-full store.
 
     Best-of-3 so a GC pause or scheduler hiccup during one measurement
     (milliseconds total at 1k entries) cannot inflate the flatness ratio
     asserted below on noisy CI runners.
     """
-    cs = _full_store(capacity, policy)
+    cs = _full_store(capacity)
     best = float("inf")
     for attempt in range(3):
         start = time.perf_counter()
@@ -109,21 +109,16 @@ def test_content_store_eviction_flat_scaling(benchmark):
     linear-scan eviction fails this by two orders of magnitude.
     """
     counter = itertools.count()
-    cs = _full_store(100_000, CachePolicy.LRU)
+    cs = _full_store(100_000)
 
     def insert_with_eviction():
         cs.insert(Data(name=Name(f"/bench/{next(counter)}"), content=b"z"))
 
     benchmark(insert_with_eviction)
 
-    for policy in (CachePolicy.LRU, CachePolicy.LFU, CachePolicy.FIFO):
-        small = _eviction_cost_per_op(1_000, policy)
-        large = _eviction_cost_per_op(100_000, policy)
-        ratio = large / small
-        benchmark.extra_info[f"eviction_cost_ratio_100k_vs_1k_{policy.value}"] = round(ratio, 2)
-        assert ratio < 8.0, (
-            f"{policy.value} eviction cost grew {ratio:.1f}x from 1k to 100k entries"
-        )
+    ratio = _eviction_cost_per_op(100_000) / _eviction_cost_per_op(1_000)
+    benchmark.extra_info["eviction_cost_ratio_100k_vs_1k"] = round(ratio, 2)
+    assert ratio < 8.0, f"eviction cost grew {ratio:.1f}x from 1k to 100k entries"
 
 
 def test_content_store_prefix_lookup_large_store(benchmark):
@@ -143,18 +138,18 @@ def test_content_store_prefix_lookup_large_store(benchmark):
 
 
 def test_forwarding_exchange_sweep(benchmark):
-    """The two-forwarder exchange swept over a (policy, capacity) grid.
+    """The two-forwarder exchange swept over a content-store capacity grid.
 
     Exercises the parallel sweep runner end-to-end: the grid is sharded
     across worker processes and aggregated in deterministic task order.
     """
-    grid = {"cs_capacity": [0, 256], "cs_policy": ["lru", "fifo"], "repeats": [2]}
+    grid = {"cs_capacity": [0, 256], "repeats": [2]}
 
     def sweep():
         return run_sweep(run_forwarding_exchange, grid=grid, seeds=[0], workers=2)
 
     run = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    assert len(run) == 4
+    assert len(run) == 2
     for outcome in run:
         assert outcome.value.received == outcome.value.requests
     # Cached configurations answer every repeat from the edge content store.

@@ -255,51 +255,6 @@ def test_shard_scaling_model_meets_the_bar():
     assert four["speedup_vs_single_process"] >= two["speedup_vs_single_process"] * 0.95
 
 
-def test_cs_unbounded_hit_regression():
-    """The unbounded Content Store hit path does no recency bookkeeping.
-
-    Deterministic op-count assertion plus a comparative timing report (the
-    ~8%% ROADMAP item); the timing is informational — the op count is the
-    regression gate.
-    """
-    from collections import OrderedDict
-
-    from repro.ndn.cs import ContentStore
-
-    class CountingEntries(OrderedDict):
-        move_calls = 0
-
-        def move_to_end(self, *args, **kwargs):
-            CountingEntries.move_calls += 1
-            return super().move_to_end(*args, **kwargs)
-
-    entries = 2000
-    probes = [Interest(name=Name(f"/cs/{i}")) for i in range(entries)]
-    timings = {}
-    for label, capacity in (("bounded", entries), ("unbounded", None)):
-        cs = ContentStore(capacity=capacity)
-        for i in range(entries):
-            cs.insert(Data(name=Name(f"/cs/{i}"), content=b"x").sign())
-        # Timing pass first, uninstrumented — the counting subclass would
-        # otherwise tax only the bounded side and flatter the comparison.
-        start = time.perf_counter()
-        for probe in probes:
-            cs.find(probe)
-        timings[label] = time.perf_counter() - start
-        # Separate instrumented pass: the deterministic regression gate.
-        CountingEntries.move_calls = 0
-        cs._entries = CountingEntries(cs._entries)
-        for probe in probes:
-            cs.find(probe)
-        if capacity is None:
-            assert CountingEntries.move_calls == 0
-        else:
-            assert CountingEntries.move_calls == entries
-    # Informational: print the hit-path cost side by side.
-    print(f"\ncs exact-hit path: bounded {timings['bounded'] * 1e6 / entries:.2f}us "
-          f"vs unbounded {timings['unbounded'] * 1e6 / entries:.2f}us per hit")
-
-
 if __name__ == "__main__":
     import argparse
 

@@ -860,7 +860,6 @@ def run_forwarding_exchange(
     items: int = 50,
     repeats: int = 1,
     cs_capacity: int = 0,
-    cs_policy: str = "lru",
 ) -> ForwardingExchangeResult:
     """Drive Interest/Data exchanges through a two-forwarder chain.
 
@@ -879,8 +878,8 @@ def run_forwarding_exchange(
     from repro.sim.topology import Link
 
     env = Environment()
-    edge = Forwarder(env, "edge", cs_capacity=cs_capacity, cs_policy=cs_policy)
-    origin = Forwarder(env, "origin", cs_capacity=cs_capacity, cs_policy=cs_policy)
+    edge = Forwarder(env, "edge", cs_capacity=cs_capacity)
+    origin = Forwarder(env, "origin", cs_capacity=cs_capacity)
     face_a, face_b = connect(env, edge, origin, link=Link("e", "o", latency_s=0.001), label="e-o")
     daemon_edge, daemon_origin = RoutingDaemon(edge), RoutingDaemon(origin)
     RoutingDaemon.peer(daemon_edge, face_a, daemon_origin, face_b)

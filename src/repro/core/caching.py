@@ -8,14 +8,16 @@ the mapping information."
 The cache maps a request's canonical key (application + datasets + parameters,
 excluding the granted resources) to the name and size of the previously
 published result.  On a hit the gateway answers immediately and records a
-zero-runtime completed job instead of spawning a Kubernetes Job.
+zero-runtime completed job instead of spawning a Kubernetes Job.  Entries
+never expire: a result is independent of NDN freshness, and only LRU
+capacity eviction removes one.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.spec import ComputeRequest
 from repro.ndn.name import Name
@@ -31,17 +33,13 @@ class CachedResult:
     result_name: Name
     result_size_bytes: int
     produced_by_job: str
-    stored_at: float
 
 
 class ResultCache:
     """An LRU map from canonical request keys to published results."""
 
-    def __init__(self, capacity: int = 1024, ttl_s: Optional[float] = None,
-                 clock: Optional[Callable[[], float]] = None) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         self.capacity = max(0, capacity)
-        self.ttl_s = ttl_s
-        self._clock = clock or (lambda: 0.0)
         self._entries: "OrderedDict[str, CachedResult]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -57,14 +55,10 @@ class ResultCache:
     # -- lookup -------------------------------------------------------------------
 
     def lookup(self, request: "ComputeRequest | str") -> Optional[CachedResult]:
-        """Return the cached result for a request, honouring the TTL."""
+        """Return the cached result for a request, or ``None``."""
         key = request if isinstance(request, str) else request.cache_key()
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
-            return None
-        if self.ttl_s is not None and self._clock() - entry.stored_at > self.ttl_s:
-            del self._entries[key]
             self.misses += 1
             return None
         self._entries.move_to_end(key)
@@ -84,7 +78,6 @@ class ResultCache:
             result_name=result_name,
             result_size_bytes=result_size_bytes,
             produced_by_job=produced_by_job,
-            stored_at=self._clock(),
         )
         if key in self._entries:
             self._entries.move_to_end(key)
@@ -94,13 +87,6 @@ class ResultCache:
             self._entries.popitem(last=False)
             self.evictions += 1
         return entry
-
-    def invalidate(self, request: "ComputeRequest | str") -> bool:
-        key = request if isinstance(request, str) else request.cache_key()
-        return self._entries.pop(key, None) is not None
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     # -- reporting --------------------------------------------------------------------
 

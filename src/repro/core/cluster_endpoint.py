@@ -34,7 +34,6 @@ from repro.datalake.loader import DataLoadingTool
 from repro.datalake.repo import DataLake
 from repro.genomics.runtime_model import BlastRuntimeModel
 from repro.genomics.sra import SraRegistry
-from repro.ndn.cs import CachePolicy
 from repro.ndn.face import connect
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.routing import RoutingDaemon
@@ -74,7 +73,7 @@ class LIDCCluster:
         self.env = env
         self.spec = spec
         self.name = spec.name
-        self.registry = registry or SraRegistry()
+        self.registry = registry if registry is not None else SraRegistry()
         self.runtime_model = runtime_model or BlastRuntimeModel(registry=self.registry)
         self.tracer = tracer or Tracer(clock=lambda: env.now)
 
@@ -90,14 +89,14 @@ class LIDCCluster:
             # one shard (see the repro.ndn.shard partitioning contract).
             self.gateway_nfd: "Forwarder | ShardedForwarder" = ShardedForwarder(
                 env, name=f"{spec.name}-gw-nfd", shards=gateway_shards,
-                key_depth=4, cs_capacity=cs_capacity, cs_policy=CachePolicy.LRU,
+                key_depth=4, cs_capacity=cs_capacity,
                 tracer=self.tracer, shard_weights=gateway_shard_weights,
                 hot_cache=gateway_hot_cache,
             )
         else:
             self.gateway_nfd = Forwarder(
                 env, name=f"{spec.name}-gw-nfd", cs_capacity=cs_capacity,
-                cs_policy=CachePolicy.LRU, tracer=self.tracer,
+                tracer=self.tracer,
             )
         self.datalake_nfd = Forwarder(
             env, name=f"{spec.name}-dl-nfd", cs_capacity=cs_capacity,

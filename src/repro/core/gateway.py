@@ -54,7 +54,6 @@ class Gateway:
         datalake: DataLake,
         services: Optional[ServiceRegistry] = None,
         enable_result_cache: bool = False,
-        cache: Optional[ResultCache] = None,
         predictor: Optional[CompletionTimePredictor] = None,
         reject_when_busy: bool = True,
         ack_freshness_s: float = 1.0,
@@ -67,7 +66,7 @@ class Gateway:
         #: The single dispatch table for named computations.
         self.services = services if services is not None else ServiceRegistry.with_defaults()
         self.enable_result_cache = enable_result_cache
-        self.cache = cache or ResultCache(clock=lambda: env.now)
+        self.cache = ResultCache()
         self.predictor = predictor
         self.reject_when_busy = reject_when_busy
         self.ack_freshness_s = ack_freshness_s

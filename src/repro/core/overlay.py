@@ -16,7 +16,6 @@ from repro.core import naming
 from repro.core.client import LIDCClient
 from repro.core.cluster_endpoint import LIDCCluster
 from repro.exceptions import OverlayError
-from repro.ndn.cs import CachePolicy
 from repro.ndn.face import Face, connect
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.routing import RoutingDaemon
@@ -66,8 +65,7 @@ class ComputeOverlay:
             raise OverlayError(f"overlay node {name!r} already exists")
         router = Forwarder(
             env=self.env, name=name,
-            cs_capacity=cs_capacity if cache_results else 0,
-            cs_policy=CachePolicy.LRU, tracer=self.tracer,
+            cs_capacity=cs_capacity if cache_results else 0, tracer=self.tracer,
         )
         # A job's status name is owned by the one cluster that admitted it;
         # every other cluster Nacks the poll.  The access router remembers

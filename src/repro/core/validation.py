@@ -43,7 +43,7 @@ class BlastValidator:
     """
 
     def __init__(self, registry: Optional[SraRegistry] = None, require_in_lake: bool = False) -> None:
-        self.registry = registry or SraRegistry()
+        self.registry = registry if registry is not None else SraRegistry()
         self.require_in_lake = require_in_lake
 
     def validate(self, request: ComputeRequest, datalake: Optional[DataLake] = None) -> ValidationResult:

@@ -51,7 +51,7 @@ class DataLoadingTool:
         seed: int = 0,
     ) -> None:
         self.cluster = cluster
-        self.registry = registry or SraRegistry()
+        self.registry = registry if registry is not None else SraRegistry()
         self.generator = SequenceGenerator(seed=seed)
 
     # -- PVC + lake creation --------------------------------------------------------------

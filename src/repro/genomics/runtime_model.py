@@ -141,7 +141,7 @@ class BlastRuntimeModel:
         rng: Optional[SeededRNG] = None,
         noise_fraction: float = 0.0,
     ) -> None:
-        self.registry = registry or SraRegistry()
+        self.registry = registry if registry is not None else SraRegistry()
         self.rng = rng or SeededRNG(0)
         if noise_fraction < 0 or noise_fraction >= 0.5:
             raise GenomicsError(f"noise_fraction must lie in [0, 0.5), got {noise_fraction}")

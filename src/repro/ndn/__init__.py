@@ -23,7 +23,7 @@ This package implements, from scratch, the NDN primitives LIDC relies on:
 from repro.ndn.name import Component, Name
 from repro.ndn.packet import Data, Interest, Nack, NackReason, WirePacket
 from repro.ndn.security import DigestSigner, HmacSigner, KeyChain, sha256_digest
-from repro.ndn.cs import CachePolicy, ContentStore
+from repro.ndn.cs import ContentStore
 from repro.ndn.pit import PendingInterestTable, PitEntry
 from repro.ndn.fib import Fib, FibEntry, NameTree
 from repro.ndn.face import Face, FaceStats, LocalFace, NetworkFace, connect
@@ -52,7 +52,6 @@ __all__ = [
     "HmacSigner",
     "sha256_digest",
     "ContentStore",
-    "CachePolicy",
     "PendingInterestTable",
     "PitEntry",
     "Fib",

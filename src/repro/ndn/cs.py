@@ -5,13 +5,11 @@ mechanism behind the paper's future-work item on result caching: identical
 computation results published under the same name are answered from the cache
 without re-execution.
 
-Eviction policies: LRU (default), LFU and FIFO.  All three evict in O(1):
-
-* LRU/FIFO keep the entry dict in eviction order (``move_to_end`` on access
-  for LRU; arrival order for FIFO) and evict with ``popitem(last=False)``.
-* LFU keeps classic O(1) frequency buckets — one ordered dict per hit count,
-  each ordered by recency — and evicts the least-recent entry of the lowest
-  populated bucket.
+The store is a bounded LRU.  The entry dict is kept in recency order
+(``move_to_end`` on every hit and refresh) and the least-recent entry is
+evicted with ``popitem(last=False)``, so both are O(1).  Capacity 0 disables
+caching.  Lowering :attr:`ContentStore.capacity` evicts lazily: a new insert
+evicts while the store is full, a refresh evicts while it is over capacity.
 
 ``can_be_prefix`` lookups and prefix erasure descend a shared
 :class:`~repro.ndn.nametree.NameTree` index instead of scanning every entry,
@@ -20,13 +18,27 @@ so their cost is bounded by the matching subtree, not the store size.
 The store is transport-agnostic: entries and lookups may be decoded packets
 or :class:`~repro.ndn.packet.WirePacket` views — a transiting Data is cached
 and re-served as its wire buffer without ever being decoded on this node.
+
+Coherence contract between the system's caches:
+
+* The CS is the authority on what a forwarder may answer from cache.
+* The shard dispatcher's hot cache (:class:`~repro.ndn.strategy.DispatcherHotCache`)
+  mirrors it.  An entry is admitted only while resident in the owning
+  shard's CS and is aged from the CS arrival time (:meth:`ContentStore.arrival`).
+  It is dropped when the CS lets the name go (:attr:`ContentStore.on_evict`
+  fires on eviction, ``erase`` and ``clear``) and when a producer is
+  installed under it.
+* The gateway's result cache (:class:`~repro.core.caching.ResultCache`) is
+  keyed by canonical compute request and is independent of NDN freshness.
+* The access routers' owner-affinity memory
+  (:class:`~repro.ndn.strategy.OwnerAffinityStrategy`) is routing state, not
+  content: it remembers which upstream answered a name, never the answer.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 from repro.exceptions import NDNError
@@ -34,20 +46,12 @@ from repro.ndn.name import Name
 from repro.ndn.nametree import NameTree, as_name
 from repro.ndn.packet import DataLike, InterestLike
 
-__all__ = ["CachePolicy", "ContentStore", "CsEntry"]
-
-
-class CachePolicy(str, Enum):
-    """Content-store eviction policy."""
-
-    LRU = "lru"
-    LFU = "lfu"
-    FIFO = "fifo"
+__all__ = ["ContentStore", "CsEntry"]
 
 
 @dataclass(slots=True)
 class CsEntry:
-    """One cached Data packet (object or wire view) plus bookkeeping.
+    """One cached Data packet (object or wire view) plus its arrival time.
 
     Slotted (lint rule RL006): a populated store holds one of these per
     cached Data, so the per-instance ``__dict__`` would dominate the
@@ -56,12 +60,6 @@ class CsEntry:
 
     data: DataLike
     arrival_time: float
-    last_access: float
-    hits: int = 0
-
-    @property
-    def name(self) -> Name:
-        return self.data.name
 
     def is_fresh(self, now: float) -> bool:
         """Freshness per the Data's freshness period (0 = always stale)."""
@@ -71,44 +69,22 @@ class CsEntry:
 
 
 class ContentStore:
-    """A fixed-capacity cache of Data packets keyed by exact name.
-
-    ``capacity=None`` makes the store unbounded: eviction can never
-    trigger, so the hit path skips recency/frequency bookkeeping entirely
-    (it still maintains per-entry hit counts and access times, from which
-    the eviction order is rebuilt if the store is later bounded again).
-    """
+    """A bounded LRU cache of Data packets keyed by exact name."""
 
     def __init__(
         self,
-        capacity: "int | None" = 1024,
-        policy: "CachePolicy | str" = CachePolicy.LRU,
+        capacity: int = 1024,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        if capacity is not None and capacity < 0:
-            raise NDNError(f"content store capacity must be non-negative, got {capacity}")
-        self._capacity = capacity
-        self.policy = CachePolicy(policy)
-        # Policy flags hoisted out of the hot paths: insert/find dispatch on
-        # plain attribute truthiness instead of enum comparisons.  With an
-        # unbounded store (capacity=None) eviction can never trigger, so the
-        # hit path skips all recency/frequency bookkeeping — ``move_to_end``
-        # per exact-match hit was ~8% of the insert/find microbench.
-        self._is_lru = self.policy == CachePolicy.LRU
-        self._is_lfu = self.policy == CachePolicy.LFU
-        self._evictable = capacity is not None
+        self.capacity = capacity
         self._clock = clock or (lambda: 0.0)
-        #: Entries in eviction order: recency for LRU, arrival for FIFO.
-        #: (LFU eviction order lives in the frequency buckets instead.)
+        #: Entries in recency order, least recent first.
         self._entries: "OrderedDict[Name, CsEntry]" = OrderedDict()
         #: Prefix index over the same entries, for can_be_prefix lookups and
         #: prefix erasure.  Built lazily on the first prefix operation so
         #: exact-match-only workloads never pay for its maintenance, then
         #: kept in sync incrementally.
         self._index: Optional[NameTree] = None
-        #: LFU state: hit-count -> names at that count, each in recency order.
-        self._freq_buckets: dict[int, "OrderedDict[Name, None]"] = {}
-        self._min_freq = 0
         #: Coherence hook: called with each Name leaving the store (capacity
         #: eviction, ``erase`` or ``clear``) so an upstream exact-match
         #: mirror — e.g. the shard dispatcher's hot cache — can drop its
@@ -127,44 +103,22 @@ class ContentStore:
         return as_name(name) in self._entries
 
     def names(self) -> list[Name]:
-        """Every cached name, in eviction order (control-plane sweeps only)."""
+        """Every cached name, least recent first (control-plane sweeps only)."""
         return list(self._entries.keys())
 
     # -- capacity ------------------------------------------------------------
 
     @property
-    def capacity(self) -> "int | None":
-        """Maximum entry count; ``None`` means unbounded (never evicts)."""
+    def capacity(self) -> int:
+        """Maximum entry count."""
         return self._capacity
 
     @capacity.setter
-    def capacity(self, value: "int | None") -> None:
-        if value is not None and value < 0:
+    def capacity(self, value: int) -> None:
+        # No eviction here: the next insert trims the store to the new bound.
+        if value < 0:
             raise NDNError(f"content store capacity must be non-negative, got {value}")
-        was_evictable = self._evictable
         self._capacity = value
-        self._evictable = value is not None
-        if self._evictable and not was_evictable:
-            # Unbounded stores skip recency/frequency bookkeeping, so on the
-            # way back to a bounded store rebuild it from the per-entry
-            # counters that *are* maintained.  FIFO needs no rebuild: the
-            # dict insertion order *is* the arrival order (unbounded
-            # refreshes never reorder).  LRU re-sorts by access time; LFU
-            # rebuilds its buckets from hit counts, recency-ordered within
-            # each bucket.
-            if self._is_lru:
-                self._entries = OrderedDict(
-                    sorted(self._entries.items(), key=lambda item: item[1].last_access)
-                )
-            elif self._is_lfu:
-                self._freq_buckets = {}
-                for name, entry in sorted(
-                    self._entries.items(), key=lambda item: item[1].last_access
-                ):
-                    self._freq_buckets.setdefault(entry.hits, OrderedDict())[name] = None
-                self._min_freq = min(self._freq_buckets, default=0)
-            while len(self._entries) > value:
-                self._evict_one()
 
     # -- insertion -----------------------------------------------------------
 
@@ -175,63 +129,32 @@ class ContentStore:
         now = self._clock()
         name = data.name
         entries = self._entries
-        if name in entries:
-            entry = entries[name]
-            # Refresh the existing entry in place.  FIFO keeps the original
-            # arrival position: refreshing must not grant another trip through
-            # the queue, or FIFO silently degrades into LRU-on-write.
+        entry = entries.get(name)
+        if entry is not None:
+            # Refresh in place; a refresh counts as use.
             entry.data = data
             entry.arrival_time = now
-            entry.last_access = now
-            if not self._evictable:
-                return
-            if self._is_lru:
-                entries.move_to_end(name)
-            elif self._is_lfu:
-                self._freq_buckets[entry.hits].move_to_end(name)
+            entries.move_to_end(name)
             # Capacity may have been lowered since this entry was cached;
             # the refresh path must honour it too.
             while len(entries) > self._capacity:
                 self._evict_one()
             return
-        if self._evictable:
-            while len(entries) >= self._capacity:
-                self._evict_one()
-        entry = CsEntry(data=data, arrival_time=now, last_access=now)
+        while len(entries) >= self._capacity:
+            self._evict_one()
+        entry = CsEntry(data=data, arrival_time=now)
         entries[name] = entry
         if self._index is not None:
             self._index.set(name, entry)
-        if self._is_lfu and self._evictable:
-            self._freq_buckets.setdefault(0, OrderedDict())[name] = None
-            self._min_freq = 0
         self.insertions += 1
 
     def _evict_one(self) -> None:
-        if not self._entries:
-            return
-        if self._is_lfu:
-            victim = self._pop_lfu_victim()
-            del self._entries[victim]
-        else:  # LRU and FIFO both evict the front of the ordered dict
-            victim, _ = self._entries.popitem(last=False)
+        victim, _ = self._entries.popitem(last=False)
         if self._index is not None:
             self._index.remove(victim)
         self.evictions += 1
         if self.on_evict is not None:
             self.on_evict(victim)
-
-    def _pop_lfu_victim(self) -> Name:
-        """Least-frequent (ties: least-recent) name, removed from its bucket."""
-        bucket = self._freq_buckets.get(self._min_freq)
-        if not bucket:
-            # Arbitrary removals (erase/clear of other entries) can stale the
-            # pointer; recompute it from the populated buckets.
-            self._min_freq = min(freq for freq, names in self._freq_buckets.items() if names)
-            bucket = self._freq_buckets[self._min_freq]
-        victim, _ = bucket.popitem(last=False)
-        if not bucket:
-            del self._freq_buckets[self._min_freq]
-        return victim
 
     def _ensure_index(self) -> NameTree:
         """The prefix index, built from the live entries on first use."""
@@ -240,15 +163,6 @@ class ContentStore:
             for name, entry in self._entries.items():
                 self._index.set(name, entry)
         return self._index
-
-    def _unindex(self, name: Name, entry: CsEntry) -> None:
-        """Remove bucket bookkeeping for an entry leaving outside eviction."""
-        if self._is_lfu:
-            bucket = self._freq_buckets.get(entry.hits)
-            if bucket is not None:
-                bucket.pop(name, None)
-                if not bucket:
-                    del self._freq_buckets[entry.hits]
 
     # -- lookup ----------------------------------------------------------------
 
@@ -266,7 +180,7 @@ class ContentStore:
             if entry is None or not self._acceptable(entry, interest, now):
                 self.misses += 1
                 return None
-            return self._hit(entry, now, name)
+            return self._hit(entry, name)
         item = self._ensure_index().first_under(
             name,
             lambda _name, entry: self._acceptable(entry, interest, now),
@@ -274,37 +188,15 @@ class ContentStore:
         if item is None:
             self.misses += 1
             return None
-        return self._hit(item[1], now, item[0])
+        return self._hit(item[1], item[0])
 
     def _acceptable(self, entry: CsEntry, interest: InterestLike, now: float) -> bool:
         if interest.must_be_fresh and not entry.is_fresh(now):
             return False
         return True
 
-    def _hit(self, entry: CsEntry, now: float, name: Name) -> DataLike:
-        if not self._evictable:
-            # Eviction can never trigger: recency/frequency order is
-            # irrelevant, so skip the O(1)-but-not-free bookkeeping and keep
-            # only the per-entry counters (cheap, and enough to rebuild the
-            # order if the store is later bounded again).
-            entry.hits += 1
-            entry.last_access = now
-            self.hits += 1
-            return entry.data
-        if self._is_lru:
-            self._entries.move_to_end(name)
-        elif self._is_lfu:
-            # Promote to the next frequency bucket (appended = most recent).
-            bucket = self._freq_buckets.get(entry.hits)
-            if bucket is not None:
-                bucket.pop(name, None)
-                if not bucket:
-                    del self._freq_buckets[entry.hits]
-            self._freq_buckets.setdefault(entry.hits + 1, OrderedDict())[name] = None
-            if self._min_freq == entry.hits and entry.hits not in self._freq_buckets:
-                self._min_freq = entry.hits + 1
-        entry.hits += 1
-        entry.last_access = now
+    def _hit(self, entry: CsEntry, name: Name) -> DataLike:
+        self._entries.move_to_end(name)
         self.hits += 1
         return entry.data
 
@@ -324,11 +216,10 @@ class ContentStore:
     def erase(self, prefix: "Name | str") -> int:
         """Remove every entry under ``prefix``; returns the count removed."""
         index = self._ensure_index()
-        victims = list(index.items_under(prefix))
-        for name, entry in victims:
+        victims = [name for name, _entry in index.items_under(prefix)]
+        for name in victims:
             del self._entries[name]
             index.remove(name)
-            self._unindex(name, entry)
             if self.on_evict is not None:
                 self.on_evict(name)
         return len(victims)
@@ -339,8 +230,6 @@ class ContentStore:
                 self.on_evict(name)
         self._entries.clear()
         self._index = None
-        self._freq_buckets.clear()
-        self._min_freq = 0
 
     @property
     def hit_ratio(self) -> float:
@@ -351,7 +240,7 @@ class ContentStore:
         """Summary statistics used by the cache ablation benchmark."""
         return {
             "size": float(len(self._entries)),
-            "capacity": float("inf") if self._capacity is None else float(self._capacity),
+            "capacity": float(self._capacity),
             "hits": float(self.hits),
             "misses": float(self.misses),
             "hit_ratio": self.hit_ratio,

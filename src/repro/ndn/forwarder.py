@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.exceptions import NDNError
-from repro.ndn.cs import CachePolicy, ContentStore
+from repro.ndn.cs import ContentStore
 from repro.ndn.face import AnyPacket, Face, LocalFace
 from repro.ndn.fib import Fib
 from repro.ndn.name import Name
@@ -56,8 +56,7 @@ class Forwarder:
     name:
         Node name (used in traces and for routing adjacency).
     cs_capacity:
-        Content-store capacity in packets (0 disables caching, ``None``
-        is unbounded — never evicts, skips recency bookkeeping).
+        Content-store capacity in packets (LRU; 0 disables caching).
     cache_unsolicited:
         Whether Data arriving with no matching PIT entry is still cached
         (useful for repo-style producers).
@@ -70,15 +69,14 @@ class Forwarder:
         self,
         env: Environment,
         name: str = "forwarder",
-        cs_capacity: "int | None" = 1024,
-        cs_policy: "CachePolicy | str" = CachePolicy.LRU,
+        cs_capacity: int = 1024,
         cache_unsolicited: bool = False,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.env = env
         self.name = name
-        self.cs = ContentStore(capacity=cs_capacity, policy=cs_policy, clock=lambda: env.now)
+        self.cs = ContentStore(capacity=cs_capacity, clock=lambda: env.now)
         self.pit = PendingInterestTable(clock=lambda: env.now)
         self.fib = Fib()
         self.strategies = StrategyChoiceTable()

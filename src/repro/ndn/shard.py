@@ -91,7 +91,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from repro.exceptions import NDNError
-from repro.ndn.cs import CachePolicy
 from repro.ndn.face import AnyPacket, Face, PacketEndpoint
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
@@ -498,8 +497,7 @@ class ShardedForwarder:
         name: str = "sharded",
         shards: int = 2,
         key_depth: int = 1,
-        cs_capacity: "int | None" = 1024,
-        cs_policy: "CachePolicy | str" = CachePolicy.LRU,
+        cs_capacity: int = 1024,
         cache_unsolicited: bool = False,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -519,7 +517,6 @@ class ShardedForwarder:
         # Build parameters kept verbatim so resize() can mint new shards
         # identical to the originals.
         self._cs_capacity = cs_capacity
-        self._cs_policy = cs_policy
         self._cache_unsolicited = cache_unsolicited
         self._shard_service_s = shard_service_s
         self._shard_weights = (
@@ -534,7 +531,6 @@ class ShardedForwarder:
                 env,
                 name=f"{name}/shard{index}",
                 cs_capacity=self._shard_capacity(cs_capacity, index, shards),
-                cs_policy=cs_policy,
                 cache_unsolicited=cache_unsolicited,
                 tracer=self.tracer,
             )
@@ -575,10 +571,8 @@ class ShardedForwarder:
         self.fib = _ShardedFib(self)
 
     @staticmethod
-    def _shard_capacity(total: "int | None", index: int, shards: int) -> "int | None":
+    def _shard_capacity(total: int, index: int, shards: int) -> int:
         """Split a node-level CS capacity evenly across shards."""
-        if total is None:
-            return None
         base, extra = divmod(total, shards)
         return base + (1 if index < extra else 0)
 
@@ -769,7 +763,6 @@ class ShardedForwarder:
                 self.env,
                 name=f"{self.name}/shard{index}",
                 cs_capacity=self._shard_capacity(self._cs_capacity, index, shards),
-                cs_policy=self._cs_policy,
                 cache_unsolicited=self._cache_unsolicited,
                 tracer=self.tracer,
             )
@@ -790,11 +783,10 @@ class ShardedForwarder:
         self._shard_weights = weights
 
         # 3. Re-split the node's CS budget across the new shard count.
-        if self._cs_capacity is not None:
-            for index in range(shards):
-                self.shards[index].cs.capacity = self._shard_capacity(
-                    self._cs_capacity, index, shards
-                )
+        for index in range(shards):
+            self.shards[index].cs.capacity = self._shard_capacity(
+                self._cs_capacity, index, shards
+            )
 
         # 4. Re-home routes: install on new owners, then drop old ones.
         for (prefix, ext_id), old_owners in list(self._registrations.items()):
@@ -996,7 +988,7 @@ class ShardedForwarder:
         # a shard CS may re-serve stale Data (non-MustBeFresh semantics),
         # and anchoring at egress would restart the freshness window and
         # let the fast path serve what the CS itself considers stale.
-        cache.insert(packet.name_bytes, packet, arrival, None, shard_index)
+        cache.insert(packet.name_bytes, packet, arrival)
 
     # ------------------------------------------------------------------- misc
 

@@ -284,19 +284,12 @@ class _HotEntry:
     the read is deferred to the first hit and amortised over every serve.
     """
 
-    __slots__ = ("template", "arrival", "freshness_s", "shard_index")
+    __slots__ = ("template", "arrival", "freshness_s")
 
-    def __init__(
-        self,
-        template: "WirePacket",
-        arrival: float,
-        freshness_s: "float | None",
-        shard_index: int,
-    ) -> None:
+    def __init__(self, template: "WirePacket", arrival: float) -> None:
         self.template = template
         self.arrival = arrival
-        self.freshness_s = freshness_s
-        self.shard_index = shard_index
+        self.freshness_s: "float | None" = None
 
     def is_fresh(self, now: float) -> bool:
         if self.freshness_s is None:
@@ -380,29 +373,19 @@ class DispatcherHotCache:
 
     # -- population ----------------------------------------------------------
 
-    def insert(
-        self,
-        key: bytes,
-        template: "WirePacket",
-        now: float,
-        freshness_s: "float | None" = None,
-        shard_index: int = 0,
-    ) -> None:
-        """Admit (or refresh) a Data template under ``key``.
+    def insert(self, key: bytes, template: "WirePacket", now: float) -> None:
+        """Admit (or refresh) a Data template under ``key``, aged from ``now``.
 
-        ``freshness_s=None`` defers the freshness read to the entry's
-        first lookup (the egress fast path never walks the Data's spans);
-        an explicit non-positive value rejects the admission outright.
+        The freshness read is deferred to the entry's first lookup (the
+        egress fast path never walks the Data's spans).
         """
-        if freshness_s is not None and freshness_s <= 0:
-            return
         entries = self._entries
         if key in entries:
             entries.move_to_end(key)
         elif len(entries) >= self.capacity:
             entries.popitem(last=False)
             self.evictions += 1
-        entries[key] = _HotEntry(template, now, freshness_s, shard_index)
+        entries[key] = _HotEntry(template, now)
         self.insertions += 1
 
     # -- coherence -----------------------------------------------------------

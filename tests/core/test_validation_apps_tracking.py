@@ -254,31 +254,11 @@ class TestResultCache:
         assert cache.lookup(requests[2]) is not None
         assert cache.evictions == 1
 
-    def test_ttl_expiry(self):
-        clock = {"now": 0.0}
-        cache = ResultCache(ttl_s=10.0, clock=lambda: clock["now"])
-        request = ComputeRequest(app="A", dataset="d")
-        cache.store(request, Name("/out"), 1, "job")
-        clock["now"] = 5.0
-        assert cache.lookup(request) is not None
-        clock["now"] = 20.0
-        assert cache.lookup(request) is None
-
     def test_zero_capacity_disables(self):
         cache = ResultCache(capacity=0)
         request = ComputeRequest(app="A", dataset="d")
         assert cache.store(request, Name("/out"), 1, "job") is None
         assert cache.lookup(request) is None
-
-    def test_invalidate_and_clear(self):
-        cache = ResultCache()
-        request = ComputeRequest(app="A", dataset="d")
-        cache.store(request, Name("/out"), 1, "job")
-        assert cache.invalidate(request)
-        assert not cache.invalidate(request)
-        cache.store(request, Name("/out"), 1, "job")
-        cache.clear()
-        assert len(cache) == 0
 
     def test_stats_shape(self):
         stats = ResultCache().stats()

@@ -3,7 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cluster.cluster import Cluster, ClusterSpec
+from repro.core.cluster_endpoint import LIDCCluster
+from repro.core.validation import BlastValidator
+from repro.datalake.loader import DataLoadingTool
 from repro.exceptions import GenomicsError, UnknownAccession
+from repro.genomics.runtime_model import BlastRuntimeModel
 from repro.genomics.sequences import (
     FastaRecord,
     FastqRecord,
@@ -14,6 +19,7 @@ from repro.genomics.sequences import (
     write_fastq,
 )
 from repro.genomics.sra import PAPER_ACCESSIONS, SraAccession, SraRegistry, is_valid_srr_id
+from repro.sim.engine import Environment
 
 
 class TestSequencePrimitives:
@@ -171,3 +177,29 @@ class TestSraRegistry:
     def test_base_count(self):
         accession = PAPER_ACCESSIONS[0]
         assert accession.base_count == accession.read_count * accession.read_length
+
+
+#: Every component that takes an optional ``registry=`` and keeps it.
+_REGISTRY_OWNERS = {
+    "BlastValidator": lambda registry: BlastValidator(registry=registry),
+    "BlastRuntimeModel": lambda registry: BlastRuntimeModel(registry=registry),
+    "DataLoadingTool": lambda registry: DataLoadingTool(
+        Cluster(Environment(), ClusterSpec(name="c", node_count=1)), registry=registry
+    ),
+    "LIDCCluster": lambda registry: LIDCCluster(
+        Environment(), ClusterSpec(name="c", node_count=1),
+        registry=registry, load_paper_datasets=False,
+    ),
+}
+
+
+@pytest.mark.parametrize("owner", list(_REGISTRY_OWNERS))
+def test_caller_registry_is_kept_even_when_empty(owner):
+    """An empty registry is falsy (``__len__``), yet it is the caller's own:
+    it must not be swapped for a populated default, or accessions the
+    caller registers afterwards are invisible to the component."""
+    registry = SraRegistry(include_paper_accessions=False)
+    component = _REGISTRY_OWNERS[owner](registry)
+    assert component.registry is registry
+    registry.register_synthetic("SRR0000123", genome_type="TEST", read_count=1000)
+    assert component.registry.get("SRR0000123").genome_type == "TEST"

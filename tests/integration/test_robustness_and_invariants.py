@@ -20,7 +20,7 @@ from repro.core import ComputeRequest, LIDCTestbed
 from repro.core.spec import JobState
 from repro.exceptions import StorageError
 from repro.ndn.client import RetryPolicy
-from repro.ndn.cs import CachePolicy, ContentStore
+from repro.ndn.cs import ContentStore
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest
 
@@ -167,10 +167,9 @@ class TestContentStoreInvariants:
     @given(
         capacity=st.integers(min_value=1, max_value=32),
         names=st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=100),
-        policy=st.sampled_from([CachePolicy.LRU, CachePolicy.LFU, CachePolicy.FIFO]),
     )
-    def test_size_never_exceeds_capacity_and_hits_are_correct(self, capacity, names, policy):
-        cs = ContentStore(capacity=capacity, policy=policy)
+    def test_size_never_exceeds_capacity_and_hits_are_correct(self, capacity, names):
+        cs = ContentStore(capacity=capacity)
         for value in names:
             cs.insert(Data(name=Name(f"/obj/{value}"), content=b"x").sign())
             assert len(cs) <= capacity

@@ -238,19 +238,13 @@ class TestDispatcherHotCacheUnit:
     def test_capacity_is_a_hard_lru_bound(self):
         cache = DispatcherHotCache(capacity=2)
         template = WirePacket(Data(name=Name("/d"), freshness_period=5.0).sign().encode())
-        cache.insert(b"a", template, 0.0, 5.0, 0)
-        cache.insert(b"b", template, 0.0, 5.0, 0)
+        cache.insert(b"a", template, 0.0)
+        cache.insert(b"b", template, 0.0)
         assert cache.get(b"a", 0.0) is not None  # refresh recency of a
-        cache.insert(b"c", template, 0.0, 5.0, 0)  # evicts b (LRU)
+        cache.insert(b"c", template, 0.0)  # evicts b (LRU)
         assert len(cache) == 2
         assert b"b" not in cache and b"a" in cache and b"c" in cache
         assert cache.evictions == 1
-
-    def test_zero_freshness_is_never_admitted(self):
-        cache = DispatcherHotCache(capacity=2)
-        template = WirePacket(Data(name=Name("/d")).sign().encode())
-        cache.insert(b"a", template, 0.0, 0.0, 0)
-        assert len(cache) == 0
 
     def test_deferred_validation_drops_zero_freshness_on_first_lookup(self):
         """The egress path admits without reading the freshness TLV; the
@@ -258,7 +252,7 @@ class TestDispatcherHotCacheUnit:
         unserved."""
         cache = DispatcherHotCache(capacity=2)
         template = WirePacket(Data(name=Name("/d")).sign().encode())
-        cache.insert(b"a", template, 0.0, None, 0)  # deferred freshness
+        cache.insert(b"a", template, 0.0)
         assert len(cache) == 1
         assert cache.get(b"a", 0.0) is None
         assert len(cache) == 0
@@ -269,7 +263,7 @@ class TestDispatcherHotCacheUnit:
         template = WirePacket(
             Data(name=Name("/d"), freshness_period=2.0).sign().encode()
         )
-        cache.insert(b"a", template, 0.0, None, 0)
+        cache.insert(b"a", template, 0.0)
         assert cache.get(b"a", 1.5) is template
         assert cache.get(b"a", 2.5) is None  # past the window read lazily
 
@@ -291,7 +285,7 @@ class TestDispatcherHotCacheUnit:
         template = WirePacket(Data(name=Name("/d"), freshness_period=5.0).sign().encode())
         population = [prefix.append(*extensions), *others, prefix]
         for name in population:
-            cache.insert(encode_name_value(name), template, 0.0, 5.0, 0)
+            cache.insert(encode_name_value(name), template, 0.0)
         cache.invalidate_under(prefix)
         for name in population:
             expected_gone = prefix.is_prefix_of(name)

@@ -150,8 +150,6 @@ class TestInlineSharding:
         per_shard = [shard.cs.capacity for shard in node.shards]
         assert sum(per_shard) == 10
         assert max(per_shard) - min(per_shard) <= 1
-        unbounded = ShardedForwarder(env, name="u", shards=2, cs_capacity=None)
-        assert all(shard.cs.capacity is None for shard in unbounded.shards)
 
 
 class TestServiceTimeModel:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import NDNError
-from repro.ndn.cs import CachePolicy, ContentStore
+from repro.ndn.cs import ContentStore
 from repro.ndn.fib import Fib, NameTree
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest
@@ -66,7 +66,7 @@ class TestContentStore:
 
     def test_lru_evicts_least_recently_used(self):
         clock = {"now": 0.0}
-        cs = ContentStore(capacity=2, policy=CachePolicy.LRU, clock=lambda: clock["now"])
+        cs = ContentStore(capacity=2, clock=lambda: clock["now"])
         cs.insert(make_data("/a"))
         clock["now"] = 1.0
         cs.insert(make_data("/b"))
@@ -75,23 +75,6 @@ class TestContentStore:
         clock["now"] = 3.0
         cs.insert(make_data("/c"))
         assert "/a" in cs and "/c" in cs and "/b" not in cs
-
-    def test_fifo_evicts_oldest_insertion(self):
-        cs = ContentStore(capacity=2, policy=CachePolicy.FIFO)
-        cs.insert(make_data("/a"))
-        cs.insert(make_data("/b"))
-        cs.find(Interest(name=Name("/a")))
-        cs.insert(make_data("/c"))
-        assert "/a" not in cs
-
-    def test_lfu_evicts_least_frequently_used(self):
-        cs = ContentStore(capacity=2, policy=CachePolicy.LFU)
-        cs.insert(make_data("/a"))
-        cs.insert(make_data("/b"))
-        for _ in range(3):
-            cs.find(Interest(name=Name("/a")))
-        cs.insert(make_data("/c"))
-        assert "/a" in cs and "/b" not in cs
 
     def test_reinsert_refreshes_entry(self):
         cs = ContentStore(capacity=5)
@@ -118,31 +101,18 @@ class TestContentStore:
 
 
 class TestContentStoreRegressions:
-    def test_fifo_refresh_keeps_arrival_position(self):
-        """Refreshing an entry must not grant it another trip through the
-        FIFO queue (the old pop-and-reappend silently made FIFO behave like
-        LRU-on-write)."""
-        cs = ContentStore(capacity=2, policy=CachePolicy.FIFO)
-        cs.insert(make_data("/a"))
-        cs.insert(make_data("/b"))
-        cs.insert(make_data("/a"))  # refresh: /a keeps its original position
-        cs.insert(make_data("/c"))  # evicts /a (oldest arrival), not /b
-        assert "/a" not in cs
-        assert "/b" in cs and "/c" in cs
-
     def test_lru_refresh_does_update_recency(self):
-        cs = ContentStore(capacity=2, policy=CachePolicy.LRU)
+        cs = ContentStore(capacity=2)
         cs.insert(make_data("/a"))
         cs.insert(make_data("/b"))
         cs.insert(make_data("/a"))  # refresh counts as use under LRU
         cs.insert(make_data("/c"))  # evicts /b
         assert "/a" in cs and "/c" in cs and "/b" not in cs
 
-    @pytest.mark.parametrize("policy", list(CachePolicy))
-    def test_refresh_honours_lowered_capacity(self, policy):
+    def test_refresh_honours_lowered_capacity(self):
         """Refreshing an existing name must evict when the store is over a
         capacity that was lowered after the entries were cached."""
-        cs = ContentStore(capacity=4, policy=policy)
+        cs = ContentStore(capacity=4)
         for uri in ("/a", "/b", "/c", "/d"):
             cs.insert(make_data(uri))
         cs.capacity = 2
@@ -159,7 +129,7 @@ class TestContentStoreRegressions:
         assert len(cs) == 2
 
     def test_prefix_find_after_eviction_does_not_resurrect(self):
-        cs = ContentStore(capacity=1, policy=CachePolicy.FIFO)
+        cs = ContentStore(capacity=1)
         cs.insert(make_data("/a/1"))
         cs.insert(make_data("/a/2"))  # evicts /a/1
         found = cs.find(Interest(name=Name("/a"), can_be_prefix=True))
@@ -183,25 +153,10 @@ class TestContentStoreRegressions:
         found = cs.find(Interest(name=Name("/a"), can_be_prefix=True))
         assert found.name == Name("/a/2")
 
-    def test_lfu_erase_then_evict_recomputes_min_bucket(self):
-        cs = ContentStore(capacity=3, policy=CachePolicy.LFU)
-        cs.insert(make_data("/a"))
-        cs.insert(make_data("/b"))
-        cs.insert(make_data("/c"))
-        for _ in range(2):
-            cs.find(Interest(name=Name("/a")))
-        cs.find(Interest(name=Name("/b")))
-        cs.erase("/c")  # empties the 0-hit bucket out-of-band
-        cs.insert(make_data("/d"))
-        cs.insert(make_data("/e"))  # store full again: evicts /d (0 hits)
-        assert "/d" not in cs
-        assert "/a" in cs and "/b" in cs and "/e" in cs
-
 
 class TestEvictionAccounting:
-    @pytest.mark.parametrize("policy", list(CachePolicy))
-    def test_counters_across_policies(self, policy):
-        cs = ContentStore(capacity=2, policy=policy)
+    def test_insertion_and_eviction_counters(self):
+        cs = ContentStore(capacity=2)
         for uri in ("/a", "/b", "/c", "/d"):
             cs.insert(make_data(uri))
         assert cs.insertions == 4
@@ -212,17 +167,15 @@ class TestEvictionAccounting:
         assert stats["evictions"] == 2.0
         assert stats["size"] == 2.0
 
-    @pytest.mark.parametrize("policy", list(CachePolicy))
-    def test_refresh_is_not_an_insertion(self, policy):
-        cs = ContentStore(capacity=4, policy=policy)
+    def test_refresh_is_not_an_insertion(self):
+        cs = ContentStore(capacity=4)
         cs.insert(make_data("/a"))
         cs.insert(make_data("/a"))
         assert cs.insertions == 1
         assert cs.evictions == 0
 
-    @pytest.mark.parametrize("policy", list(CachePolicy))
-    def test_capacity_zero_store_counts_nothing(self, policy):
-        cs = ContentStore(capacity=0, policy=policy)
+    def test_capacity_zero_store_counts_nothing(self):
+        cs = ContentStore(capacity=0)
         cs.insert(make_data("/a"))
         assert len(cs) == 0
         assert cs.insertions == 0
@@ -241,7 +194,7 @@ class TestEvictionAccounting:
 
     def test_lru_find_updates_recency_without_clock(self):
         """The O(1) LRU path orders by access sequence, not wall clock."""
-        cs = ContentStore(capacity=2, policy=CachePolicy.LRU)
+        cs = ContentStore(capacity=2)
         cs.insert(make_data("/a"))
         cs.insert(make_data("/b"))
         cs.find(Interest(name=Name("/a")))  # /b is now least recent
@@ -250,7 +203,7 @@ class TestEvictionAccounting:
         assert "/a" in cs and "/c" in cs
 
     def test_lru_prefix_find_updates_recency(self):
-        cs = ContentStore(capacity=2, policy=CachePolicy.LRU)
+        cs = ContentStore(capacity=2)
         cs.insert(make_data("/a/1"))
         cs.insert(make_data("/b/1"))
         cs.find(Interest(name=Name("/a"), can_be_prefix=True))
@@ -259,84 +212,73 @@ class TestEvictionAccounting:
         assert "/a/1" in cs
 
 
-class _ReferencePolicyModel:
-    """A deliberately-naive min-scan model of the eviction policies.
+class _ReferenceLruModel:
+    """A deliberately-naive min-scan model of the LRU store.
 
-    Mirrors the documented semantics (FIFO by arrival, LRU by last access
-    including refreshes, LFU by (hits, last access)) with O(n) scans; the
-    property test below checks the O(1) implementation against it.
+    Evicts the entry with the oldest last access (refreshes included) by an
+    O(n) scan.  A capacity change evicts nothing by itself: a new insert
+    evicts while ``len >= capacity`` and a refresh while ``len > capacity``.
+    The property test below checks the O(1) implementation against it.
     """
 
-    def __init__(self, capacity: int, policy: CachePolicy) -> None:
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self.policy = policy
-        self.entries: dict[str, dict] = {}
-        self.seq = 0
+        self.last_access: dict[str, float] = {}
         self.hits = self.misses = self.insertions = self.evictions = 0
 
     def insert(self, uri: str, now: float) -> None:
         if self.capacity == 0:
             return
-        if uri in self.entries:
-            self.entries[uri]["last_access"] = now
-            while len(self.entries) > self.capacity:
+        if uri in self.last_access:
+            self.last_access[uri] = now
+            while len(self.last_access) > self.capacity:
                 self._evict()
             return
-        while len(self.entries) >= self.capacity:
+        while len(self.last_access) >= self.capacity:
             self._evict()
-        self.entries[uri] = {"hits": 0, "last_access": now, "arrival_seq": self.seq}
-        self.seq += 1
+        self.last_access[uri] = now
         self.insertions += 1
 
     def find(self, uri: str, now: float) -> bool:
-        entry = self.entries.get(uri)
-        if entry is None:
+        if uri not in self.last_access:
             self.misses += 1
             return False
-        entry["hits"] += 1
-        entry["last_access"] = now
+        self.last_access[uri] = now
         self.hits += 1
         return True
 
     def _evict(self) -> None:
-        if not self.entries:
-            return
-        if self.policy == CachePolicy.FIFO:
-            victim = min(self.entries, key=lambda u: self.entries[u]["arrival_seq"])
-        elif self.policy == CachePolicy.LRU:
-            victim = min(self.entries, key=lambda u: self.entries[u]["last_access"])
-        else:
-            victim = min(
-                self.entries,
-                key=lambda u: (self.entries[u]["hits"], self.entries[u]["last_access"]),
-            )
-        del self.entries[victim]
+        del self.last_access[min(self.last_access, key=self.last_access.__getitem__)]
         self.evictions += 1
 
 
 _ops = st.lists(
-    st.tuples(st.sampled_from(["insert", "find"]), st.sampled_from("abcde")),
+    st.one_of(
+        st.tuples(st.sampled_from(["insert", "find"]), st.sampled_from("abcde")),
+        st.tuples(st.just("set_capacity"), st.integers(min_value=1, max_value=4)),
+    ),
     max_size=40,
 )
 
 
-class TestCachePolicyProperties:
-    @pytest.mark.parametrize("policy", list(CachePolicy))
+class TestLruReferenceModel:
     @given(ops=_ops)
-    def test_o1_store_matches_reference_model(self, policy, ops):
+    def test_o1_store_matches_reference_model(self, ops):
         clock = {"now": 0.0}
-        cs = ContentStore(capacity=3, policy=policy, clock=lambda: clock["now"])
-        model = _ReferencePolicyModel(capacity=3, policy=policy)
-        for op, letter in ops:
+        cs = ContentStore(capacity=3, clock=lambda: clock["now"])
+        model = _ReferenceLruModel(capacity=3)
+        for op, arg in ops:
             clock["now"] += 1.0  # unique timestamps: no tie-break ambiguity
-            uri = f"/{letter}"
-            if op == "insert":
-                cs.insert(make_data(uri))
-                model.insert(uri, clock["now"])
+            if op == "set_capacity":
+                cs.capacity = model.capacity = arg
+            elif op == "insert":
+                cs.insert(make_data(f"/{arg}"))
+                model.insert(f"/{arg}", clock["now"])
             else:
-                found = cs.find(Interest(name=Name(uri))) is not None
-                assert found == model.find(uri, clock["now"])
-        assert {str(n) for n in (f"/{c}" for c in "abcde") if n in cs} == set(model.entries)
+                found = cs.find(Interest(name=Name(f"/{arg}"))) is not None
+                assert found == model.find(f"/{arg}", clock["now"])
+            recency = sorted(model.last_access, key=model.last_access.__getitem__)
+            assert [str(n) for n in cs.names()] == recency
         assert (cs.hits, cs.misses) == (model.hits, model.misses)
         assert (cs.insertions, cs.evictions) == (model.insertions, model.evictions)
 
@@ -661,34 +603,11 @@ class _CountingEntries(OrderedDict):
 
 
 class TestUnboundedCapacity:
-    """capacity=None: eviction can never trigger, so hits must skip the
-    recency/frequency bookkeeping entirely (the ~8% ``move_to_end`` cost on
-    exact-match-heavy workloads flagged in the ROADMAP)."""
-
-    def test_unbounded_store_never_evicts(self):
-        cs = ContentStore(capacity=None)
-        for i in range(5000):
-            cs.insert(make_data(f"/n/{i}"))
-        assert len(cs) == 5000
-        assert cs.evictions == 0
-
-    def test_unbounded_lru_hit_skips_move_to_end(self):
-        """The regression guard for the fix: zero recency updates on the
-        unbounded hit path (deterministic, unlike a timing assertion)."""
-        cs = ContentStore(capacity=None, policy=CachePolicy.LRU)
-        for i in range(100):
-            cs.insert(make_data(f"/n/{i}"))
-        counting = _CountingEntries(cs._entries)
-        cs._entries = counting
-        for i in range(100):
-            assert cs.find(Interest(name=Name(f"/n/{i}"))) is not None
-        assert counting.move_calls == 0
-        assert cs.hits == 100
+    """The store has no unbounded mode: every hit pays the LRU recency
+    update, and the capacity setter guards the bound like the constructor."""
 
     def test_bounded_lru_hit_still_updates_recency(self):
-        """Control for the instrumented test above: a bounded store keeps
-        paying move_to_end, and recency still decides eviction."""
-        cs = ContentStore(capacity=100, policy=CachePolicy.LRU)
+        cs = ContentStore(capacity=100)
         for i in range(100):
             cs.insert(make_data(f"/n/{i}"))
         counting = _CountingEntries(cs._entries)
@@ -697,68 +616,8 @@ class TestUnboundedCapacity:
             cs.find(Interest(name=Name(f"/n/{i}")))
         assert counting.move_calls == 100
 
-    def test_unbounded_lfu_skips_bucket_maintenance(self):
-        cs = ContentStore(capacity=None, policy=CachePolicy.LFU)
-        for i in range(10):
-            cs.insert(make_data(f"/n/{i}"))
-        for _ in range(3):
-            cs.find(Interest(name=Name("/n/0")))
-        assert cs._freq_buckets == {}
-        assert cs.hits == 3
-
-    def test_rebounding_capacity_restores_lru_eviction_order(self):
-        """Recency order is rebuilt from access times when an unbounded
-        store becomes bounded: the least-recently-touched entries evict."""
-        clock = {"now": 0.0}
-        cs = ContentStore(capacity=None, policy=CachePolicy.LRU,
-                          clock=lambda: clock["now"])
-        for i, uri in enumerate(("/a", "/b", "/c", "/d")):
-            clock["now"] = float(i)
-            cs.insert(make_data(uri))
-        clock["now"] = 10.0
-        cs.find(Interest(name=Name("/a")))  # /a becomes most recent
-        cs.capacity = 2
-        assert len(cs) == 2
-        assert "/a" in cs and "/d" in cs
-        assert "/b" not in cs and "/c" not in cs
-
-    def test_rebounding_capacity_keeps_fifo_arrival_order(self):
-        """FIFO order must survive the unbounded round-trip: a hit (or a
-        refresh, which updates arrival_time for freshness) must not
-        re-queue the entry — the dict's insertion order is authoritative."""
-        clock = {"now": 0.0}
-        cs = ContentStore(capacity=None, policy=CachePolicy.FIFO,
-                          clock=lambda: clock["now"])
-        for i, uri in enumerate(("/a", "/b", "/c")):
-            clock["now"] = float(i)
-            cs.insert(make_data(uri))
-        clock["now"] = 10.0
-        cs.find(Interest(name=Name("/a")))  # a late hit on the oldest entry
-        cs.insert(make_data("/a"))          # and a refresh: neither re-queues
-        cs.capacity = 2
-        assert "/a" not in cs  # oldest arrival evicts first, despite the hit
-        assert "/b" in cs and "/c" in cs
-
-    def test_rebounding_capacity_restores_lfu_buckets(self):
-        cs = ContentStore(capacity=None, policy=CachePolicy.LFU)
-        for uri in ("/a", "/b", "/c"):
-            cs.insert(make_data(uri))
-        for _ in range(2):
-            cs.find(Interest(name=Name("/a")))
-        cs.find(Interest(name=Name("/b")))
-        cs.capacity = 2  # rebuilt buckets: /c has 0 hits and evicts first
-        assert "/c" not in cs
-        assert "/a" in cs and "/b" in cs
-        # Bucket maintenance is live again: a new insert can evict by freq.
-        cs.insert(make_data("/d"))
-        assert len(cs) == 2
-        assert "/d" in cs and "/a" in cs
-
-    def test_unbounded_stats_report_infinite_capacity(self):
-        cs = ContentStore(capacity=None)
-        assert cs.stats()["capacity"] == float("inf")
-
     def test_negative_capacity_still_rejected_via_setter(self):
         cs = ContentStore(capacity=4)
         with pytest.raises(NDNError):
             cs.capacity = -1
+        assert cs.capacity == 4
