@@ -16,7 +16,7 @@ modelled service/recovery times, not wall-clock):
    outcome split.  Gates: zero PIT leaks, exact ledgers, overlay whole
    again, majority of requests served.
 
-Both scenarios replay bit-identically from their seeds; the JSON artefact
+Both scenarios replay bit-identically from their seeds; the returned dict
 pins the schedule and trace hashes next to the numbers.
 """
 
@@ -255,8 +255,6 @@ def run_chaos_scenario(requests: int = 300, horizon_s: float = 5.0) -> dict:
 
 
 def run_benchmark(requests: int = 300, verbose: bool = True) -> dict:
-    from _bench_utils import write_bench_json
-
     def log(message: str) -> None:
         if verbose:
             print(message)
@@ -282,14 +280,7 @@ def run_benchmark(requests: int = 300, verbose: bool = True) -> dict:
     assert replay == storm, "chaos storm did not replay identically"
     log("PASS: zero acknowledged loss, zero leaks, bit-identical replay")
 
-    results = {"resize": resize, "storm": storm}
-    write_bench_json(
-        "chaos",
-        results,
-        config={"seed": SEED, "requests": requests,
-                "clusters": len(CLUSTER_NAMES), "tenants": len(TENANTS)},
-    )
-    return results
+    return {"resize": resize, "storm": storm}
 
 
 # ------------------------------------------------------------ pytest entry

@@ -21,7 +21,6 @@ from __future__ import annotations
 import statistics
 import time
 
-from _bench_utils import write_bench_json
 from bench_shard_scaling import TENANTS
 
 from repro.ndn.face import Face, LocalFace, connect
@@ -188,7 +187,7 @@ def run_benchmark(exchanges: int = 2000, reps: int = 5, verbose: bool = True) ->
     )
     log("PASS: hit >= 3x round-trip, 0 transit decodes everywhere")
 
-    results = {
+    return {
         "hot_cache": {
             "hit_us": hit_s * 1e6,
             "round_trip_us": round_trip_s * 1e6,
@@ -200,11 +199,6 @@ def run_benchmark(exchanges: int = 2000, reps: int = 5, verbose: bool = True) ->
         "dispatch_key_micro": micro,
         "transit_decodes": 0,
     }
-    write_bench_json(
-        "fastpath", results,
-        config={"exchanges": exchanges, "reps": reps, "tenants": len(TENANTS)},
-    )
-    return results
 
 
 # ------------------------------------------------------------ pytest entries

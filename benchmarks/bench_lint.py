@@ -30,8 +30,6 @@ import tempfile
 import time
 from pathlib import Path
 
-from _bench_utils import write_bench_json
-
 from repro.analysis.lint import Linter, SummaryCache, default_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -137,7 +135,7 @@ def run_benchmark(reps: int = 5, verbose: bool = True) -> dict:
     log("PASS: warm <= 0.8x cold, full-catalog warm <= 1.5x PR7 warm, "
         "warm report identical to cold")
 
-    results = {
+    return {
         "cold_ms": cold_median * 1e3,
         "warm_ms": warm_median * 1e3,
         "warm_over_cold": warm_ratio,
@@ -148,13 +146,6 @@ def run_benchmark(reps: int = 5, verbose: bool = True) -> dict:
         "cold_samples_ms": [s * 1e3 for s in cold_samples],
         "warm_samples_ms": [s * 1e3 for s in warm_samples],
     }
-    write_bench_json(
-        "lint", results,
-        config={"reps": reps, "rules_full": len(full.rules),
-                "rules_pr7": len(pr7.rules),
-                "tree": [str(p.relative_to(REPO_ROOT)) for p in TREE]},
-    )
-    return results
 
 
 # ------------------------------------------------------------ pytest entries

@@ -10,8 +10,8 @@ crosses) are caught by the benchmark harness.
 import itertools
 import time
 
-from repro.analysis.experiments import run_forwarding_exchange
-from repro.analysis.sweep import run_sweep
+import pytest
+
 from repro.ndn.cs import ContentStore
 from repro.ndn.client import Consumer, Producer
 from repro.ndn.face import connect
@@ -137,45 +137,33 @@ def test_content_store_prefix_lookup_large_store(benchmark):
     assert found == len(interests)
 
 
-def test_forwarding_exchange_sweep(benchmark):
-    """The two-forwarder exchange swept over a content-store capacity grid.
+@pytest.mark.parametrize("cs_capacity", [0, 256])
+def test_two_hop_interest_data_exchange(benchmark, cs_capacity):
+    """End-to-end exchanges through consumer → edge forwarder → producer forwarder.
 
-    Exercises the parallel sweep runner end-to-end: the grid is sharded
-    across worker processes and aggregated in deterministic task order.
+    Two rounds over the same 50 names: with a content store the second round
+    is answered entirely at the edge.
     """
-    grid = {"cs_capacity": [0, 256], "repeats": [2]}
-
-    def sweep():
-        return run_sweep(run_forwarding_exchange, grid=grid, seeds=[0], workers=2)
-
-    run = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    assert len(run) == 2
-    for outcome in run:
-        assert outcome.value.received == outcome.value.requests
-    # Cached configurations answer every repeat from the edge content store.
-    cached = [o.value for o in run if dict(o.task.params)["cs_capacity"] > 0]
-    assert all(result.cs_hits >= result.items for result in cached)
-    benchmark.extra_info["grid_points"] = len(run)
-
-
-def test_two_hop_interest_data_exchange(benchmark):
-    """End-to-end exchanges through consumer → edge forwarder → producer forwarder."""
+    items, rounds = 50, 2
 
     def run_exchange_batch():
         env = Environment()
-        edge, origin = Forwarder(env, "edge", cs_capacity=0), Forwarder(env, "origin", cs_capacity=0)
+        edge = Forwarder(env, "edge", cs_capacity=cs_capacity)
+        origin = Forwarder(env, "origin", cs_capacity=cs_capacity)
         face_a, face_b = connect(env, edge, origin,
                                  link=Link("e", "o", latency_s=0.001), label="e-o")
         daemon_edge, daemon_origin = RoutingDaemon(edge), RoutingDaemon(origin)
         RoutingDaemon.peer(daemon_edge, face_a, daemon_origin, face_b)
         producer = Producer(env, origin, "/svc")
-        for index in range(50):
+        for index in range(items):
             producer.publish(f"/svc/item-{index}", b"payload" * 10)
         daemon_origin.announce("/svc")
         consumer = Consumer(env, edge)
-        events = [consumer.express_interest(f"/svc/item-{index}") for index in range(50)]
-        env.run(until=env.all_of(events))
-        return consumer.data_received
+        for _round in range(rounds):
+            events = [consumer.express_interest(f"/svc/item-{index}") for index in range(items)]
+            env.run(until=env.all_of(events))
+        return consumer.data_received, edge.cs.hits
 
-    received = benchmark(run_exchange_batch)
-    assert received == 50
+    received, edge_hits = benchmark(run_exchange_batch)
+    assert received == items * rounds
+    assert edge_hits == (items * (rounds - 1) if cs_capacity else 0)

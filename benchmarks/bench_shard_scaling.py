@@ -186,8 +186,6 @@ def run_modelled(
 
 
 def run_benchmark(exchanges: int = 1500, reps: int = 5, verbose: bool = True) -> dict:
-    from _bench_utils import write_bench_json
-
     def log(message: str) -> None:
         if verbose:
             print(message)
@@ -224,22 +222,6 @@ def run_benchmark(exchanges: int = 1500, reps: int = 5, verbose: bool = True) ->
     )
     log("PASS: 2-shard >= 1.5x single-process (modelled, calibrated), "
         "0 transit decodes in every run")
-    write_bench_json(
-        "shard_scaling",
-        {
-            "calibration_us": {
-                "exchange": exchange_s * 1e6,
-                "dispatch": dispatch_s * 1e6,
-            },
-            "modelled": [
-                {key: run[key] for key in
-                 ("shards", "throughput_per_s", "speedup_vs_single_process", "key_split")}
-                for run in results["modelled"]
-            ],
-            "transit_decodes": 0,
-        },
-        config={"exchanges": exchanges, "reps": reps, "tenants": len(TENANTS)},
-    )
     return results
 
 

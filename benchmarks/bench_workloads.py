@@ -16,10 +16,10 @@ Methodology
   ratio use the best (min-elapsed) run per side — the standard
   least-interference filter, which on this container also cancels a
   measured second-run-in-pair GC penalty that single paired ratios do
-  not.  The raw paired ratios ride along in the JSON for inspection.
+  not.  The raw paired ratios ride along in the returned dict.
 * Cache efficacy numbers (hot hits, shard CS hits, shard split) are taken
   from the deterministic simulation counters, not timing, so they are
-  exactly reproducible at a fixed seed — the JSON artefact pins the trace
+  exactly reproducible at a fixed seed — the returned dict pins the trace
   hash for each workload.
 
 Acceptance gates (deterministic unless stated):
@@ -203,8 +203,6 @@ def run_workload(label: str, requests: int, reps: int) -> dict:
 
 
 def run_benchmark(requests: int = 3000, reps: int = 5, verbose: bool = True) -> dict:
-    from _bench_utils import write_bench_json
-
     def log(message: str) -> None:
         if verbose:
             print(message)
@@ -251,29 +249,6 @@ def run_benchmark(requests: int = 3000, reps: int = 5, verbose: bool = True) -> 
     )
     log(f"PASS: scan parity {scan_ratio:.2f} >= {SCAN_PARITY_FLOOR}, "
         "all trace hashes pinned, hot-cache gates hold")
-
-    write_bench_json(
-        "workloads",
-        {
-            outcome["label"]: {
-                key: outcome[key]
-                for key in (
-                    "requests", "trace_hash", "hot_cache", "shard_cs_hits",
-                    "shard_split", "throughput_per_s", "ratio_min_filtered",
-                    "paired_ratio_median",
-                )
-            }
-            for outcome in outcomes
-        },
-        config={
-            "seed": SEED,
-            "requests": requests,
-            "reps": reps,
-            "catalog": len(CATALOG),
-            "tenants": len(TENANTS),
-            "scan_parity_floor": SCAN_PARITY_FLOOR,
-        },
-    )
     return by_label
 
 

@@ -17,7 +17,8 @@ The package is organised as a set of substrates plus the LIDC core:
   runtime model.
 * :mod:`repro.core` — the LIDC contribution: semantic naming, gateway,
   multi-cluster overlay, placement, client, caching, prediction, baselines.
-* :mod:`repro.analysis` — experiment harness used by the benchmarks.
+* :mod:`repro.analysis` — experiment runners for the paper's table and
+  figures (checked by the tier-1 tests) and the ``reprolint`` analyzer.
 
 Quickstart
 ----------

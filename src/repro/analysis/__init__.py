@@ -1,22 +1,22 @@
-"""Experiment harness and report formatting.
+"""Experiment runners and report formatting.
 
-The benchmarks in ``benchmarks/`` delegate the heavy lifting to this package:
 :mod:`repro.analysis.experiments` contains one runner per experiment id from
-DESIGN.md, and :mod:`repro.analysis.results` renders their outputs as the
-paper-style tables the bench harness prints.
+DESIGN.md (Table I, Figs. 1–5, the ablations and the centralized baseline),
+and :mod:`repro.analysis.results` renders their outputs as paper-style
+tables.  The tier-1 tests check the paper's figures through these runners.
 """
 
 from repro.analysis.results import ResultTable, format_bytes, format_seconds
-from repro.analysis.sweep import SweepOutcome, SweepRun, SweepTask, expand_grid, run_sweep
 from repro.analysis.experiments import (
+    Table1Result,
+    NamePlacementResult,
+    ServiceMappingResult,
     Fig5Decomposition,
     OverlayChurnResult,
     PlacementComparison,
     CachingAblation,
+    ConcurrentLoadResult,
     BaselineComparison,
-    ForwardingExchangeResult,
-    run_experiment,
-    run_forwarding_exchange,
     run_table1,
     run_fig2_name_placement,
     run_fig3_service_mapping,
@@ -24,6 +24,7 @@ from repro.analysis.experiments import (
     run_overlay_churn,
     run_placement_comparison,
     run_caching_ablation,
+    run_concurrent_load,
     run_baseline_comparison,
 )
 
@@ -31,14 +32,6 @@ __all__ = [
     "ResultTable",
     "format_bytes",
     "format_seconds",
-    "SweepTask",
-    "SweepOutcome",
-    "SweepRun",
-    "expand_grid",
-    "run_sweep",
-    "run_experiment",
-    "run_forwarding_exchange",
-    "ForwardingExchangeResult",
     "run_table1",
     "run_fig2_name_placement",
     "run_fig3_service_mapping",
@@ -46,10 +39,15 @@ __all__ = [
     "run_overlay_churn",
     "run_placement_comparison",
     "run_caching_ablation",
+    "run_concurrent_load",
     "run_baseline_comparison",
+    "Table1Result",
+    "NamePlacementResult",
+    "ServiceMappingResult",
     "Fig5Decomposition",
     "OverlayChurnResult",
     "PlacementComparison",
     "CachingAblation",
+    "ConcurrentLoadResult",
     "BaselineComparison",
 ]

@@ -1,9 +1,10 @@
 """Experiment runners: one function per experiment id in DESIGN.md.
 
 Every runner builds its own testbed, drives the workload, and returns both a
-structured result object and (via :meth:`to_table`) the paper-style table the
-benchmark harness prints.  Benchmarks wrap these runners with
-pytest-benchmark; tests assert on the structured results.
+structured result object and (via :meth:`to_table`) a paper-style table.
+A runner is a pure function of its arguments: the same seed gives the same
+result.  ``tests/analysis/test_analysis_and_integration.py`` asserts the
+paper's shape on the structured results, at the paper's parameters.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ from repro.core.workflow import GenomicsWorkflow, WorkflowReport, decompose
 from repro.genomics.runtime_model import TABLE1_ROWS, Table1Row, format_runtime
 
 __all__ = [
-    "EXPERIMENT_RUNNERS",
-    "run_experiment",
-    "ForwardingExchangeResult",
-    "run_forwarding_exchange",
     "Table1Result",
     "run_table1",
     "Table1Measurement",
@@ -522,11 +519,16 @@ def run_placement_comparison(seed: int = 0, jobs: int = 16,
         makespan = testbed.env.now - start
         turnarounds = []
         failures = 0
+        # Placements of the measured batch only: the controller's own counts
+        # include the learned strategy's warm-up jobs.
+        placements: dict[str, int] = {}
         for submission in submissions:
             if submission.record is None:
                 failures += 1
                 continue
-            cluster = testbed.cluster(submission.decision.cluster_name)
+            cluster_name = submission.decision.cluster_name
+            placements[cluster_name] = placements.get(cluster_name, 0) + 1
+            cluster = testbed.cluster(cluster_name)
             record = cluster.gateway.tracker.get(submission.record.job_id)
             if record.state == JobState.COMPLETED and record.turnaround() is not None:
                 turnarounds.append(record.turnaround())
@@ -537,7 +539,7 @@ def run_placement_comparison(seed: int = 0, jobs: int = 16,
                 strategy=name,
                 mean_turnaround_s=sum(turnarounds) / len(turnarounds) if turnarounds else float("inf"),
                 makespan_s=makespan,
-                placements=controller.placement_counts(),
+                placements=placements,
                 failures=failures,
             )
         )
@@ -832,106 +834,3 @@ def run_baseline_comparison(seed: int = 0, cluster_count: int = 3,
         lidc_placements=lidc_placements,
         central_placements=controller.placement_counts(),
     )
-
-
-# ---------------------------------------------------------------------------
-# Forwarding-plane exchange (substrate microbenchmark workload)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ForwardingExchangeResult:
-    """Forwarder-table statistics after a consumer/producer exchange batch."""
-
-    items: int
-    repeats: int
-    received: int
-    cs_hits: int
-    cs_evictions: int
-    pit_aggregated: int
-
-    @property
-    def requests(self) -> int:
-        return self.items * self.repeats
-
-
-def run_forwarding_exchange(
-    seed: int = 0,
-    items: int = 50,
-    repeats: int = 1,
-    cs_capacity: int = 0,
-) -> ForwardingExchangeResult:
-    """Drive Interest/Data exchanges through a two-forwarder chain.
-
-    A producer behind the ``origin`` forwarder publishes ``items`` objects;
-    a consumer at the ``edge`` forwarder requests each of them ``repeats``
-    times.  With a non-zero ``cs_capacity`` the repeats are answered by the
-    edge content store.  The result is deterministic in ``seed`` (the
-    workload itself is seed-free, but the signature conforms to the sweep
-    runner's ``fn(seed=..., **params)`` convention).
-    """
-    from repro.ndn.client import Consumer, Producer
-    from repro.ndn.face import connect
-    from repro.ndn.forwarder import Forwarder
-    from repro.ndn.routing import RoutingDaemon
-    from repro.sim.engine import Environment
-    from repro.sim.topology import Link
-
-    env = Environment()
-    edge = Forwarder(env, "edge", cs_capacity=cs_capacity)
-    origin = Forwarder(env, "origin", cs_capacity=cs_capacity)
-    face_a, face_b = connect(env, edge, origin, link=Link("e", "o", latency_s=0.001), label="e-o")
-    daemon_edge, daemon_origin = RoutingDaemon(edge), RoutingDaemon(origin)
-    RoutingDaemon.peer(daemon_edge, face_a, daemon_origin, face_b)
-    producer = Producer(env, origin, "/svc")
-    for index in range(items):
-        producer.publish(f"/svc/item-{index}", b"payload" * 10)
-    daemon_origin.announce("/svc")
-    consumer = Consumer(env, edge)
-    for _round in range(repeats):
-        events = [consumer.express_interest(f"/svc/item-{index}") for index in range(items)]
-        env.run(until=env.all_of(events))
-    return ForwardingExchangeResult(
-        items=items,
-        repeats=repeats,
-        received=consumer.data_received,
-        cs_hits=edge.cs.hits,
-        cs_evictions=edge.cs.evictions,
-        pit_aggregated=edge.pit.aggregated,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Experiment registry (sweep-runner entry points)
-# ---------------------------------------------------------------------------
-
-#: Experiment id -> module-level runner.  Every runner takes ``seed`` as a
-#: keyword argument, making the whole registry shardable by
-#: :func:`repro.analysis.sweep.run_sweep` out of the box.
-EXPERIMENT_RUNNERS = {
-    "table1": run_table1,
-    "fig2_name_placement": run_fig2_name_placement,
-    "fig3_service_mapping": run_fig3_service_mapping,
-    "fig5_workflow": run_fig5_workflow,
-    "overlay_churn": run_overlay_churn,
-    "placement_comparison": run_placement_comparison,
-    "caching_ablation": run_caching_ablation,
-    "concurrent_load": run_concurrent_load,
-    "baseline_comparison": run_baseline_comparison,
-    "forwarding_exchange": run_forwarding_exchange,
-}
-
-
-def run_experiment(experiment: str, seed: int = 0, **kwargs):
-    """Dispatch to a registered experiment runner by id.
-
-    A module-level (hence picklable) entry point: sweep workers can be handed
-    ``run_experiment`` with ``experiment`` as a grid axis to shard any mix of
-    experiments across processes.
-    """
-    try:
-        runner = EXPERIMENT_RUNNERS[experiment]
-    except KeyError:
-        known = ", ".join(sorted(EXPERIMENT_RUNNERS))
-        raise KeyError(f"unknown experiment {experiment!r} (known: {known})") from None
-    return runner(seed=seed, **kwargs)

@@ -9,25 +9,33 @@ __all__ = ["format_bytes", "format_seconds", "ResultTable"]
 
 
 def format_bytes(num_bytes: "int | float | None") -> str:
-    """Format a byte count the way the paper does (941MB, 2.71GB)."""
+    """Format a byte count the way the paper does (941MB, 2.71GB).
+
+    The value is rounded before the unit is picked: the largest unit whose
+    *rounded* figure is at least 1 wins, so 999 600 bytes print as 1MB.
+    """
     if num_bytes is None:
         return "-"
     value = float(num_bytes)
     for unit, scale in (("TB", 1e12), ("GB", 1e9), ("MB", 1e6), ("KB", 1e3)):
-        if value >= scale:
-            scaled = value / scale
-            if scaled >= 100:
-                return f"{scaled:.0f}{unit}"
+        scaled = value / scale
+        if scaled >= 100:
+            text = f"{scaled:.0f}"
+        else:
             text = f"{scaled:.2f}".rstrip("0").rstrip(".")
+        if float(text) >= 1:
             return f"{text}{unit}"
     return f"{int(value)}B"
 
 
 def format_seconds(seconds: "float | None") -> str:
-    """Format seconds as ``8h9m50s`` / ``3m20s`` / ``1.25s``."""
+    """Format seconds as ``8h9m50s`` / ``3m20s`` / ``1.25s``.
+
+    Rounded before the unit is picked: 59.996 s prints as 1m0s.
+    """
     if seconds is None:
         return "-"
-    if seconds < 60:
+    if round(seconds, 2) < 60:
         return f"{seconds:.2f}s"
     total = int(round(seconds))
     hours, remainder = divmod(total, 3600)

@@ -8,7 +8,7 @@ controller that knows every cluster, picks one per job with an explicit
 placement strategy, and talks to cluster gateways over a management API
 (bypassing the name-based control plane).
 
-The baseline benchmark compares it against the LIDC overlay under cluster
+``run_baseline_comparison`` compares it against the LIDC overlay under cluster
 churn and controller failure.
 """
 

@@ -90,7 +90,7 @@ class JobOutcome:
     error: Optional[str] = None
     from_cache: bool = False
     status_polls: int = 0
-    #: Named timestamps of the protocol steps (used by the Fig. 5 benchmark).
+    #: Named timestamps of the protocol steps (the Fig. 5 step decomposition).
     timeline: dict[str, float] = field(default_factory=dict)
 
     @property

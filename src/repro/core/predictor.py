@@ -109,7 +109,7 @@ class CompletionTimePredictor:
         return max(0.0, prediction)
 
     def mean_absolute_error(self, app: str) -> Optional[float]:
-        """In-sample MAE of the fitted model (observability for the ablation bench)."""
+        """In-sample MAE of the fitted model (observability for the placement ablation)."""
         app = app.upper()
         weights = self._weights.get(app)
         examples = self._examples.get(app, [])

@@ -3,7 +3,7 @@
 A :class:`GenomicsWorkflow` drives the full protocol — named compute request,
 status polling, result retrieval — through an :class:`~repro.core.client.LIDCClient`
 and decomposes the end-to-end latency into the protocol steps, which is what
-the Fig. 5 benchmark reports.
+the Fig. 5 experiment reports.
 """
 
 from __future__ import annotations

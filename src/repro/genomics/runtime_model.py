@@ -198,7 +198,7 @@ class BlastRuntimeModel:
     # -- validation against the paper -----------------------------------------------------
 
     def reproduce_table1(self) -> list[tuple[Table1Row, RunEstimate]]:
-        """Model estimate next to every paper row (used by the Table I bench)."""
+        """Model estimate next to every paper row (Table I from the model alone)."""
         return [
             (row, self.estimate(row.srr_id, row.reference, cpu=row.cpu, memory_gb=row.memory_gb))
             for row in TABLE1_ROWS

@@ -237,7 +237,7 @@ class ContentStore:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict[str, float]:
-        """Summary statistics used by the cache ablation benchmark."""
+        """Summary statistics for reports and tests."""
         return {
             "size": float(len(self._entries)),
             "capacity": float(self._capacity),

@@ -26,7 +26,7 @@ from repro.exceptions import LIDCError, OverlayError, PlacementError
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, NackReason
-from repro.ndn.strategy import BestRouteStrategy
+from repro.ndn.strategy import BestRouteStrategy, LoadBalanceStrategy
 from repro.sim.engine import Environment
 
 
@@ -211,6 +211,39 @@ class TestMultiClusterBehaviour:
             client.submit_interest(sleep_request(500, cpu=2, memory_gb=2, idx="x")))
         assert overflow.accepted
         assert overflow.cluster == new_cluster.name
+
+    def test_compute_strategy_sets_the_placement_spread(self):
+        """The access routers' strategy for /ndn/k8s/compute decides where work lands."""
+
+        def placements(strategy) -> Counter:
+            # 16-CPU nodes at 5/30/80 ms: seven 2-CPU jobs fit on cluster-a.
+            testbed = LIDCTestbed.multi_cluster(
+                3, seed=0, node_count=1, node_cpu=16, node_memory="64Gi",
+                latencies_s=[0.005, 0.03, 0.08])
+            testbed.overlay.set_compute_strategy(strategy)
+            client = testbed.client(poll_interval_s=10.0)
+
+            def submit_all():
+                submissions = []
+                for index in range(9):
+                    submissions.append((yield from client.submit_interest(
+                        sleep_request(300, cpu=2, memory_gb=2, idx=str(index)))))
+                return submissions
+
+            submissions = testbed.run_process(submit_all())
+            assert all(s.accepted for s in submissions)
+            return Counter(s.cluster for s in submissions)
+
+        # Best-route fills the nearest cluster, then spills over by Nack retry.
+        best_route = placements(BestRouteStrategy())
+        assert best_route.most_common(1)[0][0] == "cluster-a"
+        assert best_route["cluster-a"] >= 7
+        # Round-robin uses every cluster evenly.
+        round_robin = placements(LoadBalanceStrategy(weighted=False))
+        assert len(round_robin) == 3
+        assert max(round_robin.values()) - min(round_robin.values()) <= 1
+        # Weighted load balancing still reaches more than one cluster.
+        assert len(placements(LoadBalanceStrategy(weighted=True))) >= 2
 
 
 def status_counter(testbed, key):
