@@ -1,23 +1,23 @@
 """Benchmark ``lint`` — the reprolint summary cache under the dataflow layer.
 
-The dataflow layer (CFG construction + escape/leak/fork/churn analysis per
-function, RL013-RL016) runs in the per-module phase, which is exactly the
+The dataflow layer (CFG construction + escape/leak analysis per function,
+RL013-RL014) runs in the per-module phase, which is exactly the
 phase the :class:`SummaryCache` elides on a warm run: flow summaries ride
 the same content-hash records as symbols and effects, so an unchanged tree
 costs only the project phase.  Two claims, each measured the repo-standard
 way (interleaved pairs, median of paired ratios):
 
 1. *Warm vs cold full-tree lint*: the complete ``src/`` + ``benchmarks/``
-   tree through the full RL001-RL016 catalog, cold (fresh cache) vs warm
+   tree through the full RL001-RL014 catalog, cold (fresh cache) vs warm
    (same tree, same cache).  Gate: warm <= 0.8x cold wall clock — the
    cache must keep absorbing the per-module cost now that the per-module
-   phase carries the dataflow solver.
+   phase carries the dataflow pass.
 2. *Full catalog warm vs PR7-catalog warm*: the warm run under
-   RL001-RL016 against the warm run under the PR7 ruleset (RL001-RL012
+   RL001-RL014 against the warm run under the pre-dataflow ruleset (RL001-RL012
    only; a different rule list means a different cache signature, so each
    side owns its cache file).  Gate: full <= 1.5x PR7 — the dataflow
    layer's warm-path cost is bounded by the project phase it adds, not by
-   re-running the solver.
+   re-running the analysis.
 
 Plus the correctness invariant either way: the warm report is
 finding-for-finding identical to the cold one.
@@ -119,7 +119,7 @@ def run_benchmark(reps: int = 5, verbose: bool = True) -> dict:
     log(f"full catalog: cold {cold_median * 1e3:.0f}ms, warm "
         f"{warm_median * 1e3:.0f}ms = {warm_ratio:.3f}x cold "
         f"(median paired ratio over {reps} reps)")
-    log(f"warm catalog cost: RL001-016 {warm_median * 1e3:.0f}ms vs "
+    log(f"warm catalog cost: RL001-014 {warm_median * 1e3:.0f}ms vs "
         f"RL001-012 {pr7_warm_median * 1e3:.0f}ms = {catalog_ratio:.2f}x "
         "(median paired ratio, separate cache signatures)")
 

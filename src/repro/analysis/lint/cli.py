@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--show-advisory", action="store_true",
-        help="include advisory findings (RL012/RL016) in text output",
+        help="include advisory findings (RL012) in text output",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -136,29 +136,41 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
+def _git_lines(argv: list[str], cwd: Optional[Path]) -> Optional[list[str]]:
+    """Non-empty stdout lines of one git command, or None if it fails."""
+    try:
+        proc = subprocess.run(
+            argv,
+            cwd=cwd,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=30,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return [line.strip() for line in proc.stdout.splitlines() if line.strip()]
+
+
 def changed_files(base: str, cwd: Optional[Path] = None) -> Optional[set[Path]]:
-    """Files changed vs ``base`` plus untracked, or None if git fails."""
+    """Files changed vs ``base`` plus untracked, or None if git fails.
+
+    Both listings run from the repository's top level, so their relative
+    paths share one base wherever below it the linter was started.
+    """
+    top = _git_lines(["git", "rev-parse", "--show-toplevel"], cwd)
+    if not top:
+        return None
+    root = Path(top[0])
     changed: set[Path] = set()
     for argv in (
         ["git", "diff", "--name-only", base, "--"],
         ["git", "ls-files", "--others", "--exclude-standard"],
     ):
-        try:
-            proc = subprocess.run(
-                argv,
-                cwd=cwd,
-                capture_output=True,
-                text=True,
-                check=True,
-                timeout=30,
-            )
-        except (OSError, subprocess.SubprocessError):
+        lines = _git_lines(argv, root)
+        if lines is None:
             return None
-        root = cwd if cwd is not None else Path.cwd()
-        for line in proc.stdout.splitlines():
-            line = line.strip()
-            if line:
-                changed.add((root / line).resolve())
+        changed.update((root / line).resolve() for line in lines)
     return changed
 
 

@@ -1,16 +1,9 @@
-"""Dataflow analyses over the lint CFG (:mod:`repro.analysis.lint.cfg`).
+"""Dataflow analysis over the lint CFG (:mod:`repro.analysis.lint.cfg`).
 
-Three layers live here:
-
-* a generic worklist :func:`solve` (forward or backward, caller-supplied
-  transfer and join) plus classic :func:`reaching_definitions` built on it;
-* :func:`analyze_function` — the per-function pass that extracts the flow
-  facts the RL013–RL016 rules consume: buffer escape/mutation orderings,
-  handle acquire→exit leak paths, hot-loop allocation sites, and the
-  one-call-deep summary bits (``param_escapes`` / ``param_releases``,
-  global reads/writes);
-* :func:`analyze_module` — module-level facts (mutable globals, fork
-  targets) that scope the per-function results.
+:func:`analyze_function` is the per-function pass that extracts the flow
+facts the RL013/RL014 rules consume: buffer escape/mutation orderings,
+handle acquire→exit leak paths, and the one-call-deep summary bits
+(``param_escapes`` / ``param_releases``).
 
 Everything returned is plain JSON-serialisable data with deterministic
 ordering, so results round-trip through :class:`ModuleSummary` and the
@@ -35,17 +28,11 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .cfg import CFG, build_cfg
+from .cfg import build_cfg
 
-__all__ = [
-    "solve",
-    "reaching_definitions",
-    "analyze_function",
-    "analyze_module",
-    "FunctionFlow",
-]
+__all__ = ["analyze_function", "FunctionFlow"]
 
 # A function-flow summary is a plain dict; alias for readability in signatures.
 FunctionFlow = Dict[str, object]
@@ -69,99 +56,6 @@ RELEASE_METHODS = frozenset(
     }
 )
 HANDLE_FACTORIES = {"open": "open", "Popen": "popen", "Pipe": "pipe"}
-MUTABLE_BUILTIN_FACTORIES = frozenset(
-    {
-        "dict", "list", "set", "bytearray", "defaultdict", "deque", "Counter",
-        "OrderedDict",
-    }
-)
-
-
-# ---------------------------------------------------------------------------
-# Generic solver
-# ---------------------------------------------------------------------------
-
-def solve(
-    cfg: CFG,
-    init: Callable[[int], object],
-    transfer: Callable[[int, object], object],
-    join: Callable[[Iterable[object]], object],
-    forward: bool = True,
-) -> Dict[int, object]:
-    """Iterate ``transfer`` over ``cfg`` to a fixpoint.
-
-    ``init(block_id)`` seeds each block's *in* fact (forward) or *out*
-    fact (backward); ``join`` merges predecessor-out (forward) or
-    successor-in (backward) facts.  Returns the final per-block *out*
-    facts (forward) / *in* facts (backward).  Facts must be comparable
-    with ``==`` and the (join, transfer) pair monotone for termination.
-    """
-    out: Dict[int, object] = {bid: init(bid) for bid in cfg.blocks}
-    work = sorted(cfg.blocks)
-    pending = set(work)
-    while work:
-        bid = work.pop(0)
-        pending.discard(bid)
-        block = cfg.block(bid)
-        sources = block.pred if forward else block.succ
-        incoming = [out[s] for s in sorted(sources)]
-        fact = join(incoming) if incoming else init(bid)
-        new = transfer(bid, fact)
-        if new != out[bid]:
-            out[bid] = new
-            targets = block.succ if forward else block.pred
-            for nxt in sorted(targets):
-                if nxt not in pending:
-                    pending.add(nxt)
-                    work.append(nxt)
-    return out
-
-
-def reaching_definitions(cfg: CFG) -> Dict[int, Set[Tuple[str, int]]]:
-    """Classic reaching definitions: per block, the set of ``(name, line)``
-    definitions live on entry exit.  Subscript/attribute stores do not
-    kill (they mutate, not rebind)."""
-    defs_in_block: Dict[int, List[Tuple[str, int]]] = {}
-    for bid, block in cfg.blocks.items():
-        found: List[Tuple[str, int]] = []
-        for stmt in block.stmts:
-            for name, line in _bindings_of(stmt):
-                found.append((name, line))
-        defs_in_block[bid] = found
-
-    def transfer(bid: int, fact: object) -> object:
-        live: Set[Tuple[str, int]] = set(fact)  # type: ignore[arg-type]
-        for name, line in defs_in_block[bid]:
-            live = {(n, l) for (n, l) in live if n != name}
-            live.add((name, line))
-        return frozenset(live)
-
-    def join(facts: Iterable[object]) -> object:
-        merged: Set[Tuple[str, int]] = set()
-        for fact in facts:
-            merged |= fact  # type: ignore[arg-type]
-        return frozenset(merged)
-
-    result = solve(cfg, lambda _bid: frozenset(), transfer, join, forward=True)
-    return {bid: set(fact) for bid, fact in result.items()}  # type: ignore[arg-type]
-
-
-def _bindings_of(stmt: ast.stmt) -> List[Tuple[str, int]]:
-    found: List[Tuple[str, int]] = []
-    targets: List[ast.expr] = []
-    if isinstance(stmt, ast.Assign):
-        targets = list(stmt.targets)
-    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-        targets = [stmt.target]
-    elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-        targets = [stmt.target]
-    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-        targets = [i.optional_vars for i in stmt.items if i.optional_vars is not None]
-    for target in targets:
-        for node in ast.walk(target):
-            if isinstance(node, ast.Name):
-                found.append((node.id, stmt.lineno))
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -277,23 +171,18 @@ def _tracked_args(
 
 
 class _FunctionAnalyzer:
-    def __init__(self, func: ast.AST, candidate_globals: Sequence[str]) -> None:
+    def __init__(self, func: ast.AST) -> None:
         self.func = func
         self.cfg = build_cfg(func)
         self.aliases = _Aliases()
         self.origins: List[_Origin] = []
         self.origin_groups: Set[str] = set()
         self.events: Dict[int, List[_Event]] = {bid: [] for bid in self.cfg.blocks}
-        self.candidate_globals = set(candidate_globals)
-        self.local_bindings: Set[str] = set()
-        self.global_decls: Set[str] = set()
         self.param_names: List[str] = []
-        self.global_reads: Dict[str, int] = {}
-        self.global_writes: Dict[str, int] = {}
 
     # -- setup ---------------------------------------------------------
 
-    def _collect_scope(self) -> None:
+    def _collect_params(self) -> None:
         args = getattr(self.func, "args", None)
         if args is not None:
             for arg in (
@@ -302,16 +191,6 @@ class _FunctionAnalyzer:
                 + ([args.kwarg] if args.kwarg else [])
             ):
                 self.param_names.append(arg.arg)
-                self.local_bindings.add(arg.arg)
-        for node in ast.walk(self.func):
-            if isinstance(node, (ast.Global, ast.Nonlocal)):
-                self.global_decls.update(node.names)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
-                self.local_bindings.add(node.id)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node is not self.func:
-                    self.local_bindings.add(node.name)
-        self.local_bindings -= self.global_decls
 
     def _collect_aliases(self) -> None:
         for node in ast.walk(self.func):
@@ -390,29 +269,6 @@ class _FunctionAnalyzer:
         for node in ast.walk(stmt):
             if isinstance(node, ast.Call):
                 self._scan_call(node, bid, skip_origin=id(node) in in_with_items)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                if (node.id in self.candidate_globals
-                        and node.id not in self.local_bindings):
-                    line = getattr(node, "lineno", stmt.lineno)
-                    if node.id not in self.global_reads:
-                        self.global_reads[node.id] = line
-                    else:
-                        self.global_reads[node.id] = min(
-                            self.global_reads[node.id], line
-                        )
-
-        for name in self.global_decls:
-            if name in self.candidate_globals:
-                for sub in ast.walk(stmt):
-                    if (isinstance(sub, ast.Name) and sub.id == name
-                            and isinstance(sub.ctx, ast.Store)):
-                        line = getattr(sub, "lineno", stmt.lineno)
-                        if name not in self.global_writes:
-                            self.global_writes[name] = line
-                        else:
-                            self.global_writes[name] = min(
-                                self.global_writes[name], line
-                            )
 
     def _scan_assign(self, stmt: ast.Assign, bid: int) -> None:
         events = self.events[bid]
@@ -609,14 +465,7 @@ class _FunctionAnalyzer:
                 if nxt == start:
                     continue
                 if block_release_at.get(nxt):
-                    # Entering this block releases before any further exit.
-                    first_release = min(block_release_at[nxt])
-                    extra = [
-                        e for i, e in block_callpasses.get(nxt, [])
-                        if i < first_release
-                    ]
-                    _ = extra  # path is absorbed; not a leak continuation
-                    continue
+                    continue  # entering this block releases before any exit
                 extra = [e for _i, e in block_callpasses.get(nxt, [])]
                 new_cost = cost + len(extra)
                 if nxt not in best or new_cost < best[nxt][0]:
@@ -704,58 +553,6 @@ class _FunctionAnalyzer:
             })
         return found
 
-    def _allocs(self) -> List[Dict[str, object]]:
-        sites: List[Dict[str, object]] = []
-
-        def visit(node: ast.AST, depth: int) -> None:
-            for child in ast.iter_child_nodes(node):
-                child_depth = depth
-                desc: Optional[str] = None
-                if isinstance(child, (ast.For, ast.AsyncFor, ast.While)):
-                    child_depth = depth + 1
-                elif isinstance(child, (ast.ListComp, ast.SetComp, ast.DictComp)):
-                    kind = {"ListComp": "list", "SetComp": "set",
-                            "DictComp": "dict"}[type(child).__name__]
-                    if depth >= 1:
-                        desc = f"{kind} comprehension"
-                    child_depth = depth + 1
-                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                        ast.ClassDef, ast.Lambda)):
-                    continue  # nested scopes analysed separately
-                elif depth >= 1:
-                    if isinstance(child, ast.List):
-                        desc = "list display"
-                    elif isinstance(child, ast.Dict):
-                        desc = "dict display"
-                    elif isinstance(child, ast.Set):
-                        desc = "set display"
-                    elif isinstance(child, ast.JoinedStr):
-                        desc = "f-string"
-                    elif isinstance(child, ast.Call):
-                        callee = _call_callee(child)
-                        tail = callee.rsplit(".", 1)[-1] if callee else None
-                        if tail and (
-                            tail[:1].isupper() or tail in MUTABLE_BUILTIN_FACTORIES
-                        ):
-                            desc = f"{callee}(...)"
-                if desc is not None:
-                    sites.append({
-                        "line": child.lineno,
-                        "col": child.col_offset,
-                        "desc": desc,
-                        "depth": child_depth if isinstance(
-                            child, (ast.ListComp, ast.SetComp, ast.DictComp)
-                        ) else depth,
-                    })
-                visit(child, child_depth)
-
-        visit(self.func, 0)
-        # Inside an f-string every FormattedValue walk would double count;
-        # the JoinedStr site already covers it (walk continues harmlessly —
-        # nested displays inside f-strings are rare and still real allocs).
-        sites.sort(key=lambda s: (s["line"], s["col"]))  # type: ignore[index]
-        return sites
-
     def _param_summaries(self) -> Tuple[List[str], List[str]]:
         escapes: Set[str] = set()
         releases: Set[str] = set()
@@ -765,16 +562,14 @@ class _FunctionAnalyzer:
             if o.block == entry and o.index == -1 and o.var in self.param_names
         ]
         for origin in param_origins:
-            for _bid, _idx, event in self._events_for(origin.group, "escape"):
-                _ = event
+            if self._events_for(origin.group, "escape"):
                 escapes.add(origin.var)
-            for _bid, _idx, event in self._events_for(origin.group, "release"):
-                _ = event
+            if self._events_for(origin.group, "release"):
                 releases.add(origin.var)
         return sorted(escapes), sorted(releases)
 
     def run(self) -> FunctionFlow:
-        self._collect_scope()
+        self._collect_params()
         self._collect_aliases()
         self._seed_params()
         self._scan()
@@ -787,113 +582,19 @@ class _FunctionAnalyzer:
         leaks = self._leaks()
         if leaks:
             flow["leaks"] = leaks
-        allocs = self._allocs()
-        if allocs:
-            flow["allocs"] = allocs
         if param_escapes or param_releases:
             flow["params"] = list(self.param_names)
         if param_escapes:
             flow["param_escapes"] = param_escapes
         if param_releases:
             flow["param_releases"] = param_releases
-        if self.global_reads:
-            flow["reads"] = {n: self.global_reads[n] for n in sorted(self.global_reads)}
-        writes = dict(self.global_writes)
-        for name, line in self._mutation_writes().items():
-            writes[name] = min(writes.get(name, line), line)
-        if writes:
-            flow["writes"] = {n: writes[n] for n in sorted(writes)}
         return flow
 
-    def _mutation_writes(self) -> Dict[str, int]:
-        """Candidate globals mutated in place (``G[k] = …``, ``G.append``…)."""
-        writes: Dict[str, int] = {}
-        for node in ast.walk(self.func):
-            target: Optional[ast.expr] = None
-            if isinstance(node, ast.Assign):
-                for t in node.targets:
-                    if isinstance(t, (ast.Subscript, ast.Attribute)):
-                        target = t
-            elif isinstance(node, ast.AugAssign) and isinstance(
-                node.target, (ast.Subscript, ast.Attribute)
-            ):
-                target = node.target
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr in (
-                    "append", "add", "update", "setdefault", "extend", "insert",
-                    "pop", "clear", "remove", "discard", "appendleft",
-                ):
-                    target = node.func
-            if target is None:
-                continue
-            base = target
-            while isinstance(base, (ast.Subscript, ast.Attribute)):
-                base = base.value
-            if (
-                isinstance(base, ast.Name)
-                and base.id in self.candidate_globals
-                and base.id not in self.local_bindings
-            ):
-                line = getattr(node, "lineno", 1)
-                writes[base.id] = min(writes.get(base.id, line), line)
-        return writes
 
-
-def analyze_function(func: ast.AST, candidate_globals: Sequence[str] = ()) -> FunctionFlow:
+def analyze_function(func: ast.AST) -> FunctionFlow:
     """Run the per-function dataflow pass; returns a JSON-ready flow dict.
 
     Empty keys are omitted, so a boring function yields ``{}`` and costs
     nothing in the summary cache.
     """
-    return _FunctionAnalyzer(func, candidate_globals).run()
-
-
-# ---------------------------------------------------------------------------
-# Module-level facts
-# ---------------------------------------------------------------------------
-
-def analyze_module(tree: ast.Module) -> Tuple[List[str], List[str]]:
-    """Return ``(mutable_globals, fork_targets)`` for a module AST.
-
-    ``mutable_globals`` — module-level names bound to mutable containers
-    (displays or mutable factory calls).  ``fork_targets`` — local names
-    referenced as ``target=`` in ``*.Process(...)`` calls anywhere in the
-    module: the worker-side entrypoints for RL015 reachability.
-    """
-    mutable: Set[str] = set()
-    for stmt in tree.body:
-        targets: List[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-            value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets = [stmt.target]
-            value = stmt.value
-        else:
-            continue
-        is_mutable = isinstance(value, (ast.List, ast.Dict, ast.Set))
-        if isinstance(value, ast.Call):
-            callee = _call_callee(value)
-            tail = callee.rsplit(".", 1)[-1] if callee else None
-            if tail in MUTABLE_BUILTIN_FACTORIES:
-                is_mutable = True
-        if not is_mutable:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                mutable.add(target.id)
-
-    fork_targets: Set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = _call_callee(node)
-        tail = callee.rsplit(".", 1)[-1] if callee else None
-        if tail != "Process":
-            continue
-        for kw in node.keywords:
-            if kw.arg == "target":
-                ref = _ref_name(kw.value)
-                if ref:
-                    fork_targets.add(ref.rsplit(".", 1)[-1])
-    return sorted(mutable), sorted(fork_targets)
+    return _FunctionAnalyzer(func).run()

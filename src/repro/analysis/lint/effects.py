@@ -15,6 +15,10 @@ WIRE_DECODE       materialises a packet (zero-arg ``.decode()``,
 SET_ITERATION     iterates a set display/constructor (hash-seed order)
 ========  =================================================================
 
+The classifiers below are the one sink table: the line-local rules
+RL001–RL003 flag what they classify directly, and the transitive rules
+RL009–RL011 follow the same sites across the call graph.
+
 Direct effects are classified per AST site while the module summary is
 built (:mod:`repro.analysis.lint.symbols`); :func:`propagate` then closes
 the sets over the project call graph to a fixpoint, recording for each
@@ -51,6 +55,9 @@ __all__ = [
     "HOT_LOOP_FILES",
     "DETERMINISM_DIRS",
     "DETERMINISM_EXEMPT_FILES",
+    "ENTROPY_CALLS",
+    "ENTROPY_MODULES",
+    "BLOCKING_MODULES",
     "EffectSite",
     "Witness",
     "classify_call",
@@ -151,9 +158,16 @@ _WALL_CLOCK_CHAINS = frozenset(
     }
 )
 
-_ENTROPY_CHAINS = frozenset({"os.urandom", "uuid.uuid1", "uuid.uuid4"})
+#: Entropy drawn by one explicit call (as opposed to a whole module).
+ENTROPY_CALLS = frozenset({"os.urandom", "uuid.uuid1", "uuid.uuid4"})
 
-_BLOCKING_ROOTS = frozenset({"socket", "subprocess"})
+#: Modules every attribute of which is ambient entropy (RL002 also
+#: flags importing them).
+ENTROPY_MODULES = frozenset({"random", "secrets"})
+
+#: Modules every attribute of which may block (RL003 also flags
+#: importing them).
+BLOCKING_MODULES = frozenset({"socket", "subprocess"})
 
 _PACKET_TYPES = frozenset({"Interest", "Data", "Nack"})
 
@@ -187,13 +201,13 @@ def classify_attribute(chain: str) -> Optional[tuple[str, str]]:
     if chain == "time.sleep":
         return BLOCKS, "time.sleep"
     root = chain.split(".")[0]
-    if root in _BLOCKING_ROOTS:
+    if root in BLOCKING_MODULES:
         return BLOCKS, chain
     if chain in _WALL_CLOCK_CHAINS:
         return WALL_CLOCK, chain
-    if chain in _ENTROPY_CHAINS:
+    if chain in ENTROPY_CALLS:
         return AMBIENT_ENTROPY, chain
-    if root in ("random", "secrets") or ".random." in chain:
+    if root in ENTROPY_MODULES or ".random." in chain:
         return AMBIENT_ENTROPY, chain
     return None
 

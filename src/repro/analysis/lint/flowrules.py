@@ -1,4 +1,4 @@
-"""Dataflow rules RL013-RL016: what the CFG layer sees that call graphs miss.
+"""Dataflow rules RL013-RL014: what the CFG layer sees that call graphs miss.
 
 These rules consume the per-function flow facts that
 :func:`repro.analysis.lint.dataflow.analyze_function` stored in each
@@ -27,14 +27,6 @@ RL014     resource leak: a handle from ``open``/``Pipe``/``Popen``/
           ``lock.acquire()`` with a normal-exit CFG path that neither
           releases it, returns it, nor stores it away (everywhere,
           relaxed profile included; ``with`` satisfies trivially).
-RL015     fork-shared state: a module-level mutable global written by
-          code reachable from a ``Process(target=...)`` worker
-          entrypoint while parent-side code reads it — the write lands
-          in the child's copy, the parent silently diverges.
-RL016     advisory: allocation churn (displays, comprehensions,
-          f-strings, constructor calls) inside loop bodies of hot-path
-          functions, with loop depth and per-function counts — the
-          machine-generated worklist for the capacity refactor.
 ========  ==============================================================
 """
 
@@ -42,7 +34,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
 
-from repro.analysis.lint.effects import FORWARDING_PLANE_FILES, HOT_LOOP_FILES
+from repro.analysis.lint.effects import FORWARDING_PLANE_FILES
 from repro.analysis.lint.engine import Finding, SummaryRule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,8 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "EscapeThenMutateRule",
     "ResourceLeakRule",
-    "ForkSharedStateRule",
-    "HotLoopChurnRule",
     "flow_rules",
 ]
 
@@ -235,164 +225,6 @@ class ResourceLeakRule(SummaryRule):
                     yield finding
 
 
-class ForkSharedStateRule(SummaryRule):
-    """RL015: worker-written module globals that parent-side code reads."""
-
-    id = "RL015"
-    title = "no fork-shared mutable globals"
-    rationale = (
-        "after fork the child writes its own copy; a parent-side reader "
-        "sees pre-fork state forever and the divergence is silent"
-    )
-
-    def _roots(self, index: "ProjectIndex") -> list[str]:
-        roots: list[str] = []
-        for key in sorted(index.summaries):
-            summary = index.summaries[key]
-            for target in summary.fork_targets:
-                if target in summary.functions:
-                    roots.append(f"{key}.{target}")
-                    continue
-                dotted = summary.imports.get(target)
-                if dotted and dotted in index.functions:
-                    roots.append(dotted)
-        return sorted(set(roots))
-
-    def _reachable(self, index: "ProjectIndex", roots: list[str]) -> dict:
-        """qual -> predecessor qual (BFS tree for witness chains)."""
-        parent: dict[str, Optional[str]] = {root: None for root in roots}
-        frontier = list(roots)
-        while frontier:
-            qual = frontier.pop(0)
-            entry = index.functions.get(qual)
-            if entry is None:
-                continue
-            key, local, _line = entry
-            for callee, _cline, _ccol in index.resolved.get(key, {}).get(local, []):
-                if callee not in parent:
-                    parent[callee] = qual
-                    frontier.append(callee)
-        return parent
-
-    def check_summaries(
-        self, records: Sequence["ModuleRecord"], index: "ProjectIndex"
-    ) -> Iterator[Finding]:
-        roots = self._roots(index)
-        if not roots:
-            return
-        parent = self._reachable(index, roots)
-        for record in records:
-            summary = record.summary
-            if summary is None or not summary.mutable_globals:
-                continue
-            shared = set(summary.mutable_globals)
-            # Parent-side readers: functions of this module NOT reachable
-            # from any fork root.
-            readers: dict[str, list[Tuple[str, int]]] = {}
-            for func in sorted(summary.flow):
-                if f"{summary.key}.{func}" in parent:
-                    continue
-                for name, line in summary.flow[func].get("reads", {}).items():
-                    if name in shared:
-                        readers.setdefault(name, []).append((func, line))
-            if not readers:
-                continue
-            for func in sorted(summary.flow):
-                qual = f"{summary.key}.{func}"
-                if qual not in parent:
-                    continue
-                for name, line in summary.flow[func].get("writes", {}).items():
-                    if name not in readers:
-                        continue
-                    reader_func, reader_line = readers[name][0]
-                    # Witness: fork root -> ... -> writer.
-                    chain_quals = [qual]
-                    hop = parent[qual]
-                    while hop is not None:
-                        chain_quals.append(hop)
-                        hop = parent[hop]
-                    chain_quals.reverse()
-                    finding = Finding(
-                        rule=self.id,
-                        path=record.display,
-                        line=line,
-                        col=0,
-                        message=(
-                            f"module global {name!r} is written here by "
-                            f"worker-side code (reachable from fork target "
-                            f"{chain_quals[0]}) and read parent-side by "
-                            f"{reader_func} (line {reader_line}); post-fork "
-                            "writes never reach the parent"
-                        ),
-                    )
-                    finding.chain = [
-                        _hop(q, index.display_of_function(q) or record.display,
-                             index.line_of_function(q) or 1)
-                        for q in chain_quals
-                    ] + [
-                        _hop(f"write to {name!r}", record.display, line),
-                        _hop(f"parent-side read in {reader_func}",
-                             record.display, reader_line),
-                    ]
-                    yield finding
-
-
-class HotLoopChurnRule(SummaryRule):
-    """RL016 (advisory): allocation churn inside hot-path loop bodies.
-
-    One finding per function, carrying the per-function site count and the
-    maximum loop-nest depth — sorted output under ``--show-advisory`` *is*
-    the ranked refactor worklist for the capacity open item.
-    """
-
-    id = "RL016"
-    title = "hot-loop allocation churn (advisory)"
-    rationale = (
-        "per-packet displays/f-strings/constructors in the engine loop are "
-        "the allocator pressure the capacity refactor must remove"
-    )
-    advisory = True
-    scope_files = HOT_LOOP_FILES
-
-    def check_summaries(
-        self, records: Sequence["ModuleRecord"], index: "ProjectIndex"
-    ) -> Iterator[Finding]:
-        for record in records:
-            summary = record.summary
-            if summary is None:
-                continue
-            for func in sorted(summary.flow):
-                sites = [
-                    s for s in summary.flow[func].get("allocs", [])
-                    if s["depth"] >= 1
-                ]
-                if not sites:
-                    continue
-                max_depth = max(s["depth"] for s in sites)
-                examples = ", ".join(
-                    f"{s['desc']} (line {s['line']}, depth {s['depth']})"
-                    for s in sorted(
-                        sites, key=lambda s: (-s["depth"], s["line"])
-                    )[:3]
-                )
-                yield Finding(
-                    rule=self.id,
-                    path=record.display,
-                    line=sites[0]["line"],
-                    col=0,
-                    message=(
-                        f"{func}: {len(sites)} allocation site(s) in loop "
-                        f"bodies (max depth {max_depth}): {examples}"
-                    ),
-                    severity="advisory",
-                )
-
-
 def flow_rules() -> list[SummaryRule]:
-    """RL013-RL016, in rule-id order."""
-    return [
-        EscapeThenMutateRule(),
-        ResourceLeakRule(),
-        ForkSharedStateRule(),
-        HotLoopChurnRule(),
-    ]
+    """RL013-RL014, in rule-id order."""
+    return [EscapeThenMutateRule(), ResourceLeakRule()]

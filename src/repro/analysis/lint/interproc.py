@@ -21,9 +21,9 @@ line* sanctions the sink for every caller (see
 ========  ==============================================================
 RL009     extends RL003: nothing reachable from the engine run loop or
           the forwarding pipeline may block the OS thread
-RL010     extends RL002: no wall clock or ambient entropy reachable from
-          ``repro.sim``/``repro.ndn`` through helpers in other packages
-          (``repro.sim.rng`` stays the sanctioned source)
+RL010     extends RL002: no wall clock, ambient entropy or set iteration
+          reachable from ``repro.sim``/``repro.ndn`` through helpers in
+          other packages (``repro.sim.rng`` stays the sanctioned source)
 RL011     extends RL001: no packet materialisation reachable from the
           forwarding plane (endpoints in ``client.py`` and the codec in
           ``packet.py`` are the sanctioned decode sites)
@@ -43,6 +43,7 @@ from repro.analysis.lint.effects import (
     DETERMINISM_EXEMPT_FILES,
     FORWARDING_PLANE_FILES,
     HOT_LOOP_FILES,
+    SET_ITERATION,
     WALL_CLOCK,
     WIRE_DECODE,
     render_chain,
@@ -67,6 +68,7 @@ _EFFECT_LABEL = {
     BLOCKS: "blocking call",
     WALL_CLOCK: "wall-clock read",
     AMBIENT_ENTROPY: "ambient entropy",
+    SET_ITERATION: "hash-order set iteration",
     WIRE_DECODE: "packet materialisation",
 }
 
@@ -154,14 +156,14 @@ class TransitiveBlockingRule(TransitiveEffectRule):
 
 
 class TransitiveDeterminismRule(TransitiveEffectRule):
-    """RL010: no wall clock/entropy reachable from sim/ndn entry points."""
+    """RL010: no wall clock/entropy/set iteration reachable from sim/ndn."""
 
     id = "RL010"
-    title = "no wall clock or entropy reachable from sim/ndn (transitive RL002)"
+    title = "no nondeterminism reachable from sim/ndn (transitive RL002)"
     rationale = "a helper in another package breaks determinism as surely as inline code"
     scope_dirs = DETERMINISM_DIRS
     exclude_files = DETERMINISM_EXEMPT_FILES
-    effects = frozenset({WALL_CLOCK, AMBIENT_ENTROPY})
+    effects = frozenset({WALL_CLOCK, AMBIENT_ENTROPY, SET_ITERATION})
     #: repro.sim.rng is the sanctioned clock/entropy authority.
     exempt_targets = DETERMINISM_EXEMPT_FILES
     scope_label = "deterministic sim/ndn code"

@@ -18,6 +18,10 @@ RL007     TLV type numbers: referenced constants exist in ``TlvTypes``
           and no two constants share a number
 RL008     ``__all__`` drift: exports exist, public defs are exported
 ========  ==============================================================
+
+RL001–RL003 own no sink lists: they classify calls, attribute chains and
+loop iterables through :mod:`repro.analysis.lint.effects`, the same table
+their transitive counterparts RL009–RL011 propagate.
 """
 
 from __future__ import annotations
@@ -26,10 +30,20 @@ import ast
 from typing import Iterator, Optional, Sequence
 
 from repro.analysis.lint.effects import (
+    AMBIENT_ENTROPY,
+    BLOCKING_MODULES,
+    BLOCKS,
     DETERMINISM_DIRS,
     DETERMINISM_EXEMPT_FILES,
+    ENTROPY_CALLS,
+    ENTROPY_MODULES,
     FORWARDING_PLANE_FILES,
     HOT_LOOP_FILES,
+    WALL_CLOCK,
+    WIRE_DECODE,
+    classify_attribute,
+    classify_call,
+    classify_iteration,
 )
 from repro.analysis.lint.engine import (
     Finding,
@@ -51,19 +65,14 @@ __all__ = [
     "default_rules",
 ]
 
-#: Modules that make up the forwarding plane: everything a transiting
-#: packet crosses.  Endpoint modules (client.py: Consumer/Producer) and the
-#: codec itself (packet.py defines decode) are intentionally outside.
-#: Shared with the effect layer so RL001 and RL011 police one boundary.
-_FORWARDING_PLANE = FORWARDING_PLANE_FILES
-
 
 class ZeroCopyRule(Rule):
     """RL001: a transiting packet is never decoded on the forwarding plane.
 
     The runtime half of this contract is the ``WirePacket.wire_decodes``
     counter asserted by benches and soaks; this is the static half.  Flags,
-    inside forwarding-plane modules only:
+    inside forwarding-plane modules only, the ``WIRE_DECODE`` sinks of
+    :func:`~repro.analysis.lint.effects.classify_call`:
 
     * zero-argument ``.decode()`` calls (the ``WirePacket.decode()``
       materialisation; ``bytes.decode("utf-8")`` with an explicit encoding
@@ -76,61 +85,33 @@ class ZeroCopyRule(Rule):
     id = "RL001"
     title = "no decode on the forwarding plane"
     rationale = "transit is bytes-only; decoding belongs to endpoints"
-    scope_files = _FORWARDING_PLANE
-
-    _PACKET_TYPES = frozenset({"Interest", "Data", "Nack"})
+    #: Shared with the effect layer so RL001 and RL011 police one boundary.
+    scope_files = FORWARDING_PLANE_FILES
 
     def check(self, module: SourceFile) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in self._PACKET_TYPES:
-                yield self.finding(
-                    node,
-                    f"decoded-object construction {func.id}(...) on the "
-                    "forwarding plane; hand the wire buffer on instead",
+            classified = classify_call(node, module.path)
+            if classified is None or classified[0] != WIRE_DECODE:
+                continue
+            desc = classified[1]
+            if desc == ".decode()":
+                message = (
+                    ".decode() on the forwarding plane; transiting "
+                    "packets must never be materialised"
                 )
-            elif isinstance(func, ast.Attribute) and func.attr == "decode":
-                owner = dotted_name(func.value)
-                if owner in self._PACKET_TYPES:
-                    yield self.finding(
-                        node,
-                        f"{owner}.decode(...) on the forwarding plane; "
-                        "transit packets must stay wire views",
-                    )
-                elif not node.args and not node.keywords:
-                    yield self.finding(
-                        node,
-                        ".decode() on the forwarding plane; transiting "
-                        "packets must never be materialised",
-                    )
-
-
-#: Wall clocks and ambient entropy.  Everything time-like must come from the
-#: engine clock (Environment.now), everything random from repro.sim.rng.
-_NONDETERMINISTIC = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "datetime.now",
-        "datetime.utcnow",
-        "datetime.today",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-        "date.today",
-        "os.urandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
-    }
-)
+            elif desc.endswith(".decode(...)"):
+                message = (
+                    f"{desc} on the forwarding plane; "
+                    "transit packets must stay wire views"
+                )
+            else:
+                message = (
+                    f"decoded-object construction {desc} on the "
+                    "forwarding plane; hand the wire buffer on instead"
+                )
+            yield self.finding(node, message)
 
 
 class DeterminismRule(Rule):
@@ -139,9 +120,11 @@ class DeterminismRule(Rule):
     Flags wall-clock reads, ambient randomness (the ``random`` module,
     ``numpy.random``, ``os.urandom``, ``uuid4``, ``secrets``) and direct
     iteration over set displays/constructors (whose order is hash-seed
-    dependent) in ``repro.sim`` and ``repro.ndn``.  The sanctioned sources:
-    clocks come from the engine (``Environment.now``), randomness from
-    ``repro.sim.rng`` — which is therefore exempt by design, not by waiver.
+    dependent) in ``repro.sim`` and ``repro.ndn`` — the ``WALL_CLOCK``,
+    ``AMBIENT_ENTROPY`` and ``SET_ITERATION`` sinks of the effect layer.
+    The sanctioned sources: clocks come from the engine
+    (``Environment.now``), randomness from ``repro.sim.rng`` — which is
+    therefore exempt by design, not by waiver.
     """
 
     id = "RL002"
@@ -154,47 +137,40 @@ class DeterminismRule(Rule):
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.name.split(".")[0] in ("random", "secrets"):
+                    if alias.name.split(".")[0] in ENTROPY_MODULES:
                         yield self.finding(
                             node,
                             f"import of nondeterministic module "
                             f"{alias.name!r}; use repro.sim.rng streams",
                         )
             elif isinstance(node, ast.ImportFrom):
-                if node.module and node.module.split(".")[0] in (
-                    "random",
-                    "secrets",
-                ):
+                if node.module and node.module.split(".")[0] in ENTROPY_MODULES:
                     yield self.finding(
                         node,
                         f"import from nondeterministic module "
                         f"{node.module!r}; use repro.sim.rng streams",
                     )
             elif isinstance(node, ast.Attribute):
-                chain = dotted_name(node)
-                if chain is None:
+                classified = classify_attribute(dotted_name(node) or "")
+                if classified is None:
                     continue
-                if chain in _NONDETERMINISTIC:
+                effect, chain = classified
+                if effect == WALL_CLOCK or chain in ENTROPY_CALLS:
                     yield self.finding(
                         node,
                         f"nondeterministic call {chain}; clocks come from "
                         "the engine, entropy from repro.sim.rng",
                     )
-                elif chain.startswith("random.") or ".random." in chain:
+                elif effect == AMBIENT_ENTROPY:
                     yield self.finding(
                         node,
                         f"ambient randomness {chain}; draw from a "
                         "repro.sim.rng stream instead",
                     )
             elif isinstance(node, (ast.For, ast.comprehension)):
-                target = node.iter
-                if isinstance(target, ast.Set) or (
-                    isinstance(target, ast.Call)
-                    and isinstance(target.func, ast.Name)
-                    and target.func.id in ("set", "frozenset")
-                ):
+                if classify_iteration(node.iter) is not None:
                     yield self.finding(
-                        target,
+                        node.iter,
                         "iteration over an unsorted set: order depends on "
                         "the hash seed; sort or use an ordered container",
                     )
@@ -203,9 +179,9 @@ class DeterminismRule(Rule):
 class NoBlockingRule(Rule):
     """RL003: engine and dispatcher hot loops never block the OS thread.
 
-    ``time.sleep``, sockets and subprocesses inside the event loop or the
-    dispatch path stall every simulated process at once.  Blocking belongs
-    in the fork-worker modules (pipes are their job), never in the engine.
+    ``time.sleep``, sockets and subprocesses (the ``BLOCKS`` sinks of the
+    effect layer) inside the event loop or the dispatch path stall every
+    simulated process at once.
     """
 
     id = "RL003"
@@ -213,35 +189,29 @@ class NoBlockingRule(Rule):
     rationale = "one blocked dispatcher stalls every simulated process"
     scope_files = HOT_LOOP_FILES
 
-    _BLOCKING_MODULES = ("socket", "subprocess")
-
     def check(self, module: SourceFile) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.name.split(".")[0] in self._BLOCKING_MODULES:
+                    if alias.name.split(".")[0] in BLOCKING_MODULES:
                         yield self.finding(
                             node,
                             f"import of blocking module {alias.name!r} in a "
                             "hot-loop module",
                         )
             elif isinstance(node, ast.ImportFrom):
-                if node.module and node.module.split(".")[0] in self._BLOCKING_MODULES:
+                if node.module and node.module.split(".")[0] in BLOCKING_MODULES:
                     yield self.finding(
                         node,
                         f"import from blocking module {node.module!r} in a "
                         "hot-loop module",
                     )
             elif isinstance(node, ast.Attribute):
-                chain = dotted_name(node)
-                if chain is None:
-                    continue
-                if chain == "time.sleep" or chain.split(".")[0] in (
-                    self._BLOCKING_MODULES
-                ):
+                classified = classify_attribute(dotted_name(node) or "")
+                if classified is not None and classified[0] == BLOCKS:
                     yield self.finding(
                         node,
-                        f"blocking call {chain} in a hot-loop module",
+                        f"blocking call {classified[1]} in a hot-loop module",
                     )
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
-from repro.analysis.lint.dataflow import analyze_function, analyze_module
+from repro.analysis.lint.dataflow import analyze_function
 from repro.analysis.lint.engine import SourceFile, Waiver, dotted_name, norm_path
 from repro.analysis.lint.effects import (
     AMBIENT_ENTROPY,
@@ -117,8 +117,6 @@ class ModuleSummary:
         "tlv_registry",
         "tlv_refs",
         "flow",
-        "mutable_globals",
-        "fork_targets",
     )
 
     def __init__(self, display: str, path: str, module: Optional[str]) -> None:
@@ -144,10 +142,6 @@ class ModuleSummary:
         self.tlv_refs: list[list] = []
         #: local function -> dataflow facts (see dataflow.analyze_function)
         self.flow: dict[str, dict] = {}
-        #: module-level names bound to mutable containers (RL015)
-        self.mutable_globals: list[str] = []
-        #: worker entrypoint names passed as Process(target=...) (RL015)
-        self.fork_targets: list[str] = []
 
     @property
     def key(self) -> str:
@@ -174,8 +168,6 @@ class ModuleSummary:
             "tlv_registry": self.tlv_registry,
             "tlv_refs": self.tlv_refs,
             "flow": self.flow,
-            "mutable_globals": self.mutable_globals,
-            "fork_targets": self.fork_targets,
         }
 
     @classmethod
@@ -196,8 +188,6 @@ class ModuleSummary:
         summary.tlv_registry = raw["tlv_registry"]
         summary.tlv_refs = list(raw["tlv_refs"])
         summary.flow = dict(raw.get("flow", {}))
-        summary.mutable_globals = list(raw.get("mutable_globals", []))
-        summary.fork_targets = list(raw.get("fork_targets", []))
         return summary
 
 
@@ -458,12 +448,10 @@ def summarize(module: SourceFile) -> Optional[ModuleSummary]:
     summary.exports = _module_exports(module.tree)
     if summary.path.endswith(_TLV_REGISTRY_FILE):
         summary.tlv_registry = _tlv_registry(module.tree)
-    # Dataflow layer: module facts first (they scope the per-function pass),
-    # then one CFG + flow extraction per module-level function.  Functions
-    # with nothing to report contribute no cache weight.
-    summary.mutable_globals, summary.fork_targets = analyze_module(module.tree)
+    # Dataflow layer: one CFG + flow extraction per module-level function.
+    # Functions with nothing to report contribute no cache weight.
     for qual, node in _flow_functions(module.tree):
-        flow = analyze_function(node, summary.mutable_globals)
+        flow = analyze_function(node)
         if flow:
             summary.flow[qual] = flow
     # Sanctioned sinks: a site whose line is waived for its base rule

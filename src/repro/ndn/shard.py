@@ -519,10 +519,6 @@ class ShardedForwarder:
         self._cs_capacity = cs_capacity
         self._cache_unsolicited = cache_unsolicited
         self._shard_service_s = shard_service_s
-        self._shard_weights = (
-            tuple(float(weight) for weight in shard_weights)
-            if shard_weights is not None else None
-        )
         self._picker = make_shard_picker(shards, shard_weights)
         self.tracer = tracer or Tracer(clock=lambda: env.now, enabled=False)
         self.metrics = metrics or MetricsRegistry(clock=lambda: env.now)
@@ -747,11 +743,7 @@ class ShardedForwarder:
         """
         if shards < 1:
             raise NDNError(f"{self.name}: need at least one shard, got {shards}")
-        weights = (
-            tuple(float(weight) for weight in shard_weights)
-            if shard_weights is not None else None
-        )
-        new_picker = make_shard_picker(shards, weights)
+        new_picker = make_shard_picker(shards, shard_weights)
         old_count = self.num_shards
         report = RebalanceReport(
             at=self.env.now, old_shards=old_count, new_shards=shards
@@ -780,7 +772,6 @@ class ShardedForwarder:
         # 2. Switch placement: new packets hash with the new picker now.
         self._picker = new_picker
         self.num_shards = shards
-        self._shard_weights = weights
 
         # 3. Re-split the node's CS budget across the new shard count.
         for index in range(shards):

@@ -147,39 +147,6 @@ class WorkloadReport:
     cache: dict = field(default_factory=dict)
     spec: dict = field(default_factory=dict)
 
-    def latency_percentiles(self) -> dict:
-        """min / p50 / p90 / p99 / max over the satisfied requests."""
-        if not self.latencies_s:
-            return {}
-        ordered = sorted(self.latencies_s)
-        n = len(ordered)
-
-        def pct(q: float) -> float:
-            return ordered[min(n - 1, int(q * (n - 1) + 0.5))]
-
-        return {
-            "min": ordered[0],
-            "p50": pct(0.50),
-            "p90": pct(0.90),
-            "p99": pct(0.99),
-            "max": ordered[-1],
-        }
-
-    def to_json(self) -> dict:
-        """The BENCH-artefact form (drops the raw latency vector)."""
-        return {
-            "label": self.label,
-            "requests": self.requests,
-            "satisfied": self.satisfied,
-            "timeouts": self.timeouts,
-            "nacks": self.nacks,
-            "trace_hash": self.trace_hash,
-            "span_s": self.last_arrival_s - self.first_arrival_s,
-            "latency_s": self.latency_percentiles(),
-            "cache": self.cache,
-            "spec": self.spec,
-        }
-
 
 def _cache_stats(node) -> dict:
     """Hot-cache and Content-Store counters, duck-typed across node kinds."""

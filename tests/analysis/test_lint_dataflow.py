@@ -1,4 +1,4 @@
-"""Dataflow reprolint layer: RL013-RL016, witness paths, cache pruning,
+"""Dataflow reprolint layer: RL013-RL014, witness paths, cache pruning,
 SARIF output.
 
 Every gating rule gets a fire-and-waiver pair, and every fire asserts
@@ -21,12 +21,7 @@ from repro.analysis.lint import (
     default_rules,
     render_sarif,
 )
-from repro.analysis.lint.dataflow import (
-    analyze_function,
-    analyze_module,
-    reaching_definitions,
-)
-from repro.analysis.lint.cfg import build_cfg
+from repro.analysis.lint.dataflow import analyze_function
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -40,26 +35,6 @@ def lint_fixture(modules: dict[str, str]):
 
 def findings_for(report, rule: str, waived=False):
     return [f for f in report.findings if f.rule == rule and f.waived == waived]
-
-
-# --------------------------------------------------------------------------
-# Solver / reaching definitions
-# --------------------------------------------------------------------------
-
-
-def test_reaching_definitions_merge_at_joins():
-    func = ast.parse(
-        "def f(flag):\n"
-        "    x = 1\n"
-        "    if flag:\n"
-        "        x = 2\n"
-        "    return x\n"
-    ).body[0]
-    cfg = build_cfg(func)
-    facts = reaching_definitions(cfg)
-    # Both definitions of x reach the exit block (the join merges them).
-    live_at_exit = {(name, line) for name, line in facts[cfg.exit.id] if name == "x"}
-    assert live_at_exit == {("x", 2), ("x", 4)}
 
 
 # --------------------------------------------------------------------------
@@ -354,113 +329,6 @@ def test_rl014_gates_benchmarks_through_the_relaxed_profile():
 
 
 # --------------------------------------------------------------------------
-# RL015: fork-shared state
-# --------------------------------------------------------------------------
-
-
-def test_rl015_fires_on_worker_written_parent_read_global():
-    report = lint_fixture({
-        "src/repro/ndn/poolmod.py": (
-            "STATS = {}\n"
-            "\n"
-            "def _worker_main(conn):\n"
-            "    STATS['frames'] = 1\n"
-            "\n"
-            "def parent_view():\n"
-            "    return STATS\n"
-            "\n"
-            "def start(context):\n"
-            "    proc = context.Process(target=_worker_main, args=(None,))\n"
-            "    proc.start()\n"
-        ),
-    })
-    found = findings_for(report, "RL015")
-    assert len(found) == 1
-    finding = found[0]
-    assert finding.line == 4
-    assert "'STATS'" in finding.message
-    assert "parent_view" in finding.message
-    # Witness: fork target -> write -> parent-side read.
-    assert finding.chain[0]["function"].endswith("_worker_main")
-    assert "write" in finding.chain[-2]["function"]
-    assert "parent-side read" in finding.chain[-1]["function"]
-
-
-def test_rl015_worker_only_global_is_clean():
-    report = lint_fixture({
-        "src/repro/ndn/poolmod.py": (
-            "SCRATCH = {}\n"
-            "\n"
-            "def _worker_main(conn):\n"
-            "    SCRATCH['frames'] = 1\n"
-            "\n"
-            "def start(context):\n"
-            "    proc = context.Process(target=_worker_main, args=(None,))\n"
-            "    proc.start()\n"
-        ),
-    })
-    assert not findings_for(report, "RL015")
-
-
-def test_rl015_waiver_suppresses():
-    report = lint_fixture({
-        "src/repro/ndn/poolmod.py": (
-            "STATS = {}\n"
-            "\n"
-            "def _worker_main(conn):\n"
-            "    # lint: allow[RL015] worker-local copy is re-merged via the pipe\n"
-            "    STATS['frames'] = 1\n"
-            "\n"
-            "def parent_view():\n"
-            "    return STATS\n"
-            "\n"
-            "def start(context):\n"
-            "    proc = context.Process(target=_worker_main, args=(None,))\n"
-            "    proc.start()\n"
-        ),
-    })
-    assert not findings_for(report, "RL015")
-    assert len(findings_for(report, "RL015", waived=True)) == 1
-    assert report.ok
-
-
-# --------------------------------------------------------------------------
-# RL016: hot-loop allocation churn (advisory)
-# --------------------------------------------------------------------------
-
-
-def test_rl016_reports_counts_and_depth_without_gating():
-    report = lint_fixture({
-        "src/repro/sim/engine.py": (
-            "def pump(queue):\n"
-            "    for batch in queue:\n"
-            "        for item in batch:\n"
-            "            record = {'item': item}\n"
-            "            emit(f'seen {item}')\n"
-        ),
-    })
-    found = [f for f in report.findings if f.rule == "RL016"]
-    assert len(found) == 1
-    finding = found[0]
-    assert finding.severity == "advisory"
-    assert "2 allocation site(s)" in finding.message
-    assert "max depth 2" in finding.message
-    assert report.ok  # advisory never gates
-
-
-def test_rl016_ignores_allocations_outside_loops():
-    report = lint_fixture({
-        "src/repro/sim/engine.py": (
-            "def setup():\n"
-            "    table = {}\n"
-            "    names = [1, 2, 3]\n"
-            "    return table, names\n"
-        ),
-    })
-    assert not [f for f in report.findings if f.rule == "RL016"]
-
-
-# --------------------------------------------------------------------------
 # The real tree: idioms that must stay clean, summaries that must exist
 # --------------------------------------------------------------------------
 
@@ -472,30 +340,6 @@ def test_real_packet_copy_then_patch_stays_clean():
     })
     assert not findings_for(report, "RL013")
     assert not findings_for(report, "RL013", waived=True)
-
-
-def test_real_shard_pool_pipe_handling_stays_clean():
-    shard = REPO_ROOT / "src" / "repro" / "ndn" / "shard.py"
-    report = lint_fixture({
-        "src/repro/ndn/shard.py": shard.read_text(encoding="utf-8"),
-    })
-    assert not findings_for(report, "RL014")
-
-
-def test_module_facts_extraction():
-    tree = ast.parse(
-        "import multiprocessing\n"
-        "TABLE = {}\n"
-        "NAMES = []\n"
-        "LIMIT = 3\n"
-        "def _worker(conn):\n"
-        "    pass\n"
-        "def start(ctx):\n"
-        "    ctx.Process(target=_worker)\n"
-    )
-    mutable, fork_targets = analyze_module(tree)
-    assert mutable == ["NAMES", "TABLE"]  # LIMIT is immutable
-    assert fork_targets == ["_worker"]
 
 
 def test_function_flow_is_json_round_trippable():
@@ -579,10 +423,10 @@ def test_sarif_maps_rules_findings_chains_and_suppressions():
     assert driver["name"] == "reprolint"
     rule_ids = [rule["id"] for rule in driver["rules"]]
     assert rule_ids == sorted(rule_ids)
-    assert {"RL013", "RL014", "RL015", "RL016"} <= set(rule_ids)
+    assert {"RL012", "RL013", "RL014"} <= set(rule_ids)
     # Advisory rules carry a "note" default level.
     by_id = {rule["id"]: rule for rule in driver["rules"]}
-    assert by_id["RL016"]["defaultConfiguration"]["level"] == "note"
+    assert by_id["RL012"]["defaultConfiguration"]["level"] == "note"
     assert by_id["RL013"]["defaultConfiguration"]["level"] == "error"
 
     results = run["results"]

@@ -15,6 +15,8 @@ import subprocess
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.lint import (
     Linter,
     SourceFile,
@@ -208,6 +210,107 @@ def test_rl010_rng_helper_is_a_barrier():
     assert not any(f.rule == "RL010" for f in report.findings), [
         f.as_dict() for f in report.findings
     ]
+
+
+def test_rl010_carries_set_iteration_across_packages():
+    # RL002's third sink: hash-seed-ordered iteration in a helper is as
+    # nondeterministic for its sim caller as a clock read.
+    modules = {
+        "src/repro/sim/stepper.py": (
+            "from repro.core.helpers import spread\n"
+            "\n"
+            "def step(items):\n"
+            "    return spread(items)\n"
+        ),
+        "src/repro/core/helpers.py": (
+            "def spread(items):\n"
+            "    for item in set(items):\n"
+            "        yield item\n"
+        ),
+    }
+    report = lint_fixture(modules)
+    findings = [f for f in report.unwaived if f.rule == "RL010"]
+    assert len(findings) == 1, [f.as_dict() for f in report.findings]
+    finding = findings[0]
+    assert finding.path == "src/repro/sim/stepper.py"
+    assert finding.line == 4
+    assert finding.message.startswith("hash-order set iteration reachable")
+    assert (
+        "stepper.step → helpers.spread → iteration over set(...)"
+        in finding.message
+    )
+    assert finding.chain[-1] == {
+        "function": "iteration over set(...)",
+        "path": "src/repro/core/helpers.py",
+        "line": 2,
+    }
+
+
+# --------------------------------------------------------------------------
+# One sink table: every sink form fires its line-local rule where it is
+# written and its transitive rule through an out-of-scope helper
+# --------------------------------------------------------------------------
+
+# (form, line-local rule, transitive rule, in-scope caller path, import, body)
+SINK_FORMS = [
+    ("bare-decode", "RL001", "RL011", "src/repro/ndn/forwarder.py",
+     "", "return b.decode()"),
+    ("Interest", "RL001", "RL011", "src/repro/ndn/forwarder.py",
+     "from repro.ndn.packet import Interest", "return Interest(b)"),
+    ("Data.decode", "RL001", "RL011", "src/repro/ndn/forwarder.py",
+     "from repro.ndn.packet import Data", "return Data.decode(b)"),
+    ("time.monotonic", "RL002", "RL010", "src/repro/sim/metrics.py",
+     "import time", "return time.monotonic()"),
+    ("datetime.now", "RL002", "RL010", "src/repro/sim/metrics.py",
+     "import datetime", "return datetime.datetime.now()"),
+    ("os.urandom", "RL002", "RL010", "src/repro/sim/metrics.py",
+     "import os", "return os.urandom(4)"),
+    ("uuid.uuid4", "RL002", "RL010", "src/repro/sim/metrics.py",
+     "import uuid", "return uuid.uuid4()"),
+    ("secrets.token_hex", "RL002", "RL010", "src/repro/sim/metrics.py",
+     "import secrets", "return secrets.token_hex()"),
+    ("set-iteration", "RL002", "RL010", "src/repro/sim/metrics.py",
+     "", "for x in set(s):\n        return x"),
+    ("time.sleep", "RL003", "RL009", "src/repro/sim/engine.py",
+     "import time", "time.sleep(0)"),
+    ("subprocess.run", "RL003", "RL009", "src/repro/sim/engine.py",
+     "import subprocess", "subprocess.run([])"),
+]
+
+
+@pytest.mark.parametrize(
+    "form,local_rule,transitive_rule,caller_path,import_line,body",
+    SINK_FORMS,
+    ids=[row[0] for row in SINK_FORMS],
+)
+def test_sink_form_fires_both_rule_layers(
+    form, local_rule, transitive_rule, caller_path, import_line, body
+):
+    sink_source = f"{import_line}\ndef sink(b, s):\n    {body}\n"
+    sink_line = 3
+
+    direct = lint_fixture({caller_path: sink_source})
+    assert any(
+        f.rule == local_rule and f.line == sink_line and not f.waived
+        for f in direct.findings
+    ), (form, [f.as_dict() for f in direct.findings])
+
+    helper_path = "src/repro/core/sinkhelper.py"
+    transitive = lint_fixture({
+        caller_path: (
+            "from repro.core.sinkhelper import sink\n"
+            "\n"
+            "def caller(b, s):\n"
+            "    return sink(b, s)\n"
+        ),
+        helper_path: sink_source,
+    })
+    found = [f for f in transitive.unwaived if f.rule == transitive_rule]
+    assert len(found) == 1, (form, [f.as_dict() for f in transitive.findings])
+    assert (found[0].path, found[0].line) == (caller_path, 4)
+    assert (found[0].chain[-1]["path"], found[0].chain[-1]["line"]) == (
+        helper_path, sink_line,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -577,6 +680,14 @@ def test_cli_changed_only(tmp_path, monkeypatch, capsys):
     assert lint_main(["src", "--no-cache", "--changed-only"]) == 1
     out = capsys.readouterr().out
     assert "fresh.py" in out and "old.py" not in out
+    # A modified tracked file is in scope from below the repository root
+    # too: git diff names it relative to the top level, not to the cwd.
+    fresh.unlink()
+    committed.write_text("def f(x=[]):\n    return x\n\ndef h(z={}):\n    return z\n")
+    monkeypatch.chdir(tmp_path / "src")
+    assert lint_main([".", "--no-cache", "--changed-only"]) == 1
+    out = capsys.readouterr().out
+    assert "old.py" in out and "no files changed" not in out
 
 
 def test_cli_cache_round_trip_on_disk(tmp_path, capsys):
