@@ -7,13 +7,14 @@ benches and soak tests, which only cover the code paths those suites happen
 to exercise.  reprolint enforces the same contracts *statically*, on every
 line, at CI time.
 
-The line-local rules (RL001-RL008) check each module in isolation; the
+The module-local rules (RL004-RL008) check each module in isolation.  The
 interprocedural layer (RL009-RL012) builds a project symbol table
 (:mod:`~repro.analysis.lint.symbols`), a conservative call graph
 (:mod:`~repro.analysis.lint.callgraph`) and a per-function effect
-fixpoint (:mod:`~repro.analysis.lint.effects`) to extend the same
-contracts across module boundaries, with a witness chain on every
-finding.
+fixpoint (:mod:`~repro.analysis.lint.effects`): each effect rule reports
+a sink where it is written inside its scope, and at every boundary call
+that reaches one from outside, with the witness chain on the finding.
+Rule ids RL001-RL003 and RL013-RL014 are retired, not reused.
 
 Usage::
 

@@ -15,9 +15,12 @@ WIRE_DECODE       materialises a packet (zero-arg ``.decode()``,
 SET_ITERATION     iterates a set display/constructor (hash-seed order)
 ========  =================================================================
 
-The classifiers below are the one sink table: the line-local rules
-RL001–RL003 flag what they classify directly, and the transitive rules
-RL009–RL011 follow the same sites across the call graph.
+The classifiers below are the one sink table: RL009–RL011 report every
+site they classify inside their own scope at the sink line, and follow
+the same sites across the call graph to the boundary call.  Call targets
+and attribute chains reach the classifiers already resolved through the
+module's imports, so ``from time import sleep`` / ``import time as t``
+spell the same sink as ``time.sleep``.
 
 Direct effects are classified per AST site while the module summary is
 built (:mod:`repro.analysis.lint.symbols`); :func:`propagate` then closes
@@ -29,7 +32,7 @@ finding messages.
 
 Sanctioned sources are *barriers*: ``repro.sim.rng`` is the project's
 seeded entropy/clock authority, so its nondeterminism effects never
-propagate to callers (exempt by design, mirroring RL002), and the codec
+propagate to callers (exempt by design, as it is from RL010), and the codec
 internals in ``repro/ndn/packet.py`` never count as decode sinks — the
 contract polices who *asks* for a materialisation, not the code that
 implements it.
@@ -40,8 +43,6 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.analysis.lint.engine import dotted_name
-
 __all__ = [
     "BLOCKS",
     "WALL_CLOCK",
@@ -49,19 +50,16 @@ __all__ = [
     "WIRE_DECODE",
     "SET_ITERATION",
     "ALL_EFFECTS",
-    "EFFECT_BASE_RULE",
     "EFFECT_BARRIERS",
     "FORWARDING_PLANE_FILES",
     "HOT_LOOP_FILES",
     "DETERMINISM_DIRS",
     "DETERMINISM_EXEMPT_FILES",
-    "ENTROPY_CALLS",
-    "ENTROPY_MODULES",
-    "BLOCKING_MODULES",
     "EffectSite",
     "Witness",
     "classify_call",
     "classify_attribute",
+    "classify_import",
     "classify_iteration",
     "propagate",
     "witness_chain",
@@ -79,24 +77,13 @@ ALL_EFFECTS = frozenset(
     {BLOCKS, WALL_CLOCK, AMBIENT_ENTROPY, WIRE_DECODE, SET_ITERATION}
 )
 
-#: The line-local rule that owns each effect's direct form.  A sink line
-#: waived for its base rule (where that rule applies) is sanctioned and
-#: does not propagate.
-EFFECT_BASE_RULE: dict[str, str] = {
-    BLOCKS: "RL003",
-    WALL_CLOCK: "RL002",
-    AMBIENT_ENTROPY: "RL002",
-    SET_ITERATION: "RL002",
-    WIRE_DECODE: "RL001",
-}
-
 #: Modules whose listed effects are sanctioned by design and therefore
 #: stop at the module boundary instead of propagating to callers.
 EFFECT_BARRIERS: dict[str, frozenset[str]] = {
     "/repro/sim/rng.py": frozenset({WALL_CLOCK, AMBIENT_ENTROPY, SET_ITERATION}),
 }
 
-#: Modules a transiting packet crosses (shared with RL001/RL011).
+#: Modules a transiting packet crosses (RL011's scope).
 FORWARDING_PLANE_FILES: tuple[str, ...] = (
     "/repro/ndn/forwarder.py",
     "/repro/ndn/face.py",
@@ -108,7 +95,7 @@ FORWARDING_PLANE_FILES: tuple[str, ...] = (
     "/repro/ndn/nametree.py",
 )
 
-#: Engine + dispatch-path modules (shared with RL003/RL009).
+#: Engine + dispatch-path modules (RL009's scope).
 HOT_LOOP_FILES: tuple[str, ...] = (
     "/repro/sim/engine.py",
     "/repro/ndn/forwarder.py",
@@ -120,7 +107,7 @@ HOT_LOOP_FILES: tuple[str, ...] = (
     "/repro/ndn/fib.py",
 )
 
-#: Determinism scope (shared with RL002/RL010).  The workload generators
+#: Determinism scope (RL010's).  The workload generators
 #: are in scope by design: their whole value is that a trace reproduces
 #: from (seed, spec) alone, so wall clocks and ambient entropy are
 #: statically barred there exactly as in the engine.  The chaos layer is
@@ -159,15 +146,15 @@ _WALL_CLOCK_CHAINS = frozenset(
 )
 
 #: Entropy drawn by one explicit call (as opposed to a whole module).
-ENTROPY_CALLS = frozenset({"os.urandom", "uuid.uuid1", "uuid.uuid4"})
+_ENTROPY_CALLS = frozenset({"os.urandom", "uuid.uuid1", "uuid.uuid4"})
 
-#: Modules every attribute of which is ambient entropy (RL002 also
-#: flags importing them).
-ENTROPY_MODULES = frozenset({"random", "secrets"})
+#: Modules every attribute of which is ambient entropy; importing one is
+#: a sink too.
+_ENTROPY_MODULES = frozenset({"random", "secrets"})
 
-#: Modules every attribute of which may block (RL003 also flags
-#: importing them).
-BLOCKING_MODULES = frozenset({"socket", "subprocess"})
+#: Modules every attribute of which may block; importing one is a sink
+#: too.
+_BLOCKING_MODULES = frozenset({"socket", "subprocess"})
 
 _PACKET_TYPES = frozenset({"Interest", "Data", "Nack"})
 
@@ -201,35 +188,62 @@ def classify_attribute(chain: str) -> Optional[tuple[str, str]]:
     if chain == "time.sleep":
         return BLOCKS, "time.sleep"
     root = chain.split(".")[0]
-    if root in BLOCKING_MODULES:
+    if root in _BLOCKING_MODULES:
         return BLOCKS, chain
     if chain in _WALL_CLOCK_CHAINS:
         return WALL_CLOCK, chain
-    if chain in ENTROPY_CALLS:
+    if chain in _ENTROPY_CALLS:
         return AMBIENT_ENTROPY, chain
-    if root in ENTROPY_MODULES or ".random." in chain:
+    if root in _ENTROPY_MODULES or ".random." in chain:
         return AMBIENT_ENTROPY, chain
     return None
 
 
-def classify_call(node: ast.Call, module_path: str) -> Optional[tuple[str, str]]:
-    """Classify decode/construction call patterns (the RL001 sink forms)."""
+def classify_import(module: str) -> Optional[tuple[str, str]]:
+    """Classify importing ``module``: entropy and blocking modules are sinks."""
+    root = module.split(".")[0]
+    if root in _ENTROPY_MODULES:
+        return AMBIENT_ENTROPY, f"import of {module}"
+    if root in _BLOCKING_MODULES:
+        return BLOCKS, f"import of {module}"
+    return None
+
+
+def _is_packet_type(parts: Sequence[str]) -> bool:
+    """A bare packet-type name, or one that resolves into the project."""
+    return bool(parts) and parts[-1] in _PACKET_TYPES and (
+        len(parts) == 1 or parts[0] == "repro"
+    )
+
+
+def classify_call(
+    node: ast.Call, callee: Optional[str], module_path: str
+) -> Optional[tuple[str, str]]:
+    """Classify decode/construction calls (the WIRE_DECODE sink forms).
+
+    ``callee`` is the call target's dotted name resolved through the
+    module's imports, or ``None`` when the target is not a plain chain.
+    """
     if any(module_path.endswith(s) for s in _DECODE_EXEMPT_FILES):
         return None
+    parts = callee.split(".") if callee else []
+    if _is_packet_type(parts):
+        return WIRE_DECODE, f"{parts[-1]}(...)"
+    if parts[-1:] == ["decode"] and _is_packet_type(parts[:-1]):
+        return WIRE_DECODE, f"{parts[-2]}.decode(...)"
     func = node.func
-    if isinstance(func, ast.Name) and func.id in _PACKET_TYPES:
-        return WIRE_DECODE, f"{func.id}(...)"
-    if isinstance(func, ast.Attribute) and func.attr == "decode":
-        owner = dotted_name(func.value)
-        if owner in _PACKET_TYPES:
-            return WIRE_DECODE, f"{owner}.decode(...)"
-        if not node.args and not node.keywords:
-            return WIRE_DECODE, ".decode()"
+    if (
+        isinstance(func, ast.Attribute)
+        and func.attr == "decode"
+        and not node.args
+        and not node.keywords
+    ):
+        return WIRE_DECODE, ".decode()"
     return None
 
 
 def classify_iteration(iter_node: ast.expr) -> Optional[tuple[str, str]]:
-    """Classify direct set iteration (the RL002 hash-order sink form)."""
+    """Classify direct set iteration (the hash-order sink form)."""
     if isinstance(iter_node, ast.Set):
         return SET_ITERATION, "iteration over a set display"
     if (

@@ -20,7 +20,7 @@ Waiver syntax
 A finding is suppressed by an in-source comment naming the rule **and** a
 reason::
 
-    started = time.perf_counter()  # lint: allow[RL002] host-time probe, reported only
+    started = time.perf_counter()  # lint: allow[RL010] host-time probe, reported only
 
 A waiver on its own line suppresses findings on the *next* line instead
 (for statements too long to share a line with the comment).  Each waiver
@@ -66,7 +66,7 @@ META_RULE_ID = "RL000"
 
 #: Bumped whenever rule/summary semantics change; part of the cache key,
 #: so a stale cache from an older linter is discarded, never reused.
-LINT_VERSION = "4"
+LINT_VERSION = "5"
 
 
 @dataclass(slots=True)
@@ -357,8 +357,8 @@ class Profile:
 
 _ALL_RULE_IDS = frozenset(
     {
-        "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-        "RL008", "RL009", "RL010", "RL011", "RL012", "RL013", "RL014",
+        "RL004", "RL005", "RL006", "RL007", "RL008",
+        "RL009", "RL010", "RL011", "RL012",
     }
 )
 
@@ -366,10 +366,8 @@ PROFILES: dict[str, Profile] = {
     #: Full catalog: the forwarding plane and simulator live here, but the
     #: invariant rules self-scope, so strict is safe for the whole of src/.
     "strict": Profile("strict", _ALL_RULE_IDS),
-    #: Hygiene plus resource safety: exception discipline, mutable
-    #: defaults, and leaked handles (RL014 applies "everywhere" by
-    #: contract — a benchmark that leaks a pipe is as broken as the plane).
-    "relaxed": Profile("relaxed", frozenset({"RL004", "RL005", "RL014"})),
+    #: Hygiene only: exception discipline and mutable defaults.
+    "relaxed": Profile("relaxed", frozenset({"RL004", "RL005"})),
 }
 
 #: Ordered (path substring, profile name); first match wins, default strict.

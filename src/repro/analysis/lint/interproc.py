@@ -1,30 +1,33 @@
-"""Interprocedural rules: RL009-RL011 transitive invariants, RL012 dead exports.
+"""Interprocedural rules: RL009-RL011 effect invariants, RL012 dead exports.
 
-PR 6's line-local rules see a ``time.sleep`` *written in* the engine; they
-cannot see one *called from* it through a helper two modules away.  These
-rules close that hole: each extends a line-local contract across the
-project call graph, firing at the **boundary call site** — the line inside
-the protected scope that calls out of it — with the full witness chain
-(``engine.run → shard._drain → time.sleep``) in the message and, for JSON
-consumers, a structured ``chain`` on the finding.
+Each effect rule owns one invariant over one protected scope and reports
+it in two places:
+
+* **at the sink** — a sink written inside the scope (``time.sleep`` in the
+  engine, ``import random`` in ``repro.sim``) is a finding on its own
+  line, with an empty chain;
+* **at the boundary call site** — the line inside the scope that calls
+  out of it into a helper that reaches a sink, with the full witness
+  chain (``engine.run → shard._drain → time.sleep``) in the message and,
+  for JSON consumers, a structured ``chain`` on the finding.
 
 One finding per boundary crossing: an in-scope function calling another
-in-scope function is never flagged (the deeper module owns its own
-boundary), so a violation reachable from many entry points produces one
+in-scope function is never flagged (the deeper module reports its own
+sink), so a violation reachable from many entry points produces one
 finding at each distinct escape line, not a cascade along every path.
 
 Waivers compose in two places: a waiver on the boundary line suppresses
-that crossing, while a waiver naming the transitive rule *on the sink
-line* sanctions the sink for every caller (see
-:data:`repro.analysis.lint.symbols.TRANSITIVE_RULE_FOR_EFFECT`).
+that crossing, while a waiver naming the rule *on the sink line*
+sanctions the sink — one waived finding there, and nothing propagates to
+any caller (see :data:`repro.analysis.lint.symbols.RULE_FOR_EFFECT`).
 
 ========  ==============================================================
-RL009     extends RL003: nothing reachable from the engine run loop or
-          the forwarding pipeline may block the OS thread
-RL010     extends RL002: no wall clock, ambient entropy or set iteration
-          reachable from ``repro.sim``/``repro.ndn`` through helpers in
-          other packages (``repro.sim.rng`` stays the sanctioned source)
-RL011     extends RL001: no packet materialisation reachable from the
+RL009     nothing in, or reachable from, the engine run loop or the
+          forwarding pipeline may block the OS thread
+RL010     no wall clock, ambient entropy or set iteration in, or
+          reachable from, ``repro.sim``/``repro.ndn``/``repro.workload``/
+          ``repro.chaos`` (``repro.sim.rng`` stays the sanctioned source)
+RL011     no packet materialisation in, or reachable from, the
           forwarding plane (endpoints in ``client.py`` and the codec in
           ``packet.py`` are the sanctioned decode sites)
 RL012     advisory: exported defs with no reference anywhere else in the
@@ -74,7 +77,8 @@ _EFFECT_LABEL = {
 
 
 class TransitiveEffectRule(SummaryRule):
-    """Shared driver: flag boundary calls whose callee carries an effect."""
+    """Shared driver: flag in-scope sinks, and boundary calls whose callee
+    carries an effect."""
 
     #: Effects this rule polices (checked in sorted order for determinism).
     effects: frozenset[str] = frozenset()
@@ -82,6 +86,8 @@ class TransitiveEffectRule(SummaryRule):
     exempt_targets: tuple[str, ...] = ()
     #: Human description of the protected scope for messages.
     scope_label: str = ""
+    #: What to do instead, appended to an in-scope sink's message.
+    remedy: str = ""
 
     def _target_exempt(self, path: str) -> bool:
         return any(path.endswith(suffix) for suffix in self.exempt_targets)
@@ -93,94 +99,120 @@ class TransitiveEffectRule(SummaryRule):
             summary = record.summary
             if summary is None:
                 continue
-            for caller_local in sorted(index.calls_from(summary.key)):
-                edges = index.calls_from(summary.key)[caller_local]
-                for callee, line, col in edges:
-                    callee_path = index.path_of_function(callee)
-                    if callee_path is None:
-                        continue
-                    if self.applies_to(callee_path):
-                        continue  # in-scope callee: its module owns the boundary
-                    if self._target_exempt(callee_path):
-                        continue
-                    carried = sorted(
-                        self.effects & set(index.effects.get(callee, ()))
-                    )
-                    if not carried:
-                        continue
-                    effect = carried[0]
-                    chain, sink = witness_chain(index.effects, callee, effect)
-                    if sink is None:
-                        continue
-                    caller_qual = f"{summary.key}.{caller_local}"
-                    full_chain = [caller_qual] + chain
-                    sink_display = index.display_of_function(chain[-1]) or callee_path
-                    finding = Finding(
-                        rule=self.id,
-                        path=record.display,
-                        line=line,
-                        col=col,
-                        message=(
-                            f"{_EFFECT_LABEL[effect]} reachable from "
-                            f"{self.scope_label}: "
-                            f"{render_chain(full_chain, sink.desc)} "
-                            f"({sink_display}:{sink.line})"
-                        ),
-                    )
-                    finding.chain = [
-                        {
-                            "function": qual,
-                            "path": index.display_of_function(qual) or "",
-                            "line": index.line_of_function(qual),
-                        }
-                        for qual in full_chain
-                    ] + [
-                        {
-                            "function": sink.desc,
-                            "path": sink_display,
-                            "line": sink.line,
-                        }
-                    ]
-                    yield finding
+            for func in sorted(summary.effect_sites):
+                for site in summary.effect_sites[func]:
+                    if site.effect in self.effects:
+                        yield Finding(
+                            rule=self.id,
+                            path=record.display,
+                            line=site.line,
+                            col=site.col,
+                            message=(
+                                f"{_EFFECT_LABEL[site.effect]} {site.desc} in "
+                                f"{self.scope_label}; {self.remedy}"
+                            ),
+                            chain=[],
+                        )
+            yield from self._boundary_findings(record, index)
+
+    def _boundary_findings(
+        self, record: "ModuleRecord", index: "ProjectIndex"
+    ) -> Iterator[Finding]:
+        summary = record.summary
+        for caller_local in sorted(index.calls_from(summary.key)):
+            edges = index.calls_from(summary.key)[caller_local]
+            for callee, line, col in edges:
+                callee_path = index.path_of_function(callee)
+                if callee_path is None:
+                    continue
+                if self.applies_to(callee_path):
+                    continue  # in-scope callee: its module reports its sinks
+                if self._target_exempt(callee_path):
+                    continue
+                carried = sorted(
+                    self.effects & set(index.effects.get(callee, ()))
+                )
+                if not carried:
+                    continue
+                effect = carried[0]
+                chain, sink = witness_chain(index.effects, callee, effect)
+                if sink is None:
+                    continue
+                caller_qual = f"{summary.key}.{caller_local}"
+                full_chain = [caller_qual] + chain
+                sink_display = index.display_of_function(chain[-1]) or callee_path
+                finding = Finding(
+                    rule=self.id,
+                    path=record.display,
+                    line=line,
+                    col=col,
+                    message=(
+                        f"{_EFFECT_LABEL[effect]} reachable from "
+                        f"{self.scope_label}: "
+                        f"{render_chain(full_chain, sink.desc)} "
+                        f"({sink_display}:{sink.line})"
+                    ),
+                )
+                finding.chain = [
+                    {
+                        "function": qual,
+                        "path": index.display_of_function(qual) or "",
+                        "line": index.line_of_function(qual),
+                    }
+                    for qual in full_chain
+                ] + [
+                    {
+                        "function": sink.desc,
+                        "path": sink_display,
+                        "line": sink.line,
+                    }
+                ]
+                yield finding
 
 
 class TransitiveBlockingRule(TransitiveEffectRule):
-    """RL009: no blocking reachable from the engine/dispatch hot loops."""
+    """RL009: no blocking in, or reachable from, the engine/dispatch hot loops."""
 
     id = "RL009"
-    title = "no blocking reachable from hot loops (transitive RL003)"
-    rationale = "a helper that sleeps stalls the dispatcher exactly like inline code"
+    title = "no blocking in or reachable from hot loops"
+    rationale = "a blocked dispatcher stalls every simulated process, inline or via a helper"
     scope_files = HOT_LOOP_FILES
     effects = frozenset({BLOCKS})
     scope_label = "a hot loop"
+    remedy = "hot loops never block the OS thread"
 
 
 class TransitiveDeterminismRule(TransitiveEffectRule):
-    """RL010: no wall clock/entropy/set iteration reachable from sim/ndn."""
+    """RL010: no wall clock/entropy/set iteration in, or reachable from, sim/ndn."""
 
     id = "RL010"
-    title = "no nondeterminism reachable from sim/ndn (transitive RL002)"
-    rationale = "a helper in another package breaks determinism as surely as inline code"
+    title = "determinism: engine clocks and seeded RNG only"
+    rationale = "sim runs must be bit-reproducible across hosts and seeds"
     scope_dirs = DETERMINISM_DIRS
     exclude_files = DETERMINISM_EXEMPT_FILES
     effects = frozenset({WALL_CLOCK, AMBIENT_ENTROPY, SET_ITERATION})
     #: repro.sim.rng is the sanctioned clock/entropy authority.
     exempt_targets = DETERMINISM_EXEMPT_FILES
     scope_label = "deterministic sim/ndn code"
+    remedy = (
+        "clocks come from the engine, entropy from repro.sim.rng, and sets "
+        "are sorted before iteration"
+    )
 
 
 class TransitiveDecodeRule(TransitiveEffectRule):
-    """RL011: no packet materialisation reachable from the forwarding plane."""
+    """RL011: no packet materialisation in, or reachable from, the forwarding plane."""
 
     id = "RL011"
-    title = "no decode reachable from the forwarding plane (transitive RL001)"
-    rationale = "a decoding helper breaks zero-copy exactly like an inline .decode()"
+    title = "no decode on or reachable from the forwarding plane"
+    rationale = "transit is bytes-only; decoding belongs to endpoints"
     scope_files = FORWARDING_PLANE_FILES
     effects = frozenset({WIRE_DECODE})
     #: Endpoints decode by design (the face handoff is the architecture),
     #: and the codec implements decode rather than requesting it.
     exempt_targets = ("/repro/ndn/client.py", "/repro/ndn/packet.py")
     scope_label = "the forwarding plane"
+    remedy = "hand the wire buffer on instead"
 
 
 class DeadExportRule(SummaryRule):

@@ -10,8 +10,8 @@ round-tripped by the self-test suite:
       "profiles": {"strict": 40, "relaxed": 12},
       "summary": {"files": 52, "findings": 9, "waived": 9,
                   "unwaived": 0, "advisory": 1, "ok": true,
-                  "by_rule": {"RL002": 2}, "waived_by_rule": {"RL004": 3}},
-      "findings": [{"rule": "RL002", "path": "...", "line": 10, "col": 4,
+                  "by_rule": {"RL010": 2}, "waived_by_rule": {"RL004": 3}},
+      "findings": [{"rule": "RL010", "path": "...", "line": 10, "col": 4,
                     "message": "...", "severity": "error", "waived": true,
                     "waiver_reason": "...",
                     "chain": [{"function": "...", "path": "...", "line": 1}]}]

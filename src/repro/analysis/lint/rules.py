@@ -1,15 +1,10 @@
 """The reprolint rule catalog: the project's invariants as AST checks.
 
 Each rule encodes a contract the runtime counters and soak tests already
-assert dynamically — here they are enforced on every line, statically:
+assert dynamically — here they are enforced on every line, statically.
+This module holds the module-local rules:
 
 ========  ==============================================================
-RL001     zero-copy: no packet decode / decoded-object construction in
-          forwarding-plane modules (transit stays bytes-only)
-RL002     determinism: no wall clocks, ambient randomness, or direct
-          set iteration in ``repro.sim`` / ``repro.ndn``
-RL003     no blocking calls (sleep/socket/subprocess) in engine and
-          dispatcher hot loops
 RL004     exception hygiene: no bare ``except``; broad catches need a
           chained re-raise or a waiver with a reason
 RL005     no mutable default arguments
@@ -19,9 +14,11 @@ RL007     TLV type numbers: referenced constants exist in ``TlvTypes``
 RL008     ``__all__`` drift: exports exist, public defs are exported
 ========  ==============================================================
 
-RL001–RL003 own no sink lists: they classify calls, attribute chains and
-loop iterables through :mod:`repro.analysis.lint.effects`, the same table
-their transitive counterparts RL009–RL011 propagate.
+The effect invariants (RL009 no blocking in hot loops, RL010
+determinism, RL011 zero-copy transit) and the RL012 dead-export advisory
+live in :mod:`repro.analysis.lint.interproc`: each reports a sink where
+it is written and wherever a call carries it into the protected scope.
+Rule ids RL001–RL003 are retired, not reused.
 """
 
 from __future__ import annotations
@@ -29,22 +26,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Sequence
 
-from repro.analysis.lint.effects import (
-    AMBIENT_ENTROPY,
-    BLOCKING_MODULES,
-    BLOCKS,
-    DETERMINISM_DIRS,
-    DETERMINISM_EXEMPT_FILES,
-    ENTROPY_CALLS,
-    ENTROPY_MODULES,
-    FORWARDING_PLANE_FILES,
-    HOT_LOOP_FILES,
-    WALL_CLOCK,
-    WIRE_DECODE,
-    classify_attribute,
-    classify_call,
-    classify_iteration,
-)
 from repro.analysis.lint.engine import (
     Finding,
     Rule,
@@ -54,9 +35,6 @@ from repro.analysis.lint.engine import (
 )
 
 __all__ = [
-    "ZeroCopyRule",
-    "DeterminismRule",
-    "NoBlockingRule",
     "ExceptionHygieneRule",
     "MutableDefaultRule",
     "SlotsRule",
@@ -64,155 +42,6 @@ __all__ = [
     "ExportDriftRule",
     "default_rules",
 ]
-
-
-class ZeroCopyRule(Rule):
-    """RL001: a transiting packet is never decoded on the forwarding plane.
-
-    The runtime half of this contract is the ``WirePacket.wire_decodes``
-    counter asserted by benches and soaks; this is the static half.  Flags,
-    inside forwarding-plane modules only, the ``WIRE_DECODE`` sinks of
-    :func:`~repro.analysis.lint.effects.classify_call`:
-
-    * zero-argument ``.decode()`` calls (the ``WirePacket.decode()``
-      materialisation; ``bytes.decode("utf-8")`` with an explicit encoding
-      is not a packet decode and stays legal),
-    * ``Interest.decode(...)`` / ``Data.decode(...)`` / ``Nack.decode(...)``,
-    * decoded-object construction: ``Interest(...)`` / ``Data(...)`` /
-      ``Nack(...)``.
-    """
-
-    id = "RL001"
-    title = "no decode on the forwarding plane"
-    rationale = "transit is bytes-only; decoding belongs to endpoints"
-    #: Shared with the effect layer so RL001 and RL011 police one boundary.
-    scope_files = FORWARDING_PLANE_FILES
-
-    def check(self, module: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            classified = classify_call(node, module.path)
-            if classified is None or classified[0] != WIRE_DECODE:
-                continue
-            desc = classified[1]
-            if desc == ".decode()":
-                message = (
-                    ".decode() on the forwarding plane; transiting "
-                    "packets must never be materialised"
-                )
-            elif desc.endswith(".decode(...)"):
-                message = (
-                    f"{desc} on the forwarding plane; "
-                    "transit packets must stay wire views"
-                )
-            else:
-                message = (
-                    f"decoded-object construction {desc} on the "
-                    "forwarding plane; hand the wire buffer on instead"
-                )
-            yield self.finding(node, message)
-
-
-class DeterminismRule(Rule):
-    """RL002: simulation and forwarding code is bit-deterministic.
-
-    Flags wall-clock reads, ambient randomness (the ``random`` module,
-    ``numpy.random``, ``os.urandom``, ``uuid4``, ``secrets``) and direct
-    iteration over set displays/constructors (whose order is hash-seed
-    dependent) in ``repro.sim`` and ``repro.ndn`` — the ``WALL_CLOCK``,
-    ``AMBIENT_ENTROPY`` and ``SET_ITERATION`` sinks of the effect layer.
-    The sanctioned sources: clocks come from the engine
-    (``Environment.now``), randomness from ``repro.sim.rng`` — which is
-    therefore exempt by design, not by waiver.
-    """
-
-    id = "RL002"
-    title = "determinism: engine clocks and seeded RNG only"
-    rationale = "sim runs must be bit-reproducible across hosts and seeds"
-    scope_dirs = DETERMINISM_DIRS
-    exclude_files = DETERMINISM_EXEMPT_FILES
-
-    def check(self, module: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] in ENTROPY_MODULES:
-                        yield self.finding(
-                            node,
-                            f"import of nondeterministic module "
-                            f"{alias.name!r}; use repro.sim.rng streams",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module and node.module.split(".")[0] in ENTROPY_MODULES:
-                    yield self.finding(
-                        node,
-                        f"import from nondeterministic module "
-                        f"{node.module!r}; use repro.sim.rng streams",
-                    )
-            elif isinstance(node, ast.Attribute):
-                classified = classify_attribute(dotted_name(node) or "")
-                if classified is None:
-                    continue
-                effect, chain = classified
-                if effect == WALL_CLOCK or chain in ENTROPY_CALLS:
-                    yield self.finding(
-                        node,
-                        f"nondeterministic call {chain}; clocks come from "
-                        "the engine, entropy from repro.sim.rng",
-                    )
-                elif effect == AMBIENT_ENTROPY:
-                    yield self.finding(
-                        node,
-                        f"ambient randomness {chain}; draw from a "
-                        "repro.sim.rng stream instead",
-                    )
-            elif isinstance(node, (ast.For, ast.comprehension)):
-                if classify_iteration(node.iter) is not None:
-                    yield self.finding(
-                        node.iter,
-                        "iteration over an unsorted set: order depends on "
-                        "the hash seed; sort or use an ordered container",
-                    )
-
-
-class NoBlockingRule(Rule):
-    """RL003: engine and dispatcher hot loops never block the OS thread.
-
-    ``time.sleep``, sockets and subprocesses (the ``BLOCKS`` sinks of the
-    effect layer) inside the event loop or the dispatch path stall every
-    simulated process at once.
-    """
-
-    id = "RL003"
-    title = "no blocking calls in hot loops"
-    rationale = "one blocked dispatcher stalls every simulated process"
-    scope_files = HOT_LOOP_FILES
-
-    def check(self, module: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] in BLOCKING_MODULES:
-                        yield self.finding(
-                            node,
-                            f"import of blocking module {alias.name!r} in a "
-                            "hot-loop module",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module and node.module.split(".")[0] in BLOCKING_MODULES:
-                    yield self.finding(
-                        node,
-                        f"import from blocking module {node.module!r} in a "
-                        "hot-loop module",
-                    )
-            elif isinstance(node, ast.Attribute):
-                classified = classify_attribute(dotted_name(node) or "")
-                if classified is not None and classified[0] == BLOCKS:
-                    yield self.finding(
-                        node,
-                        f"blocking call {classified[1]} in a hot-loop module",
-                    )
 
 
 class ExceptionHygieneRule(Rule):
@@ -580,18 +409,13 @@ class ExportDriftRule(Rule):
 
 def default_rules() -> list[Rule]:
     """The full catalog, in rule-id order."""
-    from repro.analysis.lint.flowrules import flow_rules
     from repro.analysis.lint.interproc import interprocedural_rules
 
     return [
-        ZeroCopyRule(),
-        DeterminismRule(),
-        NoBlockingRule(),
         ExceptionHygieneRule(),
         MutableDefaultRule(),
         SlotsRule(),
         TlvRegistryRule(),
         ExportDriftRule(),
         *interprocedural_rules(),
-        *flow_rules(),
     ]

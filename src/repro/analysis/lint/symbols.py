@@ -10,8 +10,9 @@ and nothing that requires re-parsing:
   bare-attribute method calls, and function references passed as call
   arguments — ``functools.partial`` and callback registration fall out of
   the last form),
-* direct effect sites (see :mod:`repro.analysis.lint.effects`), already
-  filtered against sanctioning waivers,
+* direct effect sites (see :mod:`repro.analysis.lint.effects`), classified
+  after resolving names and dotted chains through the import bindings and
+  already filtered against sanctioning waivers,
 * the TLV registry constants and ``TlvTypes.X`` references (for RL007),
 * every identifier the module mentions (for the RL012 dead-export scan).
 
@@ -30,28 +31,23 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
-from repro.analysis.lint.dataflow import analyze_function
 from repro.analysis.lint.engine import SourceFile, Waiver, dotted_name, norm_path
 from repro.analysis.lint.effects import (
     AMBIENT_ENTROPY,
     BLOCKS,
-    EFFECT_BASE_RULE,
-    DETERMINISM_DIRS,
-    DETERMINISM_EXEMPT_FILES,
-    FORWARDING_PLANE_FILES,
-    HOT_LOOP_FILES,
     SET_ITERATION,
     WALL_CLOCK,
     WIRE_DECODE,
     EffectSite,
     classify_attribute,
     classify_call,
+    classify_import,
     classify_iteration,
 )
 
 __all__ = [
     "MODULE_KEY",
-    "TRANSITIVE_RULE_FOR_EFFECT",
+    "RULE_FOR_EFFECT",
     "ModuleSummary",
     "module_name_for_path",
     "summarize",
@@ -60,9 +56,9 @@ __all__ = [
 #: Pseudo-function holding module-level (import-time) code.
 MODULE_KEY = "<module>"
 
-#: The interprocedural rule a sanctioning waiver must name to stop an
-#: effect at its sink (an ``allow[RL009]`` comment on a sleep line).
-TRANSITIVE_RULE_FOR_EFFECT: dict[str, str] = {
+#: The rule that owns each effect, and that a sanctioning waiver on the
+#: sink line must name to stop it there (``allow[RL009]`` on a sleep).
+RULE_FOR_EFFECT: dict[str, str] = {
     BLOCKS: "RL009",
     WALL_CLOCK: "RL010",
     AMBIENT_ENTROPY: "RL010",
@@ -116,7 +112,6 @@ class ModuleSummary:
         "sanctioned",
         "tlv_registry",
         "tlv_refs",
-        "flow",
     )
 
     def __init__(self, display: str, path: str, module: Optional[str]) -> None:
@@ -140,8 +135,6 @@ class ModuleSummary:
         self.sanctioned: list[dict] = []
         self.tlv_registry: Optional[dict[str, list[int]]] = None
         self.tlv_refs: list[list] = []
-        #: local function -> dataflow facts (see dataflow.analyze_function)
-        self.flow: dict[str, dict] = {}
 
     @property
     def key(self) -> str:
@@ -167,7 +160,6 @@ class ModuleSummary:
             "sanctioned": self.sanctioned,
             "tlv_registry": self.tlv_registry,
             "tlv_refs": self.tlv_refs,
-            "flow": self.flow,
         }
 
     @classmethod
@@ -187,8 +179,38 @@ class ModuleSummary:
         summary.sanctioned = list(raw["sanctioned"])
         summary.tlv_registry = raw["tlv_registry"]
         summary.tlv_refs = list(raw["tlv_refs"])
-        summary.flow = dict(raw.get("flow", {}))
         return summary
+
+
+def _bind_imports(tree: ast.Module, summary: ModuleSummary) -> None:
+    """Fill the import table before the walk, so a sink is resolved even
+    where its import sits below the use (or inside another function)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    summary.imports[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".")[0]
+                    summary.imports[root] = root
+                summary.mentions.add(alias.name.split(".")[-1])
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level and summary.module:
+                # Level 1 resolves to the containing package: the module
+                # name itself for an __init__.py, its parent for a plain
+                # module.
+                drop = node.level - (1 if summary.path.endswith("/__init__.py") else 0)
+                parts = summary.module.split(".")
+                package = parts[: len(parts) - drop] if drop else parts
+                base = ".".join(package + ([node.module] if node.module else []))
+            for alias in node.names:
+                if alias.name == "*":
+                    summary.star_import = True
+                    continue
+                local = alias.asname or alias.name
+                summary.imports[local] = f"{base}.{alias.name}" if base else alias.name
+                summary.mentions.add(alias.name)
 
 
 class _Walker(ast.NodeVisitor):
@@ -205,39 +227,34 @@ class _Walker(ast.NodeVisitor):
     def _record_call(self, descriptor: dict) -> None:
         self.summary.calls.setdefault(self.current, []).append(descriptor)
 
-    def _record_site(self, effect: str, node: ast.AST, desc: str) -> None:
+    def _record_site(
+        self, node: ast.AST, classified: Optional[tuple[str, str]]
+    ) -> None:
+        if classified is None:
+            return
+        effect, desc = classified
         site = EffectSite(
             effect, getattr(node, "lineno", 1), getattr(node, "col_offset", 0), desc
         )
         self.summary.effect_sites.setdefault(self.current, []).append(site)
 
+    def _resolve(self, chain: str) -> str:
+        """``chain`` with its head replaced by the import it binds, if any."""
+        head, dot, rest = chain.partition(".")
+        target = self.summary.imports.get(head)
+        if target is None:
+            return chain
+        return f"{target}{dot}{rest}"
+
     # ------------------------------------------------------------- imports
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            if alias.asname:
-                self.summary.imports[alias.asname] = alias.name
-            else:
-                root = alias.name.split(".")[0]
-                self.summary.imports[root] = root
-            self.summary.mentions.add(alias.name.split(".")[-1])
+            self._record_site(node, classify_import(alias.name))
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        base = node.module or ""
-        if node.level and self.summary.module:
-            # Level 1 resolves to the containing package: the module name
-            # itself for an __init__.py, its parent for a plain module.
-            drop = node.level - (1 if self.summary.path.endswith("/__init__.py") else 0)
-            parts = self.summary.module.split(".")
-            package = parts[: len(parts) - drop] if drop else parts
-            base = ".".join(package + ([node.module] if node.module else []))
-        for alias in node.names:
-            if alias.name == "*":
-                self.summary.star_import = True
-                continue
-            local = alias.asname or alias.name
-            self.summary.imports[local] = f"{base}.{alias.name}" if base else alias.name
-            self.summary.mentions.add(alias.name)
+        if node.module and not node.level:
+            self._record_site(node, classify_import(node.module))
 
     # ------------------------------------------------------------- defs
 
@@ -300,15 +317,18 @@ class _Walker(ast.NodeVisitor):
     # ------------------------------------------------------------- expressions
 
     def visit_Call(self, node: ast.Call) -> None:
-        classified = classify_call(node, self.summary.path)
-        if classified is not None:
-            self._record_site(classified[0], node, classified[1])
         func = node.func
+        chain = dotted_name(func)
+        self._record_site(
+            node,
+            classify_call(
+                node, self._resolve(chain) if chain else None, self.summary.path
+            ),
+        )
         descriptor: Optional[dict] = None
         if isinstance(func, ast.Name):
             descriptor = {"kind": "name", "name": func.id}
         elif isinstance(func, ast.Attribute):
-            chain = dotted_name(func)
             if chain is not None:
                 descriptor = {"kind": "dotted", "dotted": chain}
             else:
@@ -330,12 +350,12 @@ class _Walker(ast.NodeVisitor):
                     }
                 )
             elif isinstance(value, ast.Attribute):
-                chain = dotted_name(value)
-                if chain is not None:
+                ref = dotted_name(value)
+                if ref is not None:
                     self._record_call(
                         {
                             "kind": "refdotted",
-                            "dotted": chain,
+                            "dotted": ref,
                             "line": value.lineno,
                             "col": value.col_offset,
                         }
@@ -345,31 +365,32 @@ class _Walker(ast.NodeVisitor):
     def visit_Attribute(self, node: ast.Attribute) -> None:
         chain = dotted_name(node)
         if chain is not None:
-            classified = classify_attribute(chain)
-            if classified is not None:
-                self._record_site(classified[0], node, classified[1])
+            self._record_site(node, classify_attribute(self._resolve(chain)))
         if (
             isinstance(node.value, ast.Name)
             and node.value.id == _TLV_REGISTRY_CLASS
         ):
             self.summary.tlv_refs.append([node.attr, node.lineno, node.col_offset])
         self.summary.mentions.add(node.attr)
-        self.generic_visit(node)
+        if isinstance(node.value, ast.Name):
+            # The chain's head was classified as part of the chain.
+            self.summary.mentions.add(node.value.id)
+        else:
+            self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
         if isinstance(node.ctx, ast.Load):
             self.summary.mentions.add(node.id)
+            target = self.summary.imports.get(node.id)
+            if target is not None:
+                self._record_site(node, classify_attribute(target))
 
     def visit_For(self, node: ast.For) -> None:
-        classified = classify_iteration(node.iter)
-        if classified is not None:
-            self._record_site(classified[0], node.iter, classified[1])
+        self._record_site(node.iter, classify_iteration(node.iter))
         self.generic_visit(node)
 
     def visit_comprehension(self, node: ast.comprehension) -> None:
-        classified = classify_iteration(node.iter)
-        if classified is not None:
-            self._record_site(classified[0], node.iter, classified[1])
+        self._record_site(node.iter, classify_iteration(node.iter))
         self.generic_visit(node)
 
 
@@ -401,33 +422,6 @@ def _tlv_registry(tree: ast.Module) -> Optional[dict[str, list[int]]]:
     return None
 
 
-def _flow_functions(tree: ast.Module) -> list:
-    """(qualname, node) pairs for module-level functions and methods,
-    mirroring the ``_Walker`` qualname convention (nested defs fold)."""
-    found: list = []
-
-    def descend(body, class_stack: list[str]) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.append((".".join(class_stack + [node.name]), node))
-            elif isinstance(node, ast.ClassDef):
-                descend(node.body, class_stack + [node.name])
-
-    descend(tree.body, [])
-    return found
-
-
-def _base_rule_applies(effect: str, path: str) -> bool:
-    """Does the line-local owner of ``effect`` lint this path directly?"""
-    if effect == BLOCKS:
-        return any(path.endswith(suffix) for suffix in HOT_LOOP_FILES)
-    if effect == WIRE_DECODE:
-        return any(path.endswith(suffix) for suffix in FORWARDING_PLANE_FILES)
-    if any(path.endswith(suffix) for suffix in DETERMINISM_EXEMPT_FILES):
-        return False
-    return any(marker in path for marker in DETERMINISM_DIRS)
-
-
 def _waiver_at(waivers: list[Waiver], rule: str, line: int) -> Optional[Waiver]:
     for waiver in waivers:
         if waiver.target_line == line and waiver.covers(rule) and waiver.reason:
@@ -442,45 +436,35 @@ def summarize(module: SourceFile) -> Optional[ModuleSummary]:
     summary = ModuleSummary(
         module.display, module.path, module_name_for_path(module.path)
     )
+    _bind_imports(module.tree, summary)
     walker = _Walker(summary)
     for stmt in module.tree.body:
         walker.visit(stmt)
     summary.exports = _module_exports(module.tree)
     if summary.path.endswith(_TLV_REGISTRY_FILE):
         summary.tlv_registry = _tlv_registry(module.tree)
-    # Dataflow layer: one CFG + flow extraction per module-level function.
-    # Functions with nothing to report contribute no cache weight.
-    for qual, node in _flow_functions(module.tree):
-        flow = analyze_function(node)
-        if flow:
-            summary.flow[qual] = flow
-    # Sanctioned sinks: a site whose line is waived for its base rule
-    # (where that rule applies directly) or for the transitive rule stops
-    # propagating.  The latter is recorded so the driver can surface the
-    # waiver as a used, audited suppression.
+    # Sanctioned sinks: a site whose line is waived for the rule that owns
+    # its effect stops there — no finding at the sink, nothing propagated.
+    # It is recorded so the driver can surface the waiver as one used,
+    # audited suppression.
     filtered: dict[str, list[EffectSite]] = {}
     for func in sorted(summary.effect_sites):
         kept: list[EffectSite] = []
         for site in summary.effect_sites[func]:
-            base_rule = EFFECT_BASE_RULE[site.effect]
-            if _base_rule_applies(site.effect, summary.path) and _waiver_at(
-                module.waivers, base_rule, site.line
-            ):
-                continue  # the direct finding carries the waiver already
-            transitive_rule = TRANSITIVE_RULE_FOR_EFFECT[site.effect]
-            waiver = _waiver_at(module.waivers, transitive_rule, site.line)
-            if waiver is not None:
-                summary.sanctioned.append(
-                    {
-                        "line": site.line,
-                        "rule": transitive_rule,
-                        "desc": site.desc,
-                        "reason": waiver.reason,
-                        "waiver_line": waiver.line,
-                    }
-                )
+            rule = RULE_FOR_EFFECT[site.effect]
+            waiver = _waiver_at(module.waivers, rule, site.line)
+            if waiver is None:
+                kept.append(site)
                 continue
-            kept.append(site)
+            summary.sanctioned.append(
+                {
+                    "line": site.line,
+                    "rule": rule,
+                    "desc": site.desc,
+                    "reason": waiver.reason,
+                    "waiver_line": waiver.line,
+                }
+            )
         if kept:
             filtered[func] = kept
     summary.effect_sites = filtered

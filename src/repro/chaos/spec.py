@@ -19,8 +19,8 @@ schedules its restart, a link-down its link-up, a partition its heal — so
 the schedule alone says when the system should be whole again; recovery
 never depends on driver-side bookkeeping surviving a replay.
 
-Nothing here reads a wall clock or ambient entropy (reprolint RL002/RL010
-apply to this package).
+Nothing here reads a wall clock or ambient entropy (reprolint RL010
+applies to this package).
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ DEFAULT_INTEREST_LIFETIME = 4.0
 #: detection, which needs *uniqueness within a run*, not unpredictability —
 #: and ambient entropy would make otherwise-identical simulation runs differ
 #: bit-for-bit in every trace and wire buffer (the determinism contract,
-#: statically enforced as lint rule RL002).  A process-wide counter gives
+#: statically enforced as lint rule RL010).  A process-wide counter gives
 #: every Interest a distinct, reproducible nonce; retransmissions construct
 #: a new Interest and therefore draw a fresh one.
 _NONCE_SEQUENCE = itertools.count(0x5EED0001)

@@ -19,8 +19,8 @@ The driver separates *generation* from *execution*:
    ComputeRequest` submitted through an :class:`~repro.core.client.
    LIDCClient` at the record's arrival time.
 
-Nothing here reads a wall clock or ambient entropy (reprolint RL002/RL010
-apply to this package); wall-clock measurement belongs to the benchmarks
+Nothing here reads a wall clock or ambient entropy (reprolint RL010
+applies to this package); wall-clock measurement belongs to the benchmarks
 that wrap the driver.
 """
 

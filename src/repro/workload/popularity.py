@@ -18,7 +18,7 @@ bench trajectory needs (ROADMAP open item 3):
 
 All entropy flows through named ``SeededRNG`` streams, so a model is
 deterministic per (seed, stream) and two models on distinct streams are
-statistically independent (reprolint RL002 applies to this package).
+statistically independent (reprolint RL010 applies to this package).
 """
 
 from __future__ import annotations

@@ -48,27 +48,6 @@ def rule_ids(report) -> list[str]:
 # (rule id, display path that puts the snippet in the rule's scope, source)
 RULE_FIXTURES = [
     (
-        "RL001",
-        "src/repro/ndn/forwarder.py",
-        "def on_interest(wire):\n"
-        "    packet = wire.decode()\n"
-        "    return packet\n",
-    ),
-    (
-        "RL002",
-        "src/repro/sim/engine.py",
-        "import time\n"
-        "def now():\n"
-        "    return time.time()\n",
-    ),
-    (
-        "RL003",
-        "src/repro/ndn/forwarder.py",
-        "import time\n"
-        "def wait():\n"
-        "    time.sleep(1.0)\n",
-    ),
-    (
         "RL004",
         "src/repro/core/anything.py",
         "def risky():\n"
@@ -97,6 +76,27 @@ RULE_FIXTURES = [
         '__all__ = ["exists", "phantom"]\n'
         "def exists():\n"
         "    return 1\n",
+    ),
+    (
+        "RL009",
+        "src/repro/ndn/forwarder.py",
+        "import time\n"
+        "def wait():\n"
+        "    time.sleep(1.0)\n",
+    ),
+    (
+        "RL010",
+        "src/repro/sim/engine.py",
+        "import time\n"
+        "def now():\n"
+        "    return time.time()\n",
+    ),
+    (
+        "RL011",
+        "src/repro/ndn/forwarder.py",
+        "def on_interest(wire):\n"
+        "    packet = wire.decode()\n"
+        "    return packet\n",
     ),
 ]
 
@@ -208,6 +208,21 @@ def test_wildcard_waiver():
     assert report.ok and report.waived
 
 
+@pytest.mark.parametrize("retired", ["RL001", "RL002", "RL003", "RL013", "RL014"])
+def test_waiver_naming_a_retired_rule_is_flagged(retired):
+    # RL001-RL003 live on as RL009-RL011 and RL013/RL014 are gone: a
+    # leftover waiver for one of them suppresses nothing and is reported.
+    source = (
+        "import time\n"
+        f"def now():  # lint: allow[{retired}] written for the old catalog\n"
+        "    return time.time()\n"
+    )
+    report = lint_snippet(source, display="src/repro/sim/mod.py")
+    meta = [f for f in report.unwaived if f.rule == META_RULE_ID]
+    assert meta and "unknown rule" in meta[0].message and retired in meta[0].message
+    assert "RL010" in rule_ids(report)
+
+
 def test_waiver_inside_string_is_ignored():
     source = 'text = "# lint: allow[RL005] not a comment"\ndef a(x=[]):\n    return x\n'
     report = lint_snippet(source, display="src/repro/core/mod.py")
@@ -260,25 +275,25 @@ def test_waiver_on_multiline_statement_first_line():
     source = (
         "import time\n"
         "def span():\n"
-        "    return max(  # lint: allow[RL002] diagnostics-only timestamp\n"
+        "    return max(  # lint: allow[RL010] diagnostics-only timestamp\n"
         "        time.time(),\n"
         "        0.0,\n"
         "    )\n"
     )
     report = lint_snippet(source, display="src/repro/sim/mod.py")
-    rl002 = [f for f in report.findings if f.rule == "RL002"]
-    assert rl002, [f.as_dict() for f in report.findings]
+    rl010 = [f for f in report.findings if f.rule == "RL010"]
+    assert rl010, [f.as_dict() for f in report.findings]
     # The attribute node sits on the continuation line: the waiver must
     # be inline there to bind.
     inline = source.replace(
-        "max(  # lint: allow[RL002] diagnostics-only timestamp", "max("
+        "max(  # lint: allow[RL010] diagnostics-only timestamp", "max("
     ).replace(
         "time.time(),",
-        "time.time(),  # lint: allow[RL002] diagnostics-only timestamp",
+        "time.time(),  # lint: allow[RL010] diagnostics-only timestamp",
     )
     report = lint_snippet(inline, display="src/repro/sim/mod.py")
-    rl002 = [f for f in report.findings if f.rule == "RL002"]
-    assert rl002 and all(f.waived for f in rl002), [
+    rl010 = [f for f in report.findings if f.rule == "RL010"]
+    assert rl010 and all(f.waived for f in rl010), [
         f.as_dict() for f in report.findings
     ]
 
@@ -288,12 +303,12 @@ def test_waiver_inside_nested_function():
         "import time\n"
         "def outer():\n"
         "    def inner():\n"
-        "        return time.time()  # lint: allow[RL002] nested diag probe\n"
+        "        return time.time()  # lint: allow[RL010] nested diag probe\n"
         "    return inner\n"
     )
     report = lint_snippet(source, display="src/repro/sim/mod.py")
     assert report.ok, [f.as_dict() for f in report.unwaived]
-    waived = [f for f in report.waived if f.rule == "RL002"]
+    waived = [f for f in report.waived if f.rule == "RL010"]
     assert waived and waived[0].line == 4
 
 
@@ -312,10 +327,10 @@ def test_profile_map_resolution():
 
 def test_relaxed_profile_disables_invariant_rules():
     source = "import time\ndef now():\n    return time.time()\n"
-    # Same snippet: strict (sim path) fires RL002, relaxed (cluster) does not.
-    assert "RL002" in rule_ids(lint_snippet(source, display="src/repro/sim/x.py"))
+    # Same snippet: strict (sim path) fires RL010, relaxed (cluster) does not.
+    assert "RL010" in rule_ids(lint_snippet(source, display="src/repro/sim/x.py"))
     report = lint_snippet(source, display="src/repro/cluster/x.py")
-    assert "RL002" not in rule_ids(report)
+    assert "RL010" not in rule_ids(report)
 
 
 def test_relaxed_profile_keeps_hygiene_rules():
@@ -327,7 +342,7 @@ def test_relaxed_profile_keeps_hygiene_rules():
 def test_forced_profile_overrides_map():
     source = "import time\ndef now():\n    return time.time()\n"
     report = lint_snippet(source, display="src/repro/sim/x.py", profile="relaxed")
-    assert "RL002" not in rule_ids(report)
+    assert "RL010" not in rule_ids(report)
     with pytest.raises(ValueError):
         Linter(profile="no-such-profile")
 
@@ -337,6 +352,16 @@ def test_profiles_registry_is_complete():
     catalog = {rule.id for rule in default_rules()}
     assert PROFILES["strict"].rule_ids == catalog
     assert PROFILES["relaxed"].rule_ids < catalog
+
+
+def test_relaxed_profile_is_hygiene_only():
+    assert PROFILES["relaxed"].rule_ids == {"RL004", "RL005"}
+
+
+def test_catalog_states_each_invariant_once():
+    assert [rule.id for rule in default_rules()] == [
+        f"RL{n:03d}" for n in range(4, 13)
+    ]
 
 
 # --------------------------------------------------------------------------

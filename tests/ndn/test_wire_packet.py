@@ -210,6 +210,16 @@ class TestWirePacketBehaviour:
         assert reparsed.name == interest.name
         assert reparsed.application_parameters == interest.application_parameters
 
+    def test_with_decremented_hop_limit_leaves_the_original_wire_untouched(self):
+        view = WirePacket(Interest(name=Name("/hop/keep"), hop_limit=7).encode())
+        original = bytes(view.wire)
+        forwarded = view.with_decremented_hop_limit()
+        # The patch goes into a copy: the received buffer may already be
+        # cached or queued on another face, so it must not change.
+        assert type(view.wire) is bytes and type(forwarded.wire) is bytes
+        assert view.wire == original and view.hop_limit == 7
+        assert forwarded.wire != original
+
     def test_hop_limit_decrement_saturates_at_zero(self):
         view = WirePacket(Interest(name=Name("/z"), hop_limit=0).encode())
         assert view.with_decremented_hop_limit().hop_limit == 0
