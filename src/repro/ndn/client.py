@@ -12,17 +12,18 @@ content store or from a request handler, signing everything it emits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from repro.exceptions import InterestNacked, InterestTimeout, NDNError
 from repro.ndn.face import AnyPacket, Face, LocalFace, connect
 from repro.ndn.forwarder import Forwarder
-from repro.ndn.name import Name
+from repro.ndn.name import Name, parse_name
 from repro.ndn.packet import Data, Interest, InterestLike, Nack, NackReason, WirePacket
 from repro.ndn.security import DigestSigner, HmacSigner
 from repro.ndn.segmentation import reassemble, segment_content
 from repro.ndn.tlv import TlvTypes
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, Timeout
 from repro.sim.rng import SeededRNG
 
 __all__ = ["Consumer", "Producer", "PendingInterest", "RetryPolicy"]
@@ -88,9 +89,13 @@ class PendingInterest:
     satisfied: bool = field(default=False)
     #: Time of the first transmission (the deadline budget anchor).
     first_sent_at: float = 0.0
-    #: Per-cycle wake event: a retriable Nack triggers it so the watchdog
-    #: retransmits immediately instead of waiting out the lifetime.
-    wake: Optional[Event] = None
+    #: The one armed timer of the exchange: its cycle's lifetime, the
+    #: zero-delay end of a Nacked cycle, or the backoff before the next
+    #: transmission.  ``None`` while nothing is armed.
+    timer: Optional[Timeout] = None
+    #: True from a transmission until its cycle ends; a retriable Nack
+    #: ends an open cycle, and during a backoff it only records its reason.
+    in_cycle: bool = False
     #: Reason code of the most recent Nack (for the final typed error).
     nack_reason: Optional[int] = None
 
@@ -180,7 +185,7 @@ class Consumer:
             interest = name
         else:
             interest = Interest(
-                name=Name(name),
+                name=parse_name(name) if isinstance(name, str) else name,
                 can_be_prefix=can_be_prefix,
                 must_be_fresh=must_be_fresh,
                 lifetime=lifetime if lifetime is not None else 4.0,
@@ -199,17 +204,36 @@ class Consumer:
         self._pending.setdefault(interest.name, []).append(pending)
         if interest.can_be_prefix:
             self._prefix_pending += 1
-        # The wake event exists before the first transmission: a Nack that
-        # comes back synchronously (zero-delay local faces) must still be
-        # able to trip the watchdog's first cycle.
-        pending.wake = self.env.event(name="retry")
-        self._send(pending)
-        self.env.process(self._watchdog(pending), name="watchdog")
+        self._transmit(pending)
         return completion
 
-    def _send(self, pending: PendingInterest) -> None:
+    def _transmit(self, pending: PendingInterest) -> None:
+        """Send and, unless the send itself decided the cycle, arm its lifetime.
+
+        On zero-delay faces the answer can arrive inside ``face.send``: Data
+        settles the exchange and a retriable Nack arms the cycle's end, so
+        neither leaves a lifetime to arm.
+        """
+        pending.in_cycle = True
         self.interests_sent += 1
         self.face.send(pending.interest)
+        if pending.in_cycle and not pending.satisfied:
+            self._arm(pending, pending.interest.lifetime,
+                      partial(self._end_cycle, pending, False))
+
+    def _arm(self, pending: PendingInterest, delay: float,
+             expire: Callable[[Event], None]) -> None:
+        timer = self.env.timeout(delay)
+        timer.callbacks.append(expire)
+        pending.timer = timer
+
+    def _disarm(self, pending: PendingInterest) -> None:
+        """Cancel the armed timer: the spent ``Timeout`` stays in the
+        schedule until it is due, but runs nothing and holds nothing."""
+        timer = pending.timer
+        if timer is not None:
+            timer.callbacks.clear()
+            pending.timer = None
 
     def _deadline_left(self, pending: PendingInterest) -> bool:
         deadline_s = pending.policy.deadline_s
@@ -230,67 +254,53 @@ class Consumer:
                 InterestTimeout(pending.interest.name, pending.interest.lifetime)
             )
 
-    def _watchdog(self, pending: PendingInterest):
-        while True:
-            if pending.wake is None:  # pragma: no cover - armed at express time
-                pending.wake = self.env.event(name="retry")
-            if not pending.wake.triggered:
-                # A wake already tripped (a Nack delivered synchronously,
-                # before this cycle started) falls straight through to the
-                # retry logic instead of being discarded.
-                yield self.env.any_of(
-                    [self.env.timeout(pending.interest.lifetime), pending.wake]
-                )
-            if pending.satisfied or pending.completion.triggered:
-                return
-            nacked = pending.wake.triggered
-            if pending.retries_left <= 0 or not self._deadline_left(pending):
+    def _end_cycle(self, pending: PendingInterest, nacked: bool, _timer: Timeout) -> None:
+        """The cycle's lifetime ran out, or a retriable Nack ended it:
+        fail the exchange, or spend a retry and back off or re-express."""
+        pending.timer = None
+        pending.in_cycle = False
+        if pending.retries_left <= 0 or not self._deadline_left(pending):
+            self._fail_pending(pending, nacked)
+            return
+        pending.retries_left -= 1
+        pending.attempts += 1
+        policy = pending.policy
+        backoff = policy.backoff_s(pending.attempts - 1, self._rng)
+        if backoff > 0.0:
+            if policy.deadline_s is not None and (
+                self.env.now + backoff
+                >= pending.first_sent_at + policy.deadline_s
+            ):
+                # The backoff alone would blow the budget: give the
+                # caller its typed verdict now instead of later.
                 self._fail_pending(pending, nacked)
                 return
-            pending.retries_left -= 1
-            pending.attempts += 1
-            policy = pending.policy
-            backoff = policy.backoff_s(pending.attempts - 1, self._rng)
-            if backoff > 0.0:
-                if policy.deadline_s is not None and (
-                    self.env.now + backoff
-                    >= pending.first_sent_at + policy.deadline_s
-                ):
-                    # The backoff alone would blow the budget: give the
-                    # caller its typed verdict now instead of later.
-                    self._fail_pending(pending, nacked)
-                    return
-                yield self.env.timeout(backoff)
-                if pending.satisfied or pending.completion.triggered:
-                    return
-            # Re-express with a fresh nonce so it is not treated as a loop;
-            # re-arm the wake first so a synchronous Nack lands on the new
-            # cycle, not the consumed event.
-            pending.interest = Interest(
-                name=pending.interest.name,
-                can_be_prefix=pending.interest.can_be_prefix,
-                must_be_fresh=pending.interest.must_be_fresh,
-                lifetime=pending.interest.lifetime,
-                application_parameters=pending.interest.application_parameters,
-            )
-            pending.wake = self.env.event(name="retry")
-            self._send(pending)
+            self._arm(pending, backoff, partial(self._retransmit, pending))
+            return
+        self._retransmit(pending)
+
+    def _retransmit(self, pending: PendingInterest, _timer: Optional[Timeout] = None) -> None:
+        """Re-express with a fresh nonce so it is not treated as a loop."""
+        pending.timer = None
+        interest = pending.interest
+        pending.interest = Interest(
+            name=interest.name,
+            can_be_prefix=interest.can_be_prefix,
+            must_be_fresh=interest.must_be_fresh,
+            lifetime=interest.lifetime,
+            application_parameters=interest.application_parameters,
+        )
+        self._transmit(pending)
 
     def _settle(self, pending: PendingInterest) -> None:
-        """The exchange has its verdict: drop it and end its watchdog *now*.
-
-        Tripping the per-cycle wake makes the watchdog run its existing
-        ``satisfied`` check at once, rather than sleep out the rest of the
-        Interest lifetime holding the exchange (the Interest, the decoded
-        Data, its events) alive.
-        """
+        """The exchange has its verdict: drop it and disarm its timer *now*,
+        rather than leave the exchange (the Interest, the decoded Data, its
+        events) reachable from the schedule for the rest of its lifetime."""
         pending.satisfied = True
         self._forget(pending)
-        wake = pending.wake
-        if wake is not None and not wake.triggered:
-            wake.succeed()
 
     def _forget(self, pending: PendingInterest) -> None:
+        self._disarm(pending)
         bucket = self._pending.get(pending.interest.name, [])
         if pending in bucket:
             bucket.remove(pending)
@@ -338,11 +348,15 @@ class Consumer:
                 and pending.retries_left > 0
                 and self._deadline_left(pending)
             ):
-                # Self-healing path: wake the watchdog to retransmit (with
+                # Self-healing path: end the open cycle to retransmit (with
                 # backoff) instead of failing the exchange on first refusal.
+                # The end is a zero-delay timer, never a re-send inside this
+                # Nack's own delivery stack.
                 pending.nack_reason = reason
-                if pending.wake is not None and not pending.wake.triggered:
-                    pending.wake.succeed(reason)
+                if pending.in_cycle:
+                    pending.in_cycle = False
+                    self._disarm(pending)
+                    self._arm(pending, 0.0, partial(self._end_cycle, pending, True))
                 continue
             self._settle(pending)
             if not pending.completion.triggered:

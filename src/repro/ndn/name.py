@@ -9,12 +9,12 @@ longest-prefix match and the LIDC semantic naming scheme need.
 from __future__ import annotations
 
 import urllib.parse
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator, Union
 
 from repro.exceptions import NameError_
 
-__all__ = ["Component", "Name"]
+__all__ = ["Component", "Name", "parse_name"]
 
 
 @total_ordering
@@ -248,3 +248,14 @@ class Name:
         if not self._components:
             raise NameError_("the root name has no components")
         return self._components[-1]
+
+
+@lru_cache(maxsize=8192)
+def parse_name(uri: str) -> Name:
+    """``Name(uri)``, parsed once per distinct URI (bounded LRU memo).
+
+    A consumer re-requests the same names; each repeat gets the same
+    immutable :class:`Name`, whose URI memo is then filled once rather
+    than once per request.
+    """
+    return Name(uri)

@@ -338,9 +338,8 @@ class ConditionEvent(Event):
         """Decided: unsubscribe from every child that has not fired yet.
 
         Left in a child's callback list, a decided condition stays reachable
-        for as long as that child is scheduled — a finished Interest
-        exchange would hang off its unfired lifetime ``Timeout`` (and form
-        an ``AnyOf`` <-> wake-event cycle) for a full Interest lifetime.  A
+        for as long as that child is scheduled: whatever waits on it would
+        hang off an unfired ``Timeout`` child until that timeout is due.  A
         child that fails later therefore has no subscriber here and is
         recorded in ``Environment.unhandled_failures`` like any other
         unobserved failure.

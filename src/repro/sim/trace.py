@@ -10,9 +10,10 @@ attribute value that is not already a primitive (``str``/``int``/``float``/
 a stored record holds primitives only, never a live object of the run (and
 an attribute dict of primitives is one the cycle collector never has to
 visit).  Eager is affordable because the one rich type the forwarding plane
-passes, :class:`~repro.ndn.name.Name`, memoises its URI: ``str(name)`` is a
-pointer copy after the first call and every record of a name shares that
-one string.
+passes, :class:`~repro.ndn.name.Name`, memoises its URI, and a consumer's
+repeated request names are one ``Name`` each (``repro.ndn.name.parse_name``):
+the URI is formatted once per distinct name, not once per request, and
+every record of a name shares that one string.
 """
 
 from __future__ import annotations

@@ -3,12 +3,14 @@
 Deterministic op counts and object retention — no wall clock anywhere:
 
 * a seeded two-hop exchange stays under pinned ceilings for
-  ``Environment.step`` calls and ``Process`` constructions;
+  ``Environment.step`` calls and starts no ``Process`` at all;
 * satisfied exchanges leave nothing behind *before* their Interest lifetime
-  has run out: no live watchdog, no pending entry, no reference cycle for
+  has run out: no armed timer, no pending entry, no reference cycle for
   the collector to find;
-* every way an exchange can end also ends its watchdog process;
-* a retry budget of N costs exactly N + 1 transmissions and lifetimes.
+* every way an exchange can end also disarms its timer: no event left in
+  the schedule calls back into the consumer;
+* a retry budget of N costs exactly N + 1 transmissions and lifetimes, and
+  a Nack during a backoff neither cuts it short nor spends a retry.
 """
 
 import gc
@@ -20,7 +22,7 @@ from repro.ndn.client import Consumer, RetryPolicy
 from repro.ndn.face import connect
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
-from repro.ndn.packet import Data
+from repro.ndn.packet import Data, Interest, NackReason
 from repro.sim.engine import Environment, Process
 from repro.sim.topology import Link
 from repro.sim.trace import Tracer
@@ -50,10 +52,13 @@ class CountingEnvironment(Environment):
         self.run(until=self.now)
 
 
-def watchdog(env):
-    """The one watchdog process the environment has started."""
-    (proc,) = [proc for proc in env.spawned if proc.name.startswith("watchdog")]
-    return proc
+def assert_exchange_disarmed(env, consumer):
+    """No event still in the schedule calls back into ``consumer``: the
+    exchange's timer was disarmed with its verdict, or never armed."""
+    for *_, event in env._queue:
+        for callback in event.callbacks:
+            target = getattr(callback, "func", callback)  # unwrap a partial
+            assert getattr(target, "__self__", None) is not consumer, (event, callback)
 
 
 def answer(interest):
@@ -71,10 +76,11 @@ def two_hop(env, latency_s=0.0005, tracer=None):
 
 class TestExchangeBudget:
     #: Set from this tree: per exchange one link Timeout each way, the
-    #: completion, the watchdog's start, wake, AnyOf and end, and the spent
-    #: lifetime Timeout.  A Process per packet per hop costs 11 and 3.
-    MAX_STEPS_PER_EXCHANGE = 8
-    MAX_PROCESSES_PER_EXCHANGE = 1
+    #: completion and the spent (disarmed) lifetime Timeout.  A watchdog
+    #: process per exchange costs 8 and 1; a Process per packet per hop 11
+    #: and 3.
+    MAX_STEPS_PER_EXCHANGE = 4
+    MAX_PROCESSES_PER_EXCHANGE = 0
 
     def test_two_hop_exchange_stays_under_the_pinned_ceilings(self):
         env = CountingEnvironment()
@@ -121,10 +127,11 @@ class TestRetention:
             assert not any(proc.is_alive for proc in env.spawned)
             env.spawned.clear()
             assert sum(isinstance(obj, Process) for obj in gc.get_objects()) == 0
+            assert_exchange_disarmed(env, consumer)
             assert consumer.pending_count() == 0
             assert len(fa.pit) == len(fb.pit) == 0
             assert gc.collect() == 0
-            # The heap still holds the 1000 spent lifetime Timeouts; running
+            # The heap still holds the 1000 disarmed lifetime Timeouts; running
             # them out must not turn anything into cyclic garbage either.
             env.run()
             assert gc.collect() == 0
@@ -133,7 +140,7 @@ class TestRetention:
 
 
 class TestWatchdogEndsWithItsExchange:
-    """Each way an exchange can end."""
+    """Each way an exchange can end disarms its timer."""
 
     def test_satisfied_synchronously_before_the_first_cycle(self):
         env = CountingEnvironment()
@@ -141,10 +148,10 @@ class TestWatchdogEndsWithItsExchange:
         forwarder.attach_producer("/svc", answer)
         consumer = Consumer(env, forwarder)
         completion = consumer.express_interest("/svc/now")
-        assert completion.triggered  # answered inside _send, zero-delay faces
+        assert completion.triggered  # answered inside face.send, zero-delay faces
         env.settle()
         assert env.now == 0.0
-        assert not watchdog(env).is_alive
+        assert_exchange_disarmed(env, consumer)
         assert consumer.pending_count() == 0
 
     def test_satisfied_across_a_link(self):
@@ -153,12 +160,11 @@ class TestWatchdogEndsWithItsExchange:
         env.run(until=consumer.express_interest("/svc/far"))
         env.settle()
         assert env.now == pytest.approx(0.02, abs=1e-3)
-        assert not watchdog(env).is_alive
+        assert_exchange_disarmed(env, consumer)
 
     def test_satisfied_during_a_backoff_sleep(self):
-        """The Data of the first transmission arrives while the watchdog
-        sleeps out its backoff: it wakes when the backoff ends, sees the
-        verdict and leaves without retransmitting."""
+        """The Data of the first transmission arrives during the backoff:
+        it disarms the backoff timer, so nothing is retransmitted."""
         env = CountingEnvironment()
         forwarder = Forwarder(env, "slow")
         forwarder.attach_producer("/svc", lambda interest: None)  # never answers
@@ -171,8 +177,8 @@ class TestWatchdogEndsWithItsExchange:
         env.timeout(0.8).callbacks.append(lambda _ev: consumer.face.peer.send(late))
         assert env.run(until=completion).content == b"late"
         assert env.now == pytest.approx(0.8)
+        assert_exchange_disarmed(env, consumer)
         env.run(until=1.5)  # lifetime 0.5 + backoff 1.0
-        assert not watchdog(env).is_alive
         assert consumer.interests_sent == 1
         assert consumer.pending_count() == 0
         env.run()
@@ -186,7 +192,7 @@ class TestWatchdogEndsWithItsExchange:
             env.run(until=completion)
         env.settle()
         assert env.now == 0.0
-        assert not watchdog(env).is_alive
+        assert_exchange_disarmed(env, consumer)
         assert consumer.pending_count() == 0
 
     def test_final_nack_across_a_link(self):
@@ -199,7 +205,7 @@ class TestWatchdogEndsWithItsExchange:
             env.run(until=consumer.express_interest("/svc/refused"))
         env.settle()
         assert env.now < LIFETIME_S
-        assert not watchdog(env).is_alive
+        assert_exchange_disarmed(env, consumer)
         assert consumer.pending_count() == 0
 
     def test_timeout_verdict_from_inside_the_watchdog(self):
@@ -211,14 +217,14 @@ class TestWatchdogEndsWithItsExchange:
             env.run(until=consumer.express_interest("/svc/x", lifetime=0.5))
         env.settle()
         assert env.now == pytest.approx(0.5)
-        assert not watchdog(env).is_alive
+        assert_exchange_disarmed(env, consumer)
         assert consumer.pending_count() == 0
         assert env.queue_size == 0
 
     def test_nacked_verdict_from_inside_the_watchdog(self):
-        """A retriable Nack wakes the watchdog, whose backoff alone would
-        blow the deadline: it fails the exchange itself (``_fail_pending``)
-        and the unfired lifetime Timeout is left holding nothing."""
+        """A retriable Nack ends the cycle, whose backoff alone would blow
+        the deadline: the cycle's end fails the exchange itself
+        (``_fail_pending``) and no lifetime Timeout was ever armed."""
         env = CountingEnvironment()
         consumer = Consumer(env, Forwarder(env, "no-routes"))
         completion = consumer.express_interest(
@@ -230,7 +236,7 @@ class TestWatchdogEndsWithItsExchange:
             env.run(until=completion)
         env.settle()
         assert env.now == 0.0
-        assert not watchdog(env).is_alive
+        assert_exchange_disarmed(env, consumer)
         assert consumer.pending_count() == 0
         assert consumer.interests_sent == 1
 
@@ -261,3 +267,29 @@ class TestRetryBudget:
             env.run(until=consumer.express_interest("/nowhere/x", retry_policy=policy))
         assert consumer.interests_sent == 1
         assert env.now == 0.0
+
+    def test_a_nack_during_a_backoff_neither_cuts_it_short_nor_spends_a_retry(self):
+        """Cycles end at 0.5 and 2.0 s, backoffs of 1 and 2 s follow them;
+        a retriable Nack at 0.8 s, inside the first backoff, is recorded
+        and nothing else: the exchange still costs 3 transmissions and
+        times out at 4.5 s."""
+        env = Environment()
+        forwarder = Forwarder(env, "silent")
+        forwarder.attach_producer("/svc", lambda interest: None)
+        consumer = Consumer(env, forwarder)
+        completion = consumer.express_interest(
+            "/svc/x", lifetime=0.5,
+            retry_policy=RetryPolicy(max_retries=2, initial_backoff_s=1.0, retry_nacks=True),
+        )
+        nack = Interest(name=Name("/svc/x")).nack(NackReason.NO_ROUTE)
+        env.timeout(0.8).callbacks.append(lambda _ev: consumer.face.peer.send(nack))
+        env.run(until=1.4)
+        assert consumer.nacks_received == 1
+        assert consumer.interests_sent == 1
+        env.run(until=1.6)
+        assert consumer.interests_sent == 2
+        with pytest.raises(InterestTimeout):
+            env.run(until=completion)
+        assert env.now == pytest.approx(4.5)
+        assert consumer.interests_sent == 3
+        assert consumer.timeouts == 1

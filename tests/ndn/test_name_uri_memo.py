@@ -1,18 +1,21 @@
-"""Property tests for the memoised name URI.
+"""Property tests for the memoised name URI and the memoised URI parse.
 
-``Name`` keeps its formatted URI in a slot beside the hash.  The memo must
-be invisible: same text as formatting from scratch, never inherited by a
-derived name, carried (or rebuilt) across ``copy``/``pickle``, and without
-effect on hash, equality or order.
+``Name`` keeps its formatted URI in a slot beside the hash, and
+``parse_name`` hands out one ``Name`` per distinct URI.  The memos must be
+invisible: same text and name as building them from scratch, never
+inherited by a derived name, carried (or rebuilt) across ``copy``/``pickle``,
+and without effect on hash, equality or order.
 """
 
 import copy
 import pickle
 import urllib.parse
 
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.ndn.name import Component, Name
+from repro.exceptions import NameError_
+from repro.ndn.name import Component, Name, parse_name
 from repro.ndn.packet import Interest, WirePacket
 
 _component_bytes = st.binary(min_size=1, max_size=10)
@@ -94,3 +97,20 @@ class TestUriMemo:
         assert (a == b) == (a.components == b.components)
         assert (a < b) == (a.components < b.components)
         assert (hash(a) == hash(b)) or a != b
+
+
+class TestParseMemo:
+    @given(parts=st.lists(_component_bytes, min_size=0, max_size=6))
+    def test_a_memo_returned_name_is_the_parsed_name(self, parts):
+        uri = format_from_scratch(Name(parts))
+        memo = parse_name(uri)
+        assert memo is parse_name(uri)  # one Name per distinct URI
+        parsed = Name(uri)
+        assert memo == parsed and hash(memo) == hash(parsed)
+        assert memo.components == parsed.components
+        assert str(memo) == str(parsed) == uri
+
+    def test_a_bad_uri_raises_every_time(self):
+        for _ in range(2):  # a failed parse is not memoised
+            with pytest.raises(NameError_):
+                parse_name("no-leading-slash")

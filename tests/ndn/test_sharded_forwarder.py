@@ -170,8 +170,8 @@ class TestServiceTimeModel:
             consumer.express_interest(f"{tenant}/obj", lifetime=10_000.0)
             for tenant in cls.MODEL_TENANTS
         ]
-        # Stop at the last Data, not at queue drain: the pending Interest
-        # watchdogs would otherwise run the clock to the lifetime horizon.
+        # Stop at the last Data, not at queue drain: the disarmed lifetime
+        # Timeouts would otherwise run the clock to the lifetime horizon.
         env.run(until=env.all_of(completions))
         assert all(c.ok for c in completions)
         return env.now, node
