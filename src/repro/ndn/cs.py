@@ -123,8 +123,11 @@ class ContentStore:
     # -- insertion -----------------------------------------------------------
 
     def insert(self, data: DataLike) -> None:
-        """Cache ``data`` (no-op when capacity is zero)."""
+        """Cache ``data``; at capacity zero, caches nothing and evicts all."""
         if self._capacity == 0:
+            # Capacity lowered to 0 since the entries were cached.
+            while self._entries:
+                self._evict_one()
             return
         now = self._clock()
         name = data.name

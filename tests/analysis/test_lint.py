@@ -321,7 +321,7 @@ def test_profile_map_resolution():
     assert profile_for_path("src/repro/ndn/forwarder.py") == "strict"
     assert profile_for_path("src/repro/sim/engine.py") == "strict"
     assert profile_for_path("src/repro/cluster/kubelet.py") == "relaxed"
-    assert profile_for_path("benchmarks/bench_fastpath.py") == "relaxed"
+    assert profile_for_path("benchmarks/e2e/run.py") == "relaxed"
     assert profile_for_path("tests/ndn/test_forwarder.py") == "relaxed"
 
 

@@ -36,8 +36,8 @@ class _Driver:
         self.received.append(packet)
 
 
-def _rig(env, shards=2, cs_capacity=64, hot_cache=8, freshness=3600.0):
-    """A sharded node + driver face with one fresh producer under /p."""
+def _rig(env, shards=2, cs_capacity=64, hot_cache=8, freshness=3600.0, prefixes=("/p",)):
+    """A sharded node + driver face with a fresh producer under each prefix."""
     node = ShardedForwarder(
         env, name="coherence", shards=shards,
         cs_capacity=cs_capacity, hot_cache=hot_cache,
@@ -48,7 +48,8 @@ def _rig(env, shards=2, cs_capacity=64, hot_cache=8, freshness=3600.0):
             name=interest.name, content=b"v1", freshness_period=_freshness
         ).sign()
 
-    node.attach_producer("/p", handler)
+    for prefix in prefixes:
+        node.attach_producer(prefix, handler)
     driver = _Driver()
     driver_face, _ = connect(env, driver, node, face_cls=LocalFace)
     return node, driver, driver_face
@@ -122,6 +123,64 @@ class TestFastPathServing:
             _exchange(env, driver, face, "/p/obj")
         assert node.hot_cache.hits == 0
         assert node.hot_cache.insertions == 0
+
+
+class TestHitPathCost:
+    """What a hot-cache hit saves, counted rather than timed: 64 hot names
+    over 64 tenants on a 2-shard node, repeat exchanges after priming.  The
+    first hit on a name also validates its freshness TLV, so the count
+    averages over several rounds of repeats."""
+
+    TENANTS = [f"/u{i:03d}" for i in range(64)]
+    ROUNDS = 8
+
+    def _repeat_exchanges(self, call_count, hot_cache: int) -> tuple[float, float]:
+        """Calls and boundary crossings per repeat exchange."""
+        env = Environment()
+        node, driver, face = _rig(
+            env, cs_capacity=4096, hot_cache=hot_cache, prefixes=self.TENANTS
+        )
+        wires = [
+            Interest(name=Name(f"{tenant}/hot{i}"), hop_limit=16).encode()
+            for i, tenant in enumerate(self.TENANTS)
+        ]
+        for wire in wires:  # prime the shard CSs (and the hot cache)
+            face.send(WirePacket(wire))
+        env.run()
+        driver.received.clear()
+        crossings_before = self._boundary_packets(node)
+        decodes = WirePacket.wire_decodes
+        exchanges = self.ROUNDS * len(wires)
+
+        def repeat():
+            for _round in range(self.ROUNDS):
+                for wire in wires:
+                    face.send(WirePacket(wire))
+            env.run()
+
+        calls = call_count(repeat)
+        assert len(driver.received) == exchanges
+        assert WirePacket.wire_decodes == decodes
+        if hot_cache:
+            assert node.hot_cache.hits == exchanges
+        else:
+            assert sum(shard.cs.hits for shard in node.shards) == exchanges
+        crossings = self._boundary_packets(node) - crossings_before
+        return calls / exchanges, crossings / exchanges
+
+    @staticmethod
+    def _boundary_packets(node) -> int:
+        return sum(
+            side["interests_out"] + side["data_out"] + side["nacks_out"]
+            for pair in node.boundary_stats().values()
+            for side in pair.values()
+        )
+
+    def test_a_hit_never_crosses_the_shard_boundary_and_halves_the_calls(self, call_count):
+        hit_calls, hit_crossings = self._repeat_exchanges(call_count, hot_cache=128)
+        shard_calls, shard_crossings = self._repeat_exchanges(call_count, hot_cache=0)
+        assert (hit_crossings, shard_crossings) == (0, 2)
+        assert hit_calls <= 0.5 * shard_calls
 
 
 class TestCoherence:

@@ -193,7 +193,7 @@ class TestServiceTimeModel:
                 for tenant in self.MODEL_TENANTS
             )
             assert makespan == pytest.approx(max(split.values()), abs=0.5)
-        assert makespan_2 < makespan_1 / 1.4
+        assert makespan_2 < makespan_1 / 1.5
         assert makespan_4 < makespan_2
 
     def test_modelled_runs_are_deterministic(self):

@@ -128,6 +128,19 @@ class TestContentStoreRegressions:
         cs.insert(make_data("/e"))
         assert len(cs) == 2
 
+    def test_insert_after_capacity_lowered_to_zero_empties_the_store(self):
+        cs = ContentStore(capacity=4)
+        for uri in ("/a", "/b", "/c"):
+            cs.insert(make_data(uri))
+        evicted = []
+        cs.on_evict = evicted.append
+        cs.capacity = 0
+        cs.insert(make_data("/d"))
+        assert len(cs) == 0
+        assert evicted == [Name("/a"), Name("/b"), Name("/c")]
+        assert cs.evictions == 3 and cs.insertions == 3
+        assert cs.find(Interest(name=Name("/a"))) is None
+
     def test_prefix_find_after_eviction_does_not_resurrect(self):
         cs = ContentStore(capacity=1)
         cs.insert(make_data("/a/1"))
@@ -217,7 +230,8 @@ class _ReferenceLruModel:
 
     Evicts the entry with the oldest last access (refreshes included) by an
     O(n) scan.  A capacity change evicts nothing by itself: a new insert
-    evicts while ``len >= capacity`` and a refresh while ``len > capacity``.
+    evicts while ``len >= capacity`` and a refresh while ``len > capacity``;
+    at capacity 0 any insert empties the store and caches nothing.
     The property test below checks the O(1) implementation against it.
     """
 
@@ -228,6 +242,8 @@ class _ReferenceLruModel:
 
     def insert(self, uri: str, now: float) -> None:
         if self.capacity == 0:
+            while self.last_access:
+                self._evict()
             return
         if uri in self.last_access:
             self.last_access[uri] = now
@@ -255,7 +271,7 @@ class _ReferenceLruModel:
 _ops = st.lists(
     st.one_of(
         st.tuples(st.sampled_from(["insert", "find"]), st.sampled_from("abcde")),
-        st.tuples(st.just("set_capacity"), st.integers(min_value=1, max_value=4)),
+        st.tuples(st.just("set_capacity"), st.integers(min_value=0, max_value=4)),
     ),
     max_size=40,
 )
@@ -281,6 +297,59 @@ class TestLruReferenceModel:
             assert [str(n) for n in cs.names()] == recency
         assert (cs.hits, cs.misses) == (model.hits, model.misses)
         assert (cs.insertions, cs.evictions) == (model.insertions, model.evictions)
+
+
+class TestCostIndependentOfStoreSize:
+    """The store's per-operation cost, counted in calls rather than timed:
+    the same operations make the same calls at 1 000 entries as at 20 000."""
+
+    SIZES = (1_000, 20_000)
+    OPS = 200
+
+    @staticmethod
+    def _full_store(size: int) -> ContentStore:
+        cs = ContentStore(capacity=size)
+        for index in range(size):
+            cs.insert(Data(name=Name(f"/obj/{index // 100}/{index}"), content=b"z"))
+        return cs
+
+    def _insert_costs(self, call_count, size: int) -> tuple[float, float, int]:
+        """Calls per insert into a full store, before and after the prefix
+        index is built, and the evictions those inserts made."""
+        cs = self._full_store(size)
+        batches = [
+            [Data(name=Name(f"/new/{phase}/{i}"), content=b"z") for i in range(self.OPS)]
+            for phase in range(2)
+        ]
+
+        def insert(batch):
+            for data in batch:
+                cs.insert(data)
+
+        evictions = cs.evictions
+        exact_only = call_count(lambda: insert(batches[0]))
+        cs.find(Interest(name=Name("/new"), can_be_prefix=True))  # builds the index
+        indexed = call_count(lambda: insert(batches[1]))
+        return exact_only / self.OPS, indexed / self.OPS, cs.evictions - evictions
+
+    def test_insert_with_eviction_costs_the_same_at_every_size(self, call_count):
+        costs = [self._insert_costs(call_count, size) for size in self.SIZES]
+        assert costs[0] == costs[1]
+        assert costs[0][2] == 2 * self.OPS  # exactly one eviction per insert
+
+    def test_prefix_find_costs_the_same_at_every_size(self, call_count):
+        interests = [
+            Interest(name=Name(f"/obj/{bucket}"), can_be_prefix=True) for bucket in range(10)
+        ]
+        per_find = []
+        for size in self.SIZES:
+            cs = self._full_store(size)
+            cs.find(interests[0])  # builds the index outside the count
+            found = []
+            calls = call_count(lambda: found.extend(cs.find(i) for i in interests))
+            assert all(data is not None for data in found)
+            per_find.append(calls / len(interests))
+        assert per_find[0] == per_find[1]
 
 
 class TestPit:

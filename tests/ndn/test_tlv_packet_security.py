@@ -1,7 +1,7 @@
 """Tests for TLV encoding, packet wire formats and signing."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.exceptions import TLVDecodeError, VerificationError
 from repro.ndn.name import Component, Name
@@ -172,6 +172,7 @@ class TestDataWire:
             Data.decode(interest.encode())
 
     @given(payload=st.binary(max_size=2000))
+    @example(payload=b"x" * 8192)  # one data-lake segment
     def test_content_round_trip_property(self, payload):
         data = Data(name=Name("/x/y"), content=payload).sign()
         assert Data.decode(data.encode()).content == payload

@@ -9,9 +9,11 @@ from repro.ndn.shard import ShardedForwarder
 from repro.sim.engine import Environment
 from repro.sim.rng import SeededRNG
 from repro.workload import (
+    FlashCrowdArrivals,
     LIDCWorkloadDriver,
     PoissonArrivals,
     ScanPopularity,
+    SpikeWindow,
     WorkloadDriver,
     WorkloadSpec,
     ZipfPopularity,
@@ -23,8 +25,8 @@ CATALOG = make_catalog(64)
 TENANTS = sorted({f"/{name.split('/')[1]}" for name in CATALOG})
 
 
-def _producers(node, freshness=3600.0):
-    for tenant in TENANTS:
+def _producers(node, freshness=3600.0, tenants=TENANTS):
+    for tenant in tenants:
         def handler(interest, _tenant=tenant):
             return Data(
                 name=interest.name, content=b"ok", freshness_period=freshness
@@ -66,6 +68,43 @@ class TestWorkloadDriver:
         assert report.satisfied == 400
         assert report.cache["hot_cache"]["hits"] == 0
         assert sum(s["hits"] for s in report.cache["shard_cs"]) == 0
+
+    def test_hot_cache_absorbs_skew_and_the_flash_crowd(self):
+        """Hot-cache hits are simulation counters, so they repeat exactly at
+        one seed: steeper skew caches better, and a flash crowd is served
+        mostly at the dispatcher."""
+        catalog = make_catalog(256)
+        tenants = sorted({f"/{name.split('/')[1]}" for name in catalog})
+        requests = 600
+        specs = [
+            WorkloadSpec(
+                label=f"zipf_{alpha}",
+                popularity=ZipfPopularity(alpha=alpha, catalog=catalog),
+                arrivals=PoissonArrivals(500.0),
+                requests=requests,
+            )
+            for alpha in (0.8, 1.2)
+        ]
+        specs.append(WorkloadSpec(
+            label="flash",
+            popularity=ZipfPopularity(alpha=1.4, catalog=catalog),
+            arrivals=FlashCrowdArrivals(
+                200.0, [SpikeWindow(start_s=0.5, duration_s=1.5, multiplier=8.0)]
+            ),
+            requests=requests,
+        ))
+        hits = {}
+        for spec in specs:
+            env = Environment()
+            node = ShardedForwarder(env, name="skew", shards=2, cs_capacity=2048, hot_cache=256)
+            _producers(node, tenants=tenants)
+            report = WorkloadDriver(env, node, spec, rng=SeededRNG(20260401)).run()
+            assert report.satisfied == requests
+            assert all(n > 0 for n in report.cache["shard_interests"]), spec.label
+            hits[spec.label] = report.cache["hot_cache"]["hits"]
+        assert hits["zipf_1.2"] > hits["zipf_0.8"]
+        assert hits["zipf_1.2"] > requests // 2
+        assert hits["flash"] > requests // 2
 
     def test_plain_forwarder_reports_its_cs(self, env):
         node = Forwarder(env, name="plain", cs_capacity=256)
