@@ -32,8 +32,6 @@ from repro.genomics.runtime_model import TABLE1_ROWS, Table1Row, format_runtime
 __all__ = [
     "Table1Result",
     "run_table1",
-    "Table1Measurement",
-    "StrategyOutcome",
     "NamePlacementResult",
     "run_fig2_name_placement",
     "ServiceMappingResult",
@@ -59,7 +57,7 @@ __all__ = [
 
 
 @dataclass
-class Table1Measurement:
+class _Table1Measurement:
     """One measured row next to the paper's row."""
 
     paper: Table1Row
@@ -80,7 +78,7 @@ class Table1Measurement:
 class Table1Result:
     """The reproduced Table I."""
 
-    measurements: list[Table1Measurement] = field(default_factory=list)
+    measurements: list[_Table1Measurement] = field(default_factory=list)
 
     @property
     def max_runtime_error(self) -> float:
@@ -132,7 +130,7 @@ def run_table1(seed: int = 0, rows: Sequence[Table1Row] = TABLE1_ROWS,
         cluster_name = outcome.submission.cluster or ""
         record = testbed.cluster(cluster_name).gateway.tracker.get(outcome.submission.job_id)
         result.measurements.append(
-            Table1Measurement(
+            _Table1Measurement(
                 paper=row,
                 measured_runtime_s=record.runtime() or 0.0,
                 measured_output_bytes=record.result_size_bytes or 0,
@@ -414,7 +412,7 @@ def run_overlay_churn(seed: int = 0, cluster_count: int = 3, requests_per_phase:
 
 
 @dataclass
-class StrategyOutcome:
+class _StrategyOutcome:
     """Aggregate metrics for one placement strategy."""
 
     strategy: str
@@ -428,12 +426,12 @@ class StrategyOutcome:
 class PlacementComparison:
     """Comparison of placement strategies over the same workload."""
 
-    outcomes: list[StrategyOutcome] = field(default_factory=list)
+    outcomes: list[_StrategyOutcome] = field(default_factory=list)
 
     def best_strategy(self) -> str:
         return min(self.outcomes, key=lambda o: o.mean_turnaround_s).strategy
 
-    def outcome_for(self, strategy: str) -> StrategyOutcome:
+    def outcome_for(self, strategy: str) -> _StrategyOutcome:
         for outcome in self.outcomes:
             if outcome.strategy == strategy:
                 return outcome
@@ -535,7 +533,7 @@ def run_placement_comparison(seed: int = 0, jobs: int = 16,
             else:
                 failures += 1
         comparison.outcomes.append(
-            StrategyOutcome(
+            _StrategyOutcome(
                 strategy=name,
                 mean_turnaround_s=sum(turnarounds) / len(turnarounds) if turnarounds else float("inf"),
                 makespan_s=makespan,

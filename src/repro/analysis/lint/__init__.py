@@ -14,13 +14,15 @@ interprocedural layer (RL009-RL012) builds a project symbol table
 fixpoint (:mod:`~repro.analysis.lint.effects`): each effect rule reports
 a sink where it is written inside its scope, and at every boundary call
 that reaches one from outside, with the witness chain on the finding.
-Rule ids RL001-RL003 and RL013-RL014 are retired, not reused.
+RL012 reads the same index: an ``__all__`` export that nothing else in
+the scanned tree references is a finding like any other.  Rule ids
+RL001-RL003 and RL013-RL014 are retired, not reused.
 
 Usage::
 
     python -m repro.analysis.lint src/            # strict/relaxed per path
     python -m repro.analysis.lint --list-rules    # the rule catalog
-    python -m repro.analysis.lint src/ --changed-only   # pre-commit mode
+    python -m repro.analysis.lint src/ --changed-only   # pre-commit: report changed files
     python -m repro.analysis.lint src/ --baseline main.json  # PR-gate mode
 
 Programmatic::

@@ -39,12 +39,12 @@ from repro.analysis.lint.report import (
 )
 from repro.analysis.lint.rules import default_rules
 
-__all__ = ["main", "build_parser", "changed_files"]
+__all__ = ["main"]
 
 DEFAULT_CACHE_FILE = ".reprolint-cache.json"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
         description="reprolint: static enforcement of the zero-copy, "
@@ -73,10 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="include waived findings in text output",
     )
     parser.add_argument(
-        "--show-advisory", action="store_true",
-        help="include advisory findings (RL012) in text output",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="skip the per-module summary cache (always re-parse)",
     )
@@ -86,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--changed-only", action="store_true",
-        help="restrict the scan to files changed vs --diff-base "
-        "(git diff + untracked), intersected with the given paths",
+        help="report findings only in files changed vs --diff-base "
+        "(git diff + untracked); every given path is still indexed",
     )
     parser.add_argument(
         "--diff-base", default="HEAD",
@@ -110,11 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _list_rules() -> str:
-    """The catalog with profile membership, scope and gating status.
+    """The catalog with profile membership and scope.
 
     Everything a reader previously had to dig out of the ROADMAP rule
-    table: which profiles enable the rule, where it applies, and whether
-    it gates the exit code or only reports.
+    table: which profiles enable the rule and where it applies.
     """
     lines = []
     for rule in default_rules():
@@ -128,10 +123,9 @@ def _list_rules() -> str:
         scope = "all files" if not scopes else ", ".join(scopes)
         if rule.exclude_files:
             scope += f" (except {', '.join(rule.exclude_files)})"
-        status = "advisory — never gates" if rule.advisory else "gating"
         lines.append(f"{rule.id}  {rule.title}")
         lines.append(f"       {rule.rationale}")
-        lines.append(f"       profiles: {profiles or 'none'} | {status}")
+        lines.append(f"       profiles: {profiles or 'none'}")
         lines.append(f"       scope: {scope}")
     return "\n".join(lines)
 
@@ -152,13 +146,13 @@ def _git_lines(argv: list[str], cwd: Optional[Path]) -> Optional[list[str]]:
     return [line.strip() for line in proc.stdout.splitlines() if line.strip()]
 
 
-def changed_files(base: str, cwd: Optional[Path] = None) -> Optional[set[Path]]:
+def _changed_files(base: str) -> Optional[set[Path]]:
     """Files changed vs ``base`` plus untracked, or None if git fails.
 
     Both listings run from the repository's top level, so their relative
     paths share one base wherever below it the linter was started.
     """
-    top = _git_lines(["git", "rev-parse", "--show-toplevel"], cwd)
+    top = _git_lines(["git", "rev-parse", "--show-toplevel"], None)
     if not top:
         return None
     root = Path(top[0])
@@ -174,21 +168,8 @@ def changed_files(base: str, cwd: Optional[Path] = None) -> Optional[set[Path]]:
     return changed
 
 
-def _restrict_to_changed(
-    linter: Linter, paths: Sequence[str], base: str
-) -> Optional[list[Path]]:
-    changed = changed_files(base)
-    if changed is None:
-        return None
-    return [
-        path
-        for path in linter.collect_files(paths)
-        if path.resolve() in changed
-    ]
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     if args.list_rules:
         print(_list_rules())
@@ -203,32 +184,38 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (OSError, ValueError, KeyError) as exc:
             parser.error(f"unreadable baseline {args.baseline}: {exc}")
     linter = Linter(profile=args.profile)
-    lint_paths: Sequence["str | Path"] = args.paths
+    changed: Optional[list[Path]] = None
     if args.changed_only:
-        restricted = _restrict_to_changed(linter, args.paths, args.diff_base)
-        if restricted is None:
+        # Only the report is restricted: the project index still covers
+        # every given path, so a chain through an unchanged helper, and a
+        # use of an export from an unchanged module, stay visible.
+        in_diff = _changed_files(args.diff_base)
+        if in_diff is None:
             parser.error(
                 f"--changed-only: git diff against {args.diff_base!r} failed "
                 "(not a git checkout, or an unknown ref)"
             )
-        if not restricted:
+        changed = [
+            path for path in linter.collect_files(args.paths)
+            if path.resolve() in in_diff
+        ]
+        if not changed:
             print(f"reprolint: no files changed vs {args.diff_base}")
             return 0
-        lint_paths = restricted
     cache = None
     if not args.no_cache:
         cache = SummaryCache(args.cache_file, linter.config_signature())
-    report = linter.lint_paths(lint_paths, cache=cache)
+    report = linter.lint_paths(args.paths, cache=cache)
+    if changed is not None:
+        shown = {str(path) for path in changed}
+        report.findings = [f for f in report.findings if f.path in shown]
+        report.files_checked = len(changed)
     if args.format == "json":
         rendered = render_json(report)
     elif args.format == "sarif":
         rendered = render_sarif(report, rules=linter.rules)
     else:
-        rendered = render_text(
-            report,
-            show_waived=args.show_waived,
-            show_advisory=args.show_advisory,
-        )
+        rendered = render_text(report, show_waived=args.show_waived)
     if args.output is not None:
         args.output.write_text(rendered + "\n", encoding="utf-8")
         summary = render_text(report).splitlines()[-1]

@@ -56,14 +56,12 @@ __all__ = [
     "DETERMINISM_DIRS",
     "DETERMINISM_EXEMPT_FILES",
     "EffectSite",
-    "Witness",
     "classify_call",
     "classify_attribute",
     "classify_import",
     "classify_iteration",
     "propagate",
     "witness_chain",
-    "short_name",
     "render_chain",
 ]
 
@@ -255,7 +253,7 @@ def classify_iteration(iter_node: ast.expr) -> Optional[tuple[str, str]]:
     return None
 
 
-class Witness:
+class _Witness:
     """Why a function carries an effect: a direct sink or a call edge."""
 
     __slots__ = ("kind", "site", "callee", "line", "col")
@@ -279,25 +277,25 @@ def propagate(
     direct: Mapping[str, Sequence[EffectSite]],
     edges: Mapping[str, Sequence[tuple[str, int, int]]],
     barred: Mapping[str, frozenset[str]],
-) -> dict[str, dict[str, Witness]]:
+) -> dict[str, dict[str, _Witness]]:
     """Close per-function effect sets over the call graph to a fixpoint.
 
     ``direct`` maps a function's qualified name to its direct sink sites,
     ``edges`` maps caller -> [(callee, line, col)], and ``barred`` maps a
     function to effects that must not escape it (sanctioned-source
-    barriers).  Returns ``{function: {effect: Witness}}``.  Witnesses are
+    barriers).  Returns ``{function: {effect: _Witness}}``.  Witnesses are
     assigned the first time an effect reaches a function in a
     breadth-first sweep, so recorded chains are shortest-first and the
     via-pointers can never cycle.
     """
-    effects: dict[str, dict[str, Witness]] = {}
+    effects: dict[str, dict[str, _Witness]] = {}
     functions = sorted(set(direct) | set(edges))
     for name in functions:
         effects[name] = {}
         for site in direct.get(name, ()):
             if site.effect in barred.get(name, frozenset()):
                 continue
-            effects[name].setdefault(site.effect, Witness("direct", site=site))
+            effects[name].setdefault(site.effect, _Witness("direct", site=site))
     changed = True
     while changed:
         changed = False
@@ -311,7 +309,7 @@ def propagate(
                 for effect in sorted(callee_effects):
                     if effect in caller_effects or effect in blocked:
                         continue
-                    caller_effects[effect] = Witness(
+                    caller_effects[effect] = _Witness(
                         "via", callee=callee, line=line, col=col
                     )
                     changed = True
@@ -319,7 +317,7 @@ def propagate(
 
 
 def witness_chain(
-    effects: Mapping[str, Mapping[str, Witness]], start: str, effect: str
+    effects: Mapping[str, Mapping[str, _Witness]], start: str, effect: str
 ) -> tuple[list[str], Optional[EffectSite]]:
     """Follow via-pointers from ``start`` down to the direct sink.
 
@@ -343,7 +341,7 @@ def witness_chain(
         current = witness.callee
 
 
-def short_name(qualname: str) -> str:
+def _short_name(qualname: str) -> str:
     """``repro.ndn.shard.ShardedForwarder.resize`` -> ``shard.ShardedForwarder.resize``."""
     parts = qualname.split(".")
     for index, part in enumerate(parts):
@@ -355,6 +353,6 @@ def short_name(qualname: str) -> str:
 
 def render_chain(chain: Iterable[str], sink_desc: str) -> str:
     """``engine.run → shard._drain → time.sleep`` display form."""
-    hops = [short_name(name) for name in chain]
+    hops = [_short_name(name) for name in chain]
     hops.append(sink_desc)
     return " → ".join(hops)

@@ -66,17 +66,16 @@ META_RULE_ID = "RL000"
 
 #: Bumped whenever rule/summary semantics change; part of the cache key,
 #: so a stale cache from an older linter is discarded, never reused.
-LINT_VERSION = "5"
+LINT_VERSION = "6"
 
 
 @dataclass(slots=True)
 class Finding:
     """One rule violation at a source location.
 
-    ``severity`` is ``"error"`` (gates the exit code) or ``"advisory"``
-    (reported, never failing).  Interprocedural findings additionally
-    carry ``chain``: the witness call path as a list of
-    ``{"function", "path", "line"}`` hops ending at the sink.
+    Interprocedural findings additionally carry ``chain``: the witness
+    call path as a list of ``{"function", "path", "line"}`` hops ending
+    at the sink.
     """
 
     rule: str
@@ -86,7 +85,6 @@ class Finding:
     message: str
     waived: bool = False
     waiver_reason: str = ""
-    severity: str = "error"
     chain: Optional[list] = None
 
     def as_dict(self) -> dict:
@@ -98,7 +96,6 @@ class Finding:
             "message": self.message,
             "waived": self.waived,
             "waiver_reason": self.waiver_reason,
-            "severity": self.severity,
         }
         if self.chain is not None:
             document["chain"] = self.chain
@@ -114,7 +111,6 @@ class Finding:
             message=raw["message"],
             waived=raw.get("waived", False),
             waiver_reason=raw.get("waiver_reason", ""),
-            severity=raw.get("severity", "error"),
             chain=raw.get("chain"),
         )
 
@@ -234,8 +230,6 @@ class Rule:
     id: str = ""
     title: str = ""
     rationale: str = ""
-    #: Advisory rules report (under ``--show-advisory``) but never gate.
-    advisory: bool = False
     #: Path substrings, e.g. "/repro/ndn/". Empty = every file.
     scope_dirs: tuple[str, ...] = ()
     #: Path suffixes, e.g. "/repro/sim/engine.py". Checked after scope_dirs.
@@ -399,22 +393,12 @@ class LintReport:
 
     @property
     def unwaived(self) -> list[Finding]:
-        """Gating findings: unwaived errors (advisories never gate)."""
-        return [
-            finding
-            for finding in self.findings
-            if not finding.waived and finding.severity == "error"
-        ]
+        """Gating findings: every finding no waiver covers."""
+        return [finding for finding in self.findings if not finding.waived]
 
     @property
     def waived(self) -> list[Finding]:
         return [finding for finding in self.findings if finding.waived]
-
-    @property
-    def advisories(self) -> list[Finding]:
-        return [
-            finding for finding in self.findings if finding.severity == "advisory"
-        ]
 
     @property
     def ok(self) -> bool:

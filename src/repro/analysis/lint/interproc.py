@@ -30,8 +30,8 @@ RL010     no wall clock, ambient entropy or set iteration in, or
 RL011     no packet materialisation in, or reachable from, the
           forwarding plane (endpoints in ``client.py`` and the codec in
           ``packet.py`` are the sanctioned decode sites)
-RL012     advisory: exported defs with no reference anywhere else in the
-          scanned tree (call graph + identifier scan)
+RL012     dead exports: exported defs with no reference anywhere else
+          in the scanned tree (call graph + identifier scan)
 ========  ==============================================================
 """
 
@@ -60,9 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "TransitiveEffectRule",
-    "TransitiveBlockingRule",
-    "TransitiveDeterminismRule",
-    "TransitiveDecodeRule",
     "DeadExportRule",
     "interprocedural_rules",
 ]
@@ -170,7 +167,7 @@ class TransitiveEffectRule(SummaryRule):
                 yield finding
 
 
-class TransitiveBlockingRule(TransitiveEffectRule):
+class _TransitiveBlockingRule(TransitiveEffectRule):
     """RL009: no blocking in, or reachable from, the engine/dispatch hot loops."""
 
     id = "RL009"
@@ -182,7 +179,7 @@ class TransitiveBlockingRule(TransitiveEffectRule):
     remedy = "hot loops never block the OS thread"
 
 
-class TransitiveDeterminismRule(TransitiveEffectRule):
+class _TransitiveDeterminismRule(TransitiveEffectRule):
     """RL010: no wall clock/entropy/set iteration in, or reachable from, sim/ndn."""
 
     id = "RL010"
@@ -200,7 +197,7 @@ class TransitiveDeterminismRule(TransitiveEffectRule):
     )
 
 
-class TransitiveDecodeRule(TransitiveEffectRule):
+class _TransitiveDecodeRule(TransitiveEffectRule):
     """RL011: no packet materialisation in, or reachable from, the forwarding plane."""
 
     id = "RL011"
@@ -216,20 +213,20 @@ class TransitiveDecodeRule(TransitiveEffectRule):
 
 
 class DeadExportRule(SummaryRule):
-    """RL012 (advisory): exported defs nothing else in the tree references.
+    """RL012: exported defs nothing else in the scanned tree references.
 
     A name in ``__all__`` that is defined in the module (imports-only
     re-exports are skipped) and neither mentioned nor called from any
-    other scanned module is reported as advisory — it never fails the
-    run, because the scanned tree is not the whole world (tests and
-    downstream users are legitimate callers) — but the report is the
-    place to notice an API that quietly stopped having users.
+    other scanned module is a finding.  A helper only its own module
+    uses is renamed ``_private`` (RL008 then no longer asks for it in
+    ``__all__``); one nothing uses is deleted.  The tier-1 gate lints
+    ``src/`` on its own, so an export that only tests call is a finding
+    too.
     """
 
     id = "RL012"
-    title = "dead exports (advisory)"
+    title = "dead exports"
     rationale = "an export nobody references documents an API that no longer exists"
-    advisory = True
 
     def check_summaries(
         self, records: Sequence["ModuleRecord"], index: "ProjectIndex"
@@ -263,15 +260,14 @@ class DeadExportRule(SummaryRule):
                         f"dead export: {name!r} is in __all__ but nothing "
                         "else in the scanned tree references it"
                     ),
-                    severity="advisory",
                 )
 
 
 def interprocedural_rules() -> list[SummaryRule]:
     """RL009-RL012, in rule-id order."""
     return [
-        TransitiveBlockingRule(),
-        TransitiveDeterminismRule(),
-        TransitiveDecodeRule(),
+        _TransitiveBlockingRule(),
+        _TransitiveDeterminismRule(),
+        _TransitiveDecodeRule(),
         DeadExportRule(),
     ]

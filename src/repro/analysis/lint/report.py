@@ -6,24 +6,25 @@ round-tripped by the self-test suite:
 .. code-block:: json
 
     {
-      "schema": "reprolint-report/2",
+      "schema": "reprolint-report/3",
       "profiles": {"strict": 40, "relaxed": 12},
       "summary": {"files": 52, "findings": 9, "waived": 9,
-                  "unwaived": 0, "advisory": 1, "ok": true,
+                  "unwaived": 0, "ok": true,
                   "by_rule": {"RL010": 2}, "waived_by_rule": {"RL004": 3}},
       "findings": [{"rule": "RL010", "path": "...", "line": 10, "col": 4,
-                    "message": "...", "severity": "error", "waived": true,
+                    "message": "...", "waived": true,
                     "waiver_reason": "...",
                     "chain": [{"function": "...", "path": "...", "line": 1}]}]
     }
 
-Schema ``/2`` adds per-finding ``severity`` (``error`` | ``advisory``),
-the optional witness ``chain`` on interprocedural findings, and the
-``advisory`` / ``waived_by_rule`` summary keys.  ``/1`` documents (from
-a pre-upgrade baseline) still parse: the new fields default.
+Schema ``/3`` drops ``/2``'s per-finding ``severity`` and its summary
+count of non-gating findings: every finding gates unless waived.  ``/1``
+and ``/2`` documents (a baseline written by an older linter) still
+parse; their ``severity`` field is ignored, so each row is an ordinary
+finding there.
 
 :func:`diff_reports` is the PR-gate primitive: given the current report
-and a baseline (typically main), it splits unwaived error findings into
+and a baseline (typically main), it splits unwaived findings into
 *new* and *pre-existing* by matching on ``(rule, path, message)`` as a
 multiset — line numbers are deliberately excluded so unrelated edits
 that shift a finding a few lines do not resurrect it as "new".
@@ -46,7 +47,7 @@ __all__ = [
     "SARIF_SCHEMA_URI",
 ]
 
-JSON_SCHEMA_ID = "reprolint-report/2"
+JSON_SCHEMA_ID = "reprolint-report/3"
 
 SARIF_SCHEMA_URI = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
@@ -54,39 +55,27 @@ SARIF_SCHEMA_URI = (
 )
 
 #: Schemas :func:`parse_json` accepts (older baselines must keep parsing).
-_ACCEPTED_SCHEMAS = ("reprolint-report/1", JSON_SCHEMA_ID)
+_ACCEPTED_SCHEMAS = ("reprolint-report/1", "reprolint-report/2", JSON_SCHEMA_ID)
 
 
-def render_text(
-    report: LintReport,
-    show_waived: bool = False,
-    show_advisory: bool = False,
-) -> str:
+def render_text(report: LintReport, show_waived: bool = False) -> str:
     """One ``path:line:col RLxxx message`` row per finding, plus a summary."""
     lines: list[str] = []
     for finding in report.findings:
         if finding.waived and not show_waived:
             continue
-        if finding.severity == "advisory" and not show_advisory:
-            continue
         suffix = f" (waived: {finding.waiver_reason})" if finding.waived else ""
-        if finding.severity == "advisory":
-            suffix += " [advisory]"
         lines.append(
             f"{finding.path}:{finding.line}:{finding.col + 1} "
             f"{finding.rule} {finding.message}{suffix}"
         )
     unwaived = len(report.unwaived)
     waived = len(report.waived)
-    advisories = len(report.advisories)
-    summary = (
+    lines.append(
         f"reprolint: {report.files_checked} files, "
         f"{unwaived} finding{'s' if unwaived != 1 else ''}"
         f" ({waived} waived)"
     )
-    if advisories:
-        summary += f", {advisories} advisory"
-    lines.append(summary)
     return "\n".join(lines)
 
 
@@ -100,7 +89,6 @@ def render_json(report: LintReport) -> str:
             "findings": len(report.findings),
             "waived": len(report.waived),
             "unwaived": len(report.unwaived),
-            "advisory": len(report.advisories),
             "ok": report.ok,
             "by_rule": report.by_rule(),
             "waived_by_rule": report.waived_by_rule(),
@@ -146,10 +134,7 @@ def render_sarif(report: LintReport, rules=None) -> str:
             "name": rule.title,
             "shortDescription": {"text": rule.title},
             "fullDescription": {"text": rule.rationale},
-            "defaultConfiguration": {
-                "level": "note" if rule.advisory else "error"
-            },
-            "properties": {"advisory": rule.advisory},
+            "defaultConfiguration": {"level": "error"},
         }
         for rule in rules
     ]
@@ -157,7 +142,7 @@ def render_sarif(report: LintReport, rules=None) -> str:
     for finding in report.findings:
         result = {
             "ruleId": finding.rule,
-            "level": "note" if finding.severity == "advisory" else "error",
+            "level": "error",
             "message": {"text": finding.message},
             "locations": [
                 _sarif_location(finding.path, finding.line, finding.col)
@@ -229,7 +214,7 @@ def _diff_key(finding: Finding) -> tuple[str, str, str]:
 def diff_reports(
     current: LintReport, baseline: LintReport
 ) -> tuple[list[Finding], list[Finding]]:
-    """Split current unwaived error findings into (new, pre-existing).
+    """Split current unwaived findings into (new, pre-existing).
 
     Matching is a multiset over ``(rule, path, message)``: each baseline
     occurrence absorbs at most one current occurrence, so a second copy

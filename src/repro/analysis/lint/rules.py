@@ -15,10 +15,12 @@ RL008     ``__all__`` drift: exports exist, public defs are exported
 ========  ==============================================================
 
 The effect invariants (RL009 no blocking in hot loops, RL010
-determinism, RL011 zero-copy transit) and the RL012 dead-export advisory
-live in :mod:`repro.analysis.lint.interproc`: each reports a sink where
-it is written and wherever a call carries it into the protected scope.
-Rule ids RL001–RL003 are retired, not reused.
+determinism, RL011 zero-copy transit) live in
+:mod:`repro.analysis.lint.interproc`: each reports a sink where it is
+written and wherever a call carries it into the protected scope.  RL012
+(an export nothing else in the scanned tree references) lives there
+too, because it reads the same project index.  Rule ids RL001–RL003 are
+retired, not reused.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ class SlotsRule(Rule):
 
     def _is_entry_class(self, node: ast.ClassDef) -> bool:
         name = node.name.lstrip("_")
-        return name.endswith(self._NAME_SUFFIXES) or node.name in self._EXTRA_NAMES
+        return name.endswith(self._NAME_SUFFIXES) or name in self._EXTRA_NAMES
 
     def check(self, module: SourceFile) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

@@ -49,7 +49,6 @@ __all__ = [
     "MODULE_KEY",
     "RULE_FOR_EFFECT",
     "ModuleSummary",
-    "module_name_for_path",
     "summarize",
 ]
 
@@ -70,7 +69,7 @@ _TLV_REGISTRY_FILE = "/repro/ndn/tlv.py"
 _TLV_REGISTRY_CLASS = "TlvTypes"
 
 
-def module_name_for_path(path: "str") -> Optional[str]:
+def _module_name_for_path(path: "str") -> Optional[str]:
     """Dotted module name for a source path, or ``None`` if unmappable.
 
     ``.../src/repro/ndn/shard.py`` -> ``repro.ndn.shard``;
@@ -434,7 +433,7 @@ def summarize(module: SourceFile) -> Optional[ModuleSummary]:
     if module.tree is None:
         return None
     summary = ModuleSummary(
-        module.display, module.path, module_name_for_path(module.path)
+        module.display, module.path, _module_name_for_path(module.path)
     )
     _bind_imports(module.tree, summary)
     walker = _Walker(summary)

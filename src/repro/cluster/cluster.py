@@ -19,7 +19,7 @@ from repro.cluster.job import Job, JobController
 from repro.cluster.kubelet import Kubelet
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod, PodPhase, PodSpec
-from repro.cluster.quantity import Quantity, parse_cpu, parse_memory
+from repro.cluster.quantity import Quantity
 from repro.cluster.scheduler import Scheduler, SchedulingPolicy
 from repro.cluster.service import Service, ServiceController, ServiceType
 from repro.cluster.storage import NFSServer, PersistentVolumeClaim, StorageController
@@ -40,12 +40,6 @@ class ClusterSpec:
     scheduler_policy: "SchedulingPolicy | str" = SchedulingPolicy.LEAST_ALLOCATED
     nfs_capacity: Union[str, int] = "1Ti"
     labels: dict[str, str] = field(default_factory=dict)
-
-    def total_capacity(self) -> Quantity:
-        return Quantity(
-            cpu=parse_cpu(self.node_cpu) * self.node_count,
-            memory=parse_memory(self.node_memory) * self.node_count,
-        )
 
 
 class Cluster:

@@ -38,10 +38,6 @@ class Deployment:
     def name(self) -> str:
         return self.metadata.name
 
-    @property
-    def is_ready(self) -> bool:
-        return self.ready_replicas >= self.replicas
-
 
 class DeploymentController:
     """Maintains the desired replica count for every Deployment."""

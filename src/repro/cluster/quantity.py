@@ -119,9 +119,6 @@ class Quantity:
         """True when this request fits inside ``other`` (capacity)."""
         return self.cpu <= other.cpu + 1e-9 and self.memory <= other.memory
 
-    def is_nonnegative(self) -> bool:
-        return self.cpu >= -1e-9 and self.memory >= 0
-
     def scaled(self, factor: float) -> "Quantity":
         return Quantity(cpu=self.cpu * factor, memory=int(self.memory * factor))
 

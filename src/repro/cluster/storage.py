@@ -241,9 +241,6 @@ class StorageController:
         self.volumes_provisioned = 0
         api.watch(PersistentVolumeClaim.KIND, self._on_pvc_event, replay_existing=True)
 
-    def add_storage_class(self, storage_class: StorageClass) -> None:
-        self._classes[storage_class.name] = storage_class
-
     def create_pvc(self, name: str, size: Union[str, int], storage_class: str = "nfs",
                    namespace: str = "ndnk8s") -> PersistentVolumeClaim:
         """Create a claim; the controller binds it immediately (dynamic provisioning)."""

@@ -19,11 +19,11 @@ from typing import Optional, Sequence
 
 from repro.core.cluster_endpoint import LIDCCluster
 from repro.core.placement import LeastLoadedPlacement, PlacementDecision, PlacementStrategy
-from repro.core.spec import ComputeRequest, JobRecord, JobState
+from repro.core.spec import ComputeRequest, JobRecord
 from repro.exceptions import LIDCError, PlacementError, ValidationFailure
 from repro.sim.engine import Environment
 
-__all__ = ["ControllerUnavailable", "CentralizedSubmission", "CentralizedController"]
+__all__ = ["ControllerUnavailable", "CentralizedController"]
 
 
 class ControllerUnavailable(LIDCError):
@@ -31,7 +31,7 @@ class ControllerUnavailable(LIDCError):
 
 
 @dataclass
-class CentralizedSubmission:
+class _CentralizedSubmission:
     """Record of one submission through the central controller."""
 
     request: ComputeRequest
@@ -58,7 +58,7 @@ class CentralizedController:
         self._clusters: dict[str, LIDCCluster] = {c.name: c for c in (clusters or [])}
         self.strategy: PlacementStrategy = strategy or LeastLoadedPlacement()
         self.alive = True
-        self.submissions: list[CentralizedSubmission] = []
+        self.submissions: list[_CentralizedSubmission] = []
         self.rejected_unavailable = 0
 
     # -- membership (requires manual reconfiguration, unlike the overlay) ----------
@@ -83,12 +83,12 @@ class CentralizedController:
 
     # -- submission -----------------------------------------------------------------------
 
-    def submit(self, request: ComputeRequest) -> CentralizedSubmission:
+    def submit(self, request: ComputeRequest) -> _CentralizedSubmission:
         """Place and admit one request; raises when the controller is down."""
         if not self.alive:
             self.rejected_unavailable += 1
             raise ControllerUnavailable("central controller is unavailable")
-        submission = CentralizedSubmission(
+        submission = _CentralizedSubmission(
             request=request, decision=None, record=None, submitted_at=self.env.now
         )
         try:
@@ -103,12 +103,12 @@ class CentralizedController:
         self.submissions.append(submission)
         return submission
 
-    def try_submit(self, request: ComputeRequest) -> CentralizedSubmission:
+    def try_submit(self, request: ComputeRequest) -> _CentralizedSubmission:
         """Like :meth:`submit` but records controller unavailability instead of raising."""
         try:
             return self.submit(request)
         except ControllerUnavailable as exc:
-            submission = CentralizedSubmission(
+            submission = _CentralizedSubmission(
                 request=request, decision=None, record=None,
                 error=str(exc), submitted_at=self.env.now,
             )
@@ -125,12 +125,6 @@ class CentralizedController:
                     counts.get(submission.decision.cluster_name, 0) + 1
                 )
         return counts
-
-    def completed_jobs(self) -> list[JobRecord]:
-        return [
-            s.record for s in self.submissions
-            if s.record is not None and s.record.state == JobState.COMPLETED
-        ]
 
     def stats(self) -> dict[str, object]:
         accepted = sum(1 for s in self.submissions if s.accepted)

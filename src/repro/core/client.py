@@ -98,12 +98,6 @@ class JobOutcome:
         return self.state == JobState.COMPLETED
 
     @property
-    def turnaround_s(self) -> Optional[float]:
-        if "completed" not in self.timeline or "submitted" not in self.timeline:
-            return None
-        return self.timeline["completed"] - self.timeline["submitted"]
-
-    @property
     def end_to_end_s(self) -> Optional[float]:
         if "finished" not in self.timeline or "submitted" not in self.timeline:
             return None

@@ -12,22 +12,16 @@ Computation, data and status requests all live under ``/ndn/k8s`` (paper
 This module converts between parameter dictionaries and those names, and
 provides canonicalisation so that two requests with the same parameters in a
 different order map to the same name (which is what makes result caching by
-name possible).
-
-Typed encoding/decoding is schema-driven: the service plane's
-:data:`repro.core.service.BASE_SCHEMA` declares the shared fields (app, cpu,
-mem, srr, ref) with their aliases, so :func:`canonical_compute_name` and
-:func:`parse_typed_compute_name` fold alias spellings (``memory``,
-``dataset``) onto the canonical keys.  Legacy ``/ndn/k8s/compute/...`` names
-keep parsing identically through :func:`parse_compute_name`.
+name possible).  Typed parsing and alias folding (``memory``, ``dataset``)
+belong to the service plane's schema, reached through
+:meth:`repro.core.spec.ComputeRequest.from_name`.
 """
 
 from __future__ import annotations
 
 import urllib.parse
-from typing import Any, Mapping
+from typing import Mapping
 
-from repro.core.service import BASE_SCHEMA
 from repro.exceptions import InvalidComputeName
 from repro.ndn.name import Name
 
@@ -36,12 +30,8 @@ __all__ = [
     "COMPUTE_PREFIX",
     "DATA_PREFIX",
     "STATUS_PREFIX",
-    "encode_params",
-    "decode_params",
     "compute_name",
     "parse_compute_name",
-    "canonical_compute_name",
-    "parse_typed_compute_name",
     "status_name",
     "parse_status_name",
     "data_name",
@@ -56,7 +46,7 @@ STATUS_PREFIX = LIDC_ROOT.append("status")
 _RESERVED_CHARS = "&="
 
 
-def encode_params(params: Mapping[str, object]) -> str:
+def _encode_params(params: Mapping[str, object]) -> str:
     """Encode a parameter mapping as the paper's ``k=v&k=v`` component.
 
     Keys are emitted in sorted order so the encoding is canonical.
@@ -74,7 +64,7 @@ def encode_params(params: Mapping[str, object]) -> str:
     return "&".join(parts)
 
 
-def decode_params(component: str) -> dict[str, str]:
+def _decode_params(component: str) -> dict[str, str]:
     """Decode a ``k=v&k=v`` component back into a dict."""
     if not component:
         raise InvalidComputeName("empty parameter component")
@@ -93,7 +83,7 @@ def decode_params(component: str) -> dict[str, str]:
 
 def compute_name(params: Mapping[str, object]) -> Name:
     """Build a ``/ndn/k8s/compute/<params>`` name."""
-    return COMPUTE_PREFIX.append(encode_params(params))
+    return COMPUTE_PREFIX.append(_encode_params(params))
 
 
 def parse_compute_name(name: "Name | str") -> dict[str, str]:
@@ -105,22 +95,7 @@ def parse_compute_name(name: "Name | str") -> dict[str, str]:
         raise InvalidComputeName(
             f"{name} must have exactly one parameter component after {COMPUTE_PREFIX}"
         )
-    return decode_params(name.last().to_str())
-
-
-def canonical_compute_name(params: Mapping[str, str]) -> Name:
-    """Build a compute name with alias keys folded onto their canonical form.
-
-    ``{"app": "X", "memory": "8"}`` and ``{"app": "X", "mem": "8"}`` produce
-    the same name, so alias spellings cannot split on-path content-store
-    entries or the gateway result cache.
-    """
-    return compute_name(BASE_SCHEMA.canonicalise(params))
-
-
-def parse_typed_compute_name(name: "Name | str") -> tuple[dict[str, Any], dict[str, str]]:
-    """Parse a compute name into (typed base fields, extra string params)."""
-    return BASE_SCHEMA.parse(parse_compute_name(name))
+    return _decode_params(name.last().to_str())
 
 
 def status_name(job_id: str) -> Name:
@@ -159,4 +134,4 @@ def canonical_request_key(params: Mapping[str, object]) -> str:
     }
     if not significant:
         significant = dict(params)
-    return encode_params(significant)
+    return _encode_params(significant)

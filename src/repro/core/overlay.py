@@ -29,11 +29,11 @@ from repro.sim.engine import Environment
 from repro.sim.topology import Link
 from repro.sim.trace import Tracer
 
-__all__ = ["OverlayLink", "ComputeOverlay"]
+__all__ = ["ComputeOverlay"]
 
 
 @dataclass(frozen=True)
-class OverlayLink:
+class _OverlayLink:
     """A wide-area adjacency in the overlay."""
 
     a: str
@@ -51,7 +51,7 @@ class ComputeOverlay:
         self.clusters: dict[str, LIDCCluster] = {}
         self.routers: dict[str, Forwarder] = {}
         self._router_daemons: dict[str, RoutingDaemon] = {}
-        self._links: list[OverlayLink] = []
+        self._links: list[_OverlayLink] = []
         self._faces: dict[tuple[str, str], tuple[Face, Face]] = {}
         self.joins = 0
         self.leaves = 0
@@ -219,7 +219,7 @@ class ComputeOverlay:
         raise OverlayError(f"unknown overlay node {name!r}")
 
     def connect(self, a: str, b: str, latency_s: float = 0.02,
-                bandwidth_bps: float = 1e9, link_cost: Optional[float] = None) -> OverlayLink:
+                bandwidth_bps: float = 1e9, link_cost: Optional[float] = None) -> _OverlayLink:
         """Create a bidirectional wide-area link between two overlay nodes."""
         if a == b:
             raise OverlayError("cannot connect a node to itself")
@@ -231,7 +231,7 @@ class ComputeOverlay:
         self._faces[(a, b)] = (face_a, face_b)
         cost = link_cost if link_cost is not None else max(1.0, latency_s * 1000.0)
         RoutingDaemon.peer(self._daemon_of(a), face_a, self._daemon_of(b), face_b, link_cost=cost)
-        overlay_link = OverlayLink(a=a, b=b, latency_s=latency_s, bandwidth_bps=bandwidth_bps)
+        overlay_link = _OverlayLink(a=a, b=b, latency_s=latency_s, bandwidth_bps=bandwidth_bps)
         self._links.append(overlay_link)
         return overlay_link
 
@@ -266,15 +266,12 @@ class ComputeOverlay:
     def node_names(self) -> list[str]:
         return sorted(list(self.clusters) + list(self.routers))
 
-    def links(self) -> list[OverlayLink]:
+    def links(self) -> list[_OverlayLink]:
         return list(self._links)
 
     def reachable_compute_origins(self, from_node: str) -> list[str]:
         """Which clusters' compute prefixes the given node currently knows about."""
         return self._daemon_of(from_node).origins_for(naming.COMPUTE_PREFIX)
-
-    def total_active_jobs(self) -> int:
-        return sum(cluster.active_jobs() for cluster in self.clusters.values())
 
     def stats(self) -> dict[str, object]:
         return {

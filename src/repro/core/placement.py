@@ -19,7 +19,6 @@ from repro.cluster.quantity import Quantity, parse_memory
 from repro.core.cluster_endpoint import LIDCCluster
 from repro.core.predictor import CompletionTimePredictor
 from repro.core.spec import ComputeRequest
-from repro.exceptions import PlacementError
 from repro.sim.rng import SeededRNG
 
 __all__ = [
@@ -30,12 +29,10 @@ __all__ = [
     "NearestPlacement",
     "LeastLoadedPlacement",
     "LearnedPlacement",
-    "place_or_raise",
-    "request_quantity",
 ]
 
 
-def request_quantity(request: ComputeRequest) -> Quantity:
+def _request_quantity(request: ComputeRequest) -> Quantity:
     """The Kubernetes resource quantity a request asks for."""
     return Quantity(cpu=request.cpu, memory=parse_memory(f"{request.memory_gb:g}Gi"))
 
@@ -66,7 +63,7 @@ def _feasible(request: ComputeRequest, clusters: Sequence[LIDCCluster]) -> list[
     job then queues on whichever cluster the strategy picks (Kubernetes holds
     the pod Pending until resources free up).
     """
-    quantity = request_quantity(request)
+    quantity = _request_quantity(request)
     feasible = [cluster for cluster in clusters if cluster.cluster.can_fit(quantity)]
     return feasible if feasible else list(clusters)
 
@@ -184,15 +181,3 @@ class LearnedPlacement:
             cluster_name=best_name, score=best_score,
             reason="minimum predicted completion time",
         )
-
-
-def place_or_raise(strategy: PlacementStrategy, request: ComputeRequest,
-                   clusters: Sequence[LIDCCluster]) -> PlacementDecision:
-    """Helper: run a strategy and raise :class:`PlacementError` when nothing fits."""
-    decision = strategy.select(request, clusters)
-    if decision is None:
-        raise PlacementError(
-            f"no cluster can satisfy {request.describe()} "
-            f"(clusters: {[c.name for c in clusters]})"
-        )
-    return decision

@@ -20,11 +20,11 @@ import numpy as np
 
 from repro.core.spec import ComputeRequest, JobRecord
 
-__all__ = ["TrainingExample", "CompletionTimePredictor"]
+__all__ = ["CompletionTimePredictor"]
 
 
 @dataclass(frozen=True)
-class TrainingExample:
+class _TrainingExample:
     """One (features, runtime) observation."""
 
     features: tuple[float, ...]
@@ -50,16 +50,16 @@ class CompletionTimePredictor:
     def __init__(self, min_examples: int = 3, ridge: float = 1e-3) -> None:
         self.min_examples = min_examples
         self.ridge = ridge
-        self._examples: dict[str, list[TrainingExample]] = {}
+        self._examples: dict[str, list[_TrainingExample]] = {}
         self._weights: dict[str, np.ndarray] = {}
         self.predictions_made = 0
 
     # -- training -------------------------------------------------------------------
 
     def observe(self, request: ComputeRequest, runtime_s: float,
-                dataset_size_bytes: float = 0.0) -> TrainingExample:
+                dataset_size_bytes: float = 0.0) -> _TrainingExample:
         """Add one completed-job observation and refit that application's model."""
-        example = TrainingExample(
+        example = _TrainingExample(
             features=_request_features(request, dataset_size_bytes),
             runtime_s=float(runtime_s),
             app=request.app.upper(),
@@ -68,7 +68,7 @@ class CompletionTimePredictor:
         self._fit(example.app)
         return example
 
-    def observe_record(self, record: JobRecord, dataset_size_bytes: float = 0.0) -> Optional[TrainingExample]:
+    def observe_record(self, record: JobRecord, dataset_size_bytes: float = 0.0) -> Optional[_TrainingExample]:
         """Convenience: train from a completed :class:`JobRecord`."""
         runtime = record.runtime()
         if runtime is None:
@@ -89,9 +89,6 @@ class CompletionTimePredictor:
 
     def is_trained(self, app: str) -> bool:
         return app.upper() in self._weights
-
-    def example_count(self, app: str) -> int:
-        return len(self._examples.get(app.upper(), []))
 
     def predict(self, request: ComputeRequest, dataset_size_bytes: float = 0.0) -> Optional[float]:
         """Predicted runtime in seconds, or ``None`` before enough training data."""

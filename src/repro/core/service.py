@@ -50,7 +50,6 @@ __all__ = [
     "ServiceRegistry",
     "ValidationResult",
     "BASE_SCHEMA",
-    "default_service_definitions",
 ]
 
 
@@ -411,10 +410,6 @@ class ServiceRegistry:
             self._runner_cache[canonical] = self._services[canonical].build_runner(self.runtime)
         return self._runner_cache[canonical]
 
-    def schema_for(self, app: str) -> ServiceSchema:
-        definition = self.try_get(app)
-        return definition.schema if definition is not None else ServiceSchema()
-
     def cacheable(self, app: str) -> bool:
         definition = self.try_get(app)
         return definition.cacheable if definition is not None else True
@@ -461,12 +456,12 @@ class ServiceRegistry:
         if runtime is None:
             runtime = ServiceRuntime(sra_registry=registry, runtime_model=model)
         services = cls(runtime=runtime)
-        for definition in default_service_definitions():
+        for definition in _default_service_definitions():
             services.register(definition)
         return services
 
 
-def default_service_definitions() -> list[ServiceDefinition]:
+def _default_service_definitions() -> list[ServiceDefinition]:
     """Declarative definitions of the built-in LIDC applications."""
     from repro.core.applications import (
         BlastApplication,

@@ -14,11 +14,11 @@ from typing import Optional, Sequence
 from repro.core.client import JobOutcome, LIDCClient
 from repro.core.spec import ComputeRequest
 
-__all__ = ["StepTiming", "WorkflowReport", "GenomicsWorkflow", "CampaignResult", "decompose"]
+__all__ = ["WorkflowReport", "GenomicsWorkflow", "CampaignResult", "decompose"]
 
 
 @dataclass(frozen=True)
-class StepTiming:
+class _StepTiming:
     """Duration of one protocol step."""
 
     step: str
@@ -31,7 +31,7 @@ class WorkflowReport:
     """One workflow execution with its per-step latency decomposition."""
 
     outcome: JobOutcome
-    steps: list[StepTiming] = field(default_factory=list)
+    steps: list[_StepTiming] = field(default_factory=list)
 
     @property
     def succeeded(self) -> bool:
@@ -41,7 +41,7 @@ class WorkflowReport:
     def end_to_end_s(self) -> float:
         return self.outcome.end_to_end_s or 0.0
 
-    def step(self, name: str) -> Optional[StepTiming]:
+    def step(self, name: str) -> Optional[_StepTiming]:
         for timing in self.steps:
             if timing.step == name:
                 return timing
@@ -57,7 +57,7 @@ PROTOCOL_STEPS = (
 )
 
 
-def decompose(outcome: JobOutcome) -> list[StepTiming]:
+def decompose(outcome: JobOutcome) -> list[_StepTiming]:
     """Split an outcome's timeline into the Fig. 5 protocol steps."""
     total = outcome.end_to_end_s or 0.0
     steps = []
@@ -67,7 +67,7 @@ def decompose(outcome: JobOutcome) -> list[StepTiming]:
         else:
             duration = 0.0
         fraction = duration / total if total > 0 else 0.0
-        steps.append(StepTiming(step=step_name, duration_s=duration, fraction=fraction))
+        steps.append(_StepTiming(step=step_name, duration_s=duration, fraction=fraction))
     return steps
 
 
@@ -139,25 +139,4 @@ class GenomicsWorkflow:
                 yield self.client.env.timeout(inter_arrival_s)
             report = yield from self.run(request, unique=unique)
             campaign.reports.append(report)
-        return campaign
-
-    def run_concurrent(self, requests: Sequence[ComputeRequest], unique: bool = True,
-                       stagger_s: float = 0.0):
-        """Process generator: drive all workflows concurrently through one client.
-
-        Every request becomes an in-flight :class:`~repro.core.client.JobHandle`
-        on the shared Consumer; the campaign completes when the last handle
-        does, so the makespan is the slowest job rather than the sum.
-        """
-        handles = self.client.submit_many(
-            requests, unique=unique, fetch_result=self.fetch_results,
-            poll_interval_s=self.poll_interval_s, stagger_s=stagger_s,
-        )
-        yield self.client.wait_all(handles)
-        campaign = CampaignResult()
-        for handle in handles:
-            outcome = handle.outcome
-            campaign.reports.append(
-                WorkflowReport(outcome=outcome, steps=decompose(outcome))
-            )
         return campaign

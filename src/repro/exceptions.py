@@ -21,10 +21,6 @@ class SimulationError(ReproError):
     """Base class for simulation-kernel errors."""
 
 
-class SimStopped(SimulationError):
-    """Raised internally to unwind a process when the simulation stops."""
-
-
 class ProcessInterrupt(SimulationError):
     """Raised inside a process that has been interrupted.
 
@@ -72,10 +68,6 @@ class InterestNacked(NDNError):
         self.reason = reason
 
 
-class NoRouteError(NDNError):
-    """The FIB has no route for the requested prefix."""
-
-
 class VerificationError(NDNError):
     """Signature or digest verification failed."""
 
@@ -102,14 +94,6 @@ class ObjectNotFound(ClusterError):
 
 class ObjectAlreadyExists(ClusterError):
     """An API object with the same key already exists."""
-
-
-class SchedulingError(ClusterError):
-    """The scheduler could not place a pod."""
-
-
-class InsufficientResources(SchedulingError):
-    """No node has enough free CPU / memory for the pod."""
 
 
 class QuantityParseError(ClusterError):

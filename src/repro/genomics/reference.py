@@ -133,13 +133,6 @@ class ReferenceDatabase:
         return not self.contigs
 
     @property
-    def total_length(self) -> int:
-        """Total number of reference bases (declared size for placeholders)."""
-        if self.contigs:
-            return sum(len(record) for record in self.contigs)
-        return self.declared_size_bytes or 0
-
-    @property
     def size_bytes(self) -> int:
         """Approximate on-disk FASTA size."""
         if self.declared_size_bytes is not None:

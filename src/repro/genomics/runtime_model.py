@@ -32,10 +32,10 @@ from repro.exceptions import GenomicsError, UnknownAccession
 from repro.genomics.sra import SraAccession, SraRegistry
 from repro.sim.rng import SeededRNG
 
-__all__ = ["Table1Row", "TABLE1_ROWS", "RunEstimate", "BlastRuntimeModel", "parse_runtime", "format_runtime"]
+__all__ = ["Table1Row", "TABLE1_ROWS", "RunEstimate", "BlastRuntimeModel", "format_runtime"]
 
 
-def parse_runtime(text: str) -> float:
+def _parse_runtime(text: str) -> float:
     """Parse ``"8h9m50s"`` into seconds."""
     seconds = 0.0
     number = ""
@@ -82,10 +82,10 @@ class Table1Row:
 
 #: The paper's Table I, verbatim (runtimes converted to seconds).
 TABLE1_ROWS: tuple[Table1Row, ...] = (
-    Table1Row("SRR2931415", "HUMAN", "RICE", 4, 2, parse_runtime("8h9m50s"), 941_000_000),
-    Table1Row("SRR2931415", "HUMAN", "RICE", 4, 4, parse_runtime("8h7m10s"), 941_000_000),
-    Table1Row("SRR5139395", "HUMAN", "KIDNEY", 4, 2, parse_runtime("24h16m12s"), 2_710_000_000),
-    Table1Row("SRR5139395", "HUMAN", "KIDNEY", 6, 2, parse_runtime("24h2m47s"), 2_710_000_000),
+    Table1Row("SRR2931415", "HUMAN", "RICE", 4, 2, _parse_runtime("8h9m50s"), 941_000_000),
+    Table1Row("SRR2931415", "HUMAN", "RICE", 4, 4, _parse_runtime("8h7m10s"), 941_000_000),
+    Table1Row("SRR5139395", "HUMAN", "KIDNEY", 4, 2, _parse_runtime("24h16m12s"), 2_710_000_000),
+    Table1Row("SRR5139395", "HUMAN", "KIDNEY", 6, 2, _parse_runtime("24h2m47s"), 2_710_000_000),
 )
 
 
@@ -99,10 +99,6 @@ class RunEstimate:
     memory_gb: float
     runtime_s: float
     output_size_bytes: int
-
-    @property
-    def runtime_text(self) -> str:
-        return format_runtime(self.runtime_s)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from repro.sim.rng import SeededRNG
 __all__ = [
     "NUCLEOTIDES",
     "reverse_complement",
-    "gc_content",
     "FastaRecord",
     "FastqRecord",
     "SequenceGenerator",
@@ -29,15 +28,6 @@ def reverse_complement(sequence: str) -> str:
     """The reverse complement of a DNA sequence."""
     _validate(sequence)
     return sequence.translate(_COMPLEMENT)[::-1]
-
-
-def gc_content(sequence: str) -> float:
-    """Fraction of G/C bases in the sequence."""
-    _validate(sequence)
-    if not sequence:
-        return 0.0
-    upper = sequence.upper()
-    return (upper.count("G") + upper.count("C")) / len(upper)
 
 
 def _validate(sequence: str) -> None:

@@ -26,7 +26,7 @@ from repro.ndn.tlv import TlvTypes
 from repro.sim.engine import Environment, Event, Timeout
 from repro.sim.rng import SeededRNG
 
-__all__ = ["Consumer", "Producer", "PendingInterest", "RetryPolicy"]
+__all__ = ["Consumer", "Producer", "RetryPolicy"]
 
 
 @dataclass(slots=True, frozen=True)
@@ -72,7 +72,7 @@ NO_RETRY = RetryPolicy(max_retries=0)
 
 
 @dataclass(slots=True)
-class PendingInterest:
+class _PendingInterest:
     """Book-keeping for one in-flight Interest expressed by a consumer.
 
     Slotted (lint rule RL006): a client driving many concurrent sessions
@@ -121,7 +121,7 @@ class Consumer:
         #: Entropy for retry jitter; seeded from the consumer name so two
         #: consumers never share a jitter sequence yet replays are exact.
         self._rng = rng or SeededRNG(sum(name.encode("utf-8")))
-        self._pending: dict[Name, list[PendingInterest]] = {}
+        self._pending: dict[Name, list[_PendingInterest]] = {}
         #: Number of in-flight Interests with ``can_be_prefix``; kept so the
         #: Data path can skip the full prefix scan when (as is typical for
         #: many concurrent job sessions) every pending Interest is exact-match.
@@ -193,7 +193,7 @@ class Consumer:
             )
         policy = retry_policy if retry_policy is not None else NO_RETRY
         completion = self.env.event(name="fetch")
-        pending = PendingInterest(
+        pending = _PendingInterest(
             interest=interest,
             completion=completion,
             sent_at=self.env.now,
@@ -207,7 +207,7 @@ class Consumer:
         self._transmit(pending)
         return completion
 
-    def _transmit(self, pending: PendingInterest) -> None:
+    def _transmit(self, pending: _PendingInterest) -> None:
         """Send and, unless the send itself decided the cycle, arm its lifetime.
 
         On zero-delay faces the answer can arrive inside ``face.send``: Data
@@ -221,13 +221,13 @@ class Consumer:
             self._arm(pending, pending.interest.lifetime,
                       partial(self._end_cycle, pending, False))
 
-    def _arm(self, pending: PendingInterest, delay: float,
+    def _arm(self, pending: _PendingInterest, delay: float,
              expire: Callable[[Event], None]) -> None:
         timer = self.env.timeout(delay)
         timer.callbacks.append(expire)
         pending.timer = timer
 
-    def _disarm(self, pending: PendingInterest) -> None:
+    def _disarm(self, pending: _PendingInterest) -> None:
         """Cancel the armed timer: the spent ``Timeout`` stays in the
         schedule until it is due, but runs nothing and holds nothing."""
         timer = pending.timer
@@ -235,11 +235,11 @@ class Consumer:
             timer.callbacks.clear()
             pending.timer = None
 
-    def _deadline_left(self, pending: PendingInterest) -> bool:
+    def _deadline_left(self, pending: _PendingInterest) -> bool:
         deadline_s = pending.policy.deadline_s
         return deadline_s is None or (self.env.now - pending.first_sent_at) < deadline_s
 
-    def _fail_pending(self, pending: PendingInterest, nacked: bool) -> None:
+    def _fail_pending(self, pending: _PendingInterest, nacked: bool) -> None:
         self._forget(pending)
         if pending.completion.triggered:
             return
@@ -254,7 +254,7 @@ class Consumer:
                 InterestTimeout(pending.interest.name, pending.interest.lifetime)
             )
 
-    def _end_cycle(self, pending: PendingInterest, nacked: bool, _timer: Timeout) -> None:
+    def _end_cycle(self, pending: _PendingInterest, nacked: bool, _timer: Timeout) -> None:
         """The cycle's lifetime ran out, or a retriable Nack ended it:
         fail the exchange, or spend a retry and back off or re-express."""
         pending.timer = None
@@ -279,7 +279,7 @@ class Consumer:
             return
         self._retransmit(pending)
 
-    def _retransmit(self, pending: PendingInterest, _timer: Optional[Timeout] = None) -> None:
+    def _retransmit(self, pending: _PendingInterest, _timer: Optional[Timeout] = None) -> None:
         """Re-express with a fresh nonce so it is not treated as a loop."""
         pending.timer = None
         interest = pending.interest
@@ -292,14 +292,14 @@ class Consumer:
         )
         self._transmit(pending)
 
-    def _settle(self, pending: PendingInterest) -> None:
+    def _settle(self, pending: _PendingInterest) -> None:
         """The exchange has its verdict: drop it and disarm its timer *now*,
         rather than leave the exchange (the Interest, the decoded Data, its
         events) reachable from the schedule for the rest of its lifetime."""
         pending.satisfied = True
         self._forget(pending)
 
-    def _forget(self, pending: PendingInterest) -> None:
+    def _forget(self, pending: _PendingInterest) -> None:
         self._disarm(pending)
         bucket = self._pending.get(pending.interest.name, [])
         if pending in bucket:
@@ -322,7 +322,7 @@ class Consumer:
         (rare) prefix-matching Interests.
         """
         self.data_received += 1
-        matches: list[PendingInterest] = []
+        matches: list[_PendingInterest] = []
         bucket = self._pending.get(data.name)
         if bucket:
             matches.extend(p for p in bucket if p.interest.matches_data(data))

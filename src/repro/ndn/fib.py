@@ -18,11 +18,11 @@ from repro.exceptions import NDNError
 from repro.ndn.name import Name
 from repro.ndn.nametree import NameTree as _GenericNameTree, as_name
 
-__all__ = ["NextHop", "FibEntry", "NameTree", "Fib"]
+__all__ = ["FibEntry", "NameTree", "Fib"]
 
 
 @dataclass(frozen=True, slots=True)
-class NextHop:
+class _NextHop:
     """One next-hop: a face id plus a routing cost."""
 
     face_id: int
@@ -34,16 +34,16 @@ class FibEntry:
     """A FIB entry: a prefix and its next hops sorted by cost.
 
     Slotted (lint rule RL006): a 10k-node overlay FIB holds an entry per
-    route and a NextHop per adjacency; both must stay cheap to hold.
+    route and a _NextHop per adjacency; both must stay cheap to hold.
     """
 
     prefix: Name
-    nexthops: list[NextHop] = field(default_factory=list)
+    nexthops: list[_NextHop] = field(default_factory=list)
 
     def add_nexthop(self, face_id: int, cost: float = 0.0) -> None:
         """Add or update a next hop, keeping the list sorted by cost."""
         self.nexthops = [hop for hop in self.nexthops if hop.face_id != face_id]
-        self.nexthops.append(NextHop(face_id=face_id, cost=cost))
+        self.nexthops.append(_NextHop(face_id=face_id, cost=cost))
         self.nexthops.sort(key=lambda hop: (hop.cost, hop.face_id))
 
     def remove_nexthop(self, face_id: int) -> bool:
@@ -54,7 +54,7 @@ class FibEntry:
     def has_nexthops(self) -> bool:
         return bool(self.nexthops)
 
-    def best(self) -> Optional[NextHop]:
+    def best(self) -> Optional[_NextHop]:
         return self.nexthops[0] if self.nexthops else None
 
 

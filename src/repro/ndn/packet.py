@@ -35,7 +35,6 @@ __all__ = [
     "Data",
     "Nack",
     "NackReason",
-    "ContentType",
     "WirePacket",
     "InterestLike",
     "DataLike",
@@ -60,7 +59,7 @@ def _next_nonce() -> int:
     return next(_NONCE_SEQUENCE) & 0xFFFFFFFF
 
 
-class ContentType:
+class _ContentType:
     """Data packet content types."""
 
     BLOB = 0
@@ -255,7 +254,7 @@ class Data:
 
     name: Name
     content: bytes = b""
-    content_type: int = ContentType.BLOB
+    content_type: int = _ContentType.BLOB
     freshness_period: float = 0.0
     final_block_id: Optional[Component] = None
     signature_info: Optional[SignatureInfo] = None
@@ -330,7 +329,7 @@ class Data:
             raise TLVDecodeError(f"not a Data packet (type {outer_type})")
         name: Optional[Name] = None
         content = b""
-        content_type = ContentType.BLOB
+        content_type = _ContentType.BLOB
         freshness = 0.0
         final_block: Optional[Component] = None
         sig_type: Optional[int] = None

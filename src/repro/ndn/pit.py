@@ -23,11 +23,11 @@ from typing import Callable, Iterable, Optional
 from repro.ndn.name import Name
 from repro.ndn.packet import DataLike, InterestLike
 
-__all__ = ["InRecord", "OutRecord", "PitEntry", "PendingInterestTable"]
+__all__ = ["PitEntry", "PendingInterestTable"]
 
 
 @dataclass(slots=True)
-class InRecord:
+class _InRecord:
     """A downstream face that asked for the name."""
 
     face_id: int
@@ -36,7 +36,7 @@ class InRecord:
 
 
 @dataclass(slots=True)
-class OutRecord:
+class _OutRecord:
     """An upstream face the Interest was forwarded to."""
 
     face_id: int
@@ -55,8 +55,8 @@ class PitEntry:
 
     name: Name
     can_be_prefix: bool
-    in_records: dict[int, InRecord] = field(default_factory=dict)
-    out_records: dict[int, OutRecord] = field(default_factory=dict)
+    in_records: dict[int, _InRecord] = field(default_factory=dict)
+    out_records: dict[int, _OutRecord] = field(default_factory=dict)
     nonces: set[int] = field(default_factory=set)
     #: The most recent Interest wire view inserted under this entry.  Kept so
     #: control-plane cleanup (face removal, shard rebalance) can re-forward
@@ -137,7 +137,7 @@ class PendingInterestTable:
                 self._prefix_entries += 1
         else:
             self.aggregated += 1
-        entry.in_records[in_face_id] = InRecord(face_id=in_face_id, nonce=interest.nonce, expiry=expiry)
+        entry.in_records[in_face_id] = _InRecord(face_id=in_face_id, nonce=interest.nonce, expiry=expiry)
         entry.nonces.add(interest.nonce)
         entry.interest = interest
         self._push_expiry(key, expiry)
@@ -155,7 +155,7 @@ class PendingInterestTable:
         if entry is None:
             return
         expiry = self._clock() + interest.lifetime
-        entry.out_records[out_face_id] = OutRecord(
+        entry.out_records[out_face_id] = _OutRecord(
             face_id=out_face_id, nonce=interest.nonce, expiry=expiry
         )
         self._push_expiry(key, expiry)

@@ -35,7 +35,7 @@ from repro.ndn.face import Face
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
 
-__all__ = ["PrefixAnnouncement", "RoutingDaemon", "Adjacency"]
+__all__ = ["PrefixAnnouncement", "RoutingDaemon"]
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class PrefixAnnouncement:
 
 
 @dataclass
-class Adjacency:
+class _Adjacency:
     """A routing adjacency to a neighbouring daemon."""
 
     neighbor: "RoutingDaemon"
@@ -76,7 +76,7 @@ class RoutingDaemon:
     def __init__(self, forwarder: Forwarder, node_name: Optional[str] = None) -> None:
         self.forwarder = forwarder
         self.node_name = node_name or forwarder.name
-        self._adjacencies: dict[str, Adjacency] = {}
+        self._adjacencies: dict[str, _Adjacency] = {}
         self._rib: dict[tuple[Name, str], _RibEntry] = {}
         #: (prefix, face id) -> cost of the FIB next hops this daemon wrote.
         self._projected: dict[tuple[Name, int], float] = {}
@@ -90,7 +90,7 @@ class RoutingDaemon:
         """Declare ``neighbor`` reachable through ``local_face``."""
         if local_face.face_id < 0:
             raise NDNError("adjacency face is not attached to the forwarder")
-        self._adjacencies[neighbor.node_name] = Adjacency(
+        self._adjacencies[neighbor.node_name] = _Adjacency(
             neighbor=neighbor, local_face=local_face, link_cost=link_cost
         )
         # Share everything we already know with the new neighbour.

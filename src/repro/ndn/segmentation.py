@@ -15,7 +15,7 @@ from repro.ndn.name import Component, Name
 from repro.ndn.packet import Data
 from repro.ndn.security import DigestSigner, HmacSigner
 
-__all__ = ["segment_content", "reassemble", "segment_names", "DEFAULT_SEGMENT_SIZE"]
+__all__ = ["segment_content", "reassemble", "DEFAULT_SEGMENT_SIZE"]
 
 #: Default segment payload size in bytes (mirrors common NDN repo settings).
 DEFAULT_SEGMENT_SIZE = 8192
@@ -51,16 +51,6 @@ def segment_content(
         ).sign(signer)
         packets.append(packet)
     return packets
-
-
-def segment_names(base_name: "Name | str", total_size: int,
-                  segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[Name]:
-    """The names the segments of an object of ``total_size`` bytes would use."""
-    if segment_size <= 0:
-        raise NDNError(f"segment size must be positive, got {segment_size}")
-    base = Name(base_name)
-    count = max(1, -(-total_size // segment_size))
-    return [base.append(f"seg={index}") for index in range(count)]
 
 
 def _segment_index(data: Data) -> int:

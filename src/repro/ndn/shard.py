@@ -16,7 +16,7 @@ Partitioning contract
   per-tenant style partitioning; deeper keys suit single-rooted namespaces
   like ``/ndn/k8s/...``).  A name shorter than ``key_depth`` keys on all of
   its components.
-* The key is placed by rendezvous hashing (:func:`rendezvous_for_key`,
+* The key is placed by rendezvous hashing (:func:`_rendezvous_for_key`,
   the highest-random-weight scheme of Thaler & Ravishankar): every shard
   scores the key with :func:`hashlib.sha256` — deterministic across
   processes, runs and ``PYTHONHASHSEED``, never Python's randomised
@@ -45,7 +45,7 @@ point in the sharded plane.  Two optimisations keep it lean:
 
 * *Dispatch keys come from bytes, not objects.*  The dispatcher hashes
   :attr:`WirePacket.name_bytes` — a memoised single slice of the wire —
-  through :func:`key_from_name_bytes`; no :class:`Name` components are
+  through :func:`_key_from_name_bytes`; no :class:`Name` components are
   materialised and repeat dispatch of the same view never re-walks spans.
 * *An exact-match hot cache answers repeat Interests in place.*  A bounded
   :class:`~repro.ndn.strategy.DispatcherHotCache` mirrors the Data the
@@ -63,7 +63,7 @@ point in the sharded plane.  Two optimisations keep it lean:
 Boundary mechanics
 ------------------
 Packets cross shards as *frames*: the wire buffer plus the sender's already
-parsed TLV span table (:func:`encode_frame`), so the receiving shard never
+parsed TLV span table (:func:`_encode_frame`), so the receiving shard never
 re-walks the buffer, let alone decodes it.  In-process crossings
 (:class:`ShardFace`, used by the deterministic simulation) round-trip every
 packet through the frame codec — the reconstructed view has no attached
@@ -71,9 +71,9 @@ decoded object, which is what makes the transit-decode counter meaningful.
 
 Deterministic scheduling
 ------------------------
-Inside the simulator, each shard (and the dispatcher) is a serial server:
-a :class:`~repro.sim.engine.Queue`-fed process that spends a configurable
-service time per packet in simulated time.  Ordering is FIFO at every
+Inside the simulator, each shard (and the dispatcher) is a
+:class:`~repro.sim.engine.SerialServer`: a queue-fed process that spends a
+configurable service time per packet in simulated time.  Ordering is FIFO at every
 queue and the engine breaks simultaneous events by scheduling sequence, so
 results are bit-for-bit independent of shard count *interleaving* — only
 the modelled parallelism changes.  With the default service times of zero
@@ -103,13 +103,6 @@ from repro.sim.metrics import MetricsRegistry
 from repro.sim.trace import Tracer
 
 __all__ = [
-    "shard_key",
-    "rendezvous_for_key",
-    "rendezvous_for_name",
-    "key_from_name_bytes",
-    "make_shard_picker",
-    "encode_frame",
-    "decode_frame",
     "ShardFace",
     "ShardedForwarder",
     "RebalanceReport",
@@ -117,7 +110,7 @@ __all__ = [
 ]
 
 
-def shard_key(name: "Name | str", key_depth: int = 1) -> bytes:
+def _shard_key(name: "Name | str", key_depth: int = 1) -> bytes:
     """The partitioning key of ``name``: its first ``key_depth`` components."""
     name = as_name(name)
     if key_depth < 1:
@@ -126,7 +119,7 @@ def shard_key(name: "Name | str", key_depth: int = 1) -> bytes:
     return b"/".join(component.value for component in components)
 
 
-def rendezvous_for_key(
+def _rendezvous_for_key(
     key: bytes, num_shards: int, weights: Optional[Sequence[float]] = None
 ) -> int:
     """Rendezvous-hash (HRW) ``key`` onto one of ``num_shards`` shards.
@@ -175,21 +168,11 @@ def rendezvous_for_key(
     return best_shard
 
 
-def rendezvous_for_name(
-    name: "Name | str",
-    num_shards: int,
-    key_depth: int = 1,
-    weights: Optional[Sequence[float]] = None,
-) -> int:
-    """The rendezvous-partitioned shard owning ``name``."""
-    return rendezvous_for_key(shard_key(name, key_depth), num_shards, weights)
-
-
-def key_from_name_bytes(name_value: bytes, key_depth: int) -> bytes:
+def _key_from_name_bytes(name_value: bytes, key_depth: int) -> bytes:
     """The shard key sliced straight out of canonical name bytes.
 
     ``name_value`` is a Name TLV's value (:attr:`WirePacket.name_bytes`);
-    the result equals :func:`shard_key` of the same name without ever
+    the result equals :func:`_shard_key` of the same name without ever
     materialising :class:`Name` components — this is what the dispatcher
     hashes per packet.
     """
@@ -205,7 +188,7 @@ def key_from_name_bytes(name_value: bytes, key_depth: int) -> bytes:
     return b"/".join(parts)
 
 
-def make_shard_picker(
+def _make_shard_picker(
     num_shards: int, weights: Optional[Sequence[float]] = None
 ) -> Callable[[bytes], int]:
     """A memoised rendezvous ``key -> shard`` function.
@@ -217,9 +200,9 @@ def make_shard_picker(
     if weights is not None:
         weights = tuple(float(weight) for weight in weights)
     # Validate once up front, not per key.
-    rendezvous_for_key(b"", num_shards, weights)
+    _rendezvous_for_key(b"", num_shards, weights)
     return lru_cache(maxsize=4096)(
-        lambda key: rendezvous_for_key(key, num_shards, weights)
+        lambda key: _rendezvous_for_key(key, num_shards, weights)
     )
 
 
@@ -230,7 +213,7 @@ _FRAME_LAYOUT_HEAD = struct.Struct(">IIIH")  # outer type, body start/end, span 
 _FRAME_SPAN = struct.Struct(">IIII")  # tlv type, block start, value start/end
 
 
-def encode_frame(packet: "WirePacket | AnyPacket", tag: int = 0) -> bytes:
+def _encode_frame(packet: "WirePacket | AnyPacket", tag: int = 0) -> bytes:
     """Serialise one packet for a shard boundary: wire buffer + span table.
 
     The frame carries the encoded packet verbatim plus, when the sender has
@@ -264,7 +247,7 @@ def encode_frame(packet: "WirePacket | AnyPacket", tag: int = 0) -> bytes:
     return b"".join(parts)
 
 
-def decode_frame(buffer: bytes, offset: int = 0) -> tuple[int, WirePacket, int]:
+def _decode_frame(buffer: bytes, offset: int = 0) -> tuple[int, WirePacket, int]:
     """Rebuild ``(tag, view, next_offset)`` from one frame.
 
     The returned view is backed by the transported bytes only — no decoded
@@ -334,10 +317,10 @@ class ShardFace(Face):
     def _transmit(self, packet: WirePacket) -> None:
         peer = self.peer
         assert peer is not None
-        frame = encode_frame(packet)
+        frame = _encode_frame(packet)
         self.frames += 1
         self.frame_bytes += len(frame)
-        _tag, restored, _end = decode_frame(frame, 0)
+        _tag, restored, _end = _decode_frame(frame, 0)
         # Hand over the name memos (never the decoded object): the shard
         # side reads ``name`` for its tables and the dispatcher side reads
         # ``name_bytes`` for hashing/hot-cache keys — one parse per packet,
@@ -519,7 +502,7 @@ class ShardedForwarder:
         self._cs_capacity = cs_capacity
         self._cache_unsolicited = cache_unsolicited
         self._shard_service_s = shard_service_s
-        self._picker = make_shard_picker(shards, shard_weights)
+        self._picker = _make_shard_picker(shards, shard_weights)
         self.tracer = tracer or Tracer(clock=lambda: env.now, enabled=False)
         self.metrics = metrics or MetricsRegistry(clock=lambda: env.now)
         self.shards: list[Forwarder] = [
@@ -633,7 +616,7 @@ class ShardedForwarder:
         dispatch can never disagree about ownership.
         """
         if len(prefix) >= self.key_depth:
-            return [self._picker(shard_key(prefix, self.key_depth))]
+            return [self._picker(_shard_key(prefix, self.key_depth))]
         return list(range(self.num_shards))
 
     def register_prefix(self, prefix: "Name | str", face: "Face | int", cost: float = 0.0) -> None:
@@ -743,7 +726,7 @@ class ShardedForwarder:
         """
         if shards < 1:
             raise NDNError(f"{self.name}: need at least one shard, got {shards}")
-        new_picker = make_shard_picker(shards, shard_weights)
+        new_picker = _make_shard_picker(shards, shard_weights)
         old_count = self.num_shards
         report = RebalanceReport(
             at=self.env.now, old_shards=old_count, new_shards=shards
@@ -801,7 +784,7 @@ class ShardedForwarder:
                 report.pending_aborted += shard.abort_pending(
                     lambda entry, index=index: (
                         len(entry.name) >= self.key_depth
-                        and self._picker(shard_key(entry.name, self.key_depth)) != index
+                        and self._picker(_shard_key(entry.name, self.key_depth)) != index
                     )
                 )
             else:  # shard is going away: everything pending is stranded
@@ -832,7 +815,7 @@ class ShardedForwarder:
             moved = [
                 name for name in shard.cs.names()
                 if len(name) >= self.key_depth
-                and self._picker(shard_key(name, self.key_depth)) != index
+                and self._picker(_shard_key(name, self.key_depth)) != index
             ]
             before = len(shard.cs)
             for name in moved:
@@ -894,7 +877,7 @@ class ShardedForwarder:
             if self._fast_path(wire_packet, ext_id):
                 return
         index = self._picker(
-            key_from_name_bytes(wire_packet.name_bytes, self.key_depth)
+            _key_from_name_bytes(wire_packet.name_bytes, self.key_depth)
         )
         pair = self._mirrors.get((ext_id, index))
         if pair is None:  # external face removed while the packet queued

@@ -17,8 +17,6 @@ from repro.exceptions import TLVDecodeError
 
 __all__ = [
     "TlvTypes",
-    "encode_var_number",
-    "decode_var_number",
     "encode_tlv",
     "decode_tlv",
     "decode_tlv_header",
@@ -26,7 +24,6 @@ __all__ = [
     "scan_tlv_spans",
     "encode_nonneg_int",
     "decode_nonneg_int",
-    "TlvBlock",
 ]
 
 
@@ -65,7 +62,7 @@ class TlvTypes:
     SIM_TAG = 0x03F1
 
 
-def encode_var_number(value: int) -> bytes:
+def _encode_var_number(value: int) -> bytes:
     """Encode a non-negative integer as an NDN variable-length number."""
     if value < 0:
         raise TLVDecodeError(f"cannot encode negative number {value}")
@@ -78,7 +75,7 @@ def encode_var_number(value: int) -> bytes:
     return bytes([255]) + value.to_bytes(8, "big")
 
 
-def decode_var_number(buffer: bytes, offset: int = 0) -> tuple[int, int]:
+def _decode_var_number(buffer: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode a variable-length number; returns ``(value, next_offset)``."""
     if offset >= len(buffer):
         raise TLVDecodeError("truncated TLV: missing number")
@@ -99,7 +96,7 @@ def decode_var_number(buffer: bytes, offset: int = 0) -> tuple[int, int]:
 
 def encode_tlv(type_number: int, value: bytes) -> bytes:
     """Encode a single TLV block."""
-    return encode_var_number(type_number) + encode_var_number(len(value)) + value
+    return _encode_var_number(type_number) + _encode_var_number(len(value)) + value
 
 
 def decode_tlv(buffer: bytes, offset: int = 0) -> tuple[int, bytes, int]:
@@ -115,8 +112,8 @@ def decode_tlv_header(buffer: bytes, offset: int = 0) -> tuple[int, int, int]:
     so callers that only need offsets (the zero-copy
     :class:`~repro.ndn.packet.WirePacket` field scan) pay no copies.
     """
-    type_number, offset = decode_var_number(buffer, offset)
-    length, offset = decode_var_number(buffer, offset)
+    type_number, offset = _decode_var_number(buffer, offset)
+    length, offset = _decode_var_number(buffer, offset)
     end = offset + length
     if end > len(buffer):
         raise TLVDecodeError(
@@ -148,19 +145,19 @@ def scan_tlv_spans(buffer: bytes, start: int, end: int) -> dict[int, tuple[int, 
 
 
 @dataclass(frozen=True)
-class TlvBlock:
+class _TlvBlock:
     """A decoded TLV block."""
 
     type: int
     value: bytes
 
 
-def decode_all(buffer: bytes) -> Iterator[TlvBlock]:
+def decode_all(buffer: bytes) -> Iterator[_TlvBlock]:
     """Decode a concatenation of TLV blocks."""
     offset = 0
     while offset < len(buffer):
         type_number, value, offset = decode_tlv(buffer, offset)
-        yield TlvBlock(type_number, value)
+        yield _TlvBlock(type_number, value)
 
 
 def encode_nonneg_int(value: int) -> bytes:

@@ -11,12 +11,6 @@ Public API
 * :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Timeout`,
   :class:`~repro.sim.engine.Process`, :class:`~repro.sim.engine.AllOf`,
   :class:`~repro.sim.engine.AnyOf` — the yieldable primitives.
-* :class:`~repro.sim.resources.Resource` — a capacity-limited resource with a
-  FIFO queue (models CPUs, network links, …).
-* :class:`~repro.sim.resources.Container` — a continuous-level container
-  (models memory pools, storage quotas).
-* :class:`~repro.sim.resources.Store` — a FIFO object store (models queues and
-  mailboxes).
 * :class:`~repro.sim.topology.Topology` — latency/bandwidth network topology.
 * :class:`~repro.sim.metrics.MetricsRegistry` — counters, gauges, histograms.
 * :class:`~repro.sim.trace.Tracer` — structured event tracing.
@@ -31,7 +25,6 @@ from repro.sim.engine import (
     Process,
     Timeout,
 )
-from repro.sim.resources import Container, Resource, Store, PriorityStore
 from repro.sim.topology import Link, Topology, TopologyNode
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, Timer
 from repro.sim.trace import TraceEvent, Tracer
@@ -44,10 +37,6 @@ __all__ = [
     "Event",
     "Process",
     "Timeout",
-    "Resource",
-    "Container",
-    "Store",
-    "PriorityStore",
     "Topology",
     "TopologyNode",
     "Link",

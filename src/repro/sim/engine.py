@@ -23,10 +23,8 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "ConditionEvent",
     "AllOf",
     "AnyOf",
-    "Queue",
     "SerialServer",
 ]
 
@@ -80,7 +78,7 @@ class Event:
     def abandoned(self) -> bool:
         """True when the process waiting on this event was interrupted away.
 
-        Primitives that hold waiter queues (e.g. :class:`Queue`) check this
+        Primitives that hold waiter queues (e.g. :class:`_Queue`) check this
         so a value is never handed to an event nobody will ever observe.
         """
         return self._abandoned
@@ -185,7 +183,7 @@ class _Interruption(Event):
         # Unsubscribe from whatever the process was waiting on, and forget it:
         # a stale target would make introspection (and a later re-interrupt)
         # believe the process still waits on the abandoned event.  The event
-        # itself is marked abandoned so waiter-queue primitives (Queue.get)
+        # itself is marked abandoned so waiter-queue primitives (_Queue.get)
         # never hand a value to it.
         if proc._target is not None:
             if proc._resume in proc._target.callbacks:
@@ -299,7 +297,7 @@ class Process(Event):
         return self._value
 
 
-class ConditionEvent(Event):
+class _ConditionEvent(Event):
     """Base class for composite events over a set of child events."""
 
     __slots__ = ("events", "_results", "_remaining")
@@ -350,7 +348,7 @@ class ConditionEvent(Event):
                 ev.callbacks.remove(child_done)
 
 
-class AllOf(ConditionEvent):
+class AllOf(_ConditionEvent):
     """Triggers when *all* child events have triggered.
 
     The value is a dict mapping each child event to its value.  Fails as soon
@@ -376,7 +374,7 @@ class AllOf(ConditionEvent):
             self.succeed(dict(self._results))
 
 
-class AnyOf(ConditionEvent):
+class AnyOf(_ConditionEvent):
     """Triggers as soon as *any* child event triggers.
 
     The value is a dict with the single completed event.  Fails if the first
@@ -401,7 +399,7 @@ class AnyOf(ConditionEvent):
         self._detach()
 
 
-class Queue:
+class _Queue:
     """An unbounded deterministic FIFO channel between processes.
 
     ``put`` never blocks; ``get`` returns an event that completes with the
@@ -482,9 +480,9 @@ class SerialServer:
         self.env = env
         self.service_time_s = service_time_s
         self.served = 0
-        self._queue: Optional[Queue] = None
+        self._queue: Optional[_Queue] = None
         if service_time_s > 0:
-            self._queue = Queue(env)
+            self._queue = _Queue(env)
             env.process(self._run(), name=f"serve:{name}")
 
     def __len__(self) -> int:

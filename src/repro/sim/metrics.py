@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["Counter", "Gauge", "Histogram", "Timer", "MetricsRegistry", "merge_histograms"]
+__all__ = ["Counter", "Gauge", "Histogram", "Timer", "MetricsRegistry"]
 
 
 @dataclass
@@ -173,11 +173,3 @@ class MetricsRegistry:
         for name, hist in other._histograms.items():
             mine = self.histogram(prefix + name)
             mine.samples.extend(hist.samples)
-
-
-def merge_histograms(histograms: Iterable[Histogram], name: str = "merged") -> Histogram:
-    """Combine several histograms' samples into one."""
-    merged = Histogram(name)
-    for hist in histograms:
-        merged.samples.extend(hist.samples)
-    return merged

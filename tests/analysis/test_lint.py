@@ -98,6 +98,13 @@ RULE_FIXTURES = [
         "    packet = wire.decode()\n"
         "    return packet\n",
     ),
+    (
+        "RL012",
+        "src/repro/core/anything.py",
+        '__all__ = ["orphan"]\n'
+        "def orphan():\n"
+        "    return 1\n",
+    ),
 ]
 
 
@@ -123,6 +130,24 @@ def test_waiver_suppresses_rule(rule_id, display, source):
     assert rule_id not in rule_ids(waived_report)
     waived = [f for f in waived_report.waived if f.rule == rule_id]
     assert waived and waived[0].waiver_reason == "fixture-approved"
+
+
+@pytest.mark.parametrize(
+    "display,name",
+    [
+        ("src/repro/ndn/fib.py", "_NextHop"),
+        ("src/repro/ndn/client.py", "_PendingInterest"),
+        ("src/repro/ndn/pit.py", "_InRecord"),
+    ],
+)
+def test_rl006_matches_private_entry_class_names(display, name):
+    """A leading underscore does not take an entry class out of scope."""
+    report = lint_snippet(f"class {name}:\n    pass\n", display=display)
+    assert rule_ids(report) == ["RL006"]
+    slotted = lint_snippet(
+        f"class {name}:\n    __slots__ = ()\n", display=display
+    )
+    assert rule_ids(slotted) == []
 
 
 def test_rl007_fires_and_waives():
@@ -378,7 +403,7 @@ def test_json_report_schema_round_trip():
     )
     report = lint_snippet(source, display="src/repro/core/mod.py")
     payload = json.loads(render_json(report))
-    assert payload["schema"] == "reprolint-report/2"
+    assert payload["schema"] == "reprolint-report/3"
     assert payload["summary"]["files"] == 1
     assert payload["summary"]["unwaived"] == 1
     assert payload["summary"]["waived"] == 1
@@ -410,7 +435,9 @@ def test_cli_clean_and_dirty(tmp_path):
     clean = tmp_path / "src" / "repro" / "core" / "clean.py"
     clean.parent.mkdir(parents=True)
     clean.write_text('__all__ = ["f"]\ndef f():\n    return 1\n')
-    assert lint_main([str(clean)]) == 0
+    consumer = clean.with_name("consumer.py")
+    consumer.write_text("from repro.core.clean import f\n\nVALUE = f()\n")
+    assert lint_main([str(clean), str(consumer)]) == 0
     dirty = clean.with_name("dirty.py")
     dirty.write_text("def f(x=[]):\n    return x\n")
     assert lint_main([str(dirty)]) == 1
@@ -423,7 +450,7 @@ def test_cli_json_output(tmp_path, capsys):
     code = lint_main([str(target), "--format", "json", "--output", str(out_file)])
     assert code == 1
     payload = json.loads(out_file.read_text())
-    assert payload["schema"] == "reprolint-report/2"
+    assert payload["schema"] == "reprolint-report/3"
     assert payload["findings"][0]["rule"] == "RL005"
 
 

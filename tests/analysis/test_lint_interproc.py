@@ -435,11 +435,12 @@ def test_rl011_endpoint_handoff_is_exempt():
 
 
 # --------------------------------------------------------------------------
-# RL012: dead exports stay advisory
+# RL012: dead exports gate like every other rule
 # --------------------------------------------------------------------------
 
 
 def test_rl012_reports_dead_export_as_advisory():
+    """A dead export is an ordinary, gating finding; a used one is not."""
     modules = {
         "src/repro/core/libx.py": (
             '__all__ = ["used_helper", "unused_helper"]\n'
@@ -458,12 +459,82 @@ def test_rl012_reports_dead_export_as_advisory():
         ),
     }
     report = lint_fixture(modules)
-    assert report.ok  # advisories never gate
-    advisories = report.advisories
-    assert [f.rule for f in advisories] == ["RL012"]
-    assert "unused_helper" in advisories[0].message
-    assert advisories[0].line == 6
-    assert not any("'used_helper'" in f.message for f in advisories)
+    assert not report.ok
+    findings = report.unwaived
+    assert [f.rule for f in findings] == ["RL012"]
+    assert "unused_helper" in findings[0].message
+    assert findings[0].line == 6
+    assert not any("'used_helper'" in f.message for f in findings)
+
+
+_RL012_LIBX = '__all__ = ["helper"]\n\n\ndef helper():\n    return 1\n'
+
+
+def test_rl012_counts_module_attribute_access_as_a_use():
+    report = lint_fixture({
+        "src/repro/core/libx.py": _RL012_LIBX,
+        "src/repro/core/consumer.py": (
+            "from repro.core import libx\n"
+            "\n"
+            "def _call():\n"
+            "    return libx.helper()\n"
+        ),
+    })
+    assert report.ok, [f.as_dict() for f in report.unwaived]
+
+
+def test_rl012_skips_reexports_and_constants():
+    """Only names the module itself defines can be dead there."""
+    report = lint_fixture({
+        "src/repro/core/base.py": _RL012_LIBX,
+        "src/repro/core/libx.py": (
+            "from repro.core.base import helper\n"
+            "\n"
+            '__all__ = ["helper", "LIMIT"]\n'
+            "\n"
+            "LIMIT = 3\n"
+        ),
+    })
+    assert report.ok, [f.as_dict() for f in report.unwaived]
+
+
+def test_rl012_reports_a_dead_class_at_its_def_line():
+    report = lint_fixture({
+        "src/repro/core/libx.py": (
+            '__all__ = ["Used", "Orphan"]\n'
+            "\n"
+            "\n"
+            "class Used:\n"
+            "    pass\n"
+            "\n"
+            "\n"
+            "class Orphan:\n"
+            "    pass\n"
+        ),
+        "src/repro/core/consumer.py": (
+            "from repro.core.libx import Used\n\nVALUE = Used()\n"
+        ),
+    })
+    assert [(f.rule, f.line) for f in report.unwaived] == [("RL012", 8)]
+    assert "'Orphan'" in report.unwaived[0].message
+
+
+def test_rl012_sees_test_references_only_when_tests_are_scanned():
+    """A test import keeps an export alive in a tree that includes tests;
+    linting ``src/`` alone (the tier-1 gate) still reports it."""
+    test_module = (
+        "from repro.core.libx import helper\n"
+        "\n"
+        "def test_helper():\n"
+        "    assert helper() == 1\n"
+    )
+    with_tests = lint_fixture({
+        "src/repro/core/libx.py": _RL012_LIBX,
+        "tests/core/test_libx.py": test_module,
+    })
+    assert with_tests.ok, [f.as_dict() for f in with_tests.unwaived]
+    src_only = lint_fixture({"src/repro/core/libx.py": _RL012_LIBX})
+    assert [f.rule for f in src_only.unwaived] == ["RL012"]
 
 
 # --------------------------------------------------------------------------
@@ -597,6 +668,26 @@ def test_cache_discarded_on_config_change(tmp_path):
     assert cache.hits == 0 and cache.misses == 3
 
 
+def test_cache_written_by_another_lint_version_is_discarded(tmp_path, monkeypatch):
+    """Records from an older engine (e.g. ones carrying ``severity``) are
+    never reused: the engine version is part of the cache signature."""
+    from repro.analysis.lint import engine
+
+    src = _write_fixture_tree(tmp_path, _RL009_MODULES_ALL)
+    cache_path = tmp_path / "cache.json"
+    current = Linter().config_signature()
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "LINT_VERSION", engine.LINT_VERSION + "-old")
+        older = Linter()
+        older.lint_paths(
+            [src], cache=SummaryCache(cache_path, older.config_signature())
+        )
+        assert older.config_signature() != current
+    cache = SummaryCache(cache_path, Linter().config_signature())
+    Linter().lint_paths([src], cache=cache)
+    assert cache.hits == 0 and cache.misses == 3
+
+
 _RL009_MODULES_ALL = {"src/repro/sim/engine.py": _RL009_ENGINE, **_RL009_HELPERS}
 
 
@@ -701,9 +792,9 @@ def test_sarif_maps_rules_findings_chains_and_suppressions():
     rule_ids = [rule["id"] for rule in driver["rules"]]
     assert rule_ids == sorted(rule_ids)
     assert {"RL009", "RL012"} <= set(rule_ids)
-    # Advisory rules carry a "note" default level.
+    # Every rule gates, so every rule carries the "error" level.
     by_id = {rule["id"]: rule for rule in driver["rules"]}
-    assert by_id["RL012"]["defaultConfiguration"]["level"] == "note"
+    assert by_id["RL012"]["defaultConfiguration"]["level"] == "error"
     assert by_id["RL009"]["defaultConfiguration"]["level"] == "error"
 
     results = run["results"]
@@ -841,6 +932,160 @@ def test_cli_changed_only(tmp_path, monkeypatch, capsys):
     assert lint_main([".", "--no-cache", "--changed-only"]) == 1
     out = capsys.readouterr().out
     assert "old.py" in out and "no files changed" not in out
+
+
+def test_cli_changed_only_indexes_the_whole_tree(tmp_path, monkeypatch, capsys):
+    """Findings are limited to changed files; the project index is not."""
+    helper = tmp_path / "src" / "repro" / "core" / "helper.py"
+    helper.parent.mkdir(parents=True)
+    helper.write_text(
+        '__all__ = ["stamp"]\n\nimport time\n\n\ndef stamp():\n    return time.time()\n'
+    )
+    clockish = tmp_path / "src" / "repro" / "sim" / "clockish.py"
+    clockish.parent.mkdir(parents=True)
+    clockish.write_text(
+        "from repro.core.helper import stamp\n\n\ndef now():\n    return 0.0\n"
+    )
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", ".")
+    _git(tmp_path, "commit", "-q", "-m", "seed")
+    monkeypatch.chdir(tmp_path)
+    # The changed file calls into an unchanged helper that reads the wall
+    # clock: the chain runs through the unchanged module and still fires.
+    clockish.write_text(
+        "from repro.core.helper import stamp\n\n\ndef now():\n    return stamp()\n"
+    )
+    assert lint_main(["src", "--no-cache", "--changed-only"]) == 1
+    out = capsys.readouterr().out
+    assert "RL010" in out and "clockish.now" in out and "time.time" in out
+    # Touching only the helper: its export is still used by the unchanged
+    # caller, so it is not reported as dead.
+    _git(tmp_path, "checkout", "--", ".")
+    helper.write_text(helper.read_text() + "\n\n_EPOCH = 0.0\n")
+    report_file = tmp_path / "report.json"
+    assert lint_main(
+        ["src", "--no-cache", "--changed-only", "--format", "json",
+         "--output", str(report_file)]
+    ) == 0
+    assert json.loads(report_file.read_text())["findings"] == []
+
+
+def test_cli_accepts_a_schema_2_baseline_with_advisory_rows(tmp_path, capsys):
+    """A baseline written by the previous linter still gates correctly.
+
+    Schema /2 carried a per-finding ``severity``, and RL012 rows were
+    ``advisory``.  Such a row reads as an ordinary finding, so a dead
+    export already present at the base is pre-existing, not new.
+    """
+    target = tmp_path / "src" / "repro" / "core" / "libx.py"
+    target.parent.mkdir(parents=True)
+    target.write_text('__all__ = ["orphan"]\n\n\ndef orphan():\n    return 1\n')
+    message = (
+        "dead export: 'orphan' is in __all__ but nothing else in the "
+        "scanned tree references it"
+    )
+    baseline = {
+        "schema": "reprolint-report/2",
+        "profiles": {"strict": 1},
+        "summary": {"files": 1, "findings": 1, "waived": 0, "unwaived": 0,
+                    "advisory": 1, "ok": True, "by_rule": {"RL012": 1},
+                    "waived_by_rule": {}},
+        "findings": [{"rule": "RL012", "path": str(target), "line": 4,
+                      "col": 0, "message": message, "waived": False,
+                      "waiver_reason": "", "severity": "advisory"}],
+    }
+    baseline_file = tmp_path / "base.json"
+    baseline_file.write_text(json.dumps(baseline))
+    parsed = parse_json(baseline_file.read_text())
+    assert [(f.rule, f.message) for f in parsed.unwaived] == [("RL012", message)]
+    assert lint_main([str(target), "--no-cache"]) == 1
+    capsys.readouterr()
+    assert lint_main(
+        [str(target), "--no-cache", "--baseline", str(baseline_file)]
+    ) == 0
+    assert "0 new, 1 pre-existing" in capsys.readouterr().out
+
+
+def _commit_helper_and_consumer(tmp_path: Path) -> tuple[Path, Path]:
+    """A git repo holding one export and the module that uses it."""
+    helper = tmp_path / "src" / "repro" / "core" / "helper.py"
+    helper.parent.mkdir(parents=True)
+    helper.write_text(_RL012_LIBX)
+    consumer = helper.with_name("consumer.py")
+    consumer.write_text("from repro.core.helper import helper\n\nVALUE = helper()\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", ".")
+    _git(tmp_path, "commit", "-q", "-m", "seed")
+    return helper, consumer
+
+
+def test_cli_changed_only_counts_only_the_changed_files(tmp_path, monkeypatch):
+    helper, _consumer = _commit_helper_and_consumer(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    helper.write_text(_RL012_LIBX + "\n\n_SPARE = 0\n")
+    report_file = tmp_path / "report.json"
+    assert lint_main(
+        ["src", "--no-cache", "--changed-only", "--format", "json",
+         "--output", str(report_file)]
+    ) == 0
+    payload = json.loads(report_file.read_text())
+    assert payload["summary"]["files"] == 1
+    assert payload["findings"] == []
+
+
+def test_cli_changed_only_reports_a_dead_export_in_a_changed_file(
+    tmp_path, monkeypatch, capsys
+):
+    helper, _consumer = _commit_helper_and_consumer(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    helper.write_text(
+        '__all__ = ["helper", "orphan"]\n\n\ndef helper():\n    return 1\n'
+        "\n\ndef orphan():\n    return 2\n"
+    )
+    assert lint_main(["src", "--no-cache", "--changed-only"]) == 1
+    out = capsys.readouterr().out
+    assert "RL012" in out and "'orphan'" in out
+    assert "'helper'" not in out
+
+
+def test_cli_rejects_the_removed_show_advisory_flag(tmp_path, capsys):
+    target = tmp_path / "mod.py"
+    target.write_text("X = 1\n")
+    with pytest.raises(SystemExit) as excinfo:
+        lint_main([str(target), "--show-advisory"])
+    assert excinfo.value.code == 2
+    assert "--show-advisory" in capsys.readouterr().err
+
+
+def test_json_report_has_no_severity_or_advisory_count():
+    report = lint_fixture({"src/repro/core/libx.py": _RL012_LIBX})
+    payload = json.loads(render_json(report))
+    assert payload["schema"] == "reprolint-report/3"
+    assert "advisory" not in payload["summary"]
+    assert payload["summary"]["ok"] is False
+    assert [f["rule"] for f in payload["findings"]] == ["RL012"]
+    assert all("severity" not in f for f in payload["findings"])
+
+
+def test_parse_json_reads_a_schema_1_report():
+    document = {
+        "schema": "reprolint-report/1",
+        "summary": {"files": 2, "findings": 1, "waived": 0, "unwaived": 1,
+                    "ok": False, "by_rule": {"RL005": 1}},
+        "findings": [{"rule": "RL005", "path": "src/repro/core/mod.py",
+                      "line": 1, "col": 6, "message": "mutable default",
+                      "waived": False, "waiver_reason": ""}],
+    }
+    parsed = parse_json(json.dumps(document))
+    assert parsed.files_checked == 2
+    assert [(f.rule, f.line) for f in parsed.unwaived] == [("RL005", 1)]
+    assert not parsed.ok
+
+
+def test_parse_json_rejects_an_unknown_schema():
+    document = {"schema": "reprolint-report/9", "summary": {"files": 0}, "findings": []}
+    with pytest.raises(ValueError, match="unsupported report schema"):
+        parse_json(json.dumps(document))
 
 
 def test_cli_cache_round_trip_on_disk(tmp_path, capsys):

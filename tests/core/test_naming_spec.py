@@ -12,38 +12,38 @@ from repro.ndn.name import Name
 class TestParamEncoding:
     def test_encode_sorted_and_decoded(self):
         params = {"mem": 4, "cpu": 6, "app": "BLAST"}
-        component = naming.encode_params(params)
+        component = naming._encode_params(params)
         assert component == "app=BLAST&cpu=6&mem=4"
-        assert naming.decode_params(component) == {"app": "BLAST", "cpu": "6", "mem": "4"}
+        assert naming._decode_params(component) == {"app": "BLAST", "cpu": "6", "mem": "4"}
 
     def test_empty_params_rejected(self):
         with pytest.raises(InvalidComputeName):
-            naming.encode_params({})
+            naming._encode_params({})
 
     def test_values_with_special_characters_are_escaped(self):
         params = {"query": "a&b=c", "app": "X"}
-        decoded = naming.decode_params(naming.encode_params(params))
+        decoded = naming._decode_params(naming._encode_params(params))
         assert decoded["query"] == "a&b=c"
 
     def test_reserved_characters_in_keys_rejected(self):
         with pytest.raises(InvalidComputeName):
-            naming.encode_params({"bad&key": "1"})
+            naming._encode_params({"bad&key": "1"})
 
     def test_decode_malformed(self):
         with pytest.raises(InvalidComputeName):
-            naming.decode_params("novalue")
+            naming._decode_params("novalue")
         with pytest.raises(InvalidComputeName):
-            naming.decode_params("=x")
+            naming._decode_params("=x")
         with pytest.raises(InvalidComputeName):
-            naming.decode_params("a=1&a=2")
+            naming._decode_params("a=1&a=2")
         with pytest.raises(InvalidComputeName):
-            naming.decode_params("")
+            naming._decode_params("")
 
     @given(params=st.dictionaries(
         st.text(alphabet="abcdefghij_", min_size=1, max_size=8),
         st.text(min_size=0, max_size=20), min_size=1, max_size=6))
     def test_round_trip_property(self, params):
-        assert naming.decode_params(naming.encode_params(params)) == {
+        assert naming._decode_params(naming._encode_params(params)) == {
             key: str(value) for key, value in params.items()
         }
 

@@ -16,13 +16,12 @@ from repro.core.placement import (
     NearestPlacement,
     RandomPlacement,
     RoundRobinPlacement,
-    place_or_raise,
-    request_quantity,
+    _request_quantity,
 )
 from repro.core.predictor import CompletionTimePredictor
 from repro.core.spec import ComputeRequest, JobState
 from repro.core.workflow import GenomicsWorkflow, decompose
-from repro.exceptions import LIDCError, OverlayError, PlacementError
+from repro.exceptions import LIDCError, OverlayError
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, NackReason
@@ -358,7 +357,7 @@ class TestPlacementStrategies:
         return testbed, list(testbed.clusters.values())
 
     def test_request_quantity_conversion(self):
-        quantity = request_quantity(ComputeRequest(app="X", cpu=2, memory_gb=4))
+        quantity = _request_quantity(ComputeRequest(app="X", cpu=2, memory_gb=4))
         assert quantity.cpu == 2
         assert quantity.memory == 4 * 1024**3
 
@@ -375,6 +374,25 @@ class TestPlacementStrategies:
         big = ComputeRequest(app="SLEEP", cpu=8, memory_gb=32)
         for strategy in (RandomPlacement(), RoundRobinPlacement(), LeastLoadedPlacement()):
             assert strategy.select(big, clusters).cluster_name == "large"
+
+    def test_oversized_request_still_places(self):
+        # Kubernetes holds the pod Pending, so an oversized request queues
+        # on some cluster rather than being refused.
+        testbed, clusters = self._clusters()
+        impossible = ComputeRequest(app="SLEEP", cpu=512, memory_gb=1024)
+        strategies = (RandomPlacement(), RoundRobinPlacement(), LeastLoadedPlacement(),
+                      NearestPlacement({"small": 0.001, "large": 0.1}))
+        for strategy in strategies:
+            decision = strategy.select(impossible, clusters)
+            assert decision is not None, strategy.name
+            assert decision.cluster_name in {"small", "large"}
+
+    def test_no_clusters_places_nowhere(self):
+        request = ComputeRequest(app="SLEEP", cpu=1, memory_gb=1)
+        strategies = (RandomPlacement(), RoundRobinPlacement(), LeastLoadedPlacement(),
+                      NearestPlacement({}))
+        for strategy in strategies:
+            assert strategy.select(request, []) is None, strategy.name
 
     def test_nearest_prefers_low_latency(self):
         testbed, clusters = self._clusters()
@@ -401,14 +419,6 @@ class TestPlacementStrategies:
         predictor.observe(request, 100.0)
         informed = strategy.select(request, clusters)
         assert "predicted" in informed.reason
-
-    def test_place_or_raise(self):
-        testbed, clusters = self._clusters()
-        impossible = ComputeRequest(app="SLEEP", cpu=512, memory_gb=1024)
-        # The fallback returns every cluster, so even "impossible" requests place;
-        # an empty cluster list is the genuinely unplaceable case.
-        with pytest.raises(PlacementError):
-            place_or_raise(LeastLoadedPlacement(), impossible, [])
 
 
 class TestCentralizedBaseline:

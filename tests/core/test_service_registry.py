@@ -108,16 +108,19 @@ class TestAliasCanonicalisationEndToEnd:
         assert aliased.cache_key() == canonical.cache_key()
         assert aliased.to_name() == canonical.to_name()
 
-    def test_canonical_compute_name_folds_aliases(self):
-        a = naming.canonical_compute_name({"app": "X", "memory": "8"})
-        b = naming.canonical_compute_name({"app": "X", "mem": "8"})
-        assert a == b
+    def test_alias_params_build_the_canonical_name(self):
+        aliased = ComputeRequest.from_params({"app": "X", "memory": "8"})
+        canonical = ComputeRequest.from_params({"app": "X", "mem": "8"})
+        assert aliased.to_name() == canonical.to_name()
+        assert "memory=" not in str(aliased.to_name())
 
-    def test_parse_typed_compute_name(self):
-        typed, extras = naming.parse_typed_compute_name(
+    def test_from_name_types_base_fields_and_keeps_extras_as_strings(self):
+        request = ComputeRequest.from_name(
             "/ndn/k8s/compute/app=BLAST&cpu=2&mem=4&srr=S&zz=1")
-        assert typed == {"app": "BLAST", "cpu": 2.0, "mem": 4.0, "srr": "S", "ref": None}
-        assert extras == {"zz": "1"}
+        assert (request.app, request.cpu, request.memory_gb) == ("BLAST", 2, 4.0)
+        assert request.dataset == "S"
+        assert request.reference is None
+        assert request.params == {"zz": "1"}
 
     def test_extra_params_may_not_shadow_schema_aliases(self):
         # `params={"memory": ...}` would build a name from_params rejects, so

@@ -9,7 +9,7 @@ from repro.genomics.runtime_model import (
     TABLE1_ROWS,
     BlastRuntimeModel,
     format_runtime,
-    parse_runtime,
+    _parse_runtime,
 )
 from repro.genomics.sequences import FastqRecord, SequenceGenerator
 from repro.genomics.sra import SraRegistry
@@ -139,17 +139,17 @@ class TestRuntimeParsing:
         ("8h9m50s", 29390), ("24h16m12s", 87372), ("1m30s", 90), ("45s", 45), ("2h", 7200),
     ])
     def test_parse_runtime(self, text, expected):
-        assert parse_runtime(text) == expected
+        assert _parse_runtime(text) == expected
 
     def test_parse_runtime_rejects_garbage(self):
         with pytest.raises(GenomicsError):
-            parse_runtime("fast")
+            _parse_runtime("fast")
         with pytest.raises(GenomicsError):
-            parse_runtime("10")
+            _parse_runtime("10")
 
     def test_format_round_trip(self):
         for text in ("8h9m50s", "24h2m47s", "0h0m5s"):
-            assert parse_runtime(format_runtime(parse_runtime(text))) == parse_runtime(text)
+            assert _parse_runtime(format_runtime(_parse_runtime(text))) == _parse_runtime(text)
 
 
 class TestBlastRuntimeModel:

@@ -5,12 +5,12 @@ import pytest
 from repro.exceptions import InterestNacked, InterestTimeout, NDNError
 from repro.ndn.client import Consumer, Producer, RetryPolicy
 from repro.ndn.face import LocalFace, connect
-from repro.ndn.fib import FibEntry, NextHop
+from repro.ndn.fib import FibEntry
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest, Nack, NackReason
 from repro.ndn.routing import RoutingDaemon
-from repro.ndn.segmentation import reassemble, segment_content, segment_names
+from repro.ndn.segmentation import reassemble, segment_content
 from repro.ndn.strategy import (
     BestRouteStrategy,
     LoadBalanceStrategy,
@@ -122,9 +122,9 @@ class TestSegmentation:
         with pytest.raises(NDNError):
             segment_content("/d/o", b"x", segment_size=0)
 
-    def test_segment_names_helper(self):
-        names = segment_names("/d/o", total_size=250, segment_size=100)
-        assert [str(n) for n in names] == ["/d/o/seg=0", "/d/o/seg=1", "/d/o/seg=2"]
+    def test_segment_names(self):
+        packets = segment_content("/d/o", b"x" * 250, segment_size=100)
+        assert [str(p.name) for p in packets] == ["/d/o/seg=0", "/d/o/seg=1", "/d/o/seg=2"]
 
 
 @pytest.fixture

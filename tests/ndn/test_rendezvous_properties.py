@@ -14,11 +14,10 @@ from hypothesis import given, settings, strategies as st
 from repro.ndn.name import Name
 from repro.ndn.packet import Interest, WirePacket
 from repro.ndn.shard import (
-    key_from_name_bytes,
-    make_shard_picker,
-    rendezvous_for_key,
-    rendezvous_for_name,
-    shard_key,
+    _key_from_name_bytes,
+    _make_shard_picker,
+    _rendezvous_for_key,
+    _shard_key,
 )
 from repro.exceptions import NDNError
 
@@ -34,23 +33,23 @@ weight_values = st.floats(min_value=0.25, max_value=8.0, allow_nan=False)
 class TestRendezvousPartitioning:
     @given(key=keys, num_shards=shard_counts)
     def test_every_key_maps_to_exactly_one_valid_shard(self, key, num_shards):
-        shard = rendezvous_for_key(key, num_shards)
+        shard = _rendezvous_for_key(key, num_shards)
         assert 0 <= shard < num_shards
         # Pure function: recomputing never disagrees.
-        assert rendezvous_for_key(key, num_shards) == shard
+        assert _rendezvous_for_key(key, num_shards) == shard
 
     @given(key=keys, num_shards=st.integers(1, 8))
     def test_growing_the_pool_only_moves_keys_onto_the_new_shard(self, key, num_shards):
         """HRW stability: a new shard adds one contender, never reshuffles."""
-        before = rendezvous_for_key(key, num_shards)
-        after = rendezvous_for_key(key, num_shards + 1)
+        before = _rendezvous_for_key(key, num_shards)
+        after = _rendezvous_for_key(key, num_shards + 1)
         assert after == before or after == num_shards
 
     @given(key=keys, start=st.integers(1, 4), grow=st.integers(1, 4))
     def test_remapping_is_stable_under_repeated_growth(self, key, start, grow):
-        previous = rendezvous_for_key(key, start)
+        previous = _rendezvous_for_key(key, start)
         for num_shards in range(start + 1, start + grow + 1):
-            current = rendezvous_for_key(key, num_shards)
+            current = _rendezvous_for_key(key, num_shards)
             assert current == previous or current == num_shards - 1
             previous = current
 
@@ -63,39 +62,32 @@ class TestRendezvousPartitioning:
         """Adding a shard with existing shards' weights untouched only ever
         claims keys for the newcomer."""
         weights = (weights * num_shards)[:num_shards]
-        before = rendezvous_for_key(key, num_shards, weights)
-        after = rendezvous_for_key(key, num_shards + 1, weights + [new_weight])
+        before = _rendezvous_for_key(key, num_shards, weights)
+        after = _rendezvous_for_key(key, num_shards + 1, weights + [new_weight])
         assert after == before or after == num_shards
-
-    @given(name=names, num_shards=shard_counts, key_depth=st.integers(1, 8))
-    def test_name_placement_is_a_prefix_function(self, name, num_shards, key_depth):
-        truncated = Name(tuple(name)[:key_depth])
-        assert rendezvous_for_name(name, num_shards, key_depth) == rendezvous_for_name(
-            truncated, num_shards, key_depth
-        )
 
     def test_weight_validation(self):
         with pytest.raises(NDNError):
-            rendezvous_for_key(b"k", 2, [1.0])  # wrong arity
+            _rendezvous_for_key(b"k", 2, [1.0])  # wrong arity
         with pytest.raises(NDNError):
-            rendezvous_for_key(b"k", 2, [1.0, 0.0])  # non-positive
+            _rendezvous_for_key(b"k", 2, [1.0, 0.0])  # non-positive
         with pytest.raises(NDNError):
-            make_shard_picker(2, weights=[1.0])  # validated up front
+            _make_shard_picker(2, weights=[1.0])  # validated up front
         with pytest.raises(NDNError):
-            make_shard_picker(0)
+            _make_shard_picker(0)
 
     def test_mapping_is_stable_across_interpreter_runs(self):
         """Pinned values: sha256-derived, so these can only change if the
         HRW salt construction changes — which would reshuffle every
         deployed partitioning."""
-        assert [rendezvous_for_key(b"tenant%d" % i, 4) for i in range(8)] == [
+        assert [_rendezvous_for_key(b"tenant%d" % i, 4) for i in range(8)] == [
             2, 0, 2, 1, 0, 3, 2, 0,
         ]
         assert [
-            rendezvous_for_key(b"tenant%d" % i, 4, [1.0, 1.0, 2.0, 4.0])
+            _rendezvous_for_key(b"tenant%d" % i, 4, [1.0, 1.0, 2.0, 4.0])
             for i in range(8)
         ] == [2, 0, 2, 3, 3, 3, 2, 2]
-        assert {rendezvous_for_key(b"tenant%d" % i, 4) for i in range(64)} == {0, 1, 2, 3}
+        assert {_rendezvous_for_key(b"tenant%d" % i, 4) for i in range(64)} == {0, 1, 2, 3}
 
 
 class TestWeightedShare:
@@ -107,7 +99,7 @@ class TestWeightedShare:
         count = 20_000
         split = [0] * len(weights)
         for i in range(count):
-            split[rendezvous_for_key(b"key:%d" % i, len(weights), weights)] += 1
+            split[_rendezvous_for_key(b"key:%d" % i, len(weights), weights)] += 1
         for shard, weight in enumerate(weights):
             share = split[shard] / count
             expected = weight / total_weight
@@ -120,7 +112,7 @@ class TestWeightedShare:
         count = 20_000
         split = [0] * 4
         for i in range(count):
-            split[rendezvous_for_key(b"key:%d" % i, 4, [3.0] * 4)] += 1
+            split[_rendezvous_for_key(b"key:%d" % i, 4, [3.0] * 4)] += 1
         for shard_count in split:
             assert abs(shard_count / count - 0.25) < 0.02
 
@@ -129,17 +121,17 @@ class TestDispatchKeyExtraction:
     @given(name=names, key_depth=st.integers(1, 8))
     def test_byte_level_key_equals_object_level_key(self, name, key_depth):
         view = WirePacket(Interest(name=name).encode())
-        assert key_from_name_bytes(view.name_bytes, key_depth) == shard_key(
+        assert _key_from_name_bytes(view.name_bytes, key_depth) == _shard_key(
             name, key_depth
         )
 
     @given(name=names, num_shards=shard_counts)
     @settings(max_examples=50)
     def test_pickers_agree_with_module_functions(self, name, num_shards):
-        key = shard_key(name, 1)
+        key = _shard_key(name, 1)
         weights = [float(shard + 1) for shard in range(num_shards)]
-        assert make_shard_picker(num_shards)(key) == rendezvous_for_key(key, num_shards)
-        assert make_shard_picker(num_shards, weights)(key) == rendezvous_for_key(
+        assert _make_shard_picker(num_shards)(key) == _rendezvous_for_key(key, num_shards)
+        assert _make_shard_picker(num_shards, weights)(key) == _rendezvous_for_key(
             key, num_shards, weights
         )
 

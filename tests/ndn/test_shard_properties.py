@@ -1,8 +1,7 @@
 """Property-based tests for the shard partitioning contract.
 
 The contract (see :mod:`repro.ndn.shard`): every name maps to exactly one
-shard, whether it is placed from the Name object (:func:`rendezvous_for_name`)
-or from wire bytes the way the dispatcher does it; the mapping is a pure
+shard, placed from wire bytes the way the dispatcher does it; the mapping is a pure
 function of the name's first ``key_depth`` components and the shard count
 (stable across runs — never Python's randomised ``hash``); growing the
 shard count only moves names onto the new shard; and an Interest and the
@@ -16,11 +15,10 @@ from hypothesis import given, settings, strategies as st
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest, NackReason, WirePacket
 from repro.ndn.shard import (
-    decode_frame,
-    encode_frame,
-    key_from_name_bytes,
-    make_shard_picker,
-    rendezvous_for_name,
+    _decode_frame,
+    _encode_frame,
+    _key_from_name_bytes,
+    _make_shard_picker,
 )
 
 components = st.binary(min_size=1, max_size=12)
@@ -32,17 +30,15 @@ def dispatched_shard(packet, num_shards, key_depth=1):
     """The shard a dispatcher sends ``packet`` to: its key is sliced from
     the wire name bytes and handed to the rendezvous picker."""
     view = WirePacket(packet.encode())
-    return make_shard_picker(num_shards)(key_from_name_bytes(view.name_bytes, key_depth))
+    return _make_shard_picker(num_shards)(_key_from_name_bytes(view.name_bytes, key_depth))
 
 
 class TestPartitioning:
     @given(name=names, num_shards=shard_counts)
     def test_every_name_maps_to_exactly_one_valid_shard(self, name, num_shards):
-        shard = rendezvous_for_name(name, num_shards)
+        shard = dispatched_shard(Interest(name=name), num_shards)
         assert 0 <= shard < num_shards
-        # Pure function: recomputing never disagrees, and neither does the
-        # dispatcher's byte-level path.
-        assert rendezvous_for_name(name, num_shards) == shard
+        # Pure function: recomputing never disagrees.
         assert dispatched_shard(Interest(name=name), num_shards) == shard
 
     @given(first=components, rest_a=st.lists(components, max_size=4),
@@ -52,8 +48,8 @@ class TestPartitioning:
     ):
         name_a = Name([first, *rest_a])
         name_b = Name([first, *rest_b])
-        assert rendezvous_for_name(name_a, num_shards) == rendezvous_for_name(
-            name_b, num_shards
+        assert dispatched_shard(Interest(name=name_a), num_shards) == dispatched_shard(
+            Interest(name=name_b), num_shards
         )
 
     @given(name=names, num_shards=shard_counts, key_depth=st.integers(1, 8))
@@ -69,8 +65,8 @@ class TestPartitioning:
     def test_growing_the_pool_only_moves_keys_onto_the_new_shard(
         self, name, num_shards, key_depth
     ):
-        before = rendezvous_for_name(name, num_shards, key_depth)
-        after = rendezvous_for_name(name, num_shards + 1, key_depth)
+        before = dispatched_shard(Interest(name=name), num_shards, key_depth)
+        after = dispatched_shard(Interest(name=name), num_shards + 1, key_depth)
         assert after == before or after == num_shards
 
     @given(name=names, start=st.integers(1, 4), grow=st.integers(1, 4))
@@ -87,27 +83,22 @@ class TestPartitioning:
         """Pinned values: the hash is sha256-derived, so these can only
         change if the rendezvous salt construction changes — which would
         reshuffle every deployed partitioning."""
-        assert rendezvous_for_name("/alpha/x", 4) == rendezvous_for_name("/alpha/y", 4)
-        pinned = [rendezvous_for_name(f"/tenant{i}/job", 4) for i in range(8)]
+        def shard_of(uri):
+            return dispatched_shard(Interest(name=Name(uri)), 4)
+
+        assert shard_of("/alpha/x") == shard_of("/alpha/y")
+        pinned = [shard_of(f"/tenant{i}/job") for i in range(8)]
         assert pinned == [2, 0, 2, 1, 0, 3, 2, 0]
-        assert pinned == [
-            dispatched_shard(Interest(name=Name(f"/tenant{i}/job")), 4) for i in range(8)
-        ]
         # All four shards are reachable over a modest tenant population.
-        assert {rendezvous_for_name(f"/tenant{i}", 4) for i in range(64)} == {0, 1, 2, 3}
+        assert {shard_of(f"/tenant{i}") for i in range(64)} == {0, 1, 2, 3}
 
     @given(name=names, num_shards=shard_counts)
     def test_interest_and_data_for_the_same_name_share_a_shard(self, name, num_shards):
         interest = Interest(name=name)
         data = Data(name=name, content=b"payload").sign()
         nack = interest.nack(NackReason.NO_ROUTE)
-        interest_view = WirePacket(interest.encode())
-        data_view = WirePacket(data.encode())
-        nack_view = WirePacket(nack.encode())
         shards = {
-            rendezvous_for_name(interest_view.name, num_shards),
-            rendezvous_for_name(data_view.name, num_shards),
-            rendezvous_for_name(nack_view.name, num_shards),
+            dispatched_shard(packet, num_shards) for packet in (interest, data, nack)
         }
         assert len(shards) == 1
 
@@ -117,8 +108,8 @@ class TestPartitioning:
         """With the default key depth a can_be_prefix Interest and any Data
         extending its name share the first component, hence the shard."""
         data_name = prefix.append(*suffix)
-        assert rendezvous_for_name(prefix, num_shards) == rendezvous_for_name(
-            data_name, num_shards
+        assert dispatched_shard(Interest(name=prefix), num_shards) == dispatched_shard(
+            Interest(name=data_name), num_shards
         )
 
 
@@ -129,8 +120,8 @@ class TestFrameCodec:
         view = WirePacket(data.encode())
         _ = view.name  # force the span scan so the frame carries the layout
         before = WirePacket.wire_decodes
-        frame = encode_frame(view, tag)
-        got_tag, restored, consumed = decode_frame(frame, 0)
+        frame = _encode_frame(view, tag)
+        got_tag, restored, consumed = _decode_frame(frame, 0)
         assert consumed == len(frame)
         assert got_tag == tag
         assert restored.wire == view.wire
@@ -144,8 +135,8 @@ class TestFrameCodec:
     @given(name=names)
     def test_unscanned_packets_cross_without_a_layout(self, name):
         view = WirePacket(Interest(name=name).encode())
-        frame = encode_frame(view)
-        _tag, restored, _ = decode_frame(frame, 0)
+        frame = _encode_frame(view)
+        _tag, restored, _ = _decode_frame(frame, 0)
         assert restored._spans is None
         assert restored.name == name  # parsed lazily on the far side
 
@@ -156,6 +147,6 @@ class TestFrameCodec:
         frame codec must re-base it again without corruption."""
         view = WirePacket(Interest(name=name, hop_limit=7).encode())
         forwarded = view.with_decremented_hop_limit()
-        _tag, restored, _ = decode_frame(encode_frame(forwarded), 0)
+        _tag, restored, _ = _decode_frame(_encode_frame(forwarded), 0)
         assert restored.hop_limit == 6
         assert restored.name == name

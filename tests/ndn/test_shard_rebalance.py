@@ -12,10 +12,20 @@ import pytest
 from repro.exceptions import NDNError
 from repro.ndn.client import Consumer, RetryPolicy
 from repro.ndn.packet import Data
-from repro.ndn.shard import RebalanceReport, ShardedForwarder, rendezvous_for_name
+from repro.ndn.shard import (
+    RebalanceReport,
+    ShardedForwarder,
+    _rendezvous_for_key,
+    _shard_key,
+)
 from repro.sim.rng import SeededRNG
 
 TENANTS = [f"/t{i}" for i in range(8)]
+
+
+def owner(name, shards):
+    """The shard that owns ``name`` under the default key depth."""
+    return _rendezvous_for_key(_shard_key(name), shards)
 
 
 def attach_tenant_producers(node, tenants=TENANTS, delay_s=0.0):
@@ -55,8 +65,8 @@ class TestResizeBasics:
         report = node.resize(4)
         assert report.new_shards == 4 and len(node.shards) == 4
         for tenant in TENANTS:
-            old_owner = rendezvous_for_name(tenant, 3)
-            new_owner = rendezvous_for_name(tenant, 4)
+            old_owner = owner(tenant, 3)
+            new_owner = owner(tenant, 4)
             assert new_owner == old_owner or new_owner == 3
         # Producer moves happened make-before-break: every moved producer
         # was added on the new shard and removed from its old one.
@@ -155,7 +165,7 @@ class TestResizeUnderTraffic:
         report = node.resize(4)
         moved = [
             tenant for tenant in TENANTS
-            if rendezvous_for_name(tenant, 4) != rendezvous_for_name(tenant, 2)
+            if owner(tenant, 4) != owner(tenant, 2)
         ]
         assert report.pending_aborted == len(moved)
         env.run(until=0.2)
@@ -205,7 +215,7 @@ class TestResizeUnderTraffic:
         report = node.resize(1)
         # Every key now owns shard 0; entries elsewhere were aborted, and
         # shard 0 keeps only the keys it already owned.
-        kept = [t for t in TENANTS if rendezvous_for_name(t, 4) == 0]
+        kept = [t for t in TENANTS if owner(t, 4) == 0]
         assert node.pit_entries() == len(kept)
         assert report.pending_aborted == len(TENANTS) - len(kept)
         env.run()
@@ -238,8 +248,8 @@ class TestShardCrash:
         for tenant in TENANTS:
             consumer.express_interest(f"{tenant}/x", lifetime=30.0)
         env.run(until=0.1)
-        victim = rendezvous_for_name(TENANTS[0], 3)
-        on_victim = [t for t in TENANTS if rendezvous_for_name(t, 3) == victim]
+        victim = owner(TENANTS[0], 3)
+        on_victim = [t for t in TENANTS if owner(t, 3) == victim]
         aborted = node.crash_shard(victim)
         assert aborted == len(on_victim)
         assert len(node.shards[victim].pit) == 0

@@ -9,15 +9,19 @@ from repro.ndn.forwarder import Forwarder
 from repro.ndn.packet import Data, WirePacket
 from repro.ndn.shard import (
     ShardedForwarder,
+    _rendezvous_for_key,
+    _shard_key,
     forwarder_for_node,
-    rendezvous_for_key,
-    rendezvous_for_name,
-    shard_key,
 )
 from repro.sim.engine import Environment
 from repro.sim.topology import Link, TopologyNode
 
 TENANTS = [f"/t{i}" for i in range(8)]
+
+
+def owner(name, shards):
+    """The shard that owns ``name`` under the default key depth."""
+    return _rendezvous_for_key(_shard_key(name), shards)
 
 
 def attach_tenant_producers(node, tenants=TENANTS):
@@ -57,7 +61,7 @@ class TestInlineSharding:
         env.run(until=env.all_of(
             [consumer.express_interest(f"{tenant}/only") for tenant in TENANTS]
         ))
-        owners = [rendezvous_for_name(f"{tenant}/only", 4) for tenant in TENANTS]
+        owners = [owner(f"{tenant}/only", 4) for tenant in TENANTS]
         for index, shard in enumerate(node.shards):
             received = shard.metrics.counter("interests_received").value
             assert received == owners.count(index)
@@ -87,8 +91,8 @@ class TestInlineSharding:
         env.run()
         assert second.ok
         assert len(served) == 1
-        owner = rendezvous_for_name("/svc/item", 2)
-        assert node.shards[owner].cs.hits == 1
+        owning = owner("/svc/item", 2)
+        assert node.shards[owning].cs.hits == 1
 
     def test_short_prefix_spans_every_shard(self, env):
         node = ShardedForwarder(env, name="node", shards=3, key_depth=2)
@@ -189,7 +193,7 @@ class TestServiceTimeModel:
         assert makespan_1 == pytest.approx(len(self.MODEL_TENANTS), abs=0.5)
         for shards, makespan in ((2, makespan_2), (4, makespan_4)):
             split = Counter(
-                rendezvous_for_name(f"{tenant}/obj", shards)
+                owner(f"{tenant}/obj", shards)
                 for tenant in self.MODEL_TENANTS
             )
             assert makespan == pytest.approx(max(split.values()), abs=0.5)
@@ -228,8 +232,8 @@ class TestTopologyIntegration:
         assert isinstance(sharded, ShardedForwarder)
         # Ownership decisions go through the weighted rendezvous picker.
         for tenant in TENANTS:
-            assert sharded._picker(shard_key(tenant, 1)) == rendezvous_for_key(
-                shard_key(tenant, 1), 3, (1.0, 2.0, 1.0)
+            assert sharded._picker(_shard_key(tenant, 1)) == _rendezvous_for_key(
+                _shard_key(tenant, 1), 3, (1.0, 2.0, 1.0)
             )
 
     def test_topology_node_rejects_nonpositive_shards(self):

@@ -5,40 +5,40 @@ from hypothesis import example, given, strategies as st
 
 from repro.exceptions import TLVDecodeError, VerificationError
 from repro.ndn.name import Component, Name
-from repro.ndn.packet import ContentType, Data, Interest, Nack, NackReason
+from repro.ndn.packet import _ContentType, Data, Interest, Nack, NackReason
 from repro.ndn.security import DigestSigner, HmacSigner, KeyChain, SignatureType
 from repro.ndn.tlv import (
     decode_all,
     decode_nonneg_int,
     decode_tlv,
-    decode_var_number,
+    _decode_var_number,
     encode_nonneg_int,
     encode_tlv,
-    encode_var_number,
+    _encode_var_number,
 )
 
 
 class TestVarNumbers:
     @pytest.mark.parametrize("value,expected_len", [(0, 1), (252, 1), (253, 3), (65535, 3), (65536, 5), (2**32, 9)])
     def test_encoding_width(self, value, expected_len):
-        assert len(encode_var_number(value)) == expected_len
+        assert len(_encode_var_number(value)) == expected_len
 
     def test_round_trip(self):
         for value in (0, 1, 252, 253, 1000, 2**16, 2**32 - 1, 2**40):
-            encoded = encode_var_number(value)
-            decoded, offset = decode_var_number(encoded)
+            encoded = _encode_var_number(value)
+            decoded, offset = _decode_var_number(encoded)
             assert decoded == value
             assert offset == len(encoded)
 
     def test_negative_rejected(self):
         with pytest.raises(TLVDecodeError):
-            encode_var_number(-1)
+            _encode_var_number(-1)
 
     def test_truncated_number_raises(self):
         with pytest.raises(TLVDecodeError):
-            decode_var_number(b"")
+            _decode_var_number(b"")
         with pytest.raises(TLVDecodeError):
-            decode_var_number(bytes([253, 0x01]))  # needs 2 more bytes
+            _decode_var_number(bytes([253, 0x01]))  # needs 2 more bytes
 
 
 class TestTlvBlocks:
@@ -134,7 +134,7 @@ class TestDataWire:
         data = Data(
             name=Name("/ndn/k8s/data/sample"),
             content=b"payload-bytes",
-            content_type=ContentType.BLOB,
+            content_type=_ContentType.BLOB,
             freshness_period=30.0,
             final_block_id=Component("seg=9"),
         ).sign()

@@ -414,9 +414,9 @@ class TestRunSemantics:
 
 class TestQueue:
     def test_put_then_get_is_immediate(self, env):
-        from repro.sim.engine import Queue
+        from repro.sim.engine import _Queue
 
-        queue = Queue(env)
+        queue = _Queue(env)
         queue.put("a")
         queue.put("b")
         assert len(queue) == 2
@@ -431,10 +431,26 @@ class TestQueue:
         assert got == ["a", "b"]
         assert len(queue) == 0
 
-    def test_get_before_put_wakes_in_fifo_order(self, env):
-        from repro.sim.engine import Queue
+    def test_put_to_a_waiting_getter_bypasses_the_buffer(self, env):
+        from repro.sim.engine import _Queue
 
-        queue = Queue(env)
+        queue = _Queue(env)
+        got = []
+
+        def consumer():
+            got.append((yield queue.get()))
+
+        env.process(consumer())
+        env.run()  # the consumer is now parked on its get
+        queue.put("x")
+        assert len(queue) == 0
+        env.run()
+        assert got == ["x"]
+
+    def test_get_before_put_wakes_in_fifo_order(self, env):
+        from repro.sim.engine import _Queue
+
+        queue = _Queue(env)
         received = []
 
         def consumer(tag):
@@ -455,9 +471,9 @@ class TestQueue:
         assert received == [("first", "x"), ("second", "y")]
 
     def test_idle_consumer_does_not_keep_the_simulation_alive(self, env):
-        from repro.sim.engine import Queue
+        from repro.sim.engine import _Queue
 
-        queue = Queue(env)
+        queue = _Queue(env)
 
         def consumer():
             while True:
@@ -469,11 +485,11 @@ class TestQueue:
         assert env.queue_size == 0
 
     def test_interleaved_producers_consumers_are_deterministic(self):
-        from repro.sim.engine import Environment, Queue
+        from repro.sim.engine import Environment, _Queue
 
         def run_once():
             env = Environment()
-            queue = Queue(env)
+            queue = _Queue(env)
             log = []
 
             def producer(tag, delay):
@@ -500,9 +516,9 @@ class TestQueue:
         event; a later put must reach the next live getter, not vanish
         into the orphaned event."""
         from repro.exceptions import ProcessInterrupt
-        from repro.sim.engine import Queue
+        from repro.sim.engine import _Queue
 
-        queue = Queue(env)
+        queue = _Queue(env)
         received = []
 
         def doomed():
@@ -535,9 +551,9 @@ class TestQueue:
         before the event processes (interrupts are URGENT-priority). The
         queue must recover the in-flight item for the next live getter."""
         from repro.exceptions import ProcessInterrupt
-        from repro.sim.engine import Queue
+        from repro.sim.engine import _Queue
 
-        queue = Queue(env)
+        queue = _Queue(env)
         received = []
 
         def doomed():
@@ -595,3 +611,59 @@ class TestSerialServer:
 
         with pytest.raises(SimulationError):
             SerialServer(env, -0.1)
+
+    def test_len_counts_actions_waiting_for_service(self, env):
+        from repro.sim.engine import SerialServer
+
+        server = SerialServer(env, 1.0)
+        for _ in range(3):
+            server.submit(lambda: None)
+        assert len(server) == 3
+        env.run(until=1.5)
+        # One action was taken and served; the next is in service.
+        assert server.served == 1
+        assert len(server) == 1
+        env.run()
+        assert server.served == 3
+        assert len(server) == 0
+
+    def test_late_submission_queues_behind_the_backlog(self, env):
+        from repro.sim.engine import SerialServer
+
+        server = SerialServer(env, 1.0)
+        finished = []
+        server.submit(lambda: finished.append(("early", env.now)))
+        server.submit(lambda: finished.append(("second", env.now)))
+
+        def late():
+            yield env.timeout(0.5)
+            server.submit(lambda: finished.append(("late", env.now)))
+
+        env.process(late())
+        env.run()
+        assert finished == [("early", 1.0), ("second", 2.0), ("late", 3.0)]
+
+    def test_separate_servers_serve_in_parallel(self, env):
+        from repro.sim.engine import SerialServer
+
+        fast, slow = SerialServer(env, 0.25, "fast"), SerialServer(env, 1.0, "slow")
+        finished = []
+        for label in ("a", "b"):
+            fast.submit(lambda _label=label: finished.append(("fast", _label, env.now)))
+            slow.submit(lambda _label=label: finished.append(("slow", _label, env.now)))
+        env.run()
+        assert finished == [
+            ("fast", "a", 0.25),
+            ("fast", "b", 0.5),
+            ("slow", "a", 1.0),
+            ("slow", "b", 2.0),
+        ]
+
+    def test_idle_server_does_not_keep_the_simulation_alive(self, env):
+        from repro.sim.engine import SerialServer
+
+        server = SerialServer(env, 0.5)
+        server.submit(lambda: None)
+        env.run()  # must terminate once the single action is served
+        assert env.now == 0.5
+        assert env.queue_size == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.ndn.name import Name
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, merge_histograms
+from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.sim.rng import SeededRNG
 from repro.sim.trace import TraceEvent, Tracer
 
@@ -199,12 +199,16 @@ class TestMetrics:
         a.merge(b)
         assert a.counter("c").value == 3
 
-    def test_merge_histograms(self):
-        h1, h2 = Histogram("a"), Histogram("b")
-        h1.observe(1)
-        h2.observe(2)
-        merged = merge_histograms([h1, h2])
-        assert sorted(merged.samples) == [1, 2]
+    def test_registry_merge_prefixes_and_concatenates_histograms(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.histogram("site.lat").observe(1.0)
+        b.histogram("lat").observe(2.0)
+        b.histogram("lat").observe(3.0)
+        b.gauge("depth").set(4)
+        a.merge(b, prefix="site.")
+        assert a.histogram("site.lat").samples == [1.0, 2.0, 3.0]
+        assert a.gauge("site.depth").value == 4
+        assert b.histogram("lat").samples == [2.0, 3.0]
 
     def test_registry_names_sorted(self):
         registry = MetricsRegistry()
