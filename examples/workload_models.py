@@ -88,8 +88,8 @@ def main() -> None:
         env = Environment()
         node = fresh_node(env)
         report = WorkloadDriver(env, node, spec, rng=SeededRNG(SEED)).run()
-        hot = report.cache["hot_cache"]["hits"]
-        shard_cs = sum(s["hits"] for s in report.cache["shard_cs"])
+        hot = node.hot_cache.hits
+        shard_cs = sum(shard.cs.hits for shard in node.shards)
         print(f"{spec.label:>8}  {report.satisfied:>9}  {hot:>8}  "
               f"{shard_cs:>13}  {report.trace_hash[:16]}")
     print("\nRe-run this script: the trace hashes are identical every time.")

@@ -1,7 +1,6 @@
-"""Setup shim so editable installs work in offline environments.
+"""Package metadata: ``pip install -e .`` installs ``repro`` from ``src/``.
 
-The canonical metadata lives in pyproject.toml; this file exists because the
-evaluation environment has no network access for build isolation.
+This file is the only build configuration (there is no ``pyproject.toml``).
 """
 from setuptools import setup, find_packages
 

@@ -51,7 +51,7 @@ class Cluster:
         self.name = spec.name
         self.region = spec.region
         self.api = ApiServer(clock=lambda: env.now)
-        self.scheduler = Scheduler(self.api, policy=spec.scheduler_policy, clock=lambda: env.now)
+        self.scheduler = Scheduler(self.api, policy=spec.scheduler_policy)
         self.nfs = NFSServer(name=f"{spec.name}-nfs", capacity=spec.nfs_capacity)
         self.storage = StorageController(self.api, default_server=self.nfs)
         self.jobs = JobController(env, self.api)
@@ -172,25 +172,6 @@ class Cluster:
 
     def service(self, name: str, namespace: str = "ndnk8s") -> Service:
         return self.api.get(Service.KIND, name, namespace)
-
-    def stats(self) -> dict[str, object]:
-        """Operational statistics for reports and benchmarks."""
-        pods = self.pods()
-        return {
-            "name": self.name,
-            "region": self.region,
-            "nodes": len(self.nodes()),
-            "pods_total": len(pods),
-            "pods_running": sum(1 for pod in pods if pod.phase == PodPhase.RUNNING),
-            "pods_succeeded": sum(1 for pod in pods if pod.phase == PodPhase.SUCCEEDED),
-            "pods_failed": sum(1 for pod in pods if pod.phase == PodPhase.FAILED),
-            "jobs_created": self.jobs.jobs_created,
-            "jobs_completed": self.jobs.jobs_completed,
-            "jobs_failed": self.jobs.jobs_failed,
-            "utilization": self.utilization(),
-            "scheduler_decisions": len(self.scheduler.decisions),
-            "nfs_used_bytes": self.nfs.used_bytes(),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Cluster {self.name} nodes={len(self._kubelets)} region={self.region}>"

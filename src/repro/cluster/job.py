@@ -86,9 +86,7 @@ class JobController:
     def __init__(self, env: Environment, api: ApiServer) -> None:
         self.env = env
         self.api = api
-        self.jobs_created = 0
         self.jobs_completed = 0
-        self.jobs_failed = 0
         #: (namespace, job name) -> the job's pods in creation order, so a
         #: lookup does not scan every pod the cluster ever ran (terminal pods
         #: are never deleted).  Filled by ``_spawn_pod``, not from the watch:
@@ -129,7 +127,6 @@ class JobController:
             completion=self.env.event(name="job-completion"),
         )
         self.api.create(Job.KIND, job)
-        self.jobs_created += 1
         return job
 
     # -- watch handlers ----------------------------------------------------------------
@@ -230,8 +227,6 @@ class JobController:
             job.status.start_time = job.metadata.creation_time
         if condition == "Complete":
             self.jobs_completed += 1
-        else:
-            self.jobs_failed += 1
         self.api.record_event(Job.KIND, job.metadata, condition, message)
         self.api.touch(Job.KIND, job)
         if job.completion is not None and not job.completion.triggered:

@@ -26,7 +26,6 @@ from repro.cluster.quantity import Quantity
 __all__ = [
     "SchedulingPolicy",
     "Scheduler",
-    "SchedulingDecision",
     "ShardAutoscaler",
     "ScalingDecision",
 ]
@@ -40,16 +39,6 @@ class SchedulingPolicy(str, Enum):
     BALANCED = "balanced"
 
 
-@dataclass
-class SchedulingDecision:
-    """Record of one scheduling attempt (kept for observability and tests)."""
-
-    pod_name: str
-    node_name: Optional[str]
-    reason: str
-    time: float
-
-
 class Scheduler:
     """Assigns pending pods to nodes."""
 
@@ -57,13 +46,9 @@ class Scheduler:
         self,
         api: ApiServer,
         policy: "SchedulingPolicy | str" = SchedulingPolicy.LEAST_ALLOCATED,
-        clock=None,
     ) -> None:
         self.api = api
         self.policy = SchedulingPolicy(policy)
-        self._clock = clock or (lambda: 0.0)
-        self.decisions: list[SchedulingDecision] = []
-        self.scheduled_count = 0
         self.unschedulable_count = 0
         api.watch(Pod.KIND, self._on_change, replay_existing=True)
         api.watch(Node.KIND, self._on_change, replay_existing=False)
@@ -118,13 +103,6 @@ class Scheduler:
         feasible = self.feasible_nodes(pod)
         if not feasible:
             self.unschedulable_count += 1
-            self.decisions.append(
-                SchedulingDecision(
-                    pod_name=pod.name, node_name=None,
-                    reason="Unschedulable: no node with sufficient resources",
-                    time=self._clock(),
-                )
-            )
             self.api.record_event(
                 Pod.KIND, pod.metadata, "FailedScheduling",
                 f"0/{self.api.count(Node.KIND)} nodes available for {pod.total_requests()}",
@@ -132,13 +110,6 @@ class Scheduler:
             return False
         best = self._pick(pod, feasible)
         pod.node_name = best.name
-        self.scheduled_count += 1
-        self.decisions.append(
-            SchedulingDecision(
-                pod_name=pod.name, node_name=best.name,
-                reason=f"Scheduled by {self.policy.value}", time=self._clock(),
-            )
-        )
         self.api.record_event(Pod.KIND, pod.metadata, "Scheduled", f"Bound to {best.name}")
         self.api.touch(Pod.KIND, pod)
         return True

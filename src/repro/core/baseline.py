@@ -125,15 +125,3 @@ class CentralizedController:
                     counts.get(submission.decision.cluster_name, 0) + 1
                 )
         return counts
-
-    def stats(self) -> dict[str, object]:
-        accepted = sum(1 for s in self.submissions if s.accepted)
-        return {
-            "alive": self.alive,
-            "clusters": sorted(self._clusters),
-            "submissions": len(self.submissions),
-            "accepted": accepted,
-            "rejected": len(self.submissions) - accepted,
-            "rejected_unavailable": self.rejected_unavailable,
-            "placement_counts": self.placement_counts(),
-        }

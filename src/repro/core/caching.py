@@ -94,14 +94,3 @@ class ResultCache:
     def hit_ratio(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "size": float(len(self._entries)),
-            "capacity": float(self.capacity),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "hit_ratio": self.hit_ratio,
-            "insertions": float(self.insertions),
-            "evictions": float(self.evictions),
-        }

@@ -213,51 +213,5 @@ class LIDCCluster:
     def active_jobs(self) -> int:
         return self.gateway.active_job_count()
 
-    @staticmethod
-    def _face_totals(face_stats: dict[int, dict[str, int]]) -> dict[str, int]:
-        totals = {"bytes_in": 0, "bytes_out": 0, "drops": 0}
-        for counters in face_stats.values():
-            totals["bytes_in"] += counters["bytes_in"]
-            totals["bytes_out"] += counters["bytes_out"]
-            totals["drops"] += counters["drops"]
-        return totals
-
-    def transport_stats(self) -> dict[str, dict[str, int]]:
-        """Wire-level transport totals, reported per NFD — and per shard.
-
-        Bytes are ``len(wire)`` of the buffers that crossed each face;
-        ``drops`` counts packets discarded on down faces, so experiments can
-        report loss instead of silently eating packets.  Totals are kept
-        separate per forwarder because the intra-site gw↔dl link appears in
-        both — summing the two would double-count internal traffic as site
-        ingress/egress.  When the gateway runs a sharded data plane
-        (``gateway_shards > 1``), each shard additionally reports under
-        ``gateway_nfd/shard<i>`` — those totals count the shard's boundary
-        and producer faces, i.e. the wire bytes the shard itself handled —
-        and ``gateway_nfd/hot_cache`` carries the dispatcher fast-path
-        counters (hits there are exchanges the shards never saw, which is
-        why shard byte totals can undercount repeat-name traffic).
-        """
-        report: dict[str, dict[str, int]] = {}
-        for key, nfd in (("gateway_nfd", self.gateway_nfd), ("datalake_nfd", self.datalake_nfd)):
-            report[key] = self._face_totals(nfd.face_stats())
-        if isinstance(self.gateway_nfd, ShardedForwarder):
-            for index, shard in enumerate(self.gateway_nfd.shards):
-                report[f"gateway_nfd/shard{index}"] = self._face_totals(shard.face_stats())
-            if self.gateway_nfd.hot_cache is not None:
-                report["gateway_nfd/hot_cache"] = self.gateway_nfd.hot_cache.stats()
-        return report
-
-    def stats(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "cluster": self.cluster.stats(),
-            "gateway": self.gateway.stats(),
-            "datalake": self.datalake.stats(),
-            "gateway_nfd": self.gateway_nfd.stats(),
-            "datalake_nfd": self.datalake_nfd.stats(),
-            "transport": self.transport_stats(),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<LIDCCluster {self.name} nodes={self.spec.node_count}>"

@@ -235,10 +235,3 @@ class LIDCTestbed:
             workflow.blast(srr_id, reference=reference, cpu=cpu, memory_gb=memory_gb),
             name=f"blast:{srr_id}",
         )
-
-    def stats(self) -> dict[str, object]:
-        return {
-            "clusters": {name: cluster.stats() for name, cluster in self.clusters.items()},
-            "overlay": self.overlay.stats(),
-            "now": self.env.now,
-        }

@@ -72,7 +72,7 @@ class Gateway:
         self.ack_freshness_s = ack_freshness_s
         self.tracker = JobTracker(cluster.name, clock=lambda: env.now)
         self.tracer = tracer or Tracer(clock=lambda: env.now)
-        self.metrics = MetricsRegistry(clock=lambda: env.now)
+        self.metrics = MetricsRegistry()
         #: job id → (JobRecord, kubernetes Job) for active jobs.
         self._k8s_jobs: dict[str, Job] = {}
 
@@ -286,16 +286,7 @@ class Gateway:
             freshness_period=self.ack_freshness_s,
         ).sign()
 
-    # ------------------------------------------------------------------ reporting
+    # ------------------------------------------------------------------ queries
 
     def active_job_count(self) -> int:
         return len(self.tracker.active())
-
-    def stats(self) -> dict[str, object]:
-        return {
-            "cluster": self.cluster.name,
-            "jobs": self.tracker.stats(),
-            "cache": self.cache.stats(),
-            "metrics": self.metrics.snapshot(),
-            "services": self.services.applications(),
-        }

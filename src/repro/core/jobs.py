@@ -101,17 +101,3 @@ class JobTracker:
 
     def completed(self) -> list[JobRecord]:
         return self.records(JobState.COMPLETED)
-
-    def stats(self) -> dict[str, float]:
-        records = list(self._records.values())
-        completed = [rec for rec in records if rec.state == JobState.COMPLETED]
-        turnarounds = [rec.turnaround() for rec in completed if rec.turnaround() is not None]
-        return {
-            "total": float(len(records)),
-            "pending": float(sum(1 for r in records if r.state == JobState.PENDING)),
-            "running": float(sum(1 for r in records if r.state == JobState.RUNNING)),
-            "completed": float(len(completed)),
-            "failed": float(sum(1 for r in records if r.state == JobState.FAILED)),
-            "cache_hits": float(sum(1 for r in completed if r.from_cache)),
-            "mean_turnaround_s": float(sum(turnarounds) / len(turnarounds)) if turnarounds else 0.0,
-        }

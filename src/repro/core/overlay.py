@@ -53,8 +53,6 @@ class ComputeOverlay:
         self._router_daemons: dict[str, RoutingDaemon] = {}
         self._links: list[_OverlayLink] = []
         self._faces: dict[tuple[str, str], tuple[Face, Face]] = {}
-        self.joins = 0
-        self.leaves = 0
 
     # ------------------------------------------------------------------ membership
 
@@ -93,7 +91,6 @@ class ComputeOverlay:
         if cluster.name in self.clusters or cluster.name in self.routers:
             raise OverlayError(f"overlay node {cluster.name!r} already exists")
         self.clusters[cluster.name] = cluster
-        self.joins += 1
         self.tracer.record("overlay", "cluster-joined", cluster=cluster.name)
         for entry in connect_to or []:
             if isinstance(entry, tuple):
@@ -114,7 +111,6 @@ class ComputeOverlay:
             cluster.withdraw_prefixes()
         self._disconnect_all(name)
         del self.clusters[name]
-        self.leaves += 1
         self.tracer.record("overlay", "cluster-left", cluster=name)
         return cluster
 
@@ -125,7 +121,6 @@ class ComputeOverlay:
             raise OverlayError(f"no cluster {name!r} in the overlay")
         self._disconnect_all(name)
         del self.clusters[name]
-        self.leaves += 1
         self.tracer.record("overlay", "cluster-failed", cluster=name)
         return cluster
 
@@ -272,15 +267,3 @@ class ComputeOverlay:
     def reachable_compute_origins(self, from_node: str) -> list[str]:
         """Which clusters' compute prefixes the given node currently knows about."""
         return self._daemon_of(from_node).origins_for(naming.COMPUTE_PREFIX)
-
-    def stats(self) -> dict[str, object]:
-        return {
-            "clusters": sorted(self.clusters),
-            "routers": sorted(self.routers),
-            "links": len(self._links),
-            "joins": self.joins,
-            "leaves": self.leaves,
-            "jobs_by_cluster": {
-                name: cluster.gateway.tracker.stats() for name, cluster in self.clusters.items()
-            },
-        }

@@ -217,20 +217,6 @@ class ServiceSchema:
                 wire[key] = str(value)
         return wire
 
-    def describe(self) -> list[dict[str, object]]:
-        """A documentation-friendly summary of the schema."""
-        return [
-            {
-                "name": field.name,
-                "type": field.type.__name__,
-                "default": field.default,
-                "required": field.required,
-                "aliases": list(field.aliases),
-                "doc": field.doc,
-            }
-            for field in self.fields
-        ]
-
 
 #: The base schema every compute name shares (paper §III-C's
 #: ``mem=4&cpu=6&app=BLAST&srr=...&ref=...`` component).  ``memory`` and
@@ -388,9 +374,6 @@ class ServiceRegistry:
         definition = self.try_get(app)
         return definition is not None and definition.runnable
 
-    def services(self) -> list[ServiceDefinition]:
-        return [self._services[name] for name in sorted(self._services)]
-
     def applications(self) -> list[str]:
         """Every submittable name, aliases included."""
         names = [name for name, defn in self._services.items() if defn.runnable]
@@ -428,20 +411,6 @@ class ServiceRegistry:
             if definition.validator is not None:
                 return definition.validator.validate(request, datalake)
         return _ACCEPTED
-
-    def describe(self) -> dict[str, object]:
-        """Service-plane summary (used by stats and docs)."""
-        return {
-            definition.name: {
-                "aliases": list(definition.aliases),
-                "runnable": definition.runnable,
-                "validated": definition.validator is not None,
-                "cacheable": definition.cacheable,
-                "schema": definition.schema.describe(),
-                "description": definition.description,
-            }
-            for definition in self.services()
-        }
 
     # -- defaults -----------------------------------------------------------------
 

@@ -40,7 +40,6 @@ class DataLake:
         self.catalog = DataCatalog()
         self._clock = clock or (lambda: 0.0)
         self.publish_count = 0
-        self.retrieve_count = 0
 
     # -- naming -----------------------------------------------------------------
 
@@ -133,12 +132,10 @@ class DataLake:
             raise DataLakeError(
                 f"dataset {dataset_id!r} is a sized placeholder; only its manifest is retrievable"
             )
-        self.retrieve_count += 1
         return self.pvc.read(record.storage_path)
 
     def read_manifest(self, dataset_id: str) -> bytes:
         """The JSON manifest for any dataset (placeholders included)."""
-        self.retrieve_count += 1
         return self.catalog.get(dataset_id).manifest_bytes()
 
     def size_of(self, dataset_id: str) -> int:
@@ -167,15 +164,3 @@ class DataLake:
             result_id, size_bytes, kind=DatasetKind.RESULT,
             description=f"result of job {source_job}", metadata=meta,
         )
-
-    # -- reporting ------------------------------------------------------------------------
-
-    def stats(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "datasets": len(self.catalog),
-            "total_bytes": self.catalog.total_bytes(),
-            "published": self.publish_count,
-            "retrieved": self.retrieve_count,
-            "results": len(self.catalog.records(DatasetKind.RESULT)),
-        }

@@ -25,7 +25,7 @@ from repro.ndn.packet import Data, Interest, Nack, NackReason, WirePacket
 from repro.ndn.security import DigestSigner, HmacSigner, KeyChain, sha256_digest
 from repro.ndn.cs import ContentStore
 from repro.ndn.pit import PendingInterestTable, PitEntry
-from repro.ndn.fib import Fib, FibEntry, NameTree
+from repro.ndn.fib import Fib, FibEntry
 from repro.ndn.face import Face, FaceStats, LocalFace, NetworkFace, connect
 from repro.ndn.strategy import (
     BestRouteStrategy,
@@ -56,7 +56,6 @@ __all__ = [
     "PitEntry",
     "Fib",
     "FibEntry",
-    "NameTree",
     "Face",
     "FaceStats",
     "LocalFace",

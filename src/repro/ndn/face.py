@@ -117,7 +117,7 @@ class FaceStats:
             self.nacks_in += 1
 
     def as_dict(self) -> dict[str, int]:
-        """Counter snapshot for per-face stats reporting."""
+        """Every counter by name (the shard-boundary ledger reads it)."""
         return asdict(self)
 
 

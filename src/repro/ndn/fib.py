@@ -12,13 +12,13 @@ Content Store; this module specialises it to :class:`FibEntry` values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.exceptions import NDNError
 from repro.ndn.name import Name
-from repro.ndn.nametree import NameTree as _GenericNameTree, as_name
+from repro.ndn.nametree import NameTree, as_name
 
-__all__ = ["FibEntry", "NameTree", "Fib"]
+__all__ = ["FibEntry", "Fib"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,45 +58,6 @@ class FibEntry:
         return self.nexthops[0] if self.nexthops else None
 
 
-class NameTree:
-    """A trie over name components holding :class:`FibEntry` objects.
-
-    A thin :class:`FibEntry`-typed facade over the generic
-    :class:`repro.ndn.nametree.NameTree`, kept for API (and import)
-    compatibility with earlier revisions.
-    """
-
-    __slots__ = ("_tree",)
-
-    def __init__(self) -> None:
-        self._tree = _GenericNameTree()
-
-    def __len__(self) -> int:
-        return len(self._tree)
-
-    def insert(self, prefix: "Name | str") -> FibEntry:
-        """Get-or-create the entry at ``prefix``."""
-        return self._tree.setdefault(prefix, lambda name: FibEntry(prefix=name))
-
-    def exact(self, prefix: "Name | str") -> Optional[FibEntry]:
-        """The entry exactly at ``prefix``, if any."""
-        return self._tree.get(prefix)
-
-    def longest_prefix_match(self, name: "Name | str") -> Optional[FibEntry]:
-        """The deepest entry whose prefix is a prefix of ``name``."""
-        item = self._tree.longest_prefix_item(name)
-        return item[1] if item is not None else None
-
-    def remove(self, prefix: "Name | str") -> bool:
-        """Remove the entry at ``prefix`` (pruning empty branches)."""
-        return self._tree.remove(prefix)
-
-    def entries(self) -> Iterator[FibEntry]:
-        """All entries, depth-first in canonical component order."""
-        for _name, entry in self._tree.items():
-            yield entry
-
-
 class Fib:
     """The forwarder's FIB: prefix registration plus longest-prefix lookup."""
 
@@ -111,14 +72,14 @@ class Fib:
         """Register ``prefix`` towards ``face_id`` with the given cost."""
         if face_id < 0:
             raise NDNError(f"invalid face id {face_id}")
-        entry = self._tree.insert(as_name(prefix))
+        entry = self._tree.setdefault(as_name(prefix), lambda name: FibEntry(prefix=name))
         entry.add_nexthop(face_id, cost)
         return entry
 
     def remove_route(self, prefix: "Name | str", face_id: int) -> bool:
         """Unregister one next hop; drops the entry when no hops remain."""
         prefix = as_name(prefix)
-        entry = self._tree.exact(prefix)
+        entry = self._tree.get(prefix)
         if entry is None:
             return False
         removed = entry.remove_nexthop(face_id)
@@ -129,7 +90,7 @@ class Fib:
     def remove_face(self, face_id: int) -> int:
         """Remove ``face_id`` from every entry (face went down); returns count."""
         removed = 0
-        for entry in list(self._tree.entries()):
+        for entry in self.entries():
             if entry.remove_nexthop(face_id):
                 removed += 1
                 if not entry.has_nexthops():
@@ -139,22 +100,24 @@ class Fib:
     def lookup(self, name: "Name | str") -> Optional[FibEntry]:
         """Longest-prefix match for ``name`` (entries with live next hops only)."""
         self.lookups += 1
-        entry = self._tree.longest_prefix_match(name)
-        if entry is not None and entry.has_nexthops():
-            return entry
+        item = self._tree.longest_prefix_item(name)
+        if item is not None and item[1].has_nexthops():
+            return item[1]
         return None
 
     def exact(self, prefix: "Name | str") -> Optional[FibEntry]:
-        return self._tree.exact(prefix)
+        """The entry exactly at ``prefix``, if any."""
+        return self._tree.get(prefix)
 
     def route_cost(self, prefix: "Name | str", face_id: int) -> Optional[float]:
         """The cost of the next hop ``(prefix, face_id)``; ``None`` without one."""
-        entry = self._tree.exact(prefix)
+        entry = self._tree.get(prefix)
         hops = entry.nexthops if entry is not None else ()
         return next((hop.cost for hop in hops if hop.face_id == face_id), None)
 
     def entries(self) -> list[FibEntry]:
-        return list(self._tree.entries())
+        """All entries, depth-first in canonical component order."""
+        return [entry for _name, entry in self._tree.items()]
 
     def prefixes(self) -> list[Name]:
-        return [entry.prefix for entry in self._tree.entries()]
+        return [entry.prefix for entry in self.entries()]

@@ -72,7 +72,6 @@ class Forwarder:
         cs_capacity: int = 1024,
         cache_unsolicited: bool = False,
         tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.env = env
         self.name = name
@@ -82,7 +81,7 @@ class Forwarder:
         self.strategies = StrategyChoiceTable()
         self.cache_unsolicited = cache_unsolicited
         self.tracer = tracer or Tracer(clock=lambda: env.now, enabled=False)
-        self.metrics = metrics or MetricsRegistry(clock=lambda: env.now)
+        self.metrics = MetricsRegistry()
         self._faces: dict[int, Face] = {}
         self._next_face_id = 1
         #: Per-PIT-name record of upstream faces already tried (for NACK retry).
@@ -414,22 +413,6 @@ class Forwarder:
             face.send(nack)
 
     # ------------------------------------------------------------------- misc
-
-    def face_stats(self) -> dict[int, dict[str, int]]:
-        """Per-face counter snapshots (packets, ``len(wire)`` bytes, drops)."""
-        return {face_id: face.stats.as_dict() for face_id, face in self._faces.items()}
-
-    def stats(self) -> dict[str, object]:
-        """A snapshot of forwarder state used by tests and benchmarks."""
-        return {
-            "name": self.name,
-            "faces": len(self._faces),
-            "face_stats": self.face_stats(),
-            "fib_entries": len(self.fib),
-            "pit_entries": len(self.pit),
-            "cs": self.cs.stats(),
-            "metrics": self.metrics.snapshot(),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Forwarder {self.name} faces={len(self._faces)} fib={len(self.fib)}>"

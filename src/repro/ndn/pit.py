@@ -237,11 +237,3 @@ class PendingInterestTable:
 
     def entries(self) -> Iterable[PitEntry]:
         return list(self._entries.values())
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "size": float(len(self._entries)),
-            "aggregated": float(self.aggregated),
-            "satisfied": float(self.satisfied),
-            "expired": float(self.expired),
-        }

@@ -483,7 +483,6 @@ class ShardedForwarder:
         cs_capacity: int = 1024,
         cache_unsolicited: bool = False,
         tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
         dispatch_service_s: float = 0.0,
         shard_service_s: float = 0.0,
         shard_weights: Optional[Sequence[float]] = None,
@@ -504,7 +503,7 @@ class ShardedForwarder:
         self._shard_service_s = shard_service_s
         self._picker = _make_shard_picker(shards, shard_weights)
         self.tracer = tracer or Tracer(clock=lambda: env.now, enabled=False)
-        self.metrics = metrics or MetricsRegistry(clock=lambda: env.now)
+        self.metrics = MetricsRegistry()
         self.shards: list[Forwarder] = [
             Forwarder(
                 env,
@@ -533,7 +532,6 @@ class ShardedForwarder:
         # Per-packet counters resolved once: the registry lookup is cheap
         # but not free, and these increment on the hottest paths.
         self._dispatched = self.metrics.counter("packets_dispatched")
-        self._hot_hits = self.metrics.counter("hot_cache_hits")
         self._dropped_no_face = self.metrics.counter("packets_dropped_no_face")
         #: (external face id, shard index) -> (dispatcher-side, shard-side) pair.
         self._mirrors: dict[tuple[int, int], tuple[ShardFace, ShardFace]] = {}
@@ -910,7 +908,6 @@ class ShardedForwarder:
             cache.hits -= 1
             cache.misses += 1
             return False
-        self._hot_hits.inc()
         if self.tracer.enabled:
             self.tracer.record("shard", "hot-hit", name=interest.name, face=ext_id)
         self._send_out(ext_id, template.detached_view())
@@ -970,10 +967,6 @@ class ShardedForwarder:
         """Total pending Interests across every shard (leak check)."""
         return sum(len(shard.pit) for shard in self.shards)
 
-    def face_stats(self) -> dict[int, dict[str, int]]:
-        """Per-external-face counter snapshots."""
-        return {face_id: face.stats.as_dict() for face_id, face in self._faces.items()}
-
     def boundary_stats(self) -> dict[tuple[int, int], dict[str, dict[str, int]]]:
         """Per (external face, shard) boundary counters, both directions.
 
@@ -989,25 +982,6 @@ class ShardedForwarder:
                 "shard": shard_side.stats.as_dict(),
             }
         return report
-
-    def shard_stats(self) -> list[dict[str, object]]:
-        """Each shard forwarder's stats snapshot, in shard order."""
-        return [shard.stats() for shard in self.shards]
-
-    def stats(self) -> dict[str, object]:
-        """Node-level snapshot: aggregate counters plus per-shard detail."""
-        return {
-            "name": self.name,
-            "shards": self.num_shards,
-            "faces": len(self._faces),
-            "face_stats": self.face_stats(),
-            "fib_entries": len(self.fib),
-            "pit_entries": self.pit_entries(),
-            "dispatched": self._dispatch_server.served,
-            "hot_cache": self.hot_cache.stats() if self.hot_cache is not None else None,
-            "shard_stats": self.shard_stats(),
-            "metrics": self.metrics.snapshot(),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ShardedForwarder {self.name} shards={self.num_shards} faces={len(self._faces)}>"

@@ -12,7 +12,7 @@ Public API
   :class:`~repro.sim.engine.Process`, :class:`~repro.sim.engine.AllOf`,
   :class:`~repro.sim.engine.AnyOf` — the yieldable primitives.
 * :class:`~repro.sim.topology.Topology` — latency/bandwidth network topology.
-* :class:`~repro.sim.metrics.MetricsRegistry` — counters, gauges, histograms.
+* :class:`~repro.sim.metrics.MetricsRegistry` — named counters.
 * :class:`~repro.sim.trace.Tracer` — structured event tracing.
 * :class:`~repro.sim.rng.SeededRNG` — deterministic random streams.
 """
@@ -26,7 +26,7 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.topology import Link, Topology, TopologyNode
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, Timer
+from repro.sim.metrics import Counter, MetricsRegistry
 from repro.sim.trace import TraceEvent, Tracer
 from repro.sim.rng import SeededRNG
 
@@ -42,9 +42,6 @@ __all__ = [
     "Link",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
-    "Histogram",
-    "Timer",
     "Tracer",
     "TraceEvent",
     "SeededRNG",

@@ -1,8 +1,9 @@
 """Structured event tracing.
 
-A :class:`Tracer` records ``(time, category, event, attributes)`` tuples.
-The benchmarks use traces to decompose end-to-end latencies into per-step
-contributions (e.g. the five protocol steps of the paper's Figure 5).
+A :class:`Tracer` records ``(time, category, event, attributes)`` tuples
+in arrival order; :meth:`Tracer.filter` is the one query over them.
+(Figure 5's per-step latencies do not come from here: they are read off
+each job's ``JobOutcome.timeline``, see :mod:`repro.core.workflow`.)
 
 Formatting contract: :meth:`Tracer.record` formats *eagerly* — every
 attribute value that is not already a primitive (``str``/``int``/``float``/
@@ -18,7 +19,7 @@ every record of a name shares that one string.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 __all__ = ["TraceEvent", "Tracer"]
 
@@ -81,42 +82,3 @@ class Tracer:
     def filter(self, category: Optional[str] = None, event: Optional[str] = None) -> list[TraceEvent]:
         """All records matching the filters, in order."""
         return [ev for ev in self.events if ev.matches(category, event)]
-
-    def spans(self, start_event: str, end_event: str, key: str) -> list[tuple[Any, float]]:
-        """Pair up start/end records sharing ``attrs[key]`` and return durations.
-
-        Useful for latency decomposition: ``spans("gateway", "job-done", "job_id")``.
-        """
-        starts: dict[Any, float] = {}
-        durations: list[tuple[Any, float]] = []
-        for record in self.events:
-            ident = record.attrs.get(key)
-            if ident is None:
-                continue
-            if record.event == start_event and ident not in starts:
-                starts[ident] = record.time
-            elif record.event == end_event and ident in starts:
-                durations.append((ident, record.time - starts.pop(ident)))
-        return durations
-
-    def clear(self) -> None:
-        self.events.clear()
-
-    def categories(self) -> set[str]:
-        return {ev.category for ev in self.events}
-
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """Serialize the trace as a list of plain dicts."""
-        return [
-            {"time": ev.time, "category": ev.category, "event": ev.event, **ev.attrs}
-            for ev in self.events
-        ]
-
-    @staticmethod
-    def merge(tracers: Iterable["Tracer"]) -> list[TraceEvent]:
-        """Merge several tracers' records into a single time-ordered list."""
-        merged: list[TraceEvent] = []
-        for tracer in tracers:
-            merged.extend(tracer.events)
-        merged.sort(key=lambda ev: ev.time)
-        return merged

@@ -12,8 +12,8 @@ The driver separates *generation* from *execution*:
    :class:`~repro.ndn.client.Consumer` attached to any forwarder-shaped
    node (:class:`~repro.ndn.forwarder.Forwarder` or
    :class:`~repro.ndn.shard.ShardedForwarder`), recording per-request
-   outcome and simulated latency plus the node's cache counters into a
-   :class:`WorkloadReport`.
+   outcome and simulated latency into a :class:`WorkloadReport` (cache
+   counters stay on the node: ``node.hot_cache.hits``, ``shard.cs.hits``).
 3. :class:`LIDCWorkloadDriver` maps the same traces onto the service
    plane: each trace record becomes a :class:`~repro.core.spec.
    ComputeRequest` submitted through an :class:`~repro.core.client.
@@ -142,39 +142,7 @@ class WorkloadReport:
     #: One ``(sim time, name, cause)`` per unserved request — ``"timeout"`` or
     #: the Nack's reason — so a soak can demand a typed cause for each.
     failures: list[tuple[float, str, str]] = field(default_factory=list)
-    #: Cache counters harvested from the node after the run (hot-cache
-    #: hits/misses, per-shard CS hits/misses) — empty for bare nodes.
-    cache: dict = field(default_factory=dict)
     spec: dict = field(default_factory=dict)
-
-
-def _cache_stats(node) -> dict:
-    """Hot-cache and Content-Store counters, duck-typed across node kinds."""
-    stats: dict = {}
-    hot = getattr(node, "hot_cache", None)
-    if hot is not None:
-        stats["hot_cache"] = {
-            "hits": hot.hits,
-            "misses": hot.misses,
-            "insertions": hot.insertions,
-            "invalidations": hot.invalidations,
-            "expirations": hot.expirations,
-            "evictions": hot.evictions,
-        }
-    shards = getattr(node, "shards", None)
-    if shards is not None:
-        stats["shard_cs"] = [
-            {"hits": shard.cs.hits, "misses": shard.cs.misses} for shard in shards
-        ]
-        stats["shard_interests"] = [
-            int(shard.metrics.counter("interests_received").value)
-            for shard in shards
-        ]
-    else:
-        cs = getattr(node, "cs", None)
-        if cs is not None:
-            stats["cs"] = {"hits": cs.hits, "misses": cs.misses}
-    return stats
 
 
 class WorkloadDriver:
@@ -225,7 +193,6 @@ class WorkloadDriver:
         start = self.env.now
         self.env.process(self._pump(start), name=f"workload:{self.spec.label}")
         self.env.run(until=self._done)
-        self.report.cache = _cache_stats(self.node)
         return self.report
 
     def _pump(self, start: float):

@@ -10,6 +10,7 @@ Three layers:
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
@@ -487,3 +488,30 @@ def test_benchmarks_tree_lints_clean():
     assert report.ok, (
         f"unwaived lint findings in benchmarks/, tests/ or examples/:\n{offenders}"
     )
+
+
+#: The only report-shaped methods ``src/`` keeps: the two the end-to-end
+#: benchmark calls, the shard-boundary byte ledger's read surface, and the
+#: registry's one read-all view.  Every other counter is read where it is
+#: kept (an attribute or a registry counter).
+KEPT_REPORT_METHODS = {
+    "DispatcherHotCache.stats",
+    "FileServer.stats",
+    "ShardedForwarder.boundary_stats",
+    "MetricsRegistry.snapshot",
+}
+
+
+def test_no_hand_rolled_report_methods_in_src():
+    """Every method named ``stats``, ``*_stats`` or ``snapshot`` in src/ is kept on purpose."""
+    found = set()
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    item.name in ("stats", "snapshot") or item.name.endswith("_stats")
+                ):
+                    found.add(f"{node.name}.{item.name}")
+    assert found == KEPT_REPORT_METHODS

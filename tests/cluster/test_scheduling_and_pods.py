@@ -99,14 +99,14 @@ def api_env(env):
 class TestScheduler:
     def test_binds_pod_to_feasible_node(self, api_env):
         env, api = api_env
-        Scheduler(api, clock=lambda: env.now)
+        Scheduler(api)
         api.create("Node", Node.build("n1", cpu=4, memory="8Gi"))
         pod = api.create("Pod", make_pod("p1", cpu=2, memory="2Gi"))
         assert pod.node_name == "n1"
 
     def test_unschedulable_pod_stays_pending(self, api_env):
         env, api = api_env
-        scheduler = Scheduler(api, clock=lambda: env.now)
+        scheduler = Scheduler(api)
         api.create("Node", Node.build("small", cpu=1, memory="1Gi"))
         pod = api.create("Pod", make_pod("big", cpu=8, memory="64Gi"))
         assert pod.node_name is None
@@ -115,7 +115,7 @@ class TestScheduler:
 
     def test_respects_node_selector(self, api_env):
         env, api = api_env
-        Scheduler(api, clock=lambda: env.now)
+        Scheduler(api)
         api.create("Node", Node.build("cpu-node", cpu=8, memory="16Gi"))
         api.create("Node", Node.build("gpu-node", cpu=8, memory="16Gi", labels={"gpu": "true"}))
         pod = api.create("Pod", make_pod("needs-gpu", node_selector={"gpu": "true"}))
@@ -123,7 +123,7 @@ class TestScheduler:
 
     def test_does_not_overcommit_node(self, api_env):
         env, api = api_env
-        scheduler = Scheduler(api, clock=lambda: env.now)
+        scheduler = Scheduler(api)
         api.create("Node", Node.build("n1", cpu=4, memory="8Gi"))
         first = api.create("Pod", make_pod("p1", cpu=3, memory="2Gi"))
         second = api.create("Pod", make_pod("p2", cpu=3, memory="2Gi"))
@@ -134,7 +134,7 @@ class TestScheduler:
 
     def test_least_allocated_spreads_pods(self, api_env):
         env, api = api_env
-        Scheduler(api, policy=SchedulingPolicy.LEAST_ALLOCATED, clock=lambda: env.now)
+        Scheduler(api, policy=SchedulingPolicy.LEAST_ALLOCATED)
         api.create("Node", Node.build("n1", cpu=8, memory="16Gi"))
         api.create("Node", Node.build("n2", cpu=8, memory="16Gi"))
         p1 = api.create("Pod", make_pod("p1", cpu=2, memory="2Gi"))
@@ -143,7 +143,7 @@ class TestScheduler:
 
     def test_most_allocated_packs_pods(self, api_env):
         env, api = api_env
-        Scheduler(api, policy=SchedulingPolicy.MOST_ALLOCATED, clock=lambda: env.now)
+        Scheduler(api, policy=SchedulingPolicy.MOST_ALLOCATED)
         api.create("Node", Node.build("n1", cpu=8, memory="16Gi"))
         api.create("Node", Node.build("n2", cpu=8, memory="16Gi"))
         p1 = api.create("Pod", make_pod("p1", cpu=2, memory="2Gi"))
@@ -152,7 +152,7 @@ class TestScheduler:
 
     def test_cordoned_node_excluded(self, api_env):
         env, api = api_env
-        Scheduler(api, clock=lambda: env.now)
+        Scheduler(api)
         node = Node.build("n1", cpu=8, memory="16Gi")
         node.cordon()
         api.create("Node", node)
@@ -161,7 +161,7 @@ class TestScheduler:
 
     def test_priority_order(self, api_env):
         env, api = api_env
-        Scheduler(api, clock=lambda: env.now)
+        Scheduler(api)
         # Both pods are created while no node exists, so both are pending;
         # the node that then appears fits only one of them.
         low = make_pod("low", cpu=2)
@@ -175,7 +175,7 @@ class TestScheduler:
 
     def test_pending_pod_scheduled_when_capacity_frees(self, api_env):
         env, api = api_env
-        Scheduler(api, clock=lambda: env.now)
+        Scheduler(api)
         api.create("Node", Node.build("n1", cpu=2.5, memory="8Gi"))
         blocker = api.create("Pod", make_pod("blocker", cpu=2))
         waiting = api.create("Pod", make_pod("waiting", cpu=2))
@@ -186,7 +186,7 @@ class TestScheduler:
 
     def test_utilization_report(self, api_env):
         env, api = api_env
-        scheduler = Scheduler(api, clock=lambda: env.now)
+        scheduler = Scheduler(api)
         api.create("Node", Node.build("n1", cpu=4, memory="8Gi"))
         api.create("Pod", make_pod("p1", cpu=2, memory="4Gi"))
         utilization = scheduler.utilization()["n1"]
@@ -196,7 +196,7 @@ class TestScheduler:
 class TestKubeletAndJobs:
     def _cluster(self, env, cpu=8, memory="16Gi"):
         api = ApiServer(clock=lambda: env.now)
-        Scheduler(api, clock=lambda: env.now)
+        Scheduler(api)
         node = Node.build("n1", cpu=cpu, memory=memory)
         api.create("Node", node)
         kubelet = Kubelet(env, api, node)
@@ -289,7 +289,7 @@ class TestKubeletAndJobs:
 class TestDeploymentController:
     def _setup(self, env):
         api = ApiServer(clock=lambda: env.now)
-        Scheduler(api, clock=lambda: env.now)
+        Scheduler(api)
         node = Node.build("n1", cpu=16, memory="64Gi")
         api.create("Node", node)
         Kubelet(env, api, node)

@@ -23,7 +23,7 @@ from repro.cluster.storage import NFSServer, StorageController
 def running_cluster_bits(env):
     """API server + scheduler + kubelet on one node, plus service controller."""
     api = ApiServer(clock=lambda: env.now)
-    Scheduler(api, clock=lambda: env.now)
+    Scheduler(api)
     node = Node.build("n1", cpu=8, memory="16Gi")
     api.create("Node", node)
     Kubelet(env, api, node)
@@ -223,7 +223,7 @@ class TestClusterFacade:
         job = cluster.create_job(spec, name="test-job")
         env.run(until=job.completion)
         assert job.is_complete
-        assert cluster.stats()["jobs_completed"] == 1
+        assert cluster.jobs.jobs_completed == 1
 
     def test_can_fit_and_free_capacity(self, env):
         cluster = Cluster(env, ClusterSpec(name="alpha", node_count=1, node_cpu=4, node_memory="8Gi"))

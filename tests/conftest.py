@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cProfile
+import gc
 from typing import Callable
 
 import pytest
@@ -30,12 +31,19 @@ def call_count() -> Callable[[Callable[[], object]], int]:
     A cost stated as a call count is the same on every run of one CPython
     version, unlike a wall-clock time.  Compare counts between two runs
     of one test rather than pinning absolute numbers: those move with the
-    interpreter version.
+    interpreter version.  The cyclic garbage collector is paused while the
+    thunk runs, so finalizers of unrelated garbage never land in the count.
     """
 
     def count(thunk: Callable[[], object]) -> int:
         profiler = cProfile.Profile()
-        profiler.runcall(thunk)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            profiler.runcall(thunk)
+        finally:
+            if was_enabled:
+                gc.enable()
         return sum(entry.callcount for entry in profiler.getstats())
 
     return count

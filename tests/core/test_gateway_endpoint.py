@@ -54,12 +54,37 @@ class TestGatewayCompute:
             app="BLAST", dataset="XYZ123", reference="HUMAN"))
         assert ack["accepted"] is False
         assert "malformed" in ack["error"]
-        assert lidc_cluster.gateway.tracker.stats()["total"] == 0
+        assert len(lidc_cluster.gateway.tracker) == 0
 
     def test_rejects_unknown_application(self, env, lidc_cluster, consumer):
         ack = submit(env, consumer, ComputeRequest(app="FOLDING", dataset="SRR2931415"))
         assert ack["accepted"] is False
         assert "unknown application" in ack["error"]
+
+    @pytest.mark.parametrize("name, counter", [
+        (ComputeRequest(app="BLAST", dataset="XYZ123", reference="HUMAN").to_name(),
+         "compute_rejected_validation"),
+        (ComputeRequest(app="FOLDING", dataset="SRR2931415").to_name(),
+         "compute_rejected_unknown_app"),
+        (naming.COMPUTE_PREFIX.append("not-key-value"), "compute_malformed"),
+    ], ids=["validation", "unknown-app", "malformed-name"])
+    def test_rejection_is_counted_by_kind(self, env, lidc_cluster, consumer, name, counter):
+        data = env.run(until=consumer.express_interest(name, lifetime=5.0))
+        assert json.loads(data.content_text())["accepted"] is False
+        assert lidc_cluster.gateway.metrics.snapshot() == {
+            "compute_interests": 1, counter: 1,
+        }
+
+    def test_admission_and_completion_are_counted(self, env, lidc_cluster, consumer):
+        ack = submit(env, consumer, ComputeRequest(
+            app="SLEEP", cpu=1, memory_gb=1, params={"duration": "100"}))
+        assert ack["accepted"] is True
+        metrics = lidc_cluster.gateway.metrics
+        assert metrics.counter("jobs_admitted").value == 1
+        assert metrics.counter("jobs_completed").value == 0
+        env.run(until=env.now + 300)
+        assert metrics.counter("jobs_completed").value == 1
+        assert lidc_cluster.cluster.jobs.jobs_completed == 1
 
     def test_malformed_compute_name_answered_with_error(self, env, lidc_cluster, consumer):
         name = naming.COMPUTE_PREFIX.append("not-key-value")
@@ -78,6 +103,9 @@ class TestGatewayCompute:
             submit(env, consumer, ComputeRequest(app="SLEEP", cpu=3, memory_gb=2,
                                                  params={"duration": "500", "idx": "2"}))
         assert "Congestion" in str(exc_info.value)
+        metrics = lidc_cluster.gateway.metrics
+        assert metrics.counter("compute_rejected_capacity").value == 1
+        assert metrics.counter("jobs_admitted").value == 2
 
     def test_job_completion_publishes_result_to_datalake(self, env, lidc_cluster, consumer):
         ack = submit(env, consumer, ComputeRequest(
@@ -198,6 +226,13 @@ class TestLIDCClusterEndpoint:
         assert lidc_cluster.routing.rib_size() == 0
 
     def test_stats_shape(self, env, lidc_cluster):
-        stats = lidc_cluster.stats()
-        assert stats["name"] == "alpha"
-        assert "gateway" in stats and "datalake" in stats and "cluster" in stats
+        """The counters the endpoint report used to gather are read where kept."""
+        assert lidc_cluster.name == "alpha"
+        assert len(lidc_cluster.gateway.tracker) == 0
+        assert lidc_cluster.gateway.metrics.snapshot() == {}
+        assert lidc_cluster.datalake.publish_count == len(lidc_cluster.datalake.catalog) > 0
+        assert lidc_cluster.cluster.jobs.jobs_completed == 0
+        for nfd in (lidc_cluster.gateway_nfd, lidc_cluster.datalake_nfd):
+            assert nfd.faces()
+            for face in nfd.faces().values():
+                assert (face.stats.bytes_in, face.stats.bytes_out, face.stats.drops) == (0, 0, 0)

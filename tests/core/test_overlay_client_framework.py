@@ -431,7 +431,7 @@ class TestCentralizedBaseline:
         cluster = testbed.cluster(submission.decision.cluster_name)
         testbed.run(until=cluster.cluster.job(submission.record.k8s_job_name).completion)
         assert submission.record.state == JobState.COMPLETED
-        assert controller.stats()["accepted"] == 1
+        assert [s.accepted for s in controller.submissions] == [True]
 
     def test_controller_failure_blocks_all_submissions(self):
         testbed = LIDCTestbed.multi_cluster(2, seed=10)
@@ -486,6 +486,9 @@ class TestTestbedBuilder:
         assert len(set(regions)) == 3
 
     def test_stats_shape(self):
+        """The state the testbed report used to gather is read where kept."""
         testbed = LIDCTestbed.single_cluster(seed=17)
-        stats = testbed.stats()
-        assert "clusters" in stats and "overlay" in stats
+        assert set(testbed.clusters) == set(testbed.overlay.clusters) != set()
+        assert testbed.env.now == 0
+        for cluster in testbed.clusters.values():
+            assert len(cluster.gateway.tracker) == 0

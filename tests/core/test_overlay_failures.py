@@ -114,11 +114,11 @@ class TestLinkFaults:
         # The route survives the fault — this is a link flap, not a leave.
         assert edge.fib.lookup("/slow-a/x") is not None
         drops_before = sum(
-            stats["drops"] for stats in cluster.gateway_nfd.face_stats().values()
+            face.stats.drops for face in cluster.gateway_nfd.faces().values()
         )
         testbed.run(until=1.0)
         drops_after = sum(
-            stats["drops"] for stats in cluster.gateway_nfd.face_stats().values()
+            face.stats.drops for face in cluster.gateway_nfd.faces().values()
         )
         assert drops_after > drops_before
         assert completion.triggered and not completion.ok

@@ -209,9 +209,9 @@ class TestServiceRegistry:
         assert original.validator is not None
 
     def test_describe_shape(self):
-        description = ServiceRegistry.with_defaults().describe()
-        assert description["SLEEP"]["schema"][0]["name"] == "duration"
-        assert description["BLAST"]["aliases"] == ["MAGICBLAST"]
+        services = ServiceRegistry.with_defaults()
+        assert services.get("SLEEP").schema.fields[0].name == "duration"
+        assert services.get("BLAST").aliases == ("MAGICBLAST",)
 
 
 # ---------------------------------------------------------------------------

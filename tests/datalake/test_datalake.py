@@ -116,10 +116,9 @@ class TestDataLake:
 
     def test_stats(self, lake):
         lake.publish_bytes("a", b"12345")
-        lake.read_bytes("a")
-        stats = lake.stats()
-        assert stats["datasets"] == 1
-        assert stats["retrieved"] == 1
+        assert lake.read_bytes("a") == b"12345"
+        assert len(lake.catalog) == 1
+        assert lake.publish_count == 1
 
 
 class TestFileServer:

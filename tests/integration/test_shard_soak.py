@@ -85,13 +85,13 @@ class TestShardSoak:
 
         # The external face saw every exchange: one Interest in and one
         # Data out per exchange, byte-for-byte what crossed the boundaries.
-        (ext_stats,) = soak_node.face_stats().values()
-        assert ext_stats["interests_in"] == total
-        assert ext_stats["data_out"] == total
+        (ext_face,) = soak_node.faces().values()
+        assert ext_face.stats.interests_in == total
+        assert ext_face.stats.data_out == total
         total_in_across_pipes = sum(
             counters["shard"]["bytes_in"] for counters in boundary.values()
         )
-        assert total_in_across_pipes == ext_stats["bytes_in"]
+        assert total_in_across_pipes == ext_face.stats.bytes_in
 
     def test_expired_interests_do_not_leak_pit_entries(self, env, soak_node):
         """Unanswerable Interests (no route) churn through NACKs and leave
@@ -159,9 +159,9 @@ class TestHotCacheSoak:
         # Exactly one decode per delivered Data — hot-served clones decode
         # at the consumer like any other view, and nothing in transit did.
         assert WirePacket.wire_decodes - decodes_before == total
-        (ext_stats,) = node.face_stats().values()
-        assert ext_stats["interests_in"] == total
-        assert ext_stats["data_out"] == total
+        (ext_face,) = node.faces().values()
+        assert ext_face.stats.interests_in == total
+        assert ext_face.stats.data_out == total
         assert consumer.pending_count() == 0
 
 
@@ -308,7 +308,17 @@ class TestFlashCrowdSoak:
                 rng=SeededRNG(31337).spawn("soak"),
             )
             report = driver.run()
-            return report.trace_hash, report.cache
+            hot = node.hot_cache
+            counters = {
+                "hot_cache": (hot.hits, hot.misses, hot.insertions,
+                              hot.invalidations, hot.expirations, hot.evictions),
+                "shard_cs": [(shard.cs.hits, shard.cs.misses) for shard in node.shards],
+                "shard_interests": [
+                    shard.metrics.counter("interests_received").value
+                    for shard in node.shards
+                ],
+            }
+            return report.trace_hash, counters
 
         (hash_a, cache_a), (hash_b, cache_b) = run_spike(), run_spike()
         assert hash_a == hash_b
@@ -318,7 +328,7 @@ class TestFlashCrowdSoak:
 class TestShardedGatewaySoak:
     def test_two_shard_cluster_serves_compute_and_status(self, env):
         """The LIDC stack on a 2-shard gateway: jobs accepted, status
-        polled, per-shard transport stats exposed, nothing leaked."""
+        polled, the shards' faces carried the bytes, nothing leaked."""
         cluster = LIDCCluster(
             env, ClusterSpec(name="shardy", node_count=2), gateway_shards=2
         )
@@ -347,11 +357,10 @@ class TestShardedGatewaySoak:
         # the gateway's producers answer off lazy views.
         assert WirePacket.wire_decodes - decodes_before == len(acks) + 1
 
-        stats = cluster.transport_stats()
-        assert "gateway_nfd/shard0" in stats and "gateway_nfd/shard1" in stats
-        sharded_bytes = sum(
-            stats[f"gateway_nfd/shard{i}"]["bytes_in"] for i in range(2)
-        )
-        assert sharded_bytes > 0
+        shard_bytes_in = [
+            sum(face.stats.bytes_in for face in shard.faces().values())
+            for shard in cluster.gateway_nfd.shards
+        ]
+        assert len(shard_bytes_in) == 2 and sum(shard_bytes_in) > 0
         assert cluster.gateway_nfd.pit_entries() == 0
         assert consumer.pending_count() == 0

@@ -210,8 +210,7 @@ class TestDropsCounter:
         consumer.express_interest("/nowhere/road", lifetime=0.5)
         consumer.face.close()
         env.run(until=1.0)
-        per_face = forwarder.stats()["face_stats"]
-        assert sum(counters["drops"] for counters in per_face.values()) >= 1
+        assert sum(face.stats.drops for face in forwarder.faces().values()) >= 1
 
 
 class TestNoDecodeInTransit:

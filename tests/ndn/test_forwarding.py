@@ -243,10 +243,27 @@ class TestForwarderPipelines:
         assert fa.fib.lookup("/gone/x") is None
 
     def test_forwarder_stats_shape(self, env, linked_pair):
+        """The state a forwarder report used to summarise is read in place."""
         fa, _, _, _ = linked_pair
-        stats = fa.stats()
-        assert stats["name"] == "A"
-        assert "cs" in stats and "fib_entries" in stats
+        assert fa.name == "A"
+        assert list(fa.faces()) == [1]
+        assert (len(fa.fib), len(fa.pit), len(fa.cs)) == (0, 0, 0)
+        assert fa.metrics.snapshot() == {}
+
+    def test_registry_counts_each_pipeline_step(self, env):
+        edge, origin = Forwarder(env, "edge"), Forwarder(env, "origin")
+        face, _ = connect(env, edge, origin, link=Link("e", "o", latency_s=0.01), label="e-o")
+        edge.register_prefix("/svc", face)
+        origin.attach_producer("/svc", lambda i: Data(name=i.name, content=b"ok").sign())
+        consumer = Consumer(env, edge)
+        env.run(until=consumer.express_interest("/svc/x"))
+        one_exchange = {"interests_received": 1, "interests_forwarded": 1,
+                        "data_received": 1, "data_forwarded": 1}
+        assert edge.metrics.snapshot() == one_exchange
+        assert origin.metrics.snapshot() == one_exchange
+        env.run(until=consumer.express_interest("/svc/x"))
+        assert edge.metrics.snapshot() == {**one_exchange, "interests_received": 2, "cs_hits": 1}
+        assert origin.metrics.snapshot() == one_exchange
 
     def test_duplicate_nonce_nacked(self, env):
         forwarder = Forwarder(env, "loop")

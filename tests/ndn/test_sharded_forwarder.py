@@ -31,6 +31,24 @@ def attach_tenant_producers(node, tenants=TENANTS):
         node.attach_producer(tenant, handler)
 
 
+def shard_counters(node):
+    """Every shard's CS, PIT, registry and per-face counters, in shard order."""
+    return [
+        {
+            "name": shard.name,
+            "fib": len(shard.fib),
+            "cs": (len(shard.cs), shard.cs.hits, shard.cs.misses,
+                   shard.cs.insertions, shard.cs.evictions),
+            "pit": (len(shard.pit), shard.pit.aggregated, shard.pit.satisfied,
+                    shard.pit.expired),
+            "metrics": shard.metrics.snapshot(),
+            "faces": {face_id: face.stats.as_dict()
+                      for face_id, face in shard.faces().items()},
+        }
+        for shard in node.shards
+    ]
+
+
 class TestInlineSharding:
     def test_exchange_across_shards_with_endpoint_only_decodes(self, env):
         node = ShardedForwarder(env, name="node", shards=3)
@@ -49,9 +67,38 @@ class TestInlineSharding:
         # dispatcher/shard boundaries.
         assert WirePacket.wire_decodes - before == len(completions)
         # Work actually spread across shards.
-        used = [s for s in node.shard_stats()
-                if s["metrics"].get("interests_received", 0) > 0]
+        used = [s for s in node.shards
+                if s.metrics.counter("interests_received").value > 0]
         assert len(used) >= 2
+
+    def test_dispatcher_counts_every_arriving_packet(self, env):
+        """Hot-cache answers are dispatched packets the shards never see."""
+        node = ShardedForwarder(env, name="node", shards=3)
+        for tenant in TENANTS:
+            node.attach_producer(tenant, lambda interest: Data(
+                name=interest.name, content=b"x", freshness_period=10.0).sign())
+        consumer = Consumer(env, node)
+        names = [f"{tenant}/obj" for tenant in TENANTS]
+
+        def received():
+            return sum(s.metrics.counter("interests_received").value for s in node.shards)
+
+        env.run(until=env.all_of([consumer.express_interest(n) for n in names]))
+        assert node.metrics.snapshot() == {
+            "packets_dispatched": len(names), "packets_dropped_no_face": 0,
+        }
+        assert received() == len(names)
+        env.run(until=env.all_of([consumer.express_interest(n) for n in names]))
+        assert node.metrics.counter("packets_dispatched").value == 2 * len(names)
+        assert node.hot_cache.hits == len(names)
+        assert received() == len(names)
+
+    @pytest.mark.parametrize("kind", [Forwarder, ShardedForwarder])
+    def test_each_node_owns_its_registry(self, env, kind):
+        first, second = kind(env, name="first"), kind(env, name="second")
+        assert first.metrics is not second.metrics
+        with pytest.raises(TypeError):
+            kind(env, name="third", metrics=first.metrics)
 
     def test_packets_land_on_their_owning_shard(self, env):
         """Byte-level dispatch agrees with the Name-level partitioning."""
@@ -204,7 +251,7 @@ class TestServiceTimeModel:
         first, node_a = self.run_workload(shards=3)
         second, node_b = self.run_workload(shards=3)
         assert first == second
-        assert node_a.stats()["shard_stats"] == node_b.stats()["shard_stats"]
+        assert shard_counters(node_a) == shard_counters(node_b)
 
     def test_zero_service_time_runs_synchronously(self, env):
         node = ShardedForwarder(env, name="node", shards=2)

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.exceptions import NDNError
 from repro.ndn.cs import ContentStore
-from repro.ndn.fib import Fib, NameTree
+from repro.ndn.fib import Fib
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest
 from repro.ndn.pit import PendingInterestTable
@@ -94,10 +94,9 @@ class TestContentStore:
         cs = ContentStore(capacity=10)
         cs.insert(make_data("/a"))
         cs.find(Interest(name=Name("/a")))
-        stats = cs.stats()
-        assert stats["size"] == 1
-        assert stats["hits"] == 1
-        assert 0 < stats["hit_ratio"] <= 1
+        assert len(cs) == 1
+        assert cs.hits == 1
+        assert 0 < cs.hit_ratio <= 1
 
 
 class TestContentStoreRegressions:
@@ -175,10 +174,6 @@ class TestEvictionAccounting:
         assert cs.insertions == 4
         assert cs.evictions == 2
         assert len(cs) == 2
-        stats = cs.stats()
-        assert stats["insertions"] == 4.0
-        assert stats["evictions"] == 2.0
-        assert stats["size"] == 2.0
 
     def test_refresh_is_not_an_insertion(self):
         cs = ContentStore(capacity=4)
@@ -423,8 +418,9 @@ class TestPit:
     def test_stats(self):
         pit = PendingInterestTable()
         pit.insert(Interest(name=Name("/a")), in_face_id=1)
-        stats = pit.stats()
-        assert stats["size"] == 1
+        pit.insert(Interest(name=Name("/a")), in_face_id=2)
+        assert len(pit) == 1
+        assert (pit.aggregated, pit.satisfied, pit.expired) == (1, 0, 0)
 
     def test_record_out_extends_entry_lifetime(self):
         """A later out-record pushes the whole entry's expiry out; the lazy
@@ -542,40 +538,46 @@ class TestPit:
 
 class TestNameTreeAndFib:
     def test_exact_and_lpm(self):
-        tree = NameTree()
-        tree.insert("/a")
-        tree.insert("/a/b/c")
-        assert tree.exact("/a/b") is None
-        match = tree.longest_prefix_match("/a/b/c/d")
-        assert match.prefix == Name("/a/b/c")
-        match = tree.longest_prefix_match("/a/x")
-        assert match.prefix == Name("/a")
+        fib = Fib()
+        fib.add_route("/a", face_id=1)
+        fib.add_route("/a/b/c", face_id=2)
+        assert fib.exact("/a/b") is None
+        assert fib.lookup("/a/b/c/d").prefix == Name("/a/b/c")
+        assert fib.lookup("/a/x").prefix == Name("/a")
 
     def test_lpm_no_match(self):
-        tree = NameTree()
-        tree.insert("/a")
-        assert tree.longest_prefix_match("/b/c") is None
+        fib = Fib()
+        fib.add_route("/a", face_id=1)
+        assert fib.lookup("/b/c") is None
 
     def test_remove_prunes(self):
-        tree = NameTree()
-        tree.insert("/a/b/c")
-        assert tree.remove("/a/b/c")
-        assert len(tree) == 0
-        assert not tree.remove("/a/b/c")
+        fib = Fib()
+        fib.add_route("/a/b/c", face_id=1)
+        assert fib.remove_route("/a/b/c", 1)
+        assert len(fib) == 0 and fib.entries() == []
+        assert not fib.remove_route("/a/b/c", 1)
 
     def test_remove_keeps_other_branches(self):
-        tree = NameTree()
-        tree.insert("/a/b")
-        tree.insert("/a/c")
-        tree.remove("/a/b")
-        assert tree.exact("/a/c") is not None
+        fib = Fib()
+        fib.add_route("/a/b", face_id=1)
+        fib.add_route("/a/c", face_id=1)
+        fib.remove_route("/a/b", 1)
+        assert fib.exact("/a/b") is None
+        assert fib.exact("/a/c") is not None
 
     def test_entries_iteration(self):
-        tree = NameTree()
+        fib = Fib()
         for prefix in ("/b", "/a", "/a/x"):
-            tree.insert(prefix)
-        prefixes = {str(entry.prefix) for entry in tree.entries()}
-        assert prefixes == {"/b", "/a", "/a/x"}
+            fib.add_route(prefix, face_id=1)
+        assert [str(entry.prefix) for entry in fib.entries()] == ["/a", "/a/x", "/b"]
+
+    def test_fib_exports_no_name_tree_facade(self):
+        import repro.ndn
+        from repro.ndn import fib
+
+        assert not hasattr(repro.ndn, "NameTree")
+        assert "NameTree" not in repro.ndn.__all__
+        assert fib.__all__ == ["FibEntry", "Fib"]
 
     def test_fib_add_and_lookup(self):
         fib = Fib()

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.ndn.name import Name
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.sim import metrics
+from repro.sim.metrics import Counter, MetricsRegistry
 from repro.sim.rng import SeededRNG
 from repro.sim.trace import TraceEvent, Tracer
 
@@ -143,32 +144,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             Counter("c").inc(-1)
 
-    def test_gauge_tracks_extremes(self):
-        gauge = Gauge("g")
-        gauge.set(5)
-        gauge.dec(10)
-        gauge.inc(2)
-        assert gauge.value == -3
-        assert gauge.min_seen == -5
-        assert gauge.max_seen == 5
-
-    def test_histogram_summary(self):
-        hist = Histogram("h")
-        for value in [1, 2, 3, 4, 5]:
-            hist.observe(value)
-        assert hist.count == 5
-        assert hist.mean == 3.0
-        assert hist.minimum == 1
-        assert hist.maximum == 5
-        assert hist.percentile(50) == 3.0
-        assert hist.stddev > 0
-
-    def test_empty_histogram_is_safe(self):
-        hist = Histogram("h")
-        assert hist.mean == 0.0
-        assert hist.percentile(99) == 0.0
-        assert hist.stddev == 0.0
-
     def test_registry_reuses_named_metrics(self):
         registry = MetricsRegistry()
         registry.counter("x").inc()
@@ -178,43 +153,41 @@ class TestMetrics:
     def test_registry_snapshot(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(3)
-        registry.gauge("g").set(7)
-        registry.histogram("h").observe(1.0)
-        snapshot = registry.snapshot()
-        assert snapshot["c"] == 3
-        assert snapshot["g"] == 7
-        assert snapshot["h"]["count"] == 1
+        registry.counter("d")
+        assert registry.snapshot() == {"c": 3, "d": 0}
 
-    def test_registry_timer_uses_clock(self):
-        clock = {"now": 0.0}
-        registry = MetricsRegistry(clock=lambda: clock["now"])
-        with registry.timer("op"):
-            clock["now"] = 2.5
-        assert registry.histogram("op").samples == [2.5]
-
-    def test_registry_merge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(1)
-        b.counter("c").inc(2)
-        a.merge(b)
-        assert a.counter("c").value == 3
-
-    def test_registry_merge_prefixes_and_concatenates_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("site.lat").observe(1.0)
-        b.histogram("lat").observe(2.0)
-        b.histogram("lat").observe(3.0)
-        b.gauge("depth").set(4)
-        a.merge(b, prefix="site.")
-        assert a.histogram("site.lat").samples == [1.0, 2.0, 3.0]
-        assert a.gauge("site.depth").value == 4
-        assert b.histogram("lat").samples == [2.0, 3.0]
-
-    def test_registry_names_sorted(self):
+    def test_snapshot_is_a_point_in_time_copy(self):
         registry = MetricsRegistry()
-        registry.counter("b")
-        registry.gauge("a")
-        assert registry.names() == ["a", "b"]
+        registry.counter("c").inc(2)
+        snapshot = registry.snapshot()
+        registry.counter("c").inc()
+        snapshot["c"] = 99
+        assert snapshot == {"c": 99}
+        assert registry.snapshot() == {"c": 3}
+
+    def test_sim_exports_counters_only(self):
+        import repro.sim
+
+        for gone in ("Gauge", "Histogram", "Timer"):
+            assert not hasattr(repro.sim, gone) and not hasattr(metrics, gone)
+        assert metrics.__all__ == ["Counter", "MetricsRegistry"]
+        assert "numpy" not in vars(metrics)
+
+    def test_counter_lookup_builds_no_counter(self, call_count, monkeypatch):
+        """``counter(name)`` on a known name is a lookup: it constructs
+        nothing, so 1 000 hits make 1 000 fewer calls than 1 000 misses
+        (each miss builds one ``Counter``)."""
+        registry = MetricsRegistry()
+        registry.counter("x")
+        fresh = [f"n{i}" for i in range(1000)]
+        hits = call_count(lambda: [registry.counter("x") for _ in range(1000)])
+        misses = call_count(lambda: [registry.counter(name) for name in fresh])
+        assert misses - hits >= 1000
+        built = []
+        monkeypatch.setattr(metrics, "Counter", lambda name: built.append(name))
+        for _ in range(1000):
+            registry.counter("x").inc()
+        assert built == [] and registry.counter("x").value == 1000
 
 
 class TestTracer:
@@ -267,37 +240,6 @@ class TestTracer:
         assert len(tracer.filter(category="a")) == 2
         assert len(tracer.filter(event="x")) == 2
         assert len(tracer.filter(category="b", event="x")) == 1
-
-    def test_spans_pair_start_and_end(self):
-        clock = {"now": 0.0}
-        tracer = Tracer(clock=lambda: clock["now"])
-        tracer.record("job", "start", job_id="j1")
-        clock["now"] = 4.0
-        tracer.record("job", "end", job_id="j1")
-        spans = tracer.spans("start", "end", key="job_id")
-        assert spans == [("j1", 4.0)]
-
-    def test_merge_orders_by_time(self):
-        clock_a, clock_b = {"now": 5.0}, {"now": 1.0}
-        a = Tracer(clock=lambda: clock_a["now"])
-        b = Tracer(clock=lambda: clock_b["now"])
-        a.record("x", "late")
-        b.record("x", "early")
-        merged = Tracer.merge([a, b])
-        assert [ev.event for ev in merged] == ["early", "late"]
-
-    def test_to_dicts_and_clear(self):
-        tracer = Tracer()
-        tracer.record("cat", "ev", k="v")
-        assert tracer.to_dicts()[0]["k"] == "v"
-        tracer.clear()
-        assert len(tracer) == 0
-
-    def test_categories(self):
-        tracer = Tracer()
-        tracer.record("a", "x")
-        tracer.record("b", "x")
-        assert tracer.categories() == {"a", "b"}
 
 
 class TestRNGProperties:

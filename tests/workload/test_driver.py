@@ -34,6 +34,10 @@ def _producers(node, freshness=3600.0, tenants=TENANTS):
         node.attach_producer(tenant, handler)
 
 
+def shard_interests(node):
+    return [shard.metrics.counter("interests_received").value for shard in node.shards]
+
+
 class TestWorkloadDriver:
     def test_zipf_workload_through_a_sharded_node(self, env):
         node = ShardedForwarder(env, name="d", shards=2, cs_capacity=1024, hot_cache=64)
@@ -48,9 +52,9 @@ class TestWorkloadDriver:
         assert report.satisfied == report.requests == 600
         assert report.timeouts == 0 and report.nacks == 0
         # Skewed repeats are absorbed by the dispatcher hot cache.
-        assert report.cache["hot_cache"]["hits"] > 200
+        assert node.hot_cache.hits > 200
         # Both shards saw traffic (the catalog spans many tenants).
-        assert all(n > 0 for n in report.cache["shard_interests"])
+        assert all(n > 0 for n in shard_interests(node))
         # Clean exit: no PIT entries, no pending sessions.
         assert node.pit_entries() == 0
         assert report.spec["popularity"]["alpha"] == 1.2
@@ -66,8 +70,8 @@ class TestWorkloadDriver:
         )
         report = WorkloadDriver(env, node, spec, rng=SeededRNG(2)).run()
         assert report.satisfied == 400
-        assert report.cache["hot_cache"]["hits"] == 0
-        assert sum(s["hits"] for s in report.cache["shard_cs"]) == 0
+        assert node.hot_cache.hits == 0
+        assert sum(shard.cs.hits for shard in node.shards) == 0
 
     def test_hot_cache_absorbs_skew_and_the_flash_crowd(self):
         """Hot-cache hits are simulation counters, so they repeat exactly at
@@ -100,8 +104,8 @@ class TestWorkloadDriver:
             _producers(node, tenants=tenants)
             report = WorkloadDriver(env, node, spec, rng=SeededRNG(20260401)).run()
             assert report.satisfied == requests
-            assert all(n > 0 for n in report.cache["shard_interests"]), spec.label
-            hits[spec.label] = report.cache["hot_cache"]["hits"]
+            assert all(n > 0 for n in shard_interests(node)), spec.label
+            hits[spec.label] = node.hot_cache.hits
         assert hits["zipf_1.2"] > hits["zipf_0.8"]
         assert hits["zipf_1.2"] > requests // 2
         assert hits["flash"] > requests // 2
@@ -117,8 +121,7 @@ class TestWorkloadDriver:
         )
         report = WorkloadDriver(env, node, spec, rng=SeededRNG(3)).run()
         assert report.satisfied == 300
-        assert report.cache["cs"]["hits"] > 0
-        assert "hot_cache" not in report.cache
+        assert node.cs.hits > 0
 
     def test_unanswerable_names_are_recorded_as_nacks(self, env):
         node = ShardedForwarder(env, name="void", shards=2, cs_capacity=0)
