@@ -8,8 +8,10 @@ session-based client API:
 2. ``client.submit(...)`` expresses a semantically named compute Interest
    (``/ndn/k8s/compute/app=BLAST&cpu=2&mem=4&ref=HUMAN&srr=SRR2931415``) and
    returns a :class:`~repro.core.client.JobHandle` immediately — a future
-   whose background session tracks ``/ndn/k8s/status/<job-id>`` with
-   exponentially backed-off status Interests;
+   whose background session tracks the status name the ack hands back
+   (``/ndn/k8s/status/cluster-a/1`` for job ``cluster-a-job-1``) with
+   exponentially backed-off status Interests, each answered with just the
+   job's state until the result is ready;
 3. the gateway validates the request, spawns the Kubernetes Job, and
    publishes the result into the data lake;
 4. ``testbed.run(until=handle.done)`` waits for the terminal outcome.

@@ -2,7 +2,7 @@
 
 The client is what a workflow runs on its own machine: it expresses compute
 Interests, receives the acknowledgement with the job id, tracks the status
-name that acknowledgement hands back (``/ndn/k8s/status/<job-id>``), and
+name that acknowledgement hands back (``/ndn/k8s/status/<cluster>/<n>``), and
 finally retrieves the result from the data lake by name (paper Fig. 5).  The
 client never learns which cluster executed the job unless it inspects the
 acknowledgement — that is the point.
@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from repro.core import naming
@@ -39,7 +40,7 @@ from repro.exceptions import InterestNacked, InterestTimeout, LIDCError, Process
 from repro.ndn.client import Consumer, RetryPolicy
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, Timeout
 
 __all__ = ["SubmissionResult", "JobOutcome", "JobHandle", "LIDCClient", "RetryPolicy"]
 
@@ -152,6 +153,8 @@ class JobHandle:
         self._outcome: Optional[JobOutcome] = None
         self._status_payload: Optional[dict] = None
         self._process = None
+        #: The armed whole-job deadline, cancelled when the session ends.
+        self._deadline: Optional[Timeout] = None
 
     # -- state ------------------------------------------------------------------
 
@@ -190,10 +193,14 @@ class JobHandle:
         return self._outcome is not None and self._outcome.succeeded
 
     def status(self) -> dict:
-        """The latest known status document (client-side view, no network)."""
-        if self._status_payload is not None:
-            return dict(self._status_payload)
+        """The latest known status document (client-side view, no network).
+
+        A status reply carries only what changes (the state, and the result
+        or error once terminal); the job id and cluster come from the ack.
+        """
         payload: dict = {"state": self.state.value}
+        if self._status_payload is not None:
+            payload.update(self._status_payload)
         if self.job_id:
             payload["job_id"] = self.job_id
         if self._submission is not None and self._submission.cluster:
@@ -231,6 +238,9 @@ class JobHandle:
     # -- driver internals --------------------------------------------------------
 
     def _complete(self, outcome: JobOutcome) -> None:
+        if self._deadline is not None:
+            self._deadline.cancel()
+            self._deadline = None
         self._outcome = outcome
         self._state = outcome.state
         if not self.done.triggered:
@@ -351,14 +361,14 @@ class LIDCClient:
             self._drive(handle), name=f"job-session:{handle.handle_id}"
         )
         if deadline_s is not None:
-            self.env.process(
-                self._deadline_watch(handle), name=f"job-deadline:{handle.handle_id}"
-            )
+            handle._deadline = self.env.timeout(delay_s + deadline_s)
+            handle._deadline.callbacks.append(partial(self._deadline_expired, handle))
         return handle
 
-    def _deadline_watch(self, handle: JobHandle):
-        """Background process enforcing a handle's whole-job deadline."""
-        yield self.env.timeout(handle.delay_s + (handle.deadline_s or 0.0))
+    @staticmethod
+    def _deadline_expired(handle: JobHandle, _timer: Timeout) -> None:
+        """A handle's whole-job deadline fell due before its session ended."""
+        handle._deadline = None
         if not handle.finished and handle._process is not None and handle._process.is_alive:
             handle.deadline_exceeded = True
             handle._process.interrupt(
@@ -523,7 +533,7 @@ class LIDCClient:
 
         ``status_name`` is the name the gateway handed back in its ack (it
         alone decides where a job's status lives); without one the default
-        ``/ndn/k8s/status/<job-id>`` is built from ``job_id``.
+        :func:`~repro.core.naming.status_name` of ``job_id`` is used.
         """
         data = yield self.consumer.express_interest(
             status_name if status_name is not None else naming.status_name(job_id),

@@ -93,7 +93,8 @@ class HttpGatewayFacade:
     * ``POST /ndn/k8s/compute?app=...&cpu=...`` — submit a computation;
       202 with ``{"job_id", "status_url"}`` on success, 400 on validation
       errors, 503 when the cluster has no capacity.
-    * ``GET /ndn/k8s/status/<job-id>`` — job status; 404 for unknown jobs.
+    * ``GET /ndn/k8s/status/<cluster>/<n>`` — job status, the same document
+      an NDN status poll returns; 404 for unknown jobs.
     * ``GET /ndn/k8s/data/<dataset>`` — dataset manifest; 404 when absent.
     """
 
@@ -110,7 +111,7 @@ class HttpGatewayFacade:
         if request.method.upper() == "POST" and path == COMPUTE_PATH:
             return self._submit(request)
         if request.method.upper() == "GET" and path.startswith(STATUS_PATH + "/"):
-            return self._status(path[len(STATUS_PATH) + 1:])
+            return self._status(path)
         if request.method.upper() == "GET" and path.startswith(DATA_PATH + "/"):
             return self._dataset(path[len(DATA_PATH) + 1:])
         return self._json(404, {"error": f"no route for {request.method} {request.path}"})
@@ -140,12 +141,16 @@ class HttpGatewayFacade:
             return self._json(400, {"error": str(exc)})
         return self._json(202, {
             "job_id": record.job_id,
-            "status_url": f"{STATUS_PATH}/{record.job_id}",
+            "status_url": str(naming.status_name(record.job_id)),
             "cluster": record.cluster,
             "equivalent_ndn_name": str(compute_request.to_name()),
         })
 
-    def _status(self, job_id: str) -> HttpResponse:
+    def _status(self, path: str) -> HttpResponse:
+        try:
+            job_id = naming.parse_status_name(path)
+        except InvalidComputeName as exc:
+            return self._json(404, {"error": str(exc)})
         record = self.gateway.tracker.try_get(job_id)
         if record is None:
             return self._json(404, {"error": f"unknown job id {job_id!r}"})

@@ -1,8 +1,9 @@
 """Gateway-side job tracking.
 
-The gateway assigns a job id to every accepted compute Interest, keeps a
-:class:`~repro.core.spec.JobRecord` per job, and answers
-``/ndn/k8s/status/<job-id>`` requests from this tracker (paper §IV-A).
+The gateway assigns a job id ``<cluster>-job-<n>`` to every accepted compute
+Interest, keeps a :class:`~repro.core.spec.JobRecord` per job, and answers
+status polls for ``/ndn/k8s/status/<cluster>/<n>`` from this tracker (paper
+§IV-A; :func:`repro.core.naming.status_name` maps one to the other).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional
 
+from repro.core import naming
 from repro.core.spec import ComputeRequest, JobRecord, JobState
 from repro.exceptions import JobNotFound
 from repro.ndn.name import Name
@@ -30,7 +32,7 @@ class JobTracker:
 
     def new_job(self, request: ComputeRequest) -> JobRecord:
         """Create a Pending record with a fresh job id."""
-        job_id = f"{self.cluster_name}-job-{next(self._counter)}"
+        job_id = naming.job_id(self.cluster_name, next(self._counter))
         record = JobRecord(
             job_id=job_id,
             request=request,

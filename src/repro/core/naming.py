@@ -7,7 +7,11 @@ Computation, data and status requests all live under ``/ndn/k8s`` (paper
   encodes the application and its requirements, e.g.
   ``mem=4&cpu=6&app=BLAST&srr=SRR2931415&ref=HUMAN``;
 * ``/ndn/k8s/data/<dataset>`` — dataset publication and retrieval;
-* ``/ndn/k8s/status/<job-id>`` — job status polling.
+* ``/ndn/k8s/status/<cluster>/<n>`` — status polling for job
+  ``<cluster>-job-<n>``.  The first component below the prefix names the
+  cluster that owns the job, so an access router that has found one job's
+  owner steers the polls of every later job on that cluster straight there
+  (see :class:`~repro.ndn.strategy.OwnerAffinityStrategy`).
 
 This module converts between parameter dictionaries and those names, and
 provides canonicalisation so that two requests with the same parameters in a
@@ -30,6 +34,7 @@ __all__ = [
     "COMPUTE_PREFIX",
     "DATA_PREFIX",
     "STATUS_PREFIX",
+    "job_id",
     "compute_name",
     "parse_compute_name",
     "status_name",
@@ -98,19 +103,40 @@ def parse_compute_name(name: "Name | str") -> dict[str, str]:
     return _decode_params(name.last().to_str())
 
 
+#: Separates the owning cluster from the gateway's job counter in a job id.
+_JOB_ID_SEPARATOR = "-job-"
+
+
+def job_id(cluster: str, number: "int | str") -> str:
+    """The id ``<cluster>-job-<n>`` of the ``number``-th job ``cluster`` admitted."""
+    return f"{cluster}{_JOB_ID_SEPARATOR}{number}"
+
+
 def status_name(job_id: str) -> Name:
-    """Build a ``/ndn/k8s/status/<job-id>`` name."""
+    """Build the status name of ``job_id``.
+
+    A gateway's job id ``<cluster>-job-<n>`` becomes
+    ``/ndn/k8s/status/<cluster>/<n>``: the owner is a component of its own
+    (and the name is a byte shorter than the flat ``/ndn/k8s/status/<job-id>``).
+    Any other id keeps the flat form.  :func:`parse_status_name` inverts both.
+    """
     if not job_id:
         raise InvalidComputeName("empty job id")
+    cluster, separator, number = job_id.rpartition(_JOB_ID_SEPARATOR)
+    if separator and cluster and number:
+        return STATUS_PREFIX.append(cluster, number)
     return STATUS_PREFIX.append(job_id)
 
 
 def parse_status_name(name: "Name | str") -> str:
-    """Extract the job id from a status name."""
+    """Extract the job id from a status name (either form :func:`status_name` builds)."""
     name = Name(name)
-    if not STATUS_PREFIX.is_prefix_of(name) or len(name) < len(STATUS_PREFIX) + 1:
+    depth = len(STATUS_PREFIX)
+    if not STATUS_PREFIX.is_prefix_of(name) or len(name) not in (depth + 1, depth + 2):
         raise InvalidComputeName(f"{name} is not a status name")
-    return name[len(STATUS_PREFIX)].to_str()
+    if len(name) == depth + 1:
+        return name[depth].to_str()
+    return job_id(name[depth].to_str(), name[depth + 1].to_str())
 
 
 def data_name(dataset_id: str) -> Name:

@@ -65,9 +65,10 @@ class ComputeOverlay:
             env=self.env, name=name,
             cs_capacity=cs_capacity if cache_results else 0, tracer=self.tracer,
         )
-        # A job's status name is owned by the one cluster that admitted it;
-        # every other cluster Nacks the poll.  The access router remembers
-        # which upstream answered so only a job's first poll pays the walk.
+        # A job's status name is owned by the one cluster that admitted it
+        # (it is a component of the name); every other cluster Nacks the poll.
+        # The access router remembers which upstream answered for that
+        # cluster, so only the first poll under each cluster pays the walk.
         # Data names stay on best-route: datasets are replicated and the
         # nearest cluster should win each time.
         router.set_strategy(naming.STATUS_PREFIX, OwnerAffinityStrategy())

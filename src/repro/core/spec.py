@@ -144,14 +144,13 @@ class JobRecord:
         return self.finished_at - self.submitted_at
 
     def status_payload(self) -> dict:
-        """The JSON document returned for ``/ndn/k8s/status/<job-id>``."""
-        payload: dict = {
-            "job_id": self.job_id,
-            "state": self.state.value,
-            "cluster": self.cluster,
-            "app": self.request.app,
-            "submitted_at": self.submitted_at,
-        }
+        """The JSON document a status poll returns (NDN and HTTP alike).
+
+        Only what can change since the ack: the state and, once terminal,
+        the result fields or the error.  The job id, the cluster and the
+        request are the client's already (the ack and its own request).
+        """
+        payload: dict = {"state": self.state.value}
         if self.state == JobState.COMPLETED:
             payload["result_name"] = str(self.result_name) if self.result_name else None
             payload["result_size_bytes"] = self.result_size_bytes

@@ -32,7 +32,8 @@ Coherence contract between the system's caches:
   keyed by canonical compute request and is independent of NDN freshness.
 * The access routers' owner-affinity memory
   (:class:`~repro.ndn.strategy.OwnerAffinityStrategy`) is routing state, not
-  content: it remembers which upstream answered a name, never the answer.
+  content: it remembers which upstream owns a namespace (a status name's
+  cluster), never an answer.
 """
 
 from __future__ import annotations

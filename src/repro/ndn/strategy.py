@@ -8,12 +8,15 @@ cluster location.
 
 Ownership versus replication — when a namespace should remember who
 answered.  A name is *owned* when exactly one upstream can ever answer it
-and every other one Nacks: a job's ``/ndn/k8s/status/<job-id>`` lives on the
-cluster that admitted the job.  Best-route re-discovers that owner by Nack
+and every other one Nacks: a job's ``/ndn/k8s/status/<cluster>/<n>`` lives on
+the cluster that admitted the job.  Ownership is per namespace: the first
+component below the owned prefix (``<cluster>``) names the owner, and every
+name under it has the same one.  Best-route re-discovers that owner by Nack
 retry on every Interest, so such a namespace gets
 :class:`OwnerAffinityStrategy`, which keeps the discovery (the first Interest
-still walks the next hops in cost order — nothing tells it where the owner
-is) and stops repeating it.  A name is *replicated* when several upstreams
+under an owner still walks the next hops in cost order — nothing tells it
+where the owner is) and stops repeating it, for that name and for every
+later one under the same owner.  A name is *replicated* when several upstreams
 can answer it equally: datasets under ``/ndn/k8s/data`` sit in every
 cluster's data lake and ``/ndn/k8s/compute`` is served by whichever cluster
 has room.  There the nearest (or least loaded) upstream should win each
@@ -110,6 +113,14 @@ class Strategy:
         The forwarder's Data pipeline calls this only for an exchange whose
         first upstream choice was wrong and a later one was right; the base
         strategies ignore it, :class:`OwnerAffinityStrategy` remembers it.
+        """
+
+    def chosen_for(self, prefix: Name) -> None:
+        """Hook: a strategy-choice table made this strategy govern ``prefix``.
+
+        The base strategies treat every name alike and ignore it;
+        :class:`OwnerAffinityStrategy` keys its memory by the name's
+        component just below ``prefix``.
         """
 
 
@@ -226,52 +237,74 @@ class FailoverStrategy(Strategy):
 
 
 class OwnerAffinityStrategy(BestRouteStrategy):
-    """Best-route that remembers, per name, the upstream that owns it.
+    """Best-route that remembers, per owner namespace, the upstream that owns it.
 
     For namespaces where one upstream can answer a name and the others
-    Nack (see the module docstring).  The first Interest for a name finds
-    its owner the best-route way, by Nack retry down the cost order; the
-    forwarder reports the face that finally answered
-    (:meth:`Strategy.note_answer`) and later Interests for that name go
-    straight there.  The remembered face is dropped, and selection falls
-    back to plain best-route, as soon as it cannot be the answer any more:
-    it already Nacked this exchange (it is in ``tried_faces``), it is the
-    face the Interest came in on, or the FIB entry no longer lists it (the
-    upstream left or failed — face ids are never reused, so a stale id can
-    never match a newer face).  A remembered face that is merely *down*
+    Nack (see the module docstring).  Ownership is per namespace: the
+    memory is keyed by the name cut one component below the prefix this
+    strategy was chosen for (:meth:`Strategy.chosen_for`), so
+    ``/ndn/k8s/status/cluster-c/7`` and ``/ndn/k8s/status/cluster-c/8`` share
+    the key ``/ndn/k8s/status/cluster-c``.  (Not chosen for any prefix, it
+    keys by the whole name.)  The first Interest under a key finds its owner
+    the best-route way, by Nack retry down the cost order; the forwarder
+    reports the face that finally answered (:meth:`Strategy.note_answer`)
+    and later Interests under that key go straight there.  The remembered
+    face is dropped, and selection falls back to plain best-route, as soon
+    as it cannot be the answer any more: it already Nacked this exchange
+    (it is in ``tried_faces``), it is the face the Interest came in on, or
+    the FIB entry no longer lists it (the upstream left or failed — face ids
+    are never reused, so a stale id can never match a newer face).  A remembered face that is merely *down*
     (in ``down_faces``) is kept and answered with no hop at all: nobody else
-    owns the name, so the consumer gets ``NoRoute`` at once and steering
+    owns the key, so the consumer gets ``NoRoute`` at once and steering
     resumes when the link heals.  Memory is an LRU over :attr:`CAPACITY`
-    names; a steered Interest refreshes its name's recency.
+    keys; a steered Interest refreshes its key's recency.
     """
 
     name = "owner-affinity"
-    #: Names remembered at once (the Content Store's default capacity).
+    #: Keys remembered at once (the Content Store's default capacity).
     CAPACITY = 4096
 
     def __init__(self) -> None:
         self._owners: "OrderedDict[Name, int]" = OrderedDict()
+        #: Components in a memory key (namespace + 1); ``None``: whole names.
+        self._key_length: Optional[int] = None
+
+    def chosen_for(self, prefix: Name) -> None:
+        key_length = len(prefix) + 1
+        if self._key_length not in (None, key_length):
+            raise NDNError(
+                f"owner-affinity keys one namespace depth; {prefix} is not at depth "
+                f"{self._key_length - 1}"
+            )
+        self._key_length = key_length
+
+    def _key(self, name: Name) -> Name:
+        key_length = self._key_length
+        if key_length is None or len(name) <= key_length:
+            return name
+        return name.prefix(key_length)
 
     def note_answer(self, name: Name, face_id: int) -> None:
         owners = self._owners
-        owners[name] = face_id
-        owners.move_to_end(name)
+        key = self._key(name)
+        owners[key] = face_id
+        owners.move_to_end(key)
         if len(owners) > self.CAPACITY:
             owners.popitem(last=False)
 
     def select(self, interest, fib_entry, in_face_id, tried_faces=(), down_faces=()):
         owners = self._owners
-        name = interest.name
-        owner = owners.get(name)
+        key = self._key(interest.name)
+        owner = owners.get(key)
         if owner is not None:
             if (
                 owner != in_face_id
                 and owner not in tried_faces
                 and any(hop.face_id == owner for hop in fib_entry.nexthops)
             ):
-                owners.move_to_end(name)
+                owners.move_to_end(key)
                 return [] if owner in down_faces else [owner]
-            del owners[name]
+            del owners[key]
         return super().select(interest, fib_entry, in_face_id, tried_faces, down_faces)
 
 
@@ -440,7 +473,9 @@ class StrategyChoiceTable:
         self._choices: dict[Name, Strategy] = {}
 
     def set_strategy(self, prefix: "Name | str", strategy: Strategy) -> None:
-        self._choices[Name(prefix)] = strategy
+        prefix = Name(prefix)
+        strategy.chosen_for(prefix)
+        self._choices[prefix] = strategy
 
     def unset_strategy(self, prefix: "Name | str") -> None:
         self._choices.pop(Name(prefix), None)

@@ -142,6 +142,24 @@ class Timeout(Event):
         self._triggered = True
         env.schedule(self, priority=PRIORITY_NORMAL, delay=delay)
 
+    def cancel(self) -> None:
+        """Take this timeout off the schedule before it is due.
+
+        Its callbacks never run and the clock never advances to it, so a
+        long timer that lost its purpose (a job deadline once the job is
+        done) does not keep ``env.run()`` going.  Costs O(scheduled events):
+        meant for rare control-plane timers.  Per-packet timers are disarmed
+        by clearing their callbacks instead and left to fall due.
+        """
+        self.callbacks.clear()
+        queue = self.env._queue
+        for index, entry in enumerate(queue):
+            if entry[3] is self:
+                queue[index] = queue[-1]
+                queue.pop()
+                heapq.heapify(queue)
+                return
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         # The delay is formatted here, on demand; ``name`` stays a constant
         # so that creating a timeout (once per packet per hop) formats nothing.

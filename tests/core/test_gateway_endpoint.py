@@ -147,6 +147,21 @@ class TestGatewayStatus:
         assert late["state"] == "Completed"
         assert late["result_name"].startswith("/ndn/k8s/data/")
 
+    def test_a_non_terminal_status_reply_carries_only_the_state(self, env):
+        cluster = LIDCCluster(env, ClusterSpec(name="cluster-a", node_count=1, node_cpu=8,
+                                               node_memory="32Gi"))
+        consumer = Consumer(env, cluster.gateway_nfd, name="test-client")
+        ack = submit(env, consumer, ComputeRequest(
+            app="SLEEP", cpu=1, memory_gb=1, params={"duration": "100"}))
+        env.run(until=env.now + 10)
+        data = env.run(until=consumer.express_interest(
+            ack["status_name"], must_be_fresh=True, lifetime=5.0))
+        # The job id, cluster, app and submission time are the client's
+        # already: the reply repeats none of them.
+        assert json.loads(data.content_text()) == {"state": "Running"}
+        assert len(data.encode()) <= 130
+        assert ack["status_name"] == "/ndn/k8s/status/cluster-a/1"
+
     def test_unknown_job_id_is_nacked(self, env, lidc_cluster, consumer):
         with pytest.raises(InterestNacked):
             env.run(until=consumer.express_interest(

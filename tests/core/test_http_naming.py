@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.cluster.cluster import ClusterSpec
+from repro.core import naming
 from repro.core.cluster_endpoint import LIDCCluster
 from repro.core.http_naming import (
     HttpGatewayFacade,
@@ -97,6 +98,11 @@ class TestHttpGatewayFacade:
         status = http.handle(HttpRequest(method="GET", path=f"/ndn/k8s/status/{job_id}"))
         assert status.status == 200
         assert status.json()["state"] == JobState.COMPLETED.value
+        # The status URL mirrors the NDN status name and serves the same document.
+        status_url = submit.json()["status_url"]
+        assert status_url == str(naming.status_name(job_id))
+        same = http.handle(HttpRequest(method="GET", path=status_url))
+        assert same.json() == cluster.gateway.tracker.get(job_id).status_payload() == status.json()
 
     def test_status_unknown_job_is_404(self, facade):
         env, cluster, http = facade

@@ -42,13 +42,18 @@ class TestSingleHandle:
         client = testbed.client(poll_interval_s=5.0)
         handle = client.submit(sleep_request(50))
         testbed.run(until=testbed.env.now + 10)
+        assert handle.status_polls > 0
         mid = handle.status()
+        # The reply carried only the state; the job id and cluster come from the ack.
+        assert handle._status_payload == {"state": mid["state"]}
+        assert mid == {"state": mid["state"], "job_id": handle.job_id, "cluster": "cluster-a"}
         assert mid["state"] in ("Pending", "Running")
-        assert mid["job_id"] == handle.job_id
         testbed.run(until=handle.done)
         final = handle.status()
         assert final["state"] == "Completed"
-        assert handle.status_polls > 0
+        assert final["job_id"] == handle.job_id and final["cluster"] == "cluster-a"
+        assert final["result_name"] == str(handle.outcome.result_name)
+        assert final["runtime_s"] == pytest.approx(50.0, abs=1.0)
 
     def test_rejected_request_resolves_to_failed_outcome(self):
         testbed = LIDCTestbed.single_cluster(seed=3)
@@ -88,6 +93,32 @@ class TestSingleHandle:
         record = testbed.cluster("cluster-a").gateway.tracker.get(handle.job_id)
         assert record.state == JobState.COMPLETED
         assert client.consumer.pending_count() == 0
+
+
+class TestDeadline:
+    def test_a_job_past_its_deadline_resolves_failed(self):
+        testbed = LIDCTestbed.single_cluster(seed=1)
+        client = testbed.client(poll_interval_s=5.0)
+        handle = client.submit(sleep_request(600), deadline_s=50.0)
+        outcome = testbed.run(until=handle.done)
+        assert outcome.state == JobState.FAILED
+        assert handle.deadline_exceeded and handle.cancelled
+        assert "deadline of 50.0s exceeded" in outcome.error
+        assert testbed.env.now == pytest.approx(50.0)
+
+    def test_a_finished_job_leaves_no_deadline_on_the_schedule(self):
+        """The deadline is disarmed when the session ends: draining the
+        simulation afterwards stops with the last live timer, not at the
+        deadline 1e6 s away."""
+        testbed = LIDCTestbed.single_cluster(seed=1)
+        client = testbed.client(poll_interval_s=5.0)
+        handle = client.submit(sleep_request(30), deadline_s=1e6)
+        outcome = testbed.run(until=handle.done)
+        assert outcome.succeeded and not handle.deadline_exceeded
+        finished = testbed.env.now
+        testbed.env.run()
+        assert testbed.env.now < finished + 100.0
+        assert testbed.env.queue_size == 0
 
 
 class TestSessionRobustness:

@@ -7,6 +7,7 @@ from repro.core import naming
 from repro.core.spec import ComputeRequest, JobRecord, JobState
 from repro.exceptions import InvalidComputeName
 from repro.ndn.name import Name
+from repro.ndn.packet import encode_name_value
 
 
 class TestParamEncoding:
@@ -68,8 +69,17 @@ class TestNames:
 
     def test_status_name_round_trip(self):
         name = naming.status_name("cluster-a-job-7")
-        assert str(name) == "/ndn/k8s/status/cluster-a-job-7"
+        assert str(name) == "/ndn/k8s/status/cluster-a/7"  # the owner is its own component
         assert naming.parse_status_name(name) == "cluster-a-job-7"
+        # Shorter on the wire than the flat form of the same id.
+        flat = naming.STATUS_PREFIX.append("cluster-a-job-7")
+        assert len(encode_name_value(name)) < len(encode_name_value(flat))
+        # An id that is not ``<cluster>-job-<n>`` keeps the flat form, and both forms invert.
+        for job_id in ("job-x", "x-job-", "-job-3", "cluster-a-job-7", "a-job-b-job-9"):
+            assert naming.parse_status_name(naming.status_name(job_id)) == job_id
+        assert str(naming.status_name("job-x")) == "/ndn/k8s/status/job-x"
+        with pytest.raises(InvalidComputeName):
+            naming.parse_status_name("/ndn/k8s/status/a/1/extra")
         with pytest.raises(InvalidComputeName):
             naming.status_name("")
         with pytest.raises(InvalidComputeName):
@@ -160,6 +170,15 @@ class TestJobRecord:
         record = JobRecord(job_id="j1", request=ComputeRequest(app="BLAST"), cluster="c",
                            state=JobState.FAILED, error="bad SRR")
         assert record.status_payload()["error"] == "bad SRR"
+
+    def test_status_payload_carries_only_what_changes(self):
+        record = JobRecord(job_id="j1", request=ComputeRequest(app="BLAST"), cluster="c")
+        assert record.status_payload() == {"state": "Pending"}
+        record.state = JobState.COMPLETED
+        assert set(record.status_payload()) == {
+            "state", "result_name", "result_size_bytes", "runtime_s", "from_cache"}
+        record.state = JobState.FAILED
+        assert record.status_payload() == {"state": "Failed", "error": "unknown error"}
 
     def test_terminal_states(self):
         assert JobState.COMPLETED.is_terminal()

@@ -8,6 +8,7 @@ import pytest
 from repro.core import naming
 from repro.core.baseline import CentralizedController, ControllerUnavailable
 from repro.core.client import LIDCClient
+from repro.core import framework
 from repro.core.framework import CLIENT_EDGE, LIDCTestbed
 from repro.core.overlay import ComputeOverlay
 from repro.core.placement import (
@@ -302,6 +303,33 @@ class TestStatusPollsReachTheOwner:
             "status_interests").value
         assert status_counter(baseline, "status_unknown_job") == 2 * owner_polls
         assert status_counter(testbed, "status_interests") == owner_polls + 2
+
+
+    @pytest.mark.parametrize("jobs", [1, 10])
+    def test_the_owner_is_learned_once_per_cluster_not_once_per_job(self, jobs):
+        """``jobs`` jobs on the farthest cluster cost the edge one discovery
+        walk in all: status names carry the owning cluster, and the edge
+        remembers the owner per cluster (a memory per job would pay
+        ``2 * jobs`` wrong asks)."""
+        testbed = LIDCTestbed(framework.TestbedConfig(seed=6, node_count=1, node_memory="64Gi"))
+        for name, latency, cpu in (("cluster-a", 0.01, 4), ("cluster-b", 0.02, 4),
+                                   ("cluster-c", 0.03, 64)):
+            testbed.add_cluster(name=name, latency_s=latency, node_cpu=cpu)
+        client = testbed.client(poll_interval_s=10.0)
+
+        def fill():  # one 2-CPU slot each on cluster-a and cluster-b, never polled
+            for index in range(2):
+                yield from client.submit_interest(
+                    sleep_request(600, cpu=2, memory_gb=2, idx=str(index)))
+
+        testbed.run_process(fill())
+        handles = client.submit_many(
+            [sleep_request(60, cpu=2, memory_gb=2, idx=f"tracked-{index}")
+             for index in range(jobs)], stagger_s=1.0)
+        testbed.run(until=client.wait_all(handles))
+        assert all(h.succeeded and h.cluster == "cluster-c" for h in handles)
+        assert sum(h.status_polls for h in handles) >= 8 * jobs
+        assert status_counter(testbed, "status_unknown_job") <= 2
 
 
 class TestClientPollsTheAckedStatusName:

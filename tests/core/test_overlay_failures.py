@@ -193,6 +193,13 @@ class TestOwnerAffinityUnderFailure:
         )
 
     @staticmethod
+    def answered(testbed, name):
+        """Status polls the gateway of cluster ``name`` answered (not Nacked)."""
+        metrics = testbed.cluster(name).gateway.metrics
+        return (metrics.counter("status_interests").value
+                - metrics.counter("status_unknown_job").value)
+
+    @staticmethod
     def clean(testbed, client):
         edge = testbed.overlay.routers[CLIENT_EDGE]
         edge.pit.expire()
@@ -230,7 +237,10 @@ class TestOwnerAffinityUnderFailure:
         assert testbed.env.now == started
         assert self.unknown(testbed) == 2
         testbed.overlay.heal_link("cluster-c", CLIENT_EDGE)
-        assert self.poll(testbed, client, job_id)["cluster"] == "cluster-c"
+        answered = self.answered(testbed, "cluster-c")
+        # A status reply carries only news: the state, not who sent it.
+        assert self.poll(testbed, client, job_id) == {"state": "Running"}
+        assert self.answered(testbed, "cluster-c") == answered + 1
         assert self.unknown(testbed) == 2  # the memory survived: steered, no re-walk
         assert self.clean(testbed, client)
 
@@ -238,7 +248,10 @@ class TestOwnerAffinityUnderFailure:
         testbed, client, job_id = placed
         edge = testbed.overlay.routers[CLIENT_EDGE]
         strategy = edge.strategies.find(naming.status_name(job_id))
-        stale = strategy._owners[naming.status_name(job_id)]
+        # The edge remembers the owner per cluster, not per job.
+        owner_key = naming.STATUS_PREFIX.append("cluster-c")
+        assert list(strategy._owners) == [owner_key]
+        stale = strategy._owners[owner_key]
         chosen = []
         plain_select = strategy.select
 
@@ -253,14 +266,17 @@ class TestOwnerAffinityUnderFailure:
         assert stale not in edge.faces()
         with pytest.raises(InterestNacked):
             self.poll(testbed, client, job_id)  # its owner is gone for good
-        assert naming.status_name(job_id) not in strategy._owners
+        assert owner_key not in strategy._owners
         # A job on the newcomer is discovered and steered like any other.
         submission = testbed.run_process(client.submit_interest(slot_filler("late")))
         assert submission.cluster == newcomer.name
         before = self.unknown(testbed)
+        answered = self.answered(testbed, newcomer.name)
         for _ in range(3):
-            assert self.poll(testbed, client, submission.job_id)["cluster"] == newcomer.name
+            assert self.poll(testbed, client, submission.job_id) == {"state": "Running"}
+        assert self.answered(testbed, newcomer.name) == answered + 3
         assert self.unknown(testbed) == before + 2
+        assert strategy._owners[naming.STATUS_PREFIX.append(newcomer.name)] in edge.faces()
         assert chosen and stale not in chosen
         assert set(chosen) <= set(edge.faces())
         assert self.clean(testbed, client)

@@ -16,14 +16,19 @@ here, all on the simulated clock:
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.exceptions import InterestNacked
+from repro.exceptions import InterestNacked, NDNError
 from repro.ndn.client import Consumer
 from repro.ndn.face import connect
 from repro.ndn.fib import FibEntry
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest, NackReason
-from repro.ndn.strategy import BestRouteStrategy, OwnerAffinityStrategy, Strategy
+from repro.ndn.strategy import (
+    BestRouteStrategy,
+    OwnerAffinityStrategy,
+    Strategy,
+    StrategyChoiceTable,
+)
 from repro.sim.engine import Environment
 from repro.sim.topology import Link
 
@@ -101,6 +106,28 @@ class TestStrategyMemory:
         assert select(strategy, entry, name="/owned/job-0") == [2]
         assert select(strategy, entry, name="/owned/job-1") == [1]  # evicted
         assert select(strategy, entry, name="/owned/job-new") == [2]
+
+    def test_chosen_for_a_namespace_it_remembers_the_owner_per_next_component(self):
+        strategy = OwnerAffinityStrategy()
+        strategy.chosen_for(Name(OWNED))
+        entry = make_fib_entry((1, 10), (2, 20), (3, 30))
+        strategy.note_answer(Name("/owned/site-c/1"), 3)
+        # Every name under /owned/site-c has the one owner; other sites do not.
+        assert select(strategy, entry, name="/owned/site-c/2") == [3]
+        assert select(strategy, entry, name="/owned/site-c") == [3]
+        assert select(strategy, entry, name="/owned/site-b/1") == [1]
+        assert list(strategy._owners) == [Name("/owned/site-c")]
+        # Forgotten for the whole site at once.
+        assert select(strategy, entry, name="/owned/site-c/9", tried=(3,)) == [1]
+        assert select(strategy, entry, name="/owned/site-c/1") == [1]
+
+    def test_one_instance_keys_one_namespace_depth(self):
+        strategy = OwnerAffinityStrategy()
+        table = StrategyChoiceTable()
+        table.set_strategy("/a/b", strategy)
+        table.set_strategy("/c/d", strategy)  # same depth: same keys
+        with pytest.raises(NDNError):
+            table.set_strategy("/a", strategy)
 
     def test_takes_no_constructor_argument(self):
         with pytest.raises(TypeError):
@@ -193,6 +220,15 @@ class TestForwarderSteering:
         # Discovery: 3 + 2 asks; one steered poll each after that.
         assert rig.asked == [2, 1 + 1 + 1, 1 + 1]
         assert sum(rig.asked) == (3 + 1) + (2 + 1)
+
+    def test_names_under_one_owner_share_one_discovery_walk(self):
+        rig = Rig()
+        for index in range(4):
+            rig.own(f"/owned/site-c/{index}", 2)
+        for index in range(4):
+            assert rig.poll(f"/owned/site-c/{index}") == ("data", b"up2")
+        assert rig.asked == [1, 1, 4]  # one walk, then every name straight to the owner
+        assert rig.clean()
 
     def test_names_outside_the_configured_prefix_are_untouched(self):
         rig = Rig(prefixes=(OWNED, "/other"))

@@ -114,6 +114,20 @@ class TestTimeoutAndClock:
         env.run()
         assert order == ["a", "b", "c"]
 
+    def test_a_cancelled_timeout_never_fires_and_never_moves_the_clock(self, env):
+        fired = []
+        timers = {delay: env.timeout(delay, value=delay) for delay in (3.0, 1.0, 1e6, 2.0, 5.0)}
+        for timer in timers.values():
+            timer.callbacks.append(lambda event: fired.append(event.value))
+        timers[1e6].cancel()
+        timers[2.0].cancel()
+        timers[2.0].cancel()  # a second cancel is a no-op
+        env.run()
+        assert fired == [1.0, 3.0, 5.0]  # the rest keep their order
+        assert env.now == 5.0
+        timers[5.0].cancel()  # already processed: nothing to take off
+        assert env.queue_size == 0
+
 
 class TestProcesses:
     def test_process_return_value(self, env):
