@@ -67,7 +67,6 @@ class LIDCCluster:
         tracer: Optional[Tracer] = None,
         services: Optional[ServiceRegistry] = None,
         gateway_shards: int = 1,
-        gateway_shard_weights: Optional[tuple] = None,
         gateway_hot_cache: int = 128,
     ) -> None:
         self.env = env
@@ -90,8 +89,7 @@ class LIDCCluster:
             self.gateway_nfd: "Forwarder | ShardedForwarder" = ShardedForwarder(
                 env, name=f"{spec.name}-gw-nfd", shards=gateway_shards,
                 key_depth=4, cs_capacity=cs_capacity,
-                tracer=self.tracer, shard_weights=gateway_shard_weights,
-                hot_cache=gateway_hot_cache,
+                tracer=self.tracer, hot_cache=gateway_hot_cache,
             )
         else:
             self.gateway_nfd = Forwarder(

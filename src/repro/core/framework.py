@@ -102,8 +102,7 @@ class LIDCTestbed:
             if topology == "star":
                 testbed.add_cluster(connect_to=CLIENT_EDGE, latency_s=latency)
             elif topology == "chain":
-                testbed.add_cluster(connect_to=previous, latency_s=latency)
-                previous = f"cluster-{chr(ord('a') + index)}"
+                previous = testbed.add_cluster(connect_to=previous, latency_s=latency).name
             else:
                 raise LIDCError(f"unknown testbed topology {topology!r}")
         return testbed

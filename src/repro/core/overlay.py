@@ -247,9 +247,9 @@ class ComputeOverlay:
         """Route compute requests to the lowest-cost (nearest) cluster."""
         self.set_compute_strategy(BestRouteStrategy())
 
-    def use_load_balancing(self, weighted: bool = False) -> None:
-        """Spread compute requests across the clusters announcing the prefix."""
-        self.set_compute_strategy(LoadBalanceStrategy(weighted=weighted))
+    def use_load_balancing(self) -> None:
+        """Spread compute requests round robin over the clusters announcing the prefix."""
+        self.set_compute_strategy(LoadBalanceStrategy())
 
     # ------------------------------------------------------------------ clients
 

@@ -69,7 +69,10 @@ class CompressionValidator:
     """Validator for a generic file-compression application.
 
     Needs a dataset present in the data lake; has no SRR-id semantics, which is
-    exactly the contrast the paper draws.
+    exactly the contrast the paper draws.  The ``level`` parameter is the
+    COMPRESS schema's to check:
+    :meth:`~repro.core.service.ServiceRegistry.validate` parses it
+    (an integer in 1..9) before this validator runs.
     """
 
     def validate(self, request: ComputeRequest, datalake: Optional[DataLake] = None) -> ValidationResult:
@@ -77,12 +80,4 @@ class CompressionValidator:
             return ValidationResult(False, "compression requests must name a dataset (srr=... or dataset=...)")
         if datalake is not None and not datalake.has_dataset(request.dataset):
             return ValidationResult(False, f"dataset {request.dataset!r} is not in the data lake")
-        level = request.params.get("level")
-        if level is not None:
-            try:
-                level_value = int(level)
-            except ValueError:
-                return ValidationResult(False, f"compression level {level!r} is not an integer")
-            if not 1 <= level_value <= 9:
-                return ValidationResult(False, f"compression level {level_value} outside [1, 9]")
         return ValidationResult(True)

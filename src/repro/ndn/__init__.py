@@ -30,11 +30,10 @@ from repro.ndn.face import Face, FaceStats, LocalFace, NetworkFace, connect
 from repro.ndn.strategy import (
     BestRouteStrategy,
     LoadBalanceStrategy,
-    MulticastStrategy,
     Strategy,
 )
 from repro.ndn.forwarder import Forwarder
-from repro.ndn.shard import ShardedForwarder, ShardFace, forwarder_for_node
+from repro.ndn.shard import ShardedForwarder, ShardFace
 from repro.ndn.routing import PrefixAnnouncement, RoutingDaemon
 from repro.ndn.client import Consumer, Producer
 from repro.ndn.segmentation import reassemble, segment_content
@@ -63,7 +62,6 @@ __all__ = [
     "connect",
     "Strategy",
     "BestRouteStrategy",
-    "MulticastStrategy",
     "LoadBalanceStrategy",
     "Forwarder",
     "RoutingDaemon",

@@ -84,8 +84,6 @@ class Forwarder:
         self.metrics = MetricsRegistry()
         self._faces: dict[int, Face] = {}
         self._next_face_id = 1
-        #: Per-PIT-name record of upstream faces already tried (for NACK retry).
-        self._tried: dict[Name, set[int]] = {}
 
     # ------------------------------------------------------------------ faces
 
@@ -121,12 +119,11 @@ class Forwarder:
             interest = entry.interest
             if interest is None or not entry.in_records:
                 self.pit.remove_from_key((entry.name, entry.can_be_prefix))
-                self._tried.pop(entry.name, None)
                 continue
-            # Retry through the normal pipeline: the strategy skips faces in
-            # ``_tried`` (including the one just removed) and ``_reject``
-            # Nacks the downstreams when no alternative next hop remains.
-            self._forward_interest(interest, face_id)
+            # Retry through the normal pipeline: the removed face is gone
+            # from the FIB, and ``_reject`` Nacks the downstreams when no
+            # alternative next hop remains.
+            self._forward_interest(interest, entry, face_id)
 
     def abort_pending(
         self,
@@ -148,7 +145,6 @@ class Forwarder:
                 self._reject(entry.interest, reason)
             else:  # pragma: no cover - entries always carry their Interest
                 self.pit.remove_from_key((entry.name, entry.can_be_prefix))
-                self._tried.pop(entry.name, None)
             aborted += 1
         return aborted
 
@@ -233,9 +229,7 @@ class Forwarder:
         a bare packet object, which is wrapped on entry.
         """
         wire_packet = WirePacket.of(packet)
-        for expired in self.pit.expire():
-            # Forget which upstreams were tried so later retransmissions start fresh.
-            self._tried.pop(expired.name, None)
+        self.pit.expire()
         packet_type = wire_packet.packet_type
         if packet_type == TlvTypes.INTEREST:
             self._process_interest(wire_packet, face)
@@ -274,17 +268,22 @@ class Forwarder:
             self.metrics.counter("interests_aggregated").inc()
             return
 
-        self._forward_interest(interest, in_face.face_id)
+        self._forward_interest(interest, entry, in_face.face_id)
 
-    def _forward_interest(self, interest: WirePacket, in_face_id: int) -> None:
+    def _forward_interest(self, interest: WirePacket, entry: PitEntry, in_face_id: int) -> None:
         strategy = self.strategies.find(interest.name)
-        if not self._send_upstream(interest, in_face_id, strategy):
+        if not self._send_upstream(interest, entry, in_face_id, strategy):
             self._reject(interest, NackReason.NO_ROUTE)
 
     def _send_upstream(
-        self, interest: WirePacket, in_face_id: int, strategy: Strategy, retry: bool = False
+        self,
+        interest: WirePacket,
+        entry: PitEntry,
+        in_face_id: int,
+        strategy: Strategy,
+        retry: bool = False,
     ) -> bool:
-        """Forward ``interest`` on the strategy's untried next hop(s).
+        """Forward ``interest`` (pending as ``entry``) on untried next hop(s).
 
         The one selection path, shared by the Interest pipeline and the
         Nack pipeline's ``retry``.  Returns False when no next hop is left.
@@ -292,13 +291,11 @@ class Forwarder:
         fib_entry = self.fib.lookup(interest.name)
         if fib_entry is None:
             return False
-        excluded = set(self._tried.get(interest.name, ()))
-        # Never send an Interest back towards a face that is waiting for the
-        # answer (would bounce between neighbours that learned each other's routes).
-        pit_entry = self.pit.find_exact(interest)
-        if pit_entry is not None:
-            excluded.update(pit_entry.downstream_faces())
-        tried = tuple(excluded)
+        # The entry's out-records are the upstreams already tried this
+        # exchange; its in-records are the faces waiting for the answer,
+        # never sent to (the Interest would bounce between neighbours that
+        # learned each other's routes).
+        tried = (*entry.out_records, *entry.in_records)
         out_face_ids = strategy.select(interest, fib_entry, in_face_id, tried)
         live = self._live
         if not all(map(live, out_face_ids)):
@@ -317,7 +314,6 @@ class Forwarder:
             else ("interests_forwarded", "interest", "out")
         )
         for face_id in out_face_ids:
-            self._tried.setdefault(interest.name, set()).add(face_id)
             self.pit.record_out(forwarded, face_id)
             self.metrics.counter(counter).inc()
             self.tracer.record(category, event, name=interest.name, face=face_id)
@@ -343,7 +339,6 @@ class Forwarder:
         entry = self.pit.find_exact(interest)
         downstream = entry.downstream_faces() if entry else []
         self.pit.remove(interest)
-        self._tried.pop(interest.name, None)
         self.metrics.counter("interests_nacked").inc()
         self.tracer.record("interest", "nack", name=interest.name, reason=reason)
         nack = interest.nack(reason) if downstream else None
@@ -358,6 +353,10 @@ class Forwarder:
         self.metrics.counter("data_received").inc()
         self.tracer.record("data", "in", name=data.name, face=in_face.face_id)
 
+        # Read before ``satisfy`` consumes it: more than one out-record on
+        # the entry for exactly this name means the exchange retried.
+        exact = self.pit.entry_at((data.name, False))
+        retried = exact is not None and len(exact.out_records) > 1
         downstream = self.pit.satisfy(data)
         if not downstream:
             self.metrics.counter("data_unsolicited").inc()
@@ -366,8 +365,7 @@ class Forwarder:
             return
 
         self.cs.insert(data)
-        tried = self._tried.pop(data.name, None)
-        if tried is not None and len(tried) > 1:
+        if retried:
             # The first upstream choice was wrong and this one was right:
             # tell the strategy, so an ownership-aware one can go straight
             # here next time.  Exchanges that never retried skip this.
@@ -393,16 +391,12 @@ class Forwarder:
         if entry is None:
             return
         strategy = self.strategies.find(interest.name)
-        # Failover-aware strategies use this to penalty-box the upstream
-        # that Nacked, steering later Interests away from it for a while.
-        strategy.note_nack(in_face.face_id, self.env.now)
         # Try an alternative upstream before giving up.
-        if self._send_upstream(interest, in_face.face_id, strategy, retry=True):
+        if self._send_upstream(interest, entry, in_face.face_id, strategy, retry=True):
             return
         # No alternative: propagate the NACK's own wire buffer downstream.
         downstream = entry.downstream_faces()
         self.pit.remove(interest)
-        self._tried.pop(interest.name, None)
         for face_id in downstream:
             if face_id == in_face.face_id:
                 continue

@@ -233,7 +233,7 @@ class Interest:
 
     @property
     def size(self) -> int:
-        """Wire size in bytes (used by the topology transfer model)."""
+        """Wire size in bytes (used by the link transfer model)."""
         return len(self.encode())
 
     def nack(self, reason: int = NackReason.NONE) -> "Nack":

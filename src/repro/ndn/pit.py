@@ -8,10 +8,10 @@ Two hot paths avoid scanning the table:
 
 * ``expire()`` pops a lazy min-heap of record expiries, so the common case
   (nothing expired) is a single peek instead of an O(n) sweep per packet.
-* ``satisfy()``/``find_matching()`` probe the entry dict once per prefix of
-  the Data name (exact key plus each ``can_be_prefix`` prefix key) instead of
-  testing every pending entry — and skip the per-prefix probes altogether
-  while no ``can_be_prefix`` entry is live (a counter, not a scan).
+* ``satisfy()`` probes the entry dict once per prefix of the Data name
+  (exact key plus each ``can_be_prefix`` prefix key) instead of testing
+  every pending entry — and skips the per-prefix probes altogether while
+  no ``can_be_prefix`` entry is live (a counter, not a scan).
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ class PitEntry:
     def downstream_faces(self) -> list[int]:
         """Faces waiting for Data, in insertion order."""
         return list(self.in_records.keys())
-
-    def upstream_faces(self) -> list[int]:
-        return list(self.out_records.keys())
 
     def matches_data(self, data: DataLike) -> bool:
         if self.can_be_prefix:
@@ -181,10 +178,6 @@ class PendingInterestTable:
                     keys.append(key)
         return keys
 
-    def find_matching(self, data: DataLike) -> list[PitEntry]:
-        """All PIT entries satisfied by ``data`` (exact and prefix entries)."""
-        return [self._entries[key] for key in self._matching_keys(data)]
-
     def satisfy(self, data: DataLike) -> list[int]:
         """Consume entries matched by ``data``; returns downstream face ids."""
         faces: list[int] = []
@@ -198,6 +191,10 @@ class PendingInterestTable:
 
     def find_exact(self, interest: InterestLike) -> Optional[PitEntry]:
         return self._entries.get(self._key(interest))
+
+    def entry_at(self, key: tuple[Name, bool]) -> Optional[PitEntry]:
+        """The entry under a (name, can_be_prefix) key, or ``None``."""
+        return self._entries.get(key)
 
     def remove(self, interest: InterestLike) -> None:
         self._pop(self._key(interest))

@@ -22,8 +22,7 @@ Partitioning contract
   processes, runs and ``PYTHONHASHSEED``, never Python's randomised
   ``hash`` — and the highest score owns it.  Growing the shard count from
   N to N+1 only moves keys *onto the new shard*; keys that stay map to
-  the same shard as before.  Optional per-shard weights give each shard a
-  key share proportional to its weight.
+  the same shard as before.
 * An Interest and the Data/Nack that answers it carry the same name, so
   they always land on the same shard: each shard owns the complete
   PIT/CS/FIB state for its slice of the namespace and no cross-shard
@@ -84,11 +83,10 @@ partitioning exercise.
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.exceptions import NDNError
 from repro.ndn.face import AnyPacket, Face, PacketEndpoint
@@ -106,7 +104,6 @@ __all__ = [
     "ShardFace",
     "ShardedForwarder",
     "RebalanceReport",
-    "forwarder_for_node",
 ]
 
 
@@ -119,51 +116,24 @@ def _shard_key(name: "Name | str", key_depth: int = 1) -> bytes:
     return b"/".join(component.value for component in components)
 
 
-def _rendezvous_for_key(
-    key: bytes, num_shards: int, weights: Optional[Sequence[float]] = None
-) -> int:
+def _rendezvous_for_key(key: bytes, num_shards: int) -> int:
     """Rendezvous-hash (HRW) ``key`` onto one of ``num_shards`` shards.
 
     Each shard scores the key independently (sha256 of shard id + key);
     the highest score wins.  Growing the pool adds one new contender whose
     score does not perturb the others, so a key either stays put or moves
     onto the new shard.
-
-    ``weights`` (one positive float per shard) selects *weighted*
-    rendezvous via the logarithmic method: shard ``i`` scores
-    ``-w_i / ln(u)`` with ``u`` drawn uniformly from the key hash, so its
-    expected key share is ``w_i / sum(w)``.  Keys are stable under growth
-    as long as existing shards keep their weights.
     """
     if num_shards < 1:
         raise NDNError(f"need at least one shard, got {num_shards}")
-    if weights is not None:
-        weights = tuple(float(weight) for weight in weights)
-        if len(weights) != num_shards:
-            raise NDNError(
-                f"got {len(weights)} shard weights for {num_shards} shards"
-            )
-        if any(weight <= 0 for weight in weights):
-            raise NDNError(f"shard weights must be positive, got {weights}")
     if num_shards == 1:
         return 0
     best_shard = 0
-    best_score: "float | int | None" = None
+    best_score = -1
     for shard in range(num_shards):
         digest = hashlib.sha256(b"hrw:%d:" % shard + key).digest()
-        point = int.from_bytes(digest[:8], "big")
-        if weights is None:
-            score: "float | int" = point
-        else:
-            # u in (0, 1): +0.5 lifts u off 0, and the explicit clamp
-            # keeps it strictly below 1.0 — near the top hash extreme the
-            # division rounds to exactly 1.0 in float64, where ln(u) = 0
-            # would make the weighted score divide by zero.
-            u = (point + 0.5) / 2.0 ** 64
-            if u >= 1.0:
-                u = 1.0 - 2.0 ** -53
-            score = -weights[shard] / math.log(u)
-        if best_score is None or score > best_score:
+        score = int.from_bytes(digest[:8], "big")
+        if score > best_score:
             best_shard, best_score = shard, score
     return best_shard
 
@@ -188,21 +158,17 @@ def _key_from_name_bytes(name_value: bytes, key_depth: int) -> bytes:
     return b"/".join(parts)
 
 
-def _make_shard_picker(
-    num_shards: int, weights: Optional[Sequence[float]] = None
-) -> Callable[[bytes], int]:
+def _make_shard_picker(num_shards: int) -> Callable[[bytes], int]:
     """A memoised rendezvous ``key -> shard`` function.
 
     The returned picker caches up to 4096 distinct keys (tenant
     populations are small next to packet counts), so steady-state dispatch
     pays a dict hit, not a hash computation.
     """
-    if weights is not None:
-        weights = tuple(float(weight) for weight in weights)
     # Validate once up front, not per key.
-    _rendezvous_for_key(b"", num_shards, weights)
+    _rendezvous_for_key(b"", num_shards)
     return lru_cache(maxsize=4096)(
-        lambda key: _rendezvous_for_key(key, num_shards, weights)
+        lambda key: _rendezvous_for_key(key, num_shards)
     )
 
 
@@ -461,7 +427,6 @@ class ShardedForwarder:
     is how benchmarks model multi-core scaling deterministically; both
     default to zero (no modelled cost).
 
-    ``shard_weights`` enables weighted rendezvous placement, and
     ``hot_cache`` sizes the dispatcher's exact-match hot cache (0 disables
     it) — see the module docstring for the fast-path coherence contract.
 
@@ -485,7 +450,6 @@ class ShardedForwarder:
         tracer: Optional[Tracer] = None,
         dispatch_service_s: float = 0.0,
         shard_service_s: float = 0.0,
-        shard_weights: Optional[Sequence[float]] = None,
         hot_cache: int = 128,
     ) -> None:
         if shards < 1:
@@ -501,7 +465,7 @@ class ShardedForwarder:
         self._cs_capacity = cs_capacity
         self._cache_unsolicited = cache_unsolicited
         self._shard_service_s = shard_service_s
-        self._picker = _make_shard_picker(shards, shard_weights)
+        self._picker = _make_shard_picker(shards)
         self.tracer = tracer or Tracer(clock=lambda: env.now, enabled=False)
         self.metrics = MetricsRegistry()
         self.shards: list[Forwarder] = [
@@ -683,10 +647,8 @@ class ShardedForwarder:
 
     # -------------------------------------------------------------- rebalance
 
-    def resize(
-        self, shards: int, shard_weights: Optional[Sequence[float]] = None
-    ) -> RebalanceReport:
-        """Change the shard count (and optionally weights) under live traffic.
+    def resize(self, shards: int) -> RebalanceReport:
+        """Change the shard count under live traffic.
 
         The rebalance is a control-plane operation over the same primitives
         the data plane already trusts, in an order that never drops an
@@ -715,16 +677,13 @@ class ShardedForwarder:
            coherence callback); on shrink the removed shards' caches are
            cleared and their boundary pairs closed.
 
-        ``shard_weights`` applies weighted placement; omitting it drops any
-        existing weighting.  Consistency
-        caveat: an unweighted grow from N to N+1 only moves keys onto the
-        new shard, but changing weights can move keys between existing
-        shards — both are reported per-category in the returned
-        :class:`RebalanceReport`.
+        A grow from N to N+1 only moves keys onto the new shard, and a
+        shrink only moves keys off the removed ones; what moved is
+        reported per category in the returned :class:`RebalanceReport`.
         """
         if shards < 1:
             raise NDNError(f"{self.name}: need at least one shard, got {shards}")
-        new_picker = _make_shard_picker(shards, shard_weights)
+        new_picker = _make_shard_picker(shards)
         old_count = self.num_shards
         report = RebalanceReport(
             at=self.env.now, old_shards=old_count, new_shards=shards
@@ -837,10 +796,6 @@ class ShardedForwarder:
             aborted=report.pending_aborted,
         )
         return report
-
-    def set_shard_weights(self, weights: Sequence[float]) -> RebalanceReport:
-        """Re-weight the shard placement live (a same-count resize)."""
-        return self.resize(self.num_shards, weights)
 
     def crash_shard(self, index: int) -> int:
         """Abruptly fail one shard worker and recover it cold.
@@ -985,26 +940,4 @@ class ShardedForwarder:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ShardedForwarder {self.name} shards={self.num_shards} faces={len(self._faces)}>"
-
-
-def forwarder_for_node(env: Environment, node, **kwargs):
-    """Build the data plane a :class:`~repro.sim.topology.TopologyNode` asks for.
-
-    ``node.shards == 1`` yields a plain :class:`Forwarder`; more yields a
-    :class:`ShardedForwarder`.  Keyword arguments are passed through, with
-    shard-only options (``key_depth``, weights, hot cache, service times)
-    dropped for the single-process case.  The node's own ``shard_weights``
-    declaration (when present) is the default; an explicit keyword
-    argument wins.
-    """
-    shards = getattr(node, "shards", 1)
-    if shards <= 1:
-        for shard_only in (
-            "key_depth", "dispatch_service_s", "shard_service_s",
-            "shard_weights", "hot_cache",
-        ):
-            kwargs.pop(shard_only, None)
-        return Forwarder(env, name=node.name, **kwargs)
-    kwargs.setdefault("shard_weights", getattr(node, "shard_weights", None))
-    return ShardedForwarder(env, name=node.name, shards=shards, **kwargs)
 

@@ -50,14 +50,10 @@ from repro.ndn.packet import Interest, encode_name_value
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ndn.packet import WirePacket
 
-from repro.sim.rng import SeededRNG
-
 __all__ = [
     "Strategy",
     "BestRouteStrategy",
-    "MulticastStrategy",
     "LoadBalanceStrategy",
-    "FailoverStrategy",
     "OwnerAffinityStrategy",
     "StrategyChoiceTable",
     "DispatcherHotCache",
@@ -99,14 +95,6 @@ class Strategy:
             if hop.face_id != in_face_id and hop.face_id not in tried_faces
         ]
 
-    def note_nack(self, face_id: int, now: float) -> None:
-        """Feedback hook: an upstream on ``face_id`` Nacked at ``now``.
-
-        The forwarder's Nack pipeline calls this for every received Nack;
-        the base strategies ignore it, failover-aware ones use it to steer
-        subsequent Interests away from the failing next hop.
-        """
-
     def note_answer(self, name: Name, face_id: int) -> None:
         """Feedback hook: ``face_id`` answered ``name`` after a retry.
 
@@ -137,103 +125,21 @@ class BestRouteStrategy(Strategy):
         return [best.face_id]
 
 
-class MulticastStrategy(Strategy):
-    """Forward to every eligible next hop (used for discovery / sync)."""
-
-    name = "multicast"
-
-    def select(self, interest, fib_entry, in_face_id, tried_faces=(), down_faces=()):
-        eligible = self._eligible(fib_entry, in_face_id, tried_faces, down_faces)
-        return [hop.face_id for hop in eligible]
-
-
 class LoadBalanceStrategy(Strategy):
-    """Spread Interests over next hops.
-
-    Two modes:
-
-    * ``weighted=False`` — pure round robin over eligible hops;
-    * ``weighted=True`` — random choice weighted by the inverse routing cost,
-      so cheaper (nearer / less loaded) clusters receive proportionally more
-      requests while others still get traffic.
-    """
+    """Spread Interests round robin over the eligible next hops (per FIB prefix)."""
 
     name = "load-balance"
 
-    def __init__(self, rng: Optional[SeededRNG] = None, weighted: bool = False) -> None:
-        self._rng = rng or SeededRNG(0)
-        self._weighted = weighted
+    def __init__(self) -> None:
         self._counters: dict[Name, int] = {}
 
     def select(self, interest, fib_entry, in_face_id, tried_faces=(), down_faces=()):
         eligible = self._eligible(fib_entry, in_face_id, tried_faces, down_faces)
         if not eligible:
             return []
-        if self._weighted:
-            weights = [1.0 / (1.0 + hop.cost) for hop in eligible]
-            total = sum(weights)
-            pick = self._rng.uniform(0.0, total, stream="load-balance")
-            cumulative = 0.0
-            for hop, weight in zip(eligible, weights):
-                cumulative += weight
-                if pick <= cumulative:
-                    return [hop.face_id]
-            return [eligible[-1].face_id]
         counter = self._counters.get(fib_entry.prefix, 0)
         self._counters[fib_entry.prefix] = counter + 1
         return [eligible[counter % len(eligible)].face_id]
-
-
-class FailoverStrategy(Strategy):
-    """Best-route with a penalty box fed by Nack feedback.
-
-    Every received Nack puts the Nacking next hop in a penalty box for
-    ``cooldown_s`` simulated seconds (:meth:`Strategy.note_nack`, wired
-    through the forwarder's Nack pipeline).  Selection is lowest-cost over
-    the non-penalised next hops, so traffic fails over to a healthy
-    upstream immediately and only drifts back once the cooldown expires.
-    When *every* eligible hop is penalised the strategy falls back to
-    plain best-route — a flapping path beats a guaranteed NoRoute.
-    """
-
-    name = "failover"
-
-    def __init__(self, cooldown_s: float = 5.0, clock=None) -> None:
-        if cooldown_s < 0:
-            raise NDNError(f"failover cooldown must be >= 0, got {cooldown_s}")
-        self.cooldown_s = cooldown_s
-        #: Simulated-time source; without one the strategy tracks the latest
-        #: time it saw through ``note_nack`` (good enough for cooldowns that
-        #: only need to expire relative to later failures).
-        self._clock = clock
-        #: face id -> simulated time until which the face is penalised.
-        self._penalty_until: dict[int, float] = {}
-        self.nacks_noted = 0
-        self._last_seen = 0.0
-
-    def _now(self) -> float:
-        if self._clock is not None:
-            return self._clock()
-        return self._last_seen
-
-    def note_nack(self, face_id: int, now: float) -> None:
-        self._penalty_until[face_id] = now + self.cooldown_s
-        self._last_seen = max(self._last_seen, now)
-        self.nacks_noted += 1
-
-    def penalised(self, face_id: int, now: Optional[float] = None) -> bool:
-        when = self._now() if now is None else now
-        return self._penalty_until.get(face_id, 0.0) > when
-
-    def select(self, interest, fib_entry, in_face_id, tried_faces=(), down_faces=()):
-        eligible = self._eligible(fib_entry, in_face_id, tried_faces, down_faces)
-        if not eligible:
-            return []
-        now = self._now()
-        healthy = [hop for hop in eligible if not self.penalised(hop.face_id, now)]
-        pool = healthy or eligible
-        best = min(pool, key=lambda hop: (hop.cost, hop.face_id))
-        return [best.face_id]
 
 
 class OwnerAffinityStrategy(BestRouteStrategy):

@@ -11,7 +11,7 @@ Public API
 * :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Timeout`,
   :class:`~repro.sim.engine.Process`, :class:`~repro.sim.engine.AllOf`,
   :class:`~repro.sim.engine.AnyOf` — the yieldable primitives.
-* :class:`~repro.sim.topology.Topology` — latency/bandwidth network topology.
+* :class:`~repro.sim.topology.Link` — a latency/bandwidth wide-area link.
 * :class:`~repro.sim.metrics.MetricsRegistry` — named counters.
 * :class:`~repro.sim.trace.Tracer` — structured event tracing.
 * :class:`~repro.sim.rng.SeededRNG` — deterministic random streams.
@@ -25,7 +25,7 @@ from repro.sim.engine import (
     Process,
     Timeout,
 )
-from repro.sim.topology import Link, Topology, TopologyNode
+from repro.sim.topology import Link
 from repro.sim.metrics import Counter, MetricsRegistry
 from repro.sim.trace import TraceEvent, Tracer
 from repro.sim.rng import SeededRNG
@@ -37,8 +37,6 @@ __all__ = [
     "Event",
     "Process",
     "Timeout",
-    "Topology",
-    "TopologyNode",
     "Link",
     "MetricsRegistry",
     "Counter",

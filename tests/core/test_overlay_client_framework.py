@@ -212,6 +212,21 @@ class TestMultiClusterBehaviour:
         assert overflow.accepted
         assert overflow.cluster == new_cluster.name
 
+    @pytest.mark.parametrize("choose, expected", [
+        (ComputeOverlay.use_load_balancing, LoadBalanceStrategy),
+        (ComputeOverlay.use_nearest_cluster, BestRouteStrategy),
+    ])
+    def test_compute_strategy_is_set_on_every_access_router_only(self, choose, expected):
+        testbed = LIDCTestbed.multi_cluster(2, seed=0)
+        testbed.overlay.add_access_router("edge-2")
+        choose(testbed.overlay)
+        for router in testbed.overlay.routers.values():
+            assert type(router.strategies.find(naming.COMPUTE_PREFIX)) is expected
+        # Cluster gateways keep best-route, so a request is served where it lands.
+        for cluster in testbed.clusters.values():
+            strategy = cluster.gateway_nfd.strategies.find(naming.COMPUTE_PREFIX)
+            assert type(strategy) is BestRouteStrategy
+
     def test_compute_strategy_sets_the_placement_spread(self):
         """The access routers' strategy for /ndn/k8s/compute decides where work lands."""
 
@@ -239,11 +254,9 @@ class TestMultiClusterBehaviour:
         assert best_route.most_common(1)[0][0] == "cluster-a"
         assert best_route["cluster-a"] >= 7
         # Round-robin uses every cluster evenly.
-        round_robin = placements(LoadBalanceStrategy(weighted=False))
+        round_robin = placements(LoadBalanceStrategy())
         assert len(round_robin) == 3
         assert max(round_robin.values()) - min(round_robin.values()) <= 1
-        # Weighted load balancing still reaches more than one cluster.
-        assert len(placements(LoadBalanceStrategy(weighted=True))) >= 2
 
 
 def status_counter(testbed, key):
@@ -507,6 +520,28 @@ class TestTestbedBuilder:
             LIDCTestbed.multi_cluster(0)
         with pytest.raises(LIDCError):
             LIDCTestbed.multi_cluster(2, topology="ring")
+
+    def test_a_chain_past_cluster_z_links_each_cluster_to_the_one_before(self):
+        chain = LIDCTestbed.multi_cluster(28, seed=18, topology="chain")
+        names = list(chain.clusters)
+        assert names[25:] == ["cluster-z", "cluster-a1", "cluster-b1"]
+        links = [(link.a, link.b) for link in chain.overlay.links()]
+        assert links == list(zip(names, [CLIENT_EDGE] + names[:-1]))
+
+    def test_a_star_past_cluster_z_names_every_cluster_uniquely(self):
+        star = LIDCTestbed.multi_cluster(28, seed=19)
+        names = list(star.clusters)
+        assert len(set(names)) == 28
+        assert [(link.a, link.b) for link in star.overlay.links()] == [
+            (name, CLIENT_EDGE) for name in names]
+        assert star.overlay.reachable_compute_origins(CLIENT_EDGE) == sorted(names)
+
+    def test_chain_latencies_follow_the_order_given(self):
+        chain = LIDCTestbed.multi_cluster(
+            3, seed=20, topology="chain", latencies_s=[0.01, 0.02])
+        latencies = [link.latency_s for link in chain.overlay.links()]
+        # Clusters past the end of ``latencies_s`` get the configured WAN latency.
+        assert latencies == [0.01, 0.02, chain.config.wan_latency_s]
 
     def test_cluster_regions_assigned_round_robin(self):
         testbed = LIDCTestbed.multi_cluster(3, seed=16)

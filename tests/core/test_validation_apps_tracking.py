@@ -75,10 +75,23 @@ class TestValidators:
         assert not validator.validate(ComputeRequest(app="COMPRESS"), lake).ok
         assert not validator.validate(
             ComputeRequest(app="COMPRESS", dataset="missing"), lake).ok
-        bad_level = ComputeRequest(app="COMPRESS", dataset="small-file", params={"level": "11"})
-        assert not validator.validate(bad_level, lake).ok
-        not_int = ComputeRequest(app="COMPRESS", dataset="small-file", params={"level": "max"})
-        assert not validator.validate(not_int, lake).ok
+        # The level range is the COMPRESS schema's check, on the admission path.
+        services = ServiceRegistry.with_defaults()
+        for level in ("11", "max"):
+            bad_level = ComputeRequest(app="COMPRESS", dataset="small-file", params={"level": level})
+            assert not services.validate(bad_level, lake).ok
+        good_level = ComputeRequest(app="COMPRESS", dataset="small-file", params={"level": "9"})
+        assert services.validate(good_level, lake).ok
+
+    @pytest.mark.parametrize("level, ok", [
+        ("1", True), ("9", True), ("0", False), ("10", False), ("4.5", False),
+    ])
+    def test_compress_level_is_checked_once_by_the_schema(self, lake, level, ok):
+        request = ComputeRequest(app="COMPRESS", dataset="small-file", params={"level": level})
+        result = ServiceRegistry.with_defaults().validate(request, lake)
+        assert result.ok is ok
+        if not ok:
+            assert "level" in result.message
 
     def test_registry_routes_by_app_and_falls_back(self, lake):
         services = ServiceRegistry.with_defaults()

@@ -1,9 +1,8 @@
-"""Self-healing request path: face removal, retry policies, failover strategy.
+"""Self-healing request path: face removal and retry policies.
 
 Covers the robustness layer added around the forwarder: PIT rescue/reject on
-face removal, control-plane ``abort_pending``, the consumer's
-``RetryPolicy`` (backoff, deadline budgets, Nack-aware retransmission) and
-the Nack-penalising ``FailoverStrategy``.
+face removal, control-plane ``abort_pending`` and the consumer's
+``RetryPolicy`` (backoff, deadline budgets, Nack-aware retransmission).
 """
 
 import pytest
@@ -11,20 +10,10 @@ import pytest
 from repro.exceptions import InterestNacked, InterestTimeout
 from repro.ndn.client import Consumer, RetryPolicy
 from repro.ndn.face import connect
-from repro.ndn.fib import FibEntry
 from repro.ndn.forwarder import Forwarder
-from repro.ndn.name import Name
-from repro.ndn.packet import Data, Interest, NackReason
-from repro.ndn.strategy import FailoverStrategy
+from repro.ndn.packet import Data, NackReason
 from repro.sim.rng import SeededRNG
 from repro.sim.topology import Link
-
-
-def make_fib_entry(*hops):
-    entry = FibEntry(prefix=Name("/svc"))
-    for face_id, cost in hops:
-        entry.add_nexthop(face_id, cost)
-    return entry
 
 
 class TestFaceRemovalPitCleanup:
@@ -193,57 +182,3 @@ class TestConsumerSelfHealing:
                 "/svc/x", lifetime=5.0, retry_policy=policy))
         assert "NoRoute" in str(excinfo.value)
         assert consumer.pending_count() == 0
-
-
-class TestFailoverStrategy:
-    def test_prefers_lowest_cost_when_healthy(self):
-        strategy = FailoverStrategy()
-        entry = make_fib_entry((1, 5), (2, 10))
-        assert strategy.select(Interest(name=Name("/svc/x")), entry, 99) == [1]
-
-    def test_nacked_face_is_penalised_for_cooldown(self):
-        strategy = FailoverStrategy(cooldown_s=5.0)
-        entry = make_fib_entry((1, 5), (2, 10))
-        strategy.note_nack(1, now=0.0)
-        assert strategy.penalised(1, now=0.0)
-        assert strategy.select(Interest(name=Name("/svc/x")), entry, 99) == [2]
-        assert not strategy.penalised(1, now=6.0)
-
-    def test_penalty_expires_with_clock(self):
-        clock = {"now": 0.0}
-        strategy = FailoverStrategy(cooldown_s=2.0, clock=lambda: clock["now"])
-        entry = make_fib_entry((1, 5), (2, 10))
-        strategy.note_nack(1, now=0.0)
-        assert strategy.select(Interest(name=Name("/svc/x")), entry, 99) == [2]
-        clock["now"] = 3.0
-        assert strategy.select(Interest(name=Name("/svc/x")), entry, 99) == [1]
-
-    def test_all_penalised_falls_back_to_best(self):
-        strategy = FailoverStrategy(cooldown_s=10.0)
-        entry = make_fib_entry((1, 5), (2, 10))
-        strategy.note_nack(1, now=0.0)
-        strategy.note_nack(2, now=0.0)
-        # Everything is penalised: still forward (to the cheapest) rather
-        # than blackholing the Interest.
-        assert strategy.select(Interest(name=Name("/svc/x")), entry, 99) == [1]
-
-    def test_forwarder_wires_nacks_into_strategy(self, env):
-        edge = Forwarder(env, "edge")
-        bad, good = Forwarder(env, "bad"), Forwarder(env, "good")
-        face_eb, _ = connect(env, edge, bad, link=Link("e", "b", latency_s=0.001))
-        face_eg, _ = connect(env, edge, good, link=Link("e", "g", latency_s=0.001))
-        edge.register_prefix("/svc", face_eb, cost=1)   # preferred, no route
-        edge.register_prefix("/svc", face_eg, cost=10)
-        good.attach_producer("/svc", lambda i: Data(name=i.name, content=b"ok").sign())
-        strategy = FailoverStrategy(cooldown_s=60.0, clock=lambda: env.now)
-        edge.set_strategy("/svc", strategy)
-        consumer = Consumer(env, edge)
-        data = env.run(until=consumer.express_interest("/svc/one", lifetime=2.0))
-        assert data.content == b"ok"
-        assert strategy.nacks_noted >= 1
-        retries_after_first = edge.metrics.counter("nack_retries").value
-        # Second request: the bad face is in cooldown, so the edge goes
-        # straight to the healthy upstream without a Nack round-trip.
-        data = env.run(until=consumer.express_interest("/svc/two", lifetime=2.0))
-        assert data.content == b"ok"
-        assert edge.metrics.counter("nack_retries").value == retries_after_first

@@ -14,10 +14,9 @@ from repro.ndn.segmentation import reassemble, segment_content
 from repro.ndn.strategy import (
     BestRouteStrategy,
     LoadBalanceStrategy,
-    MulticastStrategy,
+    OwnerAffinityStrategy,
     StrategyChoiceTable,
 )
-from repro.sim.rng import SeededRNG
 from repro.sim.topology import Link
 
 
@@ -49,36 +48,52 @@ class TestStrategies:
             Interest(name=Name("/p/x")), entry, in_face_id=99, tried_faces=(1,)
         ) == []
 
-    def test_multicast_returns_all_eligible(self):
-        entry = make_fib_entry((1, 1), (2, 2), (3, 3))
-        selected = MulticastStrategy().select(Interest(name=Name("/p/x")), entry, in_face_id=2)
-        assert sorted(selected) == [1, 3]
-
     def test_load_balance_round_robin_cycles(self):
         entry = make_fib_entry((1, 1), (2, 1), (3, 1))
         strategy = LoadBalanceStrategy()
         picks = [strategy.select(Interest(name=Name("/p/x")), entry, in_face_id=99)[0] for _ in range(6)]
         assert picks == [1, 2, 3, 1, 2, 3]
 
-    def test_load_balance_weighted_prefers_cheap_hops(self):
-        entry = make_fib_entry((1, 0.0), (2, 50.0))
-        strategy = LoadBalanceStrategy(rng=SeededRNG(3), weighted=True)
-        picks = [strategy.select(Interest(name=Name("/p/x")), entry, in_face_id=99)[0] for _ in range(200)]
-        assert picks.count(1) > picks.count(2)
+    def test_load_balance_round_robin_skips_tried_faces(self):
+        entry = make_fib_entry((1, 1), (2, 1), (3, 1))
+        strategy = LoadBalanceStrategy()
+        picks = [strategy.select(Interest(name=Name("/p/x")), entry, in_face_id=99,
+                                 tried_faces=(2,))[0] for _ in range(4)]
+        assert picks == [1, 3, 1, 3]
+
+    def test_load_balance_never_returns_the_incoming_face(self):
+        entry = make_fib_entry((1, 1), (2, 1))
+        strategy = LoadBalanceStrategy()
+        picks = {strategy.select(Interest(name=Name("/p/x")), entry, in_face_id=1)[0]
+                 for _ in range(4)}
+        assert picks == {2}
+
+    def test_load_balance_skips_down_faces(self):
+        entry = make_fib_entry((1, 1), (2, 1), (3, 1))
+        strategy = LoadBalanceStrategy()
+        picks = [strategy.select(Interest(name=Name("/p/x")), entry, in_face_id=99,
+                                 down_faces=(1,))[0] for _ in range(4)]
+        assert picks == [2, 3, 2, 3]
+
+    def test_load_balance_empty_when_exhausted(self):
+        entry = make_fib_entry((1, 1), (2, 1))
+        assert LoadBalanceStrategy().select(
+            Interest(name=Name("/p/x")), entry, in_face_id=1, tried_faces=(2,)
+        ) == []
 
     def test_strategy_choice_table_longest_prefix_wins(self):
         table = StrategyChoiceTable()
-        multicast = MulticastStrategy()
+        owner_affinity = OwnerAffinityStrategy()
         load_balance = LoadBalanceStrategy()
-        table.set_strategy("/ndn", multicast)
+        table.set_strategy("/ndn", owner_affinity)
         table.set_strategy("/ndn/k8s/compute", load_balance)
         assert table.find("/ndn/k8s/compute/x") is load_balance
-        assert table.find("/ndn/k8s/data") is multicast
+        assert table.find("/ndn/k8s/data") is owner_affinity
         assert isinstance(table.find("/other"), BestRouteStrategy)
 
     def test_strategy_choice_unset(self):
         table = StrategyChoiceTable()
-        table.set_strategy("/a", MulticastStrategy())
+        table.set_strategy("/a", LoadBalanceStrategy())
         table.unset_strategy("/a")
         assert table.find("/a/x") is table.default
 
@@ -234,6 +249,51 @@ class TestForwarderPipelines:
         data = env.run(until=consumer.express_interest("/svc/task", lifetime=2.0))
         assert data.content == b"ok"
         assert edge.metrics.counter("nack_retries").value >= 1
+
+    def test_a_satisfied_can_be_prefix_exchange_leaves_its_name_routable(self, env):
+        """``/a`` answered by ``/a/b`` must not leave the producer marked as
+        tried for ``/a``: the next CanBePrefix Interest for ``/a`` reaches it
+        again (no Content Store at capacity 0 to hide the defect)."""
+        edge = Forwarder(env, "edge", cs_capacity=0)
+        edge.attach_producer("/a", lambda i: Data(name=Name("/a/b"), content=b"b").sign())
+        consumer = Consumer(env, edge)
+        for _ in range(2):
+            data = env.run(until=consumer.express_interest(
+                "/a", can_be_prefix=True, lifetime=1.0))
+            assert data.name == Name("/a/b")
+        assert edge.metrics.counter("interests_nacked").value == 0
+        assert len(edge.pit) == 0
+
+    def test_each_upstream_is_tried_once_before_the_downstream_is_nacked(self, env):
+        """The PIT entry's out-records are the upstreams already tried: every
+        next hop is asked exactly once, then the consumer gets ``NoRoute``."""
+        edge = Forwarder(env, "edge")
+        upstreams = [Forwarder(env, f"up{index}") for index in range(3)]
+        for index, upstream in enumerate(upstreams):
+            face, _ = connect(env, edge, upstream,
+                              link=Link("e", f"u{index}", latency_s=0.001), label=f"e-u{index}")
+            edge.register_prefix("/svc", face, cost=index + 1)  # none of them routes on
+        consumer = Consumer(env, edge)
+        with pytest.raises(InterestNacked, match="NoRoute"):
+            env.run(until=consumer.express_interest("/svc/task", lifetime=2.0))
+        asked = [up.metrics.counter("interests_received").value for up in upstreams]
+        assert asked == [1, 1, 1]
+        assert edge.metrics.counter("nack_retries").value == 2
+        assert len(edge.pit) == 0
+
+    def test_the_face_an_interest_arrived_on_is_never_its_upstream(self, env):
+        """A PIT in-record is never chosen as an upstream: two neighbours
+        whose only routes point at each other Nack instead of ping-ponging."""
+        fa, fb = Forwarder(env, "A"), Forwarder(env, "B")
+        face_ab, face_ba = connect(env, fa, fb, link=Link("A", "B", latency_s=0.001), label="A-B")
+        fa.register_prefix("/loop", face_ab)
+        fb.register_prefix("/loop", face_ba)
+        consumer = Consumer(env, fa)
+        with pytest.raises(InterestNacked, match="NoRoute"):
+            env.run(until=consumer.express_interest("/loop/x", lifetime=2.0))
+        assert fa.metrics.counter("interests_received").value == 1
+        assert fb.metrics.counter("interests_received").value == 1
+        assert fb.metrics.counter("interests_forwarded").value == 0
 
     def test_remove_face_purges_fib(self, env, linked_pair):
         fa, fb, da, db = linked_pair

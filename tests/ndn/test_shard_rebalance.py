@@ -109,9 +109,9 @@ class TestResizeBasics:
         assert max(capacities) - min(capacities) <= 1
 
     def test_new_shards_inherit_strategy_choices(self, env):
-        from repro.ndn.strategy import MulticastStrategy
+        from repro.ndn.strategy import LoadBalanceStrategy
         node = ShardedForwarder(env, name="node", shards=2)
-        strategy = MulticastStrategy()
+        strategy = LoadBalanceStrategy()
         node.set_strategy("/svc", strategy)
         node.resize(4)
         for shard in node.shards:
@@ -220,24 +220,6 @@ class TestResizeUnderTraffic:
         assert report.pending_aborted == len(TENANTS) - len(kept)
         env.run()
         assert node.pit_entries() == 0
-
-
-class TestWeightedRebalance:
-    def test_set_shard_weights_shifts_placement(self, env):
-        node = ShardedForwarder(env, name="node", shards=2)
-        attach_tenant_producers(node)
-        report = node.set_shard_weights([1.0, 50.0])
-        assert report.old_shards == 2 and report.new_shards == 2
-        consumer = Consumer(env, node)
-        completions = [
-            consumer.express_interest(f"{tenant}/obj") for tenant in TENANTS
-        ]
-        env.run()
-        assert all(c.ok for c in completions)
-        # The heavy shard now owns (almost) every tenant key.
-        heavy = node.shards[1].metrics.counter("interests_received").value
-        light = node.shards[0].metrics.counter("interests_received").value
-        assert heavy > light
 
 
 class TestShardCrash:

@@ -11,10 +11,9 @@ from repro.ndn.shard import (
     ShardedForwarder,
     _rendezvous_for_key,
     _shard_key,
-    forwarder_for_node,
 )
 from repro.sim.engine import Environment
-from repro.sim.topology import Link, TopologyNode
+from repro.sim.topology import Link
 
 TENANTS = [f"/t{i}" for i in range(8)]
 
@@ -261,39 +260,3 @@ class TestServiceTimeModel:
         env.run(until=completion)
         assert completion.ok
         assert env.now < 1e-9  # no modelled service time was spent
-
-
-class TestTopologyIntegration:
-    def test_forwarder_for_node_builds_by_shard_count(self, env):
-        plain = forwarder_for_node(env, TopologyNode("gw"), cs_capacity=16, key_depth=3)
-        assert isinstance(plain, Forwarder)
-        sharded = forwarder_for_node(
-            env, TopologyNode("gw2", shards=3), cs_capacity=16, key_depth=3
-        )
-        assert isinstance(sharded, ShardedForwarder)
-        assert sharded.num_shards == 3 and sharded.key_depth == 3
-
-    def test_forwarder_for_node_honours_declared_weights(self, env):
-        node = TopologyNode("gw3", shards=3, shard_weights=(1.0, 2.0, 1.0))
-        sharded = forwarder_for_node(env, node, cs_capacity=16)
-        assert isinstance(sharded, ShardedForwarder)
-        # Ownership decisions go through the weighted rendezvous picker.
-        for tenant in TENANTS:
-            assert sharded._picker(_shard_key(tenant, 1)) == _rendezvous_for_key(
-                _shard_key(tenant, 1), 3, (1.0, 2.0, 1.0)
-            )
-
-    def test_topology_node_rejects_nonpositive_shards(self):
-        from repro.exceptions import SimulationError
-
-        with pytest.raises(SimulationError):
-            TopologyNode("bad", shards=0)
-
-    def test_topology_node_validates_shard_weights(self):
-        from repro.exceptions import SimulationError
-
-        with pytest.raises(SimulationError):
-            TopologyNode("bad", shards=2, shard_weights=(1.0,))
-        with pytest.raises(SimulationError):
-            TopologyNode("bad", shards=2, shard_weights=(1.0, -1.0))
-        TopologyNode("ok", shards=2, shard_weights=(1.0, 2.0))

@@ -1,5 +1,7 @@
 """Tests for the forwarder tables: Content Store, PIT and FIB."""
 
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -395,7 +397,21 @@ class TestPit:
         interest = Interest(name=Name("/a"))
         entry, _ = pit.insert(interest, in_face_id=1)
         pit.record_out(interest, out_face_id=9)
-        assert entry.upstream_faces() == [9]
+        assert list(entry.out_records) == [9]
+
+    def test_entry_at_finds_the_entry_under_its_key(self):
+        pit = PendingInterestTable()
+        exact, _ = pit.insert(Interest(name=Name("/a")), in_face_id=1)
+        prefix, _ = pit.insert(Interest(name=Name("/a"), can_be_prefix=True), in_face_id=2)
+        assert pit.entry_at((Name("/a"), False)) is exact
+        assert pit.entry_at((Name("/a"), True)) is prefix
+        assert pit.entry_at((Name("/b"), False)) is None
+
+    def test_entry_at_is_none_once_satisfied(self):
+        pit = PendingInterestTable()
+        pit.insert(Interest(name=Name("/a")), in_face_id=1)
+        assert pit.satisfy(make_data("/a")) == [1]
+        assert pit.entry_at((Name("/a"), False)) is None
 
     def test_expiry_removes_old_entries(self):
         clock = {"now": 0.0}
@@ -478,10 +494,12 @@ class TestPit:
         pit.insert(Interest(name=Name("/a/b")), in_face_id=2)
         pit.insert(Interest(name=Name("/other")), in_face_id=3)
         data = make_data("/a/b")
-        matched = pit.find_matching(data)
-        assert {str(e.name) for e in matched} == {"/a", "/a/b"}
-        for entry in pit.entries():
-            assert entry.matches_data(data) == (entry in matched)
+        entries = list(pit.entries())
+        assert sorted(pit.satisfy(data)) == [1, 2]
+        remaining = list(pit.entries())
+        assert [str(e.name) for e in remaining] == ["/other"]
+        for entry in entries:
+            assert entry.matches_data(data) == all(entry is not kept for kept in remaining)
 
     def test_exact_only_table_builds_no_prefix_names_per_data(self, monkeypatch):
         """While no ``can_be_prefix`` entry is live the Data path probes the
@@ -530,10 +548,12 @@ class TestPit:
             assert pit._prefix_entries == sum(entry.can_be_prefix for entry in entries)
             for probe in ("/a/b/c", "/x", "/"):
                 data = make_data(probe)
-                scanned = [entry for entry in entries if entry.matches_data(data)]
-                matched = pit.find_matching(data)
-                assert len(matched) == len(scanned)
-                assert all(entry in scanned for entry in matched)
+                unmatched = {(entry.name, entry.can_be_prefix)
+                             for entry in entries if not entry.matches_data(data)}
+                probed = copy.deepcopy(pit)
+                probed.satisfy(data)
+                assert {(entry.name, entry.can_be_prefix)
+                        for entry in probed.entries()} == unmatched
 
 
 class TestNameTreeAndFib:

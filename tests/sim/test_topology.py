@@ -1,124 +1,239 @@
-"""Tests for the wide-area topology model."""
+"""Tests for the wide-area network model.
+
+A :class:`Link` gives one hop's transfer delay.  The network those links
+form is the overlay's: clusters and access routers are its nodes,
+:meth:`ComputeOverlay.connect` lays a :class:`Link` under each adjacency,
+and each link's latency (in ms) is its routing cost.  Paths and "the
+nearest cluster" are what the routing layer's summed costs and the
+forwarding strategies make of that graph.
+"""
 
 import pytest
 
-from repro.exceptions import SimulationError
-from repro.sim.topology import Link, Topology, TopologyNode
+from repro.core import naming
+from repro.core.framework import CLIENT_EDGE, LIDCTestbed
+from repro.core.overlay import ComputeOverlay
+from repro.core.spec import ComputeRequest
+from repro.exceptions import InterestNacked, LIDCError, OverlayError, SimulationError
+from repro.ndn.client import Consumer
+from repro.ndn.name import Name
+from repro.ndn.packet import Data, WirePacket
+from repro.sim.engine import Environment
+from repro.sim.topology import Link
 
 
-@pytest.fixture
-def triangle() -> Topology:
-    topo = Topology()
-    for name in ("a", "b", "c"):
-        topo.add_node(name)
-    topo.add_link(Link("a", "b", latency_s=0.010, bandwidth_bps=1e9))
-    topo.add_link(Link("b", "c", latency_s=0.020, bandwidth_bps=1e9))
-    topo.add_link(Link("a", "c", latency_s=0.050, bandwidth_bps=1e9))
-    return topo
+def edge_compute_route(testbed):
+    """The client edge's FIB entry for the compute prefix."""
+    return testbed.overlay.routers[CLIENT_EDGE].fib.lookup(naming.COMPUTE_PREFIX)
+
+
+def submit(testbed, access_router=CLIENT_EDGE):
+    """Submit one small job from ``access_router``; its accepted submission."""
+    client = testbed.client(access_router)
+    submission = testbed.run_process(client.submit_interest(ComputeRequest(
+        app="SLEEP", cpu=1, memory_gb=1, params={"duration": "30"})))
+    assert submission.accepted, submission.error
+    return submission
+
+
+def place(testbed, access_router=CLIENT_EDGE):
+    """The cluster that takes one small job submitted from ``access_router``."""
+    return submit(testbed, access_router).cluster
+
+
+def interests_seen(testbed, cluster):
+    return testbed.cluster(cluster).gateway_nfd.metrics.counter("interests_received").value
+
+
+def link_pairs(testbed):
+    return [(link.a, link.b) for link in testbed.overlay.links()]
 
 
 class TestConstruction:
     def test_add_node_by_name(self):
-        topo = Topology()
-        node = topo.add_node("site-1", kind="cluster")
-        assert isinstance(node, TopologyNode)
-        assert "site-1" in topo
-
-    def test_duplicate_node_rejected(self):
-        topo = Topology()
-        topo.add_node("x")
-        with pytest.raises(SimulationError):
-            topo.add_node("x")
-
-    def test_link_requires_known_endpoints(self):
-        topo = Topology()
-        topo.add_node("a")
-        with pytest.raises(SimulationError):
-            topo.add_link(Link("a", "missing"))
+        overlay = ComputeOverlay(Environment())
+        router = overlay.add_access_router("edge-west")
+        assert router.name == "edge-west"
+        assert overlay.node_names() == ["edge-west"]
+        testbed = LIDCTestbed.single_cluster(seed=0)
+        cluster = testbed.add_cluster(name="cluster-far")
+        assert testbed.cluster("cluster-far") is cluster
+        assert testbed.overlay.node_names() == [CLIENT_EDGE, "cluster-a", "cluster-far"]
 
     def test_add_link_from_tuple(self):
-        topo = Topology()
-        topo.add_node("a")
-        topo.add_node("b")
-        link = topo.add_link(("a", "b"), latency_s=0.1)
-        assert link.latency_s == 0.1
-        assert topo.link("a", "b").latency_s == 0.1
+        testbed = LIDCTestbed.single_cluster(seed=0)
+        overlay = testbed.overlay
+        cluster = overlay.remove_cluster("cluster-a")
+        overlay.add_access_router("edge-2")
+        overlay.add_cluster(cluster, connect_to=[(CLIENT_EDGE, 0.05), "edge-2"],
+                            default_latency_s=0.007)
+        assert [(link.a, link.b, link.latency_s) for link in overlay.links()] == [
+            ("cluster-a", CLIENT_EDGE, 0.05),
+            ("cluster-a", "edge-2", 0.007),
+        ]
+        # The 50 ms link is a 50-unit route at the edge.
+        assert edge_compute_route(testbed).best().cost == pytest.approx(50.0)
 
-    def test_len_counts_nodes(self, triangle):
-        assert len(triangle) == 3
+    def test_duplicate_node_rejected(self):
+        testbed = LIDCTestbed.single_cluster(seed=0)
+        # Clusters and routers share one namespace.
+        with pytest.raises(OverlayError):
+            testbed.overlay.add_access_router("cluster-a")
+        with pytest.raises(OverlayError):
+            testbed.add_cluster(name=CLIENT_EDGE)
+        assert testbed.overlay.node_names() == [CLIENT_EDGE, "cluster-a"]
 
-    def test_remove_node_drops_links(self, triangle):
-        triangle.remove_node("b")
-        assert "b" not in triangle
-        assert not triangle.has_path("a", "b")
-        # a and c remain connected directly.
-        assert triangle.has_path("a", "c")
+    def test_len_counts_nodes(self):
+        testbed = LIDCTestbed.multi_cluster(3, seed=0)
+        overlay = testbed.overlay
+        assert len(overlay.node_names()) == 4
+        overlay.add_access_router("edge-2")
+        assert len(overlay.node_names()) == 5
+        overlay.remove_cluster("cluster-b")
+        assert len(overlay.node_names()) == 4
 
-    def test_remove_unknown_node_raises(self, triangle):
-        with pytest.raises(SimulationError):
-            triangle.remove_node("zzz")
+    def test_link_requires_known_endpoints(self):
+        testbed = LIDCTestbed.single_cluster(seed=0)
+        overlay = testbed.overlay
+        edge = overlay.routers[CLIENT_EDGE]
+        faces_before = len(edge.faces())
+        for a, b in ((CLIENT_EDGE, "ghost"), ("ghost", CLIENT_EDGE)):
+            with pytest.raises(OverlayError, match="ghost"):
+                overlay.connect(a, b)
+        # Nothing half-built: no link recorded, no face opened.
+        assert link_pairs(testbed) == [("cluster-a", CLIENT_EDGE)]
+        assert len(edge.faces()) == faces_before
 
-    def test_remove_link(self, triangle):
-        triangle.remove_link("a", "c")
-        assert triangle.path_latency("a", "c") == pytest.approx(0.030)
+    def test_remove_node_drops_links(self):
+        testbed = LIDCTestbed.multi_cluster(3, seed=0, topology="chain")
+        overlay = testbed.overlay
+        faces_on_a = len(testbed.cluster("cluster-a").gateway_nfd.faces())
+        overlay.remove_cluster("cluster-b")
+        assert link_pairs(testbed) == [("cluster-a", CLIENT_EDGE)]
+        assert len(testbed.cluster("cluster-a").gateway_nfd.faces()) == faces_on_a - 1
+        with pytest.raises(OverlayError):
+            overlay.link_up("cluster-b", "cluster-c")
 
-    def test_unknown_node_lookup_raises(self, triangle):
-        with pytest.raises(SimulationError):
-            triangle.node("nope")
+    def test_remove_unknown_node_raises(self):
+        testbed = LIDCTestbed.single_cluster(seed=0)
+        with pytest.raises(OverlayError):
+            testbed.overlay.remove_cluster("ghost")
+        # An access router is a node, but not a cluster that can leave.
+        with pytest.raises(OverlayError):
+            testbed.overlay.remove_cluster(CLIENT_EDGE)
+        assert testbed.overlay.node_names() == [CLIENT_EDGE, "cluster-a"]
+
+    def test_unknown_node_lookup_raises(self):
+        testbed = LIDCTestbed.single_cluster(seed=0)
+        overlay = testbed.overlay
+        with pytest.raises(OverlayError):
+            overlay.client("ghost")
+        with pytest.raises(OverlayError):
+            overlay.reachable_compute_origins("ghost")
+        with pytest.raises(OverlayError):
+            overlay.link_up(CLIENT_EDGE, "ghost")
+        with pytest.raises(LIDCError):
+            testbed.cluster("ghost")
 
 
 class TestPaths:
-    def test_shortest_path_prefers_low_latency(self, triangle):
-        # a->b->c costs 30 ms, direct a->c costs 50 ms.
-        assert triangle.shortest_path("a", "c") == ["a", "b", "c"]
+    """A link is the one-hop path every face's transfer delay comes from."""
 
-    def test_path_latency_sums_links(self, triangle):
-        assert triangle.path_latency("a", "c") == pytest.approx(0.030)
-
-    def test_no_path_raises(self):
-        topo = Topology()
-        topo.add_node("a")
-        topo.add_node("b")
-        with pytest.raises(SimulationError):
-            topo.shortest_path("a", "b")
-
-    def test_transfer_time_includes_serialisation(self, triangle):
+    def test_transfer_time_includes_serialisation(self):
         one_gb = 10 ** 9
-        time = triangle.path_transfer_time("a", "b", one_gb)
-        assert time == pytest.approx(0.010 + one_gb / 1e9)
+        link = Link("a", "b", latency_s=0.010, bandwidth_bps=1e9)
+        assert link.transfer_time(one_gb) == pytest.approx(0.010 + one_gb / 1e9)
+        assert link.transfer_time(0) == pytest.approx(0.010)
 
     def test_link_transfer_time_negative_size_rejected(self):
         with pytest.raises(SimulationError):
             Link("a", "b").transfer_time(-1)
 
-    def test_nearest_picks_lowest_latency_candidate(self, triangle):
-        assert triangle.nearest("a", ["b", "c"]) == "b"
+    def test_zero_bandwidth_link_costs_only_latency(self):
+        assert Link("a", "b", latency_s=0.02, bandwidth_bps=0).transfer_time(10 ** 6) == 0.02
 
-    def test_nearest_self_short_circuits(self, triangle):
-        assert triangle.nearest("a", ["a", "b"]) == "a"
+    def test_transfer_time_packet_uses_the_wire_size(self):
+        link = Link("a", "b", latency_s=0.001, bandwidth_bps=1000.0)
+        data = Data(name=Name("/a"), content=b"x" * 100).sign()
+        wire = WirePacket(data.encode())
+        assert wire.size == len(data.encode())
+        assert link.transfer_time_packet(wire) == pytest.approx(0.001 + wire.size / 1000.0)
+        assert link.transfer_time_packet(data) == link.transfer_time_packet(wire)
+
+    def test_shortest_path_prefers_low_latency(self):
+        # edge --100 ms-- cluster-a, and edge --5 ms-- relay --5 ms-- cluster-a.
+        testbed = LIDCTestbed.multi_cluster(1, seed=0, latencies_s=[0.100])
+        relay = testbed.overlay.add_access_router("relay")
+        testbed.overlay.connect(CLIENT_EDGE, "relay", latency_s=0.005)
+        testbed.overlay.connect("relay", "cluster-a", latency_s=0.005)
+        assert edge_compute_route(testbed).best().cost == pytest.approx(10.0)
+        assert place(testbed) == "cluster-a"
+        assert relay.metrics.counter("interests_received").value >= 1
+
+    def test_path_latency_sums_links(self):
+        # edge --10 ms-- r1 --30 ms-- r2 --45 ms-- cluster-a
+        testbed = LIDCTestbed.single_cluster(seed=0)
+        overlay = testbed.overlay
+        cluster = overlay.remove_cluster("cluster-a")
+        for router in ("r1", "r2"):
+            overlay.add_access_router(router)
+        overlay.connect(CLIENT_EDGE, "r1", latency_s=0.010)
+        overlay.connect("r1", "r2", latency_s=0.030)
+        overlay.add_cluster(cluster, connect_to=[("r2", 0.045)])
+        assert edge_compute_route(testbed).best().cost == pytest.approx(10 + 30 + 45)
+        submission = submit(testbed)
+        assert submission.cluster == "cluster-a"
+        # The ack crossed the three links twice.
+        assert submission.acknowledged_at - submission.submitted_at >= 2 * 0.085
+
+    def test_no_path_raises(self):
+        testbed = LIDCTestbed.single_cluster(seed=0)
+        testbed.overlay.remove_cluster("cluster-a")
+        assert testbed.overlay.reachable_compute_origins(CLIENT_EDGE) == []
+        consumer = Consumer(testbed.env, testbed.overlay.routers[CLIENT_EDGE])
+        with pytest.raises(InterestNacked, match="NoRoute"):
+            testbed.env.run(until=consumer.express_interest(
+                naming.COMPUTE_PREFIX.append("anything"), lifetime=5.0))
+
+    def test_nearest_picks_lowest_latency_candidate(self):
+        testbed = LIDCTestbed.multi_cluster(3, seed=0, latencies_s=[0.05, 0.01, 0.03])
+        testbed.overlay.use_nearest_cluster()
+        assert edge_compute_route(testbed).best().cost == pytest.approx(10.0)
+        assert place(testbed) == "cluster-b"
+
+    def test_nearest_self_short_circuits(self):
+        # cluster-a is nearer the client edge, but a request entering at
+        # cluster-b's own gateway is served there (its producer costs 0).
+        testbed = LIDCTestbed.multi_cluster(2, seed=0, latencies_s=[0.005, 0.05])
+        assert place(testbed, access_router="cluster-b") == "cluster-b"
+        assert interests_seen(testbed, "cluster-a") == 0
 
     def test_nearest_unreachable_candidates_ignored(self):
-        topo = Topology()
-        for name in ("a", "b", "island"):
-            topo.add_node(name)
-        topo.add_link(("a", "b"), latency_s=0.01)
-        assert topo.nearest("a", ["island", "b"]) == "b"
-        assert topo.nearest("a", ["island"]) is None
+        testbed = LIDCTestbed.multi_cluster(3, seed=0, latencies_s=[0.005, 0.02, 0.04])
+        testbed.overlay.use_nearest_cluster()
+        testbed.overlay.fail_cluster("cluster-a")
+        assert place(testbed) == "cluster-b"
+        # A partitioned cluster keeps its routes, but its link is down.
+        testbed.overlay.isolate("cluster-b")
+        assert place(testbed) == "cluster-c"
 
 
 class TestCannedTopologies:
     def test_star(self):
-        topo = Topology.star("hub", ["l1", "l2", "l3"], latency_s=0.02)
-        assert len(topo) == 4
-        assert topo.path_latency("l1", "l2") == pytest.approx(0.04)
+        testbed = LIDCTestbed.multi_cluster(3, seed=0, latencies_s=[0.01, 0.02, 0.03])
+        assert [(link.a, link.b, link.latency_s) for link in testbed.overlay.links()] == [
+            ("cluster-a", CLIENT_EDGE, 0.01),
+            ("cluster-b", CLIENT_EDGE, 0.02),
+            ("cluster-c", CLIENT_EDGE, 0.03),
+        ]
+        assert len(edge_compute_route(testbed).nexthops) == 3
 
     def test_line(self):
-        topo = Topology.line(["a", "b", "c", "d"], latency_s=0.01)
-        assert topo.path_latency("a", "d") == pytest.approx(0.03)
-
-    def test_full_mesh(self):
-        topo = Topology.full_mesh(["a", "b", "c"], latency_s=0.02)
-        for src in ("a", "b", "c"):
-            for dst in ("a", "b", "c"):
-                if src != dst:
-                    assert topo.path_latency(src, dst) == pytest.approx(0.02)
+        testbed = LIDCTestbed.multi_cluster(3, seed=0, topology="chain")
+        assert link_pairs(testbed) == [
+            ("cluster-a", CLIENT_EDGE), ("cluster-b", "cluster-a"), ("cluster-c", "cluster-b"),
+        ]
+        # Every cluster down the line is reachable, through one edge face.
+        assert testbed.overlay.reachable_compute_origins(CLIENT_EDGE) == [
+            "cluster-a", "cluster-b", "cluster-c"]
+        assert len(edge_compute_route(testbed).nexthops) == 1
