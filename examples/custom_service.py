@@ -84,7 +84,7 @@ def main() -> None:
     request = ComputeRequest(app="WORDCOUNT", cpu=1, memory_gb=1,
                              dataset="shopping-list", params={"min_len": "6"})
     print(f"Compute name: {request.to_name()}")
-    outcome = testbed.submit_and_wait(request, poll_interval_s=5.0)
+    outcome = testbed.submit_and_wait(request, client=testbed.client(poll_interval_s=5.0))
     if not outcome.succeeded:
         raise SystemExit(f"workflow failed: {outcome.error}")
     print(f"Executed on : {outcome.submission.cluster}")

@@ -56,7 +56,7 @@ def main() -> None:
     outcome = testbed.submit_and_wait(
         ComputeRequest(app="BLAST", cpu=1, memory_gb=1,
                        dataset="SRR0000001", reference="synthetic-reference"),
-        poll_interval_s=5.0,
+        client=testbed.client(poll_interval_s=5.0),
     )
     print(f"  job {outcome.submission.job_id} -> {outcome.state.value}")
     print(f"  result published as {outcome.result_name} ({outcome.result_size_bytes} bytes)")

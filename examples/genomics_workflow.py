@@ -31,7 +31,7 @@ def main() -> None:
         # A fresh testbed per configuration mirrors the paper's independent runs.
         testbed = LIDCTestbed.single_cluster(seed=7)
         client = testbed.client(poll_interval_s=600.0)
-        workflow = GenomicsWorkflow(client, poll_interval_s=600.0, fetch_results=False)
+        workflow = GenomicsWorkflow(client, fetch_results=False)
         report = testbed.run_process(
             workflow.blast(row.srr_id, reference=row.reference,
                            cpu=row.cpu, memory_gb=row.memory_gb)

@@ -62,11 +62,11 @@ def run_batch(testbed, client, count, label, gateways, learned, midway=None):
         for index in range(count):
             if midway is not None and index == count // 2:
                 midway()
-            outcome = yield from client.run_workflow(
+            outcome = yield client.submit(
                 ComputeRequest(app="SLEEP", cpu=1, memory_gb=1,
                                params={"duration": "60", "batch": label, "idx": str(index)}),
-                poll_interval_s=10.0, fetch_result=False,
-            )
+                fetch_result=False,
+            ).done
             outcomes.append(outcome)
         return outcomes
 

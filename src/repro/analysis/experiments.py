@@ -302,7 +302,7 @@ def run_fig5_workflow(seed: int = 0, srr_id: str = "SRR2931415", cpu: int = 2,
                       memory_gb: float = 4, poll_interval_s: float = 600.0) -> Fig5Decomposition:
     testbed = LIDCTestbed.single_cluster(seed=seed)
     client = testbed.client(poll_interval_s=poll_interval_s)
-    workflow = GenomicsWorkflow(client, poll_interval_s=poll_interval_s)
+    workflow = GenomicsWorkflow(client)
     report = testbed.run_process(workflow.blast(srr_id, cpu=cpu, memory_gb=memory_gb))
     return Fig5Decomposition(report=report)
 
@@ -384,9 +384,7 @@ def run_overlay_churn(seed: int = 0, cluster_count: int = 3, requests_per_phase:
         def phase():
             outcomes = []
             for _ in range(count):
-                outcome = yield from client.run_workflow(
-                    request(), poll_interval_s=10.0, fetch_result=False
-                )
+                outcome = yield client.submit(request(), fetch_result=False).done
                 outcomes.append(outcome)
             return outcomes
         return testbed.run_process(phase())
@@ -596,8 +594,7 @@ def run_caching_ablation(seed: int = 0, repeats: int = 5,
         # one's published result for the cache to answer it.
         for _ in range(repeats):
             start = testbed.env.now
-            handle = client.submit(request, unique=False, fetch_result=False,
-                                   poll_interval_s=10.0)
+            handle = client.submit(request, unique=False, fetch_result=False)
             outcome = testbed.run(until=handle.done)
             if not outcome.succeeded:
                 raise RuntimeError(f"caching-ablation job failed: {outcome.error}")
@@ -770,10 +767,10 @@ def run_baseline_comparison(seed: int = 0, cluster_count: int = 3,
         def phase():
             outcomes = []
             for _ in range(count):
-                outcome = yield from client.run_workflow(
+                outcome = yield client.submit(
                     ComputeRequest(app="SLEEP", cpu=1, memory_gb=1, params=dict(request_params)),
-                    poll_interval_s=10.0, fetch_result=False,
-                )
+                    fetch_result=False,
+                ).done
                 outcomes.append(outcome)
             return outcomes
         return lidc.run_process(phase())

@@ -45,7 +45,6 @@ from repro.analysis.lint.engine import (
     LintReport,
     ModuleRecord,
     Profile,
-    ProjectRule,
     Rule,
     SourceFile,
     SummaryRule,
@@ -74,7 +73,6 @@ __all__ = [
     "LintReport",
     "ModuleRecord",
     "Profile",
-    "ProjectRule",
     "Rule",
     "SourceFile",
     "SummaryCache",

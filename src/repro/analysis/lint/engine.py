@@ -6,9 +6,9 @@ dependencies.  The moving parts:
 
 * :class:`SourceFile` — one parsed module: source text, AST, and the waiver
   comments extracted from its token stream.
-* :class:`Rule` / :class:`ProjectRule` — a check over one file, or over the
-  whole scanned file set (cross-module symbol tables, e.g. the TLV type
-  registry check).
+* :class:`Rule` / :class:`SummaryRule` — a check over one file, or over the
+  module summaries and call graph of the whole scanned file set
+  (cross-module symbol tables, e.g. the TLV type registry check).
 * :class:`Profile` — a named rule subset; profiles are resolved per *path*
   (strict for the forwarding plane and the simulator, relaxed hygiene-only
   for cluster/benchmarks/tests) so one invocation can sweep a mixed tree.
@@ -45,7 +45,6 @@ __all__ = [
     "Waiver",
     "SourceFile",
     "Rule",
-    "ProjectRule",
     "SummaryRule",
     "ModuleRecord",
     "Profile",
@@ -176,17 +175,6 @@ class SourceFile:
             self.parse_error = f"syntax error: {exc.msg} (line {exc.lineno})"
         self.waivers: list[Waiver] = _scan_waivers(source)
 
-    @classmethod
-    def load(cls, path: "str | Path", display: Optional[str] = None) -> "SourceFile":
-        text = Path(path).read_text(encoding="utf-8")
-        return cls(display or str(path), text)
-
-    def waiver_for(self, rule: str, line: int) -> Optional[Waiver]:
-        for waiver in self.waivers:
-            if waiver.target_line == line and waiver.covers(rule):
-                return waiver
-        return None
-
 
 def _scan_waivers(source: str) -> list[Waiver]:
     """Extract waiver comments from the token stream (never from strings)."""
@@ -256,21 +244,11 @@ class Rule:
         return Finding(rule=self.id, path="", line=line, col=col, message=message)
 
 
-class ProjectRule(Rule):
-    """A rule needing the whole scanned file set (cross-module tables)."""
-
-    def check(self, module: SourceFile) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, modules: Sequence[SourceFile]) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
 class SummaryRule(Rule):
     """A project rule that runs on module summaries and the call graph.
 
-    Unlike :class:`ProjectRule`, a summary rule never needs an AST —
-    warm-cache runs can drive it from deserialised summaries alone.
+    A summary rule never needs an AST — warm-cache runs can drive it from
+    deserialised summaries alone.
     ``records`` is the in-scope subset (profile + path filtering already
     applied); ``index`` is the whole-program
     :class:`~repro.analysis.lint.callgraph.ProjectIndex`.
@@ -292,8 +270,7 @@ class ModuleRecord:
     ``local_findings`` are the line-local rule results *before* waiver
     application (waivers are applied uniformly at report time, so cached
     and fresh records behave identically).  ``summary`` feeds the
-    interprocedural layer; ``source`` is only retained for freshly parsed
-    files, for legacy :class:`ProjectRule` instances that still need ASTs.
+    interprocedural layer.
     """
 
     display: str
@@ -303,7 +280,6 @@ class ModuleRecord:
     parse_error: Optional[str] = None
     local_findings: list[Finding] = field(default_factory=list)
     summary: Optional[object] = None
-    source: Optional[SourceFile] = None
 
     def waiver_for(self, rule: str, line: int) -> Optional[Waiver]:
         for waiver in self.waivers:
@@ -501,13 +477,12 @@ class Linter:
             profile_name=profile_name,
             waivers=list(module.waivers),
             parse_error=module.parse_error,
-            source=module,
         )
         if module.parse_error is not None:
             return record
         profile = PROFILES[profile_name]
         for rule in self.rules:
-            if isinstance(rule, (ProjectRule, SummaryRule)):
+            if isinstance(rule, SummaryRule):
                 continue
             if profile.enables(rule) and rule.applies_to(module.path):
                 for found in rule.check(module):
@@ -635,13 +610,8 @@ class Linter:
         records: Sequence[ModuleRecord],
         profile_of: dict[str, Profile],
     ) -> Iterator[Finding]:
-        """Run legacy AST project rules and summary/call-graph rules."""
+        """Run the summary/call-graph rules."""
         summary_rules = [r for r in self.rules if isinstance(r, SummaryRule)]
-        legacy_rules = [
-            r
-            for r in self.rules
-            if isinstance(r, ProjectRule) and not isinstance(r, SummaryRule)
-        ]
         if summary_rules:
             from repro.analysis.lint.callgraph import ProjectIndex
 
@@ -658,24 +628,6 @@ class Linter:
                 ]
                 if in_scope:
                     yield from rule.check_summaries(in_scope, index)
-        for rule in legacy_rules:
-            in_scope_sources = []
-            for record in records:
-                if record.parse_error is not None:
-                    continue
-                if not (
-                    profile_of[record.path].enables(rule)
-                    and rule.applies_to(record.path)
-                ):
-                    continue
-                if record.source is None:  # cache hit: reload for the AST
-                    try:
-                        record.source = SourceFile.load(record.display)
-                    except OSError:
-                        continue
-                in_scope_sources.append(record.source)
-            if in_scope_sources:
-                yield from rule.check_project(in_scope_sources)
 
     def _sanctioned_findings(
         self,

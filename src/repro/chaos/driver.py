@@ -26,16 +26,13 @@ schedule, and the skip decision depends only on overlay state, so replays
 of the same (seed, spec) skip identically.
 
 Shard crashes are routed to any cluster whose gateway is a
-:class:`~repro.ndn.shard.ShardedForwarder` (discovered automatically) and
-reported to a registered :class:`~repro.cluster.scheduler.ShardAutoscaler`
-via ``signal_failure`` — closing the loop the issue asks for: gateway
-failure signals drive shard scaling.
+:class:`~repro.ndn.shard.ShardedForwarder` (discovered automatically).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.chaos.spec import FaultEvent, FaultKind
 from repro.core.overlay import ComputeOverlay
@@ -71,13 +68,10 @@ class ChaosDriver:
         env: Environment,
         overlay: ComputeOverlay,
         schedule: Sequence[FaultEvent],
-        autoscalers: "Optional[dict[str, object]] | None" = None,
     ) -> None:
         self.env = env
         self.overlay = overlay
         self.schedule = list(schedule)
-        #: node name -> ShardAutoscaler to poke on that node's shard crashes.
-        self.autoscalers = dict(autoscalers or {})
         self.records: list[InjectionRecord] = []
         self.applied = 0
         self.skipped = 0
@@ -201,9 +195,6 @@ class ChaosDriver:
         if index >= len(gateway.shards):
             return False, f"no shard {index} (node has {len(gateway.shards)})"
         aborted = gateway.crash_shard(index)
-        autoscaler = self.autoscalers.get(name)
-        if autoscaler is not None:
-            autoscaler.signal_failure()
         return True, f"aborted {aborted} pending Interest(s)"
 
     def _producer_churn(self, name: str) -> tuple[bool, str]:

@@ -38,18 +38,17 @@ class DnsRecord:
 class ClusterDNS:
     """Service-name resolution backed by the API server."""
 
-    def __init__(self, api: ApiServer, cluster_domain: str = CLUSTER_DOMAIN) -> None:
+    def __init__(self, api: ApiServer) -> None:
         self.api = api
-        self.cluster_domain = cluster_domain
         self.queries = 0
         self.failures = 0
 
     def qualify(self, service_name: str, namespace: str = "ndnk8s") -> str:
         """The fully-qualified DNS name for a service."""
-        return f"{service_name}.{namespace}.svc.{self.cluster_domain}"
+        return f"{service_name}.{namespace}.svc.{CLUSTER_DOMAIN}"
 
     def _parse(self, fqdn: str) -> tuple[str, str]:
-        suffix = f".svc.{self.cluster_domain}"
+        suffix = f".svc.{CLUSTER_DOMAIN}"
         if fqdn.endswith(suffix):
             head = fqdn[: -len(suffix)]
             parts = head.split(".")

@@ -15,13 +15,16 @@ Most users only need three names::
         ComputeRequest(app="BLAST", cpu=2, memory_gb=4,
                        dataset="SRR2931415", reference="HUMAN"))
 
-Non-blocking sessions drive many jobs through one client::
+Non-blocking sessions drive many jobs through one client, whose poll
+interval and retry policy hold for every job it submits::
 
-    client = testbed.client()
+    client = testbed.client(poll_interval_s=10.0)
     handles = client.submit_many([request_a, request_b, request_c])
     testbed.run(until=client.wait_all(handles))
 
-and a new application is one declarative registration::
+and a simulation process waits on one job with
+``outcome = yield client.submit(request).done``.  A new application is one
+declarative registration::
 
     testbed.register_service(ServiceDefinition(
         name="WORDCOUNT", runner=WordCountRunner(),
@@ -69,7 +72,7 @@ from repro.core.service import (
 )
 from repro.core.spec import ComputeRequest, JobRecord, JobState
 from repro.core.validation import BlastValidator, CompressionValidator
-from repro.core.workflow import CampaignResult, GenomicsWorkflow, WorkflowReport
+from repro.core.workflow import GenomicsWorkflow, WorkflowReport
 
 __all__ = [
     "naming",
@@ -94,7 +97,6 @@ __all__ = [
     "TestbedConfig",
     "GenomicsWorkflow",
     "WorkflowReport",
-    "CampaignResult",
     "BlastApplication",
     "CompressApplication",
     "SleepApplication",

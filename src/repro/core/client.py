@@ -22,8 +22,7 @@ Synchronous call sites use::
 
 and process generators use::
 
-    outcome = yield from client.run_workflow(request)     # or
-    outcome = yield handle.done
+    outcome = yield client.submit(request).done
 """
 
 from __future__ import annotations
@@ -45,15 +44,17 @@ from repro.sim.engine import Environment, Event, Timeout
 __all__ = ["SubmissionResult", "JobOutcome", "JobHandle", "LIDCClient", "RetryPolicy"]
 
 #: Default cap on the interval between status Interests, in simulated seconds.
-#: Tracking starts at :data:`DEFAULT_INITIAL_POLL_S` and backs off
-#: exponentially up to this cap.
+#: Tracking starts at :data:`INITIAL_POLL_S` and backs off exponentially up
+#: to this cap.
 DEFAULT_POLL_INTERVAL_S = 30.0
 #: First re-expression interval of the status-tracking loop.
-DEFAULT_INITIAL_POLL_S = 1.0
+INITIAL_POLL_S = 1.0
 #: Multiplier applied to the status interval after each non-terminal answer.
-DEFAULT_POLL_BACKOFF = 2.0
-#: Default Interest lifetime for LIDC control-plane exchanges.
-DEFAULT_LIFETIME_S = 10.0
+POLL_BACKOFF = 2.0
+#: Interest lifetime for LIDC control-plane exchanges.
+LIFETIME_S = 10.0
+#: Status polls after which a job that is still not terminal fails the session.
+MAX_POLLS = 100_000
 #: Default self-healing for control-plane exchanges: two retransmissions.
 DEFAULT_RETRY_POLICY = RetryPolicy(max_retries=2)
 
@@ -124,9 +125,7 @@ class JobHandle:
         done: Event,
         unique: bool = True,
         fetch_result: bool = False,
-        poll_interval_s: Optional[float] = None,
         delay_s: float = 0.0,
-        retry_policy: Optional[RetryPolicy] = None,
         deadline_s: Optional[float] = None,
     ) -> None:
         self.handle_id = next(self._id_counter)
@@ -135,10 +134,7 @@ class JobHandle:
         self.done = done
         self.unique = unique
         self.fetch_result = fetch_result
-        self.poll_interval_s = poll_interval_s
         self.delay_s = delay_s
-        #: Per-exchange self-healing policy (falls back to the client's).
-        self.retry_policy = retry_policy
         #: Whole-job budget in simulated seconds, counted from submission;
         #: when exceeded the session resolves to a FAILED outcome.
         self.deadline_s = deadline_s
@@ -211,16 +207,9 @@ class JobHandle:
         """The retrieved result payload (None until fetched / when modelled)."""
         return self._outcome.result_payload if self._outcome else None
 
-    # -- waiting -----------------------------------------------------------------
-
-    def wait(self):
-        """Process generator: wait for completion; returns the :class:`JobOutcome`."""
-        outcome = yield self.done
-        return outcome
-
     # -- cancellation ------------------------------------------------------------
 
-    def cancel(self, reason: str = "cancelled by client") -> bool:
+    def cancel(self) -> bool:
         """Stop tracking this job client-side.
 
         The computation itself keeps running on the cluster (the paper's
@@ -231,7 +220,7 @@ class JobHandle:
         if self.finished:
             return False
         if self._process is not None and self._process.is_alive:
-            self._process.interrupt(reason)
+            self._process.interrupt("cancelled by client")
             return True
         return False
 
@@ -262,20 +251,15 @@ class LIDCClient:
         forwarder: Forwarder,
         name: Optional[str] = None,
         poll_interval_s: float = DEFAULT_POLL_INTERVAL_S,
-        initial_poll_s: float = DEFAULT_INITIAL_POLL_S,
-        poll_backoff: float = DEFAULT_POLL_BACKOFF,
-        lifetime_s: float = DEFAULT_LIFETIME_S,
         retry_policy: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY,
     ) -> None:
         self.env = env
         self.name = name or f"lidc-client-{next(self._instance_counter)}"
+        #: Cap on the interval between status Interests of every job.
         self.poll_interval_s = poll_interval_s
-        self.initial_poll_s = initial_poll_s
-        self.poll_backoff = max(1.0, poll_backoff)
-        self.lifetime_s = lifetime_s
-        #: Client-wide self-healing policy for every control-plane exchange
-        #: (submission ack, status tracking, result retrieval); per-handle
-        #: policies override it.  None means no retransmission.
+        #: Self-healing policy for every control-plane exchange (submission
+        #: ack, status tracking, result retrieval).  None means no
+        #: retransmission.
         self.retry_policy = retry_policy
         self.consumer = Consumer(env, forwarder, name=self.name)
         self._request_counter = itertools.count(1)
@@ -292,8 +276,7 @@ class LIDCClient:
         params["req"] = f"{self.name}-{next(self._request_counter)}"
         return naming.compute_name(params)
 
-    def submit_interest(self, request: ComputeRequest, unique: bool = True,
-                        retry_policy: Optional[RetryPolicy] = None):
+    def submit_interest(self, request: ComputeRequest, unique: bool = True):
         """Process generator: express one compute Interest; returns a
         :class:`SubmissionResult` (the raw ack exchange, no status tracking).
 
@@ -306,8 +289,8 @@ class LIDCClient:
         self.submissions += 1
         try:
             data = yield self.consumer.express_interest(
-                name, lifetime=self.lifetime_s, must_be_fresh=True,
-                retry_policy=retry_policy if retry_policy is not None else self.retry_policy,
+                name, lifetime=LIFETIME_S, must_be_fresh=True,
+                retry_policy=self.retry_policy,
             )
         except (InterestTimeout, InterestNacked) as exc:
             return SubmissionResult(
@@ -336,9 +319,7 @@ class LIDCClient:
         request: ComputeRequest,
         unique: bool = True,
         fetch_result: bool = False,
-        poll_interval_s: Optional[float] = None,
         delay_s: float = 0.0,
-        retry_policy: Optional[RetryPolicy] = None,
         deadline_s: Optional[float] = None,
     ) -> JobHandle:
         """Submit a computation and return a :class:`JobHandle` immediately.
@@ -352,8 +333,7 @@ class LIDCClient:
             self, request,
             done=self.env.event(name=f"job:{request.app}"),
             unique=unique, fetch_result=fetch_result,
-            poll_interval_s=poll_interval_s, delay_s=delay_s,
-            retry_policy=retry_policy, deadline_s=deadline_s,
+            delay_s=delay_s, deadline_s=deadline_s,
         )
         self._in_flight.add(handle)
         self.max_in_flight = max(self.max_in_flight, len(self._in_flight))
@@ -378,9 +358,7 @@ class LIDCClient:
     def submit_many(
         self,
         requests: Sequence[ComputeRequest],
-        unique: bool = True,
         fetch_result: bool = False,
-        poll_interval_s: Optional[float] = None,
         stagger_s: float = 0.0,
     ) -> list[JobHandle]:
         """Submit N computations concurrently through this client's one Consumer.
@@ -389,21 +367,13 @@ class LIDCClient:
         ``i * stagger_s``); the default submits everything at once.
         """
         return [
-            self.submit(
-                request, unique=unique, fetch_result=fetch_result,
-                poll_interval_s=poll_interval_s, delay_s=index * stagger_s,
-            )
+            self.submit(request, fetch_result=fetch_result, delay_s=index * stagger_s)
             for index, request in enumerate(requests)
         ]
 
     def wait_all(self, handles: Iterable[JobHandle]) -> Event:
         """A composite event triggering when every handle is terminal."""
         return self.env.all_of([handle.done for handle in handles])
-
-    def gather(self, handles: Sequence[JobHandle]):
-        """Process generator: wait for all handles; returns their outcomes in order."""
-        yield self.env.all_of([handle.done for handle in handles])
-        return [handle.outcome for handle in handles]
 
     @property
     def in_flight(self) -> int:
@@ -454,9 +424,7 @@ class LIDCClient:
         if handle.delay_s > 0:
             yield self.env.timeout(handle.delay_s)
         timeline["submitted"] = self.env.now
-        submission = yield from self.submit_interest(
-            handle.request, unique=handle.unique, retry_policy=handle.retry_policy
-        )
+        submission = yield from self.submit_interest(handle.request, unique=handle.unique)
         timeline["acknowledged"] = self.env.now
         handle._submission = submission
         outcome = JobOutcome(request=handle.request, submission=submission, timeline=timeline)
@@ -480,7 +448,6 @@ class LIDCClient:
             try:
                 final = yield from self.wait_for_completion(
                     submission.job_id or "",
-                    poll_interval_s=handle.poll_interval_s,
                     status_name=submission.status_name,
                     _handle=handle,
                 )
@@ -505,9 +472,7 @@ class LIDCClient:
 
         if handle.fetch_result and outcome.result_name is not None:
             try:
-                manifest, payload = yield from self.retrieve_result(
-                    outcome.result_name, retry_policy=handle.retry_policy
-                )
+                manifest, payload = yield from self.retrieve_result(outcome.result_name)
             except (InterestTimeout, InterestNacked) as exc:
                 # The caller asked for the payload and cannot have it: the
                 # workflow as a whole failed, even though the cluster-side job
@@ -526,8 +491,7 @@ class LIDCClient:
 
     # ------------------------------------------------------------------ status
 
-    def poll_status(self, job_id: str, lifetime_s: Optional[float] = None,
-                    retry_policy: Optional[RetryPolicy] = None,
+    def poll_status(self, job_id: str, lifetime_s: float = LIFETIME_S,
                     status_name: Optional[Name] = None):
         """Process generator: one status exchange; returns the status payload dict.
 
@@ -537,36 +501,31 @@ class LIDCClient:
         """
         data = yield self.consumer.express_interest(
             status_name if status_name is not None else naming.status_name(job_id),
-            lifetime=lifetime_s if lifetime_s is not None else self.lifetime_s,
-            must_be_fresh=True,
-            retry_policy=retry_policy if retry_policy is not None else self.retry_policy,
+            lifetime=lifetime_s, must_be_fresh=True, retry_policy=self.retry_policy,
         )
         return json.loads(data.content_text())
 
-    def wait_for_completion(self, job_id: str, poll_interval_s: Optional[float] = None,
-                            max_polls: int = 100_000, status_name: Optional[Name] = None,
+    def wait_for_completion(self, job_id: str, status_name: Optional[Name] = None,
                             _handle: Optional[JobHandle] = None):
         """Process generator: track a job until it is terminal; returns the final payload.
 
         Every poll expresses ``status_name`` (see :meth:`poll_status`).
 
         Status Interests are re-expressed with exponential backoff: the first
-        follow-up goes out after :attr:`initial_poll_s`, and the interval
-        doubles (``poll_backoff``) up to ``poll_interval_s`` (defaulting to
-        the client-wide cap).  Short jobs are detected quickly without the
-        client hammering the gateway for long ones.
+        follow-up goes out after :data:`INITIAL_POLL_S`, and the interval
+        doubles (:data:`POLL_BACKOFF`) up to :attr:`poll_interval_s`.  Short
+        jobs are detected quickly without the client hammering the gateway
+        for long ones.
         """
-        cap = poll_interval_s if poll_interval_s is not None else self.poll_interval_s
-        interval = min(self.initial_poll_s, cap)
+        cap = self.poll_interval_s
+        interval = min(INITIAL_POLL_S, cap)
         polls = 0
         while True:
             # Long-lived status Interests: the lifetime grows with the backoff
             # interval so a slow gateway has the whole window to answer before
             # the exchange counts as a timeout.
             payload = yield from self.poll_status(
-                job_id, lifetime_s=max(self.lifetime_s, interval),
-                retry_policy=_handle.retry_policy if _handle is not None else None,
-                status_name=status_name)
+                job_id, lifetime_s=max(LIFETIME_S, interval), status_name=status_name)
             polls += 1
             state = JobState(payload.get("state", JobState.FAILED.value))
             if _handle is not None:
@@ -576,54 +535,31 @@ class LIDCClient:
             if state.is_terminal():
                 payload["_polls"] = polls
                 return payload
-            if polls >= max_polls:
+            if polls >= MAX_POLLS:
                 raise LIDCError(f"job {job_id} still not terminal after {polls} polls")
             yield self.env.timeout(interval)
-            interval = min(interval * self.poll_backoff, cap)
+            interval = min(interval * POLL_BACKOFF, cap)
 
     # ------------------------------------------------------------------ results
 
-    def retrieve_result(self, result_name: "Name | str", fetch_payload: bool = True,
-                        retry_policy: Optional[RetryPolicy] = None):
+    def retrieve_result(self, result_name: "Name | str", fetch_payload: bool = True):
         """Process generator: fetch a result's manifest (and payload when materialised).
 
-        The manifest and every payload segment go out under ``retry_policy``
-        (the client's own when ``None``).  Returns
-        ``(manifest_dict, payload_bytes_or_None)``.
+        The manifest and every payload segment go out under the client's
+        :attr:`retry_policy`.  Returns ``(manifest_dict, payload_bytes_or_None)``.
         """
         result_name = Name(result_name)
-        policy = retry_policy if retry_policy is not None else self.retry_policy
         manifest_data = yield self.consumer.express_interest(
-            result_name, lifetime=self.lifetime_s, retry_policy=policy,
+            result_name, lifetime=LIFETIME_S, retry_policy=self.retry_policy,
         )
         manifest = json.loads(manifest_data.content_text())
         payload: Optional[bytes] = None
         if fetch_payload and manifest.get("has_payload"):
             payload = yield from self.consumer.fetch_segments(
-                result_name, lifetime=self.lifetime_s, retry_policy=policy
+                result_name, lifetime=LIFETIME_S, retry_policy=self.retry_policy
             )
         return manifest, payload
 
     def retrieve_dataset(self, dataset_id: str, fetch_payload: bool = True):
         """Process generator: retrieve a dataset from the data lake by id."""
         return (yield from self.retrieve_result(naming.data_name(dataset_id), fetch_payload))
-
-    # ------------------------------------------------------------------ end-to-end workflow
-
-    def run_workflow(
-        self,
-        request: ComputeRequest,
-        poll_interval_s: Optional[float] = None,
-        fetch_result: bool = True,
-        unique: bool = True,
-    ):
-        """Process generator implementing the full Fig. 5 protocol.
-
-        A thin wrapper over :meth:`submit`: opens a job session and waits on
-        its handle.  Returns a :class:`JobOutcome` with a per-step timeline.
-        """
-        handle = self.submit(
-            request, unique=unique, fetch_result=fetch_result,
-            poll_interval_s=poll_interval_s,
-        )
-        return (yield from handle.wait())

@@ -46,6 +46,10 @@ __all__ = ["LIDCCluster"]
 
 #: Prefixes every LIDC cluster announces into the overlay.
 ANNOUNCED_PREFIXES = (naming.COMPUTE_PREFIX, naming.STATUS_PREFIX, naming.DATA_PREFIX)
+#: Content Store capacity of the gateway and data-lake NFDs, in packets.
+CS_CAPACITY = 4096
+#: Size of the PVC that backs the data lake.
+DATALAKE_SIZE = "500Gi"
 
 
 class LIDCCluster:
@@ -58,16 +62,11 @@ class LIDCCluster:
         registry: Optional[SraRegistry] = None,
         runtime_model: Optional[BlastRuntimeModel] = None,
         enable_result_cache: bool = False,
-        reject_when_busy: bool = True,
-        cs_capacity: int = 4096,
-        datalake_size: str = "500Gi",
         load_paper_datasets: bool = True,
         load_synthetic_datasets: bool = False,
         seed: int = 0,
         tracer: Optional[Tracer] = None,
-        services: Optional[ServiceRegistry] = None,
         gateway_shards: int = 1,
-        gateway_hot_cache: int = 128,
     ) -> None:
         self.env = env
         self.spec = spec
@@ -88,16 +87,15 @@ class LIDCCluster:
             # one shard (see the repro.ndn.shard partitioning contract).
             self.gateway_nfd: "Forwarder | ShardedForwarder" = ShardedForwarder(
                 env, name=f"{spec.name}-gw-nfd", shards=gateway_shards,
-                key_depth=4, cs_capacity=cs_capacity,
-                tracer=self.tracer, hot_cache=gateway_hot_cache,
+                key_depth=4, cs_capacity=CS_CAPACITY, tracer=self.tracer,
             )
         else:
             self.gateway_nfd = Forwarder(
-                env, name=f"{spec.name}-gw-nfd", cs_capacity=cs_capacity,
+                env, name=f"{spec.name}-gw-nfd", cs_capacity=CS_CAPACITY,
                 tracer=self.tracer,
             )
         self.datalake_nfd = Forwarder(
-            env, name=f"{spec.name}-dl-nfd", cs_capacity=cs_capacity,
+            env, name=f"{spec.name}-dl-nfd", cs_capacity=CS_CAPACITY,
             cache_unsolicited=True, tracer=self.tracer,
         )
         intra_link = Link(f"{spec.name}-gw", f"{spec.name}-dl",
@@ -113,7 +111,7 @@ class LIDCCluster:
         # -- data lake --------------------------------------------------------------
         self.loader = DataLoadingTool(self.cluster, registry=self.registry, seed=seed)
         self.datalake = self.loader.create_datalake(
-            pvc_name="datalake-pvc", size=datalake_size, lake_name=f"{spec.name}-datalake"
+            pvc_name="datalake-pvc", size=DATALAKE_SIZE, lake_name=f"{spec.name}-datalake"
         )
         if load_paper_datasets:
             self.loader.load_paper_datasets(self.datalake)
@@ -125,7 +123,7 @@ class LIDCCluster:
         # One declarative service registry per site: the schema, validator,
         # runner and cache policy of every application, wired to this
         # cluster's SRA registry and calibrated runtime model.
-        self.services = services or ServiceRegistry.with_defaults(
+        self.services = ServiceRegistry.with_defaults(
             runtime=ServiceRuntime(
                 sra_registry=self.registry, runtime_model=self.runtime_model,
                 clock=lambda: env.now,
@@ -138,7 +136,6 @@ class LIDCCluster:
             datalake=self.datalake,
             services=self.services,
             enable_result_cache=enable_result_cache,
-            reject_when_busy=reject_when_busy,
             tracer=self.tracer,
         )
 
@@ -178,10 +175,10 @@ class LIDCCluster:
 
     # ------------------------------------------------------------------ overlay membership
 
-    def announce_prefixes(self, cost: float = 0.0) -> None:
+    def announce_prefixes(self) -> None:
         """Advertise this cluster's LIDC prefixes into the overlay."""
         for prefix in ANNOUNCED_PREFIXES:
-            self.routing.announce(prefix, cost=cost)
+            self.routing.announce(prefix)
 
     def withdraw_prefixes(self) -> None:
         """Withdraw every announced prefix (cluster leaving the overlay)."""

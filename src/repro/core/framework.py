@@ -9,21 +9,27 @@ the paper describes:
   the gateway to the cluster"), plus a client edge router;
 * :meth:`LIDCTestbed.multi_cluster` — N clusters joined through a client edge
   router (star) or a chain, for the multi-cluster experiments.
+
+What varies between experiments is in :class:`TestbedConfig` and the
+arguments of :meth:`LIDCTestbed.add_cluster`; what never does is a module
+constant (wide-area latency and bandwidth, the region rotation).  Poll
+interval and retry policy belong to the client
+(``testbed.client(poll_interval_s=...)``) and hold for every job it submits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cluster.cluster import ClusterSpec
-from repro.core.client import JobHandle, JobOutcome, LIDCClient
+from repro.core.client import JobOutcome, LIDCClient
 from repro.core.cluster_endpoint import LIDCCluster
 from repro.core.overlay import ComputeOverlay
 from repro.core.service import ServiceDefinition
 from repro.core.spec import ComputeRequest
-from repro.core.workflow import GenomicsWorkflow, WorkflowReport
-from repro.exceptions import LIDCError
+from repro.exceptions import LIDCError, OverlayError
 from repro.genomics.runtime_model import BlastRuntimeModel
 from repro.genomics.sra import SraRegistry
 from repro.sim.engine import Environment
@@ -34,6 +40,20 @@ __all__ = ["TestbedConfig", "LIDCTestbed"]
 
 #: Default client access-router name.
 CLIENT_EDGE = "client-edge"
+#: Latency of a wide-area link, in seconds, unless ``add_cluster`` is given one.
+WAN_LATENCY_S = 0.02
+#: Bandwidth of every wide-area link, in bytes per second.
+WAN_BANDWIDTH_BPS = 1e9
+#: Regions assigned to clusters round robin, in the order they are added.
+REGIONS = (
+    "us-central1", "us-east1", "europe-west1", "asia-east1",
+    "us-west1", "europe-north1", "asia-south1", "australia-southeast1",
+)
+
+
+def _cluster_name(index: int) -> str:
+    """The automatic name of the ``index``-th cluster: cluster-a … cluster-z, cluster-a1 …"""
+    return f"cluster-{chr(ord('a') + index % 26)}{index // 26 or ''}"
 
 
 @dataclass
@@ -45,16 +65,8 @@ class TestbedConfig:
     node_cpu: float = 8
     node_memory: str = "32Gi"
     enable_result_cache: bool = False
-    reject_when_busy: bool = True
     load_paper_datasets: bool = True
     load_synthetic_datasets: bool = False
-    wan_latency_s: float = 0.02
-    wan_bandwidth_bps: float = 1e9
-    runtime_noise_fraction: float = 0.0
-    regions: Sequence[str] = field(default_factory=lambda: (
-        "us-central1", "us-east1", "europe-west1", "asia-east1",
-        "us-west1", "europe-north1", "asia-south1", "australia-southeast1",
-    ))
 
 
 class LIDCTestbed:
@@ -66,12 +78,10 @@ class LIDCTestbed:
         self.rng = SeededRNG(self.config.seed)
         self.tracer = Tracer(clock=lambda: self.env.now)
         self.registry = SraRegistry()
-        self.runtime_model = BlastRuntimeModel(
-            registry=self.registry, rng=self.rng,
-            noise_fraction=self.config.runtime_noise_fraction,
-        )
+        self.runtime_model = BlastRuntimeModel(registry=self.registry, rng=self.rng)
         self.overlay = ComputeOverlay(self.env, tracer=self.tracer)
         self.overlay.add_access_router(CLIENT_EDGE)
+        #: Clusters added so far; the next cluster's seed and region index.
         self._cluster_counter = 0
         #: Extra services registered testbed-wide; applied to every cluster,
         #: including ones added after the registration.
@@ -115,16 +125,25 @@ class LIDCTestbed:
         node_count: Optional[int] = None,
         node_cpu: Optional[float] = None,
         node_memory: Optional[str] = None,
-        region: Optional[str] = None,
     ) -> LIDCCluster:
-        """Create a new LIDC cluster and attach it to the overlay."""
+        """Create a new LIDC cluster and attach it to the overlay.
+
+        Without ``name`` the cluster takes the first free ``cluster-<x>``
+        name from its own index on; a name already in the overlay is refused
+        before anything is built.
+        """
         config = self.config
         index = self._cluster_counter
+        taken = set(self.overlay.node_names())
+        if name is None:
+            name = next(candidate for candidate in map(_cluster_name, itertools.count(index))
+                        if candidate not in taken)
+        elif name in taken:
+            raise OverlayError(f"overlay node {name!r} already exists")
         self._cluster_counter += 1
-        name = name or f"cluster-{chr(ord('a') + index % 26)}{index // 26 or ''}"
         spec = ClusterSpec(
             name=name,
-            region=region or config.regions[index % len(config.regions)],
+            region=REGIONS[index % len(REGIONS)],
             node_count=node_count if node_count is not None else config.node_count,
             node_cpu=node_cpu if node_cpu is not None else config.node_cpu,
             node_memory=node_memory if node_memory is not None else config.node_memory,
@@ -135,7 +154,6 @@ class LIDCTestbed:
             registry=self.registry,
             runtime_model=self.runtime_model,
             enable_result_cache=config.enable_result_cache,
-            reject_when_busy=config.reject_when_busy,
             load_paper_datasets=config.load_paper_datasets,
             load_synthetic_datasets=config.load_synthetic_datasets,
             seed=config.seed + index,
@@ -145,10 +163,8 @@ class LIDCTestbed:
             cluster.register_service(definition.clone())
         connections = []
         if connect_to is not None:
-            connections = [(connect_to, latency_s if latency_s is not None else config.wan_latency_s)]
-        self.overlay.add_cluster(
-            cluster, connect_to=connections, bandwidth_bps=config.wan_bandwidth_bps
-        )
+            connections = [(connect_to, latency_s if latency_s is not None else WAN_LATENCY_S)]
+        self.overlay.add_cluster(cluster, connect_to=connections, bandwidth_bps=WAN_BANDWIDTH_BPS)
         return cluster
 
     # ------------------------------------------------------------------ service plane
@@ -183,9 +199,6 @@ class LIDCTestbed:
     def client(self, access_router: str = CLIENT_EDGE, **kwargs) -> LIDCClient:
         return self.overlay.client(access_router, **kwargs)
 
-    def workflow(self, client: Optional[LIDCClient] = None, **kwargs) -> GenomicsWorkflow:
-        return GenomicsWorkflow(client or self.client(), **kwargs)
-
     # ------------------------------------------------------------------ execution helpers
 
     def run(self, until=None):
@@ -196,41 +209,7 @@ class LIDCTestbed:
         return self.env.run_process(generator, name=name)
 
     def submit_and_wait(self, request: ComputeRequest, client: Optional[LIDCClient] = None,
-                        poll_interval_s: Optional[float] = None,
                         fetch_result: bool = True) -> JobOutcome:
         """Synchronous convenience: open one job session and run it to completion."""
         client = client or self.client()
-        handle = client.submit(
-            request, fetch_result=fetch_result, poll_interval_s=poll_interval_s
-        )
-        return self.run(until=handle.done)
-
-    def submit_many_and_wait(
-        self,
-        requests: Sequence[ComputeRequest],
-        client: Optional[LIDCClient] = None,
-        poll_interval_s: Optional[float] = None,
-        fetch_result: bool = False,
-        stagger_s: float = 0.0,
-    ) -> list[JobOutcome]:
-        """Synchronous convenience: drive N concurrent job sessions to completion.
-
-        All requests go through one client (one Consumer); the handles
-        complete independently and the outcomes come back in submission order.
-        """
-        client = client or self.client()
-        handles: list[JobHandle] = client.submit_many(
-            requests, fetch_result=fetch_result,
-            poll_interval_s=poll_interval_s, stagger_s=stagger_s,
-        )
-        self.run(until=client.wait_all(handles))
-        return [handle.outcome for handle in handles]
-
-    def run_blast(self, srr_id: str, reference: str = "HUMAN", cpu: float = 2,
-                  memory_gb: float = 4, client: Optional[LIDCClient] = None) -> WorkflowReport:
-        """Synchronous convenience: one full BLAST workflow with step decomposition."""
-        workflow = self.workflow(client)
-        return self.run_process(
-            workflow.blast(srr_id, reference=reference, cpu=cpu, memory_gb=memory_gb),
-            name=f"blast:{srr_id}",
-        )
+        return self.run(until=client.submit(request, fetch_result=fetch_result).done)

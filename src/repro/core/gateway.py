@@ -28,7 +28,6 @@ from repro.cluster.quantity import Quantity, parse_memory
 from repro.core import naming
 from repro.core.caching import ResultCache
 from repro.core.jobs import JobTracker
-from repro.core.predictor import CompletionTimePredictor
 from repro.core.service import ServiceDefinition, ServiceRegistry
 from repro.core.spec import ComputeRequest, JobRecord, JobState
 from repro.datalake.repo import DataLake
@@ -42,6 +41,9 @@ from repro.sim.trace import Tracer
 
 __all__ = ["Gateway"]
 
+#: Freshness of every ack, status and error reply, in seconds.
+ACK_FRESHNESS_S = 1.0
+
 
 class Gateway:
     """The per-cluster LIDC gateway application."""
@@ -54,9 +56,6 @@ class Gateway:
         datalake: DataLake,
         services: Optional[ServiceRegistry] = None,
         enable_result_cache: bool = False,
-        predictor: Optional[CompletionTimePredictor] = None,
-        reject_when_busy: bool = True,
-        ack_freshness_s: float = 1.0,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.env = env
@@ -67,9 +66,6 @@ class Gateway:
         self.services = services if services is not None else ServiceRegistry.with_defaults()
         self.enable_result_cache = enable_result_cache
         self.cache = ResultCache()
-        self.predictor = predictor
-        self.reject_when_busy = reject_when_busy
-        self.ack_freshness_s = ack_freshness_s
         self.tracker = JobTracker(cluster.name, clock=lambda: env.now)
         self.tracer = tracer or Tracer(clock=lambda: env.now)
         self.metrics = MetricsRegistry()
@@ -123,7 +119,7 @@ class Gateway:
                 return self._ack_data(interest.name, record, cached_result=str(cached.result_name))
 
         requests = Quantity(cpu=request.cpu, memory=parse_memory(f"{request.memory_gb:g}Gi"))
-        if self.reject_when_busy and not self.cluster.can_fit(requests):
+        if not self.cluster.can_fit(requests):
             self.metrics.counter("compute_rejected_capacity").inc()
             self.tracer.record("gateway", "capacity-rejected", name=str(interest.name))
             return interest.nack(NackReason.CONGESTION)
@@ -188,9 +184,6 @@ class Gateway:
             if (self.enable_result_cache and result_name is not None
                     and self.services.cacheable(record.request.app)):
                 self.cache.store(record.request, result_name, result_size or 0, record.job_id)
-            if self.predictor is not None and record.runtime() is not None:
-                dataset_size = self._dataset_size(record.request)
-                self.predictor.observe(record.request, record.runtime(), dataset_size)
         else:
             message = k8s_job.status.message or "kubernetes job failed"
             if finished:
@@ -220,11 +213,6 @@ class Gateway:
                            size=dataset_record.size_bytes)
         return dataset_record.content_name, dataset_record.size_bytes
 
-    def _dataset_size(self, request: ComputeRequest) -> float:
-        if request.dataset and self.datalake.has_dataset(request.dataset):
-            return float(self.datalake.size_of(request.dataset))
-        return 0.0
-
     # ------------------------------------------------------------------ status
 
     def _on_status(self, interest: InterestLike) -> "Data | Nack | WirePacket":
@@ -246,7 +234,7 @@ class Gateway:
         return Data(
             name=interest.name,
             content=json.dumps(payload, sort_keys=True).encode("utf-8"),
-            freshness_period=self.ack_freshness_s,
+            freshness_period=ACK_FRESHNESS_S,
         ).sign()
 
     def _refresh_state(self, record: JobRecord) -> None:
@@ -275,7 +263,7 @@ class Gateway:
         return Data(
             name=name,
             content=json.dumps(payload, sort_keys=True).encode("utf-8"),
-            freshness_period=self.ack_freshness_s,
+            freshness_period=ACK_FRESHNESS_S,
         ).sign()
 
     def _error_data(self, name: Name, message: str) -> Data:
@@ -283,7 +271,7 @@ class Gateway:
         return Data(
             name=name,
             content=json.dumps(payload, sort_keys=True).encode("utf-8"),
-            freshness_period=self.ack_freshness_s,
+            freshness_period=ACK_FRESHNESS_S,
         ).sign()
 
     # ------------------------------------------------------------------ queries

@@ -58,7 +58,11 @@ class HttpResponse:
         return 200 <= self.status < 300
 
 
-def request_to_url(request: ComputeRequest, base_url: str = "https://lidc.example.org") -> str:
+#: Scheme and host of every compute URL :func:`request_to_url` builds.
+BASE_URL = "https://lidc.example.org"
+
+
+def request_to_url(request: ComputeRequest) -> str:
     """Encode a compute request as an HTTPS URL.
 
     The query string carries exactly the parameters the NDN name would carry,
@@ -66,7 +70,7 @@ def request_to_url(request: ComputeRequest, base_url: str = "https://lidc.exampl
     """
     params = request.to_params()
     query = urllib.parse.urlencode(sorted(params.items()))
-    return f"{base_url.rstrip('/')}{COMPUTE_PATH}?{query}"
+    return f"{BASE_URL}{COMPUTE_PATH}?{query}"
 
 
 def url_to_request(url: str) -> ComputeRequest:
@@ -133,7 +137,7 @@ class HttpGatewayFacade:
 
         requested = Quantity(cpu=compute_request.cpu,
                              memory=parse_memory(f"{compute_request.memory_gb:g}Gi"))
-        if self.gateway.reject_when_busy and not self.gateway.cluster.can_fit(requested):
+        if not self.gateway.cluster.can_fit(requested):
             return self._json(503, {"error": "insufficient capacity on this cluster"})
         try:
             record = self.gateway.submit_local(compute_request, validate=False)

@@ -9,14 +9,13 @@ the NACK-retry behaviour of the forwarders adapt placement automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core import naming
 from repro.core.client import LIDCClient
 from repro.core.cluster_endpoint import LIDCCluster
 from repro.exceptions import OverlayError
-from repro.ndn.face import Face, connect
+from repro.ndn.face import NetworkFace, connect
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.routing import RoutingDaemon
 from repro.ndn.strategy import (
@@ -32,16 +31,6 @@ from repro.sim.trace import Tracer
 __all__ = ["ComputeOverlay"]
 
 
-@dataclass(frozen=True)
-class _OverlayLink:
-    """A wide-area adjacency in the overlay."""
-
-    a: str
-    b: str
-    latency_s: float
-    bandwidth_bps: float
-
-
 class ComputeOverlay:
     """A loosely coupled overlay of compute clusters and access routers."""
 
@@ -51,20 +40,16 @@ class ComputeOverlay:
         self.clusters: dict[str, LIDCCluster] = {}
         self.routers: dict[str, Forwarder] = {}
         self._router_daemons: dict[str, RoutingDaemon] = {}
-        self._links: list[_OverlayLink] = []
-        self._faces: dict[tuple[str, str], tuple[Face, Face]] = {}
+        #: (a, b) -> the two faces of that wide-area link, in creation order.
+        self._faces: dict[tuple[str, str], tuple[NetworkFace, NetworkFace]] = {}
 
     # ------------------------------------------------------------------ membership
 
-    def add_access_router(self, name: str, cs_capacity: int = 4096,
-                          cache_results: bool = True) -> Forwarder:
+    def add_access_router(self, name: str, cs_capacity: int = 4096) -> Forwarder:
         """Add a client access router (the client's local NDN forwarder)."""
         if name in self.routers or name in self.clusters:
             raise OverlayError(f"overlay node {name!r} already exists")
-        router = Forwarder(
-            env=self.env, name=name,
-            cs_capacity=cs_capacity if cache_results else 0, tracer=self.tracer,
-        )
+        router = Forwarder(env=self.env, name=name, cs_capacity=cs_capacity, tracer=self.tracer)
         # A job's status name is owned by the one cluster that admitted it
         # (it is a component of the name); every other cluster Nacks the poll.
         # The access router remembers which upstream answered for that
@@ -103,13 +88,12 @@ class ComputeOverlay:
             cluster.announce_prefixes()
         return cluster
 
-    def remove_cluster(self, name: str, withdraw: bool = True) -> LIDCCluster:
+    def remove_cluster(self, name: str) -> LIDCCluster:
         """Remove a cluster (graceful leave: withdraw prefixes, close links)."""
         cluster = self.clusters.get(name)
         if cluster is None:
             raise OverlayError(f"no cluster {name!r} in the overlay")
-        if withdraw:
-            cluster.withdraw_prefixes()
+        cluster.withdraw_prefixes()
         self._disconnect_all(name)
         del self.clusters[name]
         self.tracer.record("overlay", "cluster-left", cluster=name)
@@ -139,11 +123,10 @@ class ComputeOverlay:
                 daemon_a.remove_adjacency(b)
                 daemon_b.remove_adjacency(a)
                 del self._faces[(a, b)]
-        self._links = [link for link in self._links if name not in (link.a, link.b)]
 
     # ------------------------------------------------------------------ link faults
 
-    def _link_faces(self, a: str, b: str) -> tuple[Face, Face]:
+    def _link_faces(self, a: str, b: str) -> tuple[NetworkFace, NetworkFace]:
         pair = self._faces.get((a, b)) or self._faces.get((b, a))
         if pair is None:
             raise OverlayError(f"no overlay link between {a!r} and {b!r}")
@@ -215,8 +198,11 @@ class ComputeOverlay:
         raise OverlayError(f"unknown overlay node {name!r}")
 
     def connect(self, a: str, b: str, latency_s: float = 0.02,
-                bandwidth_bps: float = 1e9, link_cost: Optional[float] = None) -> _OverlayLink:
-        """Create a bidirectional wide-area link between two overlay nodes."""
+                bandwidth_bps: float = 1e9) -> Link:
+        """Create a bidirectional wide-area link between two overlay nodes.
+
+        Its routing cost is the latency in milliseconds (at least 1).
+        """
         if a == b:
             raise OverlayError("cannot connect a node to itself")
         if (a, b) in self._faces or (b, a) in self._faces:
@@ -225,11 +211,9 @@ class ComputeOverlay:
         link = Link(a, b, latency_s=latency_s, bandwidth_bps=bandwidth_bps)
         face_a, face_b = connect(self.env, forwarder_a, forwarder_b, link=link, label=f"{a}<->{b}")
         self._faces[(a, b)] = (face_a, face_b)
-        cost = link_cost if link_cost is not None else max(1.0, latency_s * 1000.0)
+        cost = max(1.0, latency_s * 1000.0)
         RoutingDaemon.peer(self._daemon_of(a), face_a, self._daemon_of(b), face_b, link_cost=cost)
-        overlay_link = _OverlayLink(a=a, b=b, latency_s=latency_s, bandwidth_bps=bandwidth_bps)
-        self._links.append(overlay_link)
-        return overlay_link
+        return link
 
     # ------------------------------------------------------------------ strategies
 
@@ -262,8 +246,9 @@ class ComputeOverlay:
     def node_names(self) -> list[str]:
         return sorted(list(self.clusters) + list(self.routers))
 
-    def links(self) -> list[_OverlayLink]:
-        return list(self._links)
+    def links(self) -> list[Link]:
+        """Every live wide-area link, in the order they were connected."""
+        return [face_a.link for face_a, _face_b in self._faces.values()]
 
     def reachable_compute_origins(self, from_node: str) -> list[str]:
         """Which clusters' compute prefixes the given node currently knows about."""

@@ -73,8 +73,8 @@ class RandomPlacement:
 
     name = "random"
 
-    def __init__(self, rng: Optional[SeededRNG] = None) -> None:
-        self.rng = rng or SeededRNG(0)
+    def __init__(self) -> None:
+        self.rng = SeededRNG(0)
 
     def select(self, request, clusters):
         feasible = _feasible(request, clusters)
@@ -153,10 +153,9 @@ class LearnedPlacement:
 
     name = "learned"
 
-    def __init__(self, predictor: CompletionTimePredictor,
-                 fallback: Optional[PlacementStrategy] = None) -> None:
+    def __init__(self, predictor: CompletionTimePredictor) -> None:
         self.predictor = predictor
-        self.fallback = fallback or LeastLoadedPlacement()
+        self.fallback = LeastLoadedPlacement()
 
     def select(self, request, clusters):
         feasible = _feasible(request, clusters)

@@ -22,6 +22,9 @@ from repro.core.spec import ComputeRequest, JobRecord
 
 __all__ = ["CompletionTimePredictor"]
 
+#: Ridge penalty of the per-application least-squares fit.
+RIDGE = 1e-3
+
 
 @dataclass(frozen=True)
 class _TrainingExample:
@@ -32,35 +35,30 @@ class _TrainingExample:
     app: str
 
 
-def _request_features(request: ComputeRequest, dataset_size_bytes: float) -> tuple[float, ...]:
-    """Feature vector: bias, 1/cpu, 1/mem, dataset size (GB), dataset size / cpu."""
-    size_gb = dataset_size_bytes / 1e9
+def _request_features(request: ComputeRequest) -> tuple[float, ...]:
+    """Feature vector: bias, 1/cpu, 1/mem."""
     return (
         1.0,
         1.0 / max(request.cpu, 1e-6),
         1.0 / max(request.memory_gb, 1e-6),
-        size_gb,
-        size_gb / max(request.cpu, 1e-6),
     )
 
 
 class CompletionTimePredictor:
     """Per-application online linear regression for job runtimes."""
 
-    def __init__(self, min_examples: int = 3, ridge: float = 1e-3) -> None:
+    def __init__(self, min_examples: int = 3) -> None:
         self.min_examples = min_examples
-        self.ridge = ridge
         self._examples: dict[str, list[_TrainingExample]] = {}
         self._weights: dict[str, np.ndarray] = {}
         self.predictions_made = 0
 
     # -- training -------------------------------------------------------------------
 
-    def observe(self, request: ComputeRequest, runtime_s: float,
-                dataset_size_bytes: float = 0.0) -> _TrainingExample:
+    def observe(self, request: ComputeRequest, runtime_s: float) -> _TrainingExample:
         """Add one completed-job observation and refit that application's model."""
         example = _TrainingExample(
-            features=_request_features(request, dataset_size_bytes),
+            features=_request_features(request),
             runtime_s=float(runtime_s),
             app=request.app.upper(),
         )
@@ -68,12 +66,12 @@ class CompletionTimePredictor:
         self._fit(example.app)
         return example
 
-    def observe_record(self, record: JobRecord, dataset_size_bytes: float = 0.0) -> Optional[_TrainingExample]:
+    def observe_record(self, record: JobRecord) -> Optional[_TrainingExample]:
         """Convenience: train from a completed :class:`JobRecord`."""
         runtime = record.runtime()
         if runtime is None:
             return None
-        return self.observe(record.request, runtime, dataset_size_bytes)
+        return self.observe(record.request, runtime)
 
     def _fit(self, app: str) -> None:
         examples = self._examples.get(app, [])
@@ -82,7 +80,7 @@ class CompletionTimePredictor:
         features = np.array([ex.features for ex in examples], dtype=float)
         targets = np.array([ex.runtime_s for ex in examples], dtype=float)
         n_features = features.shape[1]
-        gram = features.T @ features + self.ridge * np.eye(n_features)
+        gram = features.T @ features + RIDGE * np.eye(n_features)
         self._weights[app] = np.linalg.solve(gram, features.T @ targets)
 
     # -- prediction -------------------------------------------------------------------
@@ -90,7 +88,7 @@ class CompletionTimePredictor:
     def is_trained(self, app: str) -> bool:
         return app.upper() in self._weights
 
-    def predict(self, request: ComputeRequest, dataset_size_bytes: float = 0.0) -> Optional[float]:
+    def predict(self, request: ComputeRequest) -> Optional[float]:
         """Predicted runtime in seconds, or ``None`` before enough training data."""
         app = request.app.upper()
         weights = self._weights.get(app)
@@ -101,7 +99,7 @@ class CompletionTimePredictor:
                 return None
             return float(np.mean([ex.runtime_s for ex in examples]))
         self.predictions_made += 1
-        features = np.array(_request_features(request, dataset_size_bytes), dtype=float)
+        features = np.array(_request_features(request), dtype=float)
         prediction = float(features @ weights)
         return max(0.0, prediction)
 

@@ -415,15 +415,8 @@ class ServiceRegistry:
     # -- defaults -----------------------------------------------------------------
 
     @classmethod
-    def with_defaults(
-        cls,
-        registry: Any = None,
-        model: Any = None,
-        runtime: Optional[ServiceRuntime] = None,
-    ) -> "ServiceRegistry":
+    def with_defaults(cls, runtime: Optional[ServiceRuntime] = None) -> "ServiceRegistry":
         """The service set LIDC ships with: BLAST (+MAGICBLAST), COMPRESS, SLEEP."""
-        if runtime is None:
-            runtime = ServiceRuntime(sra_registry=registry, runtime_model=model)
         services = cls(runtime=runtime)
         for definition in _default_service_definitions():
             services.register(definition)

@@ -9,12 +9,12 @@ the Fig. 5 experiment reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.client import JobOutcome, LIDCClient
 from repro.core.spec import ComputeRequest
 
-__all__ = ["WorkflowReport", "GenomicsWorkflow", "CampaignResult", "decompose"]
+__all__ = ["WorkflowReport", "GenomicsWorkflow", "decompose"]
 
 
 @dataclass(frozen=True)
@@ -71,72 +71,22 @@ def decompose(outcome: JobOutcome) -> list[_StepTiming]:
     return steps
 
 
-@dataclass
-class CampaignResult:
-    """Aggregate over a sequence of workflow executions."""
-
-    reports: list[WorkflowReport] = field(default_factory=list)
-
-    @property
-    def completed(self) -> int:
-        return sum(1 for report in self.reports if report.succeeded)
-
-    @property
-    def failed(self) -> int:
-        return len(self.reports) - self.completed
-
-    def mean_end_to_end_s(self) -> float:
-        finished = [report.end_to_end_s for report in self.reports if report.succeeded]
-        return sum(finished) / len(finished) if finished else 0.0
-
-    def clusters_used(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for report in self.reports:
-            cluster = report.outcome.submission.cluster
-            if cluster:
-                counts[cluster] = counts.get(cluster, 0) + 1
-        return counts
-
-    def cache_hits(self) -> int:
-        return sum(1 for report in self.reports if report.outcome.from_cache)
-
-
 class GenomicsWorkflow:
     """Drives BLAST workflows through a client."""
 
-    def __init__(self, client: LIDCClient, poll_interval_s: Optional[float] = None,
-                 fetch_results: bool = True) -> None:
+    def __init__(self, client: LIDCClient, fetch_results: bool = True) -> None:
         self.client = client
-        self.poll_interval_s = poll_interval_s
         self.fetch_results = fetch_results
 
-    # -- single request ------------------------------------------------------------
-
-    def run(self, request: ComputeRequest, unique: bool = True):
+    def run(self, request: ComputeRequest):
         """Process generator: run one workflow; returns a :class:`WorkflowReport`."""
-        outcome = yield from self.client.run_workflow(
-            request, poll_interval_s=self.poll_interval_s,
-            fetch_result=self.fetch_results, unique=unique,
-        )
+        outcome = yield self.client.submit(request, fetch_result=self.fetch_results).done
         return WorkflowReport(outcome=outcome, steps=decompose(outcome))
 
     def blast(self, srr_id: str, reference: str = "HUMAN", cpu: float = 2,
-              memory_gb: float = 4, unique: bool = True):
+              memory_gb: float = 4):
         """Process generator: BLAST one SRA sample against a reference."""
         request = ComputeRequest(
             app="BLAST", cpu=cpu, memory_gb=memory_gb, dataset=srr_id, reference=reference
         )
-        return (yield from self.run(request, unique=unique))
-
-    # -- campaigns -----------------------------------------------------------------------
-
-    def run_campaign(self, requests: Sequence[ComputeRequest], unique: bool = True,
-                     inter_arrival_s: float = 0.0):
-        """Process generator: run several workflows sequentially; returns a campaign."""
-        campaign = CampaignResult()
-        for index, request in enumerate(requests):
-            if index > 0 and inter_arrival_s > 0:
-                yield self.client.env.timeout(inter_arrival_s)
-            report = yield from self.run(request, unique=unique)
-            campaign.reports.append(report)
-        return campaign
+        return (yield from self.run(request))

@@ -18,19 +18,20 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from repro.exceptions import DataLakeError, DatasetNotFound
-from repro.datalake.repo import DataLake
+from repro.exceptions import DataLakeError, DatasetNotFound, NDNError
+from repro.datalake.repo import DATA_PREFIX, DataLake
 from repro.ndn.client import Producer
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, InterestLike, Nack, NackReason, WirePacket
-from repro.ndn.security import DigestSigner, HmacSigner
-from repro.ndn.segmentation import DEFAULT_SEGMENT_SIZE, segment_content
+from repro.ndn.segmentation import DEFAULT_SEGMENT_SIZE, parse_segment, segment_content
 from repro.sim.engine import Environment
 
 __all__ = ["FileServer"]
 
 CATALOG_COMPONENT = "_catalog"
+#: Freshness of every manifest, segment and catalogue reply, in seconds.
+FRESHNESS_PERIOD = 60.0
 
 
 class FileServer:
@@ -42,24 +43,20 @@ class FileServer:
         forwarder: Forwarder,
         datalake: DataLake,
         segment_size: int = DEFAULT_SEGMENT_SIZE,
-        signer: "DigestSigner | HmacSigner | None" = None,
-        freshness_period: float = 60.0,
     ) -> None:
         self.env = env
         self.datalake = datalake
         self.segment_size = segment_size
-        self.freshness_period = freshness_period
         self.requests_served = 0
         self.requests_failed = 0
         self._segment_cache: dict[str, list[Data]] = {}
         self.producer = Producer(
             env,
             forwarder,
-            prefix=datalake.prefix,
+            prefix=DATA_PREFIX,
             handler=self._handle,
-            signer=signer,
             name=f"fileserver:{datalake.name}",
-            freshness_period=freshness_period,
+            freshness_period=FRESHNESS_PERIOD,
         )
 
     # -- request handling ------------------------------------------------------------
@@ -67,13 +64,13 @@ class FileServer:
     def _handle(self, interest: InterestLike) -> "Data | Nack | WirePacket":
         try:
             return self._dispatch(interest)
-        except (DatasetNotFound, DataLakeError):
+        except (DatasetNotFound, DataLakeError, NDNError):
             self.requests_failed += 1
             return interest.nack(NackReason.NO_ROUTE)
 
     def _dispatch(self, interest: InterestLike) -> Data:
         name = interest.name
-        suffix = name.suffix(len(self.datalake.prefix))
+        suffix = name.suffix(len(DATA_PREFIX))
         if len(suffix) == 0:
             raise DataLakeError("bare data-prefix request")
         first = suffix[0].to_str()
@@ -89,10 +86,12 @@ class FileServer:
             # Manifest request.
             return self._make_data(name, record.manifest_bytes())
 
+        if len(suffix) > 2:
+            raise DataLakeError(f"unrecognised data request {name}")
         second = suffix[1].to_str()
         if second.startswith("seg="):
+            index = parse_segment(second)
             segments = self._segments_for(dataset_id)
-            index = int(second[len("seg="):])
             if index >= len(segments):
                 raise DataLakeError(f"segment {index} out of range for {dataset_id}")
             return segments[index]
@@ -105,15 +104,12 @@ class FileServer:
             payload = self.datalake.read_bytes(dataset_id)
             base = self.datalake.content_name(dataset_id)
             self._segment_cache[dataset_id] = segment_content(
-                base, payload, segment_size=self.segment_size,
-                signer=self.producer.signer, freshness_period=self.freshness_period,
+                base, payload, segment_size=self.segment_size, freshness_period=FRESHNESS_PERIOD,
             )
         return self._segment_cache[dataset_id]
 
     def _make_data(self, name: Name, payload: bytes) -> Data:
-        return Data(
-            name=name, content=payload, freshness_period=self.freshness_period
-        ).sign(self.producer.signer)
+        return Data(name=name, content=payload, freshness_period=FRESHNESS_PERIOD).sign()
 
     # -- cache maintenance ----------------------------------------------------------------
 

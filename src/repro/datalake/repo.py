@@ -30,12 +30,10 @@ class DataLake:
     def __init__(
         self,
         pvc: PersistentVolumeClaim,
-        prefix: "Name | str" = DATA_PREFIX,
         name: str = "datalake",
         clock=None,
     ) -> None:
         self.pvc = pvc
-        self.prefix = Name(prefix)
         self.name = name
         self.catalog = DataCatalog()
         self._clock = clock or (lambda: 0.0)
@@ -45,14 +43,14 @@ class DataLake:
 
     def content_name(self, dataset_id: str) -> Name:
         """The NDN name under which a dataset is served."""
-        return self.prefix.append(dataset_id)
+        return DATA_PREFIX.append(dataset_id)
 
     def dataset_id_from_name(self, name: "Name | str") -> str:
         """Extract the dataset id from a ``/ndn/k8s/data/<id>[/...]`` name."""
         name = Name(name)
-        if not self.prefix.is_prefix_of(name) or len(name) <= len(self.prefix):
-            raise DataLakeError(f"{name} is not inside the data namespace {self.prefix}")
-        return name[len(self.prefix)].to_str()
+        if not DATA_PREFIX.is_prefix_of(name) or len(name) <= len(DATA_PREFIX):
+            raise DataLakeError(f"{name} is not inside the data namespace {DATA_PREFIX}")
+        return name[len(DATA_PREFIX)].to_str()
 
     # -- publication ----------------------------------------------------------------
 

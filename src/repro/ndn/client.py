@@ -20,8 +20,7 @@ from repro.ndn.face import AnyPacket, Face, LocalFace, connect
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name, parse_name
 from repro.ndn.packet import Data, Interest, InterestLike, Nack, NackReason, WirePacket
-from repro.ndn.security import DigestSigner, HmacSigner
-from repro.ndn.segmentation import reassemble, segment_content
+from repro.ndn.segmentation import parse_segment, reassemble, segment_content
 from repro.ndn.tlv import TlvTypes
 from repro.sim.engine import Environment, Event, Timeout
 from repro.sim.rng import SeededRNG
@@ -390,10 +389,7 @@ class Consumer:
         segments = [first]
         if first.final_block_id is None:
             return first.content
-        last_label = first.final_block_id.to_str()
-        if not last_label.startswith("seg="):
-            raise NDNError(f"unexpected final block id {last_label!r}")
-        last_index = int(last_label[len("seg="):])
+        last_index = parse_segment(first.final_block_id.to_str())
         for index in range(1, last_index + 1):
             segment = yield self.express_interest(
                 base.append(f"seg={index}"), lifetime=lifetime, retry_policy=retry_policy
@@ -411,7 +407,6 @@ class Producer:
         forwarder: Forwarder,
         prefix: "Name | str",
         handler: Optional[Callable[[InterestLike], "AnyPacket | None"]] = None,
-        signer: "DigestSigner | HmacSigner | None" = None,
         name: str = "producer",
         freshness_period: float = 0.0,
     ) -> None:
@@ -419,7 +414,6 @@ class Producer:
         self.name = name
         self.prefix = Name(prefix)
         self.forwarder = forwarder
-        self.signer = signer or DigestSigner()
         self.freshness_period = freshness_period
         self._store: dict[Name, Data] = {}
         self._handler = handler
@@ -428,23 +422,21 @@ class Producer:
 
     # -- publishing -------------------------------------------------------------
 
-    def publish(self, name: "Name | str", content: "bytes | str", segment_size: int = 0,
-                freshness_period: Optional[float] = None) -> list[Data]:
+    def publish(self, name: "Name | str", content: "bytes | str",
+                segment_size: int = 0) -> list[Data]:
         """Add content to the producer's static store (optionally segmented)."""
         name = Name(name)
         if not self.prefix.is_prefix_of(name):
             raise NDNError(f"{name} is outside the producer prefix {self.prefix}")
         if isinstance(content, str):
             content = content.encode("utf-8")
-        freshness = self.freshness_period if freshness_period is None else freshness_period
         if segment_size and len(content) > segment_size:
             packets = segment_content(
-                name, content, segment_size=segment_size, signer=self.signer,
-                freshness_period=freshness,
+                name, content, segment_size=segment_size, freshness_period=self.freshness_period,
             )
         else:
             packets = [
-                Data(name=name, content=content, freshness_period=freshness).sign(self.signer)
+                Data(name=name, content=content, freshness_period=self.freshness_period).sign()
             ]
         for packet in packets:
             self._store[packet.name] = packet
@@ -477,11 +469,3 @@ class Producer:
         if self._handler is not None:
             return self._handler(interest)
         return interest.nack(NackReason.NO_ROUTE)
-
-    def make_data(self, name: "Name | str", content: "bytes | str",
-                  freshness_period: Optional[float] = None) -> Data:
-        """Build and sign a Data packet in this producer's namespace."""
-        freshness = self.freshness_period if freshness_period is None else freshness_period
-        if isinstance(content, str):
-            content = content.encode("utf-8")
-        return Data(name=Name(name), content=content, freshness_period=freshness).sign(self.signer)

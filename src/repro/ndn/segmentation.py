@@ -13,9 +13,8 @@ from typing import Iterable, Optional, Sequence
 from repro.exceptions import NDNError
 from repro.ndn.name import Component, Name
 from repro.ndn.packet import Data
-from repro.ndn.security import DigestSigner, HmacSigner
 
-__all__ = ["segment_content", "reassemble", "DEFAULT_SEGMENT_SIZE"]
+__all__ = ["segment_content", "reassemble", "parse_segment", "DEFAULT_SEGMENT_SIZE"]
 
 #: Default segment payload size in bytes (mirrors common NDN repo settings).
 DEFAULT_SEGMENT_SIZE = 8192
@@ -25,10 +24,9 @@ def segment_content(
     base_name: "Name | str",
     content: bytes,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    signer: "DigestSigner | HmacSigner | None" = None,
     freshness_period: float = 0.0,
 ) -> list[Data]:
-    """Split ``content`` into signed Data segments under ``base_name``.
+    """Split ``content`` into digest-signed Data segments under ``base_name``.
 
     Even empty content produces a single (empty) segment so consumers always
     find ``seg=0``.
@@ -36,7 +34,6 @@ def segment_content(
     if segment_size <= 0:
         raise NDNError(f"segment size must be positive, got {segment_size}")
     base = Name(base_name)
-    signer = signer or DigestSigner()
     chunks: list[bytes] = [
         content[offset:offset + segment_size] for offset in range(0, len(content), segment_size)
     ] or [b""]
@@ -48,19 +45,26 @@ def segment_content(
             content=chunk,
             freshness_period=freshness_period,
             final_block_id=final_block,
-        ).sign(signer)
+        ).sign()
         packets.append(packet)
     return packets
 
 
+def parse_segment(label: str) -> int:
+    """The index ``n`` of a ``seg=<n>`` component label.
+
+    ``n`` must be a non-negative decimal integer in its canonical form (no
+    sign, spaces or leading zeros), so exactly one label names each
+    segment; anything else raises :class:`NDNError`.
+    """
+    digits = label[len("seg="):] if label.startswith("seg=") else ""
+    if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and len(digits) > 1):
+        raise NDNError(f"malformed segment component {label!r}")
+    return int(digits)
+
+
 def _segment_index(data: Data) -> int:
-    label = data.name.last().to_str()
-    if not label.startswith("seg="):
-        raise NDNError(f"not a segment name: {data.name}")
-    try:
-        return int(label[len("seg="):])
-    except ValueError as exc:
-        raise NDNError(f"malformed segment index in {data.name}") from exc
+    return parse_segment(data.name.last().to_str())
 
 
 def reassemble(segments: "Sequence[Data] | Iterable[Data]") -> bytes:
@@ -80,12 +84,10 @@ def reassemble(segments: "Sequence[Data] | Iterable[Data]") -> bytes:
             raise NDNError(f"duplicate segment {index} for {packet.name.prefix(-1)}")
         indexed[index] = packet
         if packet.final_block_id is not None:
-            label = packet.final_block_id.to_str()
-            if label.startswith("seg="):
-                last = int(label[len("seg="):])
-                if expected_last is not None and expected_last != last:
-                    raise NDNError("segments disagree on the final block id")
-                expected_last = last
+            last = parse_segment(packet.final_block_id.to_str())
+            if expected_last is not None and expected_last != last:
+                raise NDNError("segments disagree on the final block id")
+            expected_last = last
     last_index = expected_last if expected_last is not None else max(indexed)
     missing = [i for i in range(last_index + 1) if i not in indexed]
     if missing:

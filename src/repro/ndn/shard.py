@@ -446,7 +446,6 @@ class ShardedForwarder:
         shards: int = 2,
         key_depth: int = 1,
         cs_capacity: int = 1024,
-        cache_unsolicited: bool = False,
         tracer: Optional[Tracer] = None,
         dispatch_service_s: float = 0.0,
         shard_service_s: float = 0.0,
@@ -463,7 +462,6 @@ class ShardedForwarder:
         # Build parameters kept verbatim so resize() can mint new shards
         # identical to the originals.
         self._cs_capacity = cs_capacity
-        self._cache_unsolicited = cache_unsolicited
         self._shard_service_s = shard_service_s
         self._picker = _make_shard_picker(shards)
         self.tracer = tracer or Tracer(clock=lambda: env.now, enabled=False)
@@ -473,7 +471,6 @@ class ShardedForwarder:
                 env,
                 name=f"{name}/shard{index}",
                 cs_capacity=self._shard_capacity(cs_capacity, index, shards),
-                cache_unsolicited=cache_unsolicited,
                 tracer=self.tracer,
             )
             for index in range(shards)
@@ -695,7 +692,6 @@ class ShardedForwarder:
                 self.env,
                 name=f"{self.name}/shard{index}",
                 cs_capacity=self._shard_capacity(self._cs_capacity, index, shards),
-                cache_unsolicited=self._cache_unsolicited,
                 tracer=self.tracer,
             )
             if self.hot_cache is not None:

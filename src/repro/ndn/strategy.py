@@ -374,8 +374,8 @@ class DispatcherHotCache:
 class StrategyChoiceTable:
     """Per-prefix strategy selection with longest-prefix-match semantics."""
 
-    def __init__(self, default: Optional[Strategy] = None) -> None:
-        self._default = default or BestRouteStrategy()
+    def __init__(self) -> None:
+        self._default: Strategy = BestRouteStrategy()
         self._choices: dict[Name, Strategy] = {}
 
     def set_strategy(self, prefix: "Name | str", strategy: Strategy) -> None:

@@ -26,7 +26,6 @@ class Link:
     b: str
     latency_s: float = 0.001
     bandwidth_bps: float = 10e9  # bytes per second
-    loss: float = 0.0
 
     def transfer_time(self, size_bytes: int) -> float:
         """Time to push ``size_bytes`` through this link (propagation + serialisation)."""

@@ -13,6 +13,7 @@ from repro.cluster.cluster import ClusterSpec
 from repro.core.cluster_endpoint import LIDCCluster
 from repro.core.framework import CLIENT_EDGE, LIDCTestbed
 from repro.core.overlay import ComputeOverlay
+from repro.core.spec import ComputeRequest
 from repro.exceptions import OverlayError
 from repro.sim.engine import Environment
 
@@ -25,9 +26,8 @@ def make_testbed(clusters=2):
     return LIDCTestbed.multi_cluster(clusters, seed=3, load_paper_datasets=False)
 
 
-def run_schedule(testbed, schedule, until=None, autoscalers=None):
-    driver = ChaosDriver(testbed.env, testbed.overlay, schedule,
-                         autoscalers=autoscalers)
+def run_schedule(testbed, schedule, until=None):
+    driver = ChaosDriver(testbed.env, testbed.overlay, schedule)
     driver.start()
     testbed.run(until=until)
     return driver
@@ -87,8 +87,9 @@ class TestNodeFaults:
             event(2.0, FaultKind.NODE_RESTART, "cluster-a", seq=2),
             event(2.5, FaultKind.NODE_RESTART, "cluster-b", seq=3),
         ], until=3.0)
-        report = testbed.run_blast("SRR2931415")
-        assert report.succeeded
+        outcome = testbed.submit_and_wait(ComputeRequest(
+            app="BLAST", cpu=2, memory_gb=4, dataset="SRR2931415", reference="HUMAN"))
+        assert outcome.succeeded
 
 
 class TestLinkFaults:
@@ -180,23 +181,6 @@ class TestShardCrash:
         env.run(until=2.0)
         assert driver.applied == 1
         assert len(cluster.gateway_nfd.shards[1].cs) == 0
-
-    def test_crash_pokes_the_registered_autoscaler(self):
-        env, overlay, _cluster = self.sharded_overlay()
-
-        class Recorder:
-            signals = 0
-
-            def signal_failure(self, count=1):
-                Recorder.signals += count
-
-        driver = ChaosDriver(env, overlay, [
-            event(1.0, FaultKind.SHARD_CRASH, "shardy/0"),
-        ], autoscalers={"shardy": Recorder()})
-        driver.start()
-        env.run(until=2.0)
-        assert driver.applied == 1
-        assert Recorder.signals == 1
 
     def test_crash_of_missing_shard_index_is_skipped(self):
         env, overlay, _cluster = self.sharded_overlay()

@@ -1,7 +1,6 @@
 """Acceptance soak: 50+ seeded faults under a flash-crowd Zipf workload.
 
-A three-cluster overlay (sharded gateways, per-cluster autoscalers) is
-driven by a seeded flash-crowd + Zipf workload while a chaos schedule of
+A three-cluster overlay (every gateway sharded in two) is driven by a seeded flash-crowd + Zipf workload while a chaos schedule of
 more than fifty fault events — kills, restarts, link flaps, partitions,
 heals, shard crashes, producer churn — plays out against it.  The bar:
 
@@ -14,15 +13,14 @@ heals, shard crashes, producer churn — plays out against it.  The bar:
   (fail-over between live clusters is the forwarding plane's job and
   costs the client nothing),
 * the overlay whole again at the end (every pair recovered), and
-* the entire run — workload counters, injection ledger, autoscaler
-  decisions — replays bit-identically from the same seed.
+* the entire run — workload counters, injection ledger, edge link
+  events — replays bit-identically from the same seed.
 """
 
 import pytest
 
 from repro.chaos import ChaosDriver, ChaosSpec, build_schedule, schedule_hash
 from repro.cluster.cluster import ClusterSpec
-from repro.cluster.scheduler import ShardAutoscaler
 from repro.core.cluster_endpoint import LIDCCluster
 from repro.core.framework import CLIENT_EDGE
 from repro.core.overlay import ComputeOverlay
@@ -62,10 +60,10 @@ def _serve_tenants(cluster: LIDCCluster) -> None:
     original_announce = cluster.announce_prefixes
     original_withdraw = cluster.withdraw_prefixes
 
-    def announce(cost: float = 0.0) -> None:
-        original_announce(cost)
+    def announce() -> None:
+        original_announce()
         for tenant in TENANTS:
-            cluster.routing.announce(tenant, cost=cost)
+            cluster.routing.announce(tenant)
 
     def withdraw() -> None:
         original_withdraw()
@@ -123,7 +121,6 @@ def run_soak(seed: int) -> dict:
     overlay = ComputeOverlay(env)
     edge = overlay.add_access_router(CLIENT_EDGE)
 
-    autoscalers = {}
     clusters = {}
     for name in CLUSTER_NAMES:
         cluster = LIDCCluster(
@@ -134,14 +131,9 @@ def run_soak(seed: int) -> dict:
         _serve_tenants(cluster)
         overlay.add_cluster(cluster, connect_to=[(CLIENT_EDGE, 0.005)])
         clusters[name] = cluster
-        autoscalers[name] = ShardAutoscaler(
-            env, cluster.gateway_nfd, interval_s=0.5,
-            high_watermark=500.0, low_watermark=1.0,
-            min_shards=2, max_shards=4, cooldown_s=1.0,
-        )
 
     schedule = build_schedule(_chaos_spec(), root.spawn("chaos"))
-    driver = ChaosDriver(env, overlay, schedule, autoscalers=autoscalers)
+    driver = ChaosDriver(env, overlay, schedule)
     driver.start()
 
     # Wrong-content guard: every Data must carry the tenant of the name it
@@ -192,18 +184,6 @@ def run_soak(seed: int) -> dict:
             if ev.event in ("cluster-joined", "cluster-failed", "link-down", "link-up")
         ],
         "injections": driver.report(),
-        "decisions": {
-            name: [
-                (decision.at, decision.reason, decision.old_shards,
-                 decision.new_shards)
-                for decision in autoscaler.decisions
-            ]
-            for name, autoscaler in autoscalers.items()
-        },
-        "final_shards": {
-            name: cluster.gateway_nfd.num_shards
-            for name, cluster in clusters.items()
-        },
         "clusters_alive": sorted(overlay.clusters),
         "links_up": all(
             overlay.link_up(link.a, link.b) for link in overlay.links()
@@ -291,14 +271,6 @@ class TestChaosSoak:
         assert soak["links_up"]
         assert soak["injections"]["still_down"] == []
         assert soak["injections"]["still_partitioned"] == []
-
-    def test_failure_signals_drove_the_autoscaler(self, soak):
-        all_decisions = [
-            decision
-            for decisions in soak["decisions"].values()
-            for decision in decisions
-        ]
-        assert any("failure signal" in decision[1] for decision in all_decisions)
 
     def test_replay_is_bit_identical(self, soak):
         assert run_soak(SEED) == soak

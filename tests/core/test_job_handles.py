@@ -141,11 +141,10 @@ class TestSessionRobustness:
         assert "result retrieval failed" in (outcome.error or "")
         assert handle.result() is None
 
-    def test_result_retrieval_follows_the_handle_retry_policy(self):
+    def test_result_retrieval_follows_the_client_retry_policy(self):
         # The result's first segment Interest is Congestion-Nacked once. The
-        # client itself never retries; the handle's policy retries Nacks, and
-        # it must govern the manifest and every segment, as it does the
-        # submission and the status polls.
+        # client's policy retries Nacks, and it must govern the manifest and
+        # every segment, as it does the submission and the status polls.
         env = Environment()
         edge = Forwarder(env, "edge", cs_capacity=0)
         result_name = naming.data_name("job-x-output")
@@ -171,9 +170,8 @@ class TestSessionRobustness:
 
         edge.attach_producer(naming.COMPUTE_PREFIX, on_compute)
         edge.attach_producer(naming.DATA_PREFIX, on_data)
-        client = LIDCClient(env, edge, retry_policy=None)
-        handle = client.submit(sleep_request(5), fetch_result=True,
-                               retry_policy=RetryPolicy(retry_nacks=True))
+        client = LIDCClient(env, edge, retry_policy=RetryPolicy(retry_nacks=True))
+        handle = client.submit(sleep_request(5), fetch_result=True)
         outcome = env.run(until=handle.done)
         assert nacked
         assert outcome.succeeded, outcome.error
@@ -245,11 +243,12 @@ class TestConcurrentHandles:
         jobs, duration = 8, 60.0
         concurrent_bed = LIDCTestbed.single_cluster(
             seed=8, node_count=2, node_cpu=8, node_memory="32Gi")
-        concurrent = concurrent_bed.submit_many_and_wait(
-            [sleep_request(duration, idx=str(i)) for i in range(jobs)],
-            poll_interval_s=5.0)
+        concurrent_client = concurrent_bed.client(poll_interval_s=5.0)
+        concurrent = concurrent_client.submit_many(
+            [sleep_request(duration, idx=str(i)) for i in range(jobs)])
+        concurrent_bed.run(until=concurrent_client.wait_all(concurrent))
         concurrent_makespan = concurrent_bed.env.now
-        assert all(outcome.succeeded for outcome in concurrent)
+        assert all(handle.succeeded for handle in concurrent)
 
         sequential_bed = LIDCTestbed.single_cluster(
             seed=8, node_count=2, node_cpu=8, node_memory="32Gi")
@@ -262,14 +261,15 @@ class TestConcurrentHandles:
         # The concurrent batch is bounded by the slowest job, not the sum.
         assert concurrent_makespan < 2 * duration
 
-    def test_gather_returns_outcomes_in_submission_order(self):
+    def test_outcomes_come_back_in_submission_order(self):
         testbed = LIDCTestbed.single_cluster(
             seed=9, node_count=2, node_cpu=8, node_memory="32Gi")
         client = testbed.client(poll_interval_s=5.0)
         handles = client.submit_many(
             [sleep_request(duration, idx=str(i))
              for i, duration in enumerate([30.0, 10.0, 20.0])])
-        outcomes = testbed.run_process(client.gather(handles))
+        testbed.run(until=client.wait_all(handles))
+        outcomes = [handle.outcome for handle in handles]
         assert [outcome.runtime_s for outcome in outcomes] == [
             pytest.approx(30.0, abs=1.0), pytest.approx(10.0, abs=1.0),
             pytest.approx(20.0, abs=1.0)]

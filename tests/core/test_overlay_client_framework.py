@@ -78,7 +78,8 @@ class TestOverlayMembership:
 class TestClientWorkflow:
     def test_single_cluster_blast_workflow(self):
         testbed = LIDCTestbed.single_cluster(seed=1)
-        report = testbed.run_blast("SRR2931415", cpu=2, memory_gb=4)
+        workflow = GenomicsWorkflow(testbed.client())
+        report = testbed.run_process(workflow.blast("SRR2931415", cpu=2, memory_gb=4))
         outcome = report.outcome
         assert outcome.succeeded
         assert outcome.submission.cluster == "cluster-a"
@@ -108,7 +109,7 @@ class TestClientWorkflow:
         outcome = testbed.submit_and_wait(
             ComputeRequest(app="BLAST", cpu=1, memory_gb=1,
                            dataset="SRR0000001", reference="synthetic-reference"),
-            poll_interval_s=5.0)
+            client=testbed.client(poll_interval_s=5.0))
         assert outcome.succeeded
         assert outcome.result_payload is not None
         assert len(outcome.result_payload) == outcome.result_size_bytes
@@ -124,16 +125,6 @@ class TestClientWorkflow:
         manifest, payload = testbed.run_process(fetch())
         assert manifest["dataset_id"] == "synthetic-reference"
         assert payload is not None and payload.startswith(b">")
-
-    def test_campaign_aggregation(self):
-        testbed = LIDCTestbed.multi_cluster(2, seed=4)
-        workflow = GenomicsWorkflow(testbed.client(poll_interval_s=10.0), fetch_results=False)
-        requests = [sleep_request(20, idx=str(i)) for i in range(4)]
-        campaign = testbed.run_process(workflow.run_campaign(requests, inter_arrival_s=1.0))
-        assert campaign.completed == 4
-        assert campaign.failed == 0
-        assert campaign.mean_end_to_end_s() > 20
-        assert sum(campaign.clusters_used().values()) == 4
 
     def test_decompose_handles_missing_steps(self):
         testbed = LIDCTestbed.single_cluster(seed=5)
@@ -185,11 +176,11 @@ class TestMultiClusterBehaviour:
     def test_cluster_failure_redirects_to_survivor(self):
         testbed = LIDCTestbed.multi_cluster(2, seed=7)
         client = testbed.client(poll_interval_s=10.0)
-        first = testbed.run_process(client.run_workflow(sleep_request(10), fetch_result=False))
+        first = testbed.run(until=client.submit(sleep_request(10), fetch_result=False).done)
         assert first.succeeded
         victim = first.submission.cluster
         testbed.overlay.fail_cluster(victim)
-        second = testbed.run_process(client.run_workflow(sleep_request(10), fetch_result=False))
+        second = testbed.run(until=client.submit(sleep_request(10), fetch_result=False).done)
         assert second.succeeded
         assert second.submission.cluster != victim
 
@@ -287,8 +278,8 @@ class TestStatusPollsReachTheOwner:
                     sleep_request(600, cpu=2, memory_gb=2, idx=str(index)))
 
         testbed.run_process(fill())
-        outcome = testbed.run_process(client.run_workflow(
-            sleep_request(60, cpu=2, memory_gb=2, idx="tracked"), fetch_result=False))
+        outcome = testbed.run(until=client.submit(
+            sleep_request(60, cpu=2, memory_gb=2, idx="tracked"), fetch_result=False).done)
         return testbed, outcome
 
     def test_access_routers_steer_status_names_and_nothing_else(self):
@@ -511,6 +502,23 @@ class TestTestbedBuilder:
         with pytest.raises(LIDCError):
             testbed.cluster("missing")
 
+    def test_auto_names_skip_names_already_taken(self):
+        testbed = LIDCTestbed(framework.TestbedConfig(load_paper_datasets=False))
+        testbed.add_cluster(name="cluster-b")
+        testbed.add_cluster()  # index 1 would be cluster-b: it takes the next free name
+        testbed.add_cluster()
+        assert list(testbed.clusters) == ["cluster-b", "cluster-c", "cluster-d"]
+
+    def test_a_taken_name_is_refused_before_anything_is_built(self):
+        testbed = LIDCTestbed(framework.TestbedConfig(load_paper_datasets=False))
+        testbed.add_cluster(name="cluster-a")
+        scheduled = testbed.env.queue_size
+        for name in ("cluster-a", CLIENT_EDGE):
+            with pytest.raises(OverlayError):
+                testbed.add_cluster(name=name)
+        assert testbed.env.queue_size == scheduled  # no orphan deployments
+        assert list(testbed.clusters) == ["cluster-a"]
+
     def test_multi_cluster_star_and_chain(self):
         star = LIDCTestbed.multi_cluster(3, seed=14, topology="star")
         assert len(star.clusters) == 3
@@ -541,7 +549,7 @@ class TestTestbedBuilder:
             3, seed=20, topology="chain", latencies_s=[0.01, 0.02])
         latencies = [link.latency_s for link in chain.overlay.links()]
         # Clusters past the end of ``latencies_s`` get the configured WAN latency.
-        assert latencies == [0.01, 0.02, chain.config.wan_latency_s]
+        assert latencies == [0.01, 0.02, framework.WAN_LATENCY_S]
 
     def test_cluster_regions_assigned_round_robin(self):
         testbed = LIDCTestbed.multi_cluster(3, seed=16)

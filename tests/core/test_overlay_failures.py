@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import naming
 from repro.core.baseline import CentralizedController, ControllerUnavailable
-from repro.core.framework import CLIENT_EDGE, LIDCTestbed
+from repro.core.framework import CLIENT_EDGE, WAN_LATENCY_S, LIDCTestbed
 from repro.core.spec import ComputeRequest, JobState
 from repro.exceptions import InterestNacked, OverlayError
 from repro.ndn.client import Consumer
@@ -47,7 +47,7 @@ class TestFailCluster:
         outcome = testbed.submit_and_wait(request())
         assert not outcome.succeeded  # nothing left to serve it
         testbed.overlay.add_cluster(
-            cluster, connect_to=[(CLIENT_EDGE, testbed.config.wan_latency_s)]
+            cluster, connect_to=[(CLIENT_EDGE, WAN_LATENCY_S)]
         )
         outcome = testbed.submit_and_wait(request())
         assert outcome.succeeded

@@ -272,7 +272,7 @@ class TestSingleDefinitionApplication:
 
         outcome = testbed.submit_and_wait(
             ComputeRequest(app="WORDCOUNT", cpu=1, memory_gb=1, dataset="notes"),
-            poll_interval_s=5.0)
+            client=testbed.client(poll_interval_s=5.0))
         assert outcome.succeeded
         assert json.loads(outcome.result_payload.decode("utf-8")) == {"words": 4}
 
@@ -308,8 +308,10 @@ class TestSingleDefinitionApplication:
         cluster = testbed.cluster("cluster-a")
         cluster.datalake.publish_bytes("notes", b"alpha beta")
         request = ComputeRequest(app="NOCACHE", cpu=1, memory_gb=1, dataset="notes")
-        first = testbed.submit_and_wait(request, poll_interval_s=5.0, fetch_result=False)
-        second = testbed.submit_and_wait(request, poll_interval_s=5.0, fetch_result=False)
+        first = testbed.submit_and_wait(
+            request, client=testbed.client(poll_interval_s=5.0), fetch_result=False)
+        second = testbed.submit_and_wait(
+            request, client=testbed.client(poll_interval_s=5.0), fetch_result=False)
         assert first.succeeded and second.succeeded
         assert not second.from_cache
         assert cluster.gateway.cache.insertions == 0

@@ -167,6 +167,23 @@ class TestFileServer:
         with pytest.raises(InterestNacked):
             env.run(until=consumer.express_interest("/ndn/k8s/data/tiny/seg=99", lifetime=1.0))
 
+    @pytest.mark.parametrize("component", [
+        "seg=abc",        # not a number: raised ValueError out of env.run
+        "seg=-1",         # negative: answered with the last segment, under another name
+        "seg=01",         # not canonical: answered with segment 1, under another name
+        "seg=1/extra",    # trailing components: answered with segment 1
+    ])
+    def test_malformed_segment_name_is_nacked(self, env, served_lake, component):
+        lake, server, consumer = served_lake
+        lake.publish_bytes("blob", bytes(3000))  # three 1 KiB segments
+        with pytest.raises(InterestNacked):
+            env.run(until=consumer.express_interest(
+                f"/ndn/k8s/data/blob/{component}", lifetime=1.0))
+        assert server.requests_failed == 1
+        # The malformed Interest disturbs nothing: the well-formed name is served.
+        data = env.run(until=consumer.express_interest("/ndn/k8s/data/blob/seg=1"))
+        assert str(data.name) == "/ndn/k8s/data/blob/seg=1"
+
     def test_invalidate_after_republication(self, env, served_lake):
         lake, server, consumer = served_lake
         lake.publish_bytes("doc", b"version-1")

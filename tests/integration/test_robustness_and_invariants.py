@@ -52,9 +52,9 @@ class TestNodeFailureDuringJobs:
         client = testbed.client(poll_interval_s=10.0)
         victim = testbed.cluster("cluster-a")
         victim.cluster.fail_node("cluster-a-node-0")
-        outcome = testbed.run_process(client.run_workflow(
+        outcome = testbed.run(until=client.submit(
             ComputeRequest(app="SLEEP", cpu=1, memory_gb=1, params={"duration": "30"}),
-            poll_interval_s=10.0, fetch_result=False))
+            fetch_result=False).done)
         assert outcome.succeeded
         assert outcome.submission.cluster == "cluster-b"
 
@@ -65,8 +65,7 @@ class TestClusterLossMidWorkflow:
         client = testbed.client(poll_interval_s=30.0, retry_policy=RetryPolicy(max_retries=0))
 
         handle = client.submit(
-            ComputeRequest(app="SLEEP", cpu=1, memory_gb=1, params={"duration": "10000"}),
-            poll_interval_s=30.0)
+            ComputeRequest(app="SLEEP", cpu=1, memory_gb=1, params={"duration": "10000"}))
         testbed.run(until=testbed.env.now + 50)
         assert handle.accepted and not handle.finished
         testbed.overlay.fail_cluster("cluster-a")

@@ -7,10 +7,10 @@ from repro.ndn.client import Consumer, Producer, RetryPolicy
 from repro.ndn.face import LocalFace, connect
 from repro.ndn.fib import FibEntry
 from repro.ndn.forwarder import Forwarder
-from repro.ndn.name import Name
+from repro.ndn.name import Component, Name
 from repro.ndn.packet import Data, Interest, Nack, NackReason
 from repro.ndn.routing import RoutingDaemon
-from repro.ndn.segmentation import reassemble, segment_content
+from repro.ndn.segmentation import parse_segment, reassemble, segment_content
 from repro.ndn.strategy import (
     BestRouteStrategy,
     LoadBalanceStrategy,
@@ -140,6 +140,31 @@ class TestSegmentation:
     def test_segment_names(self):
         packets = segment_content("/d/o", b"x" * 250, segment_size=100)
         assert [str(p.name) for p in packets] == ["/d/o/seg=0", "/d/o/seg=1", "/d/o/seg=2"]
+
+    @pytest.mark.parametrize("label, index", [("seg=0", 0), ("seg=7", 7), ("seg=120", 120)])
+    def test_parse_segment(self, label, index):
+        assert parse_segment(label) == index
+
+    @pytest.mark.parametrize("label", [
+        "seg=", "seg=x", "seg=-1", "seg=+1", "seg= 1", "seg=01", "seg=1.0", "seg=\u0663", "s=1", "1",
+    ])
+    def test_parse_segment_rejects_malformed_labels(self, label):
+        with pytest.raises(NDNError):
+            parse_segment(label)
+
+    def test_reassemble_rejects_a_malformed_final_block_id(self):
+        segment = Data(name=Name("/d/o/seg=0"), content=b"x",
+                       final_block_id=Component("seg=x")).sign()
+        with pytest.raises(NDNError):
+            reassemble([segment])
+
+    def test_fetch_segments_rejects_a_malformed_final_block_id(self, env):
+        forwarder = Forwarder(env, "origin")
+        forwarder.attach_producer("/d", lambda interest: Data(
+            name=interest.name, content=b"x", final_block_id=Component("seg=x")).sign())
+        consumer = Consumer(env, forwarder)
+        with pytest.raises(NDNError):
+            env.run_process(consumer.fetch_segments("/d/o"))
 
 
 @pytest.fixture
