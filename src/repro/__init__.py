@@ -16,7 +16,7 @@ The package is organised as a set of substrates plus the LIDC core:
 * :mod:`repro.genomics` — a Magic-BLAST equivalent workload with a calibrated
   runtime model.
 * :mod:`repro.core` — the LIDC contribution: semantic naming, gateway,
-  multi-cluster overlay, placement, client, caching, prediction, baselines.
+  multi-cluster overlay, client, caching, the centralized baseline.
 * :mod:`repro.analysis` — experiment runners for the paper's table and
   figures (checked by the tier-1 tests) and the ``reprolint`` analyzer.
 

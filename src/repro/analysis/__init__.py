@@ -1,9 +1,10 @@
 """Experiment runners and report formatting.
 
-:mod:`repro.analysis.experiments` contains one runner per experiment id from
-DESIGN.md (Table I, Figs. 1–5, the ablations and the centralized baseline),
-and :mod:`repro.analysis.results` renders their outputs as paper-style
-tables.  The tier-1 tests check the paper's figures through these runners.
+:mod:`repro.analysis.experiments` contains one runner per experiment (Table I,
+Figs. 1–5, the ablations and the centralized baseline), and
+:mod:`repro.analysis.results` renders their outputs as paper-style tables.
+``tests/analysis/test_analysis_and_integration.py`` checks the paper's figures
+through these runners.
 """
 
 from repro.analysis.results import ResultTable, format_bytes, format_seconds
@@ -13,7 +14,6 @@ from repro.analysis.experiments import (
     ServiceMappingResult,
     Fig5Decomposition,
     OverlayChurnResult,
-    PlacementComparison,
     CachingAblation,
     ConcurrentLoadResult,
     BaselineComparison,
@@ -22,7 +22,6 @@ from repro.analysis.experiments import (
     run_fig3_service_mapping,
     run_fig5_workflow,
     run_overlay_churn,
-    run_placement_comparison,
     run_caching_ablation,
     run_concurrent_load,
     run_baseline_comparison,
@@ -37,7 +36,6 @@ __all__ = [
     "run_fig3_service_mapping",
     "run_fig5_workflow",
     "run_overlay_churn",
-    "run_placement_comparison",
     "run_caching_ablation",
     "run_concurrent_load",
     "run_baseline_comparison",
@@ -46,7 +44,6 @@ __all__ = [
     "ServiceMappingResult",
     "Fig5Decomposition",
     "OverlayChurnResult",
-    "PlacementComparison",
     "CachingAblation",
     "ConcurrentLoadResult",
     "BaselineComparison",

@@ -1,4 +1,4 @@
-"""Experiment runners: one function per experiment id in DESIGN.md.
+"""Experiment runners: one function per paper table, figure and ablation.
 
 Every runner builds its own testbed, drives the workload, and returns both a
 structured result object and (via :meth:`to_table`) a paper-style table.
@@ -10,21 +10,12 @@ paper's shape on the structured results, at the paper's parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.results import ResultTable, format_bytes, format_seconds
 from repro.core.baseline import CentralizedController
 from repro.core.client import JobOutcome
 from repro.core.framework import CLIENT_EDGE, LIDCTestbed
-from repro.core.placement import (
-    LearnedPlacement,
-    LeastLoadedPlacement,
-    NearestPlacement,
-    PlacementStrategy,
-    RandomPlacement,
-    RoundRobinPlacement,
-)
-from repro.core.predictor import CompletionTimePredictor
 from repro.core.spec import ComputeRequest, JobState
 from repro.core.workflow import GenomicsWorkflow, WorkflowReport, decompose
 from repro.genomics.runtime_model import TABLE1_ROWS, Table1Row, format_runtime
@@ -40,8 +31,6 @@ __all__ = [
     "run_fig5_workflow",
     "OverlayChurnResult",
     "run_overlay_churn",
-    "PlacementComparison",
-    "run_placement_comparison",
     "CachingAblation",
     "run_caching_ablation",
     "ConcurrentLoadResult",
@@ -405,144 +394,6 @@ def run_overlay_churn(seed: int = 0, cluster_count: int = 3, requests_per_phase:
 
 
 # ---------------------------------------------------------------------------
-# Placement strategy ablation (paper §VII "intelligence in the network")
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _StrategyOutcome:
-    """Aggregate metrics for one placement strategy."""
-
-    strategy: str
-    mean_turnaround_s: float
-    makespan_s: float
-    placements: dict[str, int]
-    failures: int
-
-
-@dataclass
-class PlacementComparison:
-    """Comparison of placement strategies over the same workload."""
-
-    outcomes: list[_StrategyOutcome] = field(default_factory=list)
-
-    def best_strategy(self) -> str:
-        return min(self.outcomes, key=lambda o: o.mean_turnaround_s).strategy
-
-    def outcome_for(self, strategy: str) -> _StrategyOutcome:
-        for outcome in self.outcomes:
-            if outcome.strategy == strategy:
-                return outcome
-        raise KeyError(strategy)
-
-    def to_table(self) -> ResultTable:
-        table = ResultTable(
-            title="Placement strategy ablation (future-work 'intelligence in the network')",
-            columns=["strategy", "mean turnaround", "makespan", "failures", "placement spread"],
-        )
-        for outcome in self.outcomes:
-            spread = ", ".join(f"{k}:{v}" for k, v in sorted(outcome.placements.items()))
-            table.add_row(outcome.strategy, format_seconds(outcome.mean_turnaround_s),
-                          format_seconds(outcome.makespan_s), outcome.failures, spread)
-        table.add_note(f"best strategy on this workload: {self.best_strategy()}")
-        return table
-
-
-def _heterogeneous_testbed(seed: int) -> LIDCTestbed:
-    """Three clusters with different sizes and distances from the client edge."""
-    testbed = LIDCTestbed(None)
-    testbed.config.seed = seed
-    testbed.add_cluster(name="small-near", node_count=1, node_cpu=4, node_memory="8Gi",
-                        latency_s=0.005)
-    testbed.add_cluster(name="medium-mid", node_count=1, node_cpu=8, node_memory="16Gi",
-                        latency_s=0.03)
-    testbed.add_cluster(name="large-far", node_count=1, node_cpu=16, node_memory="64Gi",
-                        latency_s=0.08)
-    return testbed
-
-
-def run_placement_comparison(seed: int = 0, jobs: int = 16,
-                             job_duration_s: float = 300.0) -> PlacementComparison:
-    """Compare explicit placement strategies through the centralized controller."""
-    comparison = PlacementComparison()
-    latencies = {"small-near": 0.005, "medium-mid": 0.03, "large-far": 0.08}
-
-    def build_strategies() -> list[tuple[str, PlacementStrategy, Optional[CompletionTimePredictor]]]:
-        predictor = CompletionTimePredictor(min_examples=3)
-        return [
-            ("random", RandomPlacement(), None),
-            ("round-robin", RoundRobinPlacement(), None),
-            ("nearest", NearestPlacement(latencies), None),
-            ("least-loaded", LeastLoadedPlacement(), None),
-            ("learned", LearnedPlacement(predictor), predictor),
-        ]
-
-    for name, strategy, predictor in build_strategies():
-        testbed = _heterogeneous_testbed(seed)
-        controller = CentralizedController(
-            testbed.env, clusters=list(testbed.clusters.values()), strategy=strategy
-        )
-        if predictor is not None:
-            # Warm the predictor with a few completed jobs before the measured batch.
-            for index in range(4):
-                warm = controller.submit(
-                    ComputeRequest(app="SLEEP", cpu=1, memory_gb=1,
-                                   params={"duration": f"{job_duration_s / 2:g}"})
-                )
-                if warm.record is not None and warm.decision is not None:
-                    cluster = testbed.cluster(warm.decision.cluster_name)
-                    k8s_job = cluster.cluster.job(warm.record.k8s_job_name)
-                    testbed.run(until=k8s_job.completion)
-                    record = cluster.gateway.tracker.get(warm.record.job_id)
-                    if record.runtime() is not None:
-                        predictor.observe(record.request, record.runtime())
-        start = testbed.env.now
-        submissions = []
-        for index in range(jobs):
-            submission = controller.submit(
-                ComputeRequest(app="SLEEP", cpu=2, memory_gb=4,
-                               params={"duration": f"{job_duration_s:g}", "idx": str(index)})
-            )
-            submissions.append(submission)
-            testbed.run(until=testbed.env.now + 5.0)  # small inter-arrival gap
-        # Wait for every admitted job to finish.
-        pending = [s for s in submissions if s.record is not None]
-        for submission in pending:
-            cluster = testbed.cluster(submission.decision.cluster_name)
-            k8s_job = cluster.cluster.job(submission.record.k8s_job_name)
-            if not k8s_job.is_terminal:
-                testbed.run(until=k8s_job.completion)
-        makespan = testbed.env.now - start
-        turnarounds = []
-        failures = 0
-        # Placements of the measured batch only: the controller's own counts
-        # include the learned strategy's warm-up jobs.
-        placements: dict[str, int] = {}
-        for submission in submissions:
-            if submission.record is None:
-                failures += 1
-                continue
-            cluster_name = submission.decision.cluster_name
-            placements[cluster_name] = placements.get(cluster_name, 0) + 1
-            cluster = testbed.cluster(cluster_name)
-            record = cluster.gateway.tracker.get(submission.record.job_id)
-            if record.state == JobState.COMPLETED and record.turnaround() is not None:
-                turnarounds.append(record.turnaround())
-            else:
-                failures += 1
-        comparison.outcomes.append(
-            _StrategyOutcome(
-                strategy=name,
-                mean_turnaround_s=sum(turnarounds) / len(turnarounds) if turnarounds else float("inf"),
-                makespan_s=makespan,
-                placements=placements,
-                failures=failures,
-            )
-        )
-    return comparison
-
-
-# ---------------------------------------------------------------------------
 # Result-caching ablation (paper §VII)
 # ---------------------------------------------------------------------------
 
@@ -789,10 +640,8 @@ def run_baseline_comparison(seed: int = 0, cluster_count: int = 3,
     # --- centralized baseline --------------------------------------------------
     central_bed = LIDCTestbed.multi_cluster(cluster_count, seed=seed + 1, node_count=1,
                                             node_cpu=4, node_memory="8Gi")
-    controller = CentralizedController(
-        central_bed.env, clusters=list(central_bed.clusters.values()),
-        strategy=LeastLoadedPlacement(),
-    )
+    controller = CentralizedController(central_bed.env,
+                                       clusters=list(central_bed.clusters.values()))
 
     def central_phase(count: int) -> list[bool]:
         results = []
@@ -803,7 +652,7 @@ def run_baseline_comparison(seed: int = 0, cluster_count: int = 3,
             if submission.record is None:
                 results.append(False)
                 continue
-            cluster = central_bed.cluster(submission.decision.cluster_name)
+            cluster = central_bed.cluster(submission.cluster)
             k8s_job = cluster.cluster.job(submission.record.k8s_job_name)
             central_bed.run(until=k8s_job.completion)
             record = cluster.gateway.tracker.get(submission.record.job_id)

@@ -2,9 +2,8 @@
 
 Everything that is LIDC-specific lives here: the semantic naming scheme, the
 declarative service plane, the gateway, per-cluster deployment, the
-multi-cluster overlay, the session-based client library, placement
-strategies, result caching, completion-time prediction and the centralized
-baseline.
+multi-cluster overlay, the session-based client library, result caching
+and the centralized baseline.
 
 Most users only need three names::
 
@@ -53,15 +52,6 @@ from repro.core.http_naming import (
 )
 from repro.core.jobs import JobTracker
 from repro.core.overlay import ComputeOverlay
-from repro.core.placement import (
-    LearnedPlacement,
-    LeastLoadedPlacement,
-    NearestPlacement,
-    PlacementDecision,
-    RandomPlacement,
-    RoundRobinPlacement,
-)
-from repro.core.predictor import CompletionTimePredictor
 from repro.core.service import (
     BASE_SCHEMA,
     ParamField,
@@ -104,13 +94,6 @@ __all__ = [
     "CompressionValidator",
     "ResultCache",
     "CachedResult",
-    "CompletionTimePredictor",
-    "PlacementDecision",
-    "RandomPlacement",
-    "RoundRobinPlacement",
-    "NearestPlacement",
-    "LeastLoadedPlacement",
-    "LearnedPlacement",
     "CentralizedController",
     "ControllerUnavailable",
     "HttpGatewayFacade",

@@ -4,8 +4,8 @@ The paper's motivation (§I) is that existing multi-cluster tooling relies on a
 *logically centralized* control plane that "struggles to handle dynamic
 cluster environments" and is a single point of failure.  To quantify that
 claim, this module implements the obvious alternative design: a federation
-controller that knows every cluster, picks one per job with an explicit
-placement strategy, and talks to cluster gateways over a management API
+controller that knows every cluster, sends each job to the least-loaded one
+(fewest active jobs), and talks to cluster gateways over a management API
 (bypassing the name-based control plane).
 
 ``run_baseline_comparison`` compares it against the LIDC overlay under cluster
@@ -14,13 +14,12 @@ churn and controller failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.cluster_endpoint import LIDCCluster
-from repro.core.placement import LeastLoadedPlacement, PlacementDecision, PlacementStrategy
 from repro.core.spec import ComputeRequest, JobRecord
-from repro.exceptions import LIDCError, PlacementError, ValidationFailure
+from repro.exceptions import LIDCError, PlacementError, UnknownApplication, ValidationFailure
 from repro.sim.engine import Environment
 
 __all__ = ["ControllerUnavailable", "CentralizedController"]
@@ -35,8 +34,8 @@ class _CentralizedSubmission:
     """Record of one submission through the central controller."""
 
     request: ComputeRequest
-    decision: Optional[PlacementDecision]
-    record: Optional[JobRecord]
+    cluster: Optional[str] = None
+    record: Optional[JobRecord] = None
     error: Optional[str] = None
     submitted_at: float = 0.0
 
@@ -52,11 +51,9 @@ class CentralizedController:
         self,
         env: Environment,
         clusters: Optional[Sequence[LIDCCluster]] = None,
-        strategy: Optional[PlacementStrategy] = None,
     ) -> None:
         self.env = env
         self._clusters: dict[str, LIDCCluster] = {c.name: c for c in (clusters or [])}
-        self.strategy: PlacementStrategy = strategy or LeastLoadedPlacement()
         self.alive = True
         self.submissions: list[_CentralizedSubmission] = []
         self.rejected_unavailable = 0
@@ -83,22 +80,29 @@ class CentralizedController:
 
     # -- submission -----------------------------------------------------------------------
 
+    def _place(self, request: ComputeRequest) -> LIDCCluster:
+        """The cluster with the fewest active jobs (ties: lowest CPU use, then name).
+
+        Only clusters that can start ``request`` now are candidates, unless none
+        can: then every cluster is, and the job queues there as a Pending pod.
+        """
+        clusters = self.clusters()
+        if not clusters:
+            raise PlacementError(f"no registered cluster to place {request.describe()}")
+        candidates = [c for c in clusters if c.gateway.can_fit(request)] or clusters
+        return min(candidates, key=lambda c: (c.active_jobs(), c.utilization()["cpu"], c.name))
+
     def submit(self, request: ComputeRequest) -> _CentralizedSubmission:
         """Place and admit one request; raises when the controller is down."""
         if not self.alive:
             self.rejected_unavailable += 1
             raise ControllerUnavailable("central controller is unavailable")
-        submission = _CentralizedSubmission(
-            request=request, decision=None, record=None, submitted_at=self.env.now
-        )
+        submission = _CentralizedSubmission(request=request, submitted_at=self.env.now)
         try:
-            decision = self.strategy.select(request, self.clusters())
-            if decision is None:
-                raise PlacementError(f"no registered cluster can fit {request.describe()}")
-            submission.decision = decision
-            cluster = self._clusters[decision.cluster_name]
+            cluster = self._place(request)
+            submission.cluster = cluster.name
             submission.record = cluster.gateway.submit_local(request)
-        except (PlacementError, ValidationFailure) as exc:
+        except (PlacementError, UnknownApplication, ValidationFailure) as exc:
             submission.error = str(exc)
         self.submissions.append(submission)
         return submission
@@ -109,8 +113,7 @@ class CentralizedController:
             return self.submit(request)
         except ControllerUnavailable as exc:
             submission = _CentralizedSubmission(
-                request=request, decision=None, record=None,
-                error=str(exc), submitted_at=self.env.now,
+                request=request, error=str(exc), submitted_at=self.env.now
             )
             self.submissions.append(submission)
             return submission
@@ -120,8 +123,6 @@ class CentralizedController:
     def placement_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for submission in self.submissions:
-            if submission.decision is not None and submission.record is not None:
-                counts[submission.decision.cluster_name] = (
-                    counts.get(submission.decision.cluster_name, 0) + 1
-                )
+            if submission.accepted:
+                counts[submission.cluster] = counts.get(submission.cluster, 0) + 1
         return counts

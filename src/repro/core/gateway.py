@@ -118,8 +118,7 @@ class Gateway:
                                    job_id=record.job_id)
                 return self._ack_data(interest.name, record, cached_result=str(cached.result_name))
 
-        requests = Quantity(cpu=request.cpu, memory=parse_memory(f"{request.memory_gb:g}Gi"))
-        if not self.cluster.can_fit(requests):
+        if not self.can_fit(request):
             self.metrics.counter("compute_rejected_capacity").inc()
             self.tracer.record("gateway", "capacity-rejected", name=str(interest.name))
             return interest.nack(NackReason.CONGESTION)
@@ -132,22 +131,25 @@ class Gateway:
 
         Used by the centralized-controller baseline (which talks to cluster
         gateways over a management API rather than named Interests) and by
-        tests that exercise the job path in isolation.
+        tests that exercise the job path in isolation.  An unknown application
+        raises :class:`UnknownApplication` before any job record exists.
         """
+        if not self.services.has_app(request.app):
+            raise UnknownApplication(f"unknown application {request.app!r}")
         if validate:
             result = self.services.validate(request, self.datalake)
             result.raise_if_failed()
         return self._admit(request)
 
+    def can_fit(self, request: ComputeRequest) -> bool:
+        """True when the cluster has the CPU and memory ``request`` asks for free now."""
+        return self.cluster.can_fit(
+            Quantity(cpu=request.cpu, memory=parse_memory(f"{request.memory_gb:g}Gi")))
+
     def _admit(self, request: ComputeRequest) -> JobRecord:
         """Create the job record, the Kubernetes Job, and the completion watcher."""
         record = self.tracker.new_job(request)
-        try:
-            runner = self.services.runner_for(request.app)
-        except UnknownApplication as exc:  # defensive; has_app was checked
-            self.tracker.mark_failed(record.job_id, str(exc))
-            return record
-        pod_spec = runner.build_pod_spec(request, self.datalake)
+        pod_spec = self.services.runner_for(request.app).build_pod_spec(request, self.datalake)
         k8s_job = self.cluster.create_job(
             pod_spec,
             name=f"{record.job_id}-k8s",

@@ -132,12 +132,7 @@ class HttpGatewayFacade:
         validation = self.gateway.services.validate(compute_request, self.gateway.datalake)
         if not validation.ok:
             return self._json(400, {"error": validation.message})
-        from repro.cluster.quantity import parse_memory
-        from repro.cluster.quantity import Quantity
-
-        requested = Quantity(cpu=compute_request.cpu,
-                             memory=parse_memory(f"{compute_request.memory_gb:g}Gi"))
-        if not self.gateway.cluster.can_fit(requested):
+        if not self.gateway.can_fit(compute_request):
             return self._json(503, {"error": "insufficient capacity on this cluster"})
         try:
             record = self.gateway.submit_local(compute_request, validate=False)

@@ -15,7 +15,6 @@ from repro.analysis.experiments import (
     run_fig3_service_mapping,
     run_fig5_workflow,
     run_overlay_churn,
-    run_placement_comparison,
     run_table1,
 )
 from repro.analysis.results import ResultTable, format_bytes, format_seconds
@@ -106,10 +105,6 @@ CACHING_CASES = [
     dict(seed=1, repeats=4, job_duration_s=300.0),
     dict(seed=0, repeats=5, job_duration_s=900.0),
 ]
-PLACEMENT_CASES = [
-    dict(seed=1, jobs=10, job_duration_s=120.0),
-    dict(seed=0, jobs=16, job_duration_s=300.0),
-]
 CONCURRENT_CASES = [
     dict(seed=1, jobs=10, job_duration_s=60.0, poll_interval_s=5.0),
     dict(seed=0, jobs=20, job_duration_s=120.0, poll_interval_s=10.0),
@@ -183,28 +178,6 @@ class TestAblations:
             assert result.mean_warm_s < 1.0, case
             assert result.speedup > 1000, case
             assert result.cache_hits >= result.request_count - 2, case
-
-    def test_placement_comparison_shapes(self):
-        for case in PLACEMENT_CASES:
-            result = run_placement_comparison(**case)
-            strategies = {outcome.strategy for outcome in result.outcomes}
-            assert strategies == {"random", "round-robin", "nearest", "least-loaded", "learned"}
-            assert all(outcome.failures == 0 for outcome in result.outcomes), case
-            nearest = result.outcome_for("nearest")
-            best = result.outcome_for(result.best_strategy())
-            # Piling everything onto the nearest (small) cluster is never better
-            # than the best strategy on this contended workload.
-            assert best.mean_turnaround_s <= nearest.mean_turnaround_s, case
-            # The learned strategy is competitive: no worse than 1.5x the best.
-            learned = result.outcome_for("learned")
-            assert learned.mean_turnaround_s <= 1.5 * best.mean_turnaround_s, case
-
-    def test_placements_count_only_the_measured_batch(self):
-        result = run_placement_comparison(seed=0, jobs=16, job_duration_s=300.0)
-        # "learned" submits warm-up jobs before the batch; they are not placements.
-        assert {o.strategy: sum(o.placements.values()) for o in result.outcomes} == {
-            o.strategy: 16 for o in result.outcomes
-        }
 
     def test_concurrent_load_beats_sequential(self):
         for case in CONCURRENT_CASES:

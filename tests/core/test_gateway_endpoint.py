@@ -8,7 +8,7 @@ from repro.cluster.cluster import ClusterSpec
 from repro.core import naming
 from repro.core.cluster_endpoint import LIDCCluster
 from repro.core.spec import ComputeRequest, JobState
-from repro.exceptions import InterestNacked, ValidationFailure
+from repro.exceptions import InterestNacked, UnknownApplication, ValidationFailure
 from repro.ndn.client import Consumer
 from repro.ndn.packet import Interest
 from repro.sim.engine import Environment
@@ -125,6 +125,62 @@ class TestGatewayCompute:
         assert record.state == JobState.PENDING
         with pytest.raises(ValidationFailure):
             lidc_cluster.gateway.submit_local(ComputeRequest(app="BLAST", reference="HUMAN"))
+
+
+class TestGatewayCanFit:
+    @pytest.fixture
+    def two_nodes(self, env):
+        """Two 4-CPU, 4Gi nodes; after the system reserve each has 3.75 CPUs and 3.5Gi free."""
+        return LIDCCluster(env, ClusterSpec(name="pair", node_count=2, node_cpu=4,
+                                            node_memory="4Gi"))
+
+    def test_fits_while_a_node_has_room(self, two_nodes):
+        assert two_nodes.gateway.can_fit(ComputeRequest(app="SLEEP", cpu=3.75, memory_gb=3.5))
+
+    def test_cpu_must_fit_on_one_node(self, two_nodes):
+        # Seven and a half CPUs are free across the cluster, but no single node has six.
+        assert not two_nodes.gateway.can_fit(ComputeRequest(app="SLEEP", cpu=6, memory_gb=1))
+
+    def test_memory_must_fit_on_one_node(self, two_nodes):
+        assert not two_nodes.gateway.can_fit(ComputeRequest(app="SLEEP", cpu=1, memory_gb=5))
+
+    def test_gigabytes_are_read_as_gibibytes(self, two_nodes):
+        gateway = two_nodes.gateway
+        # 3.6 decimal gigabytes would fit in 3.5Gi; 3.6Gi does not.
+        assert gateway.can_fit(ComputeRequest(app="SLEEP", cpu=1, memory_gb=3.5))
+        assert not gateway.can_fit(ComputeRequest(app="SLEEP", cpu=1, memory_gb=3.6))
+
+    def test_running_jobs_use_up_room_until_they_finish(self, env, two_nodes):
+        gateway = two_nodes.gateway
+        request = ComputeRequest(app="SLEEP", cpu=3, memory_gb=1, params={"duration": "50"})
+        for idx in range(2):
+            gateway.submit_local(ComputeRequest(app="SLEEP", cpu=3, memory_gb=1,
+                                                params={"duration": "50", "idx": str(idx)}))
+        env.run(until=env.now + 1)
+        assert not gateway.can_fit(request)
+        env.run(until=env.now + 200)
+        assert gateway.can_fit(request)
+
+
+class TestSubmitLocalRefusesUnknownApplications:
+    @pytest.mark.parametrize("validate", [True, False], ids=["validated", "unvalidated"])
+    def test_no_job_record_is_created(self, lidc_cluster, validate):
+        gateway = lidc_cluster.gateway
+        with pytest.raises(UnknownApplication, match="FOLDING"):
+            gateway.submit_local(ComputeRequest(app="FOLDING", dataset="SRR2931415"),
+                                 validate=validate)
+        assert len(gateway.tracker) == 0
+        assert lidc_cluster.cluster.jobs.jobs_completed == 0
+
+    def test_a_known_application_still_runs_afterwards(self, env, lidc_cluster):
+        gateway = lidc_cluster.gateway
+        with pytest.raises(UnknownApplication):
+            gateway.submit_local(ComputeRequest(app="FOLDING"))
+        record = gateway.submit_local(
+            ComputeRequest(app="SLEEP", cpu=1, memory_gb=1, params={"duration": "10"}))
+        assert len(gateway.tracker) == 1
+        env.run(until=env.now + 100)
+        assert record.state == JobState.COMPLETED
 
 
 class TestGatewayStatus:

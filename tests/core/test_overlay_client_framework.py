@@ -1,4 +1,4 @@
-"""Tests for the overlay, client library, workflows, placement, baseline and testbed."""
+"""Tests for the overlay, client library, workflows, centralized baseline and testbed."""
 
 import json
 from collections import Counter
@@ -11,15 +11,6 @@ from repro.core.client import LIDCClient
 from repro.core import framework
 from repro.core.framework import CLIENT_EDGE, LIDCTestbed
 from repro.core.overlay import ComputeOverlay
-from repro.core.placement import (
-    LearnedPlacement,
-    LeastLoadedPlacement,
-    NearestPlacement,
-    RandomPlacement,
-    RoundRobinPlacement,
-    _request_quantity,
-)
-from repro.core.predictor import CompletionTimePredictor
 from repro.core.spec import ComputeRequest, JobState
 from repro.core.workflow import GenomicsWorkflow, decompose
 from repro.exceptions import LIDCError, OverlayError
@@ -381,86 +372,19 @@ class TestClientPollsTheAckedStatusName:
         assert polled == [default] * 3
 
 
-class TestPlacementStrategies:
-    def _clusters(self, seed=0):
-        testbed = LIDCTestbed(None)
-        testbed.add_cluster(name="small", node_cpu=4, node_memory="8Gi")
-        testbed.add_cluster(name="large", node_cpu=16, node_memory="64Gi")
-        return testbed, list(testbed.clusters.values())
-
-    def test_request_quantity_conversion(self):
-        quantity = _request_quantity(ComputeRequest(app="X", cpu=2, memory_gb=4))
-        assert quantity.cpu == 2
-        assert quantity.memory == 4 * 1024**3
-
-    def test_random_and_round_robin_pick_feasible(self):
-        testbed, clusters = self._clusters()
-        request = ComputeRequest(app="SLEEP", cpu=2, memory_gb=2)
-        assert RandomPlacement().select(request, clusters).cluster_name in {"small", "large"}
-        round_robin = RoundRobinPlacement()
-        picks = [round_robin.select(request, clusters).cluster_name for _ in range(4)]
-        assert picks == ["large", "small", "large", "small"]
-
-    def test_only_large_cluster_fits_big_request(self):
-        testbed, clusters = self._clusters()
-        big = ComputeRequest(app="SLEEP", cpu=8, memory_gb=32)
-        for strategy in (RandomPlacement(), RoundRobinPlacement(), LeastLoadedPlacement()):
-            assert strategy.select(big, clusters).cluster_name == "large"
-
-    def test_oversized_request_still_places(self):
-        # Kubernetes holds the pod Pending, so an oversized request queues
-        # on some cluster rather than being refused.
-        testbed, clusters = self._clusters()
-        impossible = ComputeRequest(app="SLEEP", cpu=512, memory_gb=1024)
-        strategies = (RandomPlacement(), RoundRobinPlacement(), LeastLoadedPlacement(),
-                      NearestPlacement({"small": 0.001, "large": 0.1}))
-        for strategy in strategies:
-            decision = strategy.select(impossible, clusters)
-            assert decision is not None, strategy.name
-            assert decision.cluster_name in {"small", "large"}
-
-    def test_no_clusters_places_nowhere(self):
-        request = ComputeRequest(app="SLEEP", cpu=1, memory_gb=1)
-        strategies = (RandomPlacement(), RoundRobinPlacement(), LeastLoadedPlacement(),
-                      NearestPlacement({}))
-        for strategy in strategies:
-            assert strategy.select(request, []) is None, strategy.name
-
-    def test_nearest_prefers_low_latency(self):
-        testbed, clusters = self._clusters()
-        strategy = NearestPlacement({"small": 0.001, "large": 0.1})
-        assert strategy.select(ComputeRequest(app="SLEEP", cpu=1, memory_gb=1),
-                               clusters).cluster_name == "small"
-
-    def test_least_loaded_counts_active_jobs(self):
-        testbed, clusters = self._clusters()
-        small = testbed.cluster("small")
-        small.gateway.submit_local(ComputeRequest(app="SLEEP", cpu=1, memory_gb=1,
-                                                  params={"duration": "1000"}))
-        decision = LeastLoadedPlacement().select(
-            ComputeRequest(app="SLEEP", cpu=1, memory_gb=1), clusters)
-        assert decision.cluster_name == "large"
-
-    def test_learned_falls_back_then_uses_predictions(self):
-        testbed, clusters = self._clusters()
-        predictor = CompletionTimePredictor(min_examples=1)
-        strategy = LearnedPlacement(predictor)
-        request = ComputeRequest(app="SLEEP", cpu=1, memory_gb=1)
-        fallback = strategy.select(request, clusters)
-        assert "fell back" in fallback.reason
-        predictor.observe(request, 100.0)
-        informed = strategy.select(request, clusters)
-        assert "predicted" in informed.reason
-
-
 class TestCentralizedBaseline:
+    def _small_and_large(self):
+        testbed = LIDCTestbed(None)
+        testbed.add_cluster(name="a-small", node_cpu=4, node_memory="8Gi")
+        testbed.add_cluster(name="b-large", node_cpu=16, node_memory="64Gi")
+        return testbed, CentralizedController(testbed.env, clusters=list(testbed.clusters.values()))
+
     def test_placement_and_completion(self):
         testbed = LIDCTestbed.multi_cluster(2, seed=9)
-        controller = CentralizedController(testbed.env, clusters=list(testbed.clusters.values()),
-                                           strategy=LeastLoadedPlacement())
+        controller = CentralizedController(testbed.env, clusters=list(testbed.clusters.values()))
         submission = controller.submit(sleep_request(20))
         assert submission.accepted
-        cluster = testbed.cluster(submission.decision.cluster_name)
+        cluster = testbed.cluster(submission.cluster)
         testbed.run(until=cluster.cluster.job(submission.record.k8s_job_name).completion)
         assert submission.record.state == JobState.COMPLETED
         assert [s.accepted for s in controller.submissions] == [True]
@@ -492,6 +416,88 @@ class TestCentralizedBaseline:
         submission = controller.submit(ComputeRequest(app="BLAST", dataset="junk", reference="H"))
         assert not submission.accepted
         assert "malformed" in submission.error
+
+    def test_only_the_cluster_that_fits_takes_a_big_request(self):
+        _testbed, controller = self._small_and_large()
+        submission = controller.submit(sleep_request(cpu=8, memory_gb=32))
+        assert submission.accepted and submission.cluster == "b-large"
+
+    def test_oversized_request_still_places(self):
+        # Kubernetes holds the pod Pending, so a request no cluster can fit
+        # queues on one of them rather than being refused.
+        _testbed, controller = self._small_and_large()
+        submission = controller.submit(sleep_request(cpu=512, memory_gb=1024))
+        assert submission.accepted and submission.cluster in {"a-small", "b-large"}
+
+    def test_no_registered_cluster_places_nowhere(self):
+        controller = CentralizedController(Environment())
+        submission = controller.submit(sleep_request())
+        assert not submission.accepted and submission.cluster is None
+        assert "no registered cluster" in submission.error
+
+    def test_active_jobs_steer_placement(self):
+        testbed, controller = self._small_and_large()
+        # Fewest active jobs wins over lowest CPU use: one job on the 4-CPU
+        # "a-small" uses a larger share than two on the 16-CPU "b-large".
+        testbed.cluster("a-small").gateway.submit_local(sleep_request(1000))
+        for _ in range(2):
+            testbed.cluster("b-large").gateway.submit_local(sleep_request(1000))
+        testbed.run(until=1.0)
+        small, large = controller.clusters()
+        assert small.utilization()["cpu"] > large.utilization()["cpu"]
+        assert controller.submit(sleep_request()).cluster == "a-small"
+
+    def test_a_cluster_with_fewer_jobs_but_no_room_is_passed_over(self):
+        testbed, controller = self._small_and_large()
+        testbed.cluster("b-large").gateway.submit_local(sleep_request(1000))
+        assert controller.submit(sleep_request(cpu=8, memory_gb=32)).cluster == "b-large"
+
+    def test_oversized_request_queues_on_the_cluster_with_fewest_jobs(self):
+        testbed, controller = self._small_and_large()
+        testbed.cluster("a-small").gateway.submit_local(sleep_request(1000))
+        submission = controller.submit(sleep_request(cpu=512, memory_gb=1024))
+        assert submission.accepted and submission.cluster == "b-large"
+
+    def test_cpu_use_breaks_a_tie_in_active_jobs(self):
+        testbed, controller = self._small_and_large()
+        # One job each: the 2-CPU job fills more of "a-small" than the
+        # 1-CPU job fills of "b-large", and both still fit another 1-CPU job.
+        testbed.cluster("a-small").gateway.submit_local(sleep_request(1000, cpu=2))
+        testbed.cluster("b-large").gateway.submit_local(sleep_request(1000))
+        testbed.run(until=1.0)
+        assert controller.submit(sleep_request()).cluster == "b-large"
+
+    def test_name_breaks_a_full_tie(self):
+        testbed = LIDCTestbed(None)
+        for name in ("c-twin", "a-twin", "b-twin"):
+            testbed.add_cluster(name=name, node_cpu=8, node_memory="16Gi")
+        controller = CentralizedController(testbed.env, clusters=list(testbed.clusters.values()))
+        assert controller.submit(sleep_request()).cluster == "a-twin"
+
+    def test_a_deregistered_cluster_takes_no_more_jobs(self):
+        _testbed, controller = self._small_and_large()
+        controller.deregister_cluster("a-small")
+        picks = {controller.submit(sleep_request(1000, idx=str(i))).cluster for i in range(3)}
+        assert picks == {"b-large"}
+
+    def test_placement_counts_tally_accepted_submissions_per_cluster(self):
+        _testbed, controller = self._small_and_large()
+        for idx in range(4):
+            controller.submit(sleep_request(1000, idx=str(idx)))
+        controller.submit(ComputeRequest(app="NOPE", cpu=1, memory_gb=1))
+        controller.fail()
+        controller.try_submit(sleep_request())
+        assert controller.placement_counts() == {"a-small": 2, "b-large": 2}
+        assert [s.accepted for s in controller.submissions] == [True] * 4 + [False, False]
+
+    def test_unknown_application_is_refused_before_any_job_exists(self):
+        testbed = LIDCTestbed.single_cluster(seed=12)
+        controller = CentralizedController(testbed.env, clusters=list(testbed.clusters.values()))
+        submission = controller.submit(ComputeRequest(app="NOPE", cpu=1, memory_gb=1))
+        assert not submission.accepted
+        assert "unknown application" in submission.error
+        assert controller.placement_counts() == {}
+        assert len(testbed.cluster("cluster-a").gateway.tracker) == 0
 
 
 class TestTestbedBuilder:

@@ -11,7 +11,6 @@ from repro.core.applications import (
 )
 from repro.core.caching import ResultCache
 from repro.core.jobs import JobTracker
-from repro.core.predictor import CompletionTimePredictor
 from repro.core.spec import ComputeRequest, JobState
 from repro.core.service import ServiceDefinition, ServiceRegistry
 from repro.core.validation import BlastValidator, CompressionValidator, ValidationResult
@@ -278,48 +277,3 @@ class TestResultCache:
             0, 0, 0, 0, 0)
         assert cache.hit_ratio == 0.0
         assert cache.capacity > 0
-
-
-class TestPredictor:
-    def test_untrained_returns_none(self):
-        predictor = CompletionTimePredictor()
-        assert predictor.predict(ComputeRequest(app="BLAST")) is None
-        assert not predictor.is_trained("BLAST")
-
-    def test_fallback_mean_before_enough_examples(self):
-        predictor = CompletionTimePredictor(min_examples=5)
-        predictor.observe(ComputeRequest(app="SLEEP"), 100.0)
-        assert predictor.predict(ComputeRequest(app="SLEEP")) == pytest.approx(100.0)
-
-    def test_learns_inverse_cpu_relationship(self):
-        predictor = CompletionTimePredictor(min_examples=3)
-        for cpu in (1, 2, 4, 8):
-            runtime = 100.0 + 1000.0 / cpu
-            predictor.observe(ComputeRequest(app="SLEEP", cpu=cpu), runtime)
-        assert predictor.is_trained("SLEEP")
-        predicted = predictor.predict(ComputeRequest(app="SLEEP", cpu=16))
-        assert predicted == pytest.approx(100.0 + 1000.0 / 16, rel=0.1)
-        assert predictor.mean_absolute_error("SLEEP") < 5.0
-
-    def test_per_application_models_are_separate(self):
-        predictor = CompletionTimePredictor(min_examples=1)
-        predictor.observe(ComputeRequest(app="FAST"), 10.0)
-        predictor.observe(ComputeRequest(app="SLOW"), 10_000.0)
-        assert predictor.predict(ComputeRequest(app="FAST")) < predictor.predict(
-            ComputeRequest(app="SLOW"))
-        assert sorted(predictor.applications()) == ["FAST", "SLOW"]
-
-    def test_observe_record_requires_runtime(self):
-        from repro.core.spec import JobRecord
-        predictor = CompletionTimePredictor()
-        record = JobRecord(job_id="j", request=ComputeRequest(app="X"), cluster="c")
-        assert predictor.observe_record(record) is None
-        record.started_at, record.finished_at = 0.0, 50.0
-        assert predictor.observe_record(record) is not None
-
-    def test_prediction_never_negative(self):
-        predictor = CompletionTimePredictor(min_examples=2)
-        predictor.observe(ComputeRequest(app="X", cpu=1), 1.0)
-        predictor.observe(ComputeRequest(app="X", cpu=2), 0.5)
-        predictor.observe(ComputeRequest(app="X", cpu=4), 0.1)
-        assert predictor.predict(ComputeRequest(app="X", cpu=1000)) >= 0.0

@@ -9,6 +9,7 @@ option on this path therefore shows up as an edit to :data:`OPTIONS`.
 
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 
 import pytest
@@ -32,6 +33,7 @@ OPTIONS = {
     "repro.core.gateway:Gateway": (
         "env", "cluster", "forwarder", "datalake", "services", "enable_result_cache", "tracer",
     ),
+    "repro.core.gateway:Gateway.can_fit": ("request",),
     "repro.core.service:ServiceRegistry.with_defaults": ("runtime",),
     "repro.core.overlay:ComputeOverlay.add_access_router": ("name", "cs_capacity"),
     "repro.core.overlay:ComputeOverlay.remove_cluster": ("name",),
@@ -54,13 +56,8 @@ OPTIONS = {
     "repro.core.workflow:GenomicsWorkflow": ("client", "fetch_results"),
     "repro.core.workflow:GenomicsWorkflow.run": ("request",),
     "repro.core.workflow:GenomicsWorkflow.blast": ("srr_id", "reference", "cpu", "memory_gb"),
-    "repro.core.placement:RandomPlacement": (),
-    "repro.core.placement:LearnedPlacement": ("predictor",),
-    "repro.core.predictor:CompletionTimePredictor": ("min_examples",),
-    "repro.core.predictor:CompletionTimePredictor.observe": ("request", "runtime_s"),
-    "repro.core.predictor:CompletionTimePredictor.observe_record": ("record",),
-    "repro.core.predictor:CompletionTimePredictor.predict": ("request",),
     "repro.core.http_naming:request_to_url": ("request",),
+    "repro.core.baseline:CentralizedController": ("env", "clusters"),
     "repro.datalake.fileserver:FileServer": ("env", "forwarder", "datalake", "segment_size"),
     "repro.datalake.repo:DataLake": ("pvc", "name", "clock"),
     "repro.ndn.client:Producer": ("env", "forwarder", "prefix", "handler", "name",
@@ -96,6 +93,10 @@ GONE = (
     "repro.analysis.lint.engine:ProjectRule",
 )
 
+#: Modules that went whole: the controller's placement policies and the
+#: completion-time predictor (the overlay's forwarding does the placing).
+GONE_MODULES = ("repro.core.placement", "repro.core.predictor")
+
 
 def _resolve(target):
     module_name, _colon, qualname = target.partition(":")
@@ -122,3 +123,8 @@ def test_options_are_exactly_the_pinned_ones(target):
 def test_removed_callables_stay_removed(target):
     with pytest.raises(AttributeError):
         _resolve(target)
+
+
+@pytest.mark.parametrize("module_name", GONE_MODULES)
+def test_removed_modules_stay_removed(module_name):
+    assert importlib.util.find_spec(module_name) is None
