@@ -48,7 +48,7 @@ def fresh_node(env: Environment) -> ShardedForwarder:
     for tenant in TENANTS:
         def handler(interest, _tenant=tenant):
             return Data(name=interest.name, content=b"obj:" + _tenant.encode(),
-                        freshness_period=3600.0).sign()
+                        freshness_period=3600.0)
         node.attach_producer(tenant, handler)
     return node
 

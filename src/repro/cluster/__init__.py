@@ -32,7 +32,7 @@ from repro.cluster.objects import ObjectMeta, LabelSelector
 from repro.cluster.apiserver import ApiServer, WatchEvent, EventType
 from repro.cluster.node import Node, NodeStatus
 from repro.cluster.pod import Container, Pod, PodPhase, PodSpec, ResourceRequirements
-from repro.cluster.scheduler import Scheduler, SchedulingPolicy
+from repro.cluster.scheduler import Scheduler
 from repro.cluster.kubelet import Kubelet
 from repro.cluster.job import Job, JobController, JobSpec, JobStatus
 from repro.cluster.deployment import Deployment, DeploymentController
@@ -65,7 +65,6 @@ __all__ = [
     "Container",
     "ResourceRequirements",
     "Scheduler",
-    "SchedulingPolicy",
     "Kubelet",
     "Job",
     "JobSpec",

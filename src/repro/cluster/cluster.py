@@ -20,7 +20,7 @@ from repro.cluster.kubelet import Kubelet
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod, PodPhase, PodSpec
 from repro.cluster.quantity import Quantity
-from repro.cluster.scheduler import Scheduler, SchedulingPolicy
+from repro.cluster.scheduler import Scheduler
 from repro.cluster.service import Service, ServiceController, ServiceType
 from repro.cluster.storage import NFSServer, PersistentVolumeClaim, StorageController
 from repro.sim.engine import Environment
@@ -37,7 +37,6 @@ class ClusterSpec:
     node_count: int = 1
     node_cpu: Union[str, int, float] = 8
     node_memory: Union[str, int] = "32Gi"
-    scheduler_policy: "SchedulingPolicy | str" = SchedulingPolicy.LEAST_ALLOCATED
     nfs_capacity: Union[str, int] = "1Ti"
     labels: dict[str, str] = field(default_factory=dict)
 
@@ -51,7 +50,7 @@ class Cluster:
         self.name = spec.name
         self.region = spec.region
         self.api = ApiServer(clock=lambda: env.now)
-        self.scheduler = Scheduler(self.api, policy=spec.scheduler_policy)
+        self.scheduler = Scheduler(self.api)
         self.nfs = NFSServer(name=f"{spec.name}-nfs", capacity=spec.nfs_capacity)
         self.storage = StorageController(self.api, default_server=self.nfs)
         self.jobs = JobController(env, self.api)

@@ -5,8 +5,8 @@ Filtering (predicates)
     requests fit in the node's free allocatable capacity.
 
 Scoring (priorities)
-    ``LEAST_ALLOCATED`` (default, spreads load), ``MOST_ALLOCATED``
-    (bin-packs), or ``BALANCED`` (minimises the CPU/memory utilisation skew).
+    least-allocated: the node with the most capacity left after binding
+    wins, which spreads load.
 
 The scheduler is event-driven: every Pod or Node change triggers a scheduling
 pass over the pending queue.
@@ -14,34 +14,19 @@ pass over the pending queue.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from repro.cluster.apiserver import ApiServer, WatchEvent
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod, PodPhase
 from repro.cluster.quantity import Quantity
 
-__all__ = ["SchedulingPolicy", "Scheduler"]
-
-
-class SchedulingPolicy(str, Enum):
-    """Node scoring policy."""
-
-    LEAST_ALLOCATED = "least-allocated"
-    MOST_ALLOCATED = "most-allocated"
-    BALANCED = "balanced"
+__all__ = ["Scheduler"]
 
 
 class Scheduler:
     """Assigns pending pods to nodes."""
 
-    def __init__(
-        self,
-        api: ApiServer,
-        policy: "SchedulingPolicy | str" = SchedulingPolicy.LEAST_ALLOCATED,
-    ) -> None:
+    def __init__(self, api: ApiServer) -> None:
         self.api = api
-        self.policy = SchedulingPolicy(policy)
         self.unschedulable_count = 0
         api.watch(Pod.KIND, self._on_change, replay_existing=True)
         api.watch(Node.KIND, self._on_change, replay_existing=False)
@@ -119,12 +104,7 @@ class Scheduler:
         free_after = free - requests
         cpu_util = 1.0 - (free_after.cpu / allocatable.cpu if allocatable.cpu else 0.0)
         mem_util = 1.0 - (free_after.memory / allocatable.memory if allocatable.memory else 0.0)
-        if self.policy == SchedulingPolicy.LEAST_ALLOCATED:
-            return 1.0 - (cpu_util + mem_util) / 2.0
-        if self.policy == SchedulingPolicy.MOST_ALLOCATED:
-            return (cpu_util + mem_util) / 2.0
-        # BALANCED: prefer nodes where CPU and memory utilisation stay close.
-        return 1.0 - abs(cpu_util - mem_util)
+        return 1.0 - (cpu_util + mem_util) / 2.0
 
     # -- reporting ----------------------------------------------------------------------
 

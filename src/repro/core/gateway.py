@@ -237,7 +237,7 @@ class Gateway:
             name=interest.name,
             content=json.dumps(payload, sort_keys=True).encode("utf-8"),
             freshness_period=ACK_FRESHNESS_S,
-        ).sign()
+        )
 
     def _refresh_state(self, record: JobRecord) -> None:
         """Promote Pending → Running by looking at the underlying pods."""
@@ -266,7 +266,7 @@ class Gateway:
             name=name,
             content=json.dumps(payload, sort_keys=True).encode("utf-8"),
             freshness_period=ACK_FRESHNESS_S,
-        ).sign()
+        )
 
     def _error_data(self, name: Name, message: str) -> Data:
         payload = {"accepted": False, "error": message}
@@ -274,7 +274,7 @@ class Gateway:
             name=name,
             content=json.dumps(payload, sort_keys=True).encode("utf-8"),
             freshness_period=ACK_FRESHNESS_S,
-        ).sign()
+        )
 
     # ------------------------------------------------------------------ queries
 

@@ -109,7 +109,7 @@ class FileServer:
         return self._segment_cache[dataset_id]
 
     def _make_data(self, name: Name, payload: bytes) -> Data:
-        return Data(name=name, content=payload, freshness_period=FRESHNESS_PERIOD).sign()
+        return Data(name=name, content=payload, freshness_period=FRESHNESS_PERIOD)
 
     # -- cache maintenance ----------------------------------------------------------------
 

@@ -6,8 +6,8 @@ This package implements, from scratch, the NDN primitives LIDC relies on:
   operations and longest-prefix semantics;
 * :class:`~repro.ndn.packet.Interest`, :class:`~repro.ndn.packet.Data` and
   :class:`~repro.ndn.packet.Nack` packets with a TLV wire format
-  (:mod:`repro.ndn.tlv`) and HMAC/digest signatures
-  (:mod:`repro.ndn.security`);
+  (:mod:`repro.ndn.tlv`); every Data carries a DigestSha256 signature,
+  computed once when it is first encoded;
 * the three forwarder tables — Content Store (:mod:`repro.ndn.cs`), Pending
   Interest Table (:mod:`repro.ndn.pit`) and Forwarding Information Base
   (:mod:`repro.ndn.fib`);
@@ -22,7 +22,6 @@ This package implements, from scratch, the NDN primitives LIDC relies on:
 
 from repro.ndn.name import Component, Name
 from repro.ndn.packet import Data, Interest, Nack, NackReason, WirePacket
-from repro.ndn.security import DigestSigner, HmacSigner, KeyChain, sha256_digest
 from repro.ndn.cs import ContentStore
 from repro.ndn.pit import PendingInterestTable, PitEntry
 from repro.ndn.fib import Fib, FibEntry
@@ -46,10 +45,6 @@ __all__ = [
     "Nack",
     "NackReason",
     "WirePacket",
-    "KeyChain",
-    "DigestSigner",
-    "HmacSigner",
-    "sha256_digest",
     "ContentStore",
     "PendingInterestTable",
     "PitEntry",

@@ -436,7 +436,7 @@ class Producer:
             )
         else:
             packets = [
-                Data(name=name, content=content, freshness_period=self.freshness_period).sign()
+                Data(name=name, content=content, freshness_period=self.freshness_period)
             ]
         for packet in packets:
             self._store[packet.name] = packet

@@ -6,24 +6,16 @@ to round-trip every field the forwarder and LIDC use, while staying compact.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from repro.exceptions import TLVDecodeError, VerificationError
 from repro.ndn.name import Component, Name
-from repro.ndn.security import (
-    DigestSigner,
-    HmacSigner,
-    KeyChain,
-    SignatureInfo,
-    SignatureType,
-)
 from repro.ndn.tlv import (
     TlvTypes,
-    decode_all,
     decode_nonneg_int,
-    decode_tlv,
     decode_tlv_header,
     encode_nonneg_int,
     encode_tlv,
@@ -102,14 +94,32 @@ def _encode_name(name: Name) -> bytes:
     return encode_tlv(TlvTypes.NAME, encode_name_value(name))
 
 
-def _decode_name_span(buffer: bytes, start: int, end: int) -> Name:
-    """Parse the components of a Name TLV's value in ``buffer[start:end]``.
+# -- field parsers --------------------------------------------------------------
+#
+# One parser per packet field, shared by the object decoders and the lazy
+# WirePacket accessors, so a forwarder in transit and the endpoint that
+# decodes the packet always read the same value.  Each takes the buffer and
+# the field's span from scan_tlv_spans (the first occurrence of the field;
+# None when it is absent).
 
-    Single parser for both the object decoders and the zero-copy
-    :class:`WirePacket` view, which hands in spans of its wire buffer.
-    """
+_Span = Optional[tuple[int, int, int]]
+
+
+def _fields(wire: bytes, expected_type: int) -> dict[int, tuple[int, int, int]]:
+    """Spans of the top-level fields of a packet that must be ``expected_type``."""
+    outer_type, body_start, body_end = decode_tlv_header(wire)
+    if outer_type != expected_type:
+        raise TLVDecodeError(
+            f"expected a packet of TLV type {expected_type:#x}, got {outer_type:#x}"
+        )
+    return scan_tlv_spans(wire, body_start, body_end)
+
+
+def _parse_name(buffer: bytes, span: _Span) -> Name:
+    if span is None:
+        raise TLVDecodeError("packet without a Name")
     components = []
-    offset = start
+    offset, end = span[1], span[2]
     while offset < end:
         comp_type, value_start, value_end = decode_tlv_header(buffer, offset)
         if comp_type != TlvTypes.GENERIC_NAME_COMPONENT:
@@ -118,13 +128,45 @@ def _decode_name_span(buffer: bytes, start: int, end: int) -> Name:
             # The header check only bounds against the whole buffer; a
             # component must not overrun its enclosing Name TLV either.
             raise TLVDecodeError("name component extends past the Name TLV")
+        if value_start == value_end:
+            raise TLVDecodeError("empty name component")
         components.append(Component(buffer[value_start:value_end]))
         offset = value_end
     return Name(components)
 
 
-def _decode_name(value: bytes) -> Name:
-    return _decode_name_span(value, 0, len(value))
+def _parse_nonce(buffer: bytes, span: _Span) -> int:
+    if span is None:
+        return 0
+    if span[2] - span[1] != 4:
+        raise TLVDecodeError(f"nonce TLV must be 4 bytes, got {span[2] - span[1]}")
+    return int.from_bytes(buffer[span[1]:span[2]], "big")
+
+
+def _parse_ms(buffer: bytes, span: _Span, default: float) -> float:
+    """A duration field (InterestLifetime, FreshnessPeriod) in seconds."""
+    if span is None:
+        return default
+    return decode_nonneg_int(buffer[span[1]:span[2]]) / 1000.0
+
+
+def _parse_hop_limit(buffer: bytes, span: _Span) -> int:
+    if span is None:
+        return 255
+    if span[2] - span[1] != 1:
+        raise TLVDecodeError(f"hop limit TLV must be 1 byte, got {span[2] - span[1]}")
+    return buffer[span[1]]
+
+
+def _parse_int(buffer: bytes, span: _Span, default: Optional[int]) -> Optional[int]:
+    """A non-negative integer field (ContentType, NackReason, SignatureType)."""
+    if span is None:
+        return default
+    return decode_nonneg_int(buffer[span[1]:span[2]])
+
+
+def _parse_bytes(buffer: bytes, span: _Span) -> bytes:
+    return b"" if span is None else buffer[span[1]:span[2]]
 
 
 @dataclass
@@ -194,42 +236,23 @@ class Interest:
 
     @classmethod
     def decode(cls, wire: bytes) -> "Interest":
-        outer_type, outer_value, _ = decode_tlv(wire)
-        if outer_type != TlvTypes.INTEREST:
-            raise TLVDecodeError(f"not an Interest packet (type {outer_type})")
-        name: Optional[Name] = None
-        can_be_prefix = False
-        must_be_fresh = False
-        nonce = 0
-        lifetime = DEFAULT_INTEREST_LIFETIME
-        hop_limit = 255
-        app_params = b""
-        for block in decode_all(outer_value):
-            if block.type == TlvTypes.NAME:
-                name = _decode_name(block.value)
-            elif block.type == TlvTypes.CAN_BE_PREFIX:
-                can_be_prefix = True
-            elif block.type == TlvTypes.MUST_BE_FRESH:
-                must_be_fresh = True
-            elif block.type == TlvTypes.NONCE:
-                nonce = int.from_bytes(block.value, "big")
-            elif block.type == TlvTypes.INTEREST_LIFETIME:
-                lifetime = decode_nonneg_int(block.value) / 1000.0
-            elif block.type == TlvTypes.HOP_LIMIT:
-                hop_limit = block.value[0]
-            elif block.type == TlvTypes.APPLICATION_PARAMETERS:
-                app_params = block.value
-        if name is None:
-            raise TLVDecodeError("Interest without a Name")
-        return cls(
-            name=name,
-            can_be_prefix=can_be_prefix,
-            must_be_fresh=must_be_fresh,
-            nonce=nonce,
-            lifetime=lifetime,
-            hop_limit=hop_limit,
-            application_parameters=app_params,
-        )
+        spans = _fields(wire, TlvTypes.INTEREST)
+        try:
+            return cls(
+                name=_parse_name(wire, spans.get(TlvTypes.NAME)),
+                can_be_prefix=TlvTypes.CAN_BE_PREFIX in spans,
+                must_be_fresh=TlvTypes.MUST_BE_FRESH in spans,
+                nonce=_parse_nonce(wire, spans.get(TlvTypes.NONCE)),
+                lifetime=_parse_ms(
+                    wire, spans.get(TlvTypes.INTEREST_LIFETIME), DEFAULT_INTEREST_LIFETIME
+                ),
+                hop_limit=_parse_hop_limit(wire, spans.get(TlvTypes.HOP_LIMIT)),
+                application_parameters=_parse_bytes(
+                    wire, spans.get(TlvTypes.APPLICATION_PARAMETERS)
+                ),
+            )
+        except ValueError as exc:  # a 0 ms lifetime: well-formed TLV, invalid Interest
+            raise TLVDecodeError(str(exc)) from exc
 
     @property
     def size(self) -> int:
@@ -248,16 +271,24 @@ class Interest:
         return f"Interest({self.name.to_uri()!r}, nonce={self.nonce:#010x})"
 
 
+#: SignatureType DigestSha256: the signature is the SHA-256 of the signed portion.
+_DIGEST_SHA256 = 0
+#: The SignatureInfo every Data carries ("NDN inherently secures data").
+_SIGNATURE_INFO = encode_tlv(
+    TlvTypes.SIGNATURE_INFO,
+    encode_tlv(TlvTypes.SIGNATURE_TYPE, encode_nonneg_int(_DIGEST_SHA256)),
+)
+
+
 @dataclass
 class Data:
-    """An NDN Data packet: named, signed content."""
+    """An NDN Data packet: named content with a DigestSha256 signature."""
 
     name: Name
     content: bytes = b""
     content_type: int = _ContentType.BLOB
     freshness_period: float = 0.0
     final_block_id: Optional[Component] = None
-    signature_info: Optional[SignatureInfo] = None
     signature_value: bytes = b""
 
     def __post_init__(self) -> None:
@@ -265,7 +296,8 @@ class Data:
             self.name = Name(self.name)
         if isinstance(self.content, str):
             self.content = self.content.encode("utf-8")
-        # Lazily-cached wire form; invalidated by (re-)signing.
+        # Lazily-cached wire form: the first encode builds it, signing an
+        # unsigned packet on the way, and every later one returns it.
         self._wire: "bytes | None" = None
 
     # -- signing ------------------------------------------------------------------
@@ -283,94 +315,54 @@ class Data:
         body += encode_tlv(TlvTypes.CONTENT, self.content)
         return body
 
-    def sign(self, signer: "DigestSigner | HmacSigner | None" = None) -> "Data":
-        """Sign in place with ``signer`` (digest signer by default); returns self."""
-        signer = signer or DigestSigner()
-        self.signature_info = signer.signature_info()
-        self.signature_value = signer.sign(self._signed_portion())
-        self._wire = None
-        return self
+    def verify(self) -> bool:
+        """Whether the signature is the SHA-256 digest of the signed portion.
 
-    def verify(self, keychain: Optional[KeyChain] = None) -> bool:
-        """Verify the signature; raises :class:`VerificationError` when unsigned."""
-        if self.signature_info is None or not self.signature_value:
+        Raises :class:`VerificationError` for a packet never encoded (and so
+        never signed).
+        """
+        if not self.signature_value:
             raise VerificationError(f"data {self.name} is unsigned")
-        keychain = keychain or KeyChain()
-        return keychain.verify(self._signed_portion(), self.signature_value, self.signature_info)
-
-    @property
-    def is_signed(self) -> bool:
-        return self.signature_info is not None and bool(self.signature_value)
+        return hashlib.sha256(self._signed_portion()).digest() == self.signature_value
 
     # -- wire encoding --------------------------------------------------------------
 
     def encode(self) -> bytes:
         if self._wire is not None:
             return self._wire
-        if not self.is_signed:
-            self.sign()
         body = self._signed_portion()
-        info = self.signature_info
-        assert info is not None
-        sig_info_body = encode_tlv(
-            TlvTypes.SIGNATURE_TYPE, encode_nonneg_int(info.signature_type)
+        if not self.signature_value:
+            self.signature_value = hashlib.sha256(body).digest()
+        self._wire = encode_tlv(
+            TlvTypes.DATA,
+            body + _SIGNATURE_INFO + encode_tlv(TlvTypes.SIGNATURE_VALUE, self.signature_value),
         )
-        if info.key_locator is not None:
-            sig_info_body += encode_tlv(TlvTypes.KEY_LOCATOR, _encode_name(info.key_locator))
-        body += encode_tlv(TlvTypes.SIGNATURE_INFO, sig_info_body)
-        body += encode_tlv(TlvTypes.SIGNATURE_VALUE, self.signature_value)
-        self._wire = encode_tlv(TlvTypes.DATA, body)
         return self._wire
 
     @classmethod
     def decode(cls, wire: bytes) -> "Data":
-        outer_type, outer_value, _ = decode_tlv(wire)
-        if outer_type != TlvTypes.DATA:
-            raise TLVDecodeError(f"not a Data packet (type {outer_type})")
-        name: Optional[Name] = None
-        content = b""
-        content_type = _ContentType.BLOB
-        freshness = 0.0
-        final_block: Optional[Component] = None
-        sig_type: Optional[int] = None
-        key_locator: Optional[Name] = None
-        sig_value = b""
-        for block in decode_all(outer_value):
-            if block.type == TlvTypes.NAME:
-                name = _decode_name(block.value)
-            elif block.type == TlvTypes.CONTENT_TYPE:
-                content_type = decode_nonneg_int(block.value)
-            elif block.type == TlvTypes.FRESHNESS_PERIOD:
-                freshness = decode_nonneg_int(block.value) / 1000.0
-            elif block.type == TlvTypes.FINAL_BLOCK_ID:
-                final_block = Component(block.value)
-            elif block.type == TlvTypes.CONTENT:
-                content = block.value
-            elif block.type == TlvTypes.SIGNATURE_INFO:
-                for inner in decode_all(block.value):
-                    if inner.type == TlvTypes.SIGNATURE_TYPE:
-                        sig_type = decode_nonneg_int(inner.value)
-                    elif inner.type == TlvTypes.KEY_LOCATOR:
-                        # The key locator wraps a full Name TLV.
-                        locator_type, locator_value, _ = decode_tlv(inner.value)
-                        if locator_type != TlvTypes.NAME:
-                            raise TLVDecodeError("key locator does not contain a Name")
-                        key_locator = _decode_name(locator_value)
-            elif block.type == TlvTypes.SIGNATURE_VALUE:
-                sig_value = block.value
-        if name is None:
-            raise TLVDecodeError("Data without a Name")
-        data = cls(
-            name=name,
-            content=content,
-            content_type=content_type,
-            freshness_period=freshness,
-            final_block_id=final_block,
+        spans = _fields(wire, TlvTypes.DATA)
+        info = spans.get(TlvTypes.SIGNATURE_INFO)
+        signature_type = None if info is None else _parse_int(
+            wire, scan_tlv_spans(wire, info[1], info[2]).get(TlvTypes.SIGNATURE_TYPE), None
         )
-        if sig_type is not None:
-            data.signature_info = SignatureInfo(signature_type=sig_type, key_locator=key_locator)
-            data.signature_value = sig_value
-        return data
+        if signature_type != _DIGEST_SHA256:
+            # Only DigestSha256 is ever encoded, so a packet signed any other
+            # way (or not at all) could not re-encode to the bytes it arrived as.
+            raise TLVDecodeError(f"Data signature type {signature_type} is not DigestSha256")
+        final_block = spans.get(TlvTypes.FINAL_BLOCK_ID)
+        if final_block is not None and final_block[1] == final_block[2]:
+            raise TLVDecodeError("empty FinalBlockId")
+        return cls(
+            name=_parse_name(wire, spans.get(TlvTypes.NAME)),
+            content=_parse_bytes(wire, spans.get(TlvTypes.CONTENT)),
+            content_type=_parse_int(wire, spans.get(TlvTypes.CONTENT_TYPE), _ContentType.BLOB),
+            freshness_period=_parse_ms(wire, spans.get(TlvTypes.FRESHNESS_PERIOD), 0.0),
+            final_block_id=(
+                None if final_block is None else Component(wire[final_block[1]:final_block[2]])
+            ),
+            signature_value=_parse_bytes(wire, spans.get(TlvTypes.SIGNATURE_VALUE)),
+        )
 
     @property
     def size(self) -> int:
@@ -409,22 +401,14 @@ class Nack:
 
     @classmethod
     def decode(cls, wire: bytes) -> "Nack":
-        outer_type, outer_value, _ = decode_tlv(wire)
-        if outer_type != TlvTypes.NACK:
-            raise TLVDecodeError(f"not a Nack packet (type {outer_type})")
-        reason = NackReason.NONE
-        interest: Optional[Interest] = None
-        offset = 0
-        while offset < len(outer_value):
-            block_type, block_value, next_offset = decode_tlv(outer_value, offset)
-            if block_type == TlvTypes.NACK_REASON:
-                reason = decode_nonneg_int(block_value)
-            elif block_type == TlvTypes.INTEREST:
-                interest = Interest.decode(outer_value[offset:next_offset])
-            offset = next_offset
-        if interest is None:
+        spans = _fields(wire, TlvTypes.NACK)
+        enclosed = spans.get(TlvTypes.INTEREST)
+        if enclosed is None:
             raise TLVDecodeError("Nack without an enclosed Interest")
-        return cls(interest=interest, reason=reason)
+        return cls(
+            interest=Interest.decode(wire[enclosed[0]:enclosed[2]]),
+            reason=_parse_int(wire, spans.get(TlvTypes.NACK_REASON), NackReason.NONE),
+        )
 
     @property
     def size(self) -> int:
@@ -591,10 +575,7 @@ class WirePacket:
             elif self._header() == TlvTypes.NACK:
                 self._name = self.interest.name
             else:
-                span = self._scan().get(TlvTypes.NAME)
-                if span is None:
-                    raise TLVDecodeError("packet without a Name")
-                self._name = _decode_name_span(self._buf, span[1], span[2])
+                self._name = _parse_name(self._buf, self._scan().get(TlvTypes.NAME))
         return self._name
 
     @property
@@ -629,12 +610,6 @@ class WirePacket:
             self._name_tlv = self._buf[span[1]:span[2]]
         return self._name_tlv
 
-    def _value(self, type_number: int) -> Optional[bytes]:
-        span = self._scan().get(type_number)
-        if span is None:
-            return None
-        return self._buf[span[1]:span[2]]
-
     @property
     def can_be_prefix(self) -> bool:
         if self._decoded is not None:
@@ -654,51 +629,44 @@ class WirePacket:
         if self._decoded is not None:
             return self._decoded.nonce
         self._require(TlvTypes.INTEREST, "nonce")
-        value = self._value(TlvTypes.NONCE)
-        return int.from_bytes(value, "big") if value else 0
+        return _parse_nonce(self._buf, self._scan().get(TlvTypes.NONCE))
 
     @property
     def lifetime(self) -> float:
         if self._decoded is not None:
             return self._decoded.lifetime
         self._require(TlvTypes.INTEREST, "lifetime")
-        value = self._value(TlvTypes.INTEREST_LIFETIME)
-        return decode_nonneg_int(value) / 1000.0 if value else DEFAULT_INTEREST_LIFETIME
+        return _parse_ms(
+            self._buf, self._scan().get(TlvTypes.INTEREST_LIFETIME), DEFAULT_INTEREST_LIFETIME
+        )
 
     @property
     def hop_limit(self) -> int:
         if self._decoded is not None:
             return self._decoded.hop_limit
         self._require(TlvTypes.INTEREST, "hop_limit")
-        span = self._scan().get(TlvTypes.HOP_LIMIT)
-        if span is None:
-            return 255
-        if span[2] - span[1] != 1:
-            raise TLVDecodeError(f"hop limit TLV must be 1 byte, got {span[2] - span[1]}")
-        return self._buf[span[1]]
+        return _parse_hop_limit(self._buf, self._scan().get(TlvTypes.HOP_LIMIT))
 
     @property
     def application_parameters(self) -> bytes:
         if self._decoded is not None:
             return self._decoded.application_parameters
         self._require(TlvTypes.INTEREST, "application_parameters")
-        return self._value(TlvTypes.APPLICATION_PARAMETERS) or b""
+        return _parse_bytes(self._buf, self._scan().get(TlvTypes.APPLICATION_PARAMETERS))
 
     @property
     def freshness_period(self) -> float:
         if self._decoded is not None:
             return self._decoded.freshness_period
         self._require(TlvTypes.DATA, "freshness_period")
-        value = self._value(TlvTypes.FRESHNESS_PERIOD)
-        return decode_nonneg_int(value) / 1000.0 if value else 0.0
+        return _parse_ms(self._buf, self._scan().get(TlvTypes.FRESHNESS_PERIOD), 0.0)
 
     @property
     def reason(self) -> int:
         if self._decoded is not None:
             return self._decoded.reason
         self._require(TlvTypes.NACK, "reason")
-        value = self._value(TlvTypes.NACK_REASON)
-        return decode_nonneg_int(value) if value else NackReason.NONE
+        return _parse_int(self._buf, self._scan().get(TlvTypes.NACK_REASON), NackReason.NONE)
 
     @property
     def interest(self) -> "WirePacket":

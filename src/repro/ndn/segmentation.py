@@ -45,7 +45,7 @@ def segment_content(
             content=chunk,
             freshness_period=freshness_period,
             final_block_id=final_block,
-        ).sign()
+        )
         packets.append(packet)
     return packets
 

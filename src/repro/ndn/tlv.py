@@ -1,8 +1,10 @@
 """Type–Length–Value wire encoding.
 
 The NDN packet format encodes everything as nested TLV blocks.  This module
-implements variable-length number encoding (per the NDN packet spec) plus an
-encoder/decoder used by :mod:`repro.ndn.packet`.
+implements variable-length number encoding (per the NDN packet spec), the
+TLV encoder, and the one decoding walk :mod:`repro.ndn.packet` uses: a
+header decode plus :func:`scan_tlv_spans`, which locates a block's fields as
+byte spans without copying them.
 
 Type numbers follow the NDN packet format v0.3 where applicable; a few private
 types (>= 1000) are used for simulation-only metadata.
@@ -10,17 +12,12 @@ types (>= 1000) are used for simulation-only metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 from repro.exceptions import TLVDecodeError
 
 __all__ = [
     "TlvTypes",
     "encode_tlv",
-    "decode_tlv",
     "decode_tlv_header",
-    "decode_all",
     "scan_tlv_spans",
     "encode_nonneg_int",
     "decode_nonneg_int",
@@ -52,7 +49,6 @@ class TlvTypes:
 
     SIGNATURE_INFO = 0x16
     SIGNATURE_TYPE = 0x1B
-    KEY_LOCATOR = 0x1C
     SIGNATURE_VALUE = 0x17
 
     NACK_REASON = 0x0321
@@ -99,18 +95,11 @@ def encode_tlv(type_number: int, value: bytes) -> bytes:
     return _encode_var_number(type_number) + _encode_var_number(len(value)) + value
 
 
-def decode_tlv(buffer: bytes, offset: int = 0) -> tuple[int, bytes, int]:
-    """Decode one TLV block; returns ``(type, value, next_offset)``."""
-    type_number, value_start, value_end = decode_tlv_header(buffer, offset)
-    return type_number, buffer[value_start:value_end], value_end
-
-
 def decode_tlv_header(buffer: bytes, offset: int = 0) -> tuple[int, int, int]:
     """Decode a TLV header only; returns ``(type, value_start, value_end)``.
 
-    Unlike :func:`decode_tlv` this never slices the value out of ``buffer``,
-    so callers that only need offsets (the zero-copy
-    :class:`~repro.ndn.packet.WirePacket` field scan) pay no copies.
+    The value is never sliced out of ``buffer``: callers take the bytes they
+    need from the offsets, so a scan over a packet's fields copies nothing.
     """
     type_number, offset = _decode_var_number(buffer, offset)
     length, offset = _decode_var_number(buffer, offset)
@@ -127,9 +116,10 @@ def scan_tlv_spans(buffer: bytes, start: int, end: int) -> dict[int, tuple[int, 
     """Shallow-walk the TLV blocks in ``buffer[start:end]`` without copying.
 
     Returns ``{type: (block_start, value_start, value_end)}`` for the first
-    occurrence of each type — exactly what a lazy packet view needs to answer
-    header-field questions (name, nonce, freshness, ...) straight off the
-    wire buffer.
+    occurrence of each type.  This is the one walk over a packet's fields:
+    the lazy :class:`~repro.ndn.packet.WirePacket` view and the object
+    decoders both read every field from it, so a forwarder in transit and
+    the endpoint always see the same value.
     """
     spans: dict[int, tuple[int, int, int]] = {}
     offset = start
@@ -142,22 +132,6 @@ def scan_tlv_spans(buffer: bytes, start: int, end: int) -> dict[int, tuple[int, 
             spans[type_number] = (block_start, value_start, value_end)
         offset = value_end
     return spans
-
-
-@dataclass(frozen=True)
-class _TlvBlock:
-    """A decoded TLV block."""
-
-    type: int
-    value: bytes
-
-
-def decode_all(buffer: bytes) -> Iterator[_TlvBlock]:
-    """Decode a concatenation of TLV blocks."""
-    offset = 0
-    while offset < len(buffer):
-        type_number, value, offset = decode_tlv(buffer, offset)
-        yield _TlvBlock(type_number, value)
 
 
 def encode_nonneg_int(value: int) -> bytes:

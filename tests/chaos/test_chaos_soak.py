@@ -54,7 +54,7 @@ def _serve_tenants(cluster: LIDCCluster) -> None:
                 name=interest.name,
                 content=f"{_cluster}:{_tenant}".encode(),
                 freshness_period=3600.0,
-            ).sign()
+            )
         cluster.gateway_nfd.attach_producer(tenant, handler)
 
     original_announce = cluster.announce_prefixes

@@ -12,7 +12,7 @@ from repro.cluster.node import Node, NodeStatus
 from repro.cluster.objects import ObjectMeta
 from repro.cluster.pod import Container, Pod, PodPhase, PodSpec, ResourceRequirements, WorkloadResult
 from repro.cluster.quantity import Quantity
-from repro.cluster.scheduler import Scheduler, SchedulingPolicy
+from repro.cluster.scheduler import Scheduler
 from repro.sim.engine import Environment
 
 
@@ -134,21 +134,12 @@ class TestScheduler:
 
     def test_least_allocated_spreads_pods(self, api_env):
         env, api = api_env
-        Scheduler(api, policy=SchedulingPolicy.LEAST_ALLOCATED)
+        Scheduler(api)
         api.create("Node", Node.build("n1", cpu=8, memory="16Gi"))
         api.create("Node", Node.build("n2", cpu=8, memory="16Gi"))
         p1 = api.create("Pod", make_pod("p1", cpu=2, memory="2Gi"))
         p2 = api.create("Pod", make_pod("p2", cpu=2, memory="2Gi"))
         assert {p1.node_name, p2.node_name} == {"n1", "n2"}
-
-    def test_most_allocated_packs_pods(self, api_env):
-        env, api = api_env
-        Scheduler(api, policy=SchedulingPolicy.MOST_ALLOCATED)
-        api.create("Node", Node.build("n1", cpu=8, memory="16Gi"))
-        api.create("Node", Node.build("n2", cpu=8, memory="16Gi"))
-        p1 = api.create("Pod", make_pod("p1", cpu=2, memory="2Gi"))
-        p2 = api.create("Pod", make_pod("p2", cpu=2, memory="2Gi"))
-        assert p1.node_name == p2.node_name
 
     def test_cordoned_node_excluded(self, api_env):
         env, api = api_env

@@ -157,12 +157,12 @@ class TestSessionRobustness:
             ack = {"accepted": True, "job_id": "job-x", "cluster": "stub", "cached": True,
                    "status_name": str(naming.status_name("job-x")),
                    "result_name": str(result_name)}
-            return Data(name=interest.name, content=json.dumps(ack).encode()).sign()
+            return Data(name=interest.name, content=json.dumps(ack).encode())
 
         def on_data(interest):
             if interest.name == result_name:
                 manifest = {"has_payload": True, "size_bytes": len(payload)}
-                return Data(name=result_name, content=json.dumps(manifest).encode()).sign()
+                return Data(name=result_name, content=json.dumps(manifest).encode())
             if interest.name == result_name.append("seg=0") and not nacked:
                 nacked.append(interest.name)
                 return interest.nack(NackReason.CONGESTION)
@@ -187,7 +187,7 @@ class TestSessionRobustness:
 
         def garbage(interest):
             return Data(name=interest.name, content=b"not json",
-                        freshness_period=1.0).sign()
+                        freshness_period=1.0)
 
         edge.attach_producer("/ndn/k8s/status", garbage)
         handle = client.submit(sleep_request(20))

@@ -338,7 +338,7 @@ class TestClientPollsTheAckedStatusName:
         def on_compute(interest):
             ack = {"accepted": True, "job_id": "job-x", "cluster": "stub",
                    "status_name": status_name}
-            return Data(name=interest.name, content=json.dumps(ack).encode()).sign()
+            return Data(name=interest.name, content=json.dumps(ack).encode())
 
         def on_status(interest):
             polled.append(str(interest.name))
@@ -346,7 +346,7 @@ class TestClientPollsTheAckedStatusName:
                 return interest.nack(NackReason.NO_ROUTE)
             state = JobState.COMPLETED if len(polled) >= 3 else JobState.RUNNING
             payload = {"job_id": "job-x", "state": state.value}
-            return Data(name=interest.name, content=json.dumps(payload).encode()).sign()
+            return Data(name=interest.name, content=json.dumps(payload).encode())
 
         edge.attach_producer(naming.COMPUTE_PREFIX, on_compute)
         edge.attach_producer(naming.STATUS_PREFIX, on_status)

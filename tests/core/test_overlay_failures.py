@@ -103,7 +103,7 @@ class TestLinkFaults:
         cluster = testbed.cluster("cluster-a")
         cluster.gateway_nfd.attach_producer(
             "/slow-a",
-            lambda i: Data(name=i.name, content=b"late").sign(),
+            lambda i: Data(name=i.name, content=b"late"),
             delay_s=0.2,
         )
         cluster.routing.announce("/slow-a")

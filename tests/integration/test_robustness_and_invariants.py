@@ -170,7 +170,7 @@ class TestContentStoreInvariants:
     def test_size_never_exceeds_capacity_and_hits_are_correct(self, capacity, names):
         cs = ContentStore(capacity=capacity)
         for value in names:
-            cs.insert(Data(name=Name(f"/obj/{value}"), content=b"x").sign())
+            cs.insert(Data(name=Name(f"/obj/{value}"), content=b"x"))
             assert len(cs) <= capacity
         # Every name still cached must be findable; every hit returns the right name.
         for value in set(names):
@@ -184,7 +184,7 @@ class TestContentStoreInvariants:
         cs = ContentStore(capacity=1000)
         for index, suffix in enumerate(names):
             cs.insert(Data(name=Name(["keep" if index % 2 else "drop", suffix, str(index)]),
-                           content=b"x").sign())
+                           content=b"x"))
         before = len(cs)
         removed = cs.erase("/drop")
         assert len(cs) == before - removed

@@ -31,7 +31,7 @@ def soak_node(env):
         def handler(interest, _tenant=tenant):
             return Data(
                 name=interest.name, content=b"payload:" + _tenant.encode()
-            ).sign()
+            )
         node.attach_producer(tenant, handler)
     return node
 
@@ -131,7 +131,7 @@ class TestHotCacheSoak:
                 return Data(
                     name=interest.name, content=b"hot:" + _tenant.encode(),
                     freshness_period=3600.0,
-                ).sign()
+                )
             node.attach_producer(tenant, handler)
         consumer = Consumer(env, node, name="hot-client")
         decodes_before = WirePacket.wire_decodes
@@ -185,7 +185,7 @@ class TestFlashCrowdSoak:
                     name=interest.name,
                     content=version + _tenant.encode(),
                     freshness_period=freshness,
-                ).sign()
+                )
             node.attach_producer(tenant, handler)
 
     def _spike_spec(self, label: str, catalog, must_be_fresh: bool):

@@ -62,7 +62,7 @@ def assert_exchange_disarmed(env, consumer):
 
 
 def answer(interest):
-    return Data(name=interest.name, content=b"x").sign()
+    return Data(name=interest.name, content=b"x")
 
 
 def two_hop(env, latency_s=0.0005, tracer=None):
@@ -173,7 +173,7 @@ class TestWatchdogEndsWithItsExchange:
             "/svc/late", lifetime=0.5,
             retry_policy=RetryPolicy(max_retries=2, initial_backoff_s=1.0),
         )
-        late = Data(name=Name("/svc/late"), content=b"late").sign()
+        late = Data(name=Name("/svc/late"), content=b"late")
         env.timeout(0.8).callbacks.append(lambda _ev: consumer.face.peer.send(late))
         assert env.run(until=completion).content == b"late"
         assert env.now == pytest.approx(0.8)

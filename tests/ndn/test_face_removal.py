@@ -44,7 +44,7 @@ class TestFaceRemovalPitCleanup:
         edge.register_prefix("/svc", face_eb, cost=10)  # survivor
         slow.attach_producer("/svc", lambda i: None)
         backup.attach_producer(
-            "/svc", lambda i: Data(name=i.name, content=b"rescued").sign()
+            "/svc", lambda i: Data(name=i.name, content=b"rescued")
         )
         consumer = Consumer(env, edge)
         completion = consumer.express_interest("/svc/x", lifetime=30.0)
@@ -118,7 +118,7 @@ class TestConsumerSelfHealing:
             calls["count"] += 1
             if calls["count"] < 2:
                 return None
-            return Data(name=interest.name, content=b"ok").sign()
+            return Data(name=interest.name, content=b"ok")
 
         forwarder.attach_producer("/svc", handler)
         consumer = Consumer(env, forwarder)
@@ -152,7 +152,7 @@ class TestConsumerSelfHealing:
             calls["count"] += 1
             if calls["count"] < 2:
                 return interest.nack(NackReason.CONGESTION)
-            return Data(name=interest.name, content=b"recovered").sign()
+            return Data(name=interest.name, content=b"recovered")
 
         forwarder.attach_producer("/svc", handler)
         consumer = Consumer(env, forwarder)

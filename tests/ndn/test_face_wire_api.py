@@ -100,7 +100,7 @@ class TestWireDelivery:
         env = Environment()
         face_a, _ = connect(env, WireCollector(), LegacyCollector(), face_cls=LocalFace)
         with pytest.raises(NDNError, match="shim was removed"):
-            face_a.send(Data(name=Name("/legacy/d"), content=b"x").sign())
+            face_a.send(Data(name=Name("/legacy/d"), content=b"x"))
 
     @pytest.mark.parametrize("face_cls", [NetworkFace, LocalFace])
     def test_receiver_error_on_a_delayed_face_propagates_out_of_run(self, face_cls):
@@ -151,7 +151,7 @@ class TestWireDelivery:
         env = Environment()
         sender, receiver = WireCollector(), WireCollector()
         face_a, face_b = connect(env, sender, receiver, face_cls=LocalFace)
-        data = Data(name=Name("/bytes"), content=b"p" * 100).sign()
+        data = Data(name=Name("/bytes"), content=b"p" * 100)
         face_a.send(data)
         env.run()
         assert face_a.stats.bytes_out == len(data.encode())
@@ -196,7 +196,7 @@ class TestDropsCounter:
         # The Interest is pending upstream; now the downstream face dies and
         # the returning Data must be counted as a drop, not silently eaten.
         fwd_down.up = False
-        up_face.send(Data(name=Name("/p/x"), content=b"late").sign())
+        up_face.send(Data(name=Name("/p/x"), content=b"late"))
         env.run()
         assert fwd_down.stats.drops == 1
         assert all(p.packet_type != 0x06 for p in downstream.received)

@@ -154,14 +154,14 @@ class TestSegmentation:
 
     def test_reassemble_rejects_a_malformed_final_block_id(self):
         segment = Data(name=Name("/d/o/seg=0"), content=b"x",
-                       final_block_id=Component("seg=x")).sign()
+                       final_block_id=Component("seg=x"))
         with pytest.raises(NDNError):
             reassemble([segment])
 
     def test_fetch_segments_rejects_a_malformed_final_block_id(self, env):
         forwarder = Forwarder(env, "origin")
         forwarder.attach_producer("/d", lambda interest: Data(
-            name=interest.name, content=b"x", final_block_id=Component("seg=x")).sign())
+            name=interest.name, content=b"x", final_block_id=Component("seg=x")))
         consumer = Consumer(env, forwarder)
         with pytest.raises(NDNError):
             env.run_process(consumer.fetch_segments("/d/o"))
@@ -223,7 +223,7 @@ class TestForwarderPipelines:
             calls["count"] += 1
             if calls["count"] < 2:
                 return None  # drop the first request
-            return Data(name=interest.name, content=b"second time").sign()
+            return Data(name=interest.name, content=b"second time")
 
         forwarder.attach_producer("/svc", handler)
         consumer = Consumer(env, forwarder)
@@ -239,7 +239,7 @@ class TestForwarderPipelines:
 
         def slow_handler(interest):
             served["count"] += 1
-            return Data(name=interest.name, content=b"shared").sign()
+            return Data(name=interest.name, content=b"shared")
 
         fb.attach_producer("/agg", slow_handler, delay_s=0.05)
         db.announce("/agg")
@@ -253,7 +253,7 @@ class TestForwarderPipelines:
 
     def test_hop_limit_exhaustion_drops_interest(self, env, linked_pair):
         fa, fb, da, db = linked_pair
-        fb.attach_producer("/deep", lambda i: Data(name=i.name, content=b"d").sign())
+        fb.attach_producer("/deep", lambda i: Data(name=i.name, content=b"d"))
         db.announce("/deep")
         consumer = Consumer(env, fa)
         interest = Interest(name=Name("/deep/x"), hop_limit=0, lifetime=0.3)
@@ -269,7 +269,7 @@ class TestForwarderPipelines:
         edge.register_prefix("/svc", face_eb, cost=1)   # preferred but broken
         edge.register_prefix("/svc", face_eg, cost=10)  # fallback
         # 'bad' has no route, so it NACKs; 'good' serves the data.
-        good.attach_producer("/svc", lambda i: Data(name=i.name, content=b"ok").sign())
+        good.attach_producer("/svc", lambda i: Data(name=i.name, content=b"ok"))
         consumer = Consumer(env, edge)
         data = env.run(until=consumer.express_interest("/svc/task", lifetime=2.0))
         assert data.content == b"ok"
@@ -280,7 +280,7 @@ class TestForwarderPipelines:
         tried for ``/a``: the next CanBePrefix Interest for ``/a`` reaches it
         again (no Content Store at capacity 0 to hide the defect)."""
         edge = Forwarder(env, "edge", cs_capacity=0)
-        edge.attach_producer("/a", lambda i: Data(name=Name("/a/b"), content=b"b").sign())
+        edge.attach_producer("/a", lambda i: Data(name=Name("/a/b"), content=b"b"))
         consumer = Consumer(env, edge)
         for _ in range(2):
             data = env.run(until=consumer.express_interest(
@@ -339,7 +339,7 @@ class TestForwarderPipelines:
         edge, origin = Forwarder(env, "edge"), Forwarder(env, "origin")
         face, _ = connect(env, edge, origin, link=Link("e", "o", latency_s=0.01), label="e-o")
         edge.register_prefix("/svc", face)
-        origin.attach_producer("/svc", lambda i: Data(name=i.name, content=b"ok").sign())
+        origin.attach_producer("/svc", lambda i: Data(name=i.name, content=b"ok"))
         consumer = Consumer(env, edge)
         env.run(until=consumer.express_interest("/svc/x"))
         one_exchange = {"interests_received": 1, "interests_forwarded": 1,
@@ -363,14 +363,14 @@ class TestForwarderPipelines:
     def test_unsolicited_data_dropped_by_default(self, env):
         forwarder = Forwarder(env, "strict")
         consumer = Consumer(env, forwarder)
-        consumer.face.send(Data(name=Name("/nobody/asked"), content=b"x").sign())
+        consumer.face.send(Data(name=Name("/nobody/asked"), content=b"x"))
         env.run()
         assert len(forwarder.cs) == 0
 
     def test_unsolicited_data_cached_when_enabled(self, env):
         forwarder = Forwarder(env, "repo", cache_unsolicited=True)
         consumer = Consumer(env, forwarder)
-        consumer.face.send(Data(name=Name("/push/content"), content=b"x").sign())
+        consumer.face.send(Data(name=Name("/push/content"), content=b"x"))
         env.run()
         assert len(forwarder.cs) == 1
 

@@ -46,7 +46,7 @@ def _rig(env, shards=2, cs_capacity=64, hot_cache=8, freshness=3600.0, prefixes=
     def handler(interest, _freshness=freshness):
         return Data(
             name=interest.name, content=b"v1", freshness_period=_freshness
-        ).sign()
+        )
 
     for prefix in prefixes:
         node.attach_producer(prefix, handler)
@@ -196,7 +196,7 @@ class TestCoherence:
         # must be dropped before the new handler can be asked anything.
         node.attach_producer("/p", lambda interest: Data(
             name=interest.name, content=b"v2", freshness_period=3600.0
-        ).sign())
+        ))
         assert key not in node.hot_cache
         _exchange(env, driver, face, "/p/obj")
         assert node.hot_cache.hits == 1  # served by a shard, not the cache
@@ -296,7 +296,7 @@ class TestCoherence:
 class TestDispatcherHotCacheUnit:
     def test_capacity_is_a_hard_lru_bound(self):
         cache = DispatcherHotCache(capacity=2)
-        template = WirePacket(Data(name=Name("/d"), freshness_period=5.0).sign().encode())
+        template = WirePacket(Data(name=Name("/d"), freshness_period=5.0).encode())
         cache.insert(b"a", template, 0.0)
         cache.insert(b"b", template, 0.0)
         assert cache.get(b"a", 0.0) is not None  # refresh recency of a
@@ -310,7 +310,7 @@ class TestDispatcherHotCacheUnit:
         first lookup validates it and a zero-freshness frame is dropped
         unserved."""
         cache = DispatcherHotCache(capacity=2)
-        template = WirePacket(Data(name=Name("/d")).sign().encode())
+        template = WirePacket(Data(name=Name("/d")).encode())
         cache.insert(b"a", template, 0.0)
         assert len(cache) == 1
         assert cache.get(b"a", 0.0) is None
@@ -320,7 +320,7 @@ class TestDispatcherHotCacheUnit:
     def test_deferred_validation_serves_fresh_frames(self):
         cache = DispatcherHotCache(capacity=2)
         template = WirePacket(
-            Data(name=Name("/d"), freshness_period=2.0).sign().encode()
+            Data(name=Name("/d"), freshness_period=2.0).encode()
         )
         cache.insert(b"a", template, 0.0)
         assert cache.get(b"a", 1.5) is template
@@ -341,7 +341,7 @@ class TestDispatcherHotCacheUnit:
         """Byte-prefix invalidation agrees with Name.is_prefix_of — the
         property that makes producer-install invalidation correct."""
         cache = DispatcherHotCache(capacity=64)
-        template = WirePacket(Data(name=Name("/d"), freshness_period=5.0).sign().encode())
+        template = WirePacket(Data(name=Name("/d"), freshness_period=5.0).encode())
         population = [prefix.append(*extensions), *others, prefix]
         for name in population:
             cache.insert(encode_name_value(name), template, 0.0)

@@ -159,7 +159,7 @@ class Rig:
         def handle(interest):
             self.asked[index] += 1
             if self.answers[index]:
-                return Data(name=interest.name, content=f"up{index}".encode()).sign()
+                return Data(name=interest.name, content=f"up{index}".encode())
             return interest.nack(NackReason.NO_ROUTE)
         return handle
 

@@ -95,7 +95,7 @@ class TestPartitioning:
     @given(name=names, num_shards=shard_counts)
     def test_interest_and_data_for_the_same_name_share_a_shard(self, name, num_shards):
         interest = Interest(name=name)
-        data = Data(name=name, content=b"payload").sign()
+        data = Data(name=name, content=b"payload")
         nack = interest.nack(NackReason.NO_ROUTE)
         shards = {
             dispatched_shard(packet, num_shards) for packet in (interest, data, nack)
@@ -116,7 +116,7 @@ class TestPartitioning:
 class TestFrameCodec:
     @given(name=names, tag=st.integers(0, 2**32 - 1), payload=st.binary(max_size=64))
     def test_data_frame_round_trip_preserves_wire_and_layout(self, name, tag, payload):
-        data = Data(name=name, content=payload).sign()
+        data = Data(name=name, content=payload)
         view = WirePacket(data.encode())
         _ = view.name  # force the span scan so the frame carries the layout
         before = WirePacket.wire_decodes

@@ -31,7 +31,7 @@ def owner(name, shards):
 def attach_tenant_producers(node, tenants=TENANTS, delay_s=0.0):
     for tenant in tenants:
         def handler(interest, _tenant=tenant):
-            return Data(name=interest.name, content=b"from:" + _tenant.encode()).sign()
+            return Data(name=interest.name, content=b"from:" + _tenant.encode())
         node.attach_producer(tenant, handler, delay_s=delay_s)
 
 

@@ -26,7 +26,7 @@ def owner(name, shards):
 def attach_tenant_producers(node, tenants=TENANTS):
     for tenant in tenants:
         def handler(interest, _tenant=tenant):
-            return Data(name=interest.name, content=b"from:" + _tenant.encode()).sign()
+            return Data(name=interest.name, content=b"from:" + _tenant.encode())
         node.attach_producer(tenant, handler)
 
 
@@ -75,7 +75,7 @@ class TestInlineSharding:
         node = ShardedForwarder(env, name="node", shards=3)
         for tenant in TENANTS:
             node.attach_producer(tenant, lambda interest: Data(
-                name=interest.name, content=b"x", freshness_period=10.0).sign())
+                name=interest.name, content=b"x", freshness_period=10.0))
         consumer = Consumer(env, node)
         names = [f"{tenant}/obj" for tenant in TENANTS]
 
@@ -119,7 +119,7 @@ class TestInlineSharding:
 
         def handler(interest):
             served.append(interest.name)
-            return Data(name=interest.name, content=b"origin").sign()
+            return Data(name=interest.name, content=b"origin")
 
         origin.attach_producer("/svc", handler)
         edge_face, _origin_face = connect(
@@ -146,7 +146,7 @@ class TestInlineSharding:
 
         def handler(interest):
             calls.append(interest.name)
-            return Data(name=interest.name, content=b"wide").sign()
+            return Data(name=interest.name, content=b"wide")
 
         # One component < key_depth 2: the producer must be reachable for
         # names on any shard.

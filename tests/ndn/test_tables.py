@@ -14,7 +14,7 @@ from repro.ndn.pit import PendingInterestTable
 
 
 def make_data(uri: str, freshness: float = 0.0) -> Data:
-    return Data(name=Name(uri), content=b"x", freshness_period=freshness).sign()
+    return Data(name=Name(uri), content=b"x", freshness_period=freshness)
 
 
 class TestContentStore:

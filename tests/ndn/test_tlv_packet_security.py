@@ -1,4 +1,4 @@
-"""Tests for TLV encoding, packet wire formats and signing."""
+"""Tests for TLV encoding, packet wire formats and the DigestSha256 signature."""
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -6,15 +6,15 @@ from hypothesis import example, given, strategies as st
 from repro.exceptions import TLVDecodeError, VerificationError
 from repro.ndn.name import Component, Name
 from repro.ndn.packet import _ContentType, Data, Interest, Nack, NackReason
-from repro.ndn.security import DigestSigner, HmacSigner, KeyChain, SignatureType
 from repro.ndn.tlv import (
-    decode_all,
+    TlvTypes,
     decode_nonneg_int,
-    decode_tlv,
+    decode_tlv_header,
     _decode_var_number,
     encode_nonneg_int,
     encode_tlv,
     _encode_var_number,
+    scan_tlv_spans,
 )
 
 
@@ -44,20 +44,21 @@ class TestVarNumbers:
 class TestTlvBlocks:
     def test_round_trip(self):
         wire = encode_tlv(0x08, b"hello")
-        type_number, value, offset = decode_tlv(wire)
+        type_number, value_start, value_end = decode_tlv_header(wire)
         assert type_number == 0x08
-        assert value == b"hello"
-        assert offset == len(wire)
+        assert wire[value_start:value_end] == b"hello"
+        assert value_end == len(wire)
 
     def test_truncated_value_raises(self):
         wire = encode_tlv(0x08, b"hello")[:-2]
         with pytest.raises(TLVDecodeError):
-            decode_tlv(wire)
+            decode_tlv_header(wire)
 
-    def test_decode_all_iterates_blocks(self):
-        wire = encode_tlv(1, b"a") + encode_tlv(2, b"bb")
-        blocks = list(decode_all(wire))
-        assert [(b.type, b.value) for b in blocks] == [(1, b"a"), (2, b"bb")]
+    def test_scan_tlv_spans_keeps_the_first_occurrence(self):
+        wire = encode_tlv(1, b"a") + encode_tlv(2, b"bb") + encode_tlv(1, b"ccc")
+        spans = scan_tlv_spans(wire, 0, len(wire))
+        assert {t: wire[s[1]:s[2]] for t, s in spans.items()} == {1: b"a", 2: b"bb"}
+        assert spans[1][0] == 0
 
     def test_nonneg_int_round_trip(self):
         for value in (0, 255, 256, 65535, 2**31, 2**63):
@@ -70,9 +71,10 @@ class TestTlvBlocks:
     @given(type_number=st.integers(min_value=1, max_value=2**20),
            payload=st.binary(max_size=300))
     def test_tlv_round_trip_property(self, type_number, payload):
-        type_decoded, value, _ = decode_tlv(encode_tlv(type_number, payload))
+        wire = encode_tlv(type_number, payload)
+        type_decoded, value_start, value_end = decode_tlv_header(wire)
         assert type_decoded == type_number
-        assert value == payload
+        assert wire[value_start:value_end] == payload
 
 
 class TestInterestWire:
@@ -94,7 +96,7 @@ class TestInterestWire:
         assert decoded.application_parameters == b"params"
 
     def test_decode_rejects_non_interest(self):
-        data = Data(name=Name("/a"), content=b"x").sign()
+        data = Data(name=Name("/a"), content=b"x")
         with pytest.raises(TLVDecodeError):
             Interest.decode(data.encode())
 
@@ -137,7 +139,7 @@ class TestDataWire:
             content_type=_ContentType.BLOB,
             freshness_period=30.0,
             final_block_id=Component("seg=9"),
-        ).sign()
+        )
         decoded = Data.decode(data.encode())
         assert decoded.name == data.name
         assert decoded.content == b"payload-bytes"
@@ -153,18 +155,32 @@ class TestDataWire:
 
     def test_encode_signs_automatically(self):
         data = Data(name=Name("/a"), content=b"x")
-        assert not data.is_signed
+        assert data.signature_value == b""
         data.encode()
-        assert data.is_signed
+        assert len(data.signature_value) == 32
+        assert data.verify()
 
     def test_verify_unsigned_raises(self):
         with pytest.raises(VerificationError):
             Data(name=Name("/a")).verify()
 
     def test_tampered_content_fails_verification(self):
-        data = Data(name=Name("/a"), content=b"original").sign()
+        data = Data(name=Name("/a"), content=b"original")
+        data.encode()
         data.content = b"tampered"
         assert data.verify() is False
+
+    def test_decode_rejects_a_signature_type_other_than_digest_sha256(self):
+        data = Data(name=Name("/a"), content=b"x")
+        hmac_info = encode_tlv(TlvTypes.SIGNATURE_TYPE, encode_nonneg_int(4))
+        wire = encode_tlv(
+            TlvTypes.DATA,
+            data._signed_portion()
+            + encode_tlv(TlvTypes.SIGNATURE_INFO, hmac_info)
+            + encode_tlv(TlvTypes.SIGNATURE_VALUE, b"\x00" * 32),
+        )
+        with pytest.raises(TLVDecodeError):
+            Data.decode(wire)
 
     def test_decode_rejects_non_data(self):
         interest = Interest(name=Name("/a"))
@@ -174,7 +190,7 @@ class TestDataWire:
     @given(payload=st.binary(max_size=2000))
     @example(payload=b"x" * 8192)  # one data-lake segment
     def test_content_round_trip_property(self, payload):
-        data = Data(name=Name("/x/y"), content=payload).sign()
+        data = Data(name=Name("/x/y"), content=payload)
         assert Data.decode(data.encode()).content == payload
 
 
@@ -194,42 +210,3 @@ class TestNackWire:
     def test_decode_rejects_non_nack(self):
         with pytest.raises(TLVDecodeError):
             Nack.decode(Interest(name=Name("/a")).encode())
-
-
-class TestSigners:
-    def test_digest_signer_verifies(self):
-        signer = DigestSigner()
-        signature = signer.sign(b"payload")
-        assert signer.verify(b"payload", signature)
-        assert not signer.verify(b"other", signature)
-
-    def test_hmac_signer_requires_key(self):
-        with pytest.raises(VerificationError):
-            HmacSigner("/keys/k1", b"")
-
-    def test_hmac_sign_and_verify(self):
-        signer = HmacSigner("/keys/k1", b"secret")
-        signature = signer.sign(b"payload")
-        assert signer.verify(b"payload", signature)
-        assert not HmacSigner("/keys/k1", b"wrong").verify(b"payload", signature)
-
-    def test_keychain_hmac_data_round_trip(self):
-        keychain = KeyChain()
-        signer = keychain.add_key("/keys/lidc", b"shared-secret", default=True)
-        data = Data(name=Name("/a"), content=b"x").sign(signer)
-        assert data.signature_info.signature_type == SignatureType.HMAC_SHA256
-        assert data.verify(keychain)
-
-    def test_keychain_unknown_key_raises(self):
-        keychain = KeyChain()
-        with pytest.raises(VerificationError):
-            keychain.get_signer("/keys/missing")
-
-    def test_keychain_verifies_wire_decoded_hmac_data(self):
-        keychain = KeyChain()
-        signer = keychain.add_key("/keys/lidc", b"shared-secret")
-        data = Data(name=Name("/a/b"), content=b"payload").sign(signer)
-        decoded = Data.decode(data.encode())
-        assert decoded.verify(keychain)
-        with pytest.raises(VerificationError):
-            decoded.verify()  # default keychain does not know the key

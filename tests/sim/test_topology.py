@@ -154,7 +154,7 @@ class TestPaths:
 
     def test_transfer_time_packet_uses_the_wire_size(self):
         link = Link("a", "b", latency_s=0.001, bandwidth_bps=1000.0)
-        data = Data(name=Name("/a"), content=b"x" * 100).sign()
+        data = Data(name=Name("/a"), content=b"x" * 100)
         wire = WirePacket(data.encode())
         assert wire.size == len(data.encode())
         assert link.transfer_time_packet(wire) == pytest.approx(0.001 + wire.size / 1000.0)

@@ -72,6 +72,8 @@ OPTIONS = {
     ),
     "repro.ndn.strategy:StrategyChoiceTable": (),
     "repro.cluster.dns:ClusterDNS": ("api",),
+    "repro.cluster.scheduler:Scheduler": ("api",),
+    "repro.ndn.packet:Data.verify": (),
     "repro.chaos.driver:ChaosDriver": ("env", "overlay", "schedule"),
     "repro.sim.topology:Link": ("a", "b", "latency_s", "bandwidth_bps"),
 }
@@ -91,11 +93,16 @@ GONE = (
     "repro.core.overlay:_OverlayLink",
     "repro.ndn.client:Producer.make_data",
     "repro.analysis.lint.engine:ProjectRule",
+    "repro.ndn.packet:Data.sign",
+    "repro.ndn.packet:Data.is_signed",
+    "repro.cluster.scheduler:SchedulingPolicy",
 )
 
 #: Modules that went whole: the controller's placement policies and the
-#: completion-time predictor (the overlay's forwarding does the placing).
-GONE_MODULES = ("repro.core.placement", "repro.core.predictor")
+#: completion-time predictor (the overlay's forwarding does the placing),
+#: and the signers and key chain (every Data is DigestSha256-signed in
+#: ``Data.encode``).
+GONE_MODULES = ("repro.core.placement", "repro.core.predictor", "repro.ndn.security")
 
 
 def _resolve(target):

@@ -131,7 +131,7 @@ def _fresh_node(env):
             return Data(
                 name=interest.name, content=b"d:" + _tenant.encode(),
                 freshness_period=3600.0,
-            ).sign()
+            )
         node.attach_producer(tenant, handler)
     return node
 

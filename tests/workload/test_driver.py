@@ -30,7 +30,7 @@ def _producers(node, freshness=3600.0, tenants=TENANTS):
         def handler(interest, _tenant=tenant):
             return Data(
                 name=interest.name, content=b"ok", freshness_period=freshness
-            ).sign()
+            )
         node.attach_producer(tenant, handler)
 
 
