@@ -740,39 +740,28 @@ class WirePacket:
 
     # -- parse-memo handover --------------------------------------------------
 
-    def adopt_name_memos(self, source: "WirePacket") -> None:
-        """Copy ``source``'s name memos onto this view of the same bytes.
-
-        Used when a packet is rebuilt from its own wire (a shard-boundary
-        frame round-trip): the parsed :class:`Name` and the name-bytes
-        slice are immutable artefacts of the buffer, so handing them over
-        — never the decoded packet object — keeps transit bytes-only
-        while ensuring no header is parsed twice.  Owned here so the memo
-        field list lives next to the slots it mirrors.
-        """
-        self._name = source._name if source._name is not None else (
-            source._decoded.name if source._decoded is not None else None
-        )
-        self._name_tlv = source._name_tlv
-
     def detached_view(self) -> "WirePacket":
-        """A fresh bytes-only view sharing this buffer and its parse.
+        """A fresh bytes-only view of the same bytes of the same buffer.
 
-        The clone carries the TLV layout, memoised name and name bytes —
-        serving it costs no span walk — but no decoded object and none of
-        this view's identity: decoding the clone can never contaminate
-        this view (or vice versa).  The span dict is shared and treated
-        as immutable after the first scan.  This is what the shard
-        dispatcher's hot cache serves.
+        Nothing is copied: the clone covers this view's ``_start``/``_end``
+        of its buffer (a sub-view stays a sub-view) and carries its TLV
+        layout, its memoised name — or the decoded object's name — and its
+        name bytes, so reading the clone costs no span walk.  It carries no
+        decoded object and none of this view's identity: decoding the clone
+        can never contaminate this view (or vice versa).  The span dict is
+        shared and treated as immutable after the first scan.  This is what
+        crosses a shard boundary, what the dispatcher's hot cache serves and
+        what the file server hands out of its segment cache.
         """
-        if self._start != 0:  # sub-view of a larger buffer: re-parse lazily
-            return WirePacket(self.wire)
-        view = WirePacket(self._buf)
+        view = WirePacket(self._buf, _start=self._start, _end=self._end)
+        view._wire = self._wire
         view._type = self._type
         view._body_start = self._body_start
         view._body_end = self._body_end
         view._spans = self._spans
-        view._name = self._name
+        view._name = self._name if self._name is not None else (
+            self._decoded.name if self._decoded is not None else None
+        )
         view._name_tlv = self._name_tlv
         return view
 

@@ -14,10 +14,40 @@ from repro.exceptions import NDNError
 from repro.ndn.name import Component, Name
 from repro.ndn.packet import Data
 
-__all__ = ["segment_content", "reassemble", "parse_segment", "DEFAULT_SEGMENT_SIZE"]
+__all__ = ["segment_data", "segment_content", "reassemble", "parse_segment", "DEFAULT_SEGMENT_SIZE"]
 
 #: Default segment payload size in bytes (mirrors common NDN repo settings).
 DEFAULT_SEGMENT_SIZE = 8192
+
+
+def segment_data(
+    base_name: "Name | str",
+    content: bytes,
+    index: int,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    freshness_period: float = 0.0,
+) -> Data:
+    """Segment ``index`` of ``content`` as a Data packet under ``base_name``.
+
+    This is the one segmentation rule: segment ``i`` is named
+    ``<base>/seg=<i>`` and holds ``content[i*size:(i+1)*size]``, every
+    segment carries ``seg=<last>`` as its final block id, and empty content
+    is a single empty segment, so consumers always find ``seg=0``.  An
+    index past the last segment raises :class:`NDNError`.
+    """
+    if segment_size <= 0:
+        raise NDNError(f"segment size must be positive, got {segment_size}")
+    base = Name(base_name)
+    last = max(len(content) - 1, 0) // segment_size
+    if not 0 <= index <= last:
+        raise NDNError(f"segment {index} out of range for {base} (last is {last})")
+    offset = index * segment_size
+    return Data(
+        name=base.append(f"seg={index}"),
+        content=content[offset:offset + segment_size],
+        freshness_period=freshness_period,
+        final_block_id=Component(f"seg={last}"),
+    )
 
 
 def segment_content(
@@ -26,28 +56,14 @@ def segment_content(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     freshness_period: float = 0.0,
 ) -> list[Data]:
-    """Split ``content`` into digest-signed Data segments under ``base_name``.
-
-    Even empty content produces a single (empty) segment so consumers always
-    find ``seg=0``.
-    """
-    if segment_size <= 0:
-        raise NDNError(f"segment size must be positive, got {segment_size}")
+    """Every segment :func:`segment_data` makes of ``content``, in order."""
     base = Name(base_name)
-    chunks: list[bytes] = [
-        content[offset:offset + segment_size] for offset in range(0, len(content), segment_size)
-    ] or [b""]
-    final_block = Component(f"seg={len(chunks) - 1}")
-    packets = []
-    for index, chunk in enumerate(chunks):
-        packet = Data(
-            name=base.append(f"seg={index}"),
-            content=chunk,
-            freshness_period=freshness_period,
-            final_block_id=final_block,
-        )
-        packets.append(packet)
-    return packets
+    first = segment_data(base, content, 0, segment_size, freshness_period)
+    last = parse_segment(first.final_block_id.to_str())
+    return [first] + [
+        segment_data(base, content, index, segment_size, freshness_period)
+        for index in range(1, last + 1)
+    ]
 
 
 def parse_segment(label: str) -> int:

@@ -6,8 +6,8 @@ data plane scales past that: a thin dispatcher hashes each packet's name to
 a shard and hands the **encoded wire buffer** across the shard boundary.
 The wire-level transport API is the prerequisite — an encoded buffer (unlike
 an object graph) can cross a process boundary — and the boundary here only
-ever carries :class:`~repro.ndn.packet.WirePacket` frames: no packet is
-re-encoded or fully decoded in transit, which the
+ever carries :class:`~repro.ndn.packet.WirePacket` views: no packet is
+copied, re-encoded or fully decoded in transit, which the
 ``WirePacket.wire_decodes`` counter enforces in tests and benchmarks.
 
 Partitioning contract
@@ -61,12 +61,16 @@ point in the sharded plane.  Two optimisations keep it lean:
 
 Boundary mechanics
 ------------------
-Packets cross shards as *frames*: the wire buffer plus the sender's already
-parsed TLV span table (:func:`_encode_frame`), so the receiving shard never
-re-walks the buffer, let alone decodes it.  In-process crossings
-(:class:`ShardFace`, used by the deterministic simulation) round-trip every
-packet through the frame codec — the reconstructed view has no attached
-decoded object, which is what makes the transit-decode counter meaningful.
+A packet crosses a shard boundary (:class:`ShardFace`) as a new
+:class:`~repro.ndn.packet.WirePacket` over the sender's buffer
+(:meth:`~repro.ndn.packet.WirePacket.detached_view`).  Packet buffers are
+immutable ``bytes``, so one buffer can back every holder: the owning
+shard's Content Store, the dispatcher hot cache and the downstream
+forwarders all keep the bytes the producer encoded.  The sender's parse —
+TLV span table, name, name bytes — rides along, so the receiving shard
+never re-walks the buffer.  The sender's decoded object never crosses: the
+far side starts bytes-only, which is what makes the transit-decode counter
+meaningful.
 
 Deterministic scheduling
 ------------------------
@@ -83,7 +87,6 @@ partitioning exercise.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -172,100 +175,20 @@ def _make_shard_picker(num_shards: int) -> Callable[[bytes], int]:
     )
 
 
-# --------------------------------------------------------------------- frames
-
-_FRAME_HEAD = struct.Struct(">II")  # tag, wire length
-_FRAME_LAYOUT_HEAD = struct.Struct(">IIIH")  # outer type, body start/end, span count
-_FRAME_SPAN = struct.Struct(">IIII")  # tlv type, block start, value start/end
-
-
-def _encode_frame(packet: "WirePacket | AnyPacket", tag: int = 0) -> bytes:
-    """Serialise one packet for a shard boundary: wire buffer + span table.
-
-    The frame carries the encoded packet verbatim plus, when the sender has
-    already shallow-parsed the buffer, the TLV span table — so the shard on
-    the other side answers header questions without re-walking the wire.
-    The decoded object (if any) deliberately does **not** cross: transit
-    stays bytes-only on both sides of the boundary.
-    """
-    view = WirePacket.of(packet)
-    wire = view.wire
-    parts = [_FRAME_HEAD.pack(tag, len(wire)), wire]
-    spans = view._spans
-    if spans is None:
-        parts.append(b"\x00")
-    else:
-        # Span offsets are absolute in the sender's buffer; re-base them to
-        # the transmitted wire (sub-views of larger buffers shift by _start).
-        shift = view._start
-        parts.append(b"\x01")
-        parts.append(
-            _FRAME_LAYOUT_HEAD.pack(
-                view._type, view._body_start - shift, view._body_end - shift, len(spans)
-            )
-        )
-        for tlv_type, (start, value_start, value_end) in spans.items():
-            parts.append(
-                _FRAME_SPAN.pack(
-                    tlv_type, start - shift, value_start - shift, value_end - shift
-                )
-            )
-    return b"".join(parts)
-
-
-def _decode_frame(buffer: bytes, offset: int = 0) -> tuple[int, WirePacket, int]:
-    """Rebuild ``(tag, view, next_offset)`` from one frame.
-
-    The returned view is backed by the transported bytes only — no decoded
-    packet object — with the sender's TLV layout pre-installed when the
-    frame carried one.
-    """
-    tag, wire_length = _FRAME_HEAD.unpack_from(buffer, offset)
-    offset += _FRAME_HEAD.size
-    wire = bytes(buffer[offset:offset + wire_length])
-    if len(wire) != wire_length:
-        raise NDNError("truncated shard frame: wire buffer cut short")
-    offset += wire_length
-    if offset >= len(buffer):
-        raise NDNError("truncated shard frame: missing layout flag")
-    has_layout = buffer[offset]
-    offset += 1
-    view = WirePacket(wire)
-    if has_layout:
-        outer_type, body_start, body_end, span_count = _FRAME_LAYOUT_HEAD.unpack_from(
-            buffer, offset
-        )
-        offset += _FRAME_LAYOUT_HEAD.size
-        spans: dict[int, tuple[int, int, int]] = {}
-        for _ in range(span_count):
-            tlv_type, start, value_start, value_end = _FRAME_SPAN.unpack_from(
-                buffer, offset
-            )
-            offset += _FRAME_SPAN.size
-            spans[tlv_type] = (start, value_start, value_end)
-        view._type = outer_type
-        view._body_start = body_start
-        view._body_end = body_end
-        view._spans = spans
-    return tag, view, offset
-
-
 # --------------------------------------------------------------- shard faces
 
 
 class ShardFace(Face):
-    """A face whose transmissions cross a shard boundary as frames.
+    """A face whose transmissions cross a shard boundary as shared bytes.
 
-    Every packet is round-tripped through the frame codec — serialised to
-    bytes, reconstructed as a fresh :class:`WirePacket` with the span table
-    handed over — so the far side holds a bytes-only view even when sender
-    and receiver share a process.  The sender's memoised ``name`` and name
-    bytes ride along the same way the span table does (immutable parse
-    artefacts, not decoded packet objects — ``is_decoded`` stays False on
-    the far side), so neither endpoint of an in-process boundary ever
-    parses the same header twice.  ``deliver_server``, when given, is the
-    receiving shard's serial server: delivery queues behind that shard's
-    per-packet service time.
+    Every packet reaches the far side as :meth:`WirePacket.detached_view`:
+    a fresh view over the sender's own immutable buffer — same bytes, same
+    TLV span table, same memoised name and name bytes — that carries no
+    decoded object, even when the sender held one.  Nothing is copied and
+    nothing is parsed twice, and ``is_decoded`` stays False on the far
+    side, which is what makes the transit-decode counter meaningful.
+    ``deliver_server``, when given, is the receiving shard's serial server:
+    delivery queues behind that shard's per-packet service time.
     """
 
     def __init__(
@@ -276,26 +199,16 @@ class ShardFace(Face):
         deliver_server: Optional[SerialServer] = None,
     ) -> None:
         super().__init__(env, owner, label)
-        self.frames = 0
-        self.frame_bytes = 0
         self._deliver_server = deliver_server
 
     def _transmit(self, packet: WirePacket) -> None:
         peer = self.peer
         assert peer is not None
-        frame = _encode_frame(packet)
-        self.frames += 1
-        self.frame_bytes += len(frame)
-        _tag, restored, _end = _decode_frame(frame, 0)
-        # Hand over the name memos (never the decoded object): the shard
-        # side reads ``name`` for its tables and the dispatcher side reads
-        # ``name_bytes`` for hashing/hot-cache keys — one parse per packet,
-        # wherever it happened first.
-        restored.adopt_name_memos(packet)
+        crossed = packet.detached_view()
         if self._deliver_server is None:
-            peer.deliver(restored)
+            peer.deliver(crossed)
         else:
-            self._deliver_server.submit(lambda: peer.deliver(restored))
+            self._deliver_server.submit(lambda: peer.deliver(crossed))
 
 
 class _ShardRelay:
@@ -418,7 +331,7 @@ class ShardedForwarder:
     Drop-in for :class:`~repro.ndn.forwarder.Forwarder` at the node level:
     it owns external faces, prefix registrations and producer attachments,
     but every packet is rendezvous-hashed on its name's shard key and
-    forwarded — as a wire frame, never a decoded object — to one of
+    forwarded — as a wire view, never a decoded object — to one of
     ``shards`` internal :class:`Forwarder` instances, each owning the
     complete PIT/CS/FIB state for its slice of the namespace.
 
@@ -896,10 +809,10 @@ class ShardedForwarder:
         name rides over from the shard boundary, the key is one memoised
         slice, and the freshness TLV is *not* read here — the hot cache
         validates it lazily on the entry's first lookup, so cache-hostile
-        (no-repeat) workloads never pay a span walk per Data.  The raw
-        egress view is stored as the template; every serve (and the lazy
-        validation) goes through a detached clone-or-read that a
-        consumer-side decode of the delivered view cannot contaminate.
+        (no-repeat) workloads never pay a span walk per Data.  The template
+        is a detached view of the egress Data — its buffer, never a decoded
+        object the consumer of the delivered view attaches later — and every
+        serve hands out a detached clone of it in turn.
         """
         cache = self.hot_cache
         assert cache is not None
@@ -910,7 +823,7 @@ class ShardedForwarder:
         # a shard CS may re-serve stale Data (non-MustBeFresh semantics),
         # and anchoring at egress would restart the freshness window and
         # let the fast path serve what the CS itself considers stale.
-        cache.insert(packet.name_bytes, packet, arrival)
+        cache.insert(packet.name_bytes, packet.detached_view(), arrival)
 
     # ------------------------------------------------------------------- misc
 
@@ -924,7 +837,7 @@ class ShardedForwarder:
         ``dispatcher`` is the dispatcher-side face, ``shard`` the shard-side
         one; a healthy boundary has ``dispatcher.bytes_out ==
         shard.bytes_in`` and vice versa (byte counts are ``len(wire)`` of
-        the frames' payloads).
+        the packets that crossed).
         """
         report: dict[tuple[int, int], dict[str, dict[str, int]]] = {}
         for key, (dispatcher_side, shard_side) in self._mirrors.items():

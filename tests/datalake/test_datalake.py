@@ -9,12 +9,13 @@ from repro.cluster.apiserver import ApiServer
 from repro.cluster.cluster import Cluster, ClusterSpec
 from repro.cluster.storage import StorageController
 from repro.datalake.catalog import DataCatalog, DatasetKind, DatasetRecord
-from repro.datalake.fileserver import FileServer
+from repro.datalake.fileserver import FRESHNESS_PERIOD, FileServer
 from repro.datalake.loader import DataLoadingTool
 from repro.datalake.repo import DataLake
 from repro.ndn.client import Consumer
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
+from repro.ndn.segmentation import segment_content
 
 
 @pytest.fixture
@@ -204,6 +205,36 @@ class TestFileServer:
         lake.publish_bytes("x", b"1")
         env.run(until=consumer.express_interest("/ndn/k8s/data/x"))
         assert server.stats()["requests_served"] >= 1
+
+    def test_only_answered_requests_count_as_served(self, env, served_lake):
+        """A refused request is counted as failed, never also as served."""
+        lake, server, consumer = served_lake
+        lake.publish_bytes("x", b"1")
+        env.run(until=consumer.express_interest("/ndn/k8s/data/x"))
+        for refused in ("/ndn/k8s/data/missing", "/ndn/k8s/data/x/seg=9",
+                        "/ndn/k8s/data/x/unknown"):
+            with pytest.raises(InterestNacked):
+                env.run(until=consumer.express_interest(refused, lifetime=1.0))
+        stats = server.stats()
+        assert (stats["requests_served"], stats["requests_failed"]) == (1, 3)
+
+    def test_segments_are_the_ones_segment_content_makes(self, env, served_lake):
+        """Segments built one at a time on request follow the one segment
+        rule: byte-identical to segment_content's, empty content included."""
+        lake, server, consumer = served_lake
+        for dataset, payload in (("blob", bytes(range(256)) * 9), ("empty", b"")):
+            lake.publish_bytes(dataset, payload)
+            expected = segment_content(
+                lake.content_name(dataset), payload, segment_size=1024,
+                freshness_period=FRESHNESS_PERIOD,
+            )
+            for index in reversed(range(len(expected))):
+                data = env.run(until=consumer.express_interest(
+                    f"/ndn/k8s/data/{dataset}/seg={index}"))
+                assert data.encode() == expected[index].encode()
+        assert len(expected) == 1 and data.content == b""
+        with pytest.raises(InterestNacked):
+            env.run(until=consumer.express_interest("/ndn/k8s/data/empty/seg=1", lifetime=1.0))
 
 
 class TestDataLoadingTool:

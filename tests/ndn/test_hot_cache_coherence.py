@@ -87,18 +87,23 @@ class TestFastPathServing:
         assert WirePacket.wire_decodes == decodes_before
 
     def test_consumer_decode_does_not_contaminate_the_cached_template(self):
-        """Each hot serve hands out a detached clone: decoding one delivered
-        view must not make later serves carry a decoded object (which would
-        silently skew endpoint decode accounting)."""
+        """The template is a detached view of the egress Data and each hot
+        serve hands out a detached clone of it: decoding a delivered view
+        must not make the cache hold a decoded copy, nor later serves carry
+        one (which would silently skew endpoint decode accounting)."""
         env = Environment()
         node, driver, face = _rig(env)
-        _exchange(env, driver, face, "/p/obj")
+        admitted = _exchange(env, driver, face, "/p/obj")
+        admitted.decode()
         first = _exchange(env, driver, face, "/p/obj")
         first.decode()
         second = _exchange(env, driver, face, "/p/obj")
         assert first is not second
         assert not second.is_decoded
         assert node.hot_cache.hits == 2
+        template = node.hot_cache.get(admitted.name_bytes, env.now)
+        assert template._buf is admitted._buf
+        assert not template.is_decoded
 
     def test_must_be_fresh_interests_are_served_only_fresh_entries(self):
         env = Environment()

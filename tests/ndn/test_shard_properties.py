@@ -5,8 +5,8 @@ shard, placed from wire bytes the way the dispatcher does it; the mapping is a p
 function of the name's first ``key_depth`` components and the shard count
 (stable across runs — never Python's randomised ``hash``); growing the
 shard count only moves names onto the new shard; and an Interest and the
-Data/Nack answering it always land on the same shard.  The frame codec
-round-trips wire buffers and their span tables without ever decoding.
+Data/Nack answering it always land on the same shard.  A packet crosses a
+``ShardFace`` as a bytes-only view of the sender's own buffer and parse.
 The key-level rendezvous hash is covered in ``test_rendezvous_properties``.
 """
 
@@ -14,12 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, Interest, NackReason, WirePacket
-from repro.ndn.shard import (
-    _decode_frame,
-    _encode_frame,
-    _key_from_name_bytes,
-    _make_shard_picker,
-)
+from repro.ndn.shard import ShardFace, _key_from_name_bytes, _make_shard_picker
+from repro.sim.engine import Environment
 
 components = st.binary(min_size=1, max_size=12)
 names = st.lists(components, min_size=1, max_size=6).map(Name)
@@ -113,40 +109,112 @@ class TestPartitioning:
         )
 
 
-class TestFrameCodec:
-    @given(name=names, tag=st.integers(0, 2**32 - 1), payload=st.binary(max_size=64))
-    def test_data_frame_round_trip_preserves_wire_and_layout(self, name, tag, payload):
-        data = Data(name=name, content=payload)
-        view = WirePacket(data.encode())
-        _ = view.name  # force the span scan so the frame carries the layout
-        before = WirePacket.wire_decodes
-        frame = _encode_frame(view, tag)
-        got_tag, restored, consumed = _decode_frame(frame, 0)
-        assert consumed == len(frame)
-        assert got_tag == tag
-        assert restored.wire == view.wire
-        # The span table crossed the boundary: reading the name re-walks
-        # nothing and decodes nothing.
-        assert restored._spans is not None
-        assert restored.name == name
-        assert not restored.is_decoded
-        assert WirePacket.wire_decodes == before
+class _Sink:
+    accepts_wire_packets = True
 
-    @given(name=names)
-    def test_unscanned_packets_cross_without_a_layout(self, name):
-        view = WirePacket(Interest(name=name).encode())
-        frame = _encode_frame(view)
-        _tag, restored, _ = _decode_frame(frame, 0)
-        assert restored._spans is None
-        assert restored.name == name  # parsed lazily on the far side
+    def __init__(self):
+        self.received = []
+
+    def add_face(self, face):
+        return 0
+
+    def receive_packet(self, packet, face):
+        self.received.append(packet)
+
+
+def cross(packet):
+    """Send ``packet`` over one dispatcher -> shard ``ShardFace`` pair and
+    return what the shard side received."""
+    env = Environment()
+    sink = _Sink()
+    sender, receiver = ShardFace(env, _Sink(), "dispatcher"), ShardFace(env, sink, "shard")
+    sender.set_peer(receiver)
+    receiver.set_peer(sender)
+    sender.send(packet)
+    (received,) = sink.received
+    return received
+
+
+interests = st.builds(
+    Interest,
+    name=names,
+    can_be_prefix=st.booleans(),
+    must_be_fresh=st.booleans(),
+    lifetime=st.integers(1, 60_000).map(lambda ms: ms / 1000),  # the wire keeps ms
+    hop_limit=st.integers(1, 255),
+    application_parameters=st.binary(max_size=16),
+)
+
+
+class TestShardFaceCrossing:
+    @given(name=names, payload=st.binary(max_size=64), freshness=st.floats(0.0, 60.0))
+    def test_far_side_shares_the_buffer_layout_and_name_memos(self, name, payload, freshness):
+        view = WirePacket(Data(name=name, content=payload, freshness_period=freshness).encode())
+        _ = view.name, view.name_bytes  # parse once on the sending side
+        decodes, scans = WirePacket.wire_decodes, WirePacket.span_scans
+        crossed = cross(view)
+        assert crossed is not view
+        assert crossed._buf is view._buf
+        assert (crossed._start, crossed._end) == (view._start, view._end)
+        assert crossed._spans is view._spans
+        assert crossed._name is view._name
+        assert crossed._name_tlv is view._name_tlv
+        assert crossed.freshness_period == view.freshness_period
+        assert not crossed.is_decoded
+        assert (WirePacket.wire_decodes, WirePacket.span_scans) == (decodes, scans)
+
+    @given(name=names, payload=st.binary(max_size=64))
+    def test_a_decoded_sender_hands_over_bytes_and_name_only(self, name, payload):
+        data = Data(name=name, content=payload)
+        sent = WirePacket.of(data)
+        decodes = WirePacket.wire_decodes
+        crossed = cross(sent)
+        assert sent.is_decoded and not crossed.is_decoded
+        assert crossed._buf is data.encode()
+        assert crossed._name is data.name
+        assert crossed.decode().content == payload  # decoding the far side
+        assert sent.decode() is data  # ...leaves the sender's object alone
+        assert WirePacket.wire_decodes == decodes + 1
+
+    @given(interest=interests)
+    def test_unscanned_packets_cross_without_a_layout(self, interest):
+        view = WirePacket(interest.encode())
+        crossed = cross(view)
+        assert crossed._buf is view._buf
+        assert crossed._spans is None
+        assert crossed.name == interest.name  # parsed lazily on the far side
 
     @settings(max_examples=25)
-    @given(name=names)
-    def test_hop_patched_clone_frames_correctly(self, name):
-        """The hop-limit patch hands a rebased span table to its clone; the
-        frame codec must re-base it again without corruption."""
-        view = WirePacket(Interest(name=name, hop_limit=7).encode())
-        forwarded = view.with_decremented_hop_limit()
-        _tag, restored, _ = _decode_frame(_encode_frame(forwarded), 0)
-        assert restored.hop_limit == 6
-        assert restored.name == name
+    @given(interest=interests)
+    def test_hop_patched_clone_reads_every_field(self, interest):
+        forwarded = WirePacket(interest.encode()).with_decremented_hop_limit()
+        crossed = cross(forwarded)
+        assert crossed._buf is forwarded._buf
+        assert crossed.hop_limit == interest.hop_limit - 1
+        assert crossed.name == interest.name
+        assert crossed.nonce == interest.nonce
+        assert crossed.lifetime == interest.lifetime
+        assert crossed.can_be_prefix == interest.can_be_prefix
+        assert crossed.must_be_fresh == interest.must_be_fresh
+        assert crossed.application_parameters == interest.application_parameters
+        assert not crossed.is_decoded
+
+    @settings(max_examples=25)
+    @given(interest=interests, reason=st.sampled_from(
+        [NackReason.NO_ROUTE, NackReason.CONGESTION, NackReason.DUPLICATE]))
+    def test_a_nacks_enclosed_interest_crosses_as_a_sub_view(self, interest, reason):
+        nack = WirePacket(WirePacket(interest.encode()).nack(reason).wire)
+        enclosed = nack.interest
+        crossed = cross(enclosed)
+        assert crossed._buf is nack._buf
+        assert (crossed._start, crossed._end) == (enclosed._start, enclosed._end)
+        assert crossed._start > 0
+        assert crossed.wire == interest.encode()
+        assert crossed.name == interest.name
+        assert crossed.nonce == interest.nonce
+        assert crossed.hop_limit == interest.hop_limit
+        assert crossed.lifetime == interest.lifetime
+        assert crossed.can_be_prefix == interest.can_be_prefix
+        assert crossed.with_decremented_hop_limit().hop_limit == interest.hop_limit - 1
+        assert cross(nack).reason == reason
+        assert not crossed.is_decoded
