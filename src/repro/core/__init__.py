@@ -57,7 +57,6 @@ from repro.core.service import (
     ParamField,
     ServiceDefinition,
     ServiceRegistry,
-    ServiceRuntime,
     ServiceSchema,
 )
 from repro.core.spec import ComputeRequest, JobRecord, JobState
@@ -79,7 +78,6 @@ __all__ = [
     "JobHandle",
     "ServiceDefinition",
     "ServiceRegistry",
-    "ServiceRuntime",
     "ServiceSchema",
     "ParamField",
     "BASE_SCHEMA",

@@ -28,7 +28,7 @@ from repro.cluster.pod import Container, PodSpec
 from repro.cluster.service import ServiceType
 from repro.core import naming
 from repro.core.gateway import Gateway
-from repro.core.service import ServiceDefinition, ServiceRegistry, ServiceRuntime
+from repro.core.service import ServiceRegistry
 from repro.datalake.fileserver import FileServer
 from repro.datalake.loader import DataLoadingTool
 from repro.datalake.repo import DataLake
@@ -123,12 +123,7 @@ class LIDCCluster:
         # One declarative service registry per site: the schema, validator,
         # runner and cache policy of every application, wired to this
         # cluster's SRA registry and calibrated runtime model.
-        self.services = ServiceRegistry.with_defaults(
-            runtime=ServiceRuntime(
-                sra_registry=self.registry, runtime_model=self.runtime_model,
-                clock=lambda: env.now,
-            )
-        )
+        self.services = ServiceRegistry.with_defaults(self.registry, self.runtime_model)
         self.gateway = Gateway(
             env,
             cluster=self.cluster,
@@ -184,12 +179,6 @@ class LIDCCluster:
         """Withdraw every announced prefix (cluster leaving the overlay)."""
         for prefix in ANNOUNCED_PREFIXES:
             self.routing.withdraw(prefix)
-
-    # ------------------------------------------------------------------ service plane
-
-    def register_service(self, definition: ServiceDefinition) -> ServiceDefinition:
-        """Install a new application on this cluster's gateway."""
-        return self.services.register(definition)
 
     # ------------------------------------------------------------------ convenience
 

@@ -160,7 +160,7 @@ class LIDCTestbed:
             tracer=self.tracer,
         )
         for definition in self._extra_services:
-            cluster.register_service(definition.clone())
+            cluster.services.register(definition)
         connections = []
         if connect_to is not None:
             connections = [(connect_to, latency_s if latency_s is not None else WAN_LATENCY_S)]
@@ -176,12 +176,12 @@ class LIDCTestbed:
         schema, validator, runner, cache policy — makes the application
         submittable end-to-end without touching gateway, validation or
         application dispatch code.  Clusters added later inherit it too.
-        Every cluster receives its own copy, so per-site validator binding
-        and later registry mutations cannot alias across sites.
+        Every cluster registers this same definition, so its runner and
+        validator are shared by every site.
         """
-        self._extra_services.append(definition)
         for cluster in self.clusters.values():
-            cluster.register_service(definition.clone())
+            cluster.services.register(definition)
+        self._extra_services.append(definition)
         return definition
 
     # ------------------------------------------------------------------ accessors

@@ -75,12 +75,6 @@ class Gateway:
         self.compute_face = forwarder.attach_producer(naming.COMPUTE_PREFIX, self._on_compute)
         self.status_face = forwarder.attach_producer(naming.STATUS_PREFIX, self._on_status)
 
-    # ------------------------------------------------------------------ service plane
-
-    def register_service(self, definition: ServiceDefinition) -> ServiceDefinition:
-        """Add a new application with one declarative definition (no other edits)."""
-        return self.services.register(definition)
-
     # ------------------------------------------------------------------ compute
 
     def _on_compute(self, interest: InterestLike) -> "Data | Nack | WirePacket":
@@ -99,11 +93,12 @@ class Gateway:
                                reason=validation.message)
             return self._error_data(interest.name, validation.message)
 
-        if not self.services.has_app(request.app):
+        service = self.services.try_get(request.app)
+        if service is None:
             self.metrics.counter("compute_rejected_unknown_app").inc()
             return self._error_data(interest.name, f"unknown application {request.app!r}")
 
-        if self.enable_result_cache and self.services.cacheable(request.app):
+        if self.enable_result_cache and service.cacheable:
             cached = self.cache.lookup(request)
             if cached is not None:
                 record = self.tracker.new_job(request)
@@ -123,7 +118,7 @@ class Gateway:
             self.tracer.record("gateway", "capacity-rejected", name=str(interest.name))
             return interest.nack(NackReason.CONGESTION)
 
-        record = self._admit(request)
+        record = self._admit(request, service)
         return self._ack_data(interest.name, record)
 
     def submit_local(self, request: ComputeRequest, validate: bool = True) -> JobRecord:
@@ -134,22 +129,22 @@ class Gateway:
         tests that exercise the job path in isolation.  An unknown application
         raises :class:`UnknownApplication` before any job record exists.
         """
-        if not self.services.has_app(request.app):
+        service = self.services.try_get(request.app)
+        if service is None:
             raise UnknownApplication(f"unknown application {request.app!r}")
         if validate:
-            result = self.services.validate(request, self.datalake)
-            result.raise_if_failed()
-        return self._admit(request)
+            self.services.validate(request, self.datalake).raise_if_failed()
+        return self._admit(request, service)
 
     def can_fit(self, request: ComputeRequest) -> bool:
         """True when the cluster has the CPU and memory ``request`` asks for free now."""
         return self.cluster.can_fit(
             Quantity(cpu=request.cpu, memory=parse_memory(f"{request.memory_gb:g}Gi")))
 
-    def _admit(self, request: ComputeRequest) -> JobRecord:
+    def _admit(self, request: ComputeRequest, service: ServiceDefinition) -> JobRecord:
         """Create the job record, the Kubernetes Job, and the completion watcher."""
         record = self.tracker.new_job(request)
-        pod_spec = self.services.runner_for(request.app).build_pod_spec(request, self.datalake)
+        pod_spec = service.runner.build_pod_spec(request, self.datalake)
         k8s_job = self.cluster.create_job(
             pod_spec,
             name=f"{record.job_id}-k8s",
@@ -160,10 +155,11 @@ class Gateway:
         self.metrics.counter("jobs_admitted").inc()
         self.tracer.record("gateway", "job-created", job_id=record.job_id,
                            k8s_job=k8s_job.name, app=request.app)
-        self.env.process(self._watch_job(record, k8s_job), name=f"watch:{record.job_id}")
+        self.env.process(self._watch_job(record, k8s_job, service),
+                         name=f"watch:{record.job_id}")
         return record
 
-    def _watch_job(self, record: JobRecord, k8s_job: Job):
+    def _watch_job(self, record: JobRecord, k8s_job: Job, service: ServiceDefinition):
         """Wait for the Kubernetes Job to finish, then publish and finalise."""
         assert k8s_job.completion is not None
         yield k8s_job.completion
@@ -183,8 +179,7 @@ class Gateway:
             self.metrics.counter("jobs_completed").inc()
             self.tracer.record("gateway", "job-completed", job_id=record.job_id,
                                runtime=record.runtime())
-            if (self.enable_result_cache and result_name is not None
-                    and self.services.cacheable(record.request.app)):
+            if self.enable_result_cache and result_name is not None and service.cacheable:
                 self.cache.store(record.request, result_name, result_size or 0, record.job_id)
         else:
             message = k8s_job.status.message or "kubernetes job failed"

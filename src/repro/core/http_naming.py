@@ -127,7 +127,7 @@ class HttpGatewayFacade:
             compute_request = ComputeRequest.from_params(dict(request.query))
         except (InvalidComputeName, ValueError) as exc:
             return self._json(400, {"error": f"malformed request: {exc}"})
-        if not self.gateway.services.has_app(compute_request.app):
+        if self.gateway.services.try_get(compute_request.app) is None:
             return self._json(400, {"error": f"unknown application {compute_request.app!r}"})
         validation = self.gateway.services.validate(compute_request, self.gateway.datalake)
         if not validation.ok:

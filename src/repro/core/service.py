@@ -6,17 +6,17 @@ cluster side that requires one place that knows, for each named application,
 
 * how its parameters are typed (field names, defaults, required-ness,
   aliases) — the schema that turns the flat ``k=v`` name component into
-  typed values and back;
+  typed values;
 * how a request is validated before admission (paper §IV-B's
   application-specific validations);
 * how an admitted request actually computes (the pod-building runner);
-* which per-site runtime context the runner needs (SRA registry, calibrated
-  runtime model);
 * whether its results may be served from the gateway result cache.
 
-:class:`ServiceDefinition` bundles all five declaratively, and
-:class:`ServiceRegistry` is the single dispatch table the
-:class:`~repro.core.gateway.Gateway` consults.  Adding an application is one
+:class:`ServiceDefinition` bundles all four, and :class:`ServiceRegistry` is
+the single table, from application name or alias to definition, that the
+:class:`~repro.core.gateway.Gateway` consults.  Each site builds its table
+once, from its own SRA registry and runtime model
+(:meth:`ServiceRegistry.with_defaults`).  Adding an application is one
 ``register()`` call — no gateway edits:
 
     >>> from repro.core.service import ParamField, ServiceDefinition, ServiceSchema
@@ -32,25 +32,36 @@ cluster side that requires one place that knows, for each named application,
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field as dataclass_field, replace as dataclass_replace
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional
+from dataclasses import dataclass, field as dataclass_field
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
 
 from repro.exceptions import InvalidComputeName, UnknownApplication, ValidationFailure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec imports us)
     from repro.core.spec import ComputeRequest
+    from repro.genomics.runtime_model import BlastRuntimeModel
+    from repro.genomics.sra import SraRegistry
 
 __all__ = [
     "ParamField",
     "ServiceSchema",
-    "ServiceRuntime",
     "ServiceDefinition",
     "ServiceRegistry",
     "ValidationResult",
     "BASE_SCHEMA",
+    "wire_number",
 ]
+
+
+def wire_number(value: float) -> str:
+    """The wire form of a number: ``:g`` when that parses back exactly, else ``repr``.
+
+    ``cpu=2`` keeps its short spelling, while ``1234567`` or ``1.0000001``
+    keep every digit instead of rounding to six significant ones.
+    """
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))
 
 
 @dataclass(frozen=True)
@@ -135,7 +146,7 @@ class ParamField:
     def encode(self, value: Any) -> str:
         """The canonical wire form of a typed value."""
         if isinstance(value, float):
-            return f"{value:g}"
+            return wire_number(value)
         return str(value)
 
 
@@ -187,36 +198,6 @@ class ServiceSchema:
             )
         return typed, remaining
 
-    def canonicalise(self, params: Mapping[str, str]) -> dict[str, str]:
-        """Re-encode a wire parameter dict under canonical keys only.
-
-        The result is what :func:`repro.core.naming.compute_name` should carry
-        so that alias spellings cannot split on-path content-store entries or
-        the gateway result cache.
-        """
-        typed, extras = self.parse(params)
-        wire: dict[str, str] = {}
-        for field in self.fields:
-            value = typed[field.name]
-            if value is None:
-                continue
-            wire[field.name] = field.encode(value)
-        wire.update(extras)
-        return wire
-
-    def encode(self, typed: Mapping[str, Any]) -> dict[str, str]:
-        """Encode typed field values (plus pass-through extras) as wire strings."""
-        wire: dict[str, str] = {}
-        for field in self.fields:
-            value = typed.get(field.name)
-            if value is None:
-                continue
-            wire[field.name] = field.encode(value)
-        for key, value in typed.items():
-            if key not in self._by_key and value is not None:
-                wire[key] = str(value)
-        return wire
-
 
 #: The base schema every compute name shares (paper §III-C's
 #: ``mem=4&cpu=6&app=BLAST&srr=...&ref=...`` component).  ``memory`` and
@@ -241,39 +222,11 @@ BASE_SCHEMA = ServiceSchema(
 
 
 @dataclass
-class ServiceRuntime:
-    """Per-site context handed to runner factories (e.g. the SRA registry
-    and calibrated runtime model the BLAST runner is built from)."""
-
-    sra_registry: Any = None
-    runtime_model: Any = None
-    clock: Optional[Callable[[], float]] = None
-
-    def resolved(self) -> "ServiceRuntime":
-        """Fill in default registry/model lazily (imports are heavyweight)."""
-        if self.sra_registry is None or self.runtime_model is None:
-            from repro.genomics.runtime_model import BlastRuntimeModel
-            from repro.genomics.sra import SraRegistry
-
-            if self.sra_registry is None:
-                self.sra_registry = SraRegistry()
-            if self.runtime_model is None:
-                self.runtime_model = BlastRuntimeModel(registry=self.sra_registry)
-        return self
-
-
-@dataclass
 class ServiceDefinition:
-    """Everything the service plane needs to know about one application.
-
-    Either ``runner`` (a ready instance) or ``runner_factory`` (built once per
-    site from the :class:`ServiceRuntime`) must be provided for the service to
-    be submittable; a definition with neither is validator-only.
-    """
+    """Everything the service plane needs to know about one application."""
 
     name: str
-    runner: Any = None
-    runner_factory: Optional[Callable[[ServiceRuntime], Any]] = None
+    runner: Any
     schema: ServiceSchema = dataclass_field(default_factory=ServiceSchema)
     validator: Any = None
     aliases: tuple[str, ...] = ()
@@ -284,26 +237,6 @@ class ServiceDefinition:
         self.name = self.name.upper()
         self.aliases = tuple(alias.upper() for alias in self.aliases)
 
-    @property
-    def runnable(self) -> bool:
-        return self.runner is not None or self.runner_factory is not None
-
-    def build_runner(self, runtime: ServiceRuntime) -> Any:
-        if self.runner is not None:
-            return self.runner
-        if self.runner_factory is None:
-            raise UnknownApplication(f"no application registered for {self.name!r}")
-        return self.runner_factory(runtime.resolved())
-
-    def clone(self) -> "ServiceDefinition":
-        """A per-site copy: registering one definition on several clusters must
-        not alias mutable state (validator runtime binding)."""
-        return dataclass_replace(
-            self,
-            runner=copy.copy(self.runner) if self.runner is not None else None,
-            validator=copy.copy(self.validator) if self.validator is not None else None,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Registry
@@ -311,54 +244,34 @@ class ServiceDefinition:
 
 
 class ServiceRegistry:
-    """The gateway's single dispatch table: app name → :class:`ServiceDefinition`."""
+    """The gateway's single dispatch table: app name or alias → :class:`ServiceDefinition`."""
 
-    def __init__(self, runtime: Optional[ServiceRuntime] = None) -> None:
-        self.runtime = (runtime or ServiceRuntime())
+    def __init__(self) -> None:
         self._services: dict[str, ServiceDefinition] = {}
-        self._alias_of: dict[str, str] = {}
-        self._runner_cache: dict[str, Any] = {}
 
-    # -- registration -------------------------------------------------------------
+    def register(self, definition: ServiceDefinition) -> None:
+        """Install a service, or replace the one registered under its name.
 
-    def register(self, definition: ServiceDefinition) -> ServiceDefinition:
-        """Install (or replace) a service; aliases resolve to the same definition."""
-        canonical = definition.name
-        self._services[canonical] = definition
-        self._runner_cache.pop(canonical, None)
-        if hasattr(definition.validator, "bind"):
-            definition.validator.bind(self.runtime)
-        # Drop aliases that previously pointed at an older definition of this name.
-        for alias, target in list(self._alias_of.items()):
-            if target == canonical:
-                del self._alias_of[alias]
-        for alias in definition.aliases:
-            self._alias_of[alias] = canonical
-        return definition
-
-    def unregister(self, app: str) -> Optional[ServiceDefinition]:
-        canonical = self.resolve(app)
-        if canonical is None:
-            return None
-        definition = self._services.pop(canonical, None)
-        self._runner_cache.pop(canonical, None)
-        for alias, target in list(self._alias_of.items()):
-            if target == canonical:
-                del self._alias_of[alias]
-        return definition
-
-    # -- lookup -------------------------------------------------------------------
-
-    def resolve(self, app: str) -> Optional[str]:
-        """Canonical service name for ``app`` (directly or via alias)."""
-        key = app.upper()
-        if key in self._services:
-            return key
-        return self._alias_of.get(key)
+        A replaced definition's aliases go with it.  A name or alias that
+        another service already holds is refused, so no key is silently
+        shadowed.
+        """
+        replaced = self._services.get(definition.name)
+        if replaced is not None and replaced.name != definition.name:
+            replaced = None  # the name is another service's alias
+        keys = (definition.name, *definition.aliases)
+        for key in keys:
+            holder = self._services.get(key)
+            if holder is not None and holder is not replaced:
+                raise ValueError(f"service key {key!r} is already taken by {holder.name!r}")
+        if replaced is not None:
+            for key in (replaced.name, *replaced.aliases):
+                del self._services[key]
+        for key in keys:
+            self._services[key] = definition
 
     def try_get(self, app: str) -> Optional[ServiceDefinition]:
-        canonical = self.resolve(app)
-        return self._services.get(canonical) if canonical else None
+        return self._services.get(app.upper())
 
     def get(self, app: str) -> ServiceDefinition:
         definition = self.try_get(app)
@@ -366,41 +279,12 @@ class ServiceRegistry:
             raise UnknownApplication(f"no application registered for {app!r}")
         return definition
 
-    def __contains__(self, app: str) -> bool:
-        return self.resolve(app) is not None
-
-    def has_app(self, app: str) -> bool:
-        """True when ``app`` names a submittable (runnable) service."""
-        definition = self.try_get(app)
-        return definition is not None and definition.runnable
-
-    def applications(self) -> list[str]:
-        """Every submittable name, aliases included."""
-        names = [name for name, defn in self._services.items() if defn.runnable]
-        names.extend(
-            alias for alias, target in self._alias_of.items()
-            if self._services[target].runnable
-        )
-        return sorted(names)
-
-    # -- dispatch ----------------------------------------------------------------
-
-    def runner_for(self, app: str) -> Any:
-        canonical = self.resolve(app)
-        if canonical is None:
-            raise UnknownApplication(f"no application registered for {app!r}")
-        if canonical not in self._runner_cache:
-            self._runner_cache[canonical] = self._services[canonical].build_runner(self.runtime)
-        return self._runner_cache[canonical]
-
-    def cacheable(self, app: str) -> bool:
-        definition = self.try_get(app)
-        return definition.cacheable if definition is not None else True
-
     def validate(self, request: "ComputeRequest", datalake: Any = None) -> "ValidationResult":
         """Schema-check then run the service validator (gateway admission path).
 
-        A request with no registered validator is accepted.
+        A request for an unregistered application is accepted here (the
+        gateway then refuses it as unknown); one whose service has no
+        validator needs only to fit its schema.
         """
         definition = self.try_get(request.app)
         if definition is not None:
@@ -412,42 +296,39 @@ class ServiceRegistry:
                 return definition.validator.validate(request, datalake)
         return _ACCEPTED
 
-    # -- defaults -----------------------------------------------------------------
-
     @classmethod
-    def with_defaults(cls, runtime: Optional[ServiceRuntime] = None) -> "ServiceRegistry":
-        """The service set LIDC ships with: BLAST (+MAGICBLAST), COMPRESS, SLEEP."""
-        services = cls(runtime=runtime)
-        for definition in _default_service_definitions():
-            services.register(definition)
-        return services
+    def with_defaults(
+        cls,
+        sra_registry: "Optional[SraRegistry]" = None,
+        runtime_model: "Optional[BlastRuntimeModel]" = None,
+    ) -> "ServiceRegistry":
+        """The service set LIDC ships with: BLAST (+MAGICBLAST), COMPRESS, SLEEP.
 
+        BLAST's runner and validator share the site's ``sra_registry`` and
+        ``runtime_model``; fresh ones are made when none are given.
+        """
+        from repro.core.applications import (
+            BlastApplication,
+            CompressApplication,
+            SleepApplication,
+        )
+        from repro.core.validation import BlastValidator, CompressionValidator
+        from repro.genomics.runtime_model import BlastRuntimeModel
+        from repro.genomics.sra import SraRegistry
 
-def _default_service_definitions() -> list[ServiceDefinition]:
-    """Declarative definitions of the built-in LIDC applications."""
-    from repro.core.applications import (
-        BlastApplication,
-        CompressApplication,
-        SleepApplication,
-    )
-    from repro.core.validation import BlastValidator, CompressionValidator
-
-    def blast_runner(runtime: ServiceRuntime) -> BlastApplication:
-        return BlastApplication(model=runtime.runtime_model, registry=runtime.sra_registry)
-
-    def blast_validator(runtime: ServiceRuntime) -> BlastValidator:
-        return BlastValidator(registry=runtime.sra_registry)
-
-    return [
-        ServiceDefinition(
+        if sra_registry is None:
+            sra_registry = SraRegistry()
+        if runtime_model is None:
+            runtime_model = BlastRuntimeModel(registry=sra_registry)
+        services = cls()
+        services.register(ServiceDefinition(
             name="BLAST",
-            runner_factory=blast_runner,
-            schema=ServiceSchema(),
-            validator=_LazyValidator(blast_validator),
+            runner=BlastApplication(model=runtime_model, registry=sra_registry),
+            validator=BlastValidator(registry=sra_registry),
             aliases=("MAGICBLAST",),
             description="Magic-BLAST alignment of an SRA sample against a reference",
-        ),
-        ServiceDefinition(
+        ))
+        services.register(ServiceDefinition(
             name="COMPRESS",
             runner=CompressApplication(),
             schema=ServiceSchema(fields=(
@@ -456,8 +337,8 @@ def _default_service_definitions() -> list[ServiceDefinition]:
             )),
             validator=CompressionValidator(),
             description="file compression over a data-lake dataset",
-        ),
-        ServiceDefinition(
+        ))
+        services.register(ServiceDefinition(
             name="SLEEP",
             runner=SleepApplication(),
             schema=ServiceSchema(fields=(
@@ -465,29 +346,5 @@ def _default_service_definitions() -> list[ServiceDefinition]:
                            doc="simulated job duration in seconds"),
             )),
             description="fixed-duration no-op application (benchmarks)",
-        ),
-    ]
-
-
-class _LazyValidator:
-    """Build a validator from the registry runtime on first use.
-
-    Needed because the BLAST validator shares the per-site SRA registry, which
-    is only known once the definition lands in a :class:`ServiceRegistry`.
-    """
-
-    def __init__(self, factory: Callable[[ServiceRuntime], Any]) -> None:
-        self._factory = factory
-        self._built: Any = None
-        self._runtime: Optional[ServiceRuntime] = None
-
-    def bind(self, runtime: ServiceRuntime) -> None:
-        if runtime is not self._runtime:
-            self._runtime = runtime
-            self._built = None
-
-    def validate(self, request: "ComputeRequest", datalake: Any = None) -> "ValidationResult":
-        if self._built is None:
-            runtime = (self._runtime or ServiceRuntime()).resolved()
-            self._built = self._factory(runtime)
-        return self._built.validate(request, datalake)
+        ))
+        return services

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional
 
 from repro.exceptions import InvalidComputeName
 from repro.core import naming
-from repro.core.service import BASE_SCHEMA
+from repro.core.service import BASE_SCHEMA, wire_number
 from repro.ndn.name import Name
 
 __all__ = ["ComputeRequest", "JobState", "JobRecord"]
@@ -32,10 +33,11 @@ class ComputeRequest:
     def __post_init__(self) -> None:
         if not self.app:
             raise InvalidComputeName("compute request needs an application name")
-        if self.cpu <= 0:
-            raise InvalidComputeName(f"cpu must be positive, got {self.cpu}")
-        if self.memory_gb <= 0:
-            raise InvalidComputeName(f"memory_gb must be positive, got {self.memory_gb}")
+        if not (math.isfinite(self.cpu) and self.cpu > 0):
+            raise InvalidComputeName(f"cpu must be positive and finite, got {self.cpu}")
+        if not (math.isfinite(self.memory_gb) and self.memory_gb > 0):
+            raise InvalidComputeName(
+                f"memory_gb must be positive and finite, got {self.memory_gb}")
 
     # -- naming ------------------------------------------------------------------
 
@@ -43,8 +45,8 @@ class ComputeRequest:
         """The flat parameter dict encoded into the compute name."""
         params: dict[str, str] = {
             "app": self.app,
-            "cpu": f"{self.cpu:g}",
-            "mem": f"{self.memory_gb:g}",
+            "cpu": wire_number(self.cpu),
+            "mem": wire_number(self.memory_gb),
         }
         if self.dataset is not None:
             params["srr"] = self.dataset

@@ -20,6 +20,8 @@ from repro.core.service import (
 from repro.core.spec import ComputeRequest
 from repro.core.validation import ValidationResult
 from repro.exceptions import InvalidComputeName, UnknownApplication
+from repro.genomics.runtime_model import BlastRuntimeModel
+from repro.genomics.sra import SraRegistry
 from repro.ndn.client import Consumer
 
 
@@ -82,11 +84,6 @@ class TestServiceSchema:
         with pytest.raises(InvalidComputeName):
             BASE_SCHEMA.parse({"app": ""})
 
-    def test_canonicalise_produces_one_wire_form(self):
-        canonical = BASE_SCHEMA.canonicalise({"app": "X", "memory": "8", "dataset": "D"})
-        alias_free = BASE_SCHEMA.canonicalise({"app": "X", "mem": "8", "srr": "D"})
-        assert canonical == alias_free == {"app": "X", "cpu": "2", "mem": "8", "srr": "D"}
-
     def test_allow_extra_false_rejects_strangers(self):
         schema = ServiceSchema(fields=(ParamField("a", str),), allow_extra=False)
         with pytest.raises(InvalidComputeName):
@@ -132,16 +129,18 @@ class TestAliasCanonicalisationEndToEnd:
 
     @given(
         app=st.text(alphabet="ABCXYZ", min_size=1, max_size=6),
-        cpu=st.integers(min_value=1, max_value=64),
-        memory=st.integers(min_value=1, max_value=512),
+        cpu=st.floats(min_value=0, exclude_min=True, allow_nan=False, allow_infinity=False),
+        memory=st.floats(min_value=0, exclude_min=True, allow_nan=False,
+                         allow_infinity=False),
         dataset=st.one_of(st.none(), st.text(alphabet="SRR0123456789", min_size=3, max_size=12)),
         use_alias_mem=st.booleans(),
         use_alias_dataset=st.booleans(),
     )
     def test_round_trip_property(self, app, cpu, memory, dataset, use_alias_mem,
                                  use_alias_dataset):
-        # Satellite: from_params(to_params(r)) == r, and alias spellings of the
-        # same request re-encode to the identical canonical name.
+        # from_params(to_params(r)) == r for any positive finite resources
+        # (no digit is lost on the wire), and alias spellings of the same
+        # request re-encode to the identical canonical name.
         request = ComputeRequest(app=app, cpu=cpu, memory_gb=memory, dataset=dataset)
         assert ComputeRequest.from_params(request.to_params()) == request
 
@@ -152,6 +151,18 @@ class TestAliasCanonicalisationEndToEnd:
             params["dataset"] = params.pop("srr")
         assert ComputeRequest.from_params(params).to_name() == request.to_name()
 
+    def test_short_numbers_keep_their_short_spelling(self):
+        params = ComputeRequest(app="X", cpu=2, memory_gb=4.5).to_params()
+        assert (params["cpu"], params["mem"]) == ("2", "4.5")
+        params = ComputeRequest(app="X", cpu=1234567, memory_gb=1.0000001).to_params()
+        assert (params["cpu"], params["mem"]) == ("1234567.0", "1.0000001")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("resource", ["cpu", "memory_gb"])
+    def test_non_finite_resources_rejected_at_construction(self, resource, value):
+        with pytest.raises(InvalidComputeName):
+            ComputeRequest(app="X", **{resource: value})
+
 
 # ---------------------------------------------------------------------------
 # Registry behaviour
@@ -161,35 +172,40 @@ class TestAliasCanonicalisationEndToEnd:
 class TestServiceRegistry:
     def test_defaults_ship_the_paper_applications(self):
         services = ServiceRegistry.with_defaults()
-        assert services.has_app("BLAST")
-        assert services.has_app("MAGICBLAST")  # alias of BLAST
-        assert services.has_app("COMPRESS")
-        assert services.has_app("SLEEP")
-        assert services.resolve("magicblast") == "BLAST"
-        assert services.runner_for("MAGICBLAST") is services.runner_for("BLAST")
-        assert "MAGICBLAST" in services.applications()
+        for app in ("BLAST", "MAGICBLAST", "COMPRESS", "SLEEP"):
+            assert services.try_get(app) is not None
+        assert services.get("magicblast") is services.get("BLAST")  # alias of BLAST
+
+    def test_defaults_share_the_site_registry_and_model(self):
+        registry = SraRegistry()
+        model = BlastRuntimeModel(registry=registry)
+        blast = ServiceRegistry.with_defaults(registry, model).get("BLAST")
+        assert blast.runner.registry is registry
+        assert blast.runner.model is model
+        assert blast.validator.registry is registry
 
     def test_unknown_app(self):
         services = ServiceRegistry.with_defaults()
         assert services.try_get("FOLDING") is None
         with pytest.raises(UnknownApplication):
-            services.runner_for("FOLDING")
-        with pytest.raises(UnknownApplication):
             services.get("FOLDING")
 
-    def test_unregister_removes_aliases_too(self):
-        # By canonical name or by alias, unregistering removes the service.
-        for name in ("BLAST", "MAGICBLAST"):
-            services = ServiceRegistry.with_defaults()
-            services.unregister(name)
-            assert not services.has_app("BLAST")
-            assert not services.has_app("MAGICBLAST")
-        # Replacing a definition drops the aliases of the one it replaces.
+    def test_reregistering_drops_the_replaced_aliases(self):
         services = ServiceRegistry.with_defaults()
         services.register(ServiceDefinition(name="BLAST", runner=object()))
-        assert services.has_app("BLAST")
-        assert not services.has_app("MAGICBLAST")
-        assert services.applications().count("MAGICBLAST") == 0
+        assert services.try_get("BLAST") is not None
+        assert services.try_get("MAGICBLAST") is None
+
+    def test_register_refuses_a_key_another_service_holds(self):
+        services = ServiceRegistry.with_defaults()
+        sleep = services.get("SLEEP")
+        with pytest.raises(ValueError):
+            services.register(ServiceDefinition(name="FOO", runner=object(), aliases=("SLEEP",)))
+        with pytest.raises(ValueError):
+            services.register(ServiceDefinition(name="MAGICBLAST", runner=object()))
+        assert services.get("SLEEP") is sleep
+        assert services.try_get("FOO") is None
+        assert services.get("MAGICBLAST") is services.get("BLAST")
 
     def test_schema_violation_fails_validation(self):
         services = ServiceRegistry.with_defaults()
@@ -199,14 +215,6 @@ class TestServiceRegistry:
         bad_duration = ComputeRequest(app="SLEEP", params={"duration": "soon"})
         result = services.validate(bad_duration)
         assert not result.ok and "duration" in result.message
-
-    def test_clone_isolates_mutable_state(self):
-        original = wordcount_definition()
-        sibling = original.clone()
-        sibling.runner = None
-        sibling.validator = None
-        assert original.runner is not None
-        assert original.validator is not None
 
     def test_describe_shape(self):
         services = ServiceRegistry.with_defaults()
@@ -295,9 +303,10 @@ class TestSingleDefinitionApplication:
 
     def test_new_clusters_inherit_registered_services(self):
         testbed = LIDCTestbed.single_cluster(seed=44)
-        testbed.register_service(wordcount_definition())
+        definition = wordcount_definition()
+        testbed.register_service(definition)
         late = testbed.add_cluster(name="cluster-late")
-        assert late.services.has_app("WORDCOUNT")
+        assert late.services.get("WORDCOUNT") is definition
 
     def test_cache_opt_out_is_honoured(self):
         definition = ServiceDefinition(

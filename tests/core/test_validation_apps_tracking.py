@@ -113,19 +113,18 @@ class TestValidators:
                 return ValidationResult(False, "nope")
 
         services = ServiceRegistry.with_defaults()
-        services.register(ServiceDefinition(name="CUSTOM", validator=RejectAll()))
-        assert not services.validate(ComputeRequest(app="CUSTOM"), lake).ok
-        services.unregister("CUSTOM")
         assert services.validate(ComputeRequest(app="CUSTOM"), lake).ok
+        services.register(ServiceDefinition(name="CUSTOM", runner=SleepApplication(),
+                                            validator=RejectAll()))
+        assert not services.validate(ComputeRequest(app="CUSTOM"), lake).ok
 
 
 class TestApplications:
     def test_registry_defaults(self):
         services = ServiceRegistry.with_defaults()
-        assert all(services.has_app(app) for app in ("BLAST", "COMPRESS", "SLEEP"))
-        assert "BLAST" in services.applications()
+        assert all(services.try_get(app) is not None for app in ("BLAST", "COMPRESS", "SLEEP"))
         with pytest.raises(UnknownApplication):
-            services.runner_for("MISSING")
+            services.get("MISSING")
 
     def test_blast_modelled_workload_matches_table1(self, lake):
         registry = SraRegistry()

@@ -34,7 +34,7 @@ OPTIONS = {
         "env", "cluster", "forwarder", "datalake", "services", "enable_result_cache", "tracer",
     ),
     "repro.core.gateway:Gateway.can_fit": ("request",),
-    "repro.core.service:ServiceRegistry.with_defaults": ("runtime",),
+    "repro.core.service:ServiceRegistry.with_defaults": ("sra_registry", "runtime_model"),
     "repro.core.overlay:ComputeOverlay.add_access_router": ("name", "cs_capacity"),
     "repro.core.overlay:ComputeOverlay.remove_cluster": ("name",),
     "repro.core.overlay:ComputeOverlay.connect": ("a", "b", "latency_s", "bandwidth_bps"),
@@ -96,6 +96,17 @@ GONE = (
     "repro.ndn.packet:Data.sign",
     "repro.ndn.packet:Data.is_signed",
     "repro.cluster.scheduler:SchedulingPolicy",
+    "repro.core.service:ServiceRuntime",
+    "repro.core.service:ServiceDefinition.clone",
+    "repro.core.service:ServiceRegistry.unregister",
+    "repro.core.service:ServiceRegistry.runner_for",
+    "repro.core.service:ServiceRegistry.has_app",
+    "repro.core.service:ServiceRegistry.applications",
+    "repro.core.service:ServiceRegistry.resolve",
+    "repro.core.service:ServiceSchema.canonicalise",
+    "repro.core.service:ServiceSchema.encode",
+    "repro.core.gateway:Gateway.register_service",
+    "repro.core.cluster_endpoint:LIDCCluster.register_service",
 )
 
 #: Modules that went whole: the controller's placement policies and the
