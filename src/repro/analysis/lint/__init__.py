@@ -5,7 +5,7 @@ decoded, simulation runs are bit-deterministic, hot-path entries are cheap
 to hold, frame ledgers balance — are asserted dynamically by counters in
 benches and soak tests, which only cover the code paths those suites happen
 to exercise.  reprolint enforces the same contracts *statically*, on every
-line, at CI time.
+line, in the tier-1 suite.
 
 The module-local rules (RL004-RL008) check each module in isolation.  The
 interprocedural layer (RL009-RL012) builds a project symbol table
@@ -22,8 +22,7 @@ Usage::
 
     python -m repro.analysis.lint src/            # strict/relaxed per path
     python -m repro.analysis.lint --list-rules    # the rule catalog
-    python -m repro.analysis.lint src/ --changed-only   # pre-commit: report changed files
-    python -m repro.analysis.lint src/ --baseline main.json  # PR-gate mode
+    python -m repro.analysis.lint src/ --format json --output report.json
 
 Programmatic::
 
@@ -35,7 +34,6 @@ See :mod:`repro.analysis.lint.rules` for the catalog and
 :mod:`repro.analysis.lint.engine` for the waiver syntax.
 """
 
-from repro.analysis.lint.cache import SummaryCache
 from repro.analysis.lint.engine import (
     DEFAULT_PROFILE_MAP,
     META_RULE_ID,
@@ -51,15 +49,7 @@ from repro.analysis.lint.engine import (
     Waiver,
     profile_for_path,
 )
-from repro.analysis.lint.report import (
-    JSON_SCHEMA_ID,
-    SARIF_SCHEMA_URI,
-    diff_reports,
-    parse_json,
-    render_json,
-    render_sarif,
-    render_text,
-)
+from repro.analysis.lint.report import JSON_SCHEMA_ID, render_json, render_text
 from repro.analysis.lint.rules import default_rules
 
 __all__ = [
@@ -67,7 +57,6 @@ __all__ = [
     "META_RULE_ID",
     "PROFILES",
     "JSON_SCHEMA_ID",
-    "SARIF_SCHEMA_URI",
     "Finding",
     "Linter",
     "LintReport",
@@ -75,14 +64,10 @@ __all__ = [
     "Profile",
     "Rule",
     "SourceFile",
-    "SummaryCache",
     "SummaryRule",
     "Waiver",
     "profile_for_path",
-    "diff_reports",
-    "parse_json",
     "render_json",
-    "render_sarif",
     "render_text",
     "default_rules",
 ]

@@ -27,8 +27,7 @@ Resolution strategy, most precise first:
   they resolve without the fallback tier.
 
 Everything iterates in sorted order, so edges, effects and witness
-chains are bit-stable across runs — a prerequisite for ``--baseline``
-report diffing.
+chains are bit-stable across runs: reports are reproducible.
 """
 
 from __future__ import annotations

@@ -168,18 +168,6 @@ class EffectSite:
         self.col = col
         self.desc = desc
 
-    def as_dict(self) -> dict:
-        return {
-            "effect": self.effect,
-            "line": self.line,
-            "col": self.col,
-            "desc": self.desc,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "EffectSite":
-        return cls(raw["effect"], raw["line"], raw["col"], raw["desc"])
-
 
 def classify_attribute(chain: str) -> Optional[tuple[str, str]]:
     """Classify a dotted attribute chain as ``(effect, description)``."""

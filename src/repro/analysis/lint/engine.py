@@ -56,16 +56,11 @@ __all__ = [
     "PROFILES",
     "DEFAULT_PROFILE_MAP",
     "META_RULE_ID",
-    "LINT_VERSION",
 ]
 
 #: Rule id used for linter-level findings (syntax errors, malformed waivers).
 #: Deliberately not waivable: a broken waiver must not hide behind itself.
 META_RULE_ID = "RL000"
-
-#: Bumped whenever rule/summary semantics change; part of the cache key,
-#: so a stale cache from an older linter is discarded, never reused.
-LINT_VERSION = "6"
 
 
 @dataclass(slots=True)
@@ -100,19 +95,6 @@ class Finding:
             document["chain"] = self.chain
         return document
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Finding":
-        return cls(
-            rule=raw["rule"],
-            path=raw["path"],
-            line=raw["line"],
-            col=raw["col"],
-            message=raw["message"],
-            waived=raw.get("waived", False),
-            waiver_reason=raw.get("waiver_reason", ""),
-            chain=raw.get("chain"),
-        )
-
 
 _WAIVER_RE = re.compile(r"#\s*lint:\s*allow\[([^\]]*)\]\s*(.*)$")
 
@@ -133,23 +115,6 @@ class Waiver:
 
     def covers(self, rule: str) -> bool:
         return "*" in self.rules or rule in self.rules
-
-    def as_dict(self) -> dict:
-        return {
-            "line": self.line,
-            "rules": sorted(self.rules),
-            "reason": self.reason,
-            "standalone": self.standalone,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Waiver":
-        return cls(
-            line=raw["line"],
-            rules=frozenset(raw["rules"]),
-            reason=raw["reason"],
-            standalone=raw["standalone"],
-        )
 
 
 def norm_path(path: "str | Path") -> str:
@@ -247,8 +212,8 @@ class Rule:
 class SummaryRule(Rule):
     """A project rule that runs on module summaries and the call graph.
 
-    A summary rule never needs an AST — warm-cache runs can drive it from
-    deserialised summaries alone.
+    A summary rule never needs an AST: the project phase holds module
+    summaries only.
     ``records`` is the in-scope subset (profile + path filtering already
     applied); ``index`` is the whole-program
     :class:`~repro.analysis.lint.callgraph.ProjectIndex`.
@@ -265,12 +230,12 @@ class SummaryRule(Rule):
 
 @dataclass
 class ModuleRecord:
-    """One module's cached-or-fresh lint state: the unit the driver holds.
+    """One module's lint state: the unit the linter holds per file.
 
     ``local_findings`` are the line-local rule results *before* waiver
-    application (waivers are applied uniformly at report time, so cached
-    and fresh records behave identically).  ``summary`` feeds the
-    interprocedural layer.
+    application (waivers are applied uniformly at report time, together
+    with the project findings).  ``summary`` feeds the interprocedural
+    layer.
     """
 
     display: str
@@ -286,32 +251,6 @@ class ModuleRecord:
             if waiver.target_line == line and waiver.covers(rule):
                 return waiver
         return None
-
-    def as_dict(self) -> dict:
-        return {
-            "display": self.display,
-            "path": self.path,
-            "profile": self.profile_name,
-            "waivers": [waiver.as_dict() for waiver in self.waivers],
-            "parse_error": self.parse_error,
-            "findings": [finding.as_dict() for finding in self.local_findings],
-            "summary": self.summary.as_dict() if self.summary is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModuleRecord":
-        from repro.analysis.lint.symbols import ModuleSummary
-
-        summary = raw.get("summary")
-        return cls(
-            display=raw["display"],
-            path=raw["path"],
-            profile_name=raw["profile"],
-            waivers=[Waiver.from_dict(w) for w in raw["waivers"]],
-            parse_error=raw["parse_error"],
-            local_findings=[Finding.from_dict(f) for f in raw["findings"]],
-            summary=ModuleSummary.from_dict(summary) if summary is not None else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -424,25 +363,30 @@ class Linter:
     def collect_files(self, paths: Iterable["str | Path"]) -> list[Path]:
         """Expand files/directories into a sorted, de-duplicated .py list.
 
-        The result is ordered by normalised posix path — independent of
-        input order, directory/file mixing, and filesystem enumeration —
-        so reports (and therefore ``--baseline`` diffs) are bit-stable
-        across runs and hosts.
+        Below a directory argument, ``__pycache__`` and dot-named entries
+        are skipped; the directory's own ancestors are not looked at, so a
+        tree checked out under a hidden directory still lints.  A file
+        named explicitly is always linted.  The result is ordered by
+        normalised posix path — independent of input order,
+        directory/file mixing, and filesystem enumeration — so reports
+        are reproducible across runs and hosts.
         """
         out: list[Path] = []
         seen: set[Path] = set()
         for raw in paths:
             path = Path(raw)
             if path.is_dir():
-                candidates = sorted(path.rglob("*.py"))
+                candidates = [
+                    candidate
+                    for candidate in sorted(path.rglob("*.py"))
+                    if not any(
+                        part == "__pycache__" or part.startswith(".")
+                        for part in candidate.relative_to(path).parts
+                    )
+                ]
             else:
                 candidates = [path]
             for candidate in candidates:
-                parts = candidate.parts
-                if "__pycache__" in parts or any(
-                    part.startswith(".") and part not in (".", "..") for part in parts
-                ):
-                    continue
                 resolved = candidate.resolve()
                 if resolved not in seen:
                     seen.add(resolved)
@@ -451,17 +395,6 @@ class Linter:
         return out
 
     # ------------------------------------------------------------ records
-
-    def config_signature(self) -> str:
-        """Cache key component: everything but file content a record depends on."""
-        from repro.analysis.lint.cache import config_signature
-
-        return config_signature(
-            [rule.id for rule in self.rules],
-            LINT_VERSION,
-            self.forced_profile,
-            self.profile_map,
-        )
 
     def _profile_name_for(self, path: str) -> str:
         return self.forced_profile or profile_for_path(path, self.profile_map)
@@ -494,11 +427,8 @@ class Linter:
 
     # ------------------------------------------------------------ linting
 
-    def lint_paths(
-        self, paths: Iterable["str | Path"], cache=None
-    ) -> LintReport:
-        """Lint files/directories, optionally through a
-        :class:`~repro.analysis.lint.cache.SummaryCache`."""
+    def lint_paths(self, paths: Iterable["str | Path"]) -> LintReport:
+        """Lint files/directories: parse each once, then the project phase."""
         records: list[ModuleRecord] = []
         for path in self.collect_files(paths):
             display = str(path)
@@ -514,19 +444,7 @@ class Linter:
                     )
                 )
                 continue
-            if cache is not None:
-                digest = cache.digest(text)
-                cached = cache.get(norm_path(display), digest)
-                if cached is not None:
-                    records.append(ModuleRecord.from_dict(cached))
-                    continue
-                record = self._build_record(SourceFile(display, text))
-                cache.put(norm_path(display), digest, record.as_dict())
-            else:
-                record = self._build_record(SourceFile(display, text))
-            records.append(record)
-        if cache is not None:
-            cache.save()
+            records.append(self._build_record(SourceFile(display, text)))
         return self._finalize(records)
 
     def lint_source(self, source: str, display: str = "<string>") -> LintReport:

@@ -234,11 +234,11 @@ class TlvRegistryRule(SummaryRule):
     """RL007: TLV type numbers live in one registry, each number once.
 
     Reads the ``TlvTypes`` constants and ``TlvTypes.X`` reference lists
-    from the module summaries (extracted once per parse, cached with the
-    file) and checks (a) no two constants share a type number — a
-    duplicate silently corrupts every span scan that matches the first
-    occurrence of a type — and (b) every ``TlvTypes.X`` reference
-    anywhere in ``repro/ndn`` resolves to a defined constant.
+    from the module summaries (extracted once per parse) and checks
+    (a) no two constants share a type number — a duplicate silently
+    corrupts every span scan that matches the first occurrence of a
+    type — and (b) every ``TlvTypes.X`` reference anywhere in
+    ``repro/ndn`` resolves to a defined constant.
     """
 
     id = "RL007"

@@ -1,4 +1,4 @@
-"""Project symbol table: one JSON-serialisable summary per module.
+"""Project symbol table: one summary per module.
 
 :func:`summarize` reduces a parsed :class:`~repro.analysis.lint.engine.SourceFile`
 to a :class:`ModuleSummary` — everything the interprocedural layer needs
@@ -16,9 +16,9 @@ and nothing that requires re-parsing:
 * the TLV registry constants and ``TlvTypes.X`` references (for RL007),
 * every identifier the module mentions (for the RL012 dead-export scan).
 
-Summaries are plain dicts after :meth:`ModuleSummary.as_dict`, which is
-what the content-hash cache persists: a warm run rebuilds the whole
-project index without touching :mod:`ast` for unchanged files.
+Each module is parsed once; the project phase (call graph, effect
+fixpoint, cross-module rules) runs from the summaries alone and never
+re-opens an AST.
 
 Nested functions and lambdas are folded into their enclosing module-level
 function or method: defining a closure counts as (potentially) running
@@ -139,46 +139,6 @@ class ModuleSummary:
     def key(self) -> str:
         """Graph namespace for this module's functions."""
         return self.module or self.path
-
-    def as_dict(self) -> dict:
-        return {
-            "display": self.display,
-            "path": self.path,
-            "module": self.module,
-            "functions": self.functions,
-            "classes": self.classes,
-            "imports": self.imports,
-            "star_import": self.star_import,
-            "exports": self.exports,
-            "mentions": sorted(self.mentions),
-            "calls": self.calls,
-            "effect_sites": {
-                func: [site.as_dict() for site in sites]
-                for func, sites in self.effect_sites.items()
-            },
-            "sanctioned": self.sanctioned,
-            "tlv_registry": self.tlv_registry,
-            "tlv_refs": self.tlv_refs,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModuleSummary":
-        summary = cls(raw["display"], raw["path"], raw["module"])
-        summary.functions = dict(raw["functions"])
-        summary.classes = dict(raw["classes"])
-        summary.imports = dict(raw["imports"])
-        summary.star_import = raw["star_import"]
-        summary.exports = raw["exports"]
-        summary.mentions = set(raw["mentions"])
-        summary.calls = dict(raw["calls"])
-        summary.effect_sites = {
-            func: [EffectSite.from_dict(site) for site in sites]
-            for func, sites in raw["effect_sites"].items()
-        }
-        summary.sanctioned = list(raw["sanctioned"])
-        summary.tlv_registry = raw["tlv_registry"]
-        summary.tlv_refs = list(raw["tlv_refs"])
-        return summary
 
 
 def _bind_imports(tree: ast.Module, summary: ModuleSummary) -> None:

@@ -5,7 +5,8 @@ Three layers:
 * one fire-and-waiver pair per rule — every rule must both detect its
   violation fixture and be silenced by exactly one waiver comment,
 * engine mechanics — waiver parsing, profile selection, reporters, CLI,
-* the tier-1 gate — ``src/`` must lint clean under the default profiles.
+* the tier-1 gate — ``src/`` must lint clean under the default profiles,
+  and the four trees together within :data:`WAIVER_BUDGET` waivers.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.lint import (
-    Finding,
     Linter,
     SourceFile,
-    parse_json,
     profile_for_path,
     render_json,
     render_text,
@@ -30,6 +29,10 @@ from repro.analysis.lint.engine import META_RULE_ID, PROFILES
 from repro.analysis.lint.rules import default_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Most waived findings the four trees may carry together.  A new waiver
+#: past it is a reviewed change to this number, not a comment alone.
+WAIVER_BUDGET = 3
 
 
 def lint_snippet(source: str, display: str = "src/repro/ndn/forwarder.py", **kwargs):
@@ -408,11 +411,7 @@ def test_json_report_schema_round_trip():
     assert payload["summary"]["files"] == 1
     assert payload["summary"]["unwaived"] == 1
     assert payload["summary"]["waived"] == 1
-    parsed = parse_json(render_json(report))
-    assert [f.as_dict() for f in parsed.findings] == [
-        f.as_dict() for f in report.findings
-    ]
-    assert parsed.files_checked == report.files_checked
+    assert payload["findings"] == [f.as_dict() for f in report.findings]
 
 
 def test_text_report_format():
@@ -422,14 +421,6 @@ def test_text_report_format():
     text = render_text(report)
     assert "src/repro/core/mod.py:1:" in text and "RL005" in text
     assert "reprolint: 1 files, 1 finding (0 waived)" in text
-
-
-def test_finding_dict_round_trip():
-    finding = Finding(
-        rule="RL005", path="a.py", line=3, col=7, message="m",
-        waived=True, waiver_reason="r",
-    )
-    assert Finding.from_dict(finding.as_dict()) == finding
 
 
 def test_cli_clean_and_dirty(tmp_path):
@@ -455,6 +446,18 @@ def test_cli_json_output(tmp_path, capsys):
     assert payload["findings"][0]["rule"] == "RL005"
 
 
+def test_cli_writes_nothing_but_the_output_file(tmp_path, monkeypatch):
+    fixture = tmp_path / "fixture" / "src" / "repro" / "core" / "mod.py"
+    fixture.parent.mkdir(parents=True)
+    fixture.write_text("def f(x=[]):\n    return x\n")
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    assert lint_main([str(fixture.parent), "--output", "report.txt"]) == 1
+    assert lint_main([str(fixture.parent)]) == 1
+    assert [p.name for p in workdir.iterdir()] == ["report.txt"]
+
+
 def test_cli_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
@@ -470,6 +473,7 @@ def test_cli_list_rules(capsys):
 def test_src_tree_lints_clean():
     """Every finding in src/ is either fixed or waived with a reason."""
     report = Linter().lint_paths([REPO_ROOT / "src"])
+    assert report.files_checked > 0
     offenders = "\n".join(
         f"{f.path}:{f.line} {f.rule} {f.message}" for f in report.unwaived
     )
@@ -479,15 +483,36 @@ def test_src_tree_lints_clean():
 
 
 def test_benchmarks_tree_lints_clean():
-    """benchmarks/, tests/ and examples/ gate under the relaxed profile."""
-    trees = [REPO_ROOT / name for name in ("benchmarks", "tests", "examples")]
+    """The four trees lint clean in one index, within the waiver budget.
+
+    benchmarks/, tests/ and examples/ gate under the relaxed profile; the
+    index spans src/ too, so their references to src/ exports count.
+    """
+    trees = [
+        REPO_ROOT / name for name in ("src", "benchmarks", "tests", "examples")
+    ]
     report = Linter().lint_paths(trees)
+    assert report.files_checked > 0
     offenders = "\n".join(
         f"{f.path}:{f.line} {f.rule} {f.message}" for f in report.unwaived
     )
-    assert report.ok, (
-        f"unwaived lint findings in benchmarks/, tests/ or examples/:\n{offenders}"
+    assert report.ok, f"unwaived lint findings:\n{offenders}"
+    assert len(report.waived) <= WAIVER_BUDGET, (
+        f"{len(report.waived)} waived findings, budget {WAIVER_BUDGET}: "
+        f"{report.waived_by_rule()}"
     )
+
+
+def test_tree_under_a_hidden_directory_still_lints(tmp_path):
+    """Only dot-named entries *below* a directory argument are skipped."""
+    module = tmp_path / ".work" / "src" / "repro" / "core" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("def f(x=[]):\n    return x\n")
+    (module.parent / ".scratch.py").write_text("def g(y=[]):\n    return y\n")
+    report = Linter().lint_paths([tmp_path / ".work" / "src"])
+    assert report.files_checked == 1
+    assert rule_ids(report) == ["RL005"]
+    assert Linter().lint_paths([module.parent / ".scratch.py"]).files_checked == 1
 
 
 #: The only report-shaped methods ``src/`` keeps: the two the end-to-end

@@ -107,13 +107,26 @@ GONE = (
     "repro.core.service:ServiceSchema.encode",
     "repro.core.gateway:Gateway.register_service",
     "repro.core.cluster_endpoint:LIDCCluster.register_service",
+    "repro.analysis.lint.report:render_sarif",
+    "repro.analysis.lint.report:parse_json",
+    "repro.analysis.lint.report:diff_reports",
+    "repro.analysis.lint.engine:Linter.config_signature",
+    "repro.analysis.lint.engine:Finding.from_dict",
+    "repro.analysis.lint.engine:ModuleRecord.from_dict",
+    "repro.analysis.lint.symbols:ModuleSummary.from_dict",
+    "repro.analysis.lint.effects:EffectSite.from_dict",
 )
 
 #: Modules that went whole: the controller's placement policies and the
 #: completion-time predictor (the overlay's forwarding does the placing),
-#: and the signers and key chain (every Data is DigestSha256-signed in
-#: ``Data.encode``).
-GONE_MODULES = ("repro.core.placement", "repro.core.predictor", "repro.ndn.security")
+#: the signers and key chain (every Data is DigestSha256-signed in
+#: ``Data.encode``), and reprolint's summary cache (every lint is cold).
+GONE_MODULES = (
+    "repro.core.placement",
+    "repro.core.predictor",
+    "repro.ndn.security",
+    "repro.analysis.lint.cache",
+)
 
 
 def _resolve(target):
