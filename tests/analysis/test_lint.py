@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import ast
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.lint import (
+    Finding,
     Linter,
     SourceFile,
     profile_for_path,
@@ -421,6 +423,21 @@ def test_text_report_format():
     text = render_text(report)
     assert "src/repro/core/mod.py:1:" in text and "RL005" in text
     assert "reprolint: 1 files, 1 finding (0 waived)" in text
+
+
+def test_finding_as_dict_carries_every_field():
+    """``render_json`` writes ``as_dict``: no field of a finding is lost."""
+    chain = [{"function": "repro.sim.engine.run", "path": "a.py", "line": 3}]
+    finding = Finding(
+        rule="RL009", path="a.py", line=3, col=7, message="m",
+        waived=True, waiver_reason="r", chain=chain,
+    )
+    assert finding.as_dict() == {
+        "rule": "RL009", "path": "a.py", "line": 3, "col": 7, "message": "m",
+        "waived": True, "waiver_reason": "r", "chain": chain,
+    }
+    assert set(finding.as_dict()) == {f.name for f in fields(Finding)}
+    assert "chain" not in Finding("RL005", "a.py", 1, 0, "m").as_dict()
 
 
 def test_cli_clean_and_dirty(tmp_path):

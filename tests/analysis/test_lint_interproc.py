@@ -10,6 +10,7 @@ witness chain names every hop.
 
 from __future__ import annotations
 
+import ast
 import json
 
 import pytest
@@ -612,6 +613,83 @@ def test_cli_waiver_budget_counts_in_json_summary(tmp_path):
     lint_main([str(target), "--format", "json", "--output", str(out_file)])
     payload = json.loads(out_file.read_text())
     assert payload["summary"]["waived_by_rule"] == {"RL005": 1}
+
+
+def _write_tree(root, modules: dict[str, str]):
+    """Write an in-memory fixture project to disk; returns its ``src/``."""
+    for display, text in modules.items():
+        target = root / display
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8")
+    return root / "src"
+
+
+def test_lint_paths_parses_each_file_once(tmp_path, monkeypatch):
+    """The project phase runs over the summaries and never re-opens an AST."""
+    src = _write_tree(
+        tmp_path, {"src/repro/sim/engine.py": _RL009_ENGINE, **_RL009_HELPERS}
+    )
+    parses = []
+    real_parse = ast.parse
+
+    def counting_parse(*args, **kwargs):
+        parses.append(kwargs.get("filename"))
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    report = Linter().lint_paths([src])
+    assert report.files_checked == 3
+    assert sorted(parses) == sorted(
+        str(path) for path in Linter().collect_files([src])
+    )
+    assert any(f.rule == "RL009" and f.chain for f in report.findings)
+
+
+def test_cli_reports_a_chain_through_another_module(tmp_path, capsys):
+    """The CLI indexes the whole tree: an effect found in one module reaches
+    its caller in another, and an export that caller uses is not dead."""
+    src = _write_tree(tmp_path, {
+        "src/repro/core/helper.py": (
+            '__all__ = ["stamp"]\n\nimport time\n\n\n'
+            "def stamp():\n    return time.time()\n"
+        ),
+        "src/repro/sim/clockish.py": (
+            "from repro.core.helper import stamp\n\n\n"
+            "def now():\n    return stamp()\n"
+        ),
+    })
+    assert lint_main([str(src)]) == 1
+    out = capsys.readouterr().out
+    assert "RL010" in out and "clockish.now" in out and "time.time" in out
+    assert "RL012" not in out
+
+
+def test_cli_reports_a_dead_export_but_not_a_used_one(tmp_path, capsys):
+    src = _write_tree(tmp_path, {
+        "src/repro/core/helper.py": (
+            '__all__ = ["helper", "orphan"]\n\n\ndef helper():\n    return 1\n'
+            "\n\ndef orphan():\n    return 2\n"
+        ),
+        "src/repro/core/consumer.py": (
+            "from repro.core.helper import helper\n\nVALUE = helper()\n"
+        ),
+    })
+    assert lint_main([str(src)]) == 1
+    out = capsys.readouterr().out
+    assert "RL012" in out and "'orphan'" in out
+    assert "'helper'" not in out
+
+
+def test_cli_report_is_identical_across_runs(tmp_path, capsys):
+    """Two cold runs over the same tree print the same report."""
+    src = _write_tree(
+        tmp_path, {"src/repro/sim/engine.py": _RL009_ENGINE, **_RL009_HELPERS}
+    )
+    for fmt in ("text", "json"):
+        assert lint_main([str(src), "--format", fmt]) == 1
+        first = capsys.readouterr().out
+        assert lint_main([str(src), "--format", fmt]) == 1
+        assert capsys.readouterr().out == first
 
 
 @pytest.mark.parametrize(
