@@ -2,13 +2,11 @@
 """Drive the sharded data plane with seeded, realistic traffic models.
 
 The workload library (:mod:`repro.workload`) separates *what* is popular
-(``ZipfPopularity``, ``ScanPopularity``, ``MixedPopularity``) from *when*
-requests arrive (``PoissonArrivals``, ``OnOffArrivals``,
-``DiurnalArrivals``, ``FlashCrowdArrivals``) and from *where* they are
-sent (``WorkloadDriver`` for the NDN data plane, ``LIDCWorkloadDriver``
-for compute submissions).  Everything draws from named ``SeededRNG``
-streams, so a workload is a value: same seed, byte-identical trace —
-the hash printed below never changes between runs.
+(``ZipfPopularity``, ``ScanPopularity``) from *when* requests arrive
+(``PoissonArrivals``, ``FlashCrowdArrivals``) and from *where* they are
+sent (``WorkloadDriver``, for the NDN data plane).  Everything draws from
+named ``SeededRNG`` streams, so a workload is a value: same seed,
+byte-identical trace — the hash printed below never changes between runs.
 
 This example builds three contrasting workloads, drives each through a
 fresh 2-shard forwarder, and shows how the dispatcher hot cache responds:

@@ -47,7 +47,6 @@ from repro.analysis.lint.engine import (
     SourceFile,
     SummaryRule,
     Waiver,
-    profile_for_path,
 )
 from repro.analysis.lint.report import JSON_SCHEMA_ID, render_json, render_text
 from repro.analysis.lint.rules import default_rules
@@ -66,7 +65,6 @@ __all__ = [
     "SourceFile",
     "SummaryRule",
     "Waiver",
-    "profile_for_path",
     "render_json",
     "render_text",
     "default_rules",

@@ -369,16 +369,3 @@ class ProjectIndex:
     def referenced_elsewhere(self, name: str, own_key: str) -> bool:
         """Is ``name`` mentioned by any module other than ``own_key``?"""
         return any(key != own_key for key in self.mentioned_in.get(name, ()))
-
-    def incoming_foreign_edges(self, key: str) -> set[str]:
-        """Local functions of ``key`` called from another module."""
-        called: set[str] = set()
-        prefix = f"{key}."
-        for other_key in sorted(self.resolved):
-            if other_key == key:
-                continue
-            for targets in self.resolved[other_key].values():
-                for target, _line, _col in targets:
-                    if target.startswith(prefix):
-                        called.add(target[len(prefix):])
-        return called

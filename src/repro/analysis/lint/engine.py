@@ -52,7 +52,6 @@ __all__ = [
     "Linter",
     "dotted_name",
     "norm_path",
-    "profile_for_path",
     "PROFILES",
     "DEFAULT_PROFILE_MAP",
     "META_RULE_ID",
@@ -288,16 +287,6 @@ DEFAULT_PROFILE_MAP: tuple[tuple[str, str], ...] = (
 )
 
 
-def profile_for_path(
-    path: str, profile_map: Sequence[tuple[str, str]] = DEFAULT_PROFILE_MAP
-) -> str:
-    normalised = norm_path(path)
-    for marker, name in profile_map:
-        if marker in normalised:
-            return name
-    return "strict"
-
-
 @dataclass
 class LintReport:
     """Everything one lint run produced."""
@@ -397,7 +386,13 @@ class Linter:
     # ------------------------------------------------------------ records
 
     def _profile_name_for(self, path: str) -> str:
-        return self.forced_profile or profile_for_path(path, self.profile_map)
+        if self.forced_profile:
+            return self.forced_profile
+        normalised = norm_path(path)
+        for marker, name in self.profile_map:
+            if marker in normalised:
+                return name
+        return "strict"
 
     def _build_record(self, module: SourceFile) -> ModuleRecord:
         """Run the per-module phase: line-local rules + summary extraction."""

@@ -30,8 +30,8 @@ RL010     no wall clock, ambient entropy or set iteration in, or
 RL011     no packet materialisation in, or reachable from, the
           forwarding plane (endpoints in ``client.py`` and the codec in
           ``packet.py`` are the sanctioned decode sites)
-RL012     dead exports: exported defs with no reference anywhere else
-          in the scanned tree (call graph + identifier scan)
+RL012     dead exports: exported defs no other scanned module names
+          (identifier scan; re-exports and method dispatch do not count)
 ========  ==============================================================
 """
 
@@ -58,11 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.lint.callgraph import ProjectIndex
     from repro.analysis.lint.engine import ModuleRecord
 
-__all__ = [
-    "TransitiveEffectRule",
-    "DeadExportRule",
-    "interprocedural_rules",
-]
+__all__ = ["interprocedural_rules"]
 
 _EFFECT_LABEL = {
     BLOCKS: "blocking call",
@@ -73,7 +69,7 @@ _EFFECT_LABEL = {
 }
 
 
-class TransitiveEffectRule(SummaryRule):
+class _TransitiveEffectRule(SummaryRule):
     """Shared driver: flag in-scope sinks, and boundary calls whose callee
     carries an effect."""
 
@@ -167,7 +163,7 @@ class TransitiveEffectRule(SummaryRule):
                 yield finding
 
 
-class _TransitiveBlockingRule(TransitiveEffectRule):
+class _TransitiveBlockingRule(_TransitiveEffectRule):
     """RL009: no blocking in, or reachable from, the engine/dispatch hot loops."""
 
     id = "RL009"
@@ -179,7 +175,7 @@ class _TransitiveBlockingRule(TransitiveEffectRule):
     remedy = "hot loops never block the OS thread"
 
 
-class _TransitiveDeterminismRule(TransitiveEffectRule):
+class _TransitiveDeterminismRule(_TransitiveEffectRule):
     """RL010: no wall clock/entropy/set iteration in, or reachable from, sim/ndn."""
 
     id = "RL010"
@@ -197,7 +193,7 @@ class _TransitiveDeterminismRule(TransitiveEffectRule):
     )
 
 
-class _TransitiveDecodeRule(TransitiveEffectRule):
+class _TransitiveDecodeRule(_TransitiveEffectRule):
     """RL011: no packet materialisation in, or reachable from, the forwarding plane."""
 
     id = "RL011"
@@ -212,16 +208,29 @@ class _TransitiveDecodeRule(TransitiveEffectRule):
     remedy = "hand the wire buffer on instead"
 
 
-class DeadExportRule(SummaryRule):
+class _DeadExportRule(SummaryRule):
     """RL012: exported defs nothing else in the scanned tree references.
 
-    A name in ``__all__`` that is defined in the module (imports-only
-    re-exports are skipped) and neither mentioned nor called from any
-    other scanned module is a finding.  A helper only its own module
-    uses is renamed ``_private`` (RL008 then no longer asks for it in
-    ``__all__``); one nothing uses is deleted.  The tier-1 gate lints
-    ``src/`` on its own, so an export that only tests call is a finding
-    too.
+    A name in ``__all__`` that the module itself defines is live only if
+    another scanned module names it: imports it, calls or constructs it,
+    or reads it as an attribute.  Three things do not count:
+
+    * a package ``__init__`` importing it (a re-export is not a use);
+    * a call that reaches one of a class's methods through
+      class-hierarchy dispatch or the method-name fallback — a class is
+      live only where code outside its module names it;
+    * its own module naming it.
+
+    One thing does: a class named in a parameter or return annotation of
+    a live export of its module is live, because callers hold it through
+    that export.  For a live class, the annotations read are those of its
+    dunder methods and of every method another module names.
+
+    A helper only its own module uses is renamed ``_private`` (RL008
+    then no longer asks for it in ``__all__``); one nothing uses is
+    deleted.  The tier-1 gate indexes ``src/``, ``benchmarks/`` and
+    ``examples/`` and gates on ``src/``, so an export that only tests
+    use is a finding too.
     """
 
     id = "RL012"
@@ -235,21 +244,28 @@ class DeadExportRule(SummaryRule):
             summary = record.summary
             if summary is None or not summary.exports:
                 continue
-            foreign_calls = index.incoming_foreign_edges(summary.key)
+            defined: dict[str, int] = {}
             for name in summary.exports:
-                line = summary.functions.get(name)
-                if line is None:
-                    info = summary.classes.get(name)
-                    line = info["line"] if info is not None else None
-                if line is None:
-                    continue  # re-export or constant: not a local def
-                if index.referenced_elsewhere(name, summary.key):
-                    continue
-                called = name in foreign_calls or any(
-                    local == name or local.startswith(f"{name}.")
-                    for local in foreign_calls
+                if name in summary.functions:
+                    defined[name] = summary.functions[name]
+                elif name in summary.classes:
+                    defined[name] = summary.classes[name]["line"]
+            live = {
+                name for name in defined
+                if index.referenced_elsewhere(name, summary.key)
+            }
+            frontier = sorted(live)
+            while frontier:
+                named: set[str] = set()
+                for name in frontier:
+                    named |= self._api_annotations(summary, name, index)
+                frontier = sorted(
+                    name for name in named
+                    if name in defined and name in summary.classes and name not in live
                 )
-                if called:
+                live.update(frontier)
+            for name, line in defined.items():
+                if name in live:
                     continue
                 yield Finding(
                     rule=self.id,
@@ -262,6 +278,21 @@ class DeadExportRule(SummaryRule):
                     ),
                 )
 
+    @staticmethod
+    def _api_annotations(summary, name: str, index: "ProjectIndex") -> set[str]:
+        """Names in the annotations of live export ``name``: a function's
+        own, or those of the class's dunder methods and of every method
+        another module names."""
+        if name not in summary.classes:
+            return summary.annotations.get(name, set())
+        named: set[str] = set()
+        for method in summary.classes[name]["methods"]:
+            if method.startswith("__") or index.referenced_elsewhere(
+                method, summary.key
+            ):
+                named |= summary.annotations.get(f"{name}.{method}", set())
+        return named
+
 
 def interprocedural_rules() -> list[SummaryRule]:
     """RL009-RL012, in rule-id order."""
@@ -269,5 +300,5 @@ def interprocedural_rules() -> list[SummaryRule]:
         _TransitiveBlockingRule(),
         _TransitiveDeterminismRule(),
         _TransitiveDecodeRule(),
-        DeadExportRule(),
+        _DeadExportRule(),
     ]

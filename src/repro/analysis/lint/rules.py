@@ -26,7 +26,7 @@ retired, not reused.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from repro.analysis.lint.engine import (
     Finding,
@@ -36,17 +36,10 @@ from repro.analysis.lint.engine import (
     dotted_name,
 )
 
-__all__ = [
-    "ExceptionHygieneRule",
-    "MutableDefaultRule",
-    "SlotsRule",
-    "TlvRegistryRule",
-    "ExportDriftRule",
-    "default_rules",
-]
+__all__ = ["default_rules"]
 
 
-class ExceptionHygieneRule(Rule):
+class _ExceptionHygieneRule(Rule):
     """RL004: no bare ``except``; broad catches are deliberate or waived.
 
     A bare ``except:`` (which swallows ``KeyboardInterrupt`` and the
@@ -103,7 +96,7 @@ class ExceptionHygieneRule(Rule):
         return False
 
 
-class MutableDefaultRule(Rule):
+class _MutableDefaultRule(Rule):
     """RL005: no mutable default arguments.
 
     A ``def f(x=[])`` default is evaluated once and shared across every
@@ -153,7 +146,7 @@ class MutableDefaultRule(Rule):
         return None
 
 
-class SlotsRule(Rule):
+class _SlotsRule(Rule):
     """RL006: hot-path entry classes declare ``__slots__``.
 
     A 10k-node overlay holds millions of CS/PIT/FIB entries and name-tree
@@ -230,7 +223,7 @@ class SlotsRule(Rule):
         return False
 
 
-class TlvRegistryRule(SummaryRule):
+class _TlvRegistryRule(SummaryRule):
     """RL007: TLV type numbers live in one registry, each number once.
 
     Reads the ``TlvTypes`` constants and ``TlvTypes.X`` reference lists
@@ -300,113 +293,56 @@ class TlvRegistryRule(SummaryRule):
                     )
 
 
-class ExportDriftRule(Rule):
+class _ExportDriftRule(SummaryRule):
     """RL008: ``__all__`` matches reality.
 
     Every name listed in ``__all__`` must be bound at module top level, no
     name may be listed twice, and every public top-level class or function
     must appear in ``__all__`` (or be renamed ``_private``).  Modules
     without ``__all__`` are skipped — the rule polices drift, it does not
-    mandate the convention.
+    mandate the convention.  It reads the ``__all__`` the module summary
+    parsed, so the literal is parsed once per file.
     """
 
     id = "RL008"
     title = "__all__ drift"
     rationale = "stale exports break star-imports and document a false API"
 
-    def check(self, module: SourceFile) -> Iterator[Finding]:
-        exports = self._exports(module.tree)
-        if exports is None:
-            return
-        names, node, star_import = exports
-        bound = self._top_level_bindings(module.tree)
-        seen: set[str] = set()
-        for name in names:
-            if name in seen:
-                yield self.finding(node, f"__all__ lists {name!r} twice")
-            seen.add(name)
-            if not star_import and name not in bound:
-                yield self.finding(
-                    node,
-                    f"__all__ exports {name!r} but the module never binds it",
-                )
-        for defined in self._public_defs(module.tree):
-            if defined.name not in seen:
-                yield self.finding(
-                    defined,
-                    f"public definition {defined.name!r} missing from "
-                    "__all__ (export it or rename it _private)",
-                )
+    def check_summaries(self, records, index) -> Iterator[Finding]:
+        for record in records:
+            summary = record.summary
+            if summary is None or summary.exports is None:
+                continue
+            seen: set[str] = set()
+            for name in summary.exports:
+                if name in seen:
+                    yield self._at(record, summary.exports_line, f"__all__ lists {name!r} twice")
+                seen.add(name)
+                if not summary.star_import and name not in summary.bound:
+                    yield self._at(
+                        record,
+                        summary.exports_line,
+                        f"__all__ exports {name!r} but the module never binds it",
+                    )
+            defs = {
+                name: line for name, line in summary.functions.items() if "." not in name
+            }
+            defs.update(
+                (name, info["line"])
+                for name, info in summary.classes.items()
+                if "." not in name
+            )
+            for name, line in sorted(defs.items(), key=lambda item: item[1]):
+                if not name.startswith("_") and name not in seen:
+                    yield self._at(
+                        record,
+                        line,
+                        f"public definition {name!r} missing from "
+                        "__all__ (export it or rename it _private)",
+                    )
 
-    @staticmethod
-    def _exports(
-        tree: ast.Module,
-    ) -> Optional[tuple[list[str], ast.AST, bool]]:
-        star_import = any(
-            isinstance(node, ast.ImportFrom)
-            and any(alias.name == "*" for alias in node.names)
-            for node in tree.body
-        )
-        for node in tree.body:
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name) and target.id == "__all__":
-                        if isinstance(node.value, (ast.List, ast.Tuple)) and all(
-                            isinstance(elt, ast.Constant)
-                            and isinstance(elt.value, str)
-                            for elt in node.value.elts
-                        ):
-                            names = [elt.value for elt in node.value.elts]
-                            return names, node, star_import
-        return None
-
-    def _top_level_bindings(self, tree: ast.Module) -> set[str]:
-        bound: set[str] = set()
-
-        def visit(stmts: Sequence[ast.stmt]) -> None:
-            for stmt in stmts:
-                if isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
-                    bound.add(stmt.name)
-                elif isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        self._collect_targets(target, bound)
-                elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-                    self._collect_targets(stmt.target, bound)
-                elif isinstance(stmt, ast.Import):
-                    for alias in stmt.names:
-                        bound.add(alias.asname or alias.name.split(".")[0])
-                elif isinstance(stmt, ast.ImportFrom):
-                    for alias in stmt.names:
-                        if alias.name != "*":
-                            bound.add(alias.asname or alias.name)
-                elif isinstance(stmt, (ast.If, ast.Try)):
-                    visit(stmt.body)
-                    visit(getattr(stmt, "orelse", []))
-                    for handler in getattr(stmt, "handlers", []):
-                        visit(handler.body)
-                    visit(getattr(stmt, "finalbody", []))
-                elif isinstance(stmt, (ast.For, ast.While, ast.With)):
-                    visit(stmt.body)
-
-        visit(tree.body)
-        return bound
-
-    @staticmethod
-    def _collect_targets(target: ast.expr, into: set[str]) -> None:
-        if isinstance(target, ast.Name):
-            into.add(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                ExportDriftRule._collect_targets(elt, into)
-
-    @staticmethod
-    def _public_defs(tree: ast.Module):
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not stmt.name.startswith("_"):
-                    yield stmt
+    def _at(self, record, line: int, message: str) -> Finding:
+        return Finding(rule=self.id, path=record.display, line=line, col=0, message=message)
 
 
 def default_rules() -> list[Rule]:
@@ -414,10 +350,10 @@ def default_rules() -> list[Rule]:
     from repro.analysis.lint.interproc import interprocedural_rules
 
     return [
-        ExceptionHygieneRule(),
-        MutableDefaultRule(),
-        SlotsRule(),
-        TlvRegistryRule(),
-        ExportDriftRule(),
+        _ExceptionHygieneRule(),
+        _MutableDefaultRule(),
+        _SlotsRule(),
+        _TlvRegistryRule(),
+        _ExportDriftRule(),
         *interprocedural_rules(),
     ]

@@ -5,7 +5,9 @@ to a :class:`ModuleSummary` — everything the interprocedural layer needs
 and nothing that requires re-parsing:
 
 * symbols: module-level functions, classes (with base names and methods),
-  import bindings (``local name -> dotted target``), ``__all__`` exports,
+  import bindings (``local name -> dotted target``), the literal
+  ``__all__`` with its line and the names bound at top level (for RL008
+  and RL012),
 * call descriptors per function (direct names, dotted attribute chains,
   bare-attribute method calls, and function references passed as call
   arguments — ``functools.partial`` and callback registration fall out of
@@ -14,7 +16,9 @@ and nothing that requires re-parsing:
   after resolving names and dotted chains through the import bindings and
   already filtered against sanctioning waivers,
 * the TLV registry constants and ``TlvTypes.X`` references (for RL007),
-* every identifier the module mentions (for the RL012 dead-export scan).
+* every identifier the module mentions, except the imports of a package
+  ``__init__``, and the names in each def's annotations (for the RL012
+  dead-export scan).
 
 Each module is parsed once; the project phase (call graph, effect
 fixpoint, cross-module rules) runs from the summaries alone and never
@@ -105,7 +109,10 @@ class ModuleSummary:
         "imports",
         "star_import",
         "exports",
+        "exports_line",
+        "bound",
         "mentions",
+        "annotations",
         "calls",
         "effect_sites",
         "sanctioned",
@@ -124,8 +131,15 @@ class ModuleSummary:
         #: local binding -> dotted target
         self.imports: dict[str, str] = {}
         self.star_import = False
+        #: the literal ``__all__`` (duplicates kept) and its line
         self.exports: Optional[list[str]] = None
+        self.exports_line = 0
+        #: names bound at module top level (filled only with ``exports``)
+        self.bound: set[str] = set()
         self.mentions: set[str] = set()
+        #: local function -> identifiers named in its parameter/return
+        #: annotations
+        self.annotations: dict[str, set[str]] = {}
         #: local function -> [call descriptor dicts]
         self.calls: dict[str, list[dict]] = {}
         #: local function -> [EffectSite]
@@ -143,7 +157,12 @@ class ModuleSummary:
 
 def _bind_imports(tree: ast.Module, summary: ModuleSummary) -> None:
     """Fill the import table before the walk, so a sink is resolved even
-    where its import sits below the use (or inside another function)."""
+    where its import sits below the use (or inside another function).
+
+    An import is a mention (for RL012), except in a package ``__init__``:
+    re-exporting a name there does not use it.
+    """
+    reexports = summary.path.endswith("/__init__.py")
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -152,7 +171,8 @@ def _bind_imports(tree: ast.Module, summary: ModuleSummary) -> None:
                 else:
                     root = alias.name.split(".")[0]
                     summary.imports[root] = root
-                summary.mentions.add(alias.name.split(".")[-1])
+                if not reexports:
+                    summary.mentions.add(alias.name.split(".")[-1])
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level and summary.module:
@@ -169,7 +189,8 @@ def _bind_imports(tree: ast.Module, summary: ModuleSummary) -> None:
                     continue
                 local = alias.asname or alias.name
                 summary.imports[local] = f"{base}.{alias.name}" if base else alias.name
-                summary.mentions.add(alias.name)
+                if not reexports:
+                    summary.mentions.add(alias.name)
 
 
 class _Walker(ast.NodeVisitor):
@@ -254,6 +275,7 @@ class _Walker(ast.NodeVisitor):
         if self.func_depth == 0:
             qual = ".".join(self.class_stack + [node.name])
             self.summary.functions[qual] = node.lineno
+            self.summary.annotations[qual] = _annotation_names(node)
             if self.class_stack:
                 owner = ".".join(self.class_stack)
                 self.summary.classes[owner]["methods"][node.name] = node.lineno
@@ -353,7 +375,38 @@ class _Walker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _module_exports(tree: ast.Module) -> Optional[list[str]]:
+def _annotation_names(node) -> set[str]:
+    """Identifiers named in a def's parameter and return annotations,
+    string (forward-reference) annotations included."""
+    args = node.args
+    annotations = [
+        arg.annotation
+        for arg in args.posonlyargs + args.args + args.kwonlyargs
+        + [args.vararg, args.kwarg]
+        if arg is not None and arg.annotation is not None
+    ]
+    if node.returns is not None:
+        annotations.append(node.returns)
+    names: set[str] = set()
+    for annotation in annotations:
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    parsed = ast.parse(sub.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(
+                    leaf.id for leaf in ast.walk(parsed) if isinstance(leaf, ast.Name)
+                )
+    return names
+
+
+def _module_exports(tree: ast.Module) -> Optional[tuple[list[str], int]]:
+    """The names of a literal top-level ``__all__``, and its line."""
     for node in tree.body:
         if isinstance(node, ast.Assign):
             for target in node.targets:
@@ -362,8 +415,33 @@ def _module_exports(tree: ast.Module) -> Optional[list[str]]:
                         isinstance(elt, ast.Constant) and isinstance(elt.value, str)
                         for elt in node.value.elts
                     ):
-                        return [elt.value for elt in node.value.elts]
+                        return [elt.value for elt in node.value.elts], node.lineno
     return None
+
+
+def _top_level_bindings(stmts: list[ast.stmt], bound: set[str]) -> set[str]:
+    """Every name a module binds outside functions and classes."""
+    for stmt in stmts:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                bound.update(
+                    node.id
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                )
+        elif isinstance(stmt, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in stmt.names)
+        elif isinstance(stmt, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in stmt.names if alias.name != "*")
+        elif isinstance(stmt, (ast.If, ast.Try, ast.For, ast.While, ast.With)):
+            for block in ("body", "orelse", "finalbody"):
+                _top_level_bindings(getattr(stmt, block, []), bound)
+            for handler in getattr(stmt, "handlers", []):
+                _top_level_bindings(handler.body, bound)
+    return bound
 
 
 def _tlv_registry(tree: ast.Module) -> Optional[dict[str, list[int]]]:
@@ -399,7 +477,10 @@ def summarize(module: SourceFile) -> Optional[ModuleSummary]:
     walker = _Walker(summary)
     for stmt in module.tree.body:
         walker.visit(stmt)
-    summary.exports = _module_exports(module.tree)
+    parsed = _module_exports(module.tree)
+    if parsed is not None:
+        summary.exports, summary.exports_line = parsed
+        summary.bound = _top_level_bindings(module.tree.body, set())
     if summary.path.endswith(_TLV_REGISTRY_FILE):
         summary.tlv_registry = _tlv_registry(module.tree)
     # Sanctioned sinks: a site whose line is waived for the rule that owns

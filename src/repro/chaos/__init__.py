@@ -6,13 +6,12 @@ them into a :class:`~repro.core.overlay.ComputeOverlay` through its public
 control surface.  See ``README.md`` in this package for the recipe.
 """
 
-from repro.chaos.driver import ChaosDriver, InjectionRecord
+from repro.chaos.driver import ChaosDriver
 from repro.chaos.spec import (
     ChaosSpec,
     FaultEvent,
     FaultKind,
     build_schedule,
-    replay_schedule,
     schedule_hash,
 )
 
@@ -21,8 +20,6 @@ __all__ = [
     "FaultEvent",
     "FaultKind",
     "build_schedule",
-    "replay_schedule",
     "schedule_hash",
     "ChaosDriver",
-    "InjectionRecord",
 ]

@@ -39,11 +39,11 @@ from repro.core.overlay import ComputeOverlay
 from repro.exceptions import OverlayError
 from repro.sim.engine import Environment
 
-__all__ = ["ChaosDriver", "InjectionRecord"]
+__all__ = ["ChaosDriver"]
 
 
 @dataclass(slots=True)
-class InjectionRecord:
+class _InjectionRecord:
     """What actually happened when one scheduled fault fired."""
 
     event: FaultEvent
@@ -72,7 +72,7 @@ class ChaosDriver:
         self.env = env
         self.overlay = overlay
         self.schedule = list(schedule)
-        self.records: list[InjectionRecord] = []
+        self.records: list[_InjectionRecord] = []
         self.applied = 0
         self.skipped = 0
         self._downed: dict[str, _DownedCluster] = {}
@@ -109,7 +109,7 @@ class ChaosDriver:
             FaultKind.PRODUCER_CHURN: self._producer_churn,
         }[event.kind]
         applied, detail = handler(event.target)
-        self.records.append(InjectionRecord(event=event, applied=applied, detail=detail))
+        self.records.append(_InjectionRecord(event=event, applied=applied, detail=detail))
         if applied:
             self.applied += 1
         else:

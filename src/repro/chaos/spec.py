@@ -37,7 +37,6 @@ __all__ = [
     "ChaosSpec",
     "build_schedule",
     "schedule_hash",
-    "replay_schedule",
 ]
 
 
@@ -227,14 +226,3 @@ def build_schedule(spec: ChaosSpec, rng: SeededRNG) -> list[FaultEvent]:
         FaultEvent(seq=seq, t=at, kind=kind, target=target)
         for seq, (at, _order, kind, target) in enumerate(raw)
     ]
-
-
-def replay_schedule(lines: "list[str]") -> list[FaultEvent]:
-    """Rebuild a schedule from its canonical :meth:`FaultEvent.line` forms."""
-    events = []
-    for line in lines:
-        seq, t, kind, target = line.split(" ", 3)
-        events.append(
-            FaultEvent(seq=int(seq), t=float(t), kind=FaultKind(kind), target=target)
-        )
-    return events

@@ -37,19 +37,12 @@ from repro.core.applications import (
     CompressApplication,
     SleepApplication,
 )
-from repro.core.baseline import CentralizedController, ControllerUnavailable
+from repro.core.baseline import CentralizedController
 from repro.core.caching import CachedResult, ResultCache
 from repro.core.client import JobHandle, JobOutcome, LIDCClient, SubmissionResult
 from repro.core.cluster_endpoint import LIDCCluster
 from repro.core.framework import LIDCTestbed, TestbedConfig
 from repro.core.gateway import Gateway
-from repro.core.http_naming import (
-    HttpGatewayFacade,
-    HttpRequest,
-    HttpResponse,
-    request_to_url,
-    url_to_request,
-)
 from repro.core.jobs import JobTracker
 from repro.core.overlay import ComputeOverlay
 from repro.core.service import (
@@ -93,10 +86,4 @@ __all__ = [
     "ResultCache",
     "CachedResult",
     "CentralizedController",
-    "ControllerUnavailable",
-    "HttpGatewayFacade",
-    "HttpRequest",
-    "HttpResponse",
-    "request_to_url",
-    "url_to_request",
 ]

@@ -1,8 +1,9 @@
 """Application runners: how each named application actually computes.
 
-An :class:`ApplicationRunner` builds the Kubernetes pod workload for one
-accepted request.  Dispatch from the ``app=`` parameter to a runner is owned
-by the declarative service plane (:mod:`repro.core.service`): each runner is
+An application runner builds the Kubernetes pod workload for one accepted
+request: it has one method, ``build_pod_spec(request, datalake)``.
+Dispatch from the ``app=`` parameter to a runner is owned by the
+declarative service plane (:mod:`repro.core.service`): each runner is
 carried by a :class:`~repro.core.service.ServiceDefinition` together with its
 parameter schema, validator and cache policy, and the gateway looks it up in
 the :class:`~repro.core.service.ServiceRegistry`.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Optional
 
 from repro.cluster.pod import Container, PodSpec, ResourceRequirements, WorkloadResult
 from repro.core.spec import ComputeRequest
@@ -35,7 +36,6 @@ from repro.genomics.sequences import FastaRecord, FastqRecord
 from repro.genomics.sra import SraRegistry
 
 __all__ = [
-    "ApplicationRunner",
     "BlastApplication",
     "CompressApplication",
     "SleepApplication",
@@ -45,13 +45,6 @@ __all__ = [
 COMPRESS_THROUGHPUT_BPS = 150e6
 #: Nominal startup overhead added to every application container.
 CONTAINER_STARTUP_S = 2.0
-
-
-class ApplicationRunner(Protocol):
-    """Builds the pod template that executes one request."""
-
-    def build_pod_spec(self, request: ComputeRequest, datalake: Optional[DataLake]) -> PodSpec:
-        ...  # pragma: no cover - protocol
 
 
 def _parse_fasta(text: str) -> list[FastaRecord]:

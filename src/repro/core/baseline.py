@@ -19,14 +19,15 @@ from typing import Optional, Sequence
 
 from repro.core.cluster_endpoint import LIDCCluster
 from repro.core.spec import ComputeRequest, JobRecord
-from repro.exceptions import LIDCError, PlacementError, UnknownApplication, ValidationFailure
+from repro.exceptions import (
+    ControllerUnavailable,
+    PlacementError,
+    UnknownApplication,
+    ValidationFailure,
+)
 from repro.sim.engine import Environment
 
-__all__ = ["ControllerUnavailable", "CentralizedController"]
-
-
-class ControllerUnavailable(LIDCError):
-    """Raised when submitting to a failed central controller."""
+__all__ = ["CentralizedController"]
 
 
 @dataclass

@@ -113,7 +113,7 @@ class JobHandle:
     drives the whole protocol.  ``handle.done`` is a simulation event that
     triggers with the final :class:`JobOutcome` once the job is terminal
     (it never fails — errors are materialised in the outcome), so handles
-    compose with ``env.all_of`` and ``env.run(until=...)``.
+    compose with :meth:`LIDCClient.wait_all` and ``env.run(until=...)``.
     """
 
     _id_counter = itertools.count(1)
@@ -372,8 +372,14 @@ class LIDCClient:
         ]
 
     def wait_all(self, handles: Iterable[JobHandle]) -> Event:
-        """A composite event triggering when every handle is terminal."""
-        return self.env.all_of([handle.done for handle in handles])
+        """An event triggering when every handle is terminal."""
+        done = [handle.done for handle in handles]
+
+        def wait():
+            for event in done:
+                yield event
+
+        return self.env.process(wait(), name="wait_all")
 
     @property
     def in_flight(self) -> int:

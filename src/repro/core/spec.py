@@ -146,7 +146,7 @@ class JobRecord:
         return self.finished_at - self.submitted_at
 
     def status_payload(self) -> dict:
-        """The JSON document a status poll returns (NDN and HTTP alike).
+        """The JSON document a status poll returns.
 
         Only what can change since the ack: the state and, once terminal,
         the result fields or the error.  The job id, the cluster and the

@@ -4,15 +4,16 @@
 built into the system in a modular manner and can be managed separately for
 each application."
 
-Each application registers a validator; the gateway runs the matching
-validator before admitting a request.  The two applications the paper uses as
+Each application registers a validator, an object with one method,
+``validate(request, datalake)``; the gateway runs the matching validator
+before admitting a request.  The two applications the paper uses as
 examples are implemented: Magic-BLAST (checks the SRR id) and a file
 compression tool (needs a dataset but no SRR semantics).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Optional
 
 from repro.core.service import ValidationResult
 from repro.core.spec import ComputeRequest
@@ -21,17 +22,9 @@ from repro.genomics.sra import SraRegistry, is_valid_srr_id
 
 __all__ = [
     "ValidationResult",
-    "Validator",
     "BlastValidator",
     "CompressionValidator",
 ]
-
-
-class Validator(Protocol):
-    """A per-application validator."""
-
-    def validate(self, request: ComputeRequest, datalake: Optional[DataLake] = None) -> ValidationResult:
-        ...  # pragma: no cover - protocol
 
 
 class BlastValidator:

@@ -25,7 +25,6 @@ from typing import Optional
 
 from repro.exceptions import DataLakeError, DatasetNotFound, NDNError
 from repro.datalake.repo import DATA_PREFIX, DataLake
-from repro.ndn.client import Producer
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, InterestLike, Nack, NackReason, WirePacket
@@ -60,14 +59,7 @@ class FileServer:
         self.requests_served = 0
         self.requests_failed = 0
         self._segment_cache: dict[str, tuple[bytes, dict[int, WirePacket]]] = {}
-        self.producer = Producer(
-            env,
-            forwarder,
-            prefix=DATA_PREFIX,
-            handler=self._handle,
-            name=f"fileserver:{datalake.name}",
-            freshness_period=FRESHNESS_PERIOD,
-        )
+        forwarder.attach_producer(DATA_PREFIX, self._handle)
 
     # -- request handling ------------------------------------------------------------
 

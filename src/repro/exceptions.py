@@ -161,3 +161,7 @@ class PlacementError(LIDCError):
 
 class OverlayError(LIDCError):
     """Cluster overlay membership error."""
+
+
+class ControllerUnavailable(LIDCError):
+    """Raised when submitting to a failed central controller."""

@@ -25,7 +25,7 @@ from repro.ndn.packet import Data, Interest, Nack, NackReason, WirePacket
 from repro.ndn.cs import ContentStore
 from repro.ndn.pit import PendingInterestTable, PitEntry
 from repro.ndn.fib import Fib, FibEntry
-from repro.ndn.face import Face, FaceStats, LocalFace, NetworkFace, connect
+from repro.ndn.face import Face, LocalFace, NetworkFace, connect
 from repro.ndn.strategy import (
     BestRouteStrategy,
     LoadBalanceStrategy,
@@ -34,8 +34,8 @@ from repro.ndn.strategy import (
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.shard import ShardedForwarder, ShardFace
 from repro.ndn.routing import PrefixAnnouncement, RoutingDaemon
-from repro.ndn.client import Consumer, Producer
-from repro.ndn.segmentation import reassemble, segment_content
+from repro.ndn.client import Consumer
+from repro.ndn.segmentation import reassemble
 
 __all__ = [
     "Name",
@@ -51,7 +51,6 @@ __all__ = [
     "Fib",
     "FibEntry",
     "Face",
-    "FaceStats",
     "LocalFace",
     "NetworkFace",
     "connect",
@@ -62,7 +61,5 @@ __all__ = [
     "RoutingDaemon",
     "PrefixAnnouncement",
     "Consumer",
-    "Producer",
-    "segment_content",
     "reassemble",
 ]

@@ -1,12 +1,11 @@
-"""Consumer and producer helpers.
+"""The consumer endpoint.
 
 :class:`Consumer` is the client-side endpoint used by workflows and by the
 LIDC client library: it expresses Interests into a forwarder and completes an
 event with the returned Data (or fails it with a timeout / NACK error).
 
-:class:`Producer` is the application-side helper used by the data lake, the
-file server and the LIDC gateway: it serves a namespace either from a static
-content store or from a request handler, signing everything it emits.
+Producers need no helper here: an application attaches its request handler
+with :meth:`~repro.ndn.forwarder.Forwarder.attach_producer`.
 """
 
 from __future__ import annotations
@@ -15,17 +14,17 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
-from repro.exceptions import InterestNacked, InterestTimeout, NDNError
+from repro.exceptions import InterestNacked, InterestTimeout
 from repro.ndn.face import AnyPacket, Face, LocalFace, connect
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name, parse_name
-from repro.ndn.packet import Data, Interest, InterestLike, Nack, NackReason, WirePacket
-from repro.ndn.segmentation import parse_segment, reassemble, segment_content
+from repro.ndn.packet import Data, Interest, Nack, NackReason, WirePacket
+from repro.ndn.segmentation import parse_segment, reassemble
 from repro.ndn.tlv import TlvTypes
 from repro.sim.engine import Environment, Event, Timeout
 from repro.sim.rng import SeededRNG
 
-__all__ = ["Consumer", "Producer", "RetryPolicy"]
+__all__ = ["Consumer", "RetryPolicy"]
 
 
 @dataclass(slots=True, frozen=True)
@@ -396,76 +395,3 @@ class Consumer:
             )
             segments.append(segment)
         return reassemble(segments)
-
-
-class Producer:
-    """An application endpoint serving a namespace on a forwarder."""
-
-    def __init__(
-        self,
-        env: Environment,
-        forwarder: Forwarder,
-        prefix: "Name | str",
-        handler: Optional[Callable[[InterestLike], "AnyPacket | None"]] = None,
-        name: str = "producer",
-        freshness_period: float = 0.0,
-    ) -> None:
-        self.env = env
-        self.name = name
-        self.prefix = Name(prefix)
-        self.forwarder = forwarder
-        self.freshness_period = freshness_period
-        self._store: dict[Name, Data] = {}
-        self._handler = handler
-        self.interests_served = 0
-        self.face = forwarder.attach_producer(self.prefix, self._dispatch)
-
-    # -- publishing -------------------------------------------------------------
-
-    def publish(self, name: "Name | str", content: "bytes | str",
-                segment_size: int = 0) -> list[Data]:
-        """Add content to the producer's static store (optionally segmented)."""
-        name = Name(name)
-        if not self.prefix.is_prefix_of(name):
-            raise NDNError(f"{name} is outside the producer prefix {self.prefix}")
-        if isinstance(content, str):
-            content = content.encode("utf-8")
-        if segment_size and len(content) > segment_size:
-            packets = segment_content(
-                name, content, segment_size=segment_size, freshness_period=self.freshness_period,
-            )
-        else:
-            packets = [
-                Data(name=name, content=content, freshness_period=self.freshness_period)
-            ]
-        for packet in packets:
-            self._store[packet.name] = packet
-        return packets
-
-    def unpublish(self, name: "Name | str") -> int:
-        """Remove content under ``name`` (prefix match); returns packets removed."""
-        name = Name(name)
-        victims = [stored for stored in self._store if name.is_prefix_of(stored)]
-        for victim in victims:
-            del self._store[victim]
-        return len(victims)
-
-    def stored_names(self) -> list[Name]:
-        return sorted(self._store.keys())
-
-    # -- serving -----------------------------------------------------------------
-
-    def _dispatch(self, interest: InterestLike) -> "AnyPacket | None":
-        self.interests_served += 1
-        # Static store first (exact, then prefix match for discovery); every
-        # field read here resolves lazily off the wire view.
-        data = self._store.get(interest.name)
-        if data is None and interest.can_be_prefix:
-            candidates = [d for n, d in self._store.items() if interest.name.is_prefix_of(n)]
-            if candidates:
-                data = min(candidates, key=lambda d: d.name)
-        if data is not None:
-            return data
-        if self._handler is not None:
-            return self._handler(interest)
-        return interest.nack(NackReason.NO_ROUTE)

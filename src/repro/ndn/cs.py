@@ -47,11 +47,11 @@ from repro.ndn.name import Name
 from repro.ndn.nametree import NameTree, as_name
 from repro.ndn.packet import DataLike, InterestLike
 
-__all__ = ["ContentStore", "CsEntry"]
+__all__ = ["ContentStore"]
 
 
 @dataclass(slots=True)
-class CsEntry:
+class _CsEntry:
     """One cached Data packet (object or wire view) plus its arrival time.
 
     Slotted (lint rule RL006): a populated store holds one of these per
@@ -80,7 +80,7 @@ class ContentStore:
         self.capacity = capacity
         self._clock = clock or (lambda: 0.0)
         #: Entries in recency order, least recent first.
-        self._entries: "OrderedDict[Name, CsEntry]" = OrderedDict()
+        self._entries: "OrderedDict[Name, _CsEntry]" = OrderedDict()
         #: Prefix index over the same entries, for can_be_prefix lookups and
         #: prefix erasure.  Built lazily on the first prefix operation so
         #: exact-match-only workloads never pay for its maintenance, then
@@ -146,7 +146,7 @@ class ContentStore:
             return
         while len(entries) >= self._capacity:
             self._evict_one()
-        entry = CsEntry(data=data, arrival_time=now)
+        entry = _CsEntry(data=data, arrival_time=now)
         entries[name] = entry
         if self._index is not None:
             self._index.set(name, entry)
@@ -194,12 +194,12 @@ class ContentStore:
             return None
         return self._hit(item[1], item[0])
 
-    def _acceptable(self, entry: CsEntry, interest: InterestLike, now: float) -> bool:
+    def _acceptable(self, entry: _CsEntry, interest: InterestLike, now: float) -> bool:
         if interest.must_be_fresh and not entry.is_fresh(now):
             return False
         return True
 
-    def _hit(self, entry: CsEntry, name: Name) -> DataLike:
+    def _hit(self, entry: _CsEntry, name: Name) -> DataLike:
         self._entries.move_to_end(name)
         self.hits += 1
         return entry.data

@@ -42,7 +42,6 @@ __all__ = [
     "Packet",
     "AnyPacket",
     "PacketEndpoint",
-    "FaceStats",
     "Face",
     "LocalFace",
     "NetworkFace",
@@ -77,7 +76,7 @@ class PacketEndpoint(Protocol):
 
 
 @dataclass
-class FaceStats:
+class _FaceStats:
     """Per-face packet, byte and drop counters.
 
     Byte counters are ``len(wire)`` of the transiting buffer — no encoder
@@ -130,7 +129,7 @@ class Face:
         self.label = label
         self.face_id: int = -1
         self.peer: Optional["Face"] = None
-        self.stats = FaceStats()
+        self.stats = _FaceStats()
         self.up = True
         # Resolved once: delivery requires a wire-aware owner (legacy
         # decoded-object delivery raises in deliver()).

@@ -14,7 +14,7 @@ from repro.exceptions import NDNError
 from repro.ndn.name import Component, Name
 from repro.ndn.packet import Data
 
-__all__ = ["segment_data", "segment_content", "reassemble", "parse_segment", "DEFAULT_SEGMENT_SIZE"]
+__all__ = ["segment_data", "reassemble", "parse_segment", "DEFAULT_SEGMENT_SIZE"]
 
 #: Default segment payload size in bytes (mirrors common NDN repo settings).
 DEFAULT_SEGMENT_SIZE = 8192
@@ -48,22 +48,6 @@ def segment_data(
         freshness_period=freshness_period,
         final_block_id=Component(f"seg={last}"),
     )
-
-
-def segment_content(
-    base_name: "Name | str",
-    content: bytes,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    freshness_period: float = 0.0,
-) -> list[Data]:
-    """Every segment :func:`segment_data` makes of ``content``, in order."""
-    base = Name(base_name)
-    first = segment_data(base, content, 0, segment_size, freshness_period)
-    last = parse_segment(first.final_block_id.to_str())
-    return [first] + [
-        segment_data(base, content, index, segment_size, freshness_period)
-        for index in range(1, last + 1)
-    ]
 
 
 def parse_segment(label: str) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.exceptions import ProcessInterrupt, SimulationError
 
@@ -23,8 +23,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
-    "AnyOf",
     "SerialServer",
 ]
 
@@ -315,108 +313,6 @@ class Process(Event):
         return self._value
 
 
-class _ConditionEvent(Event):
-    """Base class for composite events over a set of child events."""
-
-    __slots__ = ("events", "_results", "_remaining")
-
-    #: Whether an empty child set completes immediately (vacuous truth) or is
-    #: rejected at construction time.  Subclasses choose.
-    _empty_succeeds = True
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, name=type(self).__name__)
-        self.events = list(events)
-        for ev in self.events:
-            if ev.env is not env:
-                raise SimulationError("all condition events must share one environment")
-        self._results: dict[Event, Any] = {}
-        self._remaining = len(self.events)
-        if not self.events:
-            if not self._empty_succeeds:
-                raise SimulationError(
-                    f"{type(self).__name__} of no events can never trigger"
-                )
-            self.succeed({})
-            return
-        for ev in self.events:
-            if self._triggered:
-                break  # decided by an already-processed child: subscribe no further
-            if ev._processed:
-                self._child_done(ev)
-            else:
-                ev.callbacks.append(self._child_done)
-
-    def _child_done(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _detach(self) -> None:
-        """Decided: unsubscribe from every child that has not fired yet.
-
-        Left in a child's callback list, a decided condition stays reachable
-        for as long as that child is scheduled: whatever waits on it would
-        hang off an unfired ``Timeout`` child until that timeout is due.  A
-        child that fails later therefore has no subscriber here and is
-        recorded in ``Environment.unhandled_failures`` like any other
-        unobserved failure.
-        """
-        child_done = self._child_done
-        for ev in self.events:
-            if not ev._processed and child_done in ev.callbacks:
-                ev.callbacks.remove(child_done)
-
-
-class AllOf(_ConditionEvent):
-    """Triggers when *all* child events have triggered.
-
-    The value is a dict mapping each child event to its value.  Fails as soon
-    as any child fails.
-
-    ``AllOf([])`` succeeds immediately with ``{}`` — "all of nothing" is
-    vacuously true, mirroring :func:`all`.  Contrast :class:`AnyOf`, where an
-    empty set can never trigger and is rejected at construction time.
-    """
-
-    __slots__ = ()
-
-    def _child_done(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            self._detach()
-            return
-        self._results[event] = event.value
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed(dict(self._results))
-
-
-class AnyOf(_ConditionEvent):
-    """Triggers as soon as *any* child event triggers.
-
-    The value is a dict with the single completed event.  Fails if the first
-    child to complete failed.
-
-    ``AnyOf([])`` raises :class:`SimulationError`: with no children the event
-    can never semantically complete, and silently succeeding with ``{}`` (the
-    old behaviour) deadlocks callers that expect at least one result.
-    """
-
-    __slots__ = ()
-
-    _empty_succeeds = False
-
-    def _child_done(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-        else:
-            self.succeed({event: event.value})
-        self._detach()
-
-
 class _Queue:
     """An unbounded deterministic FIFO channel between processes.
 
@@ -574,14 +470,6 @@ class Environment:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event completing when all ``events`` complete."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event completing when any of ``events`` completes."""
-        return AnyOf(self, events)
 
     # -- scheduling and execution ----------------------------------------------
 

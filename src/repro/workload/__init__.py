@@ -4,12 +4,11 @@ See ``README.md`` in this directory for the "choosing a workload model"
 recipe; the short form:
 
 * pick *what* gets requested from :mod:`repro.workload.popularity`
-  (Zipf skew, uniform, cache-hostile scan, weighted tenant mixes),
-* pick *when* from :mod:`repro.workload.arrivals` (Poisson, on/off duty
-  cycles, diurnal modulation, flash-crowd spikes),
+  (Zipf skew or a cache-hostile scan),
+* pick *when* from :mod:`repro.workload.arrivals` (Poisson or flash-crowd
+  spikes),
 * bind them in a :class:`~repro.workload.driver.WorkloadSpec` and drive a
-  node with :class:`~repro.workload.driver.WorkloadDriver` (data plane)
-  or :class:`~repro.workload.driver.LIDCWorkloadDriver` (service plane).
+  node with :class:`~repro.workload.driver.WorkloadDriver`.
 
 Every draw flows through :class:`repro.sim.rng.SeededRNG` streams and the
 generated trace is pinned by :func:`~repro.workload.driver.trace_hash`,
@@ -18,14 +17,11 @@ so any run is reproducible from (seed, spec) alone.
 
 from repro.workload.arrivals import (
     ArrivalProcess,
-    DiurnalArrivals,
     FlashCrowdArrivals,
-    OnOffArrivals,
     PoissonArrivals,
     SpikeWindow,
 )
 from repro.workload.driver import (
-    LIDCWorkloadDriver,
     TraceRecord,
     WorkloadDriver,
     WorkloadReport,
@@ -34,32 +30,25 @@ from repro.workload.driver import (
     trace_hash,
 )
 from repro.workload.popularity import (
-    MixedPopularity,
     PopularityModel,
     ScanPopularity,
-    UniformPopularity,
     ZipfPopularity,
     make_catalog,
 )
 
 __all__ = [
     "ArrivalProcess",
-    "DiurnalArrivals",
     "FlashCrowdArrivals",
-    "OnOffArrivals",
     "PoissonArrivals",
     "SpikeWindow",
-    "LIDCWorkloadDriver",
     "TraceRecord",
     "WorkloadDriver",
     "WorkloadReport",
     "WorkloadSpec",
     "build_trace",
     "trace_hash",
-    "MixedPopularity",
     "PopularityModel",
     "ScanPopularity",
-    "UniformPopularity",
     "ZipfPopularity",
     "make_catalog",
 ]

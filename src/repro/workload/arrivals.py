@@ -1,17 +1,14 @@
 """Arrival processes: *when* requests happen, on the simulation clock.
 
 An arrival process yields a monotone non-decreasing sequence of request
-times (simulated seconds).  The non-homogeneous processes are built on
+times (simulated seconds).  The non-homogeneous process is built on
 Lewis–Shedler thinning against an explicit rate function, so the same two
 RNG streams (candidate gaps + acceptance) reproduce the same arrival
-sequence bit-for-bit at a fixed seed:
+sequence bit-for-bit at a fixed seed.  Every rate, time and multiplier
+must be finite: a ``nan`` rate would make thinning reject every
+candidate, and an infinite one would stop the clock.
 
 * :class:`PoissonArrivals` — homogeneous Poisson at ``rate`` req/s.
-* :class:`OnOffArrivals` — consumers alternating fixed on/off phases,
-  Poisson inside the on-phase; models duty-cycled clients.
-* :class:`DiurnalArrivals` — sinusoidal day/night modulation around a
-  mean rate; over whole periods the arrival count integrates to
-  ``mean_rate * horizon``.
 * :class:`FlashCrowdArrivals` — a base rate plus scheduled spike windows
   during which the rate is multiplied (the flash-crowd regime the
   gateway hot cache exists for).
@@ -30,11 +27,14 @@ from repro.sim.rng import SeededRNG
 __all__ = [
     "ArrivalProcess",
     "PoissonArrivals",
-    "OnOffArrivals",
-    "DiurnalArrivals",
     "FlashCrowdArrivals",
     "SpikeWindow",
 ]
+
+
+def _check_positive(what: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{what} must be finite and > 0, got {value}")
 
 
 class ArrivalProcess:
@@ -75,8 +75,7 @@ class PoissonArrivals(ArrivalProcess):
     """Homogeneous Poisson arrivals at ``rate_per_s``."""
 
     def __init__(self, rate_per_s: float, stream: str = "arrivals") -> None:
-        if rate_per_s <= 0.0:
-            raise ValueError(f"rate must be > 0, got {rate_per_s}")
+        _check_positive("rate", rate_per_s)
         self.rate_per_s = float(rate_per_s)
         self.stream = stream
         self.peak_rate = self.rate_per_s
@@ -98,99 +97,6 @@ class PoissonArrivals(ArrivalProcess):
         return {"process": "poisson", "rate_per_s": self.rate_per_s}
 
 
-class OnOffArrivals(ArrivalProcess):
-    """Fixed on/off duty cycle; Poisson at ``rate_per_s`` while on.
-
-    The phase schedule is deterministic — on for ``on_s`` from t=0, off
-    for ``off_s``, repeating — so tests can assert every arrival lands
-    inside a scheduled on-window.
-    """
-
-    def __init__(
-        self,
-        rate_per_s: float,
-        on_s: float,
-        off_s: float,
-        stream: str = "arrivals",
-    ) -> None:
-        if rate_per_s <= 0.0:
-            raise ValueError(f"rate must be > 0, got {rate_per_s}")
-        if on_s <= 0.0 or off_s < 0.0:
-            raise ValueError(f"need on_s > 0 and off_s >= 0, got {on_s}/{off_s}")
-        self.rate_per_s = float(rate_per_s)
-        self.on_s = float(on_s)
-        self.off_s = float(off_s)
-        self.stream = stream
-        self.peak_rate = self.rate_per_s
-
-    def is_on(self, t: float) -> bool:
-        period = self.on_s + self.off_s
-        return (t % period) < self.on_s
-
-    def rate(self, t: float) -> float:
-        return self.rate_per_s if self.is_on(t) else 0.0
-
-    def times(self, rng: SeededRNG) -> Iterator[float]:
-        # Exact (not thinned): accumulate exponential *busy-time* and map
-        # it through the deterministic on-window schedule, so off-phases
-        # are skipped without burning rejected candidates.
-        period = self.on_s + self.off_s
-        mean_gap = 1.0 / self.rate_per_s
-        busy = 0.0
-        while True:
-            busy += rng.exponential(mean_gap, stream=self.stream)
-            cycles, within_on = divmod(busy, self.on_s)
-            yield cycles * period + within_on
-
-    def describe(self) -> dict:
-        return {
-            "process": "on-off",
-            "rate_per_s": self.rate_per_s,
-            "on_s": self.on_s,
-            "off_s": self.off_s,
-        }
-
-
-class DiurnalArrivals(ArrivalProcess):
-    """Sinusoidal rate modulation around ``mean_rate_per_s``.
-
-    ``rate(t) = mean * (1 + depth * sin(2*pi*t / period_s))`` with
-    ``0 <= depth < 1``; integrated over any whole number of periods the
-    expected arrival count is exactly ``mean * horizon``.
-    """
-
-    def __init__(
-        self,
-        mean_rate_per_s: float,
-        period_s: float,
-        depth: float = 0.5,
-        stream: str = "arrivals",
-    ) -> None:
-        if mean_rate_per_s <= 0.0:
-            raise ValueError(f"mean rate must be > 0, got {mean_rate_per_s}")
-        if period_s <= 0.0:
-            raise ValueError(f"period must be > 0, got {period_s}")
-        if not 0.0 <= depth < 1.0:
-            raise ValueError(f"depth must lie in [0, 1), got {depth}")
-        self.mean_rate_per_s = float(mean_rate_per_s)
-        self.period_s = float(period_s)
-        self.depth = float(depth)
-        self.stream = stream
-        self.peak_rate = self.mean_rate_per_s * (1.0 + self.depth)
-
-    def rate(self, t: float) -> float:
-        phase = math.sin(2.0 * math.pi * t / self.period_s)
-        return self.mean_rate_per_s * (1.0 + self.depth * phase)
-
-    def describe(self) -> dict:
-        return {
-            "process": "diurnal",
-            "mean_rate_per_s": self.mean_rate_per_s,
-            "period_s": self.period_s,
-            "depth": self.depth,
-        }
-
-
 class SpikeWindow:
     """One flash-crowd spike: ``[start_s, start_s + duration_s)`` at
     ``multiplier`` times the base rate."""
@@ -198,6 +104,10 @@ class SpikeWindow:
     __slots__ = ("start_s", "duration_s", "multiplier")
 
     def __init__(self, start_s: float, duration_s: float, multiplier: float) -> None:
+        if not all(map(math.isfinite, (start_s, duration_s, multiplier))):
+            raise ValueError(
+                f"spike values must be finite, got {start_s}/{duration_s}/{multiplier}"
+            )
         if start_s < 0.0 or duration_s <= 0.0:
             raise ValueError(
                 f"need start >= 0 and duration > 0, got {start_s}/{duration_s}"
@@ -237,8 +147,7 @@ class FlashCrowdArrivals(ArrivalProcess):
         spikes: Sequence[SpikeWindow],
         stream: str = "arrivals",
     ) -> None:
-        if base_rate_per_s <= 0.0:
-            raise ValueError(f"base rate must be > 0, got {base_rate_per_s}")
+        _check_positive("base rate", base_rate_per_s)
         if not spikes:
             raise ValueError("a flash-crowd process needs at least one spike")
         self.base_rate_per_s = float(base_rate_per_s)

@@ -1,4 +1,4 @@
-"""Drive modelled workloads through the data and service planes.
+"""Drive modelled workloads through the data plane.
 
 The driver separates *generation* from *execution*:
 
@@ -14,10 +14,6 @@ The driver separates *generation* from *execution*:
    :class:`~repro.ndn.shard.ShardedForwarder`), recording per-request
    outcome and simulated latency into a :class:`WorkloadReport` (cache
    counters stay on the node: ``node.hot_cache.hits``, ``shard.cs.hits``).
-3. :class:`LIDCWorkloadDriver` maps the same traces onto the service
-   plane: each trace record becomes a :class:`~repro.core.spec.
-   ComputeRequest` submitted through an :class:`~repro.core.client.
-   LIDCClient` at the record's arrival time.
 
 Nothing here reads a wall clock or ambient entropy (reprolint RL010
 applies to this package); wall-clock measurement belongs to the benchmarks
@@ -42,7 +38,6 @@ __all__ = [
     "WorkloadSpec",
     "WorkloadReport",
     "WorkloadDriver",
-    "LIDCWorkloadDriver",
     "build_trace",
     "trace_hash",
 ]
@@ -230,84 +225,3 @@ class WorkloadDriver:
         if self._completed == len(self.trace) and self._done is not None:
             if not self._done.triggered:
                 self._done.succeed(self.report)
-
-
-class LIDCWorkloadDriver:
-    """Map a trace onto the service plane: one ComputeRequest per record.
-
-    Each record's catalog name becomes the request's ``dataset`` (slashes
-    folded so it stays one name component), submitted through an
-    :class:`~repro.core.client.LIDCClient` at the record's arrival time
-    via the handle scheduler's ``delay_s``.  Popularity skew then
-    exercises the gateway's result caching exactly as it does the data
-    plane's Content Stores.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        client,
-        spec: WorkloadSpec,
-        rng: Optional[SeededRNG] = None,
-        trace: Optional[list[TraceRecord]] = None,
-        app: str = "BLAST",
-        cpu: float = 2,
-        memory_gb: float = 4,
-        reference: str = "HUMAN",
-        dataset_fn: Optional[Callable[[TraceRecord], str]] = None,
-    ) -> None:
-        from repro.core.spec import ComputeRequest
-
-        self.env = env
-        self.client = client
-        self.spec = spec
-        if trace is None:
-            if rng is None:
-                raise ValueError("need an rng to generate a trace (or pass trace=)")
-            trace = build_trace(spec, rng)
-        self.trace = trace
-        self.trace_hash = trace_hash(trace)
-        if dataset_fn is None:
-            # Fold the catalog name into one name component; callers whose
-            # catalogs are real dataset ids pass ``dataset_fn=lambda r: r.name``.
-            def dataset_fn(record: TraceRecord) -> str:
-                return record.name.strip("/").replace("/", "-")
-        self.requests = [
-            ComputeRequest(
-                app=app,
-                cpu=cpu,
-                memory_gb=memory_gb,
-                dataset=dataset_fn(record),
-                reference=reference,
-            )
-            for record in trace
-        ]
-
-    def submit_all(self, unique: bool = False) -> list:
-        """Submit every record's request at its arrival offset.
-
-        ``unique=False`` (the default) keeps the canonical request name,
-        so repeat draws of a hot dataset are answerable by the gateway's
-        result cache — the service-plane analogue of a CS hit.
-        """
-        return [
-            self.client.submit(request, unique=unique, delay_s=record.t)
-            for record, request in zip(self.trace, self.requests)
-        ]
-
-    def run(self) -> dict:
-        """Submit, wait for every job session, and summarise."""
-        handles = self.submit_all()
-        self.env.run(until=self.client.wait_all(handles))
-        accepted = sum(
-            1 for handle in handles
-            if handle.submission is not None and handle.submission.accepted
-        )
-        return {
-            "label": self.spec.label,
-            "submitted": len(handles),
-            "accepted": accepted,
-            "trace_hash": self.trace_hash,
-            "makespan_s": self.env.now,
-            "spec": self.spec.describe(),
-        }

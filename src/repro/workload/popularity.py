@@ -7,14 +7,9 @@ bench trajectory needs (ROADMAP open item 3):
 * :class:`ZipfPopularity` — skewed power-law popularity over a fixed name
   catalog, the empirical shape of content-distribution traffic.  ``alpha``
   controls the skew: 0 is uniform, 0.8 is web-like, 1.2+ is flash-video-like.
-* :class:`UniformPopularity` — every catalog name equally likely; the
-  regime where caching looks artificially *worst* for its hit rate but
-  best per hit (all prior benches used this or round-robin).
 * :class:`ScanPopularity` — cache-hostile: every request names a brand-new
   object, so any cache sees a 0% hit rate by construction.  This is the
   adversarial floor a caching tier must not regress below parity on.
-* :class:`MixedPopularity` — a weighted mixture of sub-models, for
-  multi-tenant profiles (e.g. 80% Zipf repeat traffic + 20% scan floods).
 
 All entropy flows through named ``SeededRNG`` streams, so a model is
 deterministic per (seed, stream) and two models on distinct streams are
@@ -23,6 +18,7 @@ statistically independent (reprolint RL010 applies to this package).
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from repro.sim.rng import SeededRNG
@@ -30,9 +26,7 @@ from repro.sim.rng import SeededRNG
 __all__ = [
     "PopularityModel",
     "ZipfPopularity",
-    "UniformPopularity",
     "ScanPopularity",
-    "MixedPopularity",
     "make_catalog",
 ]
 
@@ -91,8 +85,8 @@ class ZipfPopularity(PopularityModel):
         size: int = 1024,
         stream: str = "popularity",
     ) -> None:
-        if alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        if not (math.isfinite(alpha) and alpha >= 0.0):
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
         self.alpha = float(alpha)
         self.catalog = list(catalog) if catalog is not None else make_catalog(size)
         if not self.catalog:
@@ -111,34 +105,12 @@ class ZipfPopularity(PopularityModel):
         }
 
 
-class UniformPopularity(PopularityModel):
-    """Every catalog name equally likely (Zipf with ``alpha = 0``)."""
-
-    def __init__(
-        self,
-        catalog: Optional[Sequence[str]] = None,
-        size: int = 1024,
-        stream: str = "popularity",
-    ) -> None:
-        self.catalog = list(catalog) if catalog is not None else make_catalog(size)
-        if not self.catalog:
-            raise ValueError("catalog must be non-empty")
-        self.stream = stream
-
-    def next_name(self, rng: SeededRNG) -> str:
-        idx = rng.integer(0, len(self.catalog) - 1, stream=self.stream)
-        return self.catalog[idx]
-
-    def describe(self) -> dict:
-        return {"model": "uniform", "catalog_size": len(self.catalog)}
-
-
 class ScanPopularity(PopularityModel):
     """Cache-hostile unique-name scan: every request is a fresh object.
 
     Deterministic without any RNG draw — a monotone counter under rotating
-    tenant prefixes — so a scan embedded in a mixture consumes no entropy
-    and cannot shift the draws of its sibling models.
+    tenant prefixes — so a scan consumes no entropy and cannot shift the
+    draws of any other model sharing the RNG.
     """
 
     def __init__(
@@ -159,39 +131,3 @@ class ScanPopularity(PopularityModel):
 
     def describe(self) -> dict:
         return {"model": "scan", "tenants": len(self.tenants)}
-
-
-class MixedPopularity(PopularityModel):
-    """A weighted mixture of sub-models (multi-tenant traffic profiles).
-
-    Each request first picks a sub-model (weighted, on this model's own
-    stream) and then draws the name from it (on *its* stream), so the
-    mixture decision never perturbs any component's draw sequence.
-    """
-
-    def __init__(
-        self,
-        components: Sequence[tuple[float, PopularityModel]],
-        stream: str = "popularity-mix",
-    ) -> None:
-        if not components:
-            raise ValueError("a mixture needs at least one component")
-        self.weights = [float(weight) for weight, _model in components]
-        self.models = [model for _weight, model in components]
-        self.stream = stream
-        # Validate eagerly with the same rules a draw would apply.
-        if any(weight < 0.0 for weight in self.weights) or sum(self.weights) <= 0.0:
-            raise ValueError("mixture weights must be >= 0 and sum > 0")
-
-    def next_name(self, rng: SeededRNG) -> str:
-        model = rng.weighted_choice(self.models, self.weights, stream=self.stream)
-        return model.next_name(rng)
-
-    def describe(self) -> dict:
-        return {
-            "model": "mixed",
-            "components": [
-                {"weight": weight, **model.describe()}
-                for weight, model in zip(self.weights, self.models)
-            ],
-        }

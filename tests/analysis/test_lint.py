@@ -22,7 +22,6 @@ from repro.analysis.lint import (
     Finding,
     Linter,
     SourceFile,
-    profile_for_path,
     render_json,
     render_text,
 )
@@ -348,12 +347,18 @@ def test_waiver_inside_nested_function():
 # --------------------------------------------------------------------------
 
 
-def test_profile_map_resolution():
-    assert profile_for_path("src/repro/ndn/forwarder.py") == "strict"
-    assert profile_for_path("src/repro/sim/engine.py") == "strict"
-    assert profile_for_path("src/repro/cluster/kubelet.py") == "relaxed"
-    assert profile_for_path("benchmarks/e2e/run.py") == "relaxed"
-    assert profile_for_path("tests/ndn/test_forwarder.py") == "relaxed"
+@pytest.mark.parametrize(
+    "display, profile",
+    [
+        ("src/repro/ndn/forwarder.py", "strict"),
+        ("src/repro/sim/engine.py", "strict"),
+        ("src/repro/cluster/kubelet.py", "relaxed"),
+        ("benchmarks/e2e/run.py", "relaxed"),
+        ("tests/ndn/test_forwarder.py", "relaxed"),
+    ],
+)
+def test_profile_map_resolution(display, profile):
+    assert lint_snippet("x = 1\n", display=display).profiles_used == {profile: 1}
 
 
 def test_relaxed_profile_disables_invariant_rules():
@@ -488,14 +493,25 @@ def test_cli_list_rules(capsys):
 
 
 def test_src_tree_lints_clean():
-    """Every finding in src/ is either fixed or waived with a reason."""
-    report = Linter().lint_paths([REPO_ROOT / "src"])
-    assert report.files_checked > 0
-    offenders = "\n".join(
-        f"{f.path}:{f.line} {f.rule} {f.message}" for f in report.unwaived
+    """Every finding in src/ is either fixed or waived with a reason.
+
+    The index holds src/ and the two trees that ship code calling it,
+    benchmarks/ and examples/, so an export that only those use is live.
+    tests/ is left out: an export that only tests use is dead (RL012).
+    """
+    report = Linter().lint_paths(
+        [REPO_ROOT / name for name in ("src", "benchmarks", "examples")]
     )
-    assert report.ok, f"unwaived lint findings in src/:\n{offenders}"
-    for finding in report.waived:
+    assert report.files_checked > 0
+    findings = [
+        f for f in report.findings if Path(f.path).is_relative_to(REPO_ROOT / "src")
+    ]
+    unwaived = [f for f in findings if not f.waived]
+    offenders = "\n".join(f"{f.path}:{f.line} {f.rule} {f.message}" for f in unwaived)
+    assert not unwaived, f"unwaived lint findings in src/:\n{offenders}"
+    waived = [f for f in findings if f.waived]
+    assert len(waived) <= WAIVER_BUDGET, f"{len(waived)} waived findings in src/"
+    for finding in waived:
         assert finding.waiver_reason, f"waiver without reason: {finding}"
 
 

@@ -526,6 +526,96 @@ def test_rl012_sees_test_references_only_when_tests_are_scanned():
     assert [f.rule for f in src_only.unwaived] == ["RL012"]
 
 
+def _rl012_names(report) -> list[str]:
+    return sorted(
+        f.message.split("'")[1] for f in report.unwaived if f.rule == "RL012"
+    )
+
+
+def test_rl012_package_reexport_is_not_a_use():
+    """Rule (a): a package ``__init__`` importing a name re-exports it; only
+    a module that imports it, through the package or not, uses it."""
+    package = {
+        "src/repro/core/libx.py": _RL012_LIBX,
+        "src/repro/core/__init__.py": (
+            "from repro.core.libx import helper\n\n__all__ = [\"helper\"]\n"
+        ),
+    }
+    assert _rl012_names(lint_fixture(package)) == ["helper"]
+    used = lint_fixture({
+        **package,
+        "src/repro/app.py": "from repro.core import helper\n\nVALUE = helper()\n",
+    })
+    assert used.ok, [f.as_dict() for f in used.unwaived]
+
+
+def test_rl012_method_dispatch_does_not_keep_a_class_alive():
+    """Rule (b): a class is live only where another module names it.  A
+    call that reaches its methods through the method-name fallback, or its
+    ``__init__`` through a subclass, does not count."""
+    report = lint_fixture({
+        "src/repro/core/libx.py": (
+            '__all__ = ["Base", "Child", "Used", "Orphan"]\n'
+            "\n"
+            "class Base:\n"
+            "    def __init__(self):\n"
+            "        self.ready = True\n"
+            "\n"
+            "class Child(Base):\n"
+            "    pass\n"
+            "\n"
+            "class Used:\n"
+            "    def render(self):\n"
+            "        return 1\n"
+            "\n"
+            "class Orphan:\n"
+            "    def render(self):\n"
+            "        return 2\n"
+        ),
+        "src/repro/core/consumer.py": (
+            "from repro.core.libx import Child, Used\n"
+            "\n"
+            "def show(result):\n"
+            "    return result.render()\n"
+            "\n"
+            "VALUE = show(Used()), Child()\n"
+        ),
+    })
+    assert _rl012_names(report) == ["Base", "Orphan"]
+
+
+def test_rl012_class_in_a_live_annotation_is_live():
+    """Rule (c): a class named in a parameter or return annotation of a
+    live export is live: its callers hold it through that export.  For a
+    class, that is its dunder methods and the methods another module
+    names."""
+    report = lint_fixture({
+        "src/repro/core/libx.py": (
+            '__all__ = ["Detail", "Hidden", "Report", "build"]\n'
+            "\n"
+            "class Detail:\n"
+            "    pass\n"
+            "\n"
+            "class Hidden:\n"
+            "    pass\n"
+            "\n"
+            "class Report:\n"
+            '    def detail(self) -> "Detail":\n'
+            "        return Detail()\n"
+            "\n"
+            "    def secret(self) -> Hidden:\n"
+            "        return Hidden()\n"
+            "\n"
+            "def build() -> Report:\n"
+            "    return Report()\n"
+        ),
+        "src/repro/core/consumer.py": (
+            "from repro.core.libx import build\n\nVALUE = build().detail()\n"
+        ),
+    })
+    assert _rl012_names(report) == ["Hidden"]
+
+
 # --------------------------------------------------------------------------
 # Call-graph structure: callbacks and class-hierarchy dispatch
 # --------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from typing import Callable
 
 import pytest
 
+from repro.ndn.packet import Data
+from repro.ndn.segmentation import parse_segment, segment_data
 from repro.sim.engine import Environment
 from repro.sim.rng import SeededRNG
 
@@ -47,3 +49,19 @@ def call_count() -> Callable[[Callable[[], object]], int]:
         return sum(entry.callcount for entry in profiler.getstats())
 
     return count
+
+
+@pytest.fixture
+def segment_all() -> Callable[..., list[Data]]:
+    """Every segment ``segment_data`` makes of one object, in order."""
+
+    def segment_all(base_name, content: bytes, segment_size: int,
+                    freshness_period: float = 0.0) -> list[Data]:
+        first = segment_data(base_name, content, 0, segment_size, freshness_period)
+        last = parse_segment(first.final_block_id.to_str())
+        return [first] + [
+            segment_data(base_name, content, index, segment_size, freshness_period)
+            for index in range(1, last + 1)
+        ]
+
+    return segment_all

@@ -11,7 +11,6 @@ from repro.core.spec import ComputeRequest, JobState
 from repro.ndn.client import RetryPolicy
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.packet import Data, NackReason
-from repro.ndn.segmentation import segment_content
 from repro.sim.engine import Environment
 
 
@@ -141,7 +140,7 @@ class TestSessionRobustness:
         assert "result retrieval failed" in (outcome.error or "")
         assert handle.result() is None
 
-    def test_result_retrieval_follows_the_client_retry_policy(self):
+    def test_result_retrieval_follows_the_client_retry_policy(self, segment_all):
         # The result's first segment Interest is Congestion-Nacked once. The
         # client's policy retries Nacks, and it must govern the manifest and
         # every segment, as it does the submission and the status polls.
@@ -150,7 +149,7 @@ class TestSessionRobustness:
         result_name = naming.data_name("job-x-output")
         payload = b"alignment " * 2000
         segments = {packet.name: packet
-                    for packet in segment_content(result_name, payload, segment_size=4096)}
+                    for packet in segment_all(result_name, payload, segment_size=4096)}
         nacked = []
 
         def on_compute(interest):

@@ -6,14 +6,14 @@ from collections import Counter
 import pytest
 
 from repro.core import naming
-from repro.core.baseline import CentralizedController, ControllerUnavailable
+from repro.core.baseline import CentralizedController
 from repro.core.client import LIDCClient
 from repro.core import framework
 from repro.core.framework import CLIENT_EDGE, LIDCTestbed
 from repro.core.overlay import ComputeOverlay
 from repro.core.spec import ComputeRequest, JobState
 from repro.core.workflow import GenomicsWorkflow, decompose
-from repro.exceptions import LIDCError, OverlayError
+from repro.exceptions import ControllerUnavailable, LIDCError, OverlayError
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
 from repro.ndn.packet import Data, NackReason

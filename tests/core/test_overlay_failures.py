@@ -12,10 +12,10 @@ overlay degrades gracefully.
 import pytest
 
 from repro.core import naming
-from repro.core.baseline import CentralizedController, ControllerUnavailable
+from repro.core.baseline import CentralizedController
 from repro.core.framework import CLIENT_EDGE, WAN_LATENCY_S, LIDCTestbed
 from repro.core.spec import ComputeRequest, JobState
-from repro.exceptions import InterestNacked, OverlayError
+from repro.exceptions import ControllerUnavailable, InterestNacked, OverlayError
 from repro.ndn.client import Consumer
 
 

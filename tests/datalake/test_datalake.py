@@ -15,7 +15,6 @@ from repro.datalake.repo import DataLake
 from repro.ndn.client import Consumer
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
-from repro.ndn.segmentation import segment_content
 
 
 @pytest.fixture
@@ -197,7 +196,7 @@ class TestFileServer:
         server.invalidate("doc")
         # The local CS still has version-1 cached under the same name, so
         # bypass it with a fresh forwarder-side erase before re-fetching.
-        server.producer.forwarder.cs.erase("/ndn/k8s/data/doc")
+        consumer.forwarder.cs.erase("/ndn/k8s/data/doc")
         assert env.run_process(fetch()) == b"version-2"
 
     def test_stats(self, env, served_lake):
@@ -218,13 +217,13 @@ class TestFileServer:
         stats = server.stats()
         assert (stats["requests_served"], stats["requests_failed"]) == (1, 3)
 
-    def test_segments_are_the_ones_segment_content_makes(self, env, served_lake):
+    def test_segments_are_the_ones_segment_data_makes(self, env, served_lake, segment_all):
         """Segments built one at a time on request follow the one segment
-        rule: byte-identical to segment_content's, empty content included."""
+        rule: byte-identical to segment_data's, empty content included."""
         lake, server, consumer = served_lake
         for dataset, payload in (("blob", bytes(range(256)) * 9), ("empty", b"")):
             lake.publish_bytes(dataset, payload)
-            expected = segment_content(
+            expected = segment_all(
                 lake.content_name(dataset), payload, segment_size=1024,
                 freshness_period=FRESHNESS_PERIOD,
             )

@@ -49,8 +49,8 @@ class TestShardSoak:
                 completions.append(
                     consumer.express_interest(f"{tenant}/wave{wave}/obj{i}")
                 )
-            done = env.all_of(completions)
-            env.run(until=done)
+            for done in completions:
+                env.run(until=done)
             assert all(c.ok for c in completions)
             total += len(completions)
             # Between waves the data plane must already be clean: the PIT
@@ -143,7 +143,8 @@ class TestHotCacheSoak:
                 consumer.express_interest(f"{TENANTS[i % len(TENANTS)]}/hot/obj{i}")
                 for i in range(distinct)
             ]
-            env.run(until=env.all_of(completions))
+            for done in completions:
+                env.run(until=done)
             assert all(c.ok for c in completions)
             total += len(completions)
             assert node.pit_entries() == 0

@@ -10,11 +10,11 @@ a forwarder.
 import pytest
 
 from repro.exceptions import NDNError
-from repro.ndn.client import Consumer, Producer
-from repro.ndn.face import FaceStats, LocalFace, NetworkFace, connect
+from repro.ndn.client import Consumer
+from repro.ndn.face import LocalFace, NetworkFace, connect
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
-from repro.ndn.packet import Data, Interest, WirePacket
+from repro.ndn.packet import Data, Interest, NackReason, WirePacket
 from repro.ndn.routing import RoutingDaemon
 from repro.sim.engine import Environment
 from repro.sim.topology import Link
@@ -160,8 +160,8 @@ class TestWireDelivery:
         assert face_b.stats.data_in == 1
 
     def test_face_stats_snapshot_includes_drops(self):
-        stats = FaceStats()
-        assert stats.as_dict()["drops"] == 0
+        face, _ = connect(Environment(), WireCollector(), WireCollector(), face_cls=LocalFace)
+        assert face.stats.as_dict()["drops"] == 0
 
 
 class TestDropsCounter:
@@ -279,8 +279,12 @@ class TestProducerViews:
     def test_producer_serves_and_nacks_via_views(self):
         env = Environment()
         forwarder = Forwarder(env, "fwd", cs_capacity=0)
-        producer = Producer(env, forwarder, "/store")
-        producer.publish("/store/hit", b"content")
+        forwarder.attach_producer(
+            "/store",
+            lambda interest: Data(name=interest.name, content=b"content")
+            if interest.name == Name("/store/hit")
+            else interest.nack(NackReason.NO_ROUTE),
+        )
         consumer = Consumer(env, forwarder)
         hit = consumer.express_interest("/store/hit")
         miss = consumer.express_interest("/store/miss")

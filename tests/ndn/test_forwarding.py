@@ -3,14 +3,14 @@
 import pytest
 
 from repro.exceptions import InterestNacked, InterestTimeout, NDNError
-from repro.ndn.client import Consumer, Producer, RetryPolicy
+from repro.ndn.client import Consumer, RetryPolicy
 from repro.ndn.face import LocalFace, connect
 from repro.ndn.fib import FibEntry
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Component, Name
 from repro.ndn.packet import Data, Interest, Nack, NackReason
 from repro.ndn.routing import RoutingDaemon
-from repro.ndn.segmentation import parse_segment, reassemble, segment_content
+from repro.ndn.segmentation import parse_segment, reassemble, segment_data
 from repro.ndn.strategy import (
     BestRouteStrategy,
     LoadBalanceStrategy,
@@ -18,6 +18,21 @@ from repro.ndn.strategy import (
     StrategyChoiceTable,
 )
 from repro.sim.topology import Link
+
+
+def serve(forwarder, prefix, packets):
+    """Attach a producer answering each name in ``packets`` with its Data
+    and every other name with a NO_ROUTE Nack; returns the names it saw."""
+    store = {packet.name: packet for packet in packets}
+    seen = []
+
+    def handler(interest):
+        seen.append(interest.name)
+        data = store.get(interest.name)
+        return data if data is not None else interest.nack(NackReason.NO_ROUTE)
+
+    forwarder.attach_producer(prefix, handler)
+    return seen
 
 
 def make_fib_entry(*hops):
@@ -99,33 +114,33 @@ class TestStrategies:
 
 
 class TestSegmentation:
-    def test_segments_cover_content(self):
+    def test_segments_cover_content(self, segment_all):
         content = bytes(range(256)) * 10
-        segments = segment_content("/data/obj", content, segment_size=100)
+        segments = segment_all("/data/obj", content, segment_size=100)
         assert len(segments) == (len(content) + 99) // 100
         assert reassemble(segments) == content
 
-    def test_empty_content_single_segment(self):
-        segments = segment_content("/data/empty", b"", segment_size=100)
+    def test_empty_content_single_segment(self, segment_all):
+        segments = segment_all("/data/empty", b"", segment_size=100)
         assert len(segments) == 1
         assert reassemble(segments) == b""
 
-    def test_final_block_id_on_every_segment(self):
-        segments = segment_content("/d/o", b"x" * 250, segment_size=100)
+    def test_final_block_id_on_every_segment(self, segment_all):
+        segments = segment_all("/d/o", b"x" * 250, segment_size=100)
         for segment in segments:
             assert segment.final_block_id.to_str() == "seg=2"
 
-    def test_reassemble_out_of_order(self):
-        segments = segment_content("/d/o", b"abcdefghij", segment_size=3)
+    def test_reassemble_out_of_order(self, segment_all):
+        segments = segment_all("/d/o", b"abcdefghij", segment_size=3)
         assert reassemble(list(reversed(segments))) == b"abcdefghij"
 
-    def test_reassemble_missing_segment_raises(self):
-        segments = segment_content("/d/o", b"abcdefghij", segment_size=3)
+    def test_reassemble_missing_segment_raises(self, segment_all):
+        segments = segment_all("/d/o", b"abcdefghij", segment_size=3)
         with pytest.raises(NDNError):
             reassemble(segments[:-1])
 
-    def test_reassemble_duplicate_raises(self):
-        segments = segment_content("/d/o", b"abcdef", segment_size=3)
+    def test_reassemble_duplicate_raises(self, segment_all):
+        segments = segment_all("/d/o", b"abcdef", segment_size=3)
         with pytest.raises(NDNError):
             reassemble(segments + [segments[0]])
 
@@ -135,10 +150,10 @@ class TestSegmentation:
 
     def test_invalid_segment_size(self):
         with pytest.raises(NDNError):
-            segment_content("/d/o", b"x", segment_size=0)
+            segment_data("/d/o", b"x", 0, segment_size=0)
 
-    def test_segment_names(self):
-        packets = segment_content("/d/o", b"x" * 250, segment_size=100)
+    def test_segment_names(self, segment_all):
+        packets = segment_all("/d/o", b"x" * 250, segment_size=100)
         assert [str(p.name) for p in packets] == ["/d/o/seg=0", "/d/o/seg=1", "/d/o/seg=2"]
 
     @pytest.mark.parametrize("label, index", [("seg=0", 0), ("seg=7", 7), ("seg=120", 120)])
@@ -180,8 +195,7 @@ def linked_pair(env):
 class TestForwarderPipelines:
     def test_producer_consumer_exchange(self, env, linked_pair):
         fa, fb, da, db = linked_pair
-        producer = Producer(env, fb, "/ndn/k8s/data")
-        producer.publish("/ndn/k8s/data/hello", b"world")
+        serve(fb, "/ndn/k8s/data", [Data(name=Name("/ndn/k8s/data/hello"), content=b"world")])
         db.announce("/ndn/k8s/data")
         consumer = Consumer(env, fa)
         data = env.run(until=consumer.express_interest("/ndn/k8s/data/hello"))
@@ -190,15 +204,14 @@ class TestForwarderPipelines:
 
     def test_content_store_serves_second_request(self, env, linked_pair):
         fa, fb, da, db = linked_pair
-        producer = Producer(env, fb, "/data")
-        producer.publish("/data/x", b"payload")
+        seen = serve(fb, "/data", [Data(name=Name("/data/x"), content=b"payload")])
         db.announce("/data")
         consumer = Consumer(env, fa)
         env.run(until=consumer.express_interest("/data/x"))
         before = fa.cs.hits
         env.run(until=consumer.express_interest("/data/x"))
         assert fa.cs.hits == before + 1
-        assert producer.interests_served == 1  # producer saw only the first request
+        assert seen == [Name("/data/x")]  # the producer saw only the first request
 
     def test_no_route_produces_nack(self, env, linked_pair):
         fa, _, _, _ = linked_pair
@@ -247,7 +260,8 @@ class TestForwarderPipelines:
         consumer_two = Consumer(env, fa, "c2")
         ev1 = consumer_one.express_interest("/agg/item")
         ev2 = consumer_two.express_interest("/agg/item")
-        env.run(until=env.all_of([ev1, ev2]))
+        env.run(until=ev1)
+        env.run(until=ev2)
         assert served["count"] == 1
         assert ev1.value.content == b"shared" and ev2.value.content == b"shared"
 
@@ -375,42 +389,11 @@ class TestForwarderPipelines:
         assert len(forwarder.cs) == 1
 
 
-class TestProducerStore:
-    def test_publish_and_stored_names(self, env):
+class TestSegmentFetch:
+    def test_fetch_segments_generator(self, env, segment_all):
         forwarder = Forwarder(env, "f")
-        producer = Producer(env, forwarder, "/app")
-        producer.publish("/app/one", b"1")
-        producer.publish("/app/two", b"2")
-        assert [str(n) for n in producer.stored_names()] == ["/app/one", "/app/two"]
-
-    def test_publish_outside_prefix_rejected(self, env):
-        producer = Producer(env, Forwarder(env, "f"), "/app")
-        with pytest.raises(NDNError):
-            producer.publish("/other/name", b"x")
-
-    def test_publish_segments_large_content(self, env):
-        producer = Producer(env, Forwarder(env, "f"), "/app")
-        packets = producer.publish("/app/big", b"z" * 2500, segment_size=1000)
-        assert len(packets) == 3
-
-    def test_unpublish_removes_prefix(self, env):
-        producer = Producer(env, Forwarder(env, "f"), "/app")
-        producer.publish("/app/big", b"z" * 2500, segment_size=1000)
-        assert producer.unpublish("/app/big") == 3
-        assert producer.stored_names() == []
-
-    def test_unknown_request_nacked(self, env):
-        forwarder = Forwarder(env, "f")
-        Producer(env, forwarder, "/app")
-        consumer = Consumer(env, forwarder)
-        with pytest.raises(InterestNacked):
-            env.run(until=consumer.express_interest("/app/missing", lifetime=1.0))
-
-    def test_fetch_segments_generator(self, env):
-        forwarder = Forwarder(env, "f")
-        producer = Producer(env, forwarder, "/app")
         payload = bytes(range(256)) * 50
-        producer.publish("/app/blob", payload, segment_size=1024)
+        serve(forwarder, "/app", segment_all(Name("/app/blob"), payload, segment_size=1024))
         consumer = Consumer(env, forwarder)
 
         def fetch():

@@ -82,12 +82,14 @@ class TestInlineSharding:
         def received():
             return sum(s.metrics.counter("interests_received").value for s in node.shards)
 
-        env.run(until=env.all_of([consumer.express_interest(n) for n in names]))
+        for done in [consumer.express_interest(n) for n in names]:
+            env.run(until=done)
         assert node.metrics.snapshot() == {
             "packets_dispatched": len(names), "packets_dropped_no_face": 0,
         }
         assert received() == len(names)
-        env.run(until=env.all_of([consumer.express_interest(n) for n in names]))
+        for done in [consumer.express_interest(n) for n in names]:
+            env.run(until=done)
         assert node.metrics.counter("packets_dispatched").value == 2 * len(names)
         assert node.hot_cache.hits == len(names)
         assert received() == len(names)
@@ -104,9 +106,8 @@ class TestInlineSharding:
         node = ShardedForwarder(env, name="node", shards=4)
         attach_tenant_producers(node)
         consumer = Consumer(env, node)
-        env.run(until=env.all_of(
-            [consumer.express_interest(f"{tenant}/only") for tenant in TENANTS]
-        ))
+        for done in [consumer.express_interest(f"{tenant}/only") for tenant in TENANTS]:
+            env.run(until=done)
         owners = [owner(f"{tenant}/only", 4) for tenant in TENANTS]
         for index, shard in enumerate(node.shards):
             received = shard.metrics.counter("interests_received").value
@@ -222,7 +223,8 @@ class TestServiceTimeModel:
         ]
         # Stop at the last Data, not at queue drain: the disarmed lifetime
         # Timeouts would otherwise run the clock to the lifetime horizon.
-        env.run(until=env.all_of(completions))
+        for done in completions:
+            env.run(until=done)
         assert all(c.ok for c in completions)
         return env.now, node
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ProcessInterrupt, SimulationError
-from repro.sim.engine import AllOf, AnyOf, Environment, Event, Timeout
+from repro.sim.engine import Environment
 
 
 class TestEventBasics:
@@ -26,6 +26,16 @@ class TestEventBasics:
         assert event.triggered
         assert not event.ok
         assert event.value is error
+
+    def test_unobserved_failure_is_recorded_not_raised(self, env):
+        """A failed event no callback observes lands in
+        ``unhandled_failures``; one with a subscriber does not."""
+        observed, unobserved = env.event(), env.event()
+        observed.callbacks.append(lambda event: None)
+        observed.fail(KeyError("seen"))
+        unobserved.fail(RuntimeError("too late"))
+        env.run()
+        assert env.unhandled_failures == [unobserved]
 
     def test_value_of_untriggered_event_raises(self, env):
         with pytest.raises(SimulationError):
@@ -127,6 +137,11 @@ class TestTimeoutAndClock:
         assert env.now == 5.0
         timers[5.0].cancel()  # already processed: nothing to take off
         assert env.queue_size == 0
+
+    def test_timeouts_share_one_constant_label(self, env):
+        """No per-timeout float formatting: the delay lives in ``delay``."""
+        assert env.timeout(0.25).name == env.timeout(1e-3).name == "timeout"
+        assert env.timeout(0.25).delay == 0.25
 
 
 class TestProcesses:
@@ -270,123 +285,6 @@ class TestProcesses:
 
         assert env.run_process(proc()) == "early"
         assert env.now == 0.0
-
-
-class TestConditionEvents:
-    def test_all_of_waits_for_every_event(self, env):
-        def proc():
-            t1 = env.timeout(1.0, value="one")
-            t2 = env.timeout(3.0, value="three")
-            results = yield AllOf(env, [t1, t2])
-            return sorted(results.values())
-
-        assert env.run_process(proc()) == ["one", "three"]
-        assert env.now == pytest.approx(3.0)
-
-    def test_any_of_returns_first(self, env):
-        def proc():
-            t1 = env.timeout(1.0, value="fast")
-            t2 = env.timeout(5.0, value="slow")
-            results = yield AnyOf(env, [t1, t2])
-            return list(results.values())
-
-        assert env.run_process(proc()) == ["fast"]
-        assert env.now == pytest.approx(1.0)
-
-    def test_all_of_empty_completes_immediately(self, env):
-        def proc():
-            results = yield env.all_of([])
-            return results
-
-        assert env.run_process(proc()) == {}
-
-    def test_any_of_empty_raises(self, env):
-        """AnyOf of nothing can never semantically complete: creating one is
-        an error rather than a silent instant {} success (contrast AllOf,
-        whose empty form is vacuously true)."""
-        with pytest.raises(SimulationError):
-            AnyOf(env, [])
-        with pytest.raises(SimulationError):
-            env.any_of([])
-
-    def test_all_of_fails_if_any_child_fails(self, env):
-        def failing():
-            yield env.timeout(1.0)
-            raise KeyError("bad")
-
-        def proc():
-            try:
-                yield env.all_of([env.timeout(5.0), env.process(failing())])
-            except KeyError:
-                return "failed"
-            return "ok"
-
-        assert env.run_process(proc()) == "failed"
-
-    def test_any_of_helper_on_environment(self, env):
-        def proc():
-            result = yield env.any_of([env.timeout(2.0, "a"), env.timeout(2.0, "b")])
-            return list(result.values())
-
-        # Same timestamp: the first scheduled wins deterministically.
-        assert env.run_process(proc()) == ["a"]
-
-    def test_decided_any_of_detaches_from_undecided_children(self, env):
-        """Once decided, a condition holds no callback on a child that has
-        not fired: the leftover Timeout in the heap (and a never-fired wake
-        event) must not keep the condition — and its waiter — reachable."""
-        slow, wake = env.timeout(5.0), env.event()
-        condition = env.any_of([slow, wake])
-        assert len(slow.callbacks) == len(wake.callbacks) == 1
-        wake.succeed("now")
-        env.run(until=condition)
-        assert condition.value == {wake: "now"}
-        assert slow.callbacks == []
-        # The other way round: the timeout decides, the wake never fires.
-        fast, idle = env.timeout(1.0), env.event()
-        env.run(until=env.any_of([fast, idle]))
-        assert idle.callbacks == []
-
-    def test_detach_leaves_other_subscribers_alone(self, env):
-        slow, wake = env.timeout(5.0), env.event()
-        seen = []
-        slow.callbacks.append(seen.append)
-        env.any_of([slow, wake])
-        wake.succeed()
-        env.run()
-        assert seen == [slow]
-
-    def test_failed_all_of_detaches_from_the_rest(self, env):
-        slow, doomed = env.timeout(5.0), env.event()
-        condition = env.all_of([slow, doomed])
-        doomed.fail(KeyError("bad"))
-        with pytest.raises(KeyError):
-            env.run(until=condition)
-        assert slow.callbacks == []
-
-    def test_condition_decided_at_construction_subscribes_to_nothing(self, env):
-        done = env.timeout(0.0, "early")
-        env.run()
-        pending = env.event()
-        condition = env.any_of([pending, done])
-        assert condition.triggered
-        assert pending.callbacks == []
-
-    def test_late_child_failure_is_an_unhandled_failure(self, env):
-        """A child failing after the decision has no subscriber left, so it
-        is recorded like any other unobserved failure (a no-op callback of
-        the decided condition used to absorb it)."""
-        fast, late = env.timeout(1.0), env.event()
-        env.run(until=env.any_of([fast, late]))
-        assert env.unhandled_failures == []
-        late.fail(RuntimeError("too late"))
-        env.run()
-        assert env.unhandled_failures == [late]
-
-    def test_timeouts_share_one_constant_label(self, env):
-        """No per-timeout float formatting: the delay lives in ``delay``."""
-        assert env.timeout(0.25).name == env.timeout(1e-3).name == "timeout"
-        assert env.timeout(0.25).delay == 0.25
 
 
 class TestRunSemantics:

@@ -56,16 +56,9 @@ OPTIONS = {
     "repro.core.workflow:GenomicsWorkflow": ("client", "fetch_results"),
     "repro.core.workflow:GenomicsWorkflow.run": ("request",),
     "repro.core.workflow:GenomicsWorkflow.blast": ("srr_id", "reference", "cpu", "memory_gb"),
-    "repro.core.http_naming:request_to_url": ("request",),
     "repro.core.baseline:CentralizedController": ("env", "clusters"),
     "repro.datalake.fileserver:FileServer": ("env", "forwarder", "datalake", "segment_size"),
     "repro.datalake.repo:DataLake": ("pvc", "name", "clock"),
-    "repro.ndn.client:Producer": ("env", "forwarder", "prefix", "handler", "name",
-                                  "freshness_period"),
-    "repro.ndn.client:Producer.publish": ("name", "content", "segment_size"),
-    "repro.ndn.segmentation:segment_content": (
-        "base_name", "content", "segment_size", "freshness_period",
-    ),
     "repro.ndn.shard:ShardedForwarder": (
         "env", "name", "shards", "key_depth", "cs_capacity", "tracer",
         "dispatch_service_s", "shard_service_s", "hot_cache",
@@ -91,7 +84,11 @@ GONE = (
     "repro.core.client:LIDCClient.run_workflow",
     "repro.core.client:JobHandle.wait",
     "repro.core.overlay:_OverlayLink",
+    "repro.ndn.client:Producer",
+    "repro.ndn.client:Producer.publish",
     "repro.ndn.client:Producer.make_data",
+    "repro.ndn.segmentation:segment_content",
+    "repro.core:request_to_url",
     "repro.analysis.lint.engine:ProjectRule",
     "repro.ndn.packet:Data.sign",
     "repro.ndn.packet:Data.is_signed",
@@ -120,12 +117,14 @@ GONE = (
 #: Modules that went whole: the controller's placement policies and the
 #: completion-time predictor (the overlay's forwarding does the placing),
 #: the signers and key chain (every Data is DigestSha256-signed in
-#: ``Data.encode``), and reprolint's summary cache (every lint is cold).
+#: ``Data.encode``), reprolint's summary cache (every lint is cold), and the
+#: HTTP naming facade (only its tests called it).
 GONE_MODULES = (
     "repro.core.placement",
     "repro.core.predictor",
     "repro.ndn.security",
     "repro.analysis.lint.cache",
+    "repro.core.http_naming",
 )
 
 

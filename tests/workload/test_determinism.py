@@ -12,9 +12,7 @@ from repro.sim.engine import Environment
 from repro.sim.rng import SeededRNG
 from repro.workload import (
     FlashCrowdArrivals,
-    MixedPopularity,
     PoissonArrivals,
-    ScanPopularity,
     SpikeWindow,
     WorkloadDriver,
     WorkloadSpec,
@@ -48,21 +46,9 @@ def flash_spec(requests=400):
     )
 
 
-def mixed_spec(requests=400):
-    return WorkloadSpec(
-        label="mixed",
-        popularity=MixedPopularity(
-            [(0.7, ZipfPopularity(alpha=1.0, catalog=CATALOG)),
-             (0.3, ScanPopularity(tenants=TENANTS))]
-        ),
-        arrivals=PoissonArrivals(150.0),
-        requests=requests,
-    )
-
-
 class TestTraceDeterminism:
     def test_identical_seed_identical_trace(self):
-        for spec_factory in (zipf_spec, flash_spec, mixed_spec):
+        for spec_factory in (zipf_spec, flash_spec):
             a = build_trace(spec_factory(), SeededRNG(42))
             b = build_trace(spec_factory(), SeededRNG(42))
             assert a == b

@@ -1,8 +1,7 @@
-"""Behavioural tests for the workload drivers (data and service plane)."""
+"""Behavioural tests for the workload driver."""
 
 import pytest
 
-from repro.core.framework import LIDCTestbed
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.packet import Data
 from repro.ndn.shard import ShardedForwarder
@@ -10,7 +9,6 @@ from repro.sim.engine import Environment
 from repro.sim.rng import SeededRNG
 from repro.workload import (
     FlashCrowdArrivals,
-    LIDCWorkloadDriver,
     PoissonArrivals,
     ScanPopularity,
     SpikeWindow,
@@ -182,40 +180,3 @@ class TestWorkloadDriver:
         env = Environment()
         with pytest.raises(ValueError):
             WorkloadDriver(env, Forwarder(env, name="x"), spec)  # no rng, no trace
-
-
-class TestLIDCWorkloadDriver:
-    def test_zipf_compute_workload_through_a_cluster(self):
-        """The service-plane path: Zipf-popular datasets submitted through
-        an LIDCClient at Poisson arrival times, deterministically."""
-        testbed = LIDCTestbed.single_cluster(seed=1)
-        datasets = [f"SRR9{i:06d}" for i in range(6)]
-        for accession in datasets:
-            testbed.registry.register_synthetic(
-                accession, "RICE", read_count=1_000_000
-            )
-        # Stay inside the single cluster's admission capacity: jobs run for
-        # simulated hours, so every submission is concurrent and the
-        # gateway congestion-NACKs anything beyond the schedulable load.
-        spec = WorkloadSpec(
-            label="lidc-zipf",
-            popularity=ZipfPopularity(alpha=1.0, catalog=datasets),
-            arrivals=PoissonArrivals(2.0),
-            requests=4,
-        )
-        driver = LIDCWorkloadDriver(
-            testbed.env, testbed.client(), spec, rng=SeededRNG(10),
-            dataset_fn=lambda record: record.name,
-        )
-        summary = driver.run()
-        assert summary["submitted"] == 4
-        assert summary["accepted"] == 4
-        # Same seed, fresh testbed: identical request trace.
-        repeat = LIDCWorkloadDriver(
-            LIDCTestbed.single_cluster(seed=1).env, None, spec, rng=SeededRNG(10),
-            dataset_fn=lambda record: record.name,
-        )
-        assert repeat.trace_hash == summary["trace_hash"]
-        assert [r.dataset for r in repeat.requests] == [
-            r.dataset for r in driver.requests
-        ]
