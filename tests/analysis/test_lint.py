@@ -155,6 +155,72 @@ def test_rl006_matches_private_entry_class_names(display, name):
     assert rule_ids(slotted) == []
 
 
+def _rl008_messages(source: str) -> list[tuple[int, str]]:
+    report = lint_snippet(source, display="src/repro/core/anything.py")
+    return [(f.line, f.message) for f in report.unwaived if f.rule == "RL008"]
+
+
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        pytest.param(
+            '__all__ = ["f", "f"]\ndef f():\n    return 1\n',
+            [(1, "__all__ lists 'f' twice")],
+            id="listed-twice",
+        ),
+        pytest.param(
+            '__all__ = ["f"]\ndef f():\n    return 1\n\nclass Loose:\n    pass\n',
+            [(5, "public definition 'Loose' missing from __all__ "
+                 "(export it or rename it _private)")],
+            id="public-class-unlisted",
+        ),
+        pytest.param(
+            '__all__ = ["f"]\n'
+            "try:\n"
+            "    def f():\n"
+            "        return 1\n"
+            "except ImportError:\n"
+            "    pass\n"
+            "if True:\n"
+            "    def g():\n"
+            "        return 2\n",
+            [(8, "public definition 'g' missing from __all__ "
+                 "(export it or rename it _private)")],
+            id="def-inside-a-top-level-block",
+        ),
+    ],
+)
+def test_rl008_reports_each_kind_of_drift(source, expected):
+    """Each RL008 message, at the line it names: the ``__all__`` line for a
+    listing fault, the ``def`` line for an unlisted public definition (one
+    nested in a top-level ``if``/``try`` block included)."""
+    assert _rl008_messages(source) == expected
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        pytest.param(
+            "from repro.core.naming import *\n"
+            '__all__ = ["status_name"]\n',
+            id="star-import-may-bind-any-export",
+        ),
+        pytest.param(
+            "if True:\n"
+            "    from repro.core.naming import *\n"
+            '__all__ = ["status_name"]\n',
+            id="star-import-inside-a-block",
+        ),
+        pytest.param(
+            "def public():\n    return 1\n\nclass Open:\n    pass\n",
+            id="no-all-is-not-policed",
+        ),
+    ],
+)
+def test_rl008_stays_quiet(source):
+    assert _rl008_messages(source) == []
+
+
 def test_rl007_fires_and_waives():
     """RL007 is a project rule: needs the registry module in the same scan."""
     registry = SourceFile(

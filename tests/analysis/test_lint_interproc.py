@@ -616,6 +616,56 @@ def test_rl012_class_in_a_live_annotation_is_live():
     assert _rl012_names(report) == ["Hidden"]
 
 
+def test_rl012_parameter_annotation_keeps_a_class_alive():
+    """Rule (c) reads parameter annotations as well as return ones, the
+    ``__init__`` of a live class included."""
+    report = lint_fixture({
+        "src/repro/core/libx.py": (
+            '__all__ = ["Options", "Limits", "Runner"]\n'
+            "\n"
+            "class Limits:\n"
+            "    pass\n"
+            "\n"
+            "class Options:\n"
+            "    pass\n"
+            "\n"
+            "class Runner:\n"
+            "    def __init__(self, limits: Limits) -> None:\n"
+            "        self.limits = limits\n"
+            "\n"
+            "def _unused(options: Options) -> None:\n"
+            "    return None\n"
+        ),
+        "src/repro/core/consumer.py": (
+            "from repro.core.libx import Runner\n\nRUNNER = Runner(None)\n"
+        ),
+    })
+    assert _rl012_names(report) == ["Options"]
+
+
+def test_rl012_annotation_of_a_dead_export_keeps_nothing_alive():
+    """Rule (c) starts from live exports only: a class that only a dead
+    export's signature names is dead with it."""
+    report = lint_fixture({
+        "src/repro/core/libx.py": (
+            '__all__ = ["Config", "configure", "run"]\n'
+            "\n"
+            "class Config:\n"
+            "    pass\n"
+            "\n"
+            "def configure(config: Config) -> Config:\n"
+            "    return config\n"
+            "\n"
+            "def run() -> int:\n"
+            "    return 1\n"
+        ),
+        "src/repro/core/consumer.py": (
+            "from repro.core.libx import run\n\nVALUE = run()\n"
+        ),
+    })
+    assert _rl012_names(report) == ["Config", "configure"]
+
+
 # --------------------------------------------------------------------------
 # Call-graph structure: callbacks and class-hierarchy dispatch
 # --------------------------------------------------------------------------

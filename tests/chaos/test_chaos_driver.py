@@ -8,7 +8,7 @@ replay identically.
 
 import pytest
 
-from repro.chaos import ChaosDriver, FaultEvent, FaultKind
+from repro.chaos import ChaosDriver, ChaosSpec, FaultEvent, FaultKind, build_schedule
 from repro.cluster.cluster import ClusterSpec
 from repro.core.cluster_endpoint import LIDCCluster
 from repro.core.framework import CLIENT_EDGE, LIDCTestbed
@@ -16,6 +16,7 @@ from repro.core.overlay import ComputeOverlay
 from repro.core.spec import ComputeRequest
 from repro.exceptions import OverlayError
 from repro.sim.engine import Environment
+from repro.sim.rng import SeededRNG
 
 
 def event(t, kind, target, seq=0):
@@ -264,3 +265,41 @@ class TestDriverMechanics:
         ], until=3.0)
         chaos_records = testbed.tracer.filter(category="chaos")
         assert [entry.event for entry in chaos_records] == ["partition", "heal"]
+
+    def test_recorded_schedule_replays_on_a_new_driver(self):
+        """A schedule is a plain list of events: handed to a driver over a
+        fresh overlay it applies and skips exactly as the first run did."""
+        schedule = build_schedule(ChaosSpec(
+            label="replay", horizon_s=30.0,
+            clusters=("cluster-a", "cluster-b", "cluster-zz"),
+            links=(("cluster-a", CLIENT_EDGE), ("cluster-b", CLIENT_EDGE)),
+            producers=("cluster-a", "cluster-b"),
+            kills=2, flaps=2, partitions=2, churns=2,
+        ), SeededRNG(5))
+
+        def replay(events):
+            testbed = make_testbed()
+            driver = run_schedule(testbed, list(events), until=31.0)
+            ledger = [(r.event, r.applied, r.detail) for r in driver.records]
+            chaos = [entry.event for entry in testbed.tracer.filter(category="chaos")]
+            return ledger, driver.report(), chaos
+
+        first = replay(schedule)
+        assert [event for event, _, _ in first[0]] == schedule
+        assert first[1]["applied"] > 0 and first[1]["skipped"] > 0
+        assert replay(schedule) == first
+
+    def test_a_slice_of_a_schedule_replays_alone(self):
+        schedule = [
+            event(1.0, FaultKind.PRODUCER_CHURN, "cluster-b", seq=0),
+            event(2.0, FaultKind.NODE_KILL, "cluster-a", seq=1),
+            event(3.0, FaultKind.PARTITION, "cluster-b", seq=2),
+            event(4.0, FaultKind.NODE_RESTART, "cluster-a", seq=3),
+            event(5.0, FaultKind.HEAL, "cluster-b", seq=4),
+        ]
+        driver = run_schedule(make_testbed(), schedule[1:4:2], until=6.0)
+        assert [record.event for record in driver.records] == schedule[1:4:2]
+        report = driver.report()
+        assert report["applied"] == 2
+        assert report["by_kind"] == {"node-kill": 1, "node-restart": 1}
+        assert report["still_down"] == [] and report["still_partitioned"] == []

@@ -170,3 +170,11 @@ class TestFaultEventForm:
         event = FaultEvent(seq=0, t=0.1 + 0.2, kind=FaultKind.NODE_KILL,
                            target="cluster-a")
         assert float(event.line().split(" ")[1]) == event.t
+
+    def test_line_tolerates_targets_with_spaces_absent(self):
+        """Targets carry no spaces (a link is ``a|b``), so a line splits
+        into exactly its four fields, the target last and whole."""
+        event = FaultEvent(seq=3, t=1.5, kind=FaultKind.LINK_DOWN,
+                           target="cluster-a|client-edge")
+        assert event.line().split(" ") == [
+            "3", "1.5", FaultKind.LINK_DOWN.value, "cluster-a|client-edge"]

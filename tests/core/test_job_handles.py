@@ -282,6 +282,45 @@ class TestConcurrentHandles:
         assert client.consumer.pending_count() == 0
 
 
+class TestWaitAll:
+    def test_no_handles_resolve_without_advancing_the_clock(self):
+        testbed = LIDCTestbed.single_cluster(seed=12)
+        client = testbed.client()
+        start = testbed.env.now
+        waiter = client.wait_all([])
+        testbed.run(until=waiter)
+        assert waiter.triggered and waiter.ok
+        assert testbed.env.now == start
+
+    def test_waits_for_the_slowest_handle_past_an_early_failure(self):
+        """A rejected job resolves its handle early with a failed outcome;
+        that ends neither the wait nor the other sessions."""
+        testbed = LIDCTestbed.single_cluster(seed=13)
+        client = testbed.client(poll_interval_s=5.0)
+        rejected, fast, slow = client.submit_many([
+            ComputeRequest(app="BLAST", dataset="garbage", reference="HUMAN"),
+            sleep_request(10, idx="fast"),
+            sleep_request(40, idx="slow"),
+        ])
+        waiter = client.wait_all([rejected, fast, slow])
+        testbed.run(until=rejected.done)
+        assert not rejected.succeeded and not waiter.triggered
+        testbed.run(until=fast.done)
+        assert fast.succeeded and not slow.finished and not waiter.triggered
+        testbed.run(until=waiter)
+        assert slow.succeeded
+        assert testbed.env.now == slow.timeline["completed"]
+
+    def test_finished_handles_resolve_at_once(self):
+        testbed = LIDCTestbed.single_cluster(seed=14)
+        client = testbed.client(poll_interval_s=5.0)
+        handles = client.submit_many([sleep_request(15, idx=str(i)) for i in range(2)])
+        testbed.run(until=client.wait_all(handles))
+        finished_at = testbed.env.now
+        testbed.run(until=client.wait_all(handles))
+        assert testbed.env.now == finished_at
+
+
 class TestBackoffStatusTracking:
     def test_short_jobs_detected_quickly_despite_large_cap(self):
         # The old fixed 30 s poll loop needed ~30 s to notice a 5 s job; the

@@ -389,18 +389,64 @@ class TestForwarderPipelines:
         assert len(forwarder.cs) == 1
 
 
+class TestProducerHandlers:
+    def test_unknown_request_nacked(self, env):
+        forwarder = Forwarder(env, "f")
+        seen = serve(forwarder, "/app", [Data(name=Name("/app/one"), content=b"1")])
+        consumer = Consumer(env, forwarder)
+        with pytest.raises(InterestNacked) as nacked:
+            env.run(until=consumer.express_interest("/app/missing", lifetime=1.0))
+        assert nacked.value.reason == NackReason.label(NackReason.NO_ROUTE)
+        assert seen == [Name("/app/missing")]
+
+    def test_handler_answers_later_through_its_face(self, env):
+        """A handler returning ``None`` answers later through the face
+        ``attach_producer`` returned."""
+        forwarder = Forwarder(env, "f")
+        asked = []
+        face = forwarder.attach_producer("/slow", asked.append)
+        consumer = Consumer(env, forwarder)
+        request = consumer.express_interest("/slow/item", lifetime=4.0)
+        env.run(until=1.0)
+        assert [str(interest.name) for interest in asked] == ["/slow/item"]
+        assert not request.triggered
+        face.send(Data(name=Name("/slow/item"), content=b"late"))
+        assert env.run(until=request).content == b"late"
+        assert env.now == pytest.approx(1.0)
+
+
 class TestSegmentFetch:
+    @staticmethod
+    def fetch(env, consumer, name):
+        def fetch():
+            content = yield from consumer.fetch_segments(name)
+            return content
+
+        return env.run_process(fetch())
+
     def test_fetch_segments_generator(self, env, segment_all):
         forwarder = Forwarder(env, "f")
         payload = bytes(range(256)) * 50
         serve(forwarder, "/app", segment_all(Name("/app/blob"), payload, segment_size=1024))
         consumer = Consumer(env, forwarder)
+        assert self.fetch(env, consumer, "/app/blob") == payload
 
-        def fetch():
-            content = yield from consumer.fetch_segments("/app/blob")
-            return content
+    def test_unsegmented_first_packet_is_the_whole_object(self, env):
+        """A ``seg=0`` Data without a final block id ends the fetch."""
+        forwarder = Forwarder(env, "f")
+        seen = serve(forwarder, "/app", [Data(name=Name("/app/note/seg=0"), content=b"all")])
+        consumer = Consumer(env, forwarder)
+        assert self.fetch(env, consumer, "/app/note") == b"all"
+        assert seen == [Name("/app/note/seg=0")]
 
-        assert env.run_process(fetch()) == payload
+    def test_missing_segment_fails_the_fetch(self, env, segment_all):
+        forwarder = Forwarder(env, "f")
+        segments = segment_all(Name("/app/blob"), b"z" * 2500, segment_size=1000)
+        serve(forwarder, "/app", [segments[0], segments[2]])
+        consumer = Consumer(env, forwarder)
+        with pytest.raises(InterestNacked) as nacked:
+            self.fetch(env, consumer, "/app/blob")
+        assert str(nacked.value.name) == "/app/blob/seg=1"
 
 
 class TestRoutingDaemon:
