@@ -17,17 +17,15 @@ the paper-style table printed here:
 * many concurrent job sessions through one client;
 * the decentralized overlay against a centralized controller.
 
-A runner is a pure function of its arguments, so a seed prints the same
-tables on every run.  ``tests/analysis/test_analysis_and_integration.py``
+A runner is a pure function of its arguments, so its default seed prints
+the same tables on every run.  ``tests/analysis/test_analysis_and_integration.py``
 asserts the paper's shape on the same results.  The whole script takes
 about two seconds.
 
 Run with::
 
-    python examples/paper_figures.py [--seed N]
+    python examples/paper_figures.py
 """
-
-import argparse
 
 import _path_setup  # noqa: F401  (adds src/ to sys.path for source checkouts)
 
@@ -45,19 +43,15 @@ from repro.analysis import (
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0, help="seed for every runner")
-    seed = parser.parse_args().seed
-
     results = [
-        run_overlay_churn(seed=seed),
-        run_fig2_name_placement(seed=seed),
-        run_fig3_service_mapping(seed=seed),
-        run_fig5_workflow(seed=seed),
-        run_table1(seed=seed),
-        run_caching_ablation(seed=seed),
-        run_concurrent_load(seed=seed),
-        run_baseline_comparison(seed=seed),
+        run_overlay_churn(),
+        run_fig2_name_placement(),
+        run_fig3_service_mapping(),
+        run_fig5_workflow(),
+        run_table1(),
+        run_caching_ablation(),
+        run_concurrent_load(),
+        run_baseline_comparison(),
     ]
     print(ResultTable.render_many(result.to_table() for result in results))
 

@@ -223,8 +223,9 @@ class _DeadExportRule(SummaryRule):
 
     One thing does: a class named in a parameter or return annotation of
     a live export of its module is live, because callers hold it through
-    that export.  For a live class, the annotations read are those of its
-    dunder methods and of every method another module names.
+    that export.  For a live class, the annotations read are its field
+    annotations (a dataclass's ``__init__`` parameters) and those of
+    every method that is not ``_private`` (dunders included).
 
     A helper only its own module uses is renamed ``_private`` (RL008
     then no longer asks for it in ``__all__``); one nothing uses is
@@ -258,7 +259,7 @@ class _DeadExportRule(SummaryRule):
             while frontier:
                 named: set[str] = set()
                 for name in frontier:
-                    named |= self._api_annotations(summary, name, index)
+                    named |= self._api_annotations(summary, name)
                 frontier = sorted(
                     name for name in named
                     if name in defined and name in summary.classes and name not in live
@@ -279,17 +280,13 @@ class _DeadExportRule(SummaryRule):
                 )
 
     @staticmethod
-    def _api_annotations(summary, name: str, index: "ProjectIndex") -> set[str]:
+    def _api_annotations(summary, name: str) -> set[str]:
         """Names in the annotations of live export ``name``: a function's
-        own, or those of the class's dunder methods and of every method
-        another module names."""
-        if name not in summary.classes:
-            return summary.annotations.get(name, set())
-        named: set[str] = set()
-        for method in summary.classes[name]["methods"]:
-            if method.startswith("__") or index.referenced_elsewhere(
-                method, summary.key
-            ):
+        own, or a class's field annotations and those of its methods that
+        are not ``_private``."""
+        named = set(summary.annotations.get(name, set()))
+        for method in summary.classes.get(name, {}).get("methods", {}):
+            if method.startswith("__") or not method.startswith("_"):
                 named |= summary.annotations.get(f"{name}.{method}", set())
         return named
 

@@ -17,8 +17,8 @@ and nothing that requires re-parsing:
   already filtered against sanctioning waivers,
 * the TLV registry constants and ``TlvTypes.X`` references (for RL007),
 * every identifier the module mentions, except the imports of a package
-  ``__init__``, and the names in each def's annotations (for the RL012
-  dead-export scan).
+  ``__init__``, and the names in each def's annotations and in each
+  class's field annotations (for the RL012 dead-export scan).
 
 Each module is parsed once; the project phase (call graph, effect
 fixpoint, cross-module rules) runs from the summaries alone and never
@@ -138,7 +138,8 @@ class ModuleSummary:
         self.bound: set[str] = set()
         self.mentions: set[str] = set()
         #: local function -> identifiers named in its parameter/return
-        #: annotations
+        #: annotations; local class -> those named in its class-body
+        #: annotated assignments (a dataclass's fields)
         self.annotations: dict[str, set[str]] = {}
         #: local function -> [call descriptor dicts]
         self.calls: dict[str, list[dict]] = {}
@@ -256,6 +257,9 @@ class _Walker(ast.NodeVisitor):
                 ],
                 "methods": {},
             }
+            self.summary.annotations[qual] = _names_in(
+                stmt.annotation for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+            )
             self.class_stack.append(node.name)
             for stmt in node.body:
                 self.visit(stmt)
@@ -376,8 +380,7 @@ class _Walker(ast.NodeVisitor):
 
 
 def _annotation_names(node) -> set[str]:
-    """Identifiers named in a def's parameter and return annotations,
-    string (forward-reference) annotations included."""
+    """Identifiers named in a def's parameter and return annotations."""
     args = node.args
     annotations = [
         arg.annotation
@@ -387,6 +390,13 @@ def _annotation_names(node) -> set[str]:
     ]
     if node.returns is not None:
         annotations.append(node.returns)
+    return _names_in(annotations)
+
+
+def _names_in(annotations) -> set[str]:
+    """Identifiers named in annotation expressions: every ``Name`` and the
+    attribute of every ``Attribute``, inside string (forward-reference)
+    annotations too."""
     names: set[str] = set()
     for annotation in annotations:
         for sub in ast.walk(annotation):
@@ -399,9 +409,7 @@ def _annotation_names(node) -> set[str]:
                     parsed = ast.parse(sub.value, mode="eval")
                 except SyntaxError:
                     continue
-                names.update(
-                    leaf.id for leaf in ast.walk(parsed) if isinstance(leaf, ast.Name)
-                )
+                names |= _names_in([parsed.body])
     return names
 
 

@@ -24,7 +24,7 @@ from repro.genomics.sequences import (
 )
 from repro.genomics.sra import SraAccession, SraRegistry, is_valid_srr_id
 from repro.genomics.reference import KmerIndex, ReferenceDatabase
-from repro.genomics.blast import BlastResult, MagicBlast
+from repro.genomics.blast import Alignment, BlastResult, MagicBlast
 from repro.genomics.runtime_model import (
     BlastRuntimeModel,
     RunEstimate,
@@ -43,6 +43,7 @@ __all__ = [
     "ReferenceDatabase",
     "KmerIndex",
     "MagicBlast",
+    "Alignment",
     "BlastResult",
     "BlastRuntimeModel",
     "RunEstimate",

@@ -18,11 +18,11 @@ from repro.exceptions import GenomicsError
 from repro.genomics.reference import ReferenceDatabase
 from repro.genomics.sequences import FastqRecord, reverse_complement
 
-__all__ = ["BlastResult", "MagicBlast"]
+__all__ = ["Alignment", "BlastResult", "MagicBlast"]
 
 
 @dataclass(frozen=True)
-class _Alignment:
+class Alignment:
     """One read-to-reference alignment."""
 
     read_id: str
@@ -59,7 +59,7 @@ class BlastResult:
     reference: str
     total_reads: int
     aligned_reads: int
-    alignments: list[_Alignment] = field(default_factory=list)
+    alignments: list[Alignment] = field(default_factory=list)
     output: bytes = b""
 
     @property
@@ -98,9 +98,9 @@ class MagicBlast:
 
     # -- alignment of a single read ------------------------------------------------
 
-    def align_read(self, read: FastqRecord) -> Optional[_Alignment]:
+    def align_read(self, read: FastqRecord) -> Optional[Alignment]:
         """Best alignment of one read, or ``None`` when it does not map."""
-        best: Optional[_Alignment] = None
+        best: Optional[Alignment] = None
         for strand, sequence in (("+", read.sequence), ("-", reverse_complement(read.sequence))):
             candidate = self._align_oriented(read.identifier, sequence, strand)
             if candidate is None:
@@ -111,7 +111,7 @@ class MagicBlast:
             return best
         return None
 
-    def _align_oriented(self, read_id: str, sequence: str, strand: str) -> Optional[_Alignment]:
+    def _align_oriented(self, read_id: str, sequence: str, strand: str) -> Optional[Alignment]:
         index = self.reference.index
         seeds = index.seeds_for(sequence, stride=self.seed_stride)
         if len(seeds) < self.min_seed_hits:
@@ -125,7 +125,7 @@ class MagicBlast:
         return self._extend(read_id, sequence, contig, diagonal, strand)
 
     def _extend(self, read_id: str, sequence: str, contig: str, diagonal: int,
-                strand: str) -> Optional[_Alignment]:
+                strand: str) -> Optional[Alignment]:
         contig_record = self.reference.find_contig(contig)
         contig_seq = contig_record.sequence.upper()
         read_seq = sequence.upper()
@@ -142,7 +142,7 @@ class MagicBlast:
             if read_seq[read_start + i] == contig_seq[contig_start + i]
         )
         mismatches = length - matches
-        return _Alignment(
+        return Alignment(
             read_id=read_id,
             contig=contig,
             read_start=read_start,

@@ -587,16 +587,19 @@ def test_rl012_method_dispatch_does_not_keep_a_class_alive():
 def test_rl012_class_in_a_live_annotation_is_live():
     """Rule (c): a class named in a parameter or return annotation of a
     live export is live: its callers hold it through that export.  For a
-    class, that is its dunder methods and the methods another module
-    names."""
+    class, that is every method that is not ``_private``, whether or not
+    another module names the method."""
     report = lint_fixture({
         "src/repro/core/libx.py": (
-            '__all__ = ["Detail", "Hidden", "Report", "build"]\n'
+            '__all__ = ["Detail", "Hidden", "Internal", "Report", "build"]\n'
             "\n"
             "class Detail:\n"
             "    pass\n"
             "\n"
             "class Hidden:\n"
+            "    pass\n"
+            "\n"
+            "class Internal:\n"
             "    pass\n"
             "\n"
             "class Report:\n"
@@ -606,6 +609,9 @@ def test_rl012_class_in_a_live_annotation_is_live():
             "    def secret(self) -> Hidden:\n"
             "        return Hidden()\n"
             "\n"
+            "    def _step(self, state: Internal) -> None:\n"
+            "        return None\n"
+            "\n"
             "def build() -> Report:\n"
             "    return Report()\n"
         ),
@@ -613,7 +619,40 @@ def test_rl012_class_in_a_live_annotation_is_live():
             "from repro.core.libx import build\n\nVALUE = build().detail()\n"
         ),
     })
-    assert _rl012_names(report) == ["Hidden"]
+    assert _rl012_names(report) == ["Internal"]
+
+
+def test_rl012_dataclass_field_annotation_keeps_a_class_alive():
+    """Rule (c) reads a live class's field annotations: a dataclass's
+    fields are the parameters of its generated ``__init__``.  A string
+    annotation is read like any other, attribute names included."""
+    report = lint_fixture({
+        "src/repro/core/libx.py": (
+            "from dataclasses import dataclass, field\n"
+            "\n"
+            "import repro.core.libx as mod\n"
+            "\n"
+            '__all__ = ["Item", "Note", "Spare", "Result"]\n'
+            "\n"
+            "class Item:\n"
+            "    pass\n"
+            "\n"
+            "class Note:\n"
+            "    pass\n"
+            "\n"
+            "class Spare:\n"
+            "    pass\n"
+            "\n"
+            "@dataclass\n"
+            "class Result:\n"
+            "    items: list[Item] = field(default_factory=list)\n"
+            '    note: "mod.Note | None" = None\n'
+        ),
+        "src/repro/core/consumer.py": (
+            "from repro.core.libx import Result\n\nVALUE = Result()\n"
+        ),
+    })
+    assert _rl012_names(report) == ["Spare"]
 
 
 def test_rl012_parameter_annotation_keeps_a_class_alive():
