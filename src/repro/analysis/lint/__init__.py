@@ -20,7 +20,7 @@ RL001-RL003 and RL013-RL014 are retired, not reused.
 
 Usage::
 
-    python -m repro.analysis.lint src/            # strict/relaxed per path
+    python -m repro.analysis.lint src/            # every rule, each scoped by path
     python -m repro.analysis.lint --list-rules    # the rule catalog
     python -m repro.analysis.lint src/ --format json --output report.json
 
@@ -35,14 +35,11 @@ See :mod:`repro.analysis.lint.rules` for the catalog and
 """
 
 from repro.analysis.lint.engine import (
-    DEFAULT_PROFILE_MAP,
     META_RULE_ID,
-    PROFILES,
     Finding,
     Linter,
     LintReport,
     ModuleRecord,
-    Profile,
     Rule,
     SourceFile,
     SummaryRule,
@@ -52,15 +49,12 @@ from repro.analysis.lint.report import JSON_SCHEMA_ID, render_json, render_text
 from repro.analysis.lint.rules import default_rules
 
 __all__ = [
-    "DEFAULT_PROFILE_MAP",
     "META_RULE_ID",
-    "PROFILES",
     "JSON_SCHEMA_ID",
     "Finding",
     "Linter",
     "LintReport",
     "ModuleRecord",
-    "Profile",
     "Rule",
     "SourceFile",
     "SummaryRule",

@@ -7,7 +7,6 @@ Examples::
 
     python -m repro.analysis.lint src/
     python -m repro.analysis.lint src/ --format json --output reprolint.json
-    python -m repro.analysis.lint benchmarks/ --profile relaxed
     python -m repro.analysis.lint --list-rules
 
 Every run is cold: each file is parsed once, then the project phase (call
@@ -22,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.lint.engine import PROFILES, Linter
+from repro.analysis.lint.engine import Linter
 from repro.analysis.lint.report import render_json, render_text
 from repro.analysis.lint.rules import default_rules
 
@@ -38,11 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--profile", choices=sorted(PROFILES), default=None,
-        help="force one profile for every path (default: per-path map — "
-        "strict everywhere, relaxed for cluster/benchmarks/tests/examples)",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -64,26 +58,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _list_rules() -> str:
-    """The catalog with profile membership and scope.
+    """The catalog with each rule's scope.
 
     Everything a reader previously had to dig out of the ROADMAP rule
-    table: which profiles enable the rule and where it applies.
+    table: what each rule checks and where it applies.
     """
     lines = []
     for rule in default_rules():
-        profiles = ", ".join(
-            sorted(
-                name for name, profile in PROFILES.items()
-                if rule.id in profile.rule_ids
-            )
-        )
         scopes = list(rule.scope_dirs) + list(rule.scope_files)
         scope = "all files" if not scopes else ", ".join(scopes)
         if rule.exclude_files:
             scope += f" (except {', '.join(rule.exclude_files)})"
         lines.append(f"{rule.id}  {rule.title}")
         lines.append(f"       {rule.rationale}")
-        lines.append(f"       profiles: {profiles or 'none'}")
         lines.append(f"       scope: {scope}")
     return "\n".join(lines)
 
@@ -97,7 +84,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     missing = [path for path in args.paths if not Path(path).exists()]
     if missing:
         parser.error(f"no such path: {', '.join(missing)}")
-    report = Linter(profile=args.profile).lint_paths(args.paths)
+    report = Linter().lint_paths(args.paths)
     if args.format == "json":
         rendered = render_json(report)
     else:

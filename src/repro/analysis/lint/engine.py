@@ -1,4 +1,4 @@
-"""reprolint core: files, waivers, rules, profiles and the driver.
+"""reprolint core: files, waivers, rules and the driver.
 
 The linter is deliberately self-contained (stdlib :mod:`ast` + :mod:`tokenize`
 only) so it can run in CI and in the tier-1 test suite with zero extra
@@ -9,9 +9,9 @@ dependencies.  The moving parts:
 * :class:`Rule` / :class:`SummaryRule` — a check over one file, or over the
   module summaries and call graph of the whole scanned file set
   (cross-module symbol tables, e.g. the TLV type registry check).
-* :class:`Profile` — a named rule subset; profiles are resolved per *path*
-  (strict for the forwarding plane and the simulator, relaxed hygiene-only
-  for cluster/benchmarks/tests) so one invocation can sweep a mixed tree.
+  A rule runs on every file inside its own path scope
+  (``scope_dirs``/``scope_files``) and on no other, so one invocation can
+  sweep a mixed tree.
 * :class:`Linter` — drives rules over files, applies waivers, and returns a
   :class:`LintReport`.
 
@@ -47,13 +47,10 @@ __all__ = [
     "Rule",
     "SummaryRule",
     "ModuleRecord",
-    "Profile",
     "LintReport",
     "Linter",
     "dotted_name",
     "norm_path",
-    "PROFILES",
-    "DEFAULT_PROFILE_MAP",
     "META_RULE_ID",
 ]
 
@@ -213,8 +210,8 @@ class SummaryRule(Rule):
 
     A summary rule never needs an AST: the project phase holds module
     summaries only.
-    ``records`` is the in-scope subset (profile + path filtering already
-    applied); ``index`` is the whole-program
+    ``records`` is the in-scope subset (path filtering already applied);
+    ``index`` is the whole-program
     :class:`~repro.analysis.lint.callgraph.ProjectIndex`.
     """
 
@@ -239,7 +236,6 @@ class ModuleRecord:
 
     display: str
     path: str
-    profile_name: str
     waivers: list[Waiver] = field(default_factory=list)
     parse_error: Optional[str] = None
     local_findings: list[Finding] = field(default_factory=list)
@@ -252,48 +248,12 @@ class ModuleRecord:
         return None
 
 
-@dataclass(frozen=True)
-class Profile:
-    """A named subset of the rule catalog."""
-
-    name: str
-    rule_ids: frozenset[str]
-
-    def enables(self, rule: Rule) -> bool:
-        return rule.id in self.rule_ids
-
-
-_ALL_RULE_IDS = frozenset(
-    {
-        "RL004", "RL005", "RL006", "RL007", "RL008",
-        "RL009", "RL010", "RL011", "RL012",
-    }
-)
-
-PROFILES: dict[str, Profile] = {
-    #: Full catalog: the forwarding plane and simulator live here, but the
-    #: invariant rules self-scope, so strict is safe for the whole of src/.
-    "strict": Profile("strict", _ALL_RULE_IDS),
-    #: Hygiene only: exception discipline and mutable defaults.
-    "relaxed": Profile("relaxed", frozenset({"RL004", "RL005"})),
-}
-
-#: Ordered (path substring, profile name); first match wins, default strict.
-DEFAULT_PROFILE_MAP: tuple[tuple[str, str], ...] = (
-    ("/repro/cluster/", "relaxed"),
-    ("/benchmarks/", "relaxed"),
-    ("/tests/", "relaxed"),
-    ("/examples/", "relaxed"),
-)
-
-
 @dataclass
 class LintReport:
     """Everything one lint run produced."""
 
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
-    profiles_used: dict[str, int] = field(default_factory=dict)
 
     @property
     def unwaived(self) -> list[Finding]:
@@ -323,29 +283,14 @@ class LintReport:
 
 
 class Linter:
-    """Drives the rule catalog over a file set and applies waivers.
+    """Drives the rule catalog over a file set and applies waivers."""
 
-    ``profile`` forces one profile for every file; the default resolves the
-    profile per path via ``profile_map`` (see :data:`DEFAULT_PROFILE_MAP`).
-    """
-
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        profile: Optional[str] = None,
-        profile_map: Sequence[tuple[str, str]] = DEFAULT_PROFILE_MAP,
-    ) -> None:
+    def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
         if rules is None:
             from repro.analysis.lint.rules import default_rules
 
             rules = default_rules()
         self.rules = list(rules)
-        if profile is not None and profile not in PROFILES:
-            raise ValueError(
-                f"unknown profile {profile!r}; have {sorted(PROFILES)}"
-            )
-        self.forced_profile = profile
-        self.profile_map = tuple(profile_map)
 
     # ------------------------------------------------------------ file intake
 
@@ -385,34 +330,22 @@ class Linter:
 
     # ------------------------------------------------------------ records
 
-    def _profile_name_for(self, path: str) -> str:
-        if self.forced_profile:
-            return self.forced_profile
-        normalised = norm_path(path)
-        for marker, name in self.profile_map:
-            if marker in normalised:
-                return name
-        return "strict"
-
     def _build_record(self, module: SourceFile) -> ModuleRecord:
         """Run the per-module phase: line-local rules + summary extraction."""
         from repro.analysis.lint.symbols import summarize
 
-        profile_name = self._profile_name_for(module.path)
         record = ModuleRecord(
             display=module.display,
             path=module.path,
-            profile_name=profile_name,
             waivers=list(module.waivers),
             parse_error=module.parse_error,
         )
         if module.parse_error is not None:
             return record
-        profile = PROFILES[profile_name]
         for rule in self.rules:
             if isinstance(rule, SummaryRule):
                 continue
-            if profile.enables(rule) and rule.applies_to(module.path):
+            if rule.applies_to(module.path):
                 for found in rule.check(module):
                     if not found.path:
                         found.path = module.display
@@ -434,7 +367,6 @@ class Linter:
                     ModuleRecord(
                         display=display,
                         path=norm_path(display),
-                        profile_name=self._profile_name_for(norm_path(display)),
                         parse_error=f"unreadable file: {exc}",
                     )
                 )
@@ -453,12 +385,7 @@ class Linter:
         """The project phase: cross-module rules, waivers, ordering."""
         report = LintReport(files_checked=len(records))
         raw: list[Finding] = []
-        profile_of: dict[str, Profile] = {}
         for record in records:
-            profile_of[record.path] = PROFILES[record.profile_name]
-            report.profiles_used[record.profile_name] = (
-                report.profiles_used.get(record.profile_name, 0) + 1
-            )
             if record.parse_error is not None:
                 raw.append(
                     Finding(
@@ -471,7 +398,7 @@ class Linter:
                 )
                 continue
             raw.extend(record.local_findings)
-        raw.extend(self._project_findings(records, profile_of))
+        raw.extend(self._project_findings(records))
         raw.extend(self._audit_waivers(records))
         sanctioned_used: set[tuple[str, int]] = set()
         raw.extend(self._sanctioned_findings(records, sanctioned_used))
@@ -518,11 +445,7 @@ class Linter:
         report.findings.sort(key=lambda f: (f.path, f.line, f.rule, f.col))
         return report
 
-    def _project_findings(
-        self,
-        records: Sequence[ModuleRecord],
-        profile_of: dict[str, Profile],
-    ) -> Iterator[Finding]:
+    def _project_findings(self, records: Sequence[ModuleRecord]) -> Iterator[Finding]:
         """Run the summary/call-graph rules."""
         summary_rules = [r for r in self.rules if isinstance(r, SummaryRule)]
         if summary_rules:
@@ -535,9 +458,7 @@ class Linter:
                 in_scope = [
                     record
                     for record in records
-                    if record.summary is not None
-                    and profile_of[record.path].enables(rule)
-                    and rule.applies_to(record.path)
+                    if record.summary is not None and rule.applies_to(record.path)
                 ]
                 if in_scope:
                     yield from rule.check_summaries(in_scope, index)

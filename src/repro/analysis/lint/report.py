@@ -6,8 +6,7 @@ versioned:
 .. code-block:: json
 
     {
-      "schema": "reprolint-report/3",
-      "profiles": {"strict": 40, "relaxed": 12},
+      "schema": "reprolint-report/4",
       "summary": {"files": 52, "findings": 9, "waived": 9,
                   "unwaived": 0, "ok": true,
                   "by_rule": {"RL010": 2}, "waived_by_rule": {"RL004": 3}},
@@ -28,7 +27,7 @@ from repro.analysis.lint.engine import LintReport
 
 __all__ = ["render_text", "render_json", "JSON_SCHEMA_ID"]
 
-JSON_SCHEMA_ID = "reprolint-report/3"
+JSON_SCHEMA_ID = "reprolint-report/4"
 
 
 def render_text(report: LintReport, show_waived: bool = False) -> str:
@@ -56,7 +55,6 @@ def render_json(report: LintReport) -> str:
     """The versioned machine-readable report."""
     document = {
         "schema": JSON_SCHEMA_ID,
-        "profiles": dict(sorted(report.profiles_used.items())),
         "summary": {
             "files": report.files_checked,
             "findings": len(report.findings),

@@ -27,7 +27,7 @@ scratch on top of the simulation kernel:
   facade wiring everything together.
 """
 
-from repro.cluster.quantity import Quantity, parse_cpu, parse_memory, format_memory
+from repro.cluster.quantity import Quantity, parse_cpu, parse_memory
 from repro.cluster.objects import ObjectMeta, LabelSelector
 from repro.cluster.apiserver import ApiServer, WatchEvent, EventType
 from repro.cluster.node import Node, NodeStatus
@@ -42,7 +42,6 @@ from repro.cluster.storage import (
     NFSServer,
     PersistentVolume,
     PersistentVolumeClaim,
-    StorageClass,
     StorageController,
 )
 from repro.cluster.cluster import Cluster, ClusterSpec
@@ -51,7 +50,6 @@ __all__ = [
     "Quantity",
     "parse_cpu",
     "parse_memory",
-    "format_memory",
     "ObjectMeta",
     "LabelSelector",
     "ApiServer",
@@ -78,7 +76,6 @@ __all__ = [
     "ClusterDNS",
     "PersistentVolume",
     "PersistentVolumeClaim",
-    "StorageClass",
     "StorageController",
     "NFSServer",
     "Cluster",

@@ -13,7 +13,7 @@ from typing import Union
 
 from repro.exceptions import QuantityParseError
 
-__all__ = ["Quantity", "parse_cpu", "parse_memory", "format_memory", "format_cpu"]
+__all__ = ["Quantity", "parse_cpu", "parse_memory"]
 
 _BINARY_SUFFIXES = {
     "Ki": 1024,
@@ -74,7 +74,7 @@ def parse_memory(value: Union[str, int, float]) -> int:
     return int(amount * scale)
 
 
-def format_memory(num_bytes: "int | float") -> str:
+def _format_memory(num_bytes: "int | float") -> str:
     """Format bytes using the largest exact-ish binary suffix (``"4Gi"``)."""
     num_bytes = float(num_bytes)
     for suffix in ("Pi", "Ti", "Gi", "Mi", "Ki"):
@@ -87,7 +87,7 @@ def format_memory(num_bytes: "int | float") -> str:
     return f"{int(num_bytes)}"
 
 
-def format_cpu(cores: float) -> str:
+def _format_cpu(cores: float) -> str:
     """Format cores using the milli suffix when fractional (``0.5`` → ``"500m"``)."""
     if abs(cores - round(cores)) < 1e-9:
         return str(int(round(cores)))
@@ -123,4 +123,4 @@ class Quantity:
         return Quantity(cpu=self.cpu * factor, memory=int(self.memory * factor))
 
     def __str__(self) -> str:
-        return f"cpu={format_cpu(self.cpu)},memory={format_memory(self.memory)}"
+        return f"cpu={_format_cpu(self.cpu)},memory={_format_memory(self.memory)}"

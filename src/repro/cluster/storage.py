@@ -1,4 +1,4 @@
-"""Persistent storage: PVs, PVCs, storage classes and an NFS server.
+"""Persistent storage: PVs, PVCs and an NFS server.
 
 The paper's testbed mounts an NFS server into MicroK8s through a PVC and
 loads the genomics datasets onto it (paper §V-B).  Here the NFS server is an
@@ -23,7 +23,6 @@ from repro.cluster.quantity import parse_memory
 __all__ = [
     "StoredObject",
     "NFSServer",
-    "StorageClass",
     "PersistentVolume",
     "PersistentVolumeClaim",
     "StorageController",
@@ -120,21 +119,6 @@ class NFSServer:
 
     def object_count(self) -> int:
         return len(self._objects)
-
-
-@dataclass
-class StorageClass:
-    """A provisioner configuration (``nfs`` is the one LIDC uses)."""
-
-    name: str
-    provisioner: str = "nfs"
-    server: Optional[NFSServer] = None
-
-    KIND = "StorageClass"
-
-    @property
-    def metadata(self) -> ObjectMeta:  # API-server compatibility
-        return ObjectMeta(name=self.name)
 
 
 @dataclass
@@ -235,9 +219,8 @@ class StorageController:
     def __init__(self, api: ApiServer, default_server: Optional[NFSServer] = None) -> None:
         self.api = api
         self.default_server = default_server or NFSServer()
-        self._classes: dict[str, StorageClass] = {
-            "nfs": StorageClass(name="nfs", provisioner="nfs", server=self.default_server)
-        }
+        #: Storage class name -> the NFS server that provisions it.
+        self._servers: dict[str, NFSServer] = {"nfs": self.default_server}
         self.volumes_provisioned = 0
         api.watch(PersistentVolumeClaim.KIND, self._on_pvc_event, replay_existing=True)
 
@@ -260,14 +243,14 @@ class StorageController:
     def _bind(self, pvc: PersistentVolumeClaim) -> None:
         if pvc.is_bound:
             return
-        storage_class = self._classes.get(pvc.storage_class)
-        if storage_class is None or storage_class.server is None:
+        server = self._servers.get(pvc.storage_class)
+        if server is None:
             raise StorageError(f"unknown storage class {pvc.storage_class!r}")
         pv = PersistentVolume(
             metadata=ObjectMeta(name=generate_name(f"pv-{pvc.name}-")),
             capacity_bytes=pvc.requested_bytes,
             storage_class=pvc.storage_class,
-            server=storage_class.server,
+            server=server,
             base_path=f"/exports/{pvc.metadata.namespace}/{pvc.name}",
             claim_ref=pvc.name,
         )

@@ -70,18 +70,9 @@ forwarders all keep the bytes the producer encoded.  The sender's parse —
 TLV span table, name, name bytes — rides along, so the receiving shard
 never re-walks the buffer.  The sender's decoded object never crosses: the
 far side starts bytes-only, which is what makes the transit-decode counter
-meaningful.
-
-Deterministic scheduling
-------------------------
-Inside the simulator, each shard (and the dispatcher) is a
-:class:`~repro.sim.engine.SerialServer`: a queue-fed process that spends a
-configurable service time per packet in simulated time.  Ordering is FIFO at every
-queue and the engine breaks simultaneous events by scheduling sequence, so
-results are bit-for-bit independent of shard count *interleaving* — only
-the modelled parallelism changes.  With the default service times of zero
-the servers short-circuit to synchronous calls and sharding is purely a
-partitioning exercise.
+meaningful.  The hand-over, in both directions and at the dispatcher, is a
+direct call: it spends no simulated time and schedules no event, so a
+sharded node processes exactly the events a plain forwarder does.
 """
 
 from __future__ import annotations
@@ -92,14 +83,14 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from repro.exceptions import NDNError
-from repro.ndn.face import AnyPacket, Face, PacketEndpoint
+from repro.ndn.face import AnyPacket, Face
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
 from repro.ndn.nametree import as_name
-from repro.ndn.packet import WirePacket
+from repro.ndn.packet import WirePacket, encode_name_value
 from repro.ndn.strategy import DispatcherHotCache, Strategy
 from repro.ndn.tlv import decode_tlv_header
-from repro.sim.engine import Environment, SerialServer
+from repro.sim.engine import Environment
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.trace import Tracer
 
@@ -108,15 +99,6 @@ __all__ = [
     "ShardedForwarder",
     "RebalanceReport",
 ]
-
-
-def _shard_key(name: "Name | str", key_depth: int = 1) -> bytes:
-    """The partitioning key of ``name``: its first ``key_depth`` components."""
-    name = as_name(name)
-    if key_depth < 1:
-        raise NDNError(f"shard key depth must be >= 1, got {key_depth}")
-    components = tuple(name)[:key_depth]
-    return b"/".join(component.value for component in components)
 
 
 def _rendezvous_for_key(key: bytes, num_shards: int) -> int:
@@ -142,12 +124,12 @@ def _rendezvous_for_key(key: bytes, num_shards: int) -> int:
 
 
 def _key_from_name_bytes(name_value: bytes, key_depth: int) -> bytes:
-    """The shard key sliced straight out of canonical name bytes.
+    """The partitioning key: the first ``key_depth`` component values.
 
-    ``name_value`` is a Name TLV's value (:attr:`WirePacket.name_bytes`);
-    the result equals :func:`_shard_key` of the same name without ever
-    materialising :class:`Name` components — this is what the dispatcher
-    hashes per packet.
+    ``name_value`` is a Name TLV's value — :attr:`WirePacket.name_bytes`
+    on the data plane, :func:`encode_name_value` of a :class:`Name` on the
+    control plane — so the key is sliced straight out of the bytes without
+    materialising :class:`Name` components.
     """
     if key_depth < 1:
         raise NDNError(f"shard key depth must be >= 1, got {key_depth}")
@@ -187,39 +169,21 @@ class ShardFace(Face):
     decoded object, even when the sender held one.  Nothing is copied and
     nothing is parsed twice, and ``is_decoded`` stays False on the far
     side, which is what makes the transit-decode counter meaningful.
-    ``deliver_server``, when given, is the receiving shard's serial server:
-    delivery queues behind that shard's per-packet service time.
     """
-
-    def __init__(
-        self,
-        env: Environment,
-        owner: PacketEndpoint,
-        label: str = "",
-        deliver_server: Optional[SerialServer] = None,
-    ) -> None:
-        super().__init__(env, owner, label)
-        self._deliver_server = deliver_server
 
     def _transmit(self, packet: WirePacket) -> None:
         peer = self.peer
         assert peer is not None
-        crossed = packet.detached_view()
-        if self._deliver_server is None:
-            peer.deliver(crossed)
-        else:
-            self._deliver_server.submit(lambda: peer.deliver(crossed))
+        peer.deliver(packet.detached_view())
 
 
 class _ShardRelay:
     """Dispatcher-side endpoint of one (external face, shard) boundary pair.
 
-    Packets a shard emits towards an external face land here; the relay
-    queues the outbound send on the dispatcher's serial server, mirroring
-    the real deployment where the dispatcher thread also writes egress
-    frames back to the network.  The relay knows which shard it fronts, so
-    egress Data can be mirrored into the dispatcher hot cache attributed
-    to its owning shard.
+    Packets a shard emits towards an external face land here and go
+    straight out through the dispatcher.  The relay knows which shard it
+    fronts, so egress Data can be mirrored into the dispatcher hot cache
+    attributed to its owning shard.
     """
 
     accepts_wire_packets = True
@@ -239,7 +203,7 @@ class _ShardRelay:
         return 0
 
     def receive_packet(self, packet: WirePacket, face: Face) -> None:
-        self._owner._egress(self._ext_face_id, packet, self._shard_index)
+        self._owner._send_out(self._ext_face_id, packet, self._shard_index)
 
 
 # ---------------------------------------------------------- sharded forwarder
@@ -311,19 +275,6 @@ class RebalanceReport:
     pending_aborted: int = 0
     cs_entries_dropped: int = 0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "at": self.at,
-            "old_shards": float(self.old_shards),
-            "new_shards": float(self.new_shards),
-            "routes_added": float(self.routes_added),
-            "routes_removed": float(self.routes_removed),
-            "producers_added": float(self.producers_added),
-            "producers_removed": float(self.producers_removed),
-            "pending_aborted": float(self.pending_aborted),
-            "cs_entries_dropped": float(self.cs_entries_dropped),
-        }
-
 
 class ShardedForwarder:
     """A forwarder node whose namespace is partitioned across worker shards.
@@ -334,11 +285,6 @@ class ShardedForwarder:
     forwarded — as a wire view, never a decoded object — to one of
     ``shards`` internal :class:`Forwarder` instances, each owning the
     complete PIT/CS/FIB state for its slice of the namespace.
-
-    ``dispatch_service_s`` and ``shard_service_s`` give the dispatcher and
-    each shard a serial per-packet service time in simulated seconds, which
-    is how benchmarks model multi-core scaling deterministically; both
-    default to zero (no modelled cost).
 
     ``hot_cache`` sizes the dispatcher's exact-match hot cache (0 disables
     it) — see the module docstring for the fast-path coherence contract.
@@ -360,8 +306,6 @@ class ShardedForwarder:
         key_depth: int = 1,
         cs_capacity: int = 1024,
         tracer: Optional[Tracer] = None,
-        dispatch_service_s: float = 0.0,
-        shard_service_s: float = 0.0,
         hot_cache: int = 128,
     ) -> None:
         if shards < 1:
@@ -375,7 +319,6 @@ class ShardedForwarder:
         # Build parameters kept verbatim so resize() can mint new shards
         # identical to the originals.
         self._cs_capacity = cs_capacity
-        self._shard_service_s = shard_service_s
         self._picker = _make_shard_picker(shards)
         self.tracer = tracer or Tracer(clock=lambda: env.now, enabled=False)
         self.metrics = MetricsRegistry()
@@ -396,11 +339,6 @@ class ShardedForwarder:
             # holding a name, the dispatcher must stop serving it too.
             for shard in self.shards:
                 shard.cs.on_evict = self.hot_cache.invalidate_name
-        self._dispatch_server = SerialServer(env, dispatch_service_s, f"{name}:dispatch")
-        self._shard_servers = [
-            SerialServer(env, shard_service_s, f"{name}/shard{index}")
-            for index in range(shards)
-        ]
         self._faces: dict[int, Face] = {}
         self._next_face_id = 1
         # Per-packet counters resolved once: the registry lookup is cheap
@@ -445,7 +383,6 @@ class ShardedForwarder:
         dispatcher_side = ShardFace(
             self.env, relay,
             label=f"{self.name}:pipe:{face_id}>shard{index}",
-            deliver_server=self._shard_servers[index],
         )
         shard_side = ShardFace(
             self.env, shard,
@@ -481,6 +418,12 @@ class ShardedForwarder:
 
     # ----------------------------------------------------------------- routes
 
+    def _shard_of(self, name: Name) -> int:
+        """The shard that owns ``name`` under the current placement."""
+        return self._picker(
+            _key_from_name_bytes(encode_name_value(name), self.key_depth)
+        )
+
     def _owning_shards(self, prefix: Name) -> list[int]:
         """The shards a prefix's routes/producers must live on.
 
@@ -488,7 +431,7 @@ class ShardedForwarder:
         dispatch can never disagree about ownership.
         """
         if len(prefix) >= self.key_depth:
-            return [self._picker(_shard_key(prefix, self.key_depth))]
+            return [self._shard_of(prefix)]
         return list(range(self.num_shards))
 
     def register_prefix(self, prefix: "Name | str", face: "Face | int", cost: float = 0.0) -> None:
@@ -612,9 +555,6 @@ class ShardedForwarder:
             for prefix, strategy in self._strategies:
                 shard.set_strategy(prefix, strategy)
             self.shards.append(shard)
-            self._shard_servers.append(
-                SerialServer(self.env, self._shard_service_s, f"{self.name}/shard{index}")
-            )
             for face_id in self._faces:
                 self._wire_boundary(face_id, index)
 
@@ -650,7 +590,7 @@ class ShardedForwarder:
                 report.pending_aborted += shard.abort_pending(
                     lambda entry, index=index: (
                         len(entry.name) >= self.key_depth
-                        and self._picker(_shard_key(entry.name, self.key_depth)) != index
+                        and self._shard_of(entry.name) != index
                     )
                 )
             else:  # shard is going away: everything pending is stranded
@@ -681,7 +621,7 @@ class ShardedForwarder:
             moved = [
                 name for name in shard.cs.names()
                 if len(name) >= self.key_depth
-                and self._picker(_shard_key(name, self.key_depth)) != index
+                and self._shard_of(name) != index
             ]
             before = len(shard.cs)
             for name in moved:
@@ -697,7 +637,6 @@ class ShardedForwarder:
                     if pair is not None:
                         pair[0].close()
             del self.shards[shards:]
-            del self._shard_servers[shards:]
 
         self.rebalances.append(report)
         self.tracer.record(
@@ -732,24 +671,17 @@ class ShardedForwarder:
         wire_packet = WirePacket.of(packet)
         ext_id = face.face_id
         self._dispatched.inc()
-        self._dispatch_server.submit(lambda: self._dispatch(wire_packet, ext_id))
-
-    def _dispatch(self, wire_packet: WirePacket, ext_id: int) -> None:
         if self.hot_cache is not None and wire_packet.is_interest:
             if self._fast_path(wire_packet, ext_id):
                 return
         index = self._picker(
             _key_from_name_bytes(wire_packet.name_bytes, self.key_depth)
         )
-        pair = self._mirrors.get((ext_id, index))
-        if pair is None:  # external face removed while the packet queued
-            self._dropped_no_face.inc()
-            return
         if self.tracer.enabled:
             self.tracer.record(
                 "shard", "dispatch", name=wire_packet.name, shard=index, face=ext_id
             )
-        pair[0].send(wire_packet)
+        self._mirrors[(ext_id, index)][0].send(wire_packet)
 
     def _fast_path(self, interest: WirePacket, ext_id: int) -> bool:
         """Serve a repeat Interest from the dispatcher hot cache.
@@ -777,22 +709,10 @@ class ShardedForwarder:
         self._send_out(ext_id, template.detached_view())
         return True
 
-    def _egress(self, ext_id: int, packet: WirePacket, from_shard: int) -> None:
-        self._dispatch_server.submit(
-            lambda: self._send_out(ext_id, packet, from_shard)
-        )
-
     def _send_out(
         self, ext_id: int, packet: WirePacket, from_shard: Optional[int] = None
     ) -> None:
-        if (
-            from_shard is not None
-            and from_shard < len(self.shards)
-            and self.hot_cache is not None
-            and packet.is_data
-        ):
-            # The bounds check covers a shard removed by a shrinking
-            # resize() while its last egress frames were still queued.
+        if from_shard is not None and self.hot_cache is not None and packet.is_data:
             self._hot_insert(packet, from_shard)
         face = self._faces.get(ext_id)
         if face is None:

@@ -13,7 +13,6 @@ The engine is deliberately small and deterministic:
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 from repro.exceptions import ProcessInterrupt, SimulationError
@@ -23,7 +22,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "SerialServer",
 ]
 
 #: Scheduling priority for urgent events (process resumption).
@@ -40,8 +38,7 @@ class Event:
     """
 
     __slots__ = (
-        "env", "callbacks", "_value", "_ok", "_triggered", "_processed",
-        "_abandoned", "name",
+        "env", "callbacks", "_value", "_ok", "_triggered", "_processed", "name",
     )
 
     def __init__(self, env: "Environment", name: str = "") -> None:
@@ -53,7 +50,6 @@ class Event:
         self._ok: bool = True
         self._triggered = False
         self._processed = False
-        self._abandoned = False
 
     # -- state -------------------------------------------------------------
 
@@ -71,15 +67,6 @@ class Event:
     def ok(self) -> bool:
         """True when the event carries a value rather than an exception."""
         return self._ok
-
-    @property
-    def abandoned(self) -> bool:
-        """True when the process waiting on this event was interrupted away.
-
-        Primitives that hold waiter queues (e.g. :class:`_Queue`) check this
-        so a value is never handed to an event nobody will ever observe.
-        """
-        return self._abandoned
 
     @property
     def value(self) -> Any:
@@ -198,13 +185,9 @@ class _Interruption(Event):
             return  # process already terminated
         # Unsubscribe from whatever the process was waiting on, and forget it:
         # a stale target would make introspection (and a later re-interrupt)
-        # believe the process still waits on the abandoned event.  The event
-        # itself is marked abandoned so waiter-queue primitives (_Queue.get)
-        # never hand a value to it.
-        if proc._target is not None:
-            if proc._resume in proc._target.callbacks:
-                proc._target.callbacks.remove(proc._resume)
-            proc._target._abandoned = True
+        # believe the process still waits on the abandoned event.
+        if proc._target is not None and proc._resume in proc._target.callbacks:
+            proc._target.callbacks.remove(proc._resume)
         proc._target = None
         proc._resume(self)
 
@@ -311,113 +294,6 @@ class Process(Event):
         if self._value is _PENDING_SENTINEL:
             raise SimulationError(f"value of running process {self!r}")
         return self._value
-
-
-class _Queue:
-    """An unbounded deterministic FIFO channel between processes.
-
-    ``put`` never blocks; ``get`` returns an event that completes with the
-    next item.  Items are handed to getters strictly in FIFO order on both
-    sides (first ``put`` pairs with first ``get``), so any number of
-    producer/consumer processes sharing a queue stay reproducible —
-    this is what lets a sharded forwarder's per-shard service loops run
-    concurrently in simulated time without introducing scheduling
-    nondeterminism.
-
-    A pending ``get`` is *not* a scheduled event: a drained simulation with
-    idle queue consumers simply ends (``Environment.run()`` returns when the
-    event schedule is empty), which is how benchmark runs terminate without
-    poisoning the queue.
-    """
-
-    __slots__ = ("env", "_items", "_getters")
-
-    def __init__(self, env: "Environment") -> None:
-        self.env = env
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Enqueue ``item``; wakes the oldest waiting getter, if any.
-
-        Getters whose process was interrupted away (``Event.abandoned``)
-        are discarded rather than fed: handing them the item would lose it
-        in an event nobody observes.
-        """
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter.triggered or getter.abandoned:
-                continue
-            getter.succeed(item)
-            return
-        self._items.append(item)
-
-    def get(self) -> Event:
-        """An event completing with the next item (immediately if available)."""
-        event = self.env.event(name="queue-get")
-        # The queue watches its own getter events: if one processes after
-        # its waiter was interrupted away (abandoned with the value already
-        # attached — a put() and an interrupt in the same timestep), the
-        # item is recovered instead of dying in an event nobody observes.
-        event.callbacks.append(self._redeliver)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def _redeliver(self, event: Event) -> None:
-        if event._abandoned and event.ok:
-            self.put(event.value)
-
-
-class SerialServer:
-    """One serial execution resource in simulated time (a worker's core).
-
-    ``submit`` runs actions in FIFO order, spending ``service_time_s`` of
-    simulated time on each; a zero service time short-circuits to an
-    immediate synchronous call so the default configuration adds no
-    scheduling overhead at all.  This is the engine primitive behind the
-    sharded forwarder's dispatcher and per-shard service loops — promoted
-    here so any model needing a deterministic single-threaded resource
-    (one queue, one consumer, FIFO) can reuse it.
-    """
-
-    __slots__ = ("env", "service_time_s", "served", "_queue")
-
-    def __init__(self, env: "Environment", service_time_s: float, name: str = "serial") -> None:
-        if service_time_s < 0:
-            raise SimulationError(f"negative service time {service_time_s!r}")
-        self.env = env
-        self.service_time_s = service_time_s
-        self.served = 0
-        self._queue: Optional[_Queue] = None
-        if service_time_s > 0:
-            self._queue = _Queue(env)
-            env.process(self._run(), name=f"serve:{name}")
-
-    def __len__(self) -> int:
-        """Actions queued but not yet served (0 in synchronous mode)."""
-        return len(self._queue) if self._queue is not None else 0
-
-    def submit(self, action: Callable[[], None]) -> None:
-        if self._queue is None:
-            self.served += 1
-            action()
-            return
-        self._queue.put(action)
-
-    def _run(self):
-        queue = self._queue
-        assert queue is not None
-        while True:
-            action = yield queue.get()
-            yield self.env.timeout(self.service_time_s)
-            self.served += 1
-            action()
 
 
 class Environment:

@@ -4,9 +4,9 @@ Three layers:
 
 * one fire-and-waiver pair per rule — every rule must both detect its
   violation fixture and be silenced by exactly one waiver comment,
-* engine mechanics — waiver parsing, profile selection, reporters, CLI,
-* the tier-1 gate — ``src/`` must lint clean under the default profiles,
-  and the four trees together within :data:`WAIVER_BUDGET` waivers.
+* engine mechanics — waiver parsing, rule scoping, reporters, CLI,
+* the tier-1 gate — ``src/`` must lint clean under every rule, and the
+  four trees together within :data:`WAIVER_BUDGET` waivers.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.analysis.lint import (
     render_text,
 )
 from repro.analysis.lint.cli import main as lint_main
-from repro.analysis.lint.engine import META_RULE_ID, PROFILES
+from repro.analysis.lint.engine import META_RULE_ID
 from repro.analysis.lint.rules import default_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -409,55 +409,24 @@ def test_waiver_inside_nested_function():
 
 
 # --------------------------------------------------------------------------
-# Profiles
+# Scoping: a rule runs on every file inside its own path scope
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "display, profile",
-    [
-        ("src/repro/ndn/forwarder.py", "strict"),
-        ("src/repro/sim/engine.py", "strict"),
-        ("src/repro/cluster/kubelet.py", "relaxed"),
-        ("benchmarks/e2e/run.py", "relaxed"),
-        ("tests/ndn/test_forwarder.py", "relaxed"),
-    ],
-)
-def test_profile_map_resolution(display, profile):
-    assert lint_snippet("x = 1\n", display=display).profiles_used == {profile: 1}
+def test_cluster_modules_are_judged_by_every_rule():
+    """``src/repro/cluster/`` gets no hygiene-only pass: a dead export there
+    is an RL012 finding like anywhere else in ``src/``."""
+    source = '__all__ = ["helper"]\n\n\ndef helper():\n    return 1\n'
+    report = lint_snippet(source, display="src/repro/cluster/x.py")
+    assert rule_ids(report) == ["RL012"]
 
 
-def test_relaxed_profile_disables_invariant_rules():
+def test_scoped_rule_is_silent_outside_its_scope():
+    """The path scope is the only switch: RL010 judges ``repro.sim``, not
+    the cluster model."""
     source = "import time\ndef now():\n    return time.time()\n"
-    # Same snippet: strict (sim path) fires RL010, relaxed (cluster) does not.
     assert "RL010" in rule_ids(lint_snippet(source, display="src/repro/sim/x.py"))
-    report = lint_snippet(source, display="src/repro/cluster/x.py")
-    assert "RL010" not in rule_ids(report)
-
-
-def test_relaxed_profile_keeps_hygiene_rules():
-    source = "def a(x=[]):\n    return x\n"
-    report = lint_snippet(source, display="src/repro/cluster/x.py")
-    assert "RL005" in rule_ids(report)
-
-
-def test_forced_profile_overrides_map():
-    source = "import time\ndef now():\n    return time.time()\n"
-    report = lint_snippet(source, display="src/repro/sim/x.py", profile="relaxed")
-    assert "RL010" not in rule_ids(report)
-    with pytest.raises(ValueError):
-        Linter(profile="no-such-profile")
-
-
-def test_profiles_registry_is_complete():
-    assert set(PROFILES) == {"strict", "relaxed"}
-    catalog = {rule.id for rule in default_rules()}
-    assert PROFILES["strict"].rule_ids == catalog
-    assert PROFILES["relaxed"].rule_ids < catalog
-
-
-def test_relaxed_profile_is_hygiene_only():
-    assert PROFILES["relaxed"].rule_ids == {"RL004", "RL005"}
+    assert "RL010" not in rule_ids(lint_snippet(source, display="src/repro/cluster/x.py"))
 
 
 def test_catalog_states_each_invariant_once():
@@ -480,7 +449,7 @@ def test_json_report_schema_round_trip():
     )
     report = lint_snippet(source, display="src/repro/core/mod.py")
     payload = json.loads(render_json(report))
-    assert payload["schema"] == "reprolint-report/3"
+    assert payload["schema"] == "reprolint-report/4"
     assert payload["summary"]["files"] == 1
     assert payload["summary"]["unwaived"] == 1
     assert payload["summary"]["waived"] == 1
@@ -530,7 +499,7 @@ def test_cli_json_output(tmp_path, capsys):
     code = lint_main([str(target), "--format", "json", "--output", str(out_file)])
     assert code == 1
     payload = json.loads(out_file.read_text())
-    assert payload["schema"] == "reprolint-report/3"
+    assert payload["schema"] == "reprolint-report/4"
     assert payload["findings"][0]["rule"] == "RL005"
 
 
@@ -584,8 +553,9 @@ def test_src_tree_lints_clean():
 def test_benchmarks_tree_lints_clean():
     """The four trees lint clean in one index, within the waiver budget.
 
-    benchmarks/, tests/ and examples/ gate under the relaxed profile; the
-    index spans src/ too, so their references to src/ exports count.
+    Every rule runs on every file of the four trees inside its own path
+    scope; the index spans src/ too, so references from benchmarks/,
+    tests/ and examples/ to src/ exports count.
     """
     trees = [
         REPO_ROOT / name for name in ("src", "benchmarks", "tests", "examples")

@@ -882,6 +882,7 @@ def test_cli_report_is_identical_across_runs(tmp_path, capsys):
         ["--baseline", "x"],
         ["--waiver-budget", "3"],
         ["--format", "sarif"],
+        ["--profile", "strict"],
     ],
     ids=lambda flag: flag[0],
 )
@@ -898,7 +899,7 @@ def test_cli_rejects_a_removed_flag(flag, tmp_path, capsys):
 def test_json_report_has_no_severity_or_advisory_count():
     report = lint_fixture({"src/repro/core/libx.py": _RL012_LIBX})
     payload = json.loads(render_json(report))
-    assert payload["schema"] == "reprolint-report/3"
+    assert payload["schema"] == "reprolint-report/4"
     assert "advisory" not in payload["summary"]
     assert payload["summary"]["ok"] is False
     assert [f["rule"] for f in payload["findings"]] == ["RL012"]

@@ -7,13 +7,7 @@ from repro.exceptions import ObjectAlreadyExists, ObjectNotFound, QuantityParseE
 from repro.cluster.apiserver import ApiServer, EventType
 from repro.cluster.objects import LabelSelector, ObjectMeta, generate_name
 from repro.cluster.pod import Pod, PodSpec
-from repro.cluster.quantity import (
-    Quantity,
-    format_cpu,
-    format_memory,
-    parse_cpu,
-    parse_memory,
-)
+from repro.cluster.quantity import Quantity, parse_cpu, parse_memory
 
 
 class TestQuantityParsing:
@@ -47,13 +41,13 @@ class TestQuantityParsing:
             parse_memory(-5)
 
     def test_format_memory(self):
-        assert format_memory(4 * 1024**3) == "4Gi"
-        assert format_memory(1536 * 1024**2) == "1.50Gi"
-        assert format_memory(512) == "512"
+        assert str(Quantity(memory=4 * 1024**3)) == "cpu=0,memory=4Gi"
+        assert str(Quantity(memory=1536 * 1024**2)) == "cpu=0,memory=1.50Gi"
+        assert str(Quantity(memory=512)) == "cpu=0,memory=512"
 
     def test_format_cpu(self):
-        assert format_cpu(2.0) == "2"
-        assert format_cpu(0.5) == "500m"
+        assert str(Quantity(cpu=2.0)) == "cpu=2,memory=0"
+        assert str(Quantity(cpu=0.5)) == "cpu=500m,memory=0"
 
     def test_quantity_arithmetic(self):
         a = Quantity.parse(cpu=2, memory="4Gi")

@@ -2,10 +2,9 @@
 
 The contract (see :mod:`repro.ndn.shard`): rendezvous hashing is a pure,
 sha256-derived function of the key bytes and shard count; growing the
-pool from N to N+1 shards only ever moves keys *onto the new shard*; keys
-spread evenly over the shards; and the byte-level dispatch key extraction
-agrees exactly with the Name-object path.  How *names* are placed on shards is checked in
-``test_shard_properties``.
+pool from N to N+1 shards only ever moves keys *onto the new shard*; and
+keys spread evenly over the shards.  How *names* are placed on shards is
+checked in ``test_shard_properties``.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -16,7 +15,6 @@ from repro.ndn.shard import (
     _key_from_name_bytes,
     _make_shard_picker,
     _rendezvous_for_key,
-    _shard_key,
 )
 from repro.exceptions import NDNError
 
@@ -78,17 +76,11 @@ class TestRendezvousPartitioning:
 
 
 class TestDispatchKeyExtraction:
-    @given(name=names, key_depth=st.integers(1, 8))
-    def test_byte_level_key_equals_object_level_key(self, name, key_depth):
-        view = WirePacket(Interest(name=name).encode())
-        assert _key_from_name_bytes(view.name_bytes, key_depth) == _shard_key(
-            name, key_depth
-        )
-
     @given(name=names, num_shards=shard_counts)
     @settings(max_examples=50)
     def test_pickers_agree_with_module_functions(self, name, num_shards):
-        key = _shard_key(name, 1)
+        view = WirePacket(Interest(name=name).encode())
+        key = _key_from_name_bytes(view.name_bytes, 1)
         assert _make_shard_picker(num_shards)(key) == _rendezvous_for_key(key, num_shards)
 
     @given(name=names)

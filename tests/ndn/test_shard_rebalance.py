@@ -11,12 +11,13 @@ import pytest
 
 from repro.exceptions import NDNError
 from repro.ndn.client import Consumer, RetryPolicy
-from repro.ndn.packet import Data
+from repro.ndn.name import Name
+from repro.ndn.packet import Data, encode_name_value
 from repro.ndn.shard import (
     RebalanceReport,
     ShardedForwarder,
+    _key_from_name_bytes,
     _rendezvous_for_key,
-    _shard_key,
 )
 from repro.sim.rng import SeededRNG
 
@@ -25,7 +26,8 @@ TENANTS = [f"/t{i}" for i in range(8)]
 
 def owner(name, shards):
     """The shard that owns ``name`` under the default key depth."""
-    return _rendezvous_for_key(_shard_key(name), shards)
+    key = _key_from_name_bytes(encode_name_value(Name(name)), 1)
+    return _rendezvous_for_key(key, shards)
 
 
 def attach_tenant_producers(node, tenants=TENANTS, delay_s=0.0):
@@ -121,7 +123,8 @@ class TestResizeBasics:
 class TestResizeUnderTraffic:
     def test_streaming_resize_loses_zero_acknowledged_frames(self, env):
         """The tentpole invariant: N -> N+1 under load, nothing acknowledged lost."""
-        node = ShardedForwarder(env, name="node", shards=2, shard_service_s=0.001)
+        # 3 -> 4, not 2 -> 3: growing 2 -> 3 moves none of TENANTS' keys.
+        node = ShardedForwarder(env, name="node", shards=3)
         attach_tenant_producers(node, delay_s=0.02)
         consumer = Consumer(env, node, rng=SeededRNG(5))
         policy = RetryPolicy(max_retries=5, retry_nacks=True)
@@ -135,13 +138,19 @@ class TestResizeUnderTraffic:
                         retry_policy=policy))
                 yield env.timeout(0.01)
 
+        reports = []
+
         def rebalance():
             yield env.timeout(0.035)  # mid-stream, with Interests in flight
-            node.resize(3)
+            reports.append(node.resize(4))
 
         env.process(traffic(), name="traffic")
         env.process(rebalance(), name="rebalance")
         env.run()
+        # The producers' 0.02 s delay keeps Interests pending at the resize,
+        # and the moved ones among them were Nacked, not stranded.
+        assert reports[0].producers_added > 0
+        assert reports[0].pending_aborted > 0
         assert len(completions) == 80
         assert all(c.triggered for c in completions)
         # Zero acknowledged-frame loss: every exchange completed with Data

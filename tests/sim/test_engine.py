@@ -322,260 +322,3 @@ class TestRunSemantics:
         env.timeout(1.0)
         env.timeout(2.0)
         assert env.queue_size == 2
-
-
-class TestQueue:
-    def test_put_then_get_is_immediate(self, env):
-        from repro.sim.engine import _Queue
-
-        queue = _Queue(env)
-        queue.put("a")
-        queue.put("b")
-        assert len(queue) == 2
-        got = []
-
-        def consumer():
-            first = yield queue.get()
-            second = yield queue.get()
-            got.extend([first, second])
-
-        env.run(until=env.process(consumer()))
-        assert got == ["a", "b"]
-        assert len(queue) == 0
-
-    def test_put_to_a_waiting_getter_bypasses_the_buffer(self, env):
-        from repro.sim.engine import _Queue
-
-        queue = _Queue(env)
-        got = []
-
-        def consumer():
-            got.append((yield queue.get()))
-
-        env.process(consumer())
-        env.run()  # the consumer is now parked on its get
-        queue.put("x")
-        assert len(queue) == 0
-        env.run()
-        assert got == ["x"]
-
-    def test_get_before_put_wakes_in_fifo_order(self, env):
-        from repro.sim.engine import _Queue
-
-        queue = _Queue(env)
-        received = []
-
-        def consumer(tag):
-            item = yield queue.get()
-            received.append((tag, item))
-
-        env.process(consumer("first"))
-        env.process(consumer("second"))
-
-        def producer():
-            yield env.timeout(1.0)
-            queue.put("x")
-            queue.put("y")
-
-        env.process(producer())
-        env.run()
-        # Oldest getter pairs with oldest item: deterministic FIFO both sides.
-        assert received == [("first", "x"), ("second", "y")]
-
-    def test_idle_consumer_does_not_keep_the_simulation_alive(self, env):
-        from repro.sim.engine import _Queue
-
-        queue = _Queue(env)
-
-        def consumer():
-            while True:
-                yield queue.get()
-
-        env.process(consumer())
-        queue.put(1)
-        env.run()  # must terminate: a pending get is not a scheduled event
-        assert env.queue_size == 0
-
-    def test_interleaved_producers_consumers_are_deterministic(self):
-        from repro.sim.engine import Environment, _Queue
-
-        def run_once():
-            env = Environment()
-            queue = _Queue(env)
-            log = []
-
-            def producer(tag, delay):
-                for i in range(3):
-                    yield env.timeout(delay)
-                    queue.put(f"{tag}{i}")
-
-            def consumer(tag):
-                while True:
-                    item = yield queue.get()
-                    log.append((env.now, tag, item))
-
-            env.process(producer("a", 1.0))
-            env.process(producer("b", 1.0))
-            env.process(consumer("c1"))
-            env.process(consumer("c2"))
-            env.run()
-            return log
-
-        assert run_once() == run_once()
-
-    def test_interrupted_getter_does_not_swallow_items(self, env):
-        """A consumer interrupted away from queue.get() abandons its get
-        event; a later put must reach the next live getter, not vanish
-        into the orphaned event."""
-        from repro.exceptions import ProcessInterrupt
-        from repro.sim.engine import _Queue
-
-        queue = _Queue(env)
-        received = []
-
-        def doomed():
-            try:
-                yield queue.get()
-            except ProcessInterrupt:
-                return "interrupted"
-
-        def survivor():
-            item = yield queue.get()
-            received.append(item)
-
-        doomed_proc = env.process(doomed())
-        env.process(survivor())
-
-        def driver():
-            yield env.timeout(1.0)
-            doomed_proc.interrupt("shutdown")
-            yield env.timeout(1.0)
-            queue.put("x")
-
-        env.process(driver())
-        env.run()
-        assert received == ["x"]
-        assert doomed_proc.value == "interrupted"
-        assert len(queue) == 0
-
-    def test_put_then_interrupt_in_same_timestep_recovers_the_item(self, env):
-        """put() may succeed a getter whose process is then interrupted
-        before the event processes (interrupts are URGENT-priority). The
-        queue must recover the in-flight item for the next live getter."""
-        from repro.exceptions import ProcessInterrupt
-        from repro.sim.engine import _Queue
-
-        queue = _Queue(env)
-        received = []
-
-        def doomed():
-            try:
-                yield queue.get()
-            except ProcessInterrupt:
-                return "interrupted"
-
-        def survivor():
-            yield env.timeout(2.0)
-            item = yield queue.get()
-            received.append(item)
-
-        doomed_proc = env.process(doomed())
-        env.process(survivor())
-
-        def driver():
-            yield env.timeout(1.0)
-            queue.put("x")              # succeeds doomed's getter event...
-            doomed_proc.interrupt("bye")  # ...which is then abandoned first
-
-        env.process(driver())
-        env.run()
-        assert doomed_proc.value == "interrupted"
-        assert received == ["x"]
-        assert len(queue) == 0
-
-
-class TestSerialServer:
-    """The serial-resource primitive promoted from the shard module."""
-
-    def test_zero_service_time_is_synchronous(self, env):
-        from repro.sim.engine import SerialServer
-
-        server = SerialServer(env, 0.0, name="sync")
-        ran = []
-        server.submit(lambda: ran.append(env.now))
-        assert ran == [0.0]          # ran inline, no event scheduled
-        assert server.served == 1
-        assert len(server) == 0
-
-    def test_positive_service_time_serialises_fifo(self, env):
-        from repro.sim.engine import SerialServer
-
-        server = SerialServer(env, 0.5, name="serial")
-        finished = []
-        for label in ("a", "b", "c"):
-            server.submit(lambda _label=label: finished.append((_label, env.now)))
-        env.run()
-        assert finished == [("a", 0.5), ("b", 1.0), ("c", 1.5)]
-        assert server.served == 3
-
-    def test_negative_service_time_rejected(self, env):
-        from repro.sim.engine import SerialServer
-
-        with pytest.raises(SimulationError):
-            SerialServer(env, -0.1)
-
-    def test_len_counts_actions_waiting_for_service(self, env):
-        from repro.sim.engine import SerialServer
-
-        server = SerialServer(env, 1.0)
-        for _ in range(3):
-            server.submit(lambda: None)
-        assert len(server) == 3
-        env.run(until=1.5)
-        # One action was taken and served; the next is in service.
-        assert server.served == 1
-        assert len(server) == 1
-        env.run()
-        assert server.served == 3
-        assert len(server) == 0
-
-    def test_late_submission_queues_behind_the_backlog(self, env):
-        from repro.sim.engine import SerialServer
-
-        server = SerialServer(env, 1.0)
-        finished = []
-        server.submit(lambda: finished.append(("early", env.now)))
-        server.submit(lambda: finished.append(("second", env.now)))
-
-        def late():
-            yield env.timeout(0.5)
-            server.submit(lambda: finished.append(("late", env.now)))
-
-        env.process(late())
-        env.run()
-        assert finished == [("early", 1.0), ("second", 2.0), ("late", 3.0)]
-
-    def test_separate_servers_serve_in_parallel(self, env):
-        from repro.sim.engine import SerialServer
-
-        fast, slow = SerialServer(env, 0.25, "fast"), SerialServer(env, 1.0, "slow")
-        finished = []
-        for label in ("a", "b"):
-            fast.submit(lambda _label=label: finished.append(("fast", _label, env.now)))
-            slow.submit(lambda _label=label: finished.append(("slow", _label, env.now)))
-        env.run()
-        assert finished == [
-            ("fast", "a", 0.25),
-            ("fast", "b", 0.5),
-            ("slow", "a", 1.0),
-            ("slow", "b", 2.0),
-        ]
-
-    def test_idle_server_does_not_keep_the_simulation_alive(self, env):
-        from repro.sim.engine import SerialServer
-
-        server = SerialServer(env, 0.5)
-        server.submit(lambda: None)
-        env.run()  # must terminate once the single action is served
-        assert env.now == 0.5
-        assert env.queue_size == 0

@@ -60,8 +60,7 @@ OPTIONS = {
     "repro.datalake.fileserver:FileServer": ("env", "forwarder", "datalake", "segment_size"),
     "repro.datalake.repo:DataLake": ("pvc", "name", "clock"),
     "repro.ndn.shard:ShardedForwarder": (
-        "env", "name", "shards", "key_depth", "cs_capacity", "tracer",
-        "dispatch_service_s", "shard_service_s", "hot_cache",
+        "env", "name", "shards", "key_depth", "cs_capacity", "tracer", "hot_cache",
     ),
     "repro.ndn.strategy:StrategyChoiceTable": (),
     "repro.cluster.dns:ClusterDNS": ("api",),
@@ -69,6 +68,7 @@ OPTIONS = {
     "repro.ndn.packet:Data.verify": (),
     "repro.chaos.driver:ChaosDriver": ("env", "overlay", "schedule"),
     "repro.sim.topology:Link": ("a", "b", "latency_s", "bandwidth_bps"),
+    "repro.analysis.lint.engine:Linter": ("rules",),
 }
 
 #: Callables that only tests took, or whose callers already knew everything.
@@ -112,6 +112,9 @@ GONE = (
     "repro.analysis.lint.engine:ModuleRecord.from_dict",
     "repro.analysis.lint.symbols:ModuleSummary.from_dict",
     "repro.analysis.lint.effects:EffectSite.from_dict",
+    "repro.sim.engine:SerialServer",
+    "repro.ndn.shard:RebalanceReport.as_dict",
+    "repro.analysis.lint.engine:Profile",
 )
 
 #: Modules that went whole: the controller's placement policies and the
