@@ -10,7 +10,7 @@ checked in ``test_shard_properties``.
 from hypothesis import given, settings, strategies as st
 
 from repro.ndn.name import Name
-from repro.ndn.packet import Interest, WirePacket
+from repro.ndn.packet import Interest, WirePacket, encode_name_value
 from repro.ndn.shard import (
     _key_from_name_bytes,
     _make_shard_picker,
@@ -76,6 +76,31 @@ class TestRendezvousPartitioning:
 
 
 class TestDispatchKeyExtraction:
+    @pytest.mark.parametrize(
+        "name, key_depth, key",
+        [
+            ("/a/b/c", 1, b"a"),
+            ("/a/b/c", 2, b"a/b"),
+            ("/a/b", 5, b"a/b"),  # a name shorter than the depth keys whole
+            ("/", 1, b""),
+        ],
+    )
+    def test_key_is_the_first_components_joined(self, name, key_depth, key):
+        assert _key_from_name_bytes(encode_name_value(Name(name)), key_depth) == key
+
+    def test_key_depth_below_one_rejected(self):
+        with pytest.raises(NDNError):
+            _key_from_name_bytes(encode_name_value(Name("/a")), 0)
+
+    @given(name=names, key_depth=st.integers(1, 8))
+    def test_control_and_data_plane_keys_agree(self, name, key_depth):
+        """Routes are placed from :func:`encode_name_value`, packets from
+        their wire name bytes: both must give the same key."""
+        view = WirePacket(Interest(name=name).encode())
+        assert _key_from_name_bytes(
+            encode_name_value(name), key_depth
+        ) == _key_from_name_bytes(view.name_bytes, key_depth)
+
     @given(name=names, num_shards=shard_counts)
     @settings(max_examples=50)
     def test_pickers_agree_with_module_functions(self, name, num_shards):

@@ -237,6 +237,64 @@ class TestSynchronousBoundary:
             for shard in sharded.shards
         ) == 2 * len(self.MANY_TENANTS)
 
+    def test_zero_service_time_runs_synchronously(self, env):
+        node = ShardedForwarder(env, name="node", shards=2)
+        attach_tenant_producers(node)
+        consumer = Consumer(env, node)
+        completion = consumer.express_interest("/t0/sync")
+        env.run(until=completion)
+        assert completion.ok
+        assert env.now < 1e-9  # crossing the boundary spends no simulated time
+
+    @staticmethod
+    def run_scenario(node, scenario):
+        """Drive one exchange pattern; return every completion's outcome
+        and finish time, the events processed and the final clock."""
+        env = node.env
+        finished = []
+
+        def record(completion):
+            completion.callbacks.append(lambda event: finished.append(
+                (event.ok, event.value.content if event.ok
+                 else type(event.value).__name__, env.now)))
+            return completion
+
+        first = Consumer(env, node)
+        if scenario == "cache_hit":
+            node.attach_producer("/t0", lambda interest: Data(
+                name=interest.name, content=b"fresh", freshness_period=10.0))
+            record(first.express_interest("/t0/obj"))
+            env.run()
+            record(first.express_interest("/t0/obj"))
+        elif scenario == "nack":
+            record(first.express_interest("/nowhere/road"))
+        elif scenario == "timeout":
+            node.attach_producer("/t0", lambda interest: None)
+            record(first.express_interest("/t0/silent", lifetime=0.5))
+        elif scenario == "aggregation":
+            node.attach_producer("/t0", lambda interest: Data(
+                name=interest.name, content=b"once"), delay_s=0.1)
+            second = Consumer(env, node)
+            record(first.express_interest("/t0/shared"))
+            record(second.express_interest("/t0/shared"))
+        events = 0
+        while env.queue_size:
+            env.step()
+            events += 1
+        return finished, events, env.now
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    @pytest.mark.parametrize(
+        "scenario", ["cache_hit", "nack", "timeout", "aggregation"])
+    def test_every_exchange_pattern_matches_a_plain_forwarder(self, scenario, shards):
+        plain = Forwarder(Environment(), name="node")
+        sharded = ShardedForwarder(Environment(), name="node", shards=shards)
+        outcome = self.run_scenario(sharded, scenario)
+        assert outcome == self.run_scenario(plain, scenario)
+        assert outcome[0]  # every pattern completes at least one exchange
+        # PIT expiry is lazy on both: an expired entry lingers alike.
+        assert sharded.pit_entries() == len(plain.pit)
+
     def test_sharded_runs_are_deterministic(self):
         node_a = ShardedForwarder(Environment(), name="node", shards=3)
         node_b = ShardedForwarder(Environment(), name="node", shards=3)

@@ -249,6 +249,126 @@ class TestProcesses:
         assert seen["target_during_handler"] is None
         assert target.target is None  # finished processes wait on nothing
 
+    def test_interrupted_process_is_not_resumed_by_its_old_target(self, env):
+        """The interrupt unsubscribes the process from the event it waited
+        on: when that event fires later, the process is not resumed again."""
+        gate = env.event()
+        received = []
+
+        def victim():
+            try:
+                received.append((yield gate))
+            except ProcessInterrupt:
+                received.append(("interrupted", env.now))
+            received.append((yield env.timeout(5.0, value="tick")))
+
+        def driver():
+            yield env.timeout(1.0)
+            target.interrupt()
+            yield env.timeout(1.0)
+            gate.succeed("late")
+
+        target = env.process(victim())
+        env.process(driver())
+        env.run()
+        assert received == [("interrupted", 1.0), "tick"]
+        assert env.now == 6.0
+
+    def test_other_waiters_of_the_target_still_resume(self, env):
+        gate = env.event()
+
+        def waiter():
+            try:
+                return (yield gate)
+            except ProcessInterrupt:
+                return "interrupted"
+
+        victim = env.process(waiter())
+        bystander = env.process(waiter())
+
+        def driver():
+            yield env.timeout(1.0)
+            victim.interrupt()
+            gate.succeed("opened")
+
+        env.process(driver())
+        env.run()
+        assert victim.value == "interrupted"
+        assert bystander.value == "opened"
+
+    def test_interrupted_process_can_wait_on_the_same_event_again(self, env):
+        gate = env.event()
+
+        def victim():
+            interrupts = 0
+            while True:
+                try:
+                    value = yield gate
+                    return (interrupts, value, env.now)
+                except ProcessInterrupt:
+                    interrupts += 1
+
+        target = env.process(victim())
+
+        def driver():
+            for _ in range(2):
+                yield env.timeout(1.0)
+                target.interrupt()
+            yield env.timeout(1.0)
+            gate.succeed("opened")
+
+        env.process(driver())
+        assert env.run(until=target) == (2, "opened", 3.0)
+
+    def test_second_interrupt_in_one_timestep_finds_the_process_dead(self, env):
+        """Both interrupts are issued while the victim is alive; the first
+        kills it, so the second is dropped instead of resuming a corpse."""
+        causes = []
+
+        def victim():
+            try:
+                yield env.timeout(100.0)
+            except ProcessInterrupt as exc:
+                causes.append(exc.cause)
+                return "stopped"
+
+        target = env.process(victim())
+
+        def driver():
+            yield env.timeout(1.0)
+            target.interrupt("first")
+            target.interrupt("second")
+
+        env.process(driver())
+        env.run()
+        assert causes == ["first"]
+        assert target.value == "stopped"
+
+    def test_interrupting_a_waiter_leaves_the_child_process_running(self, env):
+        def child():
+            yield env.timeout(5.0)
+            return "child done"
+
+        kid = env.process(child())
+
+        def parent():
+            try:
+                yield kid
+            except ProcessInterrupt:
+                return "parent interrupted"
+
+        elder = env.process(parent())
+
+        def driver():
+            yield env.timeout(1.0)
+            elder.interrupt()
+
+        env.process(driver())
+        env.run()
+        assert elder.value == "parent interrupted"
+        assert kid.value == "child done"
+        assert env.now == 5.0
+
     def test_completed_process_has_no_target(self, env):
         def proc():
             yield env.timeout(1.0)

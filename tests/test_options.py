@@ -62,6 +62,7 @@ OPTIONS = {
     "repro.ndn.shard:ShardedForwarder": (
         "env", "name", "shards", "key_depth", "cs_capacity", "tracer", "hot_cache",
     ),
+    "repro.ndn.shard:ShardFace": ("env", "owner", "label"),
     "repro.ndn.strategy:StrategyChoiceTable": (),
     "repro.cluster.dns:ClusterDNS": ("api",),
     "repro.cluster.scheduler:Scheduler": ("api",),
@@ -115,6 +116,10 @@ GONE = (
     "repro.sim.engine:SerialServer",
     "repro.ndn.shard:RebalanceReport.as_dict",
     "repro.analysis.lint.engine:Profile",
+    "repro.ndn.shard:_shard_key",
+    "repro.cluster.quantity:format_memory",
+    "repro.cluster.quantity:format_cpu",
+    "repro.cluster.storage:StorageClass",
 )
 
 #: Modules that went whole: the controller's placement policies and the
