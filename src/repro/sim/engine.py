@@ -13,6 +13,7 @@ The engine is deliberately small and deterministic:
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Generator, Optional
 
 from repro.exceptions import ProcessInterrupt, SimulationError
@@ -118,8 +119,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # also rejects NaN, which would stamp the clock NaN
+            raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
         super().__init__(env, name="timeout")
         self.delay = delay
         self._ok = True
@@ -351,8 +352,8 @@ class Environment:
 
     def schedule(self, event: Event, priority: int = PRIORITY_NORMAL, delay: float = 0.0) -> None:
         """Schedule ``event`` to be processed after ``delay`` seconds."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if not delay >= 0:  # NaN too: the clock would read NaN from then on
+            raise SimulationError(f"cannot schedule at delay={delay} (must be >= 0)")
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
         self._seq += 1
 
@@ -388,6 +389,8 @@ class Environment:
             stop_event = until
         elif until is not None:
             horizon = float(until)
+            if math.isnan(horizon):
+                raise SimulationError("until=nan is not a simulated time")
             if horizon < self._now:
                 raise SimulationError(
                     f"until={horizon} lies in the past (now={self._now})"

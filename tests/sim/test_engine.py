@@ -87,6 +87,36 @@ class TestTimeoutAndClock:
         with pytest.raises(SimulationError):
             env.timeout(-1.0)
 
+    def test_nan_timeout_rejected(self, env):
+        """``delay < 0`` is false for NaN: the clock read NaN for the rest of the run."""
+        with pytest.raises(SimulationError):
+            env.timeout(float("nan"))
+        with pytest.raises(SimulationError):
+            env.schedule(env.event(), delay=float("nan"))
+        assert env.queue_size == 0 and env.now == 0.0
+
+    def test_clock_stays_a_number_after_a_rejected_nan_timeout(self, env):
+        seen = []
+
+        def proc():
+            with pytest.raises(SimulationError):
+                yield env.timeout(float("nan"))
+            yield env.timeout(1.0)
+            seen.append(env.now)
+
+        env.run_process(proc())
+        assert seen == [1.0]
+
+    def test_infinite_timeout_stays_legal(self, env):
+        env.timeout(float("inf"))
+        assert env.peek() == float("inf")
+
+    def test_run_until_nan_raises(self, env):
+        env.process(self._wait(env, 5.0))
+        with pytest.raises(SimulationError):
+            env.run(until=float("nan"))
+        assert env.now == 0.0 and env.queue_size == 1
+
     def test_timeout_carries_value(self, env):
         def proc():
             value = yield env.timeout(1.0, value="done")

@@ -1,15 +1,19 @@
 """Tests for the seeded RNG, metrics registry and tracer."""
 
 import gc
+import itertools
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.ndn.name import Name
 from repro.sim import metrics
 from repro.sim.metrics import Counter, MetricsRegistry
 from repro.sim.rng import SeededRNG
 from repro.sim.trace import TraceEvent, Tracer
+
+_PRIMITIVES = (str, int, float, bool, type(None))
 
 
 class TestSeededRNG:
@@ -198,9 +202,10 @@ class TestTracer:
         assert tracer.events[0] == TraceEvent(time=1.5, category="cat", event="ev", attrs={"foo": 1})
 
     def test_record_is_a_small_immutable_tuple(self):
+        """What the store hands back is a ``TraceEvent``: a frozen named tuple."""
         tracer = Tracer(clock=lambda: 2.0)
-        record = tracer.record("cat", "ev", foo=1)
-        assert record is tracer.events[0]
+        assert tracer.record("cat", "ev", foo=1) is None
+        record = tracer.events[-1]
         assert (record.time, record.category, record.event, record.attrs) == (2.0, "cat", "ev", {"foo": 1})
         assert tuple(record) == (2.0, "cat", "ev", {"foo": 1})
         assert record.matches("cat") and record.matches(event="ev") and not record.matches("other")
@@ -213,18 +218,19 @@ class TestTracer:
         and a name is stored as the one URI string the name memoises."""
         name = Name("/ndn/k8s/data/genome/seg=3")
         tracer = Tracer()
-        record = tracer.record(
+        tracer.record(
             "interest", "in", name=name, face=7, cost=1.5, fresh=True, reason=None,
             label="x", hops=[1, 2],
         )
+        record = tracer.events[-1]
         assert record.attrs == {
             "name": "/ndn/k8s/data/genome/seg=3", "face": 7, "cost": 1.5, "fresh": True,
             "reason": None, "label": "x", "hops": "[1, 2]",
         }
-        assert all(type(value) in (str, int, float, bool, type(None))
-                   for value in record.attrs.values())
+        assert all(type(value) in _PRIMITIVES for value in record.attrs.values())
         assert record.attrs["name"] is str(name)
-        assert tracer.record("data", "in", name=name).attrs["name"] is record.attrs["name"]
+        tracer.record("data", "in", name=name)
+        assert tracer.events[-1].attrs["name"] is record.attrs["name"]
         assert not gc.is_tracked(record.attrs)
 
     def test_disabled_tracer_records_nothing(self):
@@ -240,6 +246,150 @@ class TestTracer:
         assert len(tracer.filter(category="a")) == 2
         assert len(tracer.filter(event="x")) == 2
         assert len(tracer.filter(category="b", event="x")) == 1
+
+    def test_events_are_read_only(self):
+        tracer = Tracer()
+        tracer.record("a", "x", k=1)
+        with pytest.raises(TypeError):
+            tracer.events[0] = TraceEvent(0.0, "b", "y", {})
+        with pytest.raises(AttributeError):
+            tracer.events = []
+        with pytest.raises(IndexError):
+            tracer.events[1]
+        assert tracer.events[0].category == "a"
+
+    def test_a_record_that_fails_to_format_stores_nothing(self):
+        class Unprintable:
+            def __str__(self):
+                raise ValueError("no")
+
+        tracer = Tracer()
+        tracer.record("a", "x", k=1)
+        with pytest.raises(ValueError):
+            tracer.record("a", "x", k=Unprintable())
+        tracer.record("a", "x", k=2)
+        assert [ev.attrs for ev in tracer.events] == [{"k": 1}, {"k": 2}]
+
+    def test_packet_records_retain_at_most_48_bytes_each(self):
+        """A forwarding-plane record (``name=<Name>``, ``face=<int>``) is
+        three array slots and two list slots.  The eager list of
+        ``TraceEvent`` tuples it replaced kept about 300 B a record here."""
+        names = [Name(f"/ndn/k8s/data/genome/seg={i}") for i in range(100)]
+        for name in names:
+            str(name)  # memoise each URI now: the names are not the tracer's cost
+        ticks = itertools.count(0.5)  # a fresh float per record, like ``env.now``
+        tracer = Tracer(clock=lambda: next(ticks))
+        records = 20_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(records):
+                tracer.record("interest", "in", name=names[i % 100], face=i % 64)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tracer) == records
+        assert retained / records <= 48
+
+
+class _ListStore:
+    """The reference store: the eager list of ``TraceEvent`` tuples that the
+    column store replaced."""
+
+    def __init__(self, clock):
+        self._clock = clock
+        self.events = []
+
+    def record(self, category, event, **attrs):
+        attrs = {key: value if isinstance(value, _PRIMITIVES) else str(value)
+                 for key, value in attrs.items()}
+        self.events.append(TraceEvent(self._clock(), category, event, attrs))
+
+    def filter(self, category=None, event=None):
+        return [ev for ev in self.events if ev.matches(category, event)]
+
+
+class _Label(str):
+    """A ``str`` subclass: a primitive by ``isinstance``, kept as it is."""
+
+
+class _Opaque:
+    def __str__(self):
+        return "<opaque>"
+
+
+_CATEGORIES = ("interest", "data", "shard")
+_EVENTS = ("in", "out")
+_attr_values = st.one_of(
+    st.text(max_size=4), st.integers(), st.floats(allow_nan=False), st.booleans(), st.none(),
+    st.builds(_Label, st.text(max_size=3)),
+    st.sampled_from([Name("/ndn/a"), Name("/ndn/b/seg=1")]),
+    st.lists(st.integers(0, 9), max_size=3),
+    st.builds(_Opaque),
+)
+_record_ops = st.tuples(
+    st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+    st.sampled_from(_CATEGORIES),
+    st.sampled_from(_EVENTS),
+    st.dictionaries(st.sampled_from(("name", "face", "reason", "aborted")), _attr_values,
+                    max_size=4),
+)
+#: One ``(category, event)`` recorded with two key sets (and two key orders).
+_SAME_KIND_OTHER_KEYS = [
+    (0.0, "interest", "in", {"name": Name("/ndn/a"), "face": 1}),
+    (0.5, "interest", "in", {"face": 2}),
+    (1.0, "interest", "in", {"face": 3, "name": Name("/ndn/a")}),
+]
+
+
+class TestColumnStoreMatchesTheListStore:
+    """Differential oracle: the column store against the eager list it replaced."""
+
+    @staticmethod
+    def _drive(ops):
+        now = {"t": 0.0}
+        real, reference = Tracer(clock=lambda: now["t"]), _ListStore(lambda: now["t"])
+        for time, category, event, attrs in ops:
+            now["t"] = time
+            real.record(category, event, **attrs)
+            reference.record(category, event, **attrs)
+        return real, reference.events, reference
+
+    @staticmethod
+    def _same(got, want):
+        assert got == want
+        assert list(got.attrs.items()) == list(want.attrs.items())  # key order too
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(_record_ops, max_size=30))
+    def test_every_read_matches(self, ops):
+        real, expected, reference = self._drive(_SAME_KIND_OTHER_KEYS + ops)
+        events, n = real.events, len(expected)
+        assert len(events) == len(real) == n
+        for i in range(-n, n):
+            self._same(events[i], expected[i])
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                events[index]
+        for start in (None, 0, 1, -3, n):
+            for stop in (None, -1, n // 2, n + 5):
+                for step in (None, 1, 2, 3, -1, -2):
+                    assert events[start:stop:step] == expected[start:stop:step]
+        assert list(events) == expected
+        for got, want in zip(events, expected):
+            self._same(got, want)
+        for category in (None, *_CATEGORIES, "absent"):
+            for event in (None, *_EVENTS, "absent"):
+                assert real.filter(category, event) == reference.filter(category, event)
+        for record in events:
+            values = record.attrs.values()
+            assert all(isinstance(value, _PRIMITIVES) for value in values)
+            # A ``_Label`` is a primitive by ``isinstance`` and is kept as it
+            # is, so its dict is tracked in both stores; any other is not.
+            if all(type(value) in _PRIMITIVES for value in values):
+                assert not gc.is_tracked(record.attrs)
 
 
 class TestRNGProperties:
