@@ -35,16 +35,11 @@ class Node:
     @classmethod
     def build(cls, name: str, cpu: Union[str, int, float] = 4,
               memory: Union[str, int, float] = "16Gi",
-              labels: "dict[str, str] | None" = None,
-              system_reserved_cpu: Union[str, int, float] = "250m",
-              system_reserved_memory: Union[str, int, float] = "512Mi") -> "Node":
+              labels: "dict[str, str] | None" = None) -> "Node":
         """Convenience constructor with quantity parsing."""
         return cls(
             metadata=ObjectMeta(name=name, labels=dict(labels or {})),
             capacity=Quantity(cpu=parse_cpu(cpu), memory=parse_memory(memory)),
-            system_reserved=Quantity(
-                cpu=parse_cpu(system_reserved_cpu), memory=parse_memory(system_reserved_memory)
-            ),
         )
 
     @property

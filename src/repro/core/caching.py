@@ -10,7 +10,7 @@ excluding the granted resources) to the name and size of the previously
 published result.  On a hit the gateway answers immediately and records a
 zero-runtime completed job instead of spawning a Kubernetes Job.  Entries
 never expire: a result is independent of NDN freshness, and only LRU
-capacity eviction removes one.
+eviction past :data:`CAPACITY` entries removes one.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from repro.core.spec import ComputeRequest
 from repro.ndn.name import Name
 
 __all__ = ["CachedResult", "ResultCache"]
+
+#: Results a gateway's cache holds before it evicts the least recently used.
+CAPACITY = 1024
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,7 @@ class CachedResult:
 class ResultCache:
     """An LRU map from canonical request keys to published results."""
 
-    def __init__(self, capacity: int = 1024) -> None:
-        self.capacity = max(0, capacity)
+    def __init__(self) -> None:
         self._entries: "OrderedDict[str, CachedResult]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -54,9 +56,9 @@ class ResultCache:
 
     # -- lookup -------------------------------------------------------------------
 
-    def lookup(self, request: "ComputeRequest | str") -> Optional[CachedResult]:
+    def lookup(self, request: ComputeRequest) -> Optional[CachedResult]:
         """Return the cached result for a request, or ``None``."""
-        key = request if isinstance(request, str) else request.cache_key()
+        key = request.cache_key()
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -67,12 +69,10 @@ class ResultCache:
 
     # -- insertion -------------------------------------------------------------------
 
-    def store(self, request: "ComputeRequest | str", result_name: Name,
-              result_size_bytes: int, produced_by_job: str) -> Optional[CachedResult]:
-        """Record a freshly produced result (no-op when capacity is zero)."""
-        if self.capacity == 0:
-            return None
-        key = request if isinstance(request, str) else request.cache_key()
+    def store(self, request: ComputeRequest, result_name: Name,
+              result_size_bytes: int, produced_by_job: str) -> CachedResult:
+        """Record a freshly produced result."""
+        key = request.cache_key()
         entry = CachedResult(
             cache_key=key,
             result_name=result_name,
@@ -83,7 +83,7 @@ class ResultCache:
             self._entries.move_to_end(key)
         self._entries[key] = entry
         self.insertions += 1
-        while len(self._entries) > self.capacity:
+        while len(self._entries) > CAPACITY:
             self._entries.popitem(last=False)
             self.evictions += 1
         return entry

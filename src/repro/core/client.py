@@ -359,17 +359,9 @@ class LIDCClient:
         self,
         requests: Sequence[ComputeRequest],
         fetch_result: bool = False,
-        stagger_s: float = 0.0,
     ) -> list[JobHandle]:
-        """Submit N computations concurrently through this client's one Consumer.
-
-        ``stagger_s`` spaces the submissions out (handle *i* submits at
-        ``i * stagger_s``); the default submits everything at once.
-        """
-        return [
-            self.submit(request, fetch_result=fetch_result, delay_s=index * stagger_s)
-            for index, request in enumerate(requests)
-        ]
+        """Submit N computations at once through this client's one Consumer."""
+        return [self.submit(request, fetch_result=fetch_result) for request in requests]
 
     def wait_all(self, handles: Iterable[JobHandle]) -> Event:
         """An event triggering when every handle is terminal."""

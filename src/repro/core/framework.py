@@ -7,8 +7,11 @@ the paper describes:
 * :meth:`LIDCTestbed.single_cluster` — the paper's default setup (§III-C:
   "By default, the LIDC is setup with a single Kubernetes node.  This node is
   the gateway to the cluster"), plus a client edge router;
-* :meth:`LIDCTestbed.multi_cluster` — N clusters joined through a client edge
-  router (star) or a chain, for the multi-cluster experiments.
+* :meth:`LIDCTestbed.multi_cluster` — N clusters, each one wide-area link
+  from the client edge router (a star), for the multi-cluster experiments.
+
+Any other shape is built link by link: :meth:`LIDCTestbed.add_cluster`
+takes the node to connect to and the link's latency.
 
 What varies between experiments is in :class:`TestbedConfig` and the
 arguments of :meth:`LIDCTestbed.add_cluster`; what never does is a module
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.cluster.cluster import ClusterSpec
 from repro.core.client import JobOutcome, LIDCClient
@@ -97,24 +100,14 @@ class LIDCTestbed:
         return testbed
 
     @classmethod
-    def multi_cluster(cls, cluster_count: int, seed: int = 0, topology: str = "star",
-                      latencies_s: Optional[Sequence[float]] = None,
-                      **config_kwargs) -> "LIDCTestbed":
-        """``cluster_count`` clusters in a star (around the client edge) or chain."""
+    def multi_cluster(cls, cluster_count: int, seed: int = 0, **config_kwargs) -> "LIDCTestbed":
+        """``cluster_count`` clusters in a star around the client edge, each
+        :data:`WAN_LATENCY_S` away from it."""
         if cluster_count < 1:
             raise LIDCError("multi_cluster needs at least one cluster")
         testbed = cls(TestbedConfig(seed=seed, **config_kwargs))
-        previous = CLIENT_EDGE
-        for index in range(cluster_count):
-            latency = None
-            if latencies_s is not None and index < len(latencies_s):
-                latency = latencies_s[index]
-            if topology == "star":
-                testbed.add_cluster(connect_to=CLIENT_EDGE, latency_s=latency)
-            elif topology == "chain":
-                previous = testbed.add_cluster(connect_to=previous, latency_s=latency).name
-            else:
-                raise LIDCError(f"unknown testbed topology {topology!r}")
+        for _ in range(cluster_count):
+            testbed.add_cluster()
         return testbed
 
     def add_cluster(

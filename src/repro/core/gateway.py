@@ -121,19 +121,19 @@ class Gateway:
         record = self._admit(request, service)
         return self._ack_data(interest.name, record)
 
-    def submit_local(self, request: ComputeRequest, validate: bool = True) -> JobRecord:
-        """Admit a request directly, bypassing the NDN control plane.
+    def submit_local(self, request: ComputeRequest) -> JobRecord:
+        """Validate and admit a request directly, bypassing the NDN control plane.
 
         Used by the centralized-controller baseline (which talks to cluster
         gateways over a management API rather than named Interests) and by
         tests that exercise the job path in isolation.  An unknown application
-        raises :class:`UnknownApplication` before any job record exists.
+        raises :class:`UnknownApplication` and a failed validation
+        :class:`ValidationFailure`, both before any job record exists.
         """
         service = self.services.try_get(request.app)
         if service is None:
             raise UnknownApplication(f"unknown application {request.app!r}")
-        if validate:
-            self.services.validate(request, self.datalake).raise_if_failed()
+        self.services.validate(request, self.datalake).raise_if_failed()
         return self._admit(request, service)
 
     def can_fit(self, request: ComputeRequest) -> bool:

@@ -64,25 +64,20 @@ class ComputeOverlay:
     def add_cluster(
         self,
         cluster: LIDCCluster,
-        connect_to: "list[tuple[str, float]] | list[str] | None" = None,
-        default_latency_s: float = 0.02,
+        connect_to: "list[tuple[str, float]] | None" = None,
         bandwidth_bps: float = 1e9,
         announce: bool = True,
     ) -> LIDCCluster:
         """Add a cluster to the overlay and connect it to existing nodes.
 
-        ``connect_to`` is a list of node names (clusters or routers), each
-        optionally paired with a link latency in seconds.
+        ``connect_to`` is a list of ``(node name, link latency in seconds)``
+        pairs, each node a cluster or a router already in the overlay.
         """
         if cluster.name in self.clusters or cluster.name in self.routers:
             raise OverlayError(f"overlay node {cluster.name!r} already exists")
         self.clusters[cluster.name] = cluster
         self.tracer.record("overlay", "cluster-joined", cluster=cluster.name)
-        for entry in connect_to or []:
-            if isinstance(entry, tuple):
-                peer, latency = entry
-            else:
-                peer, latency = entry, default_latency_s
+        for peer, latency in connect_to or []:
             self.connect(cluster.name, peer, latency_s=latency, bandwidth_bps=bandwidth_bps)
         if announce:
             cluster.announce_prefixes()

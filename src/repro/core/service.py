@@ -151,11 +151,14 @@ class ParamField:
 
 
 class ServiceSchema:
-    """An ordered set of :class:`ParamField` with alias canonicalisation."""
+    """An ordered set of :class:`ParamField` with alias canonicalisation.
 
-    def __init__(self, fields: Iterable[ParamField] = (), allow_extra: bool = True) -> None:
+    A parameter the schema does not declare is never an error: :meth:`parse`
+    hands it back among the extras.
+    """
+
+    def __init__(self, fields: Iterable[ParamField] = ()) -> None:
         self.fields: tuple[ParamField, ...] = tuple(fields)
-        self.allow_extra = allow_extra
         self._by_key: dict[str, ParamField] = {}
         for field in self.fields:
             for key in (field.name, *field.aliases):
@@ -192,10 +195,6 @@ class ServiceSchema:
                 typed[field.name] = field.default
             else:
                 typed[field.name] = field.parse(raw if raw is not None else "")
-        if remaining and not self.allow_extra:
-            raise InvalidComputeName(
-                f"unexpected parameter(s) {sorted(remaining)} for this service"
-            )
         return typed, remaining
 
 
@@ -212,7 +211,6 @@ BASE_SCHEMA = ServiceSchema(
         ParamField("srr", str, default=None, aliases=("dataset",), doc="input dataset id"),
         ParamField("ref", str, default=None, doc="reference database"),
     ),
-    allow_extra=True,
 )
 
 

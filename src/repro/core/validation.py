@@ -31,13 +31,12 @@ class BlastValidator:
     """Validator for the Magic-BLAST application.
 
     Checks that the request carries a syntactically valid SRR id, that the
-    sample is known (registry and/or data lake) and that a reference database
-    is named.
+    sample is known (to the registry or to the data lake) and that a
+    reference database is named.
     """
 
-    def __init__(self, registry: Optional[SraRegistry] = None, require_in_lake: bool = False) -> None:
+    def __init__(self, registry: Optional[SraRegistry] = None) -> None:
         self.registry = registry if registry is not None else SraRegistry()
-        self.require_in_lake = require_in_lake
 
     def validate(self, request: ComputeRequest, datalake: Optional[DataLake] = None) -> ValidationResult:
         if not request.dataset:
@@ -48,11 +47,6 @@ class BlastValidator:
             datalake is None or not datalake.has_dataset(request.dataset)
         ):
             return ValidationResult(False, f"unknown SRR id {request.dataset!r}")
-        if self.require_in_lake:
-            if datalake is None or not datalake.has_dataset(request.dataset):
-                return ValidationResult(
-                    False, f"SRR id {request.dataset!r} is not loaded in the data lake"
-                )
         if not request.reference:
             return ValidationResult(False, "BLAST requests must name a reference database (ref=...)")
         return ValidationResult(True)

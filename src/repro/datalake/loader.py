@@ -26,6 +26,13 @@ from repro.genomics.sra import SraRegistry
 
 __all__ = ["LoadReport", "DataLoadingTool"]
 
+#: Length of the synthetic reference genome, in bases.
+SYNTHETIC_GENOME_LENGTH = 20_000
+#: Reads simulated per synthetic sample.
+SYNTHETIC_READ_COUNT = 200
+#: The synthetic SRA samples, in load order.
+SYNTHETIC_SAMPLE_IDS = ("SRR0000001", "SRR0000002")
+
 
 @dataclass
 class LoadReport:
@@ -103,43 +110,42 @@ class DataLoadingTool:
 
     # -- small-scale (materialised) loading ------------------------------------------------------
 
-    def load_synthetic_datasets(
-        self,
-        lake: DataLake,
-        genome_length: int = 20_000,
-        read_count: int = 200,
-        sample_ids: tuple[str, ...] = ("SRR0000001", "SRR0000002"),
-    ) -> LoadReport:
-        """Load small synthetic datasets with real payloads (used by tests/examples)."""
+    def load_synthetic_datasets(self, lake: DataLake) -> LoadReport:
+        """Load a small synthetic reference and samples with real payloads.
+
+        A :data:`SYNTHETIC_GENOME_LENGTH`-base genome and, for each of
+        :data:`SYNTHETIC_SAMPLE_IDS`, :data:`SYNTHETIC_READ_COUNT` reads
+        simulated from it.
+        """
         start = self.cluster.env.now
         report = LoadReport(pvc_name=lake.pvc.name)
 
-        genome = self.generator.random_genome(genome_length, name="synthetic-chr1")
+        genome = self.generator.random_genome(SYNTHETIC_GENOME_LENGTH, name="synthetic-chr1")
         reference_fasta = write_fasta([genome])
         record = lake.publish_bytes(
             "synthetic-reference",
             reference_fasta,
             kind=DatasetKind.REFERENCE,
             description="synthetic reference genome",
-            metadata={"length": str(genome_length)},
+            metadata={"length": str(SYNTHETIC_GENOME_LENGTH)},
         )
         report.add(record.dataset_id, record.size_bytes)
 
-        for sample_id in sample_ids:
+        for sample_id in SYNTHETIC_SAMPLE_IDS:
             reads = self.generator.simulate_reads(
-                genome, read_count=read_count, read_length=100, prefix=sample_id
+                genome, read_count=SYNTHETIC_READ_COUNT, read_length=100, prefix=sample_id
             )
             fastq = write_fastq(reads)
             if sample_id not in self.registry:
                 self.registry.register_synthetic(
-                    sample_id, genome_type="SYNTHETIC", read_count=read_count
+                    sample_id, genome_type="SYNTHETIC", read_count=SYNTHETIC_READ_COUNT
                 )
             record = lake.publish_bytes(
                 sample_id,
                 fastq,
                 kind=DatasetKind.SRA_SAMPLE,
                 description=f"synthetic SRA sample {sample_id}",
-                metadata={"read_count": str(read_count), "genome_type": "SYNTHETIC"},
+                metadata={"read_count": str(SYNTHETIC_READ_COUNT), "genome_type": "SYNTHETIC"},
             )
             report.add(record.dataset_id, record.size_bytes)
 

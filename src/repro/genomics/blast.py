@@ -20,6 +20,11 @@ from repro.genomics.sequences import FastqRecord, reverse_complement
 
 __all__ = ["Alignment", "BlastResult", "MagicBlast"]
 
+#: Lowest fraction of matching positions for a read to count as aligned.
+MIN_IDENTITY = 0.8
+#: Offset between consecutive k-mer seeds taken from a read.
+SEED_STRIDE = 4
+
 
 @dataclass(frozen=True)
 class Alignment:
@@ -78,23 +83,12 @@ class BlastResult:
 class MagicBlast:
     """Seed-and-extend aligner over a :class:`ReferenceDatabase`."""
 
-    def __init__(
-        self,
-        reference: ReferenceDatabase,
-        min_seed_hits: int = 1,
-        min_identity: float = 0.8,
-        seed_stride: int = 4,
-    ) -> None:
+    def __init__(self, reference: ReferenceDatabase) -> None:
         if reference.is_placeholder:
             raise GenomicsError(
                 "MagicBlast needs a materialised reference; placeholders are for the runtime model"
             )
-        if not 0.0 < min_identity <= 1.0:
-            raise GenomicsError(f"min_identity must lie in (0, 1], got {min_identity}")
         self.reference = reference
-        self.min_seed_hits = min_seed_hits
-        self.min_identity = min_identity
-        self.seed_stride = max(1, seed_stride)
 
     # -- alignment of a single read ------------------------------------------------
 
@@ -107,14 +101,14 @@ class MagicBlast:
                 continue
             if best is None or candidate.score > best.score:
                 best = candidate
-        if best is not None and best.identity >= self.min_identity:
+        if best is not None and best.identity >= MIN_IDENTITY:
             return best
         return None
 
     def _align_oriented(self, read_id: str, sequence: str, strand: str) -> Optional[Alignment]:
         index = self.reference.index
-        seeds = index.seeds_for(sequence, stride=self.seed_stride)
-        if len(seeds) < self.min_seed_hits:
+        seeds = index.seeds_for(sequence, stride=SEED_STRIDE)
+        if not seeds:
             return None
         # Group seeds by implied alignment diagonal (contig, contig_start - read_start).
         diagonals: dict[tuple[str, int], int] = {}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -22,6 +22,11 @@ __all__ = [
 
 NUCLEOTIDES = "ACGT"
 _COMPLEMENT = str.maketrans("ACGTacgt", "TGCAtgca")
+#: Probability of A, C, G and T in a synthetic genome.  Passed to the draw
+#: explicitly: ``choice`` with ``p`` consumes the stream differently from a
+#: plain uniform ``choice``, and the synthetic datasets (and every output
+#: built on them) must stay the same genome for a given seed.
+_BASE_PROBABILITIES = np.array([0.25, 0.25, 0.25, 0.25])
 
 
 def reverse_complement(sequence: str) -> str:
@@ -72,12 +77,6 @@ class FastqRecord:
         qualities = self.qualities or "I" * len(self.sequence)
         return f"@{self.identifier}\n{self.sequence}\n+\n{qualities}\n"
 
-    def mean_quality(self) -> float:
-        """Mean Phred quality score of the read."""
-        if not self.qualities:
-            return 40.0
-        return float(np.mean([ord(ch) - 33 for ch in self.qualities]))
-
 
 class SequenceGenerator:
     """Deterministic generator of genomes and sequencing reads."""
@@ -87,37 +86,14 @@ class SequenceGenerator:
 
     # -- genomes -----------------------------------------------------------------
 
-    def random_genome(self, length: int, name: str = "contig-1", gc_bias: float = 0.5) -> FastaRecord:
-        """A random genome with the requested GC bias."""
+    def random_genome(self, length: int, name: str = "contig-1") -> FastaRecord:
+        """A random genome, each base equally likely (GC content 0.5)."""
         if length <= 0:
             raise GenomicsError(f"genome length must be positive, got {length}")
-        if not 0.0 < gc_bias < 1.0:
-            raise GenomicsError(f"gc_bias must lie in (0, 1), got {gc_bias}")
-        probabilities = np.array(
-            [(1 - gc_bias) / 2, gc_bias / 2, gc_bias / 2, (1 - gc_bias) / 2]
-        )
         stream = self.rng.stream(f"genome:{name}")
-        indices = stream.choice(4, size=length, p=probabilities)
+        indices = stream.choice(4, size=length, p=_BASE_PROBABILITIES)
         sequence = "".join(NUCLEOTIDES[i] for i in indices)
         return FastaRecord(identifier=name, sequence=sequence, description="synthetic genome")
-
-    def mutate(self, record: FastaRecord, mutation_rate: float, name: Optional[str] = None) -> FastaRecord:
-        """Introduce point mutations at the given per-base rate."""
-        if not 0.0 <= mutation_rate <= 1.0:
-            raise GenomicsError(f"mutation rate must lie in [0, 1], got {mutation_rate}")
-        stream = self.rng.stream(f"mutate:{record.identifier}")
-        bases = list(record.sequence)
-        n_mutations = stream.binomial(len(bases), mutation_rate)
-        positions = stream.choice(len(bases), size=min(n_mutations, len(bases)), replace=False)
-        for pos in positions:
-            current = bases[pos]
-            alternatives = [b for b in NUCLEOTIDES if b != current.upper()]
-            bases[pos] = alternatives[int(stream.integers(0, len(alternatives)))]
-        return FastaRecord(
-            identifier=name or f"{record.identifier}-mut",
-            sequence="".join(bases),
-            description=f"mutated copy of {record.identifier} (rate={mutation_rate})",
-        )
 
     # -- reads --------------------------------------------------------------------
 
@@ -160,17 +136,6 @@ class SequenceGenerator:
                     qualities=qualities,
                 )
             )
-        return reads
-
-    def random_reads(self, read_count: int, read_length: int = 100,
-                     prefix: str = "noise") -> list[FastqRecord]:
-        """Reads drawn at random (no relation to any genome) — negative controls."""
-        stream = self.rng.stream(f"random-reads:{prefix}")
-        reads = []
-        for index in range(read_count):
-            indices = stream.integers(0, 4, size=read_length)
-            sequence = "".join(NUCLEOTIDES[i] for i in indices)
-            reads.append(FastqRecord(identifier=f"{prefix}.{index}", sequence=sequence))
         return reads
 
 

@@ -23,6 +23,8 @@ from repro.exceptions import UnknownAccession
 __all__ = ["is_valid_srr_id", "SraAccession", "SraRegistry", "PAPER_ACCESSIONS"]
 
 _SRR_RE = re.compile(r"^[SED]RR\d{6,9}$")
+#: Download size per read of a synthetic sample, in bytes.
+SYNTHETIC_BYTES_PER_READ = 75.0
 
 
 def is_valid_srr_id(accession: str) -> bool:
@@ -80,13 +82,12 @@ PAPER_ACCESSIONS: tuple[SraAccession, ...] = (
 
 
 class SraRegistry:
-    """An in-memory catalogue of SRA accessions."""
+    """An in-memory catalogue of SRA accessions, the paper's two included."""
 
-    def __init__(self, include_paper_accessions: bool = True) -> None:
+    def __init__(self) -> None:
         self._accessions: dict[str, SraAccession] = {}
-        if include_paper_accessions:
-            for accession in PAPER_ACCESSIONS:
-                self.register(accession)
+        for accession in PAPER_ACCESSIONS:
+            self.register(accession)
 
     def register(self, accession: SraAccession) -> SraAccession:
         """Add (or replace) an accession in the registry."""
@@ -100,7 +101,6 @@ class SraRegistry:
         read_count: int,
         read_length: int = 100,
         organism: str = "synthetic",
-        bytes_per_read: float = 75.0,
     ) -> SraAccession:
         """Register a synthetic sample sized from its read count."""
         entry = SraAccession(
@@ -109,7 +109,7 @@ class SraRegistry:
             genome_type=genome_type,
             read_count=read_count,
             read_length=read_length,
-            size_bytes=int(read_count * bytes_per_read),
+            size_bytes=int(read_count * SYNTHETIC_BYTES_PER_READ),
             study="synthetic sample",
         )
         return self.register(entry)
@@ -136,14 +136,14 @@ class SraRegistry:
     def by_genome_type(self, genome_type: str) -> list[SraAccession]:
         return [acc for acc in self.accessions() if acc.genome_type == genome_type]
 
-    def validate(self, accession: str, require_known: bool = True) -> tuple[bool, str]:
-        """Validate an accession the way the gateway's BLAST validator does.
+    def validate(self, accession: str) -> tuple[bool, str]:
+        """Validate an accession: well formed and known to this registry.
 
         Returns ``(ok, message)``.
         """
         if not is_valid_srr_id(accession):
             return False, f"malformed SRR id {accession!r}"
-        if require_known and accession not in self:
+        if accession not in self:
             return False, f"SRR id {accession!r} not present in the data lake"
         return True, "ok"
 

@@ -300,14 +300,11 @@ class Process(Event):
 class Environment:
     """The simulation environment: clock plus event queue.
 
-    Parameters
-    ----------
-    initial_time:
-        Starting value of the simulated clock, in seconds.
+    The simulated clock starts at 0 seconds.
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None

@@ -3,12 +3,19 @@
 Every stochastic component in the reproduction draws from a named stream of a
 single :class:`SeededRNG`, so experiments are reproducible from a single seed
 while distinct subsystems stay statistically independent.
+
+The draws are the ones product code makes: ``uniform`` (retry jitter, fault
+times and outage lengths, thinning of arrivals), ``exponential`` (arrival
+gaps), ``normal`` (BLAST runtime noise), ``integer`` and ``choice`` (fault
+targets), ``zipf`` (catalog popularity), plus ``stream`` for the raw
+generator behind synthetic genomes and reads and ``spawn`` for a derived
+family.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -54,10 +61,6 @@ class SeededRNG:
         """Normally distributed float."""
         return float(self.stream(stream).normal(mean, std))
 
-    def lognormal(self, mean: float, sigma: float, stream: str = "default") -> float:
-        """Log-normally distributed float."""
-        return float(self.stream(stream).lognormal(mean, sigma))
-
     def integer(self, low: int, high: int, stream: str = "default") -> int:
         """Uniform integer in ``[low, high]`` inclusive."""
         return int(self.stream(stream).integers(low, high + 1))
@@ -68,18 +71,6 @@ class SeededRNG:
             raise ValueError("cannot choose from an empty sequence")
         idx = int(self.stream(stream).integers(0, len(options)))
         return options[idx]
-
-    def shuffle(self, items: Iterable[T], stream: str = "default") -> list[T]:
-        """Return a shuffled copy of ``items``."""
-        out = list(items)
-        self.stream(stream).shuffle(out)  # type: ignore[arg-type]
-        return out
-
-    def bernoulli(self, p: float, stream: str = "default") -> bool:
-        """True with probability ``p``."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability must lie in [0, 1], got {p}")
-        return bool(self.stream(stream).random() < p)
 
     def zipf(self, n: int, alpha: float, stream: str = "default") -> int:
         """A 0-based rank drawn from a truncated Zipf(``alpha``) over ``n`` items.
@@ -92,7 +83,7 @@ class SeededRNG:
         """
         if n < 1:
             raise ValueError(f"zipf needs a catalog of >= 1 items, got n={n}")
-        if alpha < 0.0:
+        if not alpha >= 0.0:
             raise ValueError(f"zipf exponent must be >= 0, got {alpha}")
         key = (int(n), float(alpha))
         cdf = self._zipf_cdfs.get(key)
@@ -103,39 +94,6 @@ class SeededRNG:
             self._zipf_cdfs[key] = cdf
         u = self.stream(stream).random()
         return int(np.searchsorted(cdf, u, side="right"))
-
-    def weighted_choice(
-        self,
-        options: Sequence[T],
-        weights: Sequence[float],
-        stream: str = "default",
-    ) -> T:
-        """Choose from ``options`` with probability proportional to ``weights``.
-
-        Weights must be non-negative with a positive sum; they need not be
-        normalised.  A zero-weight option is never chosen.
-        """
-        if not options:
-            raise ValueError("cannot choose from an empty sequence")
-        if len(weights) != len(options):
-            raise ValueError(
-                f"got {len(options)} options but {len(weights)} weights"
-            )
-        total = 0.0
-        for weight in weights:
-            if weight < 0.0:
-                raise ValueError(f"weights must be >= 0, got {weight}")
-            total += weight
-        if total <= 0.0:
-            raise ValueError("weights must sum to a positive value")
-        u = self.stream(stream).random() * total
-        acc = 0.0
-        for option, weight in zip(options, weights):
-            acc += weight
-            if u < acc:
-                return option
-        # Float accumulation can land u a hair past the final edge.
-        return options[-1]
 
     def spawn(self, name: str) -> "SeededRNG":
         """Derive a child RNG whose streams are independent of the parent's."""

@@ -11,6 +11,7 @@ next hops by cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.exceptions import SimulationError
@@ -20,12 +21,27 @@ __all__ = ["Link"]
 
 @dataclass(frozen=True)
 class Link:
-    """A bidirectional link with propagation latency and bandwidth."""
+    """A bidirectional link with propagation latency and bandwidth.
+
+    The latency is a finite number of seconds, zero or more.  The bandwidth
+    is zero or more bytes per second, and may be infinite; zero means the
+    link adds no serialisation time, only its latency.
+    """
 
     a: str
     b: str
     latency_s: float = 0.001
     bandwidth_bps: float = 10e9  # bytes per second
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.latency_s) and self.latency_s >= 0.0):
+            raise SimulationError(
+                f"link {self.a}-{self.b} latency must be finite and >= 0, got {self.latency_s}"
+            )
+        if not self.bandwidth_bps >= 0.0:
+            raise SimulationError(
+                f"link {self.a}-{self.b} bandwidth must be >= 0, got {self.bandwidth_bps}"
+            )
 
     def transfer_time(self, size_bytes: int) -> float:
         """Time to push ``size_bytes`` through this link (propagation + serialisation)."""

@@ -170,7 +170,7 @@ class TestShardCrash:
             env, ClusterSpec(name="shardy", node_count=2),
             gateway_shards=2, load_paper_datasets=False,
         )
-        overlay.add_cluster(cluster, connect_to=[CLIENT_EDGE])
+        overlay.add_cluster(cluster, connect_to=[(CLIENT_EDGE, 0.02)])
         return env, overlay, cluster
 
     def test_crash_applies_on_a_sharded_gateway(self):

@@ -39,10 +39,10 @@ class TestNode:
         assert node.capacity.memory == 16 * 1024**3
 
     def test_allocatable_subtracts_system_reserved(self):
-        node = Node.build("n1", cpu=4, memory="16Gi",
-                          system_reserved_cpu="1", system_reserved_memory="1Gi")
-        assert node.allocatable.cpu == pytest.approx(3.0)
-        assert node.allocatable.memory == 15 * 1024**3
+        # Every node reserves 250m CPU and 512Mi for the system.
+        node = Node.build("n1", cpu=4, memory="16Gi")
+        assert node.allocatable.cpu == pytest.approx(3.75)
+        assert node.allocatable.memory == 16 * 1024**3 - 512 * 1024**2
 
     def test_cordon_uncordon(self):
         node = Node.build("n1")

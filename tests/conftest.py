@@ -8,6 +8,7 @@ from typing import Callable
 
 import pytest
 
+from repro.core.framework import CLIENT_EDGE, LIDCTestbed, TestbedConfig
 from repro.ndn.packet import Data
 from repro.ndn.segmentation import parse_segment, segment_data
 from repro.sim.engine import Environment
@@ -24,6 +25,45 @@ def env() -> Environment:
 def rng() -> SeededRNG:
     """A deterministic RNG shared by stochastic tests."""
     return SeededRNG(1234)
+
+
+@pytest.fixture
+def star_testbed() -> Callable[..., LIDCTestbed]:
+    """Build a testbed whose clusters hang off the client edge at given latencies.
+
+    ``star_testbed([0.01, 0.03], seed=2, node_count=1)`` adds cluster-a 10 ms
+    and cluster-b 30 ms from the client edge; keyword arguments other than
+    ``seed`` go to :class:`TestbedConfig`.
+    """
+
+    def build(latencies_s, seed: int = 0, **config) -> LIDCTestbed:
+        testbed = LIDCTestbed(TestbedConfig(seed=seed, **config))
+        for latency in latencies_s:
+            testbed.add_cluster(latency_s=latency)
+        return testbed
+
+    return build
+
+
+@pytest.fixture
+def chain_testbed() -> Callable[..., LIDCTestbed]:
+    """Build a testbed whose clusters form a line from the client edge.
+
+    ``chain_testbed(3, latencies_s=[0.01])`` links cluster-a to the edge at
+    10 ms, cluster-b to cluster-a and cluster-c to cluster-b at the
+    testbed's WAN latency (a cluster past the end of ``latencies_s`` gets
+    ``add_cluster``'s default).
+    """
+
+    def build(count: int, seed: int = 0, latencies_s=()) -> LIDCTestbed:
+        testbed = LIDCTestbed(TestbedConfig(seed=seed))
+        previous = CLIENT_EDGE
+        for index in range(count):
+            latency = latencies_s[index] if index < len(latencies_s) else None
+            previous = testbed.add_cluster(connect_to=previous, latency_s=latency).name
+        return testbed
+
+    return build
 
 
 @pytest.fixture

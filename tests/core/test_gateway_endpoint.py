@@ -125,6 +125,7 @@ class TestGatewayCompute:
         assert record.state == JobState.PENDING
         with pytest.raises(ValidationFailure):
             lidc_cluster.gateway.submit_local(ComputeRequest(app="BLAST", reference="HUMAN"))
+        assert len(lidc_cluster.gateway.tracker) == 1  # the refused request left no record
 
 
 class TestGatewayCanFit:
@@ -163,12 +164,10 @@ class TestGatewayCanFit:
 
 
 class TestSubmitLocalRefusesUnknownApplications:
-    @pytest.mark.parametrize("validate", [True, False], ids=["validated", "unvalidated"])
-    def test_no_job_record_is_created(self, lidc_cluster, validate):
+    def test_no_job_record_is_created(self, lidc_cluster):
         gateway = lidc_cluster.gateway
         with pytest.raises(UnknownApplication, match="FOLDING"):
-            gateway.submit_local(ComputeRequest(app="FOLDING", dataset="SRR2931415"),
-                                 validate=validate)
+            gateway.submit_local(ComputeRequest(app="FOLDING", dataset="SRR2931415"))
         assert len(gateway.tracker) == 0
         assert lidc_cluster.cluster.jobs.jobs_completed == 0
 

@@ -227,9 +227,8 @@ class TestConcurrentHandles:
         testbed = LIDCTestbed.multi_cluster(
             2, seed=7, node_count=1, node_cpu=5, node_memory="8Gi")
         client = testbed.client(poll_interval_s=5.0)
-        handles = client.submit_many(
-            [sleep_request(60, cpu=2, memory_gb=2, idx=str(i)) for i in range(5)],
-            stagger_s=0.5)
+        handles = [client.submit(sleep_request(60, cpu=2, memory_gb=2, idx=str(i)),
+                                 delay_s=0.5 * i) for i in range(5)]
         testbed.run(until=client.wait_all(handles))
         succeeded = [handle for handle in handles if handle.succeeded]
         failed = [handle for handle in handles if not handle.succeeded]

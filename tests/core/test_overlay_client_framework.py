@@ -209,14 +209,13 @@ class TestMultiClusterBehaviour:
             strategy = cluster.gateway_nfd.strategies.find(naming.COMPUTE_PREFIX)
             assert type(strategy) is BestRouteStrategy
 
-    def test_compute_strategy_sets_the_placement_spread(self):
+    def test_compute_strategy_sets_the_placement_spread(self, star_testbed):
         """The access routers' strategy for /ndn/k8s/compute decides where work lands."""
 
         def placements(strategy) -> Counter:
             # 16-CPU nodes at 5/30/80 ms: seven 2-CPU jobs fit on cluster-a.
-            testbed = LIDCTestbed.multi_cluster(
-                3, seed=0, node_count=1, node_cpu=16, node_memory="64Gi",
-                latencies_s=[0.005, 0.03, 0.08])
+            testbed = star_testbed([0.005, 0.03, 0.08], seed=0,
+                                   node_count=1, node_cpu=16, node_memory="64Gi")
             testbed.overlay.set_compute_strategy(strategy)
             client = testbed.client(poll_interval_s=10.0)
 
@@ -254,10 +253,10 @@ class TestStatusPollsReachTheOwner:
         # One 2-CPU slot per cluster: two fillers occupy cluster-a and
         # cluster-b (acks only, never polled), so the tracked job lands on
         # cluster-c, the last hop of every best-route walk.
-        testbed = LIDCTestbed.multi_cluster(
-            3, seed=6, latencies_s=[0.01, 0.02, 0.03],
-            node_count=1, node_cpu=4, node_memory="8Gi",
-        )
+        testbed = LIDCTestbed(framework.TestbedConfig(
+            seed=6, node_count=1, node_cpu=4, node_memory="8Gi"))
+        for latency in (0.01, 0.02, 0.03):
+            testbed.add_cluster(latency_s=latency)
         if best_route:  # what every access router did before owner affinity
             testbed.overlay.routers[CLIENT_EDGE].set_strategy(
                 naming.STATUS_PREFIX, BestRouteStrategy())
@@ -318,9 +317,8 @@ class TestStatusPollsReachTheOwner:
                     sleep_request(600, cpu=2, memory_gb=2, idx=str(index)))
 
         testbed.run_process(fill())
-        handles = client.submit_many(
-            [sleep_request(60, cpu=2, memory_gb=2, idx=f"tracked-{index}")
-             for index in range(jobs)], stagger_s=1.0)
+        handles = [client.submit(sleep_request(60, cpu=2, memory_gb=2, idx=f"tracked-{index}"),
+                                 delay_s=1.0 * index) for index in range(jobs)]
         testbed.run(until=client.wait_all(handles))
         assert all(h.succeeded and h.cluster == "cluster-c" for h in handles)
         assert sum(h.status_polls for h in handles) >= 8 * jobs
@@ -525,18 +523,16 @@ class TestTestbedBuilder:
         assert testbed.env.queue_size == scheduled  # no orphan deployments
         assert list(testbed.clusters) == ["cluster-a"]
 
-    def test_multi_cluster_star_and_chain(self):
-        star = LIDCTestbed.multi_cluster(3, seed=14, topology="star")
+    def test_multi_cluster_star(self):
+        star = LIDCTestbed.multi_cluster(3, seed=14)
         assert len(star.clusters) == 3
-        chain = LIDCTestbed.multi_cluster(2, seed=15, topology="chain")
-        assert len(chain.clusters) == 2
+        assert [(link.a, link.b, link.latency_s) for link in star.overlay.links()] == [
+            (name, CLIENT_EDGE, framework.WAN_LATENCY_S) for name in star.clusters]
         with pytest.raises(LIDCError):
             LIDCTestbed.multi_cluster(0)
-        with pytest.raises(LIDCError):
-            LIDCTestbed.multi_cluster(2, topology="ring")
 
-    def test_a_chain_past_cluster_z_links_each_cluster_to_the_one_before(self):
-        chain = LIDCTestbed.multi_cluster(28, seed=18, topology="chain")
+    def test_a_chain_past_cluster_z_links_each_cluster_to_the_one_before(self, chain_testbed):
+        chain = chain_testbed(28, seed=18)
         names = list(chain.clusters)
         assert names[25:] == ["cluster-z", "cluster-a1", "cluster-b1"]
         links = [(link.a, link.b) for link in chain.overlay.links()]
@@ -550,11 +546,10 @@ class TestTestbedBuilder:
             (name, CLIENT_EDGE) for name in names]
         assert star.overlay.reachable_compute_origins(CLIENT_EDGE) == sorted(names)
 
-    def test_chain_latencies_follow_the_order_given(self):
-        chain = LIDCTestbed.multi_cluster(
-            3, seed=20, topology="chain", latencies_s=[0.01, 0.02])
+    def test_chain_latencies_follow_the_order_given(self, chain_testbed):
+        chain = chain_testbed(3, seed=20, latencies_s=[0.01, 0.02])
         latencies = [link.latency_s for link in chain.overlay.links()]
-        # Clusters past the end of ``latencies_s`` get the configured WAN latency.
+        # A cluster added without a latency gets the configured WAN latency.
         assert latencies == [0.01, 0.02, framework.WAN_LATENCY_S]
 
     def test_cluster_regions_assigned_round_robin(self):

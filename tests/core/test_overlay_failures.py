@@ -11,7 +11,7 @@ overlay degrades gracefully.
 
 import pytest
 
-from repro.core import naming
+from repro.core import framework, naming
 from repro.core.baseline import CentralizedController
 from repro.core.framework import CLIENT_EDGE, WAN_LATENCY_S, LIDCTestbed
 from repro.core.spec import ComputeRequest, JobState
@@ -152,10 +152,10 @@ def slot_filler(idx):
 
 def one_slot_clusters():
     """Three clusters at 10/20/30 ms, one 2-CPU slot each, and a client."""
-    testbed = LIDCTestbed.multi_cluster(
-        3, seed=6, latencies_s=[0.01, 0.02, 0.03],
-        node_count=1, node_cpu=4, node_memory="8Gi",
-    )
+    testbed = LIDCTestbed(framework.TestbedConfig(
+        seed=6, node_count=1, node_cpu=4, node_memory="8Gi"))
+    for latency in (0.01, 0.02, 0.03):
+        testbed.add_cluster(latency_s=latency)
     return testbed, testbed.client(poll_interval_s=10.0)
 
 
@@ -208,8 +208,8 @@ class TestOwnerAffinityUnderFailure:
 
     def test_owner_failing_mid_job_nacks_the_next_poll(self):
         testbed, client = one_slot_clusters()
-        handles = client.submit_many(
-            [slot_filler(index) for index in range(3)], stagger_s=0.5)
+        handles = [client.submit(slot_filler(index), delay_s=0.5 * index)
+                   for index in range(3)]
         testbed.run(until=20.0)
         tracked = next(h for h in handles if h.cluster == "cluster-c")
         assert tracked.status_polls >= 3 and not tracked.finished

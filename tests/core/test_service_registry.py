@@ -84,11 +84,6 @@ class TestServiceSchema:
         with pytest.raises(InvalidComputeName):
             BASE_SCHEMA.parse({"app": ""})
 
-    def test_allow_extra_false_rejects_strangers(self):
-        schema = ServiceSchema(fields=(ParamField("a", str),), allow_extra=False)
-        with pytest.raises(InvalidComputeName):
-            schema.parse({"a": "1", "b": "2"})
-
     def test_duplicate_schema_keys_rejected(self):
         with pytest.raises(ValueError):
             ServiceSchema(fields=(ParamField("a", str), ParamField("b", str, aliases=("a",))))

@@ -9,7 +9,7 @@ from repro.core.applications import (
     CompressApplication,
     SleepApplication,
 )
-from repro.core.caching import ResultCache
+from repro.core.caching import CAPACITY, ResultCache
 from repro.core.jobs import JobTracker
 from repro.core.spec import ComputeRequest, JobState
 from repro.core.service import ServiceDefinition, ServiceRegistry
@@ -59,14 +59,18 @@ class TestValidators:
             ComputeRequest(app="BLAST", dataset="SRR2931415"), lake)
         assert not result.ok and "reference" in result.message
 
-    def test_blast_require_in_lake(self, env):
+    def test_blast_knows_a_sample_from_the_registry_or_the_lake(self, env):
         api = ApiServer()
         pvc = StorageController(api).create_pvc("p", "1Gi")
-        empty_lake = DataLake(pvc)
-        validator = BlastValidator(require_in_lake=True)
-        result = validator.validate(
-            ComputeRequest(app="BLAST", dataset="SRR2931415", reference="HUMAN"), empty_lake)
-        assert not result.ok and "not loaded" in result.message
+        lake = DataLake(pvc)
+        lake.publish_placeholder("SRR0000042", 1_000)
+        validator = BlastValidator()
+        # In the registry but not loaded, and loaded but not registered.
+        for srr in ("SRR2931415", "SRR0000042"):
+            assert validator.validate(
+                ComputeRequest(app="BLAST", dataset=srr, reference="HUMAN"), lake).ok
+        assert not validator.validate(
+            ComputeRequest(app="BLAST", dataset="SRR0000042", reference="HUMAN")).ok
 
     def test_compression_has_different_rules(self, lake):
         validator = CompressionValidator()
@@ -143,14 +147,14 @@ class TestApplications:
         cluster = Cluster(env, ClusterSpec(name="c", node_count=1))
         tool = DataLoadingTool(cluster, seed=3)
         lake = tool.create_datalake()
-        tool.load_synthetic_datasets(lake, genome_length=5_000, read_count=40)
+        tool.load_synthetic_datasets(lake)
         app = BlastApplication(model=BlastRuntimeModel(registry=tool.registry), registry=tool.registry)
         request = ComputeRequest(app="BLAST", cpu=2, memory_gb=4,
                                  dataset="SRR0000001", reference="synthetic-reference")
         result = app.build_pod_spec(request, lake).containers[0].run_workload(None)
         assert result.error is None
         assert result.output["aligner"] == "seed-and-extend"
-        assert result.output["aligned_reads"] >= 35
+        assert result.output["aligned_reads"] >= 175  # of 200 reads per synthetic sample
         assert result.output["result_size_bytes"] > 0
 
     def test_blast_real_aligner_missing_reference_fails(self, lake):
@@ -255,19 +259,20 @@ class TestResultCache:
         assert cache.lookup(big) is not None
 
     def test_lru_eviction(self):
-        cache = ResultCache(capacity=2)
-        requests = [ComputeRequest(app="A", dataset=f"d{i}") for i in range(3)]
-        for index, request in enumerate(requests):
+        cache = ResultCache()
+        requests = [ComputeRequest(app="A", dataset=f"d{i}") for i in range(CAPACITY + 1)]
+        for index, request in enumerate(requests[:2]):
             cache.store(request, Name(f"/out/{index}"), 1, f"job-{index}")
-        assert cache.lookup(requests[0]) is None
-        assert cache.lookup(requests[2]) is not None
+        assert cache.lookup(requests[0]) is not None  # d0 is now the most recent
+        for index, request in enumerate(requests[2:], start=2):
+            cache.store(request, Name(f"/out/{index}"), 1, f"job-{index}")
+        # One entry past capacity evicted the least recently used: d1, not d0.
+        assert CAPACITY == 1024
+        assert len(cache) == CAPACITY
         assert cache.evictions == 1
-
-    def test_zero_capacity_disables(self):
-        cache = ResultCache(capacity=0)
-        request = ComputeRequest(app="A", dataset="d")
-        assert cache.store(request, Name("/out"), 1, "job") is None
-        assert cache.lookup(request) is None
+        assert cache.lookup(requests[1]) is None
+        assert cache.lookup(requests[0]) is not None
+        assert cache.lookup(requests[-1]) is not None
 
     def test_stats_shape(self):
         """The counters the cache report used to gather start at zero."""
@@ -275,4 +280,3 @@ class TestResultCache:
         assert (len(cache), cache.hits, cache.misses, cache.insertions, cache.evictions) == (
             0, 0, 0, 0, 0)
         assert cache.hit_ratio == 0.0
-        assert cache.capacity > 0

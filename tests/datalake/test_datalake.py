@@ -255,18 +255,18 @@ class TestDataLoadingTool:
     def test_synthetic_datasets_materialised(self, env, cluster):
         tool = DataLoadingTool(cluster, seed=7)
         lake = tool.create_datalake(pvc_name="synthetic-pvc")
-        report = tool.load_synthetic_datasets(lake, genome_length=5_000, read_count=50)
+        report = tool.load_synthetic_datasets(lake)
         assert "synthetic-reference" in report.datasets_loaded
         reference = lake.read_bytes("synthetic-reference")
         assert reference.startswith(b">")
         fastq = lake.read_bytes("SRR0000001")
-        assert fastq.count(b"@SRR0000001") == 50
+        assert fastq.count(b"@SRR0000001") == 200
         # Synthetic accessions are registered so the BLAST validator accepts them.
         assert "SRR0000001" in tool.registry
 
     def test_loading_is_deterministic(self, env, cluster):
         lake_a = DataLoadingTool(cluster, seed=9).create_datalake(pvc_name="a")
         lake_b = DataLoadingTool(cluster, seed=9).create_datalake(pvc_name="b")
-        DataLoadingTool(cluster, seed=9).load_synthetic_datasets(lake_a, genome_length=2_000, read_count=10)
-        DataLoadingTool(cluster, seed=9).load_synthetic_datasets(lake_b, genome_length=2_000, read_count=10)
+        DataLoadingTool(cluster, seed=9).load_synthetic_datasets(lake_a)
+        DataLoadingTool(cluster, seed=9).load_synthetic_datasets(lake_b)
         assert lake_a.read_bytes("synthetic-reference") == lake_b.read_bytes("synthetic-reference")

@@ -71,9 +71,6 @@ class TestTimeoutAndClock:
     def test_clock_starts_at_zero(self):
         assert Environment().now == 0.0
 
-    def test_clock_starts_at_initial_time(self):
-        assert Environment(initial_time=100.0).now == 100.0
-
     def test_timeout_advances_clock(self, env):
         env.process(self._wait(env, 5.0))
         env.run()

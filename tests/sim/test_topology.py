@@ -65,8 +65,7 @@ class TestConstruction:
         overlay = testbed.overlay
         cluster = overlay.remove_cluster("cluster-a")
         overlay.add_access_router("edge-2")
-        overlay.add_cluster(cluster, connect_to=[(CLIENT_EDGE, 0.05), "edge-2"],
-                            default_latency_s=0.007)
+        overlay.add_cluster(cluster, connect_to=[(CLIENT_EDGE, 0.05), ("edge-2", 0.007)])
         assert [(link.a, link.b, link.latency_s) for link in overlay.links()] == [
             ("cluster-a", CLIENT_EDGE, 0.05),
             ("cluster-a", "edge-2", 0.007),
@@ -104,8 +103,8 @@ class TestConstruction:
         assert link_pairs(testbed) == [("cluster-a", CLIENT_EDGE)]
         assert len(edge.faces()) == faces_before
 
-    def test_remove_node_drops_links(self):
-        testbed = LIDCTestbed.multi_cluster(3, seed=0, topology="chain")
+    def test_remove_node_drops_links(self, chain_testbed):
+        testbed = chain_testbed(3)
         overlay = testbed.overlay
         faces_on_a = len(testbed.cluster("cluster-a").gateway_nfd.faces())
         overlay.remove_cluster("cluster-b")
@@ -152,6 +151,34 @@ class TestPaths:
     def test_zero_bandwidth_link_costs_only_latency(self):
         assert Link("a", "b", latency_s=0.02, bandwidth_bps=0).transfer_time(10 ** 6) == 0.02
 
+    @pytest.mark.parametrize("latency_s", [float("nan"), -1.0, -1e-9, float("inf")])
+    def test_impossible_latency_is_rejected_at_construction(self, latency_s):
+        # Caught here, not as a NaN or negative timeout on the first
+        # packet sent over the link.
+        with pytest.raises(SimulationError, match="latency"):
+            Link("a", "b", latency_s=latency_s)
+
+    @pytest.mark.parametrize("bandwidth_bps", [float("nan"), -5.0])
+    def test_impossible_bandwidth_is_rejected_at_construction(self, bandwidth_bps):
+        # ``transfer_time`` tests ``bandwidth_bps > 0``, so these would
+        # drop serialisation time without a word.
+        with pytest.raises(SimulationError, match="bandwidth"):
+            Link("a", "b", bandwidth_bps=bandwidth_bps)
+
+    def test_the_edge_values_stay_legal(self):
+        assert Link("a", "b", latency_s=0.0).transfer_time(0) == 0.0
+        assert Link("a", "b", latency_s=0.01, bandwidth_bps=float("inf")).transfer_time(10 ** 6) == 0.01
+
+    def test_an_impossible_latency_leaves_the_overlay_unchanged(self):
+        testbed = LIDCTestbed.single_cluster(seed=0)
+        overlay = testbed.overlay
+        overlay.add_access_router("r1")
+        faces_before = len(overlay.routers[CLIENT_EDGE].faces())
+        with pytest.raises(SimulationError):
+            overlay.connect(CLIENT_EDGE, "r1", latency_s=float("nan"))
+        assert link_pairs(testbed) == [("cluster-a", CLIENT_EDGE)]
+        assert len(overlay.routers[CLIENT_EDGE].faces()) == faces_before
+
     def test_transfer_time_packet_uses_the_wire_size(self):
         link = Link("a", "b", latency_s=0.001, bandwidth_bps=1000.0)
         data = Data(name=Name("/a"), content=b"x" * 100)
@@ -160,9 +187,9 @@ class TestPaths:
         assert link.transfer_time_packet(wire) == pytest.approx(0.001 + wire.size / 1000.0)
         assert link.transfer_time_packet(data) == link.transfer_time_packet(wire)
 
-    def test_shortest_path_prefers_low_latency(self):
+    def test_shortest_path_prefers_low_latency(self, star_testbed):
         # edge --100 ms-- cluster-a, and edge --5 ms-- relay --5 ms-- cluster-a.
-        testbed = LIDCTestbed.multi_cluster(1, seed=0, latencies_s=[0.100])
+        testbed = star_testbed([0.100])
         relay = testbed.overlay.add_access_router("relay")
         testbed.overlay.connect(CLIENT_EDGE, "relay", latency_s=0.005)
         testbed.overlay.connect("relay", "cluster-a", latency_s=0.005)
@@ -195,21 +222,21 @@ class TestPaths:
             testbed.env.run(until=consumer.express_interest(
                 naming.COMPUTE_PREFIX.append("anything"), lifetime=5.0))
 
-    def test_nearest_picks_lowest_latency_candidate(self):
-        testbed = LIDCTestbed.multi_cluster(3, seed=0, latencies_s=[0.05, 0.01, 0.03])
+    def test_nearest_picks_lowest_latency_candidate(self, star_testbed):
+        testbed = star_testbed([0.05, 0.01, 0.03])
         testbed.overlay.use_nearest_cluster()
         assert edge_compute_route(testbed).best().cost == pytest.approx(10.0)
         assert place(testbed) == "cluster-b"
 
-    def test_nearest_self_short_circuits(self):
+    def test_nearest_self_short_circuits(self, star_testbed):
         # cluster-a is nearer the client edge, but a request entering at
         # cluster-b's own gateway is served there (its producer costs 0).
-        testbed = LIDCTestbed.multi_cluster(2, seed=0, latencies_s=[0.005, 0.05])
+        testbed = star_testbed([0.005, 0.05])
         assert place(testbed, access_router="cluster-b") == "cluster-b"
         assert interests_seen(testbed, "cluster-a") == 0
 
-    def test_nearest_unreachable_candidates_ignored(self):
-        testbed = LIDCTestbed.multi_cluster(3, seed=0, latencies_s=[0.005, 0.02, 0.04])
+    def test_nearest_unreachable_candidates_ignored(self, star_testbed):
+        testbed = star_testbed([0.005, 0.02, 0.04])
         testbed.overlay.use_nearest_cluster()
         testbed.overlay.fail_cluster("cluster-a")
         assert place(testbed) == "cluster-b"
@@ -219,8 +246,8 @@ class TestPaths:
 
 
 class TestCannedTopologies:
-    def test_star(self):
-        testbed = LIDCTestbed.multi_cluster(3, seed=0, latencies_s=[0.01, 0.02, 0.03])
+    def test_star(self, star_testbed):
+        testbed = star_testbed([0.01, 0.02, 0.03])
         assert [(link.a, link.b, link.latency_s) for link in testbed.overlay.links()] == [
             ("cluster-a", CLIENT_EDGE, 0.01),
             ("cluster-b", CLIENT_EDGE, 0.02),
@@ -228,8 +255,8 @@ class TestCannedTopologies:
         ]
         assert len(edge_compute_route(testbed).nexthops) == 3
 
-    def test_line(self):
-        testbed = LIDCTestbed.multi_cluster(3, seed=0, topology="chain")
+    def test_line(self, chain_testbed):
+        testbed = chain_testbed(3)
         assert link_pairs(testbed) == [
             ("cluster-a", CLIENT_EDGE), ("cluster-b", "cluster-a"), ("cluster-c", "cluster-b"),
         ]

@@ -28,9 +28,9 @@ def declared_requirements() -> set[str]:
     raise AssertionError("setup.py declares no install_requires")
 
 
-def imported_third_party() -> dict[str, str]:
-    """Root package of every absolute non-stdlib import -> a file importing it."""
-    found: dict[str, str] = {}
+def imported_third_party() -> dict[str, list[str]]:
+    """Root package of every absolute non-stdlib import -> the files importing it."""
+    found: dict[str, list[str]] = {}
     for path in sorted((ROOT / "src").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
@@ -41,7 +41,10 @@ def imported_third_party() -> dict[str, str]:
                 continue
             for root in roots:
                 if root not in sys.stdlib_module_names and root not in FIRST_PARTY:
-                    found.setdefault(root, str(path.relative_to(ROOT)))
+                    files = found.setdefault(root, [])
+                    relative = path.relative_to(ROOT).as_posix()
+                    if relative not in files:
+                        files.append(relative)
     return found
 
 
@@ -49,6 +52,15 @@ def test_install_requires_is_exactly_what_src_imports():
     imported = imported_third_party()
     assert set(imported) == declared_requirements(), imported
     assert set(imported) == {"numpy"}
+
+
+def test_numpy_stays_inside_the_random_streams_and_the_sequence_generator():
+    """numpy is imported by the seeded streams and the genome/read generator
+    alone, so replacing it means porting those two files and no other."""
+    assert sorted(imported_third_party()["numpy"]) == [
+        "src/repro/genomics/sequences.py",
+        "src/repro/sim/rng.py",
+    ]
 
 
 def third_party_loaded_by(code: str) -> set[str]:

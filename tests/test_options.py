@@ -1,7 +1,8 @@
 """The settable options of the deployment and client path, pinned by name.
 
 ``LIDCTestbed`` → ``ComputeOverlay`` → ``LIDCCluster`` → ``Gateway`` /
-``FileServer`` → ``LIDCClient`` is configured through the parameters below
+``FileServer`` → ``LIDCClient``, and the genomics, data-loading and
+simulation pieces under them, are configured through the parameters below
 and nothing else.  Every value here has a setter somewhere in the tree; a
 value that only ever takes its default is a module constant instead.  A new
 option on this path therefore shows up as an edit to :data:`OPTIONS`.
@@ -45,7 +46,7 @@ OPTIONS = {
     "repro.core.client:LIDCClient.submit": (
         "request", "unique", "fetch_result", "delay_s", "deadline_s",
     ),
-    "repro.core.client:LIDCClient.submit_many": ("requests", "fetch_result", "stagger_s"),
+    "repro.core.client:LIDCClient.submit_many": ("requests", "fetch_result"),
     "repro.core.client:LIDCClient.poll_status": ("job_id", "lifetime_s", "status_name"),
     "repro.core.client:LIDCClient.wait_for_completion": ("job_id", "status_name", "_handle"),
     "repro.core.client:LIDCClient.retrieve_result": ("result_name", "fetch_payload"),
@@ -70,6 +71,24 @@ OPTIONS = {
     "repro.chaos.driver:ChaosDriver": ("env", "overlay", "schedule"),
     "repro.sim.topology:Link": ("a", "b", "latency_s", "bandwidth_bps"),
     "repro.analysis.lint.engine:Linter": ("rules",),
+    "repro.core.framework:LIDCTestbed.multi_cluster": ("cluster_count", "seed", "config_kwargs"),
+    "repro.core.overlay:ComputeOverlay.add_cluster": (
+        "cluster", "connect_to", "bandwidth_bps", "announce",
+    ),
+    "repro.core.gateway:Gateway.submit_local": ("request",),
+    "repro.core.validation:BlastValidator": ("registry",),
+    "repro.core.service:ServiceSchema": ("fields",),
+    "repro.core.caching:ResultCache": (),
+    "repro.genomics.blast:MagicBlast": ("reference",),
+    "repro.genomics.sra:SraRegistry": (),
+    "repro.genomics.sra:SraRegistry.validate": ("accession",),
+    "repro.genomics.sra:SraRegistry.register_synthetic": (
+        "accession", "genome_type", "read_count", "read_length", "organism",
+    ),
+    "repro.genomics.sequences:SequenceGenerator.random_genome": ("length", "name"),
+    "repro.datalake.loader:DataLoadingTool.load_synthetic_datasets": ("lake",),
+    "repro.cluster.node:Node.build": ("name", "cpu", "memory", "labels"),
+    "repro.sim.engine:Environment": (),
 }
 
 #: Callables that only tests took, or whose callers already knew everything.
@@ -120,6 +139,13 @@ GONE = (
     "repro.cluster.quantity:format_memory",
     "repro.cluster.quantity:format_cpu",
     "repro.cluster.storage:StorageClass",
+    "repro.sim.rng:SeededRNG.lognormal",
+    "repro.sim.rng:SeededRNG.shuffle",
+    "repro.sim.rng:SeededRNG.bernoulli",
+    "repro.sim.rng:SeededRNG.weighted_choice",
+    "repro.genomics.sequences:SequenceGenerator.mutate",
+    "repro.genomics.sequences:SequenceGenerator.random_reads",
+    "repro.genomics.sequences:FastqRecord.mean_quality",
 )
 
 #: Modules that went whole: the controller's placement policies and the
