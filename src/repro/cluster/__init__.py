@@ -3,21 +3,21 @@
 LIDC uses Kubernetes for five things (paper §III-A): named service endpoints
 resolved through cluster DNS, NodePort exposure of the gateway NFD, spawning
 Jobs with CPU/memory requests, PVC-mounted storage for the data lake, and
-horizontal scaling.  This package implements each of those mechanisms from
-scratch on top of the simulation kernel:
+horizontal scaling (here: a cluster's node count, and more clusters in the
+overlay).  This package implements the mechanisms LIDC drives from scratch on
+top of the simulation kernel, and nothing else:
 
 * :mod:`repro.cluster.quantity` — ``4Gi`` / ``500m`` resource quantities;
 * :mod:`repro.cluster.objects` — object metadata, labels and selectors;
-* :mod:`repro.cluster.apiserver` — the API object store with watches and
-  events;
+* :mod:`repro.cluster.apiserver` — the API object store with watches;
 * :mod:`repro.cluster.node` / :mod:`repro.cluster.kubelet` — nodes and the
   agent that runs pods on them;
 * :mod:`repro.cluster.pod` — pod and container specifications and lifecycle;
 * :mod:`repro.cluster.scheduler` — a predicates + priorities bin-packing
   scheduler;
 * :mod:`repro.cluster.job` — the Job controller (the object LIDC's gateway
-  creates for every computation request);
-* :mod:`repro.cluster.deployment` — Deployments / ReplicaSets for
+  creates for every computation request; one pod per Job);
+* :mod:`repro.cluster.deployment` — single-replica Deployments for
   long-running services such as the gateway NFD and the file server;
 * :mod:`repro.cluster.service` / :mod:`repro.cluster.dns` — Services
   (ClusterIP and NodePort) and cluster DNS;
@@ -30,11 +30,11 @@ scratch on top of the simulation kernel:
 from repro.cluster.quantity import Quantity, parse_cpu, parse_memory
 from repro.cluster.objects import ObjectMeta, LabelSelector
 from repro.cluster.apiserver import ApiServer, WatchEvent, EventType
-from repro.cluster.node import Node, NodeStatus
+from repro.cluster.node import Node
 from repro.cluster.pod import Container, Pod, PodPhase, PodSpec, ResourceRequirements
 from repro.cluster.scheduler import Scheduler
 from repro.cluster.kubelet import Kubelet
-from repro.cluster.job import Job, JobController, JobSpec, JobStatus
+from repro.cluster.job import Job, JobController, JobStatus
 from repro.cluster.deployment import Deployment, DeploymentController
 from repro.cluster.service import Service, ServiceType, Endpoints
 from repro.cluster.dns import ClusterDNS
@@ -56,7 +56,6 @@ __all__ = [
     "WatchEvent",
     "EventType",
     "Node",
-    "NodeStatus",
     "Pod",
     "PodSpec",
     "PodPhase",
@@ -65,7 +64,6 @@ __all__ = [
     "Scheduler",
     "Kubelet",
     "Job",
-    "JobSpec",
     "JobStatus",
     "JobController",
     "Deployment",

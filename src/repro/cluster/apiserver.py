@@ -1,9 +1,10 @@
-"""The cluster API server: a typed object store with watches and events.
+"""The cluster API server: a typed object store with watches.
 
 Controllers (scheduler, job controller, kubelets, service endpoints) interact
 with cluster state exclusively through this store, mirroring how Kubernetes
-controllers work: they register watch callbacks and react to ADDED / MODIFIED
-/ DELETED notifications.
+controllers work: they register watch callbacks and react to ADDED /
+MODIFIED notifications.  Nothing deletes an object: a finished pod or job
+stays in the store in its terminal phase.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Any, Callable, Iterable, Optional
 from repro.exceptions import ObjectAlreadyExists, ObjectNotFound
 from repro.cluster.objects import ObjectMeta
 
-__all__ = ["EventType", "WatchEvent", "ClusterEvent", "ApiServer"]
+__all__ = ["EventType", "WatchEvent", "ApiServer"]
 
 
 class EventType(str, Enum):
@@ -24,7 +25,6 @@ class EventType(str, Enum):
 
     ADDED = "ADDED"
     MODIFIED = "MODIFIED"
-    DELETED = "DELETED"
 
 
 @dataclass(frozen=True)
@@ -34,18 +34,6 @@ class WatchEvent:
     type: EventType
     kind: str
     obj: Any
-
-
-@dataclass(frozen=True)
-class ClusterEvent:
-    """A recorded cluster event (``kubectl get events`` equivalent)."""
-
-    time: float
-    kind: str
-    name: str
-    namespace: str
-    reason: str
-    message: str
 
 
 @dataclass
@@ -61,16 +49,6 @@ class ApiServer:
         self._clock = clock or (lambda: 0.0)
         self._stores: dict[str, _KindStore] = {}
         self._uid_counter = itertools.count(1)
-        self.events: list[ClusterEvent] = []
-        self.namespaces: set[str] = {"default", "kube-system", "ndnk8s"}
-
-    # -- namespaces -----------------------------------------------------------
-
-    def create_namespace(self, name: str) -> None:
-        self.namespaces.add(name)
-
-    def has_namespace(self, name: str) -> bool:
-        return name in self.namespaces
 
     # -- object CRUD ------------------------------------------------------------
 
@@ -80,8 +58,6 @@ class ApiServer:
     def create(self, kind: str, obj: Any) -> Any:
         """Store a new object; assigns uid and creation time."""
         meta: ObjectMeta = obj.metadata
-        if not self.has_namespace(meta.namespace):
-            self.create_namespace(meta.namespace)
         store = self._store(kind)
         if meta.key() in store.objects:
             raise ObjectAlreadyExists(f"{kind} {meta.namespace}/{meta.name} already exists")
@@ -101,9 +77,6 @@ class ApiServer:
     def try_get(self, kind: str, name: str, namespace: str = "default") -> Optional[Any]:
         return self._store(kind).objects.get((namespace, name))
 
-    def exists(self, kind: str, name: str, namespace: str = "default") -> bool:
-        return (namespace, name) in self._store(kind).objects
-
     def list(self, kind: str, namespace: Optional[str] = None,
              selector: Optional[Callable[[Any], bool]] = None) -> list[Any]:
         """List objects of ``kind``, optionally filtered by namespace and predicate."""
@@ -114,37 +87,19 @@ class ApiServer:
             objects = [obj for obj in objects if selector(obj)]
         return list(objects)
 
-    def update(self, kind: str, obj: Any) -> Any:
-        """Replace an existing object and notify watchers."""
+    def touch(self, kind: str, obj: Any) -> Any:
+        """Notify watchers that stored ``obj`` changed in place (objects are mutable here)."""
         meta: ObjectMeta = obj.metadata
-        store = self._store(kind)
-        if meta.key() not in store.objects:
+        if meta.key() not in self._store(kind).objects:
             raise ObjectNotFound(kind, meta.name, meta.namespace)
-        store.objects[meta.key()] = obj
         self._notify(kind, EventType.MODIFIED, obj)
         return obj
-
-    def touch(self, kind: str, obj: Any) -> Any:
-        """Notify watchers that ``obj`` changed in place (objects are mutable here)."""
-        return self.update(kind, obj)
-
-    def delete(self, kind: str, name: str, namespace: str = "default") -> Any:
-        store = self._store(kind)
-        try:
-            obj = store.objects.pop((namespace, name))
-        except KeyError:
-            raise ObjectNotFound(kind, name, namespace) from None
-        self._notify(kind, EventType.DELETED, obj)
-        return obj
-
-    def count(self, kind: str) -> int:
-        return len(self._store(kind).objects)
 
     # -- watches ------------------------------------------------------------------
 
     def watch(self, kind: str, callback: Callable[[WatchEvent], None],
-              replay_existing: bool = True) -> Callable[[], None]:
-        """Subscribe to changes of ``kind``; returns an unsubscribe callable.
+              replay_existing: bool = True) -> None:
+        """Subscribe to changes of ``kind``.
 
         When ``replay_existing`` is true the callback immediately receives an
         ``ADDED`` event for every object already stored (list+watch semantics).
@@ -155,34 +110,7 @@ class ApiServer:
             for obj in list(store.objects.values()):
                 callback(WatchEvent(type=EventType.ADDED, kind=kind, obj=obj))
 
-        def unsubscribe() -> None:
-            if callback in store.watchers:
-                store.watchers.remove(callback)
-
-        return unsubscribe
-
     def _notify(self, kind: str, event_type: EventType, obj: Any) -> None:
         event = WatchEvent(type=event_type, kind=kind, obj=obj)
         for watcher in list(self._store(kind).watchers):
             watcher(event)
-
-    # -- events -----------------------------------------------------------------------
-
-    def record_event(self, kind: str, obj_meta: ObjectMeta, reason: str, message: str) -> ClusterEvent:
-        """Record a cluster event (for observability and tests)."""
-        event = ClusterEvent(
-            time=self._clock(),
-            kind=kind,
-            name=obj_meta.name,
-            namespace=obj_meta.namespace,
-            reason=reason,
-            message=message,
-        )
-        self.events.append(event)
-        return event
-
-    def events_for(self, name: str, kind: Optional[str] = None) -> list[ClusterEvent]:
-        return [
-            ev for ev in self.events
-            if ev.name == name and (kind is None or ev.kind == kind)
-        ]

@@ -8,8 +8,8 @@ storage controller with its NFS server.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 from repro.exceptions import ClusterError
 from repro.cluster.apiserver import ApiServer
@@ -37,8 +37,6 @@ class ClusterSpec:
     node_count: int = 1
     node_cpu: Union[str, int, float] = 8
     node_memory: Union[str, int] = "32Gi"
-    nfs_capacity: Union[str, int] = "1Ti"
-    labels: dict[str, str] = field(default_factory=dict)
 
 
 class Cluster:
@@ -46,16 +44,15 @@ class Cluster:
 
     def __init__(self, env: Environment, spec: ClusterSpec) -> None:
         self.env = env
-        self.spec = spec
         self.name = spec.name
         self.region = spec.region
         self.api = ApiServer(clock=lambda: env.now)
         self.scheduler = Scheduler(self.api)
-        self.nfs = NFSServer(name=f"{spec.name}-nfs", capacity=spec.nfs_capacity)
-        self.storage = StorageController(self.api, default_server=self.nfs)
+        self.nfs = NFSServer(name=f"{spec.name}-nfs")
+        self.storage = StorageController(self.api, self.nfs)
         self.jobs = JobController(env, self.api)
         self.deployments = DeploymentController(env, self.api)
-        self.services = ServiceController(self.api, cluster_name=spec.name)
+        self.services = ServiceController(self.api)
         self.dns = ClusterDNS(self.api)
         self._kubelets: dict[str, Kubelet] = {}
         for index in range(spec.node_count):
@@ -63,18 +60,16 @@ class Cluster:
                 name=f"{spec.name}-node-{index}",
                 cpu=spec.node_cpu,
                 memory=spec.node_memory,
-                labels=dict(spec.labels),
             )
 
     # -- nodes ---------------------------------------------------------------------
 
     def add_node(self, name: str, cpu: Union[str, int, float] = 8,
-                 memory: Union[str, int] = "32Gi",
-                 labels: "dict[str, str] | None" = None) -> Node:
-        """Add a worker node (vertical/horizontal scaling of the platform)."""
+                 memory: Union[str, int] = "32Gi") -> Node:
+        """Add a worker node with its kubelet."""
         if name in self._kubelets:
             raise ClusterError(f"node {name!r} already exists in cluster {self.name}")
-        node = Node.build(name=name, cpu=cpu, memory=memory, labels=labels)
+        node = Node.build(name=name, cpu=cpu, memory=memory)
         self.api.create(Node.KIND, node)
         self._kubelets[name] = Kubelet(self.env, self.api, node)
         return node
@@ -82,37 +77,23 @@ class Cluster:
     def nodes(self) -> list[Node]:
         return self.api.list(Node.KIND)
 
-    def kubelet(self, node_name: str) -> Kubelet:
-        try:
-            return self._kubelets[node_name]
-        except KeyError:
-            raise ClusterError(f"no kubelet for node {node_name!r}") from None
-
-    def fail_node(self, node_name: str) -> int:
-        """Inject a node failure; returns the number of pods killed."""
-        return self.kubelet(node_name).node_failure()
-
     # -- capacity ------------------------------------------------------------------------
 
     def total_allocatable(self) -> Quantity:
         total = Quantity()
         for node in self.nodes():
-            if node.is_schedulable:
-                total = total + node.allocatable
+            total = total + node.allocatable
         return total
 
     def free_capacity(self) -> Quantity:
         free = Quantity()
         for node in self.nodes():
-            if node.is_schedulable:
-                free = free + self.scheduler.node_free_capacity(node)
+            free = free + self.scheduler.node_free_capacity(node)
         return free
 
     def can_fit(self, requests: Quantity) -> bool:
         """True when some single node could accept a pod with ``requests``."""
         for node in self.nodes():
-            if not node.is_schedulable:
-                continue
             if requests.fits_within(self.scheduler.node_free_capacity(node)):
                 return True
         return False
@@ -128,49 +109,29 @@ class Cluster:
 
     # -- workload helpers -------------------------------------------------------------------
 
-    def create_job(self, template: PodSpec, name: Optional[str] = None,
-                   namespace: str = "ndnk8s", labels: "dict[str, str] | None" = None,
-                   backoff_limit: int = 0,
-                   active_deadline_s: Optional[float] = None) -> Job:
-        """Create a run-to-completion Job from a pod template."""
-        return self.jobs.create_job(
-            template, name=name, namespace=namespace, labels=labels,
-            backoff_limit=backoff_limit, active_deadline_s=active_deadline_s,
-        )
+    def create_job(self, template: PodSpec, name: str,
+                   labels: "dict[str, str] | None" = None) -> Job:
+        """Create a run-to-completion Job of one pod from a pod template."""
+        return self.jobs.create_job(template, name=name, labels=labels)
 
-    def create_deployment(self, template: PodSpec, name: Optional[str] = None,
-                          namespace: str = "ndnk8s", replicas: int = 1,
-                          labels: "dict[str, str] | None" = None) -> Deployment:
-        return self.deployments.create_deployment(
-            template, name=name, namespace=namespace, replicas=replicas, labels=labels
-        )
+    def create_deployment(self, template: PodSpec, name: str) -> Deployment:
+        return self.deployments.create_deployment(template, name=name)
 
-    def create_service(self, name: str, selector: "dict[str, str]", port: int = 6363,
-                       namespace: str = "ndnk8s",
-                       service_type: "ServiceType | str" = ServiceType.CLUSTER_IP,
-                       node_port: Optional[int] = None) -> Service:
-        return self.services.create_service(
-            name=name, selector=selector, port=port, namespace=namespace,
-            service_type=service_type, node_port=node_port,
-        )
+    def create_service(self, name: str, selector: "dict[str, str]",
+                       service_type: ServiceType = ServiceType.CLUSTER_IP) -> Service:
+        return self.services.create_service(name=name, selector=selector,
+                                            service_type=service_type)
 
-    def create_pvc(self, name: str, size: Union[str, int],
-                   namespace: str = "ndnk8s") -> PersistentVolumeClaim:
-        return self.storage.create_pvc(name=name, size=size, namespace=namespace)
+    def create_pvc(self, name: str, size: Union[str, int]) -> PersistentVolumeClaim:
+        return self.storage.create_pvc(name=name, size=size)
 
     # -- queries ---------------------------------------------------------------------------------
 
-    def pods(self, namespace: Optional[str] = None) -> list[Pod]:
-        return self.api.list(Pod.KIND, namespace=namespace)
-
     def running_pods(self) -> list[Pod]:
-        return [pod for pod in self.pods() if pod.phase == PodPhase.RUNNING]
+        return [pod for pod in self.api.list(Pod.KIND) if pod.phase == PodPhase.RUNNING]
 
-    def job(self, name: str, namespace: str = "ndnk8s") -> Job:
-        return self.api.get(Job.KIND, name, namespace)
-
-    def service(self, name: str, namespace: str = "ndnk8s") -> Service:
-        return self.api.get(Service.KIND, name, namespace)
+    def job(self, name: str) -> Job:
+        return self.api.get(Job.KIND, name, "ndnk8s")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Cluster {self.name} nodes={len(self._kubelets)} region={self.region}>"

@@ -24,15 +24,8 @@ CLUSTER_DOMAIN = "cluster.local"
 class DnsRecord:
     """The answer to a DNS query."""
 
-    fqdn: str
     cluster_ip: str
     endpoints: tuple[str, ...]
-    service_name: str
-    namespace: str
-
-    @property
-    def is_resolvable(self) -> bool:
-        return bool(self.cluster_ip)
 
 
 class ClusterDNS:
@@ -42,10 +35,6 @@ class ClusterDNS:
         self.api = api
         self.queries = 0
         self.failures = 0
-
-    def qualify(self, service_name: str, namespace: str = "ndnk8s") -> str:
-        """The fully-qualified DNS name for a service."""
-        return f"{service_name}.{namespace}.svc.{CLUSTER_DOMAIN}"
 
     def _parse(self, fqdn: str) -> tuple[str, str]:
         suffix = f".svc.{CLUSTER_DOMAIN}"
@@ -70,17 +59,5 @@ class ClusterDNS:
         if service is None:
             self.failures += 1
             raise ClusterError(f"DNS: no service for {fqdn!r}")
-        return DnsRecord(
-            fqdn=self.qualify(service_name, namespace),
-            cluster_ip=service.cluster_ip,
-            endpoints=tuple(service.endpoints.addresses),
-            service_name=service_name,
-            namespace=namespace,
-        )
-
-    def try_resolve(self, fqdn: str) -> Optional[DnsRecord]:
-        """Like :meth:`resolve` but returns ``None`` instead of raising."""
-        try:
-            return self.resolve(fqdn)
-        except ClusterError:
-            return None
+        return DnsRecord(cluster_ip=service.cluster_ip,
+                         endpoints=tuple(service.endpoints.addresses))

@@ -3,7 +3,7 @@
 The kubelet owns the pod lifecycle on a node: container startup delay, the
 Running phase for the duration produced by the container workloads, then
 Succeeded or Failed.  Long-running services use an infinite workload duration
-and simply stay Running until deleted or the node dies.
+and stay Running for the rest of the run.
 """
 
 from __future__ import annotations
@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.cluster.apiserver import ApiServer, EventType, WatchEvent
-from repro.cluster.node import Node, NodeStatus
+from repro.cluster.apiserver import ApiServer, WatchEvent
+from repro.cluster.node import Node
 from repro.cluster.pod import Pod, PodPhase, WorkloadResult
-from repro.exceptions import ProcessInterrupt, SimulationError
 from repro.sim.engine import Environment
 
 __all__ = ["Kubelet"]
@@ -27,7 +26,8 @@ class Kubelet:
         self.env = env
         self.api = api
         self.node = node
-        self._running: dict[str, object] = {}  # pod uid -> process
+        #: Uids of the pods whose run this kubelet has started and not finished.
+        self._running: set[str] = set()
         self.pods_started = 0
         self.pods_completed = 0
         self.pods_failed = 0
@@ -39,27 +39,18 @@ class Kubelet:
         pod: Pod = event.obj
         if pod.node_name != self.node.name:
             return
-        if event.type == EventType.DELETED:
-            self._stop(pod, reason="deleted")
-            return
         if pod.phase == PodPhase.PENDING and pod.metadata.uid not in self._running:
-            process = self.env.process(self._run_pod(pod), name=f"kubelet:{pod.name}")
-            self._running[pod.metadata.uid] = process
+            self.env.process(self._run_pod(pod), name=f"kubelet:{pod.name}")
+            self._running.add(pod.metadata.uid)
 
     # -- pod execution ----------------------------------------------------------
 
     def _run_pod(self, pod: Pod):
-        if self.node.status == NodeStatus.NOT_READY:
-            self._fail(pod, "node not ready")
-            return
         startup = max((c.startup_delay_s for c in pod.spec.containers), default=0.0)
         yield self.env.timeout(startup)
-        if pod.is_terminal:
-            return
         pod.phase = PodPhase.RUNNING
         pod.start_time = self.env.now
         self.pods_started += 1
-        self.api.record_event(Pod.KIND, pod.metadata, "Started", f"Running on {self.node.name}")
         self.api.touch(Pod.KIND, pod)
 
         results: list[WorkloadResult] = []
@@ -78,61 +69,18 @@ class Kubelet:
         pod.results = results
 
         if math.isinf(duration):
-            # Long-running service: stays Running until interrupted.
-            try:
-                yield self.env.event(name=f"forever:{pod.name}")
-            finally:
-                return
-        try:
-            yield self.env.timeout(duration)
-        except (ProcessInterrupt, GeneratorExit):
-            # Pod deleted (interrupt) or generator closed mid-run: the
-            # terminal phase was already set by _stop/_fail.
+            # Long-running service: the event never fires, so the pod stays
+            # Running for the rest of the run.
+            yield self.env.event(name=f"forever:{pod.name}")
             return
-        if pod.is_terminal:
-            return
+        yield self.env.timeout(duration)
         pod.finish_time = self.env.now
         if failed_message is not None:
             pod.phase = PodPhase.FAILED
             pod.message = failed_message
             self.pods_failed += 1
-            self.api.record_event(Pod.KIND, pod.metadata, "Failed", failed_message)
         else:
             pod.phase = PodPhase.SUCCEEDED
             self.pods_completed += 1
-            self.api.record_event(Pod.KIND, pod.metadata, "Completed", "All containers exited 0")
-        self._running.pop(pod.metadata.uid, None)
+        self._running.discard(pod.metadata.uid)
         self.api.touch(Pod.KIND, pod)
-
-    def _stop(self, pod: Pod, reason: str) -> None:
-        process = self._running.pop(pod.metadata.uid, None)
-        if process is not None and getattr(process, "is_alive", False):
-            try:
-                process.interrupt(reason)
-            except SimulationError:  # pragma: no cover - interrupting a just-dead process
-                pass
-
-    def _fail(self, pod: Pod, message: str) -> None:
-        pod.phase = PodPhase.FAILED
-        pod.message = message
-        pod.finish_time = self.env.now
-        self.pods_failed += 1
-        self.api.record_event(Pod.KIND, pod.metadata, "Failed", message)
-        self.api.touch(Pod.KIND, pod)
-
-    # -- failure injection ----------------------------------------------------------
-
-    def node_failure(self) -> int:
-        """Simulate the node dying: every non-terminal pod on it fails.
-
-        Returns the number of pods affected.
-        """
-        self.node.mark_not_ready()
-        affected = 0
-        for pod in self.api.list(Pod.KIND):
-            if pod.node_name == self.node.name and not pod.is_terminal:
-                self._stop(pod, reason="node failure")
-                self._fail(pod, "node failure")
-                affected += 1
-        self.api.touch(Node.KIND, self.node)
-        return affected

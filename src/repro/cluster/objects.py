@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 __all__ = ["ObjectMeta", "LabelSelector", "generate_name"]
 
@@ -23,18 +23,13 @@ class ObjectMeta:
     name: str
     namespace: str = "default"
     labels: dict[str, str] = field(default_factory=dict)
-    annotations: dict[str, str] = field(default_factory=dict)
-    uid: str = ""
-    creation_time: float = 0.0
-    owner: Optional[str] = None
+    #: Assigned by the API server when the object is created.
+    uid: str = field(default="", init=False)
+    creation_time: float = field(default=0.0, init=False)
 
     def key(self) -> tuple[str, str]:
         """The (namespace, name) key used by the API server."""
         return (self.namespace, self.name)
-
-    def has_labels(self, required: Mapping[str, str]) -> bool:
-        """True when every required label is present with the right value."""
-        return all(self.labels.get(key) == value for key, value in required.items())
 
 
 @dataclass(frozen=True)
@@ -44,20 +39,11 @@ class LabelSelector:
     match_labels: tuple[tuple[str, str], ...] = ()
 
     @classmethod
-    def of(cls, **labels: str) -> "LabelSelector":
-        return cls(match_labels=tuple(sorted(labels.items())))
-
-    @classmethod
     def from_dict(cls, labels: Mapping[str, str]) -> "LabelSelector":
         return cls(match_labels=tuple(sorted(labels.items())))
 
-    def matches(self, meta: "ObjectMeta | Mapping[str, str]") -> bool:
-        labels = meta.labels if isinstance(meta, ObjectMeta) else meta
-        return all(labels.get(key) == value for key, value in self.match_labels)
+    def matches(self, meta: ObjectMeta) -> bool:
+        return all(meta.labels.get(key) == value for key, value in self.match_labels)
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.match_labels)
-
-    @property
-    def empty(self) -> bool:
-        return not self.match_labels

@@ -1,7 +1,7 @@
 """Pods: the smallest schedulable unit.
 
 A pod carries one or more containers, each with resource *requests* (used by
-the scheduler for placement) and *limits*.  The pod's workload — what it
+the scheduler for placement).  The pod's workload — what it
 actually does once running — is represented either by a fixed duration or by
 a callable returning the duration, which is how the genomics runtime model
 plugs in.
@@ -26,7 +26,6 @@ class PodPhase(str, Enum):
     RUNNING = "Running"
     SUCCEEDED = "Succeeded"
     FAILED = "Failed"
-    UNKNOWN = "Unknown"
 
     def is_terminal(self) -> bool:
         return self in (PodPhase.SUCCEEDED, PodPhase.FAILED)
@@ -34,23 +33,14 @@ class PodPhase(str, Enum):
 
 @dataclass
 class ResourceRequirements:
-    """Requested and limit quantities for one container."""
+    """Requested quantities for one container."""
 
     requests: Quantity = field(default_factory=Quantity)
-    limits: Optional[Quantity] = None
 
     @classmethod
-    def of(cls, cpu: Union[str, int, float] = 0, memory: Union[str, int, float] = 0,
-           limit_cpu: Union[str, int, float, None] = None,
-           limit_memory: Union[str, int, float, None] = None) -> "ResourceRequirements":
-        requests = Quantity(cpu=parse_cpu(cpu), memory=parse_memory(memory))
-        limits = None
-        if limit_cpu is not None or limit_memory is not None:
-            limits = Quantity(
-                cpu=parse_cpu(limit_cpu if limit_cpu is not None else cpu),
-                memory=parse_memory(limit_memory if limit_memory is not None else memory),
-            )
-        return cls(requests=requests, limits=limits)
+    def of(cls, cpu: Union[str, int, float] = 0,
+           memory: Union[str, int, float] = 0) -> "ResourceRequirements":
+        return cls(requests=Quantity(cpu=parse_cpu(cpu), memory=parse_memory(memory)))
 
 
 @dataclass
@@ -60,10 +50,6 @@ class WorkloadResult:
     duration_s: float
     output: dict = field(default_factory=dict)
     error: Optional[str] = None
-
-    @property
-    def succeeded(self) -> bool:
-        return self.error is None
 
 
 #: A workload is a fixed duration, or a callable taking the pod and returning
@@ -78,8 +64,6 @@ class Container:
     name: str
     image: str = "busybox:latest"
     resources: ResourceRequirements = field(default_factory=ResourceRequirements)
-    command: list[str] = field(default_factory=list)
-    env: dict[str, str] = field(default_factory=dict)
     workload: Workload = 0.0
     startup_delay_s: float = 0.5
 
@@ -99,11 +83,6 @@ class PodSpec:
     """Desired state of a pod."""
 
     containers: list[Container] = field(default_factory=list)
-    node_selector: dict[str, str] = field(default_factory=dict)
-    restart_policy: str = "Never"
-    volumes: list[str] = field(default_factory=list)  # PVC names mounted by the pod
-    priority: int = 0
-    termination_grace_period_s: float = 0.0
 
     def total_requests(self) -> Quantity:
         total = Quantity()
@@ -132,10 +111,6 @@ class Pod:
         return self.metadata.name
 
     @property
-    def namespace(self) -> str:
-        return self.metadata.namespace
-
-    @property
     def is_scheduled(self) -> bool:
         return self.node_name is not None
 
@@ -145,12 +120,6 @@ class Pod:
 
     def total_requests(self) -> Quantity:
         return self.spec.total_requests()
-
-    def runtime(self) -> Optional[float]:
-        """Wall-clock (simulated) runtime, when the pod has finished."""
-        if self.start_time is None or self.finish_time is None:
-            return None
-        return self.finish_time - self.start_time
 
     def output(self) -> dict:
         """Merged workload outputs from every container."""

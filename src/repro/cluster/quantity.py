@@ -7,6 +7,7 @@ memory quantities are measured in bytes and accept binary (``Ki``, ``Mi``,
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -34,35 +35,41 @@ _DECIMAL_SUFFIXES = {
 _QUANTITY_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+)\s*([A-Za-z]*)\s*$")
 
 
+def _finite(amount: "int | float", value: Union[str, int, float], kind: str) -> float:
+    """``amount`` as a float, if finite and non-negative (NaN fails every comparison)."""
+    try:
+        amount = float(amount)
+    except OverflowError:  # an int beyond the float range
+        amount = math.inf
+    if not 0 <= amount < math.inf:
+        raise QuantityParseError(f"{kind} quantity {value!r} is not a finite non-negative number")
+    return amount
+
+
 def parse_cpu(value: Union[str, int, float]) -> float:
     """Parse a CPU quantity into cores (``"500m"`` → 0.5, ``2`` → 2.0)."""
     if isinstance(value, (int, float)):
-        if value < 0:
-            raise QuantityParseError(f"negative CPU quantity {value!r}")
-        return float(value)
+        return _finite(value, value, "CPU")
     match = _QUANTITY_RE.match(value)
     if not match:
         raise QuantityParseError(f"malformed CPU quantity {value!r}")
     number, suffix = match.groups()
-    amount = float(number)
     if suffix == "":
-        return amount
+        return _finite(float(number), value, "CPU")
     if suffix == "m":
-        return amount / 1000.0
+        return _finite(float(number) / 1000.0, value, "CPU")
     raise QuantityParseError(f"unknown CPU suffix {suffix!r} in {value!r}")
 
 
 def parse_memory(value: Union[str, int, float]) -> int:
     """Parse a memory quantity into bytes (``"4Gi"`` → 4294967296)."""
     if isinstance(value, (int, float)):
-        if value < 0:
-            raise QuantityParseError(f"negative memory quantity {value!r}")
+        _finite(value, value, "memory")
         return int(value)
     match = _QUANTITY_RE.match(value)
     if not match:
         raise QuantityParseError(f"malformed memory quantity {value!r}")
     number, suffix = match.groups()
-    amount = float(number)
     if suffix == "":
         scale = 1
     elif suffix in _BINARY_SUFFIXES:
@@ -71,27 +78,7 @@ def parse_memory(value: Union[str, int, float]) -> int:
         scale = _DECIMAL_SUFFIXES[suffix]
     else:
         raise QuantityParseError(f"unknown memory suffix {suffix!r} in {value!r}")
-    return int(amount * scale)
-
-
-def _format_memory(num_bytes: "int | float") -> str:
-    """Format bytes using the largest exact-ish binary suffix (``"4Gi"``)."""
-    num_bytes = float(num_bytes)
-    for suffix in ("Pi", "Ti", "Gi", "Mi", "Ki"):
-        scale = _BINARY_SUFFIXES[suffix]
-        if num_bytes >= scale:
-            value = num_bytes / scale
-            if abs(value - round(value)) < 1e-9:
-                return f"{int(round(value))}{suffix}"
-            return f"{value:.2f}{suffix}"
-    return f"{int(num_bytes)}"
-
-
-def _format_cpu(cores: float) -> str:
-    """Format cores using the milli suffix when fractional (``0.5`` → ``"500m"``)."""
-    if abs(cores - round(cores)) < 1e-9:
-        return str(int(round(cores)))
-    return f"{int(round(cores * 1000))}m"
+    return int(_finite(float(number) * scale, value, "memory"))
 
 
 @dataclass(frozen=True)
@@ -105,10 +92,6 @@ class Quantity:
     cpu: float = 0.0
     memory: int = 0
 
-    @classmethod
-    def parse(cls, cpu: Union[str, int, float] = 0, memory: Union[str, int, float] = 0) -> "Quantity":
-        return cls(cpu=parse_cpu(cpu), memory=parse_memory(memory))
-
     def __add__(self, other: "Quantity") -> "Quantity":
         return Quantity(cpu=self.cpu + other.cpu, memory=self.memory + other.memory)
 
@@ -118,9 +101,3 @@ class Quantity:
     def fits_within(self, other: "Quantity") -> bool:
         """True when this request fits inside ``other`` (capacity)."""
         return self.cpu <= other.cpu + 1e-9 and self.memory <= other.memory
-
-    def scaled(self, factor: float) -> "Quantity":
-        return Quantity(cpu=self.cpu * factor, memory=int(self.memory * factor))
-
-    def __str__(self) -> str:
-        return f"cpu={_format_cpu(self.cpu)},memory={_format_memory(self.memory)}"

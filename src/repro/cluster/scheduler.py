@@ -1,8 +1,8 @@
 """The pod scheduler: predicates + priorities, like kube-scheduler.
 
 Filtering (predicates)
-    node is Ready, node selector matches, and the pod's total resource
-    requests fit in the node's free allocatable capacity.
+    the pod's total resource requests fit in the node's free allocatable
+    capacity.
 
 Scoring (priorities)
     least-allocated: the node with the most capacity left after binding
@@ -38,19 +38,16 @@ class Scheduler:
 
     # -- public API -----------------------------------------------------------------
 
-    def reconcile(self) -> int:
-        """Try to schedule every pending, unbound pod; returns how many were bound."""
+    def reconcile(self) -> None:
+        """Try to schedule every pending, unbound pod."""
         pending = [
             pod for pod in self.api.list(Pod.KIND)
             if pod.phase == PodPhase.PENDING and not pod.is_scheduled
         ]
-        # Highest priority first, then FIFO by creation time.
-        pending.sort(key=lambda pod: (-pod.spec.priority, pod.metadata.creation_time))
-        bound = 0
+        # FIFO by creation time (a stable sort keeps store order on ties).
+        pending.sort(key=lambda pod: pod.metadata.creation_time)
         for pod in pending:
-            if self._schedule_one(pod):
-                bound += 1
-        return bound
+            self._schedule_one(pod)
 
     def node_free_capacity(self, node: Node) -> Quantity:
         """Allocatable capacity minus requests of non-terminal pods bound to the node."""
@@ -64,33 +61,20 @@ class Scheduler:
     def feasible_nodes(self, pod: Pod) -> list[Node]:
         """Nodes passing every predicate for ``pod``."""
         requests = pod.total_requests()
-        feasible = []
-        for node in self.api.list(Node.KIND):
-            if not node.is_schedulable:
-                continue
-            if pod.spec.node_selector and not node.matches_selector(pod.spec.node_selector):
-                continue
-            if not requests.fits_within(self.node_free_capacity(node)):
-                continue
-            feasible.append(node)
-        return feasible
+        return [
+            node for node in self.api.list(Node.KIND)
+            if requests.fits_within(self.node_free_capacity(node))
+        ]
 
     # -- internals ---------------------------------------------------------------------
 
-    def _schedule_one(self, pod: Pod) -> bool:
+    def _schedule_one(self, pod: Pod) -> None:
         feasible = self.feasible_nodes(pod)
         if not feasible:
             self.unschedulable_count += 1
-            self.api.record_event(
-                Pod.KIND, pod.metadata, "FailedScheduling",
-                f"0/{self.api.count(Node.KIND)} nodes available for {pod.total_requests()}",
-            )
-            return False
-        best = self._pick(pod, feasible)
-        pod.node_name = best.name
-        self.api.record_event(Pod.KIND, pod.metadata, "Scheduled", f"Bound to {best.name}")
+            return
+        pod.node_name = self._pick(pod, feasible).name
         self.api.touch(Pod.KIND, pod)
-        return True
 
     def _pick(self, pod: Pod, feasible: list[Node]) -> Node:
         requests = pod.total_requests()
@@ -105,17 +89,3 @@ class Scheduler:
         cpu_util = 1.0 - (free_after.cpu / allocatable.cpu if allocatable.cpu else 0.0)
         mem_util = 1.0 - (free_after.memory / allocatable.memory if allocatable.memory else 0.0)
         return 1.0 - (cpu_util + mem_util) / 2.0
-
-    # -- reporting ----------------------------------------------------------------------
-
-    def utilization(self) -> dict[str, dict[str, float]]:
-        """Per-node CPU/memory utilisation fractions."""
-        report: dict[str, dict[str, float]] = {}
-        for node in self.api.list(Node.KIND):
-            allocatable = node.allocatable
-            free = self.node_free_capacity(node)
-            report[node.name] = {
-                "cpu": 1.0 - (free.cpu / allocatable.cpu if allocatable.cpu else 0.0),
-                "memory": 1.0 - (free.memory / allocatable.memory if allocatable.memory else 0.0),
-            }
-        return report

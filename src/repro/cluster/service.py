@@ -16,11 +16,11 @@ from enum import Enum
 from typing import Optional
 
 from repro.exceptions import ClusterError
-from repro.cluster.apiserver import ApiServer, EventType, WatchEvent
+from repro.cluster.apiserver import ApiServer, WatchEvent
 from repro.cluster.objects import LabelSelector, ObjectMeta
 from repro.cluster.pod import Pod, PodPhase
 
-__all__ = ["ServiceType", "ServicePort", "Endpoints", "Service", "ServiceController"]
+__all__ = ["ServiceType", "Endpoints", "Service", "ServiceController"]
 
 NODE_PORT_RANGE = (30000, 32767)
 
@@ -30,103 +30,54 @@ class ServiceType(str, Enum):
     NODE_PORT = "NodePort"
 
 
-@dataclass(frozen=True)
-class ServicePort:
-    """A port exposed by a service."""
-
-    port: int
-    target_port: int
-    node_port: Optional[int] = None
-    protocol: str = "TCP"
-
-
 @dataclass
 class Endpoints:
     """The pods currently backing a service."""
 
-    service_name: str
     addresses: list[str] = field(default_factory=list)  # pod names acting as addresses
-    ready: bool = False
 
 
 @dataclass
 class Service:
-    """A Service object."""
+    """A Service object on the NDN port (6363)."""
 
     metadata: ObjectMeta
     selector: LabelSelector
-    ports: list[ServicePort] = field(default_factory=list)
-    service_type: ServiceType = ServiceType.CLUSTER_IP
-    cluster_ip: str = ""
-    endpoints: Endpoints = None  # type: ignore[assignment]
+    service_type: ServiceType
+    cluster_ip: str
+    #: The allocated external port of a ``NodePort`` service.
+    node_port: Optional[int] = None
+    endpoints: Endpoints = field(default_factory=Endpoints, init=False)
 
     KIND = "Service"
-
-    def __post_init__(self) -> None:
-        if self.endpoints is None:
-            self.endpoints = Endpoints(service_name=self.metadata.name)
-
-    @property
-    def name(self) -> str:
-        return self.metadata.name
 
     @property
     def dns_name(self) -> str:
         """The cluster DNS name of this service."""
         return f"{self.metadata.name}.{self.metadata.namespace}.svc.cluster.local"
 
-    @property
-    def node_port(self) -> Optional[int]:
-        for port in self.ports:
-            if port.node_port is not None:
-                return port.node_port
-        return None
-
-    @property
-    def has_ready_endpoints(self) -> bool:
-        return bool(self.endpoints.addresses)
-
 
 class ServiceController:
     """Allocates cluster IPs / node ports and keeps endpoints in sync."""
 
-    def __init__(self, api: ApiServer, cluster_name: str = "cluster") -> None:
+    def __init__(self, api: ApiServer) -> None:
         self.api = api
-        self.cluster_name = cluster_name
         self._next_ip_octet = 1
-        self._allocated_node_ports: set[int] = set()
+        self._next_node_port = NODE_PORT_RANGE[0]
         api.watch(Service.KIND, self._on_service_event, replay_existing=True)
         api.watch(Pod.KIND, self._on_pod_event, replay_existing=False)
 
     # -- creation ------------------------------------------------------------------
 
-    def create_service(
-        self,
-        name: str,
-        selector: "LabelSelector | dict[str, str]",
-        port: int = 6363,
-        target_port: Optional[int] = None,
-        namespace: str = "ndnk8s",
-        service_type: "ServiceType | str" = ServiceType.CLUSTER_IP,
-        node_port: Optional[int] = None,
-    ) -> Service:
+    def create_service(self, name: str, selector: "dict[str, str]",
+                       service_type: ServiceType = ServiceType.CLUSTER_IP) -> Service:
         """Create a Service and allocate its virtual IP (and NodePort if asked)."""
-        if isinstance(selector, dict):
-            selector = LabelSelector.from_dict(selector)
-        service_type = ServiceType(service_type)
-        ports = [
-            ServicePort(
-                port=port,
-                target_port=target_port if target_port is not None else port,
-                node_port=self._allocate_node_port(node_port) if service_type == ServiceType.NODE_PORT else None,
-            )
-        ]
         service = Service(
-            metadata=ObjectMeta(name=name, namespace=namespace),
-            selector=selector,
-            ports=ports,
+            metadata=ObjectMeta(name=name, namespace="ndnk8s"),
+            selector=LabelSelector.from_dict(selector),
             service_type=service_type,
             cluster_ip=self._allocate_cluster_ip(),
+            node_port=self._allocate_node_port() if service_type == ServiceType.NODE_PORT else None,
         )
         self.api.create(Service.KIND, service)
         return service
@@ -136,27 +87,17 @@ class ServiceController:
         self._next_ip_octet += 1
         return f"10.152.{octet // 256}.{octet % 256}"
 
-    def _allocate_node_port(self, requested: Optional[int]) -> int:
-        if requested is not None:
-            if not (NODE_PORT_RANGE[0] <= requested <= NODE_PORT_RANGE[1]):
-                raise ClusterError(
-                    f"node port {requested} outside the allowed range {NODE_PORT_RANGE}"
-                )
-            if requested in self._allocated_node_ports:
-                raise ClusterError(f"node port {requested} already allocated")
-            self._allocated_node_ports.add(requested)
-            return requested
-        for candidate in range(NODE_PORT_RANGE[0], NODE_PORT_RANGE[1] + 1):
-            if candidate not in self._allocated_node_ports:
-                self._allocated_node_ports.add(candidate)
-                return candidate
-        raise ClusterError("node port range exhausted")
+    def _allocate_node_port(self) -> int:
+        port = self._next_node_port
+        if port > NODE_PORT_RANGE[1]:
+            raise ClusterError("node port range exhausted")
+        self._next_node_port += 1
+        return port
 
     # -- endpoint maintenance ------------------------------------------------------------
 
     def _on_service_event(self, event: WatchEvent) -> None:
-        if event.type in (EventType.ADDED, EventType.MODIFIED):
-            self._refresh_endpoints(event.obj)
+        self._refresh_endpoints(event.obj)
 
     def _on_pod_event(self, event: WatchEvent) -> None:
         pod: Pod = event.obj
@@ -165,19 +106,8 @@ class ServiceController:
                 self._refresh_endpoints(service)
 
     def _refresh_endpoints(self, service: Service) -> None:
-        backing = [
+        service.endpoints.addresses = sorted(
             pod.name
             for pod in self.api.list(Pod.KIND, namespace=service.metadata.namespace)
             if service.selector.matches(pod.metadata) and pod.phase == PodPhase.RUNNING
-        ]
-        service.endpoints.addresses = sorted(backing)
-        service.endpoints.ready = bool(backing)
-
-    # -- queries --------------------------------------------------------------------------
-
-    def resolve_node_port(self, node_port: int) -> Optional[Service]:
-        """Find the service exposed on ``node_port`` (external client entry path)."""
-        for service in self.api.list(Service.KIND):
-            if service.node_port == node_port:
-                return service
-        return None
+        )

@@ -3,7 +3,7 @@
 The paper's testbed mounts an NFS server into MicroK8s through a PVC and
 loads the genomics datasets onto it (paper §V-B).  Here the NFS server is an
 in-memory object store keyed by path; a PVC bound to an NFS-backed PV exposes
-read/write/stat operations against a sub-directory of that store.
+read/write operations against a sub-directory of that store.
 
 Large synthetic objects can be stored either with real bytes (small tests) or
 as *sized placeholders* (paper-scale datasets), so the data lake can reason
@@ -28,6 +28,9 @@ __all__ = [
     "StorageController",
 ]
 
+#: Size of every cluster's NFS export.
+NFS_CAPACITY_BYTES = parse_memory("1Ti")
+
 
 @dataclass
 class StoredObject:
@@ -42,20 +45,16 @@ class StoredObject:
     payload: Optional[bytes] = None
     metadata: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def is_placeholder(self) -> bool:
-        return self.payload is None
-
 
 class NFSServer:
     """A shared file store reachable from every node (the remote data lake)."""
 
-    def __init__(self, name: str = "nfs", capacity: Union[str, int] = "1Ti") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.capacity_bytes = parse_memory(capacity)
+        self.capacity_bytes = NFS_CAPACITY_BYTES
         self._objects: dict[str, StoredObject] = {}
-        #: Running total of stored sizes, kept by write/overwrite/delete so
-        #: the capacity check does not re-sum the store on every write.
+        #: Running total of stored sizes, kept by write and overwrite so the
+        #: capacity check does not re-sum the store on every write.
         self._used_bytes = 0
 
     # -- writes -----------------------------------------------------------------
@@ -103,17 +102,6 @@ class NFSServer:
         except KeyError:
             raise StorageError(f"no such object: {path}") from None
 
-    def exists(self, path: str) -> bool:
-        return path in self._objects
-
-    def listdir(self, prefix: str = "") -> list[str]:
-        return sorted(path for path in self._objects if path.startswith(prefix))
-
-    def delete(self, path: str) -> None:
-        if path not in self._objects:
-            raise StorageError(f"no such object: {path}")
-        self._used_bytes -= self._objects.pop(path).size_bytes
-
     def used_bytes(self) -> int:
         return self._used_bytes
 
@@ -127,20 +115,10 @@ class PersistentVolume:
 
     metadata: ObjectMeta
     capacity_bytes: int
-    storage_class: str
     server: NFSServer
     base_path: str
-    claim_ref: Optional[str] = None
 
     KIND = "PersistentVolume"
-
-    @property
-    def name(self) -> str:
-        return self.metadata.name
-
-    @property
-    def is_bound(self) -> bool:
-        return self.claim_ref is not None
 
 
 @dataclass
@@ -149,9 +127,9 @@ class PersistentVolumeClaim:
 
     metadata: ObjectMeta
     requested_bytes: int
-    storage_class: str = "nfs"
-    volume: Optional[PersistentVolume] = None
-    phase: str = "Pending"  # Pending | Bound
+    #: Set when the storage controller binds the claim.
+    volume: Optional[PersistentVolume] = field(default=None, init=False)
+    phase: str = field(default="Pending", init=False)  # Pending | Bound
 
     KIND = "PersistentVolumeClaim"
 
@@ -184,53 +162,21 @@ class PersistentVolumeClaim:
         server, full_path = self._resolve(path)
         return server.read(full_path)
 
-    def stat(self, path: str) -> StoredObject:
-        server, full_path = self._resolve(path)
-        return server.stat(full_path)
-
-    def exists(self, path: str) -> bool:
-        if not self.is_bound:
-            return False
-        server, full_path = self._resolve(path)
-        return server.exists(full_path)
-
-    def listdir(self, prefix: str = "") -> list[str]:
-        server, base = self._resolve(prefix)
-        stripped = []
-        root = f"{self.volume.base_path}/"  # type: ignore[union-attr]
-        for path in server.listdir(base):
-            stripped.append(path[len(root):] if path.startswith(root) else path)
-        return stripped
-
-    def used_bytes(self) -> int:
-        if not self.is_bound:
-            return 0
-        assert self.volume is not None
-        root = f"{self.volume.base_path}/"
-        return sum(
-            self.volume.server.stat(path).size_bytes
-            for path in self.volume.server.listdir(root)
-        )
-
 
 class StorageController:
     """Dynamic provisioner: binds PVCs to freshly provisioned NFS-backed PVs."""
 
-    def __init__(self, api: ApiServer, default_server: Optional[NFSServer] = None) -> None:
+    def __init__(self, api: ApiServer, server: NFSServer) -> None:
         self.api = api
-        self.default_server = default_server or NFSServer()
-        #: Storage class name -> the NFS server that provisions it.
-        self._servers: dict[str, NFSServer] = {"nfs": self.default_server}
+        self.server = server
         self.volumes_provisioned = 0
         api.watch(PersistentVolumeClaim.KIND, self._on_pvc_event, replay_existing=True)
 
-    def create_pvc(self, name: str, size: Union[str, int], storage_class: str = "nfs",
-                   namespace: str = "ndnk8s") -> PersistentVolumeClaim:
+    def create_pvc(self, name: str, size: Union[str, int]) -> PersistentVolumeClaim:
         """Create a claim; the controller binds it immediately (dynamic provisioning)."""
         pvc = PersistentVolumeClaim(
-            metadata=ObjectMeta(name=name, namespace=namespace),
+            metadata=ObjectMeta(name=name, namespace="ndnk8s"),
             requested_bytes=parse_memory(size),
-            storage_class=storage_class,
         )
         self.api.create(PersistentVolumeClaim.KIND, pvc)
         return pvc
@@ -241,18 +187,11 @@ class StorageController:
         self._bind(event.obj)
 
     def _bind(self, pvc: PersistentVolumeClaim) -> None:
-        if pvc.is_bound:
-            return
-        server = self._servers.get(pvc.storage_class)
-        if server is None:
-            raise StorageError(f"unknown storage class {pvc.storage_class!r}")
         pv = PersistentVolume(
             metadata=ObjectMeta(name=generate_name(f"pv-{pvc.name}-")),
             capacity_bytes=pvc.requested_bytes,
-            storage_class=pvc.storage_class,
-            server=server,
+            server=self.server,
             base_path=f"/exports/{pvc.metadata.namespace}/{pvc.name}",
-            claim_ref=pvc.name,
         )
         self.api.create(PersistentVolume.KIND, pv)
         self.volumes_provisioned += 1

@@ -98,7 +98,6 @@ class BlastApplication:
             resources=ResourceRequirements.of(
                 cpu=request.cpu, memory=f"{request.memory_gb:g}Gi"
             ),
-            command=["magicblast", "-sra", request.dataset or "", "-db", request.reference or ""],
             workload=workload,
             startup_delay_s=CONTAINER_STARTUP_S,
         )

@@ -59,13 +59,7 @@ class CentralizedController:
         self.submissions: list[_CentralizedSubmission] = []
         self.rejected_unavailable = 0
 
-    # -- membership (requires manual reconfiguration, unlike the overlay) ----------
-
-    def register_cluster(self, cluster: LIDCCluster) -> None:
-        self._clusters[cluster.name] = cluster
-
-    def deregister_cluster(self, name: str) -> Optional[LIDCCluster]:
-        return self._clusters.pop(name, None)
+    # -- membership (fixed when the controller is built, unlike the overlay) -------
 
     def clusters(self) -> list[LIDCCluster]:
         return [self._clusters[name] for name in sorted(self._clusters)]
@@ -75,9 +69,6 @@ class CentralizedController:
     def fail(self) -> None:
         """The controller process dies: every new submission is rejected."""
         self.alive = False
-
-    def recover(self) -> None:
-        self.alive = True
 
     # -- submission -----------------------------------------------------------------------
 

@@ -154,18 +154,16 @@ class LIDCCluster:
         fileserver_template = PodSpec(containers=[Container(
             name="fileserver", image="lidc/fileserver:latest", workload=math.inf, startup_delay_s=0.2
         )])
-        self.cluster.create_deployment(nfd_template, name="gateway-nfd", replicas=1)
-        self.cluster.create_deployment(nfd_template, name="dl-nfd", replicas=1)
-        self.cluster.create_deployment(fileserver_template, name="fileserver", replicas=1)
+        self.cluster.create_deployment(nfd_template, name="gateway-nfd")
+        self.cluster.create_deployment(nfd_template, name="dl-nfd")
+        self.cluster.create_deployment(fileserver_template, name="fileserver")
         # NodePort service exposing the gateway NFD to external NDN clients.
         self.nodeport_service = self.cluster.create_service(
-            "gateway-nfd", selector={"app": "gateway-nfd"}, port=6363,
-            service_type=ServiceType.NODE_PORT,
+            "gateway-nfd", selector={"app": "gateway-nfd"}, service_type=ServiceType.NODE_PORT,
         )
         # ClusterIP service giving the data-lake NFD its DNS name.
         self.datalake_service = self.cluster.create_service(
-            "dl-nfd", selector={"app": "dl-nfd"}, port=6363,
-            service_type=ServiceType.CLUSTER_IP,
+            "dl-nfd", selector={"app": "dl-nfd"}, service_type=ServiceType.CLUSTER_IP,
         )
 
     # ------------------------------------------------------------------ overlay membership

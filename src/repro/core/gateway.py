@@ -161,16 +161,13 @@ class Gateway:
 
     def _watch_job(self, record: JobRecord, k8s_job: Job, service: ServiceDefinition):
         """Wait for the Kubernetes Job to finish, then publish and finalise."""
-        assert k8s_job.completion is not None
         yield k8s_job.completion
         self._k8s_jobs.pop(record.job_id, None)
-        pods = self.cluster.jobs.pods_for(k8s_job)
-        finished = [pod for pod in pods if pod.is_terminal]
-        if k8s_job.is_complete and finished:
-            pod = max(finished, key=lambda p: p.finish_time or 0.0)
-            if pod.start_time is not None:
-                record.started_at = pod.start_time
-                record.state = JobState.RUNNING
+        if k8s_job.is_complete:
+            pod = k8s_job.pod
+            assert pod is not None  # a Job completes when its pod succeeds
+            record.started_at = pod.start_time
+            record.state = JobState.RUNNING
             output = pod.output()
             result_name, result_size = self._publish_result(record, output)
             self.tracker.mark_completed(
@@ -182,11 +179,7 @@ class Gateway:
             if self.enable_result_cache and result_name is not None and service.cacheable:
                 self.cache.store(record.request, result_name, result_size or 0, record.job_id)
         else:
-            message = k8s_job.status.message or "kubernetes job failed"
-            if finished:
-                failed_pod = finished[-1]
-                if failed_pod.message:
-                    message = failed_pod.message
+            message = k8s_job.status.message
             self.tracker.mark_failed(record.job_id, message)
             self.metrics.counter("jobs_failed").inc()
             self.tracer.record("gateway", "job-failed", job_id=record.job_id, error=message)
@@ -241,8 +234,7 @@ class Gateway:
         k8s_job = self._k8s_jobs.get(record.job_id)
         if k8s_job is None:
             return
-        pods = self.cluster.jobs.pods_for(k8s_job)
-        if any(pod.phase == PodPhase.RUNNING for pod in pods):
+        if k8s_job.pod is not None and k8s_job.pod.phase == PodPhase.RUNNING:
             self.tracker.mark_running(record.job_id)
 
     # ------------------------------------------------------------------ replies

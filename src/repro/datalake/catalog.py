@@ -73,12 +73,6 @@ class DataCatalog:
     def try_get(self, dataset_id: str) -> Optional[DatasetRecord]:
         return self._records.get(dataset_id)
 
-    def remove(self, dataset_id: str) -> DatasetRecord:
-        try:
-            return self._records.pop(dataset_id)
-        except KeyError:
-            raise DatasetNotFound(f"dataset {dataset_id!r} is not in the catalog") from None
-
     def __contains__(self, dataset_id: str) -> bool:
         return dataset_id in self._records
 

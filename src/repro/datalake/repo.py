@@ -108,13 +108,6 @@ class DataLake:
         self.publish_count += 1
         return record
 
-    def unpublish(self, dataset_id: str) -> DatasetRecord:
-        record = self.catalog.remove(dataset_id)
-        if self.pvc.exists(record.storage_path):
-            server, path = self.pvc._resolve(record.storage_path)
-            server.delete(path)
-        return record
-
     # -- retrieval -------------------------------------------------------------------
 
     def get_record(self, dataset_id: str) -> DatasetRecord:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.exceptions import GenomicsError
-from repro.genomics.sequences import FastaRecord, reverse_complement
+from repro.genomics.sequences import FastaRecord
 
 __all__ = ["KmerIndex", "ReferenceDatabase", "HUMAN_REFERENCE_SIZE_BYTES"]
 
@@ -145,11 +145,3 @@ class ReferenceDatabase:
                 return record
         raise GenomicsError(f"no contig {identifier!r} in reference {self.name!r}")
 
-    def contains_sequence(self, fragment: str) -> bool:
-        """Exact substring search (forward or reverse complement) over contigs."""
-        fragment = fragment.upper()
-        rc = reverse_complement(fragment)
-        return any(
-            fragment in record.sequence.upper() or rc in record.sequence.upper()
-            for record in self.contigs
-        )

@@ -133,20 +133,6 @@ class SraRegistry:
     def accessions(self) -> list[SraAccession]:
         return sorted(self._accessions.values(), key=lambda acc: acc.accession)
 
-    def by_genome_type(self, genome_type: str) -> list[SraAccession]:
-        return [acc for acc in self.accessions() if acc.genome_type == genome_type]
-
-    def validate(self, accession: str) -> tuple[bool, str]:
-        """Validate an accession: well formed and known to this registry.
-
-        Returns ``(ok, message)``.
-        """
-        if not is_valid_srr_id(accession):
-            return False, f"malformed SRR id {accession!r}"
-        if accession not in self:
-            return False, f"SRR id {accession!r} not present in the data lake"
-        return True, "ok"
-
     def update(self, accessions: Iterable[SraAccession]) -> None:
         for accession in accessions:
             self.register(accession)

@@ -149,12 +149,6 @@ class RoutingDaemon:
         self._flood(withdrawal, exclude=None)
         return withdrawal
 
-    def shutdown(self) -> None:
-        """Withdraw every locally-originated prefix (node going away)."""
-        local = [key for key, entry in self._rib.items() if entry.via_face is None]
-        for prefix, _origin in local:
-            self.withdraw(prefix)
-
     # -- receiving advertisements ---------------------------------------------------
 
     def receive(self, announcement: PrefixAnnouncement, from_neighbor: str) -> None:

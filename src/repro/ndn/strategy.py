@@ -383,9 +383,6 @@ class StrategyChoiceTable:
         strategy.chosen_for(prefix)
         self._choices[prefix] = strategy
 
-    def unset_strategy(self, prefix: "Name | str") -> None:
-        self._choices.pop(Name(prefix), None)
-
     def find(self, name: "Name | str") -> Strategy:
         """The strategy governing ``name`` (deepest configured prefix wins)."""
         name = Name(name)

@@ -8,15 +8,14 @@ from repro.cluster.apiserver import ApiServer
 from repro.cluster.deployment import DeploymentController
 from repro.cluster.job import JobController
 from repro.cluster.kubelet import Kubelet
-from repro.cluster.node import Node, NodeStatus
+from repro.cluster.node import Node
 from repro.cluster.objects import ObjectMeta
 from repro.cluster.pod import Container, Pod, PodPhase, PodSpec, ResourceRequirements, WorkloadResult
-from repro.cluster.quantity import Quantity
 from repro.cluster.scheduler import Scheduler
 from repro.sim.engine import Environment
 
 
-def pod_spec(cpu="1", memory="1Gi", duration=10.0, name="work", node_selector=None):
+def pod_spec(cpu="1", memory="1Gi", duration=10.0, name="work"):
     return PodSpec(
         containers=[Container(
             name=name,
@@ -24,7 +23,6 @@ def pod_spec(cpu="1", memory="1Gi", duration=10.0, name="work", node_selector=No
             workload=duration,
             startup_delay_s=0.0,
         )],
-        node_selector=dict(node_selector or {}),
     )
 
 
@@ -44,17 +42,6 @@ class TestNode:
         assert node.allocatable.cpu == pytest.approx(3.75)
         assert node.allocatable.memory == 16 * 1024**3 - 512 * 1024**2
 
-    def test_cordon_uncordon(self):
-        node = Node.build("n1")
-        node.cordon()
-        assert not node.is_schedulable
-        node.uncordon()
-        assert node.is_schedulable
-
-    def test_selector_matching(self):
-        node = Node.build("n1", labels={"zone": "us-east", "gpu": "true"})
-        assert node.matches_selector({"zone": "us-east"})
-        assert not node.matches_selector({"zone": "eu-west"})
 
 
 class TestPodModel:
@@ -80,14 +67,9 @@ class TestPodModel:
     def test_workload_plain_number(self):
         assert Container(name="c", workload=42).run_workload(make_pod("p")).duration_s == 42.0
 
-    def test_runtime_none_until_finished(self):
+    def test_times_unset_until_the_kubelet_runs_the_pod(self):
         pod = make_pod("p")
-        assert pod.runtime() is None
-
-    def test_resource_limits_default_to_requests(self):
-        reqs = ResourceRequirements.of(cpu=2, memory="2Gi", limit_cpu=4)
-        assert reqs.limits.cpu == 4
-        assert reqs.limits.memory == 2 * 1024**3
+        assert pod.start_time is None and pod.finish_time is None
 
 
 @pytest.fixture
@@ -111,15 +93,6 @@ class TestScheduler:
         pod = api.create("Pod", make_pod("big", cpu=8, memory="64Gi"))
         assert pod.node_name is None
         assert scheduler.unschedulable_count >= 1
-        assert any(ev.reason == "FailedScheduling" for ev in api.events_for("big"))
-
-    def test_respects_node_selector(self, api_env):
-        env, api = api_env
-        Scheduler(api)
-        api.create("Node", Node.build("cpu-node", cpu=8, memory="16Gi"))
-        api.create("Node", Node.build("gpu-node", cpu=8, memory="16Gi", labels={"gpu": "true"}))
-        pod = api.create("Pod", make_pod("needs-gpu", node_selector={"gpu": "true"}))
-        assert pod.node_name == "gpu-node"
 
     def test_does_not_overcommit_node(self, api_env):
         env, api = api_env
@@ -141,28 +114,18 @@ class TestScheduler:
         p2 = api.create("Pod", make_pod("p2", cpu=2, memory="2Gi"))
         assert {p1.node_name, p2.node_name} == {"n1", "n2"}
 
-    def test_cordoned_node_excluded(self, api_env):
-        env, api = api_env
-        Scheduler(api)
-        node = Node.build("n1", cpu=8, memory="16Gi")
-        node.cordon()
-        api.create("Node", node)
-        pod = api.create("Pod", make_pod("p1"))
-        assert pod.node_name is None
-
-    def test_priority_order(self, api_env):
+    def test_pending_pods_bind_in_creation_order(self, api_env):
         env, api = api_env
         Scheduler(api)
         # Both pods are created while no node exists, so both are pending;
-        # the node that then appears fits only one of them.
-        low = make_pod("low", cpu=2)
-        high = make_pod("high", cpu=2)
-        high.spec.priority = 100
-        api.create("Pod", low)
-        api.create("Pod", high)
+        # the node that then appears fits only one of them: the older one.
+        env.run(until=1.0)
+        older = api.create("Pod", make_pod("older", cpu=2))
+        env.run(until=2.0)
+        newer = api.create("Pod", make_pod("newer", cpu=2))
         api.create("Node", Node.build("n1", cpu=2.5, memory="8Gi"))
-        assert high.node_name == "n1"
-        assert low.node_name is None
+        assert older.node_name == "n1"
+        assert newer.node_name is None
 
     def test_pending_pod_scheduled_when_capacity_frees(self, api_env):
         env, api = api_env
@@ -175,13 +138,14 @@ class TestScheduler:
         api.touch("Pod", blocker)
         assert waiting.node_name == "n1"
 
-    def test_utilization_report(self, api_env):
+    def test_free_capacity_counts_bound_pods(self, api_env):
         env, api = api_env
         scheduler = Scheduler(api)
         api.create("Node", Node.build("n1", cpu=4, memory="8Gi"))
         api.create("Pod", make_pod("p1", cpu=2, memory="4Gi"))
-        utilization = scheduler.utilization()["n1"]
-        assert 0.4 < utilization["cpu"] < 0.7
+        free = scheduler.node_free_capacity(api.get("Node", "n1"))
+        assert free.cpu == pytest.approx(3.75 - 2)
+        assert free.memory == 8 * 1024**3 - 512 * 1024**2 - 4 * 1024**3
 
 
 class TestKubeletAndJobs:
@@ -196,12 +160,11 @@ class TestKubeletAndJobs:
 
     def test_pod_lifecycle_to_succeeded(self, env):
         api, kubelet, jobs = self._cluster(env)
-        job = jobs.create_job(pod_spec(duration=5.0))
+        job = jobs.create_job(pod_spec(duration=5.0), name="ok")
         env.run(until=job.completion)
         assert job.is_complete
-        pods = jobs.pods_for(job)
-        assert pods[0].phase == PodPhase.SUCCEEDED
-        assert pods[0].runtime() == pytest.approx(5.0)
+        assert job.pod.phase == PodPhase.SUCCEEDED
+        assert job.pod.finish_time - job.pod.start_time == pytest.approx(5.0)
 
     def test_failing_workload_fails_job(self, env):
         api, kubelet, jobs = self._cluster(env)
@@ -210,71 +173,52 @@ class TestKubeletAndJobs:
             raise RuntimeError("segfault")
 
         spec = PodSpec(containers=[Container(name="bad", workload=broken, startup_delay_s=0.0)])
-        job = jobs.create_job(spec, backoff_limit=0)
+        job = jobs.create_job(spec, name="crash")
         env.run(until=job.completion)
         assert job.is_failed
-        assert jobs.pods_for(job)[0].phase == PodPhase.FAILED
+        assert job.pod.phase == PodPhase.FAILED
+        assert job.status.message == "bad: segfault"
 
-    def test_backoff_limit_retries_failed_pods(self, env):
+    def test_a_job_runs_exactly_one_pod(self, env):
+        """The one-pod contract: the job ends with its pod, success or failure,
+        and a failed pod is not retried."""
         api, kubelet, jobs = self._cluster(env)
         attempts = {"count": 0}
 
         def flaky(pod):
             attempts["count"] += 1
-            if attempts["count"] < 3:
-                return WorkloadResult(duration_s=1.0, error="transient")
-            return WorkloadResult(duration_s=1.0)
+            return WorkloadResult(duration_s=1.0, error="transient")
 
         spec = PodSpec(containers=[Container(name="flaky", workload=flaky, startup_delay_s=0.0)])
-        job = jobs.create_job(spec, backoff_limit=5)
-        env.run(until=job.completion)
-        assert job.is_complete
-        assert attempts["count"] == 3
-        assert job.status.failed == 2
+        failed = jobs.create_job(spec, name="flaky")
+        done = jobs.create_job(pod_spec(duration=3.0, cpu="500m", memory="256Mi"), name="done")
+        env.run(until=10.0)
+        assert failed.completion.triggered and done.completion.triggered
+        assert failed.is_failed and failed.status.message == "flaky: transient"
+        assert done.is_complete and done.pod.phase == PodPhase.SUCCEEDED
+        assert attempts["count"] == 1
+        assert [pod.metadata.labels["job-name"] for pod in api.list("Pod")] == ["flaky", "done"]
+        env.run(until=env.now + 100.0)
+        assert len(api.list("Pod")) == 2
 
     def test_workload_error_result_marks_pod_failed(self, env):
         api, kubelet, jobs = self._cluster(env)
         spec = PodSpec(containers=[Container(
             name="oops", workload=lambda pod: WorkloadResult(duration_s=2.0, error="disk full"),
             startup_delay_s=0.0)])
-        job = jobs.create_job(spec)
+        job = jobs.create_job(spec, name="oops")
         env.run(until=job.completion)
         assert job.is_failed
-        assert "disk full" in jobs.pods_for(job)[0].message
-
-    def test_parallel_job_completions(self, env):
-        api, kubelet, jobs = self._cluster(env)
-        job = jobs.create_job(pod_spec(duration=3.0, cpu="500m", memory="256Mi"),
-                              completions=3, parallelism=3)
-        env.run(until=job.completion)
-        assert job.is_complete
-        assert job.status.succeeded == 3
-
-    def test_node_failure_fails_running_pods(self, env):
-        api, kubelet, jobs = self._cluster(env)
-        job = jobs.create_job(pod_spec(duration=1000.0))
-        env.run(until=10.0)
-        assert jobs.pods_for(job)[0].phase == PodPhase.RUNNING
-        affected = kubelet.node_failure()
-        env.run(until=15.0)
-        assert affected >= 1
-        assert job.is_failed
+        assert "disk full" in job.pod.message
 
     def test_infinite_workload_stays_running(self, env):
         api, kubelet, jobs = self._cluster(env)
         deployments = DeploymentController(env, api)
         spec = PodSpec(containers=[Container(name="svc", workload=math.inf, startup_delay_s=0.0)])
-        deployments.create_deployment(spec, name="svc", replicas=1)
+        deployments.create_deployment(spec, name="svc")
         env.run(until=50.0)
         pods = api.list("Pod")
         assert pods and all(pod.phase == PodPhase.RUNNING for pod in pods)
-
-    def test_job_active_deadline(self, env):
-        api, kubelet, jobs = self._cluster(env)
-        job = jobs.create_job(pod_spec(duration=1000.0), active_deadline_s=10.0)
-        env.run(until=job.completion)
-        assert job.is_failed
-        assert "deadline" in job.status.message
 
 
 class TestDeploymentController:
@@ -286,32 +230,20 @@ class TestDeploymentController:
         Kubelet(env, api, node)
         return api, DeploymentController(env, api)
 
-    def test_maintains_replica_count(self, env):
+    def test_keeps_one_running_replica(self, env):
         api, controller = self._setup(env)
         spec = PodSpec(containers=[Container(name="web", workload=math.inf, startup_delay_s=0.0)])
-        deployment = controller.create_deployment(spec, name="web", replicas=3)
+        controller.create_deployment(spec, name="web")
         env.run(until=5.0)
-        assert deployment.ready_replicas == 3
-        assert len(api.list("Pod")) == 3
+        assert [pod.phase for pod in api.list("Pod")] == [PodPhase.RUNNING]
+        assert api.list("Pod")[0].metadata.labels == {"app": "web"}
 
     def test_replaces_finished_pods(self, env):
         api, controller = self._setup(env)
         spec = PodSpec(containers=[Container(name="crashy", workload=5.0, startup_delay_s=0.0)])
-        controller.create_deployment(spec, name="crashy", replicas=1)
+        controller.create_deployment(spec, name="crashy")
         env.run(until=30.0)
         # The original pod finished after 5 s and was replaced at least once.
         assert controller.pods_created >= 2
-
-    def test_scale_up_and_down(self, env):
-        api, controller = self._setup(env)
-        spec = PodSpec(containers=[Container(name="web", workload=math.inf, startup_delay_s=0.0)])
-        deployment = controller.create_deployment(spec, name="web", replicas=1)
-        env.run(until=2.0)
-        controller.scale(deployment, 3)
-        env.run(until=4.0)
-        live = [p for p in api.list("Pod") if not p.is_terminal]
-        assert len(live) == 3
-        controller.scale(deployment, 1)
-        env.run(until=6.0)
-        live = [p for p in api.list("Pod") if not p.is_terminal]
-        assert len(live) == 1
+        assert controller.pods_replaced == controller.pods_created - 1
+        assert sum(not pod.is_terminal for pod in api.list("Pod")) == 1

@@ -13,10 +13,10 @@ from repro.cluster.kubelet import Kubelet
 from repro.cluster.node import Node
 from repro.cluster.objects import ObjectMeta
 from repro.cluster.pod import Container, Pod, PodPhase, PodSpec, ResourceRequirements
-from repro.cluster.quantity import Quantity
+from repro.cluster.quantity import Quantity, parse_memory
 from repro.cluster.scheduler import Scheduler
 from repro.cluster.service import NODE_PORT_RANGE, ServiceController, ServiceType
-from repro.cluster.storage import NFSServer, StorageController
+from repro.cluster.storage import NFS_CAPACITY_BYTES, NFSServer, StorageController
 
 
 @pytest.fixture
@@ -51,38 +51,31 @@ class TestServices:
 
     def test_node_port_allocation_in_range(self, env, running_cluster_bits):
         api, services = running_cluster_bits
-        service = services.create_service("gw", selector={"app": "gw"}, service_type="NodePort")
+        service = services.create_service("gw", selector={"app": "gw"},
+                                          service_type=ServiceType.NODE_PORT)
         assert NODE_PORT_RANGE[0] <= service.node_port <= NODE_PORT_RANGE[1]
 
-    def test_explicit_node_port_and_conflict(self, env, running_cluster_bits):
+    def test_node_ports_are_distinct(self, env, running_cluster_bits):
         api, services = running_cluster_bits
-        services.create_service("a", selector={"app": "a"}, service_type="NodePort", node_port=30007)
-        with pytest.raises(ClusterError):
-            services.create_service("b", selector={"app": "b"}, service_type="NodePort", node_port=30007)
-
-    def test_node_port_out_of_range_rejected(self, env, running_cluster_bits):
-        api, services = running_cluster_bits
-        with pytest.raises(ClusterError):
-            services.create_service("x", selector={"app": "x"}, service_type="NodePort", node_port=80)
+        ports = [
+            services.create_service(name, selector={"app": name},
+                                    service_type=ServiceType.NODE_PORT).node_port
+            for name in ("a", "b", "c")
+        ]
+        assert len(set(ports)) == 3
 
     def test_endpoints_track_running_pods(self, env, running_cluster_bits):
         api, services = running_cluster_bits
         service = services.create_service("nfd", selector={"app": "nfd"})
-        assert not service.has_ready_endpoints
+        assert service.endpoints.addresses == []
         running_pod(api, env, "nfd-pod-1", {"app": "nfd"})
         assert service.endpoints.addresses == ["nfd-pod-1"]
         running_pod(api, env, "other", {"app": "other"})
         assert service.endpoints.addresses == ["nfd-pod-1"]
 
-    def test_resolve_node_port(self, env, running_cluster_bits):
-        api, services = running_cluster_bits
-        service = services.create_service("gw", selector={"app": "gw"}, service_type="NodePort")
-        assert services.resolve_node_port(service.node_port) is service
-        assert services.resolve_node_port(32111) is None
-
     def test_dns_name_format(self, env, running_cluster_bits):
         api, services = running_cluster_bits
-        service = services.create_service("dl-nfd", selector={"app": "dl-nfd"}, namespace="ndnk8s")
+        service = services.create_service("dl-nfd", selector={"app": "dl-nfd"})
         assert service.dns_name == "dl-nfd.ndnk8s.svc.cluster.local"
 
 
@@ -101,7 +94,8 @@ class TestClusterDNS:
         dns = ClusterDNS(api)
         with pytest.raises(ClusterError):
             dns.resolve("missing.ndnk8s.svc.cluster.local")
-        assert dns.try_resolve("missing") is None
+        with pytest.raises(ClusterError):
+            dns.resolve("missing")
         assert dns.failures == 2
         assert dns.queries == 2
 
@@ -115,72 +109,61 @@ class TestClusterDNS:
 
 class TestStorage:
     def test_nfs_write_read_stat(self):
-        nfs = NFSServer(capacity="1Gi")
+        nfs = NFSServer("nfs")
         nfs.write("/exports/a.txt", b"hello", metadata={"k": "v"})
         assert nfs.read("/exports/a.txt") == b"hello"
         assert nfs.stat("/exports/a.txt").size_bytes == 5
-        assert nfs.listdir("/exports") == ["/exports/a.txt"]
+        assert nfs.stat("/exports/a.txt").metadata == {"k": "v"}
+        with pytest.raises(StorageError, match="no such object"):
+            nfs.stat("/exports/b.txt")
 
     def test_nfs_placeholder(self):
-        nfs = NFSServer(capacity="1Ti")
+        nfs = NFSServer("nfs")
         nfs.write_placeholder("/exports/huge.fa", 3_200_000_000)
-        assert nfs.stat("/exports/huge.fa").is_placeholder
+        assert nfs.stat("/exports/huge.fa").payload is None
         with pytest.raises(StorageError):
             nfs.read("/exports/huge.fa")
 
     def test_nfs_capacity_enforced(self):
-        nfs = NFSServer(capacity=100)
+        nfs = NFSServer("nfs")
+        assert nfs.capacity_bytes == NFS_CAPACITY_BYTES == parse_memory("1Ti")
+        nfs.write_placeholder("/most", NFS_CAPACITY_BYTES - 10)
         with pytest.raises(StorageError):
-            nfs.write("/big", b"x" * 200)
+            nfs.write("/big", b"x" * 20)
+        nfs.write("/fits", b"x" * 10)
 
     @given(ops=st.lists(
-        st.tuples(st.sampled_from(["write", "placeholder", "delete"]),
+        st.tuples(st.sampled_from(["write", "placeholder"]),
                   st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=60)),
         max_size=40,
     ))
     def test_nfs_running_total_agrees_with_a_fresh_sum(self, ops):
-        """``used_bytes`` is a running total kept by write, overwrite and
-        delete: after any interleaving it equals a fresh sum over the store,
-        and a write is refused at exactly the boundary a fresh sum gives."""
+        """``used_bytes`` is a running total kept by write and overwrite:
+        after any interleaving it equals a fresh sum over the store, and a
+        write is refused at exactly the boundary a fresh sum gives."""
         capacity = 100
-        nfs = NFSServer(name="lake", capacity=capacity)
+        nfs = NFSServer(name="lake")
+        nfs.capacity_bytes = capacity
         model: dict[str, int] = {}
         for op, slot, size in ops:
             path = f"/exports/obj{slot}"
-            if op == "delete":
-                if path in model:
-                    nfs.delete(path)
-                    del model[path]
-                else:
-                    with pytest.raises(StorageError, match="no such object"):
-                        nfs.delete(path)
-            else:
-                would_use = sum(model.values()) - model.get(path, 0) + size
-                store = (lambda: nfs.write(path, b"x" * size)) if op == "write" else (
-                    lambda: nfs.write_placeholder(path, size))
-                if would_use > capacity:
-                    with pytest.raises(StorageError) as refused:
-                        store()
-                    assert str(refused.value) == f"NFS server lake full: {would_use} > {capacity}"
-                else:
+            would_use = sum(model.values()) - model.get(path, 0) + size
+            store = (lambda: nfs.write(path, b"x" * size)) if op == "write" else (
+                lambda: nfs.write_placeholder(path, size))
+            if would_use > capacity:
+                with pytest.raises(StorageError) as refused:
                     store()
-                    model[path] = size
+                assert str(refused.value) == f"NFS server lake full: {would_use} > {capacity}"
+            else:
+                store()
+                model[path] = size
             assert nfs.used_bytes() == sum(model.values())
-            assert nfs.used_bytes() == sum(nfs.stat(p).size_bytes for p in nfs.listdir())
+            assert nfs.used_bytes() == sum(nfs.stat(p).size_bytes for p in model)
             assert nfs.object_count() == len(model)
-
-    def test_nfs_delete_and_missing(self):
-        nfs = NFSServer()
-        nfs.write("/a", b"1")
-        nfs.delete("/a")
-        with pytest.raises(StorageError):
-            nfs.stat("/a")
-        with pytest.raises(StorageError):
-            nfs.delete("/a")
 
     def test_pvc_binds_dynamically(self, env):
         api = ApiServer(clock=lambda: env.now)
-        storage = StorageController(api)
+        storage = StorageController(api, NFSServer("nfs"))
         pvc = storage.create_pvc("datalake-pvc", "100Gi")
         assert pvc.is_bound
         assert pvc.volume is not None
@@ -188,15 +171,15 @@ class TestStorage:
 
     def test_pvc_file_operations(self, env):
         api = ApiServer(clock=lambda: env.now)
-        storage = StorageController(api)
-        pvc = storage.create_pvc("pvc", "10Gi")
+        nfs = NFSServer("nfs")
+        pvc = StorageController(api, nfs).create_pvc("pvc", "10Gi")
         pvc.write("datasets/x.fastq", b"ACGT")
         assert pvc.read("datasets/x.fastq") == b"ACGT"
-        assert pvc.exists("datasets/x.fastq")
-        assert not pvc.exists("datasets/missing")
+        assert nfs.read("/exports/ndnk8s/pvc/datasets/x.fastq") == b"ACGT"
         pvc.write_placeholder("datasets/big.fa", 10**9)
-        assert pvc.used_bytes() == 10**9 + 4
-        assert "datasets/x.fastq" in pvc.listdir()
+        assert nfs.used_bytes() == 10**9 + 4
+        with pytest.raises(StorageError):
+            pvc.read("datasets/big.fa")
 
     def test_unbound_pvc_rejects_io(self, env):
         from repro.cluster.storage import PersistentVolumeClaim
@@ -227,38 +210,29 @@ class TestClusterFacade:
 
     def test_can_fit_and_free_capacity(self, env):
         cluster = Cluster(env, ClusterSpec(name="alpha", node_count=1, node_cpu=4, node_memory="8Gi"))
-        assert cluster.can_fit(Quantity.parse(cpu=2, memory="2Gi"))
-        assert not cluster.can_fit(Quantity.parse(cpu=32, memory="2Gi"))
-
-    def test_fail_node_kills_pods(self, env):
-        cluster = Cluster(env, ClusterSpec(name="alpha", node_count=1))
-        spec = PodSpec(containers=[Container(
-            name="long", resources=ResourceRequirements.of(cpu=1, memory="1Gi"), workload=1000.0)])
-        job = cluster.create_job(spec)
-        env.run(until=10.0)
-        killed = cluster.fail_node(cluster.jobs.pods_for(job)[0].node_name)
-        assert killed == 1
-        env.run(until=12.0)
-        assert job.is_failed
+        assert cluster.can_fit(Quantity(cpu=2.0, memory=parse_memory("2Gi")))
+        assert not cluster.can_fit(Quantity(cpu=32.0, memory=parse_memory("2Gi")))
 
     def test_utilization_changes_with_load(self, env):
         cluster = Cluster(env, ClusterSpec(name="alpha", node_count=1, node_cpu=4, node_memory="8Gi"))
         assert cluster.utilization()["cpu"] == pytest.approx(0.0)
         spec = PodSpec(containers=[Container(
             name="w", resources=ResourceRequirements.of(cpu=2, memory="4Gi"), workload=100.0)])
-        cluster.create_job(spec)
+        cluster.create_job(spec, name="load")
         env.run(until=5.0)
-        assert cluster.utilization()["cpu"] > 0.4
+        assert cluster.utilization()["cpu"] == pytest.approx(2 / 3.75)
+        assert cluster.free_capacity().cpu == pytest.approx(3.75 - 2)
 
     def test_dns_and_service_through_facade(self, env):
         cluster = Cluster(env, ClusterSpec(name="alpha", node_count=1))
         spec = PodSpec(containers=[Container(name="nfd", workload=math.inf, startup_delay_s=0.0)])
-        cluster.create_deployment(spec, name="nfd", replicas=1)
+        cluster.create_deployment(spec, name="nfd")
         cluster.create_service("nfd", selector={"app": "nfd"})
         env.run(until=5.0)
         record = cluster.dns.resolve("nfd.ndnk8s.svc.cluster.local")
-        assert record.is_resolvable
+        assert record.cluster_ip.startswith("10.152.")
         assert len(record.endpoints) == 1
+        assert len(cluster.running_pods()) == 1
 
     def test_pvc_through_facade(self, env):
         cluster = Cluster(env, ClusterSpec(name="alpha"))

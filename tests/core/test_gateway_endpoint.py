@@ -45,7 +45,7 @@ class TestGatewayCompute:
             app="BLAST", cpu=4, memory_gb=6, dataset="SRR5139395", reference="HUMAN"))
         record = lidc_cluster.gateway.tracker.get(ack["job_id"])
         k8s_job = lidc_cluster.cluster.job(record.k8s_job_name)
-        requests = k8s_job.spec.template.total_requests()
+        requests = k8s_job.template.total_requests()
         assert requests.cpu == pytest.approx(4)
         assert requests.memory == 6 * 1024**3
 
@@ -230,6 +230,8 @@ class TestGatewayStatus:
         env.run(until=env.now + 60)
         record = lidc_cluster.gateway.tracker.get(ack["job_id"])
         assert record.state == JobState.FAILED
+        # The pod's message reaches the record through the Job.
+        assert record.error == "compress: dataset 'does-not-exist' not found"
 
         def poll():
             data = yield consumer.express_interest(ack["status_name"], must_be_fresh=True)
@@ -274,7 +276,7 @@ class TestLIDCClusterEndpoint:
         assert 30000 <= lidc_cluster.node_port <= 32767
         assert lidc_cluster.datalake_dns_name() == "dl-nfd.ndnk8s.svc.cluster.local"
         record = lidc_cluster.cluster.dns.resolve(lidc_cluster.datalake_dns_name())
-        assert record.is_resolvable
+        assert record.cluster_ip == lidc_cluster.datalake_service.cluster_ip
 
     def test_system_deployments_running(self, env, lidc_cluster):
         env.run(until=5.0)

@@ -303,12 +303,3 @@ class TestCentralizedBaselineFailure:
         assert "unavailable" in submission.error
         assert controller.rejected_unavailable == 1
 
-    def test_recover_restores_placements(self, controller):
-        controller.fail()
-        with pytest.raises(ControllerUnavailable):
-            controller.submit(request())
-        controller.recover()
-        submission = controller.submit(request())
-        assert submission.accepted
-        # The outage is visible in the stats either way.
-        assert controller.rejected_unavailable == 1

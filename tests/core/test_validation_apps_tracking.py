@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.apiserver import ApiServer
-from repro.cluster.storage import StorageController
+from repro.cluster.storage import NFSServer, StorageController
 from repro.core.applications import (
     BlastApplication,
     CompressApplication,
@@ -25,7 +25,7 @@ from repro.ndn.name import Name
 @pytest.fixture
 def lake(env):
     api = ApiServer(clock=lambda: env.now)
-    storage = StorageController(api)
+    storage = StorageController(api, NFSServer("nfs"))
     pvc = storage.create_pvc("pvc", "100Gi")
     lake = DataLake(pvc)
     lake.publish_placeholder("SRR2931415", 1_600_000_000)
@@ -61,7 +61,7 @@ class TestValidators:
 
     def test_blast_knows_a_sample_from_the_registry_or_the_lake(self, env):
         api = ApiServer()
-        pvc = StorageController(api).create_pvc("p", "1Gi")
+        pvc = StorageController(api, NFSServer("nfs")).create_pvc("p", "1Gi")
         lake = DataLake(pvc)
         lake.publish_placeholder("SRR0000042", 1_000)
         validator = BlastValidator()

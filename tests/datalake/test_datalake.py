@@ -7,7 +7,7 @@ import pytest
 from repro.exceptions import DataLakeError, DatasetNotFound, InterestNacked
 from repro.cluster.apiserver import ApiServer
 from repro.cluster.cluster import Cluster, ClusterSpec
-from repro.cluster.storage import StorageController
+from repro.cluster.storage import NFSServer, StorageController
 from repro.datalake.catalog import DataCatalog, DatasetKind, DatasetRecord
 from repro.datalake.fileserver import FRESHNESS_PERIOD, FileServer
 from repro.datalake.loader import DataLoadingTool
@@ -20,7 +20,7 @@ from repro.ndn.name import Name
 @pytest.fixture
 def lake(env):
     api = ApiServer(clock=lambda: env.now)
-    storage = StorageController(api)
+    storage = StorageController(api, NFSServer("nfs"))
     pvc = storage.create_pvc("datalake-pvc", "100Gi")
     return DataLake(pvc, name="test-lake", clock=lambda: env.now)
 
@@ -39,8 +39,6 @@ class TestCatalog:
     def test_missing_dataset_raises(self):
         with pytest.raises(DatasetNotFound):
             DataCatalog().get("missing")
-        with pytest.raises(DatasetNotFound):
-            DataCatalog().remove("missing")
 
     def test_records_filtered_by_kind(self):
         catalog = DataCatalog()
@@ -100,11 +98,6 @@ class TestDataLake:
             lake.dataset_id_from_name("/other/name")
         with pytest.raises(DataLakeError):
             lake.dataset_id_from_name("/ndn/k8s/data")
-
-    def test_unpublish(self, lake):
-        lake.publish_bytes("temp", b"x")
-        lake.unpublish("temp")
-        assert not lake.has_dataset("temp")
 
     def test_publish_result_with_payload_and_size(self, lake):
         with_payload = lake.publish_result("job-1-output", payload=b"result", source_job="job-1")

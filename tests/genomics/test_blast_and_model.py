@@ -65,12 +65,6 @@ class TestReferenceDatabase:
         with pytest.raises(GenomicsError):
             _ = human.index
 
-    def test_contains_sequence(self, small_reference):
-        genome, reference = small_reference
-        fragment = genome.sequence[1000:1050]
-        assert reference.contains_sequence(fragment)
-        assert not reference.contains_sequence("A" * 50) or "A" * 50 in genome.sequence
-
     def test_find_contig(self, small_reference):
         _, reference = small_reference
         assert reference.find_contig("chrT").identifier == "chrT"

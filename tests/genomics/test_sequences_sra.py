@@ -128,18 +128,6 @@ class TestSraRegistry:
         assert entry.size_bytes == 75_000
         assert registry.get("SRR0000123").genome_type == "TEST"
 
-    def test_by_genome_type(self):
-        registry = SraRegistry()
-        assert [a.accession for a in registry.by_genome_type("RICE")] == ["SRR2931415"]
-
-    def test_validate_matches_gateway_rules(self):
-        registry = SraRegistry()
-        assert registry.validate("SRR2931415") == (True, "ok")
-        ok, message = registry.validate("garbage")
-        assert not ok and "malformed" in message
-        ok, message = registry.validate("SRR7777777")
-        assert not ok and "not present" in message
-
     def test_base_count(self):
         accession = PAPER_ACCESSIONS[0]
         assert accession.base_count == accession.read_count * accession.read_length

@@ -13,7 +13,7 @@ import gc
 import tracemalloc
 
 from repro.cluster.apiserver import ApiServer
-from repro.cluster.storage import StorageController
+from repro.cluster.storage import NFSServer, StorageController
 from repro.datalake.fileserver import FileServer
 from repro.datalake.repo import DataLake
 from repro.ndn.client import Consumer
@@ -33,7 +33,8 @@ def build(payload: bytes):
     """A data lake holding ``payload`` as dataset ``blob``, served by a file
     server on an upstream forwarder that a 2-shard gateway routes to."""
     env = Environment()
-    pvc = StorageController(ApiServer(clock=lambda: env.now)).create_pvc("lake-pvc", "1Gi")
+    pvc = StorageController(ApiServer(clock=lambda: env.now), NFSServer("nfs")).create_pvc(
+        "lake-pvc", "1Gi")
     lake = DataLake(pvc, clock=lambda: env.now)
     lake.publish_bytes("blob", payload)
     upstream = Forwarder(env, "datalake")

@@ -106,12 +106,6 @@ class TestStrategies:
         assert table.find("/ndn/k8s/data") is owner_affinity
         assert isinstance(table.find("/other"), BestRouteStrategy)
 
-    def test_strategy_choice_unset(self):
-        table = StrategyChoiceTable()
-        table.set_strategy("/a", LoadBalanceStrategy())
-        table.unset_strategy("/a")
-        assert table.find("/a/x") is table.default
-
 
 class TestSegmentation:
     def test_segments_cover_content(self, segment_all):
@@ -496,14 +490,6 @@ class TestRoutingDaemon:
         face_ab, face_ba = connect(env, fa, fb, label="a-b")
         RoutingDaemon.peer(da, face_ab, db, face_ba)
         assert fb.fib.lookup("/early/x") is not None
-
-    def test_shutdown_withdraws_local_prefixes(self, env, linked_pair):
-        fa, fb, da, db = linked_pair
-        db.announce("/one")
-        db.announce("/two")
-        db.shutdown()
-        assert fa.fib.lookup("/one/x") is None
-        assert fa.fib.lookup("/two/x") is None
 
     def test_known_prefixes_listing(self, env, linked_pair):
         _, _, da, db = linked_pair
