@@ -63,8 +63,8 @@ class _ExceptionHygieneRule(Rule):
                 continue
             if node.type is None:
                 yield self.finding(
-                    node, "bare except: catches SystemExit/KeyboardInterrupt "
-                    "and engine interrupts; name the exception type"
+                    node, "bare except: catches SystemExit and KeyboardInterrupt; "
+                    "name the exception type"
                 )
                 continue
             broad = self._broad_names(node.type)

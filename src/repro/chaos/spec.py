@@ -138,14 +138,6 @@ class ChaosSpec:
             "outage_s": [self.min_outage_s, self.max_outage_s],
         }
 
-    def event_count(self) -> int:
-        """Total events the schedule will contain (pairs count twice)."""
-        return (
-            2 * (self.kills + self.flaps + self.partitions)
-            + self.shard_crashes
-            + self.churns
-        )
-
     def _validate(self) -> None:
         if self.horizon_s <= 0:
             raise ValueError(f"chaos horizon must be positive, got {self.horizon_s}")

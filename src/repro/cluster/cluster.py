@@ -122,8 +122,8 @@ class Cluster:
         return self.services.create_service(name=name, selector=selector,
                                             service_type=service_type)
 
-    def create_pvc(self, name: str, size: Union[str, int]) -> PersistentVolumeClaim:
-        return self.storage.create_pvc(name=name, size=size)
+    def create_pvc(self, name: str) -> PersistentVolumeClaim:
+        return self.storage.create_pvc(name=name)
 
     # -- queries ---------------------------------------------------------------------------------
 

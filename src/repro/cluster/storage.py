@@ -8,12 +8,15 @@ read/write operations against a sub-directory of that store.
 Large synthetic objects can be stored either with real bytes (small tests) or
 as *sized placeholders* (paper-scale datasets), so the data lake can reason
 about multi-gigabyte files without allocating them.
+
+A claim asks for no size and a volume has none: the NFS export's
+:data:`NFS_CAPACITY_BYTES` (1 TiB) is the only bound on what is stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from repro.exceptions import StorageError
 from repro.cluster.apiserver import ApiServer, EventType, WatchEvent
@@ -114,7 +117,6 @@ class PersistentVolume:
     """A provisioned volume backed by a directory on an NFS server."""
 
     metadata: ObjectMeta
-    capacity_bytes: int
     server: NFSServer
     base_path: str
 
@@ -126,7 +128,6 @@ class PersistentVolumeClaim:
     """A claim for storage; once bound it exposes file operations."""
 
     metadata: ObjectMeta
-    requested_bytes: int
     #: Set when the storage controller binds the claim.
     volume: Optional[PersistentVolume] = field(default=None, init=False)
     phase: str = field(default="Pending", init=False)  # Pending | Bound
@@ -172,12 +173,9 @@ class StorageController:
         self.volumes_provisioned = 0
         api.watch(PersistentVolumeClaim.KIND, self._on_pvc_event, replay_existing=True)
 
-    def create_pvc(self, name: str, size: Union[str, int]) -> PersistentVolumeClaim:
+    def create_pvc(self, name: str) -> PersistentVolumeClaim:
         """Create a claim; the controller binds it immediately (dynamic provisioning)."""
-        pvc = PersistentVolumeClaim(
-            metadata=ObjectMeta(name=name, namespace="ndnk8s"),
-            requested_bytes=parse_memory(size),
-        )
+        pvc = PersistentVolumeClaim(metadata=ObjectMeta(name=name, namespace="ndnk8s"))
         self.api.create(PersistentVolumeClaim.KIND, pvc)
         return pvc
 
@@ -189,7 +187,6 @@ class StorageController:
     def _bind(self, pvc: PersistentVolumeClaim) -> None:
         pv = PersistentVolume(
             metadata=ObjectMeta(name=generate_name(f"pv-{pvc.name}-")),
-            capacity_bytes=pvc.requested_bytes,
             server=self.server,
             base_path=f"/exports/{pvc.metadata.namespace}/{pvc.name}",
         )

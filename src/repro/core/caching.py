@@ -87,10 +87,3 @@ class ResultCache:
             self._entries.popitem(last=False)
             self.evictions += 1
         return entry
-
-    # -- reporting --------------------------------------------------------------------
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -14,6 +14,9 @@ in flight on one client at once — :meth:`LIDCClient.submit_many` drives N
 concurrent jobs through a single :class:`~repro.ndn.client.Consumer` — and
 status is tracked with long-lived status Interests whose re-expression
 interval backs off exponentially (instead of the old fixed 30 s poll loop).
+A session ends by its protocol alone: each exchange is bounded by its
+Interest lifetime and the client's retry policy, and status tracking by
+:data:`MAX_POLLS`, so nothing outside the protocol has to stop it.
 
 Synchronous call sites use::
 
@@ -30,16 +33,15 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from repro.core import naming
 from repro.core.spec import ComputeRequest, JobState
-from repro.exceptions import InterestNacked, InterestTimeout, LIDCError, ProcessInterrupt
+from repro.exceptions import InterestNacked, InterestTimeout, LIDCError
 from repro.ndn.client import Consumer, RetryPolicy
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
-from repro.sim.engine import Environment, Event, Timeout
+from repro.sim.engine import Environment, Event
 
 __all__ = ["SubmissionResult", "JobOutcome", "JobHandle", "LIDCClient", "RetryPolicy"]
 
@@ -72,10 +74,6 @@ class SubmissionResult:
     error: Optional[str] = None
     submitted_at: float = 0.0
     acknowledged_at: float = 0.0
-
-    @property
-    def ack_latency(self) -> float:
-        return self.acknowledged_at - self.submitted_at
 
 
 @dataclass
@@ -125,8 +123,6 @@ class JobHandle:
         done: Event,
         unique: bool = True,
         fetch_result: bool = False,
-        delay_s: float = 0.0,
-        deadline_s: Optional[float] = None,
     ) -> None:
         self.handle_id = next(self._id_counter)
         self.client = client
@@ -134,23 +130,14 @@ class JobHandle:
         self.done = done
         self.unique = unique
         self.fetch_result = fetch_result
-        self.delay_s = delay_s
-        #: Whole-job budget in simulated seconds, counted from submission;
-        #: when exceeded the session resolves to a FAILED outcome.
-        self.deadline_s = deadline_s
-        self.deadline_exceeded = False
         #: Protocol timestamps, shared with the outcome's timeline.
         self.timeline: dict[str, float] = {}
         self.job_id: Optional[str] = None
-        self.cancelled = False
         self.status_polls = 0
         self._state = JobState.PENDING
         self._submission: Optional[SubmissionResult] = None
         self._outcome: Optional[JobOutcome] = None
         self._status_payload: Optional[dict] = None
-        self._process = None
-        #: The armed whole-job deadline, cancelled when the session ends.
-        self._deadline: Optional[Timeout] = None
 
     # -- state ------------------------------------------------------------------
 
@@ -160,10 +147,6 @@ class JobHandle:
         if self._outcome is not None:
             return self._outcome.state
         return self._state
-
-    @property
-    def finished(self) -> bool:
-        return self.done.triggered
 
     @property
     def submission(self) -> Optional[SubmissionResult]:
@@ -203,37 +186,12 @@ class JobHandle:
             payload["cluster"] = self._submission.cluster
         return payload
 
-    def result(self) -> Optional[bytes]:
-        """The retrieved result payload (None until fetched / when modelled)."""
-        return self._outcome.result_payload if self._outcome else None
-
-    # -- cancellation ------------------------------------------------------------
-
-    def cancel(self) -> bool:
-        """Stop tracking this job client-side.
-
-        The computation itself keeps running on the cluster (the paper's
-        protocol has no revocation message); the handle resolves to a FAILED
-        outcome carrying the cancellation reason.  Returns False when the job
-        already finished.
-        """
-        if self.finished:
-            return False
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("cancelled by client")
-            return True
-        return False
-
     # -- driver internals --------------------------------------------------------
 
     def _complete(self, outcome: JobOutcome) -> None:
-        if self._deadline is not None:
-            self._deadline.cancel()
-            self._deadline = None
         self._outcome = outcome
         self._state = outcome.state
-        if not self.done.triggered:
-            self.done.succeed(outcome)
+        self.done.succeed(outcome)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<JobHandle #{self.handle_id} {self.request.app}"
@@ -319,41 +277,24 @@ class LIDCClient:
         request: ComputeRequest,
         unique: bool = True,
         fetch_result: bool = False,
-        delay_s: float = 0.0,
-        deadline_s: Optional[float] = None,
     ) -> JobHandle:
         """Submit a computation and return a :class:`JobHandle` immediately.
 
         The handle's lifecycle runs as a background process; the calling
-        code decides when (and whether) to wait on ``handle.done``.
-        ``deadline_s`` bounds the whole session: a job not terminal within
-        the budget resolves to a FAILED outcome (typed, never a hang).
+        code decides when (and whether) to wait on ``handle.done``.  The
+        session ends by its protocol: every exchange is bounded by its
+        Interest lifetime and :attr:`retry_policy`, and status tracking by
+        :data:`MAX_POLLS`, so ``handle.done`` always triggers.
         """
         handle = JobHandle(
             self, request,
             done=self.env.event(name=f"job:{request.app}"),
             unique=unique, fetch_result=fetch_result,
-            delay_s=delay_s, deadline_s=deadline_s,
         )
         self._in_flight.add(handle)
         self.max_in_flight = max(self.max_in_flight, len(self._in_flight))
-        handle._process = self.env.process(
-            self._drive(handle), name=f"job-session:{handle.handle_id}"
-        )
-        if deadline_s is not None:
-            handle._deadline = self.env.timeout(delay_s + deadline_s)
-            handle._deadline.callbacks.append(partial(self._deadline_expired, handle))
+        self.env.process(self._drive(handle), name=f"job-session:{handle.handle_id}")
         return handle
-
-    @staticmethod
-    def _deadline_expired(handle: JobHandle, _timer: Timeout) -> None:
-        """A handle's whole-job deadline fell due before its session ended."""
-        handle._deadline = None
-        if not handle.finished and handle._process is not None and handle._process.is_alive:
-            handle.deadline_exceeded = True
-            handle._process.interrupt(
-                f"job deadline of {handle.deadline_s}s exceeded"
-            )
 
     def submit_many(
         self,
@@ -384,10 +325,6 @@ class LIDCClient:
         """Background process running one handle's full protocol."""
         try:
             outcome = yield from self._lifecycle(handle)
-        except ProcessInterrupt as exc:
-            handle.cancelled = True
-            outcome = self._failed_outcome(
-                handle, str(exc.cause) if exc.cause else "cancelled")
         except Exception as exc:  # lint: allow[RL004] handle.done must always trigger; any session error becomes a FAILED outcome
             # Unexpected errors (corrupt status payloads, non-gateway
             # producers, ...) are materialised into a FAILED outcome so
@@ -419,8 +356,6 @@ class LIDCClient:
     def _lifecycle(self, handle: JobHandle):
         """Process generator: the full Fig. 5 protocol for one handle."""
         timeline = handle.timeline
-        if handle.delay_s > 0:
-            yield self.env.timeout(handle.delay_s)
         timeline["submitted"] = self.env.now
         submission = yield from self.submit_interest(handle.request, unique=handle.unique)
         timeline["acknowledged"] = self.env.now

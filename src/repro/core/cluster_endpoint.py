@@ -48,8 +48,6 @@ __all__ = ["LIDCCluster"]
 ANNOUNCED_PREFIXES = (naming.COMPUTE_PREFIX, naming.STATUS_PREFIX, naming.DATA_PREFIX)
 #: Content Store capacity of the gateway and data-lake NFDs, in packets.
 CS_CAPACITY = 4096
-#: Size of the PVC that backs the data lake.
-DATALAKE_SIZE = "500Gi"
 
 
 class LIDCCluster:
@@ -111,7 +109,7 @@ class LIDCCluster:
         # -- data lake --------------------------------------------------------------
         self.loader = DataLoadingTool(self.cluster, registry=self.registry, seed=seed)
         self.datalake = self.loader.create_datalake(
-            pvc_name="datalake-pvc", size=DATALAKE_SIZE, lake_name=f"{spec.name}-datalake"
+            pvc_name="datalake-pvc", lake_name=f"{spec.name}-datalake"
         )
         if load_paper_datasets:
             self.loader.load_paper_datasets(self.datalake)
@@ -184,10 +182,6 @@ class LIDCCluster:
     def node_port(self) -> Optional[int]:
         """The NodePort through which external clients reach the gateway NFD."""
         return self.nodeport_service.node_port
-
-    def datalake_dns_name(self) -> str:
-        """The cluster DNS name of the data-lake NFD service."""
-        return self.datalake_service.dns_name
 
     def utilization(self) -> dict[str, float]:
         return self.cluster.utilization()

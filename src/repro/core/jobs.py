@@ -100,6 +100,3 @@ class JobTracker:
     def active(self) -> list[JobRecord]:
         """Jobs that have not reached a terminal state."""
         return [rec for rec in self._records.values() if not rec.is_terminal]
-
-    def completed(self) -> list[JobRecord]:
-        return self.records(JobState.COMPLETED)

@@ -140,11 +140,6 @@ class JobRecord:
             return None
         return self.finished_at - self.started_at
 
-    def turnaround(self) -> Optional[float]:
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.submitted_at
-
     def status_payload(self) -> dict:
         """The JSON document a status poll returns.
 

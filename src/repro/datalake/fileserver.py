@@ -15,15 +15,16 @@ cluster's data-lake NFD).  It answers three request shapes:
 A segment is encoded once, the first time it is asked for, and kept as a
 bytes-only :class:`~repro.ndn.packet.WirePacket`; every later request is
 answered with a detached view of that one buffer, so the segment's bytes
-exist once on this node however many tables hold them.
+exist once on this node however many tables hold them.  The cached segments
+of a dataset belong to the catalogue record they were cut for: once the
+dataset is re-published under a new record they are rebuilt.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
-
 from repro.exceptions import DataLakeError, DatasetNotFound, NDNError
+from repro.datalake.catalog import DatasetRecord
 from repro.datalake.repo import DATA_PREFIX, DataLake
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
@@ -58,7 +59,9 @@ class FileServer:
         self.segment_size = segment_size
         self.requests_served = 0
         self.requests_failed = 0
-        self._segment_cache: dict[str, tuple[bytes, dict[int, WirePacket]]] = {}
+        #: Dataset id -> (the record the segments were cut for, its payload,
+        #: the segments encoded so far).
+        self._segment_cache: dict[str, tuple[DatasetRecord, bytes, dict[int, WirePacket]]] = {}
         forwarder.attach_producer(DATA_PREFIX, self._handle)
 
     # -- request handling ------------------------------------------------------------
@@ -93,28 +96,32 @@ class FileServer:
             raise DataLakeError(f"unrecognised data request {name}")
         second = suffix[1].to_str()
         if second.startswith("seg="):
-            return self._segment(dataset_id, parse_segment(second))
+            return self._segment(record, parse_segment(second))
         if second == "manifest":
             return self._make_data(name, record.manifest_bytes())
         raise DataLakeError(f"unrecognised data request {name}")
 
-    def _segment(self, dataset_id: str, index: int) -> WirePacket:
-        """Segment ``index`` of a dataset, encoded on its first request.
+    def _segment(self, record: DatasetRecord, index: int) -> WirePacket:
+        """Segment ``index`` of the dataset ``record`` describes, encoded on
+        its first request.
 
         The dataset's payload is read on its first segment request, and
-        every segment is cut from that same payload until :meth:`invalidate`.
-        Only the encoded view is kept, so the Data object and its content
-        slice are garbage once encoded.  Replies are detached views, so no
-        holder downstream can attach a decoded object to the cached one.
+        every segment is cut from that same payload for as long as the
+        catalogue holds ``record``; a re-published dataset has a new record,
+        so its segments are cut afresh.  Only the encoded view is kept, so
+        the Data object and its content slice are garbage once encoded.
+        Replies are detached views, so no holder downstream can attach a
+        decoded object to the cached one.
         """
-        cached = self._segment_cache.get(dataset_id)
-        if cached is None:
-            cached = self._segment_cache[dataset_id] = (self.datalake.read_bytes(dataset_id), {})
-        payload, segments = cached
+        cached = self._segment_cache.get(record.dataset_id)
+        if cached is None or cached[0] is not record:
+            cached = self._segment_cache[record.dataset_id] = (
+                record, self.datalake.read_bytes(record.dataset_id), {})
+        _record, payload, segments = cached
         view = segments.get(index)
         if view is None:
             data = segment_data(
-                self.datalake.content_name(dataset_id), payload, index,
+                record.content_name, payload, index,
                 segment_size=self.segment_size, freshness_period=FRESHNESS_PERIOD,
             )
             view = segments[index] = WirePacket.of(data).detached_view()
@@ -122,15 +129,6 @@ class FileServer:
 
     def _make_data(self, name: Name, payload: bytes) -> Data:
         return Data(name=name, content=payload, freshness_period=FRESHNESS_PERIOD)
-
-    # -- cache maintenance ----------------------------------------------------------------
-
-    def invalidate(self, dataset_id: Optional[str] = None) -> None:
-        """Drop cached segments (after re-publication of a dataset)."""
-        if dataset_id is None:
-            self._segment_cache.clear()
-        else:
-            self._segment_cache.pop(dataset_id, None)
 
     def stats(self) -> dict[str, float]:
         return {

@@ -63,10 +63,10 @@ class DataLoadingTool:
 
     # -- PVC + lake creation --------------------------------------------------------------
 
-    def create_datalake(self, pvc_name: str = "datalake-pvc", size: str = "200Gi",
+    def create_datalake(self, pvc_name: str = "datalake-pvc",
                         lake_name: Optional[str] = None) -> DataLake:
         """Create the PVC and wrap it in a :class:`DataLake`."""
-        pvc = self.cluster.create_pvc(pvc_name, size)
+        pvc = self.cluster.create_pvc(pvc_name)
         return DataLake(
             pvc,
             name=lake_name or f"{self.cluster.name}-datalake",

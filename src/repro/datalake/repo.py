@@ -45,13 +45,6 @@ class DataLake:
         """The NDN name under which a dataset is served."""
         return DATA_PREFIX.append(dataset_id)
 
-    def dataset_id_from_name(self, name: "Name | str") -> str:
-        """Extract the dataset id from a ``/ndn/k8s/data/<id>[/...]`` name."""
-        name = Name(name)
-        if not DATA_PREFIX.is_prefix_of(name) or len(name) <= len(DATA_PREFIX):
-            raise DataLakeError(f"{name} is not inside the data namespace {DATA_PREFIX}")
-        return name[len(DATA_PREFIX)].to_str()
-
     # -- publication ----------------------------------------------------------------
 
     def publish_bytes(
@@ -124,13 +117,6 @@ class DataLake:
                 f"dataset {dataset_id!r} is a sized placeholder; only its manifest is retrievable"
             )
         return self.pvc.read(record.storage_path)
-
-    def read_manifest(self, dataset_id: str) -> bytes:
-        """The JSON manifest for any dataset (placeholders included)."""
-        return self.catalog.get(dataset_id).manifest_bytes()
-
-    def size_of(self, dataset_id: str) -> int:
-        return self.catalog.get(dataset_id).size_bytes
 
     # -- results convenience ------------------------------------------------------------
 

@@ -3,6 +3,8 @@
 Every subsystem raises exceptions derived from :class:`ReproError` so that
 callers can catch reproduction-level failures without swallowing genuine
 programming errors (``TypeError``, ``ValueError`` from third-party code, …).
+The simulation kernel throws nothing into a process on its own: a process
+only ever sees the exceptions of the events it waits on.
 """
 
 from __future__ import annotations
@@ -19,18 +21,6 @@ class ReproError(Exception):
 
 class SimulationError(ReproError):
     """Base class for simulation-kernel errors."""
-
-
-class ProcessInterrupt(SimulationError):
-    """Raised inside a process that has been interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.engine.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(f"process interrupted: {cause!r}")
-        self.cause = cause
 
 
 # ---------------------------------------------------------------------------

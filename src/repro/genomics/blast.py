@@ -75,10 +75,6 @@ class BlastResult:
     def output_size_bytes(self) -> int:
         return len(self.output)
 
-    def report_text(self) -> str:
-        """Human-readable report (decompressed tabular output)."""
-        return zlib.decompress(self.output).decode("utf-8") if self.output else ""
-
 
 class MagicBlast:
     """Seed-and-extend aligner over a :class:`ReferenceDatabase`."""

@@ -24,12 +24,10 @@ class KmerIndex:
             raise GenomicsError(f"k must lie in [4, 32], got {k}")
         self.k = k
         self._index: dict[str, list[tuple[str, int]]] = defaultdict(list)
-        self._contig_lengths: dict[str, int] = {}
 
     def add(self, record: FastaRecord) -> None:
         """Index every k-mer of one contig."""
         sequence = record.sequence.upper()
-        self._contig_lengths[record.identifier] = len(sequence)
         for offset in range(0, len(sequence) - self.k + 1):
             kmer = sequence[offset:offset + self.k]
             if "N" in kmer:
@@ -51,20 +49,6 @@ class KmerIndex:
             for contig, contig_offset in self._index.get(kmer, ()):
                 seeds.append((read_offset, contig, contig_offset))
         return seeds
-
-    @property
-    def distinct_kmers(self) -> int:
-        return len(self._index)
-
-    @property
-    def total_positions(self) -> int:
-        return sum(len(positions) for positions in self._index.values())
-
-    def contig_length(self, contig: str) -> int:
-        try:
-            return self._contig_lengths[contig]
-        except KeyError:
-            raise GenomicsError(f"unknown contig {contig!r}") from None
 
 
 @dataclass

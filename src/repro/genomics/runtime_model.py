@@ -191,19 +191,3 @@ class BlastRuntimeModel:
     def output_size_bytes(self, srr_id: str) -> int:
         return self.coefficients(srr_id).output_bytes
 
-    # -- validation against the paper -----------------------------------------------------
-
-    def reproduce_table1(self) -> list[tuple[Table1Row, RunEstimate]]:
-        """Model estimate next to every paper row (Table I from the model alone)."""
-        return [
-            (row, self.estimate(row.srr_id, row.reference, cpu=row.cpu, memory_gb=row.memory_gb))
-            for row in TABLE1_ROWS
-        ]
-
-    def max_relative_error(self) -> float:
-        """Largest |model − paper| / paper over Table I (should be ≪ 1 %)."""
-        errors = [
-            abs(estimate.runtime_s - row.run_time_s) / row.run_time_s
-            for row, estimate in self.reproduce_table1()
-        ]
-        return max(errors)

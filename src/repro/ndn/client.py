@@ -101,16 +101,11 @@ class _PendingInterest:
 class Consumer:
     """An application endpoint that expresses Interests through a forwarder."""
 
-    #: Receive wire views from faces; Data is decoded here — at the one
-    #: endpoint that actually consumes the content — not in transit.
-    accepts_wire_packets = True
-
     def __init__(
         self,
         env: Environment,
         forwarder: Forwarder,
         name: str = "consumer",
-        link=None,
         rng: Optional[SeededRNG] = None,
     ) -> None:
         self.env = env
@@ -125,15 +120,9 @@ class Consumer:
         #: many concurrent job sessions) every pending Interest is exact-match.
         self._prefix_pending = 0
         self._faces: list[Face] = []
-        # Connect to the forwarder over a local (or provided) link.
-        if link is None:
-            self.face, self._fwd_face = connect(
-                env, self, forwarder, label=f"{name}<->{forwarder.name}", face_cls=LocalFace
-            )
-        else:
-            self.face, self._fwd_face = connect(
-                env, self, forwarder, link=link, label=f"{name}<->{forwarder.name}"
-            )
+        self.face, self._fwd_face = connect(
+            env, self, forwarder, label=f"{name}<->{forwarder.name}", face_cls=LocalFace
+        )
         self.interests_sent = 0
         self.data_received = 0
         self.nacks_received = 0
@@ -363,16 +352,6 @@ class Consumer:
                 )
 
     # -- higher-level fetch helpers -----------------------------------------------
-
-    def fetch(self, name: "Name | str", **kwargs):
-        """Process generator: fetch a single Data packet and return it.
-
-        Usage inside a process::
-
-            data = yield from consumer.fetch("/ndn/k8s/data/foo")
-        """
-        data = yield self.express_interest(name, **kwargs)
-        return data
 
     def fetch_segments(self, base_name: "Name | str", lifetime: float = 4.0,
                        retry_policy: Optional[RetryPolicy] = RetryPolicy(max_retries=1)):

@@ -234,8 +234,3 @@ class ContentStore:
                 self.on_evict(name)
         self._entries.clear()
         self._index = None
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -13,18 +13,15 @@ Two kinds of face are provided:
 * :class:`NetworkFace` — one end of a point-to-point link between two packet
   endpoints (forwarders, gateways, clients); delivery is delayed by the link's
   propagation latency and serialisation time for the wire buffer.
-* :class:`LocalFace` — an application face inside a node (zero or negligible
-  delay), used by producers, consumers and the LIDC gateway.
+* :class:`LocalFace` — an application face inside a node, used by
+  producers, consumers and the LIDC gateway; it hands a packet straight to
+  its peer.
 
-Every endpoint that owns faces must implement the small
-:class:`PacketEndpoint` protocol: ``add_face(face) -> int`` and
-``receive_packet(packet, face) -> None``, and must declare
-``accepts_wire_packets = True``: delivery hands over the
-:class:`~repro.ndn.packet.WirePacket` itself and raises for endpoints that
-do not opt in.  (The one-release compatibility shim that decoded packets
-for legacy endpoints is gone; every in-tree endpoint is wire-aware.)
-``send()`` still accepts bare packet objects and wraps them (via the
-sender's cached wire form) on entry.
+Every endpoint that owns faces implements the small :class:`PacketEndpoint`
+protocol: ``add_face(face) -> int`` and ``receive_packet(packet, face) ->
+None``; delivery hands over the :class:`~repro.ndn.packet.WirePacket`
+itself.  ``send()`` still accepts bare packet objects and wraps them (via
+the sender's cached wire form) on entry.
 """
 
 from __future__ import annotations
@@ -60,13 +57,8 @@ _DATA_TYPE = TlvTypes.DATA
 
 
 class PacketEndpoint(Protocol):
-    """Anything that can own faces and receive packets from them.
-
-    Endpoints must set ``accepts_wire_packets = True`` and handle the
-    :class:`~repro.ndn.packet.WirePacket` view; delivery to an endpoint
-    without that marker raises (the decode-on-delivery compat shim was
-    removed once every in-tree endpoint became wire-aware).
-    """
+    """Anything that can own faces and receive the
+    :class:`~repro.ndn.packet.WirePacket` views they deliver."""
 
     def add_face(self, face: "Face") -> int:  # pragma: no cover - protocol
         ...
@@ -131,9 +123,6 @@ class Face:
         self.peer: Optional["Face"] = None
         self.stats = _FaceStats()
         self.up = True
-        # Resolved once: delivery requires a wire-aware owner (legacy
-        # decoded-object delivery raises in deliver()).
-        self._owner_accepts_wire = bool(getattr(owner, "accepts_wire_packets", False))
 
     def attach(self) -> int:
         """Register this face with its owner; records the assigned id."""
@@ -187,14 +176,6 @@ class Face:
         if not self.up:
             self.stats.drops += 1
             return
-        if not self._owner_accepts_wire:
-            raise NDNError(
-                f"endpoint {type(self.owner).__name__!r} on face "
-                f"{self.label or self.face_id} does not accept wire packets: "
-                "the legacy decoded-object delivery shim was removed; set "
-                "accepts_wire_packets = True and read fields off the "
-                "WirePacket view (or call .decode() at the endpoint)"
-            )
         wire_packet = WirePacket.of(packet)
         self.stats.record_in(wire_packet)
         self.owner.receive_packet(wire_packet, self)
@@ -212,25 +193,12 @@ class Face:
 
 
 class LocalFace(Face):
-    """An in-node application face: delivery costs a fixed small delay."""
-
-    def __init__(
-        self,
-        env: Environment,
-        owner: PacketEndpoint,
-        label: str = "",
-        delay_s: float = 0.0,
-    ) -> None:
-        super().__init__(env, owner, label)
-        self.delay_s = delay_s
+    """An in-node application face: hands a packet straight to its peer."""
 
     def _transmit(self, packet: WirePacket) -> None:
-        if self.delay_s <= 0:
-            peer = self.peer
-            assert peer is not None
-            peer.deliver(packet)
-        else:
-            self._deliver_after(self.delay_s, packet)
+        peer = self.peer
+        assert peer is not None
+        peer.deliver(packet)
 
 
 class NetworkFace(Face):

@@ -54,9 +54,6 @@ class FibEntry:
     def has_nexthops(self) -> bool:
         return bool(self.nexthops)
 
-    def best(self) -> Optional[_NextHop]:
-        return self.nexthops[0] if self.nexthops else None
-
 
 class Fib:
     """The forwarder's FIB: prefix registration plus longest-prefix lookup."""
@@ -105,10 +102,6 @@ class Fib:
             return item[1]
         return None
 
-    def exact(self, prefix: "Name | str") -> Optional[FibEntry]:
-        """The entry exactly at ``prefix``, if any."""
-        return self._tree.get(prefix)
-
     def route_cost(self, prefix: "Name | str", face_id: int) -> Optional[float]:
         """The cost of the next hop ``(prefix, face_id)``; ``None`` without one."""
         entry = self._tree.get(prefix)
@@ -118,6 +111,3 @@ class Fib:
     def entries(self) -> list[FibEntry]:
         """All entries, depth-first in canonical component order."""
         return [entry for _name, entry in self._tree.items()]
-
-    def prefixes(self) -> list[Name]:
-        return [entry.prefix for entry in self.entries()]

@@ -62,9 +62,6 @@ class Forwarder:
         (useful for repo-style producers).
     """
 
-    #: Faces hand this endpoint the WirePacket view, not decoded objects.
-    accepts_wire_packets = True
-
     def __init__(
         self,
         env: Environment,
@@ -125,24 +122,20 @@ class Forwarder:
             # alternative next hop remains.
             self._forward_interest(interest, entry, face_id)
 
-    def abort_pending(
-        self,
-        predicate: Callable[["PitEntry"], bool],
-        reason: int = NackReason.NO_ROUTE,
-    ) -> int:
-        """Nack and drop every PIT entry matching ``predicate``.
+    def abort_pending(self, predicate: Callable[["PitEntry"], bool]) -> int:
+        """Nack (``NoRoute``) and drop every PIT entry matching ``predicate``.
 
-        Control-plane helper for shard rebalance and fault injection: the
-        downstream consumers get an immediate Nack (default ``NoRoute``)
-        instead of a silent timeout, so retry policies can re-route at once.
-        Returns the number of aborted entries.
+        Control-plane helper for shard rebalance and shard crashes: the
+        downstream consumers get an immediate Nack instead of a silent
+        timeout, so retry policies can re-route at once.  Returns the number
+        of aborted entries.
         """
         aborted = 0
         for entry in self.pit.entries():
             if not predicate(entry):
                 continue
             if entry.interest is not None:
-                self._reject(entry.interest, reason)
+                self._reject(entry.interest, NackReason.NO_ROUTE)
             else:  # pragma: no cover - entries always carry their Interest
                 self.pit.remove_from_key((entry.name, entry.can_be_prefix))
             aborted += 1
@@ -182,7 +175,6 @@ class Forwarder:
         self,
         prefix: "Name | str",
         handler: Callable[[InterestLike], "AnyPacket | None"],
-        delay_s: float = 0.0,
     ) -> Face:
         """Attach an application producer.
 
@@ -195,12 +187,6 @@ class Forwarder:
         """
 
         class _ProducerEndpoint:
-            accepts_wire_packets = True
-
-            def __init__(self, outer: "Forwarder") -> None:
-                self._outer = outer
-                self.face: Optional[Face] = None
-
             def add_face(self, face: Face) -> int:
                 return 0  # application side does not number its faces
 
@@ -210,12 +196,10 @@ class Forwarder:
                     if response is not None:
                         face.send(response)
 
-        endpoint = _ProducerEndpoint(self)
-        app_face = LocalFace(self.env, endpoint, label=f"{self.name}:app:{prefix}", delay_s=delay_s)
-        fwd_face = LocalFace(self.env, self, label=f"{self.name}:fwd:{prefix}", delay_s=delay_s)
+        app_face = LocalFace(self.env, _ProducerEndpoint(), label=f"{self.name}:app:{prefix}")
+        fwd_face = LocalFace(self.env, self, label=f"{self.name}:fwd:{prefix}")
         app_face.set_peer(fwd_face)
         fwd_face.set_peer(app_face)
-        endpoint.face = app_face
         fwd_face.attach()
         self.register_prefix(prefix, fwd_face)
         return app_face

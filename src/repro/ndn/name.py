@@ -181,10 +181,6 @@ class Name:
             uri = self._uri = "/" + "/".join(comp.escaped() for comp in self._components)
         return uri
 
-    @property
-    def components(self) -> tuple[Component, ...]:
-        return self._components
-
     # -- construction helpers ---------------------------------------------------------
 
     def append(self, *parts: Union[str, bytes, Component, "Name"]) -> "Name":
@@ -227,21 +223,6 @@ class Name:
         if len(self) > len(other):
             return False
         return self._components == other._components[: len(self)]
-
-    def starts_with(self, prefix: "Name | str") -> bool:
-        """True when ``prefix`` is a prefix of this name."""
-        prefix = prefix if isinstance(prefix, Name) else Name(prefix)
-        return prefix.is_prefix_of(self)
-
-    def common_prefix_length(self, other: "Name | str") -> int:
-        """Number of leading components shared with ``other``."""
-        other = other if isinstance(other, Name) else Name(other)
-        count = 0
-        for mine, theirs in zip(self._components, other._components):
-            if mine != theirs:
-                break
-            count += 1
-        return count
 
     def last(self) -> Component:
         """The final component."""

@@ -560,10 +560,6 @@ class WirePacket:
     def is_data(self) -> bool:
         return self._header() == TlvTypes.DATA
 
-    @property
-    def is_nack(self) -> bool:
-        return self._header() == TlvTypes.NACK
-
     # -- lazy fields ----------------------------------------------------------
 
     @property

@@ -240,10 +240,6 @@ class RoutingDaemon:
 
     # -- queries ---------------------------------------------------------------------------
 
-    def known_prefixes(self) -> list[Name]:
-        """Every prefix present in the RIB (locally originated or learned)."""
-        return sorted({prefix for prefix, _origin in self._rib}, key=str)
-
     def origins_for(self, prefix: "Name | str") -> list[str]:
         """Which origins advertise ``prefix`` (exact match)."""
         prefix = Name(prefix)

@@ -186,8 +186,6 @@ class _ShardRelay:
     attributed to its owning shard.
     """
 
-    accepts_wire_packets = True
-
     __slots__ = ("_owner", "_ext_face_id", "_shard_index", "face")
 
     def __init__(
@@ -249,7 +247,6 @@ class _ProducerRecord:
 
     prefix: Name
     handler: Callable[..., object]
-    delay_s: float
     #: shard index -> the application face attached on that shard.
     faces: dict[int, Face] = field(default_factory=dict)
 
@@ -294,9 +291,6 @@ class ShardedForwarder:
     (returning Data/Nack from the callback), because the face returned by
     :meth:`attach_producer` reaches only the first owning shard.
     """
-
-    #: Faces hand this endpoint the WirePacket view, not decoded objects.
-    accepts_wire_packets = True
 
     def __init__(
         self,
@@ -473,7 +467,6 @@ class ShardedForwarder:
         self,
         prefix: "Name | str",
         handler: Callable[..., "AnyPacket | None"],
-        delay_s: float = 0.0,
     ) -> Face:
         """Attach an application producer on the prefix's owning shards.
 
@@ -490,11 +483,11 @@ class ShardedForwarder:
             self.hot_cache.invalidate_under(prefix)
         owners = self._owning_shards(prefix)
         faces = {
-            index: self.shards[index].attach_producer(prefix, handler, delay_s)
+            index: self.shards[index].attach_producer(prefix, handler)
             for index in owners
         }
         self._producers.append(
-            _ProducerRecord(prefix=prefix, handler=handler, delay_s=delay_s, faces=faces)
+            _ProducerRecord(prefix=prefix, handler=handler, faces=faces)
         )
         return faces[owners[0]]
 
@@ -605,7 +598,7 @@ class ShardedForwarder:
                 self.hot_cache.invalidate_under(record.prefix)
             for index in added:
                 record.faces[index] = self.shards[index].attach_producer(
-                    record.prefix, record.handler, record.delay_s
+                    record.prefix, record.handler
                 )
                 report.producers_added += 1
             for index in removed:

@@ -8,6 +8,11 @@ The engine is deliberately small and deterministic:
   reproducible regardless of hash randomisation.
 * Processes are plain Python generators that ``yield`` events; the engine
   resumes them with the event's value (or throws the event's exception).
+  Nothing stops a process from outside: it ends when its generator returns
+  or raises, so every wait must be bounded by the protocol it runs (an
+  Interest lifetime, a retry policy, a poll cap).
+* A scheduled timeout stays on the schedule until it falls due; a timer that
+  lost its purpose is disarmed by clearing its callbacks.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import heapq
 import math
 from typing import Any, Callable, Generator, Optional
 
-from repro.exceptions import ProcessInterrupt, SimulationError
+from repro.exceptions import SimulationError
 
 __all__ = [
     "Environment",
@@ -60,11 +65,6 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        """True once the event's callbacks have run."""
-        return self._processed
-
-    @property
     def ok(self) -> bool:
         """True when the event carries a value rather than an exception."""
         return self._ok
@@ -100,13 +100,6 @@ class Event:
         self.env.schedule(self, priority=PRIORITY_NORMAL)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event (chaining)."""
-        if event.ok:
-            self.succeed(event.value)
-        else:
-            self.fail(event.value)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" {self.name}" if self.name else ""
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
@@ -128,24 +121,6 @@ class Timeout(Event):
         self._triggered = True
         env.schedule(self, priority=PRIORITY_NORMAL, delay=delay)
 
-    def cancel(self) -> None:
-        """Take this timeout off the schedule before it is due.
-
-        Its callbacks never run and the clock never advances to it, so a
-        long timer that lost its purpose (a job deadline once the job is
-        done) does not keep ``env.run()`` going.  Costs O(scheduled events):
-        meant for rare control-plane timers.  Per-packet timers are disarmed
-        by clearing their callbacks instead and left to fall due.
-        """
-        self.callbacks.clear()
-        queue = self.env._queue
-        for index, entry in enumerate(queue):
-            if entry[3] is self:
-                queue[index] = queue[-1]
-                queue.pop()
-                heapq.heapify(queue)
-                return
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         # The delay is formatted here, on demand; ``name`` stays a constant
         # so that creating a timeout (once per packet per hop) formats nothing.
@@ -166,33 +141,6 @@ class _Initialize(Event):
         env.schedule(self, priority=PRIORITY_URGENT)
 
 
-class _Interruption(Event):
-    """Internal event used to deliver an interrupt to a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        super().__init__(process.env, name="interrupt")
-        self.process = process
-        self.callbacks.append(self._interrupt)
-        self._ok = False
-        self._value = ProcessInterrupt(cause)
-        self._triggered = True
-        self.env.schedule(self, priority=PRIORITY_URGENT)
-
-    def _interrupt(self, event: Event) -> None:
-        proc = self.process
-        if proc._value is not _PENDING_SENTINEL:
-            return  # process already terminated
-        # Unsubscribe from whatever the process was waiting on, and forget it:
-        # a stale target would make introspection (and a later re-interrupt)
-        # believe the process still waits on the abandoned event.
-        if proc._target is not None and proc._resume in proc._target.callbacks:
-            proc._target.callbacks.remove(proc._resume)
-        proc._target = None
-        proc._resume(self)
-
-
 class _PendingSentinel:
     def __repr__(self) -> str:  # pragma: no cover
         return "<PENDING>"
@@ -208,14 +156,13 @@ class Process(Event):
     (with the generator's return value) or raises (with the exception).
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator, name: str = "") -> None:
         if not hasattr(generator, "throw"):
             raise SimulationError(f"process target must be a generator, got {generator!r}")
         super().__init__(env, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
-        self._target: Optional[Event] = None
         self._value: Any = _PENDING_SENTINEL
         _Initialize(env, self)
 
@@ -224,24 +171,10 @@ class Process(Event):
         """True while the generator has not terminated."""
         return self._value is _PENDING_SENTINEL
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`ProcessInterrupt` into the process."""
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt dead process {self!r}")
-        if self.env.active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        _Interruption(self, cause)
-
     # -- engine internals ----------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         env = self.env
-        env._active_process = self
         while True:
             try:
                 if event.ok:
@@ -253,14 +186,12 @@ class Process(Event):
                 self._value = stop.value
                 self._ok = True
                 self._triggered = True
-                self._target = None
                 env.schedule(self, priority=PRIORITY_NORMAL)
                 break
             except BaseException as exc:  # lint: allow[RL004] engine contract: any process failure propagates into waiters as the event value
                 self._value = exc
                 self._ok = False
                 self._triggered = True
-                self._target = None
                 env.schedule(self, priority=PRIORITY_NORMAL)
                 break
 
@@ -282,12 +213,8 @@ class Process(Event):
                 event = next_event
                 continue
 
-            self._target = next_event
             next_event.callbacks.append(self._resume)
             break
-        else:  # pragma: no cover - unreachable
-            pass
-        env._active_process = None
 
     # Expose the triggered value under Event's API once finished.
     @property
@@ -307,7 +234,6 @@ class Environment:
         self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         #: Failed events that were processed without any subscriber.  They are
         #: kept for inspection rather than raised, because fire-and-forget
         #: completions (e.g. an Interest that times out after its workflow
@@ -320,11 +246,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     @property
     def queue_size(self) -> int:

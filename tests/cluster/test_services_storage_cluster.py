@@ -164,7 +164,7 @@ class TestStorage:
     def test_pvc_binds_dynamically(self, env):
         api = ApiServer(clock=lambda: env.now)
         storage = StorageController(api, NFSServer("nfs"))
-        pvc = storage.create_pvc("datalake-pvc", "100Gi")
+        pvc = storage.create_pvc("datalake-pvc")
         assert pvc.is_bound
         assert pvc.volume is not None
         assert storage.volumes_provisioned == 1
@@ -172,7 +172,7 @@ class TestStorage:
     def test_pvc_file_operations(self, env):
         api = ApiServer(clock=lambda: env.now)
         nfs = NFSServer("nfs")
-        pvc = StorageController(api, nfs).create_pvc("pvc", "10Gi")
+        pvc = StorageController(api, nfs).create_pvc("pvc")
         pvc.write("datasets/x.fastq", b"ACGT")
         assert pvc.read("datasets/x.fastq") == b"ACGT"
         assert nfs.read("/exports/ndnk8s/pvc/datasets/x.fastq") == b"ACGT"
@@ -183,7 +183,7 @@ class TestStorage:
 
     def test_unbound_pvc_rejects_io(self, env):
         from repro.cluster.storage import PersistentVolumeClaim
-        pvc = PersistentVolumeClaim(metadata=ObjectMeta(name="x"), requested_bytes=100)
+        pvc = PersistentVolumeClaim(metadata=ObjectMeta(name="x"))
         with pytest.raises(StorageError):
             pvc.write("a", b"b")
 
@@ -236,6 +236,6 @@ class TestClusterFacade:
 
     def test_pvc_through_facade(self, env):
         cluster = Cluster(env, ClusterSpec(name="alpha"))
-        pvc = cluster.create_pvc("lake", "50Gi")
+        pvc = cluster.create_pvc("lake")
         pvc.write("hello.txt", b"hi")
         assert cluster.nfs.used_bytes() == 2

@@ -274,8 +274,9 @@ class TestLIDCClusterEndpoint:
         env.run(until=5.0)
         assert lidc_cluster.node_port is not None
         assert 30000 <= lidc_cluster.node_port <= 32767
-        assert lidc_cluster.datalake_dns_name() == "dl-nfd.ndnk8s.svc.cluster.local"
-        record = lidc_cluster.cluster.dns.resolve(lidc_cluster.datalake_dns_name())
+        dns_name = lidc_cluster.datalake_service.dns_name
+        assert dns_name == "dl-nfd.ndnk8s.svc.cluster.local"
+        record = lidc_cluster.cluster.dns.resolve(dns_name)
         assert record.cluster_ip == lidc_cluster.datalake_service.cluster_ip
 
     def test_system_deployments_running(self, env, lidc_cluster):
@@ -292,8 +293,8 @@ class TestLIDCClusterEndpoint:
 
     def test_announce_and_withdraw_prefixes(self, env, lidc_cluster):
         lidc_cluster.announce_prefixes()
-        known = {str(p) for p in lidc_cluster.routing.known_prefixes()}
-        assert {"/ndn/k8s/compute", "/ndn/k8s/data", "/ndn/k8s/status"} <= known
+        for prefix in ("/ndn/k8s/compute", "/ndn/k8s/data", "/ndn/k8s/status"):
+            assert lidc_cluster.routing.origins_for(prefix) == [lidc_cluster.name]
         lidc_cluster.withdraw_prefixes()
         assert lidc_cluster.routing.rib_size() == 0
 

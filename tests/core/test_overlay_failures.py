@@ -101,11 +101,11 @@ class TestLinkFaults:
 
         edge = testbed.overlay.routers[CLIENT_EDGE]
         cluster = testbed.cluster("cluster-a")
-        cluster.gateway_nfd.attach_producer(
-            "/slow-a",
-            lambda i: Data(name=i.name, content=b"late"),
-            delay_s=0.2,
-        )
+        def answer_later(interest):
+            data = Data(name=interest.name, content=b"late")
+            testbed.env.timeout(0.4).callbacks.append(lambda _: app_face.send(data))
+
+        app_face = cluster.gateway_nfd.attach_producer("/slow-a", answer_later)
         cluster.routing.announce("/slow-a")
         consumer = Consumer(testbed.env, edge)
         completion = consumer.express_interest("/slow-a/x", lifetime=0.5)
@@ -208,11 +208,13 @@ class TestOwnerAffinityUnderFailure:
 
     def test_owner_failing_mid_job_nacks_the_next_poll(self):
         testbed, client = one_slot_clusters()
-        handles = [client.submit(slot_filler(index), delay_s=0.5 * index)
-                   for index in range(3)]
+        handles = []
+        for index in range(3):  # staggered by 0.5 s
+            handles.append(client.submit(slot_filler(index)))
+            testbed.run(until=testbed.env.now + 0.5)
         testbed.run(until=20.0)
         tracked = next(h for h in handles if h.cluster == "cluster-c")
-        assert tracked.status_polls >= 3 and not tracked.finished
+        assert tracked.status_polls >= 3 and not tracked.done.triggered
         testbed.overlay.fail_cluster("cluster-c")
         outcome = testbed.run(until=tracked.done)
         # The survivors do not own the job: a typed failure at the next

@@ -26,7 +26,7 @@ from repro.ndn.name import Name
 def lake(env):
     api = ApiServer(clock=lambda: env.now)
     storage = StorageController(api, NFSServer("nfs"))
-    pvc = storage.create_pvc("pvc", "100Gi")
+    pvc = storage.create_pvc("pvc")
     lake = DataLake(pvc)
     lake.publish_placeholder("SRR2931415", 1_600_000_000)
     lake.publish_bytes("small-file", b"compress me " * 100)
@@ -61,7 +61,7 @@ class TestValidators:
 
     def test_blast_knows_a_sample_from_the_registry_or_the_lake(self, env):
         api = ApiServer()
-        pvc = StorageController(api, NFSServer("nfs")).create_pvc("p", "1Gi")
+        pvc = StorageController(api, NFSServer("nfs")).create_pvc("p")
         lake = DataLake(pvc)
         lake.publish_placeholder("SRR0000042", 1_000)
         validator = BlastValidator()
@@ -171,7 +171,7 @@ class TestApplications:
         request = ComputeRequest(app="COMPRESS", dataset="small-file", params={"level": "9"})
         result = app.build_pod_spec(request, lake).containers[0].run_workload(None)
         assert result.error is None
-        assert 0 < result.output["result_size_bytes"] < lake.size_of("small-file")
+        assert 0 < result.output["result_size_bytes"] < lake.get_record("small-file").size_bytes
         assert result.output["compression_ratio"] < 1
 
     def test_compress_placeholder_modelled(self, lake):
@@ -214,7 +214,7 @@ class TestJobTracker:
         tracker.mark_completed(record.job_id, result_name=Name("/ndn/k8s/data/out"), result_size_bytes=10)
         assert record.state == JobState.COMPLETED
         assert record.runtime() == 25.0
-        assert record.turnaround() == 30.0
+        assert record.finished_at - record.submitted_at == 30.0
 
     def test_mark_failed(self):
         tracker = JobTracker("c")
@@ -236,7 +236,7 @@ class TestJobTracker:
         tracker.mark_completed(a.job_id)
         assert len(tracker) == 2
         assert len(tracker.active()) == 1
-        assert len(tracker.completed()) == 1
+        assert len(tracker.records(JobState.COMPLETED)) == 1
         assert len(tracker.records(JobState.PENDING)) == 1
 
 
@@ -249,7 +249,7 @@ class TestResultCache:
         hit = cache.lookup(request)
         assert hit is not None
         assert str(hit.result_name) == "/ndn/k8s/data/out"
-        assert cache.hit_ratio == 0.5
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_hit_ignores_resource_differences(self):
         cache = ResultCache()
@@ -279,4 +279,3 @@ class TestResultCache:
         cache = ResultCache()
         assert (len(cache), cache.hits, cache.misses, cache.insertions, cache.evictions) == (
             0, 0, 0, 0, 0)
-        assert cache.hit_ratio == 0.0

@@ -21,7 +21,7 @@ from repro.ndn.name import Name
 def lake(env):
     api = ApiServer(clock=lambda: env.now)
     storage = StorageController(api, NFSServer("nfs"))
-    pvc = storage.create_pvc("datalake-pvc", "100Gi")
+    pvc = storage.create_pvc("datalake-pvc")
     return DataLake(pvc, name="test-lake", clock=lambda: env.now)
 
 
@@ -75,29 +75,22 @@ class TestDataLake:
         record = lake.publish_bytes("sample", b"ACGT", kind=DatasetKind.SRA_SAMPLE)
         assert record.has_payload
         assert lake.read_bytes("sample") == b"ACGT"
-        assert lake.size_of("sample") == 4
+        assert record.size_bytes == 4
         assert str(record.content_name) == "/ndn/k8s/data/sample"
 
     def test_publish_placeholder(self, lake):
         record = lake.publish_placeholder("human-reference", 3_200_000_000,
                                           kind=DatasetKind.REFERENCE)
         assert not record.has_payload
-        assert lake.size_of("human-reference") == 3_200_000_000
+        assert record.size_bytes == 3_200_000_000
         with pytest.raises(DataLakeError):
             lake.read_bytes("human-reference")
 
     def test_manifest_for_any_dataset(self, lake):
         lake.publish_placeholder("big", 100)
-        manifest = json.loads(lake.read_manifest("big"))
+        manifest = json.loads(lake.get_record("big").manifest_bytes())
         assert manifest["size_bytes"] == 100
         assert manifest["has_payload"] is False
-
-    def test_dataset_id_from_name(self, lake):
-        assert lake.dataset_id_from_name("/ndn/k8s/data/sample/seg=0") == "sample"
-        with pytest.raises(DataLakeError):
-            lake.dataset_id_from_name("/other/name")
-        with pytest.raises(DataLakeError):
-            lake.dataset_id_from_name("/ndn/k8s/data")
 
     def test_publish_result_with_payload_and_size(self, lake):
         with_payload = lake.publish_result("job-1-output", payload=b"result", source_job="job-1")
@@ -177,20 +170,22 @@ class TestFileServer:
         data = env.run(until=consumer.express_interest("/ndn/k8s/data/blob/seg=1"))
         assert str(data.name) == "/ndn/k8s/data/blob/seg=1"
 
-    def test_invalidate_after_republication(self, env, served_lake):
-        lake, server, consumer = served_lake
-        lake.publish_bytes("doc", b"version-1")
+    def test_a_republished_dataset_is_served_afresh(self, env, served_lake):
+        """Once the old copies are stale, a re-published dataset's segments
+        are cut from the new payload, as its manifest already says."""
+        lake, _, consumer = served_lake
 
-        def fetch():
-            return (yield from consumer.fetch_segments("/ndn/k8s/data/doc"))
+        def fetch(suffix):
+            return env.run(until=consumer.express_interest(
+                f"/ndn/k8s/data/ds{suffix}", must_be_fresh=True))
 
-        assert env.run_process(fetch()) == b"version-1"
-        lake.publish_bytes("doc", b"version-2")
-        server.invalidate("doc")
-        # The local CS still has version-1 cached under the same name, so
-        # bypass it with a fresh forwarder-side erase before re-fetching.
-        consumer.forwarder.cs.erase("/ndn/k8s/data/doc")
-        assert env.run_process(fetch()) == b"version-2"
+        lake.publish_bytes("ds", b"A" * 20000)
+        assert json.loads(fetch("").content_text())["size_bytes"] == 20000
+        assert bytes(fetch("/seg=0").content).startswith(b"AAA")
+        lake.publish_bytes("ds", b"B" * 12000)
+        env.run(until=env.now + 2 * FRESHNESS_PERIOD)
+        assert json.loads(fetch("").content_text())["size_bytes"] == 12000
+        assert bytes(fetch("/seg=0").content) == b"B" * 1024
 
     def test_stats(self, env, served_lake):
         lake, server, consumer = served_lake
@@ -241,7 +236,7 @@ class TestDataLoadingTool:
         assert "human-reference" in report.datasets_loaded
         assert "SRR2931415" in report.datasets_loaded
         assert "SRR5139395" in report.datasets_loaded
-        assert lake.size_of("human-reference") > 10**9
+        assert lake.get_record("human-reference").size_bytes > 10**9
         assert lake.get_record("SRR5139395").kind == DatasetKind.SRA_SAMPLE
         assert report.total_bytes == lake.catalog.total_bytes()
 

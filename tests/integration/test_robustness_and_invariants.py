@@ -50,7 +50,7 @@ class TestClusterLossMidWorkflow:
         handle = client.submit(
             ComputeRequest(app="SLEEP", cpu=1, memory_gb=1, params={"duration": "10000"}))
         testbed.run(until=testbed.env.now + 50)
-        assert handle.accepted and not handle.finished
+        assert handle.accepted and not handle.done.triggered
         testbed.overlay.fail_cluster("cluster-a")
         # Status Interests can no longer reach any gateway: the session resolves
         # to a FAILED outcome carrying the timeout/NACK instead of hanging.
@@ -68,7 +68,7 @@ class TestStorageExhaustion:
         from repro.cluster.storage import NFSServer, StorageController
         nfs = NFSServer("nfs")
         nfs.capacity_bytes = 1000
-        pvc = StorageController(api, nfs).create_pvc("tiny", 1000)
+        pvc = StorageController(api, nfs).create_pvc("tiny")
         from repro.datalake.repo import DataLake
         lake = DataLake(pvc)
         lake.publish_bytes("fits", b"x" * 400)

@@ -34,7 +34,7 @@ def build(payload: bytes):
     server on an upstream forwarder that a 2-shard gateway routes to."""
     env = Environment()
     pvc = StorageController(ApiServer(clock=lambda: env.now), NFSServer("nfs")).create_pvc(
-        "lake-pvc", "1Gi")
+        "lake-pvc")
     lake = DataLake(pvc, clock=lambda: env.now)
     lake.publish_bytes("blob", payload)
     upstream = Forwarder(env, "datalake")
@@ -51,7 +51,7 @@ def test_every_holder_of_a_segment_shares_the_file_servers_buffer():
     data = env.run(until=consumer.express_interest(name))
     assert len(data.content) == DEFAULT_SEGMENT_SIZE
 
-    _payload, segments = server._segment_cache["blob"]
+    _record, _payload, segments = server._segment_cache["blob"]
     cached = segments[0]
     holders = {"data-lake CS": upstream.cs.find(Interest(name=name))}
     for shard in gateway.shards:

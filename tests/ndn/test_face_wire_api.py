@@ -1,15 +1,12 @@
 """Tests for the bytes-first face transport API.
 
-Covers the WirePacket contract on ``send()``/``deliver()``, the clear error
-raised for legacy endpoints now that the decode-on-delivery shim is gone,
-the ``drops`` counter, the ``connect()`` link pass-through fix for
-NetworkFace subclasses, and the no-decode guarantee for packets transiting
-a forwarder.
+Covers the WirePacket contract on ``send()``/``deliver()``, the ``drops``
+counter, the ``connect()`` link pass-through fix for NetworkFace subclasses,
+and the no-decode guarantee for packets transiting a forwarder.
 """
 
 import pytest
 
-from repro.exceptions import NDNError
 from repro.ndn.client import Consumer
 from repro.ndn.face import LocalFace, NetworkFace, connect
 from repro.ndn.forwarder import Forwarder
@@ -21,24 +18,7 @@ from repro.sim.topology import Link
 
 
 class WireCollector:
-    """A wire-aware endpoint that records exactly what its faces deliver."""
-
-    accepts_wire_packets = True
-
-    def __init__(self):
-        self.received = []
-        self.faces = []
-
-    def add_face(self, face):
-        self.faces.append(face)
-        return len(self.faces)
-
-    def receive_packet(self, packet, face):
-        self.received.append(packet)
-
-
-class LegacyCollector:
-    """An endpoint predating the wire API: no ``accepts_wire_packets``."""
+    """An endpoint that records exactly what its faces deliver."""
 
     def __init__(self):
         self.received = []
@@ -76,7 +56,7 @@ class TestConnectLinkPassThrough:
 
 
 class TestWireDelivery:
-    def test_wire_aware_endpoint_receives_view(self):
+    def test_endpoint_receives_view(self):
         env = Environment()
         sender, receiver = WireCollector(), WireCollector()
         face_a, _ = connect(env, sender, receiver, face_cls=LocalFace)
@@ -85,25 +65,7 @@ class TestWireDelivery:
         assert len(receiver.received) == 1
         assert isinstance(receiver.received[0], WirePacket)
 
-    def test_legacy_endpoint_delivery_raises_clear_error(self):
-        """The decode-on-delivery shim is gone: delivery to an endpoint
-        without ``accepts_wire_packets`` fails loudly, naming the endpoint
-        and the fix."""
-        env = Environment()
-        sender, receiver = WireCollector(), LegacyCollector()
-        face_a, _ = connect(env, sender, receiver, face_cls=LocalFace)
-        with pytest.raises(NDNError, match="LegacyCollector.*accepts_wire_packets"):
-            face_a.send(Interest(name=Name("/legacy")))
-        assert receiver.received == []
-
-    def test_legacy_endpoint_error_mentions_shim_removal(self):
-        env = Environment()
-        face_a, _ = connect(env, WireCollector(), LegacyCollector(), face_cls=LocalFace)
-        with pytest.raises(NDNError, match="shim was removed"):
-            face_a.send(Data(name=Name("/legacy/d"), content=b"x"))
-
-    @pytest.mark.parametrize("face_cls", [NetworkFace, LocalFace])
-    def test_receiver_error_on_a_delayed_face_propagates_out_of_run(self, face_cls):
+    def test_receiver_error_on_a_delayed_face_propagates_out_of_run(self):
         """Delayed delivery is a callback on the link's Timeout, not a
         process of its own: whatever the receiving endpoint raises surfaces
         from ``run()`` at the arrival instant instead of being parked in
@@ -116,10 +78,7 @@ class TestWireDelivery:
         env = Environment()
         face_a, _ = connect(
             env, WireCollector(), Exploding(), link=Link("a", "b", latency_s=0.01),
-            face_cls=face_cls,
         )
-        if face_cls is LocalFace:
-            face_a.delay_s = 0.01
         face_a.send(Interest(name=Name("/boom/1")))
         face_a.send(Interest(name=Name("/boom/2")))
         with pytest.raises(RuntimeError, match="endpoint bug"):
@@ -129,13 +88,6 @@ class TestWireDelivery:
         with pytest.raises(RuntimeError, match="endpoint bug"):
             env.run()  # the second packet still arrives
         assert env.queue_size == 0
-
-    def test_legacy_endpoint_across_a_link_raises_from_run(self):
-        env = Environment()
-        face_a, _ = connect(env, WireCollector(), LegacyCollector())
-        face_a.send(Interest(name=Name("/legacy")))
-        with pytest.raises(NDNError, match="LegacyCollector.*accepts_wire_packets"):
-            env.run()
 
     def test_one_engine_event_per_packet_per_link(self):
         env = Environment()
@@ -206,9 +158,9 @@ class TestDropsCounter:
         forwarder = Forwarder(env, "fwd", cs_capacity=0)
         # A latency link keeps the Interest in flight long enough to close
         # the face underneath it: it must die as a counted drop on delivery.
-        consumer = Consumer(env, forwarder, link=Link("c", "f", latency_s=0.01))
-        consumer.express_interest("/nowhere/road", lifetime=0.5)
-        consumer.face.close()
+        face, _ = connect(env, WireCollector(), forwarder, link=Link("c", "f", latency_s=0.01))
+        face.send(Interest(name=Name("/nowhere/road"), lifetime=0.5))
+        face.close()
         env.run(until=1.0)
         assert sum(face.stats.drops for face in forwarder.faces().values()) >= 1
 

@@ -244,11 +244,12 @@ class TestForwarderPipelines:
         fa, fb, da, db = linked_pair
         served = {"count": 0}
 
-        def slow_handler(interest):
+        def slow_handler(interest):  # answers 0.1 s later through its app face
             served["count"] += 1
-            return Data(name=interest.name, content=b"shared")
+            data = Data(name=interest.name, content=b"shared")
+            env.timeout(0.1).callbacks.append(lambda _: app_face.send(data))
 
-        fb.attach_producer("/agg", slow_handler, delay_s=0.05)
+        app_face = fb.attach_producer("/agg", slow_handler)
         db.announce("/agg")
         consumer_one = Consumer(env, fa, "c1")
         consumer_two = Consumer(env, fa, "c2")
@@ -331,7 +332,7 @@ class TestForwarderPipelines:
     def test_remove_face_purges_fib(self, env, linked_pair):
         fa, fb, da, db = linked_pair
         db.announce("/gone")
-        face_id = fa.fib.lookup("/gone/x").best().face_id
+        face_id = fa.fib.lookup("/gone/x").nexthops[0].face_id
         fa.remove_face(face_id)
         assert fa.fib.lookup("/gone/x") is None
 
@@ -449,7 +450,7 @@ class TestRoutingDaemon:
         db.announce("/ndn/k8s/compute", cost=0)
         entry = fa.fib.lookup("/ndn/k8s/compute/task")
         assert entry is not None
-        assert entry.best().cost == pytest.approx(1.0)  # link cost added
+        assert entry.nexthops[0].cost == pytest.approx(1.0)  # link cost added
 
     def test_withdraw_removes_route(self, env, linked_pair):
         fa, fb, da, db = linked_pair
@@ -465,8 +466,8 @@ class TestRoutingDaemon:
         RoutingDaemon.peer(daemons[0], face_ab, daemons[1], face_ba, link_cost=1)
         RoutingDaemon.peer(daemons[1], face_bc, daemons[2], face_cb, link_cost=2)
         daemons[2].announce("/far")
-        assert forwarders[0].fib.lookup("/far/x").best().cost == pytest.approx(3.0)
-        assert forwarders[1].fib.lookup("/far/x").best().cost == pytest.approx(2.0)
+        assert forwarders[0].fib.lookup("/far/x").nexthops[0].cost == pytest.approx(3.0)
+        assert forwarders[1].fib.lookup("/far/x").nexthops[0].cost == pytest.approx(2.0)
 
     def test_multiple_origins_yield_multiple_nexthops(self, env):
         hub = Forwarder(env, "hub")
@@ -491,9 +492,9 @@ class TestRoutingDaemon:
         RoutingDaemon.peer(da, face_ab, db, face_ba)
         assert fb.fib.lookup("/early/x") is not None
 
-    def test_known_prefixes_listing(self, env, linked_pair):
+    def test_each_daemon_learns_its_peers_announcements(self, env, linked_pair):
         _, _, da, db = linked_pair
         db.announce("/ndn/k8s/compute")
         da.announce("/ndn/k8s/data")
-        assert Name("/ndn/k8s/compute") in da.known_prefixes()
-        assert Name("/ndn/k8s/data") in db.known_prefixes()
+        assert da.origins_for("/ndn/k8s/compute") == db.origins_for("/ndn/k8s/compute") != []
+        assert db.origins_for("/ndn/k8s/data") == da.origins_for("/ndn/k8s/data") != []

@@ -24,8 +24,6 @@ names = st.lists(components, min_size=1, max_size=4).map(Name)
 
 
 class _Driver:
-    accepts_wire_packets = True
-
     def __init__(self) -> None:
         self.received: list[WirePacket] = []
 

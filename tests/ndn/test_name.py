@@ -127,14 +127,6 @@ class TestNameOperations:
         assert not Name("/ndn/k8s/compute").is_prefix_of("/ndn/k8s")
         assert not Name("/ndn/other").is_prefix_of("/ndn/k8s/compute")
 
-    def test_starts_with(self):
-        assert Name("/ndn/k8s/data/file").starts_with("/ndn/k8s/data")
-        assert not Name("/ndn/k8s/data").starts_with("/ndn/k8s/compute")
-
-    def test_common_prefix_length(self):
-        assert Name("/a/b/c").common_prefix_length("/a/b/x") == 2
-        assert Name("/a").common_prefix_length("/z") == 0
-
     def test_equality_with_uri_string(self):
         assert Name("/a/b") == "/a/b"
 
@@ -167,7 +159,7 @@ class TestNameProperties:
         base = Name([Component(p) for p in parts])
         extended = base.append(*[Component(e) for e in extra]) if extra else base
         assert base.is_prefix_of(extended)
-        assert base.common_prefix_length(extended) == len(base)
+        assert extended[:len(base)] == base
 
     @given(parts=st.lists(_component_text, min_size=1, max_size=6))
     def test_prefix_plus_suffix_reassembles(self, parts):

@@ -33,17 +33,12 @@ LIDC_PREFIXES = (naming.COMPUTE_PREFIX, naming.STATUS_PREFIX, naming.DATA_PREFIX
 
 
 def next_hops(forwarder, prefix):
-    """``{face id: cost}`` of a node's FIB next hops for exactly ``prefix``.
-
-    A ``ShardedForwarder``'s FIB is a facade over per-shard tables with no
-    entries of its own to walk; it is asked hop by hop.
-    """
-    if isinstance(forwarder, ShardedForwarder):
-        costs = {face_id: forwarder.fib.route_cost(prefix, face_id)
-                 for face_id in forwarder.faces()}
-        return {face_id: cost for face_id, cost in costs.items() if cost is not None}
-    entry = forwarder.fib.exact(prefix)
-    return {hop.face_id: hop.cost for hop in entry.nexthops} if entry else {}
+    """``{face id: cost}`` of a node's FIB next hops for exactly ``prefix``,
+    asked hop by hop (a ``ShardedForwarder``'s FIB is a facade over
+    per-shard tables with no entries of its own to walk)."""
+    costs = {face_id: forwarder.fib.route_cost(prefix, face_id)
+             for face_id in forwarder.faces()}
+    return {face_id: cost for face_id, cost in costs.items() if cost is not None}
 
 
 # ----------------------------------------------------------- overlay3's shape

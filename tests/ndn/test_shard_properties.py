@@ -110,8 +110,6 @@ class TestPartitioning:
 
 
 class _Sink:
-    accepts_wire_packets = True
-
     def __init__(self):
         self.received = []
 

@@ -30,11 +30,20 @@ def owner(name, shards):
     return _rendezvous_for_key(key, shards)
 
 
-def attach_tenant_producers(node, tenants=TENANTS, delay_s=0.0):
+def attach_tenant_producers(node, tenants=TENANTS, answer_after_s=0.0):
+    """One producer per tenant.  With ``answer_after_s`` each answers that
+    long after an Interest reaches it, through its app face on the shard
+    that received the Interest."""
     for tenant in tenants:
         def handler(interest, _tenant=tenant):
-            return Data(name=interest.name, content=b"from:" + _tenant.encode())
-        node.attach_producer(tenant, handler, delay_s=delay_s)
+            data = Data(name=interest.name, content=b"from:" + _tenant.encode())
+            if not answer_after_s:
+                return data
+            shard = node.shards[owner(interest.name, len(node.shards))]
+            app_face = shard.face(shard.fib.lookup(interest.name).nexthops[0].face_id).peer
+            node.env.timeout(answer_after_s).callbacks.append(lambda _: app_face.send(data))
+            return None
+        node.attach_producer(tenant, handler)
 
 
 def assert_ledgers_exact(node):
@@ -125,7 +134,7 @@ class TestResizeUnderTraffic:
         """The tentpole invariant: N -> N+1 under load, nothing acknowledged lost."""
         # 3 -> 4, not 2 -> 3: growing 2 -> 3 moves none of TENANTS' keys.
         node = ShardedForwarder(env, name="node", shards=3)
-        attach_tenant_producers(node, delay_s=0.02)
+        attach_tenant_producers(node, answer_after_s=0.04)
         consumer = Consumer(env, node, rng=SeededRNG(5))
         policy = RetryPolicy(max_retries=5, retry_nacks=True)
         completions = []
@@ -147,7 +156,7 @@ class TestResizeUnderTraffic:
         env.process(traffic(), name="traffic")
         env.process(rebalance(), name="rebalance")
         env.run()
-        # The producers' 0.02 s delay keeps Interests pending at the resize,
+        # The producers' 0.04 s delay keeps Interests pending at the resize,
         # and the moved ones among them were Nacked, not stranded.
         assert reports[0].producers_added > 0
         assert reports[0].pending_aborted > 0
@@ -163,7 +172,7 @@ class TestResizeUnderTraffic:
 
     def test_moved_pending_interests_are_nacked_not_stranded(self, env):
         node = ShardedForwarder(env, name="node", shards=2)
-        attach_tenant_producers(node, delay_s=5.0)  # slow: requests pend
+        attach_tenant_producers(node, answer_after_s=10.0)  # slow: requests pend
         consumer = Consumer(env, node)
         completions = [
             consumer.express_interest(f"{tenant}/slow", lifetime=30.0)
@@ -203,7 +212,7 @@ class TestResizeUnderTraffic:
 
         monkeypatch.setattr(Forwarder, "abort_pending", counting)
         node = ShardedForwarder(env, name="node", shards=before)
-        attach_tenant_producers(node, delay_s=5.0)
+        attach_tenant_producers(node, answer_after_s=10.0)
         consumer = Consumer(env, node)
         for tenant in TENANTS:
             consumer.express_interest(f"{tenant}/slow", lifetime=30.0)
@@ -216,7 +225,7 @@ class TestResizeUnderTraffic:
 
     def test_shrink_aborts_everything_on_removed_shards(self, env):
         node = ShardedForwarder(env, name="node", shards=4)
-        attach_tenant_producers(node, delay_s=5.0)
+        attach_tenant_producers(node, answer_after_s=10.0)
         consumer = Consumer(env, node)
         for tenant in TENANTS:
             consumer.express_interest(f"{tenant}/slow", lifetime=30.0)
@@ -234,7 +243,7 @@ class TestResizeUnderTraffic:
 class TestShardCrash:
     def test_crash_aborts_pending_and_restarts_cold(self, env):
         node = ShardedForwarder(env, name="node", shards=3, cs_capacity=64)
-        attach_tenant_producers(node, delay_s=5.0)
+        attach_tenant_producers(node, answer_after_s=10.0)
         consumer = Consumer(env, node)
         for tenant in TENANTS:
             consumer.express_interest(f"{tenant}/x", lifetime=30.0)
@@ -248,7 +257,7 @@ class TestShardCrash:
         env.run()
         # The crashed shard serves fresh traffic immediately (routes intact).
         fresh = Consumer(env, node, "fresh")
-        # Lifetime clears the 10s producer round trip (5s each way).
+        # Lifetime clears the producers' 10 s answer delay.
         completion = fresh.express_interest(f"{TENANTS[0]}/after", lifetime=15.0)
         env.run()
         assert completion.ok

@@ -272,8 +272,11 @@ class TestSynchronousBoundary:
             node.attach_producer("/t0", lambda interest: None)
             record(first.express_interest("/t0/silent", lifetime=0.5))
         elif scenario == "aggregation":
-            node.attach_producer("/t0", lambda interest: Data(
-                name=interest.name, content=b"once"), delay_s=0.1)
+            def answer_later(interest):
+                data = Data(name=interest.name, content=b"once")
+                env.timeout(0.2).callbacks.append(lambda _: app_face.send(data))
+
+            app_face = node.attach_producer("/t0", answer_later)
             second = Consumer(env, node)
             record(first.express_interest("/t0/shared"))
             record(second.express_interest("/t0/shared"))

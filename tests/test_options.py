@@ -45,17 +45,12 @@ OPTIONS = {
         "env", "forwarder", "name", "poll_interval_s", "retry_policy",
     ),
     "repro.core.client:LIDCClient.submit_interest": ("request", "unique"),
-    "repro.core.client:LIDCClient.submit": (
-        "request", "unique", "fetch_result", "delay_s", "deadline_s",
-    ),
+    "repro.core.client:LIDCClient.submit": ("request", "unique", "fetch_result"),
     "repro.core.client:LIDCClient.submit_many": ("requests", "fetch_result"),
     "repro.core.client:LIDCClient.poll_status": ("job_id", "lifetime_s", "status_name"),
     "repro.core.client:LIDCClient.wait_for_completion": ("job_id", "status_name", "_handle"),
     "repro.core.client:LIDCClient.retrieve_result": ("result_name", "fetch_payload"),
-    "repro.core.client:JobHandle": (
-        "client", "request", "done", "unique", "fetch_result", "delay_s", "deadline_s",
-    ),
-    "repro.core.client:JobHandle.cancel": (),
+    "repro.core.client:JobHandle": ("client", "request", "done", "unique", "fetch_result"),
     "repro.core.workflow:GenomicsWorkflow": ("client", "fetch_results"),
     "repro.core.workflow:GenomicsWorkflow.run": ("request",),
     "repro.core.workflow:GenomicsWorkflow.blast": ("srr_id", "reference", "cpu", "memory_gb"),
@@ -95,7 +90,7 @@ OPTIONS = {
     "repro.cluster.cluster:Cluster.create_job": ("template", "name", "labels"),
     "repro.cluster.cluster:Cluster.create_deployment": ("template", "name"),
     "repro.cluster.cluster:Cluster.create_service": ("name", "selector", "service_type"),
-    "repro.cluster.cluster:Cluster.create_pvc": ("name", "size"),
+    "repro.cluster.cluster:Cluster.create_pvc": ("name",),
     "repro.cluster.cluster:Cluster.job": ("name",),
     "repro.cluster.node:Node": ("metadata", "capacity"),
     "repro.cluster.node:Node.build": ("name", "cpu", "memory"),
@@ -118,9 +113,17 @@ OPTIONS = {
     "repro.cluster.dns:DnsRecord": ("cluster_ip", "endpoints"),
     "repro.cluster.storage:NFSServer": ("name",),
     "repro.cluster.storage:StorageController": ("api", "server"),
-    "repro.cluster.storage:StorageController.create_pvc": ("name", "size"),
-    "repro.cluster.storage:PersistentVolume": ("metadata", "capacity_bytes", "server", "base_path"),
-    "repro.cluster.storage:PersistentVolumeClaim": ("metadata", "requested_bytes"),
+    "repro.cluster.storage:StorageController.create_pvc": ("name",),
+    "repro.cluster.storage:PersistentVolume": ("metadata", "server", "base_path"),
+    "repro.cluster.storage:PersistentVolumeClaim": ("metadata",),
+    "repro.datalake.loader:DataLoadingTool.create_datalake": ("pvc_name", "lake_name"),
+    # The NDN endpoints: a local face hands packets straight over, and a
+    # producer that answers later does so through its app face.
+    "repro.ndn.forwarder:Forwarder.attach_producer": ("prefix", "handler"),
+    "repro.ndn.forwarder:Forwarder.abort_pending": ("predicate",),
+    "repro.ndn.shard:ShardedForwarder.attach_producer": ("prefix", "handler"),
+    "repro.ndn.face:LocalFace": ("env", "owner", "label"),
+    "repro.ndn.client:Consumer": ("env", "forwarder", "name", "rng"),
 }
 
 #: Callables that only tests took, or whose callers already knew everything.
@@ -242,6 +245,48 @@ GONE = (
     "repro.genomics.reference:ReferenceDatabase.contains_sequence",
     "repro.genomics.sra:SraRegistry.by_genome_type",
     "repro.genomics.sra:SraRegistry.validate",
+    # Job sessions end by their protocol: no cancel, no whole-job deadline,
+    # no delayed start, and no engine interrupt behind them.
+    "repro.core.client:JobHandle.cancel",
+    "repro.core.client:JobHandle.finished",
+    "repro.core.client:JobHandle.result",
+    "repro.core.client:SubmissionResult.ack_latency",
+    "repro.core.client:LIDCClient._deadline_expired",
+    "repro.exceptions:ProcessInterrupt",
+    "repro.sim.engine:_Interruption",
+    "repro.sim.engine:Process.interrupt",
+    "repro.sim.engine:Process.target",
+    "repro.sim.engine:Environment.active_process",
+    "repro.sim.engine:Timeout.cancel",
+    "repro.sim.engine:Event.trigger",
+    "repro.sim.engine:Event.processed",
+    # Only tests called these.
+    "repro.datalake.fileserver:FileServer.invalidate",
+    "repro.ndn.client:Consumer.fetch",
+    "repro.core.cluster_endpoint:DATALAKE_SIZE",
+    "repro.chaos.spec:ChaosSpec.event_count",
+    "repro.core.caching:ResultCache.hit_ratio",
+    "repro.ndn.cs:ContentStore.hit_ratio",
+    "repro.core.cluster_endpoint:LIDCCluster.datalake_dns_name",
+    "repro.core.jobs:JobTracker.completed",
+    "repro.core.spec:JobRecord.turnaround",
+    "repro.datalake.repo:DataLake.dataset_id_from_name",
+    "repro.datalake.repo:DataLake.read_manifest",
+    "repro.datalake.repo:DataLake.size_of",
+    "repro.genomics.blast:BlastResult.report_text",
+    "repro.genomics.reference:KmerIndex.distinct_kmers",
+    "repro.genomics.reference:KmerIndex.total_positions",
+    "repro.genomics.reference:KmerIndex.contig_length",
+    "repro.genomics.runtime_model:BlastRuntimeModel.max_relative_error",
+    "repro.genomics.runtime_model:BlastRuntimeModel.reproduce_table1",
+    "repro.ndn.fib:FibEntry.best",
+    "repro.ndn.fib:Fib.exact",
+    "repro.ndn.fib:Fib.prefixes",
+    "repro.ndn.name:Name.components",
+    "repro.ndn.name:Name.starts_with",
+    "repro.ndn.name:Name.common_prefix_length",
+    "repro.ndn.packet:WirePacket.is_nack",
+    "repro.ndn.routing:RoutingDaemon.known_prefixes",
 )
 
 #: Modules that went whole: the controller's placement policies and the
@@ -292,46 +337,77 @@ def test_removed_modules_stay_removed(module_name):
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
-#: Read-only accessors kept on ``repro.cluster`` only because a test oracle
-#: reads them: ``tests/cluster/test_services_storage_cluster.py``'s
-#: ``test_nfs_running_total_agrees_with_a_fresh_sum`` checks the NFS
-#: server's running total and object count against a model.
-ORACLE_ACCESSORS = ("NFSServer.used_bytes", "NFSServer.object_count")
+#: Packages the product-caller gate scans: all of ``src/repro`` but the
+#: static analyzer, whose restructuring (ROADMAP item 7a) is still open.
+SCANNED_PACKAGES = ("chaos", "cluster", "core", "datalake", "genomics", "ndn", "sim", "workload")
+
+#: ``Class.method`` -> the test oracle that reads it.  These read-only
+#: accessors have no product caller; each stays because a test checks the
+#: program against it.
+ORACLE_ACCESSORS = {
+    "NFSServer.used_bytes": "tests/cluster/test_services_storage_cluster.py: "
+                            "test_nfs_running_total_agrees_with_a_fresh_sum",
+    "NFSServer.object_count": "tests/cluster/test_services_storage_cluster.py: "
+                              "test_nfs_running_total_agrees_with_a_fresh_sum",
+    "Process.is_alive": "tests/ndn/test_exchange_lifetime.py: no exchange process outlives its cycle",
+    "Tracer.filter": "tests/sim/test_rng_metrics_trace.py and tests/chaos: trace queries",
+    "MetricsRegistry.snapshot": "tests/ndn/test_forwarding.py, tests/ndn/test_sharded_forwarder.py "
+                                "and tests/core/test_gateway_endpoint.py: counter ledgers",
+    "ShardedForwarder.pit_entries": "tests/integration/test_shard_soak.py and "
+                                    "tests/chaos/test_chaos_soak.py: no PIT entry leaks",
+    "ShardedForwarder.boundary_stats": "tests/ndn/test_shard_rebalance.py and "
+                                       "tests/integration/test_shard_soak.py: exact byte ledgers",
+    "WirePacket.is_decoded": "tests/ndn/test_hot_cache_coherence.py and "
+                             "tests/integration/test_segment_buffers.py: no decode in transit",
+    "ComputeOverlay.link_up": "tests/chaos/test_chaos_driver.py and "
+                              "tests/chaos/test_chaos_soak.py: faults heal",
+    "ComputeOverlay.reachable_compute_origins": "tests/ndn/test_routing_mesh.py and "
+                                                "tests/sim/test_topology.py: routes converge",
+    "RoutingDaemon.rib_size": "tests/ndn/test_routing_mesh.py: withdrawals empty the RIB",
+    # Not an oracle: signature checking has no caller until ROADMAP item 4c
+    # decides whether consumers verify what they receive.
+    "Data.verify": "exempt until ROADMAP item 4c",
+}
 
 
-def _product_names() -> set:
-    """Every name and attribute that the product trees mention in code."""
-    names = set()
+def _product_names() -> tuple:
+    """The bare names and the attribute names that ``src/``,
+    ``benchmarks/`` and ``examples/`` mention in code."""
+    names, attributes = set(), set()
     for tree in ("src", "benchmarks", "examples"):
         for path in (REPO / tree).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-    return names
+                    attributes.add(node.attr)
+    return names, attributes
 
 
-def test_every_public_cluster_callable_has_a_product_caller():
-    """A public function or method of ``repro.cluster`` is named somewhere in
+def test_every_public_callable_has_a_product_caller():
+    """A public function or method of a scanned package is named somewhere in
     ``src/``, ``benchmarks/`` or ``examples/`` besides its own ``def``; one
-    that only tests call does not belong to the product."""
-    used = _product_names()
-    modules = sorted((REPO / "src" / "repro" / "cluster").glob("*.py"))
-    assert modules
+    that only tests call does not belong to the product.  A method counts
+    as called only through an attribute (``obj.name``): a local function of
+    the same name does not keep it alive."""
+    names, attributes = _product_names()
+    modules = sorted(path for package in SCANNED_PACKAGES
+                     for path in (REPO / "src" / "repro" / package).glob("*.py"))
+    modules += sorted((REPO / "src" / "repro").glob("*.py"))
+    assert len(modules) > len(SCANNED_PACKAGES)
     orphans = []
     for path in modules:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef):
-                defs = [(node.name, node)]
+                defs = [(node.name, node, names | attributes)]
             elif isinstance(node, ast.ClassDef):
-                defs = [(f"{node.name}.{item.name}", item) for item in node.body
+                defs = [(f"{node.name}.{item.name}", item, attributes) for item in node.body
                         if isinstance(item, ast.FunctionDef)]
             else:
                 continue
-            for qualname, fn in defs:
+            for qualname, fn, used in defs:
                 if fn.name.startswith("_") or qualname in ORACLE_ACCESSORS:
                     continue
                 if fn.name not in used:
-                    orphans.append(f"{path.name}:{qualname}")
+                    orphans.append(f"{path.relative_to(REPO)}:{qualname}")
     assert orphans == []
