@@ -64,13 +64,16 @@ class DeploymentController:
         self._reconcile(event.obj)
 
     def _on_pod_event(self, event: WatchEvent) -> None:
+        # A Deployment's selector is always ``app=<its name>``, so the pod's
+        # ``app`` label is the key of the one Deployment that selects it (a
+        # job pod's ``app`` is its application, which names none).
         pod: Pod = event.obj
         app = pod.metadata.labels.get(DEPLOYMENT_LABEL)
         if not app:
             return
-        for deployment in self.api.list(Deployment.KIND, namespace=pod.metadata.namespace):
-            if deployment.selector.matches(pod.metadata):
-                self._reconcile(deployment)
+        deployment = self.api.try_get(Deployment.KIND, app, pod.metadata.namespace)
+        if deployment is not None:
+            self._reconcile(deployment)
 
     # -- reconciliation -----------------------------------------------------------------
 

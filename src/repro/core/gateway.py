@@ -72,8 +72,8 @@ class Gateway:
         #: job id → (JobRecord, kubernetes Job) for active jobs.
         self._k8s_jobs: dict[str, Job] = {}
 
-        self.compute_face = forwarder.attach_producer(naming.COMPUTE_PREFIX, self._on_compute)
-        self.status_face = forwarder.attach_producer(naming.STATUS_PREFIX, self._on_status)
+        forwarder.attach_producer(naming.COMPUTE_PREFIX, self._on_compute)
+        forwarder.attach_producer(naming.STATUS_PREFIX, self._on_status)
 
     # ------------------------------------------------------------------ compute
 
