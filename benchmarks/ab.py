@@ -3,21 +3,22 @@
 
 ::
 
-    python3 benchmarks/ab.py BASE [--head REV] --workload W [--seeds 7 2024]
-                             [--pairs 10] [--seconds 10]
+    python3 benchmarks/ab.py BASE [--head REV] --workload W [W ...]
+                             [--seeds 7 2024] [--pairs 10] [--seconds 10]
 
 Each revision is ``git archive``d once into a temporary directory, so each
 side imports its own ``src/``.  Every run is a fresh child
 ``run.py --workload W --seed S --seconds T --trace 0 --out F`` with
-``PYTHONPATH`` cleared.  Pair ``i`` of a seed runs the base first when ``i``
-is even and the head first when it is odd, so the children alternate
-strictly (A B, B A, A B, ...) and neither side always runs second.  A child
-that crashes, or that reports failed requests, is recorded and reported,
-never retried.
+``PYTHONPATH`` cleared.  Workloads run one after another, and within one
+the seeds do.  Pair ``i`` of a seed runs the base first when ``i`` is even
+and the head first when it is odd, so the children alternate strictly
+(A B, B A, A B, ...) and neither side always runs second.  A child that
+crashes, or that reports failed requests, is recorded and reported, never
+retried.
 
-Per seed and end-to-end metric it prints each side's median and quartiles,
-the ratio of the medians, how many pairs the head won, and a verdict
-against the metric's direction and bound in the head tree's
+Per workload, seed and end-to-end metric it prints each side's median and
+quartiles, the ratio of the medians, how many pairs the head won, and a
+verdict against the metric's direction and bound in the head tree's
 ``BENCHMARK.json``:
 
 * ``better``: the head won at least 9 of every 10 pairs, and its median
@@ -28,8 +29,12 @@ against the metric's direction and bound in the head tree's
 
 Each seed gets its own table, headed by whether every ``sim_digest`` of
 both sides at that seed is the same.  Every run and every verdict go to
-``BENCH_<head short rev>.json`` at the repository root.  Passing the base
-as ``--head`` too gives an A/A run, the noise floor of the machine.
+``BENCH_<head short rev>.json`` at the repository root, keyed by workload
+and then by seed.  A later run at the same head adds its workloads and
+seeds to that file: it replaces only the seeds it ran again, and a
+workload it ran against another base or for another ``--seconds`` whole.
+Passing the base as ``--head`` too gives an A/A run, the noise floor of
+the machine.
 """
 
 from __future__ import annotations
@@ -85,35 +90,52 @@ def verdict(base: list[float], head: list[float], better: str, bound: float) -> 
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per seed: digest equality and a verdict per metric; and the problems seen."""
-    problems = []
-    by_pair: dict[tuple[int, int], dict[str, dict]] = {}
-    for run in runs:
-        where = f"seed {run['seed']} pair {run['pair']} {run['side']}"
-        if "error" in run:
-            problems.append(f"{where}: {run['error']}")
-            continue
-        if run["failed"]:
-            problems.append(f"{where}: {run['failed']} failed requests")
-        by_pair.setdefault((run["seed"], run["pair"]), {})[run["side"]] = run
-    complete: dict[int, list[dict[str, dict]]] = {}
-    for (seed, _pair), sides in sorted(by_pair.items()):
-        if len(sides) == 2:
-            complete.setdefault(seed, []).append(sides)
-    seeds = {}
-    for seed, pairs in complete.items():
-        seeds[str(seed)] = {
-            "digests_equal": len({run["sim_digest"] for sides in pairs
-                                  for run in sides.values()}) == 1,
-            "metrics": {
+    """Per seed: its runs, the problems seen, and over its complete pairs the
+    digest equality and a verdict per metric."""
+    seeds: dict[str, dict] = {}
+    for seed in dict.fromkeys(run["seed"] for run in runs):
+        seed_runs = [run for run in runs if run["seed"] == seed]
+        problems = []
+        by_pair: dict[int, dict[str, dict]] = {}
+        for run in seed_runs:
+            where = f"seed {seed} pair {run['pair']} {run['side']}"
+            if "error" in run:
+                problems.append(f"{where}: {run['error']}")
+                continue
+            if run["failed"]:
+                problems.append(f"{where}: {run['failed']} failed requests")
+            by_pair.setdefault(run["pair"], {})[run["side"]] = run
+        pairs = [sides for _pair, sides in sorted(by_pair.items()) if len(sides) == 2]
+        result: dict = {"runs": seed_runs, "problems": problems}
+        if pairs:
+            result["digests_equal"] = len({run["sim_digest"] for sides in pairs
+                                           for run in sides.values()}) == 1
+            result["metrics"] = {
                 metric["name"]: verdict(
                     [sides["base"]["end_to_end"][metric["name"]] for sides in pairs],
                     [sides["head"]["end_to_end"][metric["name"]] for sides in pairs],
                     metric["better"], metric["bound"])
                 for metric in metrics
-            },
-        }
-    return {"seeds": seeds, "problems": problems}
+            }
+        seeds[str(seed)] = result
+    return seeds
+
+
+def merge(existing: "dict | None", new: dict) -> dict:
+    """``new``'s workloads and seeds laid over a record of the same head.
+
+    A seed run again replaces the earlier one; a workload run against
+    another base or for another length replaces the earlier one whole.
+    """
+    if not existing or existing.get("head") != new["head"]:
+        return new
+    workloads = dict(existing.get("workloads", {}))
+    for name, entry in new["workloads"].items():
+        old = workloads.get(name)
+        if old and (old["base"], old["seconds"]) == (entry["base"], entry["seconds"]):
+            entry = {**entry, "seeds": {**old["seeds"], **entry["seeds"]}}
+        workloads[name] = entry
+    return {"head": new["head"], "workloads": workloads}
 
 
 # ------------------------------------------------------------------ the runs
@@ -148,28 +170,29 @@ def _run_child(tree: str, workload: str, seed: int, seconds: float, out: str) ->
     return {key: record[key] for key in ("end_to_end", "sim_digest", "failed", "correct")}
 
 
-def _print(summary: dict, metrics: list[dict]) -> None:
-    for seed, result in summary["seeds"].items():
-        print(f"\nseed {seed}: sim_digest "
-              f"{'equal on both sides' if result['digests_equal'] else 'DIFFERS'}")
-        print(f"{'metric':<24}{'base median [q1, q3]':>34}{'head median [q1, q3]':>34}"
-              f"{'ratio':>8}{'wins':>8}  verdict")
-        for metric in metrics:
-            row = result["metrics"][metric["name"]]
-            sides = [f"{row[side]['median']:.6g} [{row[side]['q1']:.6g}, {row[side]['q3']:.6g}]"
-                     for side in SIDES]
-            ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
-            print(f"{metric['name']:<24}{sides[0]:>34}{sides[1]:>34}{ratio:>8}"
-                  f"{row['wins']:>5}/{row['pairs']:<2}  {row['verdict']}")
-    for problem in summary["problems"]:
-        print(f"problem: {problem}")
+def _print(workload: str, seeds: dict, metrics: list[dict]) -> None:
+    for seed, result in seeds.items():
+        if "metrics" in result:
+            print(f"\n{workload} seed {seed}: sim_digest "
+                  f"{'equal on both sides' if result['digests_equal'] else 'DIFFERS'}")
+            print(f"{'metric':<24}{'base median [q1, q3]':>34}{'head median [q1, q3]':>34}"
+                  f"{'ratio':>8}{'wins':>8}  verdict")
+            for metric in metrics:
+                row = result["metrics"][metric["name"]]
+                sides = [f"{row[side]['median']:.6g} [{row[side]['q1']:.6g}, {row[side]['q3']:.6g}]"
+                         for side in SIDES]
+                ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
+                print(f"{metric['name']:<24}{sides[0]:>34}{sides[1]:>34}{ratio:>8}"
+                      f"{row['wins']:>5}/{row['pairs']:<2}  {row['verdict']}")
+        for problem in result["problems"]:
+            print(f"problem: {workload} {problem}")
 
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="the revision to compare against")
     parser.add_argument("--head", default="HEAD", help="the revision under test")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--seeds", type=int, nargs="+", default=[7])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
@@ -177,32 +200,43 @@ def main(argv: "list[str] | None" = None) -> int:
 
     revs = {"base": _git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
             "head": _git("rev-parse", "--verify", f"{args.head}^{{commit}}")}
-    runs = []
+    record: dict = {"head": revs["head"], "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
         trees = {side: os.path.join(scratch, side) for side in SIDES}
         for side in SIDES:
             _archive(revs[side], trees[side])
         with open(os.path.join(trees["head"], "BENCHMARK.json"), encoding="utf-8") as handle:
             metrics = json.load(handle)["end_to_end"]
-        for index, (seed, pair, side) in enumerate(schedule(args.seeds, args.pairs)):
-            out = os.path.join(scratch, f"run-{index}.json")
-            run = {"seed": seed, "pair": pair, "side": side,
-                   **_run_child(trees[side], args.workload, seed, args.seconds, out)}
-            runs.append(run)
-            shown = run.get("error") or f"{run['end_to_end']['wall_us_per_request']:.1f} us/request"
-            print(f"seed {seed} pair {pair} {side}: {shown}", flush=True)
+        for workload in args.workload:
+            runs = []
+            for index, (seed, pair, side) in enumerate(schedule(args.seeds, args.pairs)):
+                out = os.path.join(scratch, f"{workload}-{index}.json")
+                run = {"seed": seed, "pair": pair, "side": side,
+                       **_run_child(trees[side], workload, seed, args.seconds, out)}
+                runs.append(run)
+                shown = (run.get("error")
+                         or f"{run['end_to_end']['wall_us_per_request']:.1f} us/request")
+                print(f"{workload} seed {seed} pair {pair} {side}: {shown}", flush=True)
+            seeds = summarize(runs, metrics)
+            _print(workload, seeds, metrics)
+            record["workloads"][workload] = {"base": revs["base"], "seconds": args.seconds,
+                                             "seeds": seeds}
 
-    summary = summarize(runs, metrics)
-    _print(summary, metrics)
     short = _git("rev-parse", "--short", revs["head"])
     path = os.path.join(ROOT, f"BENCH_{short}.json")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            existing = json.load(handle)
+    except (OSError, ValueError):
+        existing = None
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"base": revs["base"], "head": revs["head"], "workload": args.workload,
-                   "seeds": args.seeds, "pairs": args.pairs, "seconds": args.seconds,
-                   "runs": runs, **summary}, handle, indent=1, sort_keys=True)
+        json.dump(merge(existing, record), handle, indent=1, sort_keys=True)
     print(f"wrote {path}")
-    equal = all(result["digests_equal"] for result in summary["seeds"].values())
-    return 0 if equal and not summary["problems"] else 1
+    results = [result for entry in record["workloads"].values()
+               for result in entry["seeds"].values()]
+    ok = all(result.get("digests_equal", False) and not result["problems"]
+             for result in results)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ degradation or failures").  Each runs a single replica.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.cluster.apiserver import ApiServer, WatchEvent
 from repro.cluster.objects import LabelSelector, ObjectMeta, generate_name
@@ -27,6 +28,10 @@ class Deployment:
     metadata: ObjectMeta
     template: PodSpec
     selector: LabelSelector
+    #: The replica.  Set by ``DeploymentController._spawn_pod`` before the
+    #: pod is stored, as ``Job.pod`` is: the pod's own watch events re-enter
+    #: the reconcile, which must already see it.
+    pod: Optional[Pod] = field(default=None, init=False)
 
     KIND = "Deployment"
 
@@ -43,7 +48,6 @@ class DeploymentController:
         self.api = api
         self.pods_created = 0
         self.pods_replaced = 0
-        self._reconciling: set[str] = set()
         api.watch(Deployment.KIND, self._on_deployment_event, replay_existing=True)
         api.watch(Pod.KIND, self._on_pod_event, replay_existing=False)
 
@@ -77,32 +81,16 @@ class DeploymentController:
 
     # -- reconciliation -----------------------------------------------------------------
 
-    def _deployment_pods(self, deployment: Deployment) -> list[Pod]:
-        return self.api.list(
-            Pod.KIND,
-            namespace=deployment.metadata.namespace,
-            selector=lambda pod: deployment.selector.matches(pod.metadata),
-        )
-
     def _reconcile(self, deployment: Deployment) -> None:
-        # Creating a pod triggers pod watch events that re-enter this method;
-        # guard against acting on a stale listing mid-change.
-        key = f"{deployment.metadata.namespace}/{deployment.name}"
-        if key in self._reconciling:
-            return
-        self._reconciling.add(key)
-        try:
-            pods = self._deployment_pods(deployment)
-            # Replace a finished replica (or start the first one).
-            if all(pod.is_terminal for pod in pods):
-                self._spawn_pod(deployment)
-                self.pods_replaced += 1 if pods else 0
-        finally:
-            self._reconciling.discard(key)
+        # Replace a finished replica (or start the first one).
+        pod = deployment.pod
+        if pod is None or pod.is_terminal:
+            self._spawn_pod(deployment)
+            self.pods_replaced += 0 if pod is None else 1
 
     def _spawn_pod(self, deployment: Deployment) -> None:
         self.pods_created += 1
-        pod = Pod(
+        pod = deployment.pod = Pod(
             metadata=ObjectMeta(
                 name=generate_name(f"{deployment.name}-"),
                 namespace=deployment.metadata.namespace,

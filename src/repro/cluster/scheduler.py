@@ -51,7 +51,6 @@ class Scheduler:
 
     def __init__(self, api: ApiServer) -> None:
         self.api = api
-        self.unschedulable_count = 0
         self._ranks = itertools.count()
         #: uid -> creation rank of every pending or live pod.
         self._rank: dict[str, int] = {}
@@ -132,7 +131,6 @@ class Scheduler:
     def _schedule_one(self, pod: Pod) -> None:
         feasible = self.feasible_nodes(pod)
         if not feasible:
-            self.unschedulable_count += 1
             return
         pod.node_name = self._pick(pod, feasible).name
         self._track(pod)

@@ -11,6 +11,7 @@ Two service types matter to LIDC (paper Fig. 3):
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -34,7 +35,8 @@ class ServiceType(str, Enum):
 class Endpoints:
     """The pods currently backing a service."""
 
-    addresses: list[str] = field(default_factory=list)  # pod names acting as addresses
+    #: Names of the selected Running pods, sorted; they act as addresses.
+    addresses: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -97,17 +99,23 @@ class ServiceController:
     # -- endpoint maintenance ------------------------------------------------------------
 
     def _on_service_event(self, event: WatchEvent) -> None:
-        self._refresh_endpoints(event.obj)
-
-    def _on_pod_event(self, event: WatchEvent) -> None:
-        pod: Pod = event.obj
-        for service in self.api.list(Service.KIND, namespace=pod.metadata.namespace):
-            if service.selector.matches(pod.metadata):
-                self._refresh_endpoints(service)
-
-    def _refresh_endpoints(self, service: Service) -> None:
+        # The one listing of the pods: a new Service starts from the pods
+        # already running; from then on its own pod watch keeps it current.
+        service: Service = event.obj
         service.endpoints.addresses = sorted(
             pod.name
             for pod in self.api.list(Pod.KIND, namespace=service.metadata.namespace)
             if service.selector.matches(pod.metadata) and pod.phase == PodPhase.RUNNING
         )
+
+    def _on_pod_event(self, event: WatchEvent) -> None:
+        pod: Pod = event.obj
+        running = pod.phase == PodPhase.RUNNING
+        for service in self.api.list(Service.KIND, namespace=pod.metadata.namespace):
+            if not service.selector.matches(pod.metadata):
+                continue
+            addresses = service.endpoints.addresses
+            if running and pod.name not in addresses:
+                bisect.insort(addresses, pod.name)
+            elif not running and pod.name in addresses:
+                addresses.remove(pod.name)

@@ -3,8 +3,11 @@
 Every forwarder table is keyed by hierarchical names, and the expensive
 operations are all prefix-shaped: the FIB's longest-prefix match, the Content
 Store's ``can_be_prefix`` lookup, and prefix-scoped erasure.  This module
-provides one generic trie over :class:`~repro.ndn.name.Component` sequences
-that those tables share, so each of them gets
+provides one generic trie that those tables share, keyed at each level on a
+component's TLV bytes (:meth:`Name.component_tlvs
+<repro.ndn.name.Name.component_tlvs>`), so a descent hashes and compares
+plain ``bytes`` and builds no :class:`~repro.ndn.name.Component`.  Each
+table gets
 
 * O(depth) exact lookup, insertion and removal (with branch pruning),
 * O(depth) longest-prefix match, and
@@ -12,16 +15,18 @@ that those tables share, so each of them gets
 
 instead of the O(total entries) scans a flat dict forces.
 
-Iteration order is the NDN canonical order (shorter names first, then
-component-wise canonical comparison), which makes "first match under a
-prefix" deterministic and equal to "smallest matching name".
+Iteration order is the NDN canonical order (a name before its extensions,
+then component-wise canonical comparison), which makes "first match under a
+prefix" deterministic and equal to "smallest matching name".  Sorting a
+level's TLV keys gives that order: every key is a GenericNameComponent whose
+length comes first, as a minimally encoded big-endian var-number.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterator, Optional
 
-from repro.ndn.name import Component, Name
+from repro.ndn.name import Name
 
 __all__ = ["NameTree", "as_name"]
 
@@ -38,7 +43,7 @@ class _Node:
     __slots__ = ("children", "name", "value")
 
     def __init__(self) -> None:
-        self.children: dict[Component, _Node] = {}
+        self.children: dict[bytes, _Node] = {}
         #: The full name of this node; set when a value is first stored here.
         self.name: Optional[Name] = None
         self.value: Any = _ABSENT
@@ -64,8 +69,8 @@ class NameTree:
 
     def _find_node(self, name: Name) -> Optional[_Node]:
         node = self._root
-        for comp in name:
-            node = node.children.get(comp)
+        for key in name.component_tlvs():
+            node = node.children.get(key)
             if node is None:
                 return None
         return node
@@ -74,10 +79,10 @@ class NameTree:
         """Store ``value`` at ``name``, replacing any existing value."""
         name = as_name(name)
         node = self._root
-        for comp in name:
-            child = node.children.get(comp)
+        for key in name.component_tlvs():
+            child = node.children.get(key)
             if child is None:
-                child = node.children[comp] = _Node()
+                child = node.children[key] = _Node()
             node = child
         if node.value is _ABSENT:
             node.name = name
@@ -95,10 +100,10 @@ class NameTree:
         """Get the value at ``name``, creating it with ``factory`` if absent."""
         name = as_name(name)
         node = self._root
-        for comp in name:
-            child = node.children.get(comp)
+        for key in name.component_tlvs():
+            child = node.children.get(key)
             if child is None:
-                child = node.children[comp] = _Node()
+                child = node.children[key] = _Node()
             node = child
         if node.value is _ABSENT:
             node.name = name
@@ -109,23 +114,23 @@ class NameTree:
     def remove(self, name: "Name | str") -> bool:
         """Remove the value at ``name``, pruning empty branches bottom-up."""
         name = as_name(name)
-        path: list[tuple[_Node, Component]] = []
+        path: list[tuple[_Node, bytes]] = []
         node = self._root
-        for comp in name:
-            child = node.children.get(comp)
+        for key in name.component_tlvs():
+            child = node.children.get(key)
             if child is None:
                 return False
-            path.append((node, comp))
+            path.append((node, key))
             node = child
         if node.value is _ABSENT:
             return False
         node.value = _ABSENT
         node.name = None
         self._size -= 1
-        for parent, comp in reversed(path):
-            child = parent.children[comp]
+        for parent, key in reversed(path):
+            child = parent.children[key]
             if child.value is _ABSENT and not child.children:
-                del parent.children[comp]
+                del parent.children[key]
             else:
                 break
         return True
@@ -141,8 +146,8 @@ class NameTree:
         name = as_name(name)
         node = self._root
         best: Optional[_Node] = node if node.value is not _ABSENT else None
-        for comp in name:
-            node = node.children.get(comp)
+        for key in name.component_tlvs():
+            node = node.children.get(key)
             if node is None:
                 break
             if node.value is not _ABSENT:
@@ -158,8 +163,8 @@ class NameTree:
             current = stack.pop()
             if current.value is not _ABSENT:
                 yield (current.name if current.name is not None else Name()), current.value
-            for comp in sorted(current.children, reverse=True):
-                stack.append(current.children[comp])
+            for key in sorted(current.children, reverse=True):
+                stack.append(current.children[key])
 
     def items(self) -> Iterator[tuple[Name, Any]]:
         """All ``(name, value)`` pairs in canonical name order."""

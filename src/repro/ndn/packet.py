@@ -2,6 +2,14 @@
 
 The wire format loosely follows the NDN packet format v0.3: enough structure
 to round-trip every field the forwarder and LIDC use, while staying compact.
+
+A :class:`~repro.ndn.name.Name` is its Name TLV-VALUE, so encoding a name
+copies its bytes into the packet (:func:`encode_name_value` is those bytes)
+and decoding one is a single validating walk over the slice of the wire
+(:meth:`Name.from_wire <repro.ndn.name.Name.from_wire>`).
+:attr:`WirePacket.name` wraps the same slice that
+:attr:`WirePacket.name_bytes` hands the shard dispatcher, so no packet ever
+builds a :class:`~repro.ndn.name.Component` in transit.
 """
 
 from __future__ import annotations
@@ -78,16 +86,15 @@ class NackReason:
 def encode_name_value(name: Name) -> bytes:
     """The value bytes of a Name TLV: the concatenated component TLVs.
 
-    This is the canonical byte form of a name on the wire, and therefore
+    A :class:`Name` holds exactly these bytes, so this returns them as is.
+    They are the canonical byte form of a name on the wire, and therefore
     the key the shard dispatcher caches and hashes on
     (:attr:`WirePacket.name_bytes` is the same bytes sliced out of a
-    received buffer).  Because components are encoded back to back and TLV
-    encoding is self-delimiting, name A is a prefix of name B exactly when
-    ``encode_name_value(A)`` is a byte-prefix of ``encode_name_value(B)``.
+    received buffer).  Because TLV encoding is self-delimiting, name A is a
+    prefix of name B exactly when ``encode_name_value(A)`` is a byte-prefix
+    of ``encode_name_value(B)``.
     """
-    return b"".join(
-        encode_tlv(TlvTypes.GENERIC_NAME_COMPONENT, comp.value) for comp in name
-    )
+    return name._value
 
 
 def _encode_name(name: Name) -> bytes:
@@ -115,24 +122,11 @@ def _fields(wire: bytes, expected_type: int) -> dict[int, tuple[int, int, int]]:
     return scan_tlv_spans(wire, body_start, body_end)
 
 
-def _parse_name(buffer: bytes, span: _Span) -> Name:
+def _parse_name(buffer: bytes, span: _Span, value: Optional[bytes] = None) -> Name:
+    """The Name at ``span``; ``value`` is its TLV-VALUE when already sliced."""
     if span is None:
         raise TLVDecodeError("packet without a Name")
-    components = []
-    offset, end = span[1], span[2]
-    while offset < end:
-        comp_type, value_start, value_end = decode_tlv_header(buffer, offset)
-        if comp_type != TlvTypes.GENERIC_NAME_COMPONENT:
-            raise TLVDecodeError(f"unexpected TLV {comp_type} inside Name")
-        if value_end > end:
-            # The header check only bounds against the whole buffer; a
-            # component must not overrun its enclosing Name TLV either.
-            raise TLVDecodeError("name component extends past the Name TLV")
-        if value_start == value_end:
-            raise TLVDecodeError("empty name component")
-        components.append(Component(buffer[value_start:value_end]))
-        offset = value_end
-    return Name(components)
+    return Name.from_wire(buffer[span[1]:span[2]] if value is None else value)
 
 
 def _parse_nonce(buffer: bytes, span: _Span) -> int:
@@ -564,14 +558,21 @@ class WirePacket:
 
     @property
     def name(self) -> Name:
-        """The packet name (a Nack exposes its enclosed Interest's name)."""
+        """The packet name (a Nack exposes its enclosed Interest's name).
+
+        One validating walk over the Name TLV's value, which the name then
+        holds as its bytes: the :attr:`name_bytes` slice when that is already
+        taken, a fresh slice of the buffer otherwise.
+        """
         if self._name is None:
             if self._decoded is not None:
                 self._name = self._decoded.name
             elif self._header() == TlvTypes.NACK:
                 self._name = self.interest.name
             else:
-                self._name = _parse_name(self._buf, self._scan().get(TlvTypes.NAME))
+                self._name = _parse_name(
+                    self._buf, self._scan().get(TlvTypes.NAME), self._name_tlv
+                )
         return self._name
 
     @property

@@ -385,7 +385,8 @@ class StrategyChoiceTable:
 
     def find(self, name: "Name | str") -> Strategy:
         """The strategy governing ``name`` (deepest configured prefix wins)."""
-        name = Name(name)
+        if not isinstance(name, Name):
+            name = Name(name)
         best_prefix: Optional[Name] = None
         for prefix in self._choices:
             if prefix.is_prefix_of(name):

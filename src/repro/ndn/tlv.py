@@ -4,7 +4,10 @@ The NDN packet format encodes everything as nested TLV blocks.  This module
 implements variable-length number encoding (per the NDN packet spec), the
 TLV encoder, and the one decoding walk :mod:`repro.ndn.packet` uses: a
 header decode plus :func:`scan_tlv_spans`, which locates a block's fields as
-byte spans without copying them.
+byte spans without copying them.  The encoder and the header decode handle
+a one-byte type with a one-byte length inline, since nearly every header on
+the wire is that; :class:`~repro.ndn.name.Name` builds and walks its
+component TLVs with them too.
 
 Type numbers follow the NDN packet format v0.3 where applicable; a few private
 types (>= 1000) are used for simulation-only metadata.
@@ -91,8 +94,11 @@ def _decode_var_number(buffer: bytes, offset: int = 0) -> tuple[int, int]:
 
 
 def encode_tlv(type_number: int, value: bytes) -> bytes:
-    """Encode a single TLV block."""
-    return _encode_var_number(type_number) + _encode_var_number(len(value)) + value
+    """Encode a single TLV block (a one-byte type and length built inline)."""
+    length = len(value)
+    if 0 <= type_number < 253 and length < 253:
+        return bytes((type_number, length)) + value
+    return _encode_var_number(type_number) + _encode_var_number(length) + value
 
 
 def decode_tlv_header(buffer: bytes, offset: int = 0) -> tuple[int, int, int]:
@@ -100,7 +106,22 @@ def decode_tlv_header(buffer: bytes, offset: int = 0) -> tuple[int, int, int]:
 
     The value is never sliced out of ``buffer``: callers take the bytes they
     need from the offsets, so a scan over a packet's fields copies nothing.
+    A one-byte TLV-TYPE with a one-byte TLV-LENGTH, the header of nearly
+    every field and name component, is read inline; anything else, and
+    every error, goes through :func:`_decode_tlv_header`.
     """
+    size = len(buffer)
+    if offset + 1 < size:
+        type_number = buffer[offset]
+        length = buffer[offset + 1]
+        end = offset + 2 + length
+        if type_number < 253 and length < 253 and end <= size:
+            return type_number, offset + 2, end
+    return _decode_tlv_header(buffer, offset)
+
+
+def _decode_tlv_header(buffer: bytes, offset: int) -> tuple[int, int, int]:
+    """:func:`decode_tlv_header` for any header width, and its errors."""
     type_number, offset = _decode_var_number(buffer, offset)
     length, offset = _decode_var_number(buffer, offset)
     end = offset + length

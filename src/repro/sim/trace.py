@@ -27,7 +27,9 @@ Eager is affordable because the one rich type the forwarding plane passes,
 :class:`~repro.ndn.name.Name`, memoises its URI, and a consumer's repeated
 request names are one ``Name`` each (``repro.ndn.name.parse_name``): the
 URI is formatted once per distinct name, not once per request, and every
-record of a name shares that one string.
+record of a name shares that one string.  A name formats straight from its
+wire bytes and keeps only the string, so the memo builds no component
+objects and costs one ``str`` per name.
 """
 
 from __future__ import annotations

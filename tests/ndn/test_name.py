@@ -37,7 +37,9 @@ class TestComponent:
 
     def test_escaped_round_trip(self):
         comp = Component("mem=4&cpu=6")
-        assert Component.from_escaped(comp.escaped()) == comp
+        uri = Name([comp]).to_uri()
+        assert uri == "/mem=4&cpu=6"
+        assert Name(uri)[0] == comp
 
     def test_hashable(self):
         assert len({Component("a"), Component("a"), Component("b")}) == 2

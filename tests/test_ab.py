@@ -1,7 +1,8 @@
 """``benchmarks/ab.py``: the pair schedule and the verdicts, on synthetic runs.
 
 Nothing here starts a process or archives a revision: ``schedule``,
-``verdict`` and ``summarize`` are pure functions of their arguments.
+``verdict``, ``summarize`` and ``merge`` are pure functions of their
+arguments.
 """
 
 import importlib.util
@@ -82,23 +83,73 @@ class TestSummarize:
     def test_verdicts_and_digests_are_per_seed(self):
         runs = _runs([100.0] * 10, [80.0] * 10, seed=7) + _runs(
             [100.0] * 10, [100.0] * 10, seed=11, digest="e")
-        summary = ab.summarize(runs, METRICS)
-        assert summary["problems"] == []
-        assert summary["seeds"]["7"]["metrics"]["wall_us_per_request"]["verdict"] == "better"
-        assert summary["seeds"]["11"]["metrics"]["wall_us_per_request"]["verdict"] == "same"
-        assert summary["seeds"]["7"]["metrics"]["first_try_fraction"]["verdict"] == "same"
-        assert summary["seeds"]["7"]["digests_equal"] and summary["seeds"]["11"]["digests_equal"]
+        seeds = ab.summarize(runs, METRICS)
+        assert list(seeds) == ["7", "11"]
+        assert seeds["7"]["problems"] == seeds["11"]["problems"] == []
+        assert seeds["7"]["metrics"]["wall_us_per_request"]["verdict"] == "better"
+        assert seeds["11"]["metrics"]["wall_us_per_request"]["verdict"] == "same"
+        assert seeds["7"]["metrics"]["first_try_fraction"]["verdict"] == "same"
+        assert seeds["7"]["digests_equal"] and seeds["11"]["digests_equal"]
+        assert seeds["7"]["runs"] == runs[:20] and seeds["11"]["runs"] == runs[20:]
 
     def test_a_digest_that_differs_between_sides_is_reported(self):
         runs = _runs([100.0] * 2, [100.0] * 2)
         runs[1]["sim_digest"] = "other"
-        assert ab.summarize(runs, METRICS)["seeds"]["7"]["digests_equal"] is False
+        assert ab.summarize(runs, METRICS)["7"]["digests_equal"] is False
 
     def test_crashed_and_failing_runs_are_reported_and_a_crash_drops_its_pair(self):
         runs = _runs([100.0] * 3, [90.0] * 3)
         runs[2] = {"seed": 7, "pair": 1, "side": "head", "error": "exit code 1: boom"}
         runs[4]["failed"] = 2
-        summary = ab.summarize(runs, METRICS)
-        assert summary["problems"] == ["seed 7 pair 1 head: exit code 1: boom",
-                                       "seed 7 pair 2 base: 2 failed requests"]
-        assert summary["seeds"]["7"]["metrics"]["wall_us_per_request"]["pairs"] == 2
+        seed = ab.summarize(runs, METRICS)["7"]
+        assert seed["problems"] == ["seed 7 pair 1 head: exit code 1: boom",
+                                    "seed 7 pair 2 base: 2 failed requests"]
+        assert seed["metrics"]["wall_us_per_request"]["pairs"] == 2
+
+    def test_a_seed_whose_every_run_crashed_keeps_its_problems(self):
+        runs = [{"seed": 7, "pair": 0, "side": side, "error": "exit code 1: boom"}
+                for side in ab.SIDES]
+        seed = ab.summarize(runs, METRICS)["7"]
+        assert len(seed["problems"]) == 2 and "metrics" not in seed
+
+
+def _record(head, workloads, base="b", seconds=10.0):
+    """A ``BENCH_*.json`` record: ``workloads`` maps a name to its seeds' walls."""
+    return {"head": head, "workloads": {
+        name: {"base": base, "seconds": seconds, "seeds": {
+            str(seed): {"runs": [], "problems": [], "wall": wall}
+            for seed, wall in seeds.items()}}
+        for name, seeds in workloads.items()}}
+
+
+def _walls(record):
+    return {name: {seed: result["wall"] for seed, result in entry["seeds"].items()}
+            for name, entry in record["workloads"].items()}
+
+
+class TestMerge:
+    def test_a_second_workload_at_one_head_is_added_not_overwritten(self):
+        merged = ab.merge(_record("h", {"data_hot": {7: 1.0}}),
+                          _record("h", {"data_scan": {7: 2.0}}))
+        assert _walls(merged) == {"data_hot": {"7": 1.0}, "data_scan": {"7": 2.0}}
+
+    def test_several_workloads_of_one_run_all_land(self):
+        merged = ab.merge(None, _record("h", {"data_hot": {7: 1.0}, "chaos_retry": {7: 3.0}}))
+        assert _walls(merged) == {"data_hot": {"7": 1.0}, "chaos_retry": {"7": 3.0}}
+
+    def test_a_new_seed_is_added_and_a_rerun_seed_replaced(self):
+        merged = ab.merge(_record("h", {"data_hot": {7: 1.0, 11: 1.5}}),
+                          _record("h", {"data_hot": {11: 9.0, 4242: 2.0}}))
+        assert _walls(merged) == {"data_hot": {"7": 1.0, "11": 9.0, "4242": 2.0}}
+
+    def test_another_base_or_length_replaces_the_workload_whole(self):
+        old = _record("h", {"data_hot": {7: 1.0}})
+        assert _walls(ab.merge(old, _record("h", {"data_hot": {11: 2.0}}, base="c"))) == {
+            "data_hot": {"11": 2.0}}
+        assert _walls(ab.merge(old, _record("h", {"data_hot": {11: 2.0}}, seconds=3.0))) == {
+            "data_hot": {"11": 2.0}}
+
+    def test_a_record_of_another_head_is_dropped(self):
+        merged = ab.merge(_record("g", {"data_hot": {7: 1.0}}),
+                          _record("h", {"data_scan": {7: 2.0}}))
+        assert _walls(merged) == {"data_scan": {"7": 2.0}}

@@ -286,6 +286,10 @@ GONE = (
     "repro.ndn.name:Name.starts_with",
     "repro.ndn.name:Name.common_prefix_length",
     "repro.ndn.packet:WirePacket.is_nack",
+    # A name parses and formats its URI from its bytes.
+    "repro.ndn.name:Component.from_escaped",
+    "repro.ndn.name:Component.escaped",
+    "repro.cluster.scheduler:Scheduler.unschedulable_count",
     "repro.ndn.routing:RoutingDaemon.known_prefixes",
 )
 
