@@ -240,9 +240,9 @@ class TestDeploymentController:
     def test_replaces_finished_pods(self, env):
         api, controller = self._setup(env)
         spec = PodSpec(containers=[Container(name="crashy", workload=5.0, startup_delay_s=0.0)])
-        controller.create_deployment(spec, name="crashy")
+        deployment = controller.create_deployment(spec, name="crashy")
         env.run(until=30.0)
         # The original pod finished after 5 s and was replaced at least once.
         assert controller.pods_created >= 2
         assert controller.pods_replaced == controller.pods_created - 1
-        assert sum(not pod.is_terminal for pod in api.list("Pod")) == 1
+        assert [pod for pod in api.list("Pod") if not pod.is_terminal] == [deployment.pod]

@@ -73,6 +73,27 @@ class TestServices:
         running_pod(api, env, "other", {"app": "other"})
         assert service.endpoints.addresses == ["nfd-pod-1"]
 
+    def test_endpoints_follow_pods_into_and_out_of_running(self, env, running_cluster_bits):
+        api, services = running_cluster_bits
+        running_pod(api, env, "nfd-b", {"app": "nfd"})
+        service = services.create_service("nfd", selector={"app": "nfd"})
+        assert service.endpoints.addresses == ["nfd-b"]  # a pod already running counts
+        brief = Pod(
+            metadata=ObjectMeta(name="nfd-a", namespace="ndnk8s", labels={"app": "nfd"}),
+            spec=PodSpec(containers=[Container(name="c", workload=5.0, startup_delay_s=0.0)]),
+        )
+        api.create("Pod", brief)
+        env.run(until=env.now + 1.0)
+        running_pod(api, env, "nfd-c", {"app": "nfd"})
+        assert service.endpoints.addresses == ["nfd-a", "nfd-b", "nfd-c"]
+        env.run(until=env.now + 10.0)
+        assert brief.phase == PodPhase.SUCCEEDED
+        assert service.endpoints.addresses == ["nfd-b", "nfd-c"]
+        assert service.endpoints.addresses == sorted(
+            pod.name for pod in api.list("Pod")
+            if service.selector.matches(pod.metadata) and pod.phase == PodPhase.RUNNING
+        )
+
     def test_dns_name_format(self, env, running_cluster_bits):
         api, services = running_cluster_bits
         service = services.create_service("dl-nfd", selector={"app": "dl-nfd"})
