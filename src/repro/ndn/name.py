@@ -267,9 +267,6 @@ class Name:
     def __repr__(self) -> str:
         return f"Name({self.to_uri()!r})"
 
-    def __str__(self) -> str:
-        return self.to_uri()
-
     # -- formatting ---------------------------------------------------------------
 
     def to_uri(self) -> str:
@@ -279,6 +276,8 @@ class Name:
             quote = urllib.parse.quote_from_bytes
             uri = self._uri = "/" + "/".join([quote(part, _URI_SAFE) for part in self._parts()])
         return uri
+
+    __str__ = to_uri
 
     # -- construction helpers ---------------------------------------------------------
 
