@@ -21,11 +21,16 @@ quartiles, the ratio of the medians, how many pairs the head won, and a
 verdict against the metric's direction and bound in the head tree's
 ``BENCHMARK.json``:
 
-* ``better``: the head won at least 9 of every 10 pairs, and its median
-  beats the base's by more than the base's interquartile range;
 * ``worse``: the head's median is worse than the base's by more than the
   metric's bound;
+* ``too few``: otherwise, when fewer than 5 pairs are complete;
+* ``better``: the head won at least 9 of every 10 pairs, and its median
+  beats the base's by more than the base's interquartile range;
 * ``same``: anything else.
+
+Beside the wins it prints the one-sided sign-test p-value of that many
+wins among the pairs that are not tied: the chance of winning at least as
+often if the head were no different.
 
 Each seed gets its own table, headed by whether every ``sim_digest`` of
 both sides at that seed is the same.  Every run and every verdict go to
@@ -34,13 +39,15 @@ and then by seed.  A later run at the same head adds its workloads and
 seeds to that file: it replaces only the seeds it ran again, and a
 workload it ran against another base or for another ``--seconds`` whole.
 Passing the base as ``--head`` too gives an A/A run, the noise floor of
-the machine.
+the machine.  A record of the older one-workload shape (no ``workloads``
+key) is never merged into: the run stops before it starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -49,6 +56,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "head")
+#: Below this many complete pairs no verdict but ``worse`` is given.
+MIN_PAIRS = 5
 
 
 def schedule(seeds: list[int], pairs: int) -> list[tuple[int, int, str]]:
@@ -68,24 +77,32 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def sign_test(wins: int, untied: int) -> float:
+    """One-sided sign-test p-value: P(at least ``wins`` of ``untied`` fair coin flips)."""
+    return sum(math.comb(untied, k) for k in range(wins, untied + 1)) / 2 ** untied
+
+
 def verdict(base: list[float], head: list[float], better: str, bound: float) -> dict:
     """Judge one metric from its paired values (``base[i]`` and ``head[i]`` are pair ``i``)."""
     lower = better == "lower"
     b_q1, b_median, b_q3 = _quartiles(base)
     h_q1, h_median, h_q3 = _quartiles(head)
     wins = sum(1 for b, h in zip(base, head) if (h < b if lower else h > b))
+    untied = sum(1 for b, h in zip(base, head) if h != b)
     gain = b_median - h_median if lower else h_median - b_median
-    if wins * 10 >= 9 * len(base) and gain > b_q3 - b_q1:
-        call = "better"
-    elif -gain > bound * abs(b_median):
+    if -gain > bound * abs(b_median):
         call = "worse"
+    elif len(base) < MIN_PAIRS:
+        call = "too few"
+    elif wins * 10 >= 9 * len(base) and gain > b_q3 - b_q1:
+        call = "better"
     else:
         call = "same"
     return {
         "base": {"q1": b_q1, "median": b_median, "q3": b_q3},
         "head": {"q1": h_q1, "median": h_median, "q3": h_q3},
         "ratio": h_median / b_median if b_median else None,
-        "wins": wins, "pairs": len(base), "verdict": call,
+        "wins": wins, "pairs": len(base), "p": sign_test(wins, untied), "verdict": call,
     }
 
 
@@ -127,6 +144,11 @@ def merge(existing: "dict | None", new: dict) -> dict:
     A seed run again replaces the earlier one; a workload run against
     another base or for another length replaces the earlier one whole.
     """
+    if existing and "workloads" not in existing:
+        raise ValueError(
+            f"the record of {existing.get('head', '?')[:12]} holds one workload at its top "
+            "level (the shape before workloads were keyed); merging would drop its runs, "
+            "so move it aside first")
     if not existing or existing.get("head") != new["head"]:
         return new
     workloads = dict(existing.get("workloads", {}))
@@ -144,6 +166,14 @@ def merge(existing: "dict | None", new: dict) -> dict:
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def _load(path: str) -> "dict | None":
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError):
+        return None
 
 
 def _archive(rev: str, into: str) -> None:
@@ -176,14 +206,14 @@ def _print(workload: str, seeds: dict, metrics: list[dict]) -> None:
             print(f"\n{workload} seed {seed}: sim_digest "
                   f"{'equal on both sides' if result['digests_equal'] else 'DIFFERS'}")
             print(f"{'metric':<24}{'base median [q1, q3]':>34}{'head median [q1, q3]':>34}"
-                  f"{'ratio':>8}{'wins':>8}  verdict")
+                  f"{'ratio':>8}{'wins':>8}{'p':>8}  verdict")
             for metric in metrics:
                 row = result["metrics"][metric["name"]]
                 sides = [f"{row[side]['median']:.6g} [{row[side]['q1']:.6g}, {row[side]['q3']:.6g}]"
                          for side in SIDES]
                 ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
                 print(f"{metric['name']:<24}{sides[0]:>34}{sides[1]:>34}{ratio:>8}"
-                      f"{row['wins']:>5}/{row['pairs']:<2}  {row['verdict']}")
+                      f"{row['wins']:>5}/{row['pairs']:<2}{row['p']:>8.3g}  {row['verdict']}")
         for problem in result["problems"]:
             print(f"problem: {workload} {problem}")
 
@@ -201,6 +231,11 @@ def main(argv: "list[str] | None" = None) -> int:
     revs = {"base": _git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
             "head": _git("rev-parse", "--verify", f"{args.head}^{{commit}}")}
     record: dict = {"head": revs["head"], "workloads": {}}
+    path = os.path.join(ROOT, f"BENCH_{_git('rev-parse', '--short', revs['head'])}.json")
+    try:
+        merge(_load(path), record)  # refuse a record it cannot merge before any child runs
+    except ValueError as error:
+        parser.error(f"{path}: {error}")
     with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
         trees = {side: os.path.join(scratch, side) for side in SIDES}
         for side in SIDES:
@@ -222,15 +257,9 @@ def main(argv: "list[str] | None" = None) -> int:
             record["workloads"][workload] = {"base": revs["base"], "seconds": args.seconds,
                                              "seeds": seeds}
 
-    short = _git("rev-parse", "--short", revs["head"])
-    path = os.path.join(ROOT, f"BENCH_{short}.json")
-    try:
-        with open(path, encoding="utf-8") as handle:
-            existing = json.load(handle)
-    except (OSError, ValueError):
-        existing = None
+    merged = merge(_load(path), record)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(merge(existing, record), handle, indent=1, sort_keys=True)
+        json.dump(merged, handle, indent=1, sort_keys=True)
     print(f"wrote {path}")
     results = [result for entry in record["workloads"].values()
                for result in entry["seeds"].values()]

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Every table, figure and ablation of the paper, from one entry point.
 
-Each runner in :mod:`repro.analysis` builds its own testbed, drives the
-full stack (client → NDN overlay → gateway → Kubernetes → data lake) in
-simulated time, and returns a structured result whose ``to_table()`` is
-the paper-style table printed here:
+:data:`repro.analysis.EXPERIMENTS` is the paper's run table: one row per
+experiment, with its runner and the *paper* level printed here.  Each
+runner builds its own testbed, drives the full stack (client → NDN overlay
+→ gateway → Kubernetes → data lake) in simulated time, and returns the
+paper-style table printed here:
 
 * Fig. 1 — placement across a multi-cluster overlay while clusters leave
   and join;
@@ -17,10 +18,10 @@ the paper-style table printed here:
 * many concurrent job sessions through one client;
 * the decentralized overlay against a centralized controller.
 
-A runner is a pure function of its arguments, so its default seed prints
-the same tables on every run.  ``tests/analysis/test_analysis_and_integration.py``
-asserts the paper's shape on the same results.  The whole script takes
-about two seconds.
+A runner is a pure function of its level, so the script prints the same
+tables on every run.  ``tests/analysis/test_analysis_and_integration.py``
+checks the paper's shape on the same table, at the paper level and at the
+row's shrunk levels.  The whole script takes about two seconds.
 
 Run with::
 
@@ -29,31 +30,12 @@ Run with::
 
 import _path_setup  # noqa: F401  (adds src/ to sys.path for source checkouts)
 
-from repro.analysis import (
-    ResultTable,
-    run_baseline_comparison,
-    run_caching_ablation,
-    run_concurrent_load,
-    run_fig2_name_placement,
-    run_fig3_service_mapping,
-    run_fig5_workflow,
-    run_overlay_churn,
-    run_table1,
-)
+from repro.analysis import EXPERIMENTS, ResultTable
 
 
 def main() -> None:
-    results = [
-        run_overlay_churn(),
-        run_fig2_name_placement(),
-        run_fig3_service_mapping(),
-        run_fig5_workflow(),
-        run_table1(),
-        run_caching_ablation(),
-        run_concurrent_load(),
-        run_baseline_comparison(),
-    ]
-    print(ResultTable.render_many(result.to_table() for result in results))
+    print(ResultTable.render_many(experiment.run(**experiment.paper)
+                                  for experiment in EXPERIMENTS))
 
 
 if __name__ == "__main__":

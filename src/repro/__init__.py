@@ -17,8 +17,9 @@ The package is organised as a set of substrates plus the LIDC core:
   runtime model.
 * :mod:`repro.core` — the LIDC contribution: semantic naming, gateway,
   multi-cluster overlay, client, caching, the centralized baseline.
-* :mod:`repro.analysis` — experiment runners for the paper's table and
-  figures (checked by the tier-1 tests) and the ``reprolint`` analyzer.
+* :mod:`repro.analysis` — the run table of the paper's experiments (one row
+  per table, figure or ablation, with a paper level and the shrunk levels
+  the tier-1 tests check) and the ``reprolint`` analyzer.
 
 Quickstart
 ----------

@@ -1,43 +1,88 @@
-"""Experiment runners: one function per paper table, figure and ablation.
+"""The paper's experiments as one run table.
 
-Every runner builds its own testbed, drives the workload, and returns both a
-structured result object and (via :meth:`to_table`) a paper-style table.
-A runner is a pure function of its arguments: the same seed gives the same
-result.  ``tests/analysis/test_analysis_and_integration.py`` asserts the
-paper's shape on the structured results, at the paper's parameters.
+:data:`EXPERIMENTS` has one row per paper table, figure or ablation: its
+runner, its *paper* level and its *shrunk* levels.  A level is the runner's
+keyword arguments, every one of them; ``examples/paper_figures.py`` prints
+each runner at its paper level, and
+``tests/analysis/test_analysis_and_integration.py`` checks each at every
+level.  A runner builds its own testbed, drives the full stack in simulated
+time and returns the :class:`~repro.analysis.results.ResultTable` it
+renders; the table's ``measures`` hold the figures the checks read.  A
+runner is a pure function of its level: the same seed gives the same table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.analysis.results import ResultTable, format_bytes, format_seconds
 from repro.core.baseline import CentralizedController
-from repro.core.client import JobOutcome
+from repro.core.client import JobOutcome, LIDCClient
 from repro.core.framework import CLIENT_EDGE, LIDCTestbed
 from repro.core.spec import ComputeRequest, JobState
-from repro.core.workflow import GenomicsWorkflow, WorkflowReport, decompose
+from repro.core.workflow import GenomicsWorkflow, WorkflowReport
 from repro.genomics.runtime_model import TABLE1_ROWS, Table1Row, format_runtime
 
-__all__ = [
-    "Table1Result",
-    "run_table1",
-    "NamePlacementResult",
-    "run_fig2_name_placement",
-    "ServiceMappingResult",
-    "run_fig3_service_mapping",
-    "Fig5Decomposition",
-    "run_fig5_workflow",
-    "OverlayChurnResult",
-    "run_overlay_churn",
-    "CachingAblation",
-    "run_caching_ablation",
-    "ConcurrentLoadResult",
-    "run_concurrent_load",
-    "BaselineComparison",
-    "run_baseline_comparison",
-]
+__all__ = ["EXPERIMENTS"]
+
+
+# ---------------------------------------------------------------------------
+# Shared pieces
+# ---------------------------------------------------------------------------
+
+
+#: The two SRA samples of Table I: a rice genome and a human kidney.
+_RICE, _KIDNEY = "SRR2931415", "SRR5139395"
+
+
+def _sleep(duration_s: float, **params: str) -> ComputeRequest:
+    return ComputeRequest(app="SLEEP", cpu=1, memory_gb=1,
+                          params={"duration": f"{duration_s:g}", **params})
+
+
+def _success_rate(succeeded: Iterable[bool]) -> float:
+    flags = list(succeeded)
+    return sum(flags) / len(flags) if flags else 0.0
+
+
+def _placements(clusters: Iterable[Optional[str]]) -> Counter:
+    """Jobs per cluster, over the jobs that were placed."""
+    return Counter(cluster for cluster in clusters if cluster)
+
+
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
+def _star(cluster_count: int, seed: int) -> LIDCTestbed:
+    """``cluster_count`` clusters of one 4-CPU, 8Gi node each."""
+    return LIDCTestbed.multi_cluster(cluster_count, seed=seed, node_count=1,
+                                     node_cpu=4, node_memory="8Gi")
+
+
+def _balanced_star(cluster_count: int, seed: int) -> tuple[LIDCTestbed, LIDCClient]:
+    """A :func:`_star` that load-balances, and a client polling every 10 s."""
+    testbed = _star(cluster_count, seed)
+    testbed.overlay.use_load_balancing()
+    return testbed, testbed.client(poll_interval_s=10.0)
+
+
+def _sleep_jobs(testbed: LIDCTestbed, client: LIDCClient, count: int,
+                job_duration_s: float) -> list[JobOutcome]:
+    """Run ``count`` SLEEP jobs one after another and return their outcomes."""
+    def jobs():
+        outcomes = []
+        for _ in range(count):
+            outcomes.append((yield client.submit(_sleep(job_duration_s), fetch_result=False).done))
+        return outcomes
+    return testbed.run_process(jobs())
+
+
+def _spread(runtimes: Sequence[float]) -> float:
+    """Relative spread of one sample's runtimes across configurations."""
+    return (max(runtimes) - min(runtimes)) / max(runtimes) if runtimes else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -45,70 +90,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Table1Measurement:
-    """One measured row next to the paper's row."""
-
-    paper: Table1Row
-    measured_runtime_s: float
-    measured_output_bytes: int
-    cluster: str
-
-    @property
-    def runtime_relative_error(self) -> float:
-        return abs(self.measured_runtime_s - self.paper.run_time_s) / self.paper.run_time_s
-
-    @property
-    def output_relative_error(self) -> float:
-        return abs(self.measured_output_bytes - self.paper.output_size_bytes) / self.paper.output_size_bytes
-
-
-@dataclass
-class Table1Result:
-    """The reproduced Table I."""
-
-    measurements: list[_Table1Measurement] = field(default_factory=list)
-
-    @property
-    def max_runtime_error(self) -> float:
-        return max(m.runtime_relative_error for m in self.measurements)
-
-    def runtime_spread(self, srr_id: str) -> float:
-        """Relative spread of measured runtimes across configurations of one sample."""
-        runtimes = [m.measured_runtime_s for m in self.measurements if m.paper.srr_id == srr_id]
-        if not runtimes:
-            return 0.0
-        return (max(runtimes) - min(runtimes)) / max(runtimes)
-
-    def to_table(self) -> ResultTable:
-        table = ResultTable(
-            title="Table I — Computation Performance (paper vs reproduction)",
-            columns=["SRR ID", "Ref. DB", "Genome", "Mem(GB)", "CPU",
-                     "Paper run time", "Measured run time", "Paper output", "Measured output"],
-        )
-        for m in self.measurements:
-            table.add_row(
-                m.paper.srr_id, m.paper.reference, m.paper.genome_type,
-                f"{m.paper.memory_gb:g}", m.paper.cpu,
-                m.paper.run_time_text, format_runtime(m.measured_runtime_s),
-                format_bytes(m.paper.output_size_bytes), format_bytes(m.measured_output_bytes),
-            )
-        table.add_note(
-            "CPU/memory variation changes the measured run time by "
-            f"{self.runtime_spread('SRR2931415') * 100:.2f}% (rice) and "
-            f"{self.runtime_spread('SRR5139395') * 100:.2f}% (kidney) — "
-            "no significant change, matching the paper's takeaway"
-        )
-        return table
-
-
-def run_table1(seed: int = 0, rows: Sequence[Table1Row] = TABLE1_ROWS,
-               poll_interval_s: float = 600.0) -> Table1Result:
-    """Re-run every Table I configuration through the full LIDC stack."""
-    result = Table1Result()
+def _run_table1(*, seed: int, rows: Sequence[Table1Row]) -> ResultTable:
+    """Re-run Table I configurations through the full LIDC stack."""
+    table = ResultTable(
+        title="Table I — Computation Performance (paper vs reproduction)",
+        columns=["SRR ID", "Ref. DB", "Genome", "Mem(GB)", "CPU",
+                 "Paper run time", "Measured run time", "Paper output", "Measured output"],
+    )
+    runtimes: dict[str, list[float]] = {}
+    runtime_errors, output_errors = [], []
     for row in rows:
         testbed = LIDCTestbed.single_cluster(seed=seed, node_cpu=8, node_memory="32Gi")
-        client = testbed.client(poll_interval_s=poll_interval_s)
+        client = testbed.client(poll_interval_s=600.0)
         outcome = testbed.submit_and_wait(
             ComputeRequest(app="BLAST", cpu=row.cpu, memory_gb=row.memory_gb,
                            dataset=row.srr_id, reference=row.reference),
@@ -116,17 +109,31 @@ def run_table1(seed: int = 0, rows: Sequence[Table1Row] = TABLE1_ROWS,
         )
         if not outcome.succeeded:
             raise RuntimeError(f"Table I run failed for {row}: {outcome.error}")
-        cluster_name = outcome.submission.cluster or ""
-        record = testbed.cluster(cluster_name).gateway.tracker.get(outcome.submission.job_id)
-        result.measurements.append(
-            _Table1Measurement(
-                paper=row,
-                measured_runtime_s=record.runtime() or 0.0,
-                measured_output_bytes=record.result_size_bytes or 0,
-                cluster=cluster_name,
-            )
+        cluster = testbed.cluster(outcome.submission.cluster or "")
+        record = cluster.gateway.tracker.get(outcome.submission.job_id)
+        runtime, output = record.runtime() or 0.0, record.result_size_bytes or 0
+        runtimes.setdefault(row.srr_id, []).append(runtime)
+        runtime_errors.append(abs(runtime - row.run_time_s) / row.run_time_s)
+        output_errors.append(abs(output - row.output_size_bytes) / row.output_size_bytes)
+        table.add_row(
+            row.srr_id, row.reference, row.genome_type, f"{row.memory_gb:g}", row.cpu,
+            row.run_time_text, format_runtime(runtime),
+            format_bytes(row.output_size_bytes), format_bytes(output),
         )
-    return result
+    rice, kidney = runtimes.get(_RICE, []), runtimes.get(_KIDNEY, [])
+    table.measures.update(
+        max_runtime_error=max(runtime_errors), max_output_error=max(output_errors),
+        runtime_spread_rice=_spread(rice), runtime_spread_kidney=_spread(kidney),
+    )
+    if rice and kidney:
+        table.measures["kidney_over_rice"] = min(kidney) / max(rice)
+    table.add_note(
+        "CPU/memory variation changes the measured run time by "
+        f"{table.measures['runtime_spread_rice'] * 100:.2f}% (rice) and "
+        f"{table.measures['runtime_spread_kidney'] * 100:.2f}% (kidney) — "
+        "no significant change, matching the paper's takeaway"
+    )
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -134,60 +141,35 @@ def run_table1(seed: int = 0, rows: Sequence[Table1Row] = TABLE1_ROWS,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NamePlacementResult:
-    """Latencies of name-based data and compute resolution on one cluster."""
-
-    data_manifest_latency_s: float
-    data_payload_latency_s: float
-    compute_ack_latency_s: float
-    cached_manifest_latency_s: float
-    dataset_bytes: int
-
-    def to_table(self) -> ResultTable:
-        table = ResultTable(
-            title="Fig. 2 — Transparent data & compute placement based on names",
-            columns=["operation", "latency"],
-        )
-        table.add_row("data manifest fetch (/ndn/k8s/data/<id>)", format_seconds(self.data_manifest_latency_s))
-        table.add_row("data payload fetch (segmented)", format_seconds(self.data_payload_latency_s))
-        table.add_row("compute request ack (/ndn/k8s/compute/...)", format_seconds(self.compute_ack_latency_s))
-        table.add_row("repeat manifest fetch (content-store hit)", format_seconds(self.cached_manifest_latency_s))
-        table.add_note("all operations are addressed purely by name; no cluster locations configured")
-        return table
-
-
-def run_fig2_name_placement(seed: int = 0) -> NamePlacementResult:
+def _run_fig2_name_placement(*, seed: int) -> ResultTable:
     testbed = LIDCTestbed.single_cluster(seed=seed, load_synthetic_datasets=True)
     client = testbed.client()
+    table = ResultTable(
+        title="Fig. 2 — Transparent data & compute placement based on names",
+        columns=["operation", "latency"],
+    )
+    # (row label, measure, the operation timed), in the order they run.
+    steps = (
+        ("data manifest fetch (/ndn/k8s/data/<id>)", "data_manifest_latency_s",
+         lambda: client.retrieve_dataset("SRR0000001", fetch_payload=False)),
+        ("data payload fetch (segmented)", "data_payload_latency_s",
+         lambda: client.retrieve_dataset("SRR0000001", fetch_payload=True)),
+        ("compute request ack (/ndn/k8s/compute/...)", "compute_ack_latency_s",
+         lambda: client.submit_interest(_sleep(5))),
+        ("repeat manifest fetch (content-store hit)", "cached_manifest_latency_s",
+         lambda: client.retrieve_dataset("SRR0000001", fetch_payload=False)),
+    )
 
     def scenario():
-        start = testbed.env.now
-        manifest, _ = yield from client.retrieve_dataset("SRR0000001", fetch_payload=False)
-        manifest_latency = testbed.env.now - start
+        for label, measure, operation in steps:
+            start = testbed.env.now
+            yield from operation()
+            table.measures[measure] = testbed.env.now - start
+            table.add_row(label, format_seconds(table.measures[measure]))
 
-        start = testbed.env.now
-        _, payload = yield from client.retrieve_dataset("SRR0000001", fetch_payload=True)
-        payload_latency = testbed.env.now - start
-
-        start = testbed.env.now
-        submission = yield from client.submit_interest(
-            ComputeRequest(app="SLEEP", cpu=1, memory_gb=1, params={"duration": "5"})
-        )
-        ack_latency = testbed.env.now - start
-
-        start = testbed.env.now
-        yield from client.retrieve_dataset("SRR0000001", fetch_payload=False)
-        cached_latency = testbed.env.now - start
-        return NamePlacementResult(
-            data_manifest_latency_s=manifest_latency,
-            data_payload_latency_s=payload_latency,
-            compute_ack_latency_s=ack_latency,
-            cached_manifest_latency_s=cached_latency,
-            dataset_bytes=manifest.get("size_bytes", 0),
-        )
-
-    return testbed.run_process(scenario())
+    testbed.run_process(scenario())
+    table.add_note("all operations are addressed purely by name; no cluster locations configured")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -195,36 +177,7 @@ def run_fig2_name_placement(seed: int = 0) -> NamePlacementResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ServiceMappingResult:
-    """Observed Kubernetes objects and the per-hop overhead of the mapping."""
-
-    node_port: int
-    gateway_dns: str
-    datalake_dns: str
-    datalake_cluster_ip: str
-    gateway_endpoints: int
-    datalake_endpoints: int
-    manifest_via_gateway_latency_s: float
-    system_pods_running: int
-
-    def to_table(self) -> ResultTable:
-        table = ResultTable(
-            title="Figs. 3 & 4 — NDN-to-Kubernetes mapping",
-            columns=["kubernetes object", "value"],
-        )
-        table.add_row("gateway NFD NodePort", self.node_port)
-        table.add_row("gateway service DNS", self.gateway_dns)
-        table.add_row("data-lake NFD service DNS", self.datalake_dns)
-        table.add_row("data-lake ClusterIP", self.datalake_cluster_ip)
-        table.add_row("gateway endpoints (pods)", self.gateway_endpoints)
-        table.add_row("data-lake endpoints (pods)", self.datalake_endpoints)
-        table.add_row("system pods running", self.system_pods_running)
-        table.add_row("manifest fetch via gateway NFD", format_seconds(self.manifest_via_gateway_latency_s))
-        return table
-
-
-def run_fig3_service_mapping(seed: int = 0) -> ServiceMappingResult:
+def _run_fig3_service_mapping(*, seed: int) -> ResultTable:
     testbed = LIDCTestbed.single_cluster(seed=seed, load_synthetic_datasets=True)
     testbed.run(until=testbed.env.now + 10)  # let deployments come up
     cluster = next(iter(testbed.clusters.values()))
@@ -236,20 +189,24 @@ def run_fig3_service_mapping(seed: int = 0) -> ServiceMappingResult:
         return testbed.env.now - start
 
     latency = testbed.run_process(fetch())
-    gateway_service = cluster.nodeport_service
-    datalake_service = cluster.datalake_service
-    dns_record = cluster.cluster.dns.resolve(datalake_service.dns_name)
-    running = len(cluster.cluster.running_pods())
-    return ServiceMappingResult(
-        node_port=gateway_service.node_port or 0,
-        gateway_dns=gateway_service.dns_name,
-        datalake_dns=datalake_service.dns_name,
-        datalake_cluster_ip=dns_record.cluster_ip,
-        gateway_endpoints=len(gateway_service.endpoints.addresses),
-        datalake_endpoints=len(datalake_service.endpoints.addresses),
-        manifest_via_gateway_latency_s=latency,
-        system_pods_running=running,
-    )
+    gateway, datalake = cluster.nodeport_service, cluster.datalake_service
+    table = ResultTable(title="Figs. 3 & 4 — NDN-to-Kubernetes mapping",
+                        columns=["kubernetes object", "value"])
+    for label, measure, value in (
+        ("gateway NFD NodePort", "node_port", gateway.node_port or 0),
+        ("gateway service DNS", "gateway_dns", gateway.dns_name),
+        ("data-lake NFD service DNS", "datalake_dns", datalake.dns_name),
+        ("data-lake ClusterIP", "datalake_cluster_ip",
+         cluster.cluster.dns.resolve(datalake.dns_name).cluster_ip),
+        ("gateway endpoints (pods)", "gateway_endpoints", len(gateway.endpoints.addresses)),
+        ("data-lake endpoints (pods)", "datalake_endpoints", len(datalake.endpoints.addresses)),
+        ("system pods running", "system_pods_running", len(cluster.cluster.running_pods())),
+    ):
+        table.measures[measure] = value
+        table.add_row(label, value)
+    table.measures["manifest_via_gateway_latency_s"] = latency
+    table.add_row("manifest fetch via gateway NFD", format_seconds(latency))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -257,43 +214,26 @@ def run_fig3_service_mapping(seed: int = 0) -> ServiceMappingResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Fig5Decomposition:
-    """Per-step latencies of the five-step protocol."""
-
-    report: WorkflowReport
-
-    @property
-    def end_to_end_s(self) -> float:
-        return self.report.end_to_end_s
-
-    def step_seconds(self, step: str) -> float:
-        timing = self.report.step(step)
-        return timing.duration_s if timing else 0.0
-
-    def compute_fraction(self) -> float:
-        timing = self.report.step("computation_and_status")
-        return timing.fraction if timing else 0.0
-
-    def to_table(self) -> ResultTable:
-        table = ResultTable(
-            title="Fig. 5 — LIDC workflow protocol step decomposition",
-            columns=["protocol step", "duration", "fraction of end-to-end"],
-        )
-        for timing in self.report.steps:
-            table.add_row(timing.step, format_seconds(timing.duration_s), f"{timing.fraction * 100:.3f}%")
-        table.add_row("end-to-end", format_seconds(self.end_to_end_s), "100%")
-        table.add_note("computation dominates; naming/forwarding/status overhead is negligible")
-        return table
-
-
-def run_fig5_workflow(seed: int = 0, srr_id: str = "SRR2931415", cpu: int = 2,
-                      memory_gb: float = 4, poll_interval_s: float = 600.0) -> Fig5Decomposition:
+def _run_fig5_workflow(*, seed: int, srr_id: str, poll_interval_s: float) -> ResultTable:
     testbed = LIDCTestbed.single_cluster(seed=seed)
     client = testbed.client(poll_interval_s=poll_interval_s)
-    workflow = GenomicsWorkflow(client)
-    report = testbed.run_process(workflow.blast(srr_id, cpu=cpu, memory_gb=memory_gb))
-    return Fig5Decomposition(report=report)
+    report: WorkflowReport = testbed.run_process(GenomicsWorkflow(client).blast(srr_id))
+    table = ResultTable(
+        title="Fig. 5 — LIDC workflow protocol step decomposition",
+        columns=["protocol step", "duration", "fraction of end-to-end"],
+    )
+    for timing in report.steps:
+        table.add_row(timing.step, format_seconds(timing.duration_s), f"{timing.fraction * 100:.3f}%")
+    table.add_row("end-to-end", format_seconds(report.end_to_end_s), "100%")
+    table.add_note("computation dominates; naming/forwarding/status overhead is negligible")
+    table.measures.update(
+        succeeded=report.succeeded,
+        end_to_end_s=report.end_to_end_s,
+        compute_fraction=report.step("computation_and_status").fraction,
+        submit_and_ack_s=report.step("submit_and_ack").duration_s,
+        result_retrieval_s=report.step("result_retrieval").duration_s,
+    )
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -301,96 +241,40 @@ def run_fig5_workflow(seed: int = 0, srr_id: str = "SRR2931415", cpu: int = 2,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OverlayChurnResult:
-    """Placement behaviour of the overlay while clusters join and leave."""
+def _run_overlay_churn(*, seed: int, cluster_count: int, requests_per_phase: int,
+                       job_duration_s: float) -> ResultTable:
+    testbed, client = _balanced_star(cluster_count, seed)
+    table = ResultTable(
+        title="Fig. 1 — Multi-cluster overlay: placement under churn",
+        columns=["phase", "requests", "success rate", "clusters used"],
+    )
 
-    cluster_count: int
-    outcomes_before: list[JobOutcome] = field(default_factory=list)
-    outcomes_after_leave: list[JobOutcome] = field(default_factory=list)
-    outcomes_after_join: list[JobOutcome] = field(default_factory=list)
-    removed_cluster: str = ""
-    added_cluster: str = ""
+    def phase(label: str) -> tuple[float, Counter]:
+        outcomes = _sleep_jobs(testbed, client, requests_per_phase, job_duration_s)
+        success = _success_rate(outcome.succeeded for outcome in outcomes)
+        placements = _placements(outcome.submission.cluster for outcome in outcomes)
+        table.add_row(label, len(outcomes), f"{success * 100:.0f}%",
+                      ", ".join(f"{k}:{v}" for k, v in sorted(placements.items())) or "-")
+        return success, placements
 
-    @staticmethod
-    def _success_rate(outcomes: list[JobOutcome]) -> float:
-        if not outcomes:
-            return 0.0
-        return sum(1 for o in outcomes if o.succeeded) / len(outcomes)
-
-    @staticmethod
-    def _clusters(outcomes: list[JobOutcome]) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for outcome in outcomes:
-            if outcome.submission.cluster:
-                counts[outcome.submission.cluster] = counts.get(outcome.submission.cluster, 0) + 1
-        return counts
-
-    @property
-    def success_before(self) -> float:
-        return self._success_rate(self.outcomes_before)
-
-    @property
-    def success_after_leave(self) -> float:
-        return self._success_rate(self.outcomes_after_leave)
-
-    @property
-    def success_after_join(self) -> float:
-        return self._success_rate(self.outcomes_after_join)
-
-    def to_table(self) -> ResultTable:
-        table = ResultTable(
-            title="Fig. 1 — Multi-cluster overlay: placement under churn",
-            columns=["phase", "requests", "success rate", "clusters used"],
-        )
-        phases = [
-            (f"initial overlay ({self.cluster_count} clusters)", self.outcomes_before),
-            (f"after {self.removed_cluster} leaves", self.outcomes_after_leave),
-            (f"after {self.added_cluster} joins", self.outcomes_after_join),
-        ]
-        for label, outcomes in phases:
-            table.add_row(
-                label, len(outcomes), f"{self._success_rate(outcomes) * 100:.0f}%",
-                ", ".join(f"{k}:{v}" for k, v in sorted(self._clusters(outcomes).items())) or "-",
-            )
-        table.add_note("no client reconfiguration at any point: requests keep using the same names")
-        return table
-
-
-def run_overlay_churn(seed: int = 0, cluster_count: int = 3, requests_per_phase: int = 6,
-                      job_duration_s: float = 60.0) -> OverlayChurnResult:
-    testbed = LIDCTestbed.multi_cluster(cluster_count, seed=seed, node_count=1,
-                                        node_cpu=4, node_memory="8Gi")
-    testbed.overlay.use_load_balancing()
-    client = testbed.client(poll_interval_s=10.0)
-    result = OverlayChurnResult(cluster_count=cluster_count)
-
-    def request() -> ComputeRequest:
-        return ComputeRequest(app="SLEEP", cpu=1, memory_gb=1,
-                              params={"duration": f"{job_duration_s:g}"})
-
-    def run_phase(count: int) -> list[JobOutcome]:
-        def phase():
-            outcomes = []
-            for _ in range(count):
-                outcome = yield client.submit(request(), fetch_result=False).done
-                outcomes.append(outcome)
-            return outcomes
-        return testbed.run_process(phase())
-
-    result.outcomes_before = run_phase(requests_per_phase)
-
+    success_before, _ = phase(f"initial overlay ({cluster_count} clusters)")
     # Graceful leave of the first cluster.
-    result.removed_cluster = sorted(testbed.clusters)[0]
-    testbed.overlay.remove_cluster(result.removed_cluster)
-    result.outcomes_after_leave = run_phase(requests_per_phase)
-
+    removed = sorted(testbed.clusters)[0]
+    testbed.overlay.remove_cluster(removed)
+    success_after_leave, after_leave = phase(f"after {removed} leaves")
     # A brand-new cluster joins; nothing on the client changes.
-    new_cluster = testbed.add_cluster(name="cluster-new")
-    result.added_cluster = new_cluster.name
+    added = testbed.add_cluster(name="cluster-new").name
     testbed.overlay.use_load_balancing()
-    result.outcomes_after_join = run_phase(requests_per_phase)
-    return result
+    success_after_join, after_join = phase(f"after {added} joins")
+    table.add_note("no client reconfiguration at any point: requests keep using the same names")
+    table.measures.update(
+        success_before=success_before,
+        success_after_leave=success_after_leave,
+        success_after_join=success_after_join,
+        removed_cluster_jobs_after_leave=after_leave[removed] + after_join[removed],
+        added_cluster_jobs=after_join[added],
+    )
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -398,46 +282,10 @@ def run_overlay_churn(seed: int = 0, cluster_count: int = 3, requests_per_phase:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CachingAblation:
-    """Repeated identical requests with and without result caching."""
+def _run_caching_ablation(*, seed: int, repeats: int, job_duration_s: float) -> ResultTable:
+    request = _sleep(job_duration_s)
 
-    request_count: int
-    first_latency_s: float
-    cold_latencies_s: list[float] = field(default_factory=list)
-    warm_latencies_s: list[float] = field(default_factory=list)
-    cache_hits: int = 0
-
-    @property
-    def mean_cold_s(self) -> float:
-        return sum(self.cold_latencies_s) / len(self.cold_latencies_s) if self.cold_latencies_s else 0.0
-
-    @property
-    def mean_warm_s(self) -> float:
-        return sum(self.warm_latencies_s) / len(self.warm_latencies_s) if self.warm_latencies_s else 0.0
-
-    @property
-    def speedup(self) -> float:
-        return self.mean_cold_s / self.mean_warm_s if self.mean_warm_s > 0 else float("inf")
-
-    def to_table(self) -> ResultTable:
-        table = ResultTable(
-            title="Result caching ablation (repeated identical requests)",
-            columns=["configuration", "mean request latency", "cache hits"],
-        )
-        table.add_row("caching disabled (every request recomputes)", format_seconds(self.mean_cold_s), 0)
-        table.add_row("caching enabled (first request computes)", format_seconds(self.first_latency_s), "-")
-        table.add_row("caching enabled (subsequent requests)", format_seconds(self.mean_warm_s), self.cache_hits)
-        table.add_note(f"caching speeds repeated identical requests up by {self.speedup:,.0f}x")
-        return table
-
-
-def run_caching_ablation(seed: int = 0, repeats: int = 5,
-                         job_duration_s: float = 900.0) -> CachingAblation:
-    request = ComputeRequest(app="SLEEP", cpu=1, memory_gb=1,
-                             params={"duration": f"{job_duration_s:g}"})
-
-    def run_series(enable_cache: bool) -> tuple[list[float], int, float]:
+    def run_series(enable_cache: bool) -> tuple[list[float], int]:
         testbed = LIDCTestbed.single_cluster(seed=seed, enable_result_cache=enable_cache)
         client = testbed.client(poll_interval_s=10.0)
         latencies = []
@@ -452,19 +300,23 @@ def run_caching_ablation(seed: int = 0, repeats: int = 5,
             latencies.append(testbed.env.now - start)
         cluster = next(iter(testbed.clusters.values()))
         edge_cs_hits = testbed.overlay.routers[CLIENT_EDGE].cs.hits
-        hits = int(cluster.gateway.cache.hits) + int(edge_cs_hits)
-        first = latencies[0]
-        return latencies, hits, first
+        return latencies, int(cluster.gateway.cache.hits) + int(edge_cs_hits)
 
-    cold_latencies, _, _ = run_series(enable_cache=False)
-    warm_latencies, hits, first = run_series(enable_cache=True)
-    return CachingAblation(
-        request_count=repeats,
-        first_latency_s=first,
-        cold_latencies_s=cold_latencies,
-        warm_latencies_s=warm_latencies[1:],
-        cache_hits=hits,
+    cold, _ = run_series(enable_cache=False)
+    warm, hits = run_series(enable_cache=True)
+    mean_cold, mean_warm = _mean(cold), _mean(warm[1:])
+    speedup = mean_cold / mean_warm if mean_warm > 0 else float("inf")
+    table = ResultTable(
+        title="Result caching ablation (repeated identical requests)",
+        columns=["configuration", "mean request latency", "cache hits"],
     )
+    table.add_row("caching disabled (every request recomputes)", format_seconds(mean_cold), 0)
+    table.add_row("caching enabled (first request computes)", format_seconds(warm[0]), "-")
+    table.add_row("caching enabled (subsequent requests)", format_seconds(mean_warm), hits)
+    table.add_note(f"caching speeds repeated identical requests up by {speedup:,.0f}x")
+    table.measures.update(mean_cold_s=mean_cold, first_latency_s=warm[0],
+                          mean_warm_s=mean_warm, speedup=speedup, cache_hits=hits)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -472,45 +324,8 @@ def run_caching_ablation(seed: int = 0, repeats: int = 5,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConcurrentLoadResult:
-    """Makespan of N jobs driven concurrently vs sequentially by one client."""
-
-    jobs: int
-    job_duration_s: float
-    concurrent_makespan_s: float
-    sequential_makespan_s: float
-    concurrent_completed: int
-    sequential_completed: int
-    max_in_flight: int
-    pending_after: int
-    clusters_used: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> float:
-        if self.concurrent_makespan_s <= 0:
-            return float("inf")
-        return self.sequential_makespan_s / self.concurrent_makespan_s
-
-    def to_table(self) -> ResultTable:
-        table = ResultTable(
-            title="Concurrent job sessions — one client, N in-flight JobHandles",
-            columns=["submission mode", "jobs completed", "makespan", "max in flight"],
-        )
-        table.add_row("sequential (submit, wait, repeat)", self.sequential_completed,
-                      format_seconds(self.sequential_makespan_s), 1)
-        table.add_row("concurrent (submit_many)", self.concurrent_completed,
-                      format_seconds(self.concurrent_makespan_s), self.max_in_flight)
-        table.add_note(
-            f"concurrent sessions finish {self.speedup:,.1f}x sooner; "
-            f"{self.pending_after} pending Interests leaked after completion"
-        )
-        return table
-
-
-def run_concurrent_load(seed: int = 0, jobs: int = 20, job_duration_s: float = 120.0,
-                        poll_interval_s: float = 10.0,
-                        cluster_count: int = 1) -> ConcurrentLoadResult:
+def _run_concurrent_load(*, seed: int, jobs: int, job_duration_s: float,
+                         poll_interval_s: float, cluster_count: int) -> ResultTable:
     """Submit the same batch of jobs sequentially and concurrently.
 
     The concurrent half drives every job as an in-flight
@@ -525,18 +340,16 @@ def run_concurrent_load(seed: int = 0, jobs: int = 20, job_duration_s: float = 1
         return LIDCTestbed.multi_cluster(
             cluster_count, seed=seed, node_count=2, node_cpu=8, node_memory="32Gi")
 
-    def request(index: int) -> ComputeRequest:
-        return ComputeRequest(app="SLEEP", cpu=1, memory_gb=1,
-                              params={"duration": f"{job_duration_s:g}", "idx": str(index)})
+    def requests() -> list[ComputeRequest]:
+        return [_sleep(job_duration_s, idx=str(index)) for index in range(jobs)]
 
     # -- sequential baseline ---------------------------------------------------
     sequential_bed = build()
     sequential_client = sequential_bed.client(poll_interval_s=poll_interval_s)
     start = sequential_bed.env.now
     sequential_outcomes = [
-        sequential_bed.submit_and_wait(request(index), client=sequential_client,
-                                       fetch_result=False)
-        for index in range(jobs)
+        sequential_bed.submit_and_wait(request, client=sequential_client, fetch_result=False)
+        for request in requests()
     ]
     sequential_makespan = sequential_bed.env.now - start
 
@@ -544,26 +357,34 @@ def run_concurrent_load(seed: int = 0, jobs: int = 20, job_duration_s: float = 1
     concurrent_bed = build()
     concurrent_client = concurrent_bed.client(poll_interval_s=poll_interval_s)
     start = concurrent_bed.env.now
-    handles = concurrent_client.submit_many(
-        [request(index) for index in range(jobs)], fetch_result=False)
+    handles = concurrent_client.submit_many(requests(), fetch_result=False)
     concurrent_bed.run(until=concurrent_client.wait_all(handles))
     concurrent_makespan = concurrent_bed.env.now - start
 
-    clusters_used: dict[str, int] = {}
-    for handle in handles:
-        if handle.cluster:
-            clusters_used[handle.cluster] = clusters_used.get(handle.cluster, 0) + 1
-    return ConcurrentLoadResult(
-        jobs=jobs,
-        job_duration_s=job_duration_s,
-        concurrent_makespan_s=concurrent_makespan,
-        sequential_makespan_s=sequential_makespan,
-        concurrent_completed=sum(1 for h in handles if h.succeeded),
-        sequential_completed=sum(1 for o in sequential_outcomes if o.succeeded),
-        max_in_flight=concurrent_client.max_in_flight,
-        pending_after=concurrent_client.consumer.pending_count(),
-        clusters_used=clusters_used,
+    speedup = sequential_makespan / concurrent_makespan if concurrent_makespan > 0 else float("inf")
+    table = ResultTable(
+        title="Concurrent job sessions — one client, N in-flight JobHandles",
+        columns=["submission mode", "jobs completed", "makespan", "max in flight"],
     )
+    table.measures.update(
+        sequential_completed=sum(outcome.succeeded for outcome in sequential_outcomes),
+        concurrent_completed=sum(handle.succeeded for handle in handles),
+        sequential_makespan_s=sequential_makespan,
+        concurrent_makespan_s=concurrent_makespan,
+        max_in_flight=concurrent_client.max_in_flight,
+        speedup=speedup,
+        pending_after=concurrent_client.consumer.pending_count(),
+        clusters_used=len(_placements(handle.cluster for handle in handles)),
+    )
+    table.add_row("sequential (submit, wait, repeat)", table.measures["sequential_completed"],
+                  format_seconds(sequential_makespan), 1)
+    table.add_row("concurrent (submit_many)", table.measures["concurrent_completed"],
+                  format_seconds(concurrent_makespan), concurrent_client.max_in_flight)
+    table.add_note(
+        f"concurrent sessions finish {speedup:,.1f}x sooner; "
+        f"{table.measures['pending_after']} pending Interests leaked after completion"
+    )
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -571,84 +392,23 @@ def run_concurrent_load(seed: int = 0, jobs: int = 20, job_duration_s: float = 1
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BaselineComparison:
-    """Availability of LIDC vs the centralized baseline under failures."""
-
-    lidc_success_normal: float
-    lidc_success_after_cluster_failure: float
-    central_success_normal: float
-    central_success_after_controller_failure: float
-    lidc_placements: dict[str, int] = field(default_factory=dict)
-    central_placements: dict[str, int] = field(default_factory=dict)
-
-    def to_table(self) -> ResultTable:
-        table = ResultTable(
-            title="Decentralized LIDC overlay vs centralized controller baseline",
-            columns=["control plane", "normal operation", "after failure injection", "failure injected"],
-        )
-        table.add_row(
-            "LIDC (name-based, decentralized)",
-            f"{self.lidc_success_normal * 100:.0f}%",
-            f"{self.lidc_success_after_cluster_failure * 100:.0f}%",
-            "one whole cluster fails",
-        )
-        table.add_row(
-            "Centralized federation controller",
-            f"{self.central_success_normal * 100:.0f}%",
-            f"{self.central_success_after_controller_failure * 100:.0f}%",
-            "the controller fails",
-        )
-        table.add_note("LIDC keeps placing jobs on surviving clusters; the centralized design stalls entirely")
-        return table
-
-
-def run_baseline_comparison(seed: int = 0, cluster_count: int = 3,
-                            requests_per_phase: int = 6,
-                            job_duration_s: float = 60.0) -> BaselineComparison:
-    request_params = {"duration": f"{job_duration_s:g}"}
-
+def _run_baseline_comparison(*, seed: int, cluster_count: int, requests_per_phase: int,
+                             job_duration_s: float) -> ResultTable:
     # --- LIDC overlay ---------------------------------------------------------
-    lidc = LIDCTestbed.multi_cluster(cluster_count, seed=seed, node_count=1,
-                                     node_cpu=4, node_memory="8Gi")
-    lidc.overlay.use_load_balancing()
-    client = lidc.client(poll_interval_s=10.0)
-
-    def lidc_phase(count: int) -> list[JobOutcome]:
-        def phase():
-            outcomes = []
-            for _ in range(count):
-                outcome = yield client.submit(
-                    ComputeRequest(app="SLEEP", cpu=1, memory_gb=1, params=dict(request_params)),
-                    fetch_result=False,
-                ).done
-                outcomes.append(outcome)
-            return outcomes
-        return lidc.run_process(phase())
-
-    normal = lidc_phase(requests_per_phase)
-    victim = sorted(lidc.clusters)[0]
-    lidc.overlay.fail_cluster(victim)
-    degraded = lidc_phase(requests_per_phase)
-    lidc_placements: dict[str, int] = {}
-    for outcome in normal + degraded:
-        if outcome.submission.cluster:
-            lidc_placements[outcome.submission.cluster] = (
-                lidc_placements.get(outcome.submission.cluster, 0) + 1
-            )
+    lidc, client = _balanced_star(cluster_count, seed)
+    normal = _sleep_jobs(lidc, client, requests_per_phase, job_duration_s)
+    lidc.overlay.fail_cluster(sorted(lidc.clusters)[0])
+    degraded = _sleep_jobs(lidc, client, requests_per_phase, job_duration_s)
 
     # --- centralized baseline --------------------------------------------------
-    central_bed = LIDCTestbed.multi_cluster(cluster_count, seed=seed + 1, node_count=1,
-                                            node_cpu=4, node_memory="8Gi")
+    central_bed = _star(cluster_count, seed + 1)
     controller = CentralizedController(central_bed.env,
                                        clusters=list(central_bed.clusters.values()))
 
-    def central_phase(count: int) -> list[bool]:
+    def central_phase() -> list[bool]:
         results = []
-        for _ in range(count):
-            submission = controller.try_submit(
-                ComputeRequest(app="SLEEP", cpu=1, memory_gb=1, params=dict(request_params))
-            )
+        for _ in range(requests_per_phase):
+            submission = controller.try_submit(_sleep(job_duration_s))
             if submission.record is None:
                 results.append(False)
                 continue
@@ -659,22 +419,92 @@ def run_baseline_comparison(seed: int = 0, cluster_count: int = 3,
             results.append(record.state == JobState.COMPLETED)
         return results
 
-    central_normal = central_phase(requests_per_phase)
+    central_normal = _success_rate(central_phase())
     controller.fail()
-    central_failed = central_phase(requests_per_phase)
+    central_failed = _success_rate(central_phase())
 
-    def rate(values: "list[bool] | list[JobOutcome]") -> float:
-        if not values:
-            return 0.0
-        if isinstance(values[0], bool):
-            return sum(1 for v in values if v) / len(values)
-        return sum(1 for v in values if v.succeeded) / len(values)
-
-    return BaselineComparison(
-        lidc_success_normal=rate(normal),
-        lidc_success_after_cluster_failure=rate(degraded),
-        central_success_normal=rate(central_normal),
-        central_success_after_controller_failure=rate(central_failed),
-        lidc_placements=lidc_placements,
-        central_placements=controller.placement_counts(),
+    lidc_normal = _success_rate(outcome.succeeded for outcome in normal)
+    lidc_degraded = _success_rate(outcome.succeeded for outcome in degraded)
+    table = ResultTable(
+        title="Decentralized LIDC overlay vs centralized controller baseline",
+        columns=["control plane", "normal operation", "after failure injection", "failure injected"],
     )
+    table.add_row("LIDC (name-based, decentralized)", f"{lidc_normal * 100:.0f}%",
+                  f"{lidc_degraded * 100:.0f}%", "one whole cluster fails")
+    table.add_row("Centralized federation controller", f"{central_normal * 100:.0f}%",
+                  f"{central_failed * 100:.0f}%", "the controller fails")
+    table.add_note("LIDC keeps placing jobs on surviving clusters; the centralized design stalls entirely")
+    table.measures.update(
+        lidc_success_normal=lidc_normal,
+        lidc_success_after_cluster_failure=lidc_degraded,
+        central_success_normal=central_normal,
+        central_success_after_controller_failure=central_failed,
+        lidc_clusters_used=len(_placements(
+            outcome.submission.cluster for outcome in normal + degraded)),
+    )
+    return table
+
+
+# ---------------------------------------------------------------------------
+# The run table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One paper table, figure or ablation, and the levels it runs at."""
+
+    name: str
+    run: Callable[..., ResultTable]
+    #: The level ``examples/paper_figures.py`` prints.
+    paper: dict
+    #: The other levels tier-1 checks: smaller, larger, or another seed.
+    shrunk: tuple
+
+
+#: Every experiment of the paper, in the order ``paper_figures.py`` prints them.
+EXPERIMENTS: tuple[_Experiment, ...] = (
+    _Experiment(
+        "fig1_overlay_churn", _run_overlay_churn,
+        paper=dict(seed=0, cluster_count=3, requests_per_phase=6, job_duration_s=60.0),
+        shrunk=(dict(seed=1, cluster_count=3, requests_per_phase=4, job_duration_s=30.0),
+                dict(seed=1, cluster_count=8, requests_per_phase=8, job_duration_s=30.0)),
+    ),
+    _Experiment(
+        "fig2_name_placement", _run_fig2_name_placement,
+        paper=dict(seed=0),
+        shrunk=(dict(seed=1), dict(seed=2), dict(seed=3)),
+    ),
+    _Experiment(
+        "fig3_service_mapping", _run_fig3_service_mapping,
+        paper=dict(seed=0),
+        shrunk=(dict(seed=1),),
+    ),
+    _Experiment(
+        "fig5_workflow", _run_fig5_workflow,
+        paper=dict(seed=0, srr_id=_RICE, poll_interval_s=600.0),
+        shrunk=(dict(seed=1, srr_id=_RICE, poll_interval_s=600.0),
+                dict(seed=0, srr_id=_KIDNEY, poll_interval_s=1800.0)),
+    ),
+    _Experiment(
+        "table1", _run_table1,
+        paper=dict(seed=0, rows=TABLE1_ROWS),
+        shrunk=(dict(seed=1, rows=TABLE1_ROWS[:1]),),
+    ),
+    _Experiment(
+        "caching_ablation", _run_caching_ablation,
+        paper=dict(seed=0, repeats=5, job_duration_s=900.0),
+        shrunk=(dict(seed=1, repeats=4, job_duration_s=300.0),),
+    ),
+    _Experiment(
+        "concurrent_load", _run_concurrent_load,
+        paper=dict(seed=0, jobs=20, job_duration_s=120.0, poll_interval_s=10.0, cluster_count=1),
+        shrunk=(dict(seed=1, jobs=10, job_duration_s=60.0, poll_interval_s=5.0, cluster_count=1),
+                dict(seed=1, jobs=24, job_duration_s=90.0, poll_interval_s=10.0, cluster_count=3)),
+    ),
+    _Experiment(
+        "baseline_comparison", _run_baseline_comparison,
+        paper=dict(seed=0, cluster_count=3, requests_per_phase=6, job_duration_s=60.0),
+        shrunk=(dict(seed=1, cluster_count=2, requests_per_phase=3, job_duration_s=20.0),),
+    ),
+)

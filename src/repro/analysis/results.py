@@ -47,12 +47,17 @@ def format_seconds(seconds: "float | None") -> str:
 
 @dataclass
 class ResultTable:
-    """A simple column-aligned text table (the benchmark output format)."""
+    """A column-aligned text table, and the figures behind it.
+
+    ``measures`` maps a name to a number or a string: the figures an
+    experiment's checks read, unformatted.  :meth:`render` does not print them.
+    """
 
     title: str
     columns: Sequence[str]
     rows: list[Sequence[object]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    measures: dict[str, "float | str"] = field(default_factory=dict)
 
     def add_row(self, *values: object) -> None:
         if len(values) != len(self.columns):
@@ -63,10 +68,6 @@ class ResultTable:
 
     def add_note(self, note: str) -> None:
         self.notes.append(note)
-
-    def column_values(self, column: str) -> list[object]:
-        index = list(self.columns).index(column)
-        return [row[index] for row in self.rows]
 
     def render(self) -> str:
         """Render the table as aligned monospace text."""
@@ -84,9 +85,6 @@ class ResultTable:
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
-
-    def print(self) -> None:  # pragma: no cover - console convenience
-        print("\n" + self.render() + "\n")
 
     @staticmethod
     def render_many(tables: Iterable["ResultTable"]) -> str:

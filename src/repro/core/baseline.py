@@ -109,12 +109,3 @@ class CentralizedController:
             )
             self.submissions.append(submission)
             return submission
-
-    # -- reporting -------------------------------------------------------------------------
-
-    def placement_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for submission in self.submissions:
-            if submission.accepted:
-                counts[submission.cluster] = counts.get(submission.cluster, 0) + 1
-        return counts

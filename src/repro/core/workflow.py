@@ -14,7 +14,7 @@ from typing import Optional
 from repro.core.client import JobOutcome, LIDCClient
 from repro.core.spec import ComputeRequest
 
-__all__ = ["WorkflowReport", "GenomicsWorkflow", "decompose"]
+__all__ = ["WorkflowReport", "GenomicsWorkflow"]
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ PROTOCOL_STEPS = (
 )
 
 
-def decompose(outcome: JobOutcome) -> list[_StepTiming]:
+def _decompose(outcome: JobOutcome) -> list[_StepTiming]:
     """Split an outcome's timeline into the Fig. 5 protocol steps."""
     total = outcome.end_to_end_s or 0.0
     steps = []
@@ -81,7 +81,7 @@ class GenomicsWorkflow:
     def run(self, request: ComputeRequest):
         """Process generator: run one workflow; returns a :class:`WorkflowReport`."""
         outcome = yield self.client.submit(request, fetch_result=self.fetch_results).done
-        return WorkflowReport(outcome=outcome, steps=decompose(outcome))
+        return WorkflowReport(outcome=outcome, steps=_decompose(outcome))
 
     def blast(self, srr_id: str, reference: str = "HUMAN", cpu: float = 2,
               memory_gb: float = 4):

@@ -237,8 +237,6 @@ class Name:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Name):
             return self._value == other._value
-        if isinstance(other, str):
-            return self._value == Name(other)._value
         return NotImplemented
 
     def __lt__(self, other: "Name") -> bool:

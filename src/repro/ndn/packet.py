@@ -430,8 +430,7 @@ class WirePacket:
     it, making :meth:`decode` free on the same node; views built from raw
     bytes parse at most once.  ``WirePacket.wire_decodes`` counts the
     wire-level full decodes that actually ran — benchmarks use it to assert
-    that transit stays bytes-only — and ``WirePacket.decode_hook``, when
-    set, observes each one.
+    that transit stays bytes-only.
     """
 
     __slots__ = (
@@ -456,8 +455,6 @@ class WirePacket:
     #: buffer (memoised re-reads are free and not counted).  The shard
     #: dispatcher's no-rescan invariant is asserted against this.
     span_scans: int = 0
-    #: Optional observer called with the view after each counted wire decode.
-    decode_hook = None
 
     def __init__(
         self,
@@ -781,9 +778,6 @@ class WirePacket:
             decoded._wire = wire
             self._decoded = decoded
             WirePacket.wire_decodes += 1
-            hook = WirePacket.decode_hook
-            if hook is not None:
-                hook(self)
         return self._decoded
 
     @property

@@ -1,24 +1,15 @@
 """Tests for the analysis layer plus whole-system integration scenarios.
 
-The experiment runners double as integration tests: each one drives the full
-stack (client → NDN overlay → gateway → Kubernetes → data lake) and its result
-object encodes the *shape* the paper reports, which is asserted here.
+The paper's run table doubles as integration tests: each experiment drives
+the full stack (client → NDN overlay → gateway → Kubernetes → data lake),
+and the ``measures`` of the table it returns encode the *shape* the paper
+reports.  :data:`CHECKS` asserts that shape, per experiment, at the paper
+level and at every shrunk level of :data:`EXPERIMENTS`.
 """
 
 import pytest
 
-from repro.analysis.experiments import (
-    run_baseline_comparison,
-    run_caching_ablation,
-    run_concurrent_load,
-    run_fig2_name_placement,
-    run_fig3_service_mapping,
-    run_fig5_workflow,
-    run_overlay_churn,
-    run_table1,
-)
-from repro.analysis.results import ResultTable, format_bytes, format_seconds
-from repro.genomics.runtime_model import TABLE1_ROWS
+from repro.analysis import EXPERIMENTS, ResultTable, format_bytes, format_seconds
 
 
 class TestFormatting:
@@ -38,14 +29,14 @@ class TestFormatting:
     def test_format_seconds(self, value, expected):
         assert format_seconds(value) == expected
 
-    def test_result_table_render_and_columns(self):
+    def test_result_table_render_and_rows(self):
         table = ResultTable(title="T", columns=["a", "b"])
         table.add_row(1, "x")
         table.add_row(22, "yy")
         table.add_note("a note")
         text = table.render()
         assert "T" in text and "a note" in text
-        assert table.column_values("a") == [1, 22]
+        assert [row[0] for row in table.rows] == [1, 22]
         with pytest.raises(ValueError):
             table.add_row(1)
 
@@ -54,156 +45,146 @@ class TestFormatting:
         assert "T0" in ResultTable.render_many(tables)
 
 
-class TestTable1Reproduction:
-    @pytest.fixture(scope="class")
-    def table1(self):
-        return run_table1(seed=0)
+# ---------------------------------------------------------------------------
+# The checks, one per experiment: each reads the table's measures (and, where
+# the paper's shape is about the rendering, the table itself) at one level.
+# ---------------------------------------------------------------------------
 
-    def test_every_row_reproduced(self, table1):
-        assert len(table1.measurements) == len(TABLE1_ROWS)
-
-    def test_runtimes_match_paper_within_one_percent(self, table1):
-        assert table1.max_runtime_error < 0.01
-        # One row on its own, at another seed.
-        rice = run_table1(seed=1, rows=TABLE1_ROWS[:1])
-        assert [m.paper.srr_id for m in rice.measurements] == ["SRR2931415"]
-        assert rice.max_runtime_error < 0.01
-
-    def test_output_sizes_match_paper(self, table1):
-        for measurement in table1.measurements:
-            assert measurement.output_relative_error < 0.01
-
-    def test_resource_variation_is_insignificant(self, table1):
-        # The paper's takeaway: CPU/memory variation does not change run time much.
-        assert table1.runtime_spread("SRR2931415") < 0.02
-        assert table1.runtime_spread("SRR5139395") < 0.02
-
-    def test_kidney_slower_than_rice(self, table1):
-        rice = [m for m in table1.measurements if m.paper.srr_id == "SRR2931415"]
-        kidney = [m for m in table1.measurements if m.paper.srr_id == "SRR5139395"]
-        assert min(k.measured_runtime_s for k in kidney) > 2 * max(r.measured_runtime_s for r in rice)
-
-    def test_table_rendering(self, table1):
-        text = table1.to_table().render()
-        assert "SRR2931415" in text and "941MB" in text
+#: Fig. 5's end-to-end window in seconds, per sample: rice, then kidney.
+FIG5_WINDOWS = {"SRR2931415": (29_000, 31_000), "SRR5139395": (86_000, 90_000)}
 
 
-#: Each figure test runs its runner over a case table: a small case first,
-#: then the seed and sizes the paper's figure is checked at.
-OVERLAY_CHURN_CASES = [
-    dict(seed=1, cluster_count=3, requests_per_phase=4, job_duration_s=30.0),
-    dict(seed=0, cluster_count=3, requests_per_phase=6, job_duration_s=60.0),
-    dict(seed=1, cluster_count=8, requests_per_phase=8, job_duration_s=30.0),
+def check_overlay_churn(table, level):
+    m = table.measures
+    assert m["success_before"] == 1.0
+    assert m["success_after_leave"] == 1.0
+    assert m["success_after_join"] == 1.0
+    # The departed cluster gets no more work; the new cluster does.
+    assert m["removed_cluster_jobs_after_leave"] == 0
+    assert m["added_cluster_jobs"] >= 1
+
+
+def check_name_placement(table, level):
+    m = table.measures
+    assert 0 < m["data_manifest_latency_s"] < 1.0
+    assert m["data_payload_latency_s"] >= m["data_manifest_latency_s"]
+    assert 0 < m["compute_ack_latency_s"] < 1.0
+    # The repeated fetch is served from an on-path content store.
+    assert m["cached_manifest_latency_s"] < m["data_manifest_latency_s"]
+    assert "Fig. 2" in table.title
+
+
+def check_service_mapping(table, level):
+    m = table.measures
+    assert 30000 <= m["node_port"] <= 32767
+    assert m["gateway_dns"] == "gateway-nfd.ndnk8s.svc.cluster.local"
+    assert m["datalake_dns"] == "dl-nfd.ndnk8s.svc.cluster.local"
+    assert m["datalake_cluster_ip"].startswith("10.152.")
+    assert m["gateway_endpoints"] >= 1
+    assert m["datalake_endpoints"] >= 1
+    assert m["system_pods_running"] >= 3
+    assert 0 < m["manifest_via_gateway_latency_s"] < 1.0
+
+
+def check_workflow(table, level):
+    m = table.measures
+    low, high = FIG5_WINDOWS[level["srr_id"]]
+    assert m["succeeded"]
+    assert m["compute_fraction"] > 0.99
+    assert m["submit_and_ack_s"] < 1.0
+    assert m["result_retrieval_s"] < 1.0
+    assert low < m["end_to_end_s"] < high
+
+
+def check_table1(table, level):
+    m = table.measures
+    # Every configuration of the level is reproduced, in order.
+    assert [row[0] for row in table.rows] == [row.srr_id for row in level["rows"]]
+    assert m["max_runtime_error"] < 0.01
+    assert m["max_output_error"] < 0.01
+    # The paper's takeaway: CPU/memory variation does not change run time much.
+    assert m["runtime_spread_rice"] < 0.02
+    assert m["runtime_spread_kidney"] < 0.02
+    if {row.srr_id for row in level["rows"]} == set(FIG5_WINDOWS):
+        # Kidney is the slower sample, by more than twice.
+        assert m["kidney_over_rice"] > 2
+    text = table.render()
+    assert "SRR2931415" in text and "941MB" in text
+
+
+def check_caching_ablation(table, level):
+    m = table.measures
+    # Without the cache every request recomputes; with it only the first.
+    assert m["mean_cold_s"] > level["job_duration_s"]
+    assert m["first_latency_s"] > level["job_duration_s"]
+    assert m["mean_warm_s"] < 1.0
+    assert m["speedup"] > 1000
+    assert m["cache_hits"] >= level["repeats"] - 2
+
+
+def check_concurrent_load(table, level):
+    m, jobs = table.measures, level["jobs"]
+    assert m["concurrent_completed"] == jobs
+    assert m["sequential_completed"] == jobs
+    assert m["concurrent_makespan_s"] < m["sequential_makespan_s"]
+    # The batch is bounded by the slowest job plus detection overhead.
+    assert m["concurrent_makespan_s"] < 2 * level["job_duration_s"]
+    assert m["max_in_flight"] == jobs
+    assert m["speedup"] > jobs / 2
+    assert m["pending_after"] == 0
+    # With more than one cluster, capacity Nacks spill work over.
+    assert m["clusters_used"] >= min(level["cluster_count"], 2)
+    assert "concurrent" in table.render()
+
+
+def check_baseline_comparison(table, level):
+    m = table.measures
+    assert m["lidc_success_normal"] == 1.0
+    assert m["central_success_normal"] == 1.0
+    # The headline claim: LIDC survives a cluster failure, the centralized
+    # controller does not survive its own failure.
+    assert m["lidc_success_after_cluster_failure"] == 1.0
+    assert m["central_success_after_controller_failure"] == 0.0
+    # LIDC spreads work over more than one cluster without a controller.
+    assert m["lidc_clusters_used"] >= 2
+    assert "LIDC" in table.render()
+
+
+CHECKS = {
+    "fig1_overlay_churn": check_overlay_churn,
+    "fig2_name_placement": check_name_placement,
+    "fig3_service_mapping": check_service_mapping,
+    "fig5_workflow": check_workflow,
+    "table1": check_table1,
+    "caching_ablation": check_caching_ablation,
+    "concurrent_load": check_concurrent_load,
+    "baseline_comparison": check_baseline_comparison,
+}
+
+BY_NAME = {experiment.name: experiment for experiment in EXPERIMENTS}
+
+#: Every (experiment, level) pair of the run table: the paper level first.
+RUNS = [
+    pytest.param(experiment, level,
+                 id=f"{experiment.name}-{'paper' if index == 0 else f'shrunk{index}'}")
+    for experiment in EXPERIMENTS
+    for index, level in enumerate((experiment.paper, *experiment.shrunk))
 ]
-#: (runner arguments, end-to-end window in seconds): rice, then kidney.
-FIG5_CASES = [
-    (dict(seed=1), (29_000, 31_000)),
-    (dict(seed=0), (29_000, 31_000)),
-    (dict(seed=0, srr_id="SRR5139395", poll_interval_s=1800.0), (86_000, 90_000)),
-]
-CACHING_CASES = [
-    dict(seed=1, repeats=4, job_duration_s=300.0),
-    dict(seed=0, repeats=5, job_duration_s=900.0),
-]
-CONCURRENT_CASES = [
-    dict(seed=1, jobs=10, job_duration_s=60.0, poll_interval_s=5.0),
-    dict(seed=0, jobs=20, job_duration_s=120.0, poll_interval_s=10.0),
-    dict(seed=1, jobs=24, job_duration_s=90.0, poll_interval_s=10.0, cluster_count=3),
-]
-BASELINE_CASES = [
-    dict(seed=1, cluster_count=2, requests_per_phase=3, job_duration_s=20.0),
-    dict(seed=0, cluster_count=3, requests_per_phase=6, job_duration_s=60.0),
-]
 
 
-class TestFigureExperiments:
-    def test_fig2_name_placement_latencies(self):
-        for seed in range(4):
-            result = run_fig2_name_placement(seed=seed)
-            assert 0 < result.data_manifest_latency_s < 1.0, seed
-            assert result.data_payload_latency_s >= result.data_manifest_latency_s, seed
-            assert 0 < result.compute_ack_latency_s < 1.0, seed
-            # The repeated fetch is served from an on-path content store.
-            assert result.cached_manifest_latency_s < result.data_manifest_latency_s, seed
-            assert "Fig. 2" in result.to_table().title
-
-    def test_fig3_service_mapping(self):
-        for seed in (1, 0):
-            result = run_fig3_service_mapping(seed=seed)
-            assert 30000 <= result.node_port <= 32767, seed
-            assert result.gateway_dns == "gateway-nfd.ndnk8s.svc.cluster.local", seed
-            assert result.datalake_dns == "dl-nfd.ndnk8s.svc.cluster.local", seed
-            assert result.datalake_cluster_ip.startswith("10.152."), seed
-            assert result.gateway_endpoints >= 1, seed
-            assert result.datalake_endpoints >= 1, seed
-            assert result.system_pods_running >= 3, seed
-            assert 0 < result.manifest_via_gateway_latency_s < 1.0, seed
-
-    def test_fig5_computation_dominates(self):
-        for case, (low, high) in FIG5_CASES:
-            result = run_fig5_workflow(**case)
-            assert result.report.succeeded, case
-            assert result.compute_fraction() > 0.99, case
-            assert result.step_seconds("submit_and_ack") < 1.0, case
-            assert result.step_seconds("result_retrieval") < 1.0, case
-            assert low < result.end_to_end_s < high, case
-
-    def test_overlay_churn_keeps_placing_jobs(self):
-        for case in OVERLAY_CHURN_CASES:
-            result = run_overlay_churn(**case)
-            assert result.success_before == 1.0, case
-            assert result.success_after_leave == 1.0, case
-            assert result.success_after_join == 1.0, case
-            used_after_leave = {o.submission.cluster for o in result.outcomes_after_leave}
-            used_after_join = {o.submission.cluster for o in result.outcomes_after_join}
-            # The departed cluster gets no more work; the new cluster does.
-            assert result.removed_cluster not in used_after_leave | used_after_join, case
-            assert result.added_cluster in used_after_join, case
-
-    def test_same_seed_same_result(self):
-        # A runner is a pure function of its seed: results and tables repeat.
-        for runner in (run_fig2_name_placement, run_fig3_service_mapping):
-            first, second = runner(seed=0), runner(seed=0)
-            assert first == second, runner.__name__
-            assert first.to_table().render() == second.to_table().render(), runner.__name__
+def test_every_experiment_has_a_check():
+    assert set(CHECKS) == set(BY_NAME)
 
 
-class TestAblations:
-    def test_caching_ablation_speedup(self):
-        for case in CACHING_CASES:
-            result = run_caching_ablation(**case)
-            # Without the cache every request recomputes; with it only the first.
-            assert result.mean_cold_s > case["job_duration_s"], case
-            assert result.first_latency_s > case["job_duration_s"], case
-            assert result.mean_warm_s < 1.0, case
-            assert result.speedup > 1000, case
-            assert result.cache_hits >= result.request_count - 2, case
+@pytest.mark.parametrize("experiment,level", RUNS)
+def test_experiment_has_the_paper_shape(experiment, level):
+    CHECKS[experiment.name](experiment.run(**level), level)
 
-    def test_concurrent_load_beats_sequential(self):
-        for case in CONCURRENT_CASES:
-            result = run_concurrent_load(**case)
-            jobs = case["jobs"]
-            assert result.concurrent_completed == jobs, case
-            assert result.sequential_completed == jobs, case
-            assert result.concurrent_makespan_s < result.sequential_makespan_s, case
-            # The batch is bounded by the slowest job plus detection overhead.
-            assert result.concurrent_makespan_s < 2 * result.job_duration_s, case
-            assert result.max_in_flight == jobs, case
-            assert result.speedup > jobs / 2, case
-            assert result.pending_after == 0, case
-            # With more than one cluster, capacity Nacks spill work over.
-            assert len(result.clusters_used) >= min(case.get("cluster_count", 1), 2), case
-            assert "concurrent" in result.to_table().render()
 
-    def test_baseline_comparison_availability(self):
-        for case in BASELINE_CASES:
-            result = run_baseline_comparison(**case)
-            assert result.lidc_success_normal == 1.0, case
-            assert result.central_success_normal == 1.0, case
-            # The headline claim: LIDC survives a cluster failure, the centralized
-            # controller does not survive its own failure.
-            assert result.lidc_success_after_cluster_failure == 1.0, case
-            assert result.central_success_after_controller_failure == 0.0, case
-            # LIDC spreads work over more than one cluster without a controller.
-            assert len(result.lidc_placements) >= 2, case
-            assert "LIDC" in result.to_table().render()
+@pytest.mark.parametrize("name", ["fig2_name_placement", "fig3_service_mapping"])
+def test_same_seed_same_table(name):
+    # A runner is a pure function of its level: measures and tables repeat.
+    experiment = BY_NAME[name]
+    first, second = experiment.run(**experiment.paper), experiment.run(**experiment.paper)
+    assert first == second
+    assert first.render() == second.render()

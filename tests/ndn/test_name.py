@@ -130,7 +130,13 @@ class TestNameOperations:
         assert not Name("/ndn/other").is_prefix_of("/ndn/k8s/compute")
 
     def test_equality_with_uri_string(self):
-        assert Name("/a/b") == "/a/b"
+        # A URI string is not a Name: comparing never parses it, so an
+        # invalid URI cannot raise, and equality agrees with hashing.
+        assert Name("/a/b") != "/a/b"
+        assert Name("/a") != "a"
+        assert Name("/a") not in ["x", "/a"]
+        assert {Name("/a"): 1}.get("/a") is None
+        assert Name("/a/b") == Name("/a/b")
 
     def test_ordering(self):
         assert Name("/a") < Name("/a/b")

@@ -175,18 +175,13 @@ class TestWirePacketBehaviour:
         decoded = WirePacket(wire).decode()
         assert decoded.encode() is wire  # buffer handed over, not re-built
 
-    def test_decode_hook_observes_wire_decodes(self):
-        seen = []
-        old_hook = WirePacket.decode_hook
-        WirePacket.decode_hook = seen.append
-        try:
-            view = WirePacket(Interest(name=Name("/h")).encode())
-            view.decode()
-            view.decode()
-            WirePacket.of(Interest(name=Name("/h2"))).decode()
-        finally:
-            WirePacket.decode_hook = old_hook
-        assert seen == [view]
+    def test_wire_decodes_counts_only_decodes_that_parse(self):
+        before = WirePacket.wire_decodes
+        view = WirePacket(Interest(name=Name("/h")).encode())
+        view.decode()
+        view.decode()
+        WirePacket.of(Interest(name=Name("/h2"))).decode()
+        assert WirePacket.wire_decodes == before + 1
 
     def test_with_decremented_hop_limit_patches_wire(self):
         interest = Interest(name=Name("/hop/test"), hop_limit=7)

@@ -6,6 +6,7 @@ arguments.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -67,8 +68,30 @@ class TestVerdict:
         assert row["wins"] == 10 and row["verdict"] == "same"
 
     def test_worse_beyond_the_bound_is_worse(self):
-        assert ab.verdict([100.0] * 4, [130.0] * 4, "lower", 0.25)["verdict"] == "worse"
-        assert ab.verdict([100.0] * 4, [120.0] * 4, "lower", 0.25)["verdict"] == "same"
+        assert ab.verdict([100.0] * 10, [130.0] * 10, "lower", 0.25)["verdict"] == "worse"
+        assert ab.verdict([100.0] * 10, [120.0] * 10, "lower", 0.25)["verdict"] == "same"
+
+    def test_worse_is_reported_at_any_sample_size(self):
+        assert ab.verdict([100.0] * 2, [130.0] * 2, "lower", 0.25)["verdict"] == "worse"
+
+    def test_two_wins_in_two_are_too_few(self):
+        # With no real change, 2 of 2 wins happen one time in four.
+        row = ab.verdict([100.0, 101.0], [80.0, 81.0], "lower", 0.25)
+        assert row["wins"] == 2 and row["p"] == 0.25
+        assert row["verdict"] == "too few"
+        assert ab.verdict([100.0] * 4, [80.0] * 4, "lower", 0.25)["verdict"] == "too few"
+
+    def test_nine_wins_in_ten_carry_their_sign_test_p_value(self):
+        base = [100.0, 101, 99, 102, 100, 98, 101, 100, 99, 100]
+        head = [80.0, 82, 79, 81, 80, 78, 81, 80, 79, 101]
+        row = ab.verdict(base, head, "lower", 0.25)
+        assert row["p"] == pytest.approx(11 / 1024)  # about 0.011
+        assert row["verdict"] == "better"
+
+    def test_ties_are_left_out_of_the_sign_test(self):
+        assert ab.sign_test(5, 5) == 1 / 32
+        row = ab.verdict([100.0] * 10, [100.0] * 5 + [90.0] * 5, "lower", 0.25)
+        assert row["wins"] == 5 and row["p"] == 1 / 32
 
     def test_higher_is_better_metrics_are_judged_the_other_way(self):
         assert ab.verdict([0.5] * 10, [0.6] * 10, "higher", 0.03)["verdict"] == "better"
@@ -77,6 +100,7 @@ class TestVerdict:
     def test_identical_values_are_the_same(self):
         row = ab.verdict([0.9] * 10, [0.9] * 10, "higher", 0.03)
         assert row["wins"] == 0 and row["verdict"] == "same" and row["ratio"] == 1.0
+        assert row["p"] == 1.0
 
 
 class TestSummarize:
@@ -153,3 +177,11 @@ class TestMerge:
         merged = ab.merge(_record("g", {"data_hot": {7: 1.0}}),
                           _record("h", {"data_scan": {7: 2.0}}))
         assert _walls(merged) == {"data_scan": {"7": 2.0}}
+
+    def test_a_one_workload_record_is_refused_not_dropped(self):
+        # BENCH_ef41f5c.json predates the workload key: its runs sit at the
+        # top level.  Merging into it must not lose them.
+        old = json.loads((_PATH.parent.parent / "BENCH_ef41f5c.json").read_text(encoding="utf-8"))
+        assert "workloads" not in old and old["runs"]
+        with pytest.raises(ValueError, match="one workload"):
+            ab.merge(old, _record(old["head"], {"data_scan": {7: 2.0}}))
