@@ -11,7 +11,7 @@ WALL_CLOCK        reads a wall clock (``time.time``/``monotonic``/
 AMBIENT_ENTROPY   draws ambient randomness (``random``/``secrets``
                   modules, ``os.urandom``, ``uuid1``/``uuid4``)
 WIRE_DECODE       materialises a packet (zero-arg ``.decode()``,
-                  ``Interest``/``Data``/``Nack`` construction)
+                  ``Interest``/``Data`` construction)
 SET_ITERATION     iterates a set display/constructor (hash-seed order)
 ========  =================================================================
 
@@ -154,7 +154,7 @@ _ENTROPY_MODULES = frozenset({"random", "secrets"})
 #: too.
 _BLOCKING_MODULES = frozenset({"socket", "subprocess"})
 
-_PACKET_TYPES = frozenset({"Interest", "Data", "Nack"})
+_PACKET_TYPES = frozenset({"Interest", "Data"})
 
 
 class EffectSite:

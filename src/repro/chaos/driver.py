@@ -39,11 +39,11 @@ from repro.core.overlay import ComputeOverlay
 from repro.exceptions import OverlayError
 from repro.sim.engine import Environment
 
-__all__ = ["ChaosDriver"]
+__all__ = ["ChaosDriver", "InjectionRecord"]
 
 
 @dataclass(slots=True)
-class _InjectionRecord:
+class InjectionRecord:
     """What actually happened when one scheduled fault fired."""
 
     event: FaultEvent
@@ -63,6 +63,9 @@ class _DownedCluster:
 class ChaosDriver:
     """Walks a fault schedule against a :class:`ComputeOverlay`."""
 
+    #: What happened at each fault that fired, in firing order.
+    records: list[InjectionRecord]
+
     def __init__(
         self,
         env: Environment,
@@ -72,7 +75,7 @@ class ChaosDriver:
         self.env = env
         self.overlay = overlay
         self.schedule = list(schedule)
-        self.records: list[_InjectionRecord] = []
+        self.records = []
         self.applied = 0
         self.skipped = 0
         self._downed: dict[str, _DownedCluster] = {}
@@ -109,7 +112,7 @@ class ChaosDriver:
             FaultKind.PRODUCER_CHURN: self._producer_churn,
         }[event.kind]
         applied, detail = handler(event.target)
-        self.records.append(_InjectionRecord(event=event, applied=applied, detail=detail))
+        self.records.append(InjectionRecord(event=event, applied=applied, detail=detail))
         if applied:
             self.applied += 1
         else:

@@ -34,7 +34,7 @@ from repro.datalake.repo import DataLake
 from repro.exceptions import InvalidComputeName, UnknownApplication
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
-from repro.ndn.packet import Data, InterestLike, Nack, NackReason, WirePacket
+from repro.ndn.packet import Data, NackReason, WirePacket
 from repro.sim.engine import Environment
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.trace import Tracer
@@ -77,7 +77,7 @@ class Gateway:
 
     # ------------------------------------------------------------------ compute
 
-    def _on_compute(self, interest: InterestLike) -> "Data | Nack | WirePacket":
+    def _on_compute(self, interest: WirePacket) -> "Data | WirePacket":
         self.metrics.counter("compute_interests").inc()
         self.tracer.record("gateway", "compute-received", name=str(interest.name))
         try:
@@ -205,7 +205,7 @@ class Gateway:
 
     # ------------------------------------------------------------------ status
 
-    def _on_status(self, interest: InterestLike) -> "Data | Nack | WirePacket":
+    def _on_status(self, interest: WirePacket) -> "Data | WirePacket":
         self.metrics.counter("status_interests").inc()
         try:
             job_id = naming.parse_status_name(interest.name)

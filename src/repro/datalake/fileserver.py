@@ -28,7 +28,7 @@ from repro.datalake.catalog import DatasetRecord
 from repro.datalake.repo import DATA_PREFIX, DataLake
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
-from repro.ndn.packet import Data, InterestLike, Nack, NackReason, WirePacket
+from repro.ndn.packet import Data, NackReason, WirePacket
 from repro.ndn.segmentation import DEFAULT_SEGMENT_SIZE, parse_segment, segment_data
 from repro.sim.engine import Environment
 
@@ -66,7 +66,7 @@ class FileServer:
 
     # -- request handling ------------------------------------------------------------
 
-    def _handle(self, interest: InterestLike) -> "Data | Nack | WirePacket":
+    def _handle(self, interest: WirePacket) -> "Data | WirePacket":
         try:
             reply = self._dispatch(interest)
         except (DatasetNotFound, DataLakeError, NDNError):
@@ -75,7 +75,7 @@ class FileServer:
         self.requests_served += 1
         return reply
 
-    def _dispatch(self, interest: InterestLike) -> "Data | WirePacket":
+    def _dispatch(self, interest: WirePacket) -> "Data | WirePacket":
         name = interest.name
         suffix = name.suffix(len(DATA_PREFIX))
         if len(suffix) == 0:

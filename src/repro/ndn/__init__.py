@@ -4,10 +4,12 @@ This package implements, from scratch, the NDN primitives LIDC relies on:
 
 * hierarchical :class:`~repro.ndn.name.Name` objects with component-wise
   operations and longest-prefix semantics;
-* :class:`~repro.ndn.packet.Interest`, :class:`~repro.ndn.packet.Data` and
-  :class:`~repro.ndn.packet.Nack` packets with a TLV wire format
-  (:mod:`repro.ndn.tlv`); every Data carries a DigestSha256 signature,
-  computed once when it is first encoded;
+* :class:`~repro.ndn.packet.Interest` and :class:`~repro.ndn.packet.Data`
+  packets with a TLV wire format (:mod:`repro.ndn.tlv`); every Data carries
+  a DigestSha256 signature, computed once when it is first encoded;
+* :class:`~repro.ndn.packet.WirePacket`, the one packet type the forwarding
+  plane handles: a lazy view over an encoded Interest, Data or Nack (a
+  Nack exists only in this form);
 * the three forwarder tables — Content Store (:mod:`repro.ndn.cs`), Pending
   Interest Table (:mod:`repro.ndn.pit`) and Forwarding Information Base
   (:mod:`repro.ndn.fib`);
@@ -21,7 +23,7 @@ This package implements, from scratch, the NDN primitives LIDC relies on:
 """
 
 from repro.ndn.name import Component, Name
-from repro.ndn.packet import Data, Interest, Nack, NackReason, WirePacket
+from repro.ndn.packet import Data, Interest, NackReason, WirePacket
 from repro.ndn.cs import ContentStore
 from repro.ndn.pit import PendingInterestTable, PitEntry
 from repro.ndn.fib import Fib, FibEntry
@@ -42,7 +44,6 @@ __all__ = [
     "Component",
     "Interest",
     "Data",
-    "Nack",
     "NackReason",
     "WirePacket",
     "ContentStore",

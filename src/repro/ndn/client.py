@@ -15,10 +15,10 @@ from functools import partial
 from typing import Callable, Optional
 
 from repro.exceptions import InterestNacked, InterestTimeout
-from repro.ndn.face import AnyPacket, Face, LocalFace, connect
+from repro.ndn.face import Face, LocalFace, connect
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name, parse_name
-from repro.ndn.packet import Data, Interest, Nack, NackReason, WirePacket
+from repro.ndn.packet import Data, Interest, NackReason, WirePacket
 from repro.ndn.segmentation import parse_segment, reassemble
 from repro.ndn.tlv import TlvTypes
 from repro.sim.engine import Environment, Event, Timeout
@@ -134,17 +134,16 @@ class Consumer:
         self._faces.append(face)
         return len(self._faces)
 
-    def receive_packet(self, packet: AnyPacket, face: Face) -> None:
-        wire_packet = WirePacket.of(packet)
-        packet_type = wire_packet.packet_type
+    def receive_packet(self, packet: WirePacket, face: Face) -> None:
+        packet_type = packet.packet_type
         if packet_type == TlvTypes.DATA:
             # The consumer is the content's destination: this is where the
             # (at most one) full decode of a wire-borne packet belongs.
-            self._on_data(wire_packet.decode())
+            self._on_data(packet.decode())
         elif packet_type == TlvTypes.NACK:
             # Nack handling needs only the enclosed name and the reason code,
             # both lazily available on the view.
-            self._on_nack(wire_packet)
+            self._on_nack(packet)
         # Consumers ignore incoming Interests.
 
     # -- expressing interests ------------------------------------------------------
@@ -325,7 +324,7 @@ class Consumer:
             if not pending.completion.triggered:
                 pending.completion.succeed(data)
 
-    def _on_nack(self, nack: "Nack | WirePacket") -> None:
+    def _on_nack(self, nack: WirePacket) -> None:
         self.nacks_received += 1
         reason = nack.reason
         bucket = list(self._pending.get(nack.name, []))

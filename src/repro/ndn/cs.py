@@ -15,9 +15,9 @@ evicts while the store is full, a refresh evicts while it is over capacity.
 :class:`~repro.ndn.nametree.NameTree` index instead of scanning every entry,
 so their cost is bounded by the matching subtree, not the store size.
 
-The store is transport-agnostic: entries and lookups may be decoded packets
-or :class:`~repro.ndn.packet.WirePacket` views — a transiting Data is cached
-and re-served as its wire buffer without ever being decoded on this node.
+Entries and lookups are :class:`~repro.ndn.packet.WirePacket` views: a
+transiting Data is cached and re-served as its wire buffer without ever
+being decoded on this node.
 
 Coherence contract between the system's caches:
 
@@ -45,21 +45,21 @@ from typing import Callable, Optional
 from repro.exceptions import NDNError
 from repro.ndn.name import Name
 from repro.ndn.nametree import NameTree, as_name
-from repro.ndn.packet import DataLike, InterestLike
+from repro.ndn.packet import WirePacket
 
 __all__ = ["ContentStore"]
 
 
 @dataclass(slots=True)
 class _CsEntry:
-    """One cached Data packet (object or wire view) plus its arrival time.
+    """One cached Data view plus its arrival time.
 
     Slotted (lint rule RL006): a populated store holds one of these per
     cached Data, so the per-instance ``__dict__`` would dominate the
     store's own memory at overlay scale.
     """
 
-    data: DataLike
+    data: WirePacket
     arrival_time: float
 
     def is_fresh(self, now: float) -> bool:
@@ -123,7 +123,7 @@ class ContentStore:
 
     # -- insertion -----------------------------------------------------------
 
-    def insert(self, data: DataLike) -> None:
+    def insert(self, data: WirePacket) -> None:
         """Cache ``data``; at capacity zero, caches nothing and evicts all."""
         if self._capacity == 0:
             # Capacity lowered to 0 since the entries were cached.
@@ -170,7 +170,7 @@ class ContentStore:
 
     # -- lookup ----------------------------------------------------------------
 
-    def find(self, interest: InterestLike) -> Optional[DataLike]:
+    def find(self, interest: WirePacket) -> Optional[WirePacket]:
         """Return cached Data satisfying ``interest``, or ``None``.
 
         Exact-name lookups are O(1); prefix lookups descend the name-tree
@@ -194,12 +194,12 @@ class ContentStore:
             return None
         return self._hit(item[1], item[0])
 
-    def _acceptable(self, entry: _CsEntry, interest: InterestLike, now: float) -> bool:
+    def _acceptable(self, entry: _CsEntry, interest: WirePacket, now: float) -> bool:
         if interest.must_be_fresh and not entry.is_fresh(now):
             return False
         return True
 
-    def _hit(self, entry: _CsEntry, name: Name) -> DataLike:
+    def _hit(self, entry: _CsEntry, name: Name) -> WirePacket:
         self._entries.move_to_end(name)
         self.hits += 1
         return entry.data

@@ -20,36 +20,31 @@ Two kinds of face are provided:
 Every endpoint that owns faces implements the small :class:`PacketEndpoint`
 protocol: ``add_face(face) -> int`` and ``receive_packet(packet, face) ->
 None``; delivery hands over the :class:`~repro.ndn.packet.WirePacket`
-itself.  ``send()`` still accepts bare packet objects and wraps them (via
-the sender's cached wire form) on entry.
+itself.  ``send()`` is the one place an application's own ``Interest`` or
+``Data`` object becomes a view (:meth:`WirePacket.of
+<repro.ndn.packet.WirePacket.of>`, over the object's cached wire form);
+every other packet a face carries already is one.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional, Protocol, Union
+from typing import Optional, Protocol
 
 from repro.exceptions import NDNError
-from repro.ndn.packet import Data, Interest, Nack, WirePacket
+from repro.ndn.packet import Data, Interest, WirePacket
 from repro.ndn.tlv import TlvTypes
 from repro.sim.engine import Environment, Event
 from repro.sim.topology import Link
 
 __all__ = [
-    "Packet",
-    "AnyPacket",
     "PacketEndpoint",
+    "FaceStats",
     "Face",
     "LocalFace",
     "NetworkFace",
     "connect",
 ]
-
-#: Union of every decoded packet type a face can carry.
-Packet = Union[Interest, Data, Nack]
-
-#: What ``send()``/``deliver()`` accept: a wire view or a bare packet object.
-AnyPacket = Union[WirePacket, Interest, Data, Nack]
 
 # TLV types used for stat dispatch, bound locally for the per-packet hot path.
 _INTEREST_TYPE = TlvTypes.INTEREST
@@ -63,12 +58,12 @@ class PacketEndpoint(Protocol):
     def add_face(self, face: "Face") -> int:  # pragma: no cover - protocol
         ...
 
-    def receive_packet(self, packet: AnyPacket, face: "Face") -> None:  # pragma: no cover
+    def receive_packet(self, packet: WirePacket, face: "Face") -> None:  # pragma: no cover
         ...
 
 
 @dataclass
-class _FaceStats:
+class FaceStats:
     """Per-face packet, byte and drop counters.
 
     Byte counters are ``len(wire)`` of the transiting buffer — no encoder
@@ -115,13 +110,15 @@ class _FaceStats:
 class Face:
     """Base face: owned by an endpoint, delivers wire packets to a peer face."""
 
+    stats: FaceStats
+
     def __init__(self, env: Environment, owner: PacketEndpoint, label: str = "") -> None:
         self.env = env
         self.owner = owner
         self.label = label
         self.face_id: int = -1
         self.peer: Optional["Face"] = None
-        self.stats = _FaceStats()
+        self.stats = FaceStats()
         self.up = True
 
     def attach(self) -> int:
@@ -134,12 +131,12 @@ class Face:
 
     # -- sending ---------------------------------------------------------------
 
-    def send(self, packet: AnyPacket) -> None:
+    def send(self, packet: "Interest | Data | WirePacket") -> None:
         """Send ``packet`` towards the peer endpoint.
 
-        Bare ``Interest``/``Data``/``Nack`` objects are wrapped into
-        :class:`~repro.ndn.packet.WirePacket` views here, constructed once
-        from the sender's cached wire form.
+        An application's ``Interest`` or ``Data`` object is wrapped into a
+        :class:`~repro.ndn.packet.WirePacket` view here, constructed once
+        from its cached wire form; a view is sent as it is.
         """
         if not self.up:
             # Count the drop before wrapping: no point encoding (and for
@@ -148,9 +145,10 @@ class Face:
             return
         if self.peer is None:
             raise NDNError(f"face {self.label or self.face_id} has no peer")
-        wire_packet = WirePacket.of(packet)
-        self.stats.record_out(wire_packet)
-        self._transmit(wire_packet)
+        if not isinstance(packet, WirePacket):
+            packet = WirePacket.of(packet)
+        self.stats.record_out(packet)
+        self._transmit(packet)
 
     def _transmit(self, packet: WirePacket) -> None:
         raise NotImplementedError
@@ -171,14 +169,13 @@ class Face:
     def _arrive(self, event: Event) -> None:
         self.deliver(event.value)
 
-    def deliver(self, packet: AnyPacket) -> None:
+    def deliver(self, packet: WirePacket) -> None:
         """Called by the peer when a packet arrives on this face."""
         if not self.up:
             self.stats.drops += 1
             return
-        wire_packet = WirePacket.of(packet)
-        self.stats.record_in(wire_packet)
-        self.owner.receive_packet(wire_packet, self)
+        self.stats.record_in(packet)
+        self.owner.receive_packet(packet, self)
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -16,13 +16,14 @@ Nack pipeline
     retry on an alternative next hop if the strategy has one left, otherwise
     propagate the NACK downstream and erase the PIT entry.
 
-All three pipelines operate on :class:`~repro.ndn.packet.WirePacket` views:
-PIT/CS/FIB lookups are driven off the view's lazily-parsed name and header
-flags, forwarded Data and Nacks re-transmit the original wire buffer, and
-the per-hop Interest copy patches the hop-limit byte in place of a decode →
-re-encode cycle.  A transiting packet is never fully decoded on this node;
-only application endpoints (producer handlers, consumers) materialise
-packet objects.
+Every packet reaches the forwarder as the
+:class:`~repro.ndn.packet.WirePacket` its face delivered, typed at
+construction: PIT/CS/FIB lookups are driven off the view's lazily-parsed
+name and header flags, forwarded Data and Nacks re-transmit the original
+wire buffer, and the per-hop Interest copy patches the hop-limit byte (an
+Interest without one is forwarded as the same bytes).  A transiting packet
+is never fully decoded on this node; only application endpoints (producer
+handlers, consumers) materialise packet objects.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from typing import Callable, Optional
 
 from repro.exceptions import NDNError
 from repro.ndn.cs import ContentStore
-from repro.ndn.face import AnyPacket, Face, LocalFace
+from repro.ndn.face import Face, LocalFace
 from repro.ndn.fib import Fib
 from repro.ndn.name import Name
 from repro.ndn.nametree import as_name
-from repro.ndn.packet import InterestLike, NackReason, WirePacket
+from repro.ndn.packet import Data, NackReason, WirePacket
 from repro.ndn.pit import PendingInterestTable, PitEntry
 from repro.ndn.strategy import Strategy, StrategyChoiceTable
 from repro.ndn.tlv import TlvTypes
@@ -113,14 +114,13 @@ class Forwarder:
                 continue  # this entry never went upstream over the dead face
             if entry.out_records:
                 continue  # another upstream transmission is still in flight
-            interest = entry.interest
-            if interest is None or not entry.in_records:
+            if not entry.in_records:
                 self.pit.remove_from_key((entry.name, entry.can_be_prefix))
                 continue
             # Retry through the normal pipeline: the removed face is gone
             # from the FIB, and ``_reject`` Nacks the downstreams when no
             # alternative next hop remains.
-            self._forward_interest(interest, entry, face_id)
+            self._forward_interest(entry.interest, entry, face_id)
 
     def abort_pending(self, predicate: Callable[["PitEntry"], bool]) -> int:
         """Nack (``NoRoute``) and drop every PIT entry matching ``predicate``.
@@ -134,10 +134,7 @@ class Forwarder:
         for entry in self.pit.entries():
             if not predicate(entry):
                 continue
-            if entry.interest is not None:
-                self._reject(entry.interest, NackReason.NO_ROUTE)
-            else:  # pragma: no cover - entries always carry their Interest
-                self.pit.remove_from_key((entry.name, entry.can_be_prefix))
+            self._reject(entry.interest, NackReason.NO_ROUTE)
             aborted += 1
         return aborted
 
@@ -174,16 +171,17 @@ class Forwarder:
     def attach_producer(
         self,
         prefix: "Name | str",
-        handler: Callable[[InterestLike], "AnyPacket | None"],
+        handler: Callable[[WirePacket], "Data | WirePacket | None"],
     ) -> Face:
         """Attach an application producer.
 
         ``handler`` is invoked for each Interest reaching the prefix with a
         lazy :class:`~repro.ndn.packet.WirePacket` view (read every Interest
         field directly, or call ``.decode()`` for the full object); it may
-        return a :class:`Data` or :class:`Nack` — object or wire view —
-        (sent back immediately) or ``None`` (the application will answer
-        later through the returned face's ``send``).
+        return a :class:`Data` object, a Data view or the Interest view's
+        :meth:`~repro.ndn.packet.WirePacket.nack` (sent back immediately),
+        or ``None`` (the application will answer later through the returned
+        face's ``send``).
         """
 
         class _ProducerEndpoint:
@@ -206,21 +204,16 @@ class Forwarder:
 
     # ------------------------------------------------------------- packet I/O
 
-    def receive_packet(self, packet: AnyPacket, face: Face) -> None:
-        """Entry point for every packet arriving on one of our faces.
-
-        Accepts a wire view (the transport contract) or, for compatibility,
-        a bare packet object, which is wrapped on entry.
-        """
-        wire_packet = WirePacket.of(packet)
+    def receive_packet(self, packet: WirePacket, face: Face) -> None:
+        """Entry point for every packet arriving on one of our faces."""
         self.pit.expire()
-        packet_type = wire_packet.packet_type
+        packet_type = packet.packet_type
         if packet_type == TlvTypes.INTEREST:
-            self._process_interest(wire_packet, face)
+            self._process_interest(packet, face)
         elif packet_type == TlvTypes.DATA:
-            self._process_data(wire_packet, face)
+            self._process_data(packet, face)
         elif packet_type == TlvTypes.NACK:
-            self._process_nack(wire_packet, face)
+            self._process_nack(packet, face)
         else:  # pragma: no cover - defensive
             raise NDNError(f"{self.name}: unknown packet type {packet_type:#x}")
 

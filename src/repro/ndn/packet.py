@@ -1,7 +1,14 @@
-"""NDN packets: Interest, Data and Nack, with TLV wire encoding.
+"""NDN packets: the endpoint objects and the one wire view, in TLV encoding.
 
 The wire format loosely follows the NDN packet format v0.3: enough structure
 to round-trip every field the forwarder and LIDC use, while staying compact.
+
+An application builds and reads :class:`Interest` and :class:`Data`
+objects.  Everything between two applications handles one type,
+:class:`WirePacket`: a view over an encoded buffer that decodes its outer
+TLV header when it is built and every other field on first read.  A Nack
+has no object form; :meth:`WirePacket.nack` encloses an Interest's buffer,
+and a Nack view reads its reason and enclosed Interest.
 
 A :class:`~repro.ndn.name.Name` is its Name TLV-VALUE, so encoding a name
 copies its bytes into the packet (:func:`encode_name_value` is those bytes)
@@ -16,8 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.exceptions import TLVDecodeError, VerificationError
 from repro.ndn.name import Component, Name
@@ -33,11 +40,8 @@ from repro.ndn.tlv import (
 __all__ = [
     "Interest",
     "Data",
-    "Nack",
     "NackReason",
     "WirePacket",
-    "InterestLike",
-    "DataLike",
     "encode_name_value",
 ]
 
@@ -186,9 +190,9 @@ class Interest:
             raise ValueError(f"interest lifetime must be positive, got {self.lifetime}")
         if not (0 <= self.hop_limit <= 255):
             raise ValueError(f"hop limit must be in [0, 255], got {self.hop_limit}")
-        # Lazily-cached wire form.  Packets are immutable once in flight
-        # (forwarding copies via ``replace``), so each instance encodes at
-        # most once no matter how many faces record its size.
+        # Lazily-cached wire form.  An Interest is not changed once sent
+        # (forwarding patches a copy of its wire), so each instance encodes
+        # at most once no matter how many faces record its size.
         self._wire: "bytes | None" = None
 
     # -- matching -----------------------------------------------------------------
@@ -198,10 +202,6 @@ class Interest:
         if self.can_be_prefix:
             return self.name.is_prefix_of(data.name)
         return self.name == data.name
-
-    def with_decremented_hop_limit(self) -> "Interest":
-        """A copy with the hop limit reduced by one (used per forwarding hop)."""
-        return replace(self, hop_limit=max(0, self.hop_limit - 1))
 
     # -- wire encoding ---------------------------------------------------------------
 
@@ -252,14 +252,6 @@ class Interest:
     def size(self) -> int:
         """Wire size in bytes (used by the link transfer model)."""
         return len(self.encode())
-
-    def nack(self, reason: int = NackReason.NONE) -> "Nack":
-        """A network NACK answering this Interest.
-
-        Mirrors :meth:`WirePacket.nack`, so handlers can reject either a
-        decoded Interest or a lazy wire view with the same call.
-        """
-        return Nack(interest=self, reason=reason)
 
     def __repr__(self) -> str:
         return f"Interest({self.name.to_uri()!r}, nonce={self.nonce:#010x})"
@@ -371,75 +363,40 @@ class Data:
         return f"Data({self.name.to_uri()!r}, {len(self.content)} bytes)"
 
 
-@dataclass
-class Nack:
-    """A network NACK: the reverse of an Interest, carrying a reason code."""
-
-    interest: Interest
-    reason: int = NackReason.NONE
-
-    def __post_init__(self) -> None:
-        self._wire: "bytes | None" = None
-
-    @property
-    def name(self) -> Name:
-        return self.interest.name
-
-    def encode(self) -> bytes:
-        if self._wire is not None:
-            return self._wire
-        body = encode_tlv(TlvTypes.NACK_REASON, encode_nonneg_int(self.reason))
-        body += self.interest.encode()
-        self._wire = encode_tlv(TlvTypes.NACK, body)
-        return self._wire
-
-    @classmethod
-    def decode(cls, wire: bytes) -> "Nack":
-        spans = _fields(wire, TlvTypes.NACK)
-        enclosed = spans.get(TlvTypes.INTEREST)
-        if enclosed is None:
-            raise TLVDecodeError("Nack without an enclosed Interest")
-        return cls(
-            interest=Interest.decode(wire[enclosed[0]:enclosed[2]]),
-            reason=_parse_int(wire, spans.get(TlvTypes.NACK_REASON), NackReason.NONE),
-        )
-
-    @property
-    def size(self) -> int:
-        return len(self.encode())
-
-    def __repr__(self) -> str:
-        return f"Nack({self.name.to_uri()!r}, {NackReason.label(self.reason)})"
-
-
 class WirePacket:
     """A zero-copy, lazy-decode view over one encoded NDN packet.
 
-    This is the unit the transport plane carries: faces transmit the wire
-    buffer itself, and every header question a forwarder asks in transit —
-    ``packet_type``, ``name``, ``can_be_prefix``, ``must_be_fresh``,
-    ``nonce``, ``hop_limit``, ``freshness_period``, a Nack's ``reason`` —
-    is answered by a single shallow TLV walk over the buffer, caching byte
-    spans rather than materialising packet objects.  :meth:`decode` builds
-    the full :class:`Interest` / :class:`Data` / :class:`Nack` on demand
-    (application endpoints do this; intermediate hops never need to), and
-    :attr:`wire` returns the original buffer for re-transmit, so forwarding
-    never re-encodes.
+    This is the one packet type of the transport plane: faces carry it,
+    forwarders and shards read it, and its buffer is what crosses a link.
+    The constructor decodes the outer TLV header, so :attr:`packet_type`
+    is an attribute and a malformed or overrunning outer TLV raises
+    :class:`~repro.exceptions.TLVDecodeError` right there.  Every other
+    header question a forwarder asks in transit — ``name``,
+    ``can_be_prefix``, ``must_be_fresh``, ``nonce``, ``hop_limit``,
+    ``freshness_period``, a Nack's ``reason`` — is answered by a single
+    shallow TLV walk over the body, caching byte spans rather than
+    materialising packet objects.  :meth:`decode` builds the full
+    :class:`Interest` or :class:`Data` on demand (application endpoints do
+    this; intermediate hops never need to), and :attr:`wire` returns the
+    original buffer for re-transmit, so forwarding never re-encodes.  A
+    Nack exists only as a view: :meth:`nack` builds one around an
+    Interest's buffer, and :attr:`reason` and :attr:`interest` read it.
 
-    Views built from an in-process packet (:meth:`of`) keep a reference to
-    it, making :meth:`decode` free on the same node; views built from raw
-    bytes parse at most once.  ``WirePacket.wire_decodes`` counts the
-    wire-level full decodes that actually ran — benchmarks use it to assert
-    that transit stays bytes-only.
+    A view built from an endpoint's own packet (:meth:`of`, which
+    ``Face.send`` calls) keeps a reference to it, making :meth:`decode`
+    free on the same node; a view built from raw bytes parses at most
+    once.  ``WirePacket.wire_decodes`` counts the wire-level full decodes
+    that actually ran — benchmarks use it to assert that transit stays
+    bytes-only.
     """
 
     __slots__ = (
+        "packet_type",
         "_buf",
         "_start",
         "_end",
         "_wire",
         "_decoded",
-        "_type",
         "_body_start",
         "_body_end",
         "_spans",
@@ -459,99 +416,73 @@ class WirePacket:
     def __init__(
         self,
         wire: bytes,
-        decoded: "Interest | Data | Nack | None" = None,
+        decoded: "Interest | Data | None" = None,
         _start: int = 0,
         _end: Optional[int] = None,
     ) -> None:
+        end = len(wire) if _end is None else _end
+        packet_type, body_start, body_end = decode_tlv_header(wire, _start)
+        if body_end > end:
+            raise TLVDecodeError("packet TLV extends past the wire buffer")
+        #: The outer TLV type (``TlvTypes.INTEREST`` / ``DATA`` / ``NACK``).
+        self.packet_type = packet_type
         self._buf = wire
         self._start = _start
-        self._end = len(wire) if _end is None else _end
-        self._wire: Optional[bytes] = (
-            wire if (_start == 0 and self._end == len(wire)) else None
-        )
+        self._end = end
+        self._wire: Optional[bytes] = wire if (_start == 0 and end == len(wire)) else None
         self._decoded = decoded
-        self._type: Optional[int] = None
-        self._body_start = -1
-        self._body_end = -1
+        self._body_start = body_start
+        self._body_end = body_end
         self._spans: "dict[int, tuple[int, int, int]] | None" = None
         self._name: Optional[Name] = None
         self._name_tlv: Optional[bytes] = None
         self._nack_interest: "WirePacket | None" = None
 
-    # -- construction ---------------------------------------------------------
-
     @classmethod
-    def of(cls, packet: "Interest | Data | Nack | WirePacket") -> "WirePacket":
-        """Wrap ``packet`` as a wire view (no-op when already one).
+    def of(cls, packet: "Interest | Data") -> "WirePacket":
+        """Wrap an endpoint's own ``packet`` as a wire view.
 
         Uses the packet's cached wire form and remembers the object, so a
         later :meth:`decode` on the same node costs nothing.
         """
-        if isinstance(packet, WirePacket):
-            return packet
         return cls(packet.encode(), decoded=packet)
 
     # -- buffer access --------------------------------------------------------
 
     @property
     def wire(self) -> bytes:
-        """The encoded packet bytes (the buffer handed to ``Face.send``)."""
+        """The encoded packet bytes (the buffer a face transmits)."""
         if self._wire is None:
             self._wire = self._buf[self._start:self._end]
         return self._wire
-
-    def encode(self) -> bytes:
-        """Alias for :attr:`wire` (duck-compatible with packet objects)."""
-        return self.wire
 
     @property
     def size(self) -> int:
         """Wire size in bytes — ``len(wire)`` with no encoding walk."""
         return self._end - self._start
 
-    # -- lazy header parsing --------------------------------------------------
-
-    def _header(self) -> int:
-        if self._type is None:
-            type_number, value_start, value_end = decode_tlv_header(self._buf, self._start)
-            if value_end > self._end:
-                raise TLVDecodeError("packet TLV extends past the wire buffer")
-            self._type = type_number
-            self._body_start = value_start
-            self._body_end = value_end
-        return self._type
+    # -- lazy field parsing ---------------------------------------------------
 
     def _scan(self) -> dict[int, tuple[int, int, int]]:
         """Byte spans of the packet's top-level TLV fields (one shallow walk)."""
         if self._spans is None:
-            self._header()
             self._spans = scan_tlv_spans(self._buf, self._body_start, self._body_end)
             WirePacket.span_scans += 1
         return self._spans
 
     def _require(self, expected: int, what: str) -> None:
-        actual = self._header()
-        if actual != expected:
+        if self.packet_type != expected:
             raise TLVDecodeError(
-                f"{what} requested from a packet of TLV type {actual:#x}"
+                f"{what} requested from a packet of TLV type {self.packet_type:#x}"
             )
-
-    # -- type dispatch --------------------------------------------------------
-
-    @property
-    def packet_type(self) -> int:
-        """The outer TLV type (``TlvTypes.INTEREST`` / ``DATA`` / ``NACK``)."""
-        return self._header()
 
     @property
     def is_interest(self) -> bool:
-        return self._header() == TlvTypes.INTEREST
+        return self.packet_type == TlvTypes.INTEREST
 
     @property
     def is_data(self) -> bool:
-        return self._header() == TlvTypes.DATA
-
-    # -- lazy fields ----------------------------------------------------------
+        return self.packet_type == TlvTypes.DATA
 
     @property
     def name(self) -> Name:
@@ -564,7 +495,7 @@ class WirePacket:
         if self._name is None:
             if self._decoded is not None:
                 self._name = self._decoded.name
-            elif self._header() == TlvTypes.NACK:
+            elif self.packet_type == TlvTypes.NACK:
                 self._name = self.interest.name
             else:
                 self._name = _parse_name(
@@ -588,7 +519,7 @@ class WirePacket:
         full span walk; packets that deviate fall back to the scan.
         """
         if self._name_tlv is None:
-            if self._header() == TlvTypes.NACK:
+            if self.packet_type == TlvTypes.NACK:
                 self._name_tlv = self.interest.name_bytes
                 return self._name_tlv
             if self._spans is None:
@@ -657,8 +588,7 @@ class WirePacket:
 
     @property
     def reason(self) -> int:
-        if self._decoded is not None:
-            return self._decoded.reason
+        """A Nack's reason code (``NackReason.NONE`` when absent)."""
         self._require(TlvTypes.NACK, "reason")
         return _parse_int(self._buf, self._scan().get(TlvTypes.NACK_REASON), NackReason.NONE)
 
@@ -667,62 +597,31 @@ class WirePacket:
         """A Nack's enclosed Interest as a wire view sharing this buffer."""
         if self._nack_interest is None:
             self._require(TlvTypes.NACK, "enclosed interest")
-            if self._decoded is not None:
-                self._nack_interest = WirePacket.of(self._decoded.interest)
-            else:
-                span = self._scan().get(TlvTypes.INTEREST)
-                if span is None:
-                    raise TLVDecodeError("Nack without an enclosed Interest")
-                self._nack_interest = WirePacket(self._buf, _start=span[0], _end=span[2])
+            span = self._scan().get(TlvTypes.INTEREST)
+            if span is None:
+                raise TLVDecodeError("Nack without an enclosed Interest")
+            self._nack_interest = WirePacket(self._buf, _start=span[0], _end=span[2])
         return self._nack_interest
 
-    # -- Interest behaviour ---------------------------------------------------
-
-    def matches_data(self, data: "Data | WirePacket") -> bool:
-        """True when ``data`` satisfies this Interest view."""
-        if self.can_be_prefix:
-            return self.name.is_prefix_of(data.name)
-        return self.name == data.name
+    # -- derived packets ------------------------------------------------------
 
     def with_decremented_hop_limit(self) -> "WirePacket":
         """The per-hop Interest copy, produced by patching one wire byte.
 
-        The object path re-builds and re-encodes the whole Interest per hop;
-        here the hop-limit TLV's value byte is rewritten in a copy of the
-        buffer — one memcpy, no TLV re-walk — and the already-parsed name is
-        handed to the clone so downstream FIB/PIT lookups stay free.
+        The hop-limit TLV's value byte is rewritten in a copy of the buffer
+        — one memcpy, no TLV re-walk — and this view's parse is handed to
+        the clone so downstream FIB/PIT lookups stay free.  An Interest
+        without a HopLimit TLV is forwarded as these same bytes: like NFD,
+        a hop decrements a HopLimit only where one is present.
         """
         self._require(TlvTypes.INTEREST, "hop limit decrement")
         span = self._scan().get(TlvTypes.HOP_LIMIT)
-        if span is None or span[2] - span[1] != 1:
-            # No 1-byte hop-limit TLV on the wire: take the object path.
-            return WirePacket.of(self.decode().with_decremented_hop_limit())
+        if span is None:
+            return self
         patched = bytearray(self.wire)
-        position = span[1] - self._start
-        if patched[position] > 0:
-            patched[position] -= 1
-        clone = WirePacket(bytes(patched))
-        clone._name = self._name if self._name is not None else (
-            self._decoded.name if self._decoded is not None else None
-        )
-        # The name bytes are untouched by the hop-limit patch: hand the
-        # memoised slice over so the next dispatcher never re-slices.
-        clone._name_tlv = self._name_tlv
-        # Only the hop-limit byte changed, so the clone's TLV layout is this
-        # view's layout re-based to offset 0 — hand the parse over instead of
-        # making the next hop walk the buffer again.
-        shift = self._start
-        clone._type = self._type
-        clone._body_start = self._body_start - shift
-        clone._body_end = self._body_end - shift
-        if shift == 0:
-            clone._spans = self._spans
-        else:
-            clone._spans = {
-                t: (a - shift, b - shift, c - shift)
-                for t, (a, b, c) in self._spans.items()
-            }
-        return clone
+        if _parse_hop_limit(self._buf, span) > 0:  # the parser checks the width
+            patched[span[1] - self._start] -= 1
+        return self._carry_parse(WirePacket(bytes(patched)), self._start)
 
     def nack(self, reason: int = NackReason.NONE) -> "WirePacket":
         """A Nack wire packet enclosing this Interest's buffer verbatim."""
@@ -732,14 +631,12 @@ class WirePacket:
         view._nack_interest = self
         return view
 
-    # -- parse-memo handover --------------------------------------------------
-
     def detached_view(self) -> "WirePacket":
         """A fresh bytes-only view of the same bytes of the same buffer.
 
         Nothing is copied: the clone covers this view's ``_start``/``_end``
-        of its buffer (a sub-view stays a sub-view) and carries its TLV
-        layout, its memoised name — or the decoded object's name — and its
+        of its buffer (a sub-view stays a sub-view) and carries its span
+        table, its memoised name — or the decoded object's name — and its
         name bytes, so reading the clone costs no span walk.  It carries no
         decoded object and none of this view's identity: decoding the clone
         can never contaminate this view (or vice versa).  The span dict is
@@ -749,31 +646,38 @@ class WirePacket:
         """
         view = WirePacket(self._buf, _start=self._start, _end=self._end)
         view._wire = self._wire
-        view._type = self._type
-        view._body_start = self._body_start
-        view._body_end = self._body_end
-        view._spans = self._spans
-        view._name = self._name if self._name is not None else (
+        return self._carry_parse(view, 0)
+
+    def _carry_parse(self, clone: "WirePacket", shift: int) -> "WirePacket":
+        """Hand this view's parse to ``clone``, a view of the same layout
+        whose buffer offsets sit ``shift`` bytes lower."""
+        if self._spans is not None:
+            clone._spans = self._spans if shift == 0 else {
+                t: (a - shift, b - shift, c - shift)
+                for t, (a, b, c) in self._spans.items()
+            }
+        clone._name = self._name if self._name is not None else (
             self._decoded.name if self._decoded is not None else None
         )
-        view._name_tlv = self._name_tlv
-        return view
+        clone._name_tlv = self._name_tlv
+        return clone
 
     # -- full decode ----------------------------------------------------------
 
-    def decode(self) -> "Interest | Data | Nack":
-        """Materialise the full packet object (cached; parses at most once)."""
+    def decode(self) -> "Interest | Data":
+        """Materialise the full Interest or Data (cached; parses at most once).
+
+        A Nack has no object form: read it through :attr:`reason` and
+        :attr:`interest`.
+        """
         if self._decoded is None:
-            packet_type = self._header()
             wire = self.wire
-            if packet_type == TlvTypes.INTEREST:
-                decoded: "Interest | Data | Nack" = Interest.decode(wire)
-            elif packet_type == TlvTypes.DATA:
+            if self.packet_type == TlvTypes.INTEREST:
+                decoded: "Interest | Data" = Interest.decode(wire)
+            elif self.packet_type == TlvTypes.DATA:
                 decoded = Data.decode(wire)
-            elif packet_type == TlvTypes.NACK:
-                decoded = Nack.decode(wire)
             else:
-                raise TLVDecodeError(f"unknown packet type {packet_type:#x}")
+                raise TLVDecodeError(f"no packet object for TLV type {self.packet_type:#x}")
             # Re-transmitting the decoded object must not re-encode.
             decoded._wire = wire
             self._decoded = decoded
@@ -786,18 +690,9 @@ class WirePacket:
         return self._decoded is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        try:
-            kind = {
-                TlvTypes.INTEREST: "Interest",
-                TlvTypes.DATA: "Data",
-                TlvTypes.NACK: "Nack",
-            }.get(self._header(), f"type={self._header():#x}")
-        except TLVDecodeError:
-            kind = "invalid"
+        kind = {
+            TlvTypes.INTEREST: "Interest",
+            TlvTypes.DATA: "Data",
+            TlvTypes.NACK: "Nack",
+        }.get(self.packet_type, f"type={self.packet_type:#x}")
         return f"WirePacket<{kind}>({self.size} bytes)"
-
-
-#: Anything the Interest pipeline accepts: a decoded Interest or a wire view.
-InterestLike = Union[Interest, "WirePacket"]
-#: Anything the Data pipeline accepts: a decoded Data or a wire view.
-DataLike = Union[Data, "WirePacket"]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro.ndn.name import Name
-from repro.ndn.packet import DataLike, InterestLike
+from repro.ndn.packet import WirePacket
 
 __all__ = ["PitEntry", "PendingInterestTable"]
 
@@ -55,19 +55,19 @@ class PitEntry:
 
     name: Name
     can_be_prefix: bool
+    #: The most recent Interest inserted under this entry.  Kept so
+    #: control-plane cleanup (face removal, shard rebalance) can re-forward
+    #: the Interest or Nack the downstreams without re-synthesising a packet.
+    interest: WirePacket
     in_records: dict[int, _InRecord] = field(default_factory=dict)
     out_records: dict[int, _OutRecord] = field(default_factory=dict)
     nonces: set[int] = field(default_factory=set)
-    #: The most recent Interest wire view inserted under this entry.  Kept so
-    #: control-plane cleanup (face removal, shard rebalance) can re-forward
-    #: the Interest or Nack the downstreams without re-synthesising a packet.
-    interest: Optional[InterestLike] = None
 
     def downstream_faces(self) -> list[int]:
         """Faces waiting for Data, in insertion order."""
         return list(self.in_records.keys())
 
-    def matches_data(self, data: DataLike) -> bool:
+    def matches_data(self, data: WirePacket) -> bool:
         if self.can_be_prefix:
             return self.name.is_prefix_of(data.name)
         return self.name == data.name
@@ -100,7 +100,7 @@ class PendingInterestTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _key(self, interest: InterestLike) -> tuple[Name, bool]:
+    def _key(self, interest: WirePacket) -> tuple[Name, bool]:
         return (interest.name, interest.can_be_prefix)
 
     def _pop(self, key: tuple[Name, bool]) -> Optional[PitEntry]:
@@ -116,7 +116,7 @@ class PendingInterestTable:
 
     # -- Interest path -------------------------------------------------------
 
-    def insert(self, interest: InterestLike, in_face_id: int) -> tuple[PitEntry, bool]:
+    def insert(self, interest: WirePacket, in_face_id: int) -> tuple[PitEntry, bool]:
         """Record a downstream request.
 
         Returns ``(entry, is_new)``; ``is_new`` is False when the Interest was
@@ -128,24 +128,24 @@ class PendingInterestTable:
         entry = self._entries.get(key)
         is_new = entry is None
         if entry is None:
-            entry = PitEntry(name=interest.name, can_be_prefix=interest.can_be_prefix)
+            entry = PitEntry(name=key[0], can_be_prefix=key[1], interest=interest)
             self._entries[key] = entry
             if entry.can_be_prefix:
                 self._prefix_entries += 1
         else:
             self.aggregated += 1
+            entry.interest = interest
         entry.in_records[in_face_id] = _InRecord(face_id=in_face_id, nonce=interest.nonce, expiry=expiry)
         entry.nonces.add(interest.nonce)
-        entry.interest = interest
         self._push_expiry(key, expiry)
         return entry, is_new
 
-    def is_duplicate_nonce(self, interest: InterestLike) -> bool:
+    def is_duplicate_nonce(self, interest: WirePacket) -> bool:
         """Loop detection: same name with a nonce we have already seen."""
         entry = self._entries.get(self._key(interest))
         return entry is not None and interest.nonce in entry.nonces
 
-    def record_out(self, interest: InterestLike, out_face_id: int) -> None:
+    def record_out(self, interest: WirePacket, out_face_id: int) -> None:
         """Record that the Interest was forwarded upstream on ``out_face_id``."""
         key = self._key(interest)
         entry = self._entries.get(key)
@@ -159,7 +159,7 @@ class PendingInterestTable:
 
     # -- Data path -----------------------------------------------------------------
 
-    def _matching_keys(self, data: DataLike) -> list[tuple[Name, bool]]:
+    def _matching_keys(self, data: WirePacket) -> list[tuple[Name, bool]]:
         """Keys of entries ``data`` satisfies, probing one key per prefix.
 
         An exact entry matches only under the full name; a prefix entry
@@ -178,7 +178,7 @@ class PendingInterestTable:
                     keys.append(key)
         return keys
 
-    def satisfy(self, data: DataLike) -> list[int]:
+    def satisfy(self, data: WirePacket) -> list[int]:
         """Consume entries matched by ``data``; returns downstream face ids."""
         faces: list[int] = []
         for key in self._matching_keys(data):
@@ -189,14 +189,14 @@ class PendingInterestTable:
                     faces.append(face_id)
         return faces
 
-    def find_exact(self, interest: InterestLike) -> Optional[PitEntry]:
+    def find_exact(self, interest: WirePacket) -> Optional[PitEntry]:
         return self._entries.get(self._key(interest))
 
     def entry_at(self, key: tuple[Name, bool]) -> Optional[PitEntry]:
         """The entry under a (name, can_be_prefix) key, or ``None``."""
         return self._entries.get(key)
 
-    def remove(self, interest: InterestLike) -> None:
+    def remove(self, interest: WirePacket) -> None:
         self._pop(self._key(interest))
 
     def remove_from_key(self, key: tuple[Name, bool]) -> None:

@@ -83,11 +83,11 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from repro.exceptions import NDNError
-from repro.ndn.face import AnyPacket, Face
+from repro.ndn.face import Face
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
 from repro.ndn.nametree import as_name
-from repro.ndn.packet import WirePacket, encode_name_value
+from repro.ndn.packet import Data, WirePacket, encode_name_value
 from repro.ndn.strategy import DispatcherHotCache, Strategy
 from repro.ndn.tlv import decode_tlv_header
 from repro.sim.engine import Environment
@@ -466,7 +466,7 @@ class ShardedForwarder:
     def attach_producer(
         self,
         prefix: "Name | str",
-        handler: Callable[..., "AnyPacket | None"],
+        handler: Callable[[WirePacket], "Data | WirePacket | None"],
     ) -> Face:
         """Attach an application producer on the prefix's owning shards.
 
@@ -659,22 +659,21 @@ class ShardedForwarder:
 
     # ------------------------------------------------------------- dispatching
 
-    def receive_packet(self, packet: AnyPacket, face: Face) -> None:
+    def receive_packet(self, packet: WirePacket, face: Face) -> None:
         """Entry point for packets arriving on an external face."""
-        wire_packet = WirePacket.of(packet)
         ext_id = face.face_id
         self._dispatched.inc()
-        if self.hot_cache is not None and wire_packet.is_interest:
-            if self._fast_path(wire_packet, ext_id):
+        if self.hot_cache is not None and packet.is_interest:
+            if self._fast_path(packet, ext_id):
                 return
         index = self._picker(
-            _key_from_name_bytes(wire_packet.name_bytes, self.key_depth)
+            _key_from_name_bytes(packet.name_bytes, self.key_depth)
         )
         if self.tracer.enabled:
             self.tracer.record(
-                "shard", "dispatch", name=wire_packet.name, shard=index, face=ext_id
+                "shard", "dispatch", name=packet.name, shard=index, face=ext_id
             )
-        self._mirrors[(ext_id, index)][0].send(wire_packet)
+        self._mirrors[(ext_id, index)][0].send(packet)
 
     def _fast_path(self, interest: WirePacket, ext_id: int) -> bool:
         """Serve a repeat Interest from the dispatcher hot cache.

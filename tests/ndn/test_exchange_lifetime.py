@@ -22,7 +22,7 @@ from repro.ndn.client import Consumer, RetryPolicy
 from repro.ndn.face import connect
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
-from repro.ndn.packet import Data, Interest, NackReason
+from repro.ndn.packet import Data, Interest, NackReason, WirePacket
 from repro.sim.engine import Environment, Process
 from repro.sim.topology import Link
 from repro.sim.trace import Tracer
@@ -281,7 +281,7 @@ class TestRetryBudget:
             "/svc/x", lifetime=0.5,
             retry_policy=RetryPolicy(max_retries=2, initial_backoff_s=1.0, retry_nacks=True),
         )
-        nack = Interest(name=Name("/svc/x")).nack(NackReason.NO_ROUTE)
+        nack = WirePacket(Interest(name=Name("/svc/x")).encode()).nack(NackReason.NO_ROUTE)
         env.timeout(0.8).callbacks.append(lambda _ev: consumer.face.peer.send(nack))
         env.run(until=1.4)
         assert consumer.nacks_received == 1

@@ -8,7 +8,7 @@ from repro.ndn.face import LocalFace, connect
 from repro.ndn.fib import FibEntry
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Component, Name
-from repro.ndn.packet import Data, Interest, Nack, NackReason
+from repro.ndn.packet import Data, Interest, NackReason
 from repro.ndn.routing import RoutingDaemon
 from repro.ndn.segmentation import parse_segment, reassemble, segment_data
 from repro.ndn.strategy import (

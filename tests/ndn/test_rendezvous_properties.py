@@ -120,5 +120,5 @@ class TestDispatchKeyExtraction:
     @given(name=names)
     def test_nack_exposes_enclosed_interest_name_bytes(self, name):
         interest_view = WirePacket(Interest(name=name).encode())
-        nack_view = WirePacket(interest_view.decode().nack().encode())
+        nack_view = WirePacket(interest_view.nack().wire)
         assert nack_view.name_bytes == interest_view.name_bytes

@@ -25,7 +25,7 @@ shard_counts = st.integers(min_value=1, max_value=9)
 def dispatched_shard(packet, num_shards, key_depth=1):
     """The shard a dispatcher sends ``packet`` to: its key is sliced from
     the wire name bytes and handed to the rendezvous picker."""
-    view = WirePacket(packet.encode())
+    view = packet if isinstance(packet, WirePacket) else WirePacket(packet.encode())
     return _make_shard_picker(num_shards)(_key_from_name_bytes(view.name_bytes, key_depth))
 
 
@@ -92,7 +92,7 @@ class TestPartitioning:
     def test_interest_and_data_for_the_same_name_share_a_shard(self, name, num_shards):
         interest = Interest(name=name)
         data = Data(name=name, content=b"payload")
-        nack = interest.nack(NackReason.NO_ROUTE)
+        nack = WirePacket(interest.encode()).nack(NackReason.NO_ROUTE)
         shards = {
             dispatched_shard(packet, num_shards) for packet in (interest, data, nack)
         }

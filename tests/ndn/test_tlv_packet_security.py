@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from repro.exceptions import TLVDecodeError, VerificationError
 from repro.ndn.name import Component, Name
-from repro.ndn.packet import _ContentType, Data, Interest, Nack, NackReason
+from repro.ndn.packet import _ContentType, Data, Interest, NackReason, WirePacket
 from repro.ndn.tlv import (
     TlvTypes,
     decode_nonneg_int,
@@ -109,9 +109,9 @@ class TestInterestWire:
             Interest(name=Name("/a"), hop_limit=300)
 
     def test_hop_limit_decrement(self):
-        interest = Interest(name=Name("/a"), hop_limit=2)
-        assert interest.with_decremented_hop_limit().hop_limit == 1
-        assert interest.hop_limit == 2  # original untouched
+        view = WirePacket(Interest(name=Name("/a"), hop_limit=2).encode())
+        assert view.with_decremented_hop_limit().hop_limit == 1
+        assert view.hop_limit == 2  # original untouched
 
     def test_exact_match_semantics(self):
         interest = Interest(name=Name("/a/b"))
@@ -197,8 +197,8 @@ class TestDataWire:
 class TestNackWire:
     def test_round_trip(self):
         interest = Interest(name=Name("/a/b"))
-        nack = Nack(interest=interest, reason=NackReason.NO_ROUTE)
-        decoded = Nack.decode(nack.encode())
+        nack = WirePacket(interest.encode()).nack(NackReason.NO_ROUTE)
+        decoded = WirePacket(nack.wire)
         assert decoded.name == interest.name
         assert decoded.reason == NackReason.NO_ROUTE
         assert decoded.interest.nonce == interest.nonce
@@ -209,4 +209,4 @@ class TestNackWire:
 
     def test_decode_rejects_non_nack(self):
         with pytest.raises(TLVDecodeError):
-            Nack.decode(Interest(name=Name("/a")).encode())
+            WirePacket(Interest(name=Name("/a")).encode()).reason

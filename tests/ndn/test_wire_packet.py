@@ -3,23 +3,34 @@
 Property-based encode → decode → encode identity for every packet type, plus
 equivalence of the lazy :class:`~repro.ndn.packet.WirePacket` fields against
 a full decode, and the decode-counter instrumentation the wire-path
-benchmark relies on.
+benchmark relies on.  A Nack exists only as a view, so its oracle is the
+full decode of its enclosed Interest plus the integer in its reason field.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import TLVDecodeError
+from repro.ndn.face import LocalFace, connect
+from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Name
 from repro.ndn.packet import (
     Data,
     Interest,
-    Nack,
     NackReason,
     WirePacket,
     encode_name_value,
 )
-from repro.ndn.tlv import TlvTypes, encode_nonneg_int, encode_tlv
+from repro.ndn.pit import PendingInterestTable
+from repro.ndn.tlv import (
+    TlvTypes,
+    decode_nonneg_int,
+    decode_tlv_header,
+    encode_nonneg_int,
+    encode_tlv,
+    scan_tlv_spans,
+)
+from repro.sim.engine import Environment
 
 # -- strategies ---------------------------------------------------------------
 
@@ -84,13 +95,12 @@ class TestWireRoundTrips:
         [NackReason.NONE, NackReason.CONGESTION, NackReason.DUPLICATE, NackReason.NO_ROUTE]
     ))
     def test_nack_round_trip_identity(self, interest, reason):
-        nack = Nack(interest=interest, reason=reason)
-        wire = nack.encode()
-        decoded = Nack.decode(wire)
+        wire = WirePacket(interest.encode()).nack(reason).wire
+        decoded = WirePacket(wire)
         assert decoded.reason == reason
         assert decoded.interest.name == interest.name
         assert decoded.interest.nonce == interest.nonce
-        assert decoded.encode() == wire
+        assert WirePacket(decoded.interest.wire).nack(decoded.reason).wire == wire
 
 
 # -- lazy-field equivalence against full decode --------------------------------
@@ -125,24 +135,28 @@ class TestWirePacketLazyFields:
 
     @given(interest=interests, reason=st.integers(min_value=0, max_value=200))
     def test_nack_view_matches_full_decode(self, interest, reason):
-        wire = Nack(interest=interest, reason=reason).encode()
+        wire = WirePacket(interest.encode()).nack(reason).wire
         view = WirePacket(wire)
-        full = Nack.decode(wire)
+        full_reason, full = _nack_oracle(wire)
         assert view.packet_type == TlvTypes.NACK
-        assert view.reason == full.reason == reason
+        assert view.reason == full_reason == reason
         assert view.name == full.name
         enclosed = view.interest
-        assert enclosed.name == full.interest.name
-        assert enclosed.nonce == full.interest.nonce
-        assert enclosed.wire == full.interest.encode()
+        assert enclosed.name == full.name
+        assert enclosed.nonce == full.nonce
+        assert enclosed.wire == full.encode()
 
     @given(interest=interests)
     def test_matches_data_equivalence(self, interest):
+        # The PIT matches in transit what the Interest object matches at the
+        # endpoint.
         view = WirePacket(interest.encode())
+        pit = PendingInterestTable()
+        entry, _is_new = pit.insert(view, 1)
         exact = Data(name=interest.name, content=b"x")
         longer = Data(name=interest.name.append("more"), content=b"x")
-        assert view.matches_data(exact) == interest.matches_data(exact)
-        assert view.matches_data(longer) == interest.matches_data(longer)
+        for data in (exact, longer):
+            assert entry.matches_data(WirePacket(data.encode())) == interest.matches_data(data)
 
 
 # -- WirePacket behaviour ------------------------------------------------------
@@ -157,9 +171,16 @@ class TestWirePacketBehaviour:
         assert WirePacket.wire_decodes == before  # cached object: not a decode
         assert view.wire == interest.encode()
 
-    def test_of_is_idempotent(self):
+    def test_send_wraps_an_object_and_passes_a_view_through(self):
+        env = Environment()
+        sink = _Sink()
+        face, _peer = connect(env, _Sink(), sink, face_cls=LocalFace)
         view = WirePacket(Interest(name=Name("/a")).encode())
-        assert WirePacket.of(view) is view
+        interest = Interest(name=Name("/b"))
+        face.send(view)
+        face.send(interest)
+        assert sink.received[0] is view
+        assert sink.received[1].decode() is interest
 
     def test_wire_decode_counts_once(self):
         wire = Data(name=Name("/d"), content=b"z").encode()
@@ -212,21 +233,27 @@ class TestWirePacketBehaviour:
         view = WirePacket(Interest(name=Name("/z"), hop_limit=0).encode())
         assert view.with_decremented_hop_limit().hop_limit == 0
 
-    def test_nack_from_view_equals_object_nack(self):
+    def test_nack_from_view_is_reason_then_enclosed_interest(self):
         interest = Interest(name=Name("/n"), nonce=0x1234)
         view = WirePacket(interest.encode())
         wire_nack = view.nack(NackReason.CONGESTION)
-        object_nack = Nack(interest=interest, reason=NackReason.CONGESTION)
-        assert wire_nack.wire == object_nack.encode()
+        assert wire_nack.wire == encode_tlv(
+            TlvTypes.NACK,
+            encode_tlv(TlvTypes.NACK_REASON, encode_nonneg_int(NackReason.CONGESTION))
+            + interest.encode(),
+        )
         assert wire_nack.reason == NackReason.CONGESTION
         assert wire_nack.interest is view
 
-    def test_interest_nack_helper(self):
-        interest = Interest(name=Name("/n"))
-        nack = interest.nack(NackReason.NO_ROUTE)
-        assert isinstance(nack, Nack)
+    def test_view_nack_helper(self):
+        view = WirePacket(Interest(name=Name("/n")).encode())
+        nack = view.nack(NackReason.NO_ROUTE)
+        assert nack.packet_type == TlvTypes.NACK
         assert nack.reason == NackReason.NO_ROUTE
-        assert nack.interest is interest
+        assert nack.interest is view
+        assert nack.name == view.name
+        with pytest.raises(TLVDecodeError):
+            nack.decode()  # a Nack has no object form
 
     def test_type_mismatch_raises(self):
         data_view = WirePacket(Data(name=Name("/d")).encode())
@@ -255,15 +282,21 @@ class TestWirePacketBehaviour:
         with pytest.raises(TLVDecodeError):
             Interest.decode(wire)
 
-    def test_garbage_wire_raises(self):
+    def test_garbage_wire_raises_at_construction(self):
         with pytest.raises(TLVDecodeError):
-            WirePacket(b"\x05\xff").packet_type  # truncated length
+            WirePacket(b"\x05\xff")  # truncated length
+        with pytest.raises(TLVDecodeError):
+            WirePacket(b"")
+        with pytest.raises(TLVDecodeError):
+            WirePacket(bytes([0x05, 10, 0, 0]))  # value overruns the buffer
+        with pytest.raises(TLVDecodeError):
+            WirePacket(bytes([0x05, 2, 0, 0]), _end=3)  # value overruns the view
         with pytest.raises(TLVDecodeError):
             WirePacket(bytes([0x99, 2, 0, 0])).decode()  # unknown packet type
 
     def test_enclosed_interest_view_shares_buffer(self):
         interest = Interest(name=Name("/shared/buffer"))
-        nack_wire = Nack(interest=interest, reason=NackReason.DUPLICATE).encode()
+        nack_wire = WirePacket(interest.encode()).nack(NackReason.DUPLICATE).wire
         view = WirePacket(nack_wire)
         enclosed = view.interest
         # Lazily-parsed fields come straight out of the nack's buffer ...
@@ -347,7 +380,22 @@ _packets = st.sampled_from(sorted(_FIELD_TYPES)).flatmap(
     )
 )
 
-_DECODERS = {_T.INTEREST: Interest.decode, _T.DATA: Data.decode, _T.NACK: Nack.decode}
+def _nack_oracle(wire: bytes) -> tuple:
+    """A Nack read without a view: the integer in its reason span (NONE when
+    absent) and ``Interest.decode`` of its enclosed Interest's span."""
+    _type, body_start, body_end = decode_tlv_header(wire)
+    spans = scan_tlv_spans(wire, body_start, body_end)
+    enclosed = spans.get(_T.INTEREST)
+    if enclosed is None:
+        raise TLVDecodeError("Nack without an enclosed Interest")
+    reason = spans.get(_T.NACK_REASON)
+    return (
+        NackReason.NONE if reason is None else decode_nonneg_int(wire[reason[1]:reason[2]]),
+        Interest.decode(wire[enclosed[0]:enclosed[2]]),
+    )
+
+
+_DECODERS = {_T.INTEREST: Interest.decode, _T.DATA: Data.decode, _T.NACK: _nack_oracle}
 
 
 def _assert_interest_view_equals(view: WirePacket, decoded: Interest) -> None:
@@ -375,9 +423,10 @@ class TestOneParserPerField:
             assert view.name == decoded.name
             assert view.freshness_period == decoded.freshness_period
         else:
-            assert view.reason == decoded.reason
-            assert view.name == decoded.name
-            _assert_interest_view_equals(view.interest, decoded.interest)
+            reason, enclosed = decoded
+            assert view.reason == reason
+            assert view.name == enclosed.name
+            _assert_interest_view_equals(view.interest, enclosed)
 
     # Regressions: each case made the endpoint decoder and the transit view
     # read one packet differently, or made the decoder raise an untyped error.
@@ -398,11 +447,8 @@ class TestOneParserPerField:
 
     def test_a_nonce_of_other_than_four_bytes_is_a_typed_error(self):
         # A 5-byte nonce used to decode to a value that Interest.encode
-        # cannot write back: without a HopLimit TLV the per-hop copy is
-        # re-encoded, which raised OverflowError in transit.
+        # cannot write back (an OverflowError, not a typed error).
         wire = _interest(encode_tlv(_T.NONCE, b"\x01\x02\x03\x04\x05"))
-        with pytest.raises(TLVDecodeError):
-            WirePacket(wire).with_decremented_hop_limit()
         with pytest.raises(TLVDecodeError):
             WirePacket(wire).nonce
         with pytest.raises(TLVDecodeError):
@@ -444,3 +490,36 @@ def _name_tlv(uri: str) -> bytes:
 def _interest(*fields: bytes) -> bytes:
     """An Interest for ``/a`` carrying ``fields`` after its Name."""
     return encode_tlv(_T.INTEREST, _name_tlv("/a") + b"".join(fields))
+
+
+class _Sink:
+    """An endpoint that keeps every packet delivered to it."""
+
+    def __init__(self) -> None:
+        self.received: list = []
+
+    def add_face(self, face) -> int:
+        return 0
+
+    def receive_packet(self, packet, face) -> None:
+        self.received.append(packet)
+
+
+class TestHopLimitlessInterestInTransit:
+    def test_crosses_two_forwarders_byte_identical_and_undecoded(self):
+        # NFD decrements a HopLimit only where one is present, so an
+        # Interest encoded without one reaches the producer as sent.
+        env = Environment()
+        edge, core = Forwarder(env, name="edge"), Forwarder(env, name="core")
+        upstream, _ = connect(env, edge, core)
+        edge.register_prefix("/a", upstream)
+        received = []
+        core.attach_producer("/a", received.append)
+        face, _ = connect(env, _Sink(), edge, face_cls=LocalFace)
+        wire = _interest(encode_tlv(_T.NONCE, b"\x00\x00\x00\x09"))
+        assert TlvTypes.HOP_LIMIT not in scan_tlv_spans(wire, 2, len(wire))
+        before = WirePacket.wire_decodes
+        face.send(WirePacket(wire))
+        env.run()
+        assert [packet.wire for packet in received] == [wire]
+        assert WirePacket.wire_decodes == before

@@ -296,6 +296,19 @@ GONE = (
     "repro.core.baseline:CentralizedController.placement_counts",
     "repro.analysis.results:ResultTable.column_values",
     "repro.analysis.results:ResultTable.print",
+    # The forwarding plane handles one packet type, the wire view: a Nack
+    # exists only as a view, the per-hop copy is a byte patch of one, and
+    # faces carry nothing else.
+    "repro.ndn.packet:Nack",
+    "repro.ndn.packet:Interest.nack",
+    "repro.ndn.packet:Interest.with_decremented_hop_limit",
+    "repro.ndn.packet:WirePacket.matches_data",
+    "repro.ndn.packet:WirePacket.encode",
+    "repro.ndn.packet:WirePacket._header",
+    "repro.ndn.packet:InterestLike",
+    "repro.ndn.packet:DataLike",
+    "repro.ndn.face:AnyPacket",
+    "repro.ndn.face:Packet",
 )
 
 #: Modules that went whole: the controller's placement policies and the
