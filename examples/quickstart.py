@@ -37,13 +37,13 @@ def main() -> None:
 
     # The handle comes back immediately; nothing has been simulated yet.
     handle = client.submit(request)
-    print(f"Handle state    : {handle.state.value} (session runs in the background)")
+    print(f"Handle state    : {handle.outcome.state.value} (session runs in the background)")
 
     outcome = testbed.run(until=handle.done)
 
-    print(f"\nJob id          : {handle.job_id}")
-    print(f"Executed on     : {handle.cluster} (chosen by the network, not the client)")
-    print(f"Final state     : {handle.state.value}")
+    print(f"\nJob id          : {outcome.submission.job_id}")
+    print(f"Executed on     : {outcome.submission.cluster} (chosen by the network, not the client)")
+    print(f"Final state     : {outcome.state.value}")
     print(f"Simulated runtime: {outcome.runtime_s:,.0f} s (paper Table I: 8h9m50s = 29,390 s)")
     print(f"Result name     : {outcome.result_name}")
     print(f"Result size     : {outcome.result_size_bytes / 1e6:,.0f} MB (paper: 941 MB)")

@@ -31,18 +31,18 @@ def main() -> None:
 
     handles = client.submit_many(requests)
     print(f"{len(handles)} handles in flight: "
-          f"{[handle.state.value for handle in handles]}")
+          f"{[handle.outcome.state.value for handle in handles]}")
     testbed.run(until=client.wait_all(handles))
 
     makespan = testbed.env.now
     for handle in handles:
-        print(f"  job {handle.job_id}: {handle.state.value} "
-              f"runtime={handle.outcome.runtime_s:.0f}s "
-              f"polls={handle.outcome.status_polls}")
+        outcome = handle.outcome
+        print(f"  job {outcome.submission.job_id}: {outcome.state.value} "
+              f"runtime={outcome.runtime_s:.0f}s polls={outcome.status_polls}")
     print(f"Concurrent makespan: {makespan:,.1f} s "
           f"(sequential lower bound would be {JOBS * DURATION_S:,.0f} s)")
 
-    assert all(handle.succeeded for handle in handles), "a job session failed"
+    assert all(handle.outcome.succeeded for handle in handles), "a job session failed"
     assert makespan < 2 * DURATION_S, "concurrency did not overlap the jobs"
     assert client.consumer.pending_count() == 0, "leaked pending Interests"
     print("OK")

@@ -26,7 +26,8 @@ Quickstart
 
 ``LIDCClient.submit`` opens a non-blocking job session and returns a
 :class:`~repro.core.client.JobHandle` immediately; ``handle.done`` is a
-simulation event carrying the final :class:`~repro.core.client.JobOutcome`:
+simulation event carrying its :class:`~repro.core.client.JobOutcome`, the
+session's one record, which ``handle.outcome`` holds from submission on:
 
 >>> from repro.core import LIDCTestbed, ComputeRequest
 >>> testbed = LIDCTestbed.single_cluster(seed=1)
@@ -34,7 +35,9 @@ simulation event carrying the final :class:`~repro.core.client.JobOutcome`:
 >>> handle = client.submit(ComputeRequest(app="BLAST", cpu=2, memory_gb=4,
 ...                                       dataset="SRR2931415", reference="HUMAN"))
 >>> outcome = testbed.run(until=handle.done)
->>> handle.state
+>>> outcome is handle.outcome
+True
+>>> outcome.state
 <JobState.COMPLETED: 'Completed'>
 
 Many jobs run concurrently through one client:

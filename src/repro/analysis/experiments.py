@@ -368,13 +368,13 @@ def _run_concurrent_load(*, seed: int, jobs: int, job_duration_s: float,
     )
     table.measures.update(
         sequential_completed=sum(outcome.succeeded for outcome in sequential_outcomes),
-        concurrent_completed=sum(handle.succeeded for handle in handles),
+        concurrent_completed=sum(handle.outcome.succeeded for handle in handles),
         sequential_makespan_s=sequential_makespan,
         concurrent_makespan_s=concurrent_makespan,
         max_in_flight=concurrent_client.max_in_flight,
         speedup=speedup,
         pending_after=concurrent_client.consumer.pending_count(),
-        clusters_used=len(_placements(handle.cluster for handle in handles)),
+        clusters_used=len(_placements(handle.outcome.submission.cluster for handle in handles)),
     )
     table.add_row("sequential (submit, wait, repeat)", table.measures["sequential_completed"],
                   format_seconds(sequential_makespan), 1)
@@ -412,11 +412,8 @@ def _run_baseline_comparison(*, seed: int, cluster_count: int, requests_per_phas
             if submission.record is None:
                 results.append(False)
                 continue
-            cluster = central_bed.cluster(submission.cluster)
-            k8s_job = cluster.cluster.job(submission.record.k8s_job_name)
-            central_bed.run(until=k8s_job.completion)
-            record = cluster.gateway.tracker.get(submission.record.job_id)
-            results.append(record.state == JobState.COMPLETED)
+            central_bed.run(until=submission.record.k8s_job.completion)
+            results.append(submission.record.state == JobState.COMPLETED)
         return results
 
     central_normal = _success_rate(central_phase())

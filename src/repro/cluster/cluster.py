@@ -130,8 +130,5 @@ class Cluster:
     def running_pods(self) -> list[Pod]:
         return [pod for pod in self.api.list(Pod.KIND) if pod.phase == PodPhase.RUNNING]
 
-    def job(self, name: str) -> Job:
-        return self.api.get(Job.KIND, name, "ndnk8s")
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Cluster {self.name} nodes={len(self._kubelets)} region={self.region}>"

@@ -9,7 +9,10 @@ acknowledgement — that is the point.
 
 :meth:`LIDCClient.submit` returns a :class:`JobHandle` immediately: a future
 for one computation whose lifecycle (submit → ack → status tracking → result
-retrieval) is driven by a background simulation process.  Many handles can be
+retrieval) is driven by a background simulation process.  The session keeps
+one record, the handle's :class:`JobOutcome`: it reads ``Pending`` from
+submission, follows every status answer, and is what ``handle.done``
+triggers with once the job is terminal.  Many handles can be
 in flight on one client at once — :meth:`LIDCClient.submit_many` drives N
 concurrent jobs through a single :class:`~repro.ndn.client.Consumer` — and
 status is tracked with long-lived status Interests whose re-expression
@@ -21,7 +24,7 @@ Interest lifetime and the client's retry policy, and status tracking by
 Synchronous call sites use::
 
     handle = client.submit(request)
-    outcome = env.run(until=handle.done)
+    outcome = env.run(until=handle.done)   # the same object as handle.outcome
 
 and process generators use::
 
@@ -72,17 +75,21 @@ class SubmissionResult:
     cached: bool = False
     result_name: Optional[Name] = None
     error: Optional[str] = None
-    submitted_at: float = 0.0
-    acknowledged_at: float = 0.0
 
 
 @dataclass
 class JobOutcome:
-    """Outcome of a full submit → wait → retrieve workflow."""
+    """The one record of a job session, live from submission.
+
+    The session updates it in place as the protocol advances: ``state``
+    starts ``Pending`` and follows every status answer, ``submission`` is
+    None until the ack (and stays None when the session dies before one),
+    and ``timeline`` gains a named timestamp per protocol step.
+    """
 
     request: ComputeRequest
-    submission: SubmissionResult
-    state: JobState = JobState.FAILED
+    submission: Optional[SubmissionResult] = None
+    state: JobState = JobState.PENDING
     result_name: Optional[Name] = None
     result_size_bytes: Optional[int] = None
     result_payload: Optional[bytes] = None
@@ -108,94 +115,23 @@ class JobHandle:
     """A non-blocking session for one submitted computation.
 
     Returned immediately by :meth:`LIDCClient.submit`; a background process
-    drives the whole protocol.  ``handle.done`` is a simulation event that
-    triggers with the final :class:`JobOutcome` once the job is terminal
-    (it never fails — errors are materialised in the outcome), so handles
-    compose with :meth:`LIDCClient.wait_all` and ``env.run(until=...)``.
+    drives the whole protocol and writes its progress into ``outcome``.
+    ``done`` is a simulation event that triggers with that same
+    :class:`JobOutcome` once the job is terminal (it never fails — errors
+    are materialised in the outcome), so handles compose with
+    :meth:`LIDCClient.wait_all` and ``env.run(until=...)``.
     """
 
-    _id_counter = itertools.count(1)
-
-    def __init__(
-        self,
-        client: "LIDCClient",
-        request: ComputeRequest,
-        done: Event,
-        unique: bool = True,
-        fetch_result: bool = False,
-    ) -> None:
-        self.handle_id = next(self._id_counter)
-        self.client = client
+    def __init__(self, request: ComputeRequest, done: Event, unique: bool = True,
+                 fetch_result: bool = False) -> None:
         self.request = request
         self.done = done
         self.unique = unique
         self.fetch_result = fetch_result
-        #: Protocol timestamps, shared with the outcome's timeline.
-        self.timeline: dict[str, float] = {}
-        self.job_id: Optional[str] = None
-        self.status_polls = 0
-        self._state = JobState.PENDING
-        self._submission: Optional[SubmissionResult] = None
-        self._outcome: Optional[JobOutcome] = None
-        self._status_payload: Optional[dict] = None
-
-    # -- state ------------------------------------------------------------------
-
-    @property
-    def state(self) -> JobState:
-        """The paper's four-state lifecycle, as currently known to the client."""
-        if self._outcome is not None:
-            return self._outcome.state
-        return self._state
-
-    @property
-    def submission(self) -> Optional[SubmissionResult]:
-        return self._submission
-
-    @property
-    def accepted(self) -> Optional[bool]:
-        """True/False once the gateway answered; None while the ack is pending."""
-        if self._submission is None:
-            return None
-        return self._submission.accepted
-
-    @property
-    def cluster(self) -> Optional[str]:
-        return self._submission.cluster if self._submission else None
-
-    @property
-    def outcome(self) -> Optional[JobOutcome]:
-        return self._outcome
-
-    @property
-    def succeeded(self) -> bool:
-        return self._outcome is not None and self._outcome.succeeded
-
-    def status(self) -> dict:
-        """The latest known status document (client-side view, no network).
-
-        A status reply carries only what changes (the state, and the result
-        or error once terminal); the job id and cluster come from the ack.
-        """
-        payload: dict = {"state": self.state.value}
-        if self._status_payload is not None:
-            payload.update(self._status_payload)
-        if self.job_id:
-            payload["job_id"] = self.job_id
-        if self._submission is not None and self._submission.cluster:
-            payload["cluster"] = self._submission.cluster
-        return payload
-
-    # -- driver internals --------------------------------------------------------
-
-    def _complete(self, outcome: JobOutcome) -> None:
-        self._outcome = outcome
-        self._state = outcome.state
-        self.done.succeed(outcome)
+        self.outcome = JobOutcome(request=request)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<JobHandle #{self.handle_id} {self.request.app}"
-                f" job_id={self.job_id} state={self.state.value}>")
+        return f"<JobHandle {self.request.app} state={self.outcome.state.value}>"
 
 
 class LIDCClient:
@@ -243,7 +179,6 @@ class LIDCClient:
         identical requests (the paper's caching future-work).
         """
         name = self._request_name(request, unique)
-        submitted_at = self.env.now
         self.submissions += 1
         try:
             data = yield self.consumer.express_interest(
@@ -251,16 +186,10 @@ class LIDCClient:
                 retry_policy=self.retry_policy,
             )
         except (InterestTimeout, InterestNacked) as exc:
-            return SubmissionResult(
-                accepted=False, error=str(exc),
-                submitted_at=submitted_at, acknowledged_at=self.env.now,
-            )
+            return SubmissionResult(accepted=False, error=str(exc))
         payload = json.loads(data.content_text())
         if not payload.get("accepted", False):
-            return SubmissionResult(
-                accepted=False, error=payload.get("error", "rejected"),
-                submitted_at=submitted_at, acknowledged_at=self.env.now,
-            )
+            return SubmissionResult(accepted=False, error=payload.get("error", "rejected"))
         return SubmissionResult(
             accepted=True,
             job_id=payload["job_id"],
@@ -268,8 +197,6 @@ class LIDCClient:
             cluster=payload.get("cluster"),
             cached=bool(payload.get("cached", False)),
             result_name=Name(payload["result_name"]) if payload.get("result_name") else None,
-            submitted_at=submitted_at,
-            acknowledged_at=self.env.now,
         )
 
     def submit(
@@ -286,14 +213,11 @@ class LIDCClient:
         Interest lifetime and :attr:`retry_policy`, and status tracking by
         :data:`MAX_POLLS`, so ``handle.done`` always triggers.
         """
-        handle = JobHandle(
-            self, request,
-            done=self.env.event(name=f"job:{request.app}"),
-            unique=unique, fetch_result=fetch_result,
-        )
+        handle = JobHandle(request, done=self.env.event(name=f"job:{request.app}"),
+                           unique=unique, fetch_result=fetch_result)
         self._in_flight.add(handle)
         self.max_in_flight = max(self.max_in_flight, len(self._in_flight))
-        self.env.process(self._drive(handle), name=f"job-session:{handle.handle_id}")
+        self.env.process(self._drive(handle), name=f"job-session:{request.app}")
         return handle
 
     def submit_many(
@@ -324,81 +248,51 @@ class LIDCClient:
     def _drive(self, handle: JobHandle):
         """Background process running one handle's full protocol."""
         try:
-            outcome = yield from self._lifecycle(handle)
+            yield from self._lifecycle(handle)
         except Exception as exc:  # lint: allow[RL004] handle.done must always trigger; any session error becomes a FAILED outcome
             # Unexpected errors (corrupt status payloads, non-gateway
             # producers, ...) are materialised into a FAILED outcome so
             # waiters never hang on an event that cannot trigger.
-            outcome = self._failed_outcome(handle, f"job session error: {exc!r}")
+            self._fail(handle.outcome, f"job session error: {exc!r}")
         finally:
             self._in_flight.discard(handle)
-        handle._complete(outcome)
-        return outcome
+        handle.done.succeed(handle.outcome)
 
-    def _failed_outcome(self, handle: JobHandle, reason: str) -> JobOutcome:
-        """Resolve a dying session into a FAILED outcome carrying ``reason``."""
-        outcome = handle._outcome
-        if outcome is None:
-            outcome = JobOutcome(
-                request=handle.request,
-                submission=SubmissionResult(
-                    accepted=False, error=reason,
-                    submitted_at=handle.timeline.get("submitted", self.env.now),
-                    acknowledged_at=self.env.now,
-                ),
-                timeline=handle.timeline,
-            )
+    def _fail(self, outcome: JobOutcome, reason: Optional[str]) -> None:
         outcome.state = JobState.FAILED
         outcome.error = reason
-        handle.timeline.setdefault("finished", self.env.now)
-        return outcome
+        outcome.timeline.setdefault("finished", self.env.now)
 
     def _lifecycle(self, handle: JobHandle):
         """Process generator: the full Fig. 5 protocol for one handle."""
-        timeline = handle.timeline
+        outcome = handle.outcome
+        timeline = outcome.timeline
         timeline["submitted"] = self.env.now
         submission = yield from self.submit_interest(handle.request, unique=handle.unique)
         timeline["acknowledged"] = self.env.now
-        handle._submission = submission
-        outcome = JobOutcome(request=handle.request, submission=submission, timeline=timeline)
-        handle._outcome = outcome
+        outcome.submission = submission
         if not submission.accepted:
-            outcome.state = JobState.FAILED
-            outcome.error = submission.error
-            timeline["finished"] = self.env.now
-            return outcome
-        handle.job_id = submission.job_id
+            self._fail(outcome, submission.error)
+            return
 
         if submission.cached and submission.result_name is not None:
             # Cache hit: the result already exists, skip straight to retrieval.
             outcome.state = JobState.COMPLETED
             outcome.from_cache = True
             outcome.result_name = submission.result_name
-            handle._state = JobState.COMPLETED
             timeline["completed"] = self.env.now
         else:
-            handle._state = JobState.PENDING
             try:
-                final = yield from self.wait_for_completion(
-                    submission.job_id or "",
-                    status_name=submission.status_name,
-                    _handle=handle,
-                )
+                final = yield from self._track(outcome)
             except (InterestTimeout, InterestNacked, LIDCError) as exc:
-                outcome.state = JobState.FAILED
-                outcome.error = f"status tracking failed: {exc}"
-                outcome.status_polls = handle.status_polls
-                timeline["finished"] = self.env.now
-                return outcome
-            outcome.status_polls = int(final.get("_polls", 0))
+                self._fail(outcome, f"status tracking failed: {exc}")
+                return
             timeline["completed"] = self.env.now
-            outcome.state = JobState(final.get("state", JobState.FAILED.value))
             outcome.from_cache = bool(final.get("from_cache", False))
             outcome.runtime_s = final.get("runtime_s")
             if outcome.state == JobState.FAILED:
-                outcome.error = final.get("error", "job failed")
-                timeline["finished"] = self.env.now
-                return outcome
+                self._fail(outcome, final.get("error", "job failed"))
+                return
             if final.get("result_name"):
                 outcome.result_name = Name(final["result_name"])
             outcome.result_size_bytes = final.get("result_size_bytes")
@@ -410,39 +304,34 @@ class LIDCClient:
                 # The caller asked for the payload and cannot have it: the
                 # workflow as a whole failed, even though the cluster-side job
                 # completed (result_name/result_size_bytes stay for diagnosis).
-                outcome.state = JobState.FAILED
-                outcome.error = f"result retrieval failed: {exc}"
-                timeline["finished"] = self.env.now
-                return outcome
+                self._fail(outcome, f"result retrieval failed: {exc}")
+                return
             outcome.result_size_bytes = manifest.get(
                 "size_bytes", outcome.result_size_bytes
             )
             outcome.result_payload = payload
             timeline["result_retrieved"] = self.env.now
         timeline["finished"] = self.env.now
-        return outcome
 
     # ------------------------------------------------------------------ status
 
-    def poll_status(self, job_id: str, lifetime_s: float = LIFETIME_S,
-                    status_name: Optional[Name] = None):
+    def poll_status(self, status_name: Name, lifetime_s: float = LIFETIME_S):
         """Process generator: one status exchange; returns the status payload dict.
 
-        ``status_name`` is the name the gateway handed back in its ack (it
-        alone decides where a job's status lives); without one the default
-        :func:`~repro.core.naming.status_name` of ``job_id`` is used.
+        ``status_name`` is the name the gateway handed back in its ack: it
+        alone decides where a job's status lives.
         """
         data = yield self.consumer.express_interest(
-            status_name if status_name is not None else naming.status_name(job_id),
-            lifetime=lifetime_s, must_be_fresh=True, retry_policy=self.retry_policy,
+            status_name, lifetime=lifetime_s, must_be_fresh=True,
+            retry_policy=self.retry_policy,
         )
         return json.loads(data.content_text())
 
-    def wait_for_completion(self, job_id: str, status_name: Optional[Name] = None,
-                            _handle: Optional[JobHandle] = None):
+    def _track(self, outcome: JobOutcome):
         """Process generator: track a job until it is terminal; returns the final payload.
 
-        Every poll expresses ``status_name`` (see :meth:`poll_status`).
+        Every answer updates ``outcome.state`` and ``outcome.status_polls``
+        in place, and every poll expresses the status name from the ack.
 
         Status Interests are re-expressed with exponential backoff: the first
         follow-up goes out after :data:`INITIAL_POLL_S`, and the interval
@@ -450,26 +339,22 @@ class LIDCClient:
         jobs are detected quickly without the client hammering the gateway
         for long ones.
         """
+        submission = outcome.submission
         cap = self.poll_interval_s
         interval = min(INITIAL_POLL_S, cap)
-        polls = 0
         while True:
             # Long-lived status Interests: the lifetime grows with the backoff
             # interval so a slow gateway has the whole window to answer before
             # the exchange counts as a timeout.
             payload = yield from self.poll_status(
-                job_id, lifetime_s=max(LIFETIME_S, interval), status_name=status_name)
-            polls += 1
-            state = JobState(payload.get("state", JobState.FAILED.value))
-            if _handle is not None:
-                _handle._state = state
-                _handle._status_payload = payload
-                _handle.status_polls = polls
-            if state.is_terminal():
-                payload["_polls"] = polls
+                submission.status_name, lifetime_s=max(LIFETIME_S, interval))
+            outcome.status_polls += 1
+            outcome.state = JobState(payload.get("state", JobState.FAILED.value))
+            if outcome.state.is_terminal():
                 return payload
-            if polls >= MAX_POLLS:
-                raise LIDCError(f"job {job_id} still not terminal after {polls} polls")
+            if outcome.status_polls >= MAX_POLLS:
+                raise LIDCError(f"job {submission.job_id} still not terminal"
+                                f" after {outcome.status_polls} polls")
             yield self.env.timeout(interval)
             interval = min(interval * POLL_BACKOFF, cap)
 

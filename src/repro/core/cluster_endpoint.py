@@ -93,8 +93,7 @@ class LIDCCluster:
                 tracer=self.tracer,
             )
         self.datalake_nfd = Forwarder(
-            env, name=f"{spec.name}-dl-nfd", cs_capacity=CS_CAPACITY,
-            cache_unsolicited=True, tracer=self.tracer,
+            env, name=f"{spec.name}-dl-nfd", cs_capacity=CS_CAPACITY, tracer=self.tracer,
         )
         intra_link = Link(f"{spec.name}-gw", f"{spec.name}-dl",
                           latency_s=0.0005, bandwidth_bps=10e9)

@@ -69,8 +69,6 @@ class Gateway:
         self.tracker = JobTracker(cluster.name, clock=lambda: env.now)
         self.tracer = tracer or Tracer(clock=lambda: env.now)
         self.metrics = MetricsRegistry()
-        #: job id → (JobRecord, kubernetes Job) for active jobs.
-        self._k8s_jobs: dict[str, Job] = {}
 
         forwarder.attach_producer(naming.COMPUTE_PREFIX, self._on_compute)
         forwarder.attach_producer(naming.STATUS_PREFIX, self._on_status)
@@ -150,8 +148,7 @@ class Gateway:
             name=f"{record.job_id}-k8s",
             labels={"lidc-job-id": record.job_id, "app": request.app.lower()},
         )
-        record.k8s_job_name = k8s_job.name
-        self._k8s_jobs[record.job_id] = k8s_job
+        record.k8s_job = k8s_job
         self.metrics.counter("jobs_admitted").inc()
         self.tracer.record("gateway", "job-created", job_id=record.job_id,
                            k8s_job=k8s_job.name, app=request.app)
@@ -162,7 +159,6 @@ class Gateway:
     def _watch_job(self, record: JobRecord, k8s_job: Job, service: ServiceDefinition):
         """Wait for the Kubernetes Job to finish, then publish and finalise."""
         yield k8s_job.completion
-        self._k8s_jobs.pop(record.job_id, None)
         if k8s_job.is_complete:
             pod = k8s_job.pod
             assert pod is not None  # a Job completes when its pod succeeds
@@ -231,7 +227,7 @@ class Gateway:
         """Promote Pending → Running by looking at the underlying pods."""
         if record.is_terminal:
             return
-        k8s_job = self._k8s_jobs.get(record.job_id)
+        k8s_job = record.k8s_job
         if k8s_job is None:
             return
         if k8s_job.pod is not None and k8s_job.pod.phase == PodPhase.RUNNING:

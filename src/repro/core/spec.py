@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional
 
+from repro.cluster.job import Job
 from repro.exceptions import InvalidComputeName
 from repro.core import naming
 from repro.core.service import BASE_SCHEMA, wire_number
@@ -128,7 +129,8 @@ class JobRecord:
     result_name: Optional[Name] = None
     result_size_bytes: Optional[int] = None
     error: Optional[str] = None
-    k8s_job_name: Optional[str] = None
+    #: The Kubernetes Job running this computation (None until admitted).
+    k8s_job: Optional[Job] = None
     from_cache: bool = False
 
     @property

@@ -58,9 +58,9 @@ class Forwarder:
         Node name (used in traces and for routing adjacency).
     cs_capacity:
         Content-store capacity in packets (LRU; 0 disables caching).
-    cache_unsolicited:
-        Whether Data arriving with no matching PIT entry is still cached
-        (useful for repo-style producers).
+
+    Data that arrives with no matching PIT entry is unsolicited: it is
+    dropped, never cached, and counted in ``data_unsolicited``.
     """
 
     def __init__(
@@ -68,7 +68,6 @@ class Forwarder:
         env: Environment,
         name: str = "forwarder",
         cs_capacity: int = 1024,
-        cache_unsolicited: bool = False,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.env = env
@@ -77,7 +76,6 @@ class Forwarder:
         self.pit = PendingInterestTable(clock=lambda: env.now)
         self.fib = Fib()
         self.strategies = StrategyChoiceTable()
-        self.cache_unsolicited = cache_unsolicited
         self.tracer = tracer or Tracer(clock=lambda: env.now, enabled=False)
         self.metrics = MetricsRegistry()
         self._faces: dict[int, Face] = {}
@@ -337,8 +335,6 @@ class Forwarder:
         downstream = self.pit.satisfy(data)
         if not downstream:
             self.metrics.counter("data_unsolicited").inc()
-            if self.cache_unsolicited:
-                self.cs.insert(data)
             return
 
         self.cs.insert(data)

@@ -67,11 +67,6 @@ class PitEntry:
         """Faces waiting for Data, in insertion order."""
         return list(self.in_records.keys())
 
-    def matches_data(self, data: WirePacket) -> bool:
-        if self.can_be_prefix:
-            return self.name.is_prefix_of(data.name)
-        return self.name == data.name
-
     def expiry(self) -> float:
         """Latest expiry over all records (entry lifetime)."""
         expiries = [rec.expiry for rec in self.in_records.values()]

@@ -44,7 +44,7 @@ class TestGatewayCompute:
         ack = submit(env, consumer, ComputeRequest(
             app="BLAST", cpu=4, memory_gb=6, dataset="SRR5139395", reference="HUMAN"))
         record = lidc_cluster.gateway.tracker.get(ack["job_id"])
-        k8s_job = lidc_cluster.cluster.job(record.k8s_job_name)
+        k8s_job = record.k8s_job
         requests = k8s_job.template.total_requests()
         assert requests.cpu == pytest.approx(4)
         assert requests.memory == 6 * 1024**3

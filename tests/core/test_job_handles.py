@@ -26,33 +26,35 @@ class TestSingleHandle:
         handle = client.submit(sleep_request(20))
         # Nothing has run yet: the handle is a future, not a result.
         assert not handle.done.triggered
-        assert handle.state == JobState.PENDING
-        assert handle.accepted is None
+        assert handle.outcome.state == JobState.PENDING
+        assert handle.outcome.submission is None
         outcome = testbed.run(until=handle.done)
         assert outcome is handle.outcome
-        assert handle.done.triggered and handle.succeeded
-        assert handle.state == JobState.COMPLETED
-        assert handle.accepted is True
-        assert handle.job_id and handle.job_id.startswith("cluster-a-job-")
+        assert handle.done.triggered and outcome.succeeded
+        assert outcome.state == JobState.COMPLETED
+        assert outcome.submission.accepted is True
+        assert outcome.submission.job_id.startswith("cluster-a-job-")
         assert outcome.runtime_s == pytest.approx(20.0, abs=1.0)
 
-    def test_status_reflects_progress_without_network_calls(self):
-        testbed = LIDCTestbed.single_cluster(seed=2)
-        client = testbed.client(poll_interval_s=5.0)
-        handle = client.submit(sleep_request(50))
-        testbed.run(until=testbed.env.now + 10)
-        assert handle.status_polls > 0
-        mid = handle.status()
-        # The reply carried only the state; the job id and cluster come from the ack.
-        assert handle._status_payload == {"state": mid["state"]}
-        assert mid == {"state": mid["state"], "job_id": handle.job_id, "cluster": "cluster-a"}
-        assert mid["state"] in ("Pending", "Running")
-        testbed.run(until=handle.done)
-        final = handle.status()
-        assert final["state"] == "Completed"
-        assert final["job_id"] == handle.job_id and final["cluster"] == "cluster-a"
-        assert final["result_name"] == str(handle.outcome.result_name)
-        assert final["runtime_s"] == pytest.approx(50.0, abs=1.0)
+    def test_the_outcome_follows_the_gateway_while_the_job_runs(self):
+        """The session keeps one record: mid-job, ``handle.outcome`` reads
+        what the last status answer said, not a default."""
+        testbed = LIDCTestbed.single_cluster(seed=0)
+        client = testbed.client()
+        handle = client.submit(sleep_request(120))
+        gateway = testbed.cluster("cluster-a").gateway
+        states, gateway_states, polls = [], [], []
+        for at in (0.5, 5.0, 100.0):
+            testbed.run(until=at)
+            states.append(handle.outcome.state)
+            gateway_states.append(gateway.tracker.get(handle.outcome.submission.job_id).state)
+            polls.append(handle.outcome.status_polls)
+        assert states == gateway_states == [JobState.PENDING, JobState.RUNNING, JobState.RUNNING]
+        assert polls[0] < polls[1] < polls[2]
+        assert not handle.done.triggered
+        outcome = testbed.run(until=handle.done)
+        assert outcome is handle.outcome and outcome.succeeded
+        assert outcome.status_polls > polls[-1]
 
     def test_rejected_request_resolves_to_failed_outcome(self):
         testbed = LIDCTestbed.single_cluster(seed=3)
@@ -61,7 +63,7 @@ class TestSingleHandle:
             ComputeRequest(app="BLAST", dataset="garbage", reference="HUMAN"))
         outcome = testbed.run(until=handle.done)
         assert not outcome.succeeded
-        assert handle.accepted is False
+        assert outcome.submission.accepted is False
         assert "malformed" in (outcome.error or "")
 
     def test_result_fetching_through_the_handle(self):
@@ -88,14 +90,14 @@ class TestSessionRobustness:
         # Once the request is acknowledged, make the data lake unreachable so
         # the session's result retrieval (after the job completes) fails.
         testbed.run(until=testbed.env.now + 1)
-        assert handle.accepted
+        assert handle.outcome.submission.accepted
         cluster = testbed.cluster("cluster-a")
         cluster.gateway_nfd.fib.remove_face(cluster._gw_to_dl.face_id)
         outcome = testbed.run(until=handle.done)
         assert not outcome.succeeded
-        assert handle.state == JobState.FAILED
+        assert outcome.state == JobState.FAILED
         assert "result retrieval failed" in (outcome.error or "")
-        assert handle.outcome.result_payload is None
+        assert outcome.result_payload is None
 
     def test_result_retrieval_follows_the_client_retry_policy(self, segment_all):
         # The result's first segment Interest is Congestion-Nacked once. The
@@ -168,10 +170,10 @@ class TestConcurrentHandles:
         assert client.max_in_flight == len(durations)
         testbed.run(until=client.wait_all(handles))
         for handle, duration in zip(handles, durations):
-            assert handle.succeeded
+            assert handle.outcome.succeeded
             assert handle.outcome.runtime_s == pytest.approx(duration, abs=1.0)
         # Shorter jobs were detected as complete before longer ones.
-        completions = [handle.timeline["completed"] for handle in handles]
+        completions = [handle.outcome.timeline["completed"] for handle in handles]
         assert completions == sorted(completions, reverse=True)
         # No leaked pending-Interest book-keeping on the shared Consumer.
         assert client.consumer.pending_count() == 0
@@ -189,11 +191,11 @@ class TestConcurrentHandles:
             handles.append(client.submit(sleep_request(60, cpu=2, memory_gb=2, idx=str(i))))
             testbed.run(until=testbed.env.now + 0.5)
         testbed.run(until=client.wait_all(handles))
-        succeeded = [handle for handle in handles if handle.succeeded]
-        failed = [handle for handle in handles if not handle.succeeded]
+        succeeded = [handle for handle in handles if handle.outcome.succeeded]
+        failed = [handle for handle in handles if not handle.outcome.succeeded]
         assert len(succeeded) == 4
         assert len(failed) == 1
-        assert failed[0].accepted is False
+        assert failed[0].outcome.submission.accepted is False
         assert client.consumer.pending_count() == 0
 
     def test_concurrent_makespan_beats_sequential(self):
@@ -205,7 +207,7 @@ class TestConcurrentHandles:
             [sleep_request(duration, idx=str(i)) for i in range(jobs)])
         concurrent_bed.run(until=concurrent_client.wait_all(concurrent))
         concurrent_makespan = concurrent_bed.env.now
-        assert all(handle.succeeded for handle in concurrent)
+        assert all(handle.outcome.succeeded for handle in concurrent)
 
         sequential_bed = LIDCTestbed.single_cluster(
             seed=8, node_count=2, node_cpu=8, node_memory="32Gi")
@@ -236,7 +238,7 @@ class TestConcurrentHandles:
         client = testbed.client(retry_policy=RetryPolicy(max_retries=0))
         handles = client.submit_many([sleep_request(5, idx=str(i)) for i in range(3)])
         testbed.run(until=client.wait_all(handles))
-        assert all(not handle.succeeded for handle in handles)
+        assert all(not handle.outcome.succeeded for handle in handles)
         assert client.consumer.pending_count() == 0
 
 
@@ -262,12 +264,12 @@ class TestWaitAll:
         ])
         waiter = client.wait_all([rejected, fast, slow])
         testbed.run(until=rejected.done)
-        assert not rejected.succeeded and not waiter.triggered
+        assert not rejected.outcome.succeeded and not waiter.triggered
         testbed.run(until=fast.done)
-        assert fast.succeeded and not slow.done.triggered and not waiter.triggered
+        assert fast.outcome.succeeded and not slow.done.triggered and not waiter.triggered
         testbed.run(until=waiter)
-        assert slow.succeeded
-        assert testbed.env.now == slow.timeline["completed"]
+        assert slow.outcome.succeeded
+        assert testbed.env.now == slow.outcome.timeline["completed"]
 
     def test_finished_handles_resolve_at_once(self):
         testbed = LIDCTestbed.single_cluster(seed=14)

@@ -323,8 +323,9 @@ class TestStatusPollsReachTheOwner:
                 sleep_request(60, cpu=2, memory_gb=2, idx=f"tracked-{index}")))
             testbed.run(until=testbed.env.now + 1.0)
         testbed.run(until=client.wait_all(handles))
-        assert all(h.succeeded and h.cluster == "cluster-c" for h in handles)
-        assert sum(h.status_polls for h in handles) >= 8 * jobs
+        outcomes = [h.outcome for h in handles]
+        assert all(o.succeeded and o.submission.cluster == "cluster-c" for o in outcomes)
+        assert sum(o.status_polls for o in outcomes) >= 8 * jobs
         assert status_counter(testbed, "status_unknown_job") <= 2
 
 
@@ -363,15 +364,6 @@ class TestClientPollsTheAckedStatusName:
         assert polled == [acked] * 3
         assert outcome.status_polls == 3
 
-    def test_direct_callers_still_get_the_default_name(self):
-        default = str(naming.status_name("job-x"))
-        env, client, polled = self._stub_gateway(default)
-        payload = env.run_process(client.poll_status("job-x"))
-        assert payload["state"] == JobState.RUNNING.value
-        final = env.run_process(client.wait_for_completion("job-x"))
-        assert final["state"] == JobState.COMPLETED.value
-        assert polled == [default] * 3
-
 
 class TestCentralizedBaseline:
     def _small_and_large(self):
@@ -385,8 +377,7 @@ class TestCentralizedBaseline:
         controller = CentralizedController(testbed.env, clusters=list(testbed.clusters.values()))
         submission = controller.submit(sleep_request(20))
         assert submission.accepted
-        cluster = testbed.cluster(submission.cluster)
-        testbed.run(until=cluster.cluster.job(submission.record.k8s_job_name).completion)
+        testbed.run(until=submission.record.k8s_job.completion)
         assert submission.record.state == JobState.COMPLETED
         assert [s.accepted for s in controller.submissions] == [True]
 

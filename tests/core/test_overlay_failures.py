@@ -183,7 +183,7 @@ class TestOwnerAffinityUnderFailure:
     @staticmethod
     def poll(testbed, client, job_id):
         testbed.run(until=testbed.env.now + 2.0)  # past the 1 s status freshness
-        return testbed.run_process(client.poll_status(job_id))
+        return testbed.run_process(client.poll_status(naming.status_name(job_id)))
 
     @staticmethod
     def unknown(testbed):
@@ -213,8 +213,8 @@ class TestOwnerAffinityUnderFailure:
             handles.append(client.submit(slot_filler(index)))
             testbed.run(until=testbed.env.now + 0.5)
         testbed.run(until=20.0)
-        tracked = next(h for h in handles if h.cluster == "cluster-c")
-        assert tracked.status_polls >= 3 and not tracked.done.triggered
+        tracked = next(h for h in handles if h.outcome.submission.cluster == "cluster-c")
+        assert tracked.outcome.status_polls >= 3 and not tracked.done.triggered
         testbed.overlay.fail_cluster("cluster-c")
         outcome = testbed.run(until=tracked.done)
         # The survivors do not own the job: a typed failure at the next
@@ -224,7 +224,7 @@ class TestOwnerAffinityUnderFailure:
         assert testbed.env.now < 60.0
         others = [h for h in handles if h is not tracked]
         testbed.run(until=client.wait_all(others))
-        assert all(h.succeeded for h in others)
+        assert all(h.outcome.succeeded for h in others)
         assert self.clean(testbed, client)
 
     def test_owner_link_down_is_an_immediate_no_route_and_heals(self, placed):

@@ -110,7 +110,7 @@ class TestDataLake:
 class TestFileServer:
     @pytest.fixture
     def served_lake(self, env, lake):
-        forwarder = Forwarder(env, "dl-nfd", cache_unsolicited=True)
+        forwarder = Forwarder(env, "dl-nfd")
         server = FileServer(env, forwarder, lake, segment_size=1024)
         consumer = Consumer(env, forwarder)
         return lake, server, consumer

@@ -50,13 +50,13 @@ class TestClusterLossMidWorkflow:
         handle = client.submit(
             ComputeRequest(app="SLEEP", cpu=1, memory_gb=1, params={"duration": "10000"}))
         testbed.run(until=testbed.env.now + 50)
-        assert handle.accepted and not handle.done.triggered
+        assert handle.outcome.submission.accepted and not handle.done.triggered
         testbed.overlay.fail_cluster("cluster-a")
         # Status Interests can no longer reach any gateway: the session resolves
         # to a FAILED outcome carrying the timeout/NACK instead of hanging.
         outcome = testbed.run(until=handle.done)
         assert not outcome.succeeded
-        assert handle.state == JobState.FAILED
+        assert outcome.state == JobState.FAILED
         assert "status tracking failed" in (outcome.error or "")
         # No pending-Interest book-keeping leaks from the dead session.
         assert client.consumer.pending_count() == 0

@@ -375,13 +375,7 @@ class TestForwarderPipelines:
         consumer.face.send(Data(name=Name("/nobody/asked"), content=b"x"))
         env.run()
         assert len(forwarder.cs) == 0
-
-    def test_unsolicited_data_cached_when_enabled(self, env):
-        forwarder = Forwarder(env, "repo", cache_unsolicited=True)
-        consumer = Consumer(env, forwarder)
-        consumer.face.send(Data(name=Name("/push/content"), content=b"x"))
-        env.run()
-        assert len(forwarder.cs) == 1
+        assert forwarder.metrics.counter("data_unsolicited").value == 1
 
 
 class TestProducerHandlers:

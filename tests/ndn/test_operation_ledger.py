@@ -15,7 +15,11 @@ The operations:
   :class:`~repro.ndn.forwarder.Forwarder`\\ s to a producer that answers
   with a pre-encoded Data, so every counted call is transit work;
 * the same name asked again, answered from the edge's Content Store;
-* ``Data.decode`` of an 8 KiB segment, and ``Interest.decode``.
+* ``Data.decode`` of an 8 KiB segment, and ``Interest.decode``;
+* one compute job's whole session on a one-cluster testbed: a 5 s SLEEP
+  job submitted by a named client, acknowledged, tracked to completion
+  and its result fetched, with the simulation's own background work in
+  that window counted too.
 
 A name is its wire bytes (:mod:`repro.ndn.name`): no transit hop builds a
 :class:`~repro.ndn.name.Component` or runs ``Name.__init__``.
@@ -28,6 +32,9 @@ from collections import Counter
 import pytest
 
 import repro
+from repro.core.client import LIDCClient
+from repro.core.framework import CLIENT_EDGE, LIDCTestbed
+from repro.core.spec import ComputeRequest
 from repro.ndn.face import LocalFace, connect
 from repro.ndn.forwarder import Forwarder
 from repro.ndn.name import Component, Name
@@ -168,6 +175,20 @@ class TestDecodeLedger:
         _check(calls, INTEREST_DECODE_TOTAL, INTEREST_DECODE_TOP_TEN)
 
 
+class TestComputeJobLedger:
+    def test_one_sleep_job_submit_ack_status_result(self):
+        testbed = LIDCTestbed.single_cluster(seed=0)
+        client = LIDCClient(testbed.env, testbed.overlay.routers[CLIENT_EDGE], name="ledger")
+        request = ComputeRequest(app="SLEEP", cpu=1, memory_gb=1, params={"duration": "5"})
+        outcomes = []
+        calls = _ledger(lambda: outcomes.append(
+            testbed.run(until=client.submit(request, fetch_result=True).done)))
+        [outcome] = outcomes
+        assert outcome.succeeded and outcome.status_polls == 4
+        assert "result_retrieved" in outcome.timeline
+        _check(calls, COMPUTE_JOB_TOTAL, COMPUTE_JOB_TOP_TEN)
+
+
 # The pins.  Before a name was its wire bytes, when every transit parse
 # built Component objects and every table probe compared them one Python
 # call per component, the four totals read 587, 144, 79 and 65.  Before a
@@ -225,4 +246,17 @@ INTEREST_DECODE_TOP_TEN = [
     ('ndn/packet.py:_parse_hop_limit', 1),
     ('ndn/packet.py:_parse_ms', 1),
     ('ndn/packet.py:_parse_name', 1),
+]
+COMPUTE_JOB_TOTAL = 3128
+COMPUTE_JOB_TOP_TEN = [
+    ('ndn/packet.py:WirePacket.name', 160),
+    ('sim/engine.py:Environment.now', 146),
+    ('ndn/name.py:Name.__hash__', 138),
+    ('ndn/packet.py:WirePacket._require', 88),
+    ('ndn/packet.py:WirePacket._scan', 88),
+    ('ndn/packet.py:WirePacket.size', 80),
+    ('ndn/tlv.py:encode_tlv', 78),
+    ('sim/engine.py:Event.ok', 58),
+    ('core/framework.py:LIDCTestbed.__init__.<locals>.<lambda>', 53),
+    ('sim/trace.py:Tracer.record', 53),
 ]

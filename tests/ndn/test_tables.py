@@ -486,16 +486,16 @@ class TestPit:
 
     def test_find_matching_agrees_with_matches_data(self):
         pit = PendingInterestTable()
-        pit.insert(Interest(name=Name("/a"), can_be_prefix=True), in_face_id=1)
-        pit.insert(Interest(name=Name("/a/b")), in_face_id=2)
-        pit.insert(Interest(name=Name("/other")), in_face_id=3)
+        interests = {1: Interest(name=Name("/a"), can_be_prefix=True),
+                     2: Interest(name=Name("/a/b")),
+                     3: Interest(name=Name("/other"))}
+        for face_id, interest in interests.items():
+            pit.insert(interest, in_face_id=face_id)
         data = make_data("/a/b")
-        entries = list(pit.entries())
         assert sorted(pit.satisfy(data)) == [1, 2]
-        remaining = list(pit.entries())
-        assert [str(e.name) for e in remaining] == ["/other"]
-        for entry in entries:
-            assert entry.matches_data(data) == all(entry is not kept for kept in remaining)
+        assert [str(e.name) for e in pit.entries()] == ["/other"]
+        assert [face_id for face_id, interest in interests.items()
+                if interest.matches_data(data)] == [1, 2]
 
     def test_exact_only_table_builds_no_prefix_names_per_data(self, monkeypatch):
         """While no ``can_be_prefix`` entry is live the Data path probes the
@@ -544,8 +544,9 @@ class TestPit:
             assert pit._prefix_entries == sum(entry.can_be_prefix for entry in entries)
             for probe in ("/a/b/c", "/x", "/"):
                 data = make_data(probe)
-                unmatched = {(entry.name, entry.can_be_prefix)
-                             for entry in entries if not entry.matches_data(data)}
+                unmatched = {(entry.name, entry.can_be_prefix) for entry in entries
+                             if not Interest(name=entry.name, can_be_prefix=entry.can_be_prefix)
+                             .matches_data(data)}
                 probed = copy.deepcopy(pit)
                 probed.satisfy(data)
                 assert {(entry.name, entry.can_be_prefix)

@@ -150,13 +150,13 @@ class TestWirePacketLazyFields:
     def test_matches_data_equivalence(self, interest):
         # The PIT matches in transit what the Interest object matches at the
         # endpoint.
-        view = WirePacket(interest.encode())
-        pit = PendingInterestTable()
-        entry, _is_new = pit.insert(view, 1)
         exact = Data(name=interest.name, content=b"x")
         longer = Data(name=interest.name.append("more"), content=b"x")
         for data in (exact, longer):
-            assert entry.matches_data(WirePacket(data.encode())) == interest.matches_data(data)
+            pit = PendingInterestTable()
+            pit.insert(WirePacket(interest.encode()), 1)
+            satisfied = pit.satisfy(WirePacket(data.encode())) == [1]
+            assert satisfied == interest.matches_data(data)
 
 
 # -- WirePacket behaviour ------------------------------------------------------

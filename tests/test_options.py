@@ -47,10 +47,9 @@ OPTIONS = {
     "repro.core.client:LIDCClient.submit_interest": ("request", "unique"),
     "repro.core.client:LIDCClient.submit": ("request", "unique", "fetch_result"),
     "repro.core.client:LIDCClient.submit_many": ("requests", "fetch_result"),
-    "repro.core.client:LIDCClient.poll_status": ("job_id", "lifetime_s", "status_name"),
-    "repro.core.client:LIDCClient.wait_for_completion": ("job_id", "status_name", "_handle"),
+    "repro.core.client:LIDCClient.poll_status": ("status_name", "lifetime_s"),
     "repro.core.client:LIDCClient.retrieve_result": ("result_name", "fetch_payload"),
-    "repro.core.client:JobHandle": ("client", "request", "done", "unique", "fetch_result"),
+    "repro.core.client:JobHandle": ("request", "done", "unique", "fetch_result"),
     "repro.core.workflow:GenomicsWorkflow": ("client", "fetch_results"),
     "repro.core.workflow:GenomicsWorkflow.run": ("request",),
     "repro.core.workflow:GenomicsWorkflow.blast": ("srr_id", "reference", "cpu", "memory_gb"),
@@ -91,7 +90,6 @@ OPTIONS = {
     "repro.cluster.cluster:Cluster.create_deployment": ("template", "name"),
     "repro.cluster.cluster:Cluster.create_service": ("name", "selector", "service_type"),
     "repro.cluster.cluster:Cluster.create_pvc": ("name",),
-    "repro.cluster.cluster:Cluster.job": ("name",),
     "repro.cluster.node:Node": ("metadata", "capacity"),
     "repro.cluster.node:Node.build": ("name", "cpu", "memory"),
     "repro.cluster.objects:ObjectMeta": ("name", "namespace", "labels"),
@@ -119,6 +117,7 @@ OPTIONS = {
     "repro.datalake.loader:DataLoadingTool.create_datalake": ("pvc_name", "lake_name"),
     # The NDN endpoints: a local face hands packets straight over, and a
     # producer that answers later does so through its app face.
+    "repro.ndn.forwarder:Forwarder": ("env", "name", "cs_capacity", "tracer"),
     "repro.ndn.forwarder:Forwarder.attach_producer": ("prefix", "handler"),
     "repro.ndn.forwarder:Forwarder.abort_pending": ("predicate",),
     "repro.ndn.shard:ShardedForwarder.attach_producer": ("prefix", "handler"),
@@ -252,6 +251,23 @@ GONE = (
     "repro.core.client:JobHandle.result",
     "repro.core.client:SubmissionResult.ack_latency",
     "repro.core.client:LIDCClient._deadline_expired",
+    # A job session keeps one record, the handle's JobOutcome: the handle
+    # mirrors none of it, and status tracking writes into it directly.
+    "repro.core.client:JobHandle.state",
+    "repro.core.client:JobHandle.submission",
+    "repro.core.client:JobHandle.accepted",
+    "repro.core.client:JobHandle.cluster",
+    "repro.core.client:JobHandle.succeeded",
+    "repro.core.client:JobHandle.status",
+    "repro.core.client:JobHandle._complete",
+    "repro.core.client:JobHandle._id_counter",
+    "repro.core.client:LIDCClient.wait_for_completion",
+    "repro.core.client:LIDCClient._failed_outcome",
+    "repro.core.client:SubmissionResult.submitted_at",
+    "repro.core.client:SubmissionResult.acknowledged_at",
+    # A gateway job record links its Kubernetes Job itself.
+    "repro.core.spec:JobRecord.k8s_job_name",
+    "repro.cluster.cluster:Cluster.job",
     "repro.exceptions:ProcessInterrupt",
     "repro.sim.engine:_Interruption",
     "repro.sim.engine:Process.interrupt",
@@ -303,6 +319,7 @@ GONE = (
     "repro.ndn.packet:Interest.nack",
     "repro.ndn.packet:Interest.with_decremented_hop_limit",
     "repro.ndn.packet:WirePacket.matches_data",
+    "repro.ndn.pit:PitEntry.matches_data",
     "repro.ndn.packet:WirePacket.encode",
     "repro.ndn.packet:WirePacket._header",
     "repro.ndn.packet:InterestLike",
