@@ -80,9 +80,10 @@ class LIDCCluster:
         if gateway_shards > 1:
             # A sharded gateway data plane: the /ndn/k8s namespace shares
             # its first components, so partition on the fourth (application
-            # for compute, dataset for data) — deep enough to spread load,
-            # shallow enough that every prefix-matched exchange stays on
-            # one shard (see the repro.ndn.shard partitioning contract).
+            # for compute, dataset for data) — deep enough to spread load;
+            # an Interest and its Data carry one name, so every exchange
+            # stays on one shard (see the repro.ndn.shard partitioning
+            # contract).
             self.gateway_nfd: "Forwarder | ShardedForwarder" = ShardedForwarder(
                 env, name=f"{spec.name}-gw-nfd", shards=gateway_shards,
                 key_depth=4, cs_capacity=CS_CAPACITY, tracer=self.tracer,

@@ -26,6 +26,10 @@ from repro.sim.rng import SeededRNG
 
 __all__ = ["Consumer", "RetryPolicy"]
 
+#: The Nack reasons a ``retry_nacks`` policy retransmits on: NoRoute and
+#: Congestion are transient routing states, a Duplicate is a loop.
+_RETRIABLE_REASONS = (NackReason.NO_ROUTE, NackReason.CONGESTION)
+
 
 @dataclass(slots=True, frozen=True)
 class RetryPolicy:
@@ -38,8 +42,8 @@ class RetryPolicy:
     across concurrent sessions.  ``deadline_s`` bounds the whole exchange
     (first transmission to final verdict); once the budget is spent the
     exchange fails even if retries remain.  ``retry_nacks`` additionally
-    retransmits on retriable Nacks (NoRoute / Congestion — transient
-    routing states) instead of failing on first refusal.
+    retransmits on retriable Nacks (:data:`_RETRIABLE_REASONS`) instead of
+    failing on first refusal.
     """
 
     max_retries: int = 3
@@ -49,7 +53,6 @@ class RetryPolicy:
     jitter: float = 0.0
     deadline_s: Optional[float] = None
     retry_nacks: bool = False
-    retriable_reasons: tuple = (NackReason.NO_ROUTE, NackReason.CONGESTION)
 
     def backoff_s(self, attempt: int, rng: Optional[SeededRNG] = None) -> float:
         """Backoff before retransmission number ``attempt`` (1-based)."""
@@ -62,7 +65,7 @@ class RetryPolicy:
         return base
 
     def should_retry_nack(self, reason: int) -> bool:
-        return self.retry_nacks and reason in self.retriable_reasons
+        return self.retry_nacks and reason in _RETRIABLE_REASONS
 
 
 #: What ``retry_policy=None`` means: one transmission, no retransmission.
@@ -115,10 +118,6 @@ class Consumer:
         #: consumers never share a jitter sequence yet replays are exact.
         self._rng = rng or SeededRNG(sum(name.encode("utf-8")))
         self._pending: dict[Name, list[_PendingInterest]] = {}
-        #: Number of in-flight Interests with ``can_be_prefix``; kept so the
-        #: Data path can skip the full prefix scan when (as is typical for
-        #: many concurrent job sessions) every pending Interest is exact-match.
-        self._prefix_pending = 0
         self._faces: list[Face] = []
         self.face, self._fwd_face = connect(
             env, self, forwarder, label=f"{name}<->{forwarder.name}", face_cls=LocalFace
@@ -152,9 +151,7 @@ class Consumer:
         self,
         name: "Name | str | Interest",
         lifetime: Optional[float] = None,
-        can_be_prefix: bool = False,
         must_be_fresh: bool = False,
-        application_parameters: bytes = b"",
         retry_policy: Optional[RetryPolicy] = None,
     ) -> Event:
         """Send an Interest; returns an event completing with the Data.
@@ -172,10 +169,8 @@ class Consumer:
         else:
             interest = Interest(
                 name=parse_name(name) if isinstance(name, str) else name,
-                can_be_prefix=can_be_prefix,
                 must_be_fresh=must_be_fresh,
                 lifetime=lifetime if lifetime is not None else 4.0,
-                application_parameters=application_parameters,
             )
         policy = retry_policy if retry_policy is not None else NO_RETRY
         completion = self.env.event(name="fetch")
@@ -188,8 +183,6 @@ class Consumer:
             first_sent_at=self.env.now,
         )
         self._pending.setdefault(interest.name, []).append(pending)
-        if interest.can_be_prefix:
-            self._prefix_pending += 1
         self._transmit(pending)
         return completion
 
@@ -271,7 +264,6 @@ class Consumer:
         interest = pending.interest
         pending.interest = Interest(
             name=interest.name,
-            can_be_prefix=interest.can_be_prefix,
             must_be_fresh=interest.must_be_fresh,
             lifetime=interest.lifetime,
             application_parameters=interest.application_parameters,
@@ -290,8 +282,6 @@ class Consumer:
         bucket = self._pending.get(pending.interest.name, [])
         if pending in bucket:
             bucket.remove(pending)
-            if pending.interest.can_be_prefix:
-                self._prefix_pending -= 1
         if not bucket:
             self._pending.pop(pending.interest.name, None)
 
@@ -300,26 +290,14 @@ class Consumer:
         return sum(len(bucket) for bucket in self._pending.values())
 
     def _on_data(self, data: Data) -> None:
-        """Resolve the pending Interests this Data satisfies.
+        """Resolve the pending Interests under exactly this Data's name.
 
-        Exact-name lookup first — O(1) regardless of how many unrelated
-        Interests are in flight, which is what keeps N concurrent job
-        sessions on one consumer cheap.  The linear scan only runs for the
-        (rare) prefix-matching Interests.
+        One lookup, regardless of how many unrelated Interests are in
+        flight, which is what keeps N concurrent job sessions on one
+        consumer cheap.
         """
         self.data_received += 1
-        matches: list[_PendingInterest] = []
-        bucket = self._pending.get(data.name)
-        if bucket:
-            matches.extend(p for p in bucket if p.interest.matches_data(data))
-        if self._prefix_pending:
-            for name, prefix_bucket in list(self._pending.items()):
-                if name == data.name:
-                    continue
-                for pending in prefix_bucket:
-                    if pending.interest.can_be_prefix and pending.interest.matches_data(data):
-                        matches.append(pending)
-        for pending in matches:
+        for pending in list(self._pending.get(data.name, ())):
             self._settle(pending)
             if not pending.completion.triggered:
                 pending.completion.succeed(data)

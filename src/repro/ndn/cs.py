@@ -10,10 +10,8 @@ The store is a bounded LRU.  The entry dict is kept in recency order
 evicted with ``popitem(last=False)``, so both are O(1).  Capacity 0 disables
 caching.  Lowering :attr:`ContentStore.capacity` evicts lazily: a new insert
 evicts while the store is full, a refresh evicts while it is over capacity.
-
-``can_be_prefix`` lookups and prefix erasure descend a shared
-:class:`~repro.ndn.nametree.NameTree` index instead of scanning every entry,
-so their cost is bounded by the matching subtree, not the store size.
+Every Interest is exact-match, so a lookup and an erase each touch the one
+entry under exactly their name.
 
 Entries and lookups are :class:`~repro.ndn.packet.WirePacket` views: a
 transiting Data is cached and re-served as its wire buffer without ever
@@ -44,7 +42,7 @@ from typing import Callable, Optional
 
 from repro.exceptions import NDNError
 from repro.ndn.name import Name
-from repro.ndn.nametree import NameTree, as_name
+from repro.ndn.nametree import as_name
 from repro.ndn.packet import WirePacket
 
 __all__ = ["ContentStore"]
@@ -81,11 +79,6 @@ class ContentStore:
         self._clock = clock or (lambda: 0.0)
         #: Entries in recency order, least recent first.
         self._entries: "OrderedDict[Name, _CsEntry]" = OrderedDict()
-        #: Prefix index over the same entries, for can_be_prefix lookups and
-        #: prefix erasure.  Built lazily on the first prefix operation so
-        #: exact-match-only workloads never pay for its maintenance, then
-        #: kept in sync incrementally.
-        self._index: Optional[NameTree] = None
         #: Coherence hook: called with each Name leaving the store (capacity
         #: eviction, ``erase`` or ``clear``) so an upstream exact-match
         #: mirror — e.g. the shard dispatcher's hot cache — can drop its
@@ -146,60 +139,28 @@ class ContentStore:
             return
         while len(entries) >= self._capacity:
             self._evict_one()
-        entry = _CsEntry(data=data, arrival_time=now)
-        entries[name] = entry
-        if self._index is not None:
-            self._index.set(name, entry)
+        entries[name] = _CsEntry(data=data, arrival_time=now)
         self.insertions += 1
 
     def _evict_one(self) -> None:
         victim, _ = self._entries.popitem(last=False)
-        if self._index is not None:
-            self._index.remove(victim)
         self.evictions += 1
         if self.on_evict is not None:
             self.on_evict(victim)
 
-    def _ensure_index(self) -> NameTree:
-        """The prefix index, built from the live entries on first use."""
-        if self._index is None:
-            self._index = NameTree()
-            for name, entry in self._entries.items():
-                self._index.set(name, entry)
-        return self._index
-
     # -- lookup ----------------------------------------------------------------
 
     def find(self, interest: WirePacket) -> Optional[WirePacket]:
-        """Return cached Data satisfying ``interest``, or ``None``.
+        """Return the cached Data named exactly as ``interest``, or ``None``.
 
-        Exact-name lookups are O(1); prefix lookups descend the name-tree
-        index and return the canonically-smallest acceptable entry
-        (deterministic choice, identical to scanning for the minimum name).
+        An Interest with MustBeFresh accepts only an entry still within its
+        freshness period.
         """
-        now = self._clock()
         name = interest.name
-        if not interest.can_be_prefix:
-            entry = self._entries.get(name)
-            if entry is None or not self._acceptable(entry, interest, now):
-                self.misses += 1
-                return None
-            return self._hit(entry, name)
-        item = self._ensure_index().first_under(
-            name,
-            lambda _name, entry: self._acceptable(entry, interest, now),
-        )
-        if item is None:
+        entry = self._entries.get(name)
+        if entry is None or (interest.must_be_fresh and not entry.is_fresh(self._clock())):
             self.misses += 1
             return None
-        return self._hit(item[1], item[0])
-
-    def _acceptable(self, entry: _CsEntry, interest: WirePacket, now: float) -> bool:
-        if interest.must_be_fresh and not entry.is_fresh(now):
-            return False
-        return True
-
-    def _hit(self, entry: _CsEntry, name: Name) -> WirePacket:
         self._entries.move_to_end(name)
         self.hits += 1
         return entry.data
@@ -217,20 +178,14 @@ class ContentStore:
 
     # -- maintenance ------------------------------------------------------------
 
-    def erase(self, prefix: "Name | str") -> int:
-        """Remove every entry under ``prefix``; returns the count removed."""
-        index = self._ensure_index()
-        victims = [name for name, _entry in index.items_under(prefix)]
-        for name in victims:
-            del self._entries[name]
-            index.remove(name)
-            if self.on_evict is not None:
-                self.on_evict(name)
-        return len(victims)
+    def erase(self, name: "Name | str") -> None:
+        """Remove the entry under exactly ``name``, if there is one."""
+        name = as_name(name)
+        if self._entries.pop(name, None) is not None and self.on_evict is not None:
+            self.on_evict(name)
 
     def clear(self) -> None:
         if self.on_evict is not None:
             for name in self._entries:
                 self.on_evict(name)
         self._entries.clear()
-        self._index = None

@@ -5,8 +5,8 @@ longest-prefix match over name components — the mechanism that lets
 ``/ndn/k8s/compute`` and ``/ndn/k8s/data`` route to different places while a
 bare ``/ndn/k8s`` route acts as a fallback.
 
-The trie itself lives in :mod:`repro.ndn.nametree` and is shared with the
-Content Store; this module specialises it to :class:`FibEntry` values.
+The trie itself lives in :mod:`repro.ndn.nametree`; this module
+specialises it to :class:`FibEntry` values.
 """
 
 from __future__ import annotations

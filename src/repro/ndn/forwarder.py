@@ -9,7 +9,7 @@ Interest pipeline
     (or NACK ``NoRoute``).
 
 Data pipeline
-    PIT match (drop unsolicited unless configured otherwise) → Content Store
+    PIT match by exact name (unsolicited Data is dropped) → Content Store
     insert → forward to every downstream face.
 
 Nack pipeline
@@ -112,9 +112,6 @@ class Forwarder:
                 continue  # this entry never went upstream over the dead face
             if entry.out_records:
                 continue  # another upstream transmission is still in flight
-            if not entry.in_records:
-                self.pit.remove_from_key((entry.name, entry.can_be_prefix))
-                continue
             # Retry through the normal pipeline: the removed face is gone
             # from the FIB, and ``_reject`` Nacks the downstreams when no
             # alternative next hop remains.
@@ -328,22 +325,18 @@ class Forwarder:
         self.metrics.counter("data_received").inc()
         self.tracer.record("data", "in", name=data.name, face=in_face.face_id)
 
-        # Read before ``satisfy`` consumes it: more than one out-record on
-        # the entry for exactly this name means the exchange retried.
-        exact = self.pit.entry_at((data.name, False))
-        retried = exact is not None and len(exact.out_records) > 1
-        downstream = self.pit.satisfy(data)
-        if not downstream:
+        entry = self.pit.satisfy(data)
+        if entry is None:
             self.metrics.counter("data_unsolicited").inc()
             return
 
         self.cs.insert(data)
-        if retried:
-            # The first upstream choice was wrong and this one was right:
-            # tell the strategy, so an ownership-aware one can go straight
-            # here next time.  Exchanges that never retried skip this.
+        if len(entry.out_records) > 1:
+            # The exchange retried: the first upstream choice was wrong and
+            # this one was right.  Tell the strategy, so an ownership-aware
+            # one can go straight here next time.
             self.strategies.find(data.name).note_answer(data.name, in_face.face_id)
-        for face_id in downstream:
+        for face_id in entry.in_records:
             if face_id == in_face.face_id:
                 continue
             face = self._live(face_id, owed=True)

@@ -14,9 +14,16 @@ A :class:`~repro.ndn.name.Name` is its Name TLV-VALUE, so encoding a name
 copies its bytes into the packet (:func:`encode_name_value` is those bytes)
 and decoding one is a single validating walk over the slice of the wire
 (:meth:`Name.from_wire <repro.ndn.name.Name.from_wire>`).
-:attr:`WirePacket.name` wraps the same slice that
-:attr:`WirePacket.name_bytes` hands the shard dispatcher, so no packet ever
-builds a :class:`~repro.ndn.name.Component` in transit.
+:attr:`WirePacket.name` wraps the same bytes that
+:attr:`WirePacket.name_bytes` hands the PIT and the shard dispatcher, so no
+packet ever builds a :class:`~repro.ndn.name.Component` in transit.
+
+Every Interest is exact-match: it asks for the Data whose name equals its
+own.  Decoding an Interest that carries a CanBePrefix element raises
+(:meth:`Interest.decode`, and so :meth:`WirePacket.decode`), so an endpoint
+that decodes never answers a prefix request as if it were exact.  A transit
+hop, and a producer that reads only the view's name, matches such a
+foreign packet by exact name like any other.
 """
 
 from __future__ import annotations
@@ -92,7 +99,7 @@ def encode_name_value(name: Name) -> bytes:
 
     A :class:`Name` holds exactly these bytes, so this returns them as is.
     They are the canonical byte form of a name on the wire, and therefore
-    the key the shard dispatcher caches and hashes on
+    the key the PIT and the shard dispatcher hash on
     (:attr:`WirePacket.name_bytes` is the same bytes sliced out of a
     received buffer).  Because TLV encoding is self-delimiting, name A is a
     prefix of name B exactly when ``encode_name_value(A)`` is a byte-prefix
@@ -176,7 +183,6 @@ class Interest:
     """
 
     name: Name
-    can_be_prefix: bool = False
     must_be_fresh: bool = False
     nonce: int = field(default_factory=_next_nonce)
     lifetime: float = DEFAULT_INTEREST_LIFETIME
@@ -195,22 +201,12 @@ class Interest:
         # at most once no matter how many faces record its size.
         self._wire: "bytes | None" = None
 
-    # -- matching -----------------------------------------------------------------
-
-    def matches_data(self, data: "Data") -> bool:
-        """True when ``data`` satisfies this Interest (exact or prefix match)."""
-        if self.can_be_prefix:
-            return self.name.is_prefix_of(data.name)
-        return self.name == data.name
-
     # -- wire encoding ---------------------------------------------------------------
 
     def encode(self) -> bytes:
         if self._wire is not None:
             return self._wire
         body = _encode_name(self.name)
-        if self.can_be_prefix:
-            body += encode_tlv(TlvTypes.CAN_BE_PREFIX, b"")
         if self.must_be_fresh:
             body += encode_tlv(TlvTypes.MUST_BE_FRESH, b"")
         body += encode_tlv(TlvTypes.NONCE, self.nonce.to_bytes(4, "big"))
@@ -231,10 +227,11 @@ class Interest:
     @classmethod
     def decode(cls, wire: bytes) -> "Interest":
         spans = _fields(wire, TlvTypes.INTEREST)
+        if TlvTypes.CAN_BE_PREFIX in spans:
+            raise TLVDecodeError("CanBePrefix is not supported: every Interest is exact-match")
         try:
             return cls(
                 name=_parse_name(wire, spans.get(TlvTypes.NAME)),
-                can_be_prefix=TlvTypes.CAN_BE_PREFIX in spans,
                 must_be_fresh=TlvTypes.MUST_BE_FRESH in spans,
                 nonce=_parse_nonce(wire, spans.get(TlvTypes.NONCE)),
                 lifetime=_parse_ms(
@@ -372,10 +369,9 @@ class WirePacket:
     is an attribute and a malformed or overrunning outer TLV raises
     :class:`~repro.exceptions.TLVDecodeError` right there.  Every other
     header question a forwarder asks in transit — ``name``,
-    ``can_be_prefix``, ``must_be_fresh``, ``nonce``, ``hop_limit``,
-    ``freshness_period``, a Nack's ``reason`` — is answered by a single
-    shallow TLV walk over the body, caching byte spans rather than
-    materialising packet objects.  :meth:`decode` builds the full
+    ``must_be_fresh``, ``nonce``, ``hop_limit``, ``freshness_period``, a
+    Nack's ``reason`` — is answered by a single shallow TLV walk over the
+    body, caching byte spans rather than materialising packet objects.  :meth:`decode` builds the full
     :class:`Interest` or :class:`Data` on demand (application endpoints do
     this; intermediate hops never need to), and :attr:`wire` returns the
     original buffer for re-transmit, so forwarding never re-encodes.  A
@@ -507,18 +503,23 @@ class WirePacket:
     def name_bytes(self) -> bytes:
         """The packet name as canonical wire bytes (the Name TLV's value).
 
-        This is the shard dispatcher's key: a single memoised slice of the
-        buffer, so repeat dispatch of the same view neither re-walks TLV
-        spans nor materialises :class:`~repro.ndn.name.Name` components.  A
-        Nack exposes its enclosed Interest's name bytes.  Equal to
-        :func:`encode_name_value` of :attr:`name`.
+        This is the PIT's and the shard dispatcher's key: memoised, so
+        repeat reads of the same view neither re-walk TLV spans nor
+        materialise :class:`~repro.ndn.name.Name` components.  A Nack
+        exposes its enclosed Interest's name bytes.  Equal to
+        :func:`encode_name_value` of :attr:`name`, and the very same bytes
+        once the name is parsed, so a cached view holds one copy.
 
-        When the span table is not already populated, the slice is taken
-        from the packet's *first* body TLV (the Name leads both Interests
-        and Data in this codec, as in NDN v0.3) — one header decode, no
-        full span walk; packets that deviate fall back to the scan.
+        Otherwise the slice is taken from the packet's *first* body TLV
+        when the span table is not already populated (the Name leads both
+        Interests and Data in this codec, as in NDN v0.3) — one header
+        decode, no full span walk; packets that deviate fall back to the
+        scan.
         """
         if self._name_tlv is None:
+            if self._name is not None or self._decoded is not None:
+                self._name_tlv = encode_name_value(self.name)
+                return self._name_tlv
             if self.packet_type == TlvTypes.NACK:
                 self._name_tlv = self.interest.name_bytes
                 return self._name_tlv
@@ -534,13 +535,6 @@ class WirePacket:
                 raise TLVDecodeError("packet without a Name")
             self._name_tlv = self._buf[span[1]:span[2]]
         return self._name_tlv
-
-    @property
-    def can_be_prefix(self) -> bool:
-        if self._decoded is not None:
-            return self._decoded.can_be_prefix
-        self._require(TlvTypes.INTEREST, "can_be_prefix")
-        return TlvTypes.CAN_BE_PREFIX in self._scan()
 
     @property
     def must_be_fresh(self) -> bool:

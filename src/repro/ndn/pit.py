@@ -4,14 +4,13 @@ The PIT records which faces asked for which names so that returning Data can
 be sent back along the reverse path, and so that identical in-flight requests
 are aggregated (one upstream transmission serves many downstream consumers).
 
-Two hot paths avoid scanning the table:
-
-* ``expire()`` pops a lazy min-heap of record expiries, so the common case
-  (nothing expired) is a single peek instead of an O(n) sweep per packet.
-* ``satisfy()`` probes the entry dict once per prefix of the Data name
-  (exact key plus each ``can_be_prefix`` prefix key) instead of testing
-  every pending entry — and skips the per-prefix probes altogether while
-  no ``can_be_prefix`` entry is live (a counter, not a scan).
+Every Interest is exact-match, so a name has at most one entry and a Data
+satisfies exactly the entry under its own name.  Entries are keyed on the
+name's wire bytes (:attr:`~repro.ndn.packet.WirePacket.name_bytes`), so a
+probe hashes and compares ``bytes`` in C and never builds a
+:class:`~repro.ndn.name.Name` key.  ``expire()`` pops a lazy min-heap of
+record expiries, so the common case (nothing expired) is a single peek
+instead of an O(n) sweep per packet.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ class PitEntry:
     """
 
     name: Name
-    can_be_prefix: bool
     #: The most recent Interest inserted under this entry.  Kept so
     #: control-plane cleanup (face removal, shard rebalance) can re-forward
     #: the Interest or Nack the downstreams without re-synthesising a packet.
@@ -75,18 +73,15 @@ class PitEntry:
 
 
 class PendingInterestTable:
-    """PIT keyed by (name, can_be_prefix)."""
+    """PIT keyed by name bytes: one entry per pending name."""
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock or (lambda: 0.0)
-        self._entries: dict[tuple[Name, bool], PitEntry] = {}
-        #: Live entries with ``can_be_prefix``; while it is zero the Data path
-        #: has no prefix key to probe for (and no prefix ``Name`` to build).
-        self._prefix_entries = 0
+        self._entries: dict[bytes, PitEntry] = {}
         #: Lazy expiry heap of (when, seq, key).  Keys may be stale (entry
         #: satisfied/removed or lifetime extended); ``expire()`` revalidates
         #: against the live entry before dropping anything.
-        self._expiry_heap: list[tuple[float, int, tuple[Name, bool]]] = []
+        self._expiry_heap: list[tuple[float, int, bytes]] = []
         self._heap_seq = 0
         self.aggregated = 0
         self.satisfied = 0
@@ -95,17 +90,7 @@ class PendingInterestTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _key(self, interest: WirePacket) -> tuple[Name, bool]:
-        return (interest.name, interest.can_be_prefix)
-
-    def _pop(self, key: tuple[Name, bool]) -> Optional[PitEntry]:
-        """Remove and return the entry under ``key`` (the one removal path)."""
-        entry = self._entries.pop(key, None)
-        if entry is not None and entry.can_be_prefix:
-            self._prefix_entries -= 1
-        return entry
-
-    def _push_expiry(self, key: tuple[Name, bool], when: float) -> None:
+    def _push_expiry(self, key: bytes, when: float) -> None:
         heapq.heappush(self._expiry_heap, (when, self._heap_seq, key))
         self._heap_seq += 1
 
@@ -117,16 +102,13 @@ class PendingInterestTable:
         Returns ``(entry, is_new)``; ``is_new`` is False when the Interest was
         aggregated onto an existing entry (already pending upstream).
         """
-        key = self._key(interest)
+        key = interest.name_bytes
         now = self._clock()
         expiry = now + interest.lifetime
         entry = self._entries.get(key)
         is_new = entry is None
         if entry is None:
-            entry = PitEntry(name=key[0], can_be_prefix=key[1], interest=interest)
-            self._entries[key] = entry
-            if entry.can_be_prefix:
-                self._prefix_entries += 1
+            entry = self._entries[key] = PitEntry(name=interest.name, interest=interest)
         else:
             self.aggregated += 1
             entry.interest = interest
@@ -137,12 +119,12 @@ class PendingInterestTable:
 
     def is_duplicate_nonce(self, interest: WirePacket) -> bool:
         """Loop detection: same name with a nonce we have already seen."""
-        entry = self._entries.get(self._key(interest))
+        entry = self._entries.get(interest.name_bytes)
         return entry is not None and interest.nonce in entry.nonces
 
     def record_out(self, interest: WirePacket, out_face_id: int) -> None:
         """Record that the Interest was forwarded upstream on ``out_face_id``."""
-        key = self._key(interest)
+        key = interest.name_bytes
         entry = self._entries.get(key)
         if entry is None:
             return
@@ -154,49 +136,18 @@ class PendingInterestTable:
 
     # -- Data path -----------------------------------------------------------------
 
-    def _matching_keys(self, data: WirePacket) -> list[tuple[Name, bool]]:
-        """Keys of entries ``data`` satisfies, probing one key per prefix.
-
-        An exact entry matches only under the full name; a prefix entry
-        matches under any leading prefix (including the full name and the
-        root).  Order is deterministic: exact first, then prefixes from
-        shortest to longest.
-        """
-        keys: list[tuple[Name, bool]] = []
-        exact_key = (data.name, False)
-        if exact_key in self._entries:
-            keys.append(exact_key)
-        if self._prefix_entries:
-            for length in range(len(data.name) + 1):
-                key = (data.name.prefix(length), True)
-                if key in self._entries:
-                    keys.append(key)
-        return keys
-
-    def satisfy(self, data: WirePacket) -> list[int]:
-        """Consume entries matched by ``data``; returns downstream face ids."""
-        faces: list[int] = []
-        for key in self._matching_keys(data):
-            entry = self._pop(key)
+    def satisfy(self, data: WirePacket) -> Optional[PitEntry]:
+        """Consume and return the entry under ``data``'s name, or ``None``."""
+        entry = self._entries.pop(data.name_bytes, None)
+        if entry is not None:
             self.satisfied += 1
-            for face_id in entry.downstream_faces():
-                if face_id not in faces:
-                    faces.append(face_id)
-        return faces
+        return entry
 
     def find_exact(self, interest: WirePacket) -> Optional[PitEntry]:
-        return self._entries.get(self._key(interest))
-
-    def entry_at(self, key: tuple[Name, bool]) -> Optional[PitEntry]:
-        """The entry under a (name, can_be_prefix) key, or ``None``."""
-        return self._entries.get(key)
+        return self._entries.get(interest.name_bytes)
 
     def remove(self, interest: WirePacket) -> None:
-        self._pop(self._key(interest))
-
-    def remove_from_key(self, key: tuple[Name, bool]) -> None:
-        """Drop an entry by its (name, can_be_prefix) key (cleanup paths)."""
-        self._pop(key)
+        self._entries.pop(interest.name_bytes, None)
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -220,7 +171,7 @@ class PendingInterestTable:
                 continue  # already satisfied or removed
             actual = entry.expiry()
             if actual <= now:
-                self._pop(key)
+                del self._entries[key]
                 dead.append(entry)
                 self.expired += 1
             else:

@@ -30,12 +30,6 @@ Partitioning contract
 * A *prefix* (route or producer) with at least ``key_depth`` components has
   exactly one owning shard; a shorter prefix spans the whole key space and
   is installed on every shard.
-* Correctness caveat: a ``can_be_prefix`` Interest whose name is shorter
-  than ``key_depth`` may hash to a different shard than the Data that would
-  answer it.  Keep ``key_depth`` at most the length of the shortest
-  prefix-matched Interest name (the default of 1 is always safe for
-  non-empty names, because a satisfying Data name extends the Interest
-  name and therefore shares its first component).
 
 Dispatcher fast path
 --------------------
@@ -616,10 +610,9 @@ class ShardedForwarder:
                 if len(name) >= self.key_depth
                 and self._shard_of(name) != index
             ]
-            before = len(shard.cs)
             for name in moved:
                 shard.cs.erase(name)
-            report.cs_entries_dropped += before - len(shard.cs)
+            report.cs_entries_dropped += len(moved)
         if shards < old_count:
             for index in range(shards, old_count):
                 shard = self.shards[index]

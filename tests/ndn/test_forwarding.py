@@ -284,20 +284,6 @@ class TestForwarderPipelines:
         assert data.content == b"ok"
         assert edge.metrics.counter("nack_retries").value >= 1
 
-    def test_a_satisfied_can_be_prefix_exchange_leaves_its_name_routable(self, env):
-        """``/a`` answered by ``/a/b`` must not leave the producer marked as
-        tried for ``/a``: the next CanBePrefix Interest for ``/a`` reaches it
-        again (no Content Store at capacity 0 to hide the defect)."""
-        edge = Forwarder(env, "edge", cs_capacity=0)
-        edge.attach_producer("/a", lambda i: Data(name=Name("/a/b"), content=b"b"))
-        consumer = Consumer(env, edge)
-        for _ in range(2):
-            data = env.run(until=consumer.express_interest(
-                "/a", can_be_prefix=True, lifetime=1.0))
-            assert data.name == Name("/a/b")
-        assert edge.metrics.counter("interests_nacked").value == 0
-        assert len(edge.pit) == 0
-
     def test_each_upstream_is_tried_once_before_the_downstream_is_nacked(self, env):
         """The PIT entry's out-records are the upstreams already tried: every
         next hop is asked exactly once, then the consumer gets ``NoRoute``."""

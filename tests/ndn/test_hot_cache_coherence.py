@@ -281,7 +281,7 @@ class TestCoherence:
         node, driver, face = _rig(env, shards=1)
         _exchange(env, driver, face, "/p/obj")
         assert encode_name_value(Name("/p/obj")) in node.hot_cache
-        node.shards[0].cs.erase("/p")
+        node.shards[0].cs.erase("/p/obj")
         assert encode_name_value(Name("/p/obj")) not in node.hot_cache
         _exchange(env, driver, face, "/p/obj")
         assert node.hot_cache.hits == 0

@@ -109,7 +109,7 @@ class TestNameTreeOrder:
     def test_a_walk_visits_names_in_sorted_order(self, names):
         tree = NameTree()
         for index, name in enumerate(names):
-            tree.set(name, index)
+            tree.setdefault(name, lambda _name, index=index: index)
         walked = [name for name, _value in tree.items()]
         assert walked == sorted(set(names))
         assert walked == sorted(set(names), key=canonical_key)

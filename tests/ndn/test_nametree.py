@@ -1,4 +1,4 @@
-"""Tests for the generic name-prefix trie shared by the FIB and Content Store."""
+"""Tests for the name-prefix trie behind the FIB."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,10 +7,15 @@ from repro.ndn.name import Name
 from repro.ndn.nametree import NameTree
 
 
+def put(tree: NameTree, name, value) -> None:
+    """Store ``value`` at a name not yet in ``tree``."""
+    tree.setdefault(name, lambda _name: value)
+
+
 class TestPointOperations:
-    def test_set_get_roundtrip(self):
+    def test_stored_value_round_trips(self):
         tree = NameTree()
-        tree.set("/a/b", 1)
+        put(tree, "/a/b", 1)
         assert tree.get("/a/b") == 1
         assert tree.get(Name("/a/b")) == 1
         assert len(tree) == 1
@@ -20,23 +25,16 @@ class TestPointOperations:
         assert tree.get("/nope") is None
         assert tree.get("/nope", default=42) == 42
 
-    def test_set_overwrites_without_growing(self):
-        tree = NameTree()
-        tree.set("/a", 1)
-        tree.set("/a", 2)
-        assert tree.get("/a") == 2
-        assert len(tree) == 1
-
     def test_stored_none_is_distinct_from_absent(self):
         tree = NameTree()
-        tree.set("/a", None)
-        assert "/a" in tree
+        put(tree, "/a", None)
+        assert tree.get("/a", default=0) is None
         assert len(tree) == 1
-        assert "/b" not in tree
+        assert tree.get("/b", default=0) == 0
 
     def test_root_name_is_a_valid_key(self):
         tree = NameTree()
-        tree.set("/", "root")
+        put(tree, "/", "root")
         assert tree.get(Name()) == "root"
         assert tree.longest_prefix_item("/a/b") == (Name(), "root")
 
@@ -55,7 +53,7 @@ class TestPointOperations:
 
     def test_remove_prunes_empty_branches(self):
         tree = NameTree()
-        tree.set("/a/b/c", 1)
+        put(tree, "/a/b/c", 1)
         assert tree.remove("/a/b/c")
         assert len(tree) == 0
         assert not tree.remove("/a/b/c")
@@ -65,32 +63,24 @@ class TestPointOperations:
 
     def test_remove_keeps_shared_branches(self):
         tree = NameTree()
-        tree.set("/a/b", 1)
-        tree.set("/a/c", 2)
+        put(tree, "/a/b", 1)
+        put(tree, "/a/c", 2)
         tree.remove("/a/b")
         assert tree.get("/a/c") == 2
 
     def test_remove_interior_value_keeps_descendants(self):
         tree = NameTree()
-        tree.set("/a", 1)
-        tree.set("/a/b", 2)
+        put(tree, "/a", 1)
+        put(tree, "/a/b", 2)
         assert tree.remove("/a")
         assert tree.get("/a/b") == 2
         assert len(tree) == 1
 
-    def test_clear(self):
-        tree = NameTree()
-        tree.set("/a", 1)
-        tree.clear()
-        assert len(tree) == 0
-        assert tree.get("/a") is None
-
-
 class TestPrefixOperations:
     def test_longest_prefix_item(self):
         tree = NameTree()
-        tree.set("/a", "short")
-        tree.set("/a/b/c", "long")
+        put(tree, "/a", "short")
+        put(tree, "/a/b/c", "long")
         assert tree.longest_prefix_item("/a/b/c/d") == (Name("/a/b/c"), "long")
         assert tree.longest_prefix_item("/a/x") == (Name("/a"), "short")
         assert tree.longest_prefix_item("/zzz") is None
@@ -98,34 +88,10 @@ class TestPrefixOperations:
     def test_items_canonical_order(self):
         tree = NameTree()
         for uri in ("/b", "/a/x", "/a", "/a/x/y", "/c"):
-            tree.set(uri, uri)
+            put(tree, uri, uri)
         names = [name for name, _ in tree.items()]
         assert names == sorted(names)
         assert len(names) == 5
-
-    def test_items_under_scopes_to_subtree(self):
-        tree = NameTree()
-        for uri in ("/a/1", "/a/2", "/b/1", "/a"):
-            tree.set(uri, uri)
-        under = [str(name) for name, _ in tree.items_under("/a")]
-        assert under == ["/a", "/a/1", "/a/2"]
-        assert list(tree.items_under("/missing")) == []
-
-    def test_first_under_returns_smallest(self):
-        tree = NameTree()
-        tree.set("/a/b/2", 2)
-        tree.set("/a/b/1", 1)
-        tree.set("/a/c", 3)
-        assert tree.first_under("/a/b") == (Name("/a/b/1"), 1)
-
-    def test_first_under_with_predicate_skips_unacceptable(self):
-        tree = NameTree()
-        tree.set("/a/1", "skip")
-        tree.set("/a/2", "take")
-        item = tree.first_under("/a", lambda name, value: value == "take")
-        assert item == (Name("/a/2"), "take")
-        assert tree.first_under("/a", lambda name, value: False) is None
-
 
 _names = st.lists(
     st.text(alphabet="abc", min_size=1, max_size=2), min_size=1, max_size=4
@@ -137,30 +103,17 @@ class TestProperties:
     def test_behaves_like_a_dict_for_point_ops(self, entries):
         tree = NameTree()
         for name, value in entries.items():
-            tree.set(name, value)
+            put(tree, name, value)
         assert len(tree) == len(entries)
         for name, value in entries.items():
             assert tree.get(name) == value
         assert {name for name, _ in tree.items()} == set(entries)
 
     @given(entries=st.dictionaries(_names, st.integers(), max_size=20), query=_names)
-    def test_first_under_equals_min_scan(self, entries, query):
-        tree = NameTree()
-        for name, value in entries.items():
-            tree.set(name, value)
-        matching = [name for name in entries if query.is_prefix_of(name)]
-        item = tree.first_under(query)
-        if not matching:
-            assert item is None
-        else:
-            assert item is not None
-            assert item[0] == min(matching)
-
-    @given(entries=st.dictionaries(_names, st.integers(), max_size=20), query=_names)
     def test_longest_prefix_equals_scan(self, entries, query):
         tree = NameTree()
         for name, value in entries.items():
-            tree.set(name, value)
+            put(tree, name, value)
         matching = [name for name in entries if name.is_prefix_of(query)]
         item = tree.longest_prefix_item(query)
         if not matching:
@@ -173,7 +126,7 @@ class TestProperties:
     def test_insert_remove_all_leaves_empty_tree(self, entries):
         tree = NameTree()
         for name in entries:
-            tree.set(name, str(name))
+            put(tree, name, str(name))
         for name in entries:
             assert tree.remove(name)
         assert len(tree) == 0

@@ -100,9 +100,9 @@ class TestPartitioning:
 
     @given(prefix=names, suffix=st.lists(components, min_size=1, max_size=3),
            num_shards=shard_counts)
-    def test_prefix_interest_meets_its_extending_data(self, prefix, suffix, num_shards):
-        """With the default key depth a can_be_prefix Interest and any Data
-        extending its name share the first component, hence the shard."""
+    def test_a_name_and_its_extensions_share_a_shard(self, prefix, suffix, num_shards):
+        """With the default key depth a name and every extension of it share
+        the first component, hence the shard."""
         data_name = prefix.append(*suffix)
         assert dispatched_shard(Interest(name=prefix), num_shards) == dispatched_shard(
             Interest(name=data_name), num_shards
@@ -136,7 +136,6 @@ def cross(packet):
 interests = st.builds(
     Interest,
     name=names,
-    can_be_prefix=st.booleans(),
     must_be_fresh=st.booleans(),
     lifetime=st.integers(1, 60_000).map(lambda ms: ms / 1000),  # the wire keeps ms
     hop_limit=st.integers(1, 255),
@@ -192,7 +191,6 @@ class TestShardFaceCrossing:
         assert crossed.name == interest.name
         assert crossed.nonce == interest.nonce
         assert crossed.lifetime == interest.lifetime
-        assert crossed.can_be_prefix == interest.can_be_prefix
         assert crossed.must_be_fresh == interest.must_be_fresh
         assert crossed.application_parameters == interest.application_parameters
         assert not crossed.is_decoded
@@ -212,7 +210,7 @@ class TestShardFaceCrossing:
         assert crossed.nonce == interest.nonce
         assert crossed.hop_limit == interest.hop_limit
         assert crossed.lifetime == interest.lifetime
-        assert crossed.can_be_prefix == interest.can_be_prefix
+        assert crossed.must_be_fresh == interest.must_be_fresh
         assert crossed.with_decremented_hop_limit().hop_limit == interest.hop_limit - 1
         assert cross(nack).reason == reason
         assert not crossed.is_decoded

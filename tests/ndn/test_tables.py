@@ -1,7 +1,5 @@
 """Tests for the forwarder tables: Content Store, PIT and FIB."""
 
-import copy
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,12 +7,21 @@ from repro.exceptions import NDNError
 from repro.ndn.cs import ContentStore
 from repro.ndn.fib import Fib
 from repro.ndn.name import Name
-from repro.ndn.packet import Data, Interest
+from repro.ndn.packet import Data, Interest, WirePacket
 from repro.ndn.pit import PendingInterestTable
 
 
 def make_data(uri: str, freshness: float = 0.0) -> Data:
     return Data(name=Name(uri), content=b"x", freshness_period=freshness)
+
+
+def interest_view(uri: str, **fields) -> WirePacket:
+    """An Interest for ``uri`` as the wire view a forwarder receives."""
+    return WirePacket(Interest(name=Name(uri), **fields).encode())
+
+
+def data_view(uri: str) -> WirePacket:
+    return WirePacket(make_data(uri).encode())
 
 
 class TestContentStore:
@@ -37,13 +44,6 @@ class TestContentStore:
     def test_negative_capacity_rejected(self):
         with pytest.raises(NDNError):
             ContentStore(capacity=-1)
-
-    def test_prefix_match_returns_smallest_name(self):
-        cs = ContentStore(capacity=10)
-        cs.insert(make_data("/a/b/2"))
-        cs.insert(make_data("/a/b/1"))
-        found = cs.find(Interest(name=Name("/a/b"), can_be_prefix=True))
-        assert found.name == Name("/a/b/1")
 
     def test_exact_interest_does_not_prefix_match(self):
         cs = ContentStore(capacity=10)
@@ -83,13 +83,13 @@ class TestContentStore:
         cs.insert(make_data("/a"))
         assert len(cs) == 1
 
-    def test_erase_prefix(self):
+    def test_erase_drops_exactly_the_named_entry(self):
         cs = ContentStore(capacity=10)
-        cs.insert(make_data("/a/1"))
-        cs.insert(make_data("/a/2"))
-        cs.insert(make_data("/b/1"))
-        assert cs.erase("/a") == 2
-        assert len(cs) == 1
+        for uri in ("/a", "/a/1", "/a/2"):
+            cs.insert(make_data(uri))
+        cs.erase("/a/1")
+        cs.erase("/a/3")  # never cached: a no-op
+        assert [str(name) for name in cs.names()] == ["/a", "/a/2"]
 
     def test_stats_fields(self):
         cs = ContentStore(capacity=10)
@@ -140,32 +140,6 @@ class TestContentStoreRegressions:
         assert cs.evictions == 3 and cs.insertions == 3
         assert cs.find(Interest(name=Name("/a"))) is None
 
-    def test_prefix_find_after_eviction_does_not_resurrect(self):
-        cs = ContentStore(capacity=1)
-        cs.insert(make_data("/a/1"))
-        cs.insert(make_data("/a/2"))  # evicts /a/1
-        found = cs.find(Interest(name=Name("/a"), can_be_prefix=True))
-        assert found.name == Name("/a/2")
-
-    def test_prefix_find_after_erase(self):
-        cs = ContentStore(capacity=10)
-        cs.insert(make_data("/a/1"))
-        cs.insert(make_data("/a/2"))
-        cs.insert(make_data("/b/1"))
-        cs.erase("/a")
-        assert cs.find(Interest(name=Name("/a"), can_be_prefix=True)) is None
-        assert cs.find(Interest(name=Name("/b"), can_be_prefix=True)) is not None
-
-    def test_clear_resets_prefix_index(self):
-        cs = ContentStore(capacity=10)
-        cs.insert(make_data("/a/1"))
-        cs.clear()
-        assert cs.find(Interest(name=Name("/a"), can_be_prefix=True)) is None
-        cs.insert(make_data("/a/2"))
-        found = cs.find(Interest(name=Name("/a"), can_be_prefix=True))
-        assert found.name == Name("/a/2")
-
-
 class TestEvictionAccounting:
     def test_insertion_and_eviction_counters(self):
         cs = ContentStore(capacity=2)
@@ -207,16 +181,6 @@ class TestEvictionAccounting:
         cs.insert(make_data("/c"))
         assert "/b" not in cs
         assert "/a" in cs and "/c" in cs
-
-    def test_lru_prefix_find_updates_recency(self):
-        cs = ContentStore(capacity=2)
-        cs.insert(make_data("/a/1"))
-        cs.insert(make_data("/b/1"))
-        cs.find(Interest(name=Name("/a"), can_be_prefix=True))
-        cs.insert(make_data("/c/1"))
-        assert "/b/1" not in cs
-        assert "/a/1" in cs
-
 
 class _ReferenceLruModel:
     """A deliberately-naive min-scan model of the LRU store.
@@ -306,38 +270,28 @@ class TestCostIndependentOfStoreSize:
             cs.insert(Data(name=Name(f"/obj/{index // 100}/{index}"), content=b"z"))
         return cs
 
-    def _insert_costs(self, call_count, size: int) -> tuple[float, float, int]:
-        """Calls per insert into a full store, before and after the prefix
-        index is built, and the evictions those inserts made."""
+    def _insert_costs(self, call_count, size: int) -> tuple[float, int]:
+        """Calls per insert into a full store, and the evictions they made."""
         cs = self._full_store(size)
-        batches = [
-            [Data(name=Name(f"/new/{phase}/{i}"), content=b"z") for i in range(self.OPS)]
-            for phase in range(2)
-        ]
+        batch = [Data(name=Name(f"/new/{i}"), content=b"z") for i in range(self.OPS)]
 
-        def insert(batch):
+        def insert():
             for data in batch:
                 cs.insert(data)
 
         evictions = cs.evictions
-        exact_only = call_count(lambda: insert(batches[0]))
-        cs.find(Interest(name=Name("/new"), can_be_prefix=True))  # builds the index
-        indexed = call_count(lambda: insert(batches[1]))
-        return exact_only / self.OPS, indexed / self.OPS, cs.evictions - evictions
+        return call_count(insert) / self.OPS, cs.evictions - evictions
 
     def test_insert_with_eviction_costs_the_same_at_every_size(self, call_count):
         costs = [self._insert_costs(call_count, size) for size in self.SIZES]
         assert costs[0] == costs[1]
-        assert costs[0][2] == 2 * self.OPS  # exactly one eviction per insert
+        assert costs[0][1] == self.OPS  # exactly one eviction per insert
 
-    def test_prefix_find_costs_the_same_at_every_size(self, call_count):
-        interests = [
-            Interest(name=Name(f"/obj/{bucket}"), can_be_prefix=True) for bucket in range(10)
-        ]
+    def test_find_costs_the_same_at_every_size(self, call_count):
+        interests = [Interest(name=Name(f"/obj/{bucket}/{bucket * 100}")) for bucket in range(10)]
         per_find = []
         for size in self.SIZES:
             cs = self._full_store(size)
-            cs.find(interests[0])  # builds the index outside the count
             found = []
             calls = call_count(lambda: found.extend(cs.find(i) for i in interests))
             assert all(data is not None for data in found)
@@ -348,71 +302,54 @@ class TestCostIndependentOfStoreSize:
 class TestPit:
     def test_insert_creates_entry(self):
         pit = PendingInterestTable()
-        entry, is_new = pit.insert(Interest(name=Name("/a")), in_face_id=1)
+        entry, is_new = pit.insert(interest_view("/a"), in_face_id=1)
         assert is_new
         assert entry.downstream_faces() == [1]
         assert len(pit) == 1
 
     def test_aggregation_of_same_name(self):
         pit = PendingInterestTable()
-        pit.insert(Interest(name=Name("/a")), in_face_id=1)
-        _, is_new = pit.insert(Interest(name=Name("/a")), in_face_id=2)
+        pit.insert(interest_view("/a"), in_face_id=1)
+        _, is_new = pit.insert(interest_view("/a"), in_face_id=2)
         assert not is_new
         assert pit.aggregated == 1
         assert len(pit) == 1
 
     def test_duplicate_nonce_detection(self):
         pit = PendingInterestTable()
-        interest = Interest(name=Name("/a"))
+        interest = interest_view("/a")
         pit.insert(interest, in_face_id=1)
         assert pit.is_duplicate_nonce(interest)
-        other = Interest(name=Name("/a"))
+        other = interest_view("/a")
         assert not pit.is_duplicate_nonce(other)
 
-    def test_satisfy_returns_downstream_faces_and_removes_entry(self):
+    def test_satisfy_returns_the_entry_and_removes_it(self):
         pit = PendingInterestTable()
-        pit.insert(Interest(name=Name("/a")), in_face_id=1)
-        pit.insert(Interest(name=Name("/a")), in_face_id=2)
-        faces = pit.satisfy(make_data("/a"))
-        assert sorted(faces) == [1, 2]
+        entry, _ = pit.insert(interest_view("/a"), in_face_id=1)
+        pit.insert(interest_view("/a"), in_face_id=2)
+        assert pit.satisfy(data_view("/a")) is entry
+        assert sorted(entry.downstream_faces()) == [1, 2]
         assert len(pit) == 0
         assert pit.satisfied == 1
-
-    def test_prefix_entry_satisfied_by_longer_data(self):
-        pit = PendingInterestTable()
-        pit.insert(Interest(name=Name("/a"), can_be_prefix=True), in_face_id=3)
-        assert pit.satisfy(make_data("/a/b/c")) == [3]
+        assert pit.satisfy(data_view("/a")) is None
 
     def test_exact_entry_not_satisfied_by_longer_data(self):
         pit = PendingInterestTable()
-        pit.insert(Interest(name=Name("/a")), in_face_id=3)
-        assert pit.satisfy(make_data("/a/b")) == []
+        pit.insert(interest_view("/a"), in_face_id=3)
+        assert pit.satisfy(data_view("/a/b")) is None
+        assert len(pit) == 1
 
     def test_record_out_and_upstreams(self):
         pit = PendingInterestTable()
-        interest = Interest(name=Name("/a"))
+        interest = interest_view("/a")
         entry, _ = pit.insert(interest, in_face_id=1)
         pit.record_out(interest, out_face_id=9)
         assert list(entry.out_records) == [9]
 
-    def test_entry_at_finds_the_entry_under_its_key(self):
-        pit = PendingInterestTable()
-        exact, _ = pit.insert(Interest(name=Name("/a")), in_face_id=1)
-        prefix, _ = pit.insert(Interest(name=Name("/a"), can_be_prefix=True), in_face_id=2)
-        assert pit.entry_at((Name("/a"), False)) is exact
-        assert pit.entry_at((Name("/a"), True)) is prefix
-        assert pit.entry_at((Name("/b"), False)) is None
-
-    def test_entry_at_is_none_once_satisfied(self):
-        pit = PendingInterestTable()
-        pit.insert(Interest(name=Name("/a")), in_face_id=1)
-        assert pit.satisfy(make_data("/a")) == [1]
-        assert pit.entry_at((Name("/a"), False)) is None
-
     def test_expiry_removes_old_entries(self):
         clock = {"now": 0.0}
         pit = PendingInterestTable(clock=lambda: clock["now"])
-        pit.insert(Interest(name=Name("/a"), lifetime=1.0), in_face_id=1)
+        pit.insert(interest_view("/a", lifetime=1.0), in_face_id=1)
         clock["now"] = 0.5
         assert pit.expire() == []
         clock["now"] = 2.0
@@ -422,15 +359,15 @@ class TestPit:
 
     def test_remove_specific_entry(self):
         pit = PendingInterestTable()
-        interest = Interest(name=Name("/a"))
+        interest = interest_view("/a")
         pit.insert(interest, in_face_id=1)
         pit.remove(interest)
         assert len(pit) == 0
 
     def test_stats(self):
         pit = PendingInterestTable()
-        pit.insert(Interest(name=Name("/a")), in_face_id=1)
-        pit.insert(Interest(name=Name("/a")), in_face_id=2)
+        pit.insert(interest_view("/a"), in_face_id=1)
+        pit.insert(interest_view("/a"), in_face_id=2)
         assert len(pit) == 1
         assert (pit.aggregated, pit.satisfied, pit.expired) == (1, 0, 0)
 
@@ -439,7 +376,7 @@ class TestPit:
         heap must revalidate instead of dropping at the first deadline."""
         clock = {"now": 0.0}
         pit = PendingInterestTable(clock=lambda: clock["now"])
-        interest = Interest(name=Name("/a"), lifetime=1.0)
+        interest = interest_view("/a", lifetime=1.0)
         pit.insert(interest, in_face_id=1)
         clock["now"] = 0.8
         pit.record_out(interest, out_face_id=9)  # expiry now 1.8
@@ -455,8 +392,8 @@ class TestPit:
     def test_expire_after_satisfy_skips_stale_heap_entries(self):
         clock = {"now": 0.0}
         pit = PendingInterestTable(clock=lambda: clock["now"])
-        pit.insert(Interest(name=Name("/a"), lifetime=1.0), in_face_id=1)
-        pit.satisfy(make_data("/a"))
+        pit.insert(interest_view("/a", lifetime=1.0), in_face_id=1)
+        pit.satisfy(data_view("/a"))
         clock["now"] = 5.0
         assert pit.expire() == []
         assert pit.expired == 0
@@ -464,93 +401,43 @@ class TestPit:
     def test_reinserted_name_not_expired_by_stale_deadline(self):
         clock = {"now": 0.0}
         pit = PendingInterestTable(clock=lambda: clock["now"])
-        first = Interest(name=Name("/a"), lifetime=1.0)
-        pit.insert(first, in_face_id=1)
-        pit.satisfy(make_data("/a"))
+        pit.insert(interest_view("/a", lifetime=1.0), in_face_id=1)
+        pit.satisfy(data_view("/a"))
         clock["now"] = 1.5  # first deadline has passed
-        second = Interest(name=Name("/a"), lifetime=10.0)
-        pit.insert(second, in_face_id=2)
+        pit.insert(interest_view("/a", lifetime=10.0), in_face_id=2)
         assert pit.expire() == []  # stale heap item must not kill the new entry
         assert len(pit) == 1
 
-    def test_satisfy_matches_entries_at_every_prefix_depth(self):
-        pit = PendingInterestTable()
-        pit.insert(Interest(name=Name("/"), can_be_prefix=True), in_face_id=1)
-        pit.insert(Interest(name=Name("/a"), can_be_prefix=True), in_face_id=2)
-        pit.insert(Interest(name=Name("/a/b/c"), can_be_prefix=True), in_face_id=3)
-        pit.insert(Interest(name=Name("/a/b/c")), in_face_id=4)  # exact
-        pit.insert(Interest(name=Name("/a/x"), can_be_prefix=True), in_face_id=5)
-        faces = pit.satisfy(make_data("/a/b/c"))
-        assert sorted(faces) == [1, 2, 3, 4]
-        assert len(pit) == 1  # only the /a/x prefix entry remains
-
-    def test_find_matching_agrees_with_matches_data(self):
-        pit = PendingInterestTable()
-        interests = {1: Interest(name=Name("/a"), can_be_prefix=True),
-                     2: Interest(name=Name("/a/b")),
-                     3: Interest(name=Name("/other"))}
-        for face_id, interest in interests.items():
-            pit.insert(interest, in_face_id=face_id)
-        data = make_data("/a/b")
-        assert sorted(pit.satisfy(data)) == [1, 2]
-        assert [str(e.name) for e in pit.entries()] == ["/other"]
-        assert [face_id for face_id, interest in interests.items()
-                if interest.matches_data(data)] == [1, 2]
-
-    def test_exact_only_table_builds_no_prefix_names_per_data(self, monkeypatch):
-        """While no ``can_be_prefix`` entry is live the Data path probes the
-        exact key only — it must not build one ``Name`` per prefix length."""
-        built = []
-        real_prefix = Name.prefix
-        monkeypatch.setattr(
-            Name, "prefix", lambda self, n: built.append(n) or real_prefix(self, n)
-        )
-        pit = PendingInterestTable()
-        pit.insert(Interest(name=Name("/a/b/c/d")), in_face_id=1)
-        assert pit.satisfy(make_data("/a/b/c/d")) == [1]
-        assert built == []
-        pit.insert(Interest(name=Name("/a"), can_be_prefix=True), in_face_id=2)
-        assert pit.satisfy(make_data("/a/b/c/d")) == [2]
-        assert built == [0, 1, 2, 3, 4]
-
     @given(ops=st.lists(
         st.tuples(
-            st.sampled_from(["insert", "satisfy", "remove", "remove_key", "tick"]),
-            st.sampled_from(["/", "/a", "/a/b", "/a/b/c", "/x"]),
-            st.booleans(),
+            st.sampled_from(["insert", "satisfy", "remove", "tick"]),
+            st.sampled_from(["/", "/a", "/a/b", "/x"]),
         ),
         max_size=40,
     ))
-    def test_prefix_entry_counter_survives_every_removal_path(self, ops):
-        """The counter that gates the prefix probes is kept by insert,
-        satisfy, remove, remove_from_key and expire: after any interleaving
-        the probing lookup still agrees with a scan of every entry."""
+    def test_table_agrees_with_a_dict_model_on_every_removal_path(self, ops):
+        """Insert, satisfy, remove and expire in any interleaving leave the
+        table holding exactly the names a plain dict of expiries holds."""
         clock = {"now": 0.0}
         pit = PendingInterestTable(clock=lambda: clock["now"])
-        for op, uri, can_be_prefix in ops:
-            interest = Interest(name=Name(uri), can_be_prefix=can_be_prefix, lifetime=1.0)
+        model: dict[str, float] = {}
+        for op, uri in ops:
             if op == "insert":
-                pit.insert(interest, in_face_id=1)
+                pit.insert(interest_view(uri, lifetime=1.0), in_face_id=1)
+                model[uri] = clock["now"] + 1.0
             elif op == "satisfy":
-                pit.satisfy(make_data(uri))
+                entry = pit.satisfy(data_view(uri))
+                assert (entry is not None) == (model.pop(uri, None) is not None)
             elif op == "remove":
-                pit.remove(interest)
-            elif op == "remove_key":
-                pit.remove_from_key((Name(uri), can_be_prefix))
+                pit.remove(interest_view(uri))
+                model.pop(uri, None)
             else:
                 clock["now"] += 0.6
-                pit.expire()
-            entries = list(pit.entries())
-            assert pit._prefix_entries == sum(entry.can_be_prefix for entry in entries)
-            for probe in ("/a/b/c", "/x", "/"):
-                data = make_data(probe)
-                unmatched = {(entry.name, entry.can_be_prefix) for entry in entries
-                             if not Interest(name=entry.name, can_be_prefix=entry.can_be_prefix)
-                             .matches_data(data)}
-                probed = copy.deepcopy(pit)
-                probed.satisfy(data)
-                assert {(entry.name, entry.can_be_prefix)
-                        for entry in probed.entries()} == unmatched
+                due = {name for name, expiry in model.items() if expiry <= clock["now"]}
+                assert {str(entry.name) for entry in pit.expire()} == due
+                for name in due:
+                    del model[name]
+            assert sorted(str(entry.name) for entry in pit.entries()) == sorted(model)
 
 
 class TestNameTreeAndFib:

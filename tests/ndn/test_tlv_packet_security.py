@@ -4,8 +4,16 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.exceptions import TLVDecodeError, VerificationError
+from repro.ndn.cs import ContentStore
 from repro.ndn.name import Component, Name
-from repro.ndn.packet import _ContentType, Data, Interest, NackReason, WirePacket
+from repro.ndn.packet import (
+    _ContentType,
+    Data,
+    Interest,
+    NackReason,
+    WirePacket,
+    encode_name_value,
+)
 from repro.ndn.tlv import (
     TlvTypes,
     decode_nonneg_int,
@@ -81,7 +89,6 @@ class TestInterestWire:
     def test_round_trip_all_fields(self):
         interest = Interest(
             name=Name("/ndn/k8s/compute/app=BLAST"),
-            can_be_prefix=True,
             must_be_fresh=True,
             lifetime=2.5,
             hop_limit=12,
@@ -89,7 +96,7 @@ class TestInterestWire:
         )
         decoded = Interest.decode(interest.encode())
         assert decoded.name == interest.name
-        assert decoded.can_be_prefix and decoded.must_be_fresh
+        assert decoded.must_be_fresh
         assert decoded.lifetime == pytest.approx(2.5)
         assert decoded.hop_limit == 12
         assert decoded.nonce == interest.nonce
@@ -114,14 +121,35 @@ class TestInterestWire:
         assert view.hop_limit == 2  # original untouched
 
     def test_exact_match_semantics(self):
-        interest = Interest(name=Name("/a/b"))
-        assert interest.matches_data(Data(name=Name("/a/b")))
-        assert not interest.matches_data(Data(name=Name("/a/b/c")))
+        """An Interest asks for exactly its name, never an extension of it."""
+        cs = ContentStore(capacity=4)
+        interest = WirePacket(Interest(name=Name("/a/b")).encode())
+        cs.insert(WirePacket(Data(name=Name("/a/b/c")).encode()))
+        assert cs.find(interest) is None
+        cs.insert(WirePacket(Data(name=Name("/a/b")).encode()))
+        assert cs.find(interest).name == Name("/a/b")
 
-    def test_prefix_match_semantics(self):
-        interest = Interest(name=Name("/a"), can_be_prefix=True)
-        assert interest.matches_data(Data(name=Name("/a/b/c")))
-        assert not interest.matches_data(Data(name=Name("/b")))
+    def test_a_can_be_prefix_element_is_refused_by_decoding(self):
+        """Decoding refuses a CanBePrefix Interest rather than read it as
+        exact; a transit hop reads its view and matches by exact name."""
+        plain = Interest(name=Name("/a"), hop_limit=4).encode()
+        _type, body_start, body_end = decode_tlv_header(plain)
+        body = plain[body_start:body_end]
+        name_tlv = encode_tlv(TlvTypes.NAME, encode_name_value(Name("/a")))
+        assert body.startswith(name_tlv)
+        wire = encode_tlv(
+            TlvTypes.INTEREST,
+            name_tlv + encode_tlv(TlvTypes.CAN_BE_PREFIX, b"") + body[len(name_tlv):],
+        )
+        with pytest.raises(TLVDecodeError):
+            Interest.decode(wire)
+        with pytest.raises(TLVDecodeError):
+            WirePacket(wire).decode()
+        view = WirePacket(wire)
+        assert (view.name, view.hop_limit) == (Name("/a"), 4)
+        cs = ContentStore(capacity=4)
+        cs.insert(WirePacket(Data(name=Name("/a/b"), content=b"x").encode()))
+        assert cs.find(view) is None
 
     def test_size_is_wire_length(self):
         interest = Interest(name=Name("/abc"))

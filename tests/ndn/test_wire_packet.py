@@ -42,7 +42,6 @@ names = st.lists(component, min_size=1, max_size=6).map(Name)
 interests = st.builds(
     Interest,
     name=names,
-    can_be_prefix=st.booleans(),
     must_be_fresh=st.booleans(),
     nonce=st.integers(min_value=0, max_value=2**32 - 1),
     lifetime=st.floats(min_value=0.001, max_value=3600.0, allow_nan=False),
@@ -72,7 +71,6 @@ class TestWireRoundTrips:
         wire = interest.encode()
         decoded = Interest.decode(wire)
         assert decoded.name == interest.name
-        assert decoded.can_be_prefix == interest.can_be_prefix
         assert decoded.must_be_fresh == interest.must_be_fresh
         assert decoded.nonce == interest.nonce
         assert decoded.hop_limit == interest.hop_limit
@@ -115,7 +113,6 @@ class TestWirePacketLazyFields:
         assert view.packet_type == TlvTypes.INTEREST
         assert view.is_interest and not view.is_data
         assert view.name == full.name
-        assert view.can_be_prefix == full.can_be_prefix
         assert view.must_be_fresh == full.must_be_fresh
         assert view.nonce == full.nonce
         assert view.hop_limit == full.hop_limit
@@ -147,16 +144,15 @@ class TestWirePacketLazyFields:
         assert enclosed.wire == full.encode()
 
     @given(interest=interests)
-    def test_matches_data_equivalence(self, interest):
-        # The PIT matches in transit what the Interest object matches at the
-        # endpoint.
+    def test_the_pit_matches_by_exact_name(self, interest):
+        # In transit the PIT answers what the endpoint asked for: Data of
+        # exactly the Interest's name, never an extension of it.
         exact = Data(name=interest.name, content=b"x")
         longer = Data(name=interest.name.append("more"), content=b"x")
-        for data in (exact, longer):
+        for data, matches in ((longer, False), (exact, True)):
             pit = PendingInterestTable()
-            pit.insert(WirePacket(interest.encode()), 1)
-            satisfied = pit.satisfy(WirePacket(data.encode())) == [1]
-            assert satisfied == interest.matches_data(data)
+            entry, _ = pit.insert(WirePacket(interest.encode()), 1)
+            assert (pit.satisfy(WirePacket(data.encode())) is entry) == matches
 
 
 # -- WirePacket behaviour ------------------------------------------------------
@@ -400,12 +396,27 @@ _DECODERS = {_T.INTEREST: Interest.decode, _T.DATA: Data.decode, _T.NACK: _nack_
 
 def _assert_interest_view_equals(view: WirePacket, decoded: Interest) -> None:
     assert view.name == decoded.name
-    assert view.can_be_prefix == decoded.can_be_prefix
     assert view.must_be_fresh == decoded.must_be_fresh
     assert view.nonce == decoded.nonce
     assert view.lifetime == decoded.lifetime
     assert view.hop_limit == decoded.hop_limit
     assert view.application_parameters == decoded.application_parameters
+
+
+def _assert_view_equals(view: WirePacket, decoded) -> None:
+    """Every field the view reads equals the eager decode's (``decoded`` is
+    what ``_DECODERS`` returns for the view's packet type)."""
+    if view.is_interest:
+        _assert_interest_view_equals(view, decoded)
+    elif view.is_data:
+        assert view.name == decoded.name
+        assert view.freshness_period == decoded.freshness_period
+    else:
+        reason, enclosed = decoded
+        assert view.reason == reason
+        assert view.name == enclosed.name
+        _assert_interest_view_equals(view.interest, enclosed)
+    assert view.name_bytes == encode_name_value(view.name)
 
 
 class TestOneParserPerField:
@@ -417,16 +428,7 @@ class TestOneParserPerField:
             decoded = _DECODERS[view.packet_type](wire)
         except TLVDecodeError:
             return  # a typed rejection; anything else fails the test
-        if view.is_interest:
-            _assert_interest_view_equals(view, decoded)
-        elif view.is_data:
-            assert view.name == decoded.name
-            assert view.freshness_period == decoded.freshness_period
-        else:
-            reason, enclosed = decoded
-            assert view.reason == reason
-            assert view.name == enclosed.name
-            _assert_interest_view_equals(view.interest, enclosed)
+        _assert_view_equals(view, decoded)
 
     # Regressions: each case made the endpoint decoder and the transit view
     # read one packet differently, or made the decoder raise an untyped error.
@@ -523,3 +525,75 @@ class TestHopLimitlessInterestInTransit:
         env.run()
         assert [packet.wire for packet in received] == [wire]
         assert WirePacket.wire_decodes == before
+
+
+# -- mutation fuzzer: a damaged buffer fails typed or reads as decoded ----------
+
+_valid_wires = st.one_of(
+    interests.map(lambda interest: interest.encode()),
+    datas.map(lambda data: data.encode()),
+    st.tuples(interests, st.integers(min_value=0, max_value=200)).map(
+        lambda pair: WirePacket(pair[0].encode()).nack(pair[1]).wire
+    ),
+)
+
+_edits = st.one_of(
+    st.tuples(st.just("flip"), st.integers(min_value=0), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(min_value=0)),
+    st.tuples(st.just("insert"), st.integers(min_value=0), st.binary(min_size=1, max_size=4)),
+)
+
+
+def _mutate(wire: bytes, edits) -> bytes:
+    """Apply byte flips, truncations and insertions, positions taken modulo
+    the current length."""
+    buffer = bytearray(wire)
+    for edit in edits:
+        kind, position = edit[0], edit[1] % (len(buffer) + 1)
+        if kind == "flip" and position < len(buffer):
+            buffer[position] ^= edit[2]
+        elif kind == "truncate":
+            del buffer[position:]
+        elif kind == "insert":
+            buffer[position:position] = edit[2]
+    return bytes(buffer)
+
+
+#: Every field a view reads, per packet type.
+_VIEW_FIELDS = {
+    _T.INTEREST: ("name", "name_bytes", "must_be_fresh", "nonce", "lifetime", "hop_limit",
+                  "application_parameters"),
+    _T.DATA: ("name", "name_bytes", "freshness_period"),
+    _T.NACK: ("reason", "name", "name_bytes", "interest"),
+}
+
+
+def _read_every_field(view: WirePacket) -> None:
+    """Read each of the view's fields; a typed rejection is the one
+    acceptable failure."""
+    for field_name in _VIEW_FIELDS.get(view.packet_type, ("name",)):
+        try:
+            getattr(view, field_name)
+        except TLVDecodeError:
+            pass
+
+
+class TestMutationFuzzer:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(wire=_valid_wires, edits=st.lists(_edits, min_size=1, max_size=3))
+    def test_a_damaged_buffer_fails_typed_or_reads_as_decoded(self, wire, edits):
+        damaged = _mutate(wire, edits)
+        try:
+            view = WirePacket(damaged)
+        except TLVDecodeError:
+            return
+        decoder = _DECODERS.get(view.packet_type)
+        try:
+            if decoder is None:
+                view.decode()  # no packet object for this type: must fail typed
+                pytest.fail(f"decoded a packet of type {view.packet_type:#x}")
+            decoded = decoder(damaged)
+        except TLVDecodeError:
+            _read_every_field(view)
+            return
+        _assert_view_equals(view, decoded)

@@ -123,6 +123,13 @@ OPTIONS = {
     "repro.ndn.shard:ShardedForwarder.attach_producer": ("prefix", "handler"),
     "repro.ndn.face:LocalFace": ("env", "owner", "label"),
     "repro.ndn.client:Consumer": ("env", "forwarder", "name", "rng"),
+    "repro.ndn.client:Consumer.express_interest": (
+        "name", "lifetime", "must_be_fresh", "retry_policy",
+    ),
+    "repro.ndn.client:RetryPolicy": (
+        "max_retries", "initial_backoff_s", "multiplier", "max_backoff_s", "jitter",
+        "deadline_s", "retry_nacks",
+    ),
 }
 
 #: Callables that only tests took, or whose callers already knew everything.
@@ -326,6 +333,17 @@ GONE = (
     "repro.ndn.packet:DataLike",
     "repro.ndn.face:AnyPacket",
     "repro.ndn.face:Packet",
+    # Every Interest is exact-match: no table, endpoint or trie matches by
+    # prefix except the FIB's longest-prefix match.
+    "repro.ndn.packet:Interest.matches_data",
+    "repro.ndn.packet:WirePacket.can_be_prefix",
+    "repro.ndn.pit:PendingInterestTable.entry_at",
+    "repro.ndn.pit:PendingInterestTable.remove_from_key",
+    "repro.ndn.nametree:NameTree.set",
+    "repro.ndn.nametree:NameTree.items_under",
+    "repro.ndn.nametree:NameTree.first_under",
+    "repro.ndn.nametree:NameTree.clear",
+    "repro.ndn.nametree:NameTree.__contains__",
 )
 
 #: Modules that went whole: the controller's placement policies and the
