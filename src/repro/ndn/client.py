@@ -149,7 +149,7 @@ class Consumer:
 
     def express_interest(
         self,
-        name: "Name | str | Interest",
+        name: "Name | str",
         lifetime: Optional[float] = None,
         must_be_fresh: bool = False,
         retry_policy: Optional[RetryPolicy] = None,
@@ -164,14 +164,11 @@ class Consumer:
         retransmissions, the deadline of the whole exchange and whether
         retriable Nacks are retransmitted; ``None`` means :data:`NO_RETRY`.
         """
-        if isinstance(name, Interest):
-            interest = name
-        else:
-            interest = Interest(
-                name=parse_name(name) if isinstance(name, str) else name,
-                must_be_fresh=must_be_fresh,
-                lifetime=lifetime if lifetime is not None else 4.0,
-            )
+        interest = Interest(
+            name=parse_name(name) if isinstance(name, str) else name,
+            must_be_fresh=must_be_fresh,
+            lifetime=lifetime if lifetime is not None else 4.0,
+        )
         policy = retry_policy if retry_policy is not None else NO_RETRY
         completion = self.env.event(name="fetch")
         pending = _PendingInterest(
@@ -266,7 +263,6 @@ class Consumer:
             name=interest.name,
             must_be_fresh=interest.must_be_fresh,
             lifetime=interest.lifetime,
-            application_parameters=interest.application_parameters,
         )
         self._transmit(pending)
 

@@ -265,9 +265,10 @@ class TestForwarderPipelines:
         fb.attach_producer("/deep", lambda i: Data(name=i.name, content=b"d"))
         db.announce("/deep")
         consumer = Consumer(env, fa)
-        interest = Interest(name=Name("/deep/x"), hop_limit=0, lifetime=0.3)
-        with pytest.raises(InterestTimeout):
-            env.run(until=consumer.express_interest(interest))
+        consumer.face.send(Interest(name=Name("/deep/x"), hop_limit=0))
+        env.run(until=env.now + 1.0)
+        assert fa.metrics.counter("interests_dropped_hop_limit").value == 1
+        assert consumer.data_received == 0
 
     def test_nack_retry_on_alternative_face(self, env):
         """When the best upstream NACKs, the forwarder retries the other route."""

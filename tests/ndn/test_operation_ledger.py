@@ -198,11 +198,6 @@ class TestComputeJobLedger:
 # view decoded its outer header at construction and faces stopped
 # re-wrapping views, the two forwarding totals read 447 and 94, led by
 # ``WirePacket._header`` (47 and 12 calls) and ``WirePacket.of`` (16 and 5).
-#
-# Before every Interest was exact-match and the PIT keyed on name bytes,
-# the fresh fetch read 365, with 20 ``Name.__hash__`` calls (PIT keys were
-# ``(Name, bool)`` tuples) and 8 ``WirePacket.can_be_prefix``; the edge-CS
-# hit read 72 and the compute job 3 128.
 FRESH_FETCH_TOTAL = 306
 FRESH_FETCH_NAME_HASHES = 6
 FRESH_FETCH_TOP_TEN = [

@@ -120,15 +120,6 @@ class TestInterestWire:
         assert view.with_decremented_hop_limit().hop_limit == 1
         assert view.hop_limit == 2  # original untouched
 
-    def test_exact_match_semantics(self):
-        """An Interest asks for exactly its name, never an extension of it."""
-        cs = ContentStore(capacity=4)
-        interest = WirePacket(Interest(name=Name("/a/b")).encode())
-        cs.insert(WirePacket(Data(name=Name("/a/b/c")).encode()))
-        assert cs.find(interest) is None
-        cs.insert(WirePacket(Data(name=Name("/a/b")).encode()))
-        assert cs.find(interest).name == Name("/a/b")
-
     def test_a_can_be_prefix_element_is_refused_by_decoding(self):
         """Decoding refuses a CanBePrefix Interest rather than read it as
         exact; a transit hop reads its view and matches by exact name."""
