@@ -270,6 +270,38 @@ class TestForwarderPipelines:
         assert fa.metrics.counter("interests_dropped_hop_limit").value == 1
         assert consumer.data_received == 0
 
+    def test_a_satisfied_exchange_leaves_its_name_routable(self, env):
+        """A satisfied ``/a`` must not leave the producer marked as tried for
+        ``/a``: the next Interest for ``/a`` reaches it again (no Content
+        Store, at capacity 0, to hide the defect)."""
+        edge = Forwarder(env, "edge", cs_capacity=0)
+        asked = []
+        edge.attach_producer(
+            "/a", lambda i: asked.append(i.name) or Data(name=i.name, content=b"a"))
+        consumer = Consumer(env, edge)
+        for _ in range(2):
+            data = env.run(until=consumer.express_interest("/a", lifetime=1.0))
+            assert data.name == Name("/a")
+        assert asked == [Name("/a"), Name("/a")]
+        assert edge.metrics.counter("interests_nacked").value == 0
+        assert len(edge.pit) == 0
+
+    def test_a_longer_data_name_does_not_answer_an_exact_interest(self, env):
+        """Every Interest is exact: a producer answering ``/a`` with ``/a/b``
+        sends unsolicited Data, which is dropped, and the consumer times out."""
+        edge = Forwarder(env, "edge")
+        asked = []
+        edge.attach_producer(
+            "/a", lambda i: asked.append(i.name) or Data(name=Name("/a/b"), content=b"b"))
+        consumer = Consumer(env, edge)
+        with pytest.raises(InterestTimeout):
+            env.run(until=consumer.express_interest(
+                "/a", lifetime=0.5, retry_policy=RetryPolicy(max_retries=0)))
+        assert asked == [Name("/a")]
+        assert edge.metrics.counter("data_unsolicited").value == 1
+        assert len(edge.cs) == 0
+        assert consumer.data_received == 0
+
     def test_nack_retry_on_alternative_face(self, env):
         """When the best upstream NACKs, the forwarder retries the other route."""
         edge = Forwarder(env, "edge")

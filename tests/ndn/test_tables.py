@@ -140,6 +140,44 @@ class TestContentStoreRegressions:
         assert cs.evictions == 3 and cs.insertions == 3
         assert cs.find(Interest(name=Name("/a"))) is None
 
+    def test_find_after_eviction_does_not_resurrect(self):
+        cs = ContentStore(capacity=1)
+        evicted = []
+        cs.on_evict = evicted.append
+        cs.insert(make_data("/a/1"))
+        cs.insert(make_data("/a/2"))  # evicts /a/1
+        assert evicted == [Name("/a/1")]
+        assert cs.find(Interest(name=Name("/a/1"))) is None
+        assert cs.find(Interest(name=Name("/a/2"))).name == Name("/a/2")
+
+    def test_find_after_erase(self):
+        """An erase drops its one name, tells the mirror once, and leaves
+        the names it is a prefix of in place."""
+        cs = ContentStore(capacity=10)
+        for uri in ("/a/1", "/a/2"):
+            cs.insert(make_data(uri))
+        erased = []
+        cs.on_evict = erased.append
+        cs.erase("/a/1")
+        cs.erase("/a")  # a prefix of /a/2, never cached itself
+        assert erased == [Name("/a/1")]
+        assert cs.find(Interest(name=Name("/a/1"))) is None
+        assert cs.find(Interest(name=Name("/a/2"))).name == Name("/a/2")
+        assert cs.evictions == 0
+
+    def test_clear_tells_the_mirror_of_every_name_and_the_store_refills(self):
+        cs = ContentStore(capacity=10)
+        for uri in ("/a/1", "/b"):
+            cs.insert(make_data(uri))
+        dropped = []
+        cs.on_evict = dropped.append
+        cs.clear()
+        assert dropped == [Name("/a/1"), Name("/b")]
+        assert len(cs) == 0
+        assert cs.find(Interest(name=Name("/a/1"))) is None
+        cs.insert(make_data("/a/1"))
+        assert cs.find(Interest(name=Name("/a/1"))).name == Name("/a/1")
+
 class TestEvictionAccounting:
     def test_insertion_and_eviction_counters(self):
         cs = ContentStore(capacity=2)
@@ -338,6 +376,46 @@ class TestPit:
         pit.insert(interest_view("/a"), in_face_id=3)
         assert pit.satisfy(data_view("/a/b")) is None
         assert len(pit) == 1
+
+    def test_names_with_the_same_characters_are_distinct_entries(self):
+        """The key is the Name TLV's value, component headers included:
+        ``/ab`` and ``/a/b`` share their characters but not their bytes."""
+        pit = PendingInterestTable()
+        pit.insert(interest_view("/ab"), in_face_id=1)
+        pit.insert(interest_view("/a/b"), in_face_id=2)
+        assert len(pit) == 2 and pit.aggregated == 0
+        assert pit.satisfy(data_view("/a/b")).downstream_faces() == [2]
+        assert [str(entry.name) for entry in pit.entries()] == ["/ab"]
+
+    def test_a_wrapped_packet_and_a_wire_view_share_one_entry(self):
+        """An endpoint's own packet (``WirePacket.of``) keys the same entry
+        as a view of received bytes with the same name."""
+        pit = PendingInterestTable()
+        entry, _ = pit.insert(WirePacket.of(Interest(name=Name("/a/b"))), in_face_id=1)
+        _, is_new = pit.insert(interest_view("/a/b"), in_face_id=2)
+        assert not is_new
+        assert pit.satisfy(WirePacket.of(make_data("/a/b"))) is entry
+        assert entry.downstream_faces() == [1, 2]
+        assert len(pit) == 0
+
+    def test_the_table_never_hashes_a_name(self, monkeypatch):
+        """Every probe keys on name bytes: no ``Name.__hash__`` or
+        ``Name.__eq__`` on the Interest or the Data path."""
+        calls = []
+        real_hash, real_eq = Name.__hash__, Name.__eq__
+        monkeypatch.setattr(Name, "__hash__", lambda self: calls.append("hash") or real_hash(self))
+        monkeypatch.setattr(
+            Name, "__eq__", lambda self, other: calls.append("eq") or real_eq(self, other))
+        pit = PendingInterestTable()
+        interest = interest_view("/a/b/c")
+        pit.insert(interest, in_face_id=1)
+        pit.insert(interest_view("/a/b/c"), in_face_id=2)
+        assert pit.is_duplicate_nonce(interest)
+        pit.record_out(interest, out_face_id=9)
+        assert pit.find_exact(interest) is not None
+        assert pit.satisfy(data_view("/a/b/c")).downstream_faces() == [1, 2]
+        assert pit.satisfy(data_view("/a/b")) is None
+        assert calls == []
 
     def test_record_out_and_upstreams(self):
         pit = PendingInterestTable()
